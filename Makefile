@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check vet build test test-race bench-overhead monitor-overhead dist-overhead flight-overhead bench-scaling bench-zerocopy experiments report bench-json bench-regress profile incident-demo epc-demo whatif-demo
+.PHONY: check vet build test test-race test-repeat bench-selftest bench-overhead monitor-overhead dist-overhead flight-overhead bench-scaling bench-zerocopy experiments report bench-json bench-regress profile incident-demo epc-demo whatif-demo
 
 # check is the CI entrypoint: vet, build, race-test the concurrency-heavy
-# packages, then the full suite.
-check: vet build test-race test
+# packages, repeat the claim-protocol tests, then the full suite.
+check: vet build test-race test-repeat test
 
 vet:
 	$(GO) vet ./...
@@ -21,6 +21,19 @@ test:
 # cross-goroutine traffic; run them under the race detector.
 test-race:
 	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/monitor/... ./internal/dist/... ./internal/flight/... ./internal/incident/... ./internal/epc/... ./internal/epcstat/... ./internal/whatif/... ./internal/apps/memcached/... ./internal/apps/lighttpd/... ./internal/apps/openvpn/...
+
+# test-repeat reruns the two tests that pin the batched claim's
+# exactly-once execution — the core test that parks a claimed window
+# under a second responder's scan, and the openvpn port whose in-place
+# handler turns a double execution into a failed MAC — twenty times at
+# one and two Ps, so a protocol regression cannot pass on scheduler luck.
+test-repeat:
+	$(GO) test -count=20 -cpu 1,2 -run 'TestPoolTunnelConcurrentConnections|TestPoolBatchedClaimExactlyOnce' ./internal/core ./internal/apps/openvpn
+
+# bench-selftest runs the repo benchmark's own tests (its module is
+# outside the root module, so `go test ./...` does not reach them).
+bench-selftest:
+	cd benchmarks && $(GO) test ./...
 
 # bench-overhead compares the uninstrumented HotCall path against one
 # with a live registry attached (the <5% disabled-cost budget).
@@ -74,12 +87,14 @@ bench-scaling:
 # 2-32 KB crossing-cost sweep ([in,out] marshalling vs [zerocopy] ring
 # pass-through on both edges), the wall-clock fabric pairs (four-copy
 # staging vs scatter-gather descriptors, interleaved same-run ratios),
-# and the openvpn port's iperf-like streaming driver (windowed vectored
-# submit vs synchronous relay).  The sweep series lands in
+# the openvpn port's iperf-like streaming driver (windowed vectored
+# submit vs synchronous relay), and the verified Stream window's time
+# and allocations per 16 x 1400 B.  The sweep series lands in
 # zerocopy-sweep.csv (CI uploads it); the same ratios gate under the
 # zerocopy/* bands of bench-regress.
 bench-zerocopy:
 	$(GO) run ./cmd/hotbench -zerocopy-sweep -zerocopy-csv zerocopy-sweep.csv
+	$(GO) test -run '^$$' -bench 'BenchmarkStreamWindow' -benchtime 2s -count 3 ./internal/apps/openvpn/
 
 # bench-json regenerates the machine-readable results artifact that perf
 # changes diff against.

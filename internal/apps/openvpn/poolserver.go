@@ -13,8 +13,8 @@ package openvpn
 // so a burst of datagrams pays one responder wakeup.
 
 import (
+	"bytes"
 	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,6 +46,10 @@ const slabFrameCap = 2048
 // in-flight call; reap completions first.
 var ErrWindowFull = errors.New("openvpn: connection window full (no free slab)")
 
+// ErrFrameTooLarge reports a payload that does not fit one slab with its
+// tunnel header; nothing was sealed or posted.
+var ErrFrameTooLarge = errors.New("openvpn: payload larger than a ring slab")
+
 // replayWindow is a reorder-tolerant packet-ID filter (openVPN's UDP
 // sliding window): IDs up to 63 behind the highest seen are accepted
 // once each.  The fabric needs the tolerance because concurrent
@@ -76,19 +80,6 @@ func (w *replayWindow) accept(id uint32) bool {
 	}
 	w.mask |= 1 << diff
 	return true
-}
-
-// segMac computes the tunnel MAC over a scatter-gather frame — the
-// packet-ID header and the ciphertext body as two writes, no coalescing
-// copy (contrast Cipher.mac, which takes one contiguous frame).
-func segMac(c *Cipher, hdr, body []byte) [macSize]byte {
-	h := hmac.New(sha256.New, c.macKey[:])
-	h.Write(hdr)
-	h.Write(body)
-	var sum [sha256.Size]byte
-	var out [macSize]byte
-	copy(out[:], h.Sum(sum[:0]))
-	return out
 }
 
 // tunnelState is one connection's crypto context: both direction keys
@@ -173,6 +164,7 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 		c := &PoolConn{s: s, idx: i, req: s.pool.Requester(),
 			peerSeal: peerSeal, peerVerify: peerVerify}
 		c.ring = c.req.Ring()
+		c.scratch = make([]byte, c.ring.SlabBytes())
 		c.ring.SetTouch(s.ringTouch(i))
 		s.conns[i] = c
 	}
@@ -342,7 +334,7 @@ func (s *PoolServer) tunnel(requester int, data uint64, segs []core.Segment) uin
 	defer t.mu.Unlock()
 
 	id := binary.BigEndian.Uint32(hdr[:packetIDSize])
-	want := segMac(t.rx, hdr[:packetIDSize], body)
+	want := t.rx.mac(hdr[:packetIDSize], body)
 	if !hmac.Equal(want[:], hdr[packetIDSize:FrameOverhead]) {
 		return ^uint64(0)
 	}
@@ -359,7 +351,7 @@ func (s *PoolServer) tunnel(requester int, data uint64, segs []core.Segment) uin
 	t.tx.nextID++
 	binary.BigEndian.PutUint32(hdr[:packetIDSize], oid)
 	t.tx.stream(oid).XORKeyStream(body, body)
-	mac := segMac(t.tx, hdr[:packetIDSize], body)
+	mac := t.tx.mac(hdr[:packetIDSize], body)
 	copy(hdr[packetIDSize:FrameOverhead], mac[:])
 	return uint64(FrameOverhead) + uint64(len(body))
 }
@@ -376,6 +368,7 @@ type PoolConn struct {
 	peerSeal   *Cipher // peer's sealer: client -> server direction
 	peerVerify *Cipher // peer's receive keys: server -> client direction
 	peerWin    replayWindow
+	scratch    []byte // verifyOut's plaintext buffer, one slab long
 
 	calls [vpnWindow]core.VecCall
 	segs  [vpnWindow][2]core.Segment
@@ -385,6 +378,9 @@ type PoolConn struct {
 // sealInto plays the NIC: the peer's sealed frame lands directly in a
 // ring slab, split into header and body descriptors.
 func (c *PoolConn) sealInto(payload []byte) (slab uint32, segs [2]core.Segment, err error) {
+	if len(payload) > c.ring.SlabBytes()-FrameOverhead {
+		return 0, segs, ErrFrameTooLarge
+	}
 	s, buf, ok := c.ring.Acquire()
 	if !ok {
 		return 0, segs, ErrWindowFull
@@ -393,6 +389,18 @@ func (c *PoolConn) sealInto(payload []byte) (slab uint32, segs [2]core.Segment, 
 	segs[0] = core.Segment{Slab: s, Off: 0, Len: FrameOverhead}
 	segs[1] = core.Segment{Slab: s, Off: FrameOverhead, Len: uint32(frameLen - FrameOverhead)}
 	return s, segs, nil
+}
+
+// stage seals payload into a slab as call i of the window being built.
+func (c *PoolConn) stage(i int, payload []byte) error {
+	slab, segs, err := c.sealInto(payload)
+	if err != nil {
+		return err
+	}
+	c.slabs[i] = slab
+	c.segs[i] = segs
+	c.calls[i] = core.VecCall{ID: opTunnel, Segs: c.segs[i][:]}
+	return nil
 }
 
 // verifyOut authenticates and decrypts one relayed output frame with
@@ -404,18 +412,20 @@ func (c *PoolConn) verifyOut(frame, payload []byte) error {
 		return ErrShortPkt
 	}
 	id := binary.BigEndian.Uint32(frame[:packetIDSize])
-	want := segMac(c.peerVerify, frame[:packetIDSize], frame[FrameOverhead:])
+	want := c.peerVerify.mac(frame[:packetIDSize], frame[FrameOverhead:])
 	if !hmac.Equal(want[:], frame[packetIDSize:FrameOverhead]) {
 		return ErrBadMAC
 	}
 	if !c.peerWin.accept(id) {
 		return ErrReplay
 	}
-	out := make([]byte, len(payload))
+	out := c.scratch[:len(payload)]
 	c.peerVerify.stream(id).XORKeyStream(out, frame[FrameOverhead:])
-	for i := range out {
-		if out[i] != payload[i] {
-			return fmt.Errorf("openvpn: payload corrupted at byte %d", i)
+	if !bytes.Equal(out, payload) {
+		for i := range out {
+			if out[i] != payload[i] {
+				return fmt.Errorf("openvpn: payload corrupted at byte %d", i)
+			}
 		}
 	}
 	return nil
@@ -448,24 +458,22 @@ func (c *PoolConn) Forward(payload []byte) (int, error) {
 
 // Stream relays a window of datagrams with one vectored submit (single
 // responder wakeup, batched tail claim), verifying every relayed frame.
-// Returns how many datagrams were relayed.
+// Returns how many datagrams were relayed.  A payload that cannot be
+// sealed (no free slab, or ErrFrameTooLarge) ends the window before it;
+// it is the returned error only when it is the window's first.
 func (c *PoolConn) Stream(payloads [][]byte) (int, error) {
 	if len(payloads) > vpnWindow {
 		payloads = payloads[:vpnWindow]
 	}
 	n := 0
-	for _, p := range payloads {
-		slab, segs, err := c.sealInto(p)
-		if err != nil {
+	var serr error
+	for ; n < len(payloads); n++ {
+		if serr = c.stage(n, payloads[n]); serr != nil {
 			break
 		}
-		c.slabs[n] = slab
-		c.segs[n] = segs
-		c.calls[n] = core.VecCall{ID: opTunnel, Segs: c.segs[n][:]}
-		n++
 	}
 	if n == 0 {
-		return 0, ErrWindowFull
+		return 0, serr
 	}
 	release := func(from int) {
 		for i := from; i < n; i++ {
@@ -531,18 +539,14 @@ func (c *PoolConn) Pump(payload []byte, count int) (uint64, error) {
 	var total uint64
 	for count > 0 {
 		n := 0
-		for n < vpnWindow && n < count {
-			slab, segs, err := c.sealInto(payload)
-			if err != nil {
+		var serr error
+		for ; n < vpnWindow && n < count; n++ {
+			if serr = c.stage(n, payload); serr != nil {
 				break
 			}
-			c.slabs[n] = slab
-			c.segs[n] = segs
-			c.calls[n] = core.VecCall{ID: opTunnel, Segs: c.segs[n][:]}
-			n++
 		}
 		if n == 0 {
-			return total, ErrWindowFull
+			return total, serr
 		}
 		b, err := c.req.SubmitVAt(c.s.csStream, c.calls[:n])
 		if b == nil {

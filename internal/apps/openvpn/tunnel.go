@@ -13,6 +13,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
+	"sync"
 )
 
 // Tunnel framing: 4-byte packet ID (replay protection) + 16-byte truncated
@@ -37,8 +39,18 @@ var (
 type Cipher struct {
 	block   cipher.Block
 	macKey  [32]byte
-	nextID  uint32 // sender: next packet ID
-	highest uint32 // receiver: highest ID seen (replay floor)
+	macs    sync.Pool // *macCtx keyed with macKey; see mac
+	nextID  uint32    // sender: next packet ID
+	highest uint32    // receiver: highest ID seen (replay floor)
+}
+
+// macCtx is one keyed HMAC-SHA256 context plus the buffer it sums into.
+// It holds nothing but state derived from its Cipher's macKey and is
+// reachable only through that Cipher's pool, so it lives and dies with
+// the key.
+type macCtx struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
 }
 
 // NewCipher builds one direction from 16-byte cipher and 32-byte MAC keys.
@@ -47,7 +59,9 @@ func NewCipher(key [16]byte, macKey [32]byte) *Cipher {
 	if err != nil {
 		panic(err) // fixed-size key cannot fail
 	}
-	return &Cipher{block: block, macKey: macKey, nextID: 1}
+	c := &Cipher{block: block, macKey: macKey, nextID: 1}
+	c.macs.New = func() any { return &macCtx{h: hmac.New(sha256.New, c.macKey[:])} }
+	return c
 }
 
 func (c *Cipher) stream(id uint32) cipher.Stream {
@@ -56,11 +70,20 @@ func (c *Cipher) stream(id uint32) cipher.Stream {
 	return cipher.NewCTR(c.block, iv[:])
 }
 
-func (c *Cipher) mac(frame []byte) [macSize]byte {
-	h := hmac.New(sha256.New, c.macKey[:])
-	h.Write(frame)
-	var out [macSize]byte
-	copy(out[:], h.Sum(nil))
+// mac is the tunnel's one MAC routine: the truncated HMAC-SHA256 over
+// hdr‖body, the packet-ID header and the ciphertext as two writes, so a
+// scatter-gather frame needs no coalescing copy.  The key is hashed once
+// per context, not once per frame: after its first Reset the stdlib
+// restores the saved ipad/opad compression states instead of
+// re-deriving them.  A context is taken for one MAC and put back, never
+// shared, so goroutines may MAC under one Cipher at the same time.
+func (c *Cipher) mac(hdr, body []byte) (out [macSize]byte) {
+	m := c.macs.Get().(*macCtx)
+	m.h.Reset()
+	m.h.Write(hdr)
+	m.h.Write(body)
+	copy(out[:], m.h.Sum(m.sum[:0]))
+	c.macs.Put(m)
 	return out
 }
 
@@ -72,7 +95,7 @@ func (c *Cipher) Seal(dst, plaintext []byte) int {
 	binary.BigEndian.PutUint32(dst[:packetIDSize], id)
 	ct := dst[FrameOverhead : FrameOverhead+len(plaintext)]
 	c.stream(id).XORKeyStream(ct, plaintext)
-	mac := c.mac(append(dst[:packetIDSize:packetIDSize], ct...))
+	mac := c.mac(dst[:packetIDSize], ct)
 	copy(dst[packetIDSize:FrameOverhead], mac[:])
 	return FrameOverhead + len(plaintext)
 }
@@ -85,7 +108,7 @@ func (c *Cipher) Open(dst, frame []byte) (int, error) {
 	}
 	id := binary.BigEndian.Uint32(frame[:packetIDSize])
 	ct := frame[FrameOverhead:]
-	want := c.mac(append(frame[:packetIDSize:packetIDSize], ct...))
+	want := c.mac(frame[:packetIDSize], ct)
 	if !hmac.Equal(want[:], frame[packetIDSize:FrameOverhead]) {
 		return 0, ErrBadMAC
 	}

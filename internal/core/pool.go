@@ -51,11 +51,24 @@ const cacheLine = 64
 // step (responder taking ownership) is the shard tail CAS, not a state
 // transition, so the responder writes the state word exactly once per
 // call (the done release-store that doubles as the completion signal).
+//
+// A claimed slot therefore still reads posted until its handler returns.
+// With a window as deep as the ring the claim cursor wraps onto such
+// slots, so the posted word carries the ring position it was posted at
+// (see posted): a responder counts a slot into its run only when the
+// stamp equals the position it is about to claim, and a slot one lap
+// behind never matches.
 const (
-	slotIdle uint32 = iota
+	slotIdle uint64 = iota
 	slotPosted
 	slotDone
 )
+
+// posted is the state word of a call posted at ring position pos.  The
+// position is the requester's head when it posts and the responder's
+// t+run when it claims, so the stamp costs neither side an extra store
+// or read-modify-write.
+func posted(pos uint64) uint64 { return pos<<2 | slotPosted }
 
 // poolSlot is one call cell.  Layout matters:
 //
@@ -77,8 +90,7 @@ const (
 // the responder reads it after the acquire load of state, so the
 // existing handoff protocol is also its publication fence.
 type poolSlot struct {
-	state atomic.Uint32
-	_     [4]byte
+	state atomic.Uint64
 	id    CallID
 	data  uint64
 	fr    *flight.Record
@@ -113,7 +125,8 @@ type shard struct {
 
 // hasWork reports whether the slot at the claim cursor is posted.
 func (sh *shard) hasWork() bool {
-	return sh.slots[sh.tail.Load()&sh.mask].state.Load() == slotPosted
+	t := sh.tail.Load()
+	return sh.slots[t&sh.mask].state.Load() == posted(t)
 }
 
 // PoolOptions tunes a CallPool.  The zero value selects the defaults
@@ -429,7 +442,7 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64) (*poolSlot,
 			// prior zero-copy call's descriptors; nseg lives on this
 			// line, so the store costs no extra coherence traffic.
 			s.nseg = 0
-			s.state.Store(slotPosted)
+			s.state.Store(posted(sh.head))
 			sh.head++
 			if p.sleepers.Load() != 0 {
 				p.wake.Signal()

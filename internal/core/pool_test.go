@@ -428,3 +428,74 @@ func TestMultiResponderScanFairness(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolBatchedClaimExactlyOnce pins the claim protocol's exactly-once
+// guarantee in the one geometry that used to break it: a SubmitV window
+// as deep as the ring.  The responder that claims the window parks
+// inside its first call, so all sixteen slots are claimed but still read
+// posted and the claim cursor has wrapped back onto them; a second
+// responder then scans the shard.  With an unstamped posted state it
+// counts the in-flight slots as a fresh run, moves tail past head, and
+// executes every call a second time.  No scheduler luck involved: the
+// parked call is released only after the other responder has finished
+// scan passes that began after the park.
+func TestPoolBatchedClaimExactlyOnce(t *testing.T) {
+	const (
+		window = 16
+		rounds = 8
+	)
+	var execs [rounds * window]atomic.Int32
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	opts := fastPool(1, 2)
+	opts.SlotsPerShard = window
+	opts.MinResponders = 2
+	// Responders yield but never sleep, so the second one keeps scanning
+	// while the first is parked.
+	opts.YieldPasses = 1 << 30
+	p := NewCallPool([]PoolFunc{func(_ int, data uint64) uint64 {
+		if execs[data].Add(1) == 1 && data%window == 0 {
+			parked <- struct{}{}
+			<-release
+		}
+		return data
+	}}, opts)
+	p.Start()
+	defer p.Stop()
+	defer close(release) // runs before Stop: a failed round must not leave a responder parked
+	r := p.Requester()
+
+	var calls [window]VecCall
+	var rets [window]uint64
+	for round := 0; round < rounds; round++ {
+		for i := range calls {
+			calls[i] = VecCall{ID: 0, Data: uint64(round*window + i)}
+		}
+		b, err := r.SubmitV(calls[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-parked
+		// Only the unparked responder adds to the poll total (a pass is
+		// booked when it returns), at least one inspection per pass: two
+		// more mean a pass started after the park has completed.
+		polls0, _ := p.Stats()
+		waitFor(t, 10*time.Second, func() bool {
+			polls, _ := p.Stats()
+			return polls >= polls0+2
+		}, "the second responder to scan the shard")
+		release <- struct{}{}
+		if err := b.WaitAll(rets[:]); err != nil {
+			t.Fatal(err)
+		}
+		for i := range calls {
+			id := round*window + i
+			if n := execs[id].Load(); n != 1 {
+				t.Fatalf("round %d call %d executed %d times, want exactly once", round, i, n)
+			}
+			if rets[i] != uint64(id) {
+				t.Fatalf("round %d rets[%d] = %d, want %d", round, i, rets[i], id)
+			}
+		}
+	}
+}

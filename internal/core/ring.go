@@ -198,7 +198,7 @@ func (r *Requester) postZC(cs flight.Callsite, id CallID, data uint64, segs []Se
 			}
 			s.nseg = uint32(len(segs))
 			copy(s.segs[:], segs)
-			s.state.Store(slotPosted)
+			s.state.Store(posted(sh.head))
 			sh.head++
 			if signal && p.sleepers.Load() != 0 {
 				p.wake.Signal()

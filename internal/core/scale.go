@@ -169,13 +169,16 @@ func (p *CallPool) scanPass(idx, pass int) (polls, execs uint64) {
 		// shard forever.
 		for drained := 0; drained < len(sh.slots); {
 			t := sh.tail.Load()
-			// Count the posted run from the claim cursor.
+			// Count the posted run from the claim cursor.  Each slot
+			// must carry the stamp of the position being claimed: a
+			// slot another responder claimed a lap ago and has not
+			// finished still reads posted, but at its own position.
 			limit := len(sh.slots) - drained
 			if limit > maxClaimBatch {
 				limit = maxClaimBatch
 			}
 			run := 0
-			for run < limit && sh.slots[(t+uint64(run))&sh.mask].state.Load() == slotPosted {
+			for run < limit && sh.slots[(t+uint64(run))&sh.mask].state.Load() == posted(t+uint64(run)) {
 				run++
 			}
 			if run < limit {
