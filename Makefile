@@ -1,16 +1,25 @@
 GO ?= go
 
-.PHONY: check vet build test test-race test-repeat bench-selftest bench-overhead monitor-overhead dist-overhead flight-overhead bench-scaling bench-zerocopy experiments report bench-json bench-regress profile incident-demo epc-demo whatif-demo
+.PHONY: check vet build build-cross test test-race test-repeat bench-selftest bench-overhead monitor-overhead dist-overhead flight-overhead bench-scaling bench-zerocopy experiments report bench-json bench-regress profile incident-demo epc-demo whatif-demo
 
-# check is the CI entrypoint: vet, build, race-test the concurrency-heavy
-# packages, repeat the claim-protocol tests, then the full suite.
-check: vet build test-race test-repeat test
+# check is the CI entrypoint: vet, build (natively and for the
+# architectures without an assembly spin hint), race-test the
+# concurrency-heavy packages, repeat the claim-protocol tests, then the
+# full suite.
+check: vet build build-cross test-race test-repeat test
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+# build-cross compiles for arm64 and riscv64, which take the pure-Go
+# fallback of the completion wait's PAUSE stub (internal/core/relax_*.go):
+# a build tag that leaves an architecture without cpuRelax fails here.
+build-cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=riscv64 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -22,13 +31,14 @@ test:
 test-race:
 	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/monitor/... ./internal/dist/... ./internal/flight/... ./internal/incident/... ./internal/epc/... ./internal/epcstat/... ./internal/whatif/... ./internal/apps/memcached/... ./internal/apps/lighttpd/... ./internal/apps/openvpn/...
 
-# test-repeat reruns the two tests that pin the batched claim's
-# exactly-once execution — the core test that parks a claimed window
-# under a second responder's scan, and the openvpn port whose in-place
-# handler turns a double execution into a failed MAC — twenty times at
-# one and two Ps, so a protocol regression cannot pass on scheduler luck.
+# test-repeat reruns the tests that pin exactly-once execution — the core
+# test that parks a claimed window under a second responder's scan, the
+# openvpn port whose in-place handler turns a double execution into a
+# failed MAC, and the completion wait's echo under four requesters per P
+# — twenty times at one and two Ps, so a protocol regression cannot pass
+# on scheduler luck.
 test-repeat:
-	$(GO) test -count=20 -cpu 1,2 -run 'TestPoolTunnelConcurrentConnections|TestPoolBatchedClaimExactlyOnce' ./internal/core ./internal/apps/openvpn
+	$(GO) test -count=20 -cpu 1,2 -run 'TestPoolTunnelConcurrentConnections|TestPoolBatchedClaimExactlyOnce|TestPoolWaitOversubscribedExactlyOnce' ./internal/core ./internal/apps/openvpn
 
 # bench-selftest runs the repo benchmark's own tests (its module is
 # outside the root module, so `go test ./...` does not reach them).
@@ -75,13 +85,16 @@ flight-overhead:
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolCall$$|BenchmarkPoolCallFlight' -benchtime 1s -count 5 ./internal/core/
 
 # bench-scaling runs the fabric throughput-scaling curve (requesters x
-# responders over the CallPool, plus the fabric-routed app paths) and the
-# Go benchmark pair behind the >=4x acceptance criterion.  The same
-# curve's ratios land in BENCH_hotcalls.json via bench-json and are gated
-# by bench-regress under the scaling/* policy.
+# responders over the CallPool, plus the fabric-routed app paths), the
+# Go benchmark pair behind the >=4x acceptance criterion, and the
+# memcached connection's synchronous request path (ns and allocations per
+# request under the repo benchmark's kv mix).  The same curve's ratios
+# land in BENCH_hotcalls.json via bench-json and are gated by
+# bench-regress under the scaling/* policy.
 bench-scaling:
 	$(GO) run ./cmd/hotbench -run scaling
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolCall|BenchmarkSingleSlotFunnel' -benchtime 1s -count 3 ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkPoolConnDo' -benchtime 1s -count 3 ./internal/apps/memcached/
 
 # bench-zerocopy runs the staged-vs-zero-copy comparison: the simulated
 # 2-32 KB crossing-cost sweep ([in,out] marshalling vs [zerocopy] ring

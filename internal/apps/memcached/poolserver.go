@@ -59,26 +59,36 @@ func newPoolStore() *poolStore {
 	return st
 }
 
-// stripe picks the lock stripe for a key (FNV-1a, masked).
-func (st *poolStore) stripe(key string) *storeStripe {
+// fnv64 is FNV-1a over a key in either of its forms: the stripe picker
+// and the EPC page mapping share it.
+func fnv64[K string | []byte](key K) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	return &st.stripes[h&(storeStripes-1)]
+	return h
 }
 
-func (st *poolStore) set(key string, value []byte) {
+// stripe picks the lock stripe for a key.  Keys alias a connection's
+// request buffer; the m[string(key)] lookups below do not allocate.
+func (st *poolStore) stripe(key []byte) *storeStripe {
+	return &st.stripes[fnv64(key)&(storeStripes-1)]
+}
+
+func (st *poolStore) set(key, value []byte) {
 	sp := st.stripe(key)
 	sp.mu.Lock()
 	// Reuse the existing backing array when it fits so a hot SET key
-	// settles into a stable allocation.
-	if dst, ok := sp.items[key]; ok && cap(dst) >= len(value) {
-		sp.items[key] = dst[:len(value)]
-		copy(sp.items[key], value)
+	// settles into a stable allocation; at an unchanged length the map
+	// entry already describes the result and is left alone.
+	if dst, ok := sp.items[string(key)]; ok && cap(dst) >= len(value) {
+		copy(dst[:len(value)], value)
+		if len(dst) != len(value) {
+			sp.items[string(key)] = dst[:len(value)]
+		}
 	} else {
-		sp.items[key] = append([]byte(nil), value...)
+		sp.items[string(key)] = append([]byte(nil), value...)
 	}
 	sp.mu.Unlock()
 }
@@ -86,20 +96,20 @@ func (st *poolStore) set(key string, value []byte) {
 // get copies the value for key into dst and returns the copied length
 // and whether the key existed.  Copying under the stripe lock is what
 // lets the caller read the response buffer without holding any lock.
-func (st *poolStore) get(key string, dst []byte) (int, bool) {
+func (st *poolStore) get(key, dst []byte) (int, bool) {
 	sp := st.stripe(key)
 	sp.mu.Lock()
-	v, ok := sp.items[key]
+	v, ok := sp.items[string(key)]
 	n := copy(dst, v)
 	sp.mu.Unlock()
 	return n, ok
 }
 
-func (st *poolStore) delete(key string) bool {
+func (st *poolStore) delete(key []byte) bool {
 	sp := st.stripe(key)
 	sp.mu.Lock()
-	_, ok := sp.items[key]
-	delete(sp.items, key)
+	_, ok := sp.items[string(key)]
+	delete(sp.items, string(key))
 	sp.mu.Unlock()
 	return ok
 }
@@ -215,23 +225,10 @@ func (s *PoolServer) EnableEPC(capacityBytes int) *epcstat.Collector {
 // EPCManager exposes the simulated EPC (nil until EnableEPC).
 func (s *PoolServer) EPCManager() *epc.Manager { return s.epcMgr }
 
-// fnv64 is FNV-1a, the same mix the store stripes with.
-func fnv64(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // touchEPC charges the paging cost of one request: the pages of the
 // key's value footprint (at least one), owner-tagged by the submitting
-// connection.  No-op until EnableEPC.
-func (s *PoolServer) touchEPC(requester int, key string, valueLen int) {
-	if s.epcMgr == nil {
-		return
-	}
+// connection.  Called only once EnableEPC has armed the model.
+func (s *PoolServer) touchEPC(requester int, key []byte, valueLen int) {
 	span := uint64(enclavePageSpan * s.epcMgr.CapacityPages())
 	base := fnv64(key) % span
 	pages := uint64(valueLen+epc.PageSize-1) / epc.PageSize
@@ -335,36 +332,40 @@ func packData(slot, n int) uint64 { return uint64(slot)<<32 | uint64(uint32(n)) 
 
 func unpackData(d uint64) (slot, n int) { return int(d >> 32), int(uint32(d)) }
 
-// serve is the enclave-side handler: decode the request from the
-// submitting connection's slot buffer, execute it against the store, and
-// encode the response into the paired response buffer.  The returned
+// serve is the enclave-side handler: decode the request in place from
+// the submitting connection's slot buffer, execute it against the store,
+// and encode the response into the paired response buffer.  The returned
 // word is the response length (or the ^0 sentinel on a malformed
 // packet, mirroring the corrupted-call_ID convention).
 func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	slot, n := unpackData(data)
 	b := &s.conns[requester].bufs[slot]
-	req, err := DecodeRequest(b.req[:n])
+	req, err := decodeRequest(b.req[:n])
 	if err != nil {
 		return ^uint64(0)
 	}
-	resp := Response{Op: req.Op, Opaque: req.Opaque, Status: StatusOK}
-	switch req.Op {
+	resp := Response{Op: req.op, Opaque: req.opaque, Status: StatusOK}
+	switch req.op {
 	case OpGet:
-		if n, ok := s.store.get(req.Key, b.val[:]); ok {
-			resp.Value = b.val[:n]
-			s.touchEPC(requester, req.Key, n)
+		// The value is copied once, under the stripe lock, to its place
+		// behind the header (the response buffer holds anything a request
+		// buffer could carry); EncodeResponse's copy finds source and
+		// destination identical and moves nothing.
+		if n, ok := s.store.get(req.key, b.resp[HeaderSize:]); ok {
+			resp.Value = b.resp[HeaderSize : HeaderSize+n]
 		} else {
 			resp.Status = StatusNotFound
-			s.touchEPC(requester, req.Key, 0)
 		}
 	case OpSet:
-		s.store.set(req.Key, req.Value)
-		s.touchEPC(requester, req.Key, len(req.Value))
+		s.store.set(req.key, req.value)
 	case OpDelete:
-		if !s.store.delete(req.Key) {
+		if !s.store.delete(req.key) {
 			resp.Status = StatusNotFound
 		}
-		s.touchEPC(requester, req.Key, 0)
+	}
+	if s.epcMgr != nil {
+		// The footprint is the value a GET returned or a SET stored.
+		s.touchEPC(requester, req.key, len(resp.Value)+len(req.value))
 	}
 	respLen, err := EncodeResponse(b.resp, &resp)
 	if err != nil {
@@ -373,13 +374,14 @@ func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	return uint64(respLen)
 }
 
-// connBuf is one in-flight request's buffer set.  val is the staging
-// area store.get copies into, so a GET's response value never aliases
-// live store memory once the stripe lock is released.
+// connBuf is one in-flight request's buffer set.  store.get copies a
+// GET's value into resp, so a response never aliases live store memory
+// once the stripe lock is released; out is the decoded response Wait
+// hands back, owned by the slot like the bytes it aliases.
 type connBuf struct {
 	req  []byte
 	resp []byte
-	val  [ValueSize]byte
+	out  Response
 }
 
 // PoolConn is one client connection: a fabric requester plus its buffer
@@ -423,8 +425,8 @@ func (c *PoolConn) Submit(r *Request) (PendingResponse, error) {
 }
 
 // Wait blocks until the response is ready and decodes it.  The decoded
-// Response aliases the connection's slot buffer: consume it before the
-// slot comes around again (connWindow submissions later).
+// Response is the slot's own and aliases its buffer: consume it before
+// the slot comes around again (connWindow submissions later).
 func (pr PendingResponse) Wait() (*Response, error) {
 	ret, err := pr.pd.Wait()
 	pr.c.inflight--
@@ -434,7 +436,11 @@ func (pr PendingResponse) Wait() (*Response, error) {
 	if ret == ^uint64(0) {
 		return nil, ErrShortPacket
 	}
-	return DecodeResponse(pr.c.bufs[pr.slot].resp[:ret])
+	b := &pr.c.bufs[pr.slot]
+	if err := decodeResponse(&b.out, b.resp[:ret]); err != nil {
+		return nil, err
+	}
+	return &b.out, nil
 }
 
 // Do is the synchronous path: one request through the fabric, blocking

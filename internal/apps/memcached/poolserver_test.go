@@ -170,3 +170,65 @@ func BenchmarkPoolServerThroughput(b *testing.B) {
 		pending = pending[:0]
 	}
 }
+
+// TestPoolGetReturnsWhatSetStored pins that a GET returns every byte a
+// SET stored, up to the largest value a request buffer can carry — the
+// value travels straight into the response buffer, which is as large.
+func TestPoolGetReturnsWhatSetStored(t *testing.T) {
+	s := NewPoolServer(1, fastPoolOpts(1))
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+	const key = "k"
+	largest := bufCap - HeaderSize - 8 - len(key) // header, SET extras, key
+	for _, n := range []int{0, 1, ValueSize - 1, ValueSize, ValueSize + 1, 2100, largest} {
+		val := make([]byte, n)
+		for i := range val {
+			val[i] = byte(i*7 + n)
+		}
+		if resp, err := c.Do(&Request{Op: OpSet, Key: key, Value: val}); err != nil || resp.Status != StatusOK {
+			t.Fatalf("SET %d B = (%+v, %v)", n, resp, err)
+		}
+		resp, err := c.Do(&Request{Op: OpGet, Key: key})
+		if err != nil || resp.Status != StatusOK {
+			t.Fatalf("GET after SET %d B = (%+v, %v)", n, resp, err)
+		}
+		if !bytes.Equal(resp.Value, val) {
+			t.Errorf("SET %d B, GET returned %d B (equal prefix: %v)", n, len(resp.Value),
+				bytes.HasPrefix(val, resp.Value))
+		}
+	}
+	if _, err := c.Do(&Request{Op: OpSet, Key: key, Value: make([]byte, largest+1)}); err == nil {
+		t.Errorf("SET of %d B fit a %d B request buffer", largest+1, bufCap)
+	}
+}
+
+// BenchmarkPoolConnDo is the synchronous request path of one connection
+// under the repo benchmark's kv mix: 90 % GET / 10 % SET of 2 KB values
+// over existing keys, one fabric round trip per request.
+func BenchmarkPoolConnDo(b *testing.B) {
+	s := NewPoolServer(1, core.PoolOptions{})
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+	val := bytes.Repeat([]byte{0xCD}, ValueSize)
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bench-key-%04d", i)
+		if _, err := c.Do(&Request{Op: OpSet, Key: keys[i], Value: val}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := Request{Op: OpGet, Key: keys[i%len(keys)], Opaque: uint32(i)}
+		if i%10 == 9 {
+			req.Op, req.Value = OpSet, val
+		}
+		resp, err := c.Do(&req)
+		if err != nil || resp.Status != StatusOK || resp.Opaque != uint32(i) {
+			b.Fatalf("request %d = (%+v, %v)", i, resp, err)
+		}
+	}
+}

@@ -69,33 +69,51 @@ func EncodeRequest(buf []byte, r *Request) (int, error) {
 	return p, nil
 }
 
-// DecodeRequest parses a binary-protocol request.
-func DecodeRequest(pkt []byte) (*Request, error) {
+// requestView is a decoded request whose key and value alias the packet
+// it was decoded from; the fabric handler works on it by value, so
+// serving a request allocates nothing.
+type requestView struct {
+	op         byte
+	key, value []byte // value on SET only
+	opaque     uint32
+}
+
+// decodeRequest parses a binary-protocol request in place.
+func decodeRequest(pkt []byte) (requestView, error) {
 	if len(pkt) < HeaderSize {
-		return nil, ErrShortPacket
+		return requestView{}, ErrShortPacket
 	}
 	if pkt[0] != MagicRequest {
-		return nil, ErrBadMagic
+		return requestView{}, ErrBadMagic
 	}
 	op := pkt[1]
 	if op != OpGet && op != OpSet && op != OpDelete {
-		return nil, ErrBadOpcode
+		return requestView{}, ErrBadOpcode
 	}
 	keyLen := int(binary.BigEndian.Uint16(pkt[2:]))
 	extras := int(pkt[4])
 	body := int(binary.BigEndian.Uint32(pkt[8:]))
 	if len(pkt) < HeaderSize+body || body < extras+keyLen {
-		return nil, ErrShortPacket
+		return requestView{}, ErrShortPacket
 	}
-	r := &Request{
-		Op:     op,
-		Key:    string(pkt[HeaderSize+extras : HeaderSize+extras+keyLen]),
-		Opaque: binary.BigEndian.Uint32(pkt[12:]),
+	v := requestView{
+		op:     op,
+		key:    pkt[HeaderSize+extras : HeaderSize+extras+keyLen],
+		opaque: binary.BigEndian.Uint32(pkt[12:]),
 	}
 	if op == OpSet {
-		r.Value = pkt[HeaderSize+extras+keyLen : HeaderSize+body]
+		v.value = pkt[HeaderSize+extras+keyLen : HeaderSize+body]
 	}
-	return r, nil
+	return v, nil
+}
+
+// DecodeRequest parses a binary-protocol request.
+func DecodeRequest(pkt []byte) (*Request, error) {
+	v, err := decodeRequest(pkt)
+	if err != nil {
+		return nil, err
+	}
+	return &Request{Op: v.op, Key: string(v.key), Value: v.value, Opaque: v.opaque}, nil
 }
 
 // Response is a decoded binary-protocol response.
@@ -127,20 +145,30 @@ func EncodeResponse(buf []byte, r *Response) (int, error) {
 
 // DecodeResponse parses a binary-protocol response.
 func DecodeResponse(pkt []byte) (*Response, error) {
+	r := new(Response)
+	if err := decodeResponse(r, pkt); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeResponse parses a response into r; r.Value aliases pkt.
+func decodeResponse(r *Response, pkt []byte) error {
 	if len(pkt) < HeaderSize {
-		return nil, ErrShortPacket
+		return ErrShortPacket
 	}
 	if pkt[0] != MagicResponse {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	body := int(binary.BigEndian.Uint32(pkt[8:]))
 	if len(pkt) < HeaderSize+body {
-		return nil, ErrShortPacket
+		return ErrShortPacket
 	}
-	return &Response{
+	*r = Response{
 		Op:     pkt[1],
 		Status: binary.BigEndian.Uint16(pkt[6:]),
 		Value:  pkt[HeaderSize : HeaderSize+body],
 		Opaque: binary.BigEndian.Uint32(pkt[12:]),
-	}, nil
+	}
+	return nil
 }

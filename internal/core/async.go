@@ -93,7 +93,8 @@ func (p *Pending) Poll() (uint64, error) {
 	return p.ret, nil
 }
 
-// Wait blocks (spinning with PAUSE) until the call completes.
+// Wait blocks until the call completes, yielding to the scheduler
+// between polls (see pause).
 func (p *Pending) Wait() (uint64, error) {
 	for {
 		ret, err := p.Poll()

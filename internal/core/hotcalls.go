@@ -124,9 +124,12 @@ func (h *HotCall) SetFlight(rec *flight.Recorder) {
 	h.flight = rec
 }
 
-// pause yields the processor inside a busy-wait loop — the PAUSE
-// instruction of Section 4.2, which on a Go runtime must also let the
-// other side's goroutine run when hardware threads are scarce.
+// pause is one trip through the Go scheduler, not the PAUSE instruction
+// of Section 4.2 (that is cpuRelax): it is what lets the other side run
+// when it shares this P.  The Timeout-counted submission loops keep it as
+// their unit — n attempts offer the responder the processor n times, and
+// counting 20 ns PAUSEs would shrink that patience sevenfold — as does
+// the responder's yield rung.
 func pause() { runtime.Gosched() }
 
 // Call requests the responder to execute call-table entry id with data and

@@ -290,6 +290,10 @@ type CallPool struct {
 	maxGauge   *telemetry.Gauge
 	occGauge   *telemetry.Gauge
 	respOcc    []*telemetry.Gauge // per-responder occupancy, indexed by responder
+
+	// spinMax caps the completion wait's spin phase (see await): 0 on a
+	// single P, where no responder can run while the requester spins.
+	spinMax int
 }
 
 // NewCallPool builds a fabric over the given call table.  Responders do
@@ -297,6 +301,9 @@ type CallPool struct {
 func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 	opts.fill()
 	p := &CallPool{opts: opts, table: table}
+	if runtime.GOMAXPROCS(0) > 1 {
+		p.spinMax = spinBudget
+	}
 	p.shards = make([]*shard, opts.Shards)
 	for i := range p.shards {
 		p.shards[i] = &shard{
@@ -376,7 +383,7 @@ func (p *CallPool) Requester() *Requester {
 	if idx >= len(p.shards) {
 		panic("core: CallPool requesters exhausted (raise PoolOptions.Shards)")
 	}
-	return &Requester{pool: p, shard: p.shards[idx], idx: idx}
+	return &Requester{pool: p, shard: p.shards[idx], idx: idx, spin: p.spinMax}
 }
 
 // Stop shuts the fabric down: responders exit after their current call,
@@ -397,6 +404,69 @@ type Requester struct {
 	pool  *CallPool
 	shard *shard
 	idx   int
+
+	// Requester-goroutine-owned, like the shard head: the completion
+	// wait's spin budget, probe counter and "the latest post signalled a
+	// parked responder" flag (see await).
+	spin  int
+	waits uint
+	woke  bool
+}
+
+// spinBudget caps the polls a completion wait spends on cpuRelax before
+// it yields; every spinProbe-th wait retries the full cap.
+const (
+	spinBudget = 256
+	spinProbe  = 64
+)
+
+// await is the fabric's one completion wait: it polls s until the
+// responder's done store and collects the call — flight record closed,
+// slot handed back to the ring — or returns ErrStopped.  The result stays
+// in s.ret until this requester posts the slot again; callers that want
+// it read it there, so WaitAll(nil) never pulls the responder-written line.
+// The spin phase polls with cpuRelax, so a call a running responder
+// finishes in a microsecond never enters the scheduler; past the budget
+// every poll is a Gosched, which is what lets a responder sharing this P
+// run at all.  The budget tunes itself: a wait that exhausts it halves
+// it, one that completes while spinning restores the cap, one already
+// complete says nothing, and the probe keeps a budget that starved
+// responders drove to zero (set-up, oversubscription) from staying there.
+// yieldFirst skips the spin phase: the post woke a parked responder, the
+// runtime queued it on this P, and yielding is the hand-off.
+func (r *Requester) await(s *poolSlot, fr *flight.Record, yieldFirst bool) error {
+	p := r.pool
+	i, budget := 0, 0
+	for ; s.state.Load() != slotDone; i++ {
+		if p.stopped.Load() {
+			p.flight.Stopped(fr)
+			return ErrStopped
+		}
+		if i == 0 && !yieldFirst {
+			budget = r.spin
+			if r.waits++; r.waits%spinProbe == 0 {
+				budget = p.spinMax
+			}
+		}
+		if i < budget {
+			cpuRelax()
+			continue
+		}
+		if i == budget && budget > 0 {
+			r.spin /= 2
+		}
+		runtime.Gosched()
+	}
+	if 0 < i && i <= budget {
+		r.spin = p.spinMax
+	}
+	if fr != nil && p.flight != nil {
+		// Complete = Return + the armed tail sampler's outlier check
+		// (one plain cutoff load + compare).
+		p.flight.Complete(fr)
+	}
+	s.state.Store(slotIdle)
+	return nil
 }
 
 // Index returns the requester's stable shard index, the value handlers
@@ -444,7 +514,7 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64) (*poolSlot,
 			s.nseg = 0
 			s.state.Store(posted(sh.head))
 			sh.head++
-			if p.sleepers.Load() != 0 {
+			if r.woke = p.sleepers.Load() != 0; r.woke {
 				p.wake.Signal()
 			}
 			return s, fr, nil
@@ -478,23 +548,10 @@ func (r *Requester) CallAt(cs flight.Callsite, id CallID, data uint64) (uint64, 
 	if err != nil {
 		return 0, err
 	}
-	for {
-		if s.state.Load() == slotDone {
-			ret := s.ret
-			if fr != nil {
-				// Complete = Return + the armed tail sampler's outlier
-				// check (one plain cutoff load + compare).
-				r.pool.flight.Complete(fr)
-			}
-			s.state.Store(slotIdle)
-			return ret, nil
-		}
-		if r.pool.stopped.Load() {
-			r.pool.flight.Stopped(fr)
-			return 0, ErrStopped
-		}
-		pause()
+	if err := r.await(s, fr, r.woke); err != nil {
+		return 0, err
 	}
+	return s.ret, nil
 }
 
 // CallOrFallback is Call with the paper's starvation mitigation: a
@@ -515,13 +572,14 @@ func (r *Requester) CallOrFallbackAt(cs flight.Callsite, id CallID, data uint64,
 }
 
 // PoolPending is a handle to an asynchronous fabric call.  Handles come
-// from a sync.Pool and are recycled when the call is collected, so the
-// steady-state Submit/Wait path allocates nothing.  A collected handle
-// must not be reused.
+// from a sync.Pool and are recycled when the call is collected (on the
+// requester's goroutine), so the steady-state Submit/Wait path allocates
+// nothing.  A collected handle must not be reused.
 type PoolPending struct {
-	pool *CallPool
+	req  *Requester
 	slot *poolSlot
 	fr   *flight.Record
+	woke bool // the post signalled a parked responder (see await)
 
 	// Slab-recycle attachment (RecycleSlab): slabs given back to ring
 	// when the completion is reaped.  A call references at most MaxSegs
@@ -546,14 +604,6 @@ func (pd *PoolPending) RecycleSlab(ring *PayloadRing, slab uint32) {
 	pd.nrslab++
 }
 
-// releaseSlabs returns attached slabs to their ring.  Runs on the
-// requester goroutine (Poll/Wait), which owns the free list.
-func (pd *PoolPending) releaseSlabs() {
-	for i := 0; i < int(pd.nrslab); i++ {
-		pd.ring.Release(pd.rslab[i])
-	}
-}
-
 // Submit plants a call without waiting.  Up to SlotsPerShard calls may
 // be in flight per requester; beyond that Submit spins on the window
 // and eventually returns ErrTimeout.  Calls complete in submission
@@ -570,53 +620,39 @@ func (r *Requester) SubmitAt(cs flight.Callsite, id CallID, data uint64) (*PoolP
 	if err != nil {
 		return nil, err
 	}
+	return r.pending(s, fr), nil
+}
+
+// pending wraps the call just posted in a recycled handle.
+func (r *Requester) pending(s *poolSlot, fr *flight.Record) *PoolPending {
 	pd := r.pool.pendingPool.Get().(*PoolPending)
-	pd.pool = r.pool
-	pd.slot = s
-	pd.fr = fr
-	return pd, nil
+	pd.req, pd.slot, pd.fr, pd.woke = r, s, fr, r.woke
+	return pd
 }
 
 // Poll checks for completion without blocking.  Once it returns a
 // result the handle is recycled and the slot is free for reuse.
 func (pd *PoolPending) Poll() (uint64, error) {
-	s := pd.slot
-	if s.state.Load() == slotDone {
-		ret := s.ret
-		if pd.fr != nil {
-			pd.pool.flight.Complete(pd.fr)
-		}
-		s.state.Store(slotIdle)
-		pd.releaseSlabs()
-		pd.release()
-		return ret, nil
+	if pd.slot.state.Load() != slotDone && !pd.req.pool.stopped.Load() {
+		return 0, ErrNotComplete
 	}
-	if pd.pool.stopped.Load() {
-		pd.pool.flight.Stopped(pd.fr)
-		pd.releaseSlabs()
-		pd.release()
-		return 0, ErrStopped
-	}
-	return 0, ErrNotComplete
+	return pd.Wait()
 }
 
-// Wait blocks (yielding) until the call completes.
+// Wait blocks until the call completes — spinning briefly, then yielding
+// (see await) — gives attached slabs back to their ring and recycles the
+// handle.
 func (pd *PoolPending) Wait() (uint64, error) {
-	for {
-		ret, err := pd.Poll()
-		if err != ErrNotComplete {
-			return ret, err
-		}
-		pause()
+	r := pd.req
+	var ret uint64
+	err := r.await(pd.slot, pd.fr, pd.woke)
+	if err == nil {
+		ret = pd.slot.ret
 	}
-}
-
-func (pd *PoolPending) release() {
-	pool := pd.pool
-	pd.pool = nil
-	pd.slot = nil
-	pd.fr = nil
-	pd.ring = nil
-	pd.nrslab = 0
-	pool.pendingPool.Put(pd)
+	for _, slab := range pd.rslab[:pd.nrslab] {
+		pd.ring.Release(slab)
+	}
+	pd.req, pd.slot, pd.fr, pd.ring, pd.nrslab = nil, nil, nil, nil, 0
+	r.pool.pendingPool.Put(pd)
+	return ret, err
 }

@@ -127,6 +127,12 @@ func TestPoolStop(t *testing.T) {
 	if _, err := r.Submit(0, 3); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Submit after Stop: %v, want ErrStopped", err)
 	}
+	if _, err := r.CallZC(0, 4, []Segment{{}}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("CallZC after Stop: %v, want ErrStopped", err)
+	}
+	if b, err := r.SubmitV([]VecCall{{ID: 0, Data: 5}}); b != nil || !errors.Is(err, ErrStopped) {
+		t.Fatalf("SubmitV after Stop: (%v, %v), want no batch and ErrStopped", b, err)
+	}
 }
 
 func TestPoolSubmitTimeoutWhenSaturated(t *testing.T) {

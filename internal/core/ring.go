@@ -200,7 +200,7 @@ func (r *Requester) postZC(cs flight.Callsite, id CallID, data uint64, segs []Se
 			copy(s.segs[:], segs)
 			s.state.Store(posted(sh.head))
 			sh.head++
-			if signal && p.sleepers.Load() != 0 {
+			if r.woke = signal && p.sleepers.Load() != 0; r.woke {
 				p.wake.Signal()
 			}
 			return s, fr, nil
@@ -226,21 +226,10 @@ func (r *Requester) CallZCAt(cs flight.Callsite, id CallID, data uint64, segs []
 	if err != nil {
 		return 0, err
 	}
-	for {
-		if s.state.Load() == slotDone {
-			ret := s.ret
-			if fr != nil {
-				r.pool.flight.Complete(fr)
-			}
-			s.state.Store(slotIdle)
-			return ret, nil
-		}
-		if r.pool.stopped.Load() {
-			r.pool.flight.Stopped(fr)
-			return 0, ErrStopped
-		}
-		pause()
+	if err := r.await(s, fr, r.woke); err != nil {
+		return 0, err
 	}
+	return s.ret, nil
 }
 
 // SubmitZC plants a scatter-gather call without waiting.  Slabs the call
@@ -257,11 +246,7 @@ func (r *Requester) SubmitZCAt(cs flight.Callsite, id CallID, data uint64, segs 
 	if err != nil {
 		return nil, err
 	}
-	pd := r.pool.pendingPool.Get().(*PoolPending)
-	pd.pool = r.pool
-	pd.slot = s
-	pd.fr = fr
-	return pd, nil
+	return r.pending(s, fr), nil
 }
 
 // VecCall is one entry of a vectored submit window.
@@ -289,8 +274,7 @@ func (r *Requester) SubmitVAt(cs flight.Callsite, calls []VecCall) (*PoolBatch, 
 	p := r.pool
 	sh := r.shard
 	b := p.batchPool.Get().(*PoolBatch)
-	b.pool = p
-	b.shard = sh
+	b.req = r
 	b.start = sh.head
 	b.n = 0
 	var err error
@@ -301,7 +285,7 @@ func (r *Requester) SubmitVAt(cs flight.Callsite, calls []VecCall) (*PoolBatch, 
 		}
 		b.n++
 	}
-	if p.sleepers.Load() != 0 && b.n > 0 {
+	if b.woke = p.sleepers.Load() != 0 && b.n > 0; b.woke {
 		p.wake.Signal()
 	}
 	if b.n == 0 {
@@ -316,10 +300,10 @@ func (r *Requester) SubmitVAt(cs flight.Callsite, calls []VecCall) (*PoolBatch, 
 // SubmitV/WaitAll path allocates nothing once a batch's recycle list has
 // grown to its working size.
 type PoolBatch struct {
-	pool  *CallPool
-	shard *shard
+	req   *Requester
 	start uint64
 	n     int
+	woke  bool // the window's one signal woke a parked responder (see await)
 
 	ring   *PayloadRing
 	rslabs []uint32 // slabs to release when the batch is reaped
@@ -344,35 +328,19 @@ func (b *PoolBatch) RecycleSlab(ring *PayloadRing, slab uint32) {
 	b.rslabs = append(b.rslabs, slab)
 }
 
-// WaitAll blocks (yielding) until every call in the batch completes,
-// copying results into rets (when non-nil) in submission order, then
-// releases attached slabs and recycles the handle.  On ErrStopped the
-// unreaped remainder of the window is abandoned with the pool.
+// WaitAll blocks until every call in the batch completes (one await per
+// call, in submission order), copying results into rets (when non-nil),
+// then releases attached slabs and recycles the handle.  On ErrStopped
+// the unreaped remainder of the window is abandoned with the pool.
 func (b *PoolBatch) WaitAll(rets []uint64) error {
-	p := b.pool
-	sh := b.shard
+	r := b.req
+	sh := r.shard
 	var err error
 	for j := 0; j < b.n && err == nil; j++ {
 		s := &sh.slots[(b.start+uint64(j))&sh.mask]
-		for {
-			if s.state.Load() == slotDone {
-				if rets != nil && j < len(rets) {
-					rets[j] = s.ret
-				}
-				if p.flight != nil && s.fr != nil {
-					p.flight.Complete(s.fr)
-				}
-				s.state.Store(slotIdle)
-				break
-			}
-			if p.stopped.Load() {
-				if p.flight != nil {
-					p.flight.Stopped(s.fr)
-				}
-				err = ErrStopped
-				break
-			}
-			pause()
+		// Only the first wait follows the wakeup: then the responder runs.
+		if err = r.await(s, s.fr, b.woke && j == 0); err == nil && j < len(rets) {
+			rets[j] = s.ret
 		}
 	}
 	for _, slab := range b.rslabs {
@@ -383,9 +351,8 @@ func (b *PoolBatch) WaitAll(rets []uint64) error {
 }
 
 func (b *PoolBatch) release() {
-	pool := b.pool
-	b.pool = nil
-	b.shard = nil
+	pool := b.req.pool
+	b.req = nil
 	b.ring = nil
 	b.n = 0
 	b.rslabs = b.rslabs[:0]
