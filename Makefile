@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check vet build build-cross test test-race test-repeat bench-selftest bench-overhead monitor-overhead dist-overhead flight-overhead bench-scaling bench-zerocopy experiments report bench-json bench-regress profile incident-demo epc-demo whatif-demo
+.PHONY: check vet build build-cross test test-race test-repeat test-poison bench-selftest bench-sim bench-overhead monitor-overhead dist-overhead flight-overhead bench-scaling bench-zerocopy experiments report bench-json bench-regress profile incident-demo epc-demo whatif-demo
 
 # check is the CI entrypoint: vet, build (natively and for the
 # architectures without an assembly spin hint), race-test the
-# concurrency-heavy packages, repeat the claim-protocol tests, then the
-# full suite.
-check: vet build build-cross test-race test-repeat test
+# concurrency-heavy packages, repeat the claim-protocol tests, poison the
+# marshalling scratch under every suite that stages calls, then the full
+# suite.
+check: vet build build-cross test-race test-repeat test-poison test
 
 vet:
 	$(GO) vet ./...
@@ -39,6 +40,20 @@ test-race:
 # on scheduler luck.
 test-repeat:
 	$(GO) test -count=20 -cpu 1,2 -run 'TestPoolTunnelConcurrentConnections|TestPoolBatchedClaimExactlyOnce|TestPoolWaitOversubscribedExactlyOnce' ./internal/core ./internal/apps/openvpn
+
+# test-poison reruns the suites whose handlers see staged parameters with
+# the sdkpoison build tag: the SDK runtime fills staging scratch with 0xDB
+# the moment a call finishes, so a handler that kept a staged slice past
+# its return (the bytes are reused by the next call) fails its own checks.
+test-poison:
+	$(GO) test -tags sdkpoison ./internal/sdk/... ./internal/core/... ./internal/apps/...
+
+# bench-sim prices one simulated request per app and interface in host
+# time and allocations — what every experiment, the fidelity report and
+# the repo benchmark's sim_apps workload pay per request.  The ceilings
+# are pinned by TestSimRequestAllocs in the same package.
+bench-sim:
+	$(GO) test -run '^$$' -bench 'BenchmarkSimRequest' -benchtime 20000x -benchmem -count 3 ./internal/apps/porting/
 
 # bench-selftest runs the repo benchmark's own tests (its module is
 # outside the root module, so `go test ./...` does not reach them).

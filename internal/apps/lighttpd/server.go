@@ -83,6 +83,8 @@ type Server struct {
 
 	readCredit, pairCredit float64
 
+	reqBuf []byte // InjectRequest assembles the request bytes here
+
 	served uint64
 
 	// tel holds the per-request telemetry handles (see metrics.go); all
@@ -356,20 +358,17 @@ func (s *Server) InjectRequest(path string) int {
 	if err != nil {
 		panic(err)
 	}
-	// The server-side fd is what Accept will return; queue the request
-	// bytes on it.  The kernel pairs them, so find the peer through a
-	// tiny handshake: inject on the client, which delivers to the peer.
-	req := "GET " + path + " HTTP/1.0\r\nHost: localhost\r\nUser-Agent: http_load\r\n\r\n"
-	s.injectToPeer(client, req)
-	return client
-}
-
-func (s *Server) injectToPeer(clientFD int, req string) {
-	// Send from the client side: Send delivers into the peer's queue.
+	// The server-side fd is what Accept will return; the kernel pairs the
+	// two ends, so sending from the client side delivers the request
+	// bytes into the server end's queue.
+	s.reqBuf = append(s.reqBuf[:0], "GET "...)
+	s.reqBuf = append(s.reqBuf, path...)
+	s.reqBuf = append(s.reqBuf, " HTTP/1.0\r\nHost: localhost\r\nUser-Agent: http_load\r\n\r\n"...)
 	var free sim.Clock // client cost runs on the load generator's cores
-	if _, err := s.App.Kernel.Send(&free, "client_tx", clientFD, 0, []byte(req)); err != nil {
+	if _, err := s.App.Kernel.Send(&free, "client_tx", client, 0, s.reqBuf); err != nil {
 		panic(err)
 	}
+	return client
 }
 
 // Served returns the number of completed requests.

@@ -2,6 +2,7 @@ package memcached
 
 import (
 	"fmt"
+	"strconv"
 
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/dist"
@@ -216,6 +217,7 @@ type Workload struct {
 	rng  *sim.RNG
 	pkt  []byte
 	val  []byte
+	key  []byte // "memtier-" + 8 digits, rewritten per request
 	seq  uint32
 	sets uint64
 	gets uint64
@@ -223,7 +225,7 @@ type Workload struct {
 
 // NewWorkload returns a generator bound to the server.
 func NewWorkload(s *Server, seed uint64) *Workload {
-	w := &Workload{s: s, rng: sim.NewRNG(seed), pkt: make([]byte, bufCap), val: make([]byte, ValueSize)}
+	w := &Workload{s: s, rng: sim.NewRNG(seed), pkt: make([]byte, bufCap), val: make([]byte, ValueSize), key: []byte("memtier-00000000")}
 	for i := range w.val {
 		w.val[i] = byte(i * 31)
 	}
@@ -232,8 +234,14 @@ func NewWorkload(s *Server, seed uint64) *Workload {
 
 // InjectNext queues one request on the server's connection.
 func (w *Workload) InjectNext() {
-	key := fmt.Sprintf("memtier-%08d", w.rng.Intn(keyspace))
-	req := Request{Key: key, Opaque: w.seq}
+	// The key is "memtier-%08d" of the drawn index: digits right-aligned
+	// over the zero padding.
+	const prefix = len("memtier-")
+	var digits [8]byte
+	d := strconv.AppendInt(digits[:0], int64(w.rng.Intn(keyspace)), 10)
+	copy(w.key[prefix:], "00000000")
+	copy(w.key[len(w.key)-len(d):], d)
+	req := Request{Key: string(w.key), Opaque: w.seq}
 	w.seq++
 	if w.rng.Bool(0.5) {
 		req.Op = OpSet

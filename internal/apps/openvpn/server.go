@@ -77,6 +77,8 @@ type Server struct {
 	frameBuf *sdk.Buffer // encrypted frames (enclave side)
 	plainBuf *sdk.Buffer // decrypted payloads (enclave side)
 
+	injectBuf []byte // InjectFrame seals here; the kernel copies it
+
 	pollCredit, timeCredit, pidCredit, revCredit float64
 	plan                                         eventPlan
 
@@ -178,7 +180,10 @@ func NewServer(mode porting.Mode) *Server {
 // InjectFrame queues an encrypted frame on the tunnel transport, as the
 // remote peer would (generator side; sealed with the client-side keys).
 func (s *Server) InjectFrame(seal *Cipher, payload []byte) {
-	frame := make([]byte, FrameOverhead+len(payload))
+	if n := FrameOverhead + len(payload); cap(s.injectBuf) < n {
+		s.injectBuf = make([]byte, n)
+	}
+	frame := s.injectBuf[:FrameOverhead+len(payload)]
 	seal.Seal(frame, payload)
 	if err := s.App.Kernel.Inject(s.udpFD, frame); err != nil {
 		panic(err)

@@ -9,7 +9,10 @@
 // which combine hit/miss outcomes with the calibrated latency model.
 package cache
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Config describes a cache geometry.  All fields must be powers of two.
 type Config struct {
@@ -29,22 +32,25 @@ type Victim struct {
 	Valid bool   // false when the insertion filled an empty way
 }
 
-type entry struct {
-	line  uint64 // line number (addr >> lineShift)
-	dirty bool
-	valid bool
-}
-
 // Cache is a set-associative write-back cache.  It is not safe for
 // concurrent use.
+//
+// All sets live in one flat array: set i owns words[i*ways : (i+1)*ways],
+// of which the first fill[i] are its resident lines in LRU order, front =
+// most recent.  A word packs the line number with the dirty flag in bit 0,
+// so a whole LLC is two allocations and a lookup scans one contiguous run.
 type Cache struct {
 	cfg       Config
 	lineShift uint
 	setMask   uint64
-	sets      [][]entry // sets[i] is LRU-ordered, front = most recent
+	ways      int
+	words     []uint64 // line<<1 | dirty
+	fill      []uint16 // resident lines per set
 	accesses  uint64
 	misses    uint64
 }
+
+const dirtyBit = 1
 
 // New returns a cache with the given geometry.  It panics if the geometry
 // is not a power-of-two design or the associativity exceeds the line count.
@@ -63,16 +69,17 @@ func New(cfg Config) *Cache {
 	if cfg.LineSize&(cfg.LineSize-1) != 0 || numSets&(numSets-1) != 0 {
 		panic("cache: line size and set count must be powers of two")
 	}
-	c := &Cache{
-		cfg:     cfg,
-		setMask: uint64(numSets - 1),
-		sets:    make([][]entry, numSets),
+	if cfg.Ways > math.MaxUint16 {
+		panic("cache: associativity exceeds the per-set fill counter")
 	}
-	c.lineShift = uint(bits.TrailingZeros(uint(cfg.LineSize)))
-	for i := range c.sets {
-		c.sets[i] = make([]entry, 0, cfg.Ways)
+	return &Cache{
+		cfg:       cfg,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setMask:   uint64(numSets - 1),
+		ways:      cfg.Ways,
+		words:     make([]uint64, numSets*cfg.Ways),
+		fill:      make([]uint16, numSets),
 	}
-	return c
 }
 
 // Config returns the cache geometry.
@@ -85,14 +92,20 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 
 func (c *Cache) lineOf(addr uint64) uint64 { return addr >> c.lineShift }
 
-func (c *Cache) setOf(line uint64) int { return int(line & c.setMask) }
+// resident returns the set index of a line and that set's resident words.
+func (c *Cache) resident(line uint64) (set int, ws []uint64) {
+	set = int(line & c.setMask)
+	base := set * c.ways
+	return set, c.words[base : base+int(c.fill[set])]
+}
 
 // Probe reports whether addr's line is resident, without touching
 // replacement state.
 func (c *Cache) Probe(addr uint64) bool {
 	line := c.lineOf(addr)
-	for _, e := range c.sets[c.setOf(line)] {
-		if e.valid && e.line == line {
+	_, ws := c.resident(line)
+	for _, w := range ws {
+		if w>>1 == line {
 			return true
 		}
 	}
@@ -105,35 +118,37 @@ func (c *Cache) Probe(addr uint64) bool {
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
 	c.accesses++
 	line := c.lineOf(addr)
-	set := c.setOf(line)
-	ways := c.sets[set]
-	for i, e := range ways {
-		if e.valid && e.line == line {
+	set, ws := c.resident(line)
+	for i, w := range ws {
+		if w>>1 == line {
 			// Hit: move to MRU position.
 			if write {
-				e.dirty = true
+				w |= dirtyBit
 			}
-			copy(ways[1:i+1], ways[:i])
-			ways[0] = e
+			copy(ws[1:i+1], ws[:i])
+			ws[0] = w
 			return true, Victim{}
 		}
 	}
 	c.misses++
 	// Miss: fill, evicting LRU if the set is full.
-	e := entry{line: line, dirty: write, valid: true}
-	if len(ways) < c.cfg.Ways {
-		ways = append(ways, entry{})
-		copy(ways[1:], ways[:len(ways)-1])
-		ways[0] = e
-		c.sets[set] = ways
+	w := line << 1
+	if write {
+		w |= dirtyBit
+	}
+	if len(ws) < c.ways {
+		ws = ws[:len(ws)+1]
+		c.fill[set]++
+		copy(ws[1:], ws)
+		ws[0] = w
 		return false, Victim{}
 	}
-	lru := ways[len(ways)-1]
-	copy(ways[1:], ways[:len(ways)-1])
-	ways[0] = e
+	lru := ws[len(ws)-1]
+	copy(ws[1:], ws)
+	ws[0] = w
 	return false, Victim{
-		Addr:  lru.line << c.lineShift,
-		Dirty: lru.dirty,
+		Addr:  lru >> 1 << c.lineShift,
+		Dirty: lru&dirtyBit != 0,
 		Valid: true,
 	}
 }
@@ -142,12 +157,12 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
 // the line was present and whether it was dirty (requiring write-back).
 func (c *Cache) Flush(addr uint64) (present, dirty bool) {
 	line := c.lineOf(addr)
-	set := c.setOf(line)
-	ways := c.sets[set]
-	for i, e := range ways {
-		if e.valid && e.line == line {
-			c.sets[set] = append(ways[:i], ways[i+1:]...)
-			return true, e.dirty
+	set, ws := c.resident(line)
+	for i, w := range ws {
+		if w>>1 == line {
+			copy(ws[i:], ws[i+1:])
+			c.fill[set]--
+			return true, w&dirtyBit != 0
 		}
 	}
 	return false, false
@@ -173,13 +188,13 @@ func (c *Cache) FlushRange(addr, size uint64) (dirtyLines int) {
 // the entire 8 MB LLC before every run).  It returns the number of dirty
 // lines that needed write-back.
 func (c *Cache) FlushAll() (dirtyLines int) {
-	for i, ways := range c.sets {
-		for _, e := range ways {
-			if e.valid && e.dirty {
+	for set, n := range c.fill {
+		for _, w := range c.words[set*c.ways : set*c.ways+int(n)] {
+			if w&dirtyBit != 0 {
 				dirtyLines++
 			}
 		}
-		c.sets[i] = c.sets[i][:0]
+		c.fill[set] = 0
 	}
 	return dirtyLines
 }
@@ -187,8 +202,8 @@ func (c *Cache) FlushAll() (dirtyLines int) {
 // Occupancy returns the number of resident lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, ways := range c.sets {
-		n += len(ways)
+	for _, f := range c.fill {
+		n += int(f)
 	}
 	return n
 }

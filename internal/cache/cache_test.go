@@ -131,8 +131,20 @@ func TestStats(t *testing.T) {
 
 func TestLLCGeometry(t *testing.T) {
 	c := New(LLCConfig)
-	if got := len(c.sets); got != 8192 {
-		t.Fatalf("LLC sets = %d, want 8192", got)
+	// 8192 sets x 16 ways, observed from outside: lines one set-stride
+	// apart collide, and the 17th of them displaces the first.
+	const setStride = 8192 * 64
+	for i := uint64(0); i < 16; i++ {
+		if _, v := c.Access(i*setStride, false); v.Valid {
+			t.Fatalf("way %d of an empty set displaced %+v", i, v)
+		}
+	}
+	c.Access(setStride/2, false) // set 4096: must not disturb set 0
+	if _, v := c.Access(16*setStride, false); !v.Valid || v.Addr != 0 {
+		t.Fatalf("17th line of set 0 displaced %+v, want line 0", v)
+	}
+	if got := c.Occupancy(); got != 17 {
+		t.Fatalf("occupancy = %d, want 17", got)
 	}
 	if c.LineAddr(0x12345) != 0x12340 {
 		t.Fatalf("LineAddr = %#x", c.LineAddr(0x12345))

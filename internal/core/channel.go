@@ -94,10 +94,12 @@ func (ch *Channel) HotOCall(clk *sim.Clock, name string, args ...sdk.Arg) (uint6
 	if deep {
 		tr.Emit(telemetry.KindSpin, "hotcall-sync", spinStart, clk.Since(spinStart), 0)
 	}
-	var handlerClk sim.Clock
 	handlerStart := clk.Now()
-	ret := fn(&sdk.Ctx{Clk: &handlerClk, RT: ch.RT}, outer)
-	clk.Advance(handlerClk.Now())
+	// The handler runs on the responder core, on the staged call's own
+	// context (reused per call depth: it must not keep it).
+	ctx := ch.RT.HandlerCtx(nil)
+	ret := fn(ctx, outer)
+	clk.Advance(ctx.Clk.Now())
 	if deep && clk.Now() > handlerStart {
 		// The handler body ran on the responder's own clock; its span is
 		// re-anchored on the requester timeline.
@@ -144,12 +146,12 @@ func (ch *Channel) HotECall(clk *sim.Clock, name string, args ...sdk.Arg) (uint6
 	if deep {
 		tr.Emit(telemetry.KindSpin, "hotcall-sync", spinStart, clk.Since(spinStart), 0)
 	}
-	var handlerClk sim.Clock
 	// The handler runs on the resident enclave worker; its own ocalls
 	// route back through this channel.
 	handlerStart := clk.Now()
-	ret := fn(&sdk.Ctx{Clk: &handlerClk, RT: ch.RT, Router: ch}, inner)
-	clk.Advance(handlerClk.Now())
+	ctx := ch.RT.HandlerCtx(ch)
+	ret := fn(ctx, inner)
+	clk.Advance(ctx.Clk.Now())
 	if deep && clk.Now() > handlerStart {
 		tr.Emit(telemetry.KindHandler, "handler:"+name, handlerStart, clk.Since(handlerStart), 0)
 	}

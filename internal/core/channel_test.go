@@ -203,3 +203,93 @@ func TestHotOCallUnknown(t *testing.T) {
 		t.Fatal("unknown hot ecall accepted")
 	}
 }
+
+// TestNestedCallsStageInLIFOOrder nests every staged call shape four deep —
+// an SDK ocall inside an SDK ecall inside a HotOCall inside a HotECall —
+// with a pointer parameter staged at each level.  Staging memory is LIFO
+// scratch reused from call to call, so each level checks that its own
+// staged bytes survived the calls beneath it, and the outputs of all four
+// must reach their callers.  Run twice: the second pass reuses the frames
+// and scratch the first one grew.
+func TestNestedCallsStageInLIFOOrder(t *testing.T) {
+	f := newChanFixture(t)
+	var clk sim.Clock
+	level2 := f.enclaveBuf(t, 40) // [out] of the HotOCall
+	level4 := f.enclaveBuf(t, 24) // [in] of the SDK ocall
+	var level3 *sdk.Buffer        // [in, out] of the SDK ecall
+	level := 0
+	var sent uint64
+
+	f.rt.MustBindECall("ecall_work", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
+		level++
+		defer func() { level-- }()
+		mine := args[0].Buf.Data
+		want := byte(0x10 * level) // 0x10 under the HotECall, 0x30 under the SDK ecall
+		var err error
+		if level == 1 {
+			_, err = ctx.OCall("ocall_read", sdk.Buf(level2), sdk.Scalar(40)) // routed: HotOCall
+		} else {
+			sent, err = ctx.OCall("ocall_send", sdk.Buf(level4), sdk.Scalar(24)) // SDK ocall
+		}
+		if err != nil {
+			t.Errorf("level %d: %v", level, err)
+		}
+		for i, b := range mine {
+			if b != want {
+				t.Errorf("level %d: staged byte %d = %#x after the nested call, want %#x", level, i, b, want)
+				break
+			}
+			mine[i] = want + 1
+		}
+		return 0
+	})
+	f.rt.MustBindOCall("ocall_read", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
+		level++
+		defer func() { level-- }()
+		mine := args[0].Buf.Data
+		for i := range mine {
+			mine[i] = 0x20
+		}
+		if _, err := ctx.RT.ECall(ctx.Clk, "ecall_work", sdk.Buf(level3), sdk.Scalar(uint64(len(level3.Data)))); err != nil {
+			t.Errorf("level %d: %v", level, err)
+		}
+		for i, b := range mine {
+			if b != 0x20 {
+				t.Errorf("level %d: staged byte %d = %#x after the nested call, want 0x20", level, i, b)
+				break
+			}
+		}
+		return 0
+	})
+
+	for pass := 0; pass < 2; pass++ {
+		level1 := f.rt.Arena.AllocBuffer(&clk, 56)
+		level3 = f.rt.Arena.AllocBuffer(&clk, 32)
+		fill := func(b *sdk.Buffer, v byte) {
+			for i := range b.Data {
+				b.Data[i] = v
+			}
+		}
+		fill(level1, 0x10)
+		fill(level2, 0xee)
+		fill(level3, 0x30)
+		fill(level4, 0x02)
+		sent = 0
+		if _, err := f.ch.HotECall(&clk, "ecall_work", sdk.Buf(level1), sdk.Scalar(56)); err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]struct {
+			buf  *sdk.Buffer
+			want byte
+		}{"HotECall [in,out]": {level1, 0x11}, "HotOCall [out]": {level2, 0x20}, "ecall [in,out]": {level3, 0x31}} {
+			for i, b := range c.buf.Data {
+				if b != c.want {
+					t.Fatalf("pass %d: %s byte %d = %#x, want %#x", pass, name, i, b, c.want)
+				}
+			}
+		}
+		if sent != 24*0x02 {
+			t.Fatalf("pass %d: innermost ocall summed %d, want %d", pass, sent, 24*0x02)
+		}
+	}
+}

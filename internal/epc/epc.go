@@ -235,18 +235,51 @@ func (m *Manager) Touch(page uint64) (fault bool, cycles float64) {
 	return m.TouchAs(0, page)
 }
 
+// FaultCycles is the paging cost of one fault that forced the given number
+// of evictions: trap + ELDU, plus one EWB each.
+func FaultCycles(evictions int) float64 {
+	return FaultCost + float64(evictions)*EWBCost
+}
+
 // TouchAs records an access to a page by the given owner and returns the
 // paging cost in cycles: zero when resident, FaultCost (plus this fault's
 // share of any needed eviction work) when the page must be brought in.
 // A faulting page is stamped with the toucher's owner ID; a resident
 // page keeps its installer's.
 func (m *Manager) TouchAs(owner OwnerID, page uint64) (fault bool, cycles float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.touchLocked(owner, page)
+	fault, evictions := m.TouchRunAs(owner, page, 1)
+	if !fault {
+		return false, 0
+	}
+	return true, FaultCycles(evictions)
 }
 
-func (m *Manager) touchLocked(owner OwnerID, page uint64) (fault bool, cycles float64) {
+// TouchRunAs records n >= 1 back-to-back accesses to one page by the given
+// owner — the lines a streaming sweep touches inside the page — and
+// reports whether the first of them faulted and how many evictions that
+// fault forced.  It is n TouchAs calls under one lock and one residency
+// lookup: only the first access can fault, and it leaves the page
+// resident and referenced, so the rest just advance the touch clock and
+// feed the sampled observer, in the same order.
+func (m *Manager) TouchRunAs(owner OwnerID, page uint64, n int) (fault bool, evictions int) {
+	if n < 1 {
+		panic("epc: empty touch run")
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fault, evictions = m.touchLocked(owner, page)
+	if rest := uint64(n - 1); m.obs != nil && (page*hashMul)>>m.sampleShift == 0 {
+		for end := m.touches + rest; m.touches < end; {
+			m.touches++
+			m.obs.ObserveTouch(owner, page, m.touches)
+		}
+	} else {
+		m.touches += rest
+	}
+	return fault, evictions
+}
+
+func (m *Manager) touchLocked(owner OwnerID, page uint64) (fault bool, evictions int) {
 	m.touches++
 	if m.obs != nil && (page*hashMul)>>m.sampleShift == 0 {
 		m.obs.ObserveTouch(owner, page, m.touches)
@@ -260,13 +293,12 @@ func (m *Manager) touchLocked(owner OwnerID, page uint64) (fault bool, cycles fl
 	if m.obs != nil {
 		m.obs.ObserveFault(owner, page)
 	}
-	cycles = FaultCost
 	for len(m.resident) >= m.capacity {
 		m.evictOne(owner)
-		cycles += EWBCost
+		evictions++
 	}
 	m.install(owner, page)
-	return true, cycles
+	return true, evictions
 }
 
 func (m *Manager) install(owner OwnerID, page uint64) {
@@ -353,8 +385,9 @@ func (m *Manager) WritePageAs(owner OwnerID, page uint64, data []byte) (cycles f
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fault, cycles := m.touchLocked(owner, page)
+	fault, evictions := m.touchLocked(owner, page)
 	if fault {
+		cycles = FaultCycles(evictions)
 		if _, err := m.swapIn(page); err != nil {
 			return cycles, err
 		}
@@ -374,8 +407,9 @@ func (m *Manager) ReadPage(page uint64) (data []byte, cycles float64, err error)
 func (m *Manager) ReadPageAs(owner OwnerID, page uint64) (data []byte, cycles float64, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fault, cycles := m.touchLocked(owner, page)
+	fault, evictions := m.touchLocked(owner, page)
 	if fault {
+		cycles = FaultCycles(evictions)
 		if _, err := m.swapIn(page); err != nil {
 			return nil, cycles, err
 		}

@@ -134,28 +134,31 @@ func (s *System) SetEPCStat(c *epcstat.Collector) {
 	c.SetMEEStats(s.MEE.NodeCacheStats)
 }
 
-// touchPage charges EPC paging cost for an enclave access.
-func (s *System) touchPage(clk *sim.Clock, addr uint64) {
-	fault, cycles := s.EPC.TouchAs(s.owner, page(addr))
-	if fault {
-		s.pageFaults++
-		if s.tracer != nil {
-			// The fault span is trap + ELDU plus any EWBs it forced;
-			// recover the eviction count from the charged cycles.
-			evictions := uint64((cycles - epc.FaultCost) / epc.EWBCost)
-			start := clk.Now()
-			if s.tracer.Detailed() {
-				// EWB sub-spans first: the profiler's tree builder adopts
-				// already-emitted spans as children of the fault.
-				for i := uint64(0); i < evictions; i++ {
-					s.tracer.Emit(telemetry.KindEWB, "ewb",
-						start+uint64(epc.FaultCost)+i*uint64(epc.EWBCost), uint64(epc.EWBCost), 0)
-				}
-			}
-			s.tracer.Emit(telemetry.KindEPCFault, "epc_fault", start, uint64(cycles), evictions)
-		}
-		clk.AdvanceF(cycles)
+// touchPage charges EPC paging cost for `lines` back-to-back enclave
+// accesses inside the page holding addr.  Only the first can fault, so the
+// whole cost lands before the first line's cache access — where touching
+// line by line charged it.
+func (s *System) touchPage(clk *sim.Clock, addr uint64, lines int) {
+	fault, evictions := s.EPC.TouchRunAs(s.owner, page(addr), lines)
+	if !fault {
+		return
 	}
+	s.pageFaults++
+	cycles := epc.FaultCycles(evictions)
+	if s.tracer != nil {
+		// The fault span is trap + ELDU plus the EWBs it forced.
+		start := clk.Now()
+		if s.tracer.Detailed() {
+			// EWB sub-spans first: the profiler's tree builder adopts
+			// already-emitted spans as children of the fault.
+			for i := uint64(0); i < uint64(evictions); i++ {
+				s.tracer.Emit(telemetry.KindEWB, "ewb",
+					start+uint64(epc.FaultCost)+i*uint64(epc.EWBCost), uint64(epc.EWBCost), 0)
+			}
+		}
+		s.tracer.Emit(telemetry.KindEPCFault, "epc_fault", start, uint64(cycles), uint64(evictions))
+	}
+	clk.AdvanceF(cycles)
 }
 
 // memSpanStart opens a deep-tracing window around a memory operation:
@@ -190,7 +193,7 @@ func (s *System) Load(clk *sim.Clock, addr uint64) {
 	var mee float64
 	enc := s.IsEnclave(addr)
 	if enc {
-		s.touchPage(clk, addr)
+		s.touchPage(clk, addr, 1)
 	}
 	hit, victim := s.LLC.Access(addr, false)
 	if hit {
@@ -221,7 +224,7 @@ func (s *System) Store(clk *sim.Clock, addr uint64) {
 	var mee float64
 	enc := s.IsEnclave(addr)
 	if enc {
-		s.touchPage(clk, addr)
+		s.touchPage(clk, addr, 1)
 	}
 	hit, victim := s.LLC.Access(addr, true)
 	if hit {
@@ -245,45 +248,20 @@ func (s *System) Store(clk *sim.Clock, addr uint64) {
 // StreamRead charges a consecutive, prefetched read sweep over
 // [addr, addr+size).
 func (s *System) StreamRead(clk *sim.Clock, addr, size uint64) {
-	if size == 0 {
-		return
-	}
-	deep := s.tracer.Detailed()
-	var start, misses uint64
-	if deep {
-		start, misses = s.memSpanStart(clk)
-	}
-	var mee float64
-	enc := s.IsEnclave(addr)
-	footprint := int((size + LineSize - 1) / LineSize)
-	for a := s.LLC.LineAddr(addr); a < addr+size; a += LineSize {
-		if enc {
-			s.touchPage(clk, a)
-		}
-		hit, victim := s.LLC.Access(a, false)
-		if hit {
-			clk.AdvanceF(streamHitCost)
-			continue
-		}
-		lat := float64(streamLine)
-		if enc {
-			extra := s.MEE.StreamLoadExtra(lineIndex(a), footprint)
-			mee += extra
-			lat += extra
-		}
-		if victim.Valid && victim.Dirty {
-			lat += victimWB
-		}
-		clk.AdvanceF(lat)
-	}
-	if deep {
-		s.memSpanEnd(clk, "stream-read", start, misses, mee)
-	}
+	s.stream(clk, addr, size, false)
 }
 
 // StreamWrite charges a consecutive store sweep over [addr, addr+size):
 // read-for-ownership fills pipelined behind the stores.
 func (s *System) StreamWrite(clk *sim.Clock, addr, size uint64) {
+	s.stream(clk, addr, size, true)
+}
+
+// stream is the sweep behind StreamRead and StreamWrite.  It walks the
+// range one page-run at a time: the EPC is touched once per run (all its
+// lines share the page, see touchPage), then each line goes through the
+// LLC and, on a miss in enclave memory, the MEE.
+func (s *System) stream(clk *sim.Clock, addr, size uint64, write bool) {
 	if size == 0 {
 		return
 	}
@@ -292,31 +270,48 @@ func (s *System) StreamWrite(clk *sim.Clock, addr, size uint64) {
 	if deep {
 		start, misses = s.memSpanStart(clk)
 	}
+	missCost, name := float64(streamLine), "stream-read"
+	if write {
+		missCost, name = streamRFO, "stream-write"
+	}
 	var mee float64
 	enc := s.IsEnclave(addr)
 	footprint := int((size + LineSize - 1) / LineSize)
-	for a := s.LLC.LineAddr(addr); a < addr+size; a += LineSize {
+	end := addr + size
+	for a := s.LLC.LineAddr(addr); a < end; {
+		runEnd := end
 		if enc {
-			s.touchPage(clk, a)
+			// Enclave pages are aligned to EnclaveBase, itself page-aligned.
+			if next := (a/epc.PageSize + 1) * epc.PageSize; next < end {
+				runEnd = next
+			}
+			s.touchPage(clk, a, int((runEnd-a+LineSize-1)/LineSize))
 		}
-		hit, victim := s.LLC.Access(a, true)
-		if hit {
-			clk.AdvanceF(streamHitCost)
-			continue
+		for ; a < runEnd; a += LineSize {
+			hit, victim := s.LLC.Access(a, write)
+			if hit {
+				clk.AdvanceF(streamHitCost)
+				continue
+			}
+			lat := missCost
+			if enc {
+				var extra float64
+				if write {
+					extra = s.MEE.StreamStoreExtra(lineIndex(a), footprint)
+				} else {
+					extra = s.MEE.StreamLoadExtra(lineIndex(a), footprint)
+				}
+				mee += extra
+				lat += extra
+			}
+			if victim.Valid && victim.Dirty {
+				lat += victimWB
+			}
+			clk.AdvanceF(lat)
 		}
-		lat := float64(streamRFO)
-		if enc {
-			extra := s.MEE.StreamStoreExtra(lineIndex(a), footprint)
-			mee += extra
-			lat += extra
-		}
-		if victim.Valid && victim.Dirty {
-			lat += victimWB
-		}
-		clk.AdvanceF(lat)
 	}
 	if deep {
-		s.memSpanEnd(clk, "stream-write", start, misses, mee)
+		s.memSpanEnd(clk, name, start, misses, mee)
 	}
 }
 

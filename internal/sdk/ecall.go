@@ -68,7 +68,7 @@ func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, erro
 			return 0, fmt.Errorf("%w: %s during %s", ErrOCallNotAllowed, name, rt.ocallStack[n-1])
 		}
 	}
-	rt.counters[name]++
+	b.calls++
 	rt.tel.ecalls.Inc()
 	callStart := clk.Now()
 
@@ -100,7 +100,7 @@ func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, erro
 	tr := rt.tel.tracer
 	deep := tr.Detailed()
 	stageStart := clk.Now()
-	inner, finish, err := rt.StageECallArgs(clk, b.decl, args)
+	f, err := rt.stageECall(clk, b.decl, args)
 	if err != nil {
 		rt.Enclave.EExit(clk, tcs)
 		return 0, err
@@ -110,14 +110,15 @@ func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, erro
 	}
 
 	handlerStart := clk.Now()
-	ret := b.fn(&Ctx{Clk: clk, RT: rt, TCS: tcs}, inner)
+	f.ctx = Ctx{Clk: clk, RT: rt, TCS: tcs}
+	ret := b.fn(&f.ctx, f.args)
 	if deep && clk.Now() > handlerStart {
 		tr.Emit(telemetry.KindHandler, "handler:"+name, handlerStart, clk.Since(handlerStart), 0)
 	}
 
 	// --- Copy-out phase and staging release.
 	copyOutStart := clk.Now()
-	finish()
+	f.done()
 	if deep && clk.Now() > copyOutStart {
 		tr.Emit(telemetry.KindMarshal, "copyout:"+name, copyOutStart, clk.Since(copyOutStart), 0)
 	}

@@ -53,7 +53,7 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 	if err := checkArgs(b.decl, args); err != nil {
 		return 0, err
 	}
-	rt.counters[name]++
+	b.calls++
 	rt.tel.ocalls.Inc()
 	callStart := clk.Now()
 
@@ -68,7 +68,7 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 	tr := rt.tel.tracer
 	deep := tr.Detailed()
 	stageStart := clk.Now()
-	outer, finish, err := rt.StageOCallArgs(clk, b.decl, args)
+	f, err := rt.stageOCall(clk, b.decl, args)
 	if err != nil {
 		return 0, err
 	}
@@ -77,6 +77,7 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 	}
 
 	if err := rt.Enclave.EExit(clk, ctx.TCS); err != nil {
+		f.abort()
 		return 0, err
 	}
 
@@ -88,13 +89,15 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 	}
 	rt.ocallStack = append(rt.ocallStack, name)
 	handlerStart := clk.Now()
-	ret := b.fn(&Ctx{Clk: clk, RT: rt}, outer)
+	f.ctx = Ctx{Clk: clk, RT: rt}
+	ret := b.fn(&f.ctx, f.args)
 	if deep && clk.Now() > handlerStart {
 		tr.Emit(telemetry.KindHandler, "handler:"+name, handlerStart, clk.Since(handlerStart), 0)
 	}
 	rt.ocallStack = rt.ocallStack[:len(rt.ocallStack)-1]
 
 	if err := rt.Enclave.EResume(clk, ctx.TCS); err != nil {
+		f.abort()
 		return 0, err
 	}
 
@@ -102,7 +105,7 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 	// the insecure stack.
 	clk.Advance(ocallReturnFixed)
 	copyOutStart := clk.Now()
-	finish()
+	f.done()
 	if deep && clk.Now() > copyOutStart {
 		tr.Emit(telemetry.KindMarshal, "copyout:"+name, copyOutStart, clk.Since(copyOutStart), 0)
 	}

@@ -82,8 +82,9 @@ type Ctx struct {
 }
 
 type binding struct {
-	decl *edl.Func
-	fn   Handler
+	decl  *edl.Func
+	fn    Handler
+	calls uint64 // the Table 2 instrumentation counter
 }
 
 // Runtime is the SDK runtime for one enclave: the bound edge functions,
@@ -111,9 +112,18 @@ type Runtime struct {
 	ecalls map[string]*binding
 	ocalls map[string]*binding
 
-	counters   map[string]uint64
 	ocallStack []string // pending ocalls, for allow-list enforcement
 	stackTop   uint64   // untrusted stack cursor (alloca)
+
+	// Marshalling state reused from call to call (see staging.go): one
+	// frame per nesting depth, and the LIFO byte backing of staged
+	// parameters.  poison fills released scratch with 0xDB, so a handler
+	// that keeps a staged slice past its call reads garbage in tests.
+	frames     []*callFrame
+	depth      int
+	scratch    []byte
+	scratchTop int
+	poison     bool
 
 	// tel caches the runtime's telemetry handles; all nil (no-op) until
 	// SetTelemetry attaches a registry.
@@ -224,8 +234,8 @@ func New(p *sgx.Platform, e *sgx.Enclave, f *edl.File) *Runtime {
 		Arena:    NewArena(arenaBase, arenaSize),
 		ecalls:   make(map[string]*binding),
 		ocalls:   make(map[string]*binding),
-		counters: make(map[string]uint64),
 		stackTop: stackBase,
+		poison:   poisonStaging,
 	}
 	return rt
 }
@@ -236,7 +246,7 @@ func (rt *Runtime) BindECall(name string, fn Handler) error {
 	if decl == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownFunction, name)
 	}
-	rt.ecalls[name] = &binding{decl: decl, fn: fn}
+	bind(rt.ecalls, decl, fn)
 	return nil
 }
 
@@ -246,8 +256,18 @@ func (rt *Runtime) BindOCall(name string, fn Handler) error {
 	if decl == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownFunction, name)
 	}
-	rt.ocalls[name] = &binding{decl: decl, fn: fn}
+	bind(rt.ocalls, decl, fn)
 	return nil
+}
+
+// bind installs fn as the implementation of decl; rebinding a function
+// keeps its call count.
+func bind(table map[string]*binding, decl *edl.Func, fn Handler) {
+	b := &binding{decl: decl, fn: fn}
+	if old := table[decl.Name]; old != nil {
+		b.calls = old.calls
+	}
+	table[decl.Name] = b
 }
 
 // MustBindECall is BindECall that panics on error.
@@ -267,16 +287,24 @@ func (rt *Runtime) MustBindOCall(name string, fn Handler) {
 // Counters returns a snapshot of per-function call counts — the porting
 // framework's instrumentation behind Table 2.
 func (rt *Runtime) Counters() map[string]uint64 {
-	out := make(map[string]uint64, len(rt.counters))
-	for k, v := range rt.counters {
-		out[k] = v
+	out := make(map[string]uint64)
+	for _, table := range []map[string]*binding{rt.ecalls, rt.ocalls} {
+		for name, b := range table {
+			if b.calls > 0 {
+				out[name] += b.calls
+			}
+		}
 	}
 	return out
 }
 
 // ResetCounters zeroes the call counters.
 func (rt *Runtime) ResetCounters() {
-	rt.counters = make(map[string]uint64)
+	for _, table := range []map[string]*binding{rt.ecalls, rt.ocalls} {
+		for _, b := range table {
+			b.calls = 0
+		}
+	}
 }
 
 // stackAlloc models alloca on the untrusted stack: pointer bump, no malloc

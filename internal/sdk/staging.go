@@ -43,33 +43,159 @@ type stagedParam struct {
 	size    uint64
 }
 
+// callFrame is the reusable marshalling state of the staged call at one
+// nesting depth: the argument list the handler sees, the staging buffers
+// behind its pointer parameters, and the finish function handed to the
+// caller.  Calls nest strictly (an ocall's landing function may re-enter,
+// whose handler may call out again, ...) and finish innermost-first, so
+// depth d always reuses frames[d].
+type callFrame struct {
+	rt     *Runtime
+	clk    *sim.Clock
+	args   []Arg    // outer (ocall) / inner (ecall) argument list
+	bufs   []Buffer // bufs[i] is the staging buffer of parameter i
+	staged []stagedParam
+	ocall  bool
+	stack  uint64    // untrusted stack cursor to restore (ocalls)
+	mark   int       // scratch cursor to restore
+	finish func()    // f.done, bound once
+	ctx    Ctx       // the handler's context
+	hclk   sim.Clock // the handler's own clock, when it runs on another core (HandlerCtx)
+}
+
+// minScratch is the first scratch allocation: two 2 KB buffers in flight.
+const minScratch = 8 << 10
+
+// pushFrame opens the frame of a call with n arguments.
+func (rt *Runtime) pushFrame(clk *sim.Clock, n int, ocall bool) *callFrame {
+	if rt.depth == len(rt.frames) {
+		f := &callFrame{rt: rt}
+		f.finish = f.done
+		rt.frames = append(rt.frames, f)
+	}
+	f := rt.frames[rt.depth]
+	rt.depth++
+	f.clk, f.ocall, f.mark, f.staged = clk, ocall, rt.scratchTop, f.staged[:0]
+	if cap(f.args) < n {
+		f.args, f.bufs = make([]Arg, n), make([]Buffer, n)
+	}
+	f.args, f.bufs = f.args[:n], f.bufs[:n]
+	return f
+}
+
+// popFrame closes the innermost frame and releases its staging bytes.
+func (rt *Runtime) popFrame(f *callFrame) {
+	if rt.poison {
+		for i := range rt.scratch[f.mark:rt.scratchTop] {
+			rt.scratch[f.mark+i] = 0xDB
+		}
+	}
+	rt.scratchTop = f.mark
+	rt.depth--
+}
+
+// stage returns the staging buffer of parameter i at the given simulated
+// address, with size real bytes behind it.  The bytes come from the
+// runtime's LIFO scratch, which mirrors the untrusted stack / secure heap
+// discipline the addresses already follow: a frame's bytes are released
+// when it finishes, so a handler must not keep a staged slice past its
+// return.  Growing replaces the scratch array; slices of frames still open
+// keep the old one alive.
+func (f *callFrame) stage(i int, addr, size uint64) *Buffer {
+	rt := f.rt
+	top := rt.scratchTop + int(size)
+	if top > len(rt.scratch) {
+		rt.scratch = make([]byte, max(2*len(rt.scratch), top, minScratch))
+	}
+	st := &f.bufs[i]
+	*st = Buffer{Addr: addr, Data: rt.scratch[rt.scratchTop:top:top]}
+	rt.scratchTop = top
+	return st
+}
+
+// done is the frame's finish function: copy outputs back to the caller's
+// buffers, release the staging memory, close the frame.
+func (f *callFrame) done() {
+	rt := f.rt
+	if rt.depth == 0 || rt.frames[rt.depth-1] != f {
+		panic("sdk: staged calls finished out of order")
+	}
+	for i := range f.staged {
+		s := &f.staged[i]
+		if s.param.Direction == edl.Out || s.param.Direction == edl.InOut {
+			rt.stageCopy(f.clk, s.origin.Addr, s.staging.Addr, s.size)
+			copy(s.origin.Data[:s.size], s.staging.Data)
+		}
+		if !f.ocall {
+			rt.Enclave.Free(f.clk, s.staging.Addr, s.size)
+		}
+	}
+	if f.ocall {
+		rt.stackRestore(f.stack)
+	}
+	rt.popFrame(f)
+}
+
+// abort undoes a partly staged call: nothing is leaked.
+func (f *callFrame) abort() {
+	if f.ocall {
+		f.rt.stackRestore(f.stack)
+	} else {
+		for _, s := range f.staged {
+			f.rt.Enclave.Free(f.clk, s.staging.Addr, s.size)
+		}
+	}
+	f.rt.popFrame(f)
+}
+
+// HandlerCtx returns the context for the handler of the innermost staged
+// call when it runs on a core of its own (a HotCalls responder): a clock
+// starting at zero, so the caller can add the handler's execution time to
+// the requester's timeline, and the given router for the handler's own
+// ocalls.  Like the staged argument list it belongs to the call and is
+// reused once the call's finish has run.
+func (rt *Runtime) HandlerCtx(router OCallRouter) *Ctx {
+	f := rt.frames[rt.depth-1]
+	f.hclk = sim.Clock{}
+	f.ctx = Ctx{Clk: &f.hclk, RT: rt, Router: router}
+	return &f.ctx
+}
+
 // StageOCallArgs performs the trusted-side marshalling of an ocall's
 // arguments: pointer checks, staging on the untrusted stack, [in] copies
 // and [out] zeroing (skipped under No-Redundant-Zeroing).  It returns the
-// argument list for the untrusted landing function and a finish closure
+// argument list for the untrusted landing function and a finish function
 // that copies outputs back into the enclave and unwinds the stack frame.
-// On error nothing is leaked: the frame is restored.
+// Both belong to the call: the list and the staged bytes are reused once
+// finish has run.  On error nothing is leaked: the frame is restored.
 func (rt *Runtime) StageOCallArgs(clk *sim.Clock, decl *edl.Func, args []Arg) ([]Arg, func(), error) {
-	if err := checkArgs(decl, args); err != nil {
+	f, err := rt.stageOCall(clk, decl, args)
+	if err != nil {
 		return nil, nil, err
 	}
+	return f.args, f.finish, nil
+}
+
+func (rt *Runtime) stageOCall(clk *sim.Clock, decl *edl.Func, args []Arg) (*callFrame, error) {
+	if err := checkArgs(decl, args); err != nil {
+		return nil, err
+	}
 	m := rt.Platform.Mem
-	frame := rt.stackFrame()
+	f := rt.pushFrame(clk, len(args), true)
+	f.stack = rt.stackFrame()
 	m.Store(clk, rt.stackTop) // frame header line
 
-	outer := make([]Arg, len(args))
-	var stagings []stagedParam
 	for i := range args {
 		p := &decl.Params[i]
 		if !p.Pointer || args[i].Buf == nil || p.Direction == edl.UserCheck {
-			outer[i] = args[i]
+			f.args[i] = args[i]
 			continue
 		}
 		src := args[i].Buf
 		size, err := resolveSize(decl, p, args, src)
 		if err != nil {
-			rt.stackRestore(frame)
-			return nil, nil, err
+			f.abort()
+			return nil, err
 		}
 		if p.Direction == edl.ZeroCopy {
 			// A [zerocopy] buffer lives in untrusted shared-ring
@@ -78,24 +204,24 @@ func (rt *Runtime) StageOCallArgs(clk *sim.Clock, decl *edl.Func, args []Arg) ([
 			// ring, then hand it through with no staging and no copy.
 			clk.Advance(bufferCheckCost)
 			if !rt.RingBacked(src.Addr, size) {
-				rt.stackRestore(frame)
-				return nil, nil, fmt.Errorf("%w: %s.%s", ErrNotRingBacked, decl.Name, p.Name)
+				f.abort()
+				return nil, fmt.Errorf("%w: %s.%s", ErrNotRingBacked, decl.Name, p.Name)
 			}
 			clk.AdvanceF(ocallGlue[edl.ZeroCopy])
-			outer[i] = args[i]
+			f.args[i] = args[i]
 			continue
 		}
 		// The enclave-side pointer must lie entirely inside the
 		// enclave, or copying could exfiltrate via a crafted pointer.
 		clk.Advance(bufferCheckCost)
 		if !rt.Enclave.InRange(src.Addr, size) {
-			rt.stackRestore(frame)
-			return nil, nil, fmt.Errorf("%w: %s.%s", ErrInsecurePointer, decl.Name, p.Name)
+			f.abort()
+			return nil, fmt.Errorf("%w: %s.%s", ErrInsecurePointer, decl.Name, p.Name)
 		}
 		clk.AdvanceF(ocallGlue[p.Direction])
-		st := &Buffer{Addr: rt.stackAlloc(clk, size), Data: make([]byte, size)}
+		st := f.stage(i, rt.stackAlloc(clk, size), size)
 		switch p.Direction {
-		case edl.In:
+		case edl.In, edl.InOut:
 			rt.stageCopy(clk, st.Addr, src.Addr, size)
 			copy(st.Data, src.Data[:size])
 		case edl.Out:
@@ -103,83 +229,77 @@ func (rt *Runtime) StageOCallArgs(clk *sim.Clock, decl *edl.Func, args []Arg) ([
 			// byte-wise memset.  The paper observes this has no
 			// security benefit — untrusted code can read that
 			// memory anyway — and removing it is the
-			// No-Redundant-Zeroing optimization of Section 6.
+			// No-Redundant-Zeroing optimization of Section 6.  Only
+			// the cycle charge is optional: the landing function sees
+			// zero bytes either way.
 			if !rt.NoRedundantZeroing {
 				rt.zero(clk, st.Addr, size)
 			}
-		case edl.InOut:
-			rt.stageCopy(clk, st.Addr, src.Addr, size)
-			copy(st.Data, src.Data[:size])
+			clear(st.Data)
 		}
-		stagings = append(stagings, stagedParam{param: p, origin: src, staging: st, size: size})
-		outer[i] = Buf(st)
+		f.staged = append(f.staged, stagedParam{param: p, origin: src, staging: st, size: size})
+		f.args[i] = Buf(st)
 	}
-	finish := func() {
-		for _, s := range stagings {
-			if s.param.Direction == edl.Out || s.param.Direction == edl.InOut {
-				rt.stageCopy(clk, s.origin.Addr, s.staging.Addr, s.size)
-				copy(s.origin.Data[:s.size], s.staging.Data)
-			}
-		}
-		rt.stackRestore(frame)
-	}
-	return outer, finish, nil
+	return f, nil
 }
 
 // StageECallArgs performs the trusted-side marshalling of an ecall's
 // arguments after entry: pointer checks against the enclave boundary,
 // staging allocation on the secure heap, [in] copies and [out] zeroing.
-// The finish closure copies outputs back to the caller's buffers and frees
-// the staging memory.
+// The finish function copies outputs back to the caller's buffers and
+// frees the staging memory; list and staged bytes belong to the call, as
+// for StageOCallArgs.
 func (rt *Runtime) StageECallArgs(clk *sim.Clock, decl *edl.Func, args []Arg) ([]Arg, func(), error) {
-	if err := checkArgs(decl, args); err != nil {
+	f, err := rt.stageECall(clk, decl, args)
+	if err != nil {
 		return nil, nil, err
 	}
-	inner := make([]Arg, len(args))
-	var stagings []stagedParam
-	unwind := func() {
-		for _, s := range stagings {
-			rt.Enclave.Free(clk, s.staging.Addr, s.size)
-		}
+	return f.args, f.finish, nil
+}
+
+func (rt *Runtime) stageECall(clk *sim.Clock, decl *edl.Func, args []Arg) (*callFrame, error) {
+	if err := checkArgs(decl, args); err != nil {
+		return nil, err
 	}
+	f := rt.pushFrame(clk, len(args), false)
 	for i := range args {
 		p := &decl.Params[i]
 		if !p.Pointer || args[i].Buf == nil || p.Direction == edl.UserCheck {
-			inner[i] = args[i]
+			f.args[i] = args[i]
 			continue
 		}
 		caller := args[i].Buf
 		size, err := resolveSize(decl, p, args, caller)
 		if err != nil {
-			unwind()
-			return nil, nil, err
+			f.abort()
+			return nil, err
 		}
 		// The caller's buffer must lie entirely outside the enclave,
 		// or the copy could leak or clobber enclave memory.
 		clk.Advance(bufferCheckCost)
 		if !rt.Enclave.OutsideRange(caller.Addr, size) {
-			unwind()
-			return nil, nil, fmt.Errorf("%w: %s.%s", ErrInsecurePointer, decl.Name, p.Name)
+			f.abort()
+			return nil, fmt.Errorf("%w: %s.%s", ErrInsecurePointer, decl.Name, p.Name)
 		}
 		if p.Direction == edl.ZeroCopy {
 			// Outside the enclave AND inside a registered ring: the
 			// trusted side reads/writes the slab in place instead of
 			// staging it onto the secure heap.
 			if !rt.RingBacked(caller.Addr, size) {
-				unwind()
-				return nil, nil, fmt.Errorf("%w: %s.%s", ErrNotRingBacked, decl.Name, p.Name)
+				f.abort()
+				return nil, fmt.Errorf("%w: %s.%s", ErrNotRingBacked, decl.Name, p.Name)
 			}
 			clk.AdvanceF(ecallGlue[edl.ZeroCopy])
-			inner[i] = args[i]
+			f.args[i] = args[i]
 			continue
 		}
 		clk.AdvanceF(ecallGlue[p.Direction])
 		addr, err := rt.Enclave.Alloc(clk, size)
 		if err != nil {
-			unwind()
-			return nil, nil, err
+			f.abort()
+			return nil, err
 		}
-		st := &Buffer{Addr: addr, Data: make([]byte, size)}
+		st := f.stage(i, addr, size)
 		switch p.Direction {
 		case edl.In, edl.InOut:
 			rt.stageCopy(clk, st.Addr, caller.Addr, size)
@@ -190,20 +310,12 @@ func (rt *Runtime) StageECallArgs(clk *sim.Clock, decl *edl.Func, args []Arg) ([
 			// is a real security measure (unlike the ocall-side
 			// one) and is kept even under No-Redundant-Zeroing.
 			rt.zero(clk, st.Addr, size)
+			clear(st.Data)
 		}
-		stagings = append(stagings, stagedParam{param: p, origin: caller, staging: st, size: size})
-		inner[i] = Buf(st)
+		f.staged = append(f.staged, stagedParam{param: p, origin: caller, staging: st, size: size})
+		f.args[i] = Buf(st)
 	}
-	finish := func() {
-		for _, s := range stagings {
-			if s.param.Direction == edl.Out || s.param.Direction == edl.InOut {
-				rt.stageCopy(clk, s.origin.Addr, s.staging.Addr, s.size)
-				copy(s.origin.Data[:s.size], s.staging.Data)
-			}
-			rt.Enclave.Free(clk, s.staging.Addr, s.size)
-		}
-	}
-	return inner, finish, nil
+	return f, nil
 }
 
 // TrustedBinding returns the declaration and bound handler of an ecall.
@@ -230,6 +342,13 @@ func (rt *Runtime) UntrustedBinding(name string) (*edl.Func, Handler, error) {
 	return b.decl, b.fn, nil
 }
 
-// CountCall increments the instrumentation counter for an edge call made
-// outside the SDK paths (HotCalls route through here so Table 2 sees them).
-func (rt *Runtime) CountCall(name string) { rt.counters[name]++ }
+// CountCall increments the instrumentation counter of a bound edge function
+// for a call made outside the SDK paths (HotCalls route through here so
+// Table 2 sees them).
+func (rt *Runtime) CountCall(name string) {
+	if b := rt.ecalls[name]; b != nil {
+		b.calls++
+	} else if b := rt.ocalls[name]; b != nil {
+		b.calls++
+	}
+}
