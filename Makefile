@@ -101,15 +101,19 @@ flight-overhead:
 
 # bench-scaling runs the fabric throughput-scaling curve (requesters x
 # responders over the CallPool, plus the fabric-routed app paths), the
-# Go benchmark pair behind the >=4x acceptance criterion, and the
-# memcached connection's synchronous request path (ns and allocations per
-# request under the repo benchmark's kv mix).  The same curve's ratios
-# land in BENCH_hotcalls.json via bench-json and are gated by
-# bench-regress under the scaling/* policy.
+# Go benchmark pair behind the >=4x acceptance criterion, the price of
+# waking a parked responder (BenchmarkPoolWake: a host cost, reported,
+# not gated), the memcached connection's synchronous request path (ns
+# and allocations per request under the repo benchmark's kv mix), and the
+# lighttpd connection's synchronous and pipelined paths.  The same
+# curve's ratios land in BENCH_hotcalls.json via bench-json and are
+# gated by bench-regress under the scaling/* policy.
 bench-scaling:
 	$(GO) run ./cmd/hotbench -run scaling
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolCall|BenchmarkSingleSlotFunnel' -benchtime 1s -count 3 ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkPoolWake' -benchtime 2000x -count 3 ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolConnDo' -benchtime 1s -count 3 ./internal/apps/memcached/
+	$(GO) test -run '^$$' -bench 'BenchmarkPoolConnDo|BenchmarkPoolServerThroughput' -benchtime 1s -benchmem -count 3 ./internal/apps/lighttpd/
 
 # bench-zerocopy runs the staged-vs-zero-copy comparison: the simulated
 # 2-32 KB crossing-cost sweep ([in,out] marshalling vs [zerocopy] ring

@@ -3,13 +3,18 @@ package lighttpd
 // PoolServer routes lighttpd's concurrent request path through the
 // HotCalls fabric (core.CallPool) — the real-concurrency counterpart of
 // the simulated Server above.  Each client connection owns one fabric
-// shard and a ring of request/response buffers; the call word packs the
-// buffer slot and the raw request length into a typed uint64, so the
-// submit/complete path allocates nothing in the fabric.  The document
-// root is immutable after construction, so responders serve it with no
-// locking at all — the read-mostly best case for scaling responders.
+// shard and a ring of request buffers; the call word packs the buffer
+// slot and the raw request length into a typed uint64, and the return
+// word names the response by reference: every response the server can
+// produce is one of a finite set of immutable byte images built at Start
+// (per document head+body, plus the fixed 404 and 400 heads), so the
+// handler answers with an image index and a length and moves no body
+// byte — the port's sendfile.  Nothing on the request path allocates,
+// and responders serve the immutable images with no locking at all — the
+// read-mostly best case for scaling responders.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -30,15 +35,45 @@ const opServeHTTP core.CallID = 0
 // connWindow is the per-connection buffer ring depth.
 const connWindow = 16
 
-// respCap holds a response head plus the 20 KB page.
-const respCap = PageSize + 512
+// Errors from the connection's submit/collect path.
+var (
+	// ErrWindowFull reports a Submit with connWindow requests already in
+	// flight: collect the oldest PendingResponse first.
+	ErrWindowFull = errors.New("lighttpd: connection window full")
+	// ErrBadResponse reports a return word that names no response image
+	// (the fabric's bad-call-ID sentinel, for one).
+	ErrBadResponse = errors.New("lighttpd: fabric returned no valid response reference")
+)
+
+// The fixed response images; documents follow from imgFirstDoc.
+const (
+	imgBadRequest = iota
+	imgNotFound
+	imgFirstDoc
+)
+
+// docImage locates one document's response image and the EPC pages
+// serving it touches.
+type docImage struct {
+	image   int    // index into PoolServer.images
+	headLen int    // the image's head prefix — all a HEAD returns
+	hash    uint64 // fnv64 of the path: where its EPC pages start
+	pages   uint64 // EPC pages the body spans, at least one for the head
+}
 
 // PoolServer is lighttpd over the fabric: a CallPool whose one table
-// entry parses and answers HTTP requests against an immutable docroot.
+// entry scans HTTP requests and answers them by reference into an
+// immutable set of response images.
 type PoolServer struct {
 	pool    *core.CallPool
-	docroot map[string][]byte
+	docroot map[string][]byte // staged by AddDocument until Start
 	conns   []*PoolConn
+
+	// Built by Start and immutable from then on: images[imgBadRequest]
+	// and images[imgNotFound] are bare heads, every later entry is one
+	// document's head+body.
+	images [][]byte
+	docs   map[string]docImage
 
 	reg    *telemetry.Registry
 	mon    *monitor.Monitor
@@ -71,20 +106,19 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	s.conns = make([]*PoolConn, conns)
 	s.pool = core.NewCallPool([]core.PoolFunc{s.serve}, opts)
 	for i := range s.conns {
-		c := &PoolConn{s: s, req: s.pool.Requester()}
-		for j := range c.bufs {
-			c.bufs[j].req = make([]byte, readCap)
-			c.bufs[j].resp = make([]byte, respCap)
-		}
-		s.conns[i] = c
+		s.conns[i] = &PoolConn{s: s, req: s.pool.Requester()}
 	}
 	return s
 }
 
-// AddDocument installs a document before Start.  The docroot must not
-// change once responders are running — its immutability is what makes
-// the serve path lock-free.
+// AddDocument installs a document of any size before Start.  The
+// response images are built at Start and immutable from then on — that
+// is what makes the serve path lock-free and copy-free — so adding a
+// document to a started server panics.
 func (s *PoolServer) AddDocument(path string, body []byte) {
+	if s.images != nil {
+		panic("lighttpd: AddDocument after Start: the response images are immutable once responders run")
+	}
 	s.docroot[path] = append([]byte(nil), body...)
 }
 
@@ -146,7 +180,7 @@ func (s *PoolServer) EnableEPC(capacityBytes int) *epcstat.Collector {
 func (s *PoolServer) EPCManager() *epc.Manager { return s.epcMgr }
 
 // fnv64 is FNV-1a over the document path.
-func fnv64(key string) uint64 {
+func fnv64[S ~string | ~[]byte](key S) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -155,19 +189,15 @@ func fnv64(key string) uint64 {
 	return h
 }
 
-// touchEPC charges the paging cost of serving one document: the pages
-// its body spans (at least one for the head), owner-tagged by the
-// submitting connection.  No-op until EnableEPC.
-func (s *PoolServer) touchEPC(requester int, path string, bodyLen int) {
+// touchEPC charges the paging cost of serving one response: pages
+// consecutive pages from the one the path's hash folds to, owner-tagged
+// by the submitting connection.  No-op until EnableEPC.
+func (s *PoolServer) touchEPC(requester int, pathHash, pages uint64) {
 	if s.epcMgr == nil {
 		return
 	}
 	span := uint64(enclavePageSpan * s.epcMgr.CapacityPages())
-	base := fnv64(path) % span
-	pages := uint64(bodyLen+epc.PageSize-1) / epc.PageSize
-	if pages == 0 {
-		pages = 1
-	}
+	base := pathHash % span
 	owner := epc.OwnerID(requester + 1)
 	for p := uint64(0); p < pages; p++ {
 		s.epcMgr.TouchAs(owner, (base+p)%span)
@@ -248,8 +278,26 @@ func (s *PoolServer) DebugMux() *monitor.DebugMux {
 // Pool exposes the underlying CallPool (responder bounds, stats).
 func (s *PoolServer) Pool() *core.CallPool { return s.pool }
 
-// Start launches the adaptive responder pool.
-func (s *PoolServer) Start() { s.pool.Start() }
+// Start builds the response images — every byte sequence the server can
+// answer with, once — and launches the adaptive responder pool.
+func (s *PoolServer) Start() {
+	s.images = make([][]byte, imgFirstDoc, imgFirstDoc+len(s.docroot))
+	s.images[imgBadRequest] = []byte(ResponseHead(400, 0))
+	s.images[imgNotFound] = []byte(ResponseHead(404, 0))
+	s.docs = make(map[string]docImage, len(s.docroot))
+	for path, body := range s.docroot {
+		head := ResponseHead(200, len(body))
+		s.docs[path] = docImage{
+			image:   len(s.images),
+			headLen: len(head),
+			hash:    fnv64(path),
+			pages:   max(1, uint64(len(body)+epc.PageSize-1)/epc.PageSize),
+		}
+		s.images = append(s.images, append([]byte(head), body...))
+	}
+	s.docroot = nil // the images own the bytes now
+	s.pool.Start()
+}
 
 // Stop shuts the fabric down.
 func (s *PoolServer) Stop() { s.pool.Stop() }
@@ -258,97 +306,103 @@ func (s *PoolServer) Stop() { s.pool.Stop() }
 // from one goroutine at a time.
 func (s *PoolServer) Conn(i int) *PoolConn { return s.conns[i] }
 
-func packData(slot, n int) uint64 { return uint64(slot)<<32 | uint64(uint32(n)) }
+// packData packs a request's (buffer slot, length) into the call word
+// and a response's (image index, length) into the return word.
+func packData(hi, n int) uint64 { return uint64(hi)<<32 | uint64(uint32(n)) }
 
-func unpackData(d uint64) (slot, n int) { return int(d >> 32), int(uint32(d)) }
+func unpackData(d uint64) (hi, n uint64) { return d >> 32, d & (1<<32 - 1) }
 
-// serve is the enclave-side handler: parse the raw request out of the
-// submitting connection's slot buffer, look the path up in the docroot,
-// and write head+body into the paired response buffer.  The returned
-// word is the response length.  Malformed requests get a real 400, not
-// an error: a web server answers bad clients on the wire.
+// serve is the enclave-side handler: scan the raw request in place in
+// the submitting connection's slot buffer, look the path up among the
+// document images, and return a reference to the answer — image index
+// and length, a HEAD's length stopping at the head.  No response byte
+// is built or copied.  Malformed requests get a real 400, not an error:
+// a web server answers bad clients on the wire.
 func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	slot, n := unpackData(data)
-	b := &s.conns[requester].bufs[slot]
-	status, body := 200, []byte(nil)
-	req, err := ParseRequest(string(b.req[:n]))
+	raw := s.conns[requester].bufs[slot][:n]
+	rl, err := scanRequest(raw, nil)
 	if err != nil {
-		status = 400
-	} else if doc, ok := s.docroot[req.Path]; !ok {
-		status = 404
-		s.touchEPC(requester, req.Path, 0)
-	} else {
-		body = doc
-		s.touchEPC(requester, req.Path, len(body))
+		return packData(imgBadRequest, len(s.images[imgBadRequest]))
 	}
-	head := ResponseHead(status, len(body))
-	p := copy(b.resp, head)
-	if req != nil && req.Method == "HEAD" {
-		return uint64(p)
+	path := raw[rl.path.lo:rl.path.hi]
+	doc, ok := s.docs[string(path)]
+	if !ok {
+		s.touchEPC(requester, fnv64(path), 1)
+		return packData(imgNotFound, len(s.images[imgNotFound]))
 	}
-	p += copy(b.resp[p:], body)
-	return uint64(p)
+	s.touchEPC(requester, doc.hash, doc.pages)
+	if rl.head {
+		return packData(doc.image, doc.headLen)
+	}
+	return packData(doc.image, len(s.images[doc.image]))
 }
 
-// connBuf is one in-flight request's buffer pair.
-type connBuf struct {
-	req  []byte
-	resp []byte
-}
-
-// PoolConn is one client connection: a fabric requester plus its buffer
-// ring.  Submissions complete in FIFO order per connection; collect
-// oldest-first.
+// PoolConn is one client connection: a fabric requester plus its ring
+// of request buffers.  Submissions complete in FIFO order per
+// connection; collect oldest-first.
 type PoolConn struct {
 	s        *PoolServer
 	req      *core.Requester
-	bufs     [connWindow]connBuf
+	bufs     [connWindow][readCap]byte
 	next     int
 	inflight int
 }
 
 // PendingResponse is an in-flight request's handle.
 type PendingResponse struct {
-	c    *PoolConn
-	pd   *core.PoolPending
-	slot int
+	c  *PoolConn
+	pd *core.PoolPending
 }
 
 // Submit copies the raw request into the next ring buffer and posts it
-// to the fabric.  It fails when the connection's window is full —
-// collect the oldest PendingResponse first.
+// to the fabric.  It fails with ErrWindowFull when connWindow requests
+// are in flight — collect the oldest PendingResponse first.
 func (c *PoolConn) Submit(raw string) (PendingResponse, error) {
 	if c.inflight == connWindow {
-		return PendingResponse{}, fmt.Errorf("lighttpd: connection window full (%d in flight)", c.inflight)
+		return PendingResponse{}, ErrWindowFull
 	}
 	if len(raw) > readCap {
 		return PendingResponse{}, ErrBadRequest
 	}
 	slot := c.next
-	n := copy(c.bufs[slot].req, raw)
+	n := copy(c.bufs[slot][:], raw)
 	pd, err := c.req.SubmitAt(c.s.callsiteFor(raw), opServeHTTP, packData(slot, n))
 	if err != nil {
 		return PendingResponse{}, err
 	}
 	c.next = (c.next + 1) % connWindow
 	c.inflight++
-	return PendingResponse{c: c, pd: pd, slot: slot}, nil
+	return PendingResponse{c: c, pd: pd}, nil
 }
 
-// Wait blocks until the response bytes are ready.  The returned slice
-// aliases the connection's slot buffer: consume it before the slot comes
-// around again (connWindow submissions later).
+// response decodes a return word into the bytes it names, a view of one
+// of the immutable response images, or ErrBadResponse when the index or
+// the length is out of range.
+func (s *PoolServer) response(ret uint64) ([]byte, error) {
+	img, n := unpackData(ret)
+	if img >= uint64(len(s.images)) || n > uint64(len(s.images[img])) {
+		return nil, ErrBadResponse
+	}
+	return s.images[img][:n:n], nil
+}
+
+// Wait blocks until the response is ready and returns it (ErrBadResponse
+// when the fabric's return word names none).  The slice is a view of one
+// of the server's immutable response images: read-only — every
+// connection answered with that document shares it — and valid for the
+// life of the server.
 func (pr PendingResponse) Wait() ([]byte, error) {
 	ret, err := pr.pd.Wait()
 	pr.c.inflight--
 	if err != nil {
 		return nil, err
 	}
-	return pr.c.bufs[pr.slot].resp[:ret], nil
+	return pr.c.s.response(ret)
 }
 
 // Do is the synchronous path: one raw request through the fabric,
-// blocking for its response bytes.
+// blocking for its response.
 func (c *PoolConn) Do(raw string) ([]byte, error) {
 	pr, err := c.Submit(raw)
 	if err != nil {

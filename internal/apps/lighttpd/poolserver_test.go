@@ -2,6 +2,7 @@ package lighttpd
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -119,6 +120,132 @@ func TestPoolServerConcurrentConnections(t *testing.T) {
 	}
 }
 
+// TestPoolServerServesLargeDocument pins that a document's size is not
+// bounded by any response buffer: a 64 KB body comes back whole over GET,
+// its head alone over HEAD, with a full window of them in flight.
+func TestPoolServerServesLargeDocument(t *testing.T) {
+	body := make([]byte, 64<<10)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	s := NewPoolServer(1, fastPoolOpts(1))
+	s.AddDocument("/large", body)
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+
+	head := ResponseHead(200, len(body))
+	for _, tc := range []struct {
+		raw  string
+		want []byte
+	}{
+		{"GET /large HTTP/1.0\r\n\r\n", append([]byte(head), body...)},
+		{"HEAD /large HTTP/1.0\r\n\r\n", []byte(head)},
+	} {
+		var pending [connWindow]PendingResponse
+		for i := range pending {
+			var err error
+			if pending[i], err = c.Submit(tc.raw); err != nil {
+				t.Fatalf("submit %d of %.20q: %v", i, tc.raw, err)
+			}
+		}
+		for i := range pending {
+			resp, err := pending[i].Wait()
+			if err != nil || !bytes.Equal(resp, tc.want) {
+				t.Fatalf("response %d to %.20q = (%d bytes %.40q, %v), want %d bytes", i, tc.raw, len(resp), resp, err, len(tc.want))
+			}
+		}
+	}
+}
+
+// TestPoolConnWindowFull pins the submit-side sentinel: the seventeenth
+// uncollected request fails with ErrWindowFull and collecting one makes
+// room again.
+func TestPoolConnWindowFull(t *testing.T) {
+	s := NewPoolServer(1, fastPoolOpts(1))
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+
+	var pending [connWindow]PendingResponse
+	for i := range pending {
+		var err error
+		if pending[i], err = c.Submit(getIndex); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Submit(getIndex); !errors.Is(err, ErrWindowFull) {
+		t.Fatalf("submit into a full window: err = %v, want ErrWindowFull", err)
+	}
+	if _, err := pending[0].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	pr, err := c.Submit(getIndex)
+	if err != nil {
+		t.Fatalf("submit after collecting one: %v", err)
+	}
+	for _, pr := range append(pending[1:], pr) {
+		if _, err := pr.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPoolConnWaitRejectsBadWord pins that Wait validates the return
+// word instead of slicing with it: the fabric answers an unknown call ID
+// with the ^0 sentinel, and an out-of-range index or length names no
+// image either.
+func TestPoolConnWaitRejectsBadWord(t *testing.T) {
+	s := NewPoolServer(1, fastPoolOpts(1))
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+
+	pd, err := c.req.Submit(opServeHTTP+7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.inflight++
+	if resp, err := (PendingResponse{c: c, pd: pd}).Wait(); !errors.Is(err, ErrBadResponse) || resp != nil {
+		t.Fatalf("Wait on the bad-call-ID sentinel = (%d bytes, %v), want ErrBadResponse", len(resp), err)
+	}
+
+	if resp, err := c.Do(getIndex); err != nil || !bytes.HasPrefix(resp, []byte("HTTP/1.0 200")) {
+		t.Fatalf("the connection must survive a bad word: (%.40q, %v)", resp, err)
+	}
+
+	notFound := len(s.images[imgNotFound])
+	for _, tc := range []struct {
+		name string
+		word uint64
+		ok   bool
+	}{
+		{"whole image", packData(imgNotFound, notFound), true},
+		{"empty prefix", packData(imgFirstDoc, 0), true},
+		{"length one past the image", packData(imgNotFound, notFound+1), false},
+		{"index one past the set", packData(len(s.images), 0), false},
+		{"bad-call-ID sentinel", ^uint64(0), false},
+	} {
+		if resp, err := s.response(tc.word); (err == nil) != tc.ok || !tc.ok && !errors.Is(err, ErrBadResponse) {
+			t.Errorf("response(%s) = (%d bytes, %v), want ok=%v", tc.name, len(resp), err, tc.ok)
+		}
+	}
+}
+
+// TestPoolServerAddDocumentAfterStartPanics: the image set is fixed at
+// Start, so a late AddDocument fails loudly rather than being ignored.
+func TestPoolServerAddDocumentAfterStartPanics(t *testing.T) {
+	s := NewPoolServer(1, fastPoolOpts(1))
+	s.Start()
+	defer s.Stop()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "AddDocument after Start") {
+			t.Fatalf("AddDocument after Start: recovered %q, want the panic", msg)
+		}
+	}()
+	s.AddDocument("/late", []byte("too late"))
+}
+
 // BenchmarkPoolServerThroughput measures the fabric-routed HTTP request
 // path with a pipelined connection — the number the scaling experiment
 // in internal/bench normalizes against.
@@ -144,5 +271,22 @@ func BenchmarkPoolServerThroughput(b *testing.B) {
 			}
 		}
 		pending = pending[:0]
+	}
+}
+
+// BenchmarkPoolConnDo measures the synchronous request path — one
+// request in flight, each waiting out its own round trip — which is what
+// a closed-loop client (the repo benchmark's web_paced set-up) pays.
+func BenchmarkPoolConnDo(b *testing.B) {
+	s := NewPoolServer(1, core.PoolOptions{SlotsPerShard: connWindow, Timeout: 1 << 20})
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Do(getIndex); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
