@@ -35,11 +35,12 @@ test-race:
 # test-repeat reruns the tests that pin exactly-once execution — the core
 # test that parks a claimed window under a second responder's scan, the
 # openvpn port whose in-place handler turns a double execution into a
-# failed MAC, and the completion wait's echo under four requesters per P
+# failed MAC, the completion wait's echo under four requesters per P, and
+# requesters racing broadcast-woken responders for their own posted runs
 # — twenty times at one and two Ps, so a protocol regression cannot pass
 # on scheduler luck.
 test-repeat:
-	$(GO) test -count=20 -cpu 1,2 -run 'TestPoolTunnelConcurrentConnections|TestPoolBatchedClaimExactlyOnce|TestPoolWaitOversubscribedExactlyOnce' ./internal/core ./internal/apps/openvpn
+	$(GO) test -count=20 -cpu 1,2 -run 'TestPoolTunnelConcurrentConnections|TestPoolBatchedClaimExactlyOnce|TestPoolWaitOversubscribedExactlyOnce|TestPoolParkedHelpExactlyOnce' ./internal/core ./internal/apps/openvpn
 
 # test-poison reruns the suites whose handlers see staged parameters with
 # the sdkpoison build tag: the SDK runtime fills staging scratch with 0xDB
@@ -101,11 +102,13 @@ flight-overhead:
 
 # bench-scaling runs the fabric throughput-scaling curve (requesters x
 # responders over the CallPool, plus the fabric-routed app paths), the
-# Go benchmark pair behind the >=4x acceptance criterion, the price of
-# waking a parked responder (BenchmarkPoolWake: a host cost, reported,
+# Go benchmark pair behind the >=4x acceptance criterion, the three ways
+# a call meets the idle ladder (BenchmarkPoolWake: responder awake,
+# parked and run inline, parked and signalled — host costs, reported,
 # not gated), the memcached connection's synchronous request path (ns
 # and allocations per request under the repo benchmark's kv mix), and the
-# lighttpd connection's synchronous and pipelined paths.  The same
+# lighttpd connection's synchronous path against an awake and against a
+# parked responder and its pipelined path.  The same
 # curve's ratios land in BENCH_hotcalls.json via bench-json and are
 # gated by bench-regress under the scaling/* policy.
 bench-scaling:

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hotcalls/internal/core"
 	"hotcalls/internal/telemetry"
@@ -275,18 +277,45 @@ func BenchmarkPoolServerThroughput(b *testing.B) {
 }
 
 // BenchmarkPoolConnDo measures the synchronous request path — one
-// request in flight, each waiting out its own round trip — which is what
-// a closed-loop client (the repo benchmark's web_paced set-up) pays.
+// request in flight, each waiting out its own round trip.  awake is what
+// a closed-loop client (the repo benchmark's web_paced set-up) pays: the
+// responder stays on its ladder and every request is a cross-thread
+// HotCall.  parked is what a paced arrival (web_paced proper) pays: each
+// request is timed on its own, after an untimed wait for the responder to
+// park and its thread to go idle, so the connection runs it inline.
 func BenchmarkPoolConnDo(b *testing.B) {
-	s := NewPoolServer(1, core.PoolOptions{SlotsPerShard: connWindow, Timeout: 1 << 20})
-	s.Start()
-	defer s.Stop()
-	c := s.Conn(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Do(getIndex); err != nil {
-			b.Fatal(err)
-		}
+	boot := func(b *testing.B) (*PoolServer, *PoolConn) {
+		s := NewPoolServer(1, core.PoolOptions{SlotsPerShard: connWindow, Timeout: 1 << 20})
+		s.Start()
+		b.Cleanup(s.Stop)
+		return s, s.Conn(0)
 	}
+	b.Run("awake", func(b *testing.B) {
+		_, c := boot(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Do(getIndex); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parked", func(b *testing.B) {
+		s, c := boot(b)
+		var busy time.Duration
+		for i := 0; i < b.N; i++ {
+			for s.Pool().SleepingResponders() == 0 {
+				runtime.Gosched()
+			}
+			for t0 := time.Now(); time.Since(t0) < 50*time.Microsecond; {
+			}
+			t0 := time.Now()
+			_, err := c.Do(getIndex)
+			busy += time.Since(t0)
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(busy.Nanoseconds())/float64(b.N), "ns/op")
+	})
 }

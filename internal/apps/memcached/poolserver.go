@@ -11,6 +11,7 @@ package memcached
 // map holding real bytes, shared by every responder.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -403,12 +404,16 @@ type PendingResponse struct {
 	slot int
 }
 
+// ErrWindowFull reports a Submit with connWindow requests already in
+// flight: collect the oldest PendingResponse first.
+var ErrWindowFull = errors.New("memcached: connection window full")
+
 // Submit encodes the request into the next ring buffer and posts it to
-// the fabric.  It fails when the connection's window (connWindow calls)
-// is already full — collect the oldest PendingResponse first.
+// the fabric.  It fails with ErrWindowFull when connWindow requests are
+// in flight — collect the oldest PendingResponse first.
 func (c *PoolConn) Submit(r *Request) (PendingResponse, error) {
 	if c.inflight == connWindow {
-		return PendingResponse{}, fmt.Errorf("memcached: connection window full (%d in flight)", c.inflight)
+		return PendingResponse{}, ErrWindowFull
 	}
 	slot := c.next
 	n, err := EncodeRequest(c.bufs[slot].req, r)

@@ -2,6 +2,7 @@ package memcached
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -78,6 +79,43 @@ func TestPoolServerPipelinedWindow(t *testing.T) {
 		resp, err := pr.Wait()
 		if err != nil || resp.Opaque != uint32(i) {
 			t.Fatalf("response %d = (%+v, %v)", i, resp, err)
+		}
+	}
+}
+
+// TestPoolConnWindowFull: a Submit into a full window fails with the
+// ErrWindowFull sentinel, allocating nothing, and the window moves again
+// once the oldest request is collected.
+func TestPoolConnWindowFull(t *testing.T) {
+	s := NewPoolServer(1, fastPoolOpts(1))
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+	get := &Request{Op: OpGet, Key: "absent"}
+
+	var pending [connWindow]PendingResponse
+	for i := range pending {
+		var err error
+		if pending[i], err = c.Submit(get); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Submit(get); !errors.Is(err, ErrWindowFull) {
+		t.Fatalf("submit into a full window: err = %v, want ErrWindowFull", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Submit(get) }); n != 0 {
+		t.Errorf("a refused Submit allocates %v times, want 0", n)
+	}
+	if _, err := pending[0].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	pr, err := c.Submit(get)
+	if err != nil {
+		t.Fatalf("submit after collecting one: %v", err)
+	}
+	for _, pr := range append(pending[1:], pr) {
+		if _, err := pr.Wait(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

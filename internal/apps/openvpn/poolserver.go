@@ -10,7 +10,7 @@ package openvpn
 // and the ciphertext body travel as two scatter-gather segments — and
 // the enclave-side handler authenticates, decrypts, and re-seals the
 // bytes in place.  The streaming path posts whole windows with SubmitV,
-// so a burst of datagrams pays one responder wakeup.
+// so a burst of datagrams is claimed with one tail CAS.
 
 import (
 	"bytes"
@@ -456,8 +456,8 @@ func (c *PoolConn) Forward(payload []byte) (int, error) {
 	return int(ret), nil
 }
 
-// Stream relays a window of datagrams with one vectored submit (single
-// responder wakeup, batched tail claim), verifying every relayed frame.
+// Stream relays a window of datagrams with one vectored submit (batched
+// tail claim), verifying every relayed frame.
 // Returns how many datagrams were relayed.  A payload that cannot be
 // sealed (no free slab, or ErrFrameTooLarge) ends the window before it;
 // it is the returned error only when it is the window's first.

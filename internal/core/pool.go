@@ -36,6 +36,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hotcalls/internal/flight"
 	"hotcalls/internal/sdk"
@@ -123,10 +124,15 @@ type shard struct {
 	_    [cacheLine - 8]byte
 }
 
-// hasWork reports whether the slot at the claim cursor is posted.
-func (sh *shard) hasWork() bool {
-	t := sh.tail.Load()
-	return sh.slots[t&sh.mask].state.Load() == posted(t)
+// postedRun counts the posted calls from claim position t, up to limit:
+// what a tail CAS from t may claim.  Each slot must carry the stamp of
+// the position being claimed: a slot claimed a lap ago and not finished
+// still reads posted, but at its own position.
+func (sh *shard) postedRun(t uint64, limit int) (run int) {
+	for run < limit && sh.slots[(t+uint64(run))&sh.mask].state.Load() == posted(t+uint64(run)) {
+		run++
+	}
+	return run
 }
 
 // PoolOptions tunes a CallPool.  The zero value selects the defaults
@@ -250,9 +256,11 @@ type CallPool struct {
 	stopped   atomic.Bool
 
 	// Idle-responder parking.  sleepers counts responders inside the
-	// wake wait; requesters signal after posting only when it is
-	// non-zero, so the loaded steady state never touches the mutex.
+	// wake wait; a requester that posts while it is non-zero runs the
+	// call itself (Requester.help) and signals only through kick, which
+	// kicked keeps to one outstanding wake.
 	sleepers atomic.Int32
+	kicked   atomic.Bool
 	wake     sdk.Cond
 
 	// Adaptive-pool state (scale.go).
@@ -284,6 +292,8 @@ type CallPool struct {
 	pollCtr    *telemetry.Counter
 	executeCtr *telemetry.Counter
 	sleepCtr   *telemetry.Counter
+	kickCtr    *telemetry.Counter
+	inlineCtr  *telemetry.Counter
 	scaleUps   *telemetry.Counter
 	scaleDowns *telemetry.Counter
 	liveGauge  *telemetry.Gauge
@@ -343,6 +353,8 @@ func (p *CallPool) SetTelemetry(reg *telemetry.Registry) {
 	p.pollCtr = reg.Counter(telemetry.MetricResponderPolls)
 	p.executeCtr = reg.Counter(telemetry.MetricResponderExecutes)
 	p.sleepCtr = reg.Counter(telemetry.MetricResponderSleeps)
+	p.kickCtr = reg.Counter(telemetry.MetricResponderKicks)
+	p.inlineCtr = reg.Counter(telemetry.MetricHotCallInline)
 	p.scaleUps = reg.Counter(telemetry.MetricPoolScaleUps)
 	p.scaleDowns = reg.Counter(telemetry.MetricPoolScaleDowns)
 	p.liveGauge = reg.Gauge(telemetry.MetricPoolResponders)
@@ -383,7 +395,7 @@ func (p *CallPool) Requester() *Requester {
 	if idx >= len(p.shards) {
 		panic("core: CallPool requesters exhausted (raise PoolOptions.Shards)")
 	}
-	return &Requester{pool: p, shard: p.shards[idx], idx: idx, spin: p.spinMax}
+	return &Requester{pool: p, shard: p.shards[idx], idx: idx, spin: p.spinMax, gap: 4 * wakeSeed, wake: wakeSeed}
 }
 
 // Stop shuts the fabric down: responders exit after their current call,
@@ -406,11 +418,15 @@ type Requester struct {
 	idx   int
 
 	// Requester-goroutine-owned, like the shard head: the completion
-	// wait's spin budget, probe counter and "the latest post signalled a
-	// parked responder" flag (see await).
-	spin  int
-	waits uint
-	woke  bool
+	// wait's spin budget and probe counter (see await), whether the
+	// latest post found a responder parked, and the wake policy's state:
+	// when the last inline run ended, and the moving averages of the gap
+	// between such runs and of what a kick cost this requester (see help).
+	spin       int
+	waits      uint
+	parked     bool
+	lastInline time.Duration // since epoch
+	gap, wake  time.Duration
 }
 
 // spinBudget caps the polls a completion wait spends on cpuRelax before
@@ -420,29 +436,45 @@ const (
 	spinProbe  = 64
 )
 
+// wakeSeed is what a wake is taken to cost until a requester has timed
+// its own, and the floor of that estimate afterwards: a Signal that finds
+// the responder's thread still looking for work is nearly free, and an
+// estimate that followed it down would never kick again.
+const wakeSeed = 10 * time.Microsecond
+
+// epoch is the zero of the wake policy's clock: time.Since reads the
+// monotonic clock alone, half of what time.Now costs an inline call.
+var epoch = time.Now()
+
 // await is the fabric's one completion wait: it polls s until the
 // responder's done store and collects the call — flight record closed,
 // slot handed back to the ring — or returns ErrStopped.  The result stays
 // in s.ret until this requester posts the slot again; callers that want
 // it read it there, so WaitAll(nil) never pulls the responder-written line.
-// The spin phase polls with cpuRelax, so a call a running responder
-// finishes in a microsecond never enters the scheduler; past the budget
-// every poll is a Gosched, which is what lets a responder sharing this P
-// run at all.  The budget tunes itself: a wait that exhausts it halves
-// it, one that completes while spinning restores the cap, one already
-// complete says nothing, and the probe keeps a budget that starved
-// responders drove to zero (set-up, oversubscription) from staying there.
-// yieldFirst skips the spin phase: the post woke a parked responder, the
-// runtime queued it on this P, and yielding is the hand-off.
-func (r *Requester) await(s *poolSlot, fr *flight.Record, yieldFirst bool) error {
+// A requester whose latest post found a responder parked first runs its
+// own posted calls up to s (see help) and normally finds s done.
+// Otherwise the spin phase polls with cpuRelax, so a call a running
+// responder finishes in a microsecond never enters the scheduler; past
+// the budget every poll is a Gosched, which is what lets a responder
+// sharing this P run at all.  The budget tunes itself: a wait that
+// exhausts it halves it, one that completes while spinning restores the
+// cap, one already complete says nothing, and the probe keeps a budget
+// that starved responders drove to zero (set-up, oversubscription) from
+// staying there.
+func (r *Requester) await(s *poolSlot, fr *flight.Record) error {
 	p := r.pool
+	if r.parked && r.help(s) && p.stopped.Load() {
+		// In flight across Stop, like a call a responder holds.
+		p.flight.Stopped(fr)
+		return ErrStopped
+	}
 	i, budget := 0, 0
 	for ; s.state.Load() != slotDone; i++ {
 		if p.stopped.Load() {
 			p.flight.Stopped(fr)
 			return ErrStopped
 		}
-		if i == 0 && !yieldFirst {
+		if i == 0 {
 			budget = r.spin
 			if r.waits++; r.waits%spinProbe == 0 {
 				budget = p.spinMax
@@ -467,6 +499,54 @@ func (r *Requester) await(s *poolSlot, fr *flight.Record, yieldFirst bool) error
 	}
 	s.state.Store(slotIdle)
 	return nil
+}
+
+// help is the paper's fallback for an unavailable responder (Section
+// 4.2) kept inside the fabric: the requester claims its own posted calls
+// from the shard's claim cursor up to and including s — the stamped run
+// count and tail CAS a responder uses, so whoever wins the CAS executes
+// the run and the other never sees it — and runs them on its own thread,
+// in ring order.  It reports whether it ran anything.  Callers gate it on
+// r.parked: with the responders awake the calls are theirs.
+//
+// The wake is decided afterwards, off the calls' path: when the moving
+// average of the gaps between inline runs falls below what a kick has
+// cost this requester, calls are arriving faster than a wake costs and
+// are worth a responder.  A paced open loop never kicks; a closed loop
+// does after a handful of calls (DESIGN.md section 9).
+func (r *Requester) help(s *poolSlot) (ran bool) {
+	st := s.state.Load()
+	if st&3 != slotPosted {
+		return false
+	}
+	p, sh, pos := r.pool, r.shard, st>>2
+	for !p.stopped.Load() {
+		t := sh.tail.Load()
+		run := sh.postedRun(t, int(pos-t)+1)
+		if run == 0 {
+			break // the cursor is past s: claimed, by this loop or a responder
+		}
+		if sh.tail.CompareAndSwap(t, t+uint64(run)) {
+			p.execRun(sh, r.idx, flight.InlineResponder, t, run)
+			p.inlineCtr.Add(uint64(run))
+			ran = true
+		}
+	}
+	if !ran {
+		return false
+	}
+	// One gap counts for at most four wakes: the first call after an
+	// idle hour says "idle until now" and no more.
+	now := time.Since(epoch)
+	r.gap += (min(now-r.lastInline, 4*r.wake) - r.gap) / 4
+	r.lastInline = now
+	if r.gap < r.wake && p.kick() {
+		r.wake = max(wakeSeed, r.wake+(time.Since(epoch)-now-r.wake)/4)
+		// The runtime readied the responder on this P: yielding runs it
+		// now, and the thread the wake started takes one of the two.
+		runtime.Gosched()
+	}
+	return true
 }
 
 // Index returns the requester's stable shard index, the value handlers
@@ -514,9 +594,9 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64) (*poolSlot,
 			s.nseg = 0
 			s.state.Store(posted(sh.head))
 			sh.head++
-			if r.woke = p.sleepers.Load() != 0; r.woke {
-				p.wake.Signal()
-			}
+			// No signal: a parked responder makes the call this
+			// requester's own to run when it waits (see help).
+			r.parked = p.sleepers.Load() != 0
 			return s, fr, nil
 		}
 		// Window full: every slot in the ring holds an in-flight or
@@ -548,7 +628,7 @@ func (r *Requester) CallAt(cs flight.Callsite, id CallID, data uint64) (uint64, 
 	if err != nil {
 		return 0, err
 	}
-	if err := r.await(s, fr, r.woke); err != nil {
+	if err := r.await(s, fr); err != nil {
 		return 0, err
 	}
 	return s.ret, nil
@@ -579,7 +659,6 @@ type PoolPending struct {
 	req  *Requester
 	slot *poolSlot
 	fr   *flight.Record
-	woke bool // the post signalled a parked responder (see await)
 
 	// Slab-recycle attachment (RecycleSlab): slabs given back to ring
 	// when the completion is reaped.  A call references at most MaxSegs
@@ -608,7 +687,9 @@ func (pd *PoolPending) RecycleSlab(ring *PayloadRing, slab uint32) {
 // be in flight per requester; beyond that Submit spins on the window
 // and eventually returns ErrTimeout.  Calls complete in submission
 // order per requester (the ring is FIFO), so collecting the oldest
-// Pending first keeps the window moving.
+// Pending first keeps the window moving.  A call submitted while the
+// responders are parked runs when the requester next waits or polls
+// (see help), not in the background.
 func (r *Requester) Submit(id CallID, data uint64) (*PoolPending, error) {
 	return r.SubmitAt(flight.Callsite{}, id, data)
 }
@@ -626,14 +707,18 @@ func (r *Requester) SubmitAt(cs flight.Callsite, id CallID, data uint64) (*PoolP
 // pending wraps the call just posted in a recycled handle.
 func (r *Requester) pending(s *poolSlot, fr *flight.Record) *PoolPending {
 	pd := r.pool.pendingPool.Get().(*PoolPending)
-	pd.req, pd.slot, pd.fr, pd.woke = r, s, fr, r.woke
+	pd.req, pd.slot, pd.fr = r, s, fr
 	return pd
 }
 
 // Poll checks for completion without blocking.  Once it returns a
 // result the handle is recycled and the slot is free for reuse.
 func (pd *PoolPending) Poll() (uint64, error) {
-	if pd.slot.state.Load() != slotDone && !pd.req.pool.stopped.Load() {
+	r := pd.req
+	if r.parked {
+		r.help(pd.slot) // with a responder parked, polling is what runs the call
+	}
+	if pd.slot.state.Load() != slotDone && !r.pool.stopped.Load() {
 		return 0, ErrNotComplete
 	}
 	return pd.Wait()
@@ -645,7 +730,7 @@ func (pd *PoolPending) Poll() (uint64, error) {
 func (pd *PoolPending) Wait() (uint64, error) {
 	r := pd.req
 	var ret uint64
-	err := r.await(pd.slot, pd.fr, pd.woke)
+	err := r.await(pd.slot, pd.fr)
 	if err == nil {
 		ret = pd.slot.ret
 	}

@@ -305,7 +305,8 @@ func TestPoolConcurrentChurn(t *testing.T) {
 	opts := fastPool(shards, 4)
 	opts.Timeout = 64 // let saturation surface as ErrTimeout, not a hang
 	p := NewCallPool(echoTable(), opts)
-	p.SetTelemetry(telemetry.New())
+	reg := telemetry.New()
+	p.SetTelemetry(reg)
 	p.Start()
 
 	var wg sync.WaitGroup
@@ -351,9 +352,12 @@ func TestPoolConcurrentChurn(t *testing.T) {
 	p.Stop()
 	wg.Wait()
 
+	// Requesters that outnumber the Ps and find the responders parked run
+	// their calls themselves, so traffic is either side's executions.
 	polls, execs := p.Stats()
-	if polls == 0 || execs == 0 {
-		t.Fatalf("no traffic observed: polls=%d execs=%d", polls, execs)
+	inline := reg.Counter(telemetry.MetricHotCallInline).Load()
+	if polls == 0 || execs+inline == 0 {
+		t.Fatalf("no traffic observed: polls=%d execs=%d inline=%d", polls, execs, inline)
 	}
 }
 
@@ -378,8 +382,10 @@ func TestPoolTelemetryExports(t *testing.T) {
 	if snap.Counters[telemetry.MetricResponderPolls] == 0 {
 		t.Fatal("responder polls counter never moved")
 	}
-	if snap.Counters[telemetry.MetricResponderExecutes] < 200 {
-		t.Fatalf("executes counter = %d, want >= 200", snap.Counters[telemetry.MetricResponderExecutes])
+	// Every call was run by a responder or, the responder being parked,
+	// inline by the requester.
+	if ran := snap.Counters[telemetry.MetricResponderExecutes] + snap.Counters[telemetry.MetricHotCallInline]; ran < 200 {
+		t.Fatalf("executes + inline counters = %d, want >= 200", ran)
 	}
 	if g := snap.Gauges[telemetry.MetricPoolResponders]; g < 1 {
 		t.Fatalf("live-responder gauge = %d, want >= 1", g)

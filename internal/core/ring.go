@@ -25,10 +25,10 @@ package core
 //     copy.
 //
 //   - SubmitV: vectored submit.  A window of calls is posted with one
-//     slot release-store each but a single sleeper check and responder
-//     wakeup, and the responder side (scale.go) claims the whole posted
-//     run with one tail CAS — amortizing the claim path the way the
-//     paper amortizes EENTER across batched calls.
+//     slot release-store each, and the claiming side — a responder
+//     (scale.go), or WaitAll itself when the responders are parked —
+//     takes the whole posted run with one tail CAS, amortizing the claim
+//     path the way the paper amortizes EENTER across batched calls.
 //
 // The free-slab list is owned by the requester goroutine alone (plain
 // fields, no atomics), mirroring the shard head cursor.  Slabs attached
@@ -165,12 +165,11 @@ func segTotal(segs []Segment) (n uint64) {
 // postZC is post with scatter-gather descriptors: identical slot
 // protocol, plus the descriptor block written on its own
 // requester-owned line before the slotPosted release store that
-// publishes slab bytes and descriptors together.  signal=false defers
-// the sleeper wakeup to the caller (SubmitV's single-wakeup batching).
-// Payload bytes are counted per callsite for the flight recorder, so
-// the what-if router can price per-byte cost (len(segs) must be in
-// [1, MaxSegs]; Call/Submit cover the 0-segment case).
-func (r *Requester) postZC(cs flight.Callsite, id CallID, data uint64, segs []Segment, signal bool) (*poolSlot, *flight.Record, error) {
+// publishes slab bytes and descriptors together.  Payload bytes are
+// counted per callsite for the flight recorder, so the what-if router can
+// price per-byte cost (len(segs) must be in [1, MaxSegs]; Call/Submit
+// cover the 0-segment case).
+func (r *Requester) postZC(cs flight.Callsite, id CallID, data uint64, segs []Segment) (*poolSlot, *flight.Record, error) {
 	p := r.pool
 	sh := r.shard
 	p.requests.Inc()
@@ -200,9 +199,7 @@ func (r *Requester) postZC(cs flight.Callsite, id CallID, data uint64, segs []Se
 			copy(s.segs[:], segs)
 			s.state.Store(posted(sh.head))
 			sh.head++
-			if r.woke = signal && p.sleepers.Load() != 0; r.woke {
-				p.wake.Signal()
-			}
+			r.parked = p.sleepers.Load() != 0
 			return s, fr, nil
 		}
 		pause()
@@ -222,11 +219,11 @@ func (r *Requester) CallZC(id CallID, data uint64, segs []Segment) (uint64, erro
 
 // CallZCAt is CallZC stamped with a registered flight-recorder callsite.
 func (r *Requester) CallZCAt(cs flight.Callsite, id CallID, data uint64, segs []Segment) (uint64, error) {
-	s, fr, err := r.postZC(cs, id, data, segs, true)
+	s, fr, err := r.postZC(cs, id, data, segs)
 	if err != nil {
 		return 0, err
 	}
-	if err := r.await(s, fr, r.woke); err != nil {
+	if err := r.await(s, fr); err != nil {
 		return 0, err
 	}
 	return s.ret, nil
@@ -242,7 +239,7 @@ func (r *Requester) SubmitZC(id CallID, data uint64, segs []Segment) (*PoolPendi
 // SubmitZCAt is SubmitZC stamped with a registered flight-recorder
 // callsite.
 func (r *Requester) SubmitZCAt(cs flight.Callsite, id CallID, data uint64, segs []Segment) (*PoolPending, error) {
-	s, fr, err := r.postZC(cs, id, data, segs, true)
+	s, fr, err := r.postZC(cs, id, data, segs)
 	if err != nil {
 		return nil, err
 	}
@@ -259,9 +256,9 @@ type VecCall struct {
 }
 
 // SubmitV posts a window of calls as one batch: every call is published
-// with its own slot release store, but the sleeper check and responder
-// wakeup happen once for the whole window, and the responder claims the
-// posted run with a single tail CAS (scale.go).  See SubmitVAt.
+// with its own slot release store, and the posted run is claimed with a
+// single tail CAS — by a responder (scale.go), or by WaitAll when the
+// responders are parked.  See SubmitVAt.
 func (r *Requester) SubmitV(calls []VecCall) (*PoolBatch, error) {
 	return r.SubmitVAt(flight.Callsite{}, calls)
 }
@@ -280,13 +277,10 @@ func (r *Requester) SubmitVAt(cs flight.Callsite, calls []VecCall) (*PoolBatch, 
 	var err error
 	for i := range calls {
 		c := &calls[i]
-		if _, _, err = r.postZC(cs, c.ID, c.Data, c.Segs, false); err != nil {
+		if _, _, err = r.postZC(cs, c.ID, c.Data, c.Segs); err != nil {
 			break
 		}
 		b.n++
-	}
-	if b.woke = p.sleepers.Load() != 0 && b.n > 0; b.woke {
-		p.wake.Signal()
 	}
 	if b.n == 0 {
 		b.release()
@@ -303,7 +297,6 @@ type PoolBatch struct {
 	req   *Requester
 	start uint64
 	n     int
-	woke  bool // the window's one signal woke a parked responder (see await)
 
 	ring   *PayloadRing
 	rslabs []uint32 // slabs to release when the batch is reaped
@@ -330,16 +323,21 @@ func (b *PoolBatch) RecycleSlab(ring *PayloadRing, slab uint32) {
 
 // WaitAll blocks until every call in the batch completes (one await per
 // call, in submission order), copying results into rets (when non-nil),
-// then releases attached slabs and recycles the handle.  On ErrStopped
-// the unreaped remainder of the window is abandoned with the pool.
+// then releases attached slabs and recycles the handle.  With the
+// responders parked it first runs the whole window itself as one claimed
+// run (see help), and the waits collect it.  On ErrStopped the unreaped
+// remainder of the window is abandoned with the pool.
 func (b *PoolBatch) WaitAll(rets []uint64) error {
 	r := b.req
 	sh := r.shard
 	var err error
+	if r.parked && r.help(&sh.slots[(b.start+uint64(b.n-1))&sh.mask]) && r.pool.stopped.Load() {
+		r.pool.flight.Stopped(sh.slots[b.start&sh.mask].fr)
+		err = ErrStopped
+	}
 	for j := 0; j < b.n && err == nil; j++ {
 		s := &sh.slots[(b.start+uint64(j))&sh.mask]
-		// Only the first wait follows the wakeup: then the responder runs.
-		if err = r.await(s, s.fr, b.woke && j == 0); err == nil && j < len(rets) {
+		if err = r.await(s, s.fr); err == nil && j < len(rets) {
 			rets[j] = s.ret
 		}
 	}

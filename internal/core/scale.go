@@ -63,6 +63,12 @@ func (p *CallPool) SetResponderBounds(min, max int) {
 // with a rotating scan start, back off through the spin→yield→sleep
 // ladder when passes come up empty, and retire when the adaptive target
 // drops below this responder's index.
+//
+// An empty pass writes nothing the pool shares: the scan origin and the
+// control window are wrapping counters, and poll and execute counts
+// gather in locals that flush publishes — after a pass that executed
+// work, at every control window before anything reads the totals, and
+// before parking or exiting.
 func (p *CallPool) runResponder(idx int) {
 	defer p.wg.Done()
 	defer func() { p.liveGauge.Set(int64(p.live.Add(-1))) }()
@@ -70,37 +76,45 @@ func (p *CallPool) runResponder(idx int) {
 	spin := p.opts.SpinPasses
 	yield := p.opts.YieldPasses
 	empty := 0
-	pass := idx // stagger scan starts across responders
-	// Window counters for this responder's occupancy gauge.
-	var winPolls, winExec uint64
-
-	for {
-		if p.stopped.Load() {
-			return
-		}
-		if idx > 0 && int32(idx) >= p.target.Load() {
-			return // retired by the controller
-		}
-		polls, execs := p.scanPass(idx, pass)
-		pass++
-		winPolls += polls
-		winExec += execs
+	start := idx % len(p.shards) // stagger scan starts across responders
+	window := p.opts.ControlWindow
+	var polls, execs uint64      // not yet published
+	var winPolls, winExec uint64 // this responder's occupancy gauge
+	flush := func() {
 		p.polls.Add(polls)
-		p.executes.Add(execs)
 		p.pollCtr.Add(polls)
 		if execs > 0 {
+			p.executes.Add(execs)
 			p.executeCtr.Add(execs)
 		}
+		polls, execs = 0, 0
+	}
+	defer flush()
 
-		if idx == 0 && pass%p.opts.ControlWindow == 0 {
-			p.control()
+	for !p.stopped.Load() && (idx == 0 || int32(idx) < p.target.Load()) {
+		passPolls, passExecs := p.scanPass(idx, start)
+		if start++; start == len(p.shards) {
+			start = 0
 		}
-		if idx < len(p.respOcc) && pass%p.opts.ControlWindow == 0 {
-			p.respOcc[idx].Set(occupancyMilli(winPolls, winExec))
-			winPolls, winExec = 0, 0
+		polls += passPolls
+		execs += passExecs
+		winPolls += passPolls
+		winExec += passExecs
+
+		if window--; window == 0 {
+			window = p.opts.ControlWindow
+			flush()
+			if idx == 0 {
+				p.control()
+			}
+			if idx < len(p.respOcc) {
+				p.respOcc[idx].Set(occupancyMilli(winPolls, winExec))
+				winPolls, winExec = 0, 0
+			}
 		}
 
-		if execs > 0 {
+		if passExecs > 0 {
+			flush()
 			empty = 0
 			continue
 		}
@@ -112,6 +126,7 @@ func (p *CallPool) runResponder(idx int) {
 		case empty <= spin+yield:
 			pause()
 		default:
+			flush()
 			// The primary reaches the sleep threshold with surplus
 			// responders still live when idleness set in mid-window: it
 			// must not park yet, or no controller pass would ever shed
@@ -124,17 +139,20 @@ func (p *CallPool) runResponder(idx int) {
 				pause()
 				continue
 			}
-			// Sleep until a requester posts, Stop, or retirement.  The
-			// sleeper count is published before the condition check, so
-			// a requester that misses it in post() is one whose work
-			// the check below already sees (both are seq-cst atomics).
+			// Sleep until a requester kicks, Stop, or retirement (no post
+			// signals; any wake re-checks for work).  The sleeper count is published before the condition check,
+			// so a requester that misses it in post() is one whose work
+			// the check below already sees (both are seq-cst atomics), and
+			// one that sees it runs the call itself (Requester.help).  A
+			// kick carries no work — its sender has run its own calls — so
+			// it is a reason of its own to leave the wait.
 			p.sleepCtr.Inc()
 			p.sleepers.Add(1)
 			p.wake.Wait(func() bool {
 				if p.stopped.Load() || (idx > 0 && int32(idx) >= p.target.Load()) {
 					return true
 				}
-				return p.hasAnyWork()
+				return p.kicked.Swap(false) || p.hasAnyWork()
 			})
 			p.sleepers.Add(-1)
 			empty = 0
@@ -142,16 +160,28 @@ func (p *CallPool) runResponder(idx int) {
 	}
 }
 
+// kick wakes one parked responder for no call in particular (see
+// Requester.help).  One kick is outstanding at a time; it reports
+// whether this one was sent.
+func (p *CallPool) kick() bool {
+	if !p.kicked.CompareAndSwap(false, true) {
+		return false
+	}
+	p.kickCtr.Inc()
+	p.wake.Signal()
+	return true
+}
+
 // maxClaimBatch bounds how many posted calls one tail CAS may claim.
 // Large enough to amortize the claim across a SubmitV window, small
 // enough that two responders sharing a hot shard still interleave.
 const maxClaimBatch = 16
 
-// scanPass visits every shard once, starting at a rotated offset so no
-// shard holds permanent first-served priority, and drains up to a ring's
-// worth of posted calls per shard.  idx identifies the responder for
-// flight-record claim stamps.  It returns the number of slot
-// inspections and executed calls.
+// scanPass visits every shard once, starting at shard start — rotated by
+// the caller so no shard holds permanent first-served priority — and
+// drains up to a ring's worth of posted calls per shard.  idx identifies
+// the responder for flight-record claim stamps.  It returns the number
+// of slot inspections and executed calls.
 //
 // Claiming is batched: the responder counts the posted run at the claim
 // cursor and takes the whole run with one tail CAS (bounded by
@@ -159,28 +189,17 @@ const maxClaimBatch = 16
 // claim instead of one per call — the responder-side half of SubmitV's
 // amortization.  A run of one degenerates to exactly the old
 // slot-at-a-time protocol.
-func (p *CallPool) scanPass(idx, pass int) (polls, execs uint64) {
-	n := len(p.shards)
-	for k := 0; k < n; k++ {
-		shardIdx := (pass + k) % n
+func (p *CallPool) scanPass(idx, start int) (polls, execs uint64) {
+	shardIdx := start
+	for range p.shards {
 		sh := p.shards[shardIdx]
 		// Bound the per-visit drain by the ring depth: a requester that
 		// posts as fast as we execute must not pin the responder to one
 		// shard forever.
 		for drained := 0; drained < len(sh.slots); {
 			t := sh.tail.Load()
-			// Count the posted run from the claim cursor.  Each slot
-			// must carry the stamp of the position being claimed: a
-			// slot another responder claimed a lap ago and has not
-			// finished still reads posted, but at its own position.
-			limit := len(sh.slots) - drained
-			if limit > maxClaimBatch {
-				limit = maxClaimBatch
-			}
-			run := 0
-			for run < limit && sh.slots[(t+uint64(run))&sh.mask].state.Load() == posted(t+uint64(run)) {
-				run++
-			}
+			limit := min(len(sh.slots)-drained, maxClaimBatch)
+			run := sh.postedRun(t, limit)
 			if run < limit {
 				polls++ // the inspection that ended the run
 			}
@@ -189,57 +208,65 @@ func (p *CallPool) scanPass(idx, pass int) (polls, execs uint64) {
 			}
 			polls += uint64(run)
 			if !sh.tail.CompareAndSwap(t, t+uint64(run)) {
-				continue // another responder claimed here; re-look
+				continue // another claimant got here first; re-look
 			}
-			// The CAS makes calls t..t+run-1 exclusively ours: execute
-			// each, publish its result on the responder-written line,
-			// then signal completion with the one state store.  Sampled
-			// calls carry a flight record in s.fr (published by the
-			// slotPosted store); three clock reads bracket the handler
-			// so the record's causal timeline separates claim latency
-			// from handler service time.
-			for j := 0; j < run; j++ {
-				s := &sh.slots[(t+uint64(j))&sh.mask]
-				id, data := s.id, s.data
-				fr := s.fr
-				f := p.flight
-				if fr != nil && f != nil {
-					now := f.Now()
-					fr.Claim(idx, now)
-					fr.ExecStart(now)
-				}
-				var ret uint64
-				if nseg := s.nseg; nseg > 0 {
-					// Scatter-gather call: dispatch through the vec
-					// table with the slot's own descriptor block (no
-					// copy; the handler must not retain the slice).
-					if p.vtable == nil || int(id) < 0 || int(id) >= len(p.vtable) || p.vtable[id] == nil {
-						ret = ^uint64(0)
-					} else {
-						ret = p.vtable[id](shardIdx, data, s.segs[:nseg])
-					}
-				} else if int(id) < 0 || int(id) >= len(p.table) {
-					ret = ^uint64(0) // corrupted call_ID: sentinel, as in hotcalls.go
-				} else {
-					ret = p.table[id](shardIdx, data)
-				}
-				if fr != nil && f != nil {
-					fr.ExecEnd(f.Now())
-				}
-				s.ret = ret
-				s.state.Store(slotDone)
-			}
+			p.execRun(sh, shardIdx, idx, t, run)
 			execs += uint64(run)
 			drained += run
+		}
+		if shardIdx++; shardIdx == len(p.shards) {
+			shardIdx = 0
 		}
 	}
 	return polls, execs
 }
 
+// execRun executes calls t..t+run-1 of sh, which a tail CAS from t to
+// t+run made exclusively the caller's — a responder in scanPass, or the
+// shard's own requester in help: execute each, publish its result on the
+// responder-written line, then signal completion with the one state
+// store.  who names the claimant in the flight record (a responder
+// index, or flight.InlineResponder).  Sampled calls carry a record in
+// s.fr (published by the slotPosted store); three clock reads bracket
+// the handler so its timeline separates claim latency from service time.
+func (p *CallPool) execRun(sh *shard, shardIdx, who int, t uint64, run int) {
+	f := p.flight
+	for j := 0; j < run; j++ {
+		s := &sh.slots[(t+uint64(j))&sh.mask]
+		id, data := s.id, s.data
+		fr := s.fr
+		if fr != nil && f != nil {
+			now := f.Now()
+			fr.Claim(who, now)
+			fr.ExecStart(now)
+		}
+		var ret uint64
+		if nseg := s.nseg; nseg > 0 {
+			// Scatter-gather call: dispatch through the vec table with
+			// the slot's own descriptor block (no copy; the handler must
+			// not retain the slice).
+			if p.vtable == nil || int(id) < 0 || int(id) >= len(p.vtable) || p.vtable[id] == nil {
+				ret = ^uint64(0)
+			} else {
+				ret = p.vtable[id](shardIdx, data, s.segs[:nseg])
+			}
+		} else if int(id) < 0 || int(id) >= len(p.table) {
+			ret = ^uint64(0) // corrupted call_ID: sentinel, as in hotcalls.go
+		} else {
+			ret = p.table[id](shardIdx, data)
+		}
+		if fr != nil && f != nil {
+			fr.ExecEnd(f.Now())
+		}
+		s.ret = ret
+		s.state.Store(slotDone)
+	}
+}
+
 // hasAnyWork reports whether any shard has a posted, unclaimed call.
 func (p *CallPool) hasAnyWork() bool {
 	for _, sh := range p.shards {
-		if sh.hasWork() {
+		if sh.postedRun(sh.tail.Load(), 1) == 1 {
 			return true
 		}
 	}

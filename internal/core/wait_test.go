@@ -12,10 +12,11 @@ import (
 )
 
 // The tests below pin the completion wait (Requester.await): exactly-once
-// results when requesters outnumber Ps, the yield-first rule after a
-// wakeup, the budget's adaptation, and Stop landing inside the spin
-// phase.  None of them asserts on elapsed time, and all of them hold on
-// one P, where the spin phase is disabled.
+// results when requesters outnumber Ps, the budget's adaptation, and Stop
+// landing inside the spin phase or inside a run the requester executes
+// itself.  None of them asserts on elapsed time, and all of them hold on
+// one P, where the spin phase is disabled.  parked_test.go pins what the
+// wait does when it finds the responders parked.
 
 // TestPoolWaitOversubscribedExactlyOnce drives four requesters per P
 // against a single responder, synchronously and through a 16-deep
@@ -97,64 +98,6 @@ func gatedPool(shards int, parks bool) (p *CallPool, entered, gate chan struct{}
 	return p, entered, gate
 }
 
-// TestPoolWaitYieldsFirstAfterWake: a post that signalled the parked
-// responder marks its wait yield-first, through Call and through a
-// SubmitV window, and such a wait leaves the spin budget alone (it would
-// otherwise restore or halve it); a post that found the responder awake
-// is not marked.
-func TestPoolWaitYieldsFirstAfterWake(t *testing.T) {
-	p, entered, gate := gatedPool(2, true)
-	p.Start()
-	defer p.Stop()
-	r0, r1 := p.Requester(), p.Requester()
-	parked := func() bool { return p.SleepingResponders() == 1 }
-	const sentinel = 7 // neither the cap nor a halving of it
-
-	waitFor(t, 5*time.Second, parked, "the responder to park")
-	r0.spin = sentinel
-	if ret, err := r0.Call(0, 11); err != nil || ret != 11 {
-		t.Fatalf("Call = (%d, %v)", ret, err)
-	}
-	if !r0.woke || r0.spin != sentinel {
-		t.Errorf("Call to a parked responder: woke=%v spin=%d, want true and %d", r0.woke, r0.spin, sentinel)
-	}
-
-	waitFor(t, 5*time.Second, parked, "the responder to park again")
-	b, err := r0.SubmitV([]VecCall{{ID: 0, Data: 1}, {ID: 0, Data: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.woke {
-		t.Error("SubmitV to a parked responder did not mark the batch yield-first")
-	}
-	var rets [2]uint64
-	if err := b.WaitAll(rets[:]); err != nil || rets != [2]uint64{1, 2} {
-		t.Fatalf("WaitAll = (%v, %v)", rets, err)
-	}
-
-	// Hold the responder inside a handler — awake by construction — and
-	// post from the other requester.
-	held, err := r0.Submit(1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	pd, err := r1.Submit(0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.woke || pd.woke {
-		t.Errorf("post to an awake responder: requester woke=%v handle woke=%v, want false", r1.woke, pd.woke)
-	}
-	gate <- struct{}{}
-	if ret, err := held.Wait(); err != nil || ret != 5 {
-		t.Fatalf("held Wait = (%d, %v)", ret, err)
-	}
-	if ret, err := pd.Wait(); err != nil || ret != 6 {
-		t.Fatalf("Wait = (%d, %v)", ret, err)
-	}
-}
-
 // TestPoolWaitBudgetAdapts: waits on a handler that outlasts the spin
 // phase drive the budget to zero, and the probe brings it back.  The way
 // down runs on one P with the budget armed by hand: the goroutine that
@@ -215,9 +158,11 @@ func TestPoolWaitBudgetAdapts(t *testing.T) {
 
 // TestPoolStopDuringWait: Stop landing while a requester waits on a call
 // held in its handler returns ErrStopped from every waiting entry point
-// and closes the call's flight record.  With more than one P the budget
-// is made inexhaustible first, so the wait is still in its spin phase
-// when Stop lands.
+// and closes the call's flight record — whether a responder holds the
+// call (with more than one P the budget is made inexhaustible first, so
+// the wait is still in its spin phase when Stop lands) or, the responder
+// being parked, the requester is running it inline and only learns of
+// the stop when its own handler returns.
 func TestPoolStopDuringWait(t *testing.T) {
 	seg := []Segment{{Slab: 0, Off: 0, Len: 8}}
 	for _, tc := range []struct {
@@ -242,32 +187,48 @@ func TestPoolStopDuringWait(t *testing.T) {
 			return b.WaitAll(nil)
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p, entered, gate := gatedPool(1, false)
-			rec := flight.New(flight.Options{SampleEvery: 1})
-			p.SetFlight(rec)
-			p.Start()
-			r := p.Requester()
-			if p.spinMax > 0 {
-				p.spinMax, r.spin = 1<<62, 1<<62
+		for _, inline := range []bool{false, true} {
+			name := tc.name
+			if inline {
+				name += "_inline"
 			}
-			result := make(chan error, 1)
-			go func() { result <- tc.wait(r) }()
-			<-entered
-			stopped := make(chan struct{})
-			go func() { p.Stop(); close(stopped) }()
-			if err := <-result; !errors.Is(err, ErrStopped) {
-				t.Errorf("%s across Stop: %v, want ErrStopped", tc.name, err)
-			}
-			close(gate) // let the held responder see the stop and exit
-			<-stopped
-			closed := false
-			for _, v := range rec.Records(64) {
-				closed = closed || v.Stopped
-			}
-			if !closed {
-				t.Errorf("%s across Stop left no flight record closed as stopped", tc.name)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				p, entered, gate := gatedPool(1, inline)
+				rec := flight.New(flight.Options{SampleEvery: 1})
+				p.SetFlight(rec)
+				p.Start()
+				r := p.Requester()
+				if inline {
+					waitParked(t, p)
+				} else if p.spinMax > 0 {
+					p.spinMax, r.spin = 1<<62, 1<<62
+				}
+				result := make(chan error, 1)
+				go func() { result <- tc.wait(r) }()
+				<-entered
+				stopped := make(chan struct{})
+				go func() { p.Stop(); close(stopped) }()
+				if inline {
+					// The handler is on the requester's goroutine, which
+					// cannot see the stop before the handler returns.
+					waitFor(t, 5*time.Second, p.Stopped, "Stop to land")
+					close(gate)
+				}
+				if err := <-result; !errors.Is(err, ErrStopped) {
+					t.Errorf("%s across Stop: %v, want ErrStopped", name, err)
+				}
+				if !inline {
+					close(gate) // let the held responder see the stop and exit
+				}
+				<-stopped
+				closed := false
+				for _, v := range rec.Records(64) {
+					closed = closed || v.Stopped
+				}
+				if !closed {
+					t.Errorf("%s across Stop left no flight record closed as stopped", name)
+				}
+			})
+		}
 	}
 }

@@ -10,17 +10,19 @@ import (
 	"hotcalls/internal/flight"
 )
 
-// BenchmarkPoolWake prices the wake path of the responder's idle ladder:
-// what a requester pays to post to a parked responder (sleepers != 0, so
-// post signals the condition variable: goready + wakep, one futex wake
-// on the requester's own critical path), what a whole synchronous Call
-// costs then, and how long after the wake a second OS thread is
-// actually running — until when requester and responder share one.
-// The /spinning cases hold the responder on the hot rung of the ladder
-// and are the same code with no wake in it.  Every case times only the
-// region named, per iteration, around an untimed "let the responder
-// park and its thread go idle" wait, and reports the mean as ns/op and
-// the median as p50-ns.  No gate reads these: they document a host cost.
+// BenchmarkPoolWake prices the three ways a synchronous call can meet the
+// responder's idle ladder: the responder awake on its hot rung (the
+// HotCall proper), parked with the requester running the call inline
+// (the default: no signal on the call's path), and parked with a signal
+// forced before the wait (what every such call paid before the
+// requester helped itself, kept as the reference the wake policy's
+// threshold stands for).  Signal times the kick alone — the cost the
+// policy measures — and SecondThread how long after it a second OS
+// thread is actually running, until when requester and responder share
+// one.  Every case times only the region named, per iteration, around an
+// untimed "let the responder park and its thread go idle" wait, and
+// reports the mean as ns/op and the median as p50-ns.  No gate reads
+// these: they document a host cost.
 func BenchmarkPoolWake(b *testing.B) {
 	// settle is how long the requester idles after the responder has
 	// published itself as a sleeper, so that its thread has given up
@@ -59,56 +61,67 @@ func BenchmarkPoolWake(b *testing.B) {
 		b.ReportMetric(float64(samples[len(samples)/2].Nanoseconds()), "p50-ns")
 	}
 	echo := func(_ int, d uint64) uint64 { return d }
-
-	for _, parked := range []bool{true, false} {
-		state := "spinning"
-		if parked {
-			state = "parked"
+	// signalled is the pre-inline call: post, wake the responder, wait
+	// for it.
+	signalled := func(p *CallPool, r *Requester, d uint64) (uint64, error) {
+		s, fr, err := r.post(flight.Callsite{}, 0, d)
+		if err != nil {
+			return 0, err
 		}
-		// Post: the submit half alone — with a sleeper it contains the
-		// Signal, and the difference between the two cases is its cost.
-		b.Run("Post/"+state, func(b *testing.B) {
-			p, r := newRig(b, parked, echo)
+		r.parked = false
+		p.kick()
+		err = r.await(s, fr)
+		return s.ret, err
+	}
+
+	for _, tc := range []struct {
+		name   string
+		parked bool
+		call   func(p *CallPool, r *Requester, d uint64) (uint64, error)
+	}{
+		{"Call/awake", false, func(_ *CallPool, r *Requester, d uint64) (uint64, error) { return r.Call(0, d) }},
+		{"Call/parked-inline", true, func(_ *CallPool, r *Requester, d uint64) (uint64, error) { return r.Call(0, d) }},
+		{"Call/parked-signal", true, signalled},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			p, r := newRig(b, tc.parked, echo)
 			samples := make([]time.Duration, b.N)
 			for i := range samples {
-				if parked {
+				if tc.parked {
 					park(p)
 				}
 				t0 := time.Now()
-				s, fr, err := r.post(flight.Callsite{}, 0, uint64(i))
+				_, err := tc.call(p, r, uint64(i))
 				samples[i] = time.Since(t0)
 				if err != nil {
-					b.Fatal(err)
-				}
-				if r.woke != parked {
-					b.Fatalf("iteration %d: post signalled = %v with the responder %s", i, r.woke, state)
-				}
-				if err := r.await(s, fr, r.woke); err != nil {
-					b.Fatal(err)
-				}
-			}
-			report(b, samples)
-		})
-		// Call: the whole synchronous round trip.
-		b.Run("Call/"+state, func(b *testing.B) {
-			p, r := newRig(b, parked, echo)
-			samples := make([]time.Duration, b.N)
-			for i := range samples {
-				if parked {
-					park(p)
-				}
-				t0 := time.Now()
-				ret, err := r.Call(0, uint64(i))
-				samples[i] = time.Since(t0)
-				if err != nil || ret != uint64(i) {
-					b.Fatalf("Call(%d) = (%d, %v)", i, ret, err)
+					b.Fatalf("call %d: %v", i, err)
 				}
 			}
 			report(b, samples)
 		})
 	}
 
-	// SecondThread: from the post that wakes the responder until both
+	// Signal: the kick alone, with nothing posted — sdk.Cond.Signal's
+	// goready + wakep, one futex wake of the parked thread.
+	b.Run("Signal", func(b *testing.B) {
+		p, _ := newRig(b, true, echo)
+		samples := make([]time.Duration, b.N)
+		for i := range samples {
+			park(p)
+			t0 := time.Now()
+			sent := p.kick()
+			samples[i] = time.Since(t0)
+			if !sent {
+				b.Fatalf("iteration %d: a kick was still outstanding with the responder parked", i)
+			}
+			for p.kicked.Load() {
+				runtime.Gosched() // until the responder has taken it
+			}
+		}
+		report(b, samples)
+	})
+
+	// SecondThread: from the kick that wakes the responder until both
 	// goroutines run at once.  The handler does not return, and does
 	// not yield, until it sees the requester's wait loop make progress,
 	// which — the handler holding its thread — only a second thread can
@@ -134,11 +147,13 @@ func BenchmarkPoolWake(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			r.parked = false
+			p.kick()
 			for s.state.Load() != slotDone {
 				runtime.Gosched() // the wait's yield phase, counting its polls
 				ticks.Add(1)
 			}
-			if err := r.await(s, fr, true); err != nil {
+			if err := r.await(s, fr); err != nil {
 				b.Fatal(err)
 			}
 			samples[i] = both.Sub(t0)

@@ -347,6 +347,39 @@ func TestHandlerFormats(t *testing.T) {
 	}
 }
 
+// TestChromeEventsInlineOnRequesterRow: a call its requester ran itself
+// keeps the InlineResponder identity through the record view, and the
+// Chrome export draws its claim and execute span on the requester's row
+// instead of inventing a responder row for it.
+func TestChromeEventsInlineOnRequesterRow(t *testing.T) {
+	r, clk := newTestRecorder(t, 2, Options{SampleEvery: 1})
+	cs := r.Callsite("op")
+	play(r, clk, cs, 1, InlineResponder, 2000)
+	views := r.Records(8)
+	if len(views) != 1 || views[0].Responder != InlineResponder {
+		t.Fatalf("record views = %+v, want one claimed by InlineResponder", views)
+	}
+	var spans int
+	for _, e := range ChromeEventsForViews(views) {
+		switch e := e.(type) {
+		case flightMetadata:
+			if e.TID != requesterRowBase+1 {
+				t.Errorf("row %d %q declared for an inline call, want only the requester's", e.TID, e.Args["name"])
+			}
+		case flightEvent:
+			if e.TID != requesterRowBase+1 {
+				t.Errorf("event %q on row %d, want the requester's row %d", e.Name, e.TID, requesterRowBase+1)
+			}
+			if e.Phase == "X" {
+				spans++
+			}
+		}
+	}
+	if spans != 2 {
+		t.Errorf("%d spans, want the call and its execution", spans)
+	}
+}
+
 // TestHandlerContentTypes pins the debug endpoint contract: every
 // format sets an explicit Content-Type and unknown formats are a 400,
 // so dashboards and curl pipelines never have to sniff.

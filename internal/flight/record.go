@@ -89,6 +89,11 @@ func (rec *Record) SetBytes(n uint64) {
 	rec.bytes.Store(n)
 }
 
+// InlineResponder is the responder identity Claim records for a call its
+// own requester claimed and ran because the responders were parked; the
+// Chrome export draws its execute span on the requester's row.
+const InlineResponder = 0xfffe
+
 // Claim stamps the responder's slot-claim time and identity.  Nil-safe.
 func (rec *Record) Claim(responder int, now uint64) {
 	if rec == nil {
@@ -200,8 +205,9 @@ type RecordView struct {
 	Callsite int    `json:"callsite"`
 	Name     string `json:"name"`
 	Shard    int    `json:"shard"`
-	// Responder is the executing responder index, or -1 when the call
-	// never got claimed.
+	// Responder is the executing responder index, InlineResponder when
+	// the requester ran the call itself, or -1 when the call never got
+	// claimed.
 	Responder int  `json:"responder"`
 	CallID    int  `json:"call_id"`
 	Depth     int  `json:"depth"`

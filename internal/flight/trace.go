@@ -46,7 +46,8 @@ func usec(ns uint64) float64 { return float64(ns) / 1e3 }
 // ChromeEvents converts a causal window of up to max recent records
 // into Chrome trace_event form: per-shard requester rows carry the
 // full submit→return span of each call, per-responder rows carry the
-// claim instant and the execute span.  The result is ready for
+// claim instant and the execute span (on the requester's own row for a
+// call it ran inline).  The result is ready for
 // telemetry.WriteChromeJSON, and composes with the telemetry
 // exporter's rows (see internal/profile's merged export).
 func (r *Recorder) ChromeEvents(max int) []any {
@@ -83,7 +84,11 @@ func ChromeEventsForViews(views []RecordView) []any {
 			continue
 		}
 		respRow := responderRowBase + v.Responder
-		rows[respRow] = "responder " + itoa(v.Responder)
+		if v.Responder == InlineResponder {
+			respRow = reqRow
+		} else {
+			rows[respRow] = "responder " + itoa(v.Responder)
+		}
 		if v.ClaimNS != 0 {
 			out = append(out, flightEvent{
 				Name: "claim", Cat: "flight", Phase: "i",

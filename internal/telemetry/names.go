@@ -14,6 +14,7 @@ const (
 	MetricHotCallRequests  = "hotcall_requests_total"
 	MetricHotCallTimeouts  = "hotcall_timeouts_total"
 	MetricHotCallFallbacks = "hotcall_fallbacks_total"
+	MetricHotCallInline    = "hotcall_inline_total" // fabric calls the requester ran itself, the responders being parked
 
 	// Leaf-instruction counters.
 	MetricEEnter = "sgx_eenter_total"
@@ -34,6 +35,7 @@ const (
 	MetricResponderPolls    = "hotcall_responder_polls_total"
 	MetricResponderExecutes = "hotcall_responder_executes_total"
 	MetricResponderSleeps   = "hotcall_responder_sleeps_total"
+	MetricResponderKicks    = "hotcall_responder_kicks_total" // deferred wakes sent by requesters after running calls inline
 	MetricSpinCycles        = "hotcall_spin_cycles_total"
 
 	// Cycle-latency histograms.
@@ -74,11 +76,11 @@ func itoa(i int) string {
 // pre-creates.
 var standardCounters = []string{
 	MetricEcalls, MetricOcalls, MetricHotECalls, MetricHotOCalls,
-	MetricHotCallRequests, MetricHotCallTimeouts, MetricHotCallFallbacks,
+	MetricHotCallRequests, MetricHotCallTimeouts, MetricHotCallFallbacks, MetricHotCallInline,
 	MetricEEnter, MetricEExit, MetricResume, MetricAEX,
 	MetricEPCFaults, MetricEPCEvictions, MetricEPCWritebacks,
 	MetricMEENodeHits, MetricMEENodeMiss,
-	MetricResponderPolls, MetricResponderExecutes, MetricResponderSleeps,
+	MetricResponderPolls, MetricResponderExecutes, MetricResponderSleeps, MetricResponderKicks,
 	MetricSpinCycles,
 	MetricPoolScaleUps, MetricPoolScaleDowns,
 }
