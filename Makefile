@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build build-cross test test-race test-repeat test-poison bench-selftest bench-sim bench-overhead monitor-overhead dist-overhead flight-overhead bench-scaling bench-zerocopy experiments report bench-json bench-regress profile incident-demo epc-demo whatif-demo
+.PHONY: check vet build build-cross loc test test-race test-repeat test-poison bench-selftest bench-sim bench-overhead monitor-overhead dist-overhead flight-overhead bench-scaling bench-zerocopy experiments report bench-json bench-regress profile incident-demo epc-demo whatif-demo
 
 # check is the CI entrypoint: vet, build (natively and for the
 # architectures without an assembly spin hint), race-test the
@@ -22,15 +22,28 @@ build-cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=riscv64 $(GO) build ./...
 
+# loc prints the non-test Go line counts ROADMAP's north star is stated
+# in — the fabric against the apps, the observability packages and the
+# experiment harness — each counted the one way acceptance lines count.
+LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
+OBSERVABILITY = telemetry dist flight incident monitor profile epcstat whatif regress
+loc:
+	@echo "fabric (internal/core)  $$($(call LOC,./internal/core))"
+	@echo "apps (internal/apps)    $$($(call LOC,./internal/apps))"
+	@echo "observability           $$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY))))"
+	@echo "internal/bench          $$($(call LOC,./internal/bench))"
+	@echo "total                   $$($(call LOC,.))"
+
 test:
 	$(GO) test ./...
 
 # The HotCall protocol, the telemetry registry, the health monitor, the
 # distribution recorder, the EPC paging manager and its observatory, and
-# the fabric-routed memcached/lighttpd ports are the packages with real
-# cross-goroutine traffic; run them under the race detector.
+# the fabric-routed ports with the kit that wires their observers
+# (internal/apps/porting) are the packages with real cross-goroutine
+# traffic; run them under the race detector.
 test-race:
-	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/monitor/... ./internal/dist/... ./internal/flight/... ./internal/incident/... ./internal/epc/... ./internal/epcstat/... ./internal/whatif/... ./internal/apps/memcached/... ./internal/apps/lighttpd/... ./internal/apps/openvpn/...
+	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/monitor/... ./internal/dist/... ./internal/flight/... ./internal/incident/... ./internal/epc/... ./internal/epcstat/... ./internal/whatif/... ./internal/apps/porting/... ./internal/apps/memcached/... ./internal/apps/lighttpd/... ./internal/apps/openvpn/...
 
 # test-repeat reruns the tests that pin exactly-once execution — the core
 # test that parks a claimed window under a second responder's scan, the

@@ -2,29 +2,21 @@ package lighttpd
 
 import (
 	"fmt"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/epc"
-	"hotcalls/internal/monitor"
-	"hotcalls/internal/telemetry"
 )
 
-// TestPoolServerEPCAttribution checks served documents charge the paging
-// model: each response body's page span is touched under the serving
-// connection's owner, and misses still touch the looked-up path.
+// TestPoolServerEPCAttribution checks what the port itself says about
+// paging: a served document touches its body's page span, placed by its
+// path's hash, and a miss still touches the one page the looked-up path
+// hashes to.  (That the armed model reaches the registry, the monitor
+// and /debug/epc is the kit's test, porting.TestFabricKitAllArmed.)
 func TestPoolServerEPCAttribution(t *testing.T) {
 	s := NewPoolServer(2, fastPoolOpts(2))
-	reg := telemetry.New()
-	s.SetTelemetry(reg)
-	col := s.EnableEPC(256 * epc.PageSize)
-	if col == nil || s.EPCManager() == nil {
-		t.Fatal("EnableEPC returned no collector/manager")
-	}
-	if again := s.EnableEPC(0); again != col {
-		t.Fatal("EnableEPC is not idempotent")
-	}
+	s.Arm(porting.Observers{EPCBytes: 256 * epc.PageSize})
 	s.Start()
 	defer s.Stop()
 
@@ -34,42 +26,30 @@ func TestPoolServerEPCAttribution(t *testing.T) {
 		if err != nil || !strings.HasPrefix(string(resp), "HTTP/1.0 200") {
 			t.Fatalf("GET /index.html = (%q, %v)", resp, err)
 		}
-		// A miss still touches the page the path hashes to.
 		resp, err = c.Do(fmt.Sprintf("GET /missing-%d.html HTTP/1.0\r\nHost: sim\r\n\r\n", conn))
 		if err != nil || !strings.HasPrefix(string(resp), "HTTP/1.0 404") {
 			t.Fatalf("GET missing = (%q, %v)", resp, err)
 		}
 	}
 
-	snap := col.Snapshot()
-	if snap == nil || snap.Faults == 0 {
-		t.Fatalf("no paging traffic observed: %+v", snap)
-	}
 	// The 20 KB index spans 5 pages plus the miss's single page — 6
 	// touches per connection.  The index pages are shared, so only the
-	// first server faults them in; the second still shows its activity
-	// in sampled touches and faults its own unique miss page.
+	// first connection faults them in; the second still shows its
+	// activity in sampled touches and faults its own unique miss page.
 	wantTouches := uint64(PageSize/epc.PageSize + 1)
-	seen := map[string]bool{}
+	if touches, _, _ := s.EPCManager().Stats(); touches != 2*wantTouches {
+		t.Errorf("touches = %d, want %d", touches, 2*wantTouches)
+	}
+	snap := s.EPC().Snapshot()
+	if snap == nil || len(snap.Owners) != 2 {
+		t.Fatalf("owner table: %+v", snap)
+	}
 	for _, o := range snap.Owners {
-		seen[o.Label] = true
 		if o.SampledTouches < wantTouches {
-			t.Fatalf("owner %s touches = %d, want >= %d: %+v", o.Label, o.SampledTouches, wantTouches, snap.Owners)
+			t.Errorf("owner %s touches = %d, want >= %d", o.Label, o.SampledTouches, wantTouches)
 		}
 		if o.Faults == 0 {
-			t.Fatalf("owner %s faulted nothing: %+v", o.Label, snap.Owners)
+			t.Errorf("owner %s faulted nothing", o.Label)
 		}
-	}
-	if !seen["conn0"] || !seen["conn1"] {
-		t.Fatalf("owner labels missing: %+v", snap.Owners)
-	}
-
-	if s.EnableMonitor(monitor.Options{}).EPCStat() != col {
-		t.Fatal("EnableMonitor did not adopt the EPC collector")
-	}
-	rr := httptest.NewRecorder()
-	s.DebugMux().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/epc?format=svg", nil))
-	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "<svg") {
-		t.Fatalf("/debug/epc?format=svg = %d", rr.Code)
 	}
 }

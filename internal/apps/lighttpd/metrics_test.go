@@ -13,6 +13,14 @@ import (
 	"hotcalls/internal/telemetry"
 )
 
+// The request series the server exports under its name, pinned here as
+// the wire contract (porting.App derives them from Config.Name).
+const (
+	MetricRequests     = "lighttpd_requests_total"
+	MetricRequestCycle = "lighttpd_request_cycles"
+	MetricCrossings    = "lighttpd_request_boundary_crossings"
+)
+
 func serveN(t *testing.T, s *Server, n int) {
 	t.Helper()
 	var clk sim.Clock

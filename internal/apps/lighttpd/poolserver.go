@@ -15,17 +15,11 @@ package lighttpd
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
-	"hotcalls/internal/epc"
-	"hotcalls/internal/epcstat"
 	"hotcalls/internal/flight"
-	"hotcalls/internal/incident"
-	"hotcalls/internal/monitor"
-	"hotcalls/internal/telemetry"
-	"hotcalls/internal/whatif"
 )
 
 // opServeHTTP is the single fabric call table entry: serve one raw
@@ -57,15 +51,28 @@ const (
 type docImage struct {
 	image   int    // index into PoolServer.images
 	headLen int    // the image's head prefix — all a HEAD returns
-	hash    uint64 // fnv64 of the path: where its EPC pages start
+	hash    uint64 // FNV64 of the path: where its EPC pages start
 	pages   uint64 // EPC pages the body spans, at least one for the head
+}
+
+// The port's flight callsites, one per request method; the constants
+// index fabricSpec.Callsites.
+const (
+	csGet = iota
+	csHead
+)
+
+var fabricSpec = porting.FabricSpec{
+	Callsites: []string{"http.get", "http.head"},
+	SealKey:   "www-epc-paging-k",
 }
 
 // PoolServer is lighttpd over the fabric: a CallPool whose one table
 // entry scans HTTP requests and answers them by reference into an
-// immutable set of response images.
+// immutable set of response images.  The pool's lifecycle and everything
+// that observes it are the embedded kit's (Arm, DebugMux, Pool, Stop).
 type PoolServer struct {
-	pool    *core.CallPool
+	porting.Fabric
 	docroot map[string][]byte // staged by AddDocument until Start
 	conns   []*PoolConn
 
@@ -74,20 +81,6 @@ type PoolServer struct {
 	// document's head+body.
 	images [][]byte
 	docs   map[string]docImage
-
-	reg    *telemetry.Registry
-	mon    *monitor.Monitor
-	cap    *incident.Capturer
-	whatIf *whatif.Observatory
-
-	// EPC paging model (EnableEPC): every served document touches the
-	// pages its body spans, owner-tagged by connection.
-	epcMgr  *epc.Manager
-	epcStat *epcstat.Collector
-
-	// Flight callsites per request method (zero — unlabelled — until
-	// SetFlight registers them).
-	csGet, csHead flight.Callsite
 }
 
 // NewPoolServer builds a fabric-routed server for up to conns client
@@ -102,11 +95,10 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	}
 	s.docroot["/index.html"] = page
 
-	opts.Shards = conns
+	s.Fabric = porting.NewFabric(fabricSpec, conns, []core.PoolFunc{s.serve}, opts)
 	s.conns = make([]*PoolConn, conns)
-	s.pool = core.NewCallPool([]core.PoolFunc{s.serve}, opts)
 	for i := range s.conns {
-		s.conns[i] = &PoolConn{s: s, req: s.pool.Requester()}
+		s.conns[i] = &PoolConn{s: s, req: s.Pool().Requester()}
 	}
 	return s
 }
@@ -122,161 +114,14 @@ func (s *PoolServer) AddDocument(path string, body []byte) {
 	s.docroot[path] = append([]byte(nil), body...)
 }
 
-// SetTelemetry attaches the fabric's registry handles.  Call before
-// Start.
-func (s *PoolServer) SetTelemetry(reg *telemetry.Registry) {
-	s.reg = reg
-	s.pool.SetTelemetry(reg)
-}
-
-// SetFlight attaches the flight recorder to the fabric and registers
-// the per-method callsites.  Call before Start.
-func (s *PoolServer) SetFlight(rec *flight.Recorder) {
-	s.pool.SetFlight(rec)
-	s.csGet = rec.Callsite("http.get")
-	s.csHead = rec.Callsite("http.head")
-}
-
 // callsiteFor maps a raw request line to its flight callsite with one
 // prefix check — full parsing stays on the responder side.
 func (s *PoolServer) callsiteFor(raw string) flight.Callsite {
 	if strings.HasPrefix(raw, "HEAD ") {
-		return s.csHead
+		return s.Callsite(csHead)
 	}
-	return s.csGet
+	return s.Callsite(csGet)
 }
-
-// enclavePageSpan sizes the modeled enclave heap in multiples of the
-// EPC capacity: document paths hash across a region 16x the EPC, so
-// residency pressure tracks the distinct pages traffic touches.
-const enclavePageSpan = 16
-
-// EnableEPC attaches a simulated EPC of the given capacity (bytes;
-// <= one page selects epc.DefaultCapacityBytes) plus its pressure
-// observatory: every served document then touches the pages its body
-// spans, owner-tagged by client connection.  Call after SetTelemetry
-// and before EnableMonitor/DebugMux; idempotent.
-func (s *PoolServer) EnableEPC(capacityBytes int) *epcstat.Collector {
-	if s.epcStat == nil {
-		if capacityBytes <= epc.PageSize {
-			capacityBytes = epc.DefaultCapacityBytes
-		}
-		var sealKey [16]byte
-		copy(sealKey[:], "www-epc-paging-k")
-		s.epcMgr = epc.NewManager(capacityBytes, sealKey)
-		if s.reg != nil {
-			s.epcMgr.SetTelemetry(s.reg)
-		}
-		s.epcStat = epcstat.New(epcstat.Options{})
-		s.epcStat.Attach(s.epcMgr)
-		for i := range s.conns {
-			s.epcStat.SetLabel(epc.OwnerID(i+1), fmt.Sprintf("conn%d", i))
-		}
-	}
-	return s.epcStat
-}
-
-// EPCManager exposes the simulated EPC (nil until EnableEPC).
-func (s *PoolServer) EPCManager() *epc.Manager { return s.epcMgr }
-
-// fnv64 is FNV-1a over the document path.
-func fnv64[S ~string | ~[]byte](key S) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// touchEPC charges the paging cost of serving one response: pages
-// consecutive pages from the one the path's hash folds to, owner-tagged
-// by the submitting connection.  No-op until EnableEPC.
-func (s *PoolServer) touchEPC(requester int, pathHash, pages uint64) {
-	if s.epcMgr == nil {
-		return
-	}
-	span := uint64(enclavePageSpan * s.epcMgr.CapacityPages())
-	base := pathHash % span
-	owner := epc.OwnerID(requester + 1)
-	for p := uint64(0); p < pages; p++ {
-		s.epcMgr.TouchAs(owner, (base+p)%span)
-	}
-}
-
-// EnableWhatIf attaches the causal what-if observatory: the shadow
-// router scores every monitor interval's per-method traffic against
-// the three routing policies (both methods are declared pooled — that
-// is how PoolServer actually routes), /debug/whatif serves the report,
-// and the routing-regret monitor rule flags methods whose traffic
-// outgrew the static choice.  A zero params selects
-// whatif.DefaultCostParams.  Call after SetFlight and before
-// EnableMonitor/DebugMux; idempotent.
-func (s *PoolServer) EnableWhatIf(params whatif.CostParams) *whatif.Observatory {
-	if s.whatIf == nil {
-		s.whatIf = whatif.NewObservatory(params)
-		r := s.whatIf.Router()
-		r.DeclareDefault(whatif.PolicyPooled)
-		r.Declare("http.get", whatif.PolicyPooled)
-		r.Declare("http.head", whatif.PolicyPooled)
-	}
-	return s.whatIf
-}
-
-// WhatIf exposes the what-if observatory (nil until EnableWhatIf).
-func (s *PoolServer) WhatIf() *whatif.Observatory { return s.whatIf }
-
-// EnableMonitor attaches a health monitor over the fabric's registry,
-// with the flight recorder (when attached) feeding the callsite-scoped
-// rules, the EPC observatory (when enabled) feeding the EPC rules, and
-// the what-if observatory (when enabled) feeding the routing-regret
-// rule.  Idempotent: repeat calls return the same monitor.
-func (s *PoolServer) EnableMonitor(opts monitor.Options) *monitor.Monitor {
-	if s.mon == nil {
-		if opts.Flight == nil {
-			opts.Flight = s.pool.Flight()
-		}
-		if opts.EPC == nil {
-			opts.EPC = s.epcStat
-		}
-		if opts.WhatIf == nil {
-			opts.WhatIf = s.whatIf
-		}
-		s.mon = monitor.New(s.reg, opts)
-	}
-	return s.mon
-}
-
-// EnableIncidents attaches an incident capturer to the monitor
-// (enabling the monitor with defaults if needed): warning/critical rule
-// transitions freeze self-contained postmortem bundles, served at
-// /debug/incidents by DebugMux.  The fabric's registry is snapshotted
-// into each bundle unless opts names another.  Idempotent: repeat calls
-// return the same capturer.
-func (s *PoolServer) EnableIncidents(opts incident.Options) *incident.Capturer {
-	if s.cap == nil {
-		if opts.Registry == nil {
-			opts.Registry = s.reg
-		}
-		s.cap = incident.New(s.EnableMonitor(monitor.Options{}), opts)
-		s.cap.Attach()
-	}
-	return s.cap
-}
-
-// DebugMux serves the fabric's observability surface: /metrics, a
-// /debug/ index listing every endpoint, /debug/health, /debug/monitor,
-// /debug/incidents, and — per enabled collector — /debug/flight,
-// /debug/epc, and /debug/whatif.
-func (s *PoolServer) DebugMux() *monitor.DebugMux {
-	mux := monitor.Mux(s.reg, s.EnableMonitor(monitor.Options{}))
-	mux.HandleEntry("/debug/incidents", "frozen postmortem bundles (rule transitions)",
-		incident.Handler(s.EnableIncidents(incident.Options{})))
-	return mux
-}
-
-// Pool exposes the underlying CallPool (responder bounds, stats).
-func (s *PoolServer) Pool() *core.CallPool { return s.pool }
 
 // Start builds the response images — every byte sequence the server can
 // answer with, once — and launches the adaptive responder pool.
@@ -290,17 +135,14 @@ func (s *PoolServer) Start() {
 		s.docs[path] = docImage{
 			image:   len(s.images),
 			headLen: len(head),
-			hash:    fnv64(path),
-			pages:   max(1, uint64(len(body)+epc.PageSize-1)/epc.PageSize),
+			hash:    porting.FNV64(path),
+			pages:   max(1, porting.PagesOf(len(body))),
 		}
 		s.images = append(s.images, append([]byte(head), body...))
 	}
 	s.docroot = nil // the images own the bytes now
-	s.pool.Start()
+	s.Fabric.Start()
 }
-
-// Stop shuts the fabric down.
-func (s *PoolServer) Stop() { s.pool.Stop() }
 
 // Conn returns connection i's handle.  Each connection must be driven
 // from one goroutine at a time.
@@ -328,10 +170,10 @@ func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	path := raw[rl.path.lo:rl.path.hi]
 	doc, ok := s.docs[string(path)]
 	if !ok {
-		s.touchEPC(requester, fnv64(path), 1)
+		s.TouchEPC(requester, porting.FNV64(path), 1)
 		return packData(imgNotFound, len(s.images[imgNotFound]))
 	}
-	s.touchEPC(requester, doc.hash, doc.pages)
+	s.TouchEPC(requester, doc.hash, doc.pages)
 	if rl.head {
 		return packData(doc.image, doc.headLen)
 	}

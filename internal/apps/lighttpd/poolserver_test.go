@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
 	"hotcalls/internal/telemetry"
 )
@@ -79,7 +80,7 @@ func TestPoolServerHeadAndErrors(t *testing.T) {
 func TestPoolServerConcurrentConnections(t *testing.T) {
 	const conns = 4
 	s := NewPoolServer(conns, fastPoolOpts(3))
-	s.SetTelemetry(telemetry.New())
+	s.Arm(porting.Observers{Registry: telemetry.New()})
 	s.Start()
 	defer s.Stop()
 

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"hotcalls/internal/apps/porting"
-	"hotcalls/internal/dist"
-	"hotcalls/internal/monitor"
 	"hotcalls/internal/osapi"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
@@ -69,7 +67,10 @@ const (
 
 // Server is one lighttpd instance bound to a port configuration.
 type Server struct {
-	App *porting.App
+	// App is the container; embedded, so the request metrics it keeps are
+	// the server's own surface (EnableTelemetry, EnableDistribution,
+	// MetricsHandler, EnableMonitor, DebugMux).
+	*porting.App
 
 	listenFD int
 	ClientFD int
@@ -86,24 +87,12 @@ type Server struct {
 	reqBuf []byte // InjectRequest assembles the request bytes here
 
 	served uint64
-
-	// tel holds the per-request telemetry handles (see metrics.go); all
-	// nil (no-op) until EnableTelemetry attaches a registry.
-	tel serverTel
-
-	// mon is the continuous health monitor (see metrics.go); nil until
-	// EnableMonitor.
-	mon *monitor.Monitor
-
-	// reqDist records the full per-request latency distribution; nil
-	// (one branch per request) until EnableDistribution.
-	reqDist *dist.Recorder
 }
 
 // NewServer boots lighttpd in the given mode and installs the document
 // root (one 20 KB page, as in the paper's http_load run).
 func NewServer(mode porting.Mode) *Server {
-	app := porting.New(mode, porting.Config{Seed: 3033, EnclaveSize: 64 << 20}, EDL)
+	app := porting.New(mode, porting.Config{Name: "lighttpd", Seed: 3033, EnclaveSize: 64 << 20}, EDL)
 	s := &Server{App: app}
 	k := app.Kernel
 
@@ -340,15 +329,9 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 // ServeOne accepts and serves one queued connection through the configured
 // interface.
 func (s *Server) ServeOne(clk *sim.Clock) {
-	start := clk.Now()
-	crossed := s.tel.boundaryCount()
-	if _, err := s.App.Call(clk, "ecall_handle_connection", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
+	if _, err := s.App.ServeRequest(clk, "ecall_handle_connection", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
 		panic(err)
 	}
-	s.tel.requests.Inc()
-	s.tel.reqCycles.ObserveSince(start, clk.Now())
-	s.reqDist.Record(clk.Since(start))
-	s.tel.crossings.Observe(s.tel.boundaryCount() - crossed)
 }
 
 // InjectRequest queues a new client connection carrying a GET request and

@@ -3,73 +3,50 @@ package memcached
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/epc"
-	"hotcalls/internal/epcstat"
-	"hotcalls/internal/monitor"
-	"hotcalls/internal/telemetry"
 )
 
-// TestPoolServerEPCAttribution wires the paging model into the fabric
-// server and checks served traffic lands in the observatory owner-tagged
-// by connection.
+// TestPoolServerEPCAttribution checks what the port itself says about
+// paging: a request's footprint is the value a GET returned or a SET
+// stored, at least one page, placed by its key's hash.  (That the armed
+// model reaches the registry, the monitor and /debug/epc is the kit's
+// test, porting.TestFabricKitAllArmed.)
 func TestPoolServerEPCAttribution(t *testing.T) {
-	s := NewPoolServer(2, fastPoolOpts(2))
-	reg := telemetry.New()
-	s.SetTelemetry(reg)
-	col := s.EnableEPC(256 * epc.PageSize)
-	if col == nil || s.EPCManager() == nil {
-		t.Fatal("EnableEPC returned no collector/manager")
-	}
-	if again := s.EnableEPC(64 * epc.PageSize); again != col {
-		t.Fatal("EnableEPC is not idempotent")
-	}
+	s := NewPoolServer(1, fastPoolOpts(2))
+	s.Arm(porting.Observers{EPCBytes: 256 * epc.PageSize})
 	s.Start()
 	defer s.Stop()
 
+	c := s.Conn(0)
 	val := bytes.Repeat([]byte{0xAB}, ValueSize)
-	for conn := 0; conn < 2; conn++ {
-		c := s.Conn(conn)
-		for i := 0; i < 8; i++ {
-			key := fmt.Sprintf("conn%d-key%d", conn, i)
-			if resp, err := c.Do(&Request{Op: OpSet, Key: key, Value: val}); err != nil || resp.Status != StatusOK {
-				t.Fatalf("SET = (%+v, %v)", resp, err)
-			}
-			if resp, err := c.Do(&Request{Op: OpGet, Key: key}); err != nil || resp.Status != StatusOK {
-				t.Fatalf("GET = (%+v, %v)", resp, err)
-			}
+	const keys = 8
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("key%d", i)
+		if resp, err := c.Do(&Request{Op: OpSet, Key: key, Value: val}); err != nil || resp.Status != StatusOK {
+			t.Fatalf("SET = (%+v, %v)", resp, err)
+		}
+		if resp, err := c.Do(&Request{Op: OpGet, Key: key}); err != nil || resp.Status != StatusOK {
+			t.Fatalf("GET = (%+v, %v)", resp, err)
 		}
 	}
-
-	snap := col.Snapshot()
-	if snap == nil || snap.Faults == 0 {
-		t.Fatalf("no paging traffic observed: %+v", snap)
+	// A miss and a delete carry no value and still touch the key's page.
+	if resp, err := c.Do(&Request{Op: OpGet, Key: "absent"}); err != nil || resp.Status != StatusNotFound {
+		t.Fatalf("GET absent = (%+v, %v)", resp, err)
 	}
-	byLabel := map[string]epcstat.OwnerStats{}
-	for _, o := range snap.Owners {
-		byLabel[o.Label] = o
-	}
-	for conn := 0; conn < 2; conn++ {
-		o, ok := byLabel[fmt.Sprintf("conn%d", conn)]
-		if !ok || o.Faults == 0 {
-			t.Fatalf("connection %d missing from owner table: %+v", conn, snap.Owners)
-		}
-	}
-	if got := reg.Counter(telemetry.MetricEPCFaults).Load(); got != snap.Faults {
-		t.Fatalf("registry faults %d != snapshot faults %d", got, snap.Faults)
+	if resp, err := c.Do(&Request{Op: OpDelete, Key: "key0"}); err != nil || resp.Status != StatusOK {
+		t.Fatalf("DELETE = (%+v, %v)", resp, err)
 	}
 
-	// EnableMonitor picks the collector up automatically, and the debug
-	// mux serves the observatory.
-	if s.EnableMonitor(monitor.Options{}).EPCStat() != col {
-		t.Fatal("EnableMonitor did not adopt the EPC collector")
+	// A 2 KB value fits one page: one touch per request, and a key's SET
+	// and GET land on the same page, so faults count distinct keys.
+	touches, faults, _ := s.EPCManager().Stats()
+	if want := uint64(2*keys + 2); touches != want {
+		t.Errorf("touches = %d, want %d (one page per request)", touches, want)
 	}
-	rr := httptest.NewRecorder()
-	s.DebugMux().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/epc?format=text", nil))
-	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "conn0(#1)") {
-		t.Fatalf("/debug/epc = %d %q", rr.Code, rr.Body.String())
+	if faults == 0 || faults > keys+1 {
+		t.Errorf("faults = %d, want one per distinct key (at most %d)", faults, keys+1)
 	}
 }

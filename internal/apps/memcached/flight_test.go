@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/flight"
 	"hotcalls/internal/telemetry"
 )
@@ -13,9 +14,8 @@ import (
 // are attributed to their per-op callsites.
 func TestPoolServerFlightCallsites(t *testing.T) {
 	s := NewPoolServer(1, fastPoolOpts(2))
-	s.SetTelemetry(telemetry.New())
 	rec := flight.New(flight.Options{SampleEvery: 1})
-	s.SetFlight(rec)
+	s.Arm(porting.Observers{Flight: rec})
 	s.Start()
 	defer s.Stop()
 
@@ -49,12 +49,13 @@ func TestPoolServerFlightCallsites(t *testing.T) {
 	}
 }
 
-// TestPoolServerDebugMuxFlight checks the fabric server's debug surface
-// serves /debug/flight once a recorder is attached.
+// TestPoolServerDebugMuxFlight checks the partly armed surface: with a
+// registry and a recorder and nothing else named, DebugMux arms a default
+// monitor and capturer and mounts /debug/flight — and no endpoint for a
+// collector that was not armed.
 func TestPoolServerDebugMuxFlight(t *testing.T) {
 	s := NewPoolServer(1, fastPoolOpts(2))
-	s.SetTelemetry(telemetry.New())
-	s.SetFlight(flight.New(flight.Options{SampleEvery: 1}))
+	s.Arm(porting.Observers{Registry: telemetry.New(), Flight: flight.New(flight.Options{SampleEvery: 1})})
 	s.Start()
 	defer s.Stop()
 	if _, err := s.Conn(0).Do(&Request{Op: OpSet, Key: "k", Value: []byte("v")}); err != nil {
@@ -71,6 +72,16 @@ func TestPoolServerDebugMuxFlight(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s status = %d, want 200", path, resp.StatusCode)
+		}
+	}
+	for _, path := range []string{"/debug/epc", "/debug/whatif"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s status = %d, want 404: its collector was not armed", path, resp.StatusCode)
 		}
 	}
 }

@@ -13,6 +13,14 @@ import (
 	"hotcalls/internal/telemetry"
 )
 
+// The request series the server exports under its name, pinned here as
+// the wire contract (porting.App derives them from Config.Name).
+const (
+	MetricRequests     = "memcached_requests_total"
+	MetricRequestCycle = "memcached_request_cycles"
+	MetricCrossings    = "memcached_request_boundary_crossings"
+)
+
 func serveN(t *testing.T, s *Server, n int) {
 	t.Helper()
 	w := NewWorkload(s, 42)
@@ -165,10 +173,9 @@ func TestDebugMux(t *testing.T) {
 	// DebugMux without a prior EnableMonitor self-enables.
 	s2 := NewServer(porting.SGX)
 	s2.EnableTelemetry(telemetry.New())
-	if s2.DebugMux() == nil {
-		t.Fatal("DebugMux returned nil mux")
-	}
-	if s2.mon == nil {
-		t.Fatal("DebugMux did not self-enable the monitor")
+	rec := httptest.NewRecorder()
+	s2.DebugMux().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/health", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("DebugMux did not self-enable the monitor: /debug/health = %d", rec.Code)
 	}
 }

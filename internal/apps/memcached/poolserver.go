@@ -12,17 +12,11 @@ package memcached
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
-	"hotcalls/internal/epc"
-	"hotcalls/internal/epcstat"
 	"hotcalls/internal/flight"
-	"hotcalls/internal/incident"
-	"hotcalls/internal/monitor"
-	"hotcalls/internal/telemetry"
-	"hotcalls/internal/whatif"
 )
 
 // opServe is the single fabric call table entry: serve one encoded
@@ -60,21 +54,10 @@ func newPoolStore() *poolStore {
 	return st
 }
 
-// fnv64 is FNV-1a over a key in either of its forms: the stripe picker
-// and the EPC page mapping share it.
-func fnv64[K string | []byte](key K) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // stripe picks the lock stripe for a key.  Keys alias a connection's
 // request buffer; the m[string(key)] lookups below do not allocate.
 func (st *poolStore) stripe(key []byte) *storeStripe {
-	return &st.stripes[fnv64(key)&(storeStripes-1)]
+	return &st.stripes[porting.FNV64(key)&(storeStripes-1)]
 }
 
 func (st *poolStore) set(key, value []byte) {
@@ -115,28 +98,28 @@ func (st *poolStore) delete(key []byte) bool {
 	return ok
 }
 
+// The port's flight callsites, one per operation, so GETs, SETs and
+// DELETEs show up as separate rows in the stats table instead of one
+// undifferentiated stream; the constants index fabricSpec.Callsites.
+const (
+	csGet = iota
+	csSet
+	csDelete
+)
+
+var fabricSpec = porting.FabricSpec{
+	Callsites: []string{"mc.get", "mc.set", "mc.delete"},
+	SealKey:   "mc-epc-paging-kv",
+}
+
 // PoolServer is memcached over the fabric: a CallPool whose one table
-// entry serves binary-protocol requests against the shared store.
+// entry serves binary-protocol requests against the shared store.  The
+// pool's lifecycle and everything that observes it are the embedded kit's
+// (Arm, DebugMux, Pool, Start, Stop).
 type PoolServer struct {
-	pool  *core.CallPool
+	porting.Fabric
 	store *poolStore
 	conns []*PoolConn
-
-	reg    *telemetry.Registry
-	mon    *monitor.Monitor
-	cap    *incident.Capturer
-	whatIf *whatif.Observatory
-
-	// EPC paging model (EnableEPC): every served request touches the
-	// pages its key/value footprint occupies, owner-tagged by
-	// connection, so the observatory attributes paging pressure per
-	// client.
-	epcMgr  *epc.Manager
-	epcStat *epcstat.Collector
-
-	// Per-operation flight callsites (zero handles — unlabelled — until
-	// SetFlight registers them).
-	csGet, csSet, csDelete flight.Callsite
 }
 
 // NewPoolServer builds a fabric-routed server for up to conns client
@@ -144,11 +127,10 @@ type PoolServer struct {
 // overridden to the connection count.
 func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	s := &PoolServer{store: newPoolStore()}
-	opts.Shards = conns
+	s.Fabric = porting.NewFabric(fabricSpec, conns, []core.PoolFunc{s.serve}, opts)
 	s.conns = make([]*PoolConn, conns)
-	s.pool = core.NewCallPool([]core.PoolFunc{s.serve}, opts)
 	for i := range s.conns {
-		c := &PoolConn{s: s, req: s.pool.Requester()}
+		c := &PoolConn{s: s, req: s.Pool().Requester()}
 		for j := range c.bufs {
 			c.bufs[j].req = make([]byte, bufCap)
 			c.bufs[j].resp = make([]byte, bufCap)
@@ -158,170 +140,18 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	return s
 }
 
-// SetTelemetry attaches the fabric's registry handles.  Call before
-// Start.
-func (s *PoolServer) SetTelemetry(reg *telemetry.Registry) {
-	s.reg = reg
-	s.pool.SetTelemetry(reg)
-}
-
-// SetFlight attaches the flight recorder to the fabric and registers
-// the per-operation callsites, so GETs, SETs, and DELETEs show up as
-// separate rows in the stats table instead of one undifferentiated
-// stream.  Call before Start.
-func (s *PoolServer) SetFlight(rec *flight.Recorder) {
-	s.pool.SetFlight(rec)
-	s.csGet = rec.Callsite("mc.get")
-	s.csSet = rec.Callsite("mc.set")
-	s.csDelete = rec.Callsite("mc.delete")
-}
-
 // callsiteFor maps a request opcode to its registered flight callsite.
 func (s *PoolServer) callsiteFor(op byte) flight.Callsite {
 	switch op {
 	case OpGet:
-		return s.csGet
+		return s.Callsite(csGet)
 	case OpSet:
-		return s.csSet
+		return s.Callsite(csSet)
 	case OpDelete:
-		return s.csDelete
+		return s.Callsite(csDelete)
 	}
 	return flight.Callsite{}
 }
-
-// enclavePageSpan sizes the modeled enclave heap in multiples of the EPC
-// capacity: keys hash across a region 16x the EPC, so residency pressure
-// comes from how many distinct pages traffic actually touches, not from
-// hash collisions.
-const enclavePageSpan = 16
-
-// EnableEPC attaches a simulated EPC of the given capacity (bytes;
-// <= one page selects epc.DefaultCapacityBytes) plus its pressure
-// observatory.  Every served request then touches the pages its
-// key/value footprint maps to, owner-tagged by client connection, so
-// /debug/epc and the EPC monitor rules attribute paging per client.
-// Call after SetTelemetry and before EnableMonitor/DebugMux so the
-// counters and rules wire up; idempotent: repeat calls return the same
-// collector.
-func (s *PoolServer) EnableEPC(capacityBytes int) *epcstat.Collector {
-	if s.epcStat == nil {
-		if capacityBytes <= epc.PageSize {
-			capacityBytes = epc.DefaultCapacityBytes
-		}
-		var sealKey [16]byte
-		copy(sealKey[:], "mc-epc-paging-kv")
-		s.epcMgr = epc.NewManager(capacityBytes, sealKey)
-		if s.reg != nil {
-			s.epcMgr.SetTelemetry(s.reg)
-		}
-		s.epcStat = epcstat.New(epcstat.Options{})
-		s.epcStat.Attach(s.epcMgr)
-		for i := range s.conns {
-			s.epcStat.SetLabel(epc.OwnerID(i+1), fmt.Sprintf("conn%d", i))
-		}
-	}
-	return s.epcStat
-}
-
-// EPCManager exposes the simulated EPC (nil until EnableEPC).
-func (s *PoolServer) EPCManager() *epc.Manager { return s.epcMgr }
-
-// touchEPC charges the paging cost of one request: the pages of the
-// key's value footprint (at least one), owner-tagged by the submitting
-// connection.  Called only once EnableEPC has armed the model.
-func (s *PoolServer) touchEPC(requester int, key []byte, valueLen int) {
-	span := uint64(enclavePageSpan * s.epcMgr.CapacityPages())
-	base := fnv64(key) % span
-	pages := uint64(valueLen+epc.PageSize-1) / epc.PageSize
-	if pages == 0 {
-		pages = 1
-	}
-	owner := epc.OwnerID(requester + 1)
-	for p := uint64(0); p < pages; p++ {
-		s.epcMgr.TouchAs(owner, (base+p)%span)
-	}
-}
-
-// EnableWhatIf attaches the causal what-if observatory: the shadow
-// router scores every monitor interval's per-callsite traffic against
-// the three routing policies (the fabric's operations are declared
-// pooled — that is how PoolServer actually routes), /debug/whatif
-// serves the report, and the routing-regret monitor rule flags
-// callsites whose traffic outgrew the static choice.  A zero params
-// selects whatif.DefaultCostParams.  Call after SetFlight and before
-// EnableMonitor/DebugMux; idempotent.
-func (s *PoolServer) EnableWhatIf(params whatif.CostParams) *whatif.Observatory {
-	if s.whatIf == nil {
-		s.whatIf = whatif.NewObservatory(params)
-		r := s.whatIf.Router()
-		r.DeclareDefault(whatif.PolicyPooled)
-		r.Declare("mc.get", whatif.PolicyPooled)
-		r.Declare("mc.set", whatif.PolicyPooled)
-		r.Declare("mc.delete", whatif.PolicyPooled)
-	}
-	return s.whatIf
-}
-
-// WhatIf exposes the what-if observatory (nil until EnableWhatIf).
-func (s *PoolServer) WhatIf() *whatif.Observatory { return s.whatIf }
-
-// EnableMonitor attaches a health monitor over the fabric's registry,
-// with the flight recorder (when attached) feeding the callsite-scoped
-// rules, the EPC observatory (when enabled) feeding the EPC rules, and
-// the what-if observatory (when enabled) feeding the routing-regret
-// rule.  Idempotent: repeat calls return the same monitor.
-func (s *PoolServer) EnableMonitor(opts monitor.Options) *monitor.Monitor {
-	if s.mon == nil {
-		if opts.Flight == nil {
-			opts.Flight = s.pool.Flight()
-		}
-		if opts.EPC == nil {
-			opts.EPC = s.epcStat
-		}
-		if opts.WhatIf == nil {
-			opts.WhatIf = s.whatIf
-		}
-		s.mon = monitor.New(s.reg, opts)
-	}
-	return s.mon
-}
-
-// EnableIncidents attaches an incident capturer to the monitor
-// (enabling the monitor with defaults if needed): warning/critical rule
-// transitions freeze self-contained postmortem bundles, served at
-// /debug/incidents by DebugMux.  The fabric's registry is snapshotted
-// into each bundle unless opts names another.  Idempotent: repeat calls
-// return the same capturer.
-func (s *PoolServer) EnableIncidents(opts incident.Options) *incident.Capturer {
-	if s.cap == nil {
-		if opts.Registry == nil {
-			opts.Registry = s.reg
-		}
-		s.cap = incident.New(s.EnableMonitor(monitor.Options{}), opts)
-		s.cap.Attach()
-	}
-	return s.cap
-}
-
-// DebugMux serves the fabric's observability surface: /metrics, a
-// /debug/ index listing every endpoint, /debug/health, /debug/monitor,
-// /debug/incidents, and — per enabled collector — /debug/flight,
-// /debug/epc, and /debug/whatif.
-func (s *PoolServer) DebugMux() *monitor.DebugMux {
-	mux := monitor.Mux(s.reg, s.EnableMonitor(monitor.Options{}))
-	mux.HandleEntry("/debug/incidents", "frozen postmortem bundles (rule transitions)",
-		incident.Handler(s.EnableIncidents(incident.Options{})))
-	return mux
-}
-
-// Pool exposes the underlying CallPool (responder bounds, stats).
-func (s *PoolServer) Pool() *core.CallPool { return s.pool }
-
-// Start launches the adaptive responder pool.
-func (s *PoolServer) Start() { s.pool.Start() }
-
-// Stop shuts the fabric down.
-func (s *PoolServer) Stop() { s.pool.Stop() }
 
 // Conn returns connection i's handle.  Each connection must be driven
 // from one goroutine at a time.
@@ -364,9 +194,11 @@ func (s *PoolServer) serve(requester int, data uint64) uint64 {
 			resp.Status = StatusNotFound
 		}
 	}
-	if s.epcMgr != nil {
-		// The footprint is the value a GET returned or a SET stored.
-		s.touchEPC(requester, req.key, len(resp.Value)+len(req.value))
+	if s.EPCManager() != nil {
+		// The key's hash places the request in the modeled heap; its
+		// footprint is the value a GET returned or a SET stored, at least
+		// one page.
+		s.TouchEPC(requester, porting.FNV64(req.key), max(1, porting.PagesOf(len(resp.Value)+len(req.value))))
 	}
 	respLen, err := EncodeResponse(b.resp, &resp)
 	if err != nil {

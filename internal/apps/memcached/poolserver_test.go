@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
 	"hotcalls/internal/telemetry"
 )
@@ -123,7 +124,7 @@ func TestPoolConnWindowFull(t *testing.T) {
 func TestPoolServerConcurrentConnections(t *testing.T) {
 	const conns = 4
 	s := NewPoolServer(conns, fastPoolOpts(3))
-	s.SetTelemetry(telemetry.New())
+	s.Arm(porting.Observers{Registry: telemetry.New()})
 	s.Start()
 	defer s.Stop()
 

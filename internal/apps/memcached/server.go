@@ -5,8 +5,6 @@ import (
 	"strconv"
 
 	"hotcalls/internal/apps/porting"
-	"hotcalls/internal/dist"
-	"hotcalls/internal/monitor"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
 )
@@ -55,7 +53,10 @@ const (
 
 // Server is one memcached instance bound to a port configuration.
 type Server struct {
-	App   *porting.App
+	// App is the container; embedded, so the request metrics it keeps are
+	// the server's own surface (EnableTelemetry, EnableDistribution,
+	// MetricsHandler, EnableMonitor, DebugMux).
+	*porting.App
 	Store *Store
 
 	listenFD int
@@ -64,25 +65,13 @@ type Server struct {
 
 	reqBuf  *sdk.Buffer
 	respBuf *sdk.Buffer
-
-	// tel holds the per-request telemetry handles (see metrics.go); all
-	// nil (no-op) until EnableTelemetry attaches a registry.
-	tel serverTel
-
-	// mon is the continuous health monitor (see metrics.go); nil until
-	// EnableMonitor.
-	mon *monitor.Monitor
-
-	// reqDist records the full per-request latency distribution; nil
-	// (one branch per request) until EnableDistribution.
-	reqDist *dist.Recorder
 }
 
 // NewServer boots memcached in the given mode: builds the container, binds
 // the edge functions, and runs the ecall_main wrapper, which performs the
 // socket setup through ocalls exactly as the ported binary would.
 func NewServer(mode porting.Mode) *Server {
-	app := porting.New(mode, porting.Config{Seed: 1009, EnclaveSize: 192 << 20}, EDL)
+	app := porting.New(mode, porting.Config{Name: "memcached", Seed: 1009, EnclaveSize: 192 << 20}, EDL)
 	s := &Server{App: app}
 	s.Store = NewStore(app, keyspace, ValueSize)
 
@@ -199,15 +188,9 @@ func (s *Server) handleEvent(env *porting.Env, args []sdk.Arg) uint64 {
 // ServeOne processes the next queued request through the configured
 // interface (one RunEnclaveFunction event callback).
 func (s *Server) ServeOne(clk *sim.Clock) {
-	start := clk.Now()
-	crossed := s.tel.boundaryCount()
-	if _, err := s.App.Call(clk, "ecall_run_enclave_function", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
+	if _, err := s.App.ServeRequest(clk, "ecall_run_enclave_function", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
 		panic(err)
 	}
-	s.tel.requests.Inc()
-	s.tel.reqCycles.ObserveSince(start, clk.Now())
-	s.reqDist.Record(clk.Since(start))
-	s.tel.crossings.Observe(s.tel.boundaryCount() - crossed)
 }
 
 // Workload is the memtier-like generator: 1:1 SET:GET over the keyspace

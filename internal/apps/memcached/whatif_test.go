@@ -1,35 +1,30 @@
 package memcached
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/flight"
 	"hotcalls/internal/monitor"
 	"hotcalls/internal/telemetry"
-	"hotcalls/internal/whatif"
 )
 
-// TestPoolServerWhatIf checks the fabric server's what-if wiring end to
-// end: the observatory's shadow router scores the per-op callsites on
-// each monitor tick, /debug/whatif serves the report, and the /debug/
-// index lists every mounted endpoint including it.
+// TestPoolServerWhatIf checks the port's share of the what-if wiring: the
+// callsites it names are the ones the shadow router scores on a monitor
+// tick.  (That /debug/whatif and the index serve the observatory is the
+// kit's test, porting.TestFabricKitAllArmed.)
 func TestPoolServerWhatIf(t *testing.T) {
 	s := NewPoolServer(1, fastPoolOpts(2))
-	s.SetTelemetry(telemetry.New())
-	s.SetFlight(flight.New(flight.Options{SampleEvery: 1}))
-	obs := s.EnableWhatIf(whatif.CostParams{})
-	if obs == nil || s.WhatIf() != obs || s.EnableWhatIf(whatif.CostParams{}) != obs {
-		t.Fatal("EnableWhatIf is not idempotent")
-	}
+	s.Arm(porting.Observers{
+		Registry: telemetry.New(),
+		Flight:   flight.New(flight.Options{SampleEvery: 1}),
+		WhatIf:   true,
+		Monitor:  &monitor.Options{},
+	})
 	s.Start()
 	defer s.Stop()
 
-	m := s.EnableMonitor(monitor.Options{})
+	m := s.Monitor()
 	m.Tick() // baseline primes the shadow router
 	for i := 0; i < 400; i++ {
 		if _, err := s.Conn(0).Do(&Request{Op: OpSet, Key: "k", Value: []byte("v")}); err != nil {
@@ -44,57 +39,14 @@ func TestPoolServerWhatIf(t *testing.T) {
 		t.Fatal("monitor sample carries no what-if verdict")
 	}
 	var sites []string
+	found := false
 	for _, d := range sample.WhatIf.Decisions {
 		sites = append(sites, d.Site)
-	}
-	found := false
-	for _, site := range sites {
-		if site == "mc.get" || site == "mc.set" {
+		if d.Site == "mc.get" || d.Site == "mc.set" {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("shadow router scored no per-op callsite: %v", sites)
-	}
-
-	srv := httptest.NewServer(s.DebugMux())
-	defer srv.Close()
-	get := func(path string) string {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status = %d, want 200", path, resp.StatusCode)
-		}
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if body := get("/debug/whatif"); !strings.Contains(body, whatif.ReportSchema) {
-		t.Fatalf("/debug/whatif body missing report schema: %q", body)
-	}
-	var idx struct {
-		Endpoints []monitor.DebugEntry `json:"endpoints"`
-	}
-	if err := json.Unmarshal([]byte(get("/debug/")), &idx); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"/metrics": false, "/debug/health": false, "/debug/monitor": false,
-		"/debug/flight": false, "/debug/whatif": false, "/debug/incidents": false,
-	}
-	for _, e := range idx.Endpoints {
-		if _, ok := want[e.Path]; ok {
-			want[e.Path] = true
-		}
-	}
-	for path, seen := range want {
-		if !seen {
-			t.Errorf("/debug/ index missing %s", path)
-		}
 	}
 }

@@ -20,14 +20,9 @@ import (
 	"fmt"
 	"sync"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
 	"hotcalls/internal/epc"
-	"hotcalls/internal/epcstat"
-	"hotcalls/internal/flight"
-	"hotcalls/internal/incident"
-	"hotcalls/internal/monitor"
-	"hotcalls/internal/telemetry"
-	"hotcalls/internal/whatif"
 )
 
 // opTunnel is the single vec-table entry: relay one tunnel datagram
@@ -111,26 +106,29 @@ func connCiphers(i int) (rx, tx *Cipher) {
 	return rx, tx
 }
 
+// The port's flight callsites: the synchronous forward path and the
+// vectored streaming path show as separate rows, each with its payload
+// byte volume (flight_callsite_bytes_total), which is what lets the
+// what-if router's cost model separate per-call from per-byte cycles.
+// The constants index fabricSpec.Callsites.
+const (
+	csForward = iota
+	csStream
+)
+
+var fabricSpec = porting.FabricSpec{
+	Callsites: []string{"vpn.forward", "vpn.stream"},
+	SealKey:   "vpn-epc-zc-rings",
+}
+
 // PoolServer is the openVPN relay over the fabric: a CallPool whose one
 // vec-table entry relays tunnel datagrams in place in the payload rings.
+// The pool's lifecycle and everything that observes it are the embedded
+// kit's (Arm, DebugMux, Pool, Start, Stop).
 type PoolServer struct {
-	pool    *core.CallPool
+	porting.Fabric
 	conns   []*PoolConn
 	tunnels []*tunnelState
-
-	reg    *telemetry.Registry
-	mon    *monitor.Monitor
-	cap    *incident.Capturer
-	whatIf *whatif.Observatory
-
-	// EPC paging model (EnableEPC): the handler touches the enclave
-	// pages backing each slab window it processes, owner-tagged by
-	// connection, so the observatory attributes ring-payload pressure
-	// per client.
-	epcMgr  *epc.Manager
-	epcStat *epcstat.Collector
-
-	csForward, csStream flight.Callsite
 }
 
 // NewPoolServer builds a fabric-routed tunnel relay for up to conns
@@ -139,19 +137,18 @@ type PoolServer struct {
 // 2x the streaming window of MTU-sized slabs per connection.
 func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	s := &PoolServer{}
-	opts.Shards = conns
 	if opts.RingSlabs == 0 {
 		opts.RingSlabs = 2 * vpnWindow
 	}
 	if opts.RingSlabBytes == 0 {
 		opts.RingSlabBytes = slabFrameCap
 	}
-	s.pool = core.NewCallPool([]core.PoolFunc{
+	s.Fabric = porting.NewFabric(fabricSpec, conns, []core.PoolFunc{
 		// The tunnel has no scalar-only path; a descriptor-less call is
 		// malformed by construction.
 		func(int, uint64) uint64 { return ^uint64(0) },
 	}, opts)
-	s.pool.SetVecTable([]core.PoolVecFunc{s.tunnel})
+	s.Pool().SetVecTable([]core.PoolVecFunc{s.tunnel})
 	s.conns = make([]*PoolConn, conns)
 	s.tunnels = make([]*tunnelState, conns)
 	for i := range s.conns {
@@ -161,7 +158,7 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 		// rx direction and verifies the relay's output with tx.
 		peerSeal, _ := connCiphers(i)
 		_, peerVerify := connCiphers(i)
-		c := &PoolConn{s: s, idx: i, req: s.pool.Requester(),
+		c := &PoolConn{s: s, idx: i, req: s.Pool().Requester(),
 			peerSeal: peerSeal, peerVerify: peerVerify}
 		c.ring = c.req.Ring()
 		c.scratch = make([]byte, c.ring.SlabBytes())
@@ -171,144 +168,17 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	return s
 }
 
-// SetTelemetry attaches the fabric's registry handles.  Call before
-// Start.
-func (s *PoolServer) SetTelemetry(reg *telemetry.Registry) {
-	s.reg = reg
-	s.pool.SetTelemetry(reg)
-}
-
-// SetFlight attaches the flight recorder to the fabric and registers the
-// per-path callsites: the synchronous forward path and the vectored
-// streaming path show as separate rows, each with its payload byte
-// volume (flight_callsite_bytes_total).  Call before Start.
-func (s *PoolServer) SetFlight(rec *flight.Recorder) {
-	s.pool.SetFlight(rec)
-	s.csForward = rec.Callsite("vpn.forward")
-	s.csStream = rec.Callsite("vpn.stream")
-}
-
-// enclavePageSpan sizes the modeled enclave heap in multiples of the EPC
-// capacity, as the memcached port does.
-const enclavePageSpan = 16
-
-// EnableEPC attaches a simulated EPC of the given capacity (bytes;
-// <= one page selects epc.DefaultCapacityBytes) plus its pressure
-// observatory.  The tunnel handler then touches the pages behind every
-// slab window it relays, owner-tagged by connection, so /debug/epc and
-// the EPC monitor rules attribute ring-payload paging per client.  Call
-// after SetTelemetry and before EnableMonitor/DebugMux; idempotent.
-func (s *PoolServer) EnableEPC(capacityBytes int) *epcstat.Collector {
-	if s.epcStat == nil {
-		if capacityBytes <= epc.PageSize {
-			capacityBytes = epc.DefaultCapacityBytes
-		}
-		var sealKey [16]byte
-		copy(sealKey[:], "vpn-epc-zc-rings")
-		s.epcMgr = epc.NewManager(capacityBytes, sealKey)
-		if s.reg != nil {
-			s.epcMgr.SetTelemetry(s.reg)
-		}
-		s.epcStat = epcstat.New(epcstat.Options{})
-		s.epcStat.Attach(s.epcMgr)
-		for i := range s.conns {
-			s.epcStat.SetLabel(epc.OwnerID(i+1), fmt.Sprintf("conn%d", i))
-		}
-	}
-	return s.epcStat
-}
-
-// EPCManager exposes the simulated EPC (nil until EnableEPC).
-func (s *PoolServer) EPCManager() *epc.Manager { return s.epcMgr }
-
 // ringTouch builds connection i's slab-page attribution hook
-// (core.PayloadRing.SetTouch): a touched slab window maps to simulated
-// enclave pages charged to the connection's owner ID.  No-op until
-// EnableEPC.
+// (core.PayloadRing.SetTouch): the enclave pages backing a touched slab
+// window — placed by connection, slab and offset — are charged to the
+// connection, so the EPC observatory attributes ring-payload pressure
+// per client.
 func (s *PoolServer) ringTouch(conn int) func(slab uint32, off, n int) {
 	return func(slab uint32, off, n int) {
-		if s.epcMgr == nil || n == 0 {
-			return
-		}
-		span := uint64(enclavePageSpan * s.epcMgr.CapacityPages())
-		base := (uint64(conn+1)*0x9e3779b97f4a7c15 + uint64(slab)*8 +
-			uint64(off)/epc.PageSize) % span
-		pages := uint64(n+epc.PageSize-1) / epc.PageSize
-		owner := epc.OwnerID(conn + 1)
-		for p := uint64(0); p < pages; p++ {
-			s.epcMgr.TouchAs(owner, (base+p)%span)
-		}
+		s.TouchEPC(conn, uint64(conn+1)*0x9e3779b97f4a7c15+uint64(slab)*8+uint64(off)/epc.PageSize,
+			porting.PagesOf(n))
 	}
 }
-
-// EnableWhatIf attaches the causal what-if observatory; both tunnel
-// callsites are declared pooled (that is how PoolServer routes), and
-// with the flight recorder's byte volume attached the router's cost
-// model now separates per-call from per-byte cycles.  Call after
-// SetFlight and before EnableMonitor/DebugMux; idempotent.
-func (s *PoolServer) EnableWhatIf(params whatif.CostParams) *whatif.Observatory {
-	if s.whatIf == nil {
-		s.whatIf = whatif.NewObservatory(params)
-		r := s.whatIf.Router()
-		r.DeclareDefault(whatif.PolicyPooled)
-		r.Declare("vpn.forward", whatif.PolicyPooled)
-		r.Declare("vpn.stream", whatif.PolicyPooled)
-	}
-	return s.whatIf
-}
-
-// WhatIf exposes the what-if observatory (nil until EnableWhatIf).
-func (s *PoolServer) WhatIf() *whatif.Observatory { return s.whatIf }
-
-// EnableMonitor attaches a health monitor over the fabric's registry,
-// wiring in whichever collectors are enabled.  Idempotent.
-func (s *PoolServer) EnableMonitor(opts monitor.Options) *monitor.Monitor {
-	if s.mon == nil {
-		if opts.Flight == nil {
-			opts.Flight = s.pool.Flight()
-		}
-		if opts.EPC == nil {
-			opts.EPC = s.epcStat
-		}
-		if opts.WhatIf == nil {
-			opts.WhatIf = s.whatIf
-		}
-		s.mon = monitor.New(s.reg, opts)
-	}
-	return s.mon
-}
-
-// EnableIncidents attaches an incident capturer to the monitor (enabling
-// the monitor with defaults if needed).  Idempotent.
-func (s *PoolServer) EnableIncidents(opts incident.Options) *incident.Capturer {
-	if s.cap == nil {
-		if opts.Registry == nil {
-			opts.Registry = s.reg
-		}
-		s.cap = incident.New(s.EnableMonitor(monitor.Options{}), opts)
-		s.cap.Attach()
-	}
-	return s.cap
-}
-
-// DebugMux serves the fabric's observability surface: /metrics, the
-// /debug/ index, and — per enabled collector — /debug/flight,
-// /debug/epc, /debug/whatif, and /debug/incidents.
-func (s *PoolServer) DebugMux() *monitor.DebugMux {
-	mux := monitor.Mux(s.reg, s.EnableMonitor(monitor.Options{}))
-	mux.HandleEntry("/debug/incidents", "frozen postmortem bundles (rule transitions)",
-		incident.Handler(s.EnableIncidents(incident.Options{})))
-	return mux
-}
-
-// Pool exposes the underlying CallPool (responder bounds, stats).
-func (s *PoolServer) Pool() *core.CallPool { return s.pool }
-
-// Start launches the adaptive responder pool.
-func (s *PoolServer) Start() { s.pool.Start() }
-
-// Stop shuts the fabric down.
-func (s *PoolServer) Stop() { s.pool.Stop() }
 
 // Conn returns connection i's handle.  Each connection must be driven
 // from one goroutine at a time.
@@ -323,7 +193,7 @@ func (s *PoolServer) tunnel(requester int, data uint64, segs []core.Segment) uin
 	if len(segs) != 2 || segs[0].Len != FrameOverhead {
 		return ^uint64(0)
 	}
-	ring := s.pool.Ring(requester)
+	ring := s.Pool().Ring(requester)
 	hdr := ring.Bytes(segs[0])
 	body := ring.Bytes(segs[1])
 	ring.Touch(segs[0])
@@ -439,7 +309,7 @@ func (c *PoolConn) Forward(payload []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ret, err := c.req.CallZCAt(c.s.csForward, opTunnel, 0, segs[:])
+	ret, err := c.req.CallZCAt(c.s.Callsite(csForward), opTunnel, 0, segs[:])
 	if err != nil {
 		c.ring.Release(slab)
 		return 0, err
@@ -480,7 +350,7 @@ func (c *PoolConn) Stream(payloads [][]byte) (int, error) {
 			c.ring.Release(c.slabs[i])
 		}
 	}
-	b, err := c.req.SubmitVAt(c.s.csStream, c.calls[:n])
+	b, err := c.req.SubmitVAt(c.s.Callsite(csStream), c.calls[:n])
 	if b == nil {
 		release(0)
 		return 0, err
@@ -519,7 +389,7 @@ func (c *PoolConn) PumpSync(payload []byte, count int) (uint64, error) {
 		if err != nil {
 			return total, err
 		}
-		ret, err := c.req.CallZCAt(c.s.csForward, opTunnel, 0, segs[:])
+		ret, err := c.req.CallZCAt(c.s.Callsite(csForward), opTunnel, 0, segs[:])
 		c.ring.Release(slab)
 		if err != nil {
 			return total, err
@@ -548,7 +418,7 @@ func (c *PoolConn) Pump(payload []byte, count int) (uint64, error) {
 		if n == 0 {
 			return total, serr
 		}
-		b, err := c.req.SubmitVAt(c.s.csStream, c.calls[:n])
+		b, err := c.req.SubmitVAt(c.s.Callsite(csStream), c.calls[:n])
 		if b == nil {
 			for i := 0; i < n; i++ {
 				c.ring.Release(c.slabs[i])

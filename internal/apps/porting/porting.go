@@ -16,8 +16,10 @@ import (
 	"fmt"
 
 	"hotcalls/internal/core"
+	"hotcalls/internal/dist"
 	"hotcalls/internal/edl"
 	"hotcalls/internal/mem"
+	"hotcalls/internal/monitor"
 	"hotcalls/internal/osapi"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sgx"
@@ -108,6 +110,13 @@ type App struct {
 	// off); applications read it back to register their own metrics.
 	Tel *telemetry.Registry
 
+	// Request-level observability (metrics.go); every handle is nil — a
+	// no-op, one branch per request — until its Enable* call.
+	name    string
+	tel     requestTel
+	reqDist *dist.Recorder
+	mon     *monitor.Monitor
+
 	trusted map[string]func(*Env, []sdk.Arg) uint64
 
 	regionNext uint64  // bump cursor for ReserveRegion
@@ -116,6 +125,7 @@ type App struct {
 
 // Config describes the enclave to build for the secure modes.
 type Config struct {
+	Name        string // prefixes the app's request metrics (see EnableTelemetry)
 	Seed        uint64
 	EnclaveSize uint64 // virtual size; also bounds the secure heap
 	NumTCS      int
@@ -159,6 +169,7 @@ func New(mode Mode, cfg Config, edlSrc string) *App {
 		Enclave:  e,
 		RT:       rt,
 		Chan:     core.NewChannel(rt, p.RNG),
+		name:     cfg.Name,
 		trusted:  make(map[string]func(*Env, []sdk.Arg) uint64),
 	}
 	return app

@@ -16,6 +16,7 @@ import (
 
 	"hotcalls/internal/apps/lighttpd"
 	"hotcalls/internal/apps/memcached"
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
 	"hotcalls/internal/flight"
 )
@@ -145,9 +146,7 @@ func measurePoolRec(requesters, responders, calls int, rec *flight.Recorder) flo
 // rate, synchronous and windowed, in requests/second.
 func measureMemcachedFabric() (syncRate, windowedRate float64) {
 	s := memcached.NewPoolServer(1, core.PoolOptions{Timeout: 1 << 20})
-	if flightRec != nil {
-		s.SetFlight(flightRec)
-	}
+	s.Arm(porting.Observers{Flight: flightRec}) // nil leaves the recorder off
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -196,9 +195,7 @@ func measureMemcachedFabric() (syncRate, windowedRate float64) {
 // synchronous and windowed, in requests/second.
 func measureLighttpdFabric() (syncRate, windowedRate float64) {
 	s := lighttpd.NewPoolServer(1, core.PoolOptions{Timeout: 1 << 20})
-	if flightRec != nil {
-		s.SetFlight(flightRec)
-	}
+	s.Arm(porting.Observers{Flight: flightRec}) // nil leaves the recorder off
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)

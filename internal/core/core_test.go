@@ -8,6 +8,14 @@ import (
 	"hotcalls/internal/sim"
 )
 
+// patientHotCall is the single slot for tests that are not about the
+// starvation fallback.  DefaultTimeout is ten trips through the scheduler:
+// a responder that holds the slot's spin lock a little longer per poll —
+// the race detector's, or one sharing a busy P — exhausts it, and a test
+// of something else fails with ErrTimeout.  Tests that pin the timeout or
+// the fallback set Timeout themselves.
+func patientHotCall() *HotCall { return &HotCall{Timeout: 1 << 20} }
+
 func startResponder(hc *HotCall, table []func(interface{}) uint64) (*Responder, *sync.WaitGroup) {
 	r := NewResponder(hc, table)
 	var wg sync.WaitGroup
@@ -20,12 +28,12 @@ func startResponder(hc *HotCall, table []func(interface{}) uint64) (*Responder, 
 }
 
 func TestHotCallBasic(t *testing.T) {
-	var hc HotCall
+	hc := patientHotCall()
 	table := []func(interface{}) uint64{
 		func(d interface{}) uint64 { return d.(uint64) + 1 },
 		func(d interface{}) uint64 { return d.(uint64) * 2 },
 	}
-	_, wg := startResponder(&hc, table)
+	_, wg := startResponder(hc, table)
 	defer func() { hc.Stop(); wg.Wait() }()
 
 	if ret, err := hc.Call(0, uint64(41)); err != nil || ret != 42 {
@@ -37,11 +45,11 @@ func TestHotCallBasic(t *testing.T) {
 }
 
 func TestHotCallSequence(t *testing.T) {
-	var hc HotCall
+	hc := patientHotCall()
 	table := []func(interface{}) uint64{
 		func(d interface{}) uint64 { return d.(uint64) ^ 0xdead },
 	}
-	_, wg := startResponder(&hc, table)
+	_, wg := startResponder(hc, table)
 	defer func() { hc.Stop(); wg.Wait() }()
 	for i := uint64(0); i < 2000; i++ {
 		ret, err := hc.Call(0, i)
@@ -55,12 +63,11 @@ func TestHotCallSequence(t *testing.T) {
 }
 
 func TestHotCallConcurrentRequesters(t *testing.T) {
-	var hc HotCall
-	hc.Timeout = 1 << 20 // requesters contend; give them room
+	hc := patientHotCall()
 	table := []func(interface{}) uint64{
 		func(d interface{}) uint64 { return d.(uint64) * 3 },
 	}
-	_, wg := startResponder(&hc, table)
+	_, wg := startResponder(hc, table)
 	defer func() { hc.Stop(); wg.Wait() }()
 
 	const requesters, callsEach = 4, 300
@@ -90,8 +97,8 @@ func TestHotCallConcurrentRequesters(t *testing.T) {
 }
 
 func TestHotCallBadID(t *testing.T) {
-	var hc HotCall
-	_, wg := startResponder(&hc, []func(interface{}) uint64{
+	hc := patientHotCall()
+	_, wg := startResponder(hc, []func(interface{}) uint64{
 		func(interface{}) uint64 { return 0 },
 	})
 	defer func() { hc.Stop(); wg.Wait() }()
@@ -135,8 +142,8 @@ func TestHotCallTimeoutFallback(t *testing.T) {
 }
 
 func TestResponderSleepAndWake(t *testing.T) {
-	var hc HotCall
-	r := NewResponder(&hc, []func(interface{}) uint64{
+	hc := patientHotCall()
+	r := NewResponder(hc, []func(interface{}) uint64{
 		func(d interface{}) uint64 { return d.(uint64) + 5 },
 	})
 	r.IdleTimeout = 10
@@ -166,8 +173,8 @@ func TestResponderSleepAndWake(t *testing.T) {
 }
 
 func TestResponderStats(t *testing.T) {
-	var hc HotCall
-	r, wg := startResponder(&hc, []func(interface{}) uint64{
+	hc := patientHotCall()
+	r, wg := startResponder(hc, []func(interface{}) uint64{
 		func(interface{}) uint64 { return 0 },
 	})
 	for i := 0; i < 50; i++ {

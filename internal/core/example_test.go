@@ -21,21 +21,21 @@ func ExampleHotCall() {
 	// Output: 42 <nil>
 }
 
-// Asynchronous submission overlaps enclave work with the untrusted call.
-func ExampleHotCall_submit() {
-	var hc core.HotCall
-	responder := core.NewResponder(&hc, []func(interface{}) uint64{
-		func(d interface{}) uint64 { return d.(uint64) + 1 },
-	})
-	go responder.Run()
-	defer hc.Stop()
+// Asynchronous submission overlaps enclave work with the untrusted call:
+// the fabric's requester keeps a window of calls in flight.
+func ExampleRequester_Submit() {
+	pool := core.NewCallPool([]core.PoolFunc{
+		func(_ int, d uint64) uint64 { return d + 1 },
+	}, core.PoolOptions{Shards: 1})
+	pool.Start()
+	defer pool.Stop()
 
-	pending, err := hc.Submit(0, uint64(99))
+	pending, err := pool.Requester().Submit(0, 99)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	// ... useful work here, while the responder executes ...
+	// ... useful work here, while a responder executes ...
 	ret, err := pending.Wait()
 	fmt.Println(ret, err)
 	// Output: 100 <nil>
@@ -45,23 +45,26 @@ func ExampleHotCall_submit() {
 // past the timeout, fall back to the regular SDK call path.
 func ExampleHotCall_CallOrFallback() {
 	var hc core.HotCall
-	hc.Timeout = 3
-	block := make(chan struct{})
+	hc.Timeout = 1 << 20 // patience for the slow call's own submission
+	busy, block := make(chan struct{}), make(chan struct{})
 	responder := core.NewResponder(&hc, []func(interface{}) uint64{
-		func(interface{}) uint64 { <-block; return 1 },
+		func(interface{}) uint64 { close(busy); <-block; return 1 },
 	})
 	go responder.Run()
 
-	// Occupy the responder with a slow asynchronous call...
-	pending, _ := hc.Submit(0, nil)
-	// ...so this one times out and takes the fallback (SDK) path.
+	// Occupy the responder with a slow call from another thread...
+	slow := make(chan struct{})
+	go func() { hc.Call(0, nil); close(slow) }()
+	<-busy
+	// ...so this one runs out of attempts and takes the fallback (SDK) path.
+	hc.Timeout = 3
 	ret, err := hc.CallOrFallback(0, nil, func() (uint64, error) {
 		return 7, nil // the SDK ocall would run here
 	})
 	fmt.Println(ret, err)
 
 	close(block)
-	pending.Wait()
+	<-slow
 	hc.Stop()
 	// Output: 7 <nil>
 }

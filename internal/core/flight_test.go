@@ -154,13 +154,12 @@ func TestPoolFlightSubmitWait(t *testing.T) {
 // TestSingleSlotFlight runs the pre-fabric protocol with the recorder
 // attached: same causal guarantees through the lock-guarded slot.
 func TestSingleSlotFlight(t *testing.T) {
-	var hc HotCall
-	hc.Timeout = 1 << 20
+	hc := patientHotCall()
 	rec := flight.New(flight.Options{SampleEvery: 1})
 	hc.SetFlight(rec)
 	cs := rec.Callsite("single.op")
 
-	r := NewResponder(&hc, []func(interface{}) uint64{
+	r := NewResponder(hc, []func(interface{}) uint64{
 		func(d interface{}) uint64 { return d.(uint64) + 1 },
 	})
 	var wg sync.WaitGroup

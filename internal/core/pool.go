@@ -33,6 +33,7 @@ package core
 // sync.Pool.  TestPoolCallZeroAlloc and BenchmarkPoolCall assert this.
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -159,13 +160,6 @@ type PoolOptions struct {
 	// are saturated — for that many attempts.
 	Timeout int
 
-	// ScaleUpOccupancy and ScaleDownOccupancy are the window-occupancy
-	// watermarks of the adaptive controller (defaults 0.5 and 0.05):
-	// occupancy is executes/polls over the last control window, i.e.
-	// the fraction of slot inspections that found work.
-	ScaleUpOccupancy   float64
-	ScaleDownOccupancy float64
-
 	// ControlWindow is how many primary-responder scan passes elapse
 	// between adaptive decisions (default 256).
 	ControlWindow int
@@ -214,12 +208,6 @@ func (o *PoolOptions) fill() {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = DefaultTimeout
-	}
-	if o.ScaleUpOccupancy <= 0 {
-		o.ScaleUpOccupancy = 0.5
-	}
-	if o.ScaleDownOccupancy <= 0 {
-		o.ScaleDownOccupancy = 0.05
 	}
 	if o.ControlWindow <= 0 {
 		o.ControlWindow = 256
@@ -554,25 +542,40 @@ func (r *Requester) help(s *poolSlot) (ran bool) {
 func (r *Requester) Index() int { return r.idx }
 
 // post plants one call in the requester's ring, spinning through the
-// attempt budget when the window is full.  On success the slot pointer
-// and the call's flight record (nil when unsampled or detached) are
-// returned for the completion wait.  The flight stamp happens before
-// the submission spin, so a window-full wait is part of the recorded
-// latency; the record is closed on every exit path, so a timeout or
-// shutdown never leaves an open record to wedge the digest.
-func (r *Requester) post(cs flight.Callsite, id CallID, data uint64) (*poolSlot, *flight.Record, error) {
+// attempt budget when the window is full.  segs is the call's
+// scatter-gather list, at most MaxSegs long: its descriptor block is
+// written on its own requester-owned line before the slotPosted release
+// store that publishes slab bytes and descriptors together.  Without
+// segments that line stays untouched, and the cleared count — on the line
+// already being written — keeps a reused slot from replaying a prior
+// call's descriptors.  Payload bytes are counted per callsite for the
+// flight recorder, so the what-if router can price per-byte cost; a call
+// that carries none skips the count.  On success the slot pointer and the
+// call's flight record (nil when unsampled or detached) are returned for
+// the completion wait.  The flight stamp happens before the submission
+// spin, so a window-full wait is part of the recorded latency; the record
+// is closed on every exit path, so a timeout or shutdown never leaves an
+// open record to wedge the digest.
+func (r *Requester) post(cs flight.Callsite, id CallID, data uint64, segs []Segment) (*poolSlot, *flight.Record, error) {
 	p := r.pool
 	sh := r.shard
 	p.requests.Inc()
 	var fr *flight.Record
-	// Two-step Arrive/Open instead of Begin: Arrive inlines, so the
-	// 255-in-256 unsampled calls pay no function call here.
-	if f := p.flight; f != nil && f.Arrive(cs, r.idx) {
-		fr = f.Open(cs, r.idx, uint16(id))
-		// Pool-state context only on sampled calls: these gauges live
-		// on responder-shared cache lines, so reading them per call
-		// would put a coherence miss on the unsampled path.
-		fr.Context(int(sh.head-sh.tail.Load()), int(p.live.Load()), int(p.sleepers.Load()))
+	if f := p.flight; f != nil {
+		total := segTotal(segs)
+		if total != 0 {
+			f.AddBytes(cs, r.idx, total)
+		}
+		// Two-step Arrive/Open instead of Begin: Arrive inlines, so the
+		// 255-in-256 unsampled calls pay no function call here.
+		if f.Arrive(cs, r.idx) {
+			fr = f.Open(cs, r.idx, uint16(id))
+			fr.SetBytes(total)
+			// Pool-state context only on sampled calls: these gauges live
+			// on responder-shared cache lines, so reading them per call
+			// would put a coherence miss on the unsampled path.
+			fr.Context(int(sh.head-sh.tail.Load()), int(p.live.Load()), int(p.sleepers.Load()))
+		}
 	}
 	for attempt := 0; attempt < p.opts.Timeout; attempt++ {
 		if p.stopped.Load() {
@@ -588,10 +591,10 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64) (*poolSlot,
 				// so a slot never carries a stale record across reuse.
 				s.fr = fr
 			}
-			// Clear the segment count so a reused slot never replays a
-			// prior zero-copy call's descriptors; nseg lives on this
-			// line, so the store costs no extra coherence traffic.
-			s.nseg = 0
+			s.nseg = uint32(len(segs))
+			if len(segs) != 0 { // an empty copy is still a call to memmove
+				copy(s.segs[:], segs)
+			}
 			s.state.Store(posted(sh.head))
 			sh.head++
 			// No signal: a parked responder makes the call this
@@ -624,7 +627,7 @@ func (r *Requester) Call(id CallID, data uint64) (uint64, error) {
 // the call's arrival rate, timeline, and wasted-spin share aggregate
 // under that callsite in /debug/flight.
 func (r *Requester) CallAt(cs flight.Callsite, id CallID, data uint64) (uint64, error) {
-	s, fr, err := r.post(cs, id, data)
+	s, fr, err := r.post(cs, id, data, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -697,7 +700,7 @@ func (r *Requester) Submit(id CallID, data uint64) (*PoolPending, error) {
 // SubmitAt is Submit stamped with a registered flight-recorder
 // callsite (see CallAt).
 func (r *Requester) SubmitAt(cs flight.Callsite, id CallID, data uint64) (*PoolPending, error) {
-	s, fr, err := r.post(cs, id, data)
+	s, fr, err := r.post(cs, id, data, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -710,6 +713,9 @@ func (r *Requester) pending(s *poolSlot, fr *flight.Record) *PoolPending {
 	pd.req, pd.slot, pd.fr = r, s, fr
 	return pd
 }
+
+// ErrNotComplete is returned by Poll while the call is in flight.
+var ErrNotComplete = errors.New("core: async call not complete")
 
 // Poll checks for completion without blocking.  Once it returns a
 // result the handle is recycled and the slot is free for reuse.

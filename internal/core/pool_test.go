@@ -399,48 +399,6 @@ func TestPoolTelemetryExports(t *testing.T) {
 	}
 }
 
-// TestMultiResponderScanFairness pins the rotation fix: each pass must
-// hand first service to a different slot.  The pre-fix linear scan
-// serves slot 0 first on every pass — permanent priority that compounds
-// into starvation under saturation — and fails this test on its second
-// pass.
-func TestMultiResponderScanFairness(t *testing.T) {
-	const n = 4
-	hcs := make([]*HotCall, n)
-	for i := range hcs {
-		hcs[i] = &HotCall{}
-	}
-	var order []uint64
-	m := NewMultiResponder(hcs, []func(interface{}) uint64{
-		func(d interface{}) uint64 { order = append(order, d.(uint64)); return 0 },
-	})
-	for pass := 0; pass < 2*n; pass++ {
-		order = order[:0]
-		pending := make([]*Pending, n)
-		for i := range hcs {
-			pd, err := hcs[i].Submit(0, uint64(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pending[i] = pd
-		}
-		// Drive exactly one scan pass, synchronously: service order is
-		// deterministic, no responder goroutine involved.
-		if !m.runPass() {
-			t.Fatal("runPass reported all slots stopped")
-		}
-		for i, pd := range pending {
-			if _, err := pd.Wait(); err != nil {
-				t.Fatalf("slot %d: %v", i, err)
-			}
-		}
-		if want := uint64(pass % n); order[0] != want {
-			t.Fatalf("pass %d served slot %d first, want %d: scan start must rotate",
-				pass, order[0], want)
-		}
-	}
-}
-
 // TestPoolBatchedClaimExactlyOnce pins the claim protocol's exactly-once
 // guarantee in the one geometry that used to break it: a SubmitV window
 // as deep as the ring.  The responder that claims the window parks

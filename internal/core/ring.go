@@ -162,53 +162,6 @@ func segTotal(segs []Segment) (n uint64) {
 	return n
 }
 
-// postZC is post with scatter-gather descriptors: identical slot
-// protocol, plus the descriptor block written on its own
-// requester-owned line before the slotPosted release store that
-// publishes slab bytes and descriptors together.  Payload bytes are
-// counted per callsite for the flight recorder, so the what-if router can
-// price per-byte cost (len(segs) must be in [1, MaxSegs]; Call/Submit
-// cover the 0-segment case).
-func (r *Requester) postZC(cs flight.Callsite, id CallID, data uint64, segs []Segment) (*poolSlot, *flight.Record, error) {
-	p := r.pool
-	sh := r.shard
-	p.requests.Inc()
-	var fr *flight.Record
-	if f := p.flight; f != nil {
-		total := segTotal(segs)
-		f.AddBytes(cs, r.idx, total)
-		if f.Arrive(cs, r.idx) {
-			fr = f.Open(cs, r.idx, uint16(id))
-			fr.SetBytes(total)
-			fr.Context(int(sh.head-sh.tail.Load()), int(p.live.Load()), int(p.sleepers.Load()))
-		}
-	}
-	for attempt := 0; attempt < p.opts.Timeout; attempt++ {
-		if p.stopped.Load() {
-			p.flight.Stopped(fr)
-			return nil, nil, ErrStopped
-		}
-		s := &sh.slots[sh.head&sh.mask]
-		if s.state.Load() == slotIdle {
-			s.id = id
-			s.data = data
-			if p.flight != nil {
-				s.fr = fr
-			}
-			s.nseg = uint32(len(segs))
-			copy(s.segs[:], segs)
-			s.state.Store(posted(sh.head))
-			sh.head++
-			r.parked = p.sleepers.Load() != 0
-			return s, fr, nil
-		}
-		pause()
-	}
-	p.timeouts.Inc()
-	p.flight.Timeout(cs, r.idx, fr)
-	return nil, nil, ErrTimeout
-}
-
 // CallZC executes a scatter-gather call and waits for the result: the
 // responder's vec-table handler reads and writes the referenced slab
 // windows in place, with no per-byte copy on either side.  See CallZCAt
@@ -219,7 +172,7 @@ func (r *Requester) CallZC(id CallID, data uint64, segs []Segment) (uint64, erro
 
 // CallZCAt is CallZC stamped with a registered flight-recorder callsite.
 func (r *Requester) CallZCAt(cs flight.Callsite, id CallID, data uint64, segs []Segment) (uint64, error) {
-	s, fr, err := r.postZC(cs, id, data, segs)
+	s, fr, err := r.post(cs, id, data, segs)
 	if err != nil {
 		return 0, err
 	}
@@ -239,7 +192,7 @@ func (r *Requester) SubmitZC(id CallID, data uint64, segs []Segment) (*PoolPendi
 // SubmitZCAt is SubmitZC stamped with a registered flight-recorder
 // callsite.
 func (r *Requester) SubmitZCAt(cs flight.Callsite, id CallID, data uint64, segs []Segment) (*PoolPending, error) {
-	s, fr, err := r.postZC(cs, id, data, segs)
+	s, fr, err := r.post(cs, id, data, segs)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +230,7 @@ func (r *Requester) SubmitVAt(cs flight.Callsite, calls []VecCall) (*PoolBatch, 
 	var err error
 	for i := range calls {
 		c := &calls[i]
-		if _, _, err = r.postZC(cs, c.ID, c.Data, c.Segs); err != nil {
+		if _, _, err = r.post(cs, c.ID, c.Data, c.Segs); err != nil {
 			break
 		}
 		b.n++

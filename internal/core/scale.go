@@ -273,6 +273,15 @@ func (p *CallPool) hasAnyWork() bool {
 	return false
 }
 
+// The adaptive controller's watermarks: occupancy is executes/polls over
+// the last control window — the fraction of slot inspections that found
+// work — and the pool grows at or above the upper one and shrinks at or
+// below the lower.
+const (
+	scaleUpOccupancy   = 0.5
+	scaleDownOccupancy = 0.05
+)
+
 // control is the adaptive decision point, run on the primary responder
 // every ControlWindow passes: compute the pool-wide occupancy over the
 // window just finished and grow or shrink the responder count toward
@@ -302,9 +311,9 @@ func (p *CallPool) control() {
 		p.scaleUp(target)
 	case target > max:
 		p.scaleDown(target)
-	case occ >= p.opts.ScaleUpOccupancy && target < max:
+	case occ >= scaleUpOccupancy && target < max:
 		p.scaleUp(target)
-	case occ <= p.opts.ScaleDownOccupancy && target > min:
+	case occ <= scaleDownOccupancy && target > min:
 		p.scaleDown(target)
 	}
 }
@@ -327,12 +336,5 @@ func (p *CallPool) scaleDown(target int32) {
 // occupancyMilli renders an occupancy fraction as the integer gauge unit
 // (thousandths) the telemetry registry exports.
 func occupancyMilli(polls, execs uint64) int64 {
-	return int64(float64(execs) / float64(maxU64(polls, 1)) * 1000)
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return int64(float64(execs) / float64(max(polls, 1)) * 1000)
 }

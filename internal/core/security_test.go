@@ -63,14 +63,14 @@ func TestSecurityDataPointerAttack(t *testing.T) {
 // already has over the SDK's ocall_index.  It must not crash the
 // responder, and out-of-table IDs return a sentinel.
 func TestSecurityCallIDManipulation(t *testing.T) {
-	var hc HotCall
+	hc := patientHotCall()
 	executed := make([]int, 3)
 	table := make([]func(interface{}) uint64, 3)
 	for i := range table {
 		i := i
 		table[i] = func(interface{}) uint64 { executed[i]++; return uint64(i) }
 	}
-	r, wg := startResponder(&hc, table)
+	r, wg := startResponder(hc, table)
 	defer func() { hc.Stop(); wg.Wait() }()
 
 	// The adversary flips the requested ID from 0 to 2: the wrong
@@ -97,9 +97,8 @@ func TestSecurityCallIDManipulation(t *testing.T) {
 // wrong result for completed calls.  A permanently held lock makes the
 // requester time out into the SDK fallback path.
 func TestSecuritySpinLockDoSOnly(t *testing.T) {
-	var hc HotCall
-	hc.Timeout = 8
-	_, wg := startResponder(&hc, []func(interface{}) uint64{
+	hc := patientHotCall()
+	_, wg := startResponder(hc, []func(interface{}) uint64{
 		func(interface{}) uint64 { return 42 },
 	})
 	defer func() { hc.Stop(); wg.Wait() }()
@@ -112,12 +111,14 @@ func TestSecuritySpinLockDoSOnly(t *testing.T) {
 	}
 	// Adversary wedges the lock: requesters experience DoS (timeout)
 	// and fall back to the SDK path, exactly the Section 4.2 mitigation.
+	hc.Timeout = 8
 	hc.lock.Lock()
 	ret, err := hc.CallOrFallback(0, nil, func() (uint64, error) { return 7777, nil })
 	if err != nil || ret != 7777 {
 		t.Fatalf("fallback under wedged lock: (%d, %v)", ret, err)
 	}
 	hc.lock.Unlock()
+	hc.Timeout = 1 << 20
 	// Service resumes once the DoS stops.
 	if ret, err := hc.Call(0, nil); err != nil || ret != 42 {
 		t.Fatalf("post-DoS call: (%d, %v)", ret, err)
@@ -127,10 +128,9 @@ func TestSecuritySpinLockDoSOnly(t *testing.T) {
 // Responder death mid-stream must surface as ErrStopped on waiting
 // requesters rather than a hang (failure injection beyond the paper).
 func TestSecurityResponderDeath(t *testing.T) {
-	var hc HotCall
-	hc.Timeout = 1 << 20
+	hc := patientHotCall()
 	slow := make(chan struct{})
-	_, wg := startResponder(&hc, []func(interface{}) uint64{
+	_, wg := startResponder(hc, []func(interface{}) uint64{
 		func(interface{}) uint64 { <-slow; return 1 },
 	})
 	var callErr error

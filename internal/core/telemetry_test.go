@@ -59,9 +59,9 @@ func TestTimeoutFallbackTelemetry(t *testing.T) {
 // as requests only — no timeouts, no fallbacks.
 func TestCallSuccessTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	var hc HotCall
+	hc := patientHotCall()
 	hc.SetTelemetry(reg)
-	_, wg := startResponder(&hc, []func(interface{}) uint64{
+	_, wg := startResponder(hc, []func(interface{}) uint64{
 		func(d interface{}) uint64 { return d.(uint64) + 1 },
 	})
 	defer func() { hc.Stop(); wg.Wait() }()
@@ -87,10 +87,10 @@ func TestCallSuccessTelemetry(t *testing.T) {
 // zero-cost disabled state.
 func TestSetTelemetryNilDetaches(t *testing.T) {
 	reg := telemetry.New()
-	var hc HotCall
+	hc := patientHotCall()
 	hc.SetTelemetry(reg)
 	hc.SetTelemetry(nil)
-	_, wg := startResponder(&hc, []func(interface{}) uint64{
+	_, wg := startResponder(hc, []func(interface{}) uint64{
 		func(interface{}) uint64 { return 0 },
 	})
 	defer func() { hc.Stop(); wg.Wait() }()

@@ -64,7 +64,7 @@ func BenchmarkPoolWake(b *testing.B) {
 	// signalled is the pre-inline call: post, wake the responder, wait
 	// for it.
 	signalled := func(p *CallPool, r *Requester, d uint64) (uint64, error) {
-		s, fr, err := r.post(flight.Callsite{}, 0, d)
+		s, fr, err := r.post(flight.Callsite{}, 0, d, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -143,7 +143,7 @@ func BenchmarkPoolWake(b *testing.B) {
 		for i := range samples {
 			park(p)
 			t0 := time.Now()
-			s, fr, err := r.post(flight.Callsite{}, 0, uint64(i))
+			s, fr, err := r.post(flight.Callsite{}, 0, uint64(i), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

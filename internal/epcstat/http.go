@@ -1,47 +1,28 @@
 package epcstat
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"hotcalls/internal/dist"
 	"hotcalls/internal/epc"
-	"hotcalls/internal/flight"
+	"hotcalls/internal/telemetry"
 )
 
-// ContentTypeSVG is the Content-Type of the heatmap rendering.
-const ContentTypeSVG = "image/svg+xml; charset=utf-8"
-
-// Handler serves the observatory at /debug/epc.  ?format= selects the
-// rendering: "" or "json" → the Snapshot JSON, "text" → RenderText,
-// "svg" → the deterministic fault heatmap; anything else is a 400.
+// Handler serves the observatory at /debug/epc under the shared ?format=
+// contract (telemetry.Formats): json (the default) is the Snapshot, text
+// its RenderText, svg the deterministic fault heatmap.  Safe on a nil
+// collector (serves an empty snapshot).
 func Handler(c *Collector) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		format := r.URL.Query().Get("format")
-		switch format {
-		case "", "json", "text", "svg":
-		default:
-			http.Error(w, "unknown format (want json, text, or svg)", http.StatusBadRequest)
-			return
-		}
-		s := c.Snapshot()
-		switch format {
-		case "", "json":
-			w.Header().Set("Content-Type", flight.ContentTypeJSON)
-			if s == nil {
-				s = &Snapshot{Schema: SnapshotSchema}
+	return telemetry.Formats{
+		telemetry.JSON(func(*http.Request) any {
+			if s := c.Snapshot(); s != nil {
+				return s
 			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(s)
-		case "text":
-			w.Header().Set("Content-Type", flight.ContentTypeText)
-			w.Write([]byte(s.RenderText()))
-		case "svg":
-			w.Header().Set("Content-Type", ContentTypeSVG)
-			w.Write([]byte(HeatSVG(s)))
-		}
-	})
+			return &Snapshot{Schema: SnapshotSchema}
+		}),
+		telemetry.Text("text", telemetry.ContentTypeText, func(*http.Request) string { return c.Snapshot().RenderText() }),
+		telemetry.Text("svg", telemetry.ContentTypeSVG, func(*http.Request) string { return HeatSVG(c.Snapshot()) }),
+	}
 }
 
 // HeatSVG renders the snapshot's fault heatmap as a byte-deterministic

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"hotcalls/internal/flight"
+	"hotcalls/internal/telemetry"
 )
 
 // TestHandlerContentTypes checks the /debug/epc format negotiation: every
@@ -24,10 +24,10 @@ func TestHandlerContentTypes(t *testing.T) {
 		cType    string
 		contains string
 	}{
-		{"/debug/epc", 200, flight.ContentTypeJSON, `"schema": "epcstat/v1"`},
-		{"/debug/epc?format=json", 200, flight.ContentTypeJSON, `"interference"`},
-		{"/debug/epc?format=text", 200, flight.ContentTypeText, "pages resident"},
-		{"/debug/epc?format=svg", 200, ContentTypeSVG, "<svg"},
+		{"/debug/epc", 200, telemetry.ContentTypeJSON, `"schema": "epcstat/v1"`},
+		{"/debug/epc?format=json", 200, telemetry.ContentTypeJSON, `"interference"`},
+		{"/debug/epc?format=text", 200, telemetry.ContentTypeText, "pages resident"},
+		{"/debug/epc?format=svg", 200, telemetry.ContentTypeSVG, "<svg"},
 		{"/debug/epc?format=csv", 400, "", "unknown format"},
 		{"/debug/epc?format=SVG", 400, "", "unknown format"},
 	}

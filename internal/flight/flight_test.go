@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"hotcalls/internal/telemetry"
 )
 
 // fakeClock is a deterministic injectable nanosecond clock.
@@ -395,10 +397,10 @@ func TestHandlerContentTypes(t *testing.T) {
 		ct     string
 		within string
 	}{
-		{"", 200, ContentTypeJSON, `"callsites"`},
-		{"?format=json", 200, ContentTypeJSON, `"callsites"`},
-		{"?format=text", 200, ContentTypeText, "op"},
-		{"?format=trace", 200, ContentTypeJSON, "traceEvents"},
+		{"", 200, telemetry.ContentTypeJSON, `"callsites"`},
+		{"?format=json", 200, telemetry.ContentTypeJSON, `"callsites"`},
+		{"?format=text", 200, telemetry.ContentTypeText, "op"},
+		{"?format=trace", 200, telemetry.ContentTypeJSON, "traceEvents"},
 		{"?format=yaml", 400, "", ""},
 	}
 	for _, c := range cases {

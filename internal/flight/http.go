@@ -1,17 +1,10 @@
 package flight
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
-)
 
-// Content types shared by the observability handlers (flight, monitor,
-// incident), so every endpoint labels its payload explicitly and
-// consistently.
-const (
-	ContentTypeJSON = "application/json; charset=utf-8"
-	ContentTypeText = "text/plain; charset=utf-8"
+	"hotcalls/internal/telemetry"
 )
 
 // flightDump is the JSON document /debug/flight serves: the stats
@@ -27,36 +20,23 @@ type flightDump struct {
 	Dropped   uint64          `json:"dropped"`
 }
 
-// Handler serves the flight recorder at /debug/flight:
-//
-//	GET /debug/flight              JSON stats table + recent records
-//	GET /debug/flight?format=json  same, explicitly
-//	GET /debug/flight?format=text  RenderText live table
-//	GET /debug/flight?format=trace Chrome trace_event JSON of the window
-//	    &records=N                 window size (default 64)
-//
-// Unknown formats get 400.  Every request digests pending records
-// first, so the view is current.  Safe on a nil recorder (serves an
-// empty document).
+// Handler serves the flight recorder at /debug/flight under the shared
+// ?format= contract (telemetry.Formats): json (the default) is the stats
+// table plus recent records, text the RenderText live table, trace the
+// Chrome trace_event JSON of the window; &records=N sizes the window
+// (default 64).  Every request digests pending records first, so the
+// view is current.  Safe on a nil recorder (serves an empty document).
 func Handler(r *Recorder) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		max := 64
-		if s := req.URL.Query().Get("records"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v > 0 {
-				max = v
-			}
+	window := func(req *http.Request) int {
+		if v, err := strconv.Atoi(req.URL.Query().Get("records")); err == nil && v > 0 {
+			return v
 		}
-		switch req.URL.Query().Get("format") {
-		case "text":
-			w.Header().Set("Content-Type", ContentTypeText)
-			_, _ = w.Write([]byte(r.RenderText()))
-		case "trace":
-			w.Header().Set("Content-Type", ContentTypeJSON)
-			r.Digest()
-			_ = r.WriteChromeTrace(w, max)
-		case "", "json":
-			w.Header().Set("Content-Type", ContentTypeJSON)
-			dump := flightDump{
+		return 64
+	}
+	return telemetry.Formats{
+		telemetry.JSON(func(req *http.Request) any {
+			max := window(req)
+			return flightDump{
 				Callsites: r.Stats(), // digests first
 				Records:   r.Records(max),
 				Outliers:  r.Outliers(max),
@@ -64,11 +44,11 @@ func Handler(r *Recorder) http.Handler {
 				Digested:  r.Digested(),
 				Dropped:   r.Dropped(),
 			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(dump)
-		default:
-			http.Error(w, "unknown format (want json, text, or trace)", http.StatusBadRequest)
-		}
-	})
+		}),
+		telemetry.Text("text", telemetry.ContentTypeText, func(*http.Request) string { return r.RenderText() }),
+		{Name: "trace", ContentType: telemetry.ContentTypeJSON, Render: func(w http.ResponseWriter, req *http.Request) {
+			r.Digest()
+			_ = r.WriteChromeTrace(w, window(req))
+		}},
+	}
 }

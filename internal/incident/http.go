@@ -1,7 +1,6 @@
 package incident
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -22,62 +21,64 @@ type bundleMeta struct {
 	CriticalPaths int              `json:"critical_paths"`
 }
 
-// Handler serves the capturer at /debug/incidents:
-//
-//	GET /debug/incidents                      JSON list of retained bundles
-//	GET /debug/incidents?id=<id>              one full bundle (JSON)
-//	GET /debug/incidents?id=<id>&format=text  RenderText postmortem summary
-//	GET /debug/incidents?id=<id>&format=trace Chrome trace_event JSON of the
-//	                                          bundle's frozen timelines
-//
-// Unknown formats get 400, unknown IDs 404.  Safe on a nil capturer
-// (serves an empty list).
-func Handler(c *Capturer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		id := req.URL.Query().Get("id")
-		format := req.URL.Query().Get("format")
-		if id == "" {
-			if format != "" && format != "json" {
-				http.Error(w, "unknown format (list view is json only)", http.StatusBadRequest)
-				return
-			}
-			serveList(w, c)
-			return
-		}
-		var b *Bundle
-		if c != nil {
-			b, _ = c.Bundle(id)
-		}
-		if b == nil {
-			http.Error(w, "no such incident bundle: "+id, http.StatusNotFound)
-			return
-		}
-		switch format {
-		case "text":
-			w.Header().Set("Content-Type", flight.ContentTypeText)
-			_, _ = w.Write([]byte(b.RenderText()))
-		case "trace":
-			w.Header().Set("Content-Type", flight.ContentTypeJSON)
-			views := append(append([]flightView(nil), b.Outliers...), b.Records...)
-			_ = telemetry.WriteChromeJSON(w, flight.ChromeEventsForViews(views))
-		case "", "json":
-			w.Header().Set("Content-Type", flight.ContentTypeJSON)
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(b)
-		default:
-			http.Error(w, "unknown format (want json, text, or trace)", http.StatusBadRequest)
-		}
-	})
+// handler is /debug/incidents.  The embedded Formats are the list view's
+// — what the path serves without ?id=, and so what the /debug/ index
+// advertises for it.
+type handler struct {
+	telemetry.Formats
+	c *Capturer
 }
 
-func serveList(w http.ResponseWriter, c *Capturer) {
-	list := struct {
-		Bundles    []bundleMeta `json:"bundles"`
-		Captured   uint64       `json:"captured"`
-		Suppressed uint64       `json:"suppressed"`
-		DiskError  string       `json:"disk_error,omitempty"`
-	}{Bundles: []bundleMeta{}}
+// Handler serves the capturer at /debug/incidents, both views under the
+// shared ?format= contract (telemetry.Formats):
+//
+//	GET /debug/incidents           the retained bundles, listed (json only)
+//	GET /debug/incidents?id=<id>   one bundle: json (the default) in full,
+//	                               text the RenderText postmortem summary,
+//	                               trace the Chrome trace_event JSON of its
+//	                               frozen timelines
+//
+// Unknown IDs get 404.  Safe on a nil capturer (serves an empty list).
+func Handler(c *Capturer) http.Handler {
+	return handler{c: c, Formats: telemetry.Formats{
+		telemetry.JSON(func(*http.Request) any { return listOf(c) }),
+	}}
+}
+
+func (h handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	id := req.URL.Query().Get("id")
+	if id == "" {
+		h.Formats.ServeHTTP(w, req)
+		return
+	}
+	var b *Bundle
+	if h.c != nil {
+		b, _ = h.c.Bundle(id)
+	}
+	if b == nil {
+		http.Error(w, "no such incident bundle: "+id, http.StatusNotFound)
+		return
+	}
+	telemetry.Formats{
+		telemetry.JSON(func(*http.Request) any { return b }),
+		telemetry.Text("text", telemetry.ContentTypeText, func(*http.Request) string { return b.RenderText() }),
+		{Name: "trace", ContentType: telemetry.ContentTypeJSON, Render: func(w http.ResponseWriter, _ *http.Request) {
+			views := append(append([]flightView(nil), b.Outliers...), b.Records...)
+			_ = telemetry.WriteChromeJSON(w, flight.ChromeEventsForViews(views))
+		}},
+	}.ServeHTTP(w, req)
+}
+
+// bundleList is the list view's document.
+type bundleList struct {
+	Bundles    []bundleMeta `json:"bundles"`
+	Captured   uint64       `json:"captured"`
+	Suppressed uint64       `json:"suppressed"`
+	DiskError  string       `json:"disk_error,omitempty"`
+}
+
+func listOf(c *Capturer) bundleList {
+	list := bundleList{Bundles: []bundleMeta{}}
 	if c != nil {
 		for _, b := range c.Bundles() {
 			list.Bundles = append(list.Bundles, bundleMeta{
@@ -97,8 +98,5 @@ func serveList(w http.ResponseWriter, c *Capturer) {
 			list.DiskError = err.Error()
 		}
 	}
-	w.Header().Set("Content-Type", flight.ContentTypeJSON)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(list)
+	return list
 }

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -13,87 +12,72 @@ import (
 	"hotcalls/internal/whatif"
 )
 
-// HealthHandler serves the aggregate health verdict on /debug/health:
-// {"status": "ok" | "degraded" | "critical", ...} with the active alerts
-// and the newest sample by default (or with ?format=json), a one-line
-// status with ?format=text, 400 on anything else — the same format
-// contract as /debug/flight.  A critical status is served with 503 so
-// load-balancer probes can act on it without parsing the body; ok and
-// degraded serve 200.
+// HealthHandler serves the aggregate health verdict on /debug/health
+// under the shared ?format= contract (telemetry.Formats): json (the
+// default) is {"status": "ok" | "degraded" | "critical", ...} with the
+// active alerts and the newest sample, text a one-line status.  A
+// critical status is served with 503 in either rendering so load-balancer
+// probes can act on it without parsing the body; ok and degraded serve
+// 200.
 func HealthHandler(m *Monitor) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		format := req.URL.Query().Get("format")
-		switch format {
-		case "", "json", "text":
-		default:
-			http.Error(w, "unknown format (want json or text)", http.StatusBadRequest)
-			return
-		}
+	verdict := func(w http.ResponseWriter) Health {
 		h := m.Health()
-		if format == "text" {
-			w.Header().Set("Content-Type", flight.ContentTypeText)
-			if h.Status == "critical" {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			fmt.Fprintf(w, "%s (%d samples, %d active alerts)\n",
-				h.Status, h.Samples, len(h.Alerts))
-			return
-		}
-		w.Header().Set("Content-Type", flight.ContentTypeJSON)
 		if h.Status == "critical" {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(h)
-	})
+		return h
+	}
+	return telemetry.Formats{
+		{Name: "json", ContentType: telemetry.ContentTypeJSON, Render: func(w http.ResponseWriter, _ *http.Request) {
+			telemetry.WriteJSON(w, verdict(w))
+		}},
+		{Name: "text", ContentType: telemetry.ContentTypeText, Render: func(w http.ResponseWriter, _ *http.Request) {
+			h := verdict(w)
+			fmt.Fprintf(w, "%s (%d samples, %d active alerts)\n", h.Status, h.Samples, len(h.Alerts))
+		}},
+	}
 }
 
-// Handler serves the monitor's recent window on /debug/monitor: JSON
-// with the trailing samples and the event log by default (or with
-// ?format=json), the human-readable table with ?format=text, 400 on
-// anything else — the same format contract as /debug/flight.  ?n=K
-// bounds the sample count (default 20).
+// Handler serves the monitor's recent window on /debug/monitor under the
+// same contract: json (the default) carries the trailing samples and the
+// event log, text the human-readable table.  ?n=K bounds the sample
+// count (default 20).
 func Handler(m *Monitor) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		n := 20
-		if v := req.URL.Query().Get("n"); v != "" {
-			if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-				n = parsed
-			}
+	samples := func(req *http.Request) int {
+		if n, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil && n > 0 {
+			return n
 		}
-		switch req.URL.Query().Get("format") {
-		case "text":
-			w.Header().Set("Content-Type", flight.ContentTypeText)
-			_, _ = w.Write([]byte(m.RenderText(n)))
-		case "", "json":
-			w.Header().Set("Content-Type", flight.ContentTypeJSON)
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(struct {
+		return 20
+	}
+	return telemetry.Formats{
+		telemetry.JSON(func(req *http.Request) any {
+			return struct {
 				Health  Health   `json:"health"`
 				Samples []Sample `json:"samples"`
 				Events  []Event  `json:"events"`
-			}{m.Health(), m.Window(n), m.Events()})
-		default:
-			http.Error(w, "unknown format (want json or text)", http.StatusBadRequest)
-		}
-	})
+			}{m.Health(), m.Window(samples(req)), m.Events()}
+		}),
+		telemetry.Text("text", telemetry.ContentTypeText, func(req *http.Request) string { return m.RenderText(samples(req)) }),
+	}
 }
 
 // DebugEntry is one mounted endpoint on a DebugMux, as the /debug/
-// index lists it.
+// index lists it.  Formats names the ?format= renderings the endpoint
+// offers, the default first; empty for an endpoint with one fixed body
+// (/metrics).
 type DebugEntry struct {
-	Path string `json:"path"`
-	Desc string `json:"desc"`
+	Path    string   `json:"path"`
+	Desc    string   `json:"desc"`
+	Formats []string `json:"formats,omitempty"`
 }
 
 // DebugMux is an http.ServeMux that keeps a self-describing catalogue
 // of its endpoints and serves it as an index on /debug/ — so an
 // operator landing on the port can discover every mounted surface
-// (health, monitor, flight, incidents, epc, whatif, metrics) without
-// reading the source.  Register catalogued endpoints with HandleEntry;
-// plain Handle still works for unlisted ones.
+// (health, monitor, flight, incidents, epc, whatif, metrics) and the
+// renderings each offers without reading the source.  Register
+// catalogued endpoints with HandleEntry; plain Handle still works for
+// unlisted ones.
 type DebugMux struct {
 	*http.ServeMux
 	entries []DebugEntry
@@ -107,10 +91,16 @@ func NewDebugMux() *DebugMux {
 	return d
 }
 
-// HandleEntry mounts the handler and lists it in the /debug/ index.
+// HandleEntry mounts the handler and lists it in the /debug/ index, with
+// its renderings when the handler says which it offers (a
+// telemetry.Formats does).
 func (d *DebugMux) HandleEntry(path, desc string, h http.Handler) {
 	d.ServeMux.Handle(path, h)
-	d.entries = append(d.entries, DebugEntry{Path: path, Desc: desc})
+	e := DebugEntry{Path: path, Desc: desc}
+	if f, ok := h.(interface{ FormatNames() []string }); ok {
+		e.Formats = f.FormatNames()
+	}
+	d.entries = append(d.entries, e)
 }
 
 // Entries returns the catalogued endpoints sorted by path.
@@ -123,30 +113,27 @@ func (d *DebugMux) Entries() []DebugEntry {
 
 // indexHandler serves the endpoint catalogue at exactly /debug/ (the
 // ServeMux subtree pattern also routes unknown /debug/* paths here;
-// those stay 404s).  Default JSON, ?format=text for a plain listing,
-// 400 on unknown formats — the shared debug contract.
+// those stay 404s), under the contract it catalogues: json (the
+// default), or text for a plain listing.
 func (d *DebugMux) indexHandler() http.Handler {
+	index := telemetry.Formats{
+		telemetry.JSON(func(*http.Request) any {
+			return struct {
+				Endpoints []DebugEntry `json:"endpoints"`
+			}{d.Entries()}
+		}),
+		{Name: "text", ContentType: telemetry.ContentTypeText, Render: func(w http.ResponseWriter, _ *http.Request) {
+			for _, e := range d.Entries() {
+				fmt.Fprintf(w, "%-20s %s\n", e.Path, e.Desc)
+			}
+		}},
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/debug/" {
 			http.NotFound(w, req)
 			return
 		}
-		switch req.URL.Query().Get("format") {
-		case "text":
-			w.Header().Set("Content-Type", flight.ContentTypeText)
-			for _, e := range d.Entries() {
-				fmt.Fprintf(w, "%-20s %s\n", e.Path, e.Desc)
-			}
-		case "", "json":
-			w.Header().Set("Content-Type", flight.ContentTypeJSON)
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(struct {
-				Endpoints []DebugEntry `json:"endpoints"`
-			}{d.Entries()})
-		default:
-			http.Error(w, "unknown format (want json or text)", http.StatusBadRequest)
-		}
+		index.ServeHTTP(w, req)
 	})
 }
 
@@ -177,15 +164,13 @@ func Mux(reg *telemetry.Registry, m *Monitor) *DebugMux {
 }
 
 // metricsHandler concatenates the Prometheus expositions of every
-// attached source: the registry first (the historical /metrics body),
-// then the flight recorder's per-callsite series, then the what-if
-// observatory's regret series.
+// attached source: the registry first (the historical /metrics body,
+// ?exemplars=1 included), then the flight recorder's per-callsite series,
+// then the what-if observatory's regret series.
 func metricsHandler(reg *telemetry.Registry, m *Monitor) http.Handler {
+	registry := telemetry.Handler(reg)
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheusWith(w, telemetry.PromOptions{
-			Exemplars: req.URL.Query().Get("exemplars") == "1",
-		})
+		registry.ServeHTTP(w, req)
 		if f := m.Flight(); f != nil {
 			_ = f.WritePrometheus(w)
 		}

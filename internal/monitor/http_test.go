@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hotcalls/internal/epcstat"
-	"hotcalls/internal/flight"
 	"hotcalls/internal/telemetry"
 )
 
@@ -92,9 +91,9 @@ func TestMonitorHandlerContentTypes(t *testing.T) {
 		code  int
 		ct    string
 	}{
-		{"", 200, flight.ContentTypeJSON},
-		{"?format=json", 200, flight.ContentTypeJSON},
-		{"?format=text", 200, flight.ContentTypeText},
+		{"", 200, telemetry.ContentTypeJSON},
+		{"?format=json", 200, telemetry.ContentTypeJSON},
+		{"?format=text", 200, telemetry.ContentTypeText},
 		{"?format=csv", 400, ""},
 	}
 	for _, c := range cases {
@@ -111,7 +110,7 @@ func TestMonitorHandlerContentTypes(t *testing.T) {
 
 	rec := httptest.NewRecorder()
 	HealthHandler(m).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/health", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != flight.ContentTypeJSON {
+	if ct := rec.Header().Get("Content-Type"); ct != telemetry.ContentTypeJSON {
 		t.Errorf("health content-type = %q", ct)
 	}
 }
@@ -132,9 +131,9 @@ func TestHealthHandlerContentTypes(t *testing.T) {
 		ct       string
 		contains string
 	}{
-		{"", 200, flight.ContentTypeJSON, `"status": "ok"`},
-		{"?format=json", 200, flight.ContentTypeJSON, `"status": "ok"`},
-		{"?format=text", 200, flight.ContentTypeText, "ok (1 samples, 0 active alerts)"},
+		{"", 200, telemetry.ContentTypeJSON, `"status": "ok"`},
+		{"?format=json", 200, telemetry.ContentTypeJSON, `"status": "ok"`},
+		{"?format=text", 200, telemetry.ContentTypeText, "ok (1 samples, 0 active alerts)"},
 		{"?format=csv", 400, "", "unknown format"},
 		{"?format=TEXT", 400, "", "unknown format"},
 	}

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -131,12 +132,26 @@ func TestFallbackStormOnSleepingResponder(t *testing.T) {
 	var hc core.HotCall
 	hc.SetTelemetry(reg)
 
-	// Occupy the slot with an async submission that no responder will
-	// ever service — the "responder asleep" condition.
-	pending, err := hc.Submit(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Occupy the slot with a call whose handler never returns — the
+	// "responder asleep" condition.  Its own submission may lose the
+	// slot's lock to the polling responder; it retries until it is in.
+	entered, gate := make(chan struct{}), make(chan struct{})
+	r := core.NewResponder(&hc, []func(interface{}) uint64{
+		func(interface{}) uint64 { close(entered); <-gate; return 0 },
+	})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); r.Run() }()
+	wedged := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := hc.Call(0, nil); !errors.Is(err, core.ErrTimeout) {
+				wedged <- err
+				return
+			}
+		}
+	}()
+	<-entered
 
 	m := New(reg, Options{})
 	m.Tick() // baseline
@@ -180,10 +195,12 @@ func TestFallbackStormOnSleepingResponder(t *testing.T) {
 		t.Fatalf("health = %s, want critical", h.Status)
 	}
 
-	hc.Stop()
-	if _, err := pending.Poll(); err == nil {
-		t.Fatal("poll after stop should fail")
+	close(gate)
+	if err := <-wedged; err != nil {
+		t.Fatalf("wedged call after the handler returned: %v", err)
 	}
+	hc.Stop()
+	wg.Wait()
 }
 
 // TestHealthyRunRaisesNoAlerts is the acceptance counterpart: the same

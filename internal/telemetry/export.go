@@ -225,7 +225,7 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 // (serves an empty body).
 func Handler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Content-Type", ContentTypeMetrics)
 		_ = r.WritePrometheusWith(w, PromOptions{
 			Exemplars: req.URL.Query().Get("exemplars") == "1",
 		})

@@ -1,41 +1,19 @@
 package whatif
 
 import (
-	"encoding/json"
 	"net/http"
 
-	"hotcalls/internal/flight"
+	"hotcalls/internal/telemetry"
 )
 
-// ContentTypeSVG is the Content-Type of the SVG rendering.
-const ContentTypeSVG = "image/svg+xml; charset=utf-8"
-
-// Handler serves the observatory at /debug/whatif.  ?format= selects
-// the rendering: "" or "json" → the combined Report JSON, "text" →
-// RenderText, "svg" → the causal curves (or policy-cost figure);
-// anything else is a 400.  Safe on a nil observatory.
+// Handler serves the observatory at /debug/whatif under the shared
+// ?format= contract (telemetry.Formats): json (the default) is the
+// combined Report, text its RenderText, svg the causal curves (or the
+// policy-cost figure).  Safe on a nil observatory.
 func Handler(o *Observatory) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		format := r.URL.Query().Get("format")
-		switch format {
-		case "", "json", "text", "svg":
-		default:
-			http.Error(w, "unknown format (want json, text, or svg)", http.StatusBadRequest)
-			return
-		}
-		rep := o.Report()
-		switch format {
-		case "", "json":
-			w.Header().Set("Content-Type", flight.ContentTypeJSON)
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(rep)
-		case "text":
-			w.Header().Set("Content-Type", flight.ContentTypeText)
-			w.Write([]byte(rep.RenderText()))
-		case "svg":
-			w.Header().Set("Content-Type", ContentTypeSVG)
-			w.Write([]byte(rep.RenderSVG()))
-		}
-	})
+	return telemetry.Formats{
+		telemetry.JSON(func(*http.Request) any { return o.Report() }),
+		telemetry.Text("text", telemetry.ContentTypeText, func(*http.Request) string { return o.Report().RenderText() }),
+		telemetry.Text("svg", telemetry.ContentTypeSVG, func(*http.Request) string { return o.Report().RenderSVG() }),
+	}
 }

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"hotcalls/internal/flight"
 	"hotcalls/internal/sim"
+	"hotcalls/internal/telemetry"
 	"hotcalls/internal/whatif"
 )
 
@@ -24,10 +24,10 @@ func TestHandlerContentTypes(t *testing.T) {
 		ct     string
 		body   string
 	}{
-		{"", 200, flight.ContentTypeJSON, whatif.ReportSchema},
-		{"?format=json", 200, flight.ContentTypeJSON, whatif.RoutingSchema},
-		{"?format=text", 200, flight.ContentTypeText, "what-if observatory"},
-		{"?format=svg", 200, whatif.ContentTypeSVG, "<svg"},
+		{"", 200, telemetry.ContentTypeJSON, whatif.ReportSchema},
+		{"?format=json", 200, telemetry.ContentTypeJSON, whatif.RoutingSchema},
+		{"?format=text", 200, telemetry.ContentTypeText, "what-if observatory"},
+		{"?format=svg", 200, telemetry.ContentTypeSVG, "<svg"},
 		{"?format=pdf", 400, "", ""},
 	} {
 		rec := httptest.NewRecorder()
