@@ -1,8 +1,9 @@
-// Command benchdiff is the perf-regression gate: it diffs a candidate
-// hotcalls-bench/v1 artifact against a committed baseline under the
-// default tolerance policy, writes a markdown report, and exits 1 when
-// any metric regressed beyond tolerance (or vanished).  `make
-// bench-regress` and CI run it against BENCH_hotcalls.json.
+// Command benchdiff is the exact gate over the hotcalls-bench/v1
+// artifact: it diffs a candidate against the committed baseline value
+// for value, writes a markdown report, and exits 1 when any metric
+// changed, appeared or vanished — regenerate BENCH_hotcalls.json (`make
+// bench-json`) in the commit that moved it.  `make bench-regress` and CI
+// run it.
 package main
 
 import (
@@ -18,7 +19,6 @@ func main() {
 	baseline := flag.String("baseline", "BENCH_hotcalls.json", "committed baseline artifact")
 	candidate := flag.String("candidate", "", "fresh candidate artifact to gate")
 	md := flag.String("md", "", "write the markdown report here ('-' or empty for stdout)")
-	tolerance := flag.Float64("tolerance", 0, "override the default tolerance (percent; 0 keeps the policy default)")
 	flag.Parse()
 
 	if *candidate == "" {
@@ -36,11 +36,7 @@ func main() {
 		fatal(err)
 	}
 
-	pol := regress.DefaultPolicy()
-	if *tolerance > 0 {
-		pol.DefaultTolerancePct = *tolerance
-	}
-	res := regress.Compare(base, cand, pol)
+	res := regress.Compare(base, cand, regress.DefaultPolicy())
 
 	out := os.Stdout
 	if *md != "" && *md != "-" {
@@ -56,9 +52,8 @@ func main() {
 	}
 
 	fmt.Fprintln(os.Stderr, res.Summary())
-	for _, d := range res.Regressions() {
-		fmt.Fprintf(os.Stderr, "  regressed: %s (%s, %s) %+.2f%% beyond %.1f%% tolerance\n",
-			d.Key, d.Unit, d.Direction, d.ChangePct, d.TolerancePct)
+	for _, d := range res.Failures() {
+		fmt.Fprintf(os.Stderr, "  %s: %s (%s) %v -> %v\n", d.Class, d.Key, d.Unit, d.Base, d.Cand)
 	}
 	if res.Failed() {
 		os.Exit(1)

@@ -18,12 +18,10 @@
 //	hotbench -run all -bench-json BENCH_hotcalls.json
 //	hotbench -run all -monitor             # health summary + alerts after the run
 //	hotbench -run all -watch               # live monitor table, redrawn in place
-//	hotbench -run scaling -flight          # per-callsite flight-recorder table
-//	hotbench -run scaling -flight-trace f.json # causal window as Chrome trace
 //	hotbench -run incident -incident-dir incidents # postmortem-bundle demo, spooled to disk
-//	hotbench -epc-sweep -epc-svg epc-heatmap.svg # EPC oversubscription cliff + fault heatmap
-//	hotbench -whatif -whatif-json whatif.json # causal profiler validation + shadow-routing regret
-//	hotbench -zerocopy-sweep -zerocopy-csv zerocopy-sweep.csv # staged vs zero-copy ring transfer sweep
+//	hotbench -run epc -epc-svg epc-heatmap.svg # EPC oversubscription cliff + fault heatmap
+//	hotbench -run whatif -whatif-json whatif.json # causal profiler validation + shadow-routing regret
+//	hotbench -run zerocopy -zerocopy-csv zerocopy-sweep.csv # staged vs zero-copy crossing sweep
 package main
 
 import (
@@ -35,7 +33,6 @@ import (
 	"time"
 
 	"hotcalls/internal/bench"
-	"hotcalls/internal/flight"
 	"hotcalls/internal/monitor"
 	"hotcalls/internal/profile"
 	"hotcalls/internal/telemetry"
@@ -62,16 +59,11 @@ func main() {
 	benchJSON := flag.String("bench-json", "", "write machine-readable benchmark results (medians, speedups, metadata) as JSON to this path")
 	monitorFlag := flag.Bool("monitor", false, "run the continuous health monitor during the experiments and print its verdict and alerts afterwards")
 	watch := flag.Bool("watch", false, "like -monitor, but redraw a live sample table in place while experiments run")
-	flightFlag := flag.Bool("flight", false, "attach the flight recorder to every fabric the experiments build and print the per-callsite table afterwards")
-	flightTrace := flag.String("flight-trace", "", "like -flight, and also write a Chrome trace_event JSON of the recorder's final causal window to this path")
 	incidentDir := flag.String("incident-dir", "", "spool incident bundles captured by the experiments (see -run incident) to this directory as <bundle-id>.json")
-	epcSweep := flag.Bool("epc-sweep", false, "shorthand for -run epc: the EPC oversubscription cliff and observer-overhead pair")
 	epcSVG := flag.String("epc-svg", "", "write the epc experiment's oversubscribed fault-heatmap SVG (the /debug/epc?format=svg view) to this path")
-	whatIfFlag := flag.Bool("whatif", false, "shorthand for -run whatif: causal profiler validation, shadow-routing agreement, and the estimator overhead pair")
 	whatIfJSON := flag.String("whatif-json", "", "write the whatif experiment's report artifact (the /debug/whatif JSON body) to this path")
-	zcSweep := flag.Bool("zerocopy-sweep", false, "shorthand for -run zerocopy: the staged-vs-zero-copy transfer sweep, fabric pairs, and openvpn streaming")
 	zcCSV := flag.String("zerocopy-csv", "", "write the zerocopy experiment's sweep series CSV to this path")
-	seed := flag.Uint64("seed", 0, "base seed for every random stream; 0 (the default) reproduces the committed baseline artifacts byte for byte")
+	seed := flag.Uint64("seed", 0, "base seed for every random stream; 0 (the default) reproduces the committed EXPERIMENTS.md byte for byte and BENCH_hotcalls.json value for value")
 	flag.Parse()
 
 	bench.SetSeed(*seed)
@@ -81,54 +73,15 @@ func main() {
 	if *epcSVG != "" {
 		bench.SetEPCSVGPath(*epcSVG)
 	}
-	if *epcSweep {
-		*run = "epc"
-	}
 	if *whatIfJSON != "" {
 		bench.SetWhatIfJSON(*whatIfJSON)
-		*whatIfFlag = true
-	}
-	if *whatIfFlag {
-		*run = "whatif"
 	}
 	if *zcCSV != "" {
 		bench.SetZeroCopyCSV(*zcCSV)
-		*zcSweep = true
-	}
-	if *zcSweep {
-		*run = "zerocopy"
 	}
 
 	if *watch {
 		*monitorFlag = true
-	}
-	if *flightTrace != "" {
-		*flightFlag = true
-	}
-
-	var rec *flight.Recorder
-	var flightStop, flightDone chan struct{}
-	if *flightFlag {
-		rec = flight.New(flight.Options{})
-		bench.SetFlight(rec)
-		// Digest continuously so per-callsite stats survive fixture
-		// teardown: a recorder follows one fabric at a time, and records
-		// left undigested when an experiment rebinds it are dropped.
-		flightStop = make(chan struct{})
-		flightDone = make(chan struct{})
-		go func() {
-			defer close(flightDone)
-			t := time.NewTicker(100 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-flightStop:
-					return
-				case <-t.C:
-					rec.Digest()
-				}
-			}
-		}()
 	}
 
 	var reg *telemetry.Registry
@@ -176,7 +129,7 @@ func main() {
 	var mon *monitor.Monitor
 	var watchStop, watchDone chan struct{}
 	if *monitorFlag {
-		mon = monitor.New(reg, monitor.Options{Flight: rec})
+		mon = monitor.New(reg, monitor.Options{})
 		mon.Tick() // baseline sample so even sub-interval runs show deltas
 		mon.Start()
 		if *watch {
@@ -219,29 +172,6 @@ func main() {
 		fmt.Print(mon.RenderText(10))
 		if dropped := mon.DroppedEvents(); dropped > 0 {
 			fmt.Printf("(%d older events dropped from the bounded log)\n", dropped)
-		}
-	}
-	if rec != nil {
-		close(flightStop)
-		<-flightDone
-		rec.Digest()
-		fmt.Println("=== flight ===")
-		fmt.Print(rec.RenderText())
-		if *flightTrace != "" {
-			f, err := os.Create(*flightTrace)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-				os.Exit(1)
-			}
-			err = rec.WriteChromeTrace(f, 4096)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("wrote", *flightTrace)
 		}
 	}
 	if *metrics {

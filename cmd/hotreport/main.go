@@ -65,7 +65,7 @@ func main() {
 
 	fmt.Printf("fidelity: %d metrics compared\n", len(r.Fidelity.Deltas))
 	if !r.FidelityOK() {
-		for _, d := range r.Fidelity.Regressions() {
+		for _, d := range r.Fidelity.Failures() {
 			fmt.Printf("  OUTSIDE TOLERANCE %-32s measured %.2f paper %.2f (%+.1f%%, band ±%.0f%%)\n",
 				d.Key, d.Cand, d.Base, d.ChangePct, d.TolerancePct)
 		}

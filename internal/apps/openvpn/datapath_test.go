@@ -181,12 +181,6 @@ func TestPoolTunnelFrameTooLarge(t *testing.T) {
 	if n, err := c.Stream([][]byte{fits, fits, big, fits}); n != 2 || err != nil {
 		t.Fatalf("Stream = (%d, %v), want (2, nil)", n, err)
 	}
-	if _, err := c.Pump(big, 3); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("Pump err = %v, want ErrFrameTooLarge", err)
-	}
-	if _, err := c.PumpSync(big, 3); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("PumpSync err = %v, want ErrFrameTooLarge", err)
-	}
 	if free := c.ring.FreeSlabs(); free != c.ring.Slabs() {
 		t.Fatalf("slabs leaked: %d free of %d", free, c.ring.Slabs())
 	}

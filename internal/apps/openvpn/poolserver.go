@@ -376,74 +376,3 @@ func (c *PoolConn) Stream(payloads [][]byte) (int, error) {
 	}
 	return done, nil
 }
-
-// PumpSync is Pump's synchronous counterpart: the same relay traffic
-// driven one datagram at a time — seal, one zero-copy call, recycle —
-// with no windowing and no per-frame verification.  The streaming
-// experiment interleaves it with Pump; the same-run ratio isolates what
-// vectored submit buys on top of the zero-copy path.
-func (c *PoolConn) PumpSync(payload []byte, count int) (uint64, error) {
-	var total uint64
-	for i := 0; i < count; i++ {
-		slab, segs, err := c.sealInto(payload)
-		if err != nil {
-			return total, err
-		}
-		ret, err := c.req.CallZCAt(c.s.Callsite(csForward), opTunnel, 0, segs[:])
-		c.ring.Release(slab)
-		if err != nil {
-			return total, err
-		}
-		if ret != ^uint64(0) {
-			total += ret
-		}
-	}
-	return total, nil
-}
-
-// Pump is the measurement path (the iperf-like streaming driver): relay
-// count copies of payload in full vectored windows, recycling slabs
-// through the batch handles, with no per-frame verification.  Returns
-// total outbound frame bytes relayed.
-func (c *PoolConn) Pump(payload []byte, count int) (uint64, error) {
-	var total uint64
-	for count > 0 {
-		n := 0
-		var serr error
-		for ; n < vpnWindow && n < count; n++ {
-			if serr = c.stage(n, payload); serr != nil {
-				break
-			}
-		}
-		if n == 0 {
-			return total, serr
-		}
-		b, err := c.req.SubmitVAt(c.s.Callsite(csStream), c.calls[:n])
-		if b == nil {
-			for i := 0; i < n; i++ {
-				c.ring.Release(c.slabs[i])
-			}
-			return total, err
-		}
-		// Slabs of posted calls recycle through the batch; a partial
-		// post (timeout mid-window) hands the rest back directly.
-		for i := 0; i < b.Len(); i++ {
-			b.RecycleSlab(c.ring, c.slabs[i])
-		}
-		for i := b.Len(); i < n; i++ {
-			c.ring.Release(c.slabs[i])
-		}
-		posted := b.Len() // WaitAll recycles the handle; capture first
-		var rets [vpnWindow]uint64
-		if werr := b.WaitAll(rets[:posted]); werr != nil {
-			return total, werr
-		}
-		for i := 0; i < posted; i++ {
-			if rets[i] != ^uint64(0) {
-				total += rets[i]
-			}
-		}
-		count -= n
-	}
-	return total, nil
-}

@@ -104,26 +104,8 @@ func TestPoolTunnelStreamWindow(t *testing.T) {
 			t.Fatalf("round %d relayed %d, want %d", round, n, vpnWindow)
 		}
 	}
-}
-
-func TestPoolTunnelPumpBytes(t *testing.T) {
-	s := NewPoolServer(1, fastVPNOpts(2))
-	s.Start()
-	defer s.Stop()
-	c := s.Conn(0)
-
-	const packets = 100
-	payload := testPayload(IperfPayload, 9)
-	total, err := c.Pump(payload, packets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(packets) * uint64(FrameOverhead+IperfPayload)
-	if total != want {
-		t.Fatalf("pumped %d bytes, want %d", total, want)
-	}
 	if free := c.ring.FreeSlabs(); free != c.ring.Slabs() {
-		t.Fatalf("slabs leaked after pump: %d free of %d", free, c.ring.Slabs())
+		t.Fatalf("slabs leaked after streaming: %d free of %d", free, c.ring.Slabs())
 	}
 }
 
@@ -216,8 +198,12 @@ func TestPoolTunnelFlightBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Pump(payload, vpnWindow); err != nil {
-		t.Fatal(err)
+	window := make([][]byte, vpnWindow)
+	for i := range window {
+		window[i] = payload
+	}
+	if n, err := c.Stream(window); n != vpnWindow || err != nil {
+		t.Fatalf("Stream = (%d, %v), want (%d, nil)", n, err, vpnWindow)
 	}
 
 	frameBytes := uint64(FrameOverhead + len(payload))

@@ -179,7 +179,14 @@ func runTable2() *Report {
 			names = append(names, name)
 			totalCalls += count
 		}
-		sort.Slice(names, func(i, j int) bool { return counters[names[i]] > counters[names[j]] })
+		// Equal-rate rows order by name: map iteration must not decide
+		// the rendered table.
+		sort.Slice(names, func(i, j int) bool {
+			if ci, cj := counters[names[i]], counters[names[j]]; ci != cj {
+				return ci > cj
+			}
+			return names[i] < names[j]
+		})
 		for _, name := range names {
 			rate := float64(counters[name]) / seconds / 1000
 			short := strings.TrimPrefix(name, "ocall_")

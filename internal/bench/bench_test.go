@@ -1,13 +1,17 @@
 package bench
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "fig10", "fig11", "ablation-calls", "ablation-cores", "breakdown", "epc", "flight", "incident", "loadcurve", "profile", "scaling", "whatif", "zerocopy"}
+	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "fig10", "fig11", "ablation-calls", "ablation-cores", "breakdown", "epc", "incident", "loadcurve", "profile", "whatif", "zerocopy"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(all), len(want))
@@ -241,9 +245,21 @@ func TestFig11LatencyReductionClaims(t *testing.T) {
 	}
 }
 
-func TestReportsRender(t *testing.T) {
+// allReports returns every experiment's (cached) report in All() order —
+// what hotbench -run all and Markdown() produce.
+func allReports(t *testing.T) []*Report {
+	t.Helper()
+	var out []*Report
 	for _, e := range All() {
-		r := report(t, e.ID)
+		out = append(out, report(t, e.ID))
+	}
+	return out
+}
+
+func TestReportsRender(t *testing.T) {
+	reports := allReports(t)
+	for i, e := range All() {
+		r := reports[i]
 		if r.ID != e.ID {
 			t.Errorf("%s: report ID mismatch", e.ID)
 		}
@@ -253,6 +269,73 @@ func TestReportsRender(t *testing.T) {
 		if len(r.Values) == 0 {
 			t.Errorf("%s: no structured values", e.ID)
 		}
+	}
+}
+
+// TestCommittedArtifactsCurrent holds the committed BENCH_hotcalls.json
+// and EXPERIMENTS.md to a fresh run of this tree: every experiment
+// reports only quantities that repeat exactly, so a difference means
+// the change that moved, added or deleted a number did not regenerate
+// them (make bench-json experiments).  It reuses the runs the tests
+// above cached.
+func TestCommittedArtifactsCurrent(t *testing.T) {
+	reports := allReports(t)
+
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_hotcalls.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed JSONReport
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatalf("BENCH_hotcalls.json: %v", err)
+	}
+	// The compiler may fuse x*y+z on other architectures, which moves
+	// last digits: exactness is a same-architecture property, and the
+	// artifact's header says where it was generated.
+	if committed.GOARCH != runtime.GOARCH {
+		t.Skipf("baseline generated on %s, running on %s", committed.GOARCH, runtime.GOARCH)
+	}
+	fresh := BuildJSONReport(reports)
+	if committed.Summary != fresh.Summary {
+		t.Errorf("BENCH_hotcalls.json summary is stale:\ncommitted %+v\nfresh     %+v", committed.Summary, fresh.Summary)
+	}
+	flat := func(r JSONReport) map[string]JSONValue {
+		m := map[string]JSONValue{}
+		for _, e := range r.Experiments {
+			for _, v := range e.Values {
+				m[e.ID+"/"+v.Name] = v
+			}
+		}
+		return m
+	}
+	was, now := flat(committed), flat(fresh)
+	for key, v := range was {
+		if Get(strings.SplitN(key, "/", 2)[0]) == nil {
+			t.Errorf("BENCH_hotcalls.json names a deleted experiment: %s", key)
+		} else if nv, ok := now[key]; !ok {
+			t.Errorf("BENCH_hotcalls.json is stale: %s is no longer reported", key)
+		} else if nv != v {
+			t.Errorf("BENCH_hotcalls.json is stale: %s committed %+v, fresh %+v", key, v, nv)
+		}
+	}
+	for key := range now {
+		if _, ok := was[key]; !ok {
+			t.Errorf("BENCH_hotcalls.json is stale: %s is reported but not committed", key)
+		}
+	}
+
+	md, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderMarkdown(reports); got != string(md) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(md), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("EXPERIMENTS.md is stale at line %d:\ncommitted %q\nfresh     %q", i+1, wl[i], gl[i])
+			}
+		}
+		t.Fatalf("EXPERIMENTS.md is stale: committed %d lines, fresh %d", len(wl), len(gl))
 	}
 }
 

@@ -13,15 +13,12 @@ package bench
 // cycles — the cycle difference against an identical run with an
 // unconstrained EPC — must match the model exactly.  The same fixtures
 // cross-check the observatory's working-set estimate against the true
-// page count, and an interleaved on/off pair prices the observer on the
-// resident-touch hot path (same design and gate as the flight
-// recorder's overhead pair).
+// page count.
 
 import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"hotcalls/internal/epc"
 	"hotcalls/internal/epcstat"
@@ -44,10 +41,6 @@ const (
 	epcSweepCapacity = 16 << 20 // 4096 pages
 	// epcSweepRounds full passes over the working set per fixture.
 	epcSweepRounds = 3
-	// epcPairRounds observer-on/off rounds; the median ratio is gated.
-	epcPairRounds = 7
-	// epcPairTouches per round: ~50 ms of resident-touch traffic.
-	epcPairTouches = 1 << 20
 )
 
 // epcSweepFractions are the working-set sizes as fractions of EPC
@@ -132,29 +125,11 @@ func runEPCPoint(frac float64) epcSweepPoint {
 	return pt
 }
 
-// epcTouchRate measures resident-touch throughput (touches/s) over a
-// warmed working set: every touch takes the manager's hot path — lock,
-// touch counter, sampling gate, map hit — plus the observer's sampled
-// subset when one is attached.
-func epcTouchRate(m *epc.Manager, pages uint64, touches int) float64 {
-	start := time.Now()
-	p := uint64(0)
-	for i := 0; i < touches; i++ {
-		m.TouchAs(1, p)
-		p++
-		if p == pages {
-			p = 0
-		}
-	}
-	return float64(touches) / time.Since(start).Seconds()
-}
-
-// runEPCSweep regenerates the oversubscription cliff and the observer
-// overhead pair.
+// runEPCSweep regenerates the oversubscription cliff.
 func runEPCSweep() *Report {
 	r := &Report{
 		ID:    "epc",
-		Title: "EPC oversubscription cliff (paging vs analytic model) and observer overhead",
+		Title: "EPC oversubscription cliff (paging vs analytic model)",
 		CSV:   map[string]string{},
 	}
 
@@ -209,45 +184,10 @@ func runEPCSweep() *Report {
 		}
 	}
 
-	// Observer overhead pair: interleaved rounds over a warmed 0.9C
-	// working set, same median-of-ratios design as the flight recorder's
-	// pair — same-round ratios cancel host speed on shared CI hosts.
-	// The pair runs at the production EPC size so the auto-sized sampler
-	// lands on its production rate (1-in-32), not the tiny sweep
-	// fixture's aggressive 1-in-4.
-	var key [16]byte
-	copy(key[:], "epc-bench-seal-k")
-	capPages := uint64(epc.DefaultCapacityBytes / epc.PageSize)
-	pages := capPages * 9 / 10
-	mgrOff := epc.NewManager(epc.DefaultCapacityBytes, key)
-	mgrOn := epc.NewManager(epc.DefaultCapacityBytes, key)
-	colOn := epcstat.New(epcstat.Options{})
-	colOn.Attach(mgrOn)
-	// Warm both managers: fault the set in, then one resident pass so the
-	// observer's per-owner state and sample set exist before timing.
-	epcTouchRate(mgrOff, pages, 2*int(pages))
-	epcTouchRate(mgrOn, pages, 2*int(pages))
-
-	off := make([]float64, epcPairRounds)
-	on := make([]float64, epcPairRounds)
-	ratios := make([]float64, epcPairRounds)
-	for i := 0; i < epcPairRounds; i++ {
-		off[i] = epcTouchRate(mgrOff, pages, epcPairTouches)
-		on[i] = epcTouchRate(mgrOn, pages, epcPairTouches)
-		mgrOn.FlushObserver() // publish off the timed path, like rec.Digest
-		ratios[i] = on[i] / off[i]
-	}
-	ratio := medianOf(ratios)
-
-	tbl2 := &table{header: []string{"configuration", "Mtouches/s (median)", "ratio"}}
-	tbl2.add("resident touches, observer off", f2(medianOf(off)/1e6), "1.00x")
-	tbl2.add(fmt.Sprintf("resident touches, observer on (1-in-%d touch sampling)", 1<<colOn.SampleBits()),
-		f2(medianOf(on)/1e6), f2(ratio)+"x")
-	r.Table = tbl.String() + "\n" + tbl2.String()
-	r.Values = append(r.Values, Value{Name: "observer-on vs observer-off", Got: ratio, Unit: "x"})
+	r.Table = tbl.String()
 	return r
 }
 
 func init() {
-	register(Experiment{ID: "epc", Title: "EPC oversubscription cliff and observer overhead", Run: runEPCSweep})
+	register(Experiment{ID: "epc", Title: "EPC oversubscription cliff", Run: runEPCSweep})
 }

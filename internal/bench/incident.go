@@ -2,11 +2,13 @@ package bench
 
 // The incident experiment is the black-box-postmortem demo: wedge the
 // fabric's lone responder mid-handler, drive a fallback storm through a
-// labelled callsite, let the monitor's storm rule fire, and print the
-// captured bundle's critical-path table — the artifact a responder
-// on-call would pull from /debug/incidents after the fact.  With
-// hotbench -incident-dir (make incident-demo) the bundle is also
-// spooled to disk, which is what CI uploads when a gate fails.
+// labelled callsite, let the monitor's storm rule fire, and print what
+// the captured bundle says that repeats run to run: the rule, the
+// diagnosis and the exact per-callsite counts.  The bundle itself — the
+// artifact a responder on-call would pull from /debug/incidents, with
+// its capture time and wall-clock timelines — is spooled to disk with
+// hotbench -incident-dir (make incident-demo), which is what CI uploads
+// when a gate fails.
 
 import (
 	"fmt"
@@ -95,7 +97,14 @@ func runIncidentDemo() *Report {
 		sb.WriteString("no bundle captured (storm rule did not fire)\n")
 	} else {
 		b := bundles[0]
-		sb.WriteString(b.RenderText())
+		fmt.Fprintf(&sb, "incident %s (%s)\n", b.ID, b.Schema)
+		fmt.Fprintf(&sb, "rule: %s  severity: %s\n", b.Event.Rule, b.Event.Severity)
+		fmt.Fprintf(&sb, "diagnosis: %s\n", b.Event.Diagnosis)
+		for _, cs := range b.Callsites {
+			fmt.Fprintf(&sb, "callsite %s: %d calls, %d timeouts, %d fallbacks\n",
+				cs.Name, cs.Arrivals, cs.Timeouts, cs.Fallbacks)
+		}
+		fmt.Fprintf(&sb, "bundles captured: %d\n", len(bundles))
 		if incidentDir != "" {
 			if _, _, diskErr := cap.Stats(); diskErr != nil {
 				fmt.Fprintf(&sb, "\nspool error: %v\n", diskErr)

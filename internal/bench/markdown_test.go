@@ -41,10 +41,7 @@ func TestAsciiCDFDegenerate(t *testing.T) {
 }
 
 func TestMarkdownStructure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	md := Markdown()
+	md := renderMarkdown(allReports(t))
 	for _, want := range []string{
 		"# EXPERIMENTS", "## table1", "## fig10", "## ablation-cores",
 		"Known divergences", "Worst deviation",

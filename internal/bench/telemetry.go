@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"hotcalls/internal/flight"
-	"hotcalls/internal/telemetry"
-)
+import "hotcalls/internal/telemetry"
 
 // tel is the harness-wide observability registry.  Nil (all handles
 // no-op) unless cmd/hotbench attaches one via SetTelemetry for the
@@ -18,17 +15,3 @@ func SetTelemetry(r *telemetry.Registry) {
 	tel = r
 	telemetry.RegisterStandard(r)
 }
-
-// flightRec is the harness-wide flight recorder.  Nil (recording
-// disabled) unless cmd/hotbench attaches one via SetFlight for the
-// -flight flag.
-var flightRec *flight.Recorder
-
-// SetFlight attaches a flight recorder to every fabric the experiments
-// build from here on.  A recorder follows one fabric at a time, so
-// successive fixtures re-bind it; exact per-callsite counters and
-// already-digested statistics accumulate across fixtures, while
-// timeline records still undigested when a fixture rebinds are
-// dropped (hotbench's -flight loop digests continuously to keep that
-// loss small).
-func SetFlight(f *flight.Recorder) { flightRec = f }

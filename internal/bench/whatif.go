@@ -1,8 +1,7 @@
 package bench
 
 // The whatif experiment validates the causal what-if profiler and the
-// shadow call-router end to end, and gates the cost of arming the
-// observatory on the live fabric.
+// shadow call-router end to end.
 //
 // Causal validation: for every cost-model component, the profiler's
 // predicted throughput gain from a 10% virtual speedup is checked
@@ -17,12 +16,6 @@ package bench
 // grid (the same OrderingAgreement sweep the unit tests gate at 95%),
 // and a deliberately mis-routed callsite must be flagged with the
 // right recommendation.
-//
-// Overhead: the estimator-armed vs estimator-off pair reuses the
-// flight experiment's interleaved same-process design — the observatory
-// only reads the digested stats table between rounds, so the gated
-// median ratio is ~1.00x; it sinking would mean shadow scoring leaked
-// onto the call path.
 
 import (
 	"encoding/json"
@@ -52,10 +45,6 @@ const (
 	whatIfCalls = 20000
 	// whatIfDelta is the virtual-speedup fraction under test.
 	whatIfDelta = 0.10
-	// whatIfPairRounds armed/off rounds; the median ratio is gated.
-	whatIfPairRounds = 7
-	// whatIfPairCalls per round of fabric traffic.
-	whatIfPairCalls = 200_000
 )
 
 // whatIfInterval builds one shadow-router interval: arrivals of the
@@ -65,7 +54,7 @@ func whatIfInterval(id int, site string, arrivals uint64, serviceNS uint64) flig
 }
 
 // runWhatIf regenerates the causal-validation table and the routing
-// checks, and measures the armed/off overhead pair.
+// checks.
 func runWhatIf() *Report {
 	r := &Report{ID: "whatif", Title: "What-if observatory (causal profiler validation + shadow-routing regret)"}
 
@@ -115,25 +104,6 @@ func runWhatIf() *Report {
 	}
 	r.Values = append(r.Values, Value{Name: "misroute-detected", Got: detected, Unit: "calls"})
 
-	// Overhead pair: same fabric drive loop, recorder attached in both
-	// configurations; the armed rounds additionally run the shadow
-	// router over each round's digested stats.
-	rec := flight.New(flight.Options{})
-	armedObs := whatif.NewObservatory(whatif.CostParams{})
-	armedObs.Router().DeclareDefault(whatif.PolicyPooled)
-	off := make([]float64, whatIfPairRounds)
-	armed := make([]float64, whatIfPairRounds)
-	ratios := make([]float64, whatIfPairRounds)
-	for i := 0; i < whatIfPairRounds; i++ {
-		off[i] = measurePoolRec(1, 1, whatIfPairCalls, rec)
-		rec.Digest()
-		armed[i] = measurePoolRec(1, 1, whatIfPairCalls, rec)
-		armedObs.Observe(rec.Stats(), 1e9)
-		ratios[i] = armed[i] / off[i]
-	}
-	ratio := medianOf(ratios)
-	r.Values = append(r.Values, Value{Name: "estimator-armed vs estimator-off", Got: ratio, Unit: "x"})
-
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "causal validation (delta=%.0f%%, %d calls, seed 42):\n%s\n",
 		whatIfDelta*100, whatIfCalls, tbl.String())
@@ -143,8 +113,6 @@ func runWhatIf() *Report {
 		fmt.Fprintf(&sb, "misroute demo: %q %s -> recommend %s, regret %.3gM cycles/interval\n",
 			w.Site, w.Current, w.Best, w.RegretCycles/1e6)
 	}
-	fmt.Fprintf(&sb, "overhead: estimator-armed vs estimator-off median ratio %.2fx (%d interleaved rounds)\n",
-		ratio, whatIfPairRounds)
 	r.Table = sb.String()
 
 	if whatIfJSONPath != "" {

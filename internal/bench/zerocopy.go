@@ -1,32 +1,18 @@
 package bench
 
 // The zerocopy experiment quantifies what the zero-copy payload rings
-// buy over staged marshalling, at three layers:
-//
-//  1. A simulated-cycle sweep (2-32 KB) of staged [in,out] edge
-//     crossings against [zerocopy] ring-backed crossings, for both
-//     ecalls and ocalls — the direction-aware marshalling core's own
-//     accounting, byte-deterministic under a fixed seed.
-//  2. A wall-clock fabric pair: the same windowed CallPool drive loop
-//     run with staged-copy payload handling (the four copies a reusable
-//     staging buffer forces: app->stage, stage->private, private->stage,
-//     stage->app) and with scatter-gather descriptors into a payload
-//     ring (zero copies).  Interleaved round by round in one process,
-//     the gated artifact is the median same-round throughput ratio,
-//     which cancels host speed — the flight experiment's design.
-//  3. The openvpn fabric port's iperf-like streaming driver: windowed
-//     vectored submit (Pump) against the synchronous zero-copy relay
-//     (PumpSync), again as interleaved same-run ratios; the absolute
-//     Mbit/s columns are informational.
+// buy over staged marshalling: a simulated-cycle sweep (2-32 KB) of
+// staged [in,out] edge crossings against [zerocopy] ring-backed
+// crossings, for both ecalls and ocalls — the direction-aware
+// marshalling core's own accounting, byte-deterministic under a fixed
+// seed.  What the rings buy in wall-clock time on the real fabric is the
+// repo benchmark's vpn_stream workload and BenchmarkStreamWindow.
 
 import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"hotcalls/internal/apps/openvpn"
-	"hotcalls/internal/core"
 	"hotcalls/internal/edl"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
@@ -53,18 +39,8 @@ enclave {
 // KB) up to the 32 KB point the acceptance gate checks.
 var zcSweepKB = []uint64{2, 4, 8, 16, 32}
 
-const (
-	// zcSweepRuns per simulated point; medians stabilize far earlier.
-	zcSweepRuns = 1500
-	// zcPairRounds staged/zero-copy rounds per fabric size point; the
-	// median same-round ratio is gated.
-	zcPairRounds = 7
-	// zcPairWindow is the vectored-submit depth of the fabric pair.
-	zcPairWindow = 16
-	// vpnPairRounds and vpnPairPackets size the openvpn streaming pair.
-	vpnPairRounds  = 5
-	vpnPairPackets = 2000
-)
+// zcSweepRuns per simulated point; medians stabilize far earlier.
+const zcSweepRuns = 1500
 
 // zeroCopyCSVPath is where runZeroCopy also writes the sweep CSV; empty
 // skips the file.  Set via SetZeroCopyCSV (hotbench's -zerocopy-csv
@@ -140,212 +116,14 @@ func zcSimSweep(runs int) []zcSimPoint {
 	return out
 }
 
-// zcFabricSink defeats dead-code elimination of the handlers' payload
-// touches; written only from the responder goroutine.
-var zcFabricSink byte
-
-// measureZCFabric runs one payload size's interleaved staged-copy vs
-// zero-copy fabric pair and returns the median rates (ops/s) and the
-// median same-round ratio.
-func measureZCFabric(size, calls int) (copyRate, zcRate, ratio float64) {
-	// Staged-variant buffers: one staging slot per window entry (the
-	// reusable shared buffer a copying interface forces), one private
-	// scratch on the handler side, and the app-side source/sink.
-	stage := make([][]byte, zcPairWindow)
-	for i := range stage {
-		stage[i] = make([]byte, size)
-	}
-	scratch := make([]byte, size)
-	payload := make([]byte, size)
-	outBuf := make([]byte, size)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-
-	pool := core.NewCallPool([]core.PoolFunc{
-		// Staged handler: consume the staged request into private
-		// memory, produce the response back into the staging slot.
-		func(_ int, d uint64) uint64 {
-			s := stage[d]
-			copy(scratch, s)
-			zcFabricSink ^= scratch[0] ^ scratch[len(scratch)-1]
-			copy(s, scratch)
-			return uint64(len(s))
-		},
-	}, core.PoolOptions{
-		Shards:        1,
-		SlotsPerShard: zcPairWindow,
-		MinResponders: 1,
-		MaxResponders: 1,
-		Timeout:       1 << 20,
-		RingSlabs:     zcPairWindow + 4,
-		RingSlabBytes: size,
-	})
-	pool.SetVecTable([]core.PoolVecFunc{
-		// Zero-copy handler: the descriptors already point at the
-		// payload; read and write in place, no copies on either side.
-		func(req int, _ uint64, segs []core.Segment) uint64 {
-			ring := pool.Ring(req)
-			var total uint64
-			for _, sg := range segs {
-				b := ring.Bytes(sg)
-				zcFabricSink ^= b[0] ^ b[len(b)-1]
-				b[0] ^= 1
-				total += uint64(sg.Len)
-			}
-			return total
-		},
-	})
-	pool.Start()
-	defer pool.Stop()
-	r := pool.Requester()
-	ring := r.Ring()
-
-	// The zero-copy app writes its payload straight into ring slabs —
-	// where a NIC would have put it — once, up front.
-	for s := 0; s < ring.Slabs(); s++ {
-		copy(ring.Slab(uint32(s)), payload)
-	}
-
-	var vcalls [zcPairWindow]core.VecCall
-	var segs [zcPairWindow][2]core.Segment
-	var slabs [zcPairWindow]uint32
-	var rets [zcPairWindow]uint64
-
-	driveCopy := func() float64 {
-		start := time.Now()
-		for i := 0; i < calls; {
-			n := 0
-			for n < zcPairWindow && i < calls {
-				copy(stage[n], payload) // copy 1: app -> staging
-				vcalls[n] = core.VecCall{ID: 0, Data: uint64(n)}
-				n++
-				i++
-			}
-			b, err := r.SubmitV(vcalls[:n])
-			if b == nil {
-				panic(err)
-			}
-			posted := b.Len() // WaitAll recycles the handle; capture first
-			if werr := b.WaitAll(rets[:posted]); werr != nil {
-				panic(werr)
-			}
-			if posted != n {
-				panic("zerocopy: short post in staged round")
-			}
-			for k := 0; k < n; k++ {
-				copy(outBuf, stage[k]) // copy 4: staging -> app
-			}
-		}
-		return float64(calls) / time.Since(start).Seconds()
-	}
-
-	half := uint32(size / 2)
-	driveZC := func() float64 {
-		start := time.Now()
-		for i := 0; i < calls; {
-			n := 0
-			for n < zcPairWindow && i < calls {
-				slab, _, ok := ring.Acquire()
-				if !ok {
-					break
-				}
-				slabs[n] = slab
-				segs[n] = [2]core.Segment{
-					{Slab: slab, Off: 0, Len: half},
-					{Slab: slab, Off: half, Len: uint32(size) - half},
-				}
-				vcalls[n] = core.VecCall{ID: 0, Segs: segs[n][:]}
-				n++
-				i++
-			}
-			b, err := r.SubmitV(vcalls[:n])
-			if b == nil {
-				panic(err)
-			}
-			posted := b.Len() // WaitAll recycles the handle; capture first
-			if werr := b.WaitAll(rets[:posted]); werr != nil {
-				panic(werr)
-			}
-			for k := 0; k < n; k++ {
-				ring.Release(slabs[k])
-			}
-			if posted != n {
-				panic("zerocopy: short post in zero-copy round")
-			}
-		}
-		return float64(calls) / time.Since(start).Seconds()
-	}
-
-	copies := make([]float64, zcPairRounds)
-	zcs := make([]float64, zcPairRounds)
-	ratios := make([]float64, zcPairRounds)
-	for i := 0; i < zcPairRounds; i++ {
-		copies[i] = driveCopy()
-		zcs[i] = driveZC()
-		ratios[i] = zcs[i] / copies[i]
-	}
-	return medianOf(copies), medianOf(zcs), medianOf(ratios)
-}
-
-// measureVPNStreaming runs the openvpn fabric port's iperf-like driver:
-// interleaved synchronous vs windowed relay rounds over the zero-copy
-// ring path.  Returns median Mbit/s for each and the median same-round
-// ratio.
-func measureVPNStreaming() (syncMbits, winMbits, ratio float64) {
-	s := openvpn.NewPoolServer(1, core.PoolOptions{
-		MinResponders: 1,
-		Timeout:       1 << 20,
-	})
-	s.Start()
-	defer s.Stop()
-	c := s.Conn(0)
-	payload := make([]byte, openvpn.IperfPayload)
-	for i := range payload {
-		payload[i] = byte(i * 7)
-	}
-
-	mbits := func(bytes uint64, secs float64) float64 {
-		return float64(bytes) * 8 / secs / 1e6
-	}
-	syncs := make([]float64, vpnPairRounds)
-	wins := make([]float64, vpnPairRounds)
-	ratios := make([]float64, vpnPairRounds)
-	for i := 0; i < vpnPairRounds; i++ {
-		start := time.Now()
-		total, err := c.PumpSync(payload, vpnPairPackets)
-		if err != nil {
-			panic(err)
-		}
-		syncs[i] = mbits(total, time.Since(start).Seconds())
-
-		start = time.Now()
-		total, err = c.Pump(payload, vpnPairPackets)
-		if err != nil {
-			panic(err)
-		}
-		wins[i] = mbits(total, time.Since(start).Seconds())
-		ratios[i] = wins[i] / syncs[i]
-	}
-	return medianOf(syncs), medianOf(wins), medianOf(ratios)
-}
-
-// zcPairCalls picks the fabric pair's call budget per round: enough
-// moved bytes that the timer resolves cleanly at every size, small
-// enough that the whole sweep stays around a second.
-func zcPairCalls(kb uint64) int {
-	return int(32000 / kb)
-}
-
 // runZeroCopy regenerates the staged-vs-zero-copy comparison.
 func runZeroCopy() *Report {
 	r := &Report{
 		ID:    "zerocopy",
-		Title: "Zero-copy payload rings: staged vs in-place transfer (sim sweep, fabric pairs, openvpn streaming)",
+		Title: "Zero-copy payload rings: staged vs in-place transfer (simulated crossing-cost sweep)",
 		CSV:   map[string]string{},
 	}
 
-	// Layer 1: the simulated crossing-cost sweep.
 	sweep := zcSimSweep(zcSweepRuns)
 	tbl := &table{header: []string{"size (KB)", "ecall staged", "ecall zc", "ratio",
 		"ocall staged", "ocall zc", "ratio"}}
@@ -370,24 +148,7 @@ func runZeroCopy() *Report {
 		}
 	}
 
-	// Layer 2: the wall-clock fabric pairs.
-	tbl2 := &table{header: []string{"size (KB)", "staged Mops/s", "zero-copy Mops/s", "ratio"}}
-	for _, kb := range zcSweepKB {
-		copyRate, zcRate, ratio := measureZCFabric(int(kb<<10), zcPairCalls(kb))
-		tbl2.add(fmt.Sprint(kb), f2(copyRate/1e6), f2(zcRate/1e6), f2(ratio)+"x")
-		r.Values = append(r.Values, Value{
-			Name: fmt.Sprintf("fabric rw %dKB", kb), Got: ratio, Unit: "x",
-		})
-	}
-
-	// Layer 3: the openvpn streaming pair.
-	syncM, winM, vratio := measureVPNStreaming()
-	tbl3 := &table{header: []string{"openvpn fabric relay", "Mbit/s (median)", "ratio"}}
-	tbl3.add("synchronous zero-copy relay", f1(syncM), "1.00x")
-	tbl3.add("windowed vectored submit", f1(winM), f2(vratio)+"x")
-	r.Values = append(r.Values, Value{Name: "openvpn windowed vs sync", Got: vratio, Unit: "x"})
-
-	r.Table = tbl.String() + "\n" + tbl2.String() + "\n" + tbl3.String()
+	r.Table = tbl.String()
 	return r
 }
 

@@ -6,8 +6,7 @@ import "testing"
 // sweep: at the 32 KB point, zero-copy ring crossings must beat staged
 // [in,out] marshalling by at least 2x on both edges.  The sweep runs in
 // simulated cycles under the default seed, so the check is exact and
-// cannot flake on a loaded CI host; the wall-clock fabric pairs gate
-// the same property through make bench-regress.
+// cannot flake on a loaded CI host.
 func TestZeroCopySweep32KBRatio(t *testing.T) {
 	pts := zcSimSweep(300)
 	var got *zcSimPoint

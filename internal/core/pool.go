@@ -324,7 +324,7 @@ func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 }
 
 // SetVecTable attaches the scatter-gather call table: entry id handles
-// zero-copy calls posted with CallZC/SubmitZC/SubmitV segments.  The id
+// zero-copy calls posted with CallZC/SubmitV segments.  The id
 // space is independent of the plain table (a slot's segment count picks
 // the table).  Attach before Start.
 func (p *CallPool) SetVecTable(vt []PoolVecFunc) { p.vtable = vt }
@@ -662,28 +662,6 @@ type PoolPending struct {
 	req  *Requester
 	slot *poolSlot
 	fr   *flight.Record
-
-	// Slab-recycle attachment (RecycleSlab): slabs given back to ring
-	// when the completion is reaped.  A call references at most MaxSegs
-	// distinct slabs, so a fixed array keeps the handle allocation-free.
-	ring   *PayloadRing
-	rslab  [MaxSegs]uint32
-	nrslab uint8
-}
-
-// RecycleSlab attaches a slab to the pending call: it returns to ring's
-// free list when Poll or Wait reaps the completion.  Duplicates are
-// deduplicated so every segment of a scatter-gather call may be
-// attached without double-releasing a shared slab.
-func (pd *PoolPending) RecycleSlab(ring *PayloadRing, slab uint32) {
-	for i := 0; i < int(pd.nrslab); i++ {
-		if pd.rslab[i] == slab {
-			return
-		}
-	}
-	pd.ring = ring
-	pd.rslab[pd.nrslab] = slab
-	pd.nrslab++
 }
 
 // Submit plants a call without waiting.  Up to SlotsPerShard calls may
@@ -731,8 +709,7 @@ func (pd *PoolPending) Poll() (uint64, error) {
 }
 
 // Wait blocks until the call completes — spinning briefly, then yielding
-// (see await) — gives attached slabs back to their ring and recycles the
-// handle.
+// (see await) — and recycles the handle.
 func (pd *PoolPending) Wait() (uint64, error) {
 	r := pd.req
 	var ret uint64
@@ -740,10 +717,7 @@ func (pd *PoolPending) Wait() (uint64, error) {
 	if err == nil {
 		ret = pd.slot.ret
 	}
-	for _, slab := range pd.rslab[:pd.nrslab] {
-		pd.ring.Release(slab)
-	}
-	pd.req, pd.slot, pd.fr, pd.ring, pd.nrslab = nil, nil, nil, nil, 0
+	pd.req, pd.slot, pd.fr = nil, nil, nil
 	r.pool.pendingPool.Put(pd)
 	return ret, err
 }

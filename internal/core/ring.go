@@ -31,10 +31,9 @@ package core
 //     path the way the paper amortizes EENTER across batched calls.
 //
 // The free-slab list is owned by the requester goroutine alone (plain
-// fields, no atomics), mirroring the shard head cursor.  Slabs attached
-// to a pending call via RecycleSlab are released when the completion is
-// reaped (Poll/Wait/WaitAll), which is what lets a pipelined packet path
-// recycle its buffer exactly when the last call touching it completes.
+// fields, no atomics), mirroring the shard head cursor: the requester
+// Acquires a slab before it posts and Releases it after it has reaped
+// every call that references it.
 
 import "hotcalls/internal/flight"
 
@@ -182,23 +181,6 @@ func (r *Requester) CallZCAt(cs flight.Callsite, id CallID, data uint64, segs []
 	return s.ret, nil
 }
 
-// SubmitZC plants a scatter-gather call without waiting.  Slabs the call
-// should give back on completion are attached with
-// PoolPending.RecycleSlab.
-func (r *Requester) SubmitZC(id CallID, data uint64, segs []Segment) (*PoolPending, error) {
-	return r.SubmitZCAt(flight.Callsite{}, id, data, segs)
-}
-
-// SubmitZCAt is SubmitZC stamped with a registered flight-recorder
-// callsite.
-func (r *Requester) SubmitZCAt(cs flight.Callsite, id CallID, data uint64, segs []Segment) (*PoolPending, error) {
-	s, fr, err := r.post(cs, id, data, segs)
-	if err != nil {
-		return nil, err
-	}
-	return r.pending(s, fr), nil
-}
-
 // VecCall is one entry of a vectored submit window.
 type VecCall struct {
 	ID   CallID
@@ -244,15 +226,11 @@ func (r *Requester) SubmitVAt(cs flight.Callsite, calls []VecCall) (*PoolBatch, 
 
 // PoolBatch is the handle to one vectored submit window.  Handles come
 // from a sync.Pool and are recycled by WaitAll, so the steady-state
-// SubmitV/WaitAll path allocates nothing once a batch's recycle list has
-// grown to its working size.
+// SubmitV/WaitAll path allocates nothing.
 type PoolBatch struct {
 	req   *Requester
 	start uint64
 	n     int
-
-	ring   *PayloadRing
-	rslabs []uint32 // slabs to release when the batch is reaped
 }
 
 // Len returns how many calls the batch posted (smaller than the request
@@ -260,26 +238,12 @@ type PoolBatch struct {
 // which recycles the handle.
 func (b *PoolBatch) Len() int { return b.n }
 
-// RecycleSlab attaches a slab to the batch: it returns to ring's free
-// list when WaitAll reaps the batch.  Duplicate attachments are
-// deduplicated, so every segment of a scatter-gather window may be
-// attached without double-releasing a shared slab.
-func (b *PoolBatch) RecycleSlab(ring *PayloadRing, slab uint32) {
-	for _, have := range b.rslabs {
-		if have == slab {
-			return
-		}
-	}
-	b.ring = ring
-	b.rslabs = append(b.rslabs, slab)
-}
-
 // WaitAll blocks until every call in the batch completes (one await per
 // call, in submission order), copying results into rets (when non-nil),
-// then releases attached slabs and recycles the handle.  With the
-// responders parked it first runs the whole window itself as one claimed
-// run (see help), and the waits collect it.  On ErrStopped the unreaped
-// remainder of the window is abandoned with the pool.
+// then recycles the handle.  With the responders parked it first runs
+// the whole window itself as one claimed run (see help), and the waits
+// collect it.  On ErrStopped the unreaped remainder of the window is
+// abandoned with the pool.
 func (b *PoolBatch) WaitAll(rets []uint64) error {
 	r := b.req
 	sh := r.shard
@@ -294,9 +258,6 @@ func (b *PoolBatch) WaitAll(rets []uint64) error {
 			rets[j] = s.ret
 		}
 	}
-	for _, slab := range b.rslabs {
-		b.ring.Release(slab)
-	}
 	b.release()
 	return err
 }
@@ -304,8 +265,6 @@ func (b *PoolBatch) WaitAll(rets []uint64) error {
 func (b *PoolBatch) release() {
 	pool := b.req.pool
 	b.req = nil
-	b.ring = nil
 	b.n = 0
-	b.rslabs = b.rslabs[:0]
 	pool.batchPool.Put(b)
 }

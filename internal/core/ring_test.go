@@ -137,32 +137,6 @@ func TestPoolSlotReuseClearsDescriptors(t *testing.T) {
 	}
 }
 
-func TestPoolSubmitZCRecycleSlab(t *testing.T) {
-	p := zcPool(1, 1)
-	p.Start()
-	defer p.Stop()
-	r := p.Requester()
-	ring := r.Ring()
-
-	slab, buf, _ := ring.Acquire()
-	buf[0] = 3
-	before := ring.FreeSlabs()
-	segs := [1]Segment{{Slab: slab, Off: 0, Len: 1}}
-	pd, err := r.SubmitZC(0, 0, segs[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd.RecycleSlab(ring, slab)
-	pd.RecycleSlab(ring, slab) // duplicate attach must not double-release
-	if _, err := pd.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if ring.FreeSlabs() != before+1 {
-		t.Fatalf("free slabs = %d, want %d (slab recycled exactly once on Wait)",
-			ring.FreeSlabs(), before+1)
-	}
-}
-
 func TestPoolSubmitVWaitAll(t *testing.T) {
 	p := zcPool(1, 2)
 	p.Start()
@@ -196,12 +170,12 @@ func TestPoolSubmitVWaitAll(t *testing.T) {
 	if b.Len() != window {
 		t.Fatalf("batch posted %d, want %d", b.Len(), window)
 	}
-	for _, slab := range slabs {
-		b.RecycleSlab(ring, slab)
-	}
 	var rets [window]uint64
 	if err := b.WaitAll(rets[:]); err != nil {
 		t.Fatal(err)
+	}
+	for _, slab := range slabs {
+		ring.Release(slab)
 	}
 	for i := 0; i < window; i++ {
 		want := uint64(i) // vec path: byte sum
@@ -238,14 +212,9 @@ func TestPoolCallZeroCopyZeroAlloc(t *testing.T) {
 	slab, buf, _ := ring.Acquire()
 	buf[0] = 1
 
-	// Warm both handle pools.
+	// Warm the batch handle pool.
 	var segsW [1]Segment
 	segsW[0] = Segment{Slab: slab, Off: 0, Len: 1}
-	if pd, err := r.SubmitZC(0, 0, segsW[:]); err != nil {
-		t.Fatal(err)
-	} else if _, err := pd.Wait(); err != nil {
-		t.Fatal(err)
-	}
 	var callsW [2]VecCall
 	callsW[0] = VecCall{ID: 0, Segs: segsW[:]}
 	callsW[1] = VecCall{ID: 0, Data: 9}
@@ -282,19 +251,19 @@ func TestPoolCallZeroCopyZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.RecycleSlab(ring, s2)
 		if err := b.WaitAll(rets[:]); err != nil {
 			t.Fatal(err)
 		}
+		ring.Release(s2)
 	}); n != 0 {
 		t.Fatalf("SubmitV/WaitAll allocates %.1f per op, want 0", n)
 	}
 }
 
 // TestPoolZeroCopyConcurrentStress crosses concurrent requesters, slab
-// recycling through both pending and batch handles, and responder churn
-// (the adaptive controller growing and shrinking under bursty load) —
-// run under -race by make test-race.
+// recycling around synchronous calls and vectored windows, and responder
+// churn (the adaptive controller growing and shrinking under bursty
+// load) — run under -race by make test-race.
 func TestPoolZeroCopyConcurrentStress(t *testing.T) {
 	const requesters = 4
 	p := zcPool(requesters, 3)
@@ -330,25 +299,7 @@ func TestPoolZeroCopyConcurrentStress(t *testing.T) {
 				}
 				ring.Release(slab)
 
-				// Phase 2: async ZC with recycle-on-Wait.
-				slab2, _, ok := ring.Acquire()
-				if !ok {
-					errs <- nil
-					return
-				}
-				sg2 := [1]Segment{{Slab: slab2, Off: 0, Len: 4}}
-				pd, err := r.SubmitZC(0, 0, sg2[:])
-				if err != nil {
-					errs <- err
-					return
-				}
-				pd.RecycleSlab(ring, slab2)
-				if _, err := pd.Wait(); err != nil {
-					errs <- err
-					return
-				}
-
-				// Phase 3: vectored window with batch recycle.
+				// Phase 2: vectored window, slabs released after the wait.
 				n := 0
 				for ; n < len(calls); n++ {
 					s3, _, ok := ring.Acquire()
@@ -365,12 +316,12 @@ func TestPoolZeroCopyConcurrentStress(t *testing.T) {
 						errs <- err
 						return
 					}
-					for j := 0; j < n; j++ {
-						b.RecycleSlab(ring, slabs[j])
-					}
 					if err := b.WaitAll(rets[:n]); err != nil {
 						errs <- err
 						return
+					}
+					for j := 0; j < n; j++ {
+						ring.Release(slabs[j])
 					}
 				}
 			}

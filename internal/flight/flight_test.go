@@ -450,10 +450,9 @@ func TestNilAndUnboundSafety(t *testing.T) {
 }
 
 // TestRebindAccumulatesArrivals moves one recorder across two fabrics
-// (the hotbench -flight pattern: successive fixtures each SetFlight the
-// same recorder) and checks the exact arrival totals keep accumulating
-// and stay monotonic — Bind folds the outgoing binding's lane counts
-// into a persistent baseline.
+// (successive fixtures each SetFlight the same recorder) and checks the
+// exact arrival totals keep accumulating and stay monotonic — Bind folds
+// the outgoing binding's lane counts into a persistent baseline.
 func TestRebindAccumulatesArrivals(t *testing.T) {
 	r, clk := newTestRecorder(t, 2, Options{SampleEvery: 1})
 	a := r.Callsite("fixture.a")

@@ -6,8 +6,7 @@ import (
 )
 
 // RenderText renders the live per-callsite stats table as aligned
-// plain text — the ?format=text view of /debug/flight and the
-// hotbench -flight summary.
+// plain text — the ?format=text view of /debug/flight.
 func (r *Recorder) RenderText() string {
 	if r == nil {
 		return "flight: disabled\n"

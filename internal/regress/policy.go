@@ -2,12 +2,11 @@ package regress
 
 import "path"
 
-// Policy maps each metric to its direction and tolerance.  Resolution
-// order: the first matching override wins, then the unit's schema
-// default, then the global default.
+// Policy says how far each metric may sit from its baseline, in either
+// direction.  The first matching override wins, then the default.
 type Policy struct {
 	// DefaultTolerancePct is the allowed relative drift for metrics with
-	// no override (percent, absolute value).
+	// no override (percent, absolute value); 0 admits equality only.
 	DefaultTolerancePct float64
 
 	// Overrides are consulted in order; Pattern is a path.Match glob
@@ -16,116 +15,18 @@ type Policy struct {
 	Overrides []Override
 }
 
-// Override pins direction and/or tolerance for metrics matching a glob.
+// Override sets the tolerance for metrics matching a glob.
 type Override struct {
-	Pattern string
-	// ForceDirection makes Direction authoritative; otherwise the unit's
-	// schema default still decides (a tolerance-only override must not
-	// flip a req/s metric to lower-better).
-	ForceDirection bool
-	Direction      Direction
-	TolerancePct   float64 // 0 means inherit the default tolerance
+	Pattern      string
+	TolerancePct float64
 }
 
-// DefaultPolicy encodes the hotcalls-bench/v1 schema knowledge:
-//
-//   - cycle and time metrics (cycles, ms, us, ns, s) are lower-better;
-//   - rate metrics (req/s, ops/s, x speedups, hit ratios) are
-//     higher-better;
-//   - normalized-throughput fractions ("frac", "ratio") are
-//     higher-better;
-//   - everything else defaults to lower-better, the conservative choice
-//     for a latency-centric artifact.
-//
-// The default tolerance is 3%: the harness is a deterministic simulation
-// (seeded RNG, simulated cycles), so healthy runs reproduce to well
-// under 1%, and 3% keeps the gate quiet across Go version and
-// architecture drift while still catching the 10% class of real
-// regressions.
-func DefaultPolicy() Policy {
-	return Policy{
-		DefaultTolerancePct: 3,
-		Overrides: []Override{
-			// Known-noisy extension curves: closed-loop scheduling at
-			// low concurrency wobbles more than the microbenchmarks.
-			{Pattern: "loadcurve/*", TolerancePct: 6},
-			// The app routes' windowed-vs-sync ratios divide by a
-			// synchronous rate that is pure scheduler handoff on a
-			// 1-vCPU host — the noisiest denominator in the artifact
-			// (observed run-to-run swings near 50%) — so they get the
-			// widest band: the gate only catches the window pipelining
-			// breaking outright (ratio falling toward 1x).
-			{Pattern: "scaling/*windowed vs sync", ForceDirection: true, Direction: HigherBetter, TolerancePct: 60},
-			// The flight-overhead pair is a same-run throughput ratio
-			// (recorder-on / recorder-off), interleaved in one process, so
-			// its expected value is ~1.00x and the recorder's true cost
-			// (<1%) is invisible next to scheduler jitter on a 1-vCPU
-			// host (observed round-to-round ratio spread ~±10%).  The
-			// band exists to catch the sampled hot path growing a real
-			// cost — an always-on clock read or allocation would drop the
-			// ratio by tens of percent at SampleEvery=256 — not to
-			// re-litigate the <1% budget, which EXPERIMENTS.md records
-			// from the interleaved medians.
-			// The tail-sampler pair shares the flight experiment's design
-			// (same-run interleaved ratio, expected ~1.00x) and failure
-			// mode: the armed Complete check growing past a plain
-			// load+compare — a per-call clock read or outlier capture on
-			// healthy traffic — would sink the ratio well past the band.
-			{Pattern: "flight/tail-*", ForceDirection: true, Direction: HigherBetter, TolerancePct: 15},
-			// The incident demo gates a count (bundles captured per storm
-			// episode, exactly 1); "calls" units default lower-better,
-			// which would read a broken capture path (0 bundles) as an
-			// improvement.
-			{Pattern: "incident/*", ForceDirection: true, Direction: HigherBetter},
-			{Pattern: "flight/*", ForceDirection: true, Direction: HigherBetter, TolerancePct: 15},
-			// The what-if experiment gates agreement fractions (causal
-			// profiler and routing-replay, deterministic ~1.0), the
-			// misroute-detection count (exactly 1), and the
-			// estimator-armed vs estimator-off interleaved ratio
-			// (expected ~1.00x — the observatory reads digested stats
-			// off the call path, so a sinking ratio means shadow scoring
-			// leaked onto it).  All higher-better; the 15% band matches
-			// the flight pair's observed scheduler jitter on 1-vCPU
-			// hosts.
-			{Pattern: "whatif/*", ForceDirection: true, Direction: HigherBetter, TolerancePct: 15},
-			// The EPC observer pair shares the flight pair's design
-			// (same-run interleaved touch-rate ratio, expected ~0.96x at
-			// production 1-in-32 sampling on the raw resident-touch path);
-			// the band catches the observer growing an always-on cost —
-			// an allocation or extra map walk on the unsampled path.
-			{Pattern: "epc/observer-*", ForceDirection: true, Direction: HigherBetter, TolerancePct: 15},
-			// The rest of the epc experiment gates the oversubscription
-			// cliff against its closed-form model: measured/model ratios
-			// are exactly 1.00x by construction (deterministic simulated
-			// cycles), and the WSS cross-checks are deterministic hash
-			// counts, so any drift in either direction is a real break in
-			// the paging model or the estimator.
-			{Pattern: "epc/*", ForceDirection: true, Direction: TwoSided, TolerancePct: 5},
-			// The zerocopy fabric pairs and the openvpn streaming pair are
-			// real wall-clock same-run ratios (staged-copy vs zero-copy
-			// round throughput; windowed vs synchronous relay), so they
-			// inherit the scaling curve's wide band: the gate catches the
-			// ring path collapsing back to copy-bound throughput (the 32 KB
-			// point sits far above 2x, so even the band floor holds the
-			// acceptance line), not scheduler wobble.
-			{Pattern: "zerocopy/fabric*", ForceDirection: true, Direction: HigherBetter, TolerancePct: 35},
-			{Pattern: "zerocopy/openvpn*", ForceDirection: true, Direction: HigherBetter, TolerancePct: 35},
-			// The rest of the zerocopy experiment is the simulated
-			// staged-vs-[zerocopy] crossing sweep: deterministic cycle
-			// ratios under a fixed seed, so the modest band only absorbs
-			// cross-architecture RNG drift while still catching the staged
-			// path losing a copy or the zero-copy path growing one.
-			{Pattern: "zerocopy/*", ForceDirection: true, Direction: HigherBetter, TolerancePct: 10},
-			// The fabric scaling curve is real wall-clock on shared CI
-			// hosts, not simulated cycles.  Its values are same-run
-			// speedup ratios (higher-better "x"), which cancels host
-			// speed but not scheduler jitter, so the band is wide: the
-			// gate exists to catch the fabric collapsing back toward
-			// single-slot throughput (a 2x-class loss), not 10% wobble.
-			{Pattern: "scaling/*", ForceDirection: true, Direction: HigherBetter, TolerancePct: 35},
-		},
-	}
-}
+// DefaultPolicy is the exact diff of an artifact against the repo's own
+// past: tolerance 0 and no overrides.  internal/bench reports only
+// quantities that repeat exactly under a fixed seed, so there is no
+// noise for a band to absorb, and a band would only let the committed
+// baseline go stale unnoticed.
+func DefaultPolicy() Policy { return Policy{} }
 
 // PaperFidelityPolicy gates the hotreport fidelity section: every
 // "fidelity/<metric>" key compares a measured value against the paper's
@@ -148,10 +49,10 @@ func PaperFidelityPolicy() Policy {
 			// node cache leaves its capacity knee at a sharper angle than
 			// the real part, so the 4-16 KB points sit ~20% off and the
 			// 32 KB endpoint ~14% (trajectory baseline: -21%/-19%/+22%/+14%).
-			{Pattern: "fidelity/read_overhead_4kb_pct", ForceDirection: true, Direction: TwoSided, TolerancePct: 45},
-			{Pattern: "fidelity/read_overhead_8kb_pct", ForceDirection: true, Direction: TwoSided, TolerancePct: 45},
-			{Pattern: "fidelity/read_overhead_16kb_pct", ForceDirection: true, Direction: TwoSided, TolerancePct: 30},
-			{Pattern: "fidelity/read_overhead_32kb_pct", ForceDirection: true, Direction: TwoSided, TolerancePct: 20},
+			{Pattern: "fidelity/read_overhead_4kb_pct", TolerancePct: 45},
+			{Pattern: "fidelity/read_overhead_8kb_pct", TolerancePct: 45},
+			{Pattern: "fidelity/read_overhead_16kb_pct", TolerancePct: 30},
+			{Pattern: "fidelity/read_overhead_32kb_pct", TolerancePct: 20},
 			// The paper's "620 cycles in most cases" is the latency
 			// model's p78, not its median (~553, -10.8% in the committed
 			// trajectory baseline); the median-derived metrics inherit
@@ -159,68 +60,25 @@ func PaperFidelityPolicy() Policy {
 			// it — fraction within 1,400 cycles — not as a p99.97 order
 			// statistic, which is the top handful of samples and churns
 			// across seeds.
-			{Pattern: "fidelity/hotcall_median_cycles", ForceDirection: true, Direction: TwoSided, TolerancePct: 15},
-			{Pattern: "fidelity/hotcall_vs_*_speedup", ForceDirection: true, Direction: TwoSided, TolerancePct: 15},
+			{Pattern: "fidelity/hotcall_median_cycles", TolerancePct: 15},
+			{Pattern: "fidelity/hotcall_vs_*_speedup", TolerancePct: 15},
 			// Write overhead is a small number (~6%), so relative drift
 			// is amplified; the paper itself only claims "about 6%".
-			{Pattern: "fidelity/write_overhead_*", ForceDirection: true, Direction: TwoSided, TolerancePct: 40},
+			{Pattern: "fidelity/write_overhead_*", TolerancePct: 40},
 			// Everything else under fidelity/: calibrated medians,
 			// HotCall latency, app throughput ratios.
-			{Pattern: "fidelity/*", ForceDirection: true, Direction: TwoSided, TolerancePct: 10},
+			{Pattern: "fidelity/*", TolerancePct: 10},
 		},
 	}
 }
 
-// Resolve is the exported form of resolve, for callers (the report
-// builder) that need to display the direction and tolerance a key gates
+// tolerance returns the relative band (percent) a metric key gates
 // under.
-func (p Policy) Resolve(key, unit string) (Direction, float64) {
-	return p.resolve(key, unit)
-}
-
-// higherBetterUnits are the units that regress when they shrink.
-var higherBetterUnits = map[string]bool{
-	"req/s": true, "ops/s": true, "x": true, "GB/s": true, "MB/s": true,
-	"frac": true, "ratio": true, "hit%": true,
-}
-
-// lowerBetterUnits are the units that regress when they grow.
-var lowerBetterUnits = map[string]bool{
-	"cycles": true, "ms": true, "us": true, "ns": true, "s": true,
-	"calls": true, "crossings": true,
-}
-
-// resolve returns the direction and tolerance for a metric key with the
-// given unit.
-func (p Policy) resolve(key, unit string) (Direction, float64) {
-	tol := p.DefaultTolerancePct
-	dir, haveDir := dirOfUnit(unit)
+func (p Policy) tolerance(key string) float64 {
 	for _, o := range p.Overrides {
-		ok, err := path.Match(o.Pattern, key)
-		if err != nil || !ok {
-			continue
+		if ok, err := path.Match(o.Pattern, key); err == nil && ok {
+			return o.TolerancePct
 		}
-		if o.TolerancePct > 0 {
-			tol = o.TolerancePct
-		}
-		if o.ForceDirection {
-			dir, haveDir = o.Direction, true
-		}
-		break
 	}
-	if !haveDir {
-		dir = LowerBetter
-	}
-	return dir, tol
-}
-
-// dirOfUnit applies the schema's unit conventions.
-func dirOfUnit(unit string) (Direction, bool) {
-	if higherBetterUnits[unit] {
-		return HigherBetter, true
-	}
-	if lowerBetterUnits[unit] {
-		return LowerBetter, true
-	}
-	return LowerBetter, false
+	return p.DefaultTolerancePct
 }

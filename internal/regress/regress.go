@@ -1,16 +1,19 @@
-// Package regress is the machine-checked perf-regression gate over the
-// hotcalls-bench/v1 JSON artifact (BENCH_hotcalls.json): a schema-aware
-// differ that compares a candidate run against a committed baseline with
-// per-metric tolerances and direction-aware better/worse classification,
-// renders a markdown report, and fails (non-zero gate) on any regression
-// beyond tolerance.  `make bench-regress` wires it against the committed
-// baseline; CI runs it on every push so the bench trajectory is a live
-// contract instead of a dead artifact.
+// Package regress compares two hotcalls-bench/v1 artifacts metric by
+// metric.  It serves two gates.  The exact one (DefaultPolicy, `make
+// bench-regress`, cmd/benchdiff) diffs a fresh run against the committed
+// BENCH_hotcalls.json: that artifact holds only quantities that repeat
+// exactly — simulated cycles, deterministic counts — so any changed,
+// added or removed metric fails until the baseline is regenerated in the
+// same commit.  The banded one (PaperFidelityPolicy, internal/report)
+// holds the measured headline metrics within two-sided tolerances of the
+// paper's published numbers.  Wall-clock performance is neither's
+// business: benchmarks/ measures and gates it.
 package regress
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -20,50 +23,21 @@ import (
 // Schema is the artifact schema this differ understands.
 const Schema = "hotcalls-bench/v1"
 
-// Direction says which way a metric is allowed to move.
-type Direction int
-
-const (
-	// LowerBetter: latencies, cycle counts — increases regress.
-	LowerBetter Direction = iota
-	// HigherBetter: throughput, speedups — decreases regress.
-	HigherBetter
-	// Neutral: metadata-like values compared only for drift reporting,
-	// never gated.
-	Neutral
-	// TwoSided: fidelity metrics pinned to a published target — drifting
-	// beyond tolerance in either direction regresses, because "faster
-	// than the paper" means the calibration no longer reproduces it.
-	TwoSided
-)
-
-// String returns a compact direction marker for reports.
-func (d Direction) String() string {
-	switch d {
-	case LowerBetter:
-		return "lower-better"
-	case HigherBetter:
-		return "higher-better"
-	case TwoSided:
-		return "two-sided"
-	}
-	return "neutral"
-}
-
 // Class is the verdict for one metric.
 type Class int
 
 const (
-	// Unchanged: within tolerance.
+	// Unchanged: equal, or within the policy's tolerance.
 	Unchanged Class = iota
-	// Improved: beyond tolerance in the good direction.
-	Improved
-	// Regressed: beyond tolerance in the bad direction.
-	Regressed
+	// Changed: moved beyond tolerance, in either direction — under the
+	// exact policy a faster number is as stale a baseline as a slower
+	// one, and against the paper "faster than published" means the
+	// calibration no longer reproduces it.
+	Changed
 	// Added: present only in the candidate.
 	Added
-	// Removed: present only in the baseline — gated, because a silently
-	// vanished metric is how a trajectory goes dead.
+	// Removed: present only in the baseline — a silently vanished
+	// metric is how a trajectory goes dead.
 	Removed
 )
 
@@ -72,10 +46,8 @@ func (c Class) String() string {
 	switch c {
 	case Unchanged:
 		return "unchanged"
-	case Improved:
-		return "improved"
-	case Regressed:
-		return "regressed"
+	case Changed:
+		return "changed"
 	case Added:
 		return "added"
 	case Removed:
@@ -90,7 +62,6 @@ type Delta struct {
 	Unit         string
 	Base, Cand   float64
 	ChangePct    float64 // signed (cand-base)/base*100; 0 when base is 0
-	Direction    Direction
 	TolerancePct float64
 	Class        Class
 }
@@ -102,7 +73,8 @@ type Result struct {
 	Deltas             []Delta
 }
 
-// Meta is the artifact metadata carried into the report header.
+// Meta is the artifact metadata carried into the report header.  It is
+// displayed, never compared: two runs of one tree differ in it.
 type Meta struct {
 	GeneratedAt string
 	GoVersion   string
@@ -171,8 +143,7 @@ func Compare(base, cand bench.JSONReport, pol Policy) *Result {
 	seen := make(map[string]bool)
 	for _, key := range baseKeys {
 		seen[key] = true
-		d := Delta{Key: key, Unit: baseUnits[key], Base: baseVals[key]}
-		d.Direction, d.TolerancePct = pol.resolve(key, d.Unit)
+		d := Delta{Key: key, Unit: baseUnits[key], Base: baseVals[key], TolerancePct: pol.tolerance(key)}
 		cv, ok := candVals[key]
 		if !ok {
 			d.Class = Removed
@@ -183,91 +154,37 @@ func Compare(base, cand bench.JSONReport, pol Policy) *Result {
 		if d.Base != 0 {
 			d.ChangePct = (d.Cand - d.Base) / d.Base * 100
 		}
-		d.Class = classify(d)
+		// A zero baseline has no relative band: only equality holds it.
+		if d.Cand != d.Base && (d.Base == 0 || math.Abs(d.ChangePct) > d.TolerancePct) {
+			d.Class = Changed
+		}
 		res.Deltas = append(res.Deltas, d)
 	}
 	for _, key := range candKeys {
-		if seen[key] {
-			continue
+		if !seen[key] {
+			res.Deltas = append(res.Deltas, Delta{Key: key, Unit: candUnits[key], Cand: candVals[key], Class: Added})
 		}
-		d := Delta{Key: key, Unit: candUnits[key], Cand: candVals[key], Class: Added}
-		d.Direction, d.TolerancePct = pol.resolve(key, d.Unit)
-		res.Deltas = append(res.Deltas, d)
 	}
 	return res
 }
 
-// classify applies direction and tolerance to a matched metric.
-func classify(d Delta) Class {
-	if d.Direction == Neutral {
-		return Unchanged
-	}
-	abs := d.ChangePct
-	if abs < 0 {
-		abs = -abs
-	}
-	if abs <= d.TolerancePct {
-		return Unchanged
-	}
-	if d.Direction == TwoSided {
-		return Regressed
-	}
-	worse := d.ChangePct > 0
-	if d.Direction == HigherBetter {
-		worse = !worse
-	}
-	if worse {
-		return Regressed
-	}
-	return Improved
-}
-
-// Regressions returns the gated deltas: regressed metrics and removed
-// metrics, worst relative change first.
-func (r *Result) Regressions() []Delta {
+// Failures returns the deltas that fail the gate — changed beyond
+// tolerance, added, or removed — largest relative change first.
+func (r *Result) Failures() []Delta {
 	var out []Delta
 	for _, d := range r.Deltas {
-		if d.Class == Regressed || d.Class == Removed {
+		if d.Class != Unchanged {
 			out = append(out, d)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		ai, aj := out[i].ChangePct, out[j].ChangePct
-		if ai < 0 {
-			ai = -ai
-		}
-		if aj < 0 {
-			aj = -aj
-		}
-		return ai > aj
-	})
-	return out
-}
-
-// Improvements returns the metrics that moved beyond tolerance in the
-// good direction, biggest first.
-func (r *Result) Improvements() []Delta {
-	var out []Delta
-	for _, d := range r.Deltas {
-		if d.Class == Improved {
-			out = append(out, d)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ai, aj := out[i].ChangePct, out[j].ChangePct
-		if ai < 0 {
-			ai = -ai
-		}
-		if aj < 0 {
-			aj = -aj
-		}
-		return ai > aj
+		return math.Abs(out[i].ChangePct) > math.Abs(out[j].ChangePct)
 	})
 	return out
 }
 
 // Failed reports whether the gate should exit non-zero.
-func (r *Result) Failed() bool { return len(r.Regressions()) > 0 }
+func (r *Result) Failed() bool { return len(r.Failures()) > 0 }
 
 // Counts returns per-class totals for the report summary line.
 func (r *Result) Counts() map[Class]int {
@@ -285,8 +202,8 @@ func (r *Result) Summary() string {
 	if r.Failed() {
 		verdict = "FAIL"
 	}
-	return fmt.Sprintf("%s: %d metrics compared — %d regressed, %d improved, %d unchanged, %d added, %d removed",
-		verdict, len(r.Deltas), c[Regressed], c[Improved], c[Unchanged], c[Added], c[Removed])
+	return fmt.Sprintf("%s: %d metrics compared — %d changed, %d unchanged, %d added, %d removed",
+		verdict, len(r.Deltas), c[Changed], c[Unchanged], c[Added], c[Removed])
 }
 
 // sanitizeCell escapes the characters that would break a markdown table

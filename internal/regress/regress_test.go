@@ -3,6 +3,7 @@ package regress
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +12,7 @@ import (
 	"hotcalls/internal/bench"
 )
 
-// fixtureReport builds a small deterministic hotcalls-bench/v1 report
-// covering every direction class the policy knows about.
+// fixtureReport builds a small deterministic hotcalls-bench/v1 report.
 func fixtureReport() bench.JSONReport {
 	return bench.JSONReport{
 		Schema:      Schema,
@@ -101,27 +101,27 @@ func TestIdenticalRunsPass(t *testing.T) {
 	}
 }
 
-// TestWarmHotCallSlowdownFailsGate is the acceptance test from the
-// issue: inject a synthetic 10% slowdown into the warm-HotCall metric
-// and assert the gate fails with a report naming that metric.
+// TestWarmHotCallSlowdownFailsGate injects a synthetic 10% slowdown into
+// the warm-HotCall metric and asserts the gate fails with a report
+// naming that metric.
 func TestWarmHotCallSlowdownFailsGate(t *testing.T) {
 	base := fixtureReport()
 	cand := fixtureReport()
-	cand.Summary.HotCallMedianCycles *= 1.10 // +10%, beyond the 3% tolerance
+	cand.Summary.HotCallMedianCycles *= 1.10
 
 	res := Compare(base, cand, DefaultPolicy())
 	if !res.Failed() {
 		t.Fatalf("10%% warm-HotCall slowdown passed the gate: %s", res.Summary())
 	}
-	regs := res.Regressions()
-	if len(regs) != 1 {
-		t.Fatalf("regressions = %d, want exactly 1: %+v", len(regs), regs)
+	fails := res.Failures()
+	if len(fails) != 1 {
+		t.Fatalf("failures = %d, want exactly 1: %+v", len(fails), fails)
 	}
-	d := regs[0]
+	d := fails[0]
 	if d.Key != "summary/hotcall_median_cycles" {
-		t.Fatalf("regressed metric = %q, want summary/hotcall_median_cycles", d.Key)
+		t.Fatalf("failing metric = %q, want summary/hotcall_median_cycles", d.Key)
 	}
-	if d.Direction != LowerBetter || d.Class != Regressed {
+	if d.Class != Changed {
 		t.Fatalf("bad classification: %+v", d)
 	}
 	if d.ChangePct < 9.9 || d.ChangePct > 10.1 {
@@ -139,72 +139,115 @@ func TestWarmHotCallSlowdownFailsGate(t *testing.T) {
 	if !strings.Contains(report, "summary/hotcall_median_cycles") {
 		t.Fatalf("report does not name the regressed metric:\n%s", report)
 	}
-	if !strings.Contains(report, "## Regressions") {
-		t.Fatalf("report lacks a regressions section:\n%s", report)
+	if !strings.Contains(report, "## Gate failures") {
+		t.Fatalf("report lacks a failures section:\n%s", report)
 	}
 }
 
-// TestDirectionAwareness checks both movement directions for both
-// metric polarities.
-func TestDirectionAwareness(t *testing.T) {
+// TestExactPolicyFailsOnLastDigit: the default policy is an exact diff.
+// One ulp on one value fails it, in either direction — a faster number
+// is as stale a baseline as a slower one — and nothing else does.
+func TestExactPolicyFailsOnLastDigit(t *testing.T) {
+	if pol := DefaultPolicy(); pol.DefaultTolerancePct != 0 || len(pol.Overrides) != 0 {
+		t.Fatalf("default policy is not exact: %+v", pol)
+	}
 	base := fixtureReport()
-
-	// Throughput drop regresses; throughput gain improves.
-	cand := fixtureReport()
-	cand.Experiments[1].Values[0].Got *= 0.90
-	res := Compare(base, cand, DefaultPolicy())
-	if got := res.Regressions(); len(got) != 1 || got[0].Key != "fig7/memcached hotcalls" {
-		t.Fatalf("req/s drop not gated: %+v", got)
-	}
-	cand.Experiments[1].Values[0].Got = base.Experiments[1].Values[0].Got * 1.10
-	res = Compare(base, cand, DefaultPolicy())
-	if res.Failed() {
-		t.Fatalf("req/s gain failed the gate: %s", res.Summary())
-	}
-	if imps := res.Improvements(); len(imps) != 1 || imps[0].Key != "fig7/memcached hotcalls" {
-		t.Fatalf("req/s gain not classed improved: %+v", imps)
-	}
-
-	// Cycle drop improves; cycle growth regresses (already covered above).
-	cand = fixtureReport()
-	cand.Summary.HotCallMedianCycles *= 0.90
-	res = Compare(base, cand, DefaultPolicy())
-	if res.Failed() {
-		t.Fatalf("cycle improvement failed the gate: %s", res.Summary())
+	for _, toward := range []float64{math.Inf(1), math.Inf(-1)} {
+		cand := fixtureReport()
+		v := &cand.Experiments[1].Values[0].Got
+		*v = math.Nextafter(*v, toward)
+		res := Compare(base, cand, DefaultPolicy())
+		fails := res.Failures()
+		if len(fails) != 1 || fails[0].Key != "fig7/memcached hotcalls" || fails[0].Class != Changed {
+			t.Fatalf("one-ulp move toward %v not gated: %+v", toward, fails)
+		}
 	}
 }
 
+// TestMetadataHeaderIgnored: two runs of one tree differ in their
+// timestamp and may differ in toolchain; neither is a metric.
+func TestMetadataHeaderIgnored(t *testing.T) {
+	base := fixtureReport()
+	cand := fixtureReport()
+	cand.GeneratedAt = "2026-10-01T12:00:00Z"
+	cand.GoVersion = "go1.99.0"
+	if res := Compare(base, cand, DefaultPolicy()); res.Failed() {
+		t.Fatalf("metadata difference failed the gate: %s", res.Summary())
+	}
+}
+
+// fidelityFixture is a measured-vs-paper pair shaped like
+// bench.ReportData.FidelityPair's: paper values as the baseline.
+func fidelityFixture(name string, paper, measured float64) (base, cand bench.JSONReport) {
+	mk := func(v float64) bench.JSONReport {
+		return bench.JSONReport{Schema: Schema, Experiments: []bench.JSONExperiment{
+			{ID: "fidelity", Values: []bench.JSONValue{{Name: name, Got: v, Unit: "cycles"}}},
+		}}
+	}
+	return mk(paper), mk(measured)
+}
+
+// TestToleranceAbsorbsNoise: the fidelity policy is banded and
+// two-sided — drift inside the band passes, drift beyond it fails in
+// either direction — and a specific override beats the catch-all.
 func TestToleranceAbsorbsNoise(t *testing.T) {
-	base := fixtureReport()
-	cand := fixtureReport()
-	cand.Summary.HotCallMedianCycles *= 1.02 // +2%, inside the 3% default
-	res := Compare(base, cand, DefaultPolicy())
-	if res.Failed() {
-		t.Fatalf("2%% drift failed the gate: %s", res.Summary())
+	for _, tc := range []struct {
+		name     string
+		measured float64 // against a paper value of 100
+		fail     bool
+	}{
+		{"ecall_warm_median_cycles", 108, false}, // inside the 10% catch-all
+		{"ecall_warm_median_cycles", 92, false},
+		{"ecall_warm_median_cycles", 112, true},
+		{"ecall_warm_median_cycles", 88, true},
+		{"read_overhead_4kb_pct", 140, false}, // its own 45% band
+		{"read_overhead_4kb_pct", 50, true},
+	} {
+		base, cand := fidelityFixture(tc.name, 100, tc.measured)
+		if res := Compare(base, cand, PaperFidelityPolicy()); res.Failed() != tc.fail {
+			t.Errorf("%s measured %v vs paper 100: failed = %v, want %v (%s)",
+				tc.name, tc.measured, res.Failed(), tc.fail, res.Summary())
+		}
 	}
 }
 
-// TestLoadcurveOverride checks the glob override: loadcurve metrics get
-// the looser 6% tolerance but keep their unit-derived direction.
-func TestLoadcurveOverride(t *testing.T) {
-	base := fixtureReport()
-	cand := fixtureReport()
-	cand.Experiments[2].Values[0].Got *= 0.95 // -5% req/s: inside 6%
-	res := Compare(base, cand, DefaultPolicy())
-	if res.Failed() {
-		t.Fatalf("5%% loadcurve wobble failed the gate: %s", res.Summary())
+// TestFidelityPolicyMatchesCommittedReport uses the committed
+// report.json as the fidelity policy's golden file: replaying its
+// measured-vs-paper pairs must resolve the same band, the same change
+// and the same verdict for every metric.
+func TestFidelityPolicyMatchesCommittedReport(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "report.json"))
+	if err != nil {
+		t.Fatalf("no committed fidelity report: %v", err)
 	}
-	cand.Experiments[2].Values[0].Got = base.Experiments[2].Values[0].Got * 0.90 // -10%: beyond 6%
-	res = Compare(base, cand, DefaultPolicy())
-	regs := res.Regressions()
-	if len(regs) != 1 || regs[0].Key != "loadcurve/peak throughput" {
-		t.Fatalf("10%% loadcurve drop not gated: %+v", regs)
+	var committed struct {
+		Fidelity []struct {
+			Metric       string  `json:"metric"`
+			Measured     float64 `json:"measured"`
+			Paper        float64 `json:"paper"`
+			ChangePct    float64 `json:"change_pct"`
+			TolerancePct float64 `json:"tolerance_pct"`
+			Verdict      string  `json:"verdict"`
+		} `json:"fidelity"`
 	}
-	if regs[0].TolerancePct != 6 {
-		t.Fatalf("tolerance = %.1f, want 6 (override)", regs[0].TolerancePct)
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatal(err)
 	}
-	if regs[0].Direction != HigherBetter {
-		t.Fatalf("override flipped direction to %s", regs[0].Direction)
+	if len(committed.Fidelity) < 10 {
+		t.Fatalf("report.json carries %d fidelity metrics, want >= 10", len(committed.Fidelity))
+	}
+	for _, f := range committed.Fidelity {
+		base, cand := fidelityFixture(strings.TrimPrefix(f.Metric, "fidelity/"), f.Paper, f.Measured)
+		res := Compare(base, cand, PaperFidelityPolicy())
+		d := res.Deltas[0]
+		verdict := "ok"
+		if d.Class != Unchanged {
+			verdict = d.Class.String()
+		}
+		if d.Key != f.Metric || d.TolerancePct != f.TolerancePct || d.ChangePct != f.ChangePct || verdict != f.Verdict {
+			t.Errorf("%s: got (±%v%%, %+v%%, %s), committed (±%v%%, %+v%%, %s)", f.Metric,
+				d.TolerancePct, d.ChangePct, verdict, f.TolerancePct, f.ChangePct, f.Verdict)
+		}
 	}
 }
 
@@ -218,25 +261,24 @@ func TestRemovedMetricGates(t *testing.T) {
 	if !res.Failed() {
 		t.Fatalf("removed metric passed the gate: %s", res.Summary())
 	}
-	regs := res.Regressions()
-	if len(regs) != 1 || regs[0].Class != Removed || regs[0].Key != "loadcurve/peak throughput" {
-		t.Fatalf("removed metric not gated: %+v", regs)
+	fails := res.Failures()
+	if len(fails) != 1 || fails[0].Class != Removed || fails[0].Key != "loadcurve/peak throughput" {
+		t.Fatalf("removed metric not gated: %+v", fails)
 	}
 }
 
-// TestAddedMetricDoesNotGate: new coverage is welcome, not a failure.
-func TestAddedMetricDoesNotGate(t *testing.T) {
+// TestAddedMetricGates: a metric the committed baseline does not carry
+// means the baseline was not regenerated with the change that added it.
+func TestAddedMetricGates(t *testing.T) {
 	base := fixtureReport()
 	cand := fixtureReport()
 	cand.Experiments = append(cand.Experiments, bench.JSONExperiment{
 		ID: "fig9", Values: []bench.JSONValue{{Name: "lighttpd hotcalls", Got: 61000, Unit: "req/s"}},
 	})
 	res := Compare(base, cand, DefaultPolicy())
-	if res.Failed() {
-		t.Fatalf("added metric failed the gate: %s", res.Summary())
-	}
-	if c := res.Counts(); c[Added] != 1 {
-		t.Fatalf("added count = %d, want 1", c[Added])
+	fails := res.Failures()
+	if len(fails) != 1 || fails[0].Class != Added || fails[0].Key != "fig9/lighttpd hotcalls" {
+		t.Fatalf("added metric not gated: %+v", fails)
 	}
 }
 
@@ -246,12 +288,12 @@ func TestRegressionsSortedWorstFirst(t *testing.T) {
 	cand.Summary.HotCallMedianCycles *= 1.05   // +5%
 	cand.Summary.EcallWarmMedianCycles *= 1.50 // +50%
 	res := Compare(base, cand, DefaultPolicy())
-	regs := res.Regressions()
-	if len(regs) < 2 {
-		t.Fatalf("regressions = %d, want >= 2", len(regs))
+	fails := res.Failures()
+	if len(fails) != 2 {
+		t.Fatalf("failures = %d, want 2", len(fails))
 	}
-	if regs[0].Key != "summary/ecall_warm_median_cycles" {
-		t.Fatalf("worst regression not first: %+v", regs[0])
+	if fails[0].Key != "summary/ecall_warm_median_cycles" {
+		t.Fatalf("largest change not first: %+v", fails[0])
 	}
 }
 
@@ -259,12 +301,18 @@ func TestZeroBaseValue(t *testing.T) {
 	base := fixtureReport()
 	base.Experiments[0].Values[0].Got = 0
 	cand := fixtureReport()
-	res := Compare(base, cand, DefaultPolicy())
-	// A zero baseline yields ChangePct 0 → unchanged, never a div-by-zero.
-	for _, d := range res.Deltas {
-		if d.Key == "table1/Ecall (warm cache)" && d.Class != Unchanged {
-			t.Fatalf("zero-base metric classified %s", d.Class)
+	// A zero baseline has no relative change to report (never a
+	// div-by-zero) and no band to sit in: only equality holds it, under
+	// either policy.
+	for _, pol := range []Policy{DefaultPolicy(), PaperFidelityPolicy()} {
+		for _, d := range Compare(base, cand, pol).Deltas {
+			if d.Key == "table1/Ecall (warm cache)" && (d.ChangePct != 0 || d.Class != Changed) {
+				t.Fatalf("zero-base metric: change %v%%, class %s", d.ChangePct, d.Class)
+			}
 		}
+	}
+	if res := Compare(base, base, DefaultPolicy()); res.Failed() {
+		t.Fatalf("zero equals zero failed the gate: %s", res.Summary())
 	}
 }
 

@@ -3,13 +3,14 @@ package regress
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
 // WriteMarkdown renders the comparison as a markdown report: verdict,
-// regressions (the gate's reason for failing, worst first), improvements,
-// and the full metric table.  Output is deterministic for a fixed input
-// pair, which is what the golden-file tests pin.
+// the failing metrics (largest change first), and the full metric
+// table.  Output is deterministic for a fixed input pair, which is what
+// the golden-file test pins.
 func (r *Result) WriteMarkdown(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("# Bench regression report (hotcalls-bench/v1)\n\n")
@@ -19,13 +20,9 @@ func (r *Result) WriteMarkdown(w io.Writer) error {
 	fmt.Fprintf(&b, "| go | %s | %s |\n", r.BaseMeta.GoVersion, r.CandMeta.GoVersion)
 	fmt.Fprintf(&b, "| micro runs | %d | %d |\n\n", r.BaseMeta.MicroRuns, r.CandMeta.MicroRuns)
 
-	if regs := r.Regressions(); len(regs) > 0 {
-		b.WriteString("## Regressions (gate failures)\n\n")
-		writeDeltaTable(&b, regs)
-	}
-	if imps := r.Improvements(); len(imps) > 0 {
-		b.WriteString("## Improvements\n\n")
-		writeDeltaTable(&b, imps)
+	if fails := r.Failures(); len(fails) > 0 {
+		b.WriteString("## Gate failures\n\n")
+		writeDeltaTable(&b, fails)
 	}
 
 	b.WriteString("## All metrics\n\n")
@@ -36,34 +33,26 @@ func (r *Result) WriteMarkdown(w io.Writer) error {
 
 // writeDeltaTable renders one markdown table of deltas.
 func writeDeltaTable(b *strings.Builder, deltas []Delta) {
-	b.WriteString("| metric | unit | baseline | candidate | change | tolerance | direction | class |\n")
-	b.WriteString("|---|---|---:|---:|---:|---:|---|---|\n")
+	b.WriteString("| metric | unit | baseline | candidate | change | class |\n")
+	b.WriteString("|---|---|---:|---:|---:|---|\n")
 	for _, d := range deltas {
-		change := "-"
+		var change string
 		switch d.Class {
 		case Added:
 			change = "new"
 		case Removed:
 			change = "gone"
 		default:
-			change = fmt.Sprintf("%+.2f%%", d.ChangePct)
+			change = fmt.Sprintf("%+.3g%%", d.ChangePct)
 		}
-		fmt.Fprintf(b, "| %s | %s | %s | %s | %s | %.1f%% | %s | %s |\n",
+		fmt.Fprintf(b, "| %s | %s | %s | %s | %s | %s |\n",
 			sanitizeCell(d.Key), sanitizeCell(d.Unit),
-			fnum(d.Base), fnum(d.Cand), change,
-			d.TolerancePct, d.Direction, d.Class)
+			fnum(d.Base), fnum(d.Cand), change, d.Class)
 	}
 	b.WriteString("\n")
 }
 
-// fnum renders a value compactly: integers without decimals, fractions
-// with enough precision to see a 1% move.
-func fnum(v float64) string {
-	if v == 0 {
-		return "0"
-	}
-	if v == float64(int64(v)) && v < 1e15 && v > -1e15 {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%.3f", v)
-}
+// fnum renders a value in the shortest form that reads back to the same
+// float64, so a last-digit difference — which the exact gate fails on —
+// is visible in the table.
+func fnum(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }

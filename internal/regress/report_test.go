@@ -10,15 +10,15 @@ import (
 )
 
 // TestMarkdownReportGolden pins the exact markdown the gate emits for a
-// fixed regressing comparison (set UPDATE_GOLDEN=1 to regenerate).  The
+// fixed failing comparison (set UPDATE_GOLDEN=1 to regenerate).  The
 // report is what lands in CI logs and PR comments, so its shape is part
 // of the contract.
 func TestMarkdownReportGolden(t *testing.T) {
 	base := fixtureReport()
 	cand := fixtureReport()
 	cand.GeneratedAt = "2026-08-05T01:00:00Z"
-	cand.Summary.HotCallMedianCycles *= 1.10  // regression
-	cand.Experiments[1].Values[0].Got *= 1.10 // improvement (req/s up)
+	cand.Summary.HotCallMedianCycles *= 1.10  // slower: fails
+	cand.Experiments[1].Values[0].Got *= 1.10 // faster: fails the same way
 	cand.Experiments = append(cand.Experiments, bench.JSONExperiment{
 		ID: "fig9", Values: []bench.JSONValue{{Name: "lighttpd hotcalls", Got: 61000, Unit: "req/s"}},
 	})
@@ -53,7 +53,7 @@ func TestMarkdownReportGolden(t *testing.T) {
 	}
 }
 
-// TestMarkdownPassReport checks the all-clear shape: no regressions
+// TestMarkdownPassReport checks the all-clear shape: no failures
 // section, PASS verdict.
 func TestMarkdownPassReport(t *testing.T) {
 	base := fixtureReport()
@@ -66,7 +66,7 @@ func TestMarkdownPassReport(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte("PASS")) {
 		t.Fatalf("pass report lacks PASS verdict:\n%s", s)
 	}
-	if bytes.Contains(buf.Bytes(), []byte("## Regressions")) {
-		t.Fatalf("pass report has a regressions section:\n%s", s)
+	if bytes.Contains(buf.Bytes(), []byte("## Gate failures")) {
+		t.Fatalf("pass report has a failures section:\n%s", s)
 	}
 }

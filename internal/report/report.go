@@ -35,4 +35,4 @@ func Build(cfg bench.ReportConfig) *Report {
 
 // FidelityOK reports whether every compared metric landed within its
 // tolerance — the bit cmd/hotreport turns into its exit status.
-func (r *Report) FidelityOK() bool { return len(r.Fidelity.Regressions()) == 0 }
+func (r *Report) FidelityOK() bool { return len(r.Fidelity.Failures()) == 0 }

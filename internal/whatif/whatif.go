@@ -29,7 +29,7 @@
 // Surfaces: /debug/whatif (JSON/text/SVG via Handler), the
 // routing-regret monitor rule (internal/monitor), incident-bundle
 // attachment (internal/incident), Prometheus regret series
-// (Observatory.WritePrometheus), and the hotbench -whatif report.
+// (Observatory.WritePrometheus), and the hotbench -run whatif report.
 package whatif
 
 import (
