@@ -62,12 +62,20 @@ test-repeat:
 test-poison:
 	$(GO) test -tags sdkpoison ./internal/sdk/... ./internal/core/... ./internal/apps/...
 
-# bench-sim prices one simulated request per app and interface in host
-# time and allocations — what every experiment, the fidelity report and
-# the repo benchmark's sim_apps workload pay per request.  The ceilings
-# are pinned by TestSimRequestAllocs in the same package.
+# bench-sim prices the simulated platform in host time — what every
+# experiment, the fidelity report and the repo benchmark's sim_apps
+# workload pay.  In order: one request per app and interface (ns, B,
+# allocations; the ceilings are pinned by TestSimRequestAllocs and
+# TestSimBootFootprint in the same package); sim_apps' own unit, six
+# freshly booted cells x 0.05 simulated s, as simulated requests per host
+# second — build it with `go test -c` in a parent clone and alternate the
+# two binaries to pair a claim without touching benchmarks/; and the two
+# model operations under every memory access, by outcome.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimRequest' -benchtime 20000x -benchmem -count 3 ./internal/apps/porting/
+	$(GO) test -run '^$$' -bench 'BenchmarkSimSweep' -benchtime 10x -count 3 ./internal/apps/porting/
+	$(GO) test -run '^$$' -bench 'BenchmarkAccess' -benchtime 20000000x -count 3 ./internal/cache/
+	$(GO) test -run '^$$' -bench 'BenchmarkTouchRunAs' -benchtime 2000000x -count 3 ./internal/epc/
 
 # bench-selftest runs the repo benchmark's own tests (its module is
 # outside the root module, so `go test ./...` does not reach them).

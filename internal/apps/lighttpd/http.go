@@ -8,7 +8,7 @@ package lighttpd
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -157,6 +157,11 @@ func ParseRequest(raw string) (*HTTPRequest, error) {
 
 // ResponseHead builds the status line and headers for a response.
 func ResponseHead(status int, contentLength int) string {
+	return string(appendResponseHead(nil, status, contentLength))
+}
+
+// appendResponseHead appends the status line and headers to dst.
+func appendResponseHead(dst []byte, status int, contentLength int) []byte {
 	text := "OK"
 	switch status {
 	case 404:
@@ -164,6 +169,11 @@ func ResponseHead(status int, contentLength int) string {
 	case 400:
 		text = "Bad Request"
 	}
-	return fmt.Sprintf("HTTP/1.0 %d %s\r\nServer: lighttpd-sim/1.4.41\r\nContent-Length: %d\r\nConnection: close\r\n\r\n",
-		status, text, contentLength)
+	dst = append(dst, "HTTP/1.0 "...)
+	dst = strconv.AppendInt(dst, int64(status), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, text...)
+	dst = append(dst, "\r\nServer: lighttpd-sim/1.4.41\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(contentLength), 10)
+	return append(dst, "\r\nConnection: close\r\n\r\n"...)
 }

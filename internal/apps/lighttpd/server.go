@@ -2,7 +2,6 @@ package lighttpd
 
 import (
 	"fmt"
-	"strings"
 
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/osapi"
@@ -85,6 +84,7 @@ type Server struct {
 	readCredit, pairCredit float64
 
 	reqBuf []byte // InjectRequest assembles the request bytes here
+	rawBuf []byte // handleConnection reassembles the request head here
 
 	served uint64
 }
@@ -273,12 +273,12 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 	for ; s.readCredit >= 1; s.readCredit-- {
 		reads++
 	}
-	var raw strings.Builder
+	s.rawBuf = s.rawBuf[:0]
 	for i := 0; i < reads; i++ {
 		n := ocall("ocall_read", sdk.Scalar(uint64(conn)), sdk.Buf(s.readBuf), sdk.Scalar(readCap))
-		raw.Write(s.readBuf.Data[:n])
+		s.rawBuf = append(s.rawBuf, s.readBuf.Data[:n]...)
 	}
-	req, err := ParseRequest(raw.String())
+	req, err := scanRequest(s.rawBuf, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -287,17 +287,18 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 	closeWork()
 
 	// Stat and open the document.
-	path := "/www" + req.Path
-	if req.Path == "/" {
-		path = "/www/index.html"
+	path := s.pathBuf.Data
+	n := copy(path, "/www")
+	if reqPath := s.rawBuf[req.path.lo:req.path.hi]; string(reqPath) == "/" {
+		n += copy(path[n:], "/index.html")
+	} else {
+		n += copy(path[n:], reqPath)
 	}
-	copy(s.pathBuf.Data, path)
-	s.pathBuf.Data[len(path)] = 0
+	path[n] = 0
 	open := ocall("ocall_open64", sdk.Buf(s.pathBuf))
 	if open == ^uint64(0) {
 		// Missing document: a 404 without a body.
-		head := ResponseHead(404, 0)
-		copy(s.headBuf.Data, head)
+		head := appendResponseHead(s.headBuf.Data[:0], 404, 0)
 		ocall("ocall_writev", sdk.Scalar(uint64(conn)), sdk.Buf(s.headBuf), sdk.Scalar(uint64(len(head))))
 		ocall("ocall_shutdown", sdk.Scalar(uint64(conn)))
 		ocall("ocall_close", sdk.Scalar(uint64(conn)))
@@ -311,8 +312,7 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 	}
 
 	// Response: headers via writev, body via sendfile.
-	head := ResponseHead(200, size)
-	copy(s.headBuf.Data, head)
+	head := appendResponseHead(s.headBuf.Data[:0], 200, size)
 	ocall("ocall_writev", sdk.Scalar(uint64(conn)), sdk.Buf(s.headBuf), sdk.Scalar(uint64(len(head))))
 	ocall("ocall_sendfile64", sdk.Scalar(uint64(conn)), sdk.Scalar(uint64(fd)))
 

@@ -145,27 +145,28 @@ func (s *Server) handleEvent(env *porting.Env, args []sdk.Arg) uint64 {
 	}
 	env.TouchPages(pagesAfterRead)
 
-	req, err := DecodeRequest(s.reqBuf.Data[:n])
+	req, err := decodeRequest(s.reqBuf.Data[:n])
 	if err != nil {
 		panic(fmt.Sprintf("memcached: bad request: %v", err))
 	}
-	resp := Response{Op: req.Op, Opaque: req.Opaque, Status: StatusOK}
+	key := string(req.key) // the store keeps it; the view aliases reqBuf
+	resp := Response{Op: req.op, Opaque: req.opaque, Status: StatusOK}
 	closeStore := env.Section(porting.CatDataStore)
-	switch req.Op {
+	switch req.op {
 	case OpGet:
-		val := s.Store.Get(env, req.Key)
+		val := s.Store.Get(env, key)
 		if val == nil {
 			resp.Status = StatusNotFound
 		} else {
 			// The value is copied from the store into the response
 			// buffer; the cost model charges the move.
-			env.App.Platform.Mem.Copy(env.Clk, s.respBuf.Addr, s.Store.ValueAddr(req.Key), uint64(len(val)))
+			env.App.Platform.Mem.Copy(env.Clk, s.respBuf.Addr, s.Store.ValueAddr(key), uint64(len(val)))
 			resp.Value = val
 		}
 	case OpSet:
-		s.Store.Set(env, req.Key, req.Value)
+		s.Store.Set(env, key, req.value)
 	case OpDelete:
-		if !s.Store.Delete(env, req.Key) {
+		if !s.Store.Delete(env, key) {
 			resp.Status = StatusNotFound
 		}
 	}

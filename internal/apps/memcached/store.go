@@ -1,10 +1,6 @@
 package memcached
 
-import (
-	"hash/fnv"
-
-	"hotcalls/internal/apps/porting"
-)
+import "hotcalls/internal/apps/porting"
 
 // Store is the key-value store: a real hash map for the data path plus a
 // memory-cost profile that charges hash-probe and value accesses at
@@ -28,7 +24,7 @@ func NewStore(app *porting.App, keyspace int, valueSize uint64) *Store {
 	valueSpan := uint64(keyspace) * valueSize
 	hashSpan := valueSpan / 2
 	return &Store{
-		items:     make(map[string][]byte, keyspace),
+		items:     make(map[string][]byte),
 		hashBase:  app.ReserveRegion(hashSpan),
 		hashSpan:  hashSpan,
 		valueBase: app.ReserveRegion(valueSpan),
@@ -37,11 +33,7 @@ func NewStore(app *porting.App, keyspace int, valueSize uint64) *Store {
 	}
 }
 
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
-}
+func hashKey(key string) uint64 { return porting.FNV64(key) }
 
 // probe charges the hash-chain walk: two dependent loads at
 // hash-distributed addresses (bucket head, then item header).

@@ -73,12 +73,11 @@ func (e *Env) OCall(name string, args ...sdk.Arg) (uint64, error) {
 	}
 	switch e.App.Mode {
 	case Native:
-		_, fn, err := e.App.RT.UntrustedBinding(name)
+		b, err := e.App.RT.UntrustedBinding(name)
 		if err != nil {
 			return 0, err
 		}
-		e.App.RT.CountCall(name)
-		return fn(&sdk.Ctx{Clk: e.Clk, RT: e.App.RT}, args), nil
+		return e.App.RT.CallNative(e.Clk, b, args), nil
 	case SGX:
 		if e.sdkCtx == nil {
 			return 0, sdk.ErrOCallOutsideCall
@@ -116,8 +115,6 @@ type App struct {
 	tel     requestTel
 	reqDist *dist.Recorder
 	mon     *monitor.Monitor
-
-	trusted map[string]func(*Env, []sdk.Arg) uint64
 
 	regionNext uint64  // bump cursor for ReserveRegion
 	aexRate    float64 // asynchronous exits per second (see aex.go)
@@ -170,19 +167,25 @@ func New(mode Mode, cfg Config, edlSrc string) *App {
 		RT:       rt,
 		Chan:     core.NewChannel(rt, p.RNG),
 		name:     cfg.Name,
-		trusted:  make(map[string]func(*Env, []sdk.Arg) uint64),
 	}
 	return app
 }
 
 // BindTrusted registers application logic for a declared ecall.  The
-// handler receives an Env whose OCall routes through the app's mode.
+// handler receives an Env whose OCall routes through the app's mode; the
+// Env lives in the call's frame (sdk.Ctx.Host) and is reused, like the
+// argument list, once the handler has returned.
 func (a *App) BindTrusted(name string, fn func(*Env, []sdk.Arg) uint64) {
-	a.trusted[name] = fn
 	a.RT.MustBindECall(name, func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
+		env, _ := ctx.Host.(*Env)
+		if env == nil {
+			env = new(Env)
+			ctx.Host = env
+		}
 		// Under the SDK interface the handler starts with a freshly
 		// flushed enclave TLB (EENTER invalidates it).
-		return fn(&Env{Clk: ctx.Clk, App: a, sdkCtx: ctx, tlbFlushed: true}, args)
+		*env = Env{Clk: ctx.Clk, App: a, sdkCtx: ctx, tlbFlushed: true}
+		return fn(env, args)
 	})
 }
 
@@ -201,12 +204,11 @@ func (a *App) Call(clk *sim.Clock, name string, args ...sdk.Arg) (uint64, error)
 	}
 	switch a.Mode {
 	case Native:
-		fn, ok := a.trusted[name]
-		if !ok {
-			return 0, fmt.Errorf("%w: %s", sdk.ErrNotBound, name)
+		b, err := a.RT.TrustedBinding(name)
+		if err != nil {
+			return 0, err
 		}
-		a.RT.CountCall(name)
-		return fn(&Env{Clk: clk, App: a}, args), nil
+		return a.RT.CallNative(clk, b, args), nil
 	case SGX:
 		return a.RT.ECall(clk, name, args...)
 	default:

@@ -1,6 +1,7 @@
 package porting_test
 
 import (
+	"runtime"
 	"testing"
 
 	"hotcalls/internal/apps/lighttpd"
@@ -84,4 +85,26 @@ func BenchmarkSimRequest(b *testing.B) {
 			}
 		})
 	}
+}
+
+// simOutstanding is each app's closed-loop window in the Figure 10 run.
+var simOutstanding = map[string]int{"memcached": memcached.Outstanding, "lighttpd": lighttpd.Outstanding, "openvpn": 64}
+
+// BenchmarkSimSweep is the unit of the repo benchmark's sim_apps workload
+// inside the root module: the six cells, each on a freshly booted server,
+// 0.05 simulated seconds through RunClosedLoop.  It reports simulated
+// requests per host second, boots included, and allocations per request.
+func BenchmarkSimSweep(b *testing.B) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var requests uint64
+	for i := 0; i < b.N; i++ {
+		for _, c := range simCells {
+			requests += porting.RunClosedLoop(simOutstanding[c.app], sim.Cycles(0.05), simCell(b, c.app, c.mode)).Requests
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(requests)/b.Elapsed().Seconds(), "simreq/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(requests), "allocs/simreq")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(requests), "B/simreq")
 }

@@ -10,11 +10,13 @@
 package cache
 
 import (
-	"math"
+	"fmt"
 	"math/bits"
 )
 
-// Config describes a cache geometry.  All fields must be powers of two.
+// Config describes a cache geometry.  The line size and the set count
+// (SizeBytes / LineSize / Ways) must be powers of two; the associativity
+// need not be (the MEE's node cache has 3 ways).
 type Config struct {
 	SizeBytes int // total capacity
 	LineSize  int // bytes per line
@@ -32,29 +34,47 @@ type Victim struct {
 	Valid bool   // false when the insertion filled an empty way
 }
 
+// Word is the state of one way.  The width bounds the address space a
+// cache can hold (see Cache): the LLC's 16 uint32 ways make a set exactly
+// one 64-byte host cache line; the MEE node cache, whose synthetic node
+// addresses are 48 bits wide over only 16 sets, takes uint64.
+type Word interface{ uint32 | uint64 }
+
 // Cache is a set-associative write-back cache.  It is not safe for
 // concurrent use.
 //
-// All sets live in one flat array: set i owns words[i*ways : (i+1)*ways],
-// of which the first fill[i] are its resident lines in LRU order, front =
-// most recent.  A word packs the line number with the dirty flag in bit 0,
-// so a whole LLC is two allocations and a lookup scans one contiguous run.
-type Cache struct {
+// All sets live in one flat array: set i owns words[i*ways : (i+1)*ways]
+// in LRU order, front = most recent.  A word is (tag+1)<<1 | dirty, where
+// the tag is the line number above the set-index bits — the set supplies
+// the rest, so a victim's address is rebuilt from the two.  Empty ways
+// hold zero (a fresh array is an empty cache) and always trail the
+// resident ones, so there is no per-set count and a lookup reads nothing
+// but the set itself.  An address whose tag does not fit the word cannot
+// be held: Access panics on it rather than alias another line.
+//
+// used has one bit per set, raised when the set takes its first line: it
+// is written on a fill of an empty way only, and lets FlushAll — which the
+// cold-cache experiments run before every measurement — visit the few sets
+// a run touched instead of the whole array.
+type Cache[W Word] struct {
 	cfg       Config
 	lineShift uint
+	setBits   uint
 	setMask   uint64
 	ways      int
-	words     []uint64 // line<<1 | dirty
-	fill      []uint16 // resident lines per set
+	maxTag    uint64 // first tag that does not fit the word (a field: as a constant of W it measured 4 ns slower)
+	words     []W
+	used      []uint64
 	accesses  uint64
 	misses    uint64
 }
 
 const dirtyBit = 1
 
-// New returns a cache with the given geometry.  It panics if the geometry
-// is not a power-of-two design or the associativity exceeds the line count.
-func New(cfg Config) *Cache {
+// New returns a cache with the given geometry and way width.  It panics if
+// the geometry is not a power-of-two design or the associativity exceeds
+// the line count.
+func New[W Word](cfg Config) *Cache[W] {
 	if cfg.SizeBytes <= 0 || cfg.LineSize <= 0 || cfg.Ways <= 0 {
 		panic("cache: non-positive geometry")
 	}
@@ -69,43 +89,47 @@ func New(cfg Config) *Cache {
 	if cfg.LineSize&(cfg.LineSize-1) != 0 || numSets&(numSets-1) != 0 {
 		panic("cache: line size and set count must be powers of two")
 	}
-	if cfg.Ways > math.MaxUint16 {
-		panic("cache: associativity exceeds the per-set fill counter")
-	}
-	return &Cache{
+	return &Cache[W]{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setBits:   uint(bits.TrailingZeros(uint(numSets))),
 		setMask:   uint64(numSets - 1),
 		ways:      cfg.Ways,
-		words:     make([]uint64, numSets*cfg.Ways),
-		fill:      make([]uint16, numSets),
+		maxTag:    uint64(^W(0) >> 1),
+		words:     make([]W, numSets*cfg.Ways),
+		used:      make([]uint64, (numSets+63)/64),
 	}
 }
 
 // Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
+func (c *Cache[W]) Config() Config { return c.cfg }
 
 // LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 {
+func (c *Cache[W]) LineAddr(addr uint64) uint64 {
 	return (addr >> c.lineShift) << c.lineShift
 }
 
-func (c *Cache) lineOf(addr uint64) uint64 { return addr >> c.lineShift }
-
-// resident returns the set index of a line and that set's resident words.
-func (c *Cache) resident(line uint64) (set int, ws []uint64) {
+// locate splits addr into its set (index and ways) and the clean word its
+// line would be held as; ok is false when the tag does not fit the word,
+// so the line cannot be resident.  (The shift counts are below 64 by
+// construction; masking them says so to the compiler, which otherwise
+// guards every variable shift.)
+func (c *Cache[W]) locate(addr uint64) (set int, ws []W, key W, ok bool) {
+	line := addr >> (c.lineShift & 63)
+	tag := line >> (c.setBits & 63)
 	set = int(line & c.setMask)
-	base := set * c.ways
-	return set, c.words[base : base+int(c.fill[set])]
+	return set, c.words[set*c.ways : (set+1)*c.ways], W(tag+1) << 1, tag < c.maxTag
 }
 
 // Probe reports whether addr's line is resident, without touching
 // replacement state.
-func (c *Cache) Probe(addr uint64) bool {
-	line := c.lineOf(addr)
-	_, ws := c.resident(line)
+func (c *Cache[W]) Probe(addr uint64) bool {
+	_, ws, key, ok := c.locate(addr)
+	if !ok {
+		return false
+	}
 	for _, w := range ws {
-		if w>>1 == line {
+		if w&^dirtyBit == key {
 			return true
 		}
 	}
@@ -115,39 +139,38 @@ func (c *Cache) Probe(addr uint64) bool {
 // Access performs a load (write=false) or store (write=true) to addr.
 // It returns whether the access hit, and the victim displaced if the
 // resulting fill evicted a valid line.
-func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
+func (c *Cache[W]) Access(addr uint64, write bool) (hit bool, victim Victim) {
 	c.accesses++
-	line := c.lineOf(addr)
-	set, ws := c.resident(line)
+	set, ws, key, ok := c.locate(addr)
+	if !ok {
+		panic(fmt.Sprintf("cache: the tag of address %#x does not fit a %T way", addr, W(0)))
+	}
+	var dirty W
+	if write {
+		dirty = dirtyBit
+	}
 	for i, w := range ws {
-		if w>>1 == line {
-			// Hit: move to MRU position.
-			if write {
-				w |= dirtyBit
+		if w&^dirtyBit == key {
+			// Hit: move to MRU position (the MRU way is already there).
+			if i > 0 {
+				copy(ws[1:i+1], ws[:i])
 			}
-			copy(ws[1:i+1], ws[:i])
-			ws[0] = w
+			ws[0] = w | dirty
 			return true, Victim{}
 		}
 	}
 	c.misses++
-	// Miss: fill, evicting LRU if the set is full.
-	w := line << 1
-	if write {
-		w |= dirtyBit
-	}
-	if len(ws) < c.ways {
-		ws = ws[:len(ws)+1]
-		c.fill[set]++
-		copy(ws[1:], ws)
-		ws[0] = w
-		return false, Victim{}
-	}
+	// Miss: fill at the front; the last way falls out, and it is the LRU
+	// line exactly when the set was full.
 	lru := ws[len(ws)-1]
 	copy(ws[1:], ws)
-	ws[0] = w
+	ws[0] = key | dirty
+	if lru == 0 {
+		c.used[set/64] |= 1 << (set % 64)
+		return false, Victim{}
+	}
 	return false, Victim{
-		Addr:  lru >> 1 << c.lineShift,
+		Addr:  (uint64(lru>>1-1)<<(c.setBits&63) | uint64(set)) << (c.lineShift & 63),
 		Dirty: lru&dirtyBit != 0,
 		Valid: true,
 	}
@@ -155,13 +178,15 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
 
 // Flush removes addr's line (the clflush instruction).  It reports whether
 // the line was present and whether it was dirty (requiring write-back).
-func (c *Cache) Flush(addr uint64) (present, dirty bool) {
-	line := c.lineOf(addr)
-	set, ws := c.resident(line)
+func (c *Cache[W]) Flush(addr uint64) (present, dirty bool) {
+	_, ws, key, ok := c.locate(addr)
+	if !ok {
+		return false, false
+	}
 	for i, w := range ws {
-		if w>>1 == line {
+		if w&^dirtyBit == key {
 			copy(ws[i:], ws[i+1:])
-			c.fill[set]--
+			ws[len(ws)-1] = 0
 			return true, w&dirtyBit != 0
 		}
 	}
@@ -170,12 +195,12 @@ func (c *Cache) Flush(addr uint64) (present, dirty bool) {
 
 // FlushRange flushes every line overlapping [addr, addr+size) and returns
 // the number of dirty lines written back.
-func (c *Cache) FlushRange(addr, size uint64) (dirtyLines int) {
+func (c *Cache[W]) FlushRange(addr, size uint64) (dirtyLines int) {
 	if size == 0 {
 		return 0
 	}
-	first := c.lineOf(addr)
-	last := c.lineOf(addr + size - 1)
+	first := addr >> c.lineShift
+	last := (addr + size - 1) >> c.lineShift
 	for line := first; line <= last; line++ {
 		if _, d := c.Flush(line << c.lineShift); d {
 			dirtyLines++
@@ -187,26 +212,38 @@ func (c *Cache) FlushRange(addr, size uint64) (dirtyLines int) {
 // FlushAll empties the cache (the cold-cache experiments of Figure 2 flush
 // the entire 8 MB LLC before every run).  It returns the number of dirty
 // lines that needed write-back.
-func (c *Cache) FlushAll() (dirtyLines int) {
-	for set, n := range c.fill {
-		for _, w := range c.words[set*c.ways : set*c.ways+int(n)] {
-			if w&dirtyBit != 0 {
-				dirtyLines++
-			}
+func (c *Cache[W]) FlushAll() (dirtyLines int) {
+	c.usedSets(func(ws []W) {
+		for _, w := range ws {
+			dirtyLines += int(w & dirtyBit)
 		}
-		c.fill[set] = 0
-	}
+		clear(ws)
+	})
+	clear(c.used)
 	return dirtyLines
 }
 
 // Occupancy returns the number of resident lines.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, f := range c.fill {
-		n += int(f)
+func (c *Cache[W]) Occupancy() (lines int) {
+	c.usedSets(func(ws []W) {
+		for _, w := range ws {
+			if w != 0 {
+				lines++
+			}
+		}
+	})
+	return lines
+}
+
+// usedSets visits every set that has held a line since the last FlushAll.
+func (c *Cache[W]) usedSets(visit func(ws []W)) {
+	for i, mask := range c.used {
+		for ; mask != 0; mask &= mask - 1 {
+			set := i*64 + bits.TrailingZeros64(mask)
+			visit(c.words[set*c.ways : (set+1)*c.ways])
+		}
 	}
-	return n
 }
 
 // Stats returns cumulative access and miss counts.
-func (c *Cache) Stats() (accesses, misses uint64) { return c.accesses, c.misses }
+func (c *Cache[W]) Stats() (accesses, misses uint64) { return c.accesses, c.misses }

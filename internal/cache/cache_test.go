@@ -7,9 +7,9 @@ import (
 	"hotcalls/internal/sim"
 )
 
-func tiny() *Cache {
+func tiny() *Cache[uint32] {
 	// 4 sets x 2 ways x 64-byte lines = 512 bytes.
-	return New(Config{SizeBytes: 512, LineSize: 64, Ways: 2})
+	return New[uint32](Config{SizeBytes: 512, LineSize: 64, Ways: 2})
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -130,7 +130,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestLLCGeometry(t *testing.T) {
-	c := New(LLCConfig)
+	c := New[uint32](LLCConfig)
 	// 8192 sets x 16 ways, observed from outside: lines one set-stride
 	// apart collide, and the 17th of them displaces the first.
 	const setStride = 8192 * 64
@@ -165,7 +165,7 @@ func TestBadGeometryPanics(t *testing.T) {
 					t.Errorf("config %+v should panic", cfg)
 				}
 			}()
-			New(cfg)
+			New[uint32](cfg)
 		}()
 	}
 }
@@ -223,7 +223,7 @@ func TestVictimNeverEqualsInserted(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []bool {
 		r := sim.NewRNG(99)
-		c := New(Config{SizeBytes: 4096, LineSize: 64, Ways: 4})
+		c := New[uint32](Config{SizeBytes: 4096, LineSize: 64, Ways: 4})
 		hits := make([]bool, 0, 1000)
 		for i := 0; i < 1000; i++ {
 			h, _ := c.Access(uint64(r.Intn(1<<13)), r.Bool(0.3))
@@ -256,7 +256,7 @@ func TestProbeDoesNotPerturbLRU(t *testing.T) {
 
 func TestNonPowerOfTwoWays(t *testing.T) {
 	// 16 sets x 3 ways, the MEE node-cache geometry.
-	c := New(Config{SizeBytes: 48 * 64, LineSize: 64, Ways: 3})
+	c := New[uint32](Config{SizeBytes: 48 * 64, LineSize: 64, Ways: 3})
 	set0 := func(i uint64) uint64 { return i * 16 * 64 } // same set, different tags
 	c.Access(set0(0), false)
 	c.Access(set0(1), false)
@@ -265,4 +265,37 @@ func TestNonPowerOfTwoWays(t *testing.T) {
 	if !victim.Valid || victim.Addr != set0(0) {
 		t.Fatalf("3-way set should evict LRU: victim = %+v", victim)
 	}
+}
+
+// BenchmarkAccess prices the three outcomes of an LLC access on the host:
+// a hit at the MRU way (a line touched twice in a row), a hit at the LRU
+// way (the whole set is shifted) and a miss that displaces a dirty line.
+// `make bench-sim` runs it beside the simulated-request benchmarks.
+func BenchmarkAccess(b *testing.B) {
+	const setStride = 8192 * 64 // consecutive lines of one LLC set
+	b.Run("mru-hit", func(b *testing.B) {
+		c := New[uint32](LLCConfig)
+		c.Access(0x1000, false)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(0x1000, false)
+		}
+	})
+	b.Run("deep-hit", func(b *testing.B) {
+		c := New[uint32](LLCConfig)
+		for w := uint64(0); w < 16; w++ {
+			c.Access(w*setStride, false)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i%16)*setStride, false) // always the LRU way
+		}
+	})
+	b.Run("miss-dirty-victim", func(b *testing.B) {
+		c := New[uint32](LLCConfig)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i%64)*setStride, true) // 64 lines through 16 ways
+		}
+	})
 }

@@ -9,7 +9,8 @@ import (
 
 // refCache is the slice-of-slices true-LRU model the flat Cache replaced,
 // copied as it stood, kept as the oracle: every simulated statistic in the
-// repo was calibrated against its hit/miss/victim sequence.
+// repo was calibrated against its hit/miss/victim sequence.  It holds whole
+// line numbers, so no address is beyond it.
 type refCache struct {
 	cfg       Config
 	lineShift uint
@@ -26,7 +27,7 @@ type refEntry struct {
 }
 
 func newRef(cfg Config) *refCache {
-	flat := New(cfg) // validates the geometry and derives shift and mask
+	flat := New[uint64](cfg) // validates the geometry and derives shift and mask
 	c := &refCache{cfg: cfg, lineShift: flat.lineShift, setMask: flat.setMask, sets: make([][]refEntry, flat.setMask+1)}
 	for i := range c.sets {
 		c.sets[i] = make([]refEntry, 0, cfg.Ways)
@@ -131,77 +132,198 @@ func (c *refCache) Occupancy() int {
 	return n
 }
 
-// TestFlatCacheMatchesReference drives the flat cache and the reference
-// model with the same seeded operation traces and requires every
-// observable to agree step by step.
+// The regions simulated addresses come from.  mem and mee import this
+// package, so their constants (mem.PlainBase, mem.EnclaveBase, the MEE's
+// MAC and counter regions with the tree level folded in at bit 32, and
+// mee.nodeCacheConfig) are restated.
+var (
+	llcBases     = []uint64{0, 0x0000_1000_0000, 0x7000_0000_0000}
+	meeBases     = []uint64{0, 0xF0 << 40, 0xF1 << 40, 0xF1<<40 | 3<<32}
+	meeNodeCache = Config{SizeBytes: 48 * 64, LineSize: 64, Ways: 3}
+)
+
+// Operations of a differential trace.
+const (
+	opLoad = iota
+	opStore
+	opFlush
+	opFlushRange
+	opFlushAll
+	opProbe
+	opOccupancy
+	numOps
+)
+
+// differ applies one operation to the cache and to the reference model and
+// reports the first observable that disagrees.
+func differ[W Word](c *Cache[W], ref *refCache, op int, addr, size uint64) error {
+	switch op {
+	case opLoad, opStore:
+		hit, v := c.Access(addr, op == opStore)
+		rhit, rv := ref.Access(addr, op == opStore)
+		if hit != rhit || v != rv {
+			return fmt.Errorf("Access(%#x, %v) = (%v, %+v), reference (%v, %+v)", addr, op == opStore, hit, v, rhit, rv)
+		}
+	case opFlush:
+		p, d := c.Flush(addr)
+		rp, rd := ref.Flush(addr)
+		if p != rp || d != rd {
+			return fmt.Errorf("Flush(%#x) = (%v, %v), reference (%v, %v)", addr, p, d, rp, rd)
+		}
+	case opFlushRange:
+		if got, want := c.FlushRange(addr, size), ref.FlushRange(addr, size); got != want {
+			return fmt.Errorf("FlushRange(%#x, %d) = %d, reference %d", addr, size, got, want)
+		}
+	case opFlushAll:
+		if got, want := c.FlushAll(), ref.FlushAll(); got != want {
+			return fmt.Errorf("FlushAll = %d, reference %d", got, want)
+		}
+	case opProbe:
+		if got, want := c.Probe(addr), ref.Probe(addr); got != want {
+			return fmt.Errorf("Probe(%#x) = %v, reference %v", addr, got, want)
+		}
+	case opOccupancy:
+		if got, want := c.Occupancy(), ref.Occupancy(); got != want {
+			return fmt.Errorf("Occupancy = %d, reference %d", got, want)
+		}
+	}
+	return nil
+}
+
+// replayTrace drives the cache and the reference model with one seeded
+// operation trace and requires every observable to agree step by step.
+func replayTrace[W Word](t *testing.T, cfg Config, bases []uint64, span, steps int, seed uint64) {
+	r := sim.NewRNG(seed)
+	c, ref := New[W](cfg), newRef(cfg)
+	var addr uint64
+	for i := 0; i < steps; i++ {
+		// Half the operations walk forward a line from the last address,
+		// as the streaming sweeps do; the rest jump, to any region.
+		if addr += uint64(cfg.LineSize); r.Bool(0.5) {
+			addr = bases[r.Intn(len(bases))] + uint64(r.Intn(span))
+		}
+		op, size := opLoad, uint64(0)
+		switch p := r.Intn(1000); {
+		case p < 860:
+			if r.Bool(0.4) {
+				op = opStore
+			}
+		case p < 920:
+			op = opFlush
+		case p < 950:
+			op, size = opFlushRange, uint64(r.Intn(8*cfg.LineSize))
+		case p < 996:
+			op = opProbe
+		case p < 999:
+			op = opOccupancy // walks every used set: kept rare
+		default:
+			if i%50 != 0 { // a full flush every thousand steps would keep the cache empty
+				continue
+			}
+			op = opFlushAll
+		}
+		if err := differ(c, ref, op, addr, size); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	acc, miss := c.Stats()
+	if acc != ref.accesses || miss != ref.misses || c.Occupancy() != ref.Occupancy() {
+		t.Fatalf("final (accesses, misses, occupancy) = (%d, %d, %d), reference (%d, %d, %d)",
+			acc, miss, c.Occupancy(), ref.accesses, ref.misses, ref.Occupancy())
+	}
+}
+
+// TestFlatCacheMatchesReference replays seeded traces over the two
+// geometries in use, each at its own way width and over the regions its
+// addresses come from, and over a toy.  Spans are a few times the
+// capacity, so sets fill, evict and refill.
 func TestFlatCacheMatchesReference(t *testing.T) {
 	for _, g := range []struct {
-		name  string
-		cfg   Config
-		span  int // address span the trace draws from
-		steps int
+		name   string
+		replay func(t *testing.T, seed uint64)
 	}{
-		// Spans a few times the capacity, so sets fill, evict and refill.
-		{"llc", LLCConfig, 4 * LLCConfig.SizeBytes, 400_000},
-		// The MEE's metadata cache (mee.nodeCacheConfig; mee imports this
-		// package, so the geometry is restated): 16 sets x 3 ways.
-		{"mee-node-cache", Config{SizeBytes: 48 * 64, LineSize: 64, Ways: 3}, 16 * 48 * 64, 50_000},
-		{"2-way-toy", Config{SizeBytes: 512, LineSize: 64, Ways: 2}, 4096, 50_000},
+		{"llc", func(t *testing.T, seed uint64) {
+			replayTrace[uint32](t, LLCConfig, llcBases, 2*LLCConfig.SizeBytes, 400_000, seed)
+		}},
+		{"mee-node-cache", func(t *testing.T, seed uint64) {
+			replayTrace[uint64](t, meeNodeCache, meeBases, 8*meeNodeCache.SizeBytes, 50_000, seed)
+		}},
+		{"2-way-toy", func(t *testing.T, seed uint64) {
+			replayTrace[uint32](t, Config{SizeBytes: 512, LineSize: 64, Ways: 2}, []uint64{0}, 4096, 50_000, seed)
+		}},
 	} {
 		for _, seed := range []uint64{1, 7, 42} {
-			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
-				r := sim.NewRNG(seed)
-				c, ref := New(g.cfg), newRef(g.cfg)
-				var addr uint64
-				for i := 0; i < g.steps; i++ {
-					// Half the operations walk forward a line from the
-					// last address, as the streaming sweeps do; the rest
-					// jump.
-					if addr += uint64(g.cfg.LineSize); r.Bool(0.5) {
-						addr = uint64(r.Intn(g.span))
-					}
-					switch op := r.Intn(100); {
-					case op < 90:
-						write := r.Bool(0.4)
-						hit, v := c.Access(addr, write)
-						rhit, rv := ref.Access(addr, write)
-						if hit != rhit || v != rv {
-							t.Fatalf("step %d: Access(%#x, %v) = (%v, %+v), reference (%v, %+v)", i, addr, write, hit, v, rhit, rv)
-						}
-					case op < 96:
-						p, d := c.Flush(addr)
-						rp, rd := ref.Flush(addr)
-						if p != rp || d != rd {
-							t.Fatalf("step %d: Flush(%#x) = (%v, %v), reference (%v, %v)", i, addr, p, d, rp, rd)
-						}
-					case op < 99:
-						size := uint64(r.Intn(8 * g.cfg.LineSize))
-						if got, want := c.FlushRange(addr, size), ref.FlushRange(addr, size); got != want {
-							t.Fatalf("step %d: FlushRange(%#x, %d) = %d, reference %d", i, addr, size, got, want)
-						}
-					default:
-						if i%50 != 0 { // a full flush every step would keep the cache empty
-							continue
-						}
-						if got, want := c.FlushAll(), ref.FlushAll(); got != want {
-							t.Fatalf("step %d: FlushAll = %d, reference %d", i, got, want)
-						}
-					}
-					if i%1024 == 0 {
-						if got, want := c.Occupancy(), ref.Occupancy(); got != want {
-							t.Fatalf("step %d: Occupancy = %d, reference %d", i, got, want)
-						}
-						if probe := uint64(r.Intn(g.span)); c.Probe(probe) != ref.Probe(probe) {
-							t.Fatalf("step %d: Probe(%#x) disagrees with the reference", i, probe)
-						}
-					}
-				}
-				acc, miss := c.Stats()
-				if acc != ref.accesses || miss != ref.misses || c.Occupancy() != ref.Occupancy() {
-					t.Fatalf("final (accesses, misses, occupancy) = (%d, %d, %d), reference (%d, %d, %d)",
-						acc, miss, c.Occupancy(), ref.accesses, ref.misses, ref.Occupancy())
-				}
-			})
+			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) { g.replay(t, seed) })
 		}
+	}
+}
+
+// FuzzCacheMatchesReference decodes its input as a trace of 4-byte
+// operations — opcode, region, a set-stride multiple (lines that collide
+// in one set) and an offset over the next sixteen lines — and replays it
+// on both geometries in use, each emptied first.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add([]byte{opStore, 1, 0, 0, opStore, 1, 1, 0, opLoad, 1, 0, 9, opFlush, 1, 1, 0, opOccupancy, 0, 0, 0})
+	f.Add([]byte{opStore, 2, 3, 200, opFlushRange, 2, 3, 7, opProbe, 2, 3, 200, opFlushAll, 0, 0, 0})
+	var ways []byte // seventeen colliding stores overflow a 16-way set
+	for i := byte(0); i <= 16; i++ {
+		ways = append(ways, opStore, 2, i, 0)
+	}
+	f.Add(ways)
+	llc, llcRef := New[uint32](LLCConfig), newRef(LLCConfig)
+	node, nodeRef := New[uint64](meeNodeCache), newRef(meeNodeCache)
+	f.Fuzz(func(t *testing.T, trace []byte) {
+		for _, empty := range []error{differ(llc, llcRef, opFlushAll, 0, 0), differ(node, nodeRef, opFlushAll, 0, 0)} {
+			if empty != nil {
+				t.Fatal(empty)
+			}
+		}
+		for ; len(trace) >= 4; trace = trace[4:] {
+			op, region := int(trace[0])%numOps, int(trace[1])
+			stride, off, size := uint64(trace[2]), uint64(trace[3])*4, uint64(trace[3])*2
+			if err := differ(llc, llcRef, op, llcBases[region%len(llcBases)]+stride*uint64(LLCConfig.SizeBytes/LLCConfig.Ways)+off, size); err != nil {
+				t.Fatalf("llc: %v", err)
+			}
+			if err := differ(node, nodeRef, op, meeBases[region%len(meeBases)]+stride*uint64(meeNodeCache.SizeBytes/meeNodeCache.Ways)+off, size); err != nil {
+				t.Fatalf("mee node cache: %v", err)
+			}
+		}
+	})
+}
+
+// TestAddressBeyondTagPanics pins what happens to an address a way cannot
+// tag: Access panics, and neither it nor Probe nor Flush ever takes it for
+// the line its truncated tag would name.
+func TestAddressBeyondTagPanics(t *testing.T) {
+	c := New[uint32](LLCConfig) // 6 line bits + 13 set bits: tags start at bit 19
+	const resident = 0x1040
+	c.Access(resident, true)
+	for _, addr := range []uint64{
+		resident | 1<<(19+31), // truncates to the resident line's tag
+		resident | 1<<(19+32),
+		(1<<31 - 1) << 19, // tag+1 would spill into the 32nd bit
+		^uint64(0),
+	} {
+		if c.Probe(addr) {
+			t.Errorf("Probe(%#x) found a line that cannot be held", addr)
+		}
+		if present, _ := c.Flush(addr); present {
+			t.Errorf("Flush(%#x) removed a line that cannot be held", addr)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Access(%#x) did not panic", addr)
+				}
+			}()
+			c.Access(addr, false)
+		}()
+	}
+	if !c.Probe(resident) || c.Occupancy() != 1 {
+		t.Fatal("an untaggable address disturbed a resident line")
+	}
+	// The same addresses fit a 64-bit way.
+	if hit, _ := New[uint64](LLCConfig).Access(resident|1<<(19+32), false); hit {
+		t.Fatal("first access of a wide address hit")
 	}
 }

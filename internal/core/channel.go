@@ -67,17 +67,51 @@ func (ch *Channel) SetDistribution(d *dist.Set) { ch.dist = d }
 // through shared plaintext memory, and the untrusted responder executes
 // the landing function.
 func (ch *Channel) HotOCall(clk *sim.Clock, name string, args ...sdk.Arg) (uint64, error) {
-	decl, fn, err := ch.RT.UntrustedBinding(name)
+	b, err := ch.RT.UntrustedBinding(name)
 	if err != nil {
 		return 0, err
 	}
-	ch.RT.CountCall(name)
-	ch.tel.ocalls.Inc()
+	return ch.hotCall(clk, b, args, false)
+}
+
+// HotECall performs an enclave call through the HotCalls interface: the
+// responder thread inside the enclave polls for requests, so no EENTER is
+// needed.  Marshalling again reuses the SDK code path.
+func (ch *Channel) HotECall(clk *sim.Clock, name string, args ...sdk.Arg) (uint64, error) {
+	b, err := ch.RT.TrustedBinding(name)
+	if err != nil {
+		return 0, err
+	}
+	return ch.hotCall(clk, b, args, true)
+}
+
+// hotCall is the protocol both directions share: count the call on its
+// binding, stage the arguments, pay the synchronization, run the handler
+// on the responder's core, copy out.  Only the staging direction, the
+// handler's router and the labels differ.
+func (ch *Channel) hotCall(clk *sim.Clock, b *sdk.Binding, args []sdk.Arg, ecall bool) (uint64, error) {
+	name := b.Decl.Name
+	calls, kind, span, label := ch.tel.ocalls, dist.HotOcall, telemetry.KindHotOCall, "hotocall:"
+	// An ecall's handler runs on the resident enclave worker; its own
+	// ocalls route back through this channel.
+	var router sdk.OCallRouter
+	if ecall {
+		calls, kind, span, label, router = ch.tel.ecalls, dist.HotEcall, telemetry.KindHotECall, "hotecall:", ch
+	}
+	b.Count()
+	calls.Inc()
 	callStart := clk.Now()
 
 	tr := ch.tel.tracer
 	deep := tr.Detailed()
-	outer, finish, err := ch.RT.StageOCallArgs(clk, decl, args)
+	var staged []sdk.Arg
+	var finish func()
+	var err error
+	if ecall {
+		staged, finish, err = ch.RT.StageECallArgs(clk, b.Decl, args)
+	} else {
+		staged, finish, err = ch.RT.StageOCallArgs(clk, b.Decl, args)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -95,10 +129,10 @@ func (ch *Channel) HotOCall(clk *sim.Clock, name string, args ...sdk.Arg) (uint6
 		tr.Emit(telemetry.KindSpin, "hotcall-sync", spinStart, clk.Since(spinStart), 0)
 	}
 	handlerStart := clk.Now()
-	// The handler runs on the responder core, on the staged call's own
-	// context (reused per call depth: it must not keep it).
-	ctx := ch.RT.HandlerCtx(nil)
-	ret := fn(ctx, outer)
+	// The handler runs on the staged call's own context (reused per call
+	// depth: it must not keep it) and its own clock.
+	ctx := ch.RT.HandlerCtx(router)
+	ret := b.Fn(ctx, staged)
 	clk.Advance(ctx.Clk.Now())
 	if deep && clk.Now() > handlerStart {
 		// The handler body ran on the responder's own clock; its span is
@@ -112,59 +146,9 @@ func (ch *Channel) HotOCall(clk *sim.Clock, name string, args ...sdk.Arg) (uint6
 		tr.Emit(telemetry.KindMarshal, "copyout:"+name, copyOutStart, clk.Since(copyOutStart), 0)
 	}
 	ch.tel.cycles.ObserveSince(callStart, clk.Now())
-	ch.dist.Observe(dist.HotOcall, clk.Since(callStart))
+	ch.dist.Observe(kind, clk.Since(callStart))
 	if tr != nil {
-		tr.Emit(telemetry.KindHotOCall, "hotocall:"+name, callStart, clk.Since(callStart), 0)
-	}
-	return ret, nil
-}
-
-// HotECall performs an enclave call through the HotCalls interface: the
-// responder thread inside the enclave polls for requests, so no EENTER is
-// needed.  Marshalling again reuses the SDK code path.
-func (ch *Channel) HotECall(clk *sim.Clock, name string, args ...sdk.Arg) (uint64, error) {
-	decl, fn, err := ch.RT.TrustedBinding(name)
-	if err != nil {
-		return 0, err
-	}
-	ch.RT.CountCall(name)
-	ch.tel.ecalls.Inc()
-	callStart := clk.Now()
-
-	tr := ch.tel.tracer
-	deep := tr.Detailed()
-	inner, finish, err := ch.RT.StageECallArgs(clk, decl, args)
-	if err != nil {
-		return 0, err
-	}
-	if deep && clk.Now() > callStart {
-		tr.Emit(telemetry.KindMarshal, "stage:"+name, callStart, clk.Since(callStart), 0)
-	}
-	spinStart := clk.Now()
-	clk.AdvanceF(ch.Model.Sample())
-	ch.tel.spin.Add(clk.Since(spinStart))
-	if deep {
-		tr.Emit(telemetry.KindSpin, "hotcall-sync", spinStart, clk.Since(spinStart), 0)
-	}
-	// The handler runs on the resident enclave worker; its own ocalls
-	// route back through this channel.
-	handlerStart := clk.Now()
-	ctx := ch.RT.HandlerCtx(ch)
-	ret := fn(ctx, inner)
-	clk.Advance(ctx.Clk.Now())
-	if deep && clk.Now() > handlerStart {
-		tr.Emit(telemetry.KindHandler, "handler:"+name, handlerStart, clk.Since(handlerStart), 0)
-	}
-
-	copyOutStart := clk.Now()
-	finish()
-	if deep && clk.Now() > copyOutStart {
-		tr.Emit(telemetry.KindMarshal, "copyout:"+name, copyOutStart, clk.Since(copyOutStart), 0)
-	}
-	ch.tel.cycles.ObserveSince(callStart, clk.Now())
-	ch.dist.Observe(dist.HotEcall, clk.Since(callStart))
-	if tr != nil {
-		tr.Emit(telemetry.KindHotECall, "hotecall:"+name, callStart, clk.Since(callStart), 0)
+		tr.Emit(span, label+name, callStart, clk.Since(callStart), 0)
 	}
 	return ret, nil
 }

@@ -292,6 +292,10 @@ type CallPool struct {
 	// spinMax caps the completion wait's spin phase (see await): 0 on a
 	// single P, where no responder can run while the requester spins.
 	spinMax int
+
+	// rejected counts scatter-gather calls refused at dispatch (execRun);
+	// last, so that every field above keeps the offset it was measured at.
+	rejected *telemetry.Counter
 }
 
 // NewCallPool builds a fabric over the given call table.  Responders do
@@ -343,6 +347,7 @@ func (p *CallPool) SetTelemetry(reg *telemetry.Registry) {
 	p.sleepCtr = reg.Counter(telemetry.MetricResponderSleeps)
 	p.kickCtr = reg.Counter(telemetry.MetricResponderKicks)
 	p.inlineCtr = reg.Counter(telemetry.MetricHotCallInline)
+	p.rejected = reg.Counter(telemetry.MetricHotCallRejected)
 	p.scaleUps = reg.Counter(telemetry.MetricPoolScaleUps)
 	p.scaleDowns = reg.Counter(telemetry.MetricPoolScaleDowns)
 	p.liveGauge = reg.Gauge(telemetry.MetricPoolResponders)
@@ -543,20 +548,23 @@ func (r *Requester) Index() int { return r.idx }
 
 // post plants one call in the requester's ring, spinning through the
 // attempt budget when the window is full.  segs is the call's
-// scatter-gather list, at most MaxSegs long: its descriptor block is
-// written on its own requester-owned line before the slotPosted release
-// store that publishes slab bytes and descriptors together.  Without
-// segments that line stays untouched, and the cleared count — on the line
-// already being written — keeps a reused slot from replaying a prior
-// call's descriptors.  Payload bytes are counted per callsite for the
-// flight recorder, so the what-if router can price per-byte cost; a call
-// that carries none skips the count.  On success the slot pointer and the
-// call's flight record (nil when unsampled or detached) are returned for
-// the completion wait.  The flight stamp happens before the submission
+// scatter-gather list, at most MaxSegs long (ErrTooManySegments beyond:
+// the slot holds no more): its descriptor block is written on its own
+// requester-owned line before the slotPosted release store that publishes
+// slab bytes and descriptors together.  Without segments that line stays
+// untouched, and the cleared count — on the line already being written —
+// keeps a reused slot from replaying a prior call's descriptors.  Payload
+// bytes are counted per callsite for the flight recorder, so the what-if
+// router can price per-byte cost; a call that carries none skips the
+// count.  On success the slot pointer and the call's flight record (nil
+// when unsampled or detached) are returned for the completion wait.  The flight stamp happens before the submission
 // spin, so a window-full wait is part of the recorded latency; the record
 // is closed on every exit path, so a timeout or shutdown never leaves an
 // open record to wedge the digest.
 func (r *Requester) post(cs flight.Callsite, id CallID, data uint64, segs []Segment) (*poolSlot, *flight.Record, error) {
+	if len(segs) > MaxSegs {
+		return nil, nil, ErrTooManySegments
+	}
 	p := r.pool
 	sh := r.shard
 	p.requests.Inc()

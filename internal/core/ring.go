@@ -35,7 +35,14 @@ package core
 // Acquires a slab before it posts and Releases it after it has reaped
 // every call that references it.
 
-import "hotcalls/internal/flight"
+import (
+	"errors"
+
+	"hotcalls/internal/flight"
+)
+
+// ErrTooManySegments rejects a scatter-gather list longer than MaxSegs.
+var ErrTooManySegments = errors.New("core: more segments than a call slot holds")
 
 // MaxSegs is the scatter-gather limit per call: enough for a
 // header+body+trailer split while keeping the descriptor block on one
@@ -123,6 +130,23 @@ func (pr *PayloadRing) Slab(slab uint32) []byte { return pr.slabs[slab] }
 // Bytes addresses the window a segment describes.
 func (pr *PayloadRing) Bytes(seg Segment) []byte {
 	return pr.slabs[seg.Slab][seg.Off : uint64(seg.Off)+uint64(seg.Len)]
+}
+
+// holds reports whether every descriptor addresses a window inside one
+// slab of the ring; a nil ring (a pool built without rings) holds none.
+// The responder asks before it dispatches: the descriptor block is shared
+// untrusted memory like call_ID, and Bytes on a forged one would panic on
+// the responder's goroutine.
+func (pr *PayloadRing) holds(segs []Segment) bool {
+	if pr == nil {
+		return false
+	}
+	for _, sg := range segs {
+		if int(sg.Slab) >= len(pr.slabs) || uint64(sg.Off)+uint64(sg.Len) > uint64(pr.slabBytes) {
+			return false
+		}
+	}
+	return true
 }
 
 // SetTouch installs the byte-access attribution hook.  The EPC pressure

@@ -244,9 +244,14 @@ func (p *CallPool) execRun(sh *shard, shardIdx, who int, t uint64, run int) {
 		if nseg := s.nseg; nseg > 0 {
 			// Scatter-gather call: dispatch through the vec table with
 			// the slot's own descriptor block (no copy; the handler must
-			// not retain the slice).
+			// not retain the slice).  A count the block cannot hold or a
+			// descriptor outside the posting requester's ring gets the
+			// sentinel, like a corrupted call_ID, and is counted.
 			if p.vtable == nil || int(id) < 0 || int(id) >= len(p.vtable) || p.vtable[id] == nil {
 				ret = ^uint64(0)
+			} else if nseg > MaxSegs || !p.Ring(shardIdx).holds(s.segs[:nseg]) {
+				ret = ^uint64(0)
+				p.rejected.Inc()
 			} else {
 				ret = p.vtable[id](shardIdx, data, s.segs[:nseg])
 			}

@@ -7,11 +7,14 @@ package core
 // code.  These tests exercise each paragraph of that argument.
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
+	"hotcalls/internal/flight"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
+	"hotcalls/internal/telemetry"
 )
 
 // "Using shared plaintext memory for communication": HotCalls marshal with
@@ -185,5 +188,60 @@ func TestSecurityStagingIsACopy(t *testing.T) {
 	staged.Data[0] = 0xff // adversary scribbles after the call
 	if src.Data[0] != 0x5a {
 		t.Fatal("untrusted write reached enclave memory")
+	}
+}
+
+// "Requesting a function via call_ID" extends to the scatter-gather
+// descriptor block, which lives in the same shared slot: a list the slot
+// cannot hold is refused at the post, and a descriptor outside the posting
+// requester's ring — a slab that does not exist, a window running past its
+// slab, a count forged after the post — gets the sentinel and a count in
+// hotcall_rejected_total.  The handler (zcPool's, which would panic in
+// PayloadRing.Bytes on every one of them) never sees it, and the responder
+// keeps serving.
+func TestSecurityDescriptorManipulation(t *testing.T) {
+	p := zcPool(1, 1)
+	reg := telemetry.New()
+	p.SetTelemetry(reg)
+	r := p.Requester()
+	slab, buf, _ := r.Ring().Acquire()
+	good := Segment{Slab: slab, Len: 8}
+	copy(buf, "\x01\x01\x01\x01\x01\x01\x01\x01")
+
+	// The forgery goes in before the responders exist: the slot is the
+	// requester's to write until Start's go statements publish it.
+	forged, fr, err := r.post(flight.Callsite{}, 0, 0, []Segment{good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.nseg = MaxSegs + 5
+	p.Start()
+	defer p.Stop()
+	if err := r.await(forged, fr); err != nil || forged.ret != ^uint64(0) {
+		t.Fatalf("forged segment count: (%#x, %v), want the sentinel", forged.ret, err)
+	}
+
+	five := []Segment{good, good, good, good, good}
+	if _, err := r.CallZC(0, 0, five); !errors.Is(err, ErrTooManySegments) {
+		t.Fatalf("CallZC with %d segments: %v, want ErrTooManySegments", len(five), err)
+	}
+	if b, err := r.SubmitV([]VecCall{{Segs: five}}); b != nil || !errors.Is(err, ErrTooManySegments) {
+		t.Fatalf("SubmitV with %d segments: (%v, %v), want nothing posted and ErrTooManySegments", len(five), b, err)
+	}
+	for name, segs := range map[string][]Segment{
+		"slab out of range":    {{Slab: 99, Len: 8}},
+		"window past the slab": {good, {Slab: slab, Off: 4090, Len: 8}},
+		"length wraps uint32":  {{Slab: slab, Off: 8, Len: ^uint32(0)}},
+	} {
+		if ret, err := r.CallZC(0, 0, segs); err != nil || ret != ^uint64(0) {
+			t.Fatalf("%s: (%#x, %v), want the sentinel", name, ret, err)
+		}
+	}
+	if n := reg.Counter(telemetry.MetricHotCallRejected).Load(); n != 4 {
+		t.Fatalf("%s = %d, want 4", telemetry.MetricHotCallRejected, n)
+	}
+	// The responder is still alive, and a whole-slab window is still legal.
+	if ret, err := r.CallZC(0, 0, []Segment{good, {Slab: slab, Len: 4096}}); err != nil || ret != 8+8 {
+		t.Fatalf("responder dead after attacks: (%d, %v)", ret, err)
 	}
 }

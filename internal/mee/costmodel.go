@@ -21,7 +21,7 @@ import (
 // consecutive reads of a cached-tree buffer but +92 cycles on a single
 // cache-load miss (400 vs 308 cycles).
 type CostModel struct {
-	nodeCache *cache.Cache
+	nodeCache *cache.Cache[uint64]
 
 	// Telemetry handles (nil when observability is off; nil handles are
 	// no-ops).  The tree walk runs for every encrypted line, so these are
@@ -52,7 +52,7 @@ var nodeCacheConfig = cache.Config{SizeBytes: 48 * 64, LineSize: 64, Ways: 3}
 // NewCostModel returns a cost model with the calibrated testbed constants.
 func NewCostModel() *CostModel {
 	return &CostModel{
-		nodeCache:          cache.New(nodeCacheConfig),
+		nodeCache:          cache.New[uint64](nodeCacheConfig),
 		demandLoadLatency:  92,
 		demandStoreLatency: 94,
 		streamLoadPerLine:  12.4,

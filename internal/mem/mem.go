@@ -59,7 +59,7 @@ var (
 // concurrent use; the application simulations are single-threaded
 // discrete-event loops, matching the single-threaded servers in the paper.
 type System struct {
-	LLC *cache.Cache
+	LLC *cache.Cache[uint32]
 	MEE *mee.CostModel
 	EPC *epc.Manager
 	rng *sim.RNG
@@ -81,7 +81,7 @@ func New(rng *sim.RNG) *System {
 	var sealKey [16]byte
 	copy(sealKey[:], "epc-paging-seal0")
 	return &System{
-		LLC: cache.New(cache.LLCConfig),
+		LLC: cache.New[uint32](cache.LLCConfig),
 		MEE: mee.NewCostModel(),
 		EPC: epc.NewManager(epc.DefaultCapacityBytes, sealKey),
 		rng: rng,

@@ -43,14 +43,11 @@ var ecallGlue = map[edl.Direction]float64{
 // untrusted prep, marshalling, EENTER, trusted-side checks and copies, the
 // handler itself, copy-out, EEXIT, and untrusted epilogue.
 func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, error) {
-	b := rt.ecalls[name]
-	if b == nil {
-		if rt.EDL.TrustedFunc(name) == nil {
-			return 0, fmt.Errorf("%w: %s", ErrUnknownFunction, name)
-		}
-		return 0, fmt.Errorf("%w: %s", ErrNotBound, name)
+	b, err := rt.TrustedBinding(name)
+	if err != nil {
+		return 0, err
 	}
-	if err := checkArgs(b.decl, args); err != nil {
+	if err := checkArgs(b.Decl, args); err != nil {
 		return 0, err
 	}
 	// Allow-list enforcement: a nested ecall during a pending ocall must
@@ -100,7 +97,7 @@ func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, erro
 	tr := rt.tel.tracer
 	deep := tr.Detailed()
 	stageStart := clk.Now()
-	f, err := rt.stageECall(clk, b.decl, args)
+	f, err := rt.stageECall(clk, b.Decl, args)
 	if err != nil {
 		rt.Enclave.EExit(clk, tcs)
 		return 0, err
@@ -110,8 +107,7 @@ func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, erro
 	}
 
 	handlerStart := clk.Now()
-	f.ctx = Ctx{Clk: clk, RT: rt, TCS: tcs}
-	ret := b.fn(&f.ctx, f.args)
+	ret := b.Fn(f.handlerCtx(clk, tcs, nil), f.args)
 	if deep && clk.Now() > handlerStart {
 		tr.Emit(telemetry.KindHandler, "handler:"+name, handlerStart, clk.Since(handlerStart), 0)
 	}

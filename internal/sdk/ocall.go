@@ -1,8 +1,6 @@
 package sdk
 
 import (
-	"fmt"
-
 	"hotcalls/internal/dist"
 	"hotcalls/internal/edl"
 	"hotcalls/internal/mem"
@@ -34,23 +32,24 @@ var ocallGlue = map[edl.Direction]float64{
 // handler: trusted marshalling, EEXIT, the untrusted landing function,
 // ERESUME, and the copy-back of output buffers into the enclave.
 func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
+	rt, clk := ctx.RT, ctx.Clk
 	if ctx.Router != nil {
 		// A HotCalls-resident enclave thread: no EEXIT, the request
-		// goes through the shared-memory channel.
-		return ctx.Router.RouteOCall(ctx.Clk, name, args...)
+		// goes through the shared-memory channel.  The router is
+		// dispatched dynamically, so it gets a frame's copy of the list.
+		f := rt.holdArgs(clk, args)
+		ret, err := ctx.Router.RouteOCall(clk, name, f.args...)
+		rt.popFrame(f)
+		return ret, err
 	}
-	rt, clk := ctx.RT, ctx.Clk
-	b := rt.ocalls[name]
-	if b == nil {
-		if rt.EDL.UntrustedFunc(name) == nil {
-			return 0, fmt.Errorf("%w: %s", ErrUnknownFunction, name)
-		}
-		return 0, fmt.Errorf("%w: %s", ErrNotBound, name)
+	b, err := rt.UntrustedBinding(name)
+	if err != nil {
+		return 0, err
 	}
 	if ctx.TCS == nil || !ctx.TCS.Entered() {
 		return 0, ErrOCallOutsideCall
 	}
-	if err := checkArgs(b.decl, args); err != nil {
+	if err := checkArgs(b.Decl, args); err != nil {
 		return 0, err
 	}
 	b.calls++
@@ -68,7 +67,7 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 	tr := rt.tel.tracer
 	deep := tr.Detailed()
 	stageStart := clk.Now()
-	f, err := rt.stageOCall(clk, b.decl, args)
+	f, err := rt.stageOCall(clk, b.Decl, args)
 	if err != nil {
 		return 0, err
 	}
@@ -89,8 +88,7 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 	}
 	rt.ocallStack = append(rt.ocallStack, name)
 	handlerStart := clk.Now()
-	f.ctx = Ctx{Clk: clk, RT: rt}
-	ret := b.fn(&f.ctx, f.args)
+	ret := b.Fn(f.handlerCtx(clk, nil, nil), f.args)
 	if deep && clk.Now() > handlerStart {
 		tr.Emit(telemetry.KindHandler, "handler:"+name, handlerStart, clk.Since(handlerStart), 0)
 	}

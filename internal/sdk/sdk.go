@@ -73,19 +73,33 @@ type OCallRouter interface {
 }
 
 // Ctx is the execution context passed to handlers.  Trusted handlers use
-// it to issue ocalls.
+// it to issue ocalls.  Like the argument list it belongs to the call: the
+// runtime reuses it once the call has finished.
 type Ctx struct {
 	Clk    *sim.Clock
 	RT     *Runtime
 	TCS    *sgx.TCS
 	Router OCallRouter // set when the handler runs under HotCalls
+
+	// Host is for the layer that bound the handler: what it stores here
+	// stays with the call frame and is handed back to the next call at the
+	// same nesting depth, so per-call state above the SDK (the porting
+	// framework's Env) need not be allocated per call.
+	Host any
 }
 
-type binding struct {
-	decl  *edl.Func
-	fn    Handler
-	calls uint64 // the Table 2 instrumentation counter
+// Binding is a bound edge function, what a call path holds after resolving
+// the name once: the declaration, the implementation, and the Table 2
+// instrumentation counter.
+type Binding struct {
+	Decl  *edl.Func
+	Fn    Handler
+	calls uint64
 }
+
+// Count books a call made outside the SDK paths (HotCalls and native calls
+// come through here so Table 2 sees them).
+func (b *Binding) Count() { b.calls++ }
 
 // Runtime is the SDK runtime for one enclave: the bound edge functions,
 // the untrusted arena and stack, and the per-call counters that the
@@ -109,8 +123,8 @@ type Runtime struct {
 	// so it is safe even for the ecall [out] path.
 	OptimizedMemops bool
 
-	ecalls map[string]*binding
-	ocalls map[string]*binding
+	ecalls map[string]*Binding
+	ocalls map[string]*Binding
 
 	ocallStack []string // pending ocalls, for allow-list enforcement
 	stackTop   uint64   // untrusted stack cursor (alloca)
@@ -232,8 +246,8 @@ func New(p *sgx.Platform, e *sgx.Enclave, f *edl.File) *Runtime {
 		Enclave:  e,
 		EDL:      f,
 		Arena:    NewArena(arenaBase, arenaSize),
-		ecalls:   make(map[string]*binding),
-		ocalls:   make(map[string]*binding),
+		ecalls:   make(map[string]*Binding),
+		ocalls:   make(map[string]*Binding),
 		stackTop: stackBase,
 		poison:   poisonStaging,
 	}
@@ -262,12 +276,37 @@ func (rt *Runtime) BindOCall(name string, fn Handler) error {
 
 // bind installs fn as the implementation of decl; rebinding a function
 // keeps its call count.
-func bind(table map[string]*binding, decl *edl.Func, fn Handler) {
-	b := &binding{decl: decl, fn: fn}
+func bind(table map[string]*Binding, decl *edl.Func, fn Handler) {
+	b := &Binding{Decl: decl, Fn: fn}
 	if old := table[decl.Name]; old != nil {
 		b.calls = old.calls
 	}
 	table[decl.Name] = b
+}
+
+// TrustedBinding resolves a bound ecall.
+func (rt *Runtime) TrustedBinding(name string) (*Binding, error) {
+	if b := rt.ecalls[name]; b != nil {
+		return b, nil
+	}
+	return nil, unbound(name, rt.EDL.TrustedFunc(name))
+}
+
+// UntrustedBinding resolves a bound ocall.
+func (rt *Runtime) UntrustedBinding(name string) (*Binding, error) {
+	if b := rt.ocalls[name]; b != nil {
+		return b, nil
+	}
+	return nil, unbound(name, rt.EDL.UntrustedFunc(name))
+}
+
+// unbound says why a name has no binding: not declared, or declared and
+// never bound.
+func unbound(name string, decl *edl.Func) error {
+	if decl == nil {
+		return fmt.Errorf("%w: %s", ErrUnknownFunction, name)
+	}
+	return fmt.Errorf("%w: %s", ErrNotBound, name)
 }
 
 // MustBindECall is BindECall that panics on error.
@@ -288,7 +327,7 @@ func (rt *Runtime) MustBindOCall(name string, fn Handler) {
 // framework's instrumentation behind Table 2.
 func (rt *Runtime) Counters() map[string]uint64 {
 	out := make(map[string]uint64)
-	for _, table := range []map[string]*binding{rt.ecalls, rt.ocalls} {
+	for _, table := range []map[string]*Binding{rt.ecalls, rt.ocalls} {
 		for name, b := range table {
 			if b.calls > 0 {
 				out[name] += b.calls
@@ -300,7 +339,7 @@ func (rt *Runtime) Counters() map[string]uint64 {
 
 // ResetCounters zeroes the call counters.
 func (rt *Runtime) ResetCounters() {
-	for _, table := range []map[string]*binding{rt.ecalls, rt.ocalls} {
+	for _, table := range []map[string]*Binding{rt.ecalls, rt.ocalls} {
 		for _, b := range table {
 			b.calls = 0
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hotcalls/internal/edl"
+	"hotcalls/internal/sgx"
 	"hotcalls/internal/sim"
 )
 
@@ -43,12 +44,17 @@ type stagedParam struct {
 	size    uint64
 }
 
-// callFrame is the reusable marshalling state of the staged call at one
-// nesting depth: the argument list the handler sees, the staging buffers
-// behind its pointer parameters, and the finish function handed to the
-// caller.  Calls nest strictly (an ocall's landing function may re-enter,
-// whose handler may call out again, ...) and finish innermost-first, so
-// depth d always reuses frames[d].
+// callFrame is the reusable marshalling state of the call at one nesting
+// depth: the argument list the handler sees, the staging buffers behind
+// its pointer parameters, the handler's context, and the finish function
+// handed to the caller.  Calls nest strictly (an ocall's landing function
+// may re-enter, whose handler may call out again, ...) and finish
+// innermost-first, so depth d always reuses frames[d].
+//
+// A caller's variadic argument list ends here: every entry point copies it
+// into a frame before anything dynamically dispatched (a Handler, an
+// OCallRouter) can see it, so the compiler keeps the caller's list on the
+// stack and a call allocates nothing.
 type callFrame struct {
 	rt     *Runtime
 	clk    *sim.Clock
@@ -83,11 +89,22 @@ func (rt *Runtime) pushFrame(clk *sim.Clock, n int, ocall bool) *callFrame {
 	return f
 }
 
+// holdArgs opens a frame that carries a copy of args and stages nothing:
+// pointers pass through as they are.
+func (rt *Runtime) holdArgs(clk *sim.Clock, args []Arg) *callFrame {
+	f := rt.pushFrame(clk, len(args), false)
+	copy(f.args, args)
+	return f
+}
+
 // popFrame closes the innermost frame and releases its staging bytes.
 func (rt *Runtime) popFrame(f *callFrame) {
 	if rt.poison {
 		for i := range rt.scratch[f.mark:rt.scratchTop] {
 			rt.scratch[f.mark+i] = 0xDB
+		}
+		for i := range f.args {
+			f.args[i] = Arg{Scalar: 0xDBDBDBDBDBDBDBDB}
 		}
 	}
 	rt.scratchTop = f.mark
@@ -157,8 +174,26 @@ func (f *callFrame) abort() {
 func (rt *Runtime) HandlerCtx(router OCallRouter) *Ctx {
 	f := rt.frames[rt.depth-1]
 	f.hclk = sim.Clock{}
-	f.ctx = Ctx{Clk: &f.hclk, RT: rt, Router: router}
+	return f.handlerCtx(&f.hclk, nil, router)
+}
+
+// handlerCtx resets the frame's context for the call's handler.
+func (f *callFrame) handlerCtx(clk *sim.Clock, tcs *sgx.TCS, router OCallRouter) *Ctx {
+	f.ctx = Ctx{Clk: clk, RT: f.rt, TCS: tcs, Router: router, Host: f.ctx.Host}
 	return &f.ctx
+}
+
+// CallNative runs a bound edge function with no boundary in between — the
+// porting framework's native configuration, where an API reference is a
+// plain function call.  Nothing is staged, but the handler still gets a
+// frame's argument list and context, under the same rule as a staged
+// call's: they are reused once it returns.
+func (rt *Runtime) CallNative(clk *sim.Clock, b *Binding, args []Arg) uint64 {
+	b.Count()
+	f := rt.holdArgs(clk, args)
+	ret := b.Fn(f.handlerCtx(clk, nil, nil), f.args)
+	rt.popFrame(f)
+	return ret
 }
 
 // StageOCallArgs performs the trusted-side marshalling of an ocall's
@@ -316,39 +351,4 @@ func (rt *Runtime) stageECall(clk *sim.Clock, decl *edl.Func, args []Arg) (*call
 		f.args[i] = Buf(st)
 	}
 	return f, nil
-}
-
-// TrustedBinding returns the declaration and bound handler of an ecall.
-func (rt *Runtime) TrustedBinding(name string) (*edl.Func, Handler, error) {
-	b := rt.ecalls[name]
-	if b == nil {
-		if rt.EDL.TrustedFunc(name) == nil {
-			return nil, nil, fmt.Errorf("%w: %s", ErrUnknownFunction, name)
-		}
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotBound, name)
-	}
-	return b.decl, b.fn, nil
-}
-
-// UntrustedBinding returns the declaration and bound handler of an ocall.
-func (rt *Runtime) UntrustedBinding(name string) (*edl.Func, Handler, error) {
-	b := rt.ocalls[name]
-	if b == nil {
-		if rt.EDL.UntrustedFunc(name) == nil {
-			return nil, nil, fmt.Errorf("%w: %s", ErrUnknownFunction, name)
-		}
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotBound, name)
-	}
-	return b.decl, b.fn, nil
-}
-
-// CountCall increments the instrumentation counter of a bound edge function
-// for a call made outside the SDK paths (HotCalls route through here so
-// Table 2 sees them).
-func (rt *Runtime) CountCall(name string) {
-	if b := rt.ecalls[name]; b != nil {
-		b.calls++
-	} else if b := rt.ocalls[name]; b != nil {
-		b.calls++
-	}
 }

@@ -9,16 +9,17 @@ import (
 
 // TestReleasedStagingIsPoisoned shows the hook the poison runs rely on: with
 // it armed, a staged slice a handler kept past its call reads 0xDB once the
-// call has finished, while the call itself still sees and returns the right
-// bytes.  (`make test-poison` arms it for every runtime of the sdk, core and
+// call has finished and a kept argument list no longer holds the call's
+// arguments, while the call itself still sees and returns the right bytes.  (`make test-poison` arms it for every runtime of the sdk, core and
 // application suites, where no handler may keep one.)
 func TestReleasedStagingIsPoisoned(t *testing.T) {
 	f := newFixture(t)
 	f.rt.poison = true
 	var clk sim.Clock
 	var kept []byte
+	var keptArgs []Arg
 	f.rt.MustBindECall("ecall_inout", func(ctx *Ctx, args []Arg) uint64 {
-		kept = args[0].Buf.Data
+		kept, keptArgs = args[0].Buf.Data, args
 		for i := range kept {
 			kept[i] ^= 0xff
 		}
@@ -38,6 +39,9 @@ func TestReleasedStagingIsPoisoned(t *testing.T) {
 	}
 	if !bytes.Equal(kept, bytes.Repeat([]byte{0xDB}, 96)) {
 		t.Fatalf("a staged slice kept past finish still reads call data: % x ...", kept[:8])
+	}
+	if keptArgs[0].Buf != nil || keptArgs[1].Scalar == 96 {
+		t.Fatalf("an argument list kept past finish still reads the call's arguments: %+v", keptArgs)
 	}
 }
 

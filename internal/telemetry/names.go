@@ -14,7 +14,8 @@ const (
 	MetricHotCallRequests  = "hotcall_requests_total"
 	MetricHotCallTimeouts  = "hotcall_timeouts_total"
 	MetricHotCallFallbacks = "hotcall_fallbacks_total"
-	MetricHotCallInline    = "hotcall_inline_total" // fabric calls the requester ran itself, the responders being parked
+	MetricHotCallInline    = "hotcall_inline_total"   // fabric calls the requester ran itself, the responders being parked
+	MetricHotCallRejected  = "hotcall_rejected_total" // scatter-gather calls refused at dispatch: a descriptor outside the requester's ring
 
 	// Leaf-instruction counters.
 	MetricEEnter = "sgx_eenter_total"
@@ -76,7 +77,7 @@ func itoa(i int) string {
 // pre-creates.
 var standardCounters = []string{
 	MetricEcalls, MetricOcalls, MetricHotECalls, MetricHotOCalls,
-	MetricHotCallRequests, MetricHotCallTimeouts, MetricHotCallFallbacks, MetricHotCallInline,
+	MetricHotCallRequests, MetricHotCallTimeouts, MetricHotCallFallbacks, MetricHotCallInline, MetricHotCallRejected,
 	MetricEEnter, MetricEExit, MetricResume, MetricAEX,
 	MetricEPCFaults, MetricEPCEvictions, MetricEPCWritebacks,
 	MetricMEENodeHits, MetricMEENodeMiss,

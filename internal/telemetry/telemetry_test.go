@@ -367,7 +367,7 @@ func TestRegisterStandard(t *testing.T) {
 	r := New()
 	RegisterStandard(r)
 	snap := r.Snapshot()
-	for _, name := range []string{MetricEcalls, MetricHotCallFallbacks, MetricHotCallInline, MetricResponderKicks, MetricAEX, MetricEPCFaults} {
+	for _, name := range []string{MetricEcalls, MetricHotCallFallbacks, MetricHotCallInline, MetricHotCallRejected, MetricResponderKicks, MetricAEX, MetricEPCFaults} {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Fatalf("standard counter %s not registered", name)
 		}
