@@ -20,7 +20,6 @@
 //	hotbench -run all -watch               # live monitor table, redrawn in place
 //	hotbench -run incident -incident-dir incidents # postmortem-bundle demo, spooled to disk
 //	hotbench -run epc -epc-svg epc-heatmap.svg # EPC oversubscription cliff + fault heatmap
-//	hotbench -run whatif -whatif-json whatif.json # causal profiler validation + shadow-routing regret
 //	hotbench -run zerocopy -zerocopy-csv zerocopy-sweep.csv # staged vs zero-copy crossing sweep
 package main
 
@@ -61,7 +60,6 @@ func main() {
 	watch := flag.Bool("watch", false, "like -monitor, but redraw a live sample table in place while experiments run")
 	incidentDir := flag.String("incident-dir", "", "spool incident bundles captured by the experiments (see -run incident) to this directory as <bundle-id>.json")
 	epcSVG := flag.String("epc-svg", "", "write the epc experiment's oversubscribed fault-heatmap SVG (the /debug/epc?format=svg view) to this path")
-	whatIfJSON := flag.String("whatif-json", "", "write the whatif experiment's report artifact (the /debug/whatif JSON body) to this path")
 	zcCSV := flag.String("zerocopy-csv", "", "write the zerocopy experiment's sweep series CSV to this path")
 	seed := flag.Uint64("seed", 0, "base seed for every random stream; 0 (the default) reproduces the committed EXPERIMENTS.md byte for byte and BENCH_hotcalls.json value for value")
 	flag.Parse()
@@ -72,9 +70,6 @@ func main() {
 	}
 	if *epcSVG != "" {
 		bench.SetEPCSVGPath(*epcSVG)
-	}
-	if *whatIfJSON != "" {
-		bench.SetWhatIfJSON(*whatIfJSON)
 	}
 	if *zcCSV != "" {
 		bench.SetZeroCopyCSV(*zcCSV)

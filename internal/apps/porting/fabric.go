@@ -10,14 +10,12 @@ import (
 	"hotcalls/internal/incident"
 	"hotcalls/internal/monitor"
 	"hotcalls/internal/telemetry"
-	"hotcalls/internal/whatif"
 )
 
 // FabricSpec is what differs between the ports' wiring.
 type FabricSpec struct {
 	// Callsites names the port's flight callsites, at most four — one
-	// stats row, and one shadow-routing decision, per name.
-	// Fabric.Callsite indexes the list.
+	// stats row per name.  Fabric.Callsite indexes the list.
 	Callsites []string
 	// SealKey keys the simulated EPC's eviction sealing (16 bytes).
 	SealKey string
@@ -38,15 +36,9 @@ type Observers struct {
 	// it, owner-tagged by client connection, so /debug/epc and the EPC
 	// monitor rules attribute paging per client.
 	EPCBytes int
-	// WhatIf arms the causal what-if observatory: the shadow router
-	// scores every monitor interval's per-callsite traffic against the
-	// three routing policies (the spec's callsites are declared pooled —
-	// that is how a fabric port routes), and the routing-regret monitor
-	// rule flags callsites whose traffic outgrew the static choice.
-	WhatIf bool
 	// Monitor arms the health monitor over Registry with these options;
-	// the observers above feed its callsite, EPC and routing-regret rules
-	// unless the options name others.  The caller Starts or Ticks it.
+	// the observers above feed its callsite and EPC rules unless the
+	// options name others.  The caller Starts or Ticks it.
 	Monitor *monitor.Options
 	// Incidents arms the capturer that freezes a postmortem bundle on
 	// every warning/critical rule transition (arming a default monitor
@@ -73,7 +65,6 @@ type Fabric struct {
 	sites   [4]flight.Callsite // inline: a request's lookup is one load; unlabelled until a recorder is armed
 	epcMgr  *epc.Manager
 	epcStat *epcstat.Collector
-	whatIf  *whatif.Observatory
 	mon     *monitor.Monitor
 	cap     *incident.Capturer
 }
@@ -91,7 +82,7 @@ func NewFabric(spec FabricSpec, conns int, table []core.PoolFunc, opts core.Pool
 
 // Arm attaches the observers, in the one order that wires them to each
 // other: the registry before the EPC model (whose counters it exports),
-// the recorder and the observatories before the monitor (whose rules and
+// the recorder and the EPC observatory before the monitor (whose rules and
 // /debug endpoints exist only for collectors it was built with), the
 // monitor before the capturer.  It is called at most once and before
 // Start — the responders read what it writes — and panics otherwise.
@@ -122,14 +113,6 @@ func (f *Fabric) Arm(o Observers) {
 			f.epcStat.SetLabel(epc.OwnerID(i+1), fmt.Sprintf("conn%d", i))
 		}
 	}
-	if o.WhatIf {
-		f.whatIf = whatif.NewObservatory(whatif.CostParams{})
-		r := f.whatIf.Router()
-		r.DeclareDefault(whatif.PolicyPooled)
-		for _, name := range f.spec.Callsites {
-			r.Declare(name, whatif.PolicyPooled)
-		}
-	}
 	if o.Monitor != nil {
 		f.monitor(*o.Monitor)
 	}
@@ -147,9 +130,6 @@ func (f *Fabric) monitor(opts monitor.Options) *monitor.Monitor {
 		}
 		if opts.EPC == nil {
 			opts.EPC = f.epcStat
-		}
-		if opts.WhatIf == nil {
-			opts.WhatIf = f.whatIf
 		}
 		f.mon = monitor.New(f.reg, opts)
 	}
@@ -172,9 +152,9 @@ func (f *Fabric) incidents(opts incident.Options) *incident.Capturer {
 // DebugMux serves the fabric's observability surface: /metrics, a
 // /debug/ index listing every endpoint and its renderings,
 // /debug/health, /debug/monitor, /debug/incidents, and — per armed
-// collector — /debug/flight, /debug/epc and /debug/whatif.  If Arm named
-// no monitor or capturer, defaults are armed here; either way the set of
-// observers is final from this call on.
+// collector — /debug/flight and /debug/epc.  If Arm named no monitor or
+// capturer, defaults are armed here; either way the set of observers is
+// final from this call on.
 func (f *Fabric) DebugMux() *monitor.DebugMux {
 	f.sealed = true
 	mux := monitor.Mux(f.reg, f.monitor(monitor.Options{}))
@@ -194,9 +174,6 @@ func (f *Fabric) EPCManager() *epc.Manager { return f.epcMgr }
 
 // EPC exposes the EPC pressure observatory (nil unless armed).
 func (f *Fabric) EPC() *epcstat.Collector { return f.epcStat }
-
-// WhatIf exposes the what-if observatory (nil unless armed).
-func (f *Fabric) WhatIf() *whatif.Observatory { return f.whatIf }
 
 // Monitor exposes the health monitor (nil until Arm or DebugMux builds
 // one).

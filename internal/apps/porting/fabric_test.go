@@ -3,10 +3,12 @@ package porting_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -102,35 +104,77 @@ var contentTypeOf = map[string]string{
 	"trace": telemetry.ContentTypeJSON,
 }
 
+// typeFamilies lists the family names a Prometheus exposition declares,
+// one per # TYPE line, in order.
+func typeFamilies(exposition string) []string {
+	var names []string
+	for _, line := range strings.Split(exposition, "\n") {
+		if decl, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(decl, " ")
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// metricCatalogue is every family name an armed port may export: what a
+// registry holding exactly the telemetry standard names and the
+// per-responder occupancy gauges renders, and what a flight recorder
+// renders for a callsite.
+func metricCatalogue(t *testing.T, responders int) map[string]bool {
+	t.Helper()
+	reg := telemetry.New()
+	telemetry.RegisterStandard(reg)
+	for i := 0; i < responders; i++ {
+		reg.Gauge(telemetry.PoolResponderOccupancyMetric(i))
+	}
+	rec := flight.New(flight.Options{})
+	rec.Fallback(rec.Callsite("any")) // a callsite gets its row with its first event
+	var b strings.Builder
+	if err := errors.Join(reg.WritePrometheus(&b), rec.WritePrometheus(&b)); err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]bool{}
+	for _, name := range typeFamilies(b.String()) {
+		known[name] = true
+	}
+	return known
+}
+
 // TestFabricKitAllArmed arms every observer on each port through the one
 // Arm call, drives real traffic on two connections at once, and holds the
-// debug surface to its contract: every endpoint the /debug/ index lists
-// answers 200 in every rendering it advertises, under that rendering's
-// Content-Type, and 400 for an unknown one; /metrics carries series from
-// each armed source; and EPC pressure is attributed to both connections
-// by name.
+// debug surface to its contract: the /debug/ index lists exactly the
+// catalogued endpoints, and each answers 200 in every rendering it
+// advertises, under that rendering's Content-Type, and 400 for an unknown
+// one; every family in /metrics appears once and is a catalogued name — a
+// telemetry standard name, a per-responder occupancy gauge or one of the
+// flight recorder's — and the series traffic must move have moved; and
+// EPC pressure is attributed to both connections by name.
 func TestFabricKitAllArmed(t *testing.T) {
 	for _, port := range fabricPorts {
 		t.Run(port.name, func(t *testing.T) {
-			f, start, drive := port.boot(2, kitPoolOpts())
+			// The responders never leave the yield rung, so no call runs
+			// inline and the executes series is theirs to move.
+			opts := kitPoolOpts()
+			opts.YieldPasses = 1 << 30
+			f, start, drive := port.boot(2, opts)
 			f.Arm(porting.Observers{
 				Registry:  telemetry.New(),
 				Flight:    flight.New(flight.Options{SampleEvery: 1}),
 				EPCBytes:  256 * epc.PageSize,
-				WhatIf:    true,
 				Monitor:   &monitor.Options{},
 				Incidents: &incident.Options{},
 			})
-			if f.Monitor() == nil || f.Incidents() == nil || f.WhatIf() == nil || f.EPC() == nil || f.EPCManager() == nil {
+			if f.Monitor() == nil || f.Incidents() == nil || f.EPC() == nil || f.EPCManager() == nil {
 				t.Fatal("an armed observer reads back nil")
 			}
-			if f.Monitor().EPCStat() != f.EPC() || f.Monitor().WhatIf() != f.WhatIf() || f.Monitor().Flight() != f.Pool().Flight() {
+			if f.Monitor().EPCStat() != f.EPC() || f.Monitor().Flight() != f.Pool().Flight() {
 				t.Fatal("the monitor was not built over the armed collectors")
 			}
 			start()
 			defer f.Stop()
 
-			f.Monitor().Tick() // baseline primes the interval rules and the shadow router
+			f.Monitor().Tick() // baseline primes the interval rules
 			var wg sync.WaitGroup
 			errs := make([]error, 2)
 			for conn := range errs {
@@ -177,9 +221,9 @@ func TestFabricKitAllArmed(t *testing.T) {
 			if err := json.Unmarshal([]byte(indexBody), &index); err != nil {
 				t.Fatalf("/debug/ index: %v\n%s", err, indexBody)
 			}
-			listed := map[string]bool{}
+			var listed []string
 			for _, e := range index.Endpoints {
-				listed[e.Path] = true
+				listed = append(listed, e.Path)
 				code, defaultCT, _ := get(e.Path)
 				if !served(e.Path, code) || defaultCT == "" {
 					t.Errorf("%s = %d, Content-Type %q", e.Path, code, defaultCT)
@@ -200,11 +244,9 @@ func TestFabricKitAllArmed(t *testing.T) {
 					}
 				}
 			}
-			for _, path := range []string{"/metrics", "/debug/health", "/debug/monitor", "/debug/flight",
-				"/debug/epc", "/debug/whatif", "/debug/incidents"} {
-				if !listed[path] {
-					t.Errorf("/debug/ index does not list %s", path)
-				}
+			catalogue := []string{"/debug/epc", "/debug/flight", "/debug/health", "/debug/incidents", "/debug/monitor", "/metrics"}
+			if !slices.Equal(listed, catalogue) { // the index is sorted by path
+				t.Errorf("/debug/ index lists %v, want exactly %v", listed, catalogue)
 			}
 			if code, _, _ := get("/debug/?format=text"); code != http.StatusOK {
 				t.Errorf("/debug/?format=text = %d", code)
@@ -215,14 +257,29 @@ func TestFabricKitAllArmed(t *testing.T) {
 			if ct != telemetry.ContentTypeMetrics {
 				t.Errorf("/metrics Content-Type %q", ct)
 			}
-			for source, series := range map[string]string{
-				"registry":         telemetry.MetricHotCallRequests + " ",
-				"EPC counters":     telemetry.MetricEPCFaults + " ",
-				"flight callsites": fmt.Sprintf("flight_callsite_arrivals_total{callsite=%q", port.callsite),
-				"what-if regret":   "whatif_regret_cycles_total ",
+			known := metricCatalogue(t, opts.MaxResponders)
+			declared := map[string]bool{}
+			for _, name := range typeFamilies(metrics) {
+				if !known[name] {
+					t.Errorf("/metrics family %s is in no catalogue", name)
+				}
+				if declared[name] {
+					t.Errorf("/metrics declares family %s more than once", name)
+				}
+				declared[name] = true
+			}
+			moved := map[string]bool{}
+			for _, line := range strings.Split(metrics, "\n") {
+				if series, value, ok := strings.Cut(line, " "); ok && line[0] != '#' && value != "0" {
+					moved[series] = true
+				}
+			}
+			for _, series := range []string{
+				telemetry.MetricHotCallRequests, telemetry.MetricResponderPolls, telemetry.MetricResponderExecutes,
+				fmt.Sprintf("flight_callsite_arrivals_total{callsite=%q}", port.callsite),
 			} {
-				if !strings.Contains(metrics, series) {
-					t.Errorf("/metrics carries no %s series (%q)", source, series)
+				if !moved[series] {
+					t.Errorf("/metrics series %s did not move under traffic", series)
 				}
 			}
 			if faults := f.EPC().Snapshot().Faults; faults == 0 ||

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "fig10", "fig11", "ablation-calls", "ablation-cores", "breakdown", "epc", "incident", "loadcurve", "profile", "whatif", "zerocopy"}
+	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "fig10", "fig11", "ablation-calls", "ablation-cores", "breakdown", "epc", "incident", "loadcurve", "profile", "zerocopy"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(all), len(want))

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"hotcalls/internal/core"
 	"hotcalls/internal/edl"
 	"hotcalls/internal/profile"
@@ -10,14 +12,7 @@ import (
 	"hotcalls/internal/telemetry"
 )
 
-// runProfile cross-validates the trace-attributed profiler against the
-// analytic cost model: the same warm ecall, warm ocall, and HotCall
-// workloads are run under deep tracing, the resulting call trees are
-// folded into per-component breakdowns, and each component is compared
-// against what the closed-form model predicts.  Agreement within ±5%
-// per component is the profiler's headline acceptance criterion.
-func runProfile() *Report {
-	const profileEDL = `
+const profileEDL = `
 enclave {
     trusted {
         public int ecall_empty(void);
@@ -28,8 +23,12 @@ enclave {
     };
 };
 `
-	r := &Report{ID: "profile", Title: "Profiler cross-validation: trace-attributed vs analytic cycles"}
 
+// traceProfile runs the warm ecall, warm ocall and HotCall workloads on
+// a freshly seeded platform under deep tracing, the HotCall latency
+// model scaled by spinScale, and returns the analyzed trace with the
+// model that ran.
+func traceProfile(spinScale float64) (*profile.Profile, *core.LatencyModel) {
 	p := sgx.NewPlatform(7)
 	var setup sim.Clock
 	e := p.ECreate(&setup, 64<<20, 4, sgx.Attributes{})
@@ -68,6 +67,7 @@ enclave {
 	rt.SetTelemetry(reg)
 	ch := core.NewChannel(rt, p.RNG)
 	ch.SetTelemetry(reg)
+	ch.Model = ch.Model.Scale(spinScale)
 
 	const (
 		sdkRuns = 400
@@ -84,7 +84,21 @@ enclave {
 		ch.HotECall(&clk, "ecall_empty")
 	}
 
-	prof := profile.Analyze(reg.Tracer().Events())
+	return profile.Analyze(reg.Tracer().Events()), ch.Model
+}
+
+// runProfile cross-validates the trace-attributed profiler against the
+// analytic cost model: the same warm ecall, warm ocall, and HotCall
+// workloads are run under deep tracing, the resulting call trees are
+// folded into per-component breakdowns, and each component is compared
+// against what the closed-form model predicts.  Agreement within ±5%
+// per component is the profiler's headline acceptance criterion.  The
+// last row is the counterfactual: the throughput gain Breakdown.Speedup
+// predicts for a 10% faster spin, against the gain of the same seeded
+// run on a latency model actually scaled to 90%.
+func runProfile() *Report {
+	r := &Report{ID: "profile", Title: "Profiler cross-validation: trace-attributed vs analytic cycles"}
+	prof, model := traceProfile(1)
 
 	tbl := &table{header: []string{"call site", "component", "trace cyc/call", "analytic", "deviation"}}
 	for _, tc := range []struct {
@@ -93,7 +107,7 @@ enclave {
 	}{
 		{"ecall:ecall_empty", profile.AnalyticWarmECall()},
 		{"ocall:ocall_empty", profile.AnalyticWarmOCall()},
-		{"hotecall:ecall_empty", profile.AnalyticHotCall(ch.Model)},
+		{"hotecall:ecall_empty", profile.AnalyticHotCall(model)},
 	} {
 		b := prof.Calls[tc.site]
 		if b == nil {
@@ -116,6 +130,13 @@ enclave {
 			Name: tc.site + " total", Got: b.Mean(), Paper: tc.want.Total(), Unit: "cycles",
 		})
 	}
+
+	const hot, delta = "hotecall:ecall_empty", 0.10
+	scaled, _ := traceProfile(1 - delta)
+	predicted := 100 * prof.Calls[hot].Speedup(profile.CatSpin, delta)
+	applied := 100 * (float64(prof.Calls[hot].Total)/float64(scaled.Calls[hot].Total) - 1)
+	tbl.add(hot, "spin -10%", fmt.Sprintf("%+.3f%%", predicted), fmt.Sprintf("%+.3f%%", applied), pct(predicted, applied))
+	r.Values = append(r.Values, Value{Name: hot + " spin speedup predicted vs applied", Got: predicted / applied, Unit: "ratio"})
 	r.Table = tbl.String()
 	return r
 }

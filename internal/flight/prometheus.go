@@ -7,11 +7,11 @@ import (
 
 // WritePrometheus writes the per-callsite stats table as Prometheus
 // exposition text: one labelled series per callsite per family, so the
-// arrival rate, tail latency, and wasted-spin attribution that drive
-// the shadow router's regret signal are scrapeable instead of being
-// reachable only through /debug/flight.  It digests pending records
-// first (via Stats) and emits families in a fixed order with callsites
-// ordered by ID, keeping the output deterministic for fixed inputs.
+// arrival rate, tail latency, and wasted-spin attribution the callsite
+// rules read are scrapeable instead of being reachable only through
+// /debug/flight.  It digests pending records first (via Stats) and emits
+// families in a fixed order with callsites ordered by ID, keeping the
+// output deterministic for fixed inputs.
 // monitor.Mux appends this block to the /metrics exposition.
 func (r *Recorder) WritePrometheus(w io.Writer) error {
 	if r == nil {

@@ -132,8 +132,8 @@ func (r *Recorder) foldRates() {
 		// fold.  Measuring it from the recorder's birth instead of
 		// discarding it fixes the EWMA cold-start bias — the old
 		// prime-and-return left every callsite at RateEWMA 0 until the
-		// *second* digest, poisoning any rate consumer (the shadow
-		// router's regret estimates most of all) at startup.
+		// *second* digest, poisoning any rate consumer (the wasted-spin
+		// attribution and the callsite rules) at startup.
 		dtNS = now - r.startNS
 	}
 	if dtNS == 0 {
@@ -262,9 +262,7 @@ type CallsiteStats struct {
 
 	// Bytes is the callsite's cumulative zero-copy payload byte count,
 	// published like Arrivals (exact at sample boundaries).  Zero for
-	// callsites that only move typed uint64 payloads.  The what-if
-	// router's cost model divides this by Arrivals to separate per-call
-	// from per-byte cycles.
+	// callsites that only move typed uint64 payloads.
 	Bytes uint64 `json:"bytes,omitempty"`
 
 	// Tail-sampler fields (zero unless ArmTailSampler was called).

@@ -48,8 +48,7 @@ func usec(ns uint64) float64 { return float64(ns) / 1e3 }
 // full submit→return span of each call, per-responder rows carry the
 // claim instant and the execute span (on the requester's own row for a
 // call it ran inline).  The result is ready for
-// telemetry.WriteChromeJSON, and composes with the telemetry
-// exporter's rows (see internal/profile's merged export).
+// telemetry.WriteChromeJSON.
 func (r *Recorder) ChromeEvents(max int) []any {
 	return ChromeEventsForViews(r.Records(max))
 }

@@ -9,8 +9,8 @@ import (
 // already carry a meaningful arrival rate, measured from the recorder's
 // birth.  Before the fix the first window was consumed priming
 // prevArrivals, every callsite reported RateEWMA 0 until the second
-// digest, and any rate consumer (the shadow router's regret estimator)
-// started poisoned.
+// digest, and any rate consumer (the wasted-spin attribution, the
+// callsite rules) started poisoned.
 func TestEWMAWarmStart(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("warm.op")
@@ -63,7 +63,7 @@ func TestEWMASameInstantRedigest(t *testing.T) {
 }
 
 // TestWritePrometheus checks the scrapeable per-callsite surface: every
-// family the regret estimator consumes (arrival rate, tail latency,
+// family the callsite rules consume (arrival rate, tail latency,
 // wasted spin) appears as a labelled series.
 func TestWritePrometheus(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})

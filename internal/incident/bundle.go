@@ -10,7 +10,6 @@ import (
 	"hotcalls/internal/flight"
 	"hotcalls/internal/monitor"
 	"hotcalls/internal/telemetry"
-	"hotcalls/internal/whatif"
 )
 
 // BundleSchema identifies the bundle wire format.  Bump on any
@@ -50,13 +49,6 @@ type Bundle struct {
 	// per-owner residency/WSS/interference — when the monitor has an
 	// epcstat collector attached.
 	EPC *epcstat.Snapshot `json:"epc,omitempty"`
-
-	// WhatIf is the what-if observatory's report at capture time — the
-	// latest causal profile and the shadow router's per-callsite policy
-	// costs and cycles-of-regret — when the monitor has an observatory
-	// attached.  For a routing-regret incident this is the primary
-	// evidence: it shows which rerouting would have paid for itself.
-	WhatIf *whatif.Report `json:"whatif,omitempty"`
 
 	// Telemetry is the full registry snapshot (counters, gauges,
 	// histograms), when a registry was attached.
@@ -99,11 +91,6 @@ func (b *Bundle) RenderText() string {
 	if b.EPC != nil {
 		sb.WriteString("\nepc pressure:\n")
 		sb.WriteString(b.EPC.RenderText())
-	}
-
-	if b.WhatIf != nil {
-		sb.WriteString("\nwhat-if observatory:\n")
-		sb.WriteString(b.WhatIf.RenderText())
 	}
 	return sb.String()
 }

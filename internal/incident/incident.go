@@ -188,9 +188,6 @@ func (c *Capturer) capture(e monitor.Event, now time.Time) *Bundle {
 	if col := c.mon.EPCStat(); col != nil {
 		b.EPC = col.Snapshot() // flushes the paging accounting first
 	}
-	if o := c.mon.WhatIf(); o != nil {
-		b.WhatIf = o.Report()
-	}
 	if c.opts.Registry != nil {
 		snap := c.opts.Registry.Snapshot()
 		b.Telemetry = &snap

@@ -6,14 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"hotcalls/internal/flight"
 	"hotcalls/internal/monitor"
 	"hotcalls/internal/telemetry"
-	"hotcalls/internal/whatif"
 )
 
 // stormKit is a deterministic fixture: a registry-backed monitor pinned
@@ -290,60 +287,5 @@ func TestBundleDeterministicMarshal(t *testing.T) {
 		if string(again) != string(first) {
 			t.Fatalf("marshal %d differs from first", i)
 		}
-	}
-}
-
-// TestCaptureWhatIf checks that a routing-regret incident freezes the
-// what-if observatory's report — the shadow router's verdict is the
-// bundle's primary evidence — and that the postmortem text renders it.
-func TestCaptureWhatIf(t *testing.T) {
-	var ns atomic.Uint64
-	ns.Store(1)
-	f := flight.New(flight.Options{Now: ns.Load, SampleEvery: 1})
-	f.Bind(1)
-	cs := f.Callsite("mis.routed")
-	obs := whatif.NewObservatory(whatif.CostParams{})
-
-	m := monitor.New(nil, monitor.Options{Flight: f, WhatIf: obs})
-	c := New(m, Options{Now: func() time.Time { return time.Unix(1700000000, 0) }})
-	c.Attach()
-	m.Tick() // baseline primes the shadow router
-
-	// One 1ms interval at ~0.6 utilisation: hot beats the pooled
-	// fallback by millions of cycles, firing routing-regret.
-	for i := 0; i < 1500; i++ {
-		rec := f.Begin(cs, 0, 1)
-		ns.Add(500)
-		rec.Return(ns.Load())
-	}
-	ns.Add(2.5e5)
-	m.Tick()
-
-	var b *Bundle
-	for _, cand := range c.Bundles() {
-		if cand.Event.Rule == "routing-regret" {
-			b = cand
-		}
-	}
-	if b == nil {
-		t.Fatalf("no routing-regret bundle captured: %+v", c.Bundles())
-	}
-	if b.WhatIf == nil {
-		t.Fatal("bundle froze no what-if report")
-	}
-	worst := b.WhatIf.Routing.Worst()
-	if worst == nil || worst.Site != "mis.routed" || worst.Best != whatif.PolicyHot {
-		t.Fatalf("frozen report does not show the misroute: %+v", worst)
-	}
-	text := b.RenderText()
-	if !strings.Contains(text, "what-if observatory") || !strings.Contains(text, "mis.routed") {
-		t.Fatalf("postmortem text missing what-if section:\n%s", text)
-	}
-	data, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), whatif.RoutingSchema) {
-		t.Fatal("bundle JSON missing routing snapshot schema")
 	}
 }

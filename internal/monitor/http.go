@@ -9,7 +9,6 @@ import (
 	"hotcalls/internal/epcstat"
 	"hotcalls/internal/flight"
 	"hotcalls/internal/telemetry"
-	"hotcalls/internal/whatif"
 )
 
 // HealthHandler serves the aggregate health verdict on /debug/health
@@ -74,7 +73,7 @@ type DebugEntry struct {
 // DebugMux is an http.ServeMux that keeps a self-describing catalogue
 // of its endpoints and serves it as an index on /debug/ — so an
 // operator landing on the port can discover every mounted surface
-// (health, monitor, flight, incidents, epc, whatif, metrics) and the
+// (health, monitor, flight, incidents, epc, metrics) and the
 // renderings each offers without reading the source.  Register
 // catalogued endpoints with HandleEntry; plain Handle still works for
 // unlisted ones.
@@ -138,17 +137,15 @@ func (d *DebugMux) indexHandler() http.Handler {
 }
 
 // Mux bundles the full observability surface of a monitored server:
-// /metrics (Prometheus exposition — registry metrics plus, when the
-// collectors are attached, flight per-callsite series and what-if
-// regret series), /debug/health, /debug/monitor, a /debug/ index
-// listing every mounted endpoint, and — per attached collector —
-// /debug/flight (Options.Flight), /debug/epc (Options.EPC), and
-// /debug/whatif (Options.WhatIf).  The returned DebugMux is a ServeMux;
-// callers can keep mounting (HandleEntry adds to the index).
+// /metrics (Prometheus exposition — registry metrics plus, when a
+// recorder is attached, flight per-callsite series), /debug/health,
+// /debug/monitor, a /debug/ index listing every mounted endpoint, and —
+// per attached collector — /debug/flight (Options.Flight) and /debug/epc
+// (Options.EPC).  The returned DebugMux is a ServeMux; callers can keep
+// mounting (HandleEntry adds to the index).
 func Mux(reg *telemetry.Registry, m *Monitor) *DebugMux {
 	mux := NewDebugMux()
-	mux.HandleEntry("/metrics", "Prometheus exposition (registry + flight callsites + what-if regret)",
-		metricsHandler(reg, m))
+	mux.HandleEntry("/metrics", "Prometheus exposition (registry + flight callsites)", metricsHandler(reg, m))
 	mux.HandleEntry("/debug/health", "aggregate health verdict (503 when critical)", HealthHandler(m))
 	mux.HandleEntry("/debug/monitor", "recent samples, events, and rule verdicts", Handler(m))
 	if f := m.Flight(); f != nil {
@@ -157,25 +154,18 @@ func Mux(reg *telemetry.Registry, m *Monitor) *DebugMux {
 	if c := m.EPCStat(); c != nil {
 		mux.HandleEntry("/debug/epc", "EPC pressure observatory (per-owner paging)", epcstat.Handler(c))
 	}
-	if o := m.WhatIf(); o != nil {
-		mux.HandleEntry("/debug/whatif", "causal what-if profiler and shadow-routing regret", whatif.Handler(o))
-	}
 	return mux
 }
 
 // metricsHandler concatenates the Prometheus expositions of every
 // attached source: the registry first (the historical /metrics body,
-// ?exemplars=1 included), then the flight recorder's per-callsite series,
-// then the what-if observatory's regret series.
+// ?exemplars=1 included), then the flight recorder's per-callsite series.
 func metricsHandler(reg *telemetry.Registry, m *Monitor) http.Handler {
 	registry := telemetry.Handler(reg)
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		registry.ServeHTTP(w, req)
 		if f := m.Flight(); f != nil {
 			_ = f.WritePrometheus(w)
-		}
-		if o := m.WhatIf(); o != nil {
-			_ = o.WritePrometheus(w)
 		}
 	})
 }

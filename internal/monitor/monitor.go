@@ -4,11 +4,9 @@ import (
 	"sync"
 	"time"
 
-	"hotcalls/internal/dist"
 	"hotcalls/internal/epcstat"
 	"hotcalls/internal/flight"
 	"hotcalls/internal/telemetry"
-	"hotcalls/internal/whatif"
 )
 
 // Options tunes a Monitor.  The zero value selects the defaults noted on
@@ -29,15 +27,6 @@ type Options struct {
 	// DefaultRules(DefaultThresholds()).
 	Rules []Rule
 
-	// LatencyDist, when set, upgrades the latency signal: interval
-	// percentiles (including the tail p99.9 the log2 histogram cannot
-	// resolve) come from this high-resolution recorder instead of the
-	// hotcall_cycles histogram, and the latency-SLO rule gates on the
-	// p99.9 objective.  The caller attaches the same recorder to the
-	// instrumented channel (e.g. Channel.SetDistribution on a Set whose
-	// HotEcall/Warm recorder this is).
-	LatencyDist *dist.Recorder
-
 	// Flight, when set, attaches the call fabric's flight recorder:
 	// every sample carries its per-callsite stats table (digested once
 	// per tick), RenderText grows a per-callsite section, Mux serves
@@ -51,14 +40,6 @@ type Options struct {
 	// Rules is nil — the oversubscription early-warning and
 	// victim-interference rules join the default rule set.
 	EPC *epcstat.Collector
-
-	// WhatIf, when set, attaches the what-if observatory: every tick
-	// feeds the interval's flight stats to its shadow router, every
-	// sample carries the router's verdict, Mux serves /debug/whatif,
-	// and — when Rules is nil — the routing-regret rule joins the
-	// default rule set.  Pair it with Flight; without a recorder the
-	// router has no stats to score.
-	WhatIf *whatif.Observatory
 
 	// HealthWindow is how many trailing samples an event stays "active"
 	// for in Health().  Default 12.
@@ -102,9 +83,6 @@ func (o *Options) fill() {
 		if o.EPC != nil {
 			o.Rules = append(o.Rules, EPCRules(DefaultThresholds())...)
 		}
-		if o.WhatIf != nil {
-			o.Rules = append(o.Rules, WhatIfRules(DefaultThresholds())...)
-		}
 	}
 }
 
@@ -137,10 +115,8 @@ type Monitor struct {
 func New(reg *telemetry.Registry, opts Options) *Monitor {
 	opts.fill()
 	sampler := NewSampler(reg)
-	sampler.SetDistribution(opts.LatencyDist)
 	sampler.SetFlight(opts.Flight)
 	sampler.SetEPC(opts.EPC)
-	sampler.SetWhatIf(opts.WhatIf)
 	return &Monitor{sampler: sampler, opts: opts}
 }
 
@@ -149,9 +125,6 @@ func (m *Monitor) Flight() *flight.Recorder { return m.opts.Flight }
 
 // EPCStat returns the attached EPC pressure observatory, or nil.
 func (m *Monitor) EPCStat() *epcstat.Collector { return m.opts.EPC }
-
-// WhatIf returns the attached what-if observatory, or nil.
-func (m *Monitor) WhatIf() *whatif.Observatory { return m.opts.WhatIf }
 
 // SetOnEvent attaches (or replaces, or with nil detaches) the event
 // callback after construction — internal/incident uses this to wire a

@@ -67,16 +67,12 @@ type Thresholds struct {
 	SpinPerCallBudget float64 // simulated sync cycles per HotCall → Warning
 
 	// Latency SLO burn rate (multiwindow).
-	SLOObjectiveP99 uint64 // interval p99 objective in cycles
-	// SLOObjectiveP999 gates the interval p99.9 when the sample carries a
-	// high-resolution distribution (Options.LatencyDist); coarse samples
-	// fall back to the p99 objective.
-	SLOObjectiveP999 uint64
-	SLOMinCount      uint64  // min latency observations for an interval to count
-	SLOFastWindow    int     // samples in the fast window
-	SLOSlowWindow    int     // samples in the slow window
-	SLOFastBurn      float64 // breaching fraction of the fast window
-	SLOSlowBurn      float64 // breaching fraction of the slow window
+	SLOObjectiveP99 uint64  // interval p99 objective in cycles
+	SLOMinCount     uint64  // min latency observations for an interval to count
+	SLOFastWindow   int     // samples in the fast window
+	SLOSlowWindow   int     // samples in the slow window
+	SLOFastBurn     float64 // breaching fraction of the fast window
+	SLOSlowBurn     float64 // breaching fraction of the slow window
 
 	// EPC thrash.
 	EPCWarnEvictions uint64 // interval evictions → Warning
@@ -99,11 +95,6 @@ type Thresholds struct {
 	CallsiteMinCalls     uint64  // ignore callsites with fewer interval arrivals
 	CallsiteWastePolls   float64 // attributed wasted polls per interval → Warning
 	CallsiteWasteMaxRate float64 // only callsites at or below this EWMA rate are charged
-
-	// Shadow-routing regret (what-if observatory attached): the
-	// interval regret of the single worst-routed callsite, in cycles.
-	RegretWarnCycles float64 // → Warning
-	RegretCritCycles float64 // → Critical
 }
 
 // DefaultThresholds returns the stock tuning.  The latency objective is
@@ -121,13 +112,12 @@ func DefaultThresholds() Thresholds {
 		SpinCritOccupancy: 0.001,
 		SpinPerCallBudget: 2048,
 
-		SLOObjectiveP99:  2048,
-		SLOObjectiveP999: 4096,
-		SLOMinCount:      8,
-		SLOFastWindow:    3,
-		SLOSlowWindow:    12,
-		SLOFastBurn:      0.67,
-		SLOSlowBurn:      0.25,
+		SLOObjectiveP99: 2048,
+		SLOMinCount:     8,
+		SLOFastWindow:   3,
+		SLOSlowWindow:   12,
+		SLOFastBurn:     0.67,
+		SLOSlowBurn:     0.25,
 
 		EPCWarnEvictions: 256,
 		EPCCritEvictions: 4096,
@@ -145,12 +135,6 @@ func DefaultThresholds() Thresholds {
 		CallsiteMinCalls:     10,
 		CallsiteWastePolls:   1000,
 		CallsiteWasteMaxRate: 1,
-
-		// 1M cycles is 250µs of core time per interval (0.1% of a core
-		// at the default 250ms cadence) — worth a look.  100M cycles is
-		// a tenth of a core burned every interval — act.
-		RegretWarnCycles: 1e6,
-		RegretCritCycles: 1e8,
 	}
 }
 
@@ -186,16 +170,6 @@ func FlightRules(t Thresholds) []Rule {
 	return []Rule{
 		&CallsiteStormRule{T: t},
 		&CallsiteSpinWasteRule{T: t},
-	}
-}
-
-// WhatIfRules returns the shadow-routing rule set — the routing-regret
-// rule reading the RouterSnapshot that Options.WhatIf embeds in every
-// sample.  Appended to DefaultRules automatically when an observatory
-// is attached and Options.Rules is nil.
-func WhatIfRules(t Thresholds) []Rule {
-	return []Rule{
-		&RoutingRegretRule{T: t},
 	}
 }
 
@@ -312,15 +286,11 @@ type LatencySLORule struct{ T Thresholds }
 // Name implements Rule.
 func (r *LatencySLORule) Name() string { return "latency-slo" }
 
-// burning reports whether a sample is eligible and breaches its
-// objective: the p99.9 against SLOObjectiveP999 on high-resolution
-// samples, the interpolated p99 against SLOObjectiveP99 otherwise.
+// burning reports whether a sample is eligible and its interpolated p99
+// breaches SLOObjectiveP99.
 func (r *LatencySLORule) burning(s Sample) (eligible, breach bool) {
 	if s.LatencyCount < r.T.SLOMinCount {
 		return false, false
-	}
-	if s.HiRes && r.T.SLOObjectiveP999 > 0 {
-		return true, s.LatencyP999 > r.T.SLOObjectiveP999
 	}
 	return true, s.LatencyP99 > r.T.SLOObjectiveP99
 }
@@ -364,18 +334,14 @@ func (r *LatencySLORule) Evaluate(window []Sample) []Event {
 	if slow >= r.T.SLOSlowBurn {
 		sev = Critical
 	}
-	quantile, value, objective := "p99", s.LatencyP99, r.T.SLOObjectiveP99
-	if s.HiRes && r.T.SLOObjectiveP999 > 0 {
-		quantile, value, objective = "p99.9", s.LatencyP999, r.T.SLOObjectiveP999
-	}
 	return []Event{{
 		Rule: r.Name(), Severity: sev, Seq: s.Seq, At: s.When,
-		Value: float64(value), Threshold: float64(objective),
+		Value: float64(s.LatencyP99), Threshold: float64(r.T.SLOObjectiveP99),
 		Diagnosis: fmt.Sprintf(
-			"HotCall %s %d cycles over the %d-cycle objective; burn rate %.0f%% fast / %.0f%% slow "+
+			"HotCall p99 %d cycles over the %d-cycle objective; burn rate %.0f%% fast / %.0f%% slow "+
 				"window — sustained tail regression, not a blip (look for fallback storms, EPC "+
 				"thrash, or a preempted responder in the same windows)",
-			quantile, value, objective, fast*100, slow*100),
+			s.LatencyP99, r.T.SLOObjectiveP99, fast*100, slow*100),
 	}}
 }
 
@@ -586,47 +552,6 @@ func (r *EPCVictimInterferenceRule) Evaluate(window []Sample) []Event {
 	return events
 }
 
-// RoutingRegretRule reads the shadow router's interval verdict: when
-// the worst-routed callsite's cycles-of-regret — the predicted core
-// time its declared static policy wastes against the shadow-optimal
-// one — crosses the budget, the rule names the callsite, the policy it
-// is on, and the policy the estimator would route it to.  This is the
-// actionable half of the what-if observatory: the regret metric is
-// validated against brute-force replay (internal/whatif, ≥95% ordering
-// agreement), so the recommendation is a measured reroute, not a
-// heuristic.  Fires only with an observatory attached (Options.WhatIf).
-type RoutingRegretRule struct{ T Thresholds }
-
-// Name implements Rule.
-func (r *RoutingRegretRule) Name() string { return "routing-regret" }
-
-// Evaluate implements Rule.
-func (r *RoutingRegretRule) Evaluate(window []Sample) []Event {
-	s := newest(window)
-	if s == nil || s.WhatIf == nil {
-		return nil
-	}
-	w := s.WhatIf.Worst()
-	if w == nil || w.RegretCycles < r.T.RegretWarnCycles {
-		return nil
-	}
-	sev, threshold := Warning, r.T.RegretWarnCycles
-	if w.RegretCycles >= r.T.RegretCritCycles {
-		sev, threshold = Critical, r.T.RegretCritCycles
-	}
-	return []Event{{
-		Rule: r.Name(), Severity: sev, Seq: s.Seq, At: s.When,
-		Value: w.RegretCycles, Threshold: threshold,
-		Diagnosis: fmt.Sprintf(
-			"callsite %q is mis-routed: its static %s routing cost ~%.0f cycles more than the "+
-				"shadow-optimal %s policy this interval (%.0f calls/s at %.0fns service; interval "+
-				"regret %.2gM cycles, cumulative %.2gM) — reroute it to %s, or tune CostParams if "+
-				"the fabric's economics have drifted",
-			w.Site, w.Current, w.RegretCycles, w.Best, w.RatePerS, w.ServiceNS,
-			s.WhatIf.IntervalRegretCycles/1e6, s.WhatIf.CumRegretCycles/1e6, w.Best),
-	}}
-}
-
 // prevCallsites indexes the previous sample's callsite rows by ID so
 // the callsite rules can diff cumulative counters into interval
 // deltas.  Returns nil when the window has no previous sample.
@@ -691,8 +616,8 @@ func (r *CallsiteStormRule) Evaluate(window []Sample) []Event {
 			Diagnosis: fmt.Sprintf(
 				"callsite %q is storming: %.1f%% of its submission attempts degraded this interval "+
 					"(%d timeouts, %d fallbacks / %d attempts; last sampled trace 0x%x) — this call "+
-					"path, not the whole fabric, is outrunning its shard's responders; widen its "+
-					"window or route it to a hotter shard",
+					"path, not the whole fabric, is filling its requester's window faster than "+
+					"the responders drain it; give the pool a deeper SlotsPerShard window",
 				cs.Name, rate*100, dTo, dFb, dArr, cs.LastTraceID),
 		})
 	}
@@ -731,9 +656,9 @@ func (r *CallsiteSpinWasteRule) Evaluate(window []Sample) []Event {
 			Value: dWaste, Threshold: r.T.CallsiteWastePolls,
 			Diagnosis: fmt.Sprintf(
 				"callsite %q was charged %.0f wasted responder polls this interval at only "+
-					"%.2f calls/s — a rare call path keeping a spinning responder alive; it is "+
-					"the demotion candidate (sleep-tier routing or a tighter IdleTimeout), not "+
-					"the busy callsites sharing its fabric",
+					"%.2f calls/s — a rare call path keeping a spinning responder alive; it, not "+
+					"the busy callsites sharing its fabric, is the one to take off the fabric: "+
+					"issue it with CallOrFallback or as a plain SDK call",
 				cs.Name, dWaste, cs.RateEWMA),
 		})
 	}

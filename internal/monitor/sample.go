@@ -18,11 +18,9 @@ package monitor
 import (
 	"time"
 
-	"hotcalls/internal/dist"
 	"hotcalls/internal/epcstat"
 	"hotcalls/internal/flight"
 	"hotcalls/internal/telemetry"
-	"hotcalls/internal/whatif"
 )
 
 // Sample is one point on the monitor's timeline: the cumulative metric
@@ -80,18 +78,13 @@ type Sample struct {
 	Occupancy    float64 `json:"occupancy"`     // Δexecutes / Δpolls
 	MEEHitRate   float64 `json:"mee_hit_rate"`  // interval node-cache hit fraction
 
-	// HotCall latency distribution of this interval.  By default the
-	// percentiles interpolate the coarse log2 hotcall_cycles histogram
-	// delta; when a high-resolution recorder is attached
-	// (Options.LatencyDist) they come from its ~1%-error buckets instead,
-	// HiRes is set, and LatencyP999 resolves the tail the log2 buckets
-	// cannot.  Zeros when no calls landed this interval.
+	// HotCall latency distribution of this interval: the percentiles
+	// interpolate the log2 hotcall_cycles histogram delta.  Zeros when no
+	// calls landed this interval.
 	LatencyCount uint64 `json:"latency_count"`
 	LatencyP50   uint64 `json:"latency_p50_cycles"`
 	LatencyP95   uint64 `json:"latency_p95_cycles"`
 	LatencyP99   uint64 `json:"latency_p99_cycles"`
-	LatencyP999  uint64 `json:"latency_p999_cycles,omitempty"`
-	HiRes        bool   `json:"hi_res,omitempty"`
 
 	// Callsites is the flight recorder's per-callsite stats table at
 	// sampling time (Options.Flight), cumulative like the counter
@@ -104,13 +97,6 @@ type Sample struct {
 	// rules diff consecutive samples' snapshots via Snapshot.Sub.  Nil
 	// when no collector is attached.
 	EPC *epcstat.Snapshot `json:"epc,omitempty"`
-
-	// WhatIf is the shadow router's verdict for the interval ending at
-	// this sample (Options.WhatIf): per-callsite policy costs and
-	// cycles-of-regret, already diffed — unlike Callsites/EPC it is an
-	// interval view, not a cumulative one.  The routing-regret rule
-	// reads it.  Nil when no observatory is attached.
-	WhatIf *whatif.RouterSnapshot `json:"whatif,omitempty"`
 }
 
 // Sampler turns successive registry snapshots into interval Samples.
@@ -121,15 +107,9 @@ type Sampler struct {
 	prev    telemetry.Snapshot
 	hasPrev bool
 
-	rec      *dist.Recorder
-	prevDist dist.Snapshot
-
 	flight *flight.Recorder
 
 	epcCol *epcstat.Collector
-
-	whatIf     *whatif.Observatory
-	prevTickNS uint64
 }
 
 // NewSampler returns a sampler over the registry.  A nil registry is
@@ -137,10 +117,6 @@ type Sampler struct {
 func NewSampler(reg *telemetry.Registry) *Sampler {
 	return &Sampler{reg: reg}
 }
-
-// SetDistribution attaches (or, with nil, detaches) the high-resolution
-// latency recorder the sampler prefers over the log2 histogram.
-func (sa *Sampler) SetDistribution(r *dist.Recorder) { sa.rec = r }
 
 // SetFlight attaches (or, with nil, detaches) the flight recorder whose
 // per-callsite stats table each sample carries.  Sampling is the one
@@ -153,14 +129,6 @@ func (sa *Sampler) SetFlight(f *flight.Recorder) { sa.flight = f }
 // tick that flushes the collector, so every rule and render sees one
 // consistent snapshot per interval.
 func (sa *Sampler) SetEPC(c *epcstat.Collector) { sa.epcCol = c }
-
-// SetWhatIf attaches (or, with nil, detaches) the shadow-routing
-// observatory.  Each sample then feeds the interval's flight stats to
-// Observatory.Observe and carries the resulting RouterSnapshot, so the
-// routing-regret rule and every render see one verdict per interval.
-// Intervals are measured on the flight recorder's clock when one is
-// attached (deterministic under test clocks), wall time otherwise.
-func (sa *Sampler) SetWhatIf(o *whatif.Observatory) { sa.whatIf = o }
 
 // sub clamps counter deltas at zero so a registry swap or reset degrades
 // to an empty interval instead of wrapping.
@@ -219,25 +187,9 @@ func (sa *Sampler) Sample(now time.Time) Sample {
 	if sa.epcCol != nil {
 		s.EPC = sa.epcCol.Snapshot() // flushes the live accounting
 	}
-	if sa.whatIf != nil {
-		nowNS := uint64(now.UnixNano())
-		if sa.flight != nil {
-			nowNS = sa.flight.Now()
-		}
-		var interval uint64
-		if sa.prevTickNS != 0 && nowNS > sa.prevTickNS {
-			interval = nowNS - sa.prevTickNS
-		}
-		sa.prevTickNS = nowNS
-		verdict := sa.whatIf.Observe(s.Callsites, interval)
-		s.WhatIf = &verdict
-	}
 	sa.seq++
 	if !sa.hasPrev {
 		sa.prev, sa.hasPrev = snap, true
-		if sa.rec != nil {
-			sa.prevDist = sa.rec.Snapshot()
-		}
 		return s
 	}
 	p := sa.prev.Counters
@@ -270,27 +222,13 @@ func (sa *Sampler) Sample(now time.Time) Sample {
 	dMiss := sub(s.MEEMisses, p[telemetry.MetricMEENodeMiss])
 	s.MEEHitRate = ratio(dHits, dHits+dMiss)
 
-	if sa.rec != nil {
-		cur := sa.rec.Snapshot()
-		d := cur.Sub(sa.prevDist)
-		sa.prevDist = cur
-		s.HiRes = true
-		s.LatencyCount = d.Total
-		if d.Total > 0 {
-			s.LatencyP50 = uint64(d.Quantile(0.50))
-			s.LatencyP95 = uint64(d.Quantile(0.95))
-			s.LatencyP99 = uint64(d.Quantile(0.99))
-			s.LatencyP999 = uint64(d.Quantile(0.999))
-		}
-	} else {
-		lat := snap.Histograms[telemetry.MetricHotCallCycles].
-			Sub(sa.prev.Histograms[telemetry.MetricHotCallCycles])
-		s.LatencyCount = lat.Count
-		if lat.Count > 0 {
-			s.LatencyP50 = lat.Quantile(0.50)
-			s.LatencyP95 = lat.Quantile(0.95)
-			s.LatencyP99 = lat.Quantile(0.99)
-		}
+	lat := snap.Histograms[telemetry.MetricHotCallCycles].
+		Sub(sa.prev.Histograms[telemetry.MetricHotCallCycles])
+	s.LatencyCount = lat.Count
+	if lat.Count > 0 {
+		s.LatencyP50 = lat.Quantile(0.50)
+		s.LatencyP95 = lat.Quantile(0.95)
+		s.LatencyP99 = lat.Quantile(0.99)
 	}
 	sa.prev = snap
 	return s

@@ -181,3 +181,49 @@ func TestCrossValidationCallCounts(t *testing.T) {
 		t.Fatalf("nested ocall calls = %d, want 25", n)
 	}
 }
+
+// TestSpeedupAppliedSim closes the loop on the real simulation: predict
+// the throughput gain of a 10% spin speedup from a traced HotCall
+// workload, then re-run the identical workload (same seed, same RNG
+// draws) on a LatencyModel scaled to 90% and compare the measured gain.
+func TestSpeedupAppliedSim(t *testing.T) {
+	const runs, delta = 3000, 0.10
+
+	run := func(scale float64) *profile.Breakdown {
+		p, rt := xvalFixture(t)
+		reg := telemetry.New()
+		reg.EnableDeepTracing(1 << 20)
+		p.SetTelemetry(reg)
+		rt.SetTelemetry(reg)
+		ch := core.NewChannel(rt, p.RNG)
+		ch.SetTelemetry(reg)
+		ch.Model = ch.Model.Scale(scale)
+		var clk sim.Clock
+		for i := 0; i < runs; i++ {
+			if _, err := ch.HotECall(&clk, "ecall_empty"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := reg.Tracer().Dropped(); d != 0 {
+			t.Fatalf("trace ring overflowed (%d dropped)", d)
+		}
+		b := profile.Analyze(reg.Tracer().Events()).Calls["hotecall:ecall_empty"]
+		if b == nil || b.Calls != runs {
+			t.Fatalf("traced breakdown %+v, want %d calls", b, runs)
+		}
+		return b
+	}
+
+	base := run(1)
+	predicted := base.Speedup(profile.CatSpin, delta)
+	if predicted == 0 {
+		t.Fatalf("no spin cycles in the breakdown: %+v", base.Cycles)
+	}
+	applied := float64(base.Total)/float64(run(1-delta).Total) - 1
+	if rel := math.Abs(predicted-applied) / applied; rel > 0.05 {
+		t.Errorf("spin: predicted %+.3f%% vs applied %+.3f%% throughput (%.1f%% apart, tolerance 5%%)",
+			predicted*100, applied*100, rel*100)
+	} else {
+		t.Logf("spin: predicted %+.3f%%  applied %+.3f%%", predicted*100, applied*100)
+	}
+}

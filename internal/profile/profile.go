@@ -185,6 +185,18 @@ func (b *Breakdown) Share(c Category) float64 {
 	return float64(b.Cycles[c]) / float64(b.Total)
 }
 
+// Speedup predicts the relative throughput change of this site's
+// workload (0.07 = +7%) if category c ran delta faster.  The simulated
+// fabric is a serial cycle stream, so throughput Calls/Total becomes
+// Calls/(Total − delta·Cycles[c]) and the category's share is the whole
+// derivative: the gain is s·delta/(1 − s·delta) for share s.
+// TestSpeedupAppliedSim checks it against the cost model actually
+// scaled.
+func (b *Breakdown) Speedup(c Category, delta float64) float64 {
+	sd := b.Share(c) * delta
+	return sd / (1 - sd)
+}
+
 // Median returns the median call duration.  Note this is the span
 // duration (including nested calls), matching what Table 1 reports.
 func (b *Breakdown) Median() uint64 {
@@ -252,8 +264,7 @@ func (p *Profile) walk(s *Span, b *Breakdown) {
 }
 
 // attributeSelf charges a span's self time into the per-category cycle
-// vector — the single attribution table shared by the aggregate profile
-// and the per-call record export.
+// vector: the attribution table.
 func attributeSelf(s *Span, self uint64, cyc *[NumCategories]uint64) {
 	switch s.Event.Kind {
 	case telemetry.KindEEnter, telemetry.KindEExit, telemetry.KindEResume, telemetry.KindAEX:

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"math"
 	"testing"
 
 	"hotcalls/internal/telemetry"
@@ -149,5 +150,36 @@ func TestBreakdownStats(t *testing.T) {
 	}
 	if b.Mean() != 20 {
 		t.Fatalf("mean = %f", b.Mean())
+	}
+}
+
+// TestSpeedup pins the counterfactual to exact arithmetic: with two
+// sites in known cycle splits, speeding one category up by δ must move
+// that site's throughput by exactly share·δ/(1 − share·δ).
+func TestSpeedup(t *testing.T) {
+	p := Analyze([]telemetry.Event{
+		ev(telemetry.KindHandler, "handler:a", 1000, 1000, 0),
+		ev(telemetry.KindHotECall, "hotecall:a", 0, 4000, 0),
+		ev(telemetry.KindHotECall, "hotecall:b", 4000, 1000, 0),
+	})
+	for _, tc := range []struct {
+		site  string
+		c     Category
+		delta float64
+		want  float64
+	}{
+		{"hotecall:a", CatSpin, 0.10, 4000.0/(4000-0.10*3000) - 1},
+		{"hotecall:a", CatHandler, 0.10, 4000.0/(4000-0.10*1000) - 1},
+		{"hotecall:a", CatSpin, -0.10, 4000.0/(4000+0.10*3000) - 1}, // a slowdown
+		{"hotecall:b", CatSpin, 0.10, 1000.0/(1000-0.10*1000) - 1},
+		{"hotecall:b", CatHandler, 0.10, 0},
+	} {
+		b := p.Calls[tc.site]
+		if b == nil {
+			t.Fatalf("no breakdown for %s (sites: %v)", tc.site, p.Names())
+		}
+		if got := b.Speedup(tc.c, tc.delta); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s.Speedup(%s, %v) = %v, want %v", tc.site, tc.c, tc.delta, got, tc.want)
+		}
 	}
 }

@@ -153,8 +153,7 @@ type chromeMetadata struct {
 }
 
 // ChromeRowMetadata returns the thread_name metadata records naming the
-// exporter's stable rows — shared by WriteChromeTrace and merged-trace
-// writers (internal/profile) so every export groups kinds identically.
+// exporter's stable rows, so every export groups kinds identically.
 func ChromeRowMetadata() []any {
 	out := make([]any, 0, len(chromeRowNames))
 	for tid := 1; tid <= len(chromeRowNames); tid++ {
