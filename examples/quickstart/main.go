@@ -123,12 +123,14 @@ func main() {
 	responder := core.NewResponder(&hc, []func(interface{}) uint64{
 		func(d interface{}) uint64 { return d.(uint64) * d.(uint64) },
 	})
-	go responder.Run()
-	defer hc.Stop()
+	done := make(chan struct{})
+	go func() { responder.Run(); close(done) }()
 	r, err := hc.Call(0, uint64(12))
 	if err != nil {
 		panic(err)
 	}
-	polls, executes, _ := responder.Stats()
+	hc.Stop()
+	<-done // the counts are exact once Run has returned
+	polls, executes := responder.Stats()
 	fmt.Printf("\nreal HotCall responder: 12^2 = %d (polls=%d, executes=%d)\n", r, polls, executes)
 }

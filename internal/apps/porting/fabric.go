@@ -163,7 +163,7 @@ func (f *Fabric) DebugMux() *monitor.DebugMux {
 	return mux
 }
 
-// Pool exposes the underlying CallPool (responder bounds, stats).
+// Pool exposes the underlying CallPool (stats, responder counts).
 func (f *Fabric) Pool() *core.CallPool { return f.pool }
 
 // Callsite returns the flight handle of the spec's i-th callsite name.

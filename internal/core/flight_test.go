@@ -151,48 +151,10 @@ func TestPoolFlightSubmitWait(t *testing.T) {
 	}
 }
 
-// TestSingleSlotFlight runs the pre-fabric protocol with the recorder
-// attached: same causal guarantees through the lock-guarded slot.
-func TestSingleSlotFlight(t *testing.T) {
-	hc := patientHotCall()
-	rec := flight.New(flight.Options{SampleEvery: 1})
-	hc.SetFlight(rec)
-	cs := rec.Callsite("single.op")
-
-	r := NewResponder(hc, []func(interface{}) uint64{
-		func(d interface{}) uint64 { return d.(uint64) + 1 },
-	})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); r.Run() }()
-
-	for i := 0; i < 4; i++ {
-		ret, err := hc.CallAt(cs, 0, uint64(i))
-		if err != nil || ret != uint64(i+1) {
-			t.Fatalf("call %d: ret=%d err=%v", i, ret, err)
-		}
-	}
-	hc.Stop()
-	wg.Wait()
-
-	views := rec.Records(8)
-	if len(views) != 4 {
-		t.Fatalf("records = %d, want 4", len(views))
-	}
-	for _, v := range views {
-		if v.Name != "single.op" || v.Responder != 0 {
-			t.Errorf("single-slot record misattributed: %+v", v)
-		}
-		if !(v.SubmitNS <= v.ExecStartNS && v.ExecEndNS <= v.ReturnNS) {
-			t.Errorf("single-slot causal order violated: %+v", v)
-		}
-	}
-}
-
 // TestPoolFlightStressRace crosses every moving part under the race
 // detector: requester traffic with the recorder sampling heavily,
-// concurrent Records/Digest/Stats readers, SetResponderBounds churn,
-// and a final Stop racing in-flight calls.  The assertions are the
+// concurrent Records/Digest/Stats readers, the controller growing and
+// shrinking the responder pool, and a final Stop racing in-flight calls.  The assertions are the
 // seqlock invariants; mostly this test exists so `go test -race`
 // explores the recorder's memory orderings.
 func TestPoolFlightStressRace(t *testing.T) {
@@ -246,21 +208,6 @@ func TestPoolFlightStressRace(t *testing.T) {
 			}
 		}()
 	}
-	// Responder-bounds churn.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			p.SetResponderBounds(1, 1+i%4)
-			runtime.Gosched()
-		}
-	}()
-
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	p.Stop() // race Stop against whatever is still in flight

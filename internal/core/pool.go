@@ -4,10 +4,10 @@ package core
 // sketches but never builds (Section 4.2, "Maximizing utilization" /
 // "Conserving resources at idle times"), grown into a runnable runtime.
 //
-// The single HotCall slot of hotcalls.go pairs all requesters with one
-// responder through one spin lock: every submission ping-pongs the same
-// cache line between cores, and only one call can be in flight at a time.
-// The fabric replaces that with a CallPool:
+// The paper's single slot pairs all requesters with one responder through
+// one spin lock: every submission ping-pongs the same cache line between
+// cores, and only one call can be in flight at a time.  The fabric is a
+// CallPool (hotcalls.go configures one as that slot):
 //
 //   - One shard per requester goroutine.  A shard is a small ring of
 //     cache-line-padded slots owned by exactly one requester, so the
@@ -252,12 +252,11 @@ type CallPool struct {
 	wake     sdk.Cond
 
 	// Adaptive-pool state (scale.go).
-	minR, maxR atomic.Int32
-	target     atomic.Int32
-	live       atomic.Int32
-	polls      atomic.Uint64 // slot inspections, pool-wide
-	executes   atomic.Uint64 // claimed calls, pool-wide
-	wg         sync.WaitGroup
+	target   atomic.Int32
+	live     atomic.Int32
+	polls    atomic.Uint64 // slot inspections, pool-wide
+	executes atomic.Uint64 // claimed calls, pool-wide
+	wg       sync.WaitGroup
 
 	// Controller bookkeeping: last-window totals, read and written only
 	// by the primary responder inside control(), so plain fields.
@@ -293,9 +292,11 @@ type CallPool struct {
 	// single P, where no responder can run while the requester spins.
 	spinMax int
 
-	// rejected counts scatter-gather calls refused at dispatch (execRun);
-	// last, so that every field above keeps the offset it was measured at.
-	rejected *telemetry.Counter
+	// rejected counts scatter-gather calls refused at dispatch (execRun)
+	// and fallbacks the timeouts CallOrFallback degraded; appended last,
+	// so that a new handle moves no field the hot path reads.
+	rejected  *telemetry.Counter
+	fallbacks *telemetry.Counter
 }
 
 // NewCallPool builds a fabric over the given call table.  Responders do
@@ -319,8 +320,6 @@ func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 			p.rings[i] = newPayloadRing(opts.RingSlabs, opts.RingSlabBytes)
 		}
 	}
-	p.minR.Store(int32(opts.MinResponders))
-	p.maxR.Store(int32(opts.MaxResponders))
 	p.target.Store(int32(opts.MinResponders))
 	p.pendingPool.New = func() any { return new(PoolPending) }
 	p.batchPool.New = func() any { return new(PoolBatch) }
@@ -334,9 +333,8 @@ func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 func (p *CallPool) SetVecTable(vt []PoolVecFunc) { p.vtable = vt }
 
 // SetTelemetry attaches the fabric's counters and gauges from the
-// registry: submission traffic, responder economics (the same
-// responder poll/execute/sleep counters the single-slot protocol
-// feeds, so existing occupancy monitoring keeps working), and the
+// registry: submission traffic, responder economics (poll, execute and
+// sleep counts, from which the monitor derives occupancy), and the
 // adaptive controller's decisions.  A nil registry detaches.  Attach
 // before Start.
 func (p *CallPool) SetTelemetry(reg *telemetry.Registry) {
@@ -348,6 +346,7 @@ func (p *CallPool) SetTelemetry(reg *telemetry.Registry) {
 	p.kickCtr = reg.Counter(telemetry.MetricResponderKicks)
 	p.inlineCtr = reg.Counter(telemetry.MetricHotCallInline)
 	p.rejected = reg.Counter(telemetry.MetricHotCallRejected)
+	p.fallbacks = reg.Counter(telemetry.MetricHotCallFallbacks)
 	p.scaleUps = reg.Counter(telemetry.MetricPoolScaleUps)
 	p.scaleDowns = reg.Counter(telemetry.MetricPoolScaleDowns)
 	p.liveGauge = reg.Gauge(telemetry.MetricPoolResponders)
@@ -656,6 +655,7 @@ func (r *Requester) CallOrFallback(id CallID, data uint64, fallback func() (uint
 func (r *Requester) CallOrFallbackAt(cs flight.Callsite, id CallID, data uint64, fallback func() (uint64, error)) (uint64, error) {
 	ret, err := r.CallAt(cs, id, data)
 	if err == ErrTimeout {
+		r.pool.fallbacks.Inc()
 		r.pool.flight.Fallback(cs)
 		return fallback()
 	}

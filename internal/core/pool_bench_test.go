@@ -74,7 +74,7 @@ func BenchmarkPoolCall(b *testing.B) {
 }
 
 // BenchmarkSingleSlotFunnel funnels the same load — GOMAXPROCS worker
-// goroutines, the same echo call — through one pre-fabric HotCall slot
+// goroutines, the same echo call — through the paper's one HotCall slot
 // and its dedicated responder.  This is the baseline the >= 4x
 // acceptance criterion is measured against.
 func BenchmarkSingleSlotFunnel(b *testing.B) {

@@ -298,8 +298,8 @@ func TestPoolIdleShrink(t *testing.T) {
 }
 
 // TestPoolConcurrentChurn is the -race coverage for the fabric:
-// concurrent requesters on every shard, the responder bounds being
-// rewritten underneath the controller, and a Stop racing the traffic.
+// concurrent requesters on every shard, the controller scaling the
+// responders underneath them, and a Stop racing the traffic.
 func TestPoolConcurrentChurn(t *testing.T) {
 	shards := runtime.GOMAXPROCS(0) + 2
 	opts := fastPool(shards, 4)
@@ -339,15 +339,6 @@ func TestPoolConcurrentChurn(t *testing.T) {
 			}
 		}()
 	}
-	// Resize churn while traffic flows.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			p.SetResponderBounds(1+i%2, 2+i%3)
-			runtime.Gosched()
-		}
-	}()
 	time.Sleep(20 * time.Millisecond)
 	p.Stop()
 	wg.Wait()

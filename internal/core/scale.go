@@ -22,9 +22,15 @@ func (p *CallPool) Start() {
 // spawn launches one responder goroutine.  Called from Start and from
 // the controller (primary responder) only, so spawns never race.
 func (p *CallPool) spawn(idx int) {
+	p.enter()
+	go p.runResponder(idx)
+}
+
+// enter counts a responder in before its loop starts; runResponder counts
+// it out.
+func (p *CallPool) enter() {
 	p.wg.Add(1)
 	p.liveGauge.Set(int64(p.live.Add(1)))
-	go p.runResponder(idx)
 }
 
 // Responders returns the number of live responder goroutines.
@@ -38,25 +44,6 @@ func (p *CallPool) SleepingResponders() int { return int(p.sleepers.Load()) }
 // ratio is the occupancy the adaptive controller steers by.
 func (p *CallPool) Stats() (polls, executes uint64) {
 	return p.polls.Load(), p.executes.Load()
-}
-
-// SetResponderBounds adjusts the adaptive pool's [min, max] responder
-// range at runtime.  min is clamped to at least 1.  The controller
-// enforces the new bounds at its next decision point, so they take
-// effect while traffic is flowing.
-func (p *CallPool) SetResponderBounds(min, max int) {
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	p.minR.Store(int32(min))
-	p.maxR.Store(int32(max))
-	p.maxGauge.Set(int64(max))
-	// Kick sleeping responders so a lowered max retires parked surplus
-	// promptly instead of on the next wake.
-	p.wake.Broadcast()
 }
 
 // runResponder is one responder's loop: claim work across all shards
@@ -133,7 +120,7 @@ func (p *CallPool) runResponder(idx int) {
 			// them and the pool would idle at N sleepers instead of
 			// one.  Force a decision now and hold the yield rung until
 			// the pool has drained to the floor.
-			if idx == 0 && (p.target.Load() > p.minR.Load() || p.live.Load() > p.target.Load()) {
+			if idx == 0 && (int(p.target.Load()) > p.opts.MinResponders || p.live.Load() > p.target.Load()) {
 				p.control()
 				empty = spin
 				pause()
@@ -310,12 +297,8 @@ func (p *CallPool) control() {
 	if p.live.Load() != target {
 		return // a previous decision is still taking effect
 	}
-	min, max := p.minR.Load(), p.maxR.Load()
+	min, max := int32(p.opts.MinResponders), int32(p.opts.MaxResponders)
 	switch {
-	case target < min:
-		p.scaleUp(target)
-	case target > max:
-		p.scaleDown(target)
 	case occ >= scaleUpOccupancy && target < max:
 		p.scaleUp(target)
 	case occ <= scaleDownOccupancy && target > min:

@@ -8,7 +8,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"hotcalls/internal/flight"
@@ -66,14 +65,14 @@ func TestSecurityDataPointerAttack(t *testing.T) {
 // already has over the SDK's ocall_index.  It must not crash the
 // responder, and out-of-table IDs return a sentinel.
 func TestSecurityCallIDManipulation(t *testing.T) {
-	hc := patientHotCall()
+	hc := new(HotCall)
 	executed := make([]int, 3)
 	table := make([]func(interface{}) uint64, 3)
 	for i := range table {
 		i := i
 		table[i] = func(interface{}) uint64 { executed[i]++; return uint64(i) }
 	}
-	r, wg := startResponder(hc, table)
+	_, wg := startResponder(hc, table)
 	defer func() { hc.Stop(); wg.Wait() }()
 
 	// The adversary flips the requested ID from 0 to 2: the wrong
@@ -92,7 +91,6 @@ func TestSecurityCallIDManipulation(t *testing.T) {
 	if ret, err := hc.Call(1, nil); err != nil || ret != 1 {
 		t.Fatalf("responder dead after attacks: (%d, %v)", ret, err)
 	}
-	_ = r
 }
 
 // "Using the spin-lock located in shared memory": tampering with the lock
@@ -100,7 +98,7 @@ func TestSecurityCallIDManipulation(t *testing.T) {
 // wrong result for completed calls.  A permanently held lock makes the
 // requester time out into the SDK fallback path.
 func TestSecuritySpinLockDoSOnly(t *testing.T) {
-	hc := patientHotCall()
+	hc := &HotCall{Timeout: 8}
 	_, wg := startResponder(hc, []func(interface{}) uint64{
 		func(interface{}) uint64 { return 42 },
 	})
@@ -114,54 +112,43 @@ func TestSecuritySpinLockDoSOnly(t *testing.T) {
 	}
 	// Adversary wedges the lock: requesters experience DoS (timeout)
 	// and fall back to the SDK path, exactly the Section 4.2 mitigation.
-	hc.Timeout = 8
 	hc.lock.Lock()
 	ret, err := hc.CallOrFallback(0, nil, func() (uint64, error) { return 7777, nil })
 	if err != nil || ret != 7777 {
 		t.Fatalf("fallback under wedged lock: (%d, %v)", ret, err)
 	}
 	hc.lock.Unlock()
-	hc.Timeout = 1 << 20
 	// Service resumes once the DoS stops.
 	if ret, err := hc.Call(0, nil); err != nil || ret != 42 {
 		t.Fatalf("post-DoS call: (%d, %v)", ret, err)
 	}
 }
 
-// Responder death mid-stream must surface as ErrStopped on waiting
-// requesters rather than a hang (failure injection beyond the paper).
+// Responder death mid-stream must surface as ErrStopped on the waiting
+// requester and on every later one rather than a hang, and Run returns
+// once the handler it was in does (failure injection beyond the paper).
 func TestSecurityResponderDeath(t *testing.T) {
-	hc := patientHotCall()
-	slow := make(chan struct{})
-	_, wg := startResponder(hc, []func(interface{}) uint64{
-		func(interface{}) uint64 { <-slow; return 1 },
+	var hc HotCall
+	entered, slow := make(chan struct{}), make(chan struct{})
+	_, wg := startResponder(&hc, []func(interface{}) uint64{
+		func(interface{}) uint64 { close(entered); <-slow; return 1 },
 	})
-	var callErr error
-	var callWg sync.WaitGroup
-	callWg.Add(1)
+	callErr := make(chan error)
 	go func() {
-		defer callWg.Done()
-		_, callErr = hc.Call(0, nil)
+		_, err := hc.Call(0, nil)
+		callErr <- err
 	}()
 	// Let the call get picked up, then kill the system.
-	for {
-		hc.lock.Lock()
-		running := hc.state == stateRunning
-		hc.lock.Unlock()
-		if running {
-			break
-		}
-		pause()
-	}
+	<-entered
 	hc.Stop()
+	if err := <-callErr; !errors.Is(err, ErrStopped) {
+		t.Fatalf("call in flight across Stop: %v, want ErrStopped", err)
+	}
+	if _, err := hc.Call(0, nil); !errors.Is(err, ErrStopped) {
+		t.Fatalf("call after Stop: %v, want ErrStopped", err)
+	}
 	close(slow) // the in-flight handler finishes
 	wg.Wait()
-	callWg.Wait()
-	// The requester either got the completed result or a clean stop —
-	// never a hang (reaching here proves no deadlock).
-	if callErr != nil && callErr != ErrStopped {
-		t.Fatalf("unexpected error: %v", callErr)
-	}
 }
 
 // Data confidentiality: the marshalled request data for a HotOCall [in]

@@ -39,7 +39,7 @@ func TestUtilizationGrowsWithSharing(t *testing.T) {
 		wg.Wait()
 		// What is exact: every call made was executed once, and the
 		// executes are a non-empty part of the polls.
-		if _, executes, _ := r.Stats(); executes != uint64(requesters*callsEach) {
+		if _, executes := r.Stats(); executes != uint64(requesters*callsEach) {
 			t.Errorf("%d requesters: %d executes, want %d", requesters, executes, requesters*callsEach)
 		}
 		u := r.Utilization()
@@ -55,39 +55,22 @@ func TestUtilizationGrowsWithSharing(t *testing.T) {
 	t.Logf("utilization: 1 requester %.3f, 4 requesters %.3f", measure(1), measure(4))
 }
 
-// Section 4.2, "Conserving resources at idle times": a sleeping responder
-// stops burning polls, and the next request wakes it.
+// Section 4.2, "Conserving resources at idle times": a parked responder
+// stops burning polls, and the next request is still served.
 func TestIdleSleepStopsPolling(t *testing.T) {
-	hc := patientHotCall()
-	r := NewResponder(hc, []func(interface{}) uint64{
-		func(interface{}) uint64 { return 9 },
-	})
-	r.IdleTimeout = 5
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r.Run()
-	}()
-	defer func() { hc.Stop(); wg.Wait() }()
+	p := NewCallPool([]PoolFunc{func(int, uint64) uint64 { return 9 }}, fastPool(1, 1))
+	p.Start()
+	defer p.Stop()
 
-	// Wait for the responder to fall asleep.
-	for i := 0; i < 100000 && !hc.sleeping.Load(); i++ {
-		pause()
-	}
-	if !hc.sleeping.Load() {
-		t.Skip("responder did not reach sleep on this scheduler")
-	}
-	pollsAsleep, _, _ := r.Stats()
+	waitParked(t, p)
+	pollsAsleep, _ := p.Stats()
 	for i := 0; i < 1000; i++ {
 		pause()
 	}
-	pollsLater, _, _ := r.Stats()
-	if pollsLater > pollsAsleep+2 {
-		t.Errorf("responder kept polling while asleep: %d -> %d", pollsAsleep, pollsLater)
+	if pollsLater, _ := p.Stats(); pollsLater != pollsAsleep {
+		t.Errorf("responder kept polling while parked: %d -> %d", pollsAsleep, pollsLater)
 	}
-	// A request must still complete (requester signals the wake).
-	if ret, err := hc.Call(0, nil); err != nil || ret != 9 {
-		t.Fatalf("post-sleep call = (%d, %v)", ret, err)
+	if ret, err := p.Requester().Call(0, 0); err != nil || ret != 9 {
+		t.Fatalf("call on a parked responder = (%d, %v)", ret, err)
 	}
 }

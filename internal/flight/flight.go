@@ -315,13 +315,12 @@ func (r *Recorder) CallsiteName(id int) string {
 
 // Bind attaches the recorder to a fabric of the given shard count,
 // allocating the per-requester record rings and arrival lanes.  Called
-// by CallPool.SetFlight (shards = requester count) and by the
-// single-slot HotCall (shards = 1).  Re-binding replaces the timeline
-// storage and resets digest cursors — one fabric per recorder at a
-// time — but first folds the outgoing fabric's published arrival counts
-// into a persistent baseline, so cumulative per-callsite totals keep
-// accumulating (and stay monotonic for the EWMA fold) when a harness
-// moves the recorder between successive fixtures.
+// by CallPool.SetFlight (shards = requester count).  Re-binding replaces
+// the timeline storage and resets digest cursors — one fabric per
+// recorder at a time — but first folds the outgoing fabric's published
+// arrival counts into a persistent baseline, so cumulative per-callsite
+// totals keep accumulating (and stay monotonic for the EWMA fold) when a
+// harness moves the recorder between successive fixtures.
 func (r *Recorder) Bind(shards int) {
 	if r == nil || shards <= 0 {
 		return
@@ -400,15 +399,13 @@ func (r *Recorder) SetOccupancySource(src func() (polls, executes uint64)) {
 // calls).
 //
 // Single-producer contract: a given (shard) lane must be driven by one
-// goroutine at a time — the shard's owning requester in the fabric, or
-// the holder of the submission lock in the single-slot protocol.  That
-// is what lets the unsampled path be a plain load+store count and a
-// mask check, with no LOCK-prefixed instruction; the sampled path
-// additionally takes a preallocated ring slot and reads the clock
-// once.  Nothing allocates.
+// goroutine at a time — the shard's owning requester.  That is what
+// lets the unsampled path be a plain load+store count and a mask check,
+// with no LOCK-prefixed instruction; the sampled path additionally takes
+// a preallocated ring slot and reads the clock once.  Nothing allocates.
 // Begin is Arrive + Open in one call, for callers off the nanosecond
-// path (tests, the single-shot protocols).  The fabric's post loop uses
-// the two-step form instead: Arrive is small enough to inline, so the
+// path (tests).  The fabric's post loop uses the two-step form
+// instead: Arrive is small enough to inline, so the
 // 255-in-256 unsampled calls pay a handful of inlined instructions and
 // no function call.
 func (r *Recorder) Begin(cs Callsite, shard int, callID uint16) *Record {
@@ -497,7 +494,7 @@ func (r *Recorder) beginSampled(b *binding, cs Callsite, shard int, callID uint1
 
 // Timeout records a submission timeout for the callsite (exact count)
 // and closes the open record, if any, with the timeout flag.  shard is
-// the submitting requester's shard (0 for the single-slot protocols).
+// the submitting requester's shard.
 // When the tail sampler is armed the timeout is also retained in the
 // shard's outlier ring — copied from the record if the call was
 // sampled, otherwise synthesized as a partial record (submit 0,

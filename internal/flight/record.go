@@ -177,8 +177,7 @@ func (r *ring) open() (*Record, uint64) {
 
 // openMP is open for rings with more than one producer — the outlier
 // ring, whose writers are whichever goroutine hits the capture slow
-// path (in the single-slot protocol that can be several requesters at
-// once).  The CAS claims a generation exclusively; everything after is
+// path.  The CAS claims a generation exclusively; everything after is
 // the claimed slot's private state, exactly as in open.  Slow path
 // only: the per-call hot path never reaches a CAS.
 func (r *ring) openMP() (*Record, uint64) {

@@ -180,9 +180,8 @@ func (r *Recorder) Complete(fr *Record) {
 
 // captureOutlier copies a just-closed record into the shard's outlier
 // ring.  The outlier ring uses the multi-producer openMP (CAS claim):
-// the fabric gives each shard one producer, but the single-slot
-// protocol completes and times out outside its submission lock, so
-// several goroutines can capture into shard 0 at once.  The copy is a
+// the fabric gives each shard one producer, and the capture path does
+// not depend on it.  The copy is a
 // fresh closed generation in the outlier ring; readers use the same
 // seqlock validation as the main ring.
 func (r *Recorder) captureOutlier(b *binding, src *Record, shard int) {

@@ -178,7 +178,6 @@ func TestCallsiteSpinWasteSparesBusyCallsite(t *testing.T) {
 // (gauges with units, pool occupancy) and the per-callsite section.
 func TestRenderTextGaugeUnitsAndCallsites(t *testing.T) {
 	reg := telemetry.New()
-	reg.Gauge(telemetry.MetricPendingDepth).Set(3)
 	reg.Gauge(telemetry.MetricEPCResident).Set(128)
 	reg.Gauge(telemetry.MetricPoolResponders).Set(2)
 	reg.Gauge(telemetry.MetricPoolRespondersMax).Set(8)
@@ -197,7 +196,6 @@ func TestRenderTextGaugeUnitsAndCallsites(t *testing.T) {
 
 	out := m.RenderText(5)
 	for _, want := range []string{
-		"depth 3 calls",
 		"epc 128 pages",
 		"pool 2/8 responders",
 		"occupancy 0.413",
@@ -220,8 +218,8 @@ func TestRenderTextNoPoolNoCallsites(t *testing.T) {
 	if strings.Contains(out, "pool ") || strings.Contains(out, "callsites:") {
 		t.Fatalf("unattached monitor rendered pool/callsite sections:\n%s", out)
 	}
-	if !strings.Contains(out, "depth 0 calls") || !strings.Contains(out, "epc 0 pages") {
-		t.Fatalf("gauge units missing from header:\n%s", out)
+	if !strings.Contains(out, "epc 0 pages") {
+		t.Fatalf("gauge unit missing from header:\n%s", out)
 	}
 }
 

@@ -1,14 +1,23 @@
 package monitor
 
 import (
-	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"hotcalls/internal/core"
 	"hotcalls/internal/telemetry"
 )
+
+// startPool starts a fabric of the given shape counting into reg, with fn
+// as its one call — the live traffic source of the tests and benchmarks
+// that watch a real protocol — and stops it with the test.
+func startPool(tb testing.TB, reg *telemetry.Registry, opts core.PoolOptions, fn core.PoolFunc) *core.CallPool {
+	p := core.NewCallPool([]core.PoolFunc{fn}, opts)
+	p.SetTelemetry(reg)
+	p.Start()
+	tb.Cleanup(p.Stop)
+	return p
+}
 
 // bump is a test helper that advances a counter by n.
 func bump(reg *telemetry.Registry, name string, n uint64) {
@@ -124,34 +133,26 @@ func TestEventLogBounded(t *testing.T) {
 }
 
 // TestFallbackStormOnSleepingResponder is the acceptance test: a
-// responder that never picks work up turns every HotCall into a
+// responder that never hands a slot back turns every HotCall into a
 // timeout→fallback, and the monitor must diagnose it — while the same
 // workload with a live responder raises no alerts.
 func TestFallbackStormOnSleepingResponder(t *testing.T) {
 	reg := telemetry.New()
-	var hc core.HotCall
-	hc.SetTelemetry(reg)
-
-	// Occupy the slot with a call whose handler never returns — the
-	// "responder asleep" condition.  Its own submission may lose the
-	// slot's lock to the polling responder; it retries until it is in.
-	entered, gate := make(chan struct{}), make(chan struct{})
-	r := core.NewResponder(&hc, []func(interface{}) uint64{
-		func(interface{}) uint64 { close(entered); <-gate; return 0 },
-	})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); r.Run() }()
-	wedged := make(chan error, 1)
-	go func() {
-		for {
-			if _, err := hc.Call(0, nil); !errors.Is(err, core.ErrTimeout) {
-				wedged <- err
-				return
-			}
+	// Fill the one-slot window with a call whose handler does not return
+	// — the "responder asleep" condition.
+	gate := make(chan struct{})
+	r := startPool(t, reg, core.PoolOptions{Shards: 1, SlotsPerShard: 1},
+		func(int, uint64) uint64 { <-gate; return 0 }).Requester()
+	wedged, err := r.Submit(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(gate)
+		if _, err := wedged.Wait(); err != nil {
+			t.Errorf("wedged call after the handler returned: %v", err)
 		}
 	}()
-	<-entered
 
 	m := New(reg, Options{})
 	m.Tick() // baseline
@@ -160,7 +161,7 @@ func TestFallbackStormOnSleepingResponder(t *testing.T) {
 	// back to the SDK path.
 	var fallbacks int
 	for i := 0; i < 50; i++ {
-		if _, err := hc.CallOrFallback(0, nil, func() (uint64, error) {
+		if _, err := r.CallOrFallback(0, 0, func() (uint64, error) {
 			fallbacks++
 			return 0, nil
 		}); err != nil {
@@ -172,8 +173,8 @@ func TestFallbackStormOnSleepingResponder(t *testing.T) {
 	}
 
 	s := m.Tick()
-	if s.TimeoutRate < 0.9 {
-		t.Fatalf("timeout rate = %.3f, want ~1", s.TimeoutRate)
+	if s.TimeoutRate < 0.9 || s.FallbackRate < 0.9 {
+		t.Fatalf("timeout rate = %.3f, fallback rate = %.3f, want ~1", s.TimeoutRate, s.FallbackRate)
 	}
 	ev := m.Events()
 	var storm *Event
@@ -194,46 +195,27 @@ func TestFallbackStormOnSleepingResponder(t *testing.T) {
 	if h := m.Health(); h.Status != "critical" {
 		t.Fatalf("health = %s, want critical", h.Status)
 	}
-
-	close(gate)
-	if err := <-wedged; err != nil {
-		t.Fatalf("wedged call after the handler returned: %v", err)
-	}
-	hc.Stop()
-	wg.Wait()
 }
 
 // TestHealthyRunRaisesNoAlerts is the acceptance counterpart: the same
 // workload with a live responder stays clean under the default rules.
+// The idle ladder parks the responder between bursts, which bounds the
+// polls per call and keeps occupancy above the spin-waste floor on any
+// scheduler.
 func TestHealthyRunRaisesNoAlerts(t *testing.T) {
 	reg := telemetry.New()
-	var hc core.HotCall
-	hc.Timeout = 1 << 20
-	hc.SetTelemetry(reg)
-	r := core.NewResponder(&hc, []func(interface{}) uint64{
-		func(interface{}) uint64 { return 7 },
-	})
-	// Idle sleeping bounds the polls-per-call, keeping responder
-	// occupancy well above the spin-waste floor on any scheduler.
-	r.IdleTimeout = 20
-	r.SetTelemetry(reg)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r.Run()
-	}()
+	p := startPool(t, reg, core.PoolOptions{Shards: 1}, func(int, uint64) uint64 { return 7 })
+	r := p.Requester()
 
 	m := New(reg, Options{})
 	m.Tick()
 	for i := 0; i < 200; i++ {
-		if _, err := hc.Call(0, nil); err != nil {
+		if _, err := r.Call(0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	p.Stop() // the responders publish their last counts on the way out
 	s := m.Tick()
-	hc.Stop()
-	wg.Wait()
 
 	if s.DSubmissions != 200 || s.DTimeouts != 0 {
 		t.Fatalf("healthy run deltas wrong: %+v", s)

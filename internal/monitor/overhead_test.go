@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -9,7 +8,7 @@ import (
 	"hotcalls/internal/telemetry"
 )
 
-// runCallBench drives the real HotCall protocol for b.N calls, optionally
+// runCallBench drives the real fabric protocol for b.N calls, optionally
 // with a live monitor sampling at a production-like interval.  Comparing
 // the two benchmarks is the instrumented-pair overhead measurement for
 // the monitor (target <=1%, recorded in EXPERIMENTS.md): the monitor
@@ -17,19 +16,7 @@ import (
 func runCallBench(b *testing.B, interval time.Duration) {
 	reg := telemetry.New()
 	telemetry.RegisterStandard(reg)
-	var hc core.HotCall
-	hc.Timeout = 1 << 20
-	hc.SetTelemetry(reg)
-	r := core.NewResponder(&hc, []func(interface{}) uint64{
-		func(interface{}) uint64 { return 0 },
-	})
-	r.SetTelemetry(reg)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r.Run()
-	}()
+	r := startPool(b, reg, core.PoolOptions{Shards: 1}, func(int, uint64) uint64 { return 0 }).Requester()
 	if interval > 0 {
 		m := New(reg, Options{Interval: interval, RingCap: 64})
 		m.Start()
@@ -37,13 +24,10 @@ func runCallBench(b *testing.B, interval time.Duration) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hc.Call(0, nil); err != nil {
+		if _, err := r.Call(0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	hc.Stop()
-	wg.Wait()
 }
 
 // BenchmarkCallTelemetry is the baseline: telemetry attached, no monitor.

@@ -182,8 +182,8 @@ func newest(window []Sample) *Sample {
 }
 
 // FallbackStormRule detects the paper's explicit operational hazard
-// (Section 4.2, "Preventing starvation"): when the responder sleeps or
-// is overloaded, requesters exhaust their submission attempts and every
+// (Section 4.2, "Preventing starvation"): when the responder is stuck in
+// a handler or overloaded, requesters exhaust their submission attempts and every
 // timed-out HotCall degrades into a regular SDK call — a 13-27x latency
 // cliff that a raw throughput graph hides until saturation.
 type FallbackStormRule struct{ T Thresholds }
@@ -218,9 +218,10 @@ func (r *FallbackStormRule) Evaluate(window []Sample) []Event {
 		Diagnosis: fmt.Sprintf(
 			"responder asleep or overloaded: %.1f%% of HotCall submission attempts timed out "+
 				"(%d timeouts, %d fallbacks / %d attempts this interval); each fallback trades a "+
-				"~620-cycle HotCall for a ~8,600-cycle SDK ecall — check that the responder "+
-				"goroutine is running, its core is not oversubscribed, and IdleTimeout is not "+
-				"parking it under live traffic",
+				"~620-cycle HotCall for a ~8,600-cycle SDK ecall — a requester's window stayed "+
+				"full: look for a handler that blocks or a responder core that is oversubscribed, "+
+				"deepen SlotsPerShard if bursts outrun a healthy responder, and keep "+
+				"CallOrFallback on the paths that must not fail",
 			rate*100, s.DTimeouts, s.DFallbacks, attempts),
 	}}
 }
@@ -254,8 +255,9 @@ func (r *SpinWasteRule) Evaluate(window []Sample) []Event {
 			Value: s.Occupancy, Threshold: threshold,
 			Diagnosis: fmt.Sprintf(
 				"responder occupancy %.4f: %d of %d polls found no work this interval; the "+
-					"dedicated polling core is burning its budget idle — share the responder "+
-					"across more requesters or enable IdleTimeout sleeping",
+					"idle ladder already parks a responder that finds nothing, so these are "+
+					"responders awake for too little work — lower MaxResponders, or share the "+
+					"fabric across more requesters",
 				s.Occupancy, wasted, s.DPolls),
 		})
 	}

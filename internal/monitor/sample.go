@@ -49,8 +49,7 @@ type Sample struct {
 	MEEMisses     uint64 `json:"mee_misses"`
 
 	// Point-in-time gauges.
-	PendingDepth int64 `json:"pending_depth"`
-	EPCResident  int64 `json:"epc_resident_pages"`
+	EPCResident int64 `json:"epc_resident_pages"`
 
 	// Adaptive responder-pool fabric (internal/core CallPool).
 	ScaleUps           uint64 `json:"pool_scale_ups"`
@@ -172,8 +171,7 @@ func (sa *Sampler) Sample(now time.Time) Sample {
 		MEEHits:       c[telemetry.MetricMEENodeHits],
 		MEEMisses:     c[telemetry.MetricMEENodeMiss],
 
-		PendingDepth: snap.Gauges[telemetry.MetricPendingDepth],
-		EPCResident:  snap.Gauges[telemetry.MetricEPCResident],
+		EPCResident: snap.Gauges[telemetry.MetricEPCResident],
 
 		ScaleUps:           c[telemetry.MetricPoolScaleUps],
 		ScaleDowns:         c[telemetry.MetricPoolScaleDowns],

@@ -11,39 +11,28 @@ import (
 )
 
 // TestMonitorVsWorkloadRace is the satellite race test, mirroring the
-// PR 2 tracer-vs-exporter pattern: a live HotCall workload hammers the
+// PR 2 tracer-vs-exporter pattern: a live fabric workload hammers the
 // registry from several goroutines while the monitor samples on its own
 // goroutine and HTTP readers pull /debug/health and /debug/monitor
 // concurrently.  Run with -race.
 func TestMonitorVsWorkloadRace(t *testing.T) {
 	reg := telemetry.New()
 	telemetry.RegisterStandard(reg)
-	var hc core.HotCall
-	hc.Timeout = 1 << 20
-	hc.SetTelemetry(reg)
-	r := core.NewResponder(&hc, []func(interface{}) uint64{
-		func(interface{}) uint64 { return 1 },
-	})
-	r.SetTelemetry(reg)
-	var respWG sync.WaitGroup
-	respWG.Add(1)
-	go func() {
-		defer respWG.Done()
-		r.Run()
-	}()
+	const requesters = 4
+	const perRequester = 500
+	p := startPool(t, reg, core.PoolOptions{Shards: requesters}, func(int, uint64) uint64 { return 1 })
 
 	m := New(reg, Options{Interval: time.Millisecond, RingCap: 16})
 	m.Start()
 
-	const requesters = 4
-	const perRequester = 500
 	var callers sync.WaitGroup
 	for g := 0; g < requesters; g++ {
+		r := p.Requester()
 		callers.Add(1)
 		go func() {
 			defer callers.Done()
 			for i := 0; i < perRequester; i++ {
-				if _, err := hc.CallOrFallback(0, nil, func() (uint64, error) { return 0, nil }); err != nil {
+				if _, err := r.CallOrFallback(0, 0, func() (uint64, error) { return 0, nil }); err != nil {
 					t.Error(err)
 					return
 				}
@@ -73,8 +62,7 @@ func TestMonitorVsWorkloadRace(t *testing.T) {
 
 	callers.Wait()
 	<-readers
-	hc.Stop()
-	respWG.Wait()
+	p.Stop()
 	m.Stop()
 
 	// The final cumulative view must account for every call.

@@ -21,8 +21,7 @@ func (m *Monitor) RenderText(n int) string {
 	if h.Last != nil {
 		// Gauges carry their units; the pool gauges only exist when a
 		// fabric is attached to the registry.
-		fmt.Fprintf(&b, "  (sample %d, depth %d calls, epc %d pages",
-			h.Last.Seq, h.Last.PendingDepth, h.Last.EPCResident)
+		fmt.Fprintf(&b, "  (sample %d, epc %d pages", h.Last.Seq, h.Last.EPCResident)
 		if h.Last.PoolRespondersMax > 0 {
 			fmt.Fprintf(&b, ", pool %d/%d responders, occupancy %.3f",
 				h.Last.PoolResponders, h.Last.PoolRespondersMax,

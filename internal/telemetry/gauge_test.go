@@ -45,9 +45,9 @@ func TestGaugeNilIsNoOp(t *testing.T) {
 func TestGaugeSnapshotAndExport(t *testing.T) {
 	r := New()
 	r.Gauge(MetricEPCResident).Set(23)
-	r.Gauge(MetricPendingDepth).Set(2)
+	r.Gauge(MetricPoolResponders).Set(2)
 	snap := r.Snapshot()
-	if snap.Gauges[MetricEPCResident] != 23 || snap.Gauges[MetricPendingDepth] != 2 {
+	if snap.Gauges[MetricEPCResident] != 23 || snap.Gauges[MetricPoolResponders] != 2 {
 		t.Fatalf("gauge snapshot wrong: %v", snap.Gauges)
 	}
 	// Snapshot is decoupled from later writes.
@@ -63,8 +63,8 @@ func TestGaugeSnapshotAndExport(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE epc_resident_pages gauge",
 		"epc_resident_pages 99",
-		"# TYPE hotcall_pending_depth gauge",
-		"hotcall_pending_depth 2",
+		"# TYPE hotcall_pool_responders gauge",
+		"hotcall_pool_responders 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus dump missing %q:\n%s", want, out)

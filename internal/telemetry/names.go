@@ -54,8 +54,7 @@ const (
 	MetricPoolOccupancyMilli = "hotcall_pool_occupancy_milli" // window occupancy, thousandths
 
 	// Point-in-time gauges.
-	MetricPendingDepth = "hotcall_pending_depth" // in-flight async HotCall requests
-	MetricEPCResident  = "epc_resident_pages"    // pages currently in the EPC
+	MetricEPCResident = "epc_resident_pages" // pages currently in the EPC
 )
 
 // PoolResponderOccupancyMetric names the per-responder occupancy gauge
@@ -91,7 +90,7 @@ var standardHistograms = []string{
 }
 
 var standardGauges = []string{
-	MetricPendingDepth, MetricEPCResident,
+	MetricEPCResident,
 	MetricPoolResponders, MetricPoolRespondersMax, MetricPoolOccupancyMilli,
 }
 

@@ -12,8 +12,7 @@
 //     receiver are no-ops that inline to a single branch.  Instrumented
 //     code caches handles once at attach time and calls them
 //     unconditionally, so the uninstrumented HotCall path stays at its
-//     ~620-cycle budget (see BenchmarkCall / BenchmarkCallInstrumented in
-//     internal/core).
+//     ~620-cycle budget.
 //
 //  2. The hot path takes no locks.  Counters are sharded atomics (one
 //     cache line per shard); histograms are fixed log2-bucket atomic
