@@ -30,7 +30,7 @@ build-cross:
 LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
 OBSERVABILITY = telemetry dist flight incident monitor profile epcstat regress
 OBSERVABILITY_CEILING = 7550
-TOTAL_CEILING = 22250
+TOTAL_CEILING = 22000
 loc:
 	@obs=$$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY)))); total=$$($(call LOC,.)); \
 	echo "fabric (internal/core)  $$($(call LOC,./internal/core))"; \
@@ -76,12 +76,13 @@ test-poison:
 # TestSimBootFootprint in the same package); sim_apps' own unit, six
 # freshly booted cells x 0.05 simulated s, as simulated requests per host
 # second — build it with `go test -c` in a parent clone and alternate the
-# two binaries to pair a claim without touching benchmarks/; and the two
-# model operations under every memory access, by outcome.
+# two binaries to pair a claim without touching benchmarks/; and the
+# model operations under every memory access, by outcome: one cache access,
+# one 64-line streaming run, one EPC page-run.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimRequest' -benchtime 20000x -benchmem -count 3 ./internal/apps/porting/
 	$(GO) test -run '^$$' -bench 'BenchmarkSimSweep' -benchtime 10x -count 3 ./internal/apps/porting/
-	$(GO) test -run '^$$' -bench 'BenchmarkAccess' -benchtime 20000000x -count 3 ./internal/cache/
+	$(GO) test -run '^$$' -bench 'BenchmarkAccess|BenchmarkSweep' -benchtime 2000000x -count 3 ./internal/cache/
 	$(GO) test -run '^$$' -bench 'BenchmarkTouchRunAs' -benchtime 2000000x -count 3 ./internal/epc/
 
 # bench-selftest runs the repo benchmark's own tests (its module is

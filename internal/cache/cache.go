@@ -35,22 +35,24 @@ type Victim struct {
 }
 
 // Word is the state of one way.  The width bounds the address space a
-// cache can hold (see Cache): the LLC's 16 uint32 ways make a set exactly
-// one 64-byte host cache line; the MEE node cache, whose synthetic node
-// addresses are 48 bits wide over only 16 sets, takes uint64.
+// cache can hold (see Cache): the LLC's uint32 ways make its MRU array 32 KB
+// and each set's other fifteen ways 60 bytes; the MEE node cache, whose
+// synthetic node addresses are 48 bits wide over only 16 sets, takes uint64.
 type Word interface{ uint32 | uint64 }
 
 // Cache is a set-associative write-back cache.  It is not safe for
 // concurrent use.
 //
-// All sets live in one flat array: set i owns words[i*ways : (i+1)*ways]
-// in LRU order, front = most recent.  A word is (tag+1)<<1 | dirty, where
-// the tag is the line number above the set-index bits — the set supplies
-// the rest, so a victim's address is rebuilt from the two.  Empty ways
-// hold zero (a fresh array is an empty cache) and always trail the
-// resident ones, so there is no per-set count and a lookup reads nothing
-// but the set itself.  An address whose tag does not fit the word cannot
-// be held: Access panics on it rather than alias another line.
+// A set is split across two flat arrays: mru[i] is set i's most recent way,
+// and rest[i*(ways-1) : (i+1)*(ways-1)] holds its other ways in LRU order,
+// front = most recent.  Nine in ten simulated accesses hit the MRU way and
+// change nothing, so they read one word of a dense array instead of a whole
+// set.  A word is (tag+1)<<1 | dirty, where the tag is the line number
+// above the set-index bits — the set supplies the rest, so a victim's
+// address is rebuilt from the two.  Empty ways hold zero (fresh arrays are
+// an empty cache) and always trail the resident ones, so there is no
+// per-set count.  An address whose tag does not fit the word cannot be
+// held: Access panics on it rather than alias another line.
 //
 // used has one bit per set, raised when the set takes its first line: it
 // is written on a fill of an empty way only, and lets FlushAll — which the
@@ -63,7 +65,8 @@ type Cache[W Word] struct {
 	setMask   uint64
 	ways      int
 	maxTag    uint64 // first tag that does not fit the word (a field: as a constant of W it measured 4 ns slower)
-	words     []W
+	mru       []W
+	rest      []W
 	used      []uint64
 	accesses  uint64
 	misses    uint64
@@ -96,7 +99,8 @@ func New[W Word](cfg Config) *Cache[W] {
 		setMask:   uint64(numSets - 1),
 		ways:      cfg.Ways,
 		maxTag:    uint64(^W(0) >> 1),
-		words:     make([]W, numSets*cfg.Ways),
+		mru:       make([]W, numSets),
+		rest:      make([]W, numSets*(cfg.Ways-1)),
 		used:      make([]uint64, (numSets+63)/64),
 	}
 }
@@ -109,26 +113,34 @@ func (c *Cache[W]) LineAddr(addr uint64) uint64 {
 	return (addr >> c.lineShift) << c.lineShift
 }
 
-// locate splits addr into its set (index and ways) and the clean word its
-// line would be held as; ok is false when the tag does not fit the word,
-// so the line cannot be resident.  (The shift counts are below 64 by
-// construction; masking them says so to the compiler, which otherwise
-// guards every variable shift.)
-func (c *Cache[W]) locate(addr uint64) (set int, ws []W, key W, ok bool) {
+// locate splits addr into its set and the clean word its line would be
+// held as; ok is false when the tag does not fit the word, so the line
+// cannot be resident.  (The shift counts are below 64 by construction;
+// masking them says so to the compiler, which otherwise guards every
+// variable shift.)
+func (c *Cache[W]) locate(addr uint64) (set int, key W, ok bool) {
 	line := addr >> (c.lineShift & 63)
 	tag := line >> (c.setBits & 63)
-	set = int(line & c.setMask)
-	return set, c.words[set*c.ways : (set+1)*c.ways], W(tag+1) << 1, tag < c.maxTag
+	return int(line & c.setMask), W(tag+1) << 1, tag < c.maxTag
+}
+
+// others returns set's ways after the MRU one, most recent first.
+func (c *Cache[W]) others(set int) []W {
+	n := c.ways - 1
+	return c.rest[set*n : (set+1)*n]
 }
 
 // Probe reports whether addr's line is resident, without touching
 // replacement state.
 func (c *Cache[W]) Probe(addr uint64) bool {
-	_, ws, key, ok := c.locate(addr)
+	set, key, ok := c.locate(addr)
 	if !ok {
 		return false
 	}
-	for _, w := range ws {
+	if c.mru[set]&^dirtyBit == key {
+		return true
+	}
+	for _, w := range c.others(set) {
 		if w&^dirtyBit == key {
 			return true
 		}
@@ -141,7 +153,7 @@ func (c *Cache[W]) Probe(addr uint64) bool {
 // resulting fill evicted a valid line.
 func (c *Cache[W]) Access(addr uint64, write bool) (hit bool, victim Victim) {
 	c.accesses++
-	set, ws, key, ok := c.locate(addr)
+	set, key, ok := c.locate(addr)
 	if !ok {
 		panic(fmt.Sprintf("cache: the tag of address %#x does not fit a %T way", addr, W(0)))
 	}
@@ -149,22 +161,30 @@ func (c *Cache[W]) Access(addr uint64, write bool) (hit bool, victim Victim) {
 	if write {
 		dirty = dirtyBit
 	}
+	m := c.mru[set]
+	if m&^dirtyBit == key {
+		c.mru[set] = m | dirty
+		return true, Victim{}
+	}
+	ws := c.others(set)
 	for i, w := range ws {
 		if w&^dirtyBit == key {
-			// Hit: move to MRU position (the MRU way is already there).
-			if i > 0 {
-				copy(ws[1:i+1], ws[:i])
-			}
-			ws[0] = w | dirty
+			// Hit below the MRU way: the ways above it move down one.
+			copy(ws[1:i+1], ws[:i])
+			ws[0], c.mru[set] = m, w|dirty
 			return true, Victim{}
 		}
 	}
 	c.misses++
 	// Miss: fill at the front; the last way falls out, and it is the LRU
 	// line exactly when the set was full.
-	lru := ws[len(ws)-1]
-	copy(ws[1:], ws)
-	ws[0] = key | dirty
+	lru := m
+	if len(ws) > 0 {
+		lru = ws[len(ws)-1]
+		copy(ws[1:], ws)
+		ws[0] = m
+	}
+	c.mru[set] = key | dirty
 	if lru == 0 {
 		c.used[set/64] |= 1 << (set % 64)
 		return false, Victim{}
@@ -176,21 +196,73 @@ func (c *Cache[W]) Access(addr uint64, write bool) (hit bool, victim Victim) {
 	}
 }
 
+// Sweep performs up to n accesses to the consecutive lines from addr's
+// and stops after the first miss: hits counts the lines that hit before
+// it, and victim is what the miss displaced.  The outcome of every line is
+// Access's.  Consecutive lines fall in consecutive sets under one tag until
+// the set index wraps, so a run of MRU hits is a run of equal words in the
+// MRU array; any other line goes through Access.
+func (c *Cache[W]) Sweep(addr uint64, n int, write bool) (hits int, missed bool, victim Victim) {
+	for hits < n {
+		set, key, ok := c.locate(addr)
+		if !ok {
+			c.Access(addr, write) // panics
+		}
+		run := c.mru[set:min(len(c.mru), set+n-hits)]
+		i := 0
+		if write {
+			for i < len(run) && run[i]&^dirtyBit == key {
+				run[i] = key | dirtyBit
+				i++
+			}
+		} else {
+			for i < len(run) && run[i]&^dirtyBit == key {
+				i++
+			}
+		}
+		c.accesses += uint64(i)
+		hits += i
+		addr += uint64(i) << (c.lineShift & 63)
+		if i == len(run) {
+			continue
+		}
+		hit, v := c.Access(addr, write)
+		if !hit {
+			return hits, true, v
+		}
+		hits++
+		addr += uint64(1) << (c.lineShift & 63)
+	}
+	return hits, false, Victim{}
+}
+
 // Flush removes addr's line (the clflush instruction).  It reports whether
 // the line was present and whether it was dirty (requiring write-back).
 func (c *Cache[W]) Flush(addr uint64) (present, dirty bool) {
-	_, ws, key, ok := c.locate(addr)
+	set, key, ok := c.locate(addr)
 	if !ok {
 		return false, false
 	}
-	for i, w := range ws {
-		if w&^dirtyBit == key {
-			copy(ws[i:], ws[i+1:])
-			ws[len(ws)-1] = 0
-			return true, w&dirtyBit != 0
+	m, ws := c.mru[set], c.others(set)
+	i := 0
+	if m&^dirtyBit == key {
+		if len(ws) == 0 {
+			c.mru[set] = 0
+			return true, m&dirtyBit != 0
 		}
+		c.mru[set] = ws[0] // the next way moves up, then leaves the rest
+	} else {
+		for i < len(ws) && ws[i]&^dirtyBit != key {
+			i++
+		}
+		if i == len(ws) {
+			return false, false
+		}
+		m = ws[i]
 	}
-	return false, false
+	copy(ws[i:], ws[i+1:])
+	ws[len(ws)-1] = 0
+	return true, m&dirtyBit != 0
 }
 
 // FlushRange flushes every line overlapping [addr, addr+size) and returns
@@ -213,7 +285,10 @@ func (c *Cache[W]) FlushRange(addr, size uint64) (dirtyLines int) {
 // the entire 8 MB LLC before every run).  It returns the number of dirty
 // lines that needed write-back.
 func (c *Cache[W]) FlushAll() (dirtyLines int) {
-	c.usedSets(func(ws []W) {
+	c.usedSets(func(set int) {
+		dirtyLines += int(c.mru[set] & dirtyBit)
+		c.mru[set] = 0
+		ws := c.others(set)
 		for _, w := range ws {
 			dirtyLines += int(w & dirtyBit)
 		}
@@ -225,8 +300,11 @@ func (c *Cache[W]) FlushAll() (dirtyLines int) {
 
 // Occupancy returns the number of resident lines.
 func (c *Cache[W]) Occupancy() (lines int) {
-	c.usedSets(func(ws []W) {
-		for _, w := range ws {
+	c.usedSets(func(set int) {
+		if c.mru[set] != 0 {
+			lines++
+		}
+		for _, w := range c.others(set) {
 			if w != 0 {
 				lines++
 			}
@@ -236,11 +314,10 @@ func (c *Cache[W]) Occupancy() (lines int) {
 }
 
 // usedSets visits every set that has held a line since the last FlushAll.
-func (c *Cache[W]) usedSets(visit func(ws []W)) {
+func (c *Cache[W]) usedSets(visit func(set int)) {
 	for i, mask := range c.used {
 		for ; mask != 0; mask &= mask - 1 {
-			set := i*64 + bits.TrailingZeros64(mask)
-			visit(c.words[set*c.ways : (set+1)*c.ways])
+			visit(i*64 + bits.TrailingZeros64(mask))
 		}
 	}
 }

@@ -299,3 +299,35 @@ func BenchmarkAccess(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSweep prices one 64-line run (a page of a streaming sweep) by
+// outcome: every line clean at the MRU way and read, the same run stored
+// to, and a run that misses throughout (each miss ends a Sweep, so the run
+// takes 64 of them).  `make bench-sim` runs it beside BenchmarkAccess.
+func BenchmarkSweep(b *testing.B) {
+	const run = 64
+	for _, bc := range []struct {
+		name  string
+		write bool
+	}{{"mru-clean-read", false}, {"mru-write", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := New[uint32](LLCConfig)
+			c.Sweep(0x1000, run, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Sweep(0x1000, run, bc.write)
+			}
+		})
+	}
+	b.Run("all-miss", func(b *testing.B) {
+		c := New[uint32](LLCConfig)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			addr := uint64(i%2048) * run * 64 * 2 // every other run of 16 MB: 32 lines per 16-way set, cycled in order
+			for n := 0; n < run; {
+				h, _, _ := c.Sweep(addr+uint64(n)*64, run-n, false)
+				n += h + 1
+			}
+		}
+	})
+}

@@ -85,6 +85,17 @@ func (c *refCache) Access(addr uint64, write bool) (hit bool, victim Victim) {
 	}
 }
 
+// Sweep is the line-by-line loop Cache.Sweep batches: one Access per line,
+// up to and including the first miss.
+func (c *refCache) Sweep(addr uint64, n int, write bool) (hits int, missed bool, victim Victim) {
+	for ; hits < n; hits++ {
+		if hit, v := c.Access(addr+uint64(hits)*uint64(c.cfg.LineSize), write); !hit {
+			return hits, true, v
+		}
+	}
+	return hits, false, Victim{}
+}
+
 func (c *refCache) Flush(addr uint64) (present, dirty bool) {
 	line := c.lineOf(addr)
 	set := c.setOf(line)
@@ -151,11 +162,14 @@ const (
 	opFlushAll
 	opProbe
 	opOccupancy
+	opSweepLoad
+	opSweepStore
 	numOps
 )
 
 // differ applies one operation to the cache and to the reference model and
-// reports the first observable that disagrees.
+// reports the first observable that disagrees, the access and miss counts
+// included.  A sweep covers size lines.
 func differ[W Word](c *Cache[W], ref *refCache, op int, addr, size uint64) error {
 	switch op {
 	case opLoad, opStore:
@@ -186,6 +200,16 @@ func differ[W Word](c *Cache[W], ref *refCache, op int, addr, size uint64) error
 		if got, want := c.Occupancy(), ref.Occupancy(); got != want {
 			return fmt.Errorf("Occupancy = %d, reference %d", got, want)
 		}
+	case opSweepLoad, opSweepStore:
+		hits, missed, v := c.Sweep(addr, int(size), op == opSweepStore)
+		rhits, rmissed, rv := ref.Sweep(addr, int(size), op == opSweepStore)
+		if hits != rhits || missed != rmissed || v != rv {
+			return fmt.Errorf("Sweep(%#x, %d, %v) = (%d, %v, %+v), reference (%d, %v, %+v)",
+				addr, size, op == opSweepStore, hits, missed, v, rhits, rmissed, rv)
+		}
+	}
+	if acc, miss := c.Stats(); acc != ref.accesses || miss != ref.misses {
+		return fmt.Errorf("after op %d at %#x: Stats = (%d, %d), reference (%d, %d)", op, addr, acc, miss, ref.accesses, ref.misses)
 	}
 	return nil
 }
@@ -198,15 +222,21 @@ func replayTrace[W Word](t *testing.T, cfg Config, bases []uint64, span, steps i
 	var addr uint64
 	for i := 0; i < steps; i++ {
 		// Half the operations walk forward a line from the last address,
-		// as the streaming sweeps do; the rest jump, to any region.
+		// as the streaming sweeps do (so a sweep often revisits lines an
+		// earlier one left at the MRU way); the rest jump, to any region.
 		if addr += uint64(cfg.LineSize); r.Bool(0.5) {
 			addr = bases[r.Intn(len(bases))] + uint64(r.Intn(span))
 		}
 		op, size := opLoad, uint64(0)
 		switch p := r.Intn(1000); {
-		case p < 860:
+		case p < 760:
 			if r.Bool(0.4) {
 				op = opStore
+			}
+		case p < 860: // a streaming run, often long enough to wrap the set index
+			op, size = opSweepLoad, uint64(r.Intn(64))
+			if r.Bool(0.4) {
+				op = opSweepStore
 			}
 		case p < 920:
 			op = opFlush
@@ -270,6 +300,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		ways = append(ways, opStore, 2, i, 0)
 	}
 	f.Add(ways)
+	f.Add([]byte{opStore, 1, 0, 0, opStore, 1, 0, 4, opSweepStore, 1, 0, 16, opSweepLoad, 1, 0, 200, opOccupancy, 0, 0, 0})
 	llc, llcRef := New[uint32](LLCConfig), newRef(LLCConfig)
 	node, nodeRef := New[uint64](meeNodeCache), newRef(meeNodeCache)
 	f.Fuzz(func(t *testing.T, trace []byte) {
@@ -289,6 +320,103 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+type step struct {
+	op         int
+	addr, size uint64
+}
+
+// sweepCase applies setup, then one Sweep, to a cache and to the reference,
+// and returns the sweep's outcome once both agree on it and on everything
+// after: the occupancy, and the presence and dirtiness of every line the
+// setup or the sweep touched.
+func sweepCase[W Word](t *testing.T, cfg Config, setup []step, addr uint64, n int, write bool) (hits int, missed bool, victim Victim) {
+	t.Helper()
+	c, ref := New[W](cfg), newRef(cfg)
+	for i, st := range setup {
+		if err := differ(c, ref, st.op, st.addr, st.size); err != nil {
+			t.Fatalf("setup step %d: %v", i, err)
+		}
+	}
+	hits, missed, victim = c.Sweep(addr, n, write)
+	if rh, rm, rv := ref.Sweep(addr, n, write); hits != rh || missed != rm || victim != rv {
+		t.Fatalf("Sweep(%#x, %d, %v) = (%d, %v, %+v), reference (%d, %v, %+v)", addr, n, write, hits, missed, victim, rh, rm, rv)
+	}
+	after := []step{{op: opOccupancy}}
+	for i := 0; i <= n; i++ {
+		after = append(after, step{opFlush, addr + uint64(i*cfg.LineSize), 0})
+	}
+	for _, st := range setup {
+		after = append(after, step{opFlush, st.addr, 0})
+	}
+	for _, st := range append(after, step{op: opOccupancy}) {
+		if err := differ(c, ref, st.op, st.addr, st.size); err != nil {
+			t.Fatalf("after the sweep: %v", err)
+		}
+	}
+	return hits, missed, victim
+}
+
+// lines returns one op per line over n lines from addr.
+func lines(op int, addr uint64, n int) []step {
+	var out []step
+	for i := 0; i < n; i++ {
+		out = append(out, step{op, addr + uint64(i*64), 0})
+	}
+	return out
+}
+
+// TestSweepCases drives Sweep through each outcome a streaming run meets,
+// against the reference, and checks that the case really arose.
+func TestSweepCases(t *testing.T) {
+	const base = 0x0000_1000_0000
+	llcStride := uint64(LLCConfig.SizeBytes / LLCConfig.Ways) // lines that collide in one LLC set
+	nodeStride := uint64(meeNodeCache.SizeBytes / meeNodeCache.Ways)
+	oneWay := Config{SizeBytes: 256, LineSize: 64, Ways: 1}
+	fullSet := lines(opStore, base, 1) // sixteen lines of set 0, the oldest dirty
+	for k := uint64(1); k < 16; k++ {
+		fullSet = append(fullSet, step{opLoad, base + k*llcStride, 0})
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) (int, bool, Victim)
+		want func(hits int, missed bool, v Victim) bool
+	}{
+		{"miss-mid-run", func(t *testing.T) (int, bool, Victim) {
+			return sweepCase[uint32](t, LLCConfig, lines(opStore, base, 4), base, 8, false)
+		}, func(h int, m bool, v Victim) bool { return h == 4 && m && !v.Valid }},
+		{"dirty-victim", func(t *testing.T) (int, bool, Victim) {
+			warm := append(lines(opLoad, base+16*llcStride-64, 1), fullSet...)
+			return sweepCase[uint32](t, LLCConfig, warm, base+16*llcStride-64, 4, false)
+		}, func(h int, m bool, v Victim) bool { return h == 1 && m && v.Valid && v.Dirty && v.Addr == base }},
+		{"write-over-clean-mru", func(t *testing.T) (int, bool, Victim) {
+			return sweepCase[uint32](t, LLCConfig, lines(opLoad, base, 8), base, 8, true)
+		}, func(h int, m bool, v Victim) bool { return h == 8 && !m }},
+		{"hit-below-mru", func(t *testing.T) (int, bool, Victim) {
+			return sweepCase[uint32](t, LLCConfig, fullSet, base, 2, true)
+		}, func(h int, m bool, v Victim) bool { return h == 1 && m && !v.Valid }},
+		{"wrap-past-last-set", func(t *testing.T) (int, bool, Victim) {
+			return sweepCase[uint32](t, LLCConfig, lines(opLoad, base+llcStride-128, 4), base+llcStride-128, 6, false)
+		}, func(h int, m bool, v Victim) bool { return h == 4 && m }},
+		{"one-way", func(t *testing.T) (int, bool, Victim) {
+			return sweepCase[uint32](t, oneWay, lines(opStore, 0, 4), 128, 4, false)
+		}, func(h int, m bool, v Victim) bool { return h == 2 && m && v.Valid && v.Dirty && v.Addr == 0 }},
+		{"mee-3-way", func(t *testing.T) (int, bool, Victim) {
+			nb := meeBases[1]
+			setup := []step{{opStore, nb, 0}, {opLoad, nb + nodeStride, 0}, {opLoad, nb + 2*nodeStride, 0}}
+			return sweepCase[uint64](t, meeNodeCache, setup, nb, 3, false)
+		}, func(h int, m bool, v Victim) bool { return h == 1 && m && !v.Valid }},
+		{"empty-run", func(t *testing.T) (int, bool, Victim) {
+			return sweepCase[uint32](t, LLCConfig, lines(opLoad, base, 1), base, 0, true)
+		}, func(h int, m bool, v Victim) bool { return h == 0 && !m }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if h, m, v := tc.run(t); !tc.want(h, m, v) {
+				t.Fatalf("Sweep = (%d, %v, %+v): not the case named", h, m, v)
+			}
+		})
+	}
 }
 
 // TestAddressBeyondTagPanics pins what happens to an address a way cannot
@@ -321,6 +449,27 @@ func TestAddressBeyondTagPanics(t *testing.T) {
 	}
 	if !c.Probe(resident) || c.Occupancy() != 1 {
 		t.Fatal("an untaggable address disturbed a resident line")
+	}
+	// Sweep panics where Access does, with Access's message, having
+	// counted what Access counts — also when its run reaches the address
+	// from a line that fits.
+	panicOf := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	const lastFit = ((1<<31-2)<<13 | 8191) << 6 // last set of the last tag that fits
+	a, s := New[uint32](LLCConfig), New[uint32](LLCConfig)
+	a.Access(lastFit, false) // a run from here hits once, then reaches a tag that does not fit
+	s.Access(lastFit, false)
+	for _, addr := range []uint64{resident | 1<<(19+32), lastFit} {
+		want := panicOf(func() { a.Access(addr, true); a.Access(addr+64, true) })
+		if got := panicOf(func() { s.Sweep(addr, 2, true) }); got == nil || got != want {
+			t.Errorf("Sweep(%#x, 2) panicked with %v, Access with %v", addr, got, want)
+		}
+		if s.accesses != a.accesses || s.misses != a.misses {
+			t.Errorf("Sweep(%#x, 2) counted (%d, %d), Access (%d, %d)", addr, s.accesses, s.misses, a.accesses, a.misses)
+		}
 	}
 	// The same addresses fit a 64-bit way.
 	if hit, _ := New[uint64](LLCConfig).Access(resident|1<<(19+32), false); hit {

@@ -2,9 +2,10 @@
 // syntax in which SGX developers declare their edge functions (ecalls and
 // ocalls), the parameters they take, and each pointer's marshalling
 // attributes ([in], [out], [in, out], [user_check], [size=n], [count=n],
-// [string]).  The edger8r tool — reimplemented by cmd/edger8r and the sdk
-// package — consumes these declarations to generate the trusted and
-// untrusted glue code whose cost the paper measures in Section 3.2.1.
+// [string]).  Intel's edger8r tool consumes these declarations to generate
+// the trusted and untrusted glue code whose cost the paper measures in
+// Section 3.2.1; the sdk package applies that glue from the parsed
+// declarations at call time.
 package edl
 
 import "fmt"

@@ -116,8 +116,9 @@ type Manager struct {
 	mu       sync.Mutex
 	capacity int // pages
 	resident map[uint64]pageState
-	clock    []uint64 // circular list of resident page numbers
+	clock    []uint64 // page+1 of each resident page in install order; 0 = evicted slot
 	hand     int
+	dead     int // evicted slots in clock, dropped by compact
 
 	// memo[p%memoSize] == p+1 records that page p is resident and its
 	// reference bit is set — the state in which a touch changes nothing
@@ -333,40 +334,43 @@ func (m *Manager) install(owner OwnerID, page uint64) {
 	// The trusted version comes from the Version Array, never from the
 	// untrusted blob — that is what defeats replay of older seals.
 	m.resident[page] = pageState{owner: owner, referenced: true, version: m.versions[page]}
-	m.clock = append(m.clock, page)
+	m.clock = append(m.clock, page+1)
 	m.residentGge.Set(int64(len(m.resident)))
 }
 
 // evictOne runs the clock (second-chance) algorithm and swaps one victim
-// out, attributing the eviction to the faulting culprit owner.
+// out, attributing the eviction to the faulting culprit owner.  The
+// victim's slot is left empty rather than cut out of the clock: the hand
+// skips empty slots, so the order is the one a cut would leave.
 func (m *Manager) evictOne(culprit OwnerID) {
-	for {
-		if len(m.clock) == 0 {
-			panic("epc: evict from empty clock")
-		}
+	if len(m.resident) == 0 {
+		panic("epc: evict from empty clock")
+	}
+	for ; ; m.hand++ {
 		if m.hand >= len(m.clock) {
 			m.hand = 0
 		}
-		page := m.clock[m.hand]
-		st, ok := m.resident[page]
-		if !ok {
-			// Stale clock entry; drop it.
-			m.clock = append(m.clock[:m.hand], m.clock[m.hand+1:]...)
+		if m.clock[m.hand] == 0 {
 			continue
 		}
+		page := m.clock[m.hand] - 1
+		st := m.resident[page]
 		if st.referenced {
 			st.referenced = false
 			m.resident[page] = st
 			if memo := &m.memo[page%memoSize]; *memo == page+1 {
 				*memo = 0
 			}
-			m.hand++
 			continue
 		}
 		// Victim found: EWB.
 		m.evictions++
 		m.evictCtr.Inc()
-		m.clock = append(m.clock[:m.hand], m.clock[m.hand+1:]...)
+		m.clock[m.hand] = 0
+		m.hand++
+		if m.dead++; 2*m.dead > len(m.clock) {
+			m.compact()
+		}
 		dirty := m.swapOut(page, &st)
 		if m.obs != nil {
 			m.obs.ObserveEvict(culprit, st.owner, page, dirty)
@@ -375,6 +379,20 @@ func (m *Manager) evictOne(culprit OwnerID) {
 		m.residentGge.Set(int64(len(m.resident)))
 		return
 	}
+}
+
+// compact drops the clock's empty slots in order, keeping the hand on the
+// same next page.
+func (m *Manager) compact() {
+	live, hand := m.clock[:0], m.hand
+	for i, slot := range m.clock {
+		if slot != 0 {
+			live = append(live, slot)
+		} else if i < m.hand {
+			hand--
+		}
+	}
+	m.clock, m.hand, m.dead = live, hand, 0
 }
 
 // swapOut seals a page's content (when the functional path holds content)

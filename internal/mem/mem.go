@@ -77,25 +77,19 @@ type System struct {
 
 // New returns a memory system with the testbed geometry: 8 MB LLC, MEE
 // over the enclave region, and a 93 MB EPC.
-func New(rng *sim.RNG) *System {
+func New(rng *sim.RNG) *System { return NewWithEPC(rng, epc.DefaultCapacityBytes) }
+
+// NewWithEPC returns a memory system with a custom EPC capacity, used by
+// the paging experiments.
+func NewWithEPC(rng *sim.RNG, epcBytes int) *System {
 	var sealKey [16]byte
 	copy(sealKey[:], "epc-paging-seal0")
 	return &System{
 		LLC: cache.New[uint32](cache.LLCConfig),
 		MEE: mee.NewCostModel(),
-		EPC: epc.NewManager(epc.DefaultCapacityBytes, sealKey),
+		EPC: epc.NewManager(epcBytes, sealKey),
 		rng: rng,
 	}
-}
-
-// NewWithEPC returns a memory system with a custom EPC capacity, used by
-// the paging experiments.
-func NewWithEPC(rng *sim.RNG, epcBytes int) *System {
-	s := New(rng)
-	var sealKey [16]byte
-	copy(sealKey[:], "epc-paging-seal0")
-	s.EPC = epc.NewManager(epcBytes, sealKey)
-	return s
 }
 
 // IsEnclave reports whether an address lies in the encrypted enclave
@@ -259,8 +253,10 @@ func (s *System) StreamWrite(clk *sim.Clock, addr, size uint64) {
 
 // stream is the sweep behind StreamRead and StreamWrite.  It walks the
 // range one page-run at a time: the EPC is touched once per run (all its
-// lines share the page, see touchPage), then each line goes through the
-// LLC and, on a miss in enclave memory, the MEE.
+// lines share the page, see touchPage), then the LLC sweeps the run up to
+// each miss.  A run of hits is one clock advance (the clock counts whole
+// cycles, so the sum is exact); a miss in enclave memory adds the MEE's
+// cost.
 func (s *System) stream(clk *sim.Clock, addr, size uint64, write bool) {
 	if size == 0 {
 		return
@@ -287,10 +283,11 @@ func (s *System) stream(clk *sim.Clock, addr, size uint64, write bool) {
 			}
 			s.touchPage(clk, a, int((runEnd-a+LineSize-1)/LineSize))
 		}
-		for ; a < runEnd; a += LineSize {
-			hit, victim := s.LLC.Access(a, write)
-			if hit {
-				clk.AdvanceF(streamHitCost)
+		for a < runEnd {
+			hits, missed, victim := s.LLC.Sweep(a, int((runEnd-a+LineSize-1)/LineSize), write)
+			clk.Advance(uint64(hits) * streamHitCost)
+			a += uint64(hits) * LineSize
+			if !missed {
 				continue
 			}
 			lat := missCost
@@ -308,6 +305,7 @@ func (s *System) stream(clk *sim.Clock, addr, size uint64, write bool) {
 				lat += victimWB
 			}
 			clk.AdvanceF(lat)
+			a += LineSize
 		}
 	}
 	if deep {

@@ -73,8 +73,9 @@ func stateOf(s *System, clk *sim.Clock) hierarchyState {
 // StreamRead / StreamWrite / Copy over unaligned ranges spanning one to
 // three pages, in enclave and plain memory, on an EPC of six pages — so
 // faults keep forcing evictions — against the per-line reference on an
-// identically seeded twin system.  Every simulated statistic must agree
-// after every operation.
+// identically seeded twin system.  Scattered lines are evicted from both
+// LLCs between sweeps, so a sweep over warm lines misses mid-run.  Every
+// simulated statistic must agree after every operation.
 func TestPageRunSweepsMatchPerLineReference(t *testing.T) {
 	const epcPages = 6
 	for _, seed := range []uint64{1, 7, 42} {
@@ -92,10 +93,12 @@ func TestPageRunSweepsMatchPerLineReference(t *testing.T) {
 				}
 				return base + uint64(r.Intn(16*epc.PageSize)), uint64(1 + r.Intn(3*epc.PageSize))
 			}
+			mixed := 0 // sweeps that both hit and missed in the LLC
 			for i := 0; i < 3000; i++ {
 				addr, size := pick()
+				before := stateOf(got, &gotClk)
 				var op string
-				switch r.Intn(3) {
+				switch r.Intn(4) {
 				case 0:
 					op = "StreamRead"
 					got.StreamRead(&gotClk, addr, size)
@@ -109,10 +112,24 @@ func TestPageRunSweepsMatchPerLineReference(t *testing.T) {
 					src, _ := pick()
 					got.Copy(&gotClk, addr, src, size)
 					refCopy(ref, &refClk, addr, src, size)
+				case 3:
+					op = "EvictRange"
+					for k := 0; k < 8; k++ {
+						a, _ := pick()
+						got.EvictRange(a, LineSize)
+						ref.EvictRange(a, LineSize)
+					}
 				}
-				if g, w := stateOf(got, &gotClk), stateOf(ref, &refClk); g != w {
+				g, w := stateOf(got, &gotClk), stateOf(ref, &refClk)
+				if g != w {
 					t.Fatalf("op %d %s(%#x, %d):\n got %+v\nwant %+v", i, op, addr, size, g, w)
 				}
+				if m := g.llcMisses - before.llcMisses; m > 0 && g.llcAccesses-before.llcAccesses > m {
+					mixed++
+				}
+			}
+			if mixed < 100 {
+				t.Fatalf("only %d sweeps both hit and missed: the trace does not exercise mid-run misses", mixed)
 			}
 			if _, _, ev := got.EPC.Stats(); ev == 0 {
 				t.Fatal("the trace never forced an eviction: the EPC is not under pressure")
