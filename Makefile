@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build build-cross loc test test-race test-repeat test-poison bench-selftest bench-sim bench-pairs bench-zerocopy experiments report bench-json bench-regress profile incident-demo epc-demo
+.PHONY: check vet build build-cross loc test test-race test-repeat test-poison bench-selftest bench-sim bench-pairs bench-zerocopy experiments bench-json bench-regress profile incident-demo epc-demo
 
 # check is the CI entrypoint: vet, build (natively and for the
 # architectures without an assembly spin hint), hold the line counts under
@@ -29,8 +29,8 @@ build-cross:
 # ratio the north star names only ratchets down.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
 OBSERVABILITY = telemetry dist flight incident monitor profile epcstat regress
-OBSERVABILITY_CEILING = 7550
-TOTAL_CEILING = 22000
+OBSERVABILITY_CEILING = 6934
+TOTAL_CEILING = 20925
 loc:
 	@obs=$$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY)))); total=$$($(call LOC,.)); \
 	echo "fabric (internal/core)  $$($(call LOC,./internal/core))"; \
@@ -44,12 +44,12 @@ test:
 	$(GO) test ./...
 
 # The HotCall protocol, the telemetry registry, the health monitor, the
-# distribution recorder, the EPC paging manager and its observatory, and
-# the fabric-routed ports with the kit that wires their observers
-# (internal/apps/porting) are the packages with real cross-goroutine
-# traffic; run them under the race detector.
+# flight recorder, the incident capturer, the EPC paging manager and its
+# observatory, and the fabric-routed ports with the kit that wires their
+# observers (internal/apps/porting) are the packages with real
+# cross-goroutine traffic; run them under the race detector.
 test-race:
-	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/monitor/... ./internal/dist/... ./internal/flight/... ./internal/incident/... ./internal/epc/... ./internal/epcstat/... ./internal/apps/porting/... ./internal/apps/memcached/... ./internal/apps/lighttpd/... ./internal/apps/openvpn/...
+	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/monitor/... ./internal/flight/... ./internal/incident/... ./internal/epc/... ./internal/epcstat/... ./internal/apps/porting/... ./internal/apps/memcached/... ./internal/apps/lighttpd/... ./internal/apps/openvpn/...
 
 # test-repeat reruns the tests that pin exactly-once execution — the core
 # test that parks a claimed window under a second responder's scan, the
@@ -97,8 +97,6 @@ bench-selftest:
 # anything.  What is gated in wall-clock time is the repo benchmark
 # (benchmarks/, BENCHMARK.json): end to end, interleaved runs, bounds
 # derived from the measured spread.  In order:
-#   - the channel HotEcall bare vs with a live dist.Set (observer budget
-#     recorded in EXPERIMENTS.md);
 #   - the fabric against its single-slot configuration as a funnel (the
 #     >=4x scaling pair), and bare vs with a live flight recorder at
 #     1-in-256 sampling;
@@ -112,7 +110,6 @@ bench-selftest:
 #   - the verified openvpn Stream window, time and allocations per
 #     16 x 1400 B (vpn_stream by layer).
 bench-pairs:
-	$(GO) test -run '^$$' -bench 'BenchmarkHotECallChannel' -benchtime 2s -count 5 ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolCall|BenchmarkSingleSlotFunnel' -benchtime 1s -count 5 ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolWake' -benchtime 2000x -count 3 ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkCall(Telemetry|Monitored|TickerControl)|BenchmarkTick' -benchtime 2s -count 5 ./internal/monitor/
@@ -120,17 +117,14 @@ bench-pairs:
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolConnDo|BenchmarkPoolServerThroughput' -benchtime 1s -benchmem -count 3 ./internal/apps/lighttpd/
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamWindow' -benchtime 2s -count 3 ./internal/apps/openvpn/
 
+# experiments runs every experiment once and writes the run's two
+# renderings: EXPERIMENTS.md (every table and figure, measured vs paper)
+# and REPORT.md (the paper's headline numbers, CDFs and the fidelity
+# table).  Exits 1 (and fails CI) when a fidelity metric lands outside its
+# two-sided band.  Byte-deterministic: a clean regeneration matches the
+# committed documents exactly.
 experiments:
-	$(GO) run ./cmd/hotbench -experiments-md EXPERIMENTS.md
-
-# report regenerates the paper-fidelity report (REPORT.md + report.json):
-# the full measurement plan through the high-resolution distribution
-# recorder, diffed against the paper's published numbers.  Exits 1 (and
-# fails CI) when any fidelity metric lands outside its tolerance band.
-# Byte-deterministic: a clean regeneration matches the committed
-# artifacts exactly.
-report:
-	$(GO) run ./cmd/hotreport -md REPORT.md -json report.json
+	$(GO) run ./cmd/hotbench -docs .
 
 # bench-zerocopy runs the simulated staged-vs-zero-copy crossing sweep:
 # [in,out] marshalling against [zerocopy] ring pass-through on both

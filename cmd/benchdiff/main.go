@@ -36,7 +36,7 @@ func main() {
 		fatal(err)
 	}
 
-	res := regress.Compare(base, cand, regress.DefaultPolicy())
+	res := regress.Compare(base, cand)
 
 	out := os.Stdout
 	if *md != "" && *md != "-" {

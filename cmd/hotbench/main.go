@@ -5,10 +5,13 @@
 //	hotbench -list
 //	hotbench -run table1
 //	hotbench -run all -csv out/
+//	hotbench -docs .                       # EXPERIMENTS.md + REPORT.md from one run
 //
 // Each experiment prints a table comparing measured values against the
 // paper's; -csv additionally writes the raw series (CDFs, sweeps) for
-// plotting.
+// plotting.  -docs runs every experiment once and writes both renderings
+// of the run; it exits 1 when a paper-fidelity metric lands outside its
+// band.
 //
 // Observability flags:
 //
@@ -51,7 +54,7 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	run := flag.String("run", "all", "experiment ID(s) to run, comma-separated, or 'all'")
 	csvDir := flag.String("csv", "", "directory to write raw CSV series into")
-	mdPath := flag.String("experiments-md", "", "run everything and write the EXPERIMENTS.md report to this path")
+	docsDir := flag.String("docs", "", "run everything once and write EXPERIMENTS.md and REPORT.md into this directory; exit 1 when a paper-fidelity metric is outside its band")
 	metrics := flag.Bool("metrics", false, "dump all counters and histograms in Prometheus text format after the run")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of boundary crossings to this path")
 	profilePath := flag.String("profile", "", "write a cycle-attribution profile: folded flame-graph stacks to this path, pprof protobuf to <path>.pb.gz, breakdown tables to stdout")
@@ -61,7 +64,7 @@ func main() {
 	incidentDir := flag.String("incident-dir", "", "spool incident bundles captured by the experiments (see -run incident) to this directory as <bundle-id>.json")
 	epcSVG := flag.String("epc-svg", "", "write the epc experiment's oversubscribed fault-heatmap SVG (the /debug/epc?format=svg view) to this path")
 	zcCSV := flag.String("zerocopy-csv", "", "write the zerocopy experiment's sweep series CSV to this path")
-	seed := flag.Uint64("seed", 0, "base seed for every random stream; 0 (the default) reproduces the committed EXPERIMENTS.md byte for byte and BENCH_hotcalls.json value for value")
+	seed := flag.Uint64("seed", 0, "base seed the experiments' random streams derive from; 0 (the default) reproduces the committed EXPERIMENTS.md and REPORT.md byte for byte and BENCH_hotcalls.json value for value")
 	flag.Parse()
 
 	bench.SetSeed(*seed)
@@ -98,12 +101,12 @@ func main() {
 		return
 	}
 
-	if *mdPath != "" {
-		if err := os.WriteFile(*mdPath, []byte(bench.Markdown()), 0o644); err != nil {
+	if *docsDir != "" {
+		if err := bench.WriteDocs(*docsDir); err != nil {
 			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println("wrote", *mdPath)
+		fmt.Println("wrote", filepath.Join(*docsDir, "EXPERIMENTS.md"), filepath.Join(*docsDir, "REPORT.md"))
 		return
 	}
 

@@ -159,9 +159,14 @@ func unpackData(d uint64) (hi, n uint64) { return d >> 32, d & (1<<32 - 1) }
 // document images, and return a reference to the answer — image index
 // and length, a HEAD's length stopping at the head.  No response byte
 // is built or copied.  Malformed requests get a real 400, not an error:
-// a web server answers bad clients on the wire.
+// a web server answers bad clients on the wire — and so does a call word,
+// the untrusted side's to write, that names a slot outside the window or
+// a length past the buffer.
 func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	slot, n := unpackData(data)
+	if slot >= connWindow || n > readCap {
+		return packData(imgBadRequest, len(s.images[imgBadRequest]))
+	}
 	raw := s.conns[requester].bufs[slot][:n]
 	rl, err := scanRequest(raw, nil)
 	if err != nil {

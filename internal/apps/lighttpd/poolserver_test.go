@@ -235,6 +235,45 @@ func TestPoolConnWaitRejectsBadWord(t *testing.T) {
 	}
 }
 
+// TestPoolServerForgedCallWord posts call words no connection writes — a
+// slot one past the window, a slot with the high word's top bit set, a
+// length one past the buffer — straight to the fabric, as a hostile
+// untrusted side can.  Each must be answered with the 400 image by a
+// responder that goes on serving.
+func TestPoolServerForgedCallWord(t *testing.T) {
+	s := NewPoolServer(1, fastPoolOpts(1))
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+	for _, tc := range []struct {
+		name string
+		word uint64
+	}{
+		{"slot 16", connWindow<<32 | 16},
+		{"slot 1<<31", 1<<31<<32 | 16},
+		{"n = cap+1", readCap + 1},
+	} {
+		pd, err := c.req.Submit(opServeHTTP, tc.word)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ret, err := pd.Wait()
+		if err == nil {
+			var resp []byte
+			resp, err = s.response(ret)
+			if err == nil && !strings.HasPrefix(string(resp), "HTTP/1.0 400 Bad Request\r\n") {
+				err = fmt.Errorf("answered %.40q", resp)
+			}
+		}
+		if err != nil {
+			t.Errorf("%s: %v, want the 400 image", tc.name, err)
+		}
+	}
+	if resp, err := c.Do(getIndex); err != nil || !bytes.HasPrefix(resp, []byte("HTTP/1.0 200")) {
+		t.Fatalf("the server must survive forged words: (%.40q, %v)", resp, err)
+	}
+}
+
 // TestPoolServerAddDocumentAfterStartPanics: the image set is fixed at
 // Start, so a late AddDocument fails loudly rather than being ignored.
 func TestPoolServerAddDocumentAfterStartPanics(t *testing.T) {

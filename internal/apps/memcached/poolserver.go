@@ -161,15 +161,20 @@ func (s *PoolServer) Conn(i int) *PoolConn { return s.conns[i] }
 // call word; the pair is everything the handler needs to find its bytes.
 func packData(slot, n int) uint64 { return uint64(slot)<<32 | uint64(uint32(n)) }
 
-func unpackData(d uint64) (slot, n int) { return int(d >> 32), int(uint32(d)) }
+func unpackData(d uint64) (slot, n uint64) { return d >> 32, d & (1<<32 - 1) }
 
 // serve is the enclave-side handler: decode the request in place from
 // the submitting connection's slot buffer, execute it against the store,
 // and encode the response into the paired response buffer.  The returned
 // word is the response length (or the ^0 sentinel on a malformed
-// packet, mirroring the corrupted-call_ID convention).
+// packet, mirroring the corrupted-call_ID convention).  The call word is
+// the untrusted side's to write: a slot outside the window or a length
+// past the buffer is a malformed packet too, never an index.
 func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	slot, n := unpackData(data)
+	if slot >= connWindow || n > bufCap {
+		return ^uint64(0)
+	}
 	b := &s.conns[requester].bufs[slot]
 	req, err := decodeRequest(b.req[:n])
 	if err != nil {

@@ -177,6 +177,37 @@ func TestPoolServerMalformedPacketSentinel(t *testing.T) {
 	}
 }
 
+// TestPoolServerForgedCallWord posts call words no connection writes — a
+// slot one past the window, a slot with the high word's top bit set, a
+// length one past the buffer — straight to the fabric, as a hostile
+// untrusted side can.  Each must get the malformed-packet sentinel from a
+// responder that goes on serving.
+func TestPoolServerForgedCallWord(t *testing.T) {
+	s := NewPoolServer(1, fastPoolOpts(1))
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+	for _, tc := range []struct {
+		name string
+		word uint64
+	}{
+		{"slot 16", connWindow<<32 | HeaderSize},
+		{"slot 1<<31", 1<<31<<32 | HeaderSize},
+		{"n = cap+1", bufCap + 1},
+	} {
+		pd, err := c.req.Submit(opServe, tc.word)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ret, err := pd.Wait(); err != nil || ret != ^uint64(0) {
+			t.Errorf("%s: (%#x, %v), want the sentinel", tc.name, ret, err)
+		}
+	}
+	if resp, err := c.Do(&Request{Op: OpSet, Key: "k", Value: []byte("v")}); err != nil || resp.Status != StatusOK {
+		t.Fatalf("the server must survive forged words: (%+v, %v)", resp, err)
+	}
+}
+
 // BenchmarkPoolServerThroughput measures the fabric-routed request path
 // with pipelined SET/GET traffic on every connection — the number the
 // scaling experiment in internal/bench normalizes against.

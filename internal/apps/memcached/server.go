@@ -54,8 +54,8 @@ const (
 // Server is one memcached instance bound to a port configuration.
 type Server struct {
 	// App is the container; embedded, so the request metrics it keeps are
-	// the server's own surface (EnableTelemetry, EnableDistribution,
-	// MetricsHandler, EnableMonitor, DebugMux).
+	// the server's own surface (EnableTelemetry, MetricsHandler,
+	// EnableMonitor, DebugMux).
 	*porting.App
 	Store *Store
 

@@ -6,7 +6,6 @@ package porting
 import (
 	"net/http"
 
-	"hotcalls/internal/dist"
 	"hotcalls/internal/monitor"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
@@ -51,15 +50,9 @@ func (a *App) EnableTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// EnableDistribution attaches (or, with nil, detaches) a high-resolution
-// recorder for per-request latency — the report's request-latency
-// percentile tables come from here rather than the coarse log2 histogram.
-func (a *App) EnableDistribution(r *dist.Recorder) { a.reqDist = r }
-
 // ServeRequest is Call for the entry point that serves one request, with
-// the request booked: counted, its cycles observed in the histogram and
-// the distribution recorder, its boundary crossings attributed.  Every
-// handle is a no-op until enabled.
+// the request booked: counted, its cycles observed in the histogram, its
+// boundary crossings attributed.  Every handle is a no-op until enabled.
 func (a *App) ServeRequest(clk *sim.Clock, name string, args ...sdk.Arg) (uint64, error) {
 	start := clk.Now()
 	crossed := a.tel.boundaryCount()
@@ -69,7 +62,6 @@ func (a *App) ServeRequest(clk *sim.Clock, name string, args ...sdk.Arg) (uint64
 	}
 	a.tel.requests.Inc()
 	a.tel.reqCycles.ObserveSince(start, clk.Now())
-	a.reqDist.Record(clk.Since(start))
 	a.tel.crossings.Observe(a.tel.boundaryCount() - crossed)
 	return ret, nil
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"hotcalls/internal/core"
-	"hotcalls/internal/dist"
 	"hotcalls/internal/edl"
 	"hotcalls/internal/mem"
 	"hotcalls/internal/monitor"
@@ -111,10 +110,9 @@ type App struct {
 
 	// Request-level observability (metrics.go); every handle is nil — a
 	// no-op, one branch per request — until its Enable* call.
-	name    string
-	tel     requestTel
-	reqDist *dist.Recorder
-	mon     *monitor.Monitor
+	name string
+	tel  requestTel
+	mon  *monitor.Monitor
 
 	regionNext uint64  // bump cursor for ReserveRegion
 	aexRate    float64 // asynchronous exits per second (see aex.go)

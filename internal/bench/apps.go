@@ -9,7 +9,6 @@ import (
 	"hotcalls/internal/apps/memcached"
 	"hotcalls/internal/apps/openvpn"
 	"hotcalls/internal/apps/porting"
-	"hotcalls/internal/osapi"
 	"hotcalls/internal/sim"
 )
 
@@ -51,28 +50,80 @@ func appUnit(app string) string {
 	return "req/s"
 }
 
-// runApp executes one application in one mode and returns the two numbers
-// the figures need.
+// appRuns keeps every application x mode run, so Figures 10 and 11 read
+// one set.  The apps' platforms and workloads carry fixed seeds, so a run
+// does not depend on the base seed and one result serves every caller.
+var appRuns = map[string]appResult{}
+
+// runApp executes one application in one mode, once, and returns the two
+// numbers the figures need.
 func runApp(app string, mode porting.Mode) appResult {
+	key := app + " " + mode.String()
+	if res, ok := appRuns[key]; ok {
+		return res
+	}
+	var res appResult
 	switch app {
 	case "memcached":
 		m := memcached.Run(mode, appSimSeconds)
-		return appResult{m.Throughput, m.AvgLatency}
+		res = appResult{m.Throughput, m.AvgLatency}
 	case "openvpn":
 		m := openvpn.RunIperf(mode, appSimSeconds)
 		p := openvpn.RunPing(mode, appSimSeconds/2)
-		return appResult{m.BandwidthMbs, p.AvgLatency}
+		res = appResult{m.BandwidthMbs, p.AvgLatency}
 	case "lighttpd":
 		m := lighttpd.Run(mode, appSimSeconds)
-		return appResult{m.Throughput, m.AvgLatency}
+		res = appResult{m.Throughput, m.AvgLatency}
+	default:
+		panic("bench: unknown app " + app)
 	}
-	panic("bench: unknown app " + app)
+	appRuns[key] = res
+	return res
+}
+
+// requestLatency times every ServeOne of one application's HotCalls
+// closed loop — the same run as its Figure 10 point, with each request's
+// cycles kept.
+func requestLatency(app string) *sim.Sample {
+	s := new(sim.Sample)
+	timed := func(clk *sim.Clock, serveOne func(*sim.Clock)) {
+		start := clk.Now()
+		serveOne(clk)
+		s.AddCycles(clk.Since(start))
+	}
+	switch app {
+	case "memcached":
+		srv := memcached.NewServer(porting.HotCalls)
+		w := memcached.NewWorkload(srv, 77)
+		porting.RunClosedLoop(memcached.Outstanding, sim.Cycles(appSimSeconds), func(clk *sim.Clock) {
+			w.InjectNext()
+			timed(clk, srv.ServeOne)
+			if _, err := w.DrainResponse(); err != nil {
+				panic(err)
+			}
+		})
+	case "lighttpd":
+		srv := lighttpd.NewServer(porting.HotCalls)
+		porting.RunClosedLoop(lighttpd.Outstanding, sim.Cycles(appSimSeconds), func(clk *sim.Clock) {
+			client := srv.InjectRequest("/")
+			timed(clk, srv.ServeOne)
+			for {
+				if _, ok := srv.App.Kernel.TakeRX(client); !ok {
+					break
+				}
+			}
+		})
+	default:
+		panic("bench: no request latency for app " + app)
+	}
+	return s
 }
 
 var appOrder = []string{"memcached", "openvpn", "lighttpd"}
 
 // runAppFigure produces Figure 10 (throughput, normalized to native) or
-// Figure 11 (latency in milliseconds).
+// Figure 11 (latency in milliseconds, plus the per-request HotCalls
+// latency samples of memcached and lighttpd for REPORT.md).
 func runAppFigure(id string, latency bool) *Report {
 	title := "Figure 10: application throughput by interface (normalized to native)"
 	if latency {
@@ -108,6 +159,11 @@ func runAppFigure(id string, latency bool) *Report {
 	}
 	r.Table = tbl.String()
 	r.CSV[id+".csv"] = csv.String()
+	if latency {
+		for _, app := range []string{"memcached", "lighttpd"} {
+			r.Samples = append(r.Samples, NamedSample{app + "_hotcalls_request", requestLatency(app)})
+		}
+	}
 	return r
 }
 
@@ -214,7 +270,6 @@ func runTable2() *Report {
 		tbl.add(app, "TOTAL", f1(totalRate), f1(paperTotals[app]))
 		tbl.add(app, fmt.Sprintf("core time %.0f%%", coreTime), "", fmt.Sprintf("paper %v%%", paperCoreTime[app]))
 	}
-	_ = osapi.SyscallCost
 	r.Table = tbl.String()
 	return r
 }

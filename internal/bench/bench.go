@@ -1,14 +1,16 @@
 // Package bench is the experiment harness: one registered experiment per
 // table and figure of the paper's evaluation, each regenerating the same
 // rows or series the paper reports and recording measured-vs-paper values.
-// cmd/hotbench is the command-line front end; EXPERIMENTS.md is generated
-// from these reports.
+// cmd/hotbench is the command-line front end; EXPERIMENTS.md and
+// REPORT.md are two renderings of one run of these reports.
 package bench
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"hotcalls/internal/sim"
 )
 
 // Value is one measured quantity compared against the paper.
@@ -31,11 +33,39 @@ func (v Value) Deviation() float64 {
 // Report is one experiment's outcome: a rendered table plus the structured
 // values.
 type Report struct {
-	ID     string
-	Title  string
-	Values []Value
-	Table  string            // rendered human-readable output
-	CSV    map[string]string // optional raw series, filename -> content
+	ID      string
+	Title   string
+	Values  []Value
+	Samples []NamedSample     // the distributions REPORT.md plots and tabulates
+	Table   string            // rendered human-readable output
+	CSV     map[string]string // optional raw series, filename -> content
+}
+
+// NamedSample is one measured distribution, under its REPORT.md series
+// name.
+type NamedSample struct {
+	Name   string
+	Sample *sim.Sample
+}
+
+// Sample returns the named distribution, or an empty one.
+func (r *Report) Sample(name string) *sim.Sample {
+	for _, s := range r.Samples {
+		if s.Name == name {
+			return s.Sample
+		}
+	}
+	return new(sim.Sample)
+}
+
+// Value returns the named value's measurement, or 0.
+func (r *Report) Value(name string) float64 {
+	for _, v := range r.Values {
+		if v.Name == name {
+			return v.Got
+		}
+	}
+	return 0
 }
 
 // Experiment regenerates one table or figure.

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -272,12 +274,12 @@ func TestReportsRender(t *testing.T) {
 	}
 }
 
-// TestCommittedArtifactsCurrent holds the committed BENCH_hotcalls.json
-// and EXPERIMENTS.md to a fresh run of this tree: every experiment
-// reports only quantities that repeat exactly, so a difference means
-// the change that moved, added or deleted a number did not regenerate
-// them (make bench-json experiments).  It reuses the runs the tests
-// above cached.
+// TestCommittedArtifactsCurrent holds the committed BENCH_hotcalls.json,
+// EXPERIMENTS.md and REPORT.md to a fresh run of this tree: every
+// experiment reports only quantities that repeat exactly, so a difference
+// means the change that moved, added or deleted a number did not
+// regenerate them (make bench-json experiments).  It reuses the runs the
+// tests above cached.
 func TestCommittedArtifactsCurrent(t *testing.T) {
 	reports := allReports(t)
 
@@ -324,18 +326,210 @@ func TestCommittedArtifactsCurrent(t *testing.T) {
 		}
 	}
 
-	md, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	report, err := renderReport(reports)
+	if err != nil {
+		t.Error(err)
+	}
+	for name, fresh := range map[string]string{"EXPERIMENTS.md": renderMarkdown(reports), "REPORT.md": report} {
+		md, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh == string(md) {
+			continue
+		}
+		gl, wl := strings.Split(fresh, "\n"), strings.Split(string(md), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s is stale at line %d:\ncommitted %q\nfresh     %q", name, i+1, wl[i], gl[i])
+			}
+		}
+		t.Fatalf("%s is stale: committed %d lines, fresh %d", name, len(wl), len(gl))
+	}
+}
+
+// TestReportDeterministic pins the byte-determinism contract REPORT.md
+// rests on: a second rendering of the same reports is identical, and so
+// is a rendering after re-running the experiments whose samples it plots
+// and tabulates (fig2, fig3).
+func TestReportDeterministic(t *testing.T) {
+	reports := allReports(t)
+	first, _ := renderReport(reports)
+	if again, _ := renderReport(reports); again != first {
+		t.Fatal("two renderings of the same reports differ")
+	}
+	rerun := make([]*Report, len(reports))
+	for i, r := range reports {
+		rerun[i] = r
+		if r.ID == "fig2" || r.ID == "fig3" {
+			rerun[i] = Get(r.ID).Run()
+		}
+	}
+	if md, _ := renderReport(rerun); md != first {
+		t.Fatal("re-running fig2 and fig3 changed REPORT.md")
+	}
+}
+
+// TestReportSections checks REPORT.md carries every promised section and
+// one embedded SVG per figure.
+func TestReportSections(t *testing.T) {
+	md, _ := renderReport(allReports(t))
+	for _, want := range []string{
+		"## Headline medians",
+		"## Call latency CDFs",
+		"### Percentiles (cycles)",
+		"### Leaf instructions",
+		"## Buffer sweep",
+		"## Application throughput",
+		"### Request latency under HotCalls",
+		"## Paper fidelity",
+		"ecall_warm", "ocall_cold", "hotecall_warm",
+		"eenter_warm", "eexit_warm",
+		"memcached_hotcalls_request", "lighttpd_hotcalls_request",
+	} {
+		if !strings.Contains(md, want) {
+			t.Errorf("REPORT.md missing %q", want)
+		}
+	}
+	if got := strings.Count(md, "<svg"); got != 3 {
+		t.Errorf("embedded SVG count = %d, want 3 (warm CDF, cold CDF, sweep)", got)
+	}
+	if n := strings.Count(md, "</svg>"); n != 3 {
+		t.Errorf("unclosed SVG: %d closing tags for 3 figures", n)
+	}
+}
+
+// TestReportSampleCounts checks every call series REPORT.md plots holds
+// the runs it measured — no more (a leaked warm-up), and at most the 1%
+// the AEX filter discards fewer — and has a CDF to plot.
+func TestReportSampleCounts(t *testing.T) {
+	for _, s := range []struct{ id, name string }{
+		{"fig2", "ecall_warm"}, {"fig2", "ecall_cold"}, {"fig2", "ocall_warm"}, {"fig2", "ocall_cold"},
+		{"fig2", "eenter_warm"}, {"fig2", "eexit_warm"},
+		{"fig3", "hotecall_warm"}, {"fig3", "hotecall_cold"},
+	} {
+		runs := microRuns
+		if strings.HasSuffix(s.name, "_cold") {
+			runs = microRuns / 4
+		}
+		sample := report(t, s.id).Sample(s.name)
+		if n := sample.Len(); n > runs || n < runs*99/100 {
+			t.Errorf("%s/%s holds %d samples, want %d less at most 1%%", s.id, s.name, n, runs)
+		}
+		if len(sample.CDF(cdfPoints)) == 0 {
+			t.Errorf("%s/%s has no CDF points", s.id, s.name)
+		}
+	}
+}
+
+// TestFidelityMatchesCommittedReport uses the committed REPORT.md as the
+// fidelity table's golden file: it carries one row per fidelity metric, in
+// order, with the table's paper value and band, and replaying each row's
+// measured-vs-paper pair through Value.Deviation resolves the committed
+// change and an in-band verdict.
+func TestFidelityMatchesCommittedReport(t *testing.T) {
+	md, err := os.ReadFile(filepath.Join("..", "..", "REPORT.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := renderMarkdown(reports); got != string(md) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(md), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("EXPERIMENTS.md is stale at line %d:\ncommitted %q\nfresh     %q", i+1, wl[i], gl[i])
-			}
+	_, section, ok := strings.Cut(string(md), "\n## Paper fidelity\n")
+	if !ok {
+		t.Fatal("committed REPORT.md has no Paper fidelity section")
+	}
+	var rows [][]string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			break
 		}
-		t.Fatalf("EXPERIMENTS.md is stale: committed %d lines, fresh %d", len(wl), len(gl))
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 6 || strings.TrimSpace(cells[0]) == "metric" || strings.HasPrefix(cells[0], "---") {
+			continue
+		}
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		rows = append(rows, cells)
+	}
+	if len(rows) != len(fidelity) {
+		t.Fatalf("committed REPORT.md carries %d fidelity rows, want %d", len(rows), len(fidelity))
+	}
+	for i, row := range fidelity {
+		c := rows[i]
+		measured, err1 := strconv.ParseFloat(c[1], 64)
+		change, err2 := strconv.ParseFloat(strings.TrimSuffix(c[3], "%"), 64)
+		if c[0] != row.name || err1 != nil || err2 != nil {
+			t.Errorf("row %d = %q, want %s with numeric measured and change", i, c, row.name)
+			continue
+		}
+		if want := f2(row.paper); c[2] != want {
+			t.Errorf("%s: committed paper %s, table %s", row.name, c[2], want)
+		}
+		if want := fmt.Sprintf("±%.0f%%", row.band); c[4] != want {
+			t.Errorf("%s: committed band %s, table %s", row.name, c[4], want)
+		}
+		// The committed measured value is rounded to two decimals and the
+		// change to one, so the replay may differ by both roundings.
+		dev := Value{Got: measured, Paper: row.paper}.Deviation() * 100
+		if tol := 0.05 + 0.005/row.paper*100 + 1e-9; math.Abs(dev-change) > tol {
+			t.Errorf("%s: replayed change %+.2f%%, committed %s", row.name, dev, c[3])
+		}
+		if math.Abs(dev) > row.band || c[5] != "ok" {
+			t.Errorf("%s: committed verdict %q at %+.1f%% against a ±%.0f%% band", row.name, c[5], dev, row.band)
+		}
+	}
+	if want := fmt.Sprintf("\n**PASS** — all %d metrics within tolerance.\n", len(fidelity)); !strings.Contains(section, want) {
+		t.Errorf("committed REPORT.md lacks %q", strings.TrimSpace(want))
+	}
+}
+
+// TestFidelityOrdering sanity-checks the physics REPORT.md claims: the
+// HotCall median sits far below both SDK crossings, and cold SDK medians
+// exceed warm ones.
+func TestFidelityOrdering(t *testing.T) {
+	fig2, fig3 := report(t, "fig2"), report(t, "fig3")
+	med := func(name string) float64 { return fig2.Sample(name).Median() }
+	if hot, ec := fig3.Sample("hotecall_warm").Median(), med("ecall_warm"); hot*5 > ec {
+		t.Errorf("hotcall median %.0f not well below warm ecall median %.0f", hot, ec)
+	}
+	if w, c := med("ecall_warm"), med("ecall_cold"); c <= w {
+		t.Errorf("ecall cold median %.0f <= warm %.0f", c, w)
+	}
+	if w, c := med("ocall_warm"), med("ocall_cold"); c <= w {
+		t.Errorf("ocall cold median %.0f <= warm %.0f", c, w)
+	}
+}
+
+// TestFidelityOutOfBandFails pushes Figure 3's median out of its band:
+// REPORT.md must render the row and the verdict as failures, and the
+// -docs path must still write both documents and return the error.
+func TestFidelityOutOfBandFails(t *testing.T) {
+	var reports []*Report
+	for _, r := range allReports(t) {
+		if r.ID == "fig3" {
+			pushed := *r
+			pushed.Values = append([]Value(nil), r.Values...)
+			pushed.Values[0].Got = 2 * r.Value("hotcall median")
+			r = &pushed
+		}
+		reports = append(reports, r)
+	}
+	md, err := renderReport(reports)
+	if err == nil || !strings.Contains(err.Error(), "hotcall_median_cycles") {
+		t.Fatalf("fidelity error = %v, want one naming hotcall_median_cycles", err)
+	}
+	_, row, _ := strings.Cut(md, "\n| hotcall_median_cycles |")
+	row, _, _ = strings.Cut(row, "\n")
+	if !strings.Contains(md, "\n**FAIL** — ") || !strings.HasSuffix(row, "| **out of band** |") {
+		t.Fatalf("REPORT.md does not show the failure:\n%s", md[strings.Index(md, "## Paper fidelity"):])
+	}
+	dir := t.TempDir()
+	if err := writeDocs(dir, reports); err == nil {
+		t.Fatal("writeDocs passed an out-of-band report")
+	}
+	for _, name := range []string{"EXPERIMENTS.md", "REPORT.md"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("failing run did not write %s: %v", name, err)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import "hotcalls/internal/sim"
 var benchSeed = sim.DefaultSeed
 
 // SetSeed selects the base seed for subsequent experiment runs (the
-// hotbench/hotreport -seed flag).  Not safe to call concurrently with a
+// hotbench -seed flag).  Not safe to call concurrently with a
 // running experiment.
 func SetSeed(s uint64) { benchSeed = s }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"hotcalls/internal/dist"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
@@ -24,10 +23,6 @@ type Channel struct {
 	// tel caches the channel's telemetry handles; all nil (no-op) until
 	// SetTelemetry attaches a registry.
 	tel channelTel
-
-	// dist records full-resolution per-call latency distributions; nil
-	// (one branch per call) until SetDistribution attaches a set.
-	dist *dist.Set
 }
 
 // channelTel is the set of handles the HotCall channel paths touch.
@@ -56,11 +51,6 @@ func (ch *Channel) SetTelemetry(reg *telemetry.Registry) {
 		tracer: reg.Tracer(),
 	}
 }
-
-// SetDistribution attaches (or, with nil, detaches) the high-resolution
-// distribution set.  Each completed HotCall records its requester-observed
-// round-trip cycles under the set's current temperature label.
-func (ch *Channel) SetDistribution(d *dist.Set) { ch.dist = d }
 
 // HotOCall performs an out-call through the HotCalls interface: the
 // trusted side marshals with the SDK-generated code, signals the request
@@ -91,12 +81,12 @@ func (ch *Channel) HotECall(clk *sim.Clock, name string, args ...sdk.Arg) (uint6
 // handler's router and the labels differ.
 func (ch *Channel) hotCall(clk *sim.Clock, b *sdk.Binding, args []sdk.Arg, ecall bool) (uint64, error) {
 	name := b.Decl.Name
-	calls, kind, span, label := ch.tel.ocalls, dist.HotOcall, telemetry.KindHotOCall, "hotocall:"
+	calls, span, label := ch.tel.ocalls, telemetry.KindHotOCall, "hotocall:"
 	// An ecall's handler runs on the resident enclave worker; its own
 	// ocalls route back through this channel.
 	var router sdk.OCallRouter
 	if ecall {
-		calls, kind, span, label, router = ch.tel.ecalls, dist.HotEcall, telemetry.KindHotECall, "hotecall:", ch
+		calls, span, label, router = ch.tel.ecalls, telemetry.KindHotECall, "hotecall:", ch
 	}
 	b.Count()
 	calls.Inc()
@@ -146,7 +136,6 @@ func (ch *Channel) hotCall(clk *sim.Clock, b *sdk.Binding, args []sdk.Arg, ecall
 		tr.Emit(telemetry.KindMarshal, "copyout:"+name, copyOutStart, clk.Since(copyOutStart), 0)
 	}
 	ch.tel.cycles.ObserveSince(callStart, clk.Now())
-	ch.dist.Observe(kind, clk.Since(callStart))
 	if tr != nil {
 		tr.Emit(span, label+name, callStart, clk.Since(callStart), 0)
 	}

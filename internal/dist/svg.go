@@ -1,16 +1,18 @@
+// Package dist renders latency distributions and sweeps as standalone
+// SVG: multi-series CDFs (log-x) and linear lines, for REPORT.md's
+// figures and the /debug/epc heatmap.  Output is a pure function of its
+// inputs — fixed-precision coordinates, no timestamps, no map iteration —
+// so REPORT.md regenerates byte-identically under a fixed seed (the
+// golden test in svg_test.go pins this).
 package dist
 
 import (
 	"fmt"
 	"math"
 	"strings"
-)
 
-// This file renders the report's figures as standalone SVG: multi-series
-// latency CDFs (log-x) and linear sweep lines.  Output is a pure
-// function of its inputs — fixed-precision coordinates, no timestamps,
-// no map iteration — so REPORT.md regenerates byte-identically under a
-// fixed seed (the golden test in svg_test.go pins this).
+	"hotcalls/internal/sim"
+)
 
 // Validated categorical palette (light mode), first three slots of the
 // reference order: blue, orange, aqua.  Three slots clear the all-pairs
@@ -32,10 +34,11 @@ const (
 	fontStack = `system-ui, -apple-system, &quot;Segoe UI&quot;, sans-serif`
 )
 
-// Series is one named line of a plot.
+// Series is one named line of a plot.  A CDF's points are
+// (latency, fraction); a sweep's are (x, y).
 type Series struct {
 	Name   string
-	Points []CDFPoint
+	Points []sim.CDFPoint
 }
 
 // PlotConfig tunes RenderLinesSVG.
@@ -62,7 +65,9 @@ func RenderCDFSVG(title string, series []Series) string {
 	}, series)
 }
 
-func fnum(v float64) string { return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.2f", v), "0"), ".") }
+func fnum(v float64) string {
+	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.2f", v), "0"), ".")
+}
 
 // tickLabel formats an axis value compactly and deterministically.
 func tickLabel(v float64) string {

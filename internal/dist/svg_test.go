@@ -12,15 +12,24 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden SVG files")
 
+// points pairs up (x, y) coordinates.
+func points(xy ...float64) []sim.CDFPoint {
+	out := make([]sim.CDFPoint, len(xy)/2)
+	for i := range out {
+		out[i] = sim.CDFPoint{Value: xy[2*i], Fraction: xy[2*i+1]}
+	}
+	return out
+}
+
 func sampleSeries(t *testing.T) []Series {
 	t.Helper()
 	mk := func(seed uint64, base, spread int) Series {
 		rng := sim.NewRNG(seed)
-		r := NewRecorder(256)
+		var s sim.Sample
 		for i := 0; i < 4000; i++ {
-			r.Record(uint64(base + rng.Intn(spread)))
+			s.Add(float64(base + rng.Intn(spread)))
 		}
-		return Series{Points: r.Snapshot().CDF(64)}
+		return Series{Points: s.CDF(64)}
 	}
 	a := mk(1, 500, 400)
 	a.Name = "hotcall_warm"
@@ -77,7 +86,7 @@ func TestRenderEmpty(t *testing.T) {
 func TestRenderSinglePoint(t *testing.T) {
 	out := RenderCDFSVG("one point", []Series{{
 		Name:   "solo",
-		Points: []CDFPoint{{Value: 620, Fraction: 1}},
+		Points: []sim.CDFPoint{{Value: 620, Fraction: 1}},
 	}})
 	if !strings.Contains(out, "<circle") {
 		t.Fatal("single-point series did not render a marker")
@@ -88,11 +97,11 @@ func TestRenderSinglePoint(t *testing.T) {
 }
 
 func TestRenderAllIdentical(t *testing.T) {
-	r := NewRecorder(64)
+	var s sim.Sample
 	for i := 0; i < 1000; i++ {
-		r.Record(620)
+		s.Add(620)
 	}
-	out := RenderCDFSVG("degenerate", []Series{{Name: "same", Points: r.Snapshot().CDF(0)}})
+	out := RenderCDFSVG("degenerate", []Series{{Name: "same", Points: s.CDF(64)}})
 	if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
 		t.Fatal("all-identical samples produced non-finite coordinates")
 	}
@@ -107,8 +116,8 @@ func TestRenderLinearSweep(t *testing.T) {
 		XLabel: "buffer KB",
 		YLabel: "overhead %",
 	}, []Series{
-		{Name: "read", Points: []CDFPoint{{2, 54.5}, {4, 68}, {8, 71}, {16, 94}, {32, 102}}},
-		{Name: "write", Points: []CDFPoint{{2, 4}, {4, 5}, {8, 6}, {16, 6}, {32, 7}}},
+		{Name: "read", Points: points(2, 54.5, 4, 68, 8, 71, 16, 94, 32, 102)},
+		{Name: "write", Points: points(2, 4, 4, 5, 8, 6, 16, 6, 32, 7)},
 	})
 	for _, want := range []string{"Buffer sweep", "read", "write", "<path", "</svg>"} {
 		if !strings.Contains(out, want) {
@@ -121,7 +130,7 @@ func TestRenderLinearSweep(t *testing.T) {
 }
 
 func TestEscape(t *testing.T) {
-	out := RenderCDFSVG(`a<b>&"c"`, []Series{{Name: "x<y", Points: []CDFPoint{{1, 0.5}, {2, 1}}}})
+	out := RenderCDFSVG(`a<b>&"c"`, []Series{{Name: "x<y", Points: points(1, 0.5, 2, 1)}})
 	for _, bad := range []string{`a<b>`, `"c"`, "x<y"} {
 		if strings.Contains(out, bad) {
 			t.Fatalf("unescaped text %q leaked into SVG", bad)

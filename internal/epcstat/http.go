@@ -5,6 +5,7 @@ import (
 
 	"hotcalls/internal/dist"
 	"hotcalls/internal/epc"
+	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
 )
 
@@ -49,9 +50,9 @@ func HeatSVG(s *Snapshot) string {
 }
 
 func heatSeries(name string, heat []uint64, bucketMB float64) dist.Series {
-	pts := make([]dist.CDFPoint, len(heat))
+	pts := make([]sim.CDFPoint, len(heat))
 	for i, n := range heat {
-		pts[i] = dist.CDFPoint{Value: float64(i) * bucketMB, Fraction: float64(n)}
+		pts[i] = sim.CDFPoint{Value: float64(i) * bucketMB, Fraction: float64(n)}
 	}
 	return dist.Series{Name: name, Points: pts}
 }

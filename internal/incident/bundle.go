@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"hotcalls/internal/dist"
 	"hotcalls/internal/epcstat"
 	"hotcalls/internal/flight"
 	"hotcalls/internal/monitor"
@@ -53,10 +52,6 @@ type Bundle struct {
 	// Telemetry is the full registry snapshot (counters, gauges,
 	// histograms), when a registry was attached.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
-
-	// Dist holds the non-empty high-resolution latency histogram
-	// snapshots, keyed by dist.SeriesName, when a set was attached.
-	Dist map[string]dist.Snapshot `json:"dist,omitempty"`
 }
 
 // RenderText renders the bundle's postmortem summary as aligned plain

@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"hotcalls/internal/dist"
 	"hotcalls/internal/monitor"
 	"hotcalls/internal/telemetry"
 )
@@ -67,10 +66,6 @@ type Options struct {
 	// Registry, when set, adds a full telemetry snapshot to each
 	// bundle.
 	Registry *telemetry.Registry
-
-	// Dist, when set, adds the non-empty high-resolution latency
-	// histogram snapshots (keyed by dist.SeriesName) to each bundle.
-	Dist *dist.Set
 
 	// Now is the wall clock (default time.Now).  Injectable for
 	// deterministic cooldown tests.
@@ -192,30 +187,7 @@ func (c *Capturer) capture(e monitor.Event, now time.Time) *Bundle {
 		snap := c.opts.Registry.Snapshot()
 		b.Telemetry = &snap
 	}
-	if c.opts.Dist != nil {
-		b.Dist = distSnapshots(c.opts.Dist)
-	}
 	return b
-}
-
-// distSnapshots collects the non-empty series of the set, keyed by
-// dist.SeriesName.  Map keys are sorted by encoding/json, keeping the
-// bundle byte-deterministic for fixed inputs.
-func distSnapshots(s *dist.Set) map[string]dist.Snapshot {
-	out := make(map[string]dist.Snapshot)
-	for k := dist.Kind(0); k < dist.KindCount; k++ {
-		for t := dist.Temp(0); t < dist.TempCount; t++ {
-			snap := s.Recorder(k, t).Snapshot()
-			if snap.Total == 0 {
-				continue
-			}
-			out[dist.SeriesName(k, t)] = snap
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // spool writes the bundle to <Dir>/<id>.json.

@@ -264,7 +264,7 @@ func TestHandler(t *testing.T) {
 
 // TestBundleDeterministicMarshal pins the schema promise: for fixed
 // inputs the bundle serializes to identical bytes — struct fields keep
-// declaration order and encoding/json sorts the map keys (Dist).
+// declaration order and encoding/json sorts the map keys.
 func TestBundleDeterministicMarshal(t *testing.T) {
 	reg := telemetry.New()
 	reg.Counter(telemetry.MetricHotCallRequests).Add(7)

@@ -2,7 +2,6 @@ package mee
 
 import (
 	"hotcalls/internal/cache"
-	"hotcalls/internal/dist"
 	"hotcalls/internal/telemetry"
 )
 
@@ -28,10 +27,6 @@ type CostModel struct {
 	// cached counters, never registry lookups.
 	nodeHits   *telemetry.Counter
 	nodeMisses *telemetry.Counter
-
-	// rec records the full distribution of per-line extra cycles; nil
-	// (one branch per access) until SetDistribution attaches a recorder.
-	rec *dist.Recorder
 
 	// Calibrated constants.  See DESIGN.md section 4 for how each is
 	// pinned to a row of Table 1.
@@ -100,17 +95,6 @@ func (m *CostModel) SetTelemetry(reg *telemetry.Registry) {
 	m.nodeMisses = reg.Counter(telemetry.MetricMEENodeMiss)
 }
 
-// SetDistribution attaches (or, with nil, detaches) a recorder for the
-// per-line MEE surcharge — the report uses it to show how the tree-walk
-// cost distribution shifts as a sweep's metadata overflows the node cache.
-func (m *CostModel) SetDistribution(r *dist.Recorder) { m.rec = r }
-
-// record rounds an extra-cycle figure into the recorder.
-func (m *CostModel) record(extra float64) float64 {
-	m.rec.Record(uint64(extra + 0.5))
-	return extra
-}
-
 // touchMetadata walks the tree for one data line through the node cache and
 // returns the number of node fetches that missed.
 func (m *CostModel) touchMetadata(line uint64) (misses int) {
@@ -146,7 +130,7 @@ func rowPressure(footprintLines int) float64 {
 // total sweep size, used for the row-pressure term.
 func (m *CostModel) StreamLoadExtra(line uint64, footprintLines int) float64 {
 	misses := m.touchMetadata(line)
-	return m.record(m.streamLoadPerLine + float64(misses)*m.nodeFetchCost*rowPressure(footprintLines))
+	return m.streamLoadPerLine + float64(misses)*m.nodeFetchCost*rowPressure(footprintLines)
 }
 
 // StreamStoreExtra returns the extra cycles for one line of a consecutive
@@ -154,21 +138,21 @@ func (m *CostModel) StreamLoadExtra(line uint64, footprintLines int) float64 {
 // amortised; this is why Figure 7 shows only ~6% write overhead.
 func (m *CostModel) StreamStoreExtra(line uint64, footprintLines int) float64 {
 	misses := m.touchMetadata(line)
-	return m.record(m.streamStorePerLine + float64(misses)*m.nodeFetchCost*m.storeFetchScale)
+	return m.streamStorePerLine + float64(misses)*m.nodeFetchCost*m.storeFetchScale
 }
 
 // DemandLoadExtra returns the extra cycles for one isolated encrypted-line
 // load miss (Table 1 row 9: 400 vs 308 cycles when the tree is cached).
 func (m *CostModel) DemandLoadExtra(line uint64) float64 {
 	misses := m.touchMetadata(line)
-	return m.record(m.demandLoadLatency + float64(misses)*m.nodeFetchCost)
+	return m.demandLoadLatency + float64(misses)*m.nodeFetchCost
 }
 
 // DemandStoreExtra returns the extra cycles for one isolated encrypted-line
 // store miss (Table 1 row 10: 575 vs 481 cycles).
 func (m *CostModel) DemandStoreExtra(line uint64) float64 {
 	misses := m.touchMetadata(line)
-	return m.record(m.demandStoreLatency + float64(misses)*m.nodeFetchCost*m.storeFetchScale)
+	return m.demandStoreLatency + float64(misses)*m.nodeFetchCost*m.storeFetchScale
 }
 
 // FlushMetadata evicts all tree nodes from the MEE cache (used by tests and

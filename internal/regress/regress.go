@@ -1,13 +1,11 @@
-// Package regress compares two hotcalls-bench/v1 artifacts metric by
-// metric.  It serves two gates.  The exact one (DefaultPolicy, `make
-// bench-regress`, cmd/benchdiff) diffs a fresh run against the committed
-// BENCH_hotcalls.json: that artifact holds only quantities that repeat
-// exactly — simulated cycles, deterministic counts — so any changed,
-// added or removed metric fails until the baseline is regenerated in the
-// same commit.  The banded one (PaperFidelityPolicy, internal/report)
-// holds the measured headline metrics within two-sided tolerances of the
-// paper's published numbers.  Wall-clock performance is neither's
-// business: benchmarks/ measures and gates it.
+// Package regress is the exact gate over hotcalls-bench/v1 artifacts
+// (`make bench-regress`, cmd/benchdiff): it diffs a fresh run against the
+// committed BENCH_hotcalls.json metric by metric.  That artifact holds
+// only quantities that repeat exactly — simulated cycles, deterministic
+// counts — so there is no noise for a band to absorb: any changed, added
+// or removed metric fails until the baseline is regenerated in the same
+// commit.  Paper fidelity is internal/bench's business, and wall-clock
+// performance is benchmarks/'s.
 package regress
 
 import (
@@ -27,12 +25,10 @@ const Schema = "hotcalls-bench/v1"
 type Class int
 
 const (
-	// Unchanged: equal, or within the policy's tolerance.
+	// Unchanged: equal.
 	Unchanged Class = iota
-	// Changed: moved beyond tolerance, in either direction — under the
-	// exact policy a faster number is as stale a baseline as a slower
-	// one, and against the paper "faster than published" means the
-	// calibration no longer reproduces it.
+	// Changed: moved, in either direction — a faster number is as stale
+	// a baseline as a slower one.
 	Changed
 	// Added: present only in the candidate.
 	Added
@@ -58,12 +54,11 @@ func (c Class) String() string {
 
 // Delta is one metric's comparison.
 type Delta struct {
-	Key          string // "<experiment id>/<value name>" or "summary/<field>"
-	Unit         string
-	Base, Cand   float64
-	ChangePct    float64 // signed (cand-base)/base*100; 0 when base is 0
-	TolerancePct float64
-	Class        Class
+	Key        string // "<experiment id>/<value name>" or "summary/<field>"
+	Unit       string
+	Base, Cand float64
+	ChangePct  float64 // signed (cand-base)/base*100; 0 when base is 0
+	Class      Class
 }
 
 // Result is a whole comparison: every metric's delta plus the gate
@@ -134,8 +129,8 @@ func flatten(r bench.JSONReport) (keys []string, vals map[string]float64, units 
 	return keys, vals, units
 }
 
-// Compare diffs a candidate run against the baseline under the policy.
-func Compare(base, cand bench.JSONReport, pol Policy) *Result {
+// Compare diffs a candidate run against the baseline, value for value.
+func Compare(base, cand bench.JSONReport) *Result {
 	res := &Result{BaseMeta: metaOf(base), CandMeta: metaOf(cand)}
 	baseKeys, baseVals, baseUnits := flatten(base)
 	candKeys, candVals, candUnits := flatten(cand)
@@ -143,7 +138,7 @@ func Compare(base, cand bench.JSONReport, pol Policy) *Result {
 	seen := make(map[string]bool)
 	for _, key := range baseKeys {
 		seen[key] = true
-		d := Delta{Key: key, Unit: baseUnits[key], Base: baseVals[key], TolerancePct: pol.tolerance(key)}
+		d := Delta{Key: key, Unit: baseUnits[key], Base: baseVals[key]}
 		cv, ok := candVals[key]
 		if !ok {
 			d.Class = Removed
@@ -154,8 +149,7 @@ func Compare(base, cand bench.JSONReport, pol Policy) *Result {
 		if d.Base != 0 {
 			d.ChangePct = (d.Cand - d.Base) / d.Base * 100
 		}
-		// A zero baseline has no relative band: only equality holds it.
-		if d.Cand != d.Base && (d.Base == 0 || math.Abs(d.ChangePct) > d.TolerancePct) {
+		if d.Cand != d.Base {
 			d.Class = Changed
 		}
 		res.Deltas = append(res.Deltas, d)
@@ -168,8 +162,8 @@ func Compare(base, cand bench.JSONReport, pol Policy) *Result {
 	return res
 }
 
-// Failures returns the deltas that fail the gate — changed beyond
-// tolerance, added, or removed — largest relative change first.
+// Failures returns the deltas that fail the gate — changed, added, or
+// removed — largest relative change first.
 func (r *Result) Failures() []Delta {
 	var out []Delta
 	for _, d := range r.Deltas {

@@ -82,7 +82,7 @@ func TestCommittedBaselineParses(t *testing.T) {
 	if len(keys) < 10 {
 		t.Fatalf("baseline flattened to %d metrics, want >= 10", len(keys))
 	}
-	res := Compare(r, r, DefaultPolicy())
+	res := Compare(r, r)
 	if res.Failed() {
 		t.Fatalf("baseline vs itself failed the gate: %s", res.Summary())
 	}
@@ -90,7 +90,7 @@ func TestCommittedBaselineParses(t *testing.T) {
 
 func TestIdenticalRunsPass(t *testing.T) {
 	base := fixtureReport()
-	res := Compare(base, base, DefaultPolicy())
+	res := Compare(base, base)
 	if res.Failed() {
 		t.Fatalf("identical runs failed: %s", res.Summary())
 	}
@@ -109,7 +109,7 @@ func TestWarmHotCallSlowdownFailsGate(t *testing.T) {
 	cand := fixtureReport()
 	cand.Summary.HotCallMedianCycles *= 1.10
 
-	res := Compare(base, cand, DefaultPolicy())
+	res := Compare(base, cand)
 	if !res.Failed() {
 		t.Fatalf("10%% warm-HotCall slowdown passed the gate: %s", res.Summary())
 	}
@@ -144,19 +144,16 @@ func TestWarmHotCallSlowdownFailsGate(t *testing.T) {
 	}
 }
 
-// TestExactPolicyFailsOnLastDigit: the default policy is an exact diff.
-// One ulp on one value fails it, in either direction — a faster number
-// is as stale a baseline as a slower one — and nothing else does.
+// TestExactPolicyFailsOnLastDigit: the gate is an exact diff.  One ulp
+// on one value fails it, in either direction — a faster number is as
+// stale a baseline as a slower one — and nothing else does.
 func TestExactPolicyFailsOnLastDigit(t *testing.T) {
-	if pol := DefaultPolicy(); pol.DefaultTolerancePct != 0 || len(pol.Overrides) != 0 {
-		t.Fatalf("default policy is not exact: %+v", pol)
-	}
 	base := fixtureReport()
 	for _, toward := range []float64{math.Inf(1), math.Inf(-1)} {
 		cand := fixtureReport()
 		v := &cand.Experiments[1].Values[0].Got
 		*v = math.Nextafter(*v, toward)
-		res := Compare(base, cand, DefaultPolicy())
+		res := Compare(base, cand)
 		fails := res.Failures()
 		if len(fails) != 1 || fails[0].Key != "fig7/memcached hotcalls" || fails[0].Class != Changed {
 			t.Fatalf("one-ulp move toward %v not gated: %+v", toward, fails)
@@ -171,83 +168,8 @@ func TestMetadataHeaderIgnored(t *testing.T) {
 	cand := fixtureReport()
 	cand.GeneratedAt = "2026-10-01T12:00:00Z"
 	cand.GoVersion = "go1.99.0"
-	if res := Compare(base, cand, DefaultPolicy()); res.Failed() {
+	if res := Compare(base, cand); res.Failed() {
 		t.Fatalf("metadata difference failed the gate: %s", res.Summary())
-	}
-}
-
-// fidelityFixture is a measured-vs-paper pair shaped like
-// bench.ReportData.FidelityPair's: paper values as the baseline.
-func fidelityFixture(name string, paper, measured float64) (base, cand bench.JSONReport) {
-	mk := func(v float64) bench.JSONReport {
-		return bench.JSONReport{Schema: Schema, Experiments: []bench.JSONExperiment{
-			{ID: "fidelity", Values: []bench.JSONValue{{Name: name, Got: v, Unit: "cycles"}}},
-		}}
-	}
-	return mk(paper), mk(measured)
-}
-
-// TestToleranceAbsorbsNoise: the fidelity policy is banded and
-// two-sided — drift inside the band passes, drift beyond it fails in
-// either direction — and a specific override beats the catch-all.
-func TestToleranceAbsorbsNoise(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		measured float64 // against a paper value of 100
-		fail     bool
-	}{
-		{"ecall_warm_median_cycles", 108, false}, // inside the 10% catch-all
-		{"ecall_warm_median_cycles", 92, false},
-		{"ecall_warm_median_cycles", 112, true},
-		{"ecall_warm_median_cycles", 88, true},
-		{"read_overhead_4kb_pct", 140, false}, // its own 45% band
-		{"read_overhead_4kb_pct", 50, true},
-	} {
-		base, cand := fidelityFixture(tc.name, 100, tc.measured)
-		if res := Compare(base, cand, PaperFidelityPolicy()); res.Failed() != tc.fail {
-			t.Errorf("%s measured %v vs paper 100: failed = %v, want %v (%s)",
-				tc.name, tc.measured, res.Failed(), tc.fail, res.Summary())
-		}
-	}
-}
-
-// TestFidelityPolicyMatchesCommittedReport uses the committed
-// report.json as the fidelity policy's golden file: replaying its
-// measured-vs-paper pairs must resolve the same band, the same change
-// and the same verdict for every metric.
-func TestFidelityPolicyMatchesCommittedReport(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "report.json"))
-	if err != nil {
-		t.Fatalf("no committed fidelity report: %v", err)
-	}
-	var committed struct {
-		Fidelity []struct {
-			Metric       string  `json:"metric"`
-			Measured     float64 `json:"measured"`
-			Paper        float64 `json:"paper"`
-			ChangePct    float64 `json:"change_pct"`
-			TolerancePct float64 `json:"tolerance_pct"`
-			Verdict      string  `json:"verdict"`
-		} `json:"fidelity"`
-	}
-	if err := json.Unmarshal(data, &committed); err != nil {
-		t.Fatal(err)
-	}
-	if len(committed.Fidelity) < 10 {
-		t.Fatalf("report.json carries %d fidelity metrics, want >= 10", len(committed.Fidelity))
-	}
-	for _, f := range committed.Fidelity {
-		base, cand := fidelityFixture(strings.TrimPrefix(f.Metric, "fidelity/"), f.Paper, f.Measured)
-		res := Compare(base, cand, PaperFidelityPolicy())
-		d := res.Deltas[0]
-		verdict := "ok"
-		if d.Class != Unchanged {
-			verdict = d.Class.String()
-		}
-		if d.Key != f.Metric || d.TolerancePct != f.TolerancePct || d.ChangePct != f.ChangePct || verdict != f.Verdict {
-			t.Errorf("%s: got (±%v%%, %+v%%, %s), committed (±%v%%, %+v%%, %s)", f.Metric,
-				d.TolerancePct, d.ChangePct, verdict, f.TolerancePct, f.ChangePct, f.Verdict)
-		}
 	}
 }
 
@@ -257,7 +179,7 @@ func TestRemovedMetricGates(t *testing.T) {
 	base := fixtureReport()
 	cand := fixtureReport()
 	cand.Experiments = cand.Experiments[:2] // drop loadcurve
-	res := Compare(base, cand, DefaultPolicy())
+	res := Compare(base, cand)
 	if !res.Failed() {
 		t.Fatalf("removed metric passed the gate: %s", res.Summary())
 	}
@@ -275,7 +197,7 @@ func TestAddedMetricGates(t *testing.T) {
 	cand.Experiments = append(cand.Experiments, bench.JSONExperiment{
 		ID: "fig9", Values: []bench.JSONValue{{Name: "lighttpd hotcalls", Got: 61000, Unit: "req/s"}},
 	})
-	res := Compare(base, cand, DefaultPolicy())
+	res := Compare(base, cand)
 	fails := res.Failures()
 	if len(fails) != 1 || fails[0].Class != Added || fails[0].Key != "fig9/lighttpd hotcalls" {
 		t.Fatalf("added metric not gated: %+v", fails)
@@ -287,7 +209,7 @@ func TestRegressionsSortedWorstFirst(t *testing.T) {
 	cand := fixtureReport()
 	cand.Summary.HotCallMedianCycles *= 1.05   // +5%
 	cand.Summary.EcallWarmMedianCycles *= 1.50 // +50%
-	res := Compare(base, cand, DefaultPolicy())
+	res := Compare(base, cand)
 	fails := res.Failures()
 	if len(fails) != 2 {
 		t.Fatalf("failures = %d, want 2", len(fails))
@@ -302,16 +224,13 @@ func TestZeroBaseValue(t *testing.T) {
 	base.Experiments[0].Values[0].Got = 0
 	cand := fixtureReport()
 	// A zero baseline has no relative change to report (never a
-	// div-by-zero) and no band to sit in: only equality holds it, under
-	// either policy.
-	for _, pol := range []Policy{DefaultPolicy(), PaperFidelityPolicy()} {
-		for _, d := range Compare(base, cand, pol).Deltas {
-			if d.Key == "table1/Ecall (warm cache)" && (d.ChangePct != 0 || d.Class != Changed) {
-				t.Fatalf("zero-base metric: change %v%%, class %s", d.ChangePct, d.Class)
-			}
+	// div-by-zero): only equality holds it.
+	for _, d := range Compare(base, cand).Deltas {
+		if d.Key == "table1/Ecall (warm cache)" && (d.ChangePct != 0 || d.Class != Changed) {
+			t.Fatalf("zero-base metric: change %v%%, class %s", d.ChangePct, d.Class)
 		}
 	}
-	if res := Compare(base, base, DefaultPolicy()); res.Failed() {
+	if res := Compare(base, base); res.Failed() {
 		t.Fatalf("zero equals zero failed the gate: %s", res.Summary())
 	}
 }

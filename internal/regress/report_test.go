@@ -23,7 +23,7 @@ func TestMarkdownReportGolden(t *testing.T) {
 		ID: "fig9", Values: []bench.JSONValue{{Name: "lighttpd hotcalls", Got: 61000, Unit: "req/s"}},
 	})
 
-	res := Compare(base, cand, DefaultPolicy())
+	res := Compare(base, cand)
 	var a, b bytes.Buffer
 	if err := res.WriteMarkdown(&a); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestMarkdownReportGolden(t *testing.T) {
 // section, PASS verdict.
 func TestMarkdownPassReport(t *testing.T) {
 	base := fixtureReport()
-	res := Compare(base, base, DefaultPolicy())
+	res := Compare(base, base)
 	var buf bytes.Buffer
 	if err := res.WriteMarkdown(&buf); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package sdk
 import (
 	"fmt"
 
-	"hotcalls/internal/dist"
 	"hotcalls/internal/edl"
 	"hotcalls/internal/mem"
 	"hotcalls/internal/sim"
@@ -129,7 +128,6 @@ func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, erro
 		m.Load(clk, avxSaveAddr+uint64(i)*mem.LineSize)
 	}
 	rt.tel.ecallCycles.ObserveSince(callStart, clk.Now())
-	rt.dist.Observe(dist.Ecall, clk.Since(callStart))
 	if tr != nil {
 		tr.Emit(telemetry.KindEcall, "ecall:"+name, callStart, clk.Since(callStart), 0)
 	}

@@ -1,7 +1,6 @@
 package sdk
 
 import (
-	"hotcalls/internal/dist"
 	"hotcalls/internal/edl"
 	"hotcalls/internal/mem"
 	"hotcalls/internal/telemetry"
@@ -108,7 +107,6 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 		tr.Emit(telemetry.KindMarshal, "copyout:"+name, copyOutStart, clk.Since(copyOutStart), 0)
 	}
 	rt.tel.ocallCycles.ObserveSince(callStart, clk.Now())
-	rt.dist.Observe(dist.Ocall, clk.Since(callStart))
 	if tr != nil {
 		tr.Emit(telemetry.KindOcall, "ocall:"+name, callStart, clk.Since(callStart), 0)
 	}

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hotcalls/internal/dist"
 	"hotcalls/internal/edl"
 	"hotcalls/internal/mem"
 	"hotcalls/internal/sgx"
@@ -143,10 +142,6 @@ type Runtime struct {
 	// SetTelemetry attaches a registry.
 	tel runtimeTel
 
-	// dist records full-resolution per-call latency distributions; nil
-	// (one branch per call) until SetDistribution attaches a set.
-	dist *dist.Set
-
 	// sharedRings are the registered zero-copy payload-ring regions.
 	// A [zerocopy] pointer parameter must lie entirely inside one of
 	// them; the marshalling core then skips staging and copies for it
@@ -214,12 +209,6 @@ func (rt *Runtime) SetTelemetry(reg *telemetry.Registry) {
 		tracer:      reg.Tracer(),
 	}
 }
-
-// SetDistribution attaches (or, with nil, detaches) the high-resolution
-// distribution set.  Each completed ecall/ocall records its total cycle
-// cost under the set's current temperature label, alongside the coarse
-// telemetry histograms.
-func (rt *Runtime) SetDistribution(d *dist.Set) { rt.dist = d }
 
 // Fixed plain-memory landmarks of the untrusted runtime.  Keeping them at
 // stable addresses means repeated calls find them cache-warm, exactly as

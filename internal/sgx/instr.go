@@ -1,7 +1,6 @@
 package sgx
 
 import (
-	"hotcalls/internal/dist"
 	"hotcalls/internal/mem"
 	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
@@ -51,14 +50,9 @@ func (e *Enclave) touchEnclaveEntryState(clk *sim.Clock, tcs *TCS) {
 	m.Store(clk, e.codeBase+PageSize/2) // trusted stack line
 }
 
-// leafEvent counts a completed leaf instruction, records its latency into
-// the attached distribution set (dk < 0 skips, for AEX), and traces its
-// span.
-func (e *Enclave) leafEvent(ctr *telemetry.Counter, kind telemetry.Kind, dk dist.Kind, clk *sim.Clock, start uint64) {
+// leafEvent counts a completed leaf instruction and traces its span.
+func (e *Enclave) leafEvent(ctr *telemetry.Counter, kind telemetry.Kind, clk *sim.Clock, start uint64) {
 	ctr.Inc()
-	if dk >= 0 {
-		e.platform.dist.Observe(dk, clk.Since(start))
-	}
 	if tr := e.platform.tel.tracer; tr != nil {
 		tr.Emit(kind, kind.String(), start, clk.Since(start), uint64(e.id))
 	}
@@ -77,7 +71,7 @@ func (e *Enclave) EEnter(clk *sim.Clock, tcs *TCS) error {
 	clk.Advance(eenterFixed)
 	e.touchEnclaveEntryState(clk, tcs)
 	tcs.entered = true
-	e.leafEvent(e.platform.tel.eenter, telemetry.KindEEnter, dist.EEnterLeaf, clk, start)
+	e.leafEvent(e.platform.tel.eenter, telemetry.KindEEnter, clk, start)
 	return nil
 }
 
@@ -97,7 +91,7 @@ func (e *Enclave) EExit(clk *sim.Clock, tcs *TCS) error {
 	m.Load(clk, mem.PlainBase+untrustedContextOff) // saved RSP/RBP area
 	m.Load(clk, mem.PlainBase+untrustedContextOff+mem.LineSize)
 	tcs.entered = false
-	e.leafEvent(e.platform.tel.eexit, telemetry.KindEExit, dist.EExitLeaf, clk, start)
+	e.leafEvent(e.platform.tel.eexit, telemetry.KindEExit, clk, start)
 	return nil
 }
 
@@ -114,7 +108,7 @@ func (e *Enclave) EResume(clk *sim.Clock, tcs *TCS) error {
 	clk.Advance(eresumeFixed)
 	e.touchEnclaveEntryState(clk, tcs)
 	tcs.entered = true
-	e.leafEvent(e.platform.tel.eresume, telemetry.KindEResume, dist.EEnterLeaf, clk, start)
+	e.leafEvent(e.platform.tel.eresume, telemetry.KindEResume, clk, start)
 	return nil
 }
 
@@ -134,7 +128,7 @@ func (e *Enclave) AEX(clk *sim.Clock, tcs *TCS) error {
 	}
 	tcs.cssa++
 	tcs.entered = false
-	e.leafEvent(e.platform.tel.aex, telemetry.KindAEX, dist.Kind(-1), clk, start)
+	e.leafEvent(e.platform.tel.aex, telemetry.KindAEX, clk, start)
 	return nil
 }
 

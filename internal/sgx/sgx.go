@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hotcalls/internal/dist"
 	"hotcalls/internal/mem"
 	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
@@ -114,11 +113,6 @@ type Platform struct {
 	// tel caches the platform's telemetry handles; all nil (no-op) until
 	// SetTelemetry attaches a registry.
 	tel platformTel
-
-	// dist records full-resolution leaf-instruction latency
-	// distributions; nil (one branch per leaf) until SetDistribution
-	// attaches a set.
-	dist *dist.Set
 }
 
 // platformTel is the set of cached handles the leaf instructions touch.
@@ -140,12 +134,6 @@ func (p *Platform) SetTelemetry(reg *telemetry.Registry) {
 	}
 	p.Mem.SetTelemetry(reg)
 }
-
-// SetDistribution attaches (or, with nil, detaches) the high-resolution
-// distribution set.  EENTER/ERESUME record under dist.EEnterLeaf and
-// EEXIT under dist.EExitLeaf, resolving the microcode share of every SDK
-// crossing.
-func (p *Platform) SetDistribution(d *dist.Set) { p.dist = d }
 
 // NewPlatform returns a platform with the testbed memory hierarchy and
 // deterministic fused keys derived from the seed.
