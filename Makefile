@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build build-cross loc test test-race test-repeat test-poison bench-selftest bench-sim bench-pairs bench-zerocopy experiments bench-json bench-regress profile incident-demo epc-demo
+.PHONY: check vet build build-cross loc test test-race test-repeat test-poison bench-selftest bench-sim bench-pairs bench-zerocopy experiments profile incident-demo epc-demo
 
 # check is the CI entrypoint: vet, build (natively and for the
 # architectures without an assembly spin hint), hold the line counts under
@@ -28,9 +28,9 @@ build-cross:
 # and fails when observability or the total is over its ceiling: the
 # ratio the north star names only ratchets down.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
-OBSERVABILITY = telemetry dist flight incident monitor profile epcstat regress
-OBSERVABILITY_CEILING = 6934
-TOTAL_CEILING = 20925
+OBSERVABILITY = telemetry dist flight incident monitor profile epcstat
+OBSERVABILITY_CEILING = 6655
+TOTAL_CEILING = 20563
 loc:
 	@obs=$$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY)))); total=$$($(call LOC,.)); \
 	echo "fabric (internal/core)  $$($(call LOC,./internal/core))"; \
@@ -117,39 +117,26 @@ bench-pairs:
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolConnDo|BenchmarkPoolServerThroughput' -benchtime 1s -benchmem -count 3 ./internal/apps/lighttpd/
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamWindow' -benchtime 2s -count 3 ./internal/apps/openvpn/
 
-# experiments runs every experiment once and writes the run's two
-# renderings: EXPERIMENTS.md (every table and figure, measured vs paper)
-# and REPORT.md (the paper's headline numbers, CDFs and the fidelity
-# table).  Exits 1 (and fails CI) when a fidelity metric lands outside its
-# two-sided band.  Byte-deterministic: a clean regeneration matches the
-# committed documents exactly.
+# experiments runs every experiment once and writes the run's three
+# renderings: EXPERIMENTS.md (every table and figure, measured vs paper),
+# REPORT.md (the paper's headline numbers, CDFs and the fidelity table)
+# and BENCH_hotcalls.json (every value, which go test ./internal/bench
+# holds a fresh run to exactly).  Exits 1 (and fails CI) when a fidelity
+# metric lands outside its two-sided band.  Byte-deterministic: a clean
+# regeneration matches the committed files exactly, so it is also how a
+# change that moves, adds or deletes an experiment value re-pins them.
+# Incident bundles captured along the way land in incidents/ (CI uploads
+# them when a step fails).
 experiments:
-	$(GO) run ./cmd/hotbench -docs .
+	$(GO) run ./cmd/hotbench -docs . -incident-dir incidents
 
 # bench-zerocopy runs the simulated staged-vs-zero-copy crossing sweep:
 # [in,out] marshalling against [zerocopy] ring pass-through on both
 # edges, 2-32 KB, in simulated cycles.  The series lands in
 # zerocopy-sweep.csv (CI uploads it); the ratios are part of the exact
-# bench-regress gate.
+# gate.
 bench-zerocopy:
 	$(GO) run ./cmd/hotbench -run zerocopy -zerocopy-csv zerocopy-sweep.csv
-
-# bench-json regenerates the committed baseline of the exact gate.  Run
-# it (and `make experiments`) in the commit that moves, adds or deletes
-# an experiment value; go test ./internal/bench fails until then.
-bench-json:
-	$(GO) run ./cmd/hotbench -run all -bench-json BENCH_hotcalls.json
-
-# bench-regress is the exact gate: run every experiment into a scratch
-# artifact and diff it against the committed baseline value for value.
-# The experiments report only quantities that repeat exactly (simulated
-# cycles, deterministic counts), so any changed, added or removed metric
-# exits non-zero.  Incident bundles captured along the way land in
-# incidents/ so a failing gate leaves a postmortem artifact behind (CI
-# uploads it).
-bench-regress:
-	$(GO) run ./cmd/hotbench -run all -bench-json bench-candidate.json -incident-dir incidents >/dev/null
-	$(GO) run ./cmd/benchdiff -baseline BENCH_hotcalls.json -candidate bench-candidate.json -md bench-regress.md
 
 # incident-demo is the black-box postmortem walkthrough: wedge the
 # fabric's responder, drive a fallback storm, let the monitor's rule

@@ -5,20 +5,20 @@
 //	hotbench -list
 //	hotbench -run table1
 //	hotbench -run all -csv out/
-//	hotbench -docs .                       # EXPERIMENTS.md + REPORT.md from one run
+//	hotbench -docs .                       # EXPERIMENTS.md, REPORT.md, BENCH_hotcalls.json from one run
 //
 // Each experiment prints a table comparing measured values against the
 // paper's; -csv additionally writes the raw series (CDFs, sweeps) for
-// plotting.  -docs runs every experiment once and writes both renderings
-// of the run; it exits 1 when a paper-fidelity metric lands outside its
-// band.
+// plotting.  -docs runs every experiment once and writes all three
+// renderings of the run — the two documents and the artifact
+// go test ./internal/bench holds a fresh run to, value for value; it
+// exits 1 when a paper-fidelity metric lands outside its band.
 //
 // Observability flags:
 //
 //	hotbench -run table1 -metrics          # Prometheus dump after the run
 //	hotbench -run table1 -trace out.json   # Chrome trace_event JSON
 //	hotbench -run table1 -profile out.folded # cycle-attribution profile
-//	hotbench -run all -bench-json BENCH_hotcalls.json
 //	hotbench -run all -monitor             # health summary + alerts after the run
 //	hotbench -run all -watch               # live monitor table, redrawn in place
 //	hotbench -run incident -incident-dir incidents # postmortem-bundle demo, spooled to disk
@@ -54,17 +54,16 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	run := flag.String("run", "all", "experiment ID(s) to run, comma-separated, or 'all'")
 	csvDir := flag.String("csv", "", "directory to write raw CSV series into")
-	docsDir := flag.String("docs", "", "run everything once and write EXPERIMENTS.md and REPORT.md into this directory; exit 1 when a paper-fidelity metric is outside its band")
+	docsDir := flag.String("docs", "", "run everything once and write EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json into this directory; exit 1 when a paper-fidelity metric is outside its band")
 	metrics := flag.Bool("metrics", false, "dump all counters and histograms in Prometheus text format after the run")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of boundary crossings to this path")
 	profilePath := flag.String("profile", "", "write a cycle-attribution profile: folded flame-graph stacks to this path, pprof protobuf to <path>.pb.gz, breakdown tables to stdout")
-	benchJSON := flag.String("bench-json", "", "write machine-readable benchmark results (medians, speedups, metadata) as JSON to this path")
 	monitorFlag := flag.Bool("monitor", false, "run the continuous health monitor during the experiments and print its verdict and alerts afterwards")
 	watch := flag.Bool("watch", false, "like -monitor, but redraw a live sample table in place while experiments run")
 	incidentDir := flag.String("incident-dir", "", "spool incident bundles captured by the experiments (see -run incident) to this directory as <bundle-id>.json")
 	epcSVG := flag.String("epc-svg", "", "write the epc experiment's oversubscribed fault-heatmap SVG (the /debug/epc?format=svg view) to this path")
 	zcCSV := flag.String("zerocopy-csv", "", "write the zerocopy experiment's sweep series CSV to this path")
-	seed := flag.Uint64("seed", 0, "base seed the experiments' random streams derive from; 0 (the default) reproduces the committed EXPERIMENTS.md and REPORT.md byte for byte and BENCH_hotcalls.json value for value")
+	seed := flag.Uint64("seed", 0, "base seed the experiments' random streams derive from; 0 (the default) reproduces the committed EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json byte for byte")
 	flag.Parse()
 
 	bench.SetSeed(*seed)
@@ -106,7 +105,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println("wrote", filepath.Join(*docsDir, "EXPERIMENTS.md"), filepath.Join(*docsDir, "REPORT.md"))
+		fmt.Println("wrote", filepath.Join(*docsDir, "EXPERIMENTS.md"), filepath.Join(*docsDir, "REPORT.md"), filepath.Join(*docsDir, "BENCH_hotcalls.json"))
 		return
 	}
 
@@ -137,11 +136,9 @@ func main() {
 		}
 	}
 
-	var reports []*bench.Report
 	for _, e := range experiments {
 		start := time.Now()
 		report := e.Run()
-		reports = append(reports, report)
 		fmt.Printf("=== %s ===\n%s\n%s(%.1fs)\n\n", report.ID, report.Title, report.Table, time.Since(start).Seconds())
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -232,22 +229,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-			os.Exit(1)
-		}
-		err = bench.WriteJSONReport(f, reports)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *benchJSON)
 	}
 }
 

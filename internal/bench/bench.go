@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: one registered experiment per
 // table and figure of the paper's evaluation, each regenerating the same
 // rows or series the paper reports and recording measured-vs-paper values.
-// cmd/hotbench is the command-line front end; EXPERIMENTS.md and
-// REPORT.md are two renderings of one run of these reports.
+// cmd/hotbench is the command-line front end; EXPERIMENTS.md, REPORT.md
+// and BENCH_hotcalls.json are three renderings of one run of these
+// reports.
 package bench
 
 import (

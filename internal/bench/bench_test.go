@@ -278,8 +278,8 @@ func TestReportsRender(t *testing.T) {
 // EXPERIMENTS.md and REPORT.md to a fresh run of this tree: every
 // experiment reports only quantities that repeat exactly, so a difference
 // means the change that moved, added or deleted a number did not
-// regenerate them (make bench-json experiments).  It reuses the runs the
-// tests above cached.
+// regenerate them (make experiments).  It reuses the runs the tests above
+// cached.
 func TestCommittedArtifactsCurrent(t *testing.T) {
 	reports := allReports(t)
 
@@ -297,33 +297,8 @@ func TestCommittedArtifactsCurrent(t *testing.T) {
 	if committed.GOARCH != runtime.GOARCH {
 		t.Skipf("baseline generated on %s, running on %s", committed.GOARCH, runtime.GOARCH)
 	}
-	fresh := BuildJSONReport(reports)
-	if committed.Summary != fresh.Summary {
-		t.Errorf("BENCH_hotcalls.json summary is stale:\ncommitted %+v\nfresh     %+v", committed.Summary, fresh.Summary)
-	}
-	flat := func(r JSONReport) map[string]JSONValue {
-		m := map[string]JSONValue{}
-		for _, e := range r.Experiments {
-			for _, v := range e.Values {
-				m[e.ID+"/"+v.Name] = v
-			}
-		}
-		return m
-	}
-	was, now := flat(committed), flat(fresh)
-	for key, v := range was {
-		if Get(strings.SplitN(key, "/", 2)[0]) == nil {
-			t.Errorf("BENCH_hotcalls.json names a deleted experiment: %s", key)
-		} else if nv, ok := now[key]; !ok {
-			t.Errorf("BENCH_hotcalls.json is stale: %s is no longer reported", key)
-		} else if nv != v {
-			t.Errorf("BENCH_hotcalls.json is stale: %s committed %+v, fresh %+v", key, v, nv)
-		}
-	}
-	for key := range now {
-		if _, ok := was[key]; !ok {
-			t.Errorf("BENCH_hotcalls.json is stale: %s is reported but not committed", key)
-		}
+	if lines := artifactDiff(committed, BuildJSONReport(reports)); len(lines) > 0 {
+		t.Errorf("BENCH_hotcalls.json is stale in %d keys (make experiments re-pins it):\n%s", len(lines), strings.Join(lines, "\n"))
 	}
 
 	report, err := renderReport(reports)
@@ -501,7 +476,7 @@ func TestFidelityOrdering(t *testing.T) {
 
 // TestFidelityOutOfBandFails pushes Figure 3's median out of its band:
 // REPORT.md must render the row and the verdict as failures, and the
-// -docs path must still write both documents and return the error.
+// -docs path must still write all three renderings and return the error.
 func TestFidelityOutOfBandFails(t *testing.T) {
 	var reports []*Report
 	for _, r := range allReports(t) {
@@ -526,7 +501,7 @@ func TestFidelityOutOfBandFails(t *testing.T) {
 	if err := writeDocs(dir, reports); err == nil {
 		t.Fatal("writeDocs passed an out-of-band report")
 	}
-	for _, name := range []string{"EXPERIMENTS.md", "REPORT.md"} {
+	for _, name := range []string{"EXPERIMENTS.md", "REPORT.md", "BENCH_hotcalls.json"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("failing run did not write %s: %v", name, err)
 		}

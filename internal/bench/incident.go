@@ -7,11 +7,12 @@ package bench
 // diagnosis and the exact per-callsite counts.  The bundle itself — the
 // artifact a responder on-call would pull from /debug/incidents, with
 // its capture time and wall-clock timelines — is spooled to disk with
-// hotbench -incident-dir (make incident-demo), which is what CI uploads
-// when a gate fails.
+// hotbench -incident-dir (make incident-demo, make experiments), which is
+// what CI uploads when a step fails.
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"hotcalls/internal/core"
@@ -105,11 +106,13 @@ func runIncidentDemo() *Report {
 				cs.Name, cs.Arrivals, cs.Timeouts, cs.Fallbacks)
 		}
 		fmt.Fprintf(&sb, "bundles captured: %d\n", len(bundles))
+		// Where the bundle went is not part of the table, so the -docs
+		// renderings are the same with and without -incident-dir.
 		if incidentDir != "" {
 			if _, _, diskErr := cap.Stats(); diskErr != nil {
-				fmt.Fprintf(&sb, "\nspool error: %v\n", diskErr)
+				fmt.Fprintf(os.Stderr, "incident: spool error: %v\n", diskErr)
 			} else {
-				fmt.Fprintf(&sb, "\nspooled: %s/%s.json\n", incidentDir, b.ID)
+				fmt.Fprintf(os.Stderr, "incident: spooled %s/%s.json\n", incidentDir, b.ID)
 			}
 		}
 	}

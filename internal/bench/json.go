@@ -4,14 +4,15 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
-	"time"
 
 	"hotcalls/internal/sim"
 )
 
 // This file renders experiment results as machine-readable JSON
-// (BENCH_hotcalls.json): the perf trajectory future changes diff
-// against, instead of re-parsing the human tables.
+// (BENCH_hotcalls.json), the third rendering of hotbench -docs's run:
+// every value the experiments report, which TestCommittedArtifactsCurrent
+// holds a fresh run to key by key.  It carries nothing a rerun of the
+// same tree would change, so a clean regeneration leaves it untouched.
 
 // JSONValue is one measured point.
 type JSONValue struct {
@@ -40,11 +41,10 @@ type JSONSummary struct {
 	HotCallVsOcallSpeedup float64 `json:"hotcall_vs_ocall_speedup,omitempty"`
 }
 
-// JSONReport is the whole artifact.
+// JSONReport is the whole artifact.  GOARCH says where it was generated:
+// exactness is a same-architecture property.
 type JSONReport struct {
 	Schema      string           `json:"schema"`
-	GeneratedAt string           `json:"generated_at"`
-	GoVersion   string           `json:"go_version"`
 	GOOS        string           `json:"goos"`
 	GOARCH      string           `json:"goarch"`
 	FrequencyHz uint64           `json:"sim_frequency_hz"`
@@ -58,8 +58,6 @@ type JSONReport struct {
 func BuildJSONReport(reports []*Report) JSONReport {
 	out := JSONReport{
 		Schema:      "hotcalls-bench/v1",
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		FrequencyHz: sim.FrequencyHz,
@@ -91,8 +89,8 @@ func BuildJSONReport(reports []*Report) JSONReport {
 	return out
 }
 
-// WriteJSONReport renders the artifact with stable indentation so
-// successive runs diff cleanly.
+// WriteJSONReport renders the artifact with stable indentation, byte for
+// byte the same for the same reports.
 func WriteJSONReport(w io.Writer, reports []*Report) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -364,11 +364,11 @@ func TestChromeEventsInlineOnRequesterRow(t *testing.T) {
 	var spans int
 	for _, e := range ChromeEventsForViews(views) {
 		switch e := e.(type) {
-		case flightMetadata:
+		case telemetry.ChromeMetadata:
 			if e.TID != requesterRowBase+1 {
 				t.Errorf("row %d %q declared for an inline call, want only the requester's", e.TID, e.Args["name"])
 			}
-		case flightEvent:
+		case telemetry.ChromeEvent:
 			if e.TID != requesterRowBase+1 {
 				t.Errorf("event %q on row %d, want the requester's row %d", e.Name, e.TID, requesterRowBase+1)
 			}
@@ -379,6 +379,35 @@ func TestChromeEventsInlineOnRequesterRow(t *testing.T) {
 	}
 	if spans != 2 {
 		t.Errorf("%d spans, want the call and its execution", spans)
+	}
+}
+
+// TestChromeEventsDeterministic: the same frozen records render the same
+// bytes on every call — an incident bundle's trace view must not reorder
+// its rows between two fetches.  Two shards and two responders give the
+// export four rows to name.
+func TestChromeEventsDeterministic(t *testing.T) {
+	r, clk := newTestRecorder(t, 2, Options{SampleEvery: 1})
+	cs := r.Callsite("op")
+	for i := 0; i < 4; i++ {
+		play(r, clk, cs, i%2, i/2, 1000)
+	}
+	views := r.Records(8)
+	render := func() string {
+		var b strings.Builder
+		if err := telemetry.WriteChromeJSON(&b, ChromeEventsForViews(views)); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	first := render()
+	if rows := strings.Count(first, `"thread_name"`); rows != 4 {
+		t.Fatalf("%d rows named, want 2 requesters + 2 responders:\n%s", rows, first)
+	}
+	for i := 0; i < 20; i++ {
+		if again := render(); again != first {
+			t.Fatalf("render %d differs:\n%s\nfirst:\n%s", i+2, again, first)
+		}
 	}
 }
 

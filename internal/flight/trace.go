@@ -3,6 +3,7 @@ package flight
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 
 	"hotcalls/internal/telemetry"
@@ -20,27 +21,6 @@ const (
 	unclaimedResponse = -1
 )
 
-// flightEvent is one trace_event record (numeric and string args mix,
-// so args is a generic map).
-type flightEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type flightMetadata struct {
-	Name  string            `json:"name"`
-	Phase string            `json:"ph"`
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Args  map[string]string `json:"args"`
-}
-
 func usec(ns uint64) float64 { return float64(ns) / 1e3 }
 
 // ChromeEvents converts a causal window of up to max recent records
@@ -48,7 +28,8 @@ func usec(ns uint64) float64 { return float64(ns) / 1e3 }
 // full submit→return span of each call, per-responder rows carry the
 // claim instant and the execute span (on the requester's own row for a
 // call it ran inline).  The result is ready for
-// telemetry.WriteChromeJSON.
+// telemetry.WriteChromeJSON: the rows' thread_name records first, in
+// ascending row order, so the same records always render the same bytes.
 func (r *Recorder) ChromeEvents(max int) []any {
 	return ChromeEventsForViews(r.Records(max))
 }
@@ -74,7 +55,7 @@ func ChromeEventsForViews(views []RecordView) []any {
 		if v.Stopped {
 			name += " (stopped)"
 		}
-		out = append(out, flightEvent{
+		out = append(out, telemetry.ChromeEvent{
 			Name: name, Cat: "flight", Phase: "X",
 			TS: usec(v.SubmitNS), Dur: usec(v.ReturnNS - v.SubmitNS),
 			PID: chromePID, TID: reqRow, Args: args,
@@ -89,24 +70,29 @@ func ChromeEventsForViews(views []RecordView) []any {
 			rows[respRow] = "responder " + itoa(v.Responder)
 		}
 		if v.ClaimNS != 0 {
-			out = append(out, flightEvent{
+			out = append(out, telemetry.ChromeEvent{
 				Name: "claim", Cat: "flight", Phase: "i",
 				TS: usec(v.ClaimNS), PID: chromePID, TID: respRow,
 				Args: map[string]any{"trace_id": hex(v.TraceID)},
 			})
 		}
-		out = append(out, flightEvent{
+		out = append(out, telemetry.ChromeEvent{
 			Name: v.Name, Cat: "flight", Phase: "X",
 			TS: usec(v.ExecStartNS), Dur: usec(v.ExecEndNS - v.ExecStartNS),
 			PID: chromePID, TID: respRow,
 			Args: map[string]any{"trace_id": hex(v.TraceID)},
 		})
 	}
-	meta := make([]any, 0, len(rows))
-	for tid, name := range rows {
-		meta = append(meta, flightMetadata{
+	tids := make([]int, 0, len(rows))
+	for tid := range rows {
+		tids = append(tids, tid)
+	}
+	sort.Ints(tids)
+	meta := make([]any, 0, len(rows)+len(out))
+	for _, tid := range tids {
+		meta = append(meta, telemetry.ChromeMetadata{
 			Name: "thread_name", Phase: "M", PID: chromePID, TID: tid,
-			Args: map[string]string{"name": name},
+			Args: map[string]string{"name": rows[tid]},
 		})
 	}
 	return append(meta, out...)

@@ -103,17 +103,18 @@ func (r *Registry) WritePrometheusWith(w io.Writer, o PromOptions) error {
 // testbed core frequency.
 const cyclesPerMicro = float64(sim.FrequencyHz) / 1e6
 
-// chromeEvent is one trace_event record in the Chrome/Perfetto JSON
-// format.
-type chromeEvent struct {
-	Name  string            `json:"name"`
-	Cat   string            `json:"cat,omitempty"`
-	Phase string            `json:"ph"`
-	TS    float64           `json:"ts"`
-	Dur   float64           `json:"dur,omitempty"`
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Args  map[string]uint64 `json:"args,omitempty"`
+// ChromeEvent is one trace_event record in the Chrome/Perfetto JSON
+// format, the one record type of every Chrome export in the tree (this
+// exporter's cycle-domain rows and the flight recorder's wall-clock rows).
+type ChromeEvent struct {
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat,omitempty"`
+	Phase string         `json:"ph"`
+	TS    float64        `json:"ts"`
+	Dur   float64        `json:"dur,omitempty"`
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Args  map[string]any `json:"args,omitempty"`
 }
 
 // chromeTID groups event kinds onto stable rows: all call spans on one
@@ -142,9 +143,9 @@ var chromeRowNames = map[int]string{
 	6: "memory", 7: "call phases",
 }
 
-// chromeMetadata is a trace_event metadata record (string-valued args,
-// unlike the numeric args of data events).
-type chromeMetadata struct {
+// ChromeMetadata is a trace_event metadata record (string-valued args,
+// unlike the mixed args of data events): a thread_name record names a row.
+type ChromeMetadata struct {
 	Name  string            `json:"name"`
 	Phase string            `json:"ph"`
 	PID   int               `json:"pid"`
@@ -157,7 +158,7 @@ type chromeMetadata struct {
 func ChromeRowMetadata() []any {
 	out := make([]any, 0, len(chromeRowNames))
 	for tid := 1; tid <= len(chromeRowNames); tid++ {
-		out = append(out, chromeMetadata{
+		out = append(out, ChromeMetadata{
 			Name: "thread_name", Phase: "M", PID: 0, TID: tid,
 			Args: map[string]string{"name": chromeRowNames[tid]},
 		})
@@ -172,7 +173,7 @@ func ChromeRowMetadata() []any {
 func ChromeTraceEvents(events []Event) []any {
 	out := make([]any, 0, len(events))
 	for _, e := range events {
-		ce := chromeEvent{
+		ce := ChromeEvent{
 			Name:  e.Name,
 			Cat:   e.Kind.String(),
 			Phase: "X",
@@ -186,9 +187,9 @@ func ChromeTraceEvents(events []Event) []any {
 			ce.Phase = "i"
 		}
 		if e.Arg != 0 {
-			ce.Args = map[string]uint64{"arg": e.Arg, "cycles": e.Dur}
+			ce.Args = map[string]any{"arg": e.Arg, "cycles": e.Dur}
 		} else if e.Dur > 0 {
-			ce.Args = map[string]uint64{"cycles": e.Dur}
+			ce.Args = map[string]any{"cycles": e.Dur}
 		}
 		out = append(out, ce)
 	}
