@@ -15,7 +15,7 @@ import (
 // hashes to.  (That the armed model reaches the registry, the monitor
 // and /debug/epc is the kit's test, porting.TestFabricKitAllArmed.)
 func TestPoolServerEPCAttribution(t *testing.T) {
-	s := NewPoolServer(2, fastPoolOpts(2))
+	s := NewPoolServer(2, testPoolOpts(2))
 	s.Arm(porting.Observers{EPCBytes: 256 * epc.PageSize})
 	s.Start()
 	defer s.Stop()

@@ -13,7 +13,7 @@ import (
 // TestPoolServerFlightCallsites checks that fabric-routed requests are
 // attributed to the per-method callsites.
 func TestPoolServerFlightCallsites(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(2))
+	s := NewPoolServer(1, testPoolOpts(2))
 	rec := flight.New(flight.Options{SampleEvery: 1})
 	s.Arm(porting.Observers{Flight: rec})
 	s.Start()
@@ -50,7 +50,7 @@ func TestPoolServerFlightCallsites(t *testing.T) {
 // monitor and capturer and mounts /debug/flight — and no endpoint for a
 // collector that was not armed.
 func TestPoolServerDebugMuxFlight(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(2))
+	s := NewPoolServer(1, testPoolOpts(2))
 	s.Arm(porting.Observers{Registry: telemetry.New(), Flight: flight.New(flight.Options{SampleEvery: 1})})
 	s.Start()
 	defer s.Stop()

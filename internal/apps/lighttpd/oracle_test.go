@@ -60,7 +60,7 @@ func TestPoolServerMatchesOracle(t *testing.T) {
 		"/doc":   []byte("hello"),
 		"/empty": {},
 	}
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	for path, body := range docroot {
 		s.AddDocument(path, body)
 	}

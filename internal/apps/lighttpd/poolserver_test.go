@@ -15,22 +15,20 @@ import (
 	"hotcalls/internal/telemetry"
 )
 
-func fastPoolOpts(maxResponders int) core.PoolOptions {
+// testPoolOpts sizes the ring to a connection window and gives
+// submissions patience.
+func testPoolOpts(maxResponders int) core.PoolOptions {
 	return core.PoolOptions{
 		SlotsPerShard: connWindow,
-		MinResponders: 1,
 		MaxResponders: maxResponders,
 		Timeout:       1 << 20,
-		ControlWindow: 8,
-		SpinPasses:    2,
-		YieldPasses:   4,
 	}
 }
 
 const getIndex = "GET /index.html HTTP/1.0\r\nHost: sim\r\n\r\n"
 
 func TestPoolServerServesIndex(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(2))
+	s := NewPoolServer(1, testPoolOpts(2))
 	s.Start()
 	defer s.Stop()
 
@@ -52,7 +50,7 @@ func TestPoolServerServesIndex(t *testing.T) {
 }
 
 func TestPoolServerHeadAndErrors(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.AddDocument("/doc", []byte("hello"))
 	s.Start()
 	defer s.Stop()
@@ -79,7 +77,7 @@ func TestPoolServerHeadAndErrors(t *testing.T) {
 
 func TestPoolServerConcurrentConnections(t *testing.T) {
 	const conns = 4
-	s := NewPoolServer(conns, fastPoolOpts(3))
+	s := NewPoolServer(conns, testPoolOpts(3))
 	s.Arm(porting.Observers{Registry: telemetry.New()})
 	s.Start()
 	defer s.Stop()
@@ -131,7 +129,7 @@ func TestPoolServerServesLargeDocument(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i * 7)
 	}
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.AddDocument("/large", body)
 	s.Start()
 	defer s.Stop()
@@ -165,7 +163,7 @@ func TestPoolServerServesLargeDocument(t *testing.T) {
 // uncollected request fails with ErrWindowFull and collecting one makes
 // room again.
 func TestPoolConnWindowFull(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -199,7 +197,7 @@ func TestPoolConnWindowFull(t *testing.T) {
 // with the ^0 sentinel, and an out-of-range index or length names no
 // image either.
 func TestPoolConnWaitRejectsBadWord(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -241,7 +239,7 @@ func TestPoolConnWaitRejectsBadWord(t *testing.T) {
 // untrusted side can.  Each must be answered with the 400 image by a
 // responder that goes on serving.
 func TestPoolServerForgedCallWord(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -274,10 +272,51 @@ func TestPoolServerForgedCallWord(t *testing.T) {
 	}
 }
 
+// FuzzCallWord submits a fuzzed call word to a connection whose slot
+// buffers hold earlier requests.  Every answer names a response image
+// (never ErrBadResponse); a word naming no slot, or a length past the
+// buffer, is answered with the 400 image.  The handler never panics, and
+// the server answers a real request afterwards.
+func FuzzCallWord(f *testing.F) {
+	s := NewPoolServer(1, testPoolOpts(1))
+	s.Start()
+	f.Cleanup(s.Stop)
+	c := s.Conn(0)
+	for i := 0; i < connWindow; i++ {
+		if _, err := c.Do(getIndex); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, word := range []uint64{0, packData(0, len(getIndex)), packData(5, len(getIndex)-2), packData(connWindow-1, readCap),
+		connWindow<<32 | 16, 1<<31<<32 | 16, readCap + 1, ^uint64(0)} {
+		f.Add(word)
+	}
+	f.Fuzz(func(t *testing.T, word uint64) {
+		pd, err := c.req.Submit(opServeHTTP, word)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ret, err := pd.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := s.response(ret)
+		if err != nil {
+			t.Fatalf("word %#x = %#x: %v", word, ret, err)
+		}
+		if slot, n := unpackData(word); (slot >= connWindow || n > readCap) && !strings.HasPrefix(string(resp), "HTTP/1.0 400 Bad Request\r\n") {
+			t.Fatalf("word %#x answered %.40q, want the 400 image", word, resp)
+		}
+		if resp, err := c.Do(getIndex); err != nil || !bytes.HasPrefix(resp, []byte("HTTP/1.0 200")) {
+			t.Fatalf("the server must survive word %#x: (%.40q, %v)", word, resp, err)
+		}
+	})
+}
+
 // TestPoolServerAddDocumentAfterStartPanics: the image set is fixed at
 // Start, so a late AddDocument fails loudly rather than being ignored.
 func TestPoolServerAddDocumentAfterStartPanics(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
 	defer s.Stop()
 	defer func() {

@@ -13,7 +13,7 @@ import (
 // own Response.  (The race detector instruments allocation, hence the
 // build tag.)
 func TestPoolConnZeroAlloc(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)

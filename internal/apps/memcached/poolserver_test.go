@@ -12,21 +12,18 @@ import (
 	"hotcalls/internal/telemetry"
 )
 
-// fastPoolOpts keeps adaptive transitions quick in tests.
-func fastPoolOpts(maxResponders int) core.PoolOptions {
+// testPoolOpts sizes the ring to a connection window and gives
+// submissions patience.
+func testPoolOpts(maxResponders int) core.PoolOptions {
 	return core.PoolOptions{
 		SlotsPerShard: connWindow,
-		MinResponders: 1,
 		MaxResponders: maxResponders,
 		Timeout:       1 << 20,
-		ControlWindow: 8,
-		SpinPasses:    2,
-		YieldPasses:   4,
 	}
 }
 
 func TestPoolServerSetGetDelete(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(2))
+	s := NewPoolServer(1, testPoolOpts(2))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -58,7 +55,7 @@ func TestPoolServerSetGetDelete(t *testing.T) {
 }
 
 func TestPoolServerPipelinedWindow(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(2))
+	s := NewPoolServer(1, testPoolOpts(2))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -88,7 +85,7 @@ func TestPoolServerPipelinedWindow(t *testing.T) {
 // ErrWindowFull sentinel, allocating nothing, and the window moves again
 // once the oldest request is collected.
 func TestPoolConnWindowFull(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -123,7 +120,7 @@ func TestPoolConnWindowFull(t *testing.T) {
 
 func TestPoolServerConcurrentConnections(t *testing.T) {
 	const conns = 4
-	s := NewPoolServer(conns, fastPoolOpts(3))
+	s := NewPoolServer(conns, testPoolOpts(3))
 	s.Arm(porting.Observers{Registry: telemetry.New()})
 	s.Start()
 	defer s.Stop()
@@ -160,7 +157,7 @@ func TestPoolServerConcurrentConnections(t *testing.T) {
 }
 
 func TestPoolServerMalformedPacketSentinel(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -183,7 +180,7 @@ func TestPoolServerMalformedPacketSentinel(t *testing.T) {
 // untrusted side can.  Each must get the malformed-packet sentinel from a
 // responder that goes on serving.
 func TestPoolServerForgedCallWord(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -206,6 +203,45 @@ func TestPoolServerForgedCallWord(t *testing.T) {
 	if resp, err := c.Do(&Request{Op: OpSet, Key: "k", Value: []byte("v")}); err != nil || resp.Status != StatusOK {
 		t.Fatalf("the server must survive forged words: (%+v, %v)", resp, err)
 	}
+}
+
+// FuzzCallWord submits a fuzzed call word to a connection whose slot
+// buffers hold earlier requests.  A word naming no slot, or a length
+// past the buffer, gets the sentinel; any other answer is the sentinel
+// or a response length the slot's buffer holds.  The handler never
+// panics, and the server answers a real request afterwards.
+func FuzzCallWord(f *testing.F) {
+	s := NewPoolServer(1, testPoolOpts(1))
+	s.Start()
+	f.Cleanup(s.Stop)
+	c := s.Conn(0)
+	for i := 0; i < connWindow; i++ {
+		if _, err := c.Do(&Request{Op: OpSet, Key: fmt.Sprintf("k%d", i), Value: []byte("v")}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, word := range []uint64{0, packData(0, HeaderSize), packData(3, HeaderSize+3), packData(connWindow-1, bufCap),
+		connWindow<<32 | HeaderSize, 1<<31<<32 | HeaderSize, bufCap + 1, ^uint64(0)} {
+		f.Add(word)
+	}
+	f.Fuzz(func(t *testing.T, word uint64) {
+		pd, err := c.req.Submit(opServe, word)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ret, err := pd.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slot, n := unpackData(word); (slot >= connWindow || n > bufCap) && ret != ^uint64(0) {
+			t.Fatalf("word %#x = %#x, want the sentinel", word, ret)
+		} else if ret != ^uint64(0) && ret > bufCap {
+			t.Fatalf("word %#x = %#x, past the %d-byte response buffer", word, ret, bufCap)
+		}
+		if resp, err := c.Do(&Request{Op: OpGet, Key: "k0"}); err != nil || resp.Status != StatusOK {
+			t.Fatalf("the server must survive word %#x: (%+v, %v)", word, resp, err)
+		}
+	})
 }
 
 // BenchmarkPoolServerThroughput measures the fabric-routed request path
@@ -245,7 +281,7 @@ func BenchmarkPoolServerThroughput(b *testing.B) {
 // SET stored, up to the largest value a request buffer can carry — the
 // value travels straight into the response buffer, which is as large.
 func TestPoolGetReturnsWhatSetStored(t *testing.T) {
-	s := NewPoolServer(1, fastPoolOpts(1))
+	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)

@@ -40,7 +40,7 @@ func TestDataPathAllocCeilings(t *testing.T) {
 	}
 
 	// The handler alone, on frames sealed ahead of the measurement.
-	opts := fastVPNOpts(2)
+	opts := testVPNOpts(2)
 	opts.RingSlabs = runs + 1
 	s := NewPoolServer(1, opts)
 	c := s.Conn(0)
@@ -62,7 +62,7 @@ func TestDataPathAllocCeilings(t *testing.T) {
 		t.Errorf("tunnel handler allocates %.0f per frame, want <= 4", n)
 	}
 
-	s = NewPoolServer(1, fastVPNOpts(2))
+	s = NewPoolServer(1, testVPNOpts(2))
 	s.Start()
 	defer s.Stop()
 	c = s.Conn(0)

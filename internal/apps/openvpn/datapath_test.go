@@ -67,7 +67,7 @@ func TestGoldenFrameWireCompat(t *testing.T) {
 
 	// The relay handler, driven directly: same inbound bytes from the
 	// peer's sealer, same outbound bytes after open + re-seal in place.
-	s := NewPoolServer(1, fastVPNOpts(1))
+	s := NewPoolServer(1, testVPNOpts(1))
 	c := s.Conn(0)
 	slab, segs, err := c.sealInto(payload)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestMACCheckedBeforeReplayAndDecrypt(t *testing.T) {
 		t.Fatalf("genuine frame after forgery: %v", err)
 	}
 
-	s := NewPoolServer(1, fastVPNOpts(1))
+	s := NewPoolServer(1, testVPNOpts(1))
 	c := s.Conn(0)
 	slab, segs, err := c.sealInto(testPayload(256, 1))
 	if err != nil {
@@ -160,7 +160,7 @@ func TestMacConcurrentUnderOneCipher(t *testing.T) {
 }
 
 func TestPoolTunnelFrameTooLarge(t *testing.T) {
-	s := NewPoolServer(1, fastVPNOpts(2))
+	s := NewPoolServer(1, testVPNOpts(2))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)

@@ -108,8 +108,8 @@ func connCiphers(i int) (rx, tx *Cipher) {
 
 // The port's flight callsites: the synchronous forward path and the
 // vectored streaming path show as separate rows, each with its payload
-// byte volume (flight_callsite_bytes_total), which is what lets the
-// what-if router's cost model separate per-call from per-byte cycles.
+// byte volume (flight_callsite_bytes_total in /metrics and
+// /debug/flight).
 // The constants index fabricSpec.Callsites.
 const (
 	csForward = iota

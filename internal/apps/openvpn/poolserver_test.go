@@ -2,6 +2,7 @@ package openvpn
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,16 +14,13 @@ import (
 	"hotcalls/internal/telemetry"
 )
 
-// fastVPNOpts keeps adaptive transitions quick in tests.
-func fastVPNOpts(maxResponders int) core.PoolOptions {
+// testVPNOpts sizes the ring to a Stream window and gives submissions
+// patience.
+func testVPNOpts(maxResponders int) core.PoolOptions {
 	return core.PoolOptions{
 		SlotsPerShard: vpnWindow,
-		MinResponders: 1,
 		MaxResponders: maxResponders,
 		Timeout:       1 << 20,
-		ControlWindow: 8,
-		SpinPasses:    2,
-		YieldPasses:   4,
 	}
 }
 
@@ -35,7 +33,7 @@ func testPayload(n, tag int) []byte {
 }
 
 func TestPoolTunnelForward(t *testing.T) {
-	s := NewPoolServer(1, fastVPNOpts(2))
+	s := NewPoolServer(1, testVPNOpts(2))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -56,7 +54,7 @@ func TestPoolTunnelForward(t *testing.T) {
 }
 
 func TestPoolTunnelTamperDrop(t *testing.T) {
-	s := NewPoolServer(1, fastVPNOpts(1))
+	s := NewPoolServer(1, testVPNOpts(1))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -86,7 +84,7 @@ func TestPoolTunnelTamperDrop(t *testing.T) {
 }
 
 func TestPoolTunnelStreamWindow(t *testing.T) {
-	s := NewPoolServer(1, fastVPNOpts(2))
+	s := NewPoolServer(1, testVPNOpts(2))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -109,9 +107,14 @@ func TestPoolTunnelStreamWindow(t *testing.T) {
 	}
 }
 
+// TestPoolTunnelConcurrentConnections streams 100 windows on each of
+// four connections at once: enough control windows for the controller
+// to grow the pool past one responder on two Ps, so responders and
+// helping requesters race for the same runs, and the in-place handler
+// turns any double execution into a failed MAC.
 func TestPoolTunnelConcurrentConnections(t *testing.T) {
 	const conns = 4
-	s := NewPoolServer(conns, fastVPNOpts(3))
+	s := NewPoolServer(conns, testVPNOpts(3))
 	s.Arm(porting.Observers{Registry: telemetry.New()})
 	s.Start()
 	defer s.Stop()
@@ -124,7 +127,7 @@ func TestPoolTunnelConcurrentConnections(t *testing.T) {
 		go func(ci int) {
 			defer wg.Done()
 			payloads := make([][]byte, vpnWindow)
-			for round := 0; round < 25; round++ {
+			for round := 0; round < 100; round++ {
 				for i := range payloads {
 					payloads[i] = testPayload(512, ci*1000+round*vpnWindow+i)
 				}
@@ -151,7 +154,7 @@ func TestPoolTunnelConcurrentConnections(t *testing.T) {
 // connection.  (That the armed model reaches the registry, the monitor
 // and /debug/epc is the kit's test, porting.TestFabricKitAllArmed.)
 func TestPoolTunnelEPCAttribution(t *testing.T) {
-	s := NewPoolServer(2, fastVPNOpts(2))
+	s := NewPoolServer(2, testVPNOpts(2))
 	s.Arm(porting.Observers{EPCBytes: 256 * epc.PageSize})
 	s.Start()
 	defer s.Stop()
@@ -184,7 +187,7 @@ func TestPoolTunnelEPCAttribution(t *testing.T) {
 // payload volume per callsite — the per-byte signal the what-if router's
 // cost model consumes.
 func TestPoolTunnelFlightBytes(t *testing.T) {
-	s := NewPoolServer(1, fastVPNOpts(2))
+	s := NewPoolServer(1, testVPNOpts(2))
 	rec := flight.New(flight.Options{SampleEvery: 1})
 	s.Arm(porting.Observers{Registry: telemetry.New(), Flight: rec})
 	s.Start()
@@ -235,4 +238,126 @@ func TestPoolTunnelFlightBytes(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte("flight_callsite_bytes_total")) {
 		t.Error("flight_callsite_bytes_total missing from exposition")
 	}
+}
+
+// rxWindow reads connection 0's receive replay window under its lock.
+func rxWindow(s *PoolServer) replayWindow {
+	t := s.tunnels[0]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rxWin
+}
+
+// TestPoolServerForgedCallWord posts the tunnel calls a hostile
+// untrusted side can forge — every descriptor inside the connection's
+// own ring, so each reaches the handler — and requires the ^0 sentinel
+// for each, no panic, and a receive replay window the forgeries left
+// untouched: a frame sealed before them is still accepted after.
+func TestPoolServerForgedCallWord(t *testing.T) {
+	s := NewPoolServer(1, testVPNOpts(1))
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+
+	// A stale packet ID: one authentic frame, relayed once, then posted
+	// again byte for byte.
+	slab, segs, err := c.sealInto(testPayload(64, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := bytes.Clone(c.ring.Slab(slab)[:FrameOverhead+64])
+	if ret, err := c.req.CallZC(opTunnel, 0, segs[:]); err != nil || ret != FrameOverhead+64 {
+		t.Fatalf("authentic frame = (%d, %v)", ret, err)
+	}
+	copy(c.ring.Slab(slab), frame)
+	accepted := rxWindow(s)
+
+	// A fresh authentic frame, held back until the forgeries are done.
+	fresh, fsegs, err := c.sealInto(testPayload(64, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, body := fsegs[0], fsegs[1]
+	for _, tc := range []struct {
+		name string
+		segs []core.Segment
+	}{
+		{"stale packet ID", segs[:]},
+		{"0 segments", nil},
+		{"1 segment", []core.Segment{hdr}},
+		{"3 segments", []core.Segment{hdr, body, {Slab: fresh, Off: 0, Len: 1}}},
+		{"header Len != FrameOverhead", []core.Segment{
+			{Slab: fresh, Off: 0, Len: FrameOverhead - 1},
+			{Slab: fresh, Off: FrameOverhead - 1, Len: body.Len + 1}}},
+		{"overlapping header and body", []core.Segment{hdr, {Slab: fresh, Off: FrameOverhead / 2, Len: body.Len}}},
+	} {
+		ret, err := c.req.CallZC(opTunnel, 0, tc.segs)
+		if err != nil || ret != ^uint64(0) {
+			t.Errorf("%s: (%#x, %v), want the sentinel", tc.name, ret, err)
+		}
+		if w := rxWindow(s); w != accepted {
+			t.Errorf("%s moved the replay window: %+v, want %+v", tc.name, w, accepted)
+		}
+	}
+	if ret, err := c.req.CallZC(opTunnel, 0, fsegs[:]); err != nil || ret != FrameOverhead+64 {
+		t.Fatalf("the frame sealed before the forgeries = (%d, %v), want it relayed", ret, err)
+	}
+	c.ring.Release(slab)
+	c.ring.Release(fresh)
+	if _, err := c.Forward(testPayload(IperfPayload, 3)); err != nil {
+		t.Fatalf("the server must survive forged words: %v", err)
+	}
+}
+
+// FuzzCallWord posts a tunnel call with up to MaxSegs+1 fuzzed
+// descriptors and a fuzzed data word.  No input can carry the receive
+// key's MAC, so whatever the descriptors address — in the ring or not,
+// overlapping, over a relayed frame — the answer is the sentinel (or
+// ErrTooManySegments before anything is posted), the handler does not
+// panic and the replay window does not move.
+func FuzzCallWord(f *testing.F) {
+	s := NewPoolServer(1, testVPNOpts(1))
+	s.Start()
+	f.Cleanup(s.Stop)
+	c := s.Conn(0)
+	if _, err := c.Forward(testPayload(IperfPayload, 0)); err != nil {
+		f.Fatal(err) // leaves a relayed frame in slab 0
+	}
+	accepted := rxWindow(s)
+
+	// Each descriptor is 6 bytes: slab, offset (2), length (2), spare.
+	desc := func(segs ...core.Segment) []byte {
+		var b []byte
+		for _, sg := range segs {
+			b = append(b, byte(sg.Slab), byte(sg.Off>>8), byte(sg.Off), byte(sg.Len>>8), byte(sg.Len), 0)
+		}
+		return b
+	}
+	f.Add(uint64(0), uint8(0), []byte(nil))
+	f.Add(uint64(0), uint8(2), desc(core.Segment{Len: FrameOverhead}, core.Segment{Off: FrameOverhead, Len: IperfPayload}))
+	f.Add(uint64(1), uint8(2), desc(core.Segment{Len: FrameOverhead}, core.Segment{Off: 1, Len: 64}))
+	f.Add(^uint64(0), uint8(3), desc(core.Segment{Len: FrameOverhead}, core.Segment{Off: FrameOverhead, Len: 8}, core.Segment{Slab: 1}))
+	f.Add(uint64(7), uint8(2), desc(core.Segment{Slab: 255, Len: FrameOverhead}, core.Segment{Off: 0xffff, Len: 0xffff}))
+	f.Add(uint64(0), uint8(core.MaxSegs+1), desc(core.Segment{}, core.Segment{}, core.Segment{}, core.Segment{}, core.Segment{}))
+	f.Fuzz(func(t *testing.T, data uint64, nseg uint8, raw []byte) {
+		segs := make([]core.Segment, int(nseg)%(core.MaxSegs+2))
+		for i := range segs {
+			if len(raw) >= 6*(i+1) {
+				d := raw[6*i:]
+				segs[i] = core.Segment{Slab: uint32(d[0]), Off: uint32(d[1])<<8 | uint32(d[2]), Len: uint32(d[3])<<8 | uint32(d[4])}
+			}
+		}
+		ret, err := c.req.CallZC(opTunnel, data, segs)
+		switch {
+		case len(segs) > core.MaxSegs:
+			if !errors.Is(err, core.ErrTooManySegments) {
+				t.Fatalf("%d segments: err %v, want ErrTooManySegments", len(segs), err)
+			}
+		case err != nil || ret != ^uint64(0):
+			t.Fatalf("forged call %+v = (%#x, %v), want the sentinel", segs, ret, err)
+		}
+		if w := rxWindow(s); w != accepted {
+			t.Fatalf("forged call %+v moved the replay window: %+v, want %+v", segs, w, accepted)
+		}
+	})
 }

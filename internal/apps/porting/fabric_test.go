@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hotcalls/internal/apps/lighttpd"
 	"hotcalls/internal/apps/memcached"
@@ -90,10 +91,9 @@ var fabricPorts = []fabricPort{
 	}},
 }
 
-// kitPoolOpts gives submissions patience and walks the responders down
-// their idle ladder quickly, as the ports' own tests do.
+// kitPoolOpts gives submissions patience, as the ports' own tests do.
 func kitPoolOpts() core.PoolOptions {
-	return core.PoolOptions{SlotsPerShard: 16, MaxResponders: 2, Timeout: 1 << 20, ControlWindow: 8, SpinPasses: 2, YieldPasses: 4}
+	return core.PoolOptions{SlotsPerShard: 16, MaxResponders: 2, Timeout: 1 << 20}
 }
 
 // contentTypeOf is the Content-Type each ?format= name is served under.
@@ -153,13 +153,11 @@ func metricCatalogue(t *testing.T, responders int) map[string]bool {
 func TestFabricKitAllArmed(t *testing.T) {
 	for _, port := range fabricPorts {
 		t.Run(port.name, func(t *testing.T) {
-			// The responders never leave the yield rung, so no call runs
-			// inline and the executes series is theirs to move.
 			opts := kitPoolOpts()
-			opts.YieldPasses = 1 << 30
 			f, start, drive := port.boot(2, opts)
+			reg := telemetry.New()
 			f.Arm(porting.Observers{
-				Registry:  telemetry.New(),
+				Registry:  reg,
 				Flight:    flight.New(flight.Options{SampleEvery: 1}),
 				EPCBytes:  256 * epc.PageSize,
 				Monitor:   &monitor.Options{},
@@ -171,7 +169,6 @@ func TestFabricKitAllArmed(t *testing.T) {
 			if f.Monitor().EPCStat() != f.EPC() || f.Monitor().Flight() != f.Pool().Flight() {
 				t.Fatal("the monitor was not built over the armed collectors")
 			}
-			start()
 			defer f.Stop()
 
 			f.Monitor().Tick() // baseline primes the interval rules
@@ -184,6 +181,17 @@ func TestFabricKitAllArmed(t *testing.T) {
 					errs[conn] = drive(conn)
 				}()
 			}
+			// Both connections post their first call before the responders
+			// start.  No responder is parked, so neither requester runs its
+			// call inline: the first two claims are the responders', and
+			// the executes series is theirs to move.
+			requests := reg.Counter(telemetry.MetricHotCallRequests)
+			for deadline := time.Now().Add(5 * time.Second); requests.Load() < 2; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of 2 first calls posted", requests.Load())
+				}
+			}
+			start()
 			wg.Wait()
 			for conn, err := range errs {
 				if err != nil {

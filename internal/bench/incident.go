@@ -52,7 +52,7 @@ func runIncidentDemo() *Report {
 	reg := telemetry.New()
 	p.SetTelemetry(reg)
 	rec := flight.New(flight.Options{})
-	rec.ArmTailSampler(flight.TailOptions{})
+	rec.ArmTailSampler()
 	p.SetFlight(rec)
 	cs := rec.Callsite("demo.storm")
 
@@ -71,7 +71,7 @@ func runIncidentDemo() *Report {
 	}
 
 	m := monitor.New(reg, monitor.Options{
-		Rules:         monitor.DefaultRules(monitor.DefaultThresholds()),
+		Rules:         monitor.DefaultRules(),
 		Flight:        rec,
 		EventDebounce: 2,
 	})

@@ -161,8 +161,8 @@ func TestPoolFlightStressRace(t *testing.T) {
 	workers := 4
 	p := NewCallPool([]PoolFunc{func(_ int, d uint64) uint64 { return d }},
 		PoolOptions{Shards: workers, SlotsPerShard: 16, Timeout: 1 << 16,
-			MaxResponders: 4, ControlWindow: 8})
-	rec := flight.New(flight.Options{SampleEvery: 2, RingRecords: 32})
+			MaxResponders: 4})
+	rec := flight.New(flight.Options{SampleEvery: 2})
 	p.SetFlight(rec)
 	cs := rec.Callsite("stress.op")
 	p.Start()
@@ -225,7 +225,7 @@ func TestPoolCallTailSamplerZeroAlloc(t *testing.T) {
 	p := NewCallPool([]PoolFunc{func(_ int, d uint64) uint64 { return d }},
 		PoolOptions{Shards: 1, SlotsPerShard: 8, Timeout: 1 << 20})
 	rec := flight.New(flight.Options{SampleEvery: 2})
-	rec.ArmTailSampler(flight.TailOptions{}) // arm before Bind (SetFlight)
+	rec.ArmTailSampler()
 	p.SetFlight(rec)
 	cs := rec.Callsite("alloc.tail")
 	p.Start()

@@ -154,8 +154,8 @@ func NewResponder(hc *HotCall, table []func(data interface{}) uint64) *Responder
 	// logical core to polling, so this responder stays on it.  Parking at
 	// idle, and the inline run that answers it, are the fabric's.
 	const neverPark = math.MaxInt / 2
-	p := NewCallPool(fns, PoolOptions{Shards: 1, SlotsPerShard: 1, MaxResponders: 1,
-		SpinPasses: 1, YieldPasses: neverPark})
+	p := NewCallPool(fns, PoolOptions{Shards: 1, SlotsPerShard: 1, MaxResponders: 1})
+	p.policy.spin, p.policy.yield = 1, neverPark
 	if hc.stopped.Load() {
 		p.stopped.Store(true)
 	}

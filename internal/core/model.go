@@ -52,10 +52,9 @@ func (m *LatencyModel) Mean() float64 {
 
 // Scale returns a copy of the model with every cycle-valued parameter
 // multiplied by f, probabilities untouched, sharing the receiver's RNG
-// stream.  Mean and Sample scale by exactly f, which is what makes the
-// model usable as the "actually applied" arm of a what-if causal
-// validation: predict a virtual speedup from a recorded workload, then
-// re-run the workload on a Scale(1-delta) model and compare.
+// stream.  Mean and Sample scale by exactly f, which is what lets the
+// profile experiment (internal/bench/profile.go) check the profiler's
+// predicted speedup against a re-run on a scaled model.
 func (m *LatencyModel) Scale(f float64) *LatencyModel {
 	s := *m
 	s.Fixed *= f

@@ -59,13 +59,17 @@ func TestPoolParkedHelpExactlyOnce(t *testing.T) {
 		counts[i] = make([]atomic.Uint32, rounds*perRound)
 	}
 	mix := func(requester int, d uint64) uint64 { return d*2654435761 + uint64(requester) }
-	opts := fastPool(n, 2)
-	opts.MinResponders = 2
+	opts := testPool(n, 2)
 	opts.SlotsPerShard = window
 	p := NewCallPool([]PoolFunc{func(requester int, d uint64) uint64 {
 		counts[requester][d].Add(1)
 		return mix(requester, d)
 	}}, opts)
+	// Two responders throughout, on a ladder of six empty passes: the
+	// default one is too long for a requester to find a responder parked
+	// between its own calls (a handful of inline runs in 40 000, against
+	// hundreds on this one).
+	p.policy = responderPolicy{spin: 2, yield: 4, floor: 2}
 	inline, executes, _ := parkedCounters(p)
 	p.Start()
 	defer p.Stop()
@@ -162,7 +166,7 @@ func TestPoolParkedWindowHelped(t *testing.T) {
 	const window = 16
 	var mu sync.Mutex
 	var order []uint64
-	opts := fastPool(1, 1)
+	opts := testPool(1, 1)
 	opts.SlotsPerShard = window
 	p := NewCallPool([]PoolFunc{func(_ int, d uint64) uint64 {
 		mu.Lock()
@@ -249,7 +253,8 @@ func TestPoolWakePolicy(t *testing.T) {
 	// the gap between two back-to-back calls however slow the build (the
 	// race detector stretches a call more than a yield), so what the
 	// closed-loop half sees is the protocol and not the host.
-	p := NewCallPool(echoTable(), PoolOptions{Shards: 1, SlotsPerShard: 16, MinResponders: 1, MaxResponders: 1, Timeout: 1 << 20, YieldPasses: 1 << 14})
+	p := NewCallPool(echoTable(), testPool(1, 1))
+	p.policy.yield = 1 << 14
 	inline, executes, kicks := parkedCounters(p)
 	p.Start()
 	defer p.Stop()

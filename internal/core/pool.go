@@ -148,9 +148,8 @@ type PoolOptions struct {
 	// (default 64, rounded up to a power of two).
 	SlotsPerShard int
 
-	// MinResponders and MaxResponders bound the adaptive responder pool
-	// (defaults 1 and GOMAXPROCS; see scale.go).
-	MinResponders int
+	// MaxResponders caps the adaptive responder pool (default
+	// GOMAXPROCS; see scale.go).  The floor is minResponders.
 	MaxResponders int
 
 	// Timeout is the submission-attempt limit before Call/Submit gives
@@ -159,18 +158,6 @@ type PoolOptions struct {
 	// slot, so a timeout means the window stayed full — the responders
 	// are saturated — for that many attempts.
 	Timeout int
-
-	// ControlWindow is how many primary-responder scan passes elapse
-	// between adaptive decisions (default 256).
-	ControlWindow int
-
-	// SpinPasses is how many consecutive empty scan passes a responder
-	// burns hot before it starts yielding (default 16); YieldPasses is
-	// how many yielding passes before it goes to sleep on the pool's
-	// condition variable (default 64).  Together they are the
-	// spin→yield→sleep backoff ladder of Section 4.2's idle story.
-	SpinPasses  int
-	YieldPasses int
 
 	// RingSlabs enables the zero-copy payload rings (ring.go): each
 	// requester shard gets this many fixed-size slabs carved from one
@@ -197,26 +184,11 @@ func (o *PoolOptions) fill() {
 		n <<= 1
 	}
 	o.SlotsPerShard = n
-	if o.MinResponders <= 0 {
-		o.MinResponders = 1
-	}
 	if o.MaxResponders <= 0 {
 		o.MaxResponders = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxResponders < o.MinResponders {
-		o.MaxResponders = o.MinResponders
-	}
 	if o.Timeout <= 0 {
 		o.Timeout = DefaultTimeout
-	}
-	if o.ControlWindow <= 0 {
-		o.ControlWindow = 256
-	}
-	if o.SpinPasses <= 0 {
-		o.SpinPasses = 16
-	}
-	if o.YieldPasses <= 0 {
-		o.YieldPasses = 64
 	}
 	if o.RingSlabs > 0 && o.RingSlabBytes <= 0 {
 		o.RingSlabBytes = 64 << 10
@@ -229,6 +201,7 @@ func (o *PoolOptions) fill() {
 // Requester, and Stop when done.
 type CallPool struct {
 	opts   PoolOptions
+	policy responderPolicy
 	shards []*shard
 	table  []PoolFunc
 
@@ -303,7 +276,7 @@ type CallPool struct {
 // not run until Start.
 func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 	opts.fill()
-	p := &CallPool{opts: opts, table: table}
+	p := &CallPool{opts: opts, policy: defaultPolicy, table: table}
 	if runtime.GOMAXPROCS(0) > 1 {
 		p.spinMax = spinBudget
 	}
@@ -320,7 +293,7 @@ func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 			p.rings[i] = newPayloadRing(opts.RingSlabs, opts.RingSlabBytes)
 		}
 	}
-	p.target.Store(int32(opts.MinResponders))
+	p.target.Store(p.policy.floor)
 	p.pendingPool.New = func() any { return new(PoolPending) }
 	p.batchPool.New = func() any { return new(PoolBatch) }
 	return p
@@ -553,10 +526,11 @@ func (r *Requester) Index() int { return r.idx }
 // slab bytes and descriptors together.  Without segments that line stays
 // untouched, and the cleared count — on the line already being written —
 // keeps a reused slot from replaying a prior call's descriptors.  Payload
-// bytes are counted per callsite for the flight recorder, so the what-if
-// router can price per-byte cost; a call that carries none skips the
-// count.  On success the slot pointer and the call's flight record (nil
-// when unsampled or detached) are returned for the completion wait.  The flight stamp happens before the submission
+// bytes are counted per callsite for the flight recorder
+// (flight_callsite_bytes_total in /metrics); a call that carries none
+// skips the count.  On success the slot pointer and the call's flight
+// record (nil when unsampled or detached) are returned for the
+// completion wait.  The flight stamp happens before the submission
 // spin, so a window-full wait is part of the recorded latency; the record
 // is closed on every exit path, so a timeout or shutdown never leaves an
 // open record to wedge the digest.

@@ -19,24 +19,15 @@ func echoTable() []PoolFunc {
 	}
 }
 
-// fastPool returns options tuned for tests: tiny control window and
-// backoff ladder so adaptive transitions happen in microseconds, not
-// milliseconds.
-func fastPool(shards, maxResponders int) PoolOptions {
-	return PoolOptions{
-		Shards:        shards,
-		SlotsPerShard: 16,
-		MinResponders: 1,
-		MaxResponders: maxResponders,
-		Timeout:       1 << 20,
-		ControlWindow: 8,
-		SpinPasses:    2,
-		YieldPasses:   4,
-	}
+// testPool returns the options core's tests share: a 16-deep ring, up
+// to maxResponders responders, and a submission limit no test reaches by
+// accident.
+func testPool(shards, maxResponders int) PoolOptions {
+	return PoolOptions{Shards: shards, SlotsPerShard: 16, MaxResponders: maxResponders, Timeout: 1 << 20}
 }
 
 func TestPoolCallRoundTrip(t *testing.T) {
-	p := NewCallPool(echoTable(), fastPool(2, 2))
+	p := NewCallPool(echoTable(), testPool(2, 2))
 	p.Start()
 	defer p.Stop()
 
@@ -55,7 +46,7 @@ func TestPoolCallRoundTrip(t *testing.T) {
 }
 
 func TestPoolSubmitWindowPipelines(t *testing.T) {
-	p := NewCallPool(echoTable(), fastPool(1, 1))
+	p := NewCallPool(echoTable(), testPool(1, 1))
 	p.Start()
 	defer p.Stop()
 
@@ -89,7 +80,7 @@ func TestPoolSubmitWindowPipelines(t *testing.T) {
 }
 
 func TestPoolCorruptedCallID(t *testing.T) {
-	p := NewCallPool(echoTable(), fastPool(1, 1))
+	p := NewCallPool(echoTable(), testPool(1, 1))
 	p.Start()
 	defer p.Stop()
 	r := p.Requester()
@@ -100,7 +91,7 @@ func TestPoolCorruptedCallID(t *testing.T) {
 }
 
 func TestPoolRequesterExhaustionPanics(t *testing.T) {
-	p := NewCallPool(echoTable(), fastPool(1, 1))
+	p := NewCallPool(echoTable(), testPool(1, 1))
 	p.Requester()
 	defer func() {
 		if recover() == nil {
@@ -111,7 +102,7 @@ func TestPoolRequesterExhaustionPanics(t *testing.T) {
 }
 
 func TestPoolStop(t *testing.T) {
-	p := NewCallPool(echoTable(), fastPool(2, 2))
+	p := NewCallPool(echoTable(), testPool(2, 2))
 	p.Start()
 	r := p.Requester()
 	if _, err := r.Call(0, 1); err != nil {
@@ -138,7 +129,7 @@ func TestPoolStop(t *testing.T) {
 func TestPoolSubmitTimeoutWhenSaturated(t *testing.T) {
 	// No responders started: the window fills and stays full, so the
 	// attempt budget expires — the paper's starvation signal.
-	opts := fastPool(1, 1)
+	opts := testPool(1, 1)
 	opts.SlotsPerShard = 2
 	opts.Timeout = 3
 	p := NewCallPool(echoTable(), opts)
@@ -162,7 +153,7 @@ func TestPoolSubmitTimeoutWhenSaturated(t *testing.T) {
 // the synchronous path and the windowed submit/collect path allocate
 // nothing in steady state.
 func TestPoolCallZeroAlloc(t *testing.T) {
-	p := NewCallPool(echoTable(), fastPool(1, 1))
+	p := NewCallPool(echoTable(), testPool(1, 1))
 	p.SetTelemetry(telemetry.New()) // live counters must stay alloc-free too
 	p.Start()
 	defer p.Stop()
@@ -211,9 +202,12 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 // the batch submission pattern the fabric is built for, and the only
 // load shape that shows the controller real occupancy on a single
 // hardware thread (synchronous one-at-a-time calls leave the responder
-// scanning empty rings between requester quanta).
+// scanning empty rings between requester quanta).  The window is a
+// whole default ring: on one P the responder climbs its spin rung
+// between requester quanta, and only full rings on four shards keep a
+// controlWindow's occupancy above the scale-up watermark.
 func poolLoad(r *Requester, stop *atomic.Bool) {
-	const window = 16
+	const window = 64
 	pending := make([]*PoolPending, 0, window)
 	for i := uint64(0); !stop.Load(); {
 		for len(pending) < window {
@@ -239,8 +233,8 @@ func poolLoad(r *Requester, stop *atomic.Bool) {
 // TestPoolAdaptiveScaleUp drives sustained traffic through every shard
 // and requires the controller to grow the responder pool from its floor.
 func TestPoolAdaptiveScaleUp(t *testing.T) {
-	const shards = 2
-	p := NewCallPool(echoTable(), fastPool(shards, 3))
+	const shards = 4
+	p := NewCallPool(echoTable(), PoolOptions{Shards: shards, MaxResponders: 3, Timeout: 1 << 20})
 	p.SetTelemetry(telemetry.New())
 	p.Start()
 	defer p.Stop()
@@ -265,8 +259,8 @@ func TestPoolAdaptiveScaleUp(t *testing.T) {
 // pool must walk back down to exactly one responder, asleep on the wake
 // condition — the "conserving resources at idle times" end state.
 func TestPoolIdleShrink(t *testing.T) {
-	const shards = 2
-	p := NewCallPool(echoTable(), fastPool(shards, 3))
+	const shards = 4
+	p := NewCallPool(echoTable(), PoolOptions{Shards: shards, MaxResponders: 3, Timeout: 1 << 20})
 	p.Start()
 	defer p.Stop()
 
@@ -302,7 +296,7 @@ func TestPoolIdleShrink(t *testing.T) {
 // responders underneath them, and a Stop racing the traffic.
 func TestPoolConcurrentChurn(t *testing.T) {
 	shards := runtime.GOMAXPROCS(0) + 2
-	opts := fastPool(shards, 4)
+	opts := testPool(shards, 4)
 	opts.Timeout = 64 // let saturation surface as ErrTimeout, not a hang
 	p := NewCallPool(echoTable(), opts)
 	reg := telemetry.New()
@@ -357,7 +351,7 @@ func TestPoolConcurrentChurn(t *testing.T) {
 // counters.
 func TestPoolTelemetryExports(t *testing.T) {
 	reg := telemetry.New()
-	p := NewCallPool(echoTable(), fastPool(1, 2))
+	p := NewCallPool(echoTable(), testPool(1, 2))
 	p.SetTelemetry(reg)
 	p.Start()
 	r := p.Requester()
@@ -408,12 +402,8 @@ func TestPoolBatchedClaimExactlyOnce(t *testing.T) {
 	var execs [rounds * window]atomic.Int32
 	parked := make(chan struct{})
 	release := make(chan struct{})
-	opts := fastPool(1, 2)
+	opts := testPool(1, 2)
 	opts.SlotsPerShard = window
-	opts.MinResponders = 2
-	// Responders yield but never sleep, so the second one keeps scanning
-	// while the first is parked.
-	opts.YieldPasses = 1 << 30
 	p := NewCallPool([]PoolFunc{func(_ int, data uint64) uint64 {
 		if execs[data].Add(1) == 1 && data%window == 0 {
 			parked <- struct{}{}
@@ -421,6 +411,9 @@ func TestPoolBatchedClaimExactlyOnce(t *testing.T) {
 		}
 		return data
 	}}, opts)
+	// Two responders from the start that yield but never sleep, so the
+	// second one keeps scanning while the first is parked.
+	p.policy.floor, p.policy.yield = 2, 1<<30
 	p.Start()
 	defer p.Stop()
 	defer close(release) // runs before Stop: a failed round must not leave a responder parked

@@ -14,7 +14,7 @@ import (
 // in-place write the requester can observe, proving the responder worked
 // on the shared slab rather than a copy.
 func zcPool(shards, maxResponders int) *CallPool {
-	opts := fastPool(shards, maxResponders)
+	opts := testPool(shards, maxResponders)
 	opts.RingSlabs = 8
 	opts.RingSlabBytes = 4096
 	p := NewCallPool(echoTable(), opts)
@@ -100,7 +100,7 @@ func TestPoolCallZCRoundTrip(t *testing.T) {
 }
 
 func TestPoolCallZCWithoutVecTable(t *testing.T) {
-	opts := fastPool(1, 1)
+	opts := testPool(1, 1)
 	opts.RingSlabs = 2
 	p := NewCallPool(echoTable(), opts) // no SetVecTable
 	p.Start()

@@ -9,12 +9,36 @@ package core
 // work, and idles surplus responders down the spin→yield→sleep ladder
 // until one sleeping responder remains.
 
-// Start launches the responder pool at MinResponders.  The primary
+// The responder side's tuning, in scan passes.  No caller has needed
+// other values: a pool grows from minResponders toward
+// PoolOptions.MaxResponders, decides once every controlWindow passes of
+// the primary responder, and an idle responder re-scans hot for
+// spinPasses empty passes, yields for yieldPasses more and then parks —
+// Section 4.2's spin→yield→sleep idle story.
+const (
+	minResponders = 1
+	controlWindow = 256
+	spinPasses    = 16
+	yieldPasses   = 64
+)
+
+// responderPolicy is the idle ladder a pool's responders climb and the
+// floor its controller never retires below.  Every CallPool runs
+// defaultPolicy except the HotCall face (hotcalls.go), whose responder
+// never parks.
+type responderPolicy struct {
+	spin, yield int   // empty passes hot, then yielding, before parking
+	floor       int32 // responders started, and never retired below
+}
+
+var defaultPolicy = responderPolicy{spin: spinPasses, yield: yieldPasses, floor: minResponders}
+
+// Start launches the responder pool at its floor.  The primary
 // responder (index 0) doubles as the adaptive controller; it is never
 // retired, so the pool always has a responder to wake.
 func (p *CallPool) Start() {
-	n := int(p.target.Load())
-	for i := 0; i < n; i++ {
+	p.target.Store(p.policy.floor)
+	for i := 0; i < int(p.policy.floor); i++ {
 		p.spawn(i)
 	}
 }
@@ -60,11 +84,10 @@ func (p *CallPool) runResponder(idx int) {
 	defer p.wg.Done()
 	defer func() { p.liveGauge.Set(int64(p.live.Add(-1))) }()
 
-	spin := p.opts.SpinPasses
-	yield := p.opts.YieldPasses
+	spin, yield := p.policy.spin, p.policy.yield
 	empty := 0
 	start := idx % len(p.shards) // stagger scan starts across responders
-	window := p.opts.ControlWindow
+	window := controlWindow
 	var polls, execs uint64      // not yet published
 	var winPolls, winExec uint64 // this responder's occupancy gauge
 	flush := func() {
@@ -89,7 +112,7 @@ func (p *CallPool) runResponder(idx int) {
 		winExec += passExecs
 
 		if window--; window == 0 {
-			window = p.opts.ControlWindow
+			window = controlWindow
 			flush()
 			if idx == 0 {
 				p.control()
@@ -120,7 +143,7 @@ func (p *CallPool) runResponder(idx int) {
 			// them and the pool would idle at N sleepers instead of
 			// one.  Force a decision now and hold the yield rung until
 			// the pool has drained to the floor.
-			if idx == 0 && (int(p.target.Load()) > p.opts.MinResponders || p.live.Load() > p.target.Load()) {
+			if idx == 0 && (p.target.Load() > p.policy.floor || p.live.Load() > p.target.Load()) {
 				p.control()
 				empty = spin
 				pause()
@@ -275,7 +298,7 @@ const (
 )
 
 // control is the adaptive decision point, run on the primary responder
-// every ControlWindow passes: compute the pool-wide occupancy over the
+// every controlWindow passes: compute the pool-wide occupancy over the
 // window just finished and grow or shrink the responder count toward
 // the watermarks.  Transitions settle one at a time — no new decision
 // while a retiring responder is still draining — so live never
@@ -297,7 +320,7 @@ func (p *CallPool) control() {
 	if p.live.Load() != target {
 		return // a previous decision is still taking effect
 	}
-	min, max := int32(p.opts.MinResponders), int32(p.opts.MaxResponders)
+	min, max := p.policy.floor, int32(p.opts.MaxResponders)
 	switch {
 	case occ >= scaleUpOccupancy && target < max:
 		p.scaleUp(target)

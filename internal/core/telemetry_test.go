@@ -50,7 +50,7 @@ func TestTimeoutFallbackTelemetry(t *testing.T) {
 // as requests only — no timeouts, no fallbacks.
 func TestCallSuccessTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	p := NewCallPool(echoTable(), fastPool(1, 1))
+	p := NewCallPool(echoTable(), testPool(1, 1))
 	p.SetTelemetry(reg)
 	p.Start()
 	defer p.Stop()
@@ -68,7 +68,7 @@ func TestCallSuccessTelemetry(t *testing.T) {
 // zero-cost disabled state.
 func TestSetTelemetryNilDetaches(t *testing.T) {
 	reg := telemetry.New()
-	p := NewCallPool(echoTable(), fastPool(1, 1))
+	p := NewCallPool(echoTable(), testPool(1, 1))
 	p.SetTelemetry(reg)
 	p.SetTelemetry(nil)
 	p.Start()

@@ -58,7 +58,7 @@ func TestUtilizationGrowsWithSharing(t *testing.T) {
 // Section 4.2, "Conserving resources at idle times": a parked responder
 // stops burning polls, and the next request is still served.
 func TestIdleSleepStopsPolling(t *testing.T) {
-	p := NewCallPool([]PoolFunc{func(int, uint64) uint64 { return 9 }}, fastPool(1, 1))
+	p := NewCallPool([]PoolFunc{func(int, uint64) uint64 { return 9 }}, testPool(1, 1))
 	p.Start()
 	defer p.Stop()
 

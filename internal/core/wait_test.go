@@ -28,7 +28,7 @@ func TestPoolWaitOversubscribedExactlyOnce(t *testing.T) {
 	n := 4 * runtime.GOMAXPROCS(0)
 	execs := make([]atomic.Uint64, n)
 	mix := func(requester int, d uint64) uint64 { return d*2654435761 + uint64(requester) }
-	opts := fastPool(n, 1)
+	opts := testPool(n, 1)
 	opts.SlotsPerShard = window
 	p := NewCallPool([]PoolFunc{func(requester int, d uint64) uint64 {
 		execs[requester].Add(1)
@@ -82,15 +82,15 @@ func TestPoolWaitOversubscribedExactlyOnce(t *testing.T) {
 func gatedPool(shards int, parks bool) (p *CallPool, entered, gate chan struct{}) {
 	entered, gate = make(chan struct{}, 1), make(chan struct{})
 	hold := func() { entered <- struct{}{}; <-gate }
-	opts := fastPool(shards, 1)
-	if !parks {
-		opts.YieldPasses = 1 << 40
-	}
+	opts := testPool(shards, 1)
 	opts.RingSlabs, opts.RingSlabBytes = 4, 256
 	p = NewCallPool([]PoolFunc{
 		func(_ int, d uint64) uint64 { return d },
 		func(_ int, d uint64) uint64 { hold(); return d },
 	}, opts)
+	if !parks {
+		p.policy.yield = 1 << 40
+	}
 	p.SetVecTable([]PoolVecFunc{
 		func(_ int, d uint64, _ []Segment) uint64 { return d },
 		func(_ int, d uint64, _ []Segment) uint64 { hold(); return d },

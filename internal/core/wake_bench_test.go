@@ -34,11 +34,10 @@ func BenchmarkPoolWake(b *testing.B) {
 	// the default ladder (the responder sleeps when idle), otherwise the
 	// responder never leaves the hot rung.
 	newRig := func(b *testing.B, parked bool, fn PoolFunc) (*CallPool, *Requester) {
-		opts := PoolOptions{Shards: 1, SlotsPerShard: 16, MinResponders: 1, MaxResponders: 1, Timeout: 1 << 20}
+		p := NewCallPool([]PoolFunc{fn}, testPool(1, 1))
 		if !parked {
-			opts.SpinPasses = 1 << 30
+			p.policy.spin = 1 << 30
 		}
-		p := NewCallPool([]PoolFunc{fn}, opts)
 		p.Start()
 		b.Cleanup(p.Stop)
 		return p, p.Requester()

@@ -36,7 +36,7 @@ func TestOversubscriptionEarlyWarning(t *testing.T) {
 	mgr := epc.NewManager(capPages*epc.PageSize, key)
 	reg := telemetry.New()
 	mgr.SetTelemetry(reg) // the thrash rule reads eviction deltas from the registry
-	col := epcstat.New(epcstat.Options{SampleBits: -1, WindowTouches: 4096})
+	col := epcstat.New(epcstat.Options{WindowTouches: 4096})
 	col.Attach(mgr)
 	col.SetLabel(1, "tenant-a")
 	col.SetLabel(2, "tenant-b")

@@ -34,15 +34,25 @@ import (
 // embedded in incident bundles.
 const SnapshotSchema = "epcstat/v1"
 
+// The observatory's budgets.  The WSS estimator tracks at most
+// maxSamples pages across all owners: when the set is full, inserting a
+// page first prunes entries outside the window and then evicts the
+// stalest.  Attach sizes the touch sampling to fit it — each page is
+// sampled with probability 2^-bits by a per-page hash (so the sampled
+// set is stable across sweeps and per-page recency is exact for sampled
+// pages), with bits the smallest for which 4×capacityPages>>bits ≤
+// maxSamples.  The fault heatmap has heatBuckets buckets spanning twice
+// the EPC capacity; pages beyond the span wrap around (bucket =
+// page/pagesPerBucket mod heatBuckets), so a heatmap is a density
+// profile, not an unbounded address map.
+const (
+	maxSamples  = 4096
+	heatBuckets = 64
+)
+
 // Options configures a Collector.  The zero value is usable: every field
 // has a documented default applied at New/Attach time.
 type Options struct {
-	// MaxSamples bounds the total number of pages tracked for WSS
-	// estimation across all owners (default 4096).  When the sample set
-	// is full, inserting a new page first prunes entries outside the
-	// window and then evicts the stalest entry.
-	MaxSamples int
-
 	// WindowTouches is the working-set window θ in touch-clock ticks: a
 	// sampled page counts toward the WSS if it was touched within the
 	// last WindowTouches touches (Denning's W(t, θ)).  Default
@@ -51,26 +61,6 @@ type Options struct {
 	// streams (internal/mem touches per 64-byte line) should scale
 	// accordingly.
 	WindowTouches uint64
-
-	// HeatBuckets is the number of address-space buckets in the fault
-	// heatmap (default 64).
-	HeatBuckets int
-
-	// PagesPerBucket sets the heatmap bucket width.  Default: the
-	// heatmap spans twice the EPC capacity (2×capacityPages /
-	// HeatBuckets pages per bucket); pages beyond the span wrap around
-	// (bucket = page/PagesPerBucket mod HeatBuckets), so a heatmap is a
-	// density profile, not an unbounded address map.
-	PagesPerBucket uint64
-
-	// SampleBits selects the touch-sampling rate: each page is sampled
-	// with probability 2^-SampleBits by a per-page hash, so the sampled
-	// page set is stable across sweeps and per-page recency is exact for
-	// sampled pages.  0 (default) auto-sizes: the smallest b with
-	// (4×capacityPages)>>b ≤ MaxSamples, so the expected steady-state
-	// sample population fits the budget.  Negative forces exact
-	// sampling (every touch observed).
-	SampleBits int
 }
 
 // ownerState is the live per-owner accounting, mutated only under the
@@ -126,17 +116,11 @@ type Collector struct {
 // New returns a collector with defaults applied.  Attach it to a manager
 // before the first touch so residency accounting starts from empty.
 func New(opts Options) *Collector {
-	if opts.MaxSamples <= 0 {
-		opts.MaxSamples = 4096
-	}
-	if opts.HeatBuckets <= 0 {
-		opts.HeatBuckets = 64
-	}
 	return &Collector{
 		opts:         opts,
 		owners:       make(map[epc.OwnerID]*ownerState),
 		interference: make(map[uint64]uint64),
-		heat:         make([]uint64, opts.HeatBuckets),
+		heat:         make([]uint64, heatBuckets),
 		labels:       make(map[epc.OwnerID]string),
 	}
 }
@@ -150,27 +134,15 @@ func (c *Collector) Attach(m *epc.Manager) {
 	if c.window == 0 {
 		c.window = 4 * uint64(c.capacityPages)
 	}
-	c.pagesPerBkt = c.opts.PagesPerBucket
-	if c.pagesPerBkt == 0 {
-		c.pagesPerBkt = uint64(2*c.capacityPages) / uint64(c.opts.HeatBuckets)
-		if c.pagesPerBkt == 0 {
-			c.pagesPerBkt = 1
-		}
+	c.pagesPerBkt = max(uint64(2*c.capacityPages)/heatBuckets, 1)
+	// The steady-state sampled population is workingSet>>bits; size for
+	// a working set of 4× capacity so even oversubscribed workloads fit
+	// the sample budget.
+	population := 4 * c.capacityPages
+	c.sampleBits = 0
+	for population>>c.sampleBits > maxSamples {
+		c.sampleBits++
 	}
-	bits := c.opts.SampleBits
-	switch {
-	case bits < 0:
-		bits = 0
-	case bits == 0:
-		// Auto: steady-state sampled population ≈ workingSet>>bits; size
-		// for a working set of 4× capacity so even oversubscribed
-		// workloads fit the sample budget.
-		population := 4 * c.capacityPages
-		for (population >> uint(bits)) > c.opts.MaxSamples {
-			bits++
-		}
-	}
-	c.sampleBits = uint(bits)
 	m.SetObserver(c, c.sampleBits)
 }
 
@@ -199,7 +171,7 @@ func (c *Collector) ownerLocked(id epc.OwnerID) *ownerState {
 	if os == nil {
 		os = &ownerState{
 			samples: make(map[uint64]uint64),
-			heat:    make([]uint64, c.opts.HeatBuckets),
+			heat:    make([]uint64, heatBuckets),
 		}
 		c.owners[id] = os
 	}
@@ -221,7 +193,7 @@ func (c *Collector) ObserveTouch(owner epc.OwnerID, page uint64, now uint64) {
 	os.samples[page] = now
 	if len(os.samples) != before {
 		c.sampleCount++
-		if c.sampleCount > c.opts.MaxSamples {
+		if c.sampleCount > maxSamples {
 			c.evictSampleLocked(now)
 		}
 	}
@@ -230,9 +202,9 @@ func (c *Collector) ObserveTouch(owner epc.OwnerID, page uint64, now uint64) {
 // evictSampleLocked frees room in the sample set: stale entries (outside
 // the WSS window, which can no longer contribute to any estimate) are
 // pruned; if none are stale the single oldest entry goes.  O(samples),
-// but runs only when the set is full and inserting — with auto
-// SampleBits the steady-state population fits the budget and this is a
-// rare overflow valve, not a hot path.
+// but runs only when the set is full and inserting — the sampling rate
+// Attach picks keeps the steady-state population within the budget, so
+// this is a rare overflow valve, not a hot path.
 func (c *Collector) evictSampleLocked(now uint64) {
 	var oldestOwner *ownerState
 	var oldestPage, oldestAt uint64

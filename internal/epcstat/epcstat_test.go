@@ -17,12 +17,12 @@ func newFixture(capPages int, opts Options) (*epc.Manager, *Collector) {
 	return m, c
 }
 
-// TestExactWSSSequential checks the estimator against ground truth with
-// sampling disabled: N distinct pages inside the window estimate to
-// exactly N.
+// TestExactWSSSequential checks the estimator against ground truth at a
+// capacity small enough that every touch is sampled: N distinct pages
+// inside the window estimate to exactly N.
 func TestExactWSSSequential(t *testing.T) {
 	const n = 1000
-	m, c := newFixture(256, Options{SampleBits: -1, WindowTouches: n})
+	m, c := newFixture(256, Options{WindowTouches: n})
 	for p := uint64(0); p < n; p++ {
 		m.TouchAs(1, p)
 	}
@@ -42,7 +42,7 @@ func TestExactWSSSequential(t *testing.T) {
 // touch aged past WindowTouches stop counting.
 func TestWSSWindowExpiry(t *testing.T) {
 	const window = 100
-	m, c := newFixture(1024, Options{SampleBits: -1, WindowTouches: window})
+	m, c := newFixture(1024, Options{WindowTouches: window})
 	m.TouchAs(1, 9999) // t=1: will age out
 	const others = 300
 	for p := uint64(0); p < others; p++ {
@@ -56,13 +56,17 @@ func TestWSSWindowExpiry(t *testing.T) {
 	}
 }
 
+// accuracyCap is the EPC the accuracy fixtures run on: large enough
+// that the sampling Attach sizes for it is 1-in-8.
+const accuracyCap = 8 * maxSamples / 4
+
 // wssAccuracy drives an access pattern through a sampled collector and a
 // test-side exact reference, then checks the estimate lands within tol of
 // the truth.  The pattern is a function from step to page.
-func wssAccuracy(t *testing.T, capPages int, window uint64, steps int, tolPct float64, page func(i int) uint64) {
+func wssAccuracy(t *testing.T, window uint64, steps int, tolPct float64, page func(i int) uint64) {
 	t.Helper()
 	const bits = 3
-	m, c := newFixture(capPages, Options{SampleBits: bits, WindowTouches: window, MaxSamples: 1 << 14})
+	m, c := newFixture(accuracyCap, Options{WindowTouches: window})
 
 	last := make(map[uint64]uint64) // page → touch time, exact reference
 	var clock uint64
@@ -97,20 +101,20 @@ func wssAccuracy(t *testing.T, capPages int, window uint64, steps int, tolPct fl
 // (the sampled page subset is a deterministic 1-in-2^bits hash draw).
 func TestSampledWSSAccuracy(t *testing.T) {
 	t.Run("sequential", func(t *testing.T) {
-		const n = 4096
-		wssAccuracy(t, n, n, 3*n, 15, func(i int) uint64 { return uint64(i % n) })
+		const n = accuracyCap / 2
+		wssAccuracy(t, n, 3*n, 15, func(i int) uint64 { return uint64(i % n) })
 	})
 	t.Run("zipfian", func(t *testing.T) {
 		rng := sim.NewRNG(42)
-		const span = 8192
-		wssAccuracy(t, 2048, span, 50000, 25, func(i int) uint64 {
+		const span = 4 * accuracyCap
+		wssAccuracy(t, span, 50000, 25, func(i int) uint64 {
 			u := rng.Float64()
 			return uint64(u * u * u * span) // cube-skewed toward page 0
 		})
 	})
 	t.Run("thrash", func(t *testing.T) {
-		const ws = 1024
-		wssAccuracy(t, 512, ws, 3*ws, 15, func(i int) uint64 { return uint64(i % ws) })
+		const ws = 2 * accuracyCap
+		wssAccuracy(t, ws, 3*ws, 15, func(i int) uint64 { return uint64(i % ws) })
 	})
 }
 
@@ -119,7 +123,7 @@ func TestSampledWSSAccuracy(t *testing.T) {
 // exactly to the manager's eviction total, and residency sums match.
 func TestAccountingInvariants(t *testing.T) {
 	const capPages = 64
-	m, c := newFixture(capPages, Options{SampleBits: -1})
+	m, c := newFixture(capPages, Options{})
 	for round := 0; round < 4; round++ {
 		for p := uint64(0); p < 50; p++ {
 			m.TouchAs(1, p)
@@ -171,7 +175,7 @@ func TestAccountingInvariants(t *testing.T) {
 // it isolates the interval and drops idle owners.
 func TestDeltaCumulativeAndInterval(t *testing.T) {
 	const capPages = 32
-	m, c := newFixture(capPages, Options{SampleBits: -1})
+	m, c := newFixture(capPages, Options{})
 	for p := uint64(0); p < 64; p++ {
 		m.TouchAs(1, p)
 	}
@@ -220,18 +224,18 @@ func TestDeltaCumulativeAndInterval(t *testing.T) {
 }
 
 // TestSampleBudgetBound floods the collector with distinct pages under
-// exact sampling and checks the sample set stays within MaxSamples.
+// exact sampling and checks the sample set stays within maxSamples.
 func TestSampleBudgetBound(t *testing.T) {
-	const budget = 64
-	m, c := newFixture(16, Options{SampleBits: -1, MaxSamples: budget, WindowTouches: 1 << 20})
-	for p := uint64(0); p < 1000; p++ {
+	// The largest EPC still sampled exactly: 4×1024 pages fit the budget.
+	m, c := newFixture(1024, Options{WindowTouches: 1 << 20})
+	for p := uint64(0); p < maxSamples+256; p++ {
 		m.TouchAs(1, p)
 	}
 	s := c.Snapshot()
 	// Every touch is sampled and nothing ages out of the huge window, so
 	// the estimate equals the bounded sample population.
-	if s.WSSPages != budget {
-		t.Fatalf("WSS = %d, want the sample budget %d", s.WSSPages, budget)
+	if s.SampleBits != 0 || s.WSSPages != maxSamples {
+		t.Fatalf("WSS = %d at 1-in-%d, want the sample budget %d at exact sampling", s.WSSPages, 1<<s.SampleBits, maxSamples)
 	}
 }
 
@@ -253,14 +257,13 @@ func TestAutoSampleBits(t *testing.T) {
 // directly: with the observatory attached, an unsampled resident touch
 // allocates nothing.
 func TestObserverZeroAllocResidentPath(t *testing.T) {
-	m, c := newFixture(64, Options{SampleBits: 16})
-	if c.SampleBits() != 16 {
-		t.Fatalf("SampleBits = %d, want 16", c.SampleBits())
+	m, c := newFixture(accuracyCap, Options{})
+	if c.SampleBits() == 0 {
+		t.Fatal("the fixture samples every touch; it needs a capacity that samples")
 	}
-	// An unsampled page: at 1-in-65536 the low pages virtually never
-	// hash to the sampled set, but check rather than hope.
+	// An unsampled page.
 	page := uint64(0)
-	for epc.SampledTouch(page, 16) {
+	for epc.SampledTouch(page, c.SampleBits()) {
 		page++
 	}
 	m.TouchAs(1, page) // warm: fault it in, create owner state
@@ -278,22 +281,16 @@ func TestObserverZeroAllocResidentPath(t *testing.T) {
 func TestObserverZeroAllocFaultDelta(t *testing.T) {
 	var key [16]byte
 	copy(key[:], "epcstat-test-key")
-	const bits = 16
 	run := func(attach bool) float64 {
 		m := epc.NewManager(epc.PageSize, key) // capacity 1: every touch faults+evicts
 		if attach {
-			c := New(Options{SampleBits: bits})
+			// A one-page EPC samples every touch: the sampled fault path,
+			// the heaviest the observer has.
+			c := New(Options{})
 			c.Attach(m)
 		}
-		// Two unsampled pages to alternate between.
-		pa := uint64(0)
-		for epc.SampledTouch(pa, bits) {
-			pa++
-		}
-		pb := pa + 1
-		for epc.SampledTouch(pb, bits) {
-			pb++
-		}
+		// Two pages to alternate between.
+		const pa, pb = 0, 1
 		// Warm: both pages installed and evicted once, so owner state,
 		// interference key, versions, and swap blobs all exist.
 		m.TouchAs(1, pa)
@@ -329,7 +326,7 @@ func TestRenderTextAndLabels(t *testing.T) {
 		t.Fatal("unattached collector Snapshot should be nil")
 	}
 
-	m, c := newFixture(8, Options{SampleBits: -1})
+	m, c := newFixture(8, Options{})
 	c.SetLabel(1, "web")
 	for p := uint64(0); p < 12; p++ {
 		m.TouchAs(1, p)
@@ -347,7 +344,7 @@ func TestRenderTextAndLabels(t *testing.T) {
 
 // TestMEEStamp checks the wired MEE counter source lands in snapshots.
 func TestMEEStamp(t *testing.T) {
-	m, c := newFixture(8, Options{SampleBits: -1})
+	m, c := newFixture(8, Options{})
 	c.SetMEEStats(func() (uint64, uint64) { return 123, 45 })
 	m.TouchAs(1, 0)
 	s := c.Snapshot()

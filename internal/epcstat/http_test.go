@@ -13,7 +13,7 @@ import (
 // supported rendering declares its Content-Type, unknown formats are
 // rejected before any work with a 400.
 func TestHandlerContentTypes(t *testing.T) {
-	m, c := newFixture(8, Options{SampleBits: -1})
+	m, c := newFixture(8, Options{})
 	for p := uint64(0); p < 12; p++ {
 		m.TouchAs(1, p)
 	}
@@ -67,7 +67,7 @@ func TestHandlerEmptyCollector(t *testing.T) {
 // TestHeatSVGDeterministic checks the heatmap rendering is byte-stable
 // for a fixed snapshot (the CI artifact depends on it) and nil-safe.
 func TestHeatSVGDeterministic(t *testing.T) {
-	m, c := newFixture(8, Options{SampleBits: -1})
+	m, c := newFixture(8, Options{})
 	c.SetLabel(1, "web")
 	for p := uint64(0); p < 20; p++ {
 		m.TouchAs(1, p)

@@ -1,12 +1,11 @@
 // Package flight is the call fabric's flight recorder: an always-on,
 // low-overhead observability layer that captures *per-callsite* causal
-// call timelines and live statistics, the sensing layer the configless
-// dispatcher direction ("SGX Switchless Calls Made Configless",
-// PAPERS.md) requires.  Where internal/telemetry aggregates globally,
-// the recorder answers the per-callsite questions: how often does this
-// callsite arrive, how long does its handler run, how much responder
-// spin does it waste, and what did a *specific recent call* look like
-// from submit to return.
+// call timelines and live statistics, read by the monitor's callsite
+// rules, /debug/flight and /metrics.  Where internal/telemetry
+// aggregates globally, the recorder answers the per-callsite questions:
+// how often does this callsite arrive, how long does its handler run,
+// how much responder spin does it waste, and what did a *specific
+// recent call* look like from submit to return.
 //
 // Design constraints mirror the CallPool hot path it instruments:
 //
@@ -34,8 +33,8 @@
 // and otherwise lags the truth by at most SampleEvery-1 — the price of
 // keeping the per-call path free of LOCK-prefixed instructions.
 // Timelines and latency distributions are 1-in-SampleEvery samples.
-// The stats table (CallsiteStats) is the input contract the adaptive
-// dispatcher will consume.
+// The stats table (CallsiteStats) is what the callsite rules read on
+// every monitor tick.
 package flight
 
 import (
@@ -66,15 +65,20 @@ func (c Callsite) ID() int { return int(c.id) }
 // timeline record per 256 calls per (shard, callsite) lane.
 const DefaultSampleEvery = 256
 
+// The recorder's fixed sizes.  Sampled calls that outrun Digest by a
+// full ring overwrite the oldest undigested records, counted as dropped;
+// registrations past maxCallsites fall back to the unlabelled callsite;
+// ewmaAlpha smooths each callsite's arrival rate, and the tail sampler's
+// cutoff, once per Digest.
+const (
+	ringRecords  = 256 // per-requester record ring, a power of two
+	maxCallsites = 64  // rows of the stats table
+	ewmaAlpha    = 0.3
+)
+
 // Options tunes a Recorder.  The zero value selects the defaults noted
 // on each field.
 type Options struct {
-	// RingRecords is the per-requester record-ring capacity (default
-	// 256, rounded up to a power of two).  When sampled calls outrun
-	// Digest by a full ring, the oldest undigested records are
-	// overwritten and counted as dropped.
-	RingRecords int
-
 	// SampleEvery records the timeline of every SampleEvery-th call per
 	// (shard, callsite) lane (default 256, rounded up to a power of
 	// two so the hot-path check is a mask, not a division).  1 records
@@ -88,14 +92,6 @@ type Options struct {
 	// second at fabric call rates.
 	SampleEvery int
 
-	// MaxCallsites bounds the stats table (default 64).  Registrations
-	// beyond the bound fall back to the unlabelled callsite.
-	MaxCallsites int
-
-	// EWMAAlpha is the smoothing factor of the per-callsite arrival-
-	// rate EWMA folded on each Digest (default 0.3).
-	EWMAAlpha float64
-
 	// Now is the monotonic nanosecond clock (default: nanoseconds
 	// since New, via time.Since on the runtime's monotonic reading).
 	// Injectable for deterministic tests.
@@ -103,20 +99,10 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.RingRecords <= 0 {
-		o.RingRecords = 256
-	}
-	o.RingRecords = ceilPow2(o.RingRecords)
 	if o.SampleEvery <= 0 {
 		o.SampleEvery = DefaultSampleEvery
 	}
 	o.SampleEvery = ceilPow2(o.SampleEvery)
-	if o.MaxCallsites <= 0 {
-		o.MaxCallsites = 64
-	}
-	if o.EWMAAlpha <= 0 || o.EWMAAlpha > 1 {
-		o.EWMAAlpha = 0.3
-	}
 	if o.Now == nil {
 		base := time.Now()
 		o.Now = func() uint64 { return uint64(time.Since(base)) }
@@ -173,7 +159,7 @@ type lane struct {
 type binding struct {
 	rings []*ring
 	lanes []lane // row-major: shard*stride + callsite
-	sites int    // callsites per shard (MaxCallsites at bind time)
+	sites int    // callsites per shard (maxCallsites)
 
 	// Tail-sampler storage (see tail.go).  outliers is the per-shard
 	// outlier retention ring — timeout/fallback and over-cutoff calls
@@ -221,7 +207,7 @@ type Recorder struct {
 	baseBytes    []uint64
 
 	// Exact per-callsite outcome counters (indexed by callsite ID,
-	// allocated to MaxCallsites at New).  Separate from the sampled
+	// allocated to maxCallsites at New).  Separate from the sampled
 	// records so a timeout storm is visible even at SampleEvery=256.
 	timeouts  []padCounter
 	fallbacks []padCounter
@@ -231,9 +217,8 @@ type Recorder struct {
 	// (written on the capture slow path); seenAtDigest is the digest's
 	// last reading, which lets the capture path decide escalation with
 	// plain loads; escalated marks callsites currently sampling every
-	// call.  tail holds the armed thresholds.
+	// call.
 	armed        atomic.Bool
-	tail         TailOptions
 	outlierSeen  []padCounter
 	seenAtDigest []atomic.Uint64
 	escalated    []atomic.Uint32
@@ -262,15 +247,13 @@ func New(opts Options) *Recorder {
 		opts:         opts,
 		sampleMask:   uint64(opts.SampleEvery - 1),
 		names:        []string{UnlabelledName},
-		timeouts:     make([]padCounter, opts.MaxCallsites),
-		fallbacks:    make([]padCounter, opts.MaxCallsites),
-		outlierSeen:  make([]padCounter, opts.MaxCallsites),
-		seenAtDigest: make([]atomic.Uint64, opts.MaxCallsites),
-		escalated:    make([]atomic.Uint32, opts.MaxCallsites),
+		timeouts:     make([]padCounter, maxCallsites),
+		fallbacks:    make([]padCounter, maxCallsites),
+		outlierSeen:  make([]padCounter, maxCallsites),
+		seenAtDigest: make([]atomic.Uint64, maxCallsites),
+		escalated:    make([]atomic.Uint32, maxCallsites),
 		reg:          telemetry.New(),
 	}
-	r.tail = TailOptions{}
-	r.tail.fill()
 	r.startNS = r.opts.Now()
 	return r
 }
@@ -279,7 +262,7 @@ func New(opts Options) *Recorder {
 func (r *Recorder) Now() uint64 { return r.opts.Now() }
 
 // Callsite registers (or looks up) a named callsite and returns its
-// handle.  Registration is idempotent by name; past MaxCallsites the
+// handle.  Registration is idempotent by name; past maxCallsites the
 // unlabelled handle is returned so the caller keeps working, just
 // without per-callsite attribution.
 func (r *Recorder) Callsite(name string) Callsite {
@@ -293,7 +276,7 @@ func (r *Recorder) Callsite(name string) Callsite {
 			return Callsite{uint16(i)}
 		}
 	}
-	if len(r.names) >= r.opts.MaxCallsites {
+	if len(r.names) >= maxCallsites {
 		return Callsite{}
 	}
 	r.names = append(r.names, name)
@@ -325,19 +308,19 @@ func (r *Recorder) Bind(shards int) {
 	if r == nil || shards <= 0 {
 		return
 	}
-	stride := ceilPow2(r.opts.MaxCallsites)
+	stride := ceilPow2(maxCallsites)
 	b := &binding{
 		rings:    make([]*ring, shards),
 		lanes:    make([]lane, shards*stride),
-		sites:    r.opts.MaxCallsites,
+		sites:    maxCallsites,
 		stride:   stride,
 		siteMask: stride - 1,
 		outliers: make([]*ring, shards),
 		cutoffs:  make([]atomic.Uint64, stride),
 	}
 	for i := range b.rings {
-		b.rings[i] = newRing(r.opts.RingRecords)
-		b.outliers[i] = newRing(r.tail.OutlierRingRecords)
+		b.rings[i] = newRing(ringRecords)
+		b.outliers[i] = newRing(outlierRecords)
 	}
 	for shard := 0; shard < shards; shard++ {
 		for site := 0; site < stride; site++ {

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -44,7 +45,7 @@ func play(r *Recorder, clk *fakeClock, cs Callsite, shard, responder int, svcNS 
 }
 
 func TestCallsiteRegistration(t *testing.T) {
-	r := New(Options{MaxCallsites: 3})
+	r := New(Options{})
 	if got := r.CallsiteName(0); got != UnlabelledName {
 		t.Fatalf("callsite 0 = %q, want %q", got, UnlabelledName)
 	}
@@ -56,8 +57,13 @@ func TestCallsiteRegistration(t *testing.T) {
 	if again := r.Callsite("a"); again != a {
 		t.Fatalf("re-registration not idempotent: %v vs %v", again, a)
 	}
+	for id := 3; id < maxCallsites; id++ {
+		if c := r.Callsite(fmt.Sprintf("site%d", id)); c.ID() != id {
+			t.Fatalf("callsite %d registered as id %d", id, c.ID())
+		}
+	}
 	// Table full: falls back to unlabelled.
-	if c := r.Callsite("c"); c.ID() != 0 {
+	if c := r.Callsite("overflow"); c.ID() != 0 {
 		t.Fatalf("overflow callsite id = %d, want 0", c.ID())
 	}
 	var zero Callsite
@@ -157,34 +163,34 @@ func TestTimeoutAndFallbackCounts(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1, RingRecords: 8})
+	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("op")
-	// 3x the ring without digesting: the oldest 16 records are lost.
-	for i := 0; i < 24; i++ {
+	// 3x the ring without digesting: the oldest two rings' worth are lost.
+	for i := 0; i < 3*ringRecords; i++ {
 		play(r, clk, cs, 0, 0, 10)
 	}
 	r.Digest()
-	if got := r.Digested(); got != 8 {
-		t.Fatalf("digested = %d, want 8 (one ring's worth)", got)
+	if got := r.Digested(); got != ringRecords {
+		t.Fatalf("digested = %d, want %d (one ring's worth)", got, ringRecords)
 	}
-	if got := r.Dropped(); got != 16 {
-		t.Fatalf("dropped = %d, want 16", got)
+	if got := r.Dropped(); got != 2*ringRecords {
+		t.Fatalf("dropped = %d, want %d", got, 2*ringRecords)
 	}
 	// Records sees only the live window, all valid.
-	views := r.Records(64)
-	if len(views) != 8 {
-		t.Fatalf("live window = %d records, want 8", len(views))
+	views := r.Records(4 * ringRecords)
+	if len(views) != ringRecords {
+		t.Fatalf("live window = %d records, want %d", len(views), ringRecords)
 	}
 	// Digest resumes cleanly afterwards.
 	play(r, clk, cs, 0, 0, 10)
 	r.Digest()
-	if got := r.Digested(); got != 9 {
-		t.Fatalf("digested after resume = %d, want 9", got)
+	if got := r.Digested(); got != ringRecords+1 {
+		t.Fatalf("digested after resume = %d, want %d", got, ringRecords+1)
 	}
 }
 
 func TestDigestStopsAtOpenRecord(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1, RingRecords: 8})
+	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("op")
 	open := r.Begin(cs, 0, 0) // left open
 	play(r, clk, cs, 0, 0, 10)
@@ -202,11 +208,12 @@ func TestDigestStopsAtOpenRecord(t *testing.T) {
 // TestTornRecordDetection crosses a writer wrapping the ring with
 // concurrent seqlock readers: every view a reader accepts must be
 // internally consistent (monotonic timeline, correct callsite), which
-// the generation-encoded seq guarantees.
+// the generation-encoded seq guarantees.  The readers walk the whole
+// ring, so the record the writer reopens next is always under a reader.
 func TestTornRecordDetection(t *testing.T) {
 	clk := &fakeClock{}
 	clk.set(1)
-	r := New(Options{SampleEvery: 1, RingRecords: 4, Now: clk.now})
+	r := New(Options{SampleEvery: 1, Now: clk.now})
 	r.Bind(1)
 	cs := r.Callsite("op")
 
@@ -222,7 +229,7 @@ func TestTornRecordDetection(t *testing.T) {
 					return
 				default:
 				}
-				for _, v := range r.Records(16) {
+				for _, v := range r.Records(ringRecords) {
 					if v.ReturnNS < v.SubmitNS {
 						t.Errorf("torn view escaped seqlock: %+v", v)
 						return
@@ -235,7 +242,7 @@ func TestTornRecordDetection(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < 40*ringRecords; i++ {
 		play(r, clk, cs, 0, 0, uint64(i%97))
 	}
 	close(stop)
@@ -243,7 +250,7 @@ func TestTornRecordDetection(t *testing.T) {
 }
 
 func TestEWMARateAndWasteAttribution(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1, EWMAAlpha: 0.5})
+	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	hot := r.Callsite("hot")
 	cold := r.Callsite("cold")
 

@@ -122,8 +122,8 @@ func (r *Recorder) fold(v RecordView) {
 // lane counts and attributes the window's wasted responder spin
 // (polls that found no work) across callsites by inverse arrival
 // rate: a rare callsite that keeps a responder polling is charged more
-// of the idle spin than a busy one that keeps it fed — exactly the
-// signal the configless dispatcher needs to demote it.
+// of the idle spin than a busy one that keeps it fed — the signal the
+// callsite spin-waste rule reads.
 func (r *Recorder) foldRates() {
 	now := r.opts.Now()
 	dtNS := now - r.lastDigestNS
@@ -147,7 +147,7 @@ func (r *Recorder) foldRates() {
 	dt := float64(dtNS) / 1e9
 
 	arrivals := r.arrivalsLocked()
-	alpha := r.opts.EWMAAlpha
+	alpha := ewmaAlpha
 	type active struct {
 		st *csState
 		w  float64
@@ -245,7 +245,7 @@ func (r *Recorder) bytesLocked() map[int]uint64 {
 }
 
 // CallsiteStats is one callsite's live statistics — the stats-table
-// row /debug/flight exports and the adaptive dispatcher will consume.
+// row /debug/flight exports and the callsite rules read.
 // Timeouts and Fallbacks are exact; Arrivals is counted on every call
 // but published at sample boundaries, so it is exact when the lane
 // pauses on a SampleEvery multiple and otherwise lags by at most

@@ -14,18 +14,18 @@ package flight
 //     /debug/flight reader collects it.
 //
 //  2. Adaptive cutoffs.  Each digest folds the callsite's latency
-//     quantile (TailOptions.Quantile) through an EWMA, multiplies by
-//     TailOptions.Multiplier, clamps to MinCutoffNS, and publishes the
-//     result to a binding-local cutoff slot.  The sampled return path
+//     quantile (tailQuantile) through an EWMA, multiplies by
+//     tailMultiplier, clamps to minCutoffNS, and publishes the result
+//     to a binding-local cutoff slot.  The sampled return path
 //     then decides "outlier?" with one plain load + compare — no math,
 //     no locks.  Until the first digest the cutoff is noCutoff
 //     (MaxUint64), so arming is safe before any traffic exists.
 //
 //  3. Escalation.  A callsite that times out, or accumulates
-//     TailOptions.EscalateAfter latency outliers within one digest
-//     window, has its per-lane sampling mask dropped to 0: every call
-//     gets a full timeline record until TailOptions.QuietDigests
-//     consecutive digests pass with no new outliers.  During an
+//     escalateAfter latency outliers within one digest window, has its
+//     per-lane sampling mask dropped to 0: every call gets a full
+//     timeline record until quietDigests consecutive digests pass with
+//     no new outliers.  During an
 //     incident the affected callsite is therefore captured completely,
 //     while healthy callsites keep paying only the unsampled cost.
 //
@@ -41,7 +41,7 @@ package flight
 // require two clock reads per call — far over the recorder's <<1%
 // budget on a ~70ns fabric call.  Timeouts are always exact (the
 // timeout path is inherently slow), and escalation converts "this
-// callsite has stragglers" into complete capture within EscalateAfter
+// callsite has stragglers" into complete capture within escalateAfter
 // sampled observations, so sustained tail trouble is fully recorded;
 // only isolated stragglers on a healthy callsite can slip between
 // samples.
@@ -50,93 +50,31 @@ package flight
 // latency compares above it.
 const noCutoff = ^uint64(0)
 
-// TailOptions tunes the tail sampler.  The zero value selects the
-// defaults noted on each field.
-type TailOptions struct {
-	// Quantile of the callsite's latency distribution the cutoff
-	// tracks (default 0.99).
-	Quantile float64
-
-	// Multiplier scales the tracked quantile into the cutoff (default
-	// 8): a call is an outlier when it runs Multiplier times the p99.
-	Multiplier float64
-
-	// MinCutoffNS floors the cutoff (default 1ms) so scheduler jitter
-	// on nanosecond-scale calls never reads as an incident.
-	MinCutoffNS uint64
-
-	// EscalateAfter is how many latency outliers within one digest
-	// window escalate the callsite to sample-every-call (default 2).
-	// Timeouts escalate immediately regardless.
-	EscalateAfter int
-
-	// QuietDigests is how many consecutive outlier-free digests
-	// de-escalate the callsite back to 1-in-SampleEvery (default 2).
-	QuietDigests int
-
-	// OutlierRingRecords is the per-shard outlier-ring capacity
-	// (default 64, rounded up to a power of two).  Fixed at Bind time:
-	// arm before binding to change it.
-	OutlierRingRecords int
-}
-
-func (t *TailOptions) fill() {
-	if t.Quantile <= 0 || t.Quantile >= 1 {
-		t.Quantile = 0.99
-	}
-	if t.Multiplier <= 0 {
-		t.Multiplier = 8
-	}
-	if t.MinCutoffNS == 0 {
-		t.MinCutoffNS = 1_000_000 // 1ms
-	}
-	if t.EscalateAfter <= 0 {
-		t.EscalateAfter = 2
-	}
-	if t.QuietDigests <= 0 {
-		t.QuietDigests = 2
-	}
-	if t.OutlierRingRecords <= 0 {
-		t.OutlierRingRecords = 64
-	}
-	t.OutlierRingRecords = ceilPow2(t.OutlierRingRecords)
-}
+// The tail sampler's thresholds.  A call is a latency outlier when it
+// runs tailMultiplier times its callsite's tailQuantile latency, and
+// never below minCutoffNS, so scheduler jitter on nanosecond-scale calls
+// never reads as an incident.  escalateAfter latency outliers within one
+// digest window escalate the callsite to sample-every-call (a timeout
+// escalates at once); quietDigests consecutive outlier-free digests
+// de-escalate it.  Each shard retains its last outlierRecords
+// outliers.
+const (
+	tailQuantile   = 0.99
+	tailMultiplier = 8
+	minCutoffNS    = 1_000_000 // 1ms
+	escalateAfter  = 2
+	quietDigests   = 2
+	outlierRecords = 64 // a power of two
+)
 
 // ArmTailSampler arms outlier retention, adaptive cutoffs, and
-// escalation with the given thresholds (zero fields take defaults).
-// Arm once, before traffic: the options are published through the
-// armed flag, so the capture path never reads a half-written update,
-// but re-arming while calls are in flight is not synchronised.
-// Arming before Bind also lets OutlierRingRecords size the rings.
-func (r *Recorder) ArmTailSampler(t TailOptions) {
+// escalation.  Arming is one atomic store and may happen before or
+// after Bind; the outlier rings exist from Bind on either way.
+func (r *Recorder) ArmTailSampler() {
 	if r == nil {
 		return
 	}
-	t.fill()
-	r.mu.Lock()
-	r.tail = t
-	r.mu.Unlock()
 	r.armed.Store(true)
-}
-
-// DisarmTailSampler stops outlier capture and de-escalates every
-// callsite back to uniform sampling.  Already-captured outlier records
-// stay readable until the next Bind.
-func (r *Recorder) DisarmTailSampler() {
-	if r == nil {
-		return
-	}
-	r.armed.Store(false)
-	for site := range r.escalated {
-		if r.escalated[site].Load() != 0 {
-			r.deescalate(site)
-		}
-	}
-	if b := r.bind.Load(); b != nil {
-		for i := range b.cutoffs {
-			b.cutoffs[i].Store(noCutoff)
-		}
-	}
 }
 
 // TailArmed reports whether the tail sampler is armed.
@@ -203,7 +141,7 @@ func (r *Recorder) captureOutlier(b *binding, src *Record, shard int) {
 // noteOutlier counts one captured outlier for the callsite and decides
 // escalation with plain atomic loads — no lock on this path.  Timeouts
 // (immediate=true) escalate unconditionally; latency outliers escalate
-// after EscalateAfter captures since the last digest reading.
+// after escalateAfter captures since the last digest reading.
 func (r *Recorder) noteOutlier(site int, immediate bool) {
 	if site >= len(r.outlierSeen) {
 		return
@@ -212,7 +150,7 @@ func (r *Recorder) noteOutlier(site int, immediate bool) {
 	if r.escalated[site].Load() != 0 {
 		return
 	}
-	if immediate || seen-r.seenAtDigest[site].Load() >= uint64(r.tail.EscalateAfter) {
+	if immediate || seen-r.seenAtDigest[site].Load() >= escalateAfter {
 		r.escalate(site)
 	}
 }
@@ -251,7 +189,7 @@ func (r *Recorder) deescalate(site int) {
 // foldTail runs at the end of Digest (caller holds r.mu): refreshes
 // every active callsite's binding-local cutoff from the EWMA-smoothed
 // latency quantile, and de-escalates callsites that have been
-// outlier-free for QuietDigests consecutive digests.
+// outlier-free for quietDigests consecutive digests.
 func (r *Recorder) foldTail() {
 	if !r.armed.Load() {
 		return
@@ -264,18 +202,14 @@ func (r *Recorder) foldTail() {
 
 		if site < len(r.stats) && r.stats[site] != nil {
 			st := r.stats[site]
-			if q := st.latency.Snapshot().Quantile(r.tail.Quantile); q > 0 {
-				target := float64(q) * r.tail.Multiplier
+			if q := st.latency.Snapshot().Quantile(tailQuantile); q > 0 {
+				target := float64(q) * tailMultiplier
 				if st.cutoffEWMA == 0 {
 					st.cutoffEWMA = target
 				} else {
-					a := r.opts.EWMAAlpha
-					st.cutoffEWMA = a*target + (1-a)*st.cutoffEWMA
+					st.cutoffEWMA = ewmaAlpha*target + (1-ewmaAlpha)*st.cutoffEWMA
 				}
-				cut := uint64(st.cutoffEWMA)
-				if cut < r.tail.MinCutoffNS {
-					cut = r.tail.MinCutoffNS
-				}
+				cut := max(uint64(st.cutoffEWMA), minCutoffNS)
 				if b != nil && site < len(b.cutoffs) {
 					b.cutoffs[site].Store(cut)
 				}
@@ -287,7 +221,7 @@ func (r *Recorder) foldTail() {
 			st := r.state(site)
 			if seen != prev {
 				st.tailQuiet = 0
-			} else if st.tailQuiet++; st.tailQuiet >= r.tail.QuietDigests {
+			} else if st.tailQuiet++; st.tailQuiet >= quietDigests {
 				st.tailQuiet = 0
 				r.deescalate(site)
 			}

@@ -25,7 +25,7 @@ func playComplete(r *Recorder, clk *fakeClock, cs Callsite, shard, responder int
 
 func TestTimeoutEscalatesAndRetainsOutliers(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 256})
-	r.ArmTailSampler(TailOptions{})
+	r.ArmTailSampler()
 	cs := r.Callsite("op")
 
 	// First call is unsampled at SampleEvery=256 …
@@ -68,7 +68,7 @@ func TestTimeoutEscalatesAndRetainsOutliers(t *testing.T) {
 
 func TestQuietDigestsDeescalate(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 256})
-	r.ArmTailSampler(TailOptions{QuietDigests: 2})
+	r.ArmTailSampler()
 	cs := r.Callsite("op")
 
 	rec := r.Begin(cs, 0, 0)
@@ -78,13 +78,15 @@ func TestQuietDigestsDeescalate(t *testing.T) {
 		t.Fatal("timeout should escalate")
 	}
 	r.Digest() // sees the new outlier: not a quiet digest
-	r.Digest() // quiet 1
-	if r.escalated[cs.ID()].Load() == 0 {
-		t.Fatal("one quiet digest must not de-escalate at QuietDigests=2")
+	for quiet := 1; quiet < quietDigests; quiet++ {
+		r.Digest()
+		if r.escalated[cs.ID()].Load() == 0 {
+			t.Fatalf("%d quiet digests de-escalated, want %d", quiet, quietDigests)
+		}
 	}
-	r.Digest() // quiet 2 -> de-escalate
+	r.Digest() // the last quiet digest de-escalates
 	if r.escalated[cs.ID()].Load() != 0 {
-		t.Fatal("two quiet digests should de-escalate")
+		t.Fatalf("%d quiet digests should de-escalate", quietDigests)
 	}
 	// Back to uniform sampling: next arrival is not a stride multiple.
 	if rec := r.Begin(cs, 0, 0); rec != nil {
@@ -93,58 +95,77 @@ func TestQuietDigestsDeescalate(t *testing.T) {
 }
 
 func TestAdaptiveCutoffCapturesLatencyOutliers(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1, EWMAAlpha: 1})
-	r.ArmTailSampler(TailOptions{
-		Quantile:      0.5,
-		Multiplier:    2,
-		MinCutoffNS:   1,
-		EscalateAfter: 2,
-	})
+	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
+	r.ArmTailSampler()
 	cs := r.Callsite("op")
 
-	// Before any digest the cutoff is disabled: nothing is an outlier.
+	// Calls of ~1ms: tailMultiplier times their p99 is above the floor.
+	const svc = 1_000_000
 	for i := 0; i < 8; i++ {
-		playComplete(r, clk, cs, 0, 0, 1000) // latency 1250ns
+		playComplete(r, clk, cs, 0, 0, svc)
 	}
+	// Before any digest the cutoff is disabled: nothing is an outlier.
 	if n := len(r.Outliers(16)); n != 0 {
 		t.Fatalf("outliers before first digest = %d, want 0", n)
 	}
-	r.Digest() // folds the p50, publishes cutoff ~2*p50
+	r.Digest() // folds the p99, publishes cutoff tailMultiplier*p99
 	cut := r.Stats()[0].CutoffNS
-	if cut == 0 || cut > 100_000 {
-		t.Fatalf("cutoff = %d, want ~2x the p50 latency bucket", cut)
+	if cut < tailMultiplier*svc/2 || cut > tailMultiplier*svc*2 {
+		t.Fatalf("cutoff = %d, want %d times the ~%d ns p99 (within its log2 bucket)", cut, tailMultiplier, svc)
 	}
 
 	// Normal calls stay below the cutoff.
-	playComplete(r, clk, cs, 0, 0, 1000)
+	playComplete(r, clk, cs, 0, 0, svc)
 	if n := len(r.Outliers(16)); n != 0 {
 		t.Fatalf("normal-latency call captured as outlier (cutoff %d)", cut)
 	}
 
 	// A straggler above the cutoff is retained…
-	playComplete(r, clk, cs, 0, 0, 1_000_000)
+	playComplete(r, clk, cs, 0, 0, 2*cut)
 	out := r.Outliers(16)
 	if len(out) != 1 || out[0].TimedOut {
 		t.Fatalf("straggler not captured: %+v", out)
 	}
-	if lat := out[0].ReturnNS - out[0].SubmitNS; lat < uint64(cut) {
+	if lat := out[0].ReturnNS - out[0].SubmitNS; lat < cut {
 		t.Fatalf("captured latency %d below cutoff %d", lat, cut)
 	}
 	// Escalation checks read the flag directly: Stats() would digest,
 	// and a digest closes the escalation window being tested.
-	if r.escalated[cs.ID()].Load() != 0 {
-		t.Fatal("one straggler must not escalate at EscalateAfter=2")
+	for n := 1; n < escalateAfter; n++ {
+		if r.escalated[cs.ID()].Load() != 0 {
+			t.Fatalf("%d stragglers escalated, want %d", n, escalateAfter)
+		}
+		playComplete(r, clk, cs, 0, 0, 2*cut)
 	}
-	// …and the second within the same digest window escalates.
-	playComplete(r, clk, cs, 0, 0, 1_000_000)
+	// …and the escalateAfter-th within the same digest window escalates.
 	if r.escalated[cs.ID()].Load() == 0 {
-		t.Fatal("second straggler should escalate")
+		t.Fatalf("%d stragglers should escalate", escalateAfter)
+	}
+}
+
+// TestCutoffFloor: on calls far faster than the floor, tailMultiplier
+// times their p99 is below minCutoffNS, and the floor is the cutoff —
+// a scheduler hiccup on a microsecond call is not an incident.
+func TestCutoffFloor(t *testing.T) {
+	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
+	r.ArmTailSampler()
+	cs := r.Callsite("op")
+	for i := 0; i < 8; i++ {
+		playComplete(r, clk, cs, 0, 0, 1000) // latency 1250ns
+	}
+	r.Digest()
+	if cut := r.Stats()[0].CutoffNS; cut != minCutoffNS {
+		t.Fatalf("cutoff = %d, want the %d ns floor", cut, minCutoffNS)
+	}
+	playComplete(r, clk, cs, 0, 0, minCutoffNS/2)
+	if n := len(r.Outliers(16)); n != 0 {
+		t.Fatalf("a call under the floor was captured (%d outliers)", n)
 	}
 }
 
 func TestEscalationSurvivesRebind(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 256})
-	r.ArmTailSampler(TailOptions{})
+	r.ArmTailSampler()
 	cs := r.Callsite("op")
 	r.Timeout(cs, 0, nil)
 	_ = clk
@@ -155,35 +176,11 @@ func TestEscalationSurvivesRebind(t *testing.T) {
 	}
 }
 
-func TestDisarmResets(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 256})
-	r.ArmTailSampler(TailOptions{})
-	cs := r.Callsite("op")
-	r.Timeout(cs, 0, nil)
-	_ = clk
-	if !r.TailArmed() {
-		t.Fatal("TailArmed after arm = false")
-	}
-	r.DisarmTailSampler()
-	if r.TailArmed() {
-		t.Fatal("TailArmed after disarm = true")
-	}
-	if rec := r.Begin(cs, 0, 0); rec != nil {
-		t.Fatal("disarm should de-escalate back to uniform sampling")
-	}
-	// Disarmed timeouts still count exactly, but are not retained.
-	before := len(r.Outliers(16))
-	r.Timeout(cs, 0, nil)
-	if got := len(r.Outliers(16)); got != before {
-		t.Fatalf("disarmed timeout captured an outlier (%d -> %d)", before, got)
-	}
-}
-
 // TestTailConcurrentCaptureAndRead drives captures, digests, and
 // outlier reads concurrently; meaningful under -race.
 func TestTailConcurrentCaptureAndRead(t *testing.T) {
 	r, clk := newTestRecorder(t, 2, Options{SampleEvery: 1})
-	r.ArmTailSampler(TailOptions{MinCutoffNS: 1, EscalateAfter: 1})
+	r.ArmTailSampler()
 	cs := r.Callsite("op")
 
 	var wg sync.WaitGroup
@@ -198,7 +195,11 @@ func TestTailConcurrentCaptureAndRead(t *testing.T) {
 					r.Timeout(cs, shard, rec)
 					continue
 				}
-				playComplete(r, clk, cs, shard, 0, 100)
+				svc := uint64(100)
+				if i%50 == 24 {
+					svc = 2 * minCutoffNS // over the floor: a latency outlier until the p99 catches up
+				}
+				playComplete(r, clk, cs, shard, 0, svc)
 			}
 		}(shard)
 	}

@@ -34,7 +34,7 @@ func TestEWMAWarmStart(t *testing.T) {
 // into prevArrivals, which would silently drop them from the next
 // window's rate.
 func TestEWMASameInstantRedigest(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1, EWMAAlpha: 0.5})
+	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("op")
 
 	for i := 0; i < 100; i++ {
@@ -55,8 +55,8 @@ func TestEWMASameInstantRedigest(t *testing.T) {
 		t.Fatalf("stats rows = %d, want 1", len(stats))
 	}
 	// Healthy: EWMA stays ~100.  If the same-instant digest absorbed
-	// window 2's arrivals, window 2 folds as ~0/s and the 0.5-alpha
-	// EWMA collapses to ~50.
+	// window 2's arrivals, window 2 folds as ~0/s and the EWMA collapses
+	// to (1-ewmaAlpha)·100 = ~70.
 	if got := stats[0].RateEWMA; got < 90 || got > 110 {
 		t.Fatalf("RateEWMA after same-instant re-digest = %.1f, want ~100/s", got)
 	}

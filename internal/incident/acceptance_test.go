@@ -31,7 +31,7 @@ func TestAcceptanceFallbackStormBundle(t *testing.T) {
 	// timeout escalates the callsite to sample-every-call, so the rest
 	// of the storm leaves complete timelines.
 	rec := flight.New(flight.Options{SampleEvery: 256})
-	rec.ArmTailSampler(flight.TailOptions{})
+	rec.ArmTailSampler()
 	p.SetFlight(rec)
 	cs := rec.Callsite("storm.op")
 
@@ -57,11 +57,12 @@ func TestAcceptanceFallbackStormBundle(t *testing.T) {
 	}()
 
 	m := monitor.New(reg, monitor.Options{
-		Rules:         []monitor.Rule{&monitor.FallbackStormRule{T: monitor.DefaultThresholds()}},
+		Rules:         []monitor.Rule{&monitor.FallbackStormRule{}},
 		Flight:        rec,
 		EventDebounce: 2,
 	})
-	c := New(m, Options{Cooldown: time.Hour, Registry: reg})
+	frozen := time.Now() // the whole storm falls inside one cooldown
+	c := New(m, Options{Registry: reg, Now: func() time.Time { return frozen }})
 	c.Attach()
 	m.Tick() // baseline: the parked submissions land before the storm
 

@@ -30,38 +30,28 @@ import (
 	"hotcalls/internal/telemetry"
 )
 
+// The capturer's policy.  A rule's event captures a bundle when it is
+// at least minSeverity (Info never captures) and the rule's last capture
+// is cooldown old; suppressed events are counted.  The newest retain
+// bundles stay in memory.  A bundle freezes the trailing windowSamples
+// monitor samples, up to maxRecords flight records and as many outlier
+// records, and the maxPaths slowest critical paths.
+const (
+	cooldown      = 30 * time.Second
+	minSeverity   = monitor.Warning
+	retain        = 16
+	windowSamples = 32
+	maxRecords    = 256
+	maxPaths      = 32
+)
+
 // Options tunes a Capturer.  The zero value selects the defaults noted
 // on each field.
 type Options struct {
-	// Cooldown is the per-rule dedup window: after a bundle is captured
-	// for a rule, further events from the same rule are suppressed
-	// (counted, not captured) until Cooldown elapses.  Default 30s.
-	Cooldown time.Duration
-
-	// Retain bounds the in-memory bundle ring (oldest evicted first).
-	// Default 16.
-	Retain int
-
 	// Dir, when non-empty, also spools every bundle to
 	// <Dir>/<bundle-id>.json (directory created on first write).  Disk
 	// bundles are never garbage-collected by the capturer.
 	Dir string
-
-	// MinSeverity is the lowest severity that triggers a capture.
-	// Default monitor.Warning (Info events never capture).
-	MinSeverity monitor.Severity
-
-	// WindowSamples is how many trailing monitor samples the bundle
-	// freezes.  Default 32.
-	WindowSamples int
-
-	// MaxRecords bounds the flight records and outlier records frozen
-	// per bundle.  Default 256.
-	MaxRecords int
-
-	// MaxPaths bounds the critical-path table (slowest first).
-	// Default 32.
-	MaxPaths int
 
 	// Registry, when set, adds a full telemetry snapshot to each
 	// bundle.
@@ -70,30 +60,6 @@ type Options struct {
 	// Now is the wall clock (default time.Now).  Injectable for
 	// deterministic cooldown tests.
 	Now func() time.Time
-}
-
-func (o *Options) fill() {
-	if o.Cooldown <= 0 {
-		o.Cooldown = 30 * time.Second
-	}
-	if o.Retain <= 0 {
-		o.Retain = 16
-	}
-	if o.WindowSamples <= 0 {
-		o.WindowSamples = 32
-	}
-	if o.MaxRecords <= 0 {
-		o.MaxRecords = 256
-	}
-	if o.MaxPaths <= 0 {
-		o.MaxPaths = 32
-	}
-	if o.MinSeverity == 0 {
-		o.MinSeverity = monitor.Warning
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
 }
 
 // Capturer freezes incident bundles off monitor events.  All methods
@@ -113,10 +79,12 @@ type Capturer struct {
 	diskErr    error // last spool failure, surfaced in the list view
 }
 
-// New returns a capturer over the monitor.  Call Attach (or wire
-// OnEvent into monitor.Options.OnEvent yourself) to start capturing.
+// New returns a capturer over the monitor.  Call Attach to start
+// capturing.
 func New(m *monitor.Monitor, opts Options) *Capturer {
-	opts.fill()
+	if opts.Now == nil {
+		opts.Now = time.Now
+	}
 	return &Capturer{
 		opts:       opts,
 		mon:        m,
@@ -131,12 +99,12 @@ func (c *Capturer) Attach() { c.mon.SetOnEvent(c.OnEvent) }
 // OnEvent is the monitor event hook: severity-gate, per-rule cooldown
 // dedup, then capture.
 func (c *Capturer) OnEvent(e monitor.Event) {
-	if c == nil || e.Severity < c.opts.MinSeverity {
+	if c == nil || e.Severity < minSeverity {
 		return
 	}
 	now := c.opts.Now()
 	c.mu.Lock()
-	if last, ok := c.lastByRule[e.Rule]; ok && now.Sub(last) < c.opts.Cooldown {
+	if last, ok := c.lastByRule[e.Rule]; ok && now.Sub(last) < cooldown {
 		c.suppressed++
 		c.mu.Unlock()
 		return
@@ -148,7 +116,7 @@ func (c *Capturer) OnEvent(e monitor.Event) {
 
 	c.mu.Lock()
 	c.captured++
-	if len(c.bundles) >= c.opts.Retain {
+	if len(c.bundles) >= retain {
 		copy(c.bundles, c.bundles[1:])
 		c.bundles = c.bundles[:len(c.bundles)-1]
 	}
@@ -172,13 +140,13 @@ func (c *Capturer) capture(e monitor.Event, now time.Time) *Bundle {
 		ID:         BundleID(e),
 		CapturedAt: now.UTC(),
 		Event:      e,
-		Window:     c.mon.Window(c.opts.WindowSamples),
+		Window:     c.mon.Window(windowSamples),
 	}
 	if f := c.mon.Flight(); f != nil {
 		b.Callsites = f.Stats() // digests pending records first
-		b.Records = f.Records(c.opts.MaxRecords)
-		b.Outliers = f.Outliers(c.opts.MaxRecords)
-		b.CriticalPaths = Analyze(append(append([]flightView(nil), b.Outliers...), b.Records...), c.opts.MaxPaths)
+		b.Records = f.Records(maxRecords)
+		b.Outliers = f.Outliers(maxRecords)
+		b.CriticalPaths = Analyze(append(append([]flightView(nil), b.Outliers...), b.Records...), maxPaths)
 	}
 	if col := c.mon.EPCStat(); col != nil {
 		b.EPC = col.Snapshot() // flushes the paging accounting first

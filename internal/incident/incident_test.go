@@ -30,7 +30,7 @@ func newStormKit(t *testing.T, mopts monitor.Options, copts Options) *stormKit {
 		k.reg = copts.Registry // monitor and capturer share the registry
 	}
 	if mopts.Rules == nil {
-		mopts.Rules = []monitor.Rule{&monitor.FallbackStormRule{T: monitor.DefaultThresholds()}}
+		mopts.Rules = []monitor.Rule{&monitor.FallbackStormRule{}}
 	}
 	k.m = monitor.New(k.reg, mopts)
 	copts.Now = func() time.Time { return k.now }
@@ -80,9 +80,10 @@ func TestCaptureOnEvent(t *testing.T) {
 }
 
 func TestCooldownDedup(t *testing.T) {
-	k := newStormKit(t, monitor.Options{}, Options{Cooldown: 10 * time.Second})
+	k := newStormKit(t, monitor.Options{}, Options{})
 	k.storm(50)
 	k.storm(50)
+	k.now = k.now.Add(cooldown - time.Nanosecond)
 	k.storm(50)
 	if got := len(k.c.Bundles()); got != 1 {
 		t.Fatalf("bundles within cooldown = %d, want 1", got)
@@ -92,7 +93,7 @@ func TestCooldownDedup(t *testing.T) {
 		t.Fatalf("captured=%d suppressed=%d, want 1, 2", captured, suppressed)
 	}
 
-	k.now = k.now.Add(11 * time.Second)
+	k.now = k.now.Add(time.Nanosecond) // the cooldown since the capture has elapsed
 	k.storm(50)
 	if got := len(k.c.Bundles()); got != 2 {
 		t.Fatalf("bundles after cooldown = %d, want 2", got)
@@ -103,7 +104,8 @@ func TestCooldownDedup(t *testing.T) {
 // flapping across its threshold within one debounce episode emits a
 // single event transition and a single incident capture.
 func TestFlappingRuleSingleTransition(t *testing.T) {
-	k := newStormKit(t, monitor.Options{EventDebounce: 3}, Options{Cooldown: time.Hour})
+	// The capturer's clock stands still: one cooldown throughout.
+	k := newStormKit(t, monitor.Options{EventDebounce: 3}, Options{})
 	k.storm(50) // fires: opens the episode
 	k.storm(0)  // below threshold: rule silent
 	k.storm(50) // fires again within the episode: suppressed
@@ -142,18 +144,21 @@ func TestFlappingRuleSingleTransition(t *testing.T) {
 }
 
 func TestRetentionRingBounded(t *testing.T) {
-	k := newStormKit(t, monitor.Options{}, Options{Retain: 2, Cooldown: time.Nanosecond})
-	for i := 0; i < 5; i++ {
-		k.now = k.now.Add(time.Second)
-		k.storm(50)
+	k := newStormKit(t, monitor.Options{}, Options{})
+	var seqs []int
+	for i := 0; i < retain+3; i++ {
+		k.now = k.now.Add(cooldown)
+		seqs = append(seqs, k.storm(50).Seq)
 	}
 	bundles := k.c.Bundles()
-	if len(bundles) != 2 {
-		t.Fatalf("retained = %d, want 2", len(bundles))
+	if len(bundles) != retain {
+		t.Fatalf("retained = %d, want %d", len(bundles), retain)
 	}
-	// Oldest first; the newest two survive.
-	if !(bundles[0].Event.Seq < bundles[1].Event.Seq) {
-		t.Fatalf("retention order wrong: %d, %d", bundles[0].Event.Seq, bundles[1].Event.Seq)
+	// Oldest first; the newest retain survive.
+	for i, b := range bundles {
+		if want := seqs[3+i]; b.Event.Seq != want {
+			t.Fatalf("bundles[%d] is from sample %d, want %d", i, b.Event.Seq, want)
+		}
 	}
 }
 
@@ -179,15 +184,25 @@ func TestSpoolToDisk(t *testing.T) {
 	}
 }
 
+// infoRule emits one Info event on every sample.
+type infoRule struct{}
+
+func (infoRule) Name() string { return "info" }
+
+func (infoRule) Evaluate(window []monitor.Sample) []monitor.Event {
+	s := window[len(window)-1]
+	return []monitor.Event{{Rule: "info", Severity: monitor.Info, Seq: s.Seq, At: s.When}}
+}
+
 func TestSeverityGate(t *testing.T) {
-	k := newStormKit(t, monitor.Options{}, Options{MinSeverity: monitor.Critical})
-	k.storm(6) // 6%: warning only
+	k := newStormKit(t, monitor.Options{Rules: []monitor.Rule{infoRule{}, &monitor.FallbackStormRule{}}}, Options{})
+	k.storm(0)
 	if got := len(k.c.Bundles()); got != 0 {
-		t.Fatalf("warning captured %d bundles under MinSeverity=critical, want 0", got)
+		t.Fatalf("info events captured %d bundles, want 0", got)
 	}
-	k.storm(50)
-	if got := len(k.c.Bundles()); got != 1 {
-		t.Fatalf("critical captured %d bundles, want 1", got)
+	k.storm(6) // 6%: warning
+	if got := len(k.c.Bundles()); got != 1 || k.c.Bundles()[0].Event.Severity != monitor.Warning {
+		t.Fatalf("warning captured %d bundles, want 1", got)
 	}
 }
 

@@ -66,8 +66,7 @@ func TestDiagnosesNameRealRemedies(t *testing.T) {
 	}
 	window := []Sample{{Seq: 1, EPC: &epcstat.Snapshot{Now: 1000}}, cur}
 
-	th := DefaultThresholds()
-	for _, r := range append(append(DefaultRules(th), FlightRules(th)...), EPCRules(th)...) {
+	for _, r := range append(append(DefaultRules(), FlightRules()...), EPCRules()...) {
 		events := r.Evaluate(window)
 		if len(events) == 0 {
 			t.Errorf("%s did not fire on the fabricated interval", r.Name())

@@ -14,7 +14,7 @@ func epcSample(seq int, s *epcstat.Snapshot) Sample {
 }
 
 func TestEPCOversubscriptionRule(t *testing.T) {
-	r := &EPCOversubscriptionRule{T: DefaultThresholds()}
+	r := &EPCOversubscriptionRule{}
 
 	if ev := r.Evaluate(nil); ev != nil {
 		t.Fatalf("empty window fired: %+v", ev)
@@ -64,7 +64,7 @@ func TestEPCOversubscriptionRule(t *testing.T) {
 }
 
 func TestEPCVictimInterferenceRule(t *testing.T) {
-	r := &EPCVictimInterferenceRule{T: DefaultThresholds()}
+	r := &EPCVictimInterferenceRule{}
 
 	prev := &epcstat.Snapshot{Now: 1000}
 	cur := &epcstat.Snapshot{
@@ -142,7 +142,7 @@ func TestEPCRulesAutoAttached(t *testing.T) {
 		t.Fatal("EPCStat accessor lost the collector")
 	}
 
-	explicit := New(nil, Options{EPC: col, Rules: []Rule{&EPCThrashRule{T: DefaultThresholds()}}})
+	explicit := New(nil, Options{EPC: col, Rules: []Rule{&EPCThrashRule{}}})
 	if n := len(explicit.opts.Rules); n != 1 {
 		t.Fatalf("explicit rule list grew to %d entries", n)
 	}

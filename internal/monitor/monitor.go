@@ -9,22 +9,21 @@ import (
 	"hotcalls/internal/telemetry"
 )
 
+// The monitor's fixed sizes: Start samples every interval, the ring
+// keeps the newest ringCap samples and the log the newest eventCap
+// events (oldest dropped first), and an event stays "active" in Health
+// for healthWindow trailing samples.
+const (
+	interval     = 250 * time.Millisecond
+	ringCap      = 256
+	eventCap     = 256
+	healthWindow = 12
+)
+
 // Options tunes a Monitor.  The zero value selects the defaults noted on
 // each field.
 type Options struct {
-	// Interval is the sampling period for Start.  Default 250ms.  Tick
-	// ignores it — tests and single-shot callers drive sampling manually.
-	Interval time.Duration
-
-	// RingCap bounds the retained sample window.  Default 256.
-	RingCap int
-
-	// EventCap bounds the retained event log (oldest dropped first).
-	// Default 256.
-	EventCap int
-
-	// Rules is the evaluation set; nil selects
-	// DefaultRules(DefaultThresholds()).
+	// Rules is the evaluation set; nil selects DefaultRules().
 	Rules []Rule
 
 	// Flight, when set, attaches the call fabric's flight recorder:
@@ -41,47 +40,27 @@ type Options struct {
 	// victim-interference rules join the default rule set.
 	EPC *epcstat.Collector
 
-	// HealthWindow is how many trailing samples an event stays "active"
-	// for in Health().  Default 12.
-	HealthWindow int
-
-	// OnEvent, when set, is invoked synchronously for every emitted
-	// event (after it is logged).  Keep it fast; it runs on the sampling
-	// goroutine.  SetOnEvent attaches or replaces it after New.
-	OnEvent func(Event)
-
 	// EventDebounce, when > 0, adds per-rule hysteresis: while a rule's
 	// firing episode is live, repeat events at the same or lower
-	// severity are suppressed (neither logged nor passed to OnEvent) —
-	// only the opening event and severity escalations get through.  An
-	// episode ends once the rule stays silent for EventDebounce
-	// consecutive samples; the next firing opens a new episode and
-	// emits again.  A rule flapping across its threshold therefore
-	// produces one event transition per episode, not a storm.  Default
-	// 0 keeps the historical emit-every-evaluation behavior.
+	// severity are suppressed (neither logged nor passed to the
+	// SetOnEvent callback) — only the opening event and severity
+	// escalations get through.  An episode ends once the rule stays
+	// silent for EventDebounce consecutive samples; the next firing
+	// opens a new episode and emits again.  A rule flapping across its
+	// threshold therefore produces one event transition per episode, not
+	// a storm.  Default 0 keeps the historical emit-every-evaluation
+	// behavior.
 	EventDebounce int
 }
 
 func (o *Options) fill() {
-	if o.Interval <= 0 {
-		o.Interval = 250 * time.Millisecond
-	}
-	if o.RingCap <= 0 {
-		o.RingCap = 256
-	}
-	if o.EventCap <= 0 {
-		o.EventCap = 256
-	}
-	if o.HealthWindow <= 0 {
-		o.HealthWindow = 12
-	}
 	if o.Rules == nil {
-		o.Rules = DefaultRules(DefaultThresholds())
+		o.Rules = DefaultRules()
 		if o.Flight != nil {
-			o.Rules = append(o.Rules, FlightRules(DefaultThresholds())...)
+			o.Rules = append(o.Rules, FlightRules()...)
 		}
 		if o.EPC != nil {
-			o.Rules = append(o.Rules, EPCRules(DefaultThresholds())...)
+			o.Rules = append(o.Rules, EPCRules()...)
 		}
 	}
 }
@@ -96,13 +75,15 @@ type Monitor struct {
 	sampler *Sampler
 	opts    Options
 
-	samples []Sample // ring, capacity opts.RingCap
+	samples []Sample // ring, capacity ringCap
 	head    int      // next write position
 	count   int      // valid entries
 
 	events        []Event
 	droppedEvents uint64
 	episodes      map[string]*episode // per-rule debounce state
+	onEvent       func(Event)         // SetOnEvent's callback
+	every         time.Duration       // Start's sampling period: interval
 
 	stop    chan struct{}
 	done    chan struct{}
@@ -117,7 +98,7 @@ func New(reg *telemetry.Registry, opts Options) *Monitor {
 	sampler := NewSampler(reg)
 	sampler.SetFlight(opts.Flight)
 	sampler.SetEPC(opts.EPC)
-	return &Monitor{sampler: sampler, opts: opts}
+	return &Monitor{sampler: sampler, opts: opts, every: interval}
 }
 
 // Flight returns the attached flight recorder, or nil.
@@ -126,13 +107,14 @@ func (m *Monitor) Flight() *flight.Recorder { return m.opts.Flight }
 // EPCStat returns the attached EPC pressure observatory, or nil.
 func (m *Monitor) EPCStat() *epcstat.Collector { return m.opts.EPC }
 
-// SetOnEvent attaches (or replaces, or with nil detaches) the event
-// callback after construction — internal/incident uses this to wire a
-// capturer onto an already-running monitor.  The callback runs
-// synchronously on the sampling goroutine, after debounce filtering.
+// SetOnEvent attaches (or replaces, or with nil detaches) the callback
+// invoked for every emitted event, after it is logged — internal/incident
+// uses this to wire a capturer onto a monitor, running or not.  The
+// callback runs synchronously on the sampling goroutine, after debounce
+// filtering: keep it fast.
 func (m *Monitor) SetOnEvent(cb func(Event)) {
 	m.mu.Lock()
-	m.opts.OnEvent = cb
+	m.onEvent = cb
 	m.mu.Unlock()
 }
 
@@ -177,13 +159,13 @@ func (m *Monitor) debounceLocked(fired []Event) []Event {
 func (m *Monitor) Tick() Sample {
 	m.mu.Lock()
 	s := m.sampler.Sample(time.Now())
-	if len(m.samples) < m.opts.RingCap {
+	if len(m.samples) < ringCap {
 		m.samples = append(m.samples, s)
 	} else {
 		m.samples[m.head] = s
 	}
-	m.head = (m.head + 1) % m.opts.RingCap
-	if m.count < m.opts.RingCap {
+	m.head = (m.head + 1) % ringCap
+	if m.count < ringCap {
 		m.count++
 	}
 	window := m.windowLocked(m.count)
@@ -193,14 +175,14 @@ func (m *Monitor) Tick() Sample {
 	}
 	fired = m.debounceLocked(fired)
 	for _, e := range fired {
-		if len(m.events) >= m.opts.EventCap {
+		if len(m.events) >= eventCap {
 			copy(m.events, m.events[1:])
 			m.events = m.events[:len(m.events)-1]
 			m.droppedEvents++
 		}
 		m.events = append(m.events, e)
 	}
-	cb := m.opts.OnEvent
+	cb := m.onEvent
 	m.mu.Unlock()
 	if cb != nil {
 		for _, e := range fired {
@@ -255,8 +237,7 @@ func (m *Monitor) DroppedEvents() uint64 {
 	return m.droppedEvents
 }
 
-// Start begins wall-clock sampling at the configured interval on a new
-// goroutine.  It is a no-op when already running.
+// Start begins wall-clock sampling every interval on a new goroutine.  It is a no-op when already running.
 func (m *Monitor) Start() {
 	m.mu.Lock()
 	if m.running {
@@ -266,12 +247,11 @@ func (m *Monitor) Start() {
 	m.running = true
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
-	stop, done := m.stop, m.done
-	interval := m.opts.Interval
+	stop, done, every := m.stop, m.done, m.every
 	m.mu.Unlock()
 	go func() {
 		defer close(done)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(every)
 		defer t.Stop()
 		for {
 			select {
@@ -313,7 +293,7 @@ type Health struct {
 }
 
 // Health summarises the monitor: the worst severity among events whose
-// sample is within the trailing HealthWindow samples decides the status.
+// sample is within the trailing healthWindow samples decides the status.
 func (m *Monitor) Health() Health {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -326,7 +306,7 @@ func (m *Monitor) Health() Health {
 	last := w[0]
 	h.Last = &last
 	h.Samples = m.sampler.seq
-	cutoff := last.Seq - m.opts.HealthWindow + 1
+	cutoff := last.Seq - healthWindow + 1
 	worst := Severity(-1)
 	for _, e := range m.events {
 		if e.Seq < cutoff {

@@ -100,13 +100,13 @@ func TestNilRegistrySamples(t *testing.T) {
 
 func TestRingBounded(t *testing.T) {
 	reg := telemetry.New()
-	m := New(reg, Options{RingCap: 4})
-	for i := 0; i < 10; i++ {
+	m := New(reg, Options{})
+	for i := 0; i < ringCap+6; i++ {
 		m.Tick()
 	}
 	w := m.Window(0)
-	if len(w) != 4 {
-		t.Fatalf("window = %d samples, want 4", len(w))
+	if len(w) != ringCap {
+		t.Fatalf("window = %d samples, want %d", len(w), ringCap)
 	}
 	for i, s := range w {
 		if s.Seq != 6+i {
@@ -117,18 +117,18 @@ func TestRingBounded(t *testing.T) {
 
 func TestEventLogBounded(t *testing.T) {
 	reg := telemetry.New()
-	m := New(reg, Options{EventCap: 3})
+	m := New(reg, Options{})
 	m.Tick()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < eventCap+2; i++ {
 		bump(reg, telemetry.MetricEPCEvictions, 5000)
 		m.Tick()
 	}
 	ev := m.Events()
-	if len(ev) != 3 {
-		t.Fatalf("event log = %d, want 3", len(ev))
+	if len(ev) != eventCap {
+		t.Fatalf("event log = %d, want %d", len(ev), eventCap)
 	}
-	if m.DroppedEvents() == 0 {
-		t.Fatal("expected dropped events")
+	if got := m.DroppedEvents(); got != 2 {
+		t.Fatalf("dropped events = %d, want 2", got)
 	}
 }
 
@@ -230,8 +230,7 @@ func TestHealthyRunRaisesNoAlerts(t *testing.T) {
 
 func TestLatencySLOBurnRate(t *testing.T) {
 	reg := telemetry.New()
-	th := DefaultThresholds()
-	m := New(reg, Options{Rules: []Rule{&LatencySLORule{T: th}}})
+	m := New(reg, Options{Rules: []Rule{&LatencySLORule{}}})
 	m.Tick()
 
 	// Healthy intervals: p99 well under the objective — no alert even
@@ -339,18 +338,19 @@ func TestSpinWasteRule(t *testing.T) {
 
 func TestHealthWindowExpiry(t *testing.T) {
 	reg := telemetry.New()
-	m := New(reg, Options{HealthWindow: 3})
+	m := New(reg, Options{})
 	m.Tick()
 	bump(reg, telemetry.MetricEPCEvictions, 500)
 	m.Tick()
-	if h := m.Health(); h.Status != "degraded" {
-		t.Fatalf("health = %s, want degraded", h.Status)
-	}
-	// Quiet samples age the alert out of the health window; the event
-	// log still retains it.
-	for i := 0; i < 5; i++ {
+	// The alert stays active for healthWindow samples, its own included.
+	for i := 0; i < healthWindow; i++ {
+		if h := m.Health(); h.Status != "degraded" {
+			t.Fatalf("health %d samples after the alert = %s, want degraded", i, h.Status)
+		}
 		m.Tick()
 	}
+	// The healthWindow-th quiet sample ages the alert out of the health
+	// window; the event log still retains it.
 	if h := m.Health(); h.Status != "ok" || len(h.Alerts) != 0 {
 		t.Fatalf("alert should have aged out: %+v", h)
 	}
@@ -362,7 +362,8 @@ func TestHealthWindowExpiry(t *testing.T) {
 func TestOnEventCallback(t *testing.T) {
 	reg := telemetry.New()
 	var got []Event
-	m := New(reg, Options{OnEvent: func(e Event) { got = append(got, e) }})
+	m := New(reg, Options{})
+	m.SetOnEvent(func(e Event) { got = append(got, e) })
 	m.Tick()
 	bump(reg, telemetry.MetricEPCEvictions, 500)
 	m.Tick()

@@ -13,12 +13,13 @@ import (
 // the two benchmarks is the instrumented-pair overhead measurement for
 // the monitor (target <=1%, recorded in EXPERIMENTS.md): the monitor
 // only reads registry snapshots, so the hot path never sees it.
-func runCallBench(b *testing.B, interval time.Duration) {
+func runCallBench(b *testing.B, every time.Duration) {
 	reg := telemetry.New()
 	telemetry.RegisterStandard(reg)
 	r := startPool(b, reg, core.PoolOptions{Shards: 1}, func(int, uint64) uint64 { return 0 }).Requester()
-	if interval > 0 {
-		m := New(reg, Options{Interval: interval, RingCap: 64})
+	if every > 0 {
+		m := New(reg, Options{})
+		m.every = every
 		m.Start()
 		defer m.Stop()
 	}
@@ -35,7 +36,7 @@ func BenchmarkCallTelemetry(b *testing.B) { runCallBench(b, 0) }
 
 // BenchmarkCallMonitored adds a live monitor at the production default
 // sampling interval (250ms).
-func BenchmarkCallMonitored(b *testing.B) { runCallBench(b, 250*time.Millisecond) }
+func BenchmarkCallMonitored(b *testing.B) { runCallBench(b, interval) }
 
 // BenchmarkCallMonitored10ms oversamples 25x faster than production to
 // amplify whatever cost the sampler has; on a single-CPU host this also
@@ -62,7 +63,7 @@ func BenchmarkTick(b *testing.B) {
 	for i := 0; i < 4096; i++ {
 		h.Observe(uint64(500 + i%512))
 	}
-	m := New(reg, Options{RingCap: 64})
+	m := New(reg, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Tick()

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func poolSample(live, max, occMilli int64, dTimeouts uint64) []Sample {
 }
 
 func TestPoolSaturationRule(t *testing.T) {
-	r := &PoolSaturationRule{T: DefaultThresholds()}
+	r := &PoolSaturationRule{}
 
 	if ev := r.Evaluate(nil); ev != nil {
 		t.Fatalf("empty window fired: %+v", ev)
@@ -56,13 +57,13 @@ func TestPoolSaturationRule(t *testing.T) {
 // through the standard Tick path — fabric → telemetry → sampler → rule,
 // no fabricated samples.
 func TestPoolSaturationEndToEnd(t *testing.T) {
+	// Four requesters keep full 64-deep rings posted against the one
+	// responder, so its scan passes find work faster than it drains it.
+	const shards, window = 4, 64
 	reg := telemetry.New()
 	p := core.NewCallPool(
 		[]core.PoolFunc{func(_ int, d uint64) uint64 { return d }},
-		core.PoolOptions{
-			Shards: 1, SlotsPerShard: 16, MinResponders: 1, MaxResponders: 1,
-			Timeout: 1 << 20, ControlWindow: 8, SpinPasses: 2, YieldPasses: 4,
-		})
+		core.PoolOptions{Shards: shards, SlotsPerShard: window, MaxResponders: 1, Timeout: 1 << 20})
 	p.SetTelemetry(reg)
 	p.Start()
 	defer p.Stop()
@@ -70,30 +71,33 @@ func TestPoolSaturationEndToEnd(t *testing.T) {
 	m := New(reg, Options{})
 	m.Tick() // baseline
 
-	r := p.Requester()
 	var stop atomic.Bool
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		pending := make([]*core.PoolPending, 0, 16)
-		for i := uint64(0); !stop.Load(); {
-			for len(pending) < 16 {
-				pd, err := r.Submit(0, i)
-				if err != nil {
-					return
+	var load sync.WaitGroup
+	for range shards {
+		r := p.Requester()
+		load.Add(1)
+		go func() {
+			defer load.Done()
+			pending := make([]*core.PoolPending, 0, window)
+			for i := uint64(0); !stop.Load(); {
+				for len(pending) < window {
+					pd, err := r.Submit(0, i)
+					if err != nil {
+						return
+					}
+					pending = append(pending, pd)
+					i++
 				}
-				pending = append(pending, pd)
-				i++
+				for _, pd := range pending {
+					pd.Wait()
+				}
+				pending = pending[:0]
 			}
 			for _, pd := range pending {
-				pd.Wait()
+				pd.Poll()
 			}
-			pending = pending[:0]
-		}
-		for _, pd := range pending {
-			pd.Poll()
-		}
-	}()
+		}()
+	}
 
 	// The occupancy gauge updates once per control window; give the
 	// saturated pool a few monitor intervals to show it.
@@ -102,14 +106,14 @@ func TestPoolSaturationEndToEnd(t *testing.T) {
 	for time.Now().Before(deadline) && !fired {
 		time.Sleep(time.Millisecond)
 		s := m.Tick()
-		for _, ev := range (&PoolSaturationRule{T: DefaultThresholds()}).Evaluate([]Sample{s}) {
+		for _, ev := range (&PoolSaturationRule{}).Evaluate([]Sample{s}) {
 			if ev.Rule == "pool-saturation" {
 				fired = true
 			}
 		}
 	}
 	stop.Store(true)
-	<-done
+	load.Wait()
 	if !fired {
 		t.Fatal("pool-saturation rule never fired on a pinned, saturated pool")
 	}

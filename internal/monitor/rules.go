@@ -52,100 +52,63 @@ type Rule interface {
 	Evaluate(window []Sample) []Event
 }
 
-// Thresholds collects every default-rule knob in one place so callers
-// can tune a single struct instead of assembling rules by hand.
-type Thresholds struct {
+// The rules' thresholds.  The latency objective is ~3.3x the paper's
+// 620-cycle HotCall median: comfortably above healthy jitter, far below
+// the ~8,600-cycle fallback ecall that a storm mixes into the
+// distribution.
+const (
 	// Fallback storm (responder asleep/overloaded).
-	StormMinAttempts uint64  // ignore intervals with fewer submission attempts
-	StormWarnRate    float64 // timeout-or-fallback fraction → Warning
-	StormCritRate    float64 // → Critical
+	stormMinAttempts uint64 = 10   // ignore intervals with fewer submission attempts
+	stormWarnRate           = 0.05 // timeout-or-fallback fraction → Warning
+	stormCritRate           = 0.25 // → Critical
 
 	// Spin-waste budget (the dedicated polling core's economics).
-	SpinMinPolls      uint64  // ignore intervals with fewer polls
-	SpinWarnOccupancy float64 // occupancy below this → Warning
-	SpinCritOccupancy float64 // → Critical
-	SpinPerCallBudget float64 // simulated sync cycles per HotCall → Warning
+	spinMinPolls      uint64  = 1000  // ignore intervals with fewer polls
+	spinWarnOccupancy         = 0.01  // occupancy below this → Warning
+	spinCritOccupancy         = 0.001 // → Critical
+	spinPerCallBudget float64 = 2048  // simulated sync cycles per HotCall → Warning
 
 	// Latency SLO burn rate (multiwindow).
-	SLOObjectiveP99 uint64  // interval p99 objective in cycles
-	SLOMinCount     uint64  // min latency observations for an interval to count
-	SLOFastWindow   int     // samples in the fast window
-	SLOSlowWindow   int     // samples in the slow window
-	SLOFastBurn     float64 // breaching fraction of the fast window
-	SLOSlowBurn     float64 // breaching fraction of the slow window
+	sloObjectiveP99 uint64 = 2048 // interval p99 objective in cycles
+	sloMinCount     uint64 = 8    // min latency observations for an interval to count
+	sloFastWindow          = 3    // samples in the fast window
+	sloSlowWindow          = 12   // samples in the slow window
+	sloFastBurn            = 0.67 // breaching fraction of the fast window
+	sloSlowBurn            = 0.25 // breaching fraction of the slow window
 
 	// EPC thrash.
-	EPCWarnEvictions uint64 // interval evictions → Warning
-	EPCCritEvictions uint64 // → Critical
+	epcWarnEvictions uint64 = 256  // interval evictions → Warning
+	epcCritEvictions uint64 = 4096 // → Critical
 
 	// EPC oversubscription early warning (epcstat collector attached).
-	EPCOversubWarnFrac float64 // summed WSS / capacity → Warning
-	EPCOversubCritFrac float64 // → Critical
-	EPCOversubMinPages uint64  // ignore estimates below this WSS
+	epcOversubWarnFrac        = 0.85 // summed WSS / capacity → Warning
+	epcOversubCritFrac        = 1.0  // → Critical
+	epcOversubMinPages uint64 = 64   // ignore estimates below this WSS
 
 	// EPC victim interference (epcstat collector attached).
-	EPCInterfMinEvicts   uint64  // ignore intervals with fewer total evictions
-	EPCInterfVictimShare float64 // owner's share of interval evictions
-	EPCInterfCauseRatio  float64 // fraction of its evictions caused by others
+	epcInterfMinEvicts   uint64 = 64   // ignore intervals with fewer total evictions
+	epcInterfVictimShare        = 0.5  // owner's share of interval evictions
+	epcInterfCauseRatio         = 0.75 // fraction of its evictions caused by others
 
-	// Responder-pool saturation (the adaptive fabric's ceiling).
-	PoolSatOccupancy float64 // window occupancy at max responders → Warning
+	// Responder-pool saturation (the adaptive fabric's ceiling): window
+	// occupancy at max responders → Warning, at the controller's
+	// scale-up watermark.
+	poolSatOccupancy = 0.5
 
 	// Callsite-scoped rules (flight recorder attached).
-	CallsiteMinCalls     uint64  // ignore callsites with fewer interval arrivals
-	CallsiteWastePolls   float64 // attributed wasted polls per interval → Warning
-	CallsiteWasteMaxRate float64 // only callsites at or below this EWMA rate are charged
-}
+	callsiteMinCalls     uint64  = 10   // ignore callsites with fewer interval arrivals
+	callsiteWastePolls   float64 = 1000 // attributed wasted polls per interval → Warning
+	callsiteWasteMaxRate         = 1.0  // only callsites at or below this EWMA rate are charged
+)
 
-// DefaultThresholds returns the stock tuning.  The latency objective is
-// ~3.3x the paper's 620-cycle HotCall median: comfortably above healthy
-// jitter, far below the ~8,600-cycle fallback ecall that a storm mixes
-// into the distribution.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		StormMinAttempts: 10,
-		StormWarnRate:    0.05,
-		StormCritRate:    0.25,
-
-		SpinMinPolls:      1000,
-		SpinWarnOccupancy: 0.01,
-		SpinCritOccupancy: 0.001,
-		SpinPerCallBudget: 2048,
-
-		SLOObjectiveP99: 2048,
-		SLOMinCount:     8,
-		SLOFastWindow:   3,
-		SLOSlowWindow:   12,
-		SLOFastBurn:     0.67,
-		SLOSlowBurn:     0.25,
-
-		EPCWarnEvictions: 256,
-		EPCCritEvictions: 4096,
-
-		EPCOversubWarnFrac: 0.85,
-		EPCOversubCritFrac: 1.0,
-		EPCOversubMinPages: 64,
-
-		EPCInterfMinEvicts:   64,
-		EPCInterfVictimShare: 0.5,
-		EPCInterfCauseRatio:  0.75,
-
-		PoolSatOccupancy: 0.5, // the controller's default scale-up watermark
-
-		CallsiteMinCalls:     10,
-		CallsiteWastePolls:   1000,
-		CallsiteWasteMaxRate: 1,
-	}
-}
-
-// DefaultRules returns the standard rule set under the given thresholds.
-func DefaultRules(t Thresholds) []Rule {
+// DefaultRules returns the standard rule set.
+func DefaultRules() []Rule {
 	return []Rule{
-		&FallbackStormRule{T: t},
-		&SpinWasteRule{T: t},
-		&LatencySLORule{T: t},
-		&EPCThrashRule{T: t},
-		&PoolSaturationRule{T: t},
+		&FallbackStormRule{},
+		&SpinWasteRule{},
+		&LatencySLORule{},
+		&EPCThrashRule{},
+		&PoolSaturationRule{},
 	}
 }
 
@@ -154,10 +117,10 @@ func DefaultRules(t Thresholds) []Rule {
 // epcstat snapshot that Options.EPC embeds in every sample.  They are
 // appended to DefaultRules automatically when a collector is attached
 // and Options.Rules is nil.
-func EPCRules(t Thresholds) []Rule {
+func EPCRules() []Rule {
 	return []Rule{
-		&EPCOversubscriptionRule{T: t},
-		&EPCVictimInterferenceRule{T: t},
+		&EPCOversubscriptionRule{},
+		&EPCVictimInterferenceRule{},
 	}
 }
 
@@ -166,10 +129,10 @@ func EPCRules(t Thresholds) []Rule {
 // flight recorder's stats table that Options.Flight embeds in every
 // sample.  They are appended to DefaultRules automatically when a
 // recorder is attached and Options.Rules is nil.
-func FlightRules(t Thresholds) []Rule {
+func FlightRules() []Rule {
 	return []Rule{
-		&CallsiteStormRule{T: t},
-		&CallsiteSpinWasteRule{T: t},
+		&CallsiteStormRule{},
+		&CallsiteSpinWasteRule{},
 	}
 }
 
@@ -186,7 +149,7 @@ func newest(window []Sample) *Sample {
 // a handler or overloaded, requesters exhaust their submission attempts and every
 // timed-out HotCall degrades into a regular SDK call — a 13-27x latency
 // cliff that a raw throughput graph hides until saturation.
-type FallbackStormRule struct{ T Thresholds }
+type FallbackStormRule struct{}
 
 // Name implements Rule.
 func (r *FallbackStormRule) Name() string { return "fallback-storm" }
@@ -198,19 +161,19 @@ func (r *FallbackStormRule) Evaluate(window []Sample) []Event {
 		return nil
 	}
 	attempts := s.DSubmissions
-	if attempts < r.T.StormMinAttempts {
+	if attempts < stormMinAttempts {
 		return nil
 	}
 	rate := s.TimeoutRate
 	if s.FallbackRate > rate {
 		rate = s.FallbackRate
 	}
-	if rate < r.T.StormWarnRate {
+	if rate < stormWarnRate {
 		return nil
 	}
-	sev, threshold := Warning, r.T.StormWarnRate
-	if rate >= r.T.StormCritRate {
-		sev, threshold = Critical, r.T.StormCritRate
+	sev, threshold := Warning, stormWarnRate
+	if rate >= stormCritRate {
+		sev, threshold = Critical, stormCritRate
 	}
 	return []Event{{
 		Rule: r.Name(), Severity: sev, Seq: s.Seq, At: s.When,
@@ -232,7 +195,7 @@ func (r *FallbackStormRule) Evaluate(window []Sample) []Event {
 // burned core is buying nothing.  It also watches the simulated-channel
 // per-call synchronization cycles against a budget — a slow responder
 // pickup inflates every requester's observed latency.
-type SpinWasteRule struct{ T Thresholds }
+type SpinWasteRule struct{}
 
 // Name implements Rule.
 func (r *SpinWasteRule) Name() string { return "spin-waste" }
@@ -244,10 +207,10 @@ func (r *SpinWasteRule) Evaluate(window []Sample) []Event {
 		return nil
 	}
 	var events []Event
-	if s.DPolls >= r.T.SpinMinPolls && s.Occupancy < r.T.SpinWarnOccupancy {
-		sev, threshold := Warning, r.T.SpinWarnOccupancy
-		if s.Occupancy < r.T.SpinCritOccupancy {
-			sev, threshold = Critical, r.T.SpinCritOccupancy
+	if s.DPolls >= spinMinPolls && s.Occupancy < spinWarnOccupancy {
+		sev, threshold := Warning, spinWarnOccupancy
+		if s.Occupancy < spinCritOccupancy {
+			sev, threshold = Critical, spinCritOccupancy
 		}
 		wasted := s.DPolls - s.DExecutes
 		events = append(events, Event{
@@ -263,15 +226,15 @@ func (r *SpinWasteRule) Evaluate(window []Sample) []Event {
 	}
 	if s.DSubmissions > 0 && s.DSpinCycles > 0 {
 		perCall := float64(s.DSpinCycles) / float64(s.DSubmissions)
-		if perCall > r.T.SpinPerCallBudget {
+		if perCall > spinPerCallBudget {
 			events = append(events, Event{
 				Rule: r.Name(), Severity: Warning, Seq: s.Seq, At: s.When,
-				Value: perCall, Threshold: r.T.SpinPerCallBudget,
+				Value: perCall, Threshold: spinPerCallBudget,
 				Diagnosis: fmt.Sprintf(
 					"HotCall synchronization averaged %.0f cycles/call this interval (budget %.0f): "+
 						"requesters are spinning long on submission or completion — the responder is "+
 						"slow to pick up work, likely preempted or servicing too many channels",
-					perCall, r.T.SpinPerCallBudget),
+					perCall, spinPerCallBudget),
 			})
 		}
 	}
@@ -283,18 +246,18 @@ func (r *SpinWasteRule) Evaluate(window []Sample) []Event {
 // Requiring both a fast window (catches an active regression quickly)
 // and a slow window (suppresses one-interval blips) to burn is the
 // standard fast/slow SLO construction.
-type LatencySLORule struct{ T Thresholds }
+type LatencySLORule struct{}
 
 // Name implements Rule.
 func (r *LatencySLORule) Name() string { return "latency-slo" }
 
 // burning reports whether a sample is eligible and its interpolated p99
-// breaches SLOObjectiveP99.
+// breaches sloObjectiveP99.
 func (r *LatencySLORule) burning(s Sample) (eligible, breach bool) {
-	if s.LatencyCount < r.T.SLOMinCount {
+	if s.LatencyCount < sloMinCount {
 		return false, false
 	}
-	return true, s.LatencyP99 > r.T.SLOObjectiveP99
+	return true, s.LatencyP99 > sloObjectiveP99
 }
 
 // burnRate returns the breaching fraction over the last n samples of the
@@ -327,23 +290,23 @@ func (r *LatencySLORule) Evaluate(window []Sample) []Event {
 	if s == nil {
 		return nil
 	}
-	fast, fastN := r.burnRate(window, r.T.SLOFastWindow)
-	slow, _ := r.burnRate(window, r.T.SLOSlowWindow)
-	if fastN == 0 || fast < r.T.SLOFastBurn {
+	fast, fastN := r.burnRate(window, sloFastWindow)
+	slow, _ := r.burnRate(window, sloSlowWindow)
+	if fastN == 0 || fast < sloFastBurn {
 		return nil
 	}
 	sev := Warning
-	if slow >= r.T.SLOSlowBurn {
+	if slow >= sloSlowBurn {
 		sev = Critical
 	}
 	return []Event{{
 		Rule: r.Name(), Severity: sev, Seq: s.Seq, At: s.When,
-		Value: float64(s.LatencyP99), Threshold: float64(r.T.SLOObjectiveP99),
+		Value: float64(s.LatencyP99), Threshold: float64(sloObjectiveP99),
 		Diagnosis: fmt.Sprintf(
 			"HotCall p99 %d cycles over the %d-cycle objective; burn rate %.0f%% fast / %.0f%% slow "+
 				"window — sustained tail regression, not a blip (look for fallback storms, EPC "+
 				"thrash, or a preempted responder in the same windows)",
-			s.LatencyP99, r.T.SLOObjectiveP99, fast*100, slow*100),
+			s.LatencyP99, sloObjectiveP99, fast*100, slow*100),
 	}}
 }
 
@@ -354,7 +317,7 @@ func (r *LatencySLORule) Evaluate(window []Sample) []Event {
 // budget, and the next step is submission timeouts degrading calls onto
 // the SDK-fallback cliff.  Timeouts in the same interval escalate the
 // event to Critical because that cliff is already being paid.
-type PoolSaturationRule struct{ T Thresholds }
+type PoolSaturationRule struct{}
 
 // Name implements Rule.
 func (r *PoolSaturationRule) Name() string { return "pool-saturation" }
@@ -369,7 +332,7 @@ func (r *PoolSaturationRule) Evaluate(window []Sample) []Event {
 		return nil // headroom remains; the controller can still grow
 	}
 	occ := float64(s.PoolOccupancyMilli) / 1000
-	if occ < r.T.PoolSatOccupancy {
+	if occ < poolSatOccupancy {
 		return nil
 	}
 	sev := Warning
@@ -378,14 +341,14 @@ func (r *PoolSaturationRule) Evaluate(window []Sample) []Event {
 	}
 	return []Event{{
 		Rule: r.Name(), Severity: sev, Seq: s.Seq, At: s.When,
-		Value: occ, Threshold: r.T.PoolSatOccupancy,
+		Value: occ, Threshold: poolSatOccupancy,
 		Diagnosis: fmt.Sprintf(
 			"responder pool saturated: %d/%d responders live with window occupancy %.2f still "+
 				"over the %.2f scale-up watermark (%d timeouts this interval); the adaptive "+
 				"controller has no headroom left — raise MaxResponders (more polling cores), "+
 				"widen requester windows, or shed load before submissions start falling back "+
 				"to SDK calls",
-			s.PoolResponders, s.PoolRespondersMax, occ, r.T.PoolSatOccupancy, s.DTimeouts),
+			s.PoolResponders, s.PoolRespondersMax, occ, poolSatOccupancy, s.DTimeouts),
 	}}
 }
 
@@ -393,7 +356,7 @@ func (r *PoolSaturationRule) Evaluate(window []Sample) []Event {
 // (encrypt + MAC + write-out) and every re-touch an ELDU, the ~40,000x
 // memory-access cliff of the paper's Section 6.3 libquantum discussion.
 // A sustained eviction rate means the working set has outgrown the EPC.
-type EPCThrashRule struct{ T Thresholds }
+type EPCThrashRule struct{}
 
 // Name implements Rule.
 func (r *EPCThrashRule) Name() string { return "epc-thrash" }
@@ -401,12 +364,12 @@ func (r *EPCThrashRule) Name() string { return "epc-thrash" }
 // Evaluate implements Rule.
 func (r *EPCThrashRule) Evaluate(window []Sample) []Event {
 	s := newest(window)
-	if s == nil || s.DEPCEvicts < r.T.EPCWarnEvictions {
+	if s == nil || s.DEPCEvicts < epcWarnEvictions {
 		return nil
 	}
-	sev, threshold := Warning, r.T.EPCWarnEvictions
-	if s.DEPCEvicts >= r.T.EPCCritEvictions {
-		sev, threshold = Critical, r.T.EPCCritEvictions
+	sev, threshold := Warning, epcWarnEvictions
+	if s.DEPCEvicts >= epcCritEvictions {
+		sev, threshold = Critical, epcCritEvictions
 	}
 	return []Event{{
 		Rule: r.Name(), Severity: sev, Seq: s.Seq, At: s.When,
@@ -445,7 +408,7 @@ func epcOwnerName(owner epc.OwnerID, label string) string {
 // evicted yet, so there is still time to shed load or shrink heaps
 // before every access starts paying EWB+ELDU.  Fires on the newest
 // sample's snapshot (WSS is an at-time estimate, not an interval delta).
-type EPCOversubscriptionRule struct{ T Thresholds }
+type EPCOversubscriptionRule struct{}
 
 // Name implements Rule.
 func (r *EPCOversubscriptionRule) Name() string { return "epc-oversubscription" }
@@ -457,16 +420,16 @@ func (r *EPCOversubscriptionRule) Evaluate(window []Sample) []Event {
 		return nil
 	}
 	wss := s.EPC.WSSPages
-	if wss < r.T.EPCOversubMinPages {
+	if wss < epcOversubMinPages {
 		return nil
 	}
 	frac := float64(wss) / float64(s.EPC.CapacityPages)
-	if frac < r.T.EPCOversubWarnFrac {
+	if frac < epcOversubWarnFrac {
 		return nil
 	}
-	sev, threshold := Warning, r.T.EPCOversubWarnFrac
-	if frac >= r.T.EPCOversubCritFrac {
-		sev, threshold = Critical, r.T.EPCOversubCritFrac
+	sev, threshold := Warning, epcOversubWarnFrac
+	if frac >= epcOversubCritFrac {
+		sev, threshold = Critical, epcOversubCritFrac
 	}
 	top := ""
 	var topWSS uint64
@@ -494,7 +457,7 @@ func (r *EPCOversubscriptionRule) Evaluate(window []Sample) []Event {
 // the noisy-neighbour signal the ROADMAP's EPC-aware placement policy
 // needs.  It diffs consecutive samples' interference matrices, so it
 // fires only with an epcstat collector attached (Options.EPC).
-type EPCVictimInterferenceRule struct{ T Thresholds }
+type EPCVictimInterferenceRule struct{}
 
 // Name implements Rule.
 func (r *EPCVictimInterferenceRule) Name() string { return "epc-victim-interference" }
@@ -506,7 +469,7 @@ func (r *EPCVictimInterferenceRule) Evaluate(window []Sample) []Event {
 		return nil
 	}
 	d := s.EPC.Sub(prevEPC(window))
-	if d.Evictions < r.T.EPCInterfMinEvicts {
+	if d.Evictions < epcInterfMinEvicts {
 		return nil
 	}
 	// Interval evictions of each victim forced by other owners' faults,
@@ -535,13 +498,13 @@ func (r *EPCVictimInterferenceRule) Evaluate(window []Sample) []Event {
 		}
 		share := float64(o.Evictions) / float64(d.Evictions)
 		caused := float64(byOthers[o.Owner]) / float64(o.Evictions)
-		if share < r.T.EPCInterfVictimShare || caused < r.T.EPCInterfCauseRatio {
+		if share < epcInterfVictimShare || caused < epcInterfCauseRatio {
 			continue
 		}
 		culprit := topCulprit[o.Owner]
 		events = append(events, Event{
 			Rule: r.Name(), Severity: Warning, Seq: s.Seq, At: s.When,
-			Value: caused, Threshold: r.T.EPCInterfCauseRatio,
+			Value: caused, Threshold: epcInterfCauseRatio,
 			Diagnosis: fmt.Sprintf(
 				"owner %s is the EPC victim: %d of the interval's %d evictions hit its pages "+
 					"(%.0f%% share) and %.0f%% of those were forced by other owners' faults, "+
@@ -574,12 +537,10 @@ func prevCallsites(window []Sample) map[int]flight.CallsiteStats {
 
 // CallsiteStormRule is the callsite-scoped FallbackStormRule: the
 // global rule says *that* HotCalls are degrading onto the SDK-fallback
-// cliff, this one says *which callsite* is doing the degrading — the
-// attribution the configless dispatcher needs to demote exactly the
-// offending call path instead of the whole fabric.  It diffs
+// cliff, this one says *which callsite* is doing the degrading.  It diffs
 // consecutive samples' flight stats tables, so it fires only with a
 // flight recorder attached (Options.Flight).
-type CallsiteStormRule struct{ T Thresholds }
+type CallsiteStormRule struct{}
 
 // Name implements Rule.
 func (r *CallsiteStormRule) Name() string { return "callsite-storm" }
@@ -595,7 +556,7 @@ func (r *CallsiteStormRule) Evaluate(window []Sample) []Event {
 	for _, cs := range s.Callsites {
 		p := prev[cs.ID] // zero row for a callsite's first interval
 		dArr := sub(cs.Arrivals, p.Arrivals)
-		if dArr < r.T.CallsiteMinCalls {
+		if dArr < callsiteMinCalls {
 			continue
 		}
 		dTo := sub(cs.Timeouts, p.Timeouts)
@@ -605,12 +566,12 @@ func (r *CallsiteStormRule) Evaluate(window []Sample) []Event {
 			worst = dFb
 		}
 		rate := float64(worst) / float64(dArr)
-		if rate < r.T.StormWarnRate {
+		if rate < stormWarnRate {
 			continue
 		}
-		sev, threshold := Warning, r.T.StormWarnRate
-		if rate >= r.T.StormCritRate {
-			sev, threshold = Critical, r.T.StormCritRate
+		sev, threshold := Warning, stormWarnRate
+		if rate >= stormCritRate {
+			sev, threshold = Critical, stormCritRate
 		}
 		events = append(events, Event{
 			Rule: r.Name(), Severity: sev, Seq: s.Seq, At: s.When,
@@ -631,11 +592,10 @@ func (r *CallsiteStormRule) Evaluate(window []Sample) []Event {
 // names the callsite being charged for it.  The flight recorder
 // attributes each digest window's empty polls across callsites by
 // inverse EWMA arrival rate, so a rare callsite that keeps a spinning
-// responder alive accumulates attributed waste fast — the "SGX
-// Switchless Calls Made Configless" demotion signal.  Fires on
+// responder alive accumulates attributed waste fast.  Fires on
 // callsites whose attributed waste grew past the interval budget while
-// their arrival rate sits at or below CallsiteWasteMaxRate.
-type CallsiteSpinWasteRule struct{ T Thresholds }
+// their arrival rate sits at or below callsiteWasteMaxRate.
+type CallsiteSpinWasteRule struct{}
 
 // Name implements Rule.
 func (r *CallsiteSpinWasteRule) Name() string { return "callsite-spin-waste" }
@@ -650,12 +610,12 @@ func (r *CallsiteSpinWasteRule) Evaluate(window []Sample) []Event {
 	var events []Event
 	for _, cs := range s.Callsites {
 		dWaste := cs.WastedSpin - prev[cs.ID].WastedSpin
-		if dWaste < r.T.CallsiteWastePolls || cs.RateEWMA > r.T.CallsiteWasteMaxRate {
+		if dWaste < callsiteWastePolls || cs.RateEWMA > callsiteWasteMaxRate {
 			continue
 		}
 		events = append(events, Event{
 			Rule: r.Name(), Severity: Warning, Seq: s.Seq, At: s.When,
-			Value: dWaste, Threshold: r.T.CallsiteWastePolls,
+			Value: dWaste, Threshold: callsiteWastePolls,
 			Diagnosis: fmt.Sprintf(
 				"callsite %q was charged %.0f wasted responder polls this interval at only "+
 					"%.2f calls/s — a rare call path keeping a spinning responder alive; it, not "+

@@ -22,7 +22,8 @@ func TestMonitorVsWorkloadRace(t *testing.T) {
 	const perRequester = 500
 	p := startPool(t, reg, core.PoolOptions{Shards: requesters}, func(int, uint64) uint64 { return 1 })
 
-	m := New(reg, Options{Interval: time.Millisecond, RingCap: 16})
+	m := New(reg, Options{})
+	m.every = time.Millisecond // Start's goroutine ticks while the callers run
 	m.Start()
 
 	var callers sync.WaitGroup
