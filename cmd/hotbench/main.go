@@ -18,12 +18,11 @@
 //
 //	hotbench -run table1 -metrics          # Prometheus dump after the run
 //	hotbench -run table1 -trace out.json   # Chrome trace_event JSON
-//	hotbench -run table1 -profile out.folded # cycle-attribution profile
+//	hotbench -run table1 -profile out.folded # cycle-attribution profile: folded stacks + breakdown tables
 //	hotbench -run all -monitor             # health summary + alerts after the run
 //	hotbench -run all -watch               # live monitor table, redrawn in place
 //	hotbench -run incident -incident-dir incidents # postmortem-bundle demo, spooled to disk
-//	hotbench -run epc -epc-svg epc-heatmap.svg # EPC oversubscription cliff + fault heatmap
-//	hotbench -run zerocopy -zerocopy-csv zerocopy-sweep.csv # staged vs zero-copy crossing sweep
+//	hotbench -run epc,zerocopy -csv demo-out # EPC cliff + fault heatmap SVG, staged vs zero-copy sweep CSV
 package main
 
 import (
@@ -53,28 +52,20 @@ const profileCapacity = 1 << 22
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	run := flag.String("run", "all", "experiment ID(s) to run, comma-separated, or 'all'")
-	csvDir := flag.String("csv", "", "directory to write raw CSV series into")
+	csvDir := flag.String("csv", "", "directory to write the experiments' raw series into (CSV files, and the epc experiment's fault-heatmap SVG)")
 	docsDir := flag.String("docs", "", "run everything once and write EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json into this directory; exit 1 when a paper-fidelity metric is outside its band")
 	metrics := flag.Bool("metrics", false, "dump all counters and histograms in Prometheus text format after the run")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of boundary crossings to this path")
-	profilePath := flag.String("profile", "", "write a cycle-attribution profile: folded flame-graph stacks to this path, pprof protobuf to <path>.pb.gz, breakdown tables to stdout")
+	profilePath := flag.String("profile", "", "write a cycle-attribution profile: folded flame-graph stacks to this path, breakdown tables to stdout")
 	monitorFlag := flag.Bool("monitor", false, "run the continuous health monitor during the experiments and print its verdict and alerts afterwards")
 	watch := flag.Bool("watch", false, "like -monitor, but redraw a live sample table in place while experiments run")
 	incidentDir := flag.String("incident-dir", "", "spool incident bundles captured by the experiments (see -run incident) to this directory as <bundle-id>.json")
-	epcSVG := flag.String("epc-svg", "", "write the epc experiment's oversubscribed fault-heatmap SVG (the /debug/epc?format=svg view) to this path")
-	zcCSV := flag.String("zerocopy-csv", "", "write the zerocopy experiment's sweep series CSV to this path")
 	seed := flag.Uint64("seed", 0, "base seed the experiments' random streams derive from; 0 (the default) reproduces the committed EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json byte for byte")
 	flag.Parse()
 
 	bench.SetSeed(*seed)
 	if *incidentDir != "" {
 		bench.SetIncidentDir(*incidentDir)
-	}
-	if *epcSVG != "" {
-		bench.SetEPCSVGPath(*epcSVG)
-	}
-	if *zcCSV != "" {
-		bench.SetZeroCopyCSV(*zcCSV)
 	}
 
 	if *watch {
@@ -201,24 +192,20 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hotbench: profile ring overflowed, oldest %d events dropped; attribution is partial\n", tr.Dropped())
 		}
 		prof := profile.Analyze(tr.Events())
-		writeTo := func(path string, fn func(*os.File) error) {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-				os.Exit(1)
-			}
-			err = fn(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("wrote", path)
+		f, err := os.Create(*profilePath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
+			os.Exit(1)
 		}
-		writeTo(*profilePath, func(f *os.File) error { return prof.WriteFolded(f) })
-		writeTo(*profilePath+".pb.gz", func(f *os.File) error { return prof.WritePprof(f) })
+		err = prof.WriteFolded(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Println("wrote", *profilePath)
 		fmt.Println("=== cycle attribution (per call site) ===")
 		if err := prof.WriteCallTable(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)

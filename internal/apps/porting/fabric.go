@@ -27,8 +27,9 @@ type Observers struct {
 	// Registry receives the fabric's counters and gauges, and the EPC
 	// model's when that is armed too.
 	Registry *telemetry.Registry
-	// Flight records per-callsite arrival rates, sampled causal
-	// timelines and payload byte volume, under the spec's callsite names.
+	// Flight records per-callsite arrival counts, sampled causal
+	// timelines, outliers and payload byte volume, under the spec's
+	// callsite names.
 	Flight *flight.Recorder
 	// EPCBytes arms a simulated EPC of that capacity (up to one page
 	// selects epc.DefaultCapacityBytes) and its pressure observatory:
@@ -37,8 +38,9 @@ type Observers struct {
 	// monitor rules attribute paging per client.
 	EPCBytes int
 	// Monitor arms the health monitor over Registry with these options;
-	// the observers above feed its callsite and EPC rules unless the
-	// options name others.  The caller Starts or Ticks it.
+	// the recorder and EPC observatory above attach to it (its
+	// /debug/flight and /debug/epc, the EPC rules) unless the options
+	// name others.  The caller Starts or Ticks it.
 	Monitor *monitor.Options
 	// Incidents arms the capturer that freezes a postmortem bundle on
 	// every warning/critical rule transition (arming a default monitor

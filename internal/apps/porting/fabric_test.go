@@ -310,6 +310,61 @@ func TestFabricKitAllArmed(t *testing.T) {
 	}
 }
 
+// TestFabricKitBundleCarriesOutliers: a port built on the kit and armed
+// through Arm captures incident bundles that carry the flight recorder's
+// outlier records.  The port's handler is wedged, so its submissions time
+// out and fall back; the fallback-storm rule fires, and the bundle must
+// hold the timed-out calls even at the recorder's production sampling
+// rate, where uniform sampling would have kept none of them.
+func TestFabricKitBundleCarriesOutliers(t *testing.T) {
+	gate := make(chan struct{})
+	f := porting.NewFabric(porting.FabricSpec{Callsites: []string{"wedge.op"}}, 1,
+		[]core.PoolFunc{func(_ int, d uint64) uint64 { <-gate; return d }},
+		core.PoolOptions{SlotsPerShard: 4, MaxResponders: 1, Timeout: 1024})
+	f.Arm(porting.Observers{
+		Registry:  telemetry.New(),
+		Flight:    flight.New(flight.Options{}),
+		Incidents: &incident.Options{},
+	})
+	f.Start()
+	req := f.Pool().Requester()
+
+	// Wedge: the responder claims the first call and blocks in the
+	// handler; the rest of the window fills behind it.
+	var parked []*core.PoolPending
+	for i := 0; i < 4; i++ {
+		pd, err := req.Submit(0, uint64(i))
+		if err != nil {
+			break
+		}
+		parked = append(parked, pd)
+	}
+	f.Monitor().Tick() // baseline
+	for i := 0; i < 100; i++ {
+		_, _ = req.CallOrFallbackAt(f.Callsite(0), 0, uint64(i), func() (uint64, error) { return 0, nil })
+	}
+	f.Monitor().Tick() // the storm rule fires and the capturer freezes a bundle
+	close(gate)
+	for _, pd := range parked {
+		_, _ = pd.Wait()
+	}
+	f.Stop()
+
+	bundles := f.Incidents().Bundles()
+	if len(bundles) == 0 {
+		t.Fatal("no bundle captured: the fallback-storm rule did not fire")
+	}
+	var timedOut int
+	for _, v := range bundles[0].Outliers {
+		if v.TimedOut && v.Name == "wedge.op" {
+			timedOut++
+		}
+	}
+	if timedOut == 0 {
+		t.Fatalf("bundle %s carries %d outlier records, none a timed-out wedge.op call", bundles[0].ID, len(bundles[0].Outliers))
+	}
+}
+
 // TestFabricArmOnce pins the wiring-order fix: the observers attach in
 // one call, so there is no order to get wrong — and a second call, one
 // after Start, or one after DebugMux fixed the surface panics instead of

@@ -17,7 +17,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"hotcalls/internal/epc"
@@ -25,14 +24,6 @@ import (
 	"hotcalls/internal/mem"
 	"hotcalls/internal/sim"
 )
-
-// epcSVGPath is where runEPCSweep writes the fault heatmap SVG; empty
-// skips the file.  Set via SetEPCSVGPath (hotbench's -epc-svg flag).
-var epcSVGPath string
-
-// SetEPCSVGPath directs the epc experiment to also render the
-// oversubscribed fixture's /debug/epc fault heatmap to the given file.
-func SetEPCSVGPath(path string) { epcSVGPath = path }
 
 const (
 	// epcSweepCapacity is the sweep fixture's EPC: small enough that the
@@ -173,15 +164,9 @@ func runEPCSweep() *Report {
 	r.CSV["epc_sweep.csv"] = csv.String()
 
 	// The oversubscribed point's fault heatmap is the /debug/epc visual;
-	// -csv captures it and -epc-svg (make epc-demo, CI) writes it alone.
+	// -csv writes it beside the sweep (make epc-demo, CI).
 	if oversub != nil && oversub.snap != nil {
-		svg := epcstat.HeatSVG(oversub.snap)
-		r.CSV["epc_heatmap.svg"] = svg
-		if epcSVGPath != "" {
-			if err := os.WriteFile(epcSVGPath, []byte(svg), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "epc: heatmap write failed: %v\n", err)
-			}
-		}
+		r.CSV["epc_heatmap.svg"] = epcstat.HeatSVG(oversub.snap)
 	}
 
 	r.Table = tbl.String()

@@ -52,7 +52,6 @@ func runIncidentDemo() *Report {
 	reg := telemetry.New()
 	p.SetTelemetry(reg)
 	rec := flight.New(flight.Options{})
-	rec.ArmTailSampler()
 	p.SetFlight(rec)
 	cs := rec.Callsite("demo.storm")
 

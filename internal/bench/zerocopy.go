@@ -10,7 +10,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"hotcalls/internal/edl"
@@ -42,15 +41,6 @@ var zcSweepKB = []uint64{2, 4, 8, 16, 32}
 // zcSweepRuns per simulated point; medians stabilize far earlier.
 const zcSweepRuns = 1500
 
-// zeroCopyCSVPath is where runZeroCopy also writes the sweep CSV; empty
-// skips the file.  Set via SetZeroCopyCSV (hotbench's -zerocopy-csv
-// flag; CI uploads it as the sweep artifact).
-var zeroCopyCSVPath string
-
-// SetZeroCopyCSV directs the zerocopy experiment to also write its
-// sweep series CSV to the given path.
-func SetZeroCopyCSV(path string) { zeroCopyCSVPath = path }
-
 // newZCSweepFixture is a microbenchmark fixture speaking zcSweepEDL.
 func newZCSweepFixture(seed uint64) *microFixture {
 	f := newMicroFixture(seed)
@@ -65,9 +55,9 @@ func newZCSweepFixture(seed uint64) *microFixture {
 
 // zcSimPoint is one payload size's simulated medians (cycles).
 type zcSimPoint struct {
-	kb                       uint64
-	ecallStaged, ecallZC     float64
-	ocallStaged, ocallZC     float64
+	kb                   uint64
+	ecallStaged, ecallZC float64
+	ocallStaged, ocallZC float64
 }
 
 // zcSimSweep measures the staged-vs-zero-copy crossing cost over the
@@ -142,11 +132,6 @@ func runZeroCopy() *Report {
 		)
 	}
 	r.CSV["zerocopy_sweep.csv"] = csv.String()
-	if zeroCopyCSVPath != "" {
-		if err := os.WriteFile(zeroCopyCSVPath, []byte(csv.String()), 0o644); err != nil {
-			panic(err)
-		}
-	}
 
 	r.Table = tbl.String()
 	return r

@@ -337,15 +337,12 @@ func (p *CallPool) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // SetFlight attaches the flight recorder: binds one record ring per
-// shard, points its wasted-spin attribution at the pool's poll/execute
-// totals, and turns on per-callsite arrival counting and timeline
-// sampling for every subsequent call.  A nil recorder detaches.
+// shard and turns on per-callsite arrival counting and timeline
+// sampling for every subsequent call.  A recorder binds to one pool
+// (flight.Recorder.Bind panics on a second); a nil recorder detaches.
 // Attach before Start.
 func (p *CallPool) SetFlight(rec *flight.Recorder) {
-	if rec != nil {
-		rec.Bind(len(p.shards))
-		rec.SetOccupancySource(p.Stats)
-	}
+	rec.Bind(len(p.shards)) // nil-safe
 	p.flight = rec
 }
 
@@ -392,6 +389,10 @@ type Requester struct {
 	parked     bool
 	lastInline time.Duration // since epoch
 	gap, wake  time.Duration
+
+	// segs is the descriptor scratch help's inline runs execute from
+	// (see execRun): the requester's own, like a responder's.
+	segs [MaxSegs]Segment
 }
 
 // spinBudget caps the polls a completion wait spends on cpuRelax before
@@ -458,7 +459,7 @@ func (r *Requester) await(s *poolSlot, fr *flight.Record) error {
 		r.spin = p.spinMax
 	}
 	if fr != nil && p.flight != nil {
-		// Complete = Return + the armed tail sampler's outlier check
+		// Complete = Return + the tail sampler's outlier check
 		// (one plain cutoff load + compare).
 		p.flight.Complete(fr)
 	}
@@ -492,7 +493,7 @@ func (r *Requester) help(s *poolSlot) (ran bool) {
 			break // the cursor is past s: claimed, by this loop or a responder
 		}
 		if sh.tail.CompareAndSwap(t, t+uint64(run)) {
-			p.execRun(sh, r.idx, flight.InlineResponder, t, run)
+			p.execRun(sh, r.idx, flight.InlineResponder, &r.segs, t, run)
 			p.inlineCtr.Add(uint64(run))
 			ran = true
 		}

@@ -57,10 +57,11 @@ type Segment struct {
 	Len  uint32
 }
 
-// PoolVecFunc is a scatter-gather call-table entry.  segs aliases the
-// call slot's descriptor block and is valid only until the handler
-// returns; the referenced bytes live in the requester's PayloadRing
-// (pool.Ring(requester)) and may be read and written in place.
+// PoolVecFunc is a scatter-gather call-table entry.  segs is the
+// claimant's validated copy of the call slot's descriptor block and is
+// valid only until the handler returns; the referenced bytes live in the
+// requester's PayloadRing (pool.Ring(requester)) and may be read and
+// written in place.
 type PoolVecFunc func(requester int, data uint64, segs []Segment) uint64
 
 // PayloadRing is one requester's slab pool.  All methods except the

@@ -85,6 +85,7 @@ func (p *CallPool) runResponder(idx int) {
 	defer func() { p.liveGauge.Set(int64(p.live.Add(-1))) }()
 
 	spin, yield := p.policy.spin, p.policy.yield
+	var segs [MaxSegs]Segment // this responder's private descriptor copies (execRun)
 	empty := 0
 	start := idx % len(p.shards) // stagger scan starts across responders
 	window := controlWindow
@@ -102,7 +103,7 @@ func (p *CallPool) runResponder(idx int) {
 	defer flush()
 
 	for !p.stopped.Load() && (idx == 0 || int32(idx) < p.target.Load()) {
-		passPolls, passExecs := p.scanPass(idx, start)
+		passPolls, passExecs := p.scanPass(idx, start, &segs)
 		if start++; start == len(p.shards) {
 			start = 0
 		}
@@ -190,8 +191,9 @@ const maxClaimBatch = 16
 // scanPass visits every shard once, starting at shard start — rotated by
 // the caller so no shard holds permanent first-served priority — and
 // drains up to a ring's worth of posted calls per shard.  idx identifies
-// the responder for flight-record claim stamps.  It returns the number
-// of slot inspections and executed calls.
+// the responder for flight-record claim stamps; segs is its descriptor
+// scratch (see execRun).  It returns the number of slot inspections and
+// executed calls.
 //
 // Claiming is batched: the responder counts the posted run at the claim
 // cursor and takes the whole run with one tail CAS (bounded by
@@ -199,7 +201,7 @@ const maxClaimBatch = 16
 // claim instead of one per call — the responder-side half of SubmitV's
 // amortization.  A run of one degenerates to exactly the old
 // slot-at-a-time protocol.
-func (p *CallPool) scanPass(idx, start int) (polls, execs uint64) {
+func (p *CallPool) scanPass(idx, start int, segs *[MaxSegs]Segment) (polls, execs uint64) {
 	shardIdx := start
 	for range p.shards {
 		sh := p.shards[shardIdx]
@@ -220,7 +222,7 @@ func (p *CallPool) scanPass(idx, start int) (polls, execs uint64) {
 			if !sh.tail.CompareAndSwap(t, t+uint64(run)) {
 				continue // another claimant got here first; re-look
 			}
-			p.execRun(sh, shardIdx, idx, t, run)
+			p.execRun(sh, shardIdx, idx, segs, t, run)
 			execs += uint64(run)
 			drained += run
 		}
@@ -239,7 +241,13 @@ func (p *CallPool) scanPass(idx, start int) (polls, execs uint64) {
 // index, or flight.InlineResponder).  Sampled calls carry a record in
 // s.fr (published by the slotPosted store); three clock reads bracket
 // the handler so its timeline separates claim latency from service time.
-func (p *CallPool) execRun(sh *shard, shardIdx, who int, t uint64, run int) {
+//
+// A scatter-gather call's descriptors sit in the slot, which the
+// requester can still write.  They are copied once into segs, the
+// claimant's own scratch, and the copy is both what holds validates and
+// what the handler receives: a descriptor rewritten after the check
+// never reaches the handler.
+func (p *CallPool) execRun(sh *shard, shardIdx, who int, segs *[MaxSegs]Segment, t uint64, run int) {
 	f := p.flight
 	for j := 0; j < run; j++ {
 		s := &sh.slots[(t+uint64(j))&sh.mask]
@@ -253,17 +261,17 @@ func (p *CallPool) execRun(sh *shard, shardIdx, who int, t uint64, run int) {
 		var ret uint64
 		if nseg := s.nseg; nseg > 0 {
 			// Scatter-gather call: dispatch through the vec table with
-			// the slot's own descriptor block (no copy; the handler must
-			// not retain the slice).  A count the block cannot hold or a
-			// descriptor outside the posting requester's ring gets the
-			// sentinel, like a corrupted call_ID, and is counted.
+			// the claimant's copy of the descriptor block (the handler
+			// must not retain the slice).  A count the block cannot hold
+			// or a descriptor outside the posting requester's ring gets
+			// the sentinel, like a corrupted call_ID, and is counted.
 			if p.vtable == nil || int(id) < 0 || int(id) >= len(p.vtable) || p.vtable[id] == nil {
 				ret = ^uint64(0)
-			} else if nseg > MaxSegs || !p.Ring(shardIdx).holds(s.segs[:nseg]) {
+			} else if nseg > MaxSegs || !p.Ring(shardIdx).holds(segs[:copy(segs[:], s.segs[:nseg])]) {
 				ret = ^uint64(0)
 				p.rejected.Inc()
 			} else {
-				ret = p.vtable[id](shardIdx, data, s.segs[:nseg])
+				ret = p.vtable[id](shardIdx, data, segs[:nseg])
 			}
 		} else if int(id) < 0 || int(id) >= len(p.table) {
 			ret = ^uint64(0) // corrupted call_ID: sentinel, as in hotcalls.go

@@ -231,4 +231,30 @@ func TestSecurityDescriptorManipulation(t *testing.T) {
 	if ret, err := r.CallZC(0, 0, []Segment{good, {Slab: slab, Len: 4096}}); err != nil || ret != 8+8 {
 		t.Fatalf("responder dead after attacks: (%d, %v)", ret, err)
 	}
+
+	// Check-then-use: the requester rewrites its slot's descriptors after
+	// the claimant validated them.  The handler makes the rewrite itself,
+	// between the check and its own read of segs — the widest window a
+	// racing requester has — and must still read the validated
+	// descriptor, not the forged one.
+	tp := zcPool(1, 1)
+	var saw Segment
+	tp.SetVecTable([]PoolVecFunc{func(_ int, _ uint64, segs []Segment) uint64 {
+		for i := range tp.shards[0].slots {
+			tp.shards[0].slots[i].segs[0] = Segment{Slab: 99, Len: 8}
+		}
+		saw = segs[0]
+		return 0
+	}})
+	tr := tp.Requester()
+	tslab, _, _ := tr.Ring().Acquire()
+	tp.Start()
+	defer tp.Stop()
+	validated := Segment{Slab: tslab, Len: 8}
+	if _, err := tr.CallZC(0, 0, []Segment{validated}); err != nil {
+		t.Fatal(err)
+	}
+	if saw != validated {
+		t.Fatalf("handler read descriptor %+v, want the validated %+v", saw, validated)
+	}
 }

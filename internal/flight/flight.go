@@ -1,11 +1,11 @@
 // Package flight is the call fabric's flight recorder: an always-on,
 // low-overhead observability layer that captures *per-callsite* causal
-// call timelines and live statistics, read by the monitor's callsite
-// rules, /debug/flight and /metrics.  Where internal/telemetry
-// aggregates globally, the recorder answers the per-callsite questions:
-// how often does this callsite arrive, how long does its handler run,
-// how much responder spin does it waste, and what did a *specific
-// recent call* look like from submit to return.
+// call timelines and live statistics, read by /debug/flight, /metrics
+// and incident bundles.  Where internal/telemetry aggregates globally,
+// the recorder answers the per-callsite questions: how often was this
+// callsite called, how long does its handler run, which of its calls
+// timed out or straggled, and what did a *specific recent call* look
+// like from submit to return.
 //
 // Design constraints mirror the CallPool hot path it instruments:
 //
@@ -21,10 +21,15 @@
 //     torn reads and ring-wraparound reuse without ever blocking a
 //     writer.  Zero allocation, no locks.
 //
-//  3. Folding records into per-callsite statistics (EWMA arrival rate,
-//     inter-arrival / service-time / latency histograms with exemplar
-//     trace IDs, wasted-spin attribution) happens off the hot path in
-//     Digest, driven by the monitor tick or the /debug/flight handler.
+//  3. Folding records into per-callsite statistics (service-time and
+//     latency histograms with exemplar trace IDs, the tail sampler's
+//     cutoffs) happens off the hot path in Digest, driven by the
+//     monitor tick or the /debug/flight handler.
+//
+// A recorder binds to one fabric, once (Bind, via CallPool.SetFlight),
+// and its tail sampler (tail.go) is always on: timeouts and latency
+// stragglers are retained in an outlier ring and escalate their callsite
+// to sample-every-call.
 //
 // Timeout and fallback counts are exact (counted on every such
 // outcome).  Arrivals are counted on every call in producer-private
@@ -33,8 +38,7 @@
 // and otherwise lags the truth by at most SampleEvery-1 — the price of
 // keeping the per-call path free of LOCK-prefixed instructions.
 // Timelines and latency distributions are 1-in-SampleEvery samples.
-// The stats table (CallsiteStats) is what the callsite rules read on
-// every monitor tick.
+// Stats returns the one per-callsite table.
 package flight
 
 import (
@@ -67,13 +71,10 @@ const DefaultSampleEvery = 256
 
 // The recorder's fixed sizes.  Sampled calls that outrun Digest by a
 // full ring overwrite the oldest undigested records, counted as dropped;
-// registrations past maxCallsites fall back to the unlabelled callsite;
-// ewmaAlpha smooths each callsite's arrival rate, and the tail sampler's
-// cutoff, once per Digest.
+// registrations past maxCallsites fall back to the unlabelled callsite.
 const (
 	ringRecords  = 256 // per-requester record ring, a power of two
 	maxCallsites = 64  // rows of the stats table
-	ewmaAlpha    = 0.3
 )
 
 // Options tunes a Recorder.  The zero value selects the defaults noted
@@ -154,12 +155,11 @@ type lane struct {
 
 // binding is the recorder's per-fabric storage: one record ring per
 // requester shard plus the shard×callsite arrival lanes.  It is
-// published through an atomic pointer so Bind (fabric attach) is safe
-// against concurrent Begin calls from an old binding.
+// published through an atomic pointer so readers (Stats, Records, the
+// /debug/flight handler) may run before, during or after Bind.
 type binding struct {
 	rings []*ring
 	lanes []lane // row-major: shard*stride + callsite
-	sites int    // callsites per shard (maxCallsites)
 
 	// Tail-sampler storage (see tail.go).  outliers is the per-shard
 	// outlier retention ring — timeout/fallback and over-cutoff calls
@@ -170,14 +170,14 @@ type binding struct {
 	outliers []*ring
 	cutoffs  []atomic.Uint64 // indexed by callsite ID, length stride
 
-	// stride is sites rounded up to a power of two, so Arrive clamps a
-	// foreign callsite ID with one AND (siteMask = stride-1) instead of
-	// a compare-and-branch — the branch was the difference between the
-	// always-on arrival path inlining into the fabric's post loop or
-	// not.  IDs from this recorder are < sites by construction
-	// (Callsite falls back to the unlabelled slot when the table is
-	// full); only a Callsite minted by a different Recorder can reach
-	// the mask, and it aliases into [0, stride) harmlessly.
+	// stride is maxCallsites rounded up to a power of two, so Arrive
+	// clamps a foreign callsite ID with one AND (siteMask = stride-1)
+	// instead of a compare-and-branch — the branch was the difference
+	// between the always-on arrival path inlining into the fabric's post
+	// loop or not.  IDs from this recorder are < maxCallsites by
+	// construction (Callsite falls back to the unlabelled slot when the
+	// table is full); only a Callsite minted by a different Recorder can
+	// reach the mask, and it aliases into [0, stride) harmlessly.
 	stride   int
 	siteMask int
 }
@@ -198,37 +198,21 @@ type Recorder struct {
 	cursors []uint64 // per-ring digest position (generation index)
 	stats   []*csState
 
-	// baseArrivals carries the published per-callsite arrival counts of
-	// previously-bound fabrics, folded in by Bind so the cumulative
-	// totals stay monotonic across rebinds (the EWMA fold subtracts
-	// consecutive cumulative readings).  Indexed by callsite ID.
-	// baseBytes is the same baseline for published payload-byte counts.
-	baseArrivals []uint64
-	baseBytes    []uint64
-
 	// Exact per-callsite outcome counters (indexed by callsite ID,
 	// allocated to maxCallsites at New).  Separate from the sampled
 	// records so a timeout storm is visible even at SampleEvery=256.
 	timeouts  []padCounter
 	fallbacks []padCounter
 
-	// Tail-sampler state (tail.go).  armed gates outlier capture and
-	// escalation; outlierSeen counts captured outliers per callsite
-	// (written on the capture slow path); seenAtDigest is the digest's
-	// last reading, which lets the capture path decide escalation with
-	// plain loads; escalated marks callsites currently sampling every
-	// call.
-	armed        atomic.Bool
+	// Tail-sampler state (tail.go).  outlierSeen counts captured
+	// outliers per callsite (written on the capture slow path);
+	// seenAtDigest is the digest's last reading, which lets the capture
+	// path decide escalation with plain loads; escalated marks callsites
+	// currently sampling every call.
 	outlierSeen  []padCounter
 	seenAtDigest []atomic.Uint64
 	escalated    []atomic.Uint32
 
-	// Wasted-spin source (CallPool.Stats) and its last-digest totals.
-	occSource     func() (polls, executes uint64)
-	prevPolls     atomic.Uint64
-	prevExecutes  atomic.Uint64
-	startNS       uint64 // clock reading at New; the first rate window's base
-	lastDigestNS  uint64
 	droppedstale  uint64 // records overwritten before digest reached them
 	digestedCount uint64
 
@@ -254,7 +238,6 @@ func New(opts Options) *Recorder {
 		escalated:    make([]atomic.Uint32, maxCallsites),
 		reg:          telemetry.New(),
 	}
-	r.startNS = r.opts.Now()
 	return r
 }
 
@@ -297,13 +280,10 @@ func (r *Recorder) CallsiteName(id int) string {
 }
 
 // Bind attaches the recorder to a fabric of the given shard count,
-// allocating the per-requester record rings and arrival lanes.  Called
-// by CallPool.SetFlight (shards = requester count).  Re-binding replaces
-// the timeline storage and resets digest cursors — one fabric per
-// recorder at a time — but first folds the outgoing fabric's published
-// arrival counts into a persistent baseline, so cumulative per-callsite
-// totals keep accumulating (and stay monotonic for the EWMA fold) when a
-// harness moves the recorder between successive fixtures.
+// allocating the per-requester record rings, outlier rings and arrival
+// lanes.  Called by CallPool.SetFlight (shards = requester count).  A
+// recorder serves one fabric for its whole life: binding it a second
+// time panics.
 func (r *Recorder) Bind(shards int) {
 	if r == nil || shards <= 0 {
 		return
@@ -312,7 +292,6 @@ func (r *Recorder) Bind(shards int) {
 	b := &binding{
 		rings:    make([]*ring, shards),
 		lanes:    make([]lane, shards*stride),
-		sites:    maxCallsites,
 		stride:   stride,
 		siteMask: stride - 1,
 		outliers: make([]*ring, shards),
@@ -322,55 +301,19 @@ func (r *Recorder) Bind(shards int) {
 		b.rings[i] = newRing(ringRecords)
 		b.outliers[i] = newRing(outlierRecords)
 	}
-	for shard := 0; shard < shards; shard++ {
-		for site := 0; site < stride; site++ {
-			m := r.sampleMask
-			if site < len(r.escalated) && r.escalated[site].Load() != 0 {
-				m = 0 // carry escalation across rebinds
-			}
-			b.lanes[shard*stride+site].mask.Store(m)
-		}
+	for i := range b.lanes {
+		b.lanes[i].mask.Store(r.sampleMask)
 	}
 	for i := range b.cutoffs {
 		b.cutoffs[i].Store(noCutoff)
 	}
 	r.mu.Lock()
-	if old := r.bind.Load(); old != nil {
-		for len(r.baseArrivals) < old.stride {
-			r.baseArrivals = append(r.baseArrivals, 0)
-		}
-		for len(r.baseBytes) < old.stride {
-			r.baseBytes = append(r.baseBytes, 0)
-		}
-		// The fold reads the published counts; a lane's unpublished
-		// remainder (< SampleEvery calls since the last boundary) is
-		// lost with the binding, like its undigested records.
-		for shard := 0; shard < len(old.rings); shard++ {
-			for site := 0; site < old.stride; site++ {
-				ln := &old.lanes[shard*old.stride+site]
-				r.baseArrivals[site] += ln.published.Load()
-				r.baseBytes[site] += ln.publishedBytes.Load()
-			}
-		}
+	defer r.mu.Unlock()
+	if r.bind.Load() != nil {
+		panic("flight: Recorder.Bind on a bound recorder: a recorder serves one fabric")
 	}
 	r.cursors = make([]uint64, shards)
-	r.mu.Unlock()
 	r.bind.Store(b)
-}
-
-// SetOccupancySource attaches the pool-wide (polls, executes) totals
-// the wasted-spin attribution is derived from — CallPool.Stats for the
-// fabric.  A nil source disables attribution.
-func (r *Recorder) SetOccupancySource(src func() (polls, executes uint64)) {
-	if r == nil {
-		return
-	}
-	r.occSource = src
-	if src != nil {
-		p, e := src()
-		r.prevPolls.Store(p)
-		r.prevExecutes.Store(e)
-	}
 }
 
 // Begin counts one arrival on the (shard, callsite) lane and, for 1 in
@@ -424,12 +367,9 @@ func (r *Recorder) Arrive(cs Callsite, shard int) bool {
 }
 
 // Open opens the timeline record for a call Arrive reported sampled.
-// A rebind between Arrive and Open lands the record in the new
-// fabric's ring — harmless, the record is just attributed to the
-// binding that digests it.  Open also publishes the lane's arrival
-// count (it runs on the lane's producer goroutine, right after the
-// Arrive that sampled this call), so a lane is visible to readers from
-// its first call.
+// It also publishes the lane's arrival count (it runs on the lane's
+// producer goroutine, right after the Arrive that sampled this call), so
+// a lane is visible to readers from its first call.
 func (r *Recorder) Open(cs Callsite, shard int, callID uint16) *Record {
 	if r == nil {
 		return nil
@@ -478,12 +418,12 @@ func (r *Recorder) beginSampled(b *binding, cs Callsite, shard int, callID uint1
 // Timeout records a submission timeout for the callsite (exact count)
 // and closes the open record, if any, with the timeout flag.  shard is
 // the submitting requester's shard.
-// When the tail sampler is armed the timeout is also retained in the
-// shard's outlier ring — copied from the record if the call was
-// sampled, otherwise synthesized as a partial record (submit 0,
-// timeout flag, end-of-life stamp) so even unsampled timeouts leave
-// forensic evidence — and the callsite escalates to sample-every-call
-// immediately, so the *next* timeout carries a complete timeline.
+// The timeout is also retained in the shard's outlier ring — copied
+// from the record if the call was sampled, otherwise synthesized as a
+// partial record (submit 0, timeout flag, end-of-life stamp) so even
+// unsampled timeouts leave forensic evidence — and the callsite
+// escalates to sample-every-call immediately, so the *next* timeout
+// carries a complete timeline.
 func (r *Recorder) Timeout(cs Callsite, shard int, rec *Record) {
 	if r == nil {
 		return
@@ -491,9 +431,6 @@ func (r *Recorder) Timeout(cs Callsite, shard int, rec *Record) {
 	r.timeouts[int(cs.id)%len(r.timeouts)].n.Add(1)
 	now := r.opts.Now()
 	rec.closeWith(flagTimeout, now)
-	if !r.armed.Load() {
-		return
-	}
 	b := r.bind.Load()
 	if b == nil || uint(shard) >= uint(len(b.outliers)) {
 		return

@@ -249,46 +249,6 @@ func TestTornRecordDetection(t *testing.T) {
 	wg.Wait()
 }
 
-func TestEWMARateAndWasteAttribution(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
-	hot := r.Callsite("hot")
-	cold := r.Callsite("cold")
-
-	var polls, execs atomic.Uint64
-	r.SetOccupancySource(func() (uint64, uint64) { return polls.Load(), execs.Load() })
-
-	r.Digest() // prime the rate window at t=1
-
-	// Window: 1 second; hot arrives 1000x, cold once; the responders
-	// poll 2000 times and execute 1001 — 999 wasted polls.
-	for i := 0; i < 1000; i++ {
-		play(r, clk, hot, 0, 0, 10)
-	}
-	play(r, clk, cold, 0, 0, 10)
-	clk.set(1_000_000_001)
-	polls.Store(2000)
-	execs.Store(1001)
-	r.Digest()
-
-	byName := map[string]CallsiteStats{}
-	for _, cs := range r.Stats() {
-		byName[cs.Name] = cs
-	}
-	if h := byName["hot"].RateEWMA; h < 400 || h > 1100 {
-		t.Errorf("hot rate EWMA = %.1f, want near 1000/s", h)
-	}
-	if c := byName["cold"].RateEWMA; c > 2 {
-		t.Errorf("cold rate EWMA = %.1f, want near 1/s", c)
-	}
-	hotWaste, coldWaste := byName["hot"].WastedSpin, byName["cold"].WastedSpin
-	if total := hotWaste + coldWaste; total < 998 || total > 1000 {
-		t.Errorf("attributed waste = %.1f, want ~999", total)
-	}
-	if coldWaste <= hotWaste {
-		t.Errorf("inverse-rate attribution inverted: cold %.1f <= hot %.1f", coldWaste, hotWaste)
-	}
-}
-
 func TestRenderText(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("mc.get")
@@ -485,51 +445,58 @@ func TestNilAndUnboundSafety(t *testing.T) {
 	}
 }
 
-// TestRebindAccumulatesArrivals moves one recorder across two fabrics
-// (successive fixtures each SetFlight the same recorder) and checks the
-// exact arrival totals keep accumulating and stay monotonic — Bind folds
-// the outgoing binding's lane counts into a persistent baseline.
-func TestRebindAccumulatesArrivals(t *testing.T) {
+// TestBindTwicePanics: a recorder serves one fabric.  Binding it again
+// would strand the first fabric's lanes and records, so it panics, and
+// the first binding keeps counting.
+func TestBindTwicePanics(t *testing.T) {
 	r, clk := newTestRecorder(t, 2, Options{SampleEvery: 1})
-	a := r.Callsite("fixture.a")
-	for i := 0; i < 5; i++ {
-		play(r, clk, a, 0, 0, 10)
-	}
-	for i := 0; i < 3; i++ {
-		play(r, clk, a, 1, 0, 10)
-	}
-	r.Digest()
-
-	// Second fixture: different shard count, a second callsite, and no
-	// digest between rebind and the stats read.
-	r.Bind(1)
-	b := r.Callsite("fixture.b")
-	for i := 0; i < 4; i++ {
-		play(r, clk, a, 0, 0, 10)
-	}
-	for i := 0; i < 2; i++ {
-		play(r, clk, b, 0, 0, 10)
-	}
-
-	want := map[string]uint64{"fixture.a": 12, "fixture.b": 2}
-	stats := r.Stats()
-	for _, cs := range stats {
-		if n, ok := want[cs.Name]; ok {
-			if cs.Arrivals != n {
-				t.Errorf("%s arrivals = %d, want %d", cs.Name, cs.Arrivals, n)
+	cs := r.Callsite("op")
+	play(r, clk, cs, 1, 0, 10)
+	func() {
+		defer func() {
+			if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "Bind") {
+				t.Errorf("second Bind recovered %v, want a Bind panic", p)
 			}
-			delete(want, cs.Name)
-		}
+		}()
+		r.Bind(4)
+	}()
+	play(r, clk, cs, 1, 0, 10)
+	if stats := r.Stats(); len(stats) != 1 || stats[0].Arrivals != 2 {
+		t.Fatalf("stats after the refused rebind = %+v, want 2 arrivals on op", stats)
 	}
-	for name := range want {
-		t.Errorf("callsite %q missing after rebind", name)
+}
+
+// TestWritePrometheus checks the scrapeable per-callsite surface: the
+// exact counts and the tail latencies appear as labelled series.
+func TestWritePrometheus(t *testing.T) {
+	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
+	get := r.Callsite("mc.get")
+	set := r.Callsite("mc.set")
+	for i := 0; i < 8; i++ {
+		play(r, clk, get, 0, 0, 1000)
+	}
+	play(r, clk, set, 0, 0, 2000)
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		"# TYPE flight_callsite_arrivals_total counter",
+		`flight_callsite_arrivals_total{callsite="mc.get"} 8`,
+		`flight_callsite_arrivals_total{callsite="mc.set"} 1`,
+		`flight_callsite_latency_p99_ns{callsite="mc.get"}`,
+		`flight_callsite_outliers_total{callsite="mc.set"} 0`,
+		"# TYPE flight_callsite_service_p50_ns gauge",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
 	}
 
-	// A third rebind with zero traffic must not lose the baseline.
-	r.Bind(4)
-	for _, cs := range r.Stats() {
-		if cs.Name == "fixture.a" && cs.Arrivals != 12 {
-			t.Errorf("fixture.a arrivals after idle rebind = %d, want 12", cs.Arrivals)
-		}
+	var empty *Recorder
+	if err := empty.WritePrometheus(&sb); err != nil {
+		t.Fatalf("nil recorder: %v", err)
 	}
 }

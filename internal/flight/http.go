@@ -8,21 +8,20 @@ import (
 )
 
 // flightDump is the JSON document /debug/flight serves: the stats
-// table plus a causal window of recent records — and, with the tail
-// sampler armed, the retained outlier records — enough to reconstruct
-// individual call timelines and resolve exemplar trace IDs.
+// table plus a causal window of recent records and the retained
+// outlier records — enough to reconstruct individual call timelines and
+// resolve exemplar trace IDs.
 type flightDump struct {
 	Callsites []CallsiteStats `json:"callsites"`
 	Records   []RecordView    `json:"records"`
 	Outliers  []RecordView    `json:"outliers,omitempty"`
-	TailArmed bool            `json:"tail_armed,omitempty"`
 	Digested  uint64          `json:"digested"`
 	Dropped   uint64          `json:"dropped"`
 }
 
 // Handler serves the flight recorder at /debug/flight under the shared
 // ?format= contract (telemetry.Formats): json (the default) is the stats
-// table plus recent records, text the RenderText live table, trace the
+// table plus recent records and outliers, text the RenderText live table, trace the
 // Chrome trace_event JSON of the window; &records=N sizes the window
 // (default 64).  Every request digests pending records first, so the
 // view is current.  Safe on a nil recorder (serves an empty document).
@@ -40,7 +39,6 @@ func Handler(r *Recorder) http.Handler {
 				Callsites: r.Stats(), // digests first
 				Records:   r.Records(max),
 				Outliers:  r.Outliers(max),
-				TailArmed: r.TailArmed(),
 				Digested:  r.Digested(),
 				Dropped:   r.Dropped(),
 			}

@@ -7,9 +7,8 @@ import (
 
 // WritePrometheus writes the per-callsite stats table as Prometheus
 // exposition text: one labelled series per callsite per family, so the
-// arrival rate, tail latency, and wasted-spin attribution the callsite
-// rules read are scrapeable instead of being reachable only through
-// /debug/flight.  It digests pending records first (via Stats) and emits
+// callsite counts and tail latencies are scrapeable instead of being
+// reachable only through /debug/flight.  It digests pending records first (via Stats) and emits
 // families in a fixed order with callsites ordered by ID, keeping the
 // output deterministic for fixed inputs.
 // monitor.Mux appends this block to the /metrics exposition.
@@ -37,8 +36,6 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 			func(cs CallsiteStats) string { return fmt.Sprintf("%d", cs.Bytes) }},
 		{"flight_callsite_outliers_total", "counter",
 			func(cs CallsiteStats) string { return fmt.Sprintf("%d", cs.Outliers) }},
-		{"flight_callsite_arrival_rate_per_s", "gauge",
-			func(cs CallsiteStats) string { return fmt.Sprintf("%g", cs.RateEWMA) }},
 		{"flight_callsite_service_p50_ns", "gauge",
 			func(cs CallsiteStats) string { return fmt.Sprintf("%d", cs.ServiceP50NS) }},
 		{"flight_callsite_service_p99_ns", "gauge",
@@ -47,8 +44,6 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 			func(cs CallsiteStats) string { return fmt.Sprintf("%d", cs.LatencyP50NS) }},
 		{"flight_callsite_latency_p99_ns", "gauge",
 			func(cs CallsiteStats) string { return fmt.Sprintf("%d", cs.LatencyP99NS) }},
-		{"flight_callsite_wasted_spin_polls_total", "counter",
-			func(cs CallsiteStats) string { return fmt.Sprintf("%g", cs.WastedSpin) }},
 	}
 	for _, f := range families {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {

@@ -19,36 +19,25 @@ func (r *Recorder) RenderText() string {
 		b.WriteString("(no calls recorded)\n")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%-20s %10s %10s %10s %10s %10s %10s %8s %8s %10s %14s\n",
-		"callsite", "calls", "rate/s", "p50 svc", "p99 svc", "p50 lat", "p99 lat",
-		"timeout", "fallbk", "waste", "last trace")
+	fmt.Fprintf(&b, "%-20s %10s %10s %10s %10s %10s %8s %8s %8s %10s %9s %14s\n",
+		"callsite", "calls", "p50 svc", "p99 svc", "p50 lat", "p99 lat",
+		"timeout", "fallbk", "outliers", "cutoff", "escalated", "last trace")
 	for _, cs := range stats {
-		fmt.Fprintf(&b, "%-20s %10d %10.1f %10s %10s %10s %10s %8d %8d %10.0f 0x%012x\n",
-			cs.Name, cs.Arrivals, cs.RateEWMA,
+		esc := "-"
+		if cs.Escalated {
+			esc = "yes"
+		}
+		fmt.Fprintf(&b, "%-20s %10d %10s %10s %10s %10s %8d %8d %8d %10s %9s 0x%012x\n",
+			cs.Name, cs.Arrivals,
 			FmtNS(cs.ServiceP50NS), FmtNS(cs.ServiceP99NS),
 			FmtNS(cs.LatencyP50NS), FmtNS(cs.LatencyP99NS),
-			cs.Timeouts, cs.Fallbacks, cs.WastedSpin, cs.LastTraceID)
-	}
-	if r.TailArmed() {
-		fmt.Fprintf(&b, "tail sampler: armed\n")
-		fmt.Fprintf(&b, "%-20s %10s %10s %10s\n", "callsite", "outliers", "cutoff", "escalated")
-		for _, cs := range stats {
-			if cs.Outliers == 0 && !cs.Escalated && cs.CutoffNS == 0 {
-				continue
-			}
-			esc := "-"
-			if cs.Escalated {
-				esc = "yes"
-			}
-			fmt.Fprintf(&b, "%-20s %10d %10s %10s\n",
-				cs.Name, cs.Outliers, FmtNS(cs.CutoffNS), esc)
-		}
+			cs.Timeouts, cs.Fallbacks, cs.Outliers, FmtNS(cs.CutoffNS), esc, cs.LastTraceID)
 	}
 	return b.String()
 }
 
 // FmtNS renders a nanosecond duration with a human unit ("-" for
-// zero).  Shared by this table and the monitor's callsite section.
+// zero).  Shared by this table and the incident bundle's callsite table.
 func FmtNS(ns uint64) string {
 	switch {
 	case ns == 0:

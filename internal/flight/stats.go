@@ -11,19 +11,13 @@ import (
 // they inherit the lock-free log2-bucket implementation and exemplar
 // support.
 type csState struct {
-	sampled      uint64
-	lastSubmitNS uint64
-	lastTraceID  uint64
-	prevArrivals uint64 // arrivals at last rate fold
-	ewmaRate     float64
-	ewmaValid    bool
-	wastedSpin   float64 // attributed wasted responder polls
-	cutoffEWMA   float64 // tail sampler's smoothed outlier cutoff, ns
-	tailQuiet    int     // consecutive outlier-free digests while escalated
+	sampled     uint64
+	lastTraceID uint64
+	cutoffEWMA  float64 // tail sampler's smoothed outlier cutoff, ns
+	tailQuiet   int     // consecutive outlier-free digests while escalated
 
-	service  *telemetry.Histogram // exec end - exec start, ns
-	latency  *telemetry.Histogram // return - submit, ns
-	interArr *telemetry.Histogram // gap between consecutive sampled submits, ns
+	service *telemetry.Histogram // exec end - exec start, ns
+	latency *telemetry.Histogram // return - submit, ns
 }
 
 func (r *Recorder) state(site int) *csState {
@@ -33,9 +27,8 @@ func (r *Recorder) state(site int) *csState {
 	st := r.stats[site]
 	if st == nil {
 		st = &csState{
-			service:  r.reg.Histogram(fmt.Sprintf("flight_cs%d_service_ns", site)).EnableExemplars(),
-			latency:  r.reg.Histogram(fmt.Sprintf("flight_cs%d_latency_ns", site)).EnableExemplars(),
-			interArr: r.reg.Histogram(fmt.Sprintf("flight_cs%d_interarrival_ns", site)),
+			service: r.reg.Histogram(fmt.Sprintf("flight_cs%d_service_ns", site)).EnableExemplars(),
+			latency: r.reg.Histogram(fmt.Sprintf("flight_cs%d_latency_ns", site)).EnableExemplars(),
 		}
 		r.stats[site] = st
 	}
@@ -43,10 +36,9 @@ func (r *Recorder) state(site int) *csState {
 }
 
 // Digest folds all newly-closed records into the per-callsite stats
-// table and advances the EWMA arrival rates and wasted-spin
-// attribution.  It is the recorder's only mutating reader: serialised
-// by the recorder mutex, driven by the monitor tick, the /debug/flight
-// handler, or tests.  A ring whose oldest undigested record is still
+// table and refreshes the tail sampler's cutoffs.  It is the recorder's
+// only mutating reader: serialised by the recorder mutex, driven by the
+// monitor tick, the /debug/flight handler, or tests.  A ring whose oldest undigested record is still
 // open stops there (per-requester completion is near-FIFO, so the next
 // Digest picks it up); records overwritten before Digest reached them
 // count as dropped.
@@ -89,7 +81,6 @@ func (r *Recorder) Digest() {
 		}
 		r.cursors[i] = cur
 	}
-	r.foldRates()
 	r.foldTail()
 }
 
@@ -98,15 +89,6 @@ func (r *Recorder) fold(v RecordView) {
 	st := r.state(v.Callsite)
 	st.sampled++
 	st.lastTraceID = v.TraceID
-	if st.lastSubmitNS != 0 && v.SubmitNS > st.lastSubmitNS {
-		// Sampled inter-arrival gap: with SampleEvery > 1 this is the
-		// gap between sampled calls, a stable order-of-magnitude proxy
-		// for burstiness rather than the exact inter-arrival law.
-		st.interArr.Observe(v.SubmitNS - st.lastSubmitNS)
-	}
-	if v.SubmitNS != 0 {
-		st.lastSubmitNS = v.SubmitNS
-	}
 	if v.TimedOut || v.Stopped {
 		return // no service/latency signal in a cut-off call
 	}
@@ -118,134 +100,24 @@ func (r *Recorder) fold(v RecordView) {
 	}
 }
 
-// foldRates advances every callsite's EWMA arrival rate from the exact
-// lane counts and attributes the window's wasted responder spin
-// (polls that found no work) across callsites by inverse arrival
-// rate: a rare callsite that keeps a responder polling is charged more
-// of the idle spin than a busy one that keeps it fed — the signal the
-// callsite spin-waste rule reads.
-func (r *Recorder) foldRates() {
-	now := r.opts.Now()
-	dtNS := now - r.lastDigestNS
-	if r.lastDigestNS == 0 {
-		// First digest: the window opened at New, not at some previous
-		// fold.  Measuring it from the recorder's birth instead of
-		// discarding it fixes the EWMA cold-start bias — the old
-		// prime-and-return left every callsite at RateEWMA 0 until the
-		// *second* digest, poisoning any rate consumer (the wasted-spin
-		// attribution and the callsite rules) at startup.
-		dtNS = now - r.startNS
-	}
-	if dtNS == 0 {
-		// Same-instant re-digest (Stats immediately after Digest lands
-		// on the same monotonic nanosecond): fold nothing and leave
-		// prevArrivals untouched, so the window's arrivals still count
-		// toward the next real fold instead of being silently absorbed.
-		return
-	}
-	r.lastDigestNS = now
-	dt := float64(dtNS) / 1e9
-
-	arrivals := r.arrivalsLocked()
-	alpha := ewmaAlpha
-	type active struct {
-		st *csState
-		w  float64
-	}
-	var act []active
-	var wSum float64
-	for site, n := range arrivals {
-		if n == 0 {
-			continue
-		}
-		st := r.state(site)
-		rate := float64(n-st.prevArrivals) / dt
-		st.prevArrivals = n
-		if !st.ewmaValid {
-			st.ewmaRate = rate
-			st.ewmaValid = true
-		} else {
-			st.ewmaRate = alpha*rate + (1-alpha)*st.ewmaRate
-		}
-		w := 1 / (st.ewmaRate + 1)
-		act = append(act, active{st, w})
-		wSum += w
-	}
-
-	if r.occSource == nil || wSum == 0 {
-		return
-	}
-	polls, execs := r.occSource()
-	dPolls := polls - r.prevPolls.Load()
-	dExecs := execs - r.prevExecutes.Load()
-	r.prevPolls.Store(polls)
-	r.prevExecutes.Store(execs)
-	if dPolls <= dExecs {
-		return
-	}
-	wasted := float64(dPolls - dExecs)
-	for _, a := range act {
-		a.st.wastedSpin += wasted * a.w / wSum
-	}
-}
-
-// arrivalsLocked sums the published per-callsite arrival counts across
-// all shard lanes of the current binding, plus the baseline carried
-// over from previously-bound fabrics.  Each lane's published count is
-// exact at sample boundaries and otherwise lags the producer-private
-// truth by at most SampleEvery-1.  Caller holds r.mu.
-func (r *Recorder) arrivalsLocked() map[int]uint64 {
-	out := make(map[int]uint64)
-	for site, n := range r.baseArrivals {
-		if n > 0 {
-			out[site] = n
-		}
-	}
-	b := r.bind.Load()
+// siteTotals sums one published per-lane count (arrivals or zero-copy
+// payload bytes) per callsite across every shard lane of the binding.
+// Each lane's published count is exact at sample boundaries and
+// otherwise lags the producer-private truth by at most SampleEvery-1
+// calls.  Nil before Bind.
+func (b *binding) siteTotals(count func(*lane) uint64) []uint64 {
 	if b == nil {
-		if len(out) == 0 {
-			return nil
-		}
-		return out
+		return nil
 	}
-	for shard := 0; shard < len(b.rings); shard++ {
-		for site := 0; site < b.stride; site++ {
-			if n := b.lanes[shard*b.stride+site].published.Load(); n > 0 {
-				out[site] += n
-			}
-		}
-	}
-	return out
-}
-
-// bytesLocked is arrivalsLocked for published zero-copy payload-byte
-// counts.  Caller holds r.mu.
-func (r *Recorder) bytesLocked() map[int]uint64 {
-	out := make(map[int]uint64)
-	for site, n := range r.baseBytes {
-		if n > 0 {
-			out[site] = n
-		}
-	}
-	b := r.bind.Load()
-	if b == nil {
-		if len(out) == 0 {
-			return nil
-		}
-		return out
-	}
-	for shard := 0; shard < len(b.rings); shard++ {
-		for site := 0; site < b.stride; site++ {
-			if n := b.lanes[shard*b.stride+site].publishedBytes.Load(); n > 0 {
-				out[site] += n
-			}
-		}
+	out := make([]uint64, b.stride)
+	for i := range b.lanes {
+		out[i%b.stride] += count(&b.lanes[i])
 	}
 	return out
 }
 
 // CallsiteStats is one callsite's live statistics — the stats-table
-// row /debug/flight exports and the callsite rules read.
+// row /debug/flight, /metrics and incident bundles export.
 // Timeouts and Fallbacks are exact; Arrivals is counted on every call
 // but published at sample boundaries, so it is exact when the lane
 // pauses on a SampleEvery multiple and otherwise lags by at most
@@ -265,25 +137,18 @@ type CallsiteStats struct {
 	// callsites that only move typed uint64 payloads.
 	Bytes uint64 `json:"bytes,omitempty"`
 
-	// Tail-sampler fields (zero unless ArmTailSampler was called).
-	// Outliers is the exact count of retained outlier captures;
-	// CutoffNS is the current adaptive latency cutoff (0 until the
-	// first digest sets one); Escalated reports sample-every-call mode.
+	// Tail-sampler fields.  Outliers is the exact count of retained
+	// outlier captures; CutoffNS is the current adaptive latency cutoff
+	// (0 until the first digest sets one); Escalated reports
+	// sample-every-call mode.
 	Outliers  uint64 `json:"outliers,omitempty"`
 	CutoffNS  uint64 `json:"cutoff_ns,omitempty"`
 	Escalated bool   `json:"escalated,omitempty"`
 
-	RateEWMA float64 `json:"rate_ewma_per_s"`
-
-	ServiceP50NS  uint64 `json:"service_p50_ns"`
-	ServiceP99NS  uint64 `json:"service_p99_ns"`
-	LatencyP50NS  uint64 `json:"latency_p50_ns"`
-	LatencyP99NS  uint64 `json:"latency_p99_ns"`
-	InterArrP50NS uint64 `json:"interarrival_p50_ns"`
-
-	// WastedSpin is this callsite's attributed share of responder
-	// polls that found no work, accumulated across digest windows.
-	WastedSpin float64 `json:"wasted_spin_polls"`
+	ServiceP50NS uint64 `json:"service_p50_ns"`
+	ServiceP99NS uint64 `json:"service_p99_ns"`
+	LatencyP50NS uint64 `json:"latency_p50_ns"`
+	LatencyP99NS uint64 `json:"latency_p99_ns"`
 
 	// LastTraceID is the most recent sampled call's trace ID — an
 	// exemplar handle resolvable against Records / /debug/flight.
@@ -304,46 +169,37 @@ func (r *Recorder) Stats() []CallsiteStats {
 	r.Digest()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	arrivals := r.arrivalsLocked()
-	bytes := r.bytesLocked()
+	b := r.bind.Load()
+	arrivals := b.siteTotals(func(ln *lane) uint64 { return ln.published.Load() })
+	bytes := b.siteTotals(func(ln *lane) uint64 { return ln.publishedBytes.Load() })
 	var out []CallsiteStats
 	for site := 0; site < len(r.names); site++ {
-		n := arrivals[site]
-		to := r.timeouts[site%len(r.timeouts)].n.Load()
-		fb := r.fallbacks[site%len(r.fallbacks)].n.Load()
-		if n == 0 && to == 0 && fb == 0 {
-			continue
-		}
 		cs := CallsiteStats{
 			ID:        site,
 			Name:      r.names[site],
-			Arrivals:  n,
-			Timeouts:  to,
-			Fallbacks: fb,
-			Bytes:     bytes[site],
+			Timeouts:  r.timeouts[site].n.Load(),
+			Fallbacks: r.fallbacks[site].n.Load(),
+			Outliers:  r.outlierSeen[site].n.Load(),
+			Escalated: r.escalated[site].Load() != 0,
 		}
-		if r.armed.Load() && site < len(r.outlierSeen) {
-			cs.Outliers = r.outlierSeen[site].n.Load()
-			cs.Escalated = r.escalated[site].Load() != 0
-			if b := r.bind.Load(); b != nil && site < len(b.cutoffs) {
-				if c := b.cutoffs[site].Load(); c != noCutoff {
-					cs.CutoffNS = c
-				}
+		if b != nil {
+			cs.Arrivals, cs.Bytes = arrivals[site], bytes[site]
+			if c := b.cutoffs[site].Load(); c != noCutoff {
+				cs.CutoffNS = c
 			}
+		}
+		if cs.Arrivals == 0 && cs.Timeouts == 0 && cs.Fallbacks == 0 {
+			continue
 		}
 		if site < len(r.stats) && r.stats[site] != nil {
 			st := r.stats[site]
 			svc := st.service.Snapshot()
 			lat := st.latency.Snapshot()
-			ia := st.interArr.Snapshot()
 			cs.Sampled = st.sampled
-			cs.RateEWMA = st.ewmaRate
 			cs.ServiceP50NS = svc.Quantile(0.50)
 			cs.ServiceP99NS = svc.Quantile(0.99)
 			cs.LatencyP50NS = lat.Quantile(0.50)
 			cs.LatencyP99NS = lat.Quantile(0.99)
-			cs.InterArrP50NS = ia.Quantile(0.50)
-			cs.WastedSpin = st.wastedSpin
 			cs.LastTraceID = st.lastTraceID
 			cs.ServiceExemplars = svc.Exemplars
 		}

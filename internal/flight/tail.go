@@ -4,8 +4,8 @@ package flight
 // the calls that explain an incident — timeouts, fallbacks, and p99.9
 // stragglers are by definition rare, so uniform sampling almost never
 // catches one, and by the time a monitor rule fires the evidence has
-// been overwritten by the main ring's churn.  When armed (see
-// ArmTailSampler), the recorder adds three mechanisms:
+// been overwritten by the main ring's churn.  So every recorder runs
+// three more mechanisms:
 //
 //  1. Outlier retention.  Every timeout and every sampled call whose
 //     latency exceeds the callsite's adaptive cutoff is copied into a
@@ -19,7 +19,7 @@ package flight
 //     to a binding-local cutoff slot.  The sampled return path
 //     then decides "outlier?" with one plain load + compare — no math,
 //     no locks.  Until the first digest the cutoff is noCutoff
-//     (MaxUint64), so arming is safe before any traffic exists.
+//     (MaxUint64): nothing is an outlier before traffic has set one.
 //
 //  3. Escalation.  A callsite that times out, or accumulates
 //     escalateAfter latency outliers within one digest window, has its
@@ -29,11 +29,11 @@ package flight
 //     incident the affected callsite is therefore captured completely,
 //     while healthy callsites keep paying only the unsampled cost.
 //
-// The unsampled hot path is unchanged by arming: Arrive still executes
-// one plain counter bump and one mask test (the mask moved from the
-// recorder to the lane's own cache line, which Arrive already touches),
-// and no LOCK-prefixed instruction is added to any per-call path — the
-// escalation bookkeeping runs only on the outlier slow path.
+// The unsampled hot path pays nothing for this: Arrive executes one
+// plain counter bump and one mask test (the mask lives on the lane's own
+// cache line, which Arrive already touches), and no LOCK-prefixed
+// instruction is on any per-call path — the escalation bookkeeping runs
+// only on the outlier slow path.
 //
 // Caveat, stated honestly: a latency outlier can only be *observed* on
 // a call that carries a record (sampled, or escalated to
@@ -51,9 +51,10 @@ package flight
 const noCutoff = ^uint64(0)
 
 // The tail sampler's thresholds.  A call is a latency outlier when it
-// runs tailMultiplier times its callsite's tailQuantile latency, and
-// never below minCutoffNS, so scheduler jitter on nanosecond-scale calls
-// never reads as an incident.  escalateAfter latency outliers within one
+// runs tailMultiplier times its callsite's tailQuantile latency, smoothed
+// across digests with weight cutoffAlpha on the newest, and never below
+// minCutoffNS, so scheduler jitter on nanosecond-scale calls never reads
+// as an incident.  escalateAfter latency outliers within one
 // digest window escalate the callsite to sample-every-call (a timeout
 // escalates at once); quietDigests consecutive outlier-free digests
 // de-escalate it.  Each shard retains its last outlierRecords
@@ -61,30 +62,17 @@ const noCutoff = ^uint64(0)
 const (
 	tailQuantile   = 0.99
 	tailMultiplier = 8
+	cutoffAlpha    = 0.3
 	minCutoffNS    = 1_000_000 // 1ms
 	escalateAfter  = 2
 	quietDigests   = 2
 	outlierRecords = 64 // a power of two
 )
 
-// ArmTailSampler arms outlier retention, adaptive cutoffs, and
-// escalation.  Arming is one atomic store and may happen before or
-// after Bind; the outlier rings exist from Bind on either way.
-func (r *Recorder) ArmTailSampler() {
-	if r == nil {
-		return
-	}
-	r.armed.Store(true)
-}
-
-// TailArmed reports whether the tail sampler is armed.
-func (r *Recorder) TailArmed() bool { return r != nil && r.armed.Load() }
-
 // Complete stamps the requester's wait-return time, closes the record,
-// and — when the tail sampler is armed — runs the outlier check: one
-// plain load of the callsite's binding-local cutoff and a compare.
-// Over-cutoff calls are copied to the shard's outlier ring and counted
-// toward escalation.  Nil-safe on the record (the unsampled common
+// and runs the tail sampler's outlier check: one plain load of the
+// callsite's binding-local cutoff and a compare.  Over-cutoff calls are
+// copied to the shard's outlier ring and counted toward escalation.  Nil-safe on the record (the unsampled common
 // case), so callers replace fr.Return(now) with flight.Complete(fr)
 // unconditionally.  Must run on the shard's producer goroutine, like
 // every other record-path method.
@@ -95,9 +83,6 @@ func (r *Recorder) Complete(fr *Record) {
 	now := r.opts.Now()
 	fr.ret.Store(now)
 	fr.seq.Add(1)
-	if !r.armed.Load() {
-		return
-	}
 	sub := fr.submit.Load()
 	if sub == 0 || now < sub {
 		return
@@ -191,9 +176,6 @@ func (r *Recorder) deescalate(site int) {
 // latency quantile, and de-escalates callsites that have been
 // outlier-free for quietDigests consecutive digests.
 func (r *Recorder) foldTail() {
-	if !r.armed.Load() {
-		return
-	}
 	b := r.bind.Load()
 	for site := 0; site < len(r.names) && site < len(r.seenAtDigest); site++ {
 		seen := r.outlierSeen[site].n.Load()
@@ -207,7 +189,7 @@ func (r *Recorder) foldTail() {
 				if st.cutoffEWMA == 0 {
 					st.cutoffEWMA = target
 				} else {
-					st.cutoffEWMA = ewmaAlpha*target + (1-ewmaAlpha)*st.cutoffEWMA
+					st.cutoffEWMA = cutoffAlpha*target + (1-cutoffAlpha)*st.cutoffEWMA
 				}
 				cut := max(uint64(st.cutoffEWMA), minCutoffNS)
 				if b != nil && site < len(b.cutoffs) {

@@ -6,7 +6,7 @@ import (
 )
 
 // playComplete is play routed through the Complete return path, so the
-// armed tail sampler sees the call's latency.
+// tail sampler sees the call's latency.
 func playComplete(r *Recorder, clk *fakeClock, cs Callsite, shard, responder int, svcNS uint64) *Record {
 	rec := r.Begin(cs, shard, 7)
 	rec.Context(1, 1, 0)
@@ -25,7 +25,6 @@ func playComplete(r *Recorder, clk *fakeClock, cs Callsite, shard, responder int
 
 func TestTimeoutEscalatesAndRetainsOutliers(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 256})
-	r.ArmTailSampler()
 	cs := r.Callsite("op")
 
 	// First call is unsampled at SampleEvery=256 …
@@ -68,7 +67,6 @@ func TestTimeoutEscalatesAndRetainsOutliers(t *testing.T) {
 
 func TestQuietDigestsDeescalate(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 256})
-	r.ArmTailSampler()
 	cs := r.Callsite("op")
 
 	rec := r.Begin(cs, 0, 0)
@@ -96,7 +94,6 @@ func TestQuietDigestsDeescalate(t *testing.T) {
 
 func TestAdaptiveCutoffCapturesLatencyOutliers(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
-	r.ArmTailSampler()
 	cs := r.Callsite("op")
 
 	// Calls of ~1ms: tailMultiplier times their p99 is above the floor.
@@ -148,7 +145,6 @@ func TestAdaptiveCutoffCapturesLatencyOutliers(t *testing.T) {
 // a scheduler hiccup on a microsecond call is not an incident.
 func TestCutoffFloor(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
-	r.ArmTailSampler()
 	cs := r.Callsite("op")
 	for i := 0; i < 8; i++ {
 		playComplete(r, clk, cs, 0, 0, 1000) // latency 1250ns
@@ -163,24 +159,10 @@ func TestCutoffFloor(t *testing.T) {
 	}
 }
 
-func TestEscalationSurvivesRebind(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 256})
-	r.ArmTailSampler()
-	cs := r.Callsite("op")
-	r.Timeout(cs, 0, nil)
-	_ = clk
-
-	r.Bind(2) // new fabric: escalation must carry over
-	if rec := r.Begin(cs, 1, 0); rec == nil {
-		t.Fatal("escalated callsite should stay escalated across Bind")
-	}
-}
-
 // TestTailConcurrentCaptureAndRead drives captures, digests, and
 // outlier reads concurrently; meaningful under -race.
 func TestTailConcurrentCaptureAndRead(t *testing.T) {
 	r, clk := newTestRecorder(t, 2, Options{SampleEvery: 1})
-	r.ArmTailSampler()
 	cs := r.Callsite("op")
 
 	var wg sync.WaitGroup

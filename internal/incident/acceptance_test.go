@@ -31,7 +31,6 @@ func TestAcceptanceFallbackStormBundle(t *testing.T) {
 	// timeout escalates the callsite to sample-every-call, so the rest
 	// of the storm leaves complete timelines.
 	rec := flight.New(flight.Options{SampleEvery: 256})
-	rec.ArmTailSampler()
 	p.SetFlight(rec)
 	cs := rec.Callsite("storm.op")
 

@@ -7,7 +7,6 @@ import (
 
 	"hotcalls/internal/core"
 	"hotcalls/internal/epcstat"
-	"hotcalls/internal/flight"
 )
 
 // properNouns are the CamelCase words a diagnosis may use that are not
@@ -18,7 +17,7 @@ var properNouns = map[string]bool{"HotCall": true, "HotCalls": true}
 // another capital further in (so not EPC, SDK or EWB+ELDU).
 var camelCase = regexp.MustCompile(`\b[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*\b`)
 
-// TestDiagnosesNameRealRemedies fires every default, flight and EPC rule
+// TestDiagnosesNameRealRemedies fires every default and EPC rule
 // on one fabricated interval and resolves each identifier its diagnosis
 // names against the fabric's API: an exported field of the option and
 // handle types, or a method on them.  Advice to turn a knob that was
@@ -46,11 +45,6 @@ func TestDiagnosesNameRealRemedies(t *testing.T) {
 		LatencyCount: 100, LatencyP99: 5000,
 		DEPCEvicts: 5000, DEPCFaults: 5000,
 		PoolResponders: 2, PoolRespondersMax: 2, PoolOccupancyMilli: 900,
-		// callsite-storm, callsite-spin-waste.
-		Callsites: []flight.CallsiteStats{
-			{ID: 0, Name: "storming", Arrivals: 100, Timeouts: 50, Fallbacks: 50, RateEWMA: 400},
-			{ID: 1, Name: "rare", Arrivals: 1, WastedSpin: 5000, RateEWMA: 0.5},
-		},
 		// epc-oversubscription, epc-victim-interference.
 		EPC: &epcstat.Snapshot{
 			Now: 2000, CapacityPages: 1000, WSSPages: 1200, Evictions: 200,
@@ -66,7 +60,7 @@ func TestDiagnosesNameRealRemedies(t *testing.T) {
 	}
 	window := []Sample{{Seq: 1, EPC: &epcstat.Snapshot{Now: 1000}}, cur}
 
-	for _, r := range append(append(DefaultRules(), FlightRules()...), EPCRules()...) {
+	for _, r := range append(DefaultRules(), EPCRules()...) {
 		events := r.Evaluate(window)
 		if len(events) == 0 {
 			t.Errorf("%s did not fire on the fabricated interval", r.Name())

@@ -26,11 +26,10 @@ type Options struct {
 	// Rules is the evaluation set; nil selects DefaultRules().
 	Rules []Rule
 
-	// Flight, when set, attaches the call fabric's flight recorder:
-	// every sample carries its per-callsite stats table (digested once
-	// per tick), RenderText grows a per-callsite section, Mux serves
-	// /debug/flight, and — when Rules is nil — the callsite-scoped
-	// storm and spin-waste rules join the default rule set.
+	// Flight, when set, attaches the call fabric's flight recorder: every
+	// tick digests its rings once, Mux serves /debug/flight and appends
+	// its per-callsite series to /metrics, and incident bundles freeze
+	// its stats table, records and outliers.
 	Flight *flight.Recorder
 
 	// EPC, when set, attaches the EPC pressure observatory: every
@@ -56,9 +55,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Rules == nil {
 		o.Rules = DefaultRules()
-		if o.Flight != nil {
-			o.Rules = append(o.Rules, FlightRules()...)
-		}
 		if o.EPC != nil {
 			o.Rules = append(o.Rules, EPCRules()...)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"hotcalls/internal/epc"
 	"hotcalls/internal/epcstat"
-	"hotcalls/internal/flight"
 )
 
 // Severity grades an event: Info is context, Warning is degradation that
@@ -94,11 +93,6 @@ const (
 	// occupancy at max responders → Warning, at the controller's
 	// scale-up watermark.
 	poolSatOccupancy = 0.5
-
-	// Callsite-scoped rules (flight recorder attached).
-	callsiteMinCalls     uint64  = 10   // ignore callsites with fewer interval arrivals
-	callsiteWastePolls   float64 = 1000 // attributed wasted polls per interval → Warning
-	callsiteWasteMaxRate         = 1.0  // only callsites at or below this EWMA rate are charged
 )
 
 // DefaultRules returns the standard rule set.
@@ -121,18 +115,6 @@ func EPCRules() []Rule {
 	return []Rule{
 		&EPCOversubscriptionRule{},
 		&EPCVictimInterferenceRule{},
-	}
-}
-
-// FlightRules returns the callsite-scoped rule set — the per-callsite
-// variants of the fallback-storm and spin-waste rules, reading the
-// flight recorder's stats table that Options.Flight embeds in every
-// sample.  They are appended to DefaultRules automatically when a
-// recorder is attached and Options.Rules is nil.
-func FlightRules() []Rule {
-	return []Rule{
-		&CallsiteStormRule{},
-		&CallsiteSpinWasteRule{},
 	}
 }
 
@@ -512,116 +494,6 @@ func (r *EPCVictimInterferenceRule) Evaluate(window []Sample) []Event {
 					"throttle the culprit or reserve residency for the victim",
 				epcOwnerName(o.Owner, o.Label), o.Evictions, d.Evictions,
 				share*100, caused*100, epcOwnerName(culprit, labels[culprit]), topCount[o.Owner]),
-		})
-	}
-	return events
-}
-
-// prevCallsites indexes the previous sample's callsite rows by ID so
-// the callsite rules can diff cumulative counters into interval
-// deltas.  Returns nil when the window has no previous sample.
-func prevCallsites(window []Sample) map[int]flight.CallsiteStats {
-	if len(window) < 2 {
-		return nil
-	}
-	prev := window[len(window)-2].Callsites
-	if len(prev) == 0 {
-		return nil
-	}
-	out := make(map[int]flight.CallsiteStats, len(prev))
-	for _, cs := range prev {
-		out[cs.ID] = cs
-	}
-	return out
-}
-
-// CallsiteStormRule is the callsite-scoped FallbackStormRule: the
-// global rule says *that* HotCalls are degrading onto the SDK-fallback
-// cliff, this one says *which callsite* is doing the degrading.  It diffs
-// consecutive samples' flight stats tables, so it fires only with a
-// flight recorder attached (Options.Flight).
-type CallsiteStormRule struct{}
-
-// Name implements Rule.
-func (r *CallsiteStormRule) Name() string { return "callsite-storm" }
-
-// Evaluate implements Rule.
-func (r *CallsiteStormRule) Evaluate(window []Sample) []Event {
-	s := newest(window)
-	if s == nil || len(s.Callsites) == 0 {
-		return nil
-	}
-	prev := prevCallsites(window)
-	var events []Event
-	for _, cs := range s.Callsites {
-		p := prev[cs.ID] // zero row for a callsite's first interval
-		dArr := sub(cs.Arrivals, p.Arrivals)
-		if dArr < callsiteMinCalls {
-			continue
-		}
-		dTo := sub(cs.Timeouts, p.Timeouts)
-		dFb := sub(cs.Fallbacks, p.Fallbacks)
-		worst := dTo
-		if dFb > worst {
-			worst = dFb
-		}
-		rate := float64(worst) / float64(dArr)
-		if rate < stormWarnRate {
-			continue
-		}
-		sev, threshold := Warning, stormWarnRate
-		if rate >= stormCritRate {
-			sev, threshold = Critical, stormCritRate
-		}
-		events = append(events, Event{
-			Rule: r.Name(), Severity: sev, Seq: s.Seq, At: s.When,
-			Value: rate, Threshold: threshold,
-			Diagnosis: fmt.Sprintf(
-				"callsite %q is storming: %.1f%% of its submission attempts degraded this interval "+
-					"(%d timeouts, %d fallbacks / %d attempts; last sampled trace 0x%x) — this call "+
-					"path, not the whole fabric, is filling its requester's window faster than "+
-					"the responders drain it; give the pool a deeper SlotsPerShard window",
-				cs.Name, rate*100, dTo, dFb, dArr, cs.LastTraceID),
-		})
-	}
-	return events
-}
-
-// CallsiteSpinWasteRule is the callsite-scoped SpinWasteRule: the
-// global rule prices the dedicated polling core's idle budget, this one
-// names the callsite being charged for it.  The flight recorder
-// attributes each digest window's empty polls across callsites by
-// inverse EWMA arrival rate, so a rare callsite that keeps a spinning
-// responder alive accumulates attributed waste fast.  Fires on
-// callsites whose attributed waste grew past the interval budget while
-// their arrival rate sits at or below callsiteWasteMaxRate.
-type CallsiteSpinWasteRule struct{}
-
-// Name implements Rule.
-func (r *CallsiteSpinWasteRule) Name() string { return "callsite-spin-waste" }
-
-// Evaluate implements Rule.
-func (r *CallsiteSpinWasteRule) Evaluate(window []Sample) []Event {
-	s := newest(window)
-	if s == nil || len(s.Callsites) == 0 {
-		return nil
-	}
-	prev := prevCallsites(window)
-	var events []Event
-	for _, cs := range s.Callsites {
-		dWaste := cs.WastedSpin - prev[cs.ID].WastedSpin
-		if dWaste < callsiteWastePolls || cs.RateEWMA > callsiteWasteMaxRate {
-			continue
-		}
-		events = append(events, Event{
-			Rule: r.Name(), Severity: Warning, Seq: s.Seq, At: s.When,
-			Value: dWaste, Threshold: callsiteWastePolls,
-			Diagnosis: fmt.Sprintf(
-				"callsite %q was charged %.0f wasted responder polls this interval at only "+
-					"%.2f calls/s — a rare call path keeping a spinning responder alive; it, not "+
-					"the busy callsites sharing its fabric, is the one to take off the fabric: "+
-					"issue it with CallOrFallback or as a plain SDK call",
-				cs.Name, dWaste, cs.RateEWMA),
 		})
 	}
 	return events

@@ -85,12 +85,6 @@ type Sample struct {
 	LatencyP95   uint64 `json:"latency_p95_cycles"`
 	LatencyP99   uint64 `json:"latency_p99_cycles"`
 
-	// Callsites is the flight recorder's per-callsite stats table at
-	// sampling time (Options.Flight), cumulative like the counter
-	// fields above; the callsite-scoped rules diff consecutive samples'
-	// rows.  Nil when no recorder is attached.
-	Callsites []flight.CallsiteStats `json:"callsites,omitempty"`
-
 	// EPC is the pressure observatory's snapshot at sampling time
 	// (Options.EPC), cumulative like the counter fields; the EPC-scoped
 	// rules diff consecutive samples' snapshots via Snapshot.Sub.  Nil
@@ -117,10 +111,9 @@ func NewSampler(reg *telemetry.Registry) *Sampler {
 	return &Sampler{reg: reg}
 }
 
-// SetFlight attaches (or, with nil, detaches) the flight recorder whose
-// per-callsite stats table each sample carries.  Sampling is the one
-// place per tick that digests the recorder's rings, so every rule and
-// render sees one consistent table per interval.
+// SetFlight attaches (or, with nil, detaches) the flight recorder each
+// sample digests: one fold of its rings per tick keeps its stats table
+// current for /debug/flight, /metrics and incident bundles.
 func (sa *Sampler) SetFlight(f *flight.Recorder) { sa.flight = f }
 
 // SetEPC attaches (or, with nil, detaches) the EPC pressure observatory
@@ -179,9 +172,7 @@ func (sa *Sampler) Sample(now time.Time) Sample {
 		PoolRespondersMax:  snap.Gauges[telemetry.MetricPoolRespondersMax],
 		PoolOccupancyMilli: snap.Gauges[telemetry.MetricPoolOccupancyMilli],
 	}
-	if sa.flight != nil {
-		s.Callsites = sa.flight.Stats() // digests pending records
-	}
+	sa.flight.Digest() // nil-safe
 	if sa.epcCol != nil {
 		s.EPC = sa.epcCol.Snapshot() // flushes the live accounting
 	}

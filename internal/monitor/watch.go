@@ -5,14 +5,13 @@ import (
 	"strings"
 
 	"hotcalls/internal/epcstat"
-	"hotcalls/internal/flight"
 )
 
 // RenderText renders the monitor's trailing n samples as an aligned
 // table plus the health line and active alerts — the body of both
 // `hotbench -watch` (redrawn in place) and `/debug/monitor?format=text`.
 // The line count is stable for a fixed n once the ring holds n samples
-// and the callsite set stops growing, which is what lets the watch loop
+// and the EPC owner set stops growing, which is what lets the watch loop
 // repaint with a cursor-up escape.
 func (m *Monitor) RenderText(n int) string {
 	var b strings.Builder
@@ -50,9 +49,6 @@ func (m *Monitor) RenderText(n int) string {
 			s.Seq, s.DSubmissions, fbRate*100, s.Occupancy, s.MEEHitRate*100,
 			s.LatencyP50, s.LatencyP95, s.LatencyP99, spinPerCall, s.DEPCEvicts)
 	}
-	if h.Last != nil && len(h.Last.Callsites) > 0 {
-		renderCallsites(&b, h.Last.Callsites)
-	}
 	if h.Last != nil && h.Last.EPC != nil && len(h.Last.EPC.Owners) > 0 {
 		renderEPCOwners(&b, h.Last.EPC)
 	}
@@ -77,22 +73,5 @@ func renderEPCOwners(b *strings.Builder, s *epcstat.Snapshot) {
 		fmt.Fprintf(b, "  %-16s %9d %9d %9d %9d %9d\n",
 			epcOwnerName(o.Owner, o.Label), o.ResidentPages, o.WSSPages,
 			o.Faults, o.Evictions, o.EvictionsCaused)
-	}
-}
-
-// renderCallsites renders the per-callsite section from the newest
-// sample's flight stats table — the same consistent view the
-// callsite-scoped rules evaluated, not a fresh digest.
-func renderCallsites(b *strings.Builder, stats []flight.CallsiteStats) {
-	b.WriteString("callsites:\n")
-	fmt.Fprintf(b, "  %-20s %10s %9s %9s %9s %9s %9s %7s %7s %9s\n",
-		"name", "calls", "rate/s", "p50 svc", "p99 svc", "p50 lat", "p99 lat",
-		"timeout", "fallbk", "waste")
-	for _, cs := range stats {
-		fmt.Fprintf(b, "  %-20s %10d %9.1f %9s %9s %9s %9s %7d %7d %9.0f\n",
-			cs.Name, cs.Arrivals, cs.RateEWMA,
-			flight.FmtNS(cs.ServiceP50NS), flight.FmtNS(cs.ServiceP99NS),
-			flight.FmtNS(cs.LatencyP50NS), flight.FmtNS(cs.LatencyP99NS),
-			cs.Timeouts, cs.Fallbacks, cs.WastedSpin)
 	}
 }

@@ -1,9 +1,6 @@
 package profile_test
 
 import (
-	"bytes"
-	"compress/gzip"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,165 +101,6 @@ func TestFoldedFormat(t *testing.T) {
 	if !seen["ecall:ecall_empty;eenter;load"] {
 		t.Fatalf("missing nested stack; got %v", lines)
 	}
-}
-
-// TestPprofStructure decodes the gzipped protobuf with a minimal wire
-// parser and verifies the referential integrity go tool pprof relies on:
-// every sample location resolves to a location, every location to a
-// function, every function name to a string-table entry.
-func TestPprofStructure(t *testing.T) {
-	p := exportProfile()
-	var buf bytes.Buffer
-	if err := p.WritePprof(&buf); err != nil {
-		t.Fatal(err)
-	}
-	gz, err := gzip.NewReader(&buf)
-	if err != nil {
-		t.Fatalf("output is not gzip: %v", err)
-	}
-	raw, err := io.ReadAll(gz)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var strTab []string
-	var sampleLocIDs [][]uint64
-	locID := map[uint64]uint64{}  // location id -> function id
-	funcName := map[uint64]uint64{} // function id -> name string index
-	var sampleTypes int
-
-	parseTop(t, raw, func(field uint64, wire uint64, varint uint64, msg []byte) {
-		switch field {
-		case 1: // sample_type
-			sampleTypes++
-		case 2: // sample
-			var locs []uint64
-			parseTop(t, msg, func(f, w, v uint64, m []byte) {
-				if f == 1 && w == 0 {
-					locs = append(locs, v)
-				}
-			})
-			sampleLocIDs = append(sampleLocIDs, locs)
-		case 4: // location
-			var id, fid uint64
-			parseTop(t, msg, func(f, w, v uint64, m []byte) {
-				switch f {
-				case 1:
-					id = v
-				case 4:
-					parseTop(t, m, func(lf, lw, lv uint64, lm []byte) {
-						if lf == 1 {
-							fid = lv
-						}
-					})
-				}
-			})
-			locID[id] = fid
-		case 5: // function
-			var id, name uint64
-			parseTop(t, msg, func(f, w, v uint64, m []byte) {
-				switch f {
-				case 1:
-					id = v
-				case 2:
-					name = v
-				}
-			})
-			funcName[id] = name
-		case 6: // string_table
-			strTab = append(strTab, string(msg))
-		}
-	})
-
-	if sampleTypes != 1 {
-		t.Fatalf("sample_type count = %d, want 1", sampleTypes)
-	}
-	if len(strTab) == 0 || strTab[0] != "" {
-		t.Fatal("string table must start with the empty string")
-	}
-	joined := strings.Join(strTab, "\n")
-	for _, want := range []string{"cycles", "ecall:ecall_empty", "eenter", "hotcall-sync"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("string table missing %q: %v", want, strTab)
-		}
-	}
-	if len(sampleLocIDs) == 0 {
-		t.Fatal("no samples")
-	}
-	for _, locs := range sampleLocIDs {
-		if len(locs) == 0 {
-			t.Fatal("sample with no locations")
-		}
-		for _, l := range locs {
-			fid, ok := locID[l]
-			if !ok {
-				t.Fatalf("sample references undefined location %d", l)
-			}
-			nameIdx, ok := funcName[fid]
-			if !ok {
-				t.Fatalf("location %d references undefined function %d", l, fid)
-			}
-			if nameIdx == 0 || nameIdx >= uint64(len(strTab)) {
-				t.Fatalf("function %d has invalid name index %d", fid, nameIdx)
-			}
-		}
-	}
-
-	// Determinism: a second export must be byte-identical.
-	var buf2 bytes.Buffer
-	if err := exportProfile().WritePprof(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	var buf1 bytes.Buffer
-	if err := exportProfile().WritePprof(&buf1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		t.Fatal("pprof export is not deterministic")
-	}
-}
-
-// parseTop walks one protobuf message's top-level fields, invoking fn
-// with (field, wiretype, varint value, length-delimited payload).
-func parseTop(t *testing.T, b []byte, fn func(field, wire, varint uint64, msg []byte)) {
-	t.Helper()
-	for len(b) > 0 {
-		tag, n := readVarint(b)
-		if n == 0 {
-			t.Fatal("truncated tag")
-		}
-		b = b[n:]
-		field, wire := tag>>3, tag&7
-		switch wire {
-		case 0:
-			v, n := readVarint(b)
-			if n == 0 {
-				t.Fatal("truncated varint")
-			}
-			b = b[n:]
-			fn(field, wire, v, nil)
-		case 2:
-			l, n := readVarint(b)
-			if n == 0 || uint64(len(b)-n) < l {
-				t.Fatal("truncated length-delimited field")
-			}
-			fn(field, wire, 0, b[n:n+int(l)])
-			b = b[n+int(l):]
-		default:
-			t.Fatalf("unexpected wire type %d", wire)
-		}
-	}
-}
-
-func readVarint(b []byte) (uint64, int) {
-	var v uint64
-	for i := 0; i < len(b) && i < 10; i++ {
-		v |= uint64(b[i]&0x7f) << (7 * i)
-		if b[i]&0x80 == 0 {
-			return v, i + 1
-		}
-	}
-	return 0, 0
 }
 
 // TestMarkdownTables smoke-tests the Table 1 / Table 2 renderers.

@@ -30,8 +30,8 @@
 // attributes whole calls to their dominant category.
 //
 // Exports: folded flame-graph stacks (WriteFolded, flamegraph.pl and
-// speedscope compatible), pprof protobuf (WritePprof), and markdown
-// breakdown tables (WriteCallTable, WriteCategoryTable).
+// speedscope compatible) and markdown breakdown tables (WriteCallTable,
+// WriteCategoryTable).
 package profile
 
 import (
