@@ -17,11 +17,11 @@ func TestProtocolRoundTripSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := DecodeRequest(buf[:n])
+	req, err := decodeRequest(buf[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Op != OpSet || req.Key != "k1" || !bytes.Equal(req.Value, val) || req.Opaque != 42 {
+	if req.op != OpSet || string(req.key) != "k1" || !bytes.Equal(req.value, val) || req.opaque != 42 {
 		t.Fatalf("req = %+v", req)
 	}
 }
@@ -32,11 +32,11 @@ func TestProtocolRoundTripGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := DecodeRequest(buf[:n])
+	req, err := decodeRequest(buf[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Op != OpGet || req.Key != "some-key" || len(req.Value) != 0 {
+	if req.op != OpGet || string(req.key) != "some-key" || len(req.value) != 0 {
 		t.Fatalf("req = %+v", req)
 	}
 }
@@ -58,17 +58,17 @@ func TestProtocolResponseRoundTrip(t *testing.T) {
 }
 
 func TestProtocolRejectsGarbage(t *testing.T) {
-	if _, err := DecodeRequest([]byte{1, 2, 3}); !errors.Is(err, ErrShortPacket) {
+	if _, err := decodeRequest([]byte{1, 2, 3}); !errors.Is(err, ErrShortPacket) {
 		t.Fatalf("err = %v", err)
 	}
 	bad := make([]byte, HeaderSize)
 	bad[0] = 0x55
-	if _, err := DecodeRequest(bad); !errors.Is(err, ErrBadMagic) {
+	if _, err := decodeRequest(bad); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v", err)
 	}
 	bad[0] = MagicRequest
 	bad[1] = 0x99
-	if _, err := DecodeRequest(bad); !errors.Is(err, ErrBadOpcode) {
+	if _, err := decodeRequest(bad); !errors.Is(err, ErrBadOpcode) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -88,14 +88,14 @@ func TestProtocolRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeRequest(buf[:n])
+		got, err := decodeRequest(buf[:n])
 		if err != nil {
 			return false
 		}
-		if got.Op != req.Op || got.Key != req.Key || got.Opaque != opaque {
+		if got.op != req.Op || string(got.key) != req.Key || got.opaque != opaque {
 			return false
 		}
-		return !isSet || bytes.Equal(got.Value, req.Value)
+		return !isSet || bytes.Equal(got.value, req.Value)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -9,7 +9,8 @@ import (
 
 // TestPoolConnZeroAlloc pins the fabric request path's steady state at
 // zero allocations: the handler works on views of the slot buffers, the
-// store is looked up by byte-slice key, and Wait decodes into the slot's
+// item table is probed by byte-slice key (a miss included), a SET that
+// fits its item overwrites it in place, and Wait decodes into the slot's
 // own Response.  (The race detector instruments allocation, hence the
 // build tag.)
 func TestPoolConnZeroAlloc(t *testing.T) {
@@ -23,10 +24,17 @@ func TestPoolConnZeroAlloc(t *testing.T) {
 	if _, err := c.Do(&set); err != nil {
 		t.Fatal(err)
 	}
-	do := func(r *Request) func() {
+	shorter := Request{Op: OpSet, Key: "resized-key", Value: val[:ValueSize/2]}
+	full := Request{Op: OpSet, Key: "resized-key", Value: val}
+	if _, err := c.Do(&full); err != nil {
+		t.Fatal(err)
+	}
+	do := func(status uint16, rs ...*Request) func() {
 		return func() {
-			if resp, err := c.Do(r); err != nil || resp.Status != StatusOK {
-				t.Fatalf("Do = (%+v, %v)", resp, err)
+			for _, r := range rs {
+				if resp, err := c.Do(r); err != nil || resp.Status != status {
+					t.Fatalf("Do = (%+v, %v)", resp, err)
+				}
 			}
 		}
 	}
@@ -48,9 +56,12 @@ func TestPoolConnZeroAlloc(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Do(GET)", do(&get)},
-		{"Do(SET) of a same-length value", do(&set)},
+		{"Do(GET)", do(StatusOK, &get)},
+		{"Do(SET) of a same-length value", do(StatusOK, &set)},
 		{"16-deep Submit/Wait window", window},
+		{"Do(GET) of a missing key", do(StatusNotFound, &Request{Op: OpGet, Key: "missing-key"})},
+		{"Do(DELETE) of a missing key", do(StatusNotFound, &Request{Op: OpDelete, Key: "missing-key"})},
+		{"Do(SET) of an existing key with a shorter value, then the first length", do(StatusOK, &shorter, &full)},
 	} {
 		if allocs := testing.AllocsPerRun(200, tc.fn); allocs != 0 {
 			t.Errorf("%s: %.2f allocs per run, want 0", tc.name, allocs)

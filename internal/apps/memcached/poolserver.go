@@ -7,8 +7,9 @@ package memcached
 // stays a typed uint64 (buffer slot + encoded length packed into the
 // data word), so the submit/complete path allocates nothing and the
 // enclave handler addresses the right buffers from the (requester, slot)
-// pair alone.  The store is the enclave-side state: a striped-lock hash
-// map holding real bytes, shared by every responder.
+// pair alone.  The store is the enclave-side state, shared by every
+// responder: sixteen lock stripes, each an item table (table.go) holding
+// real bytes, indexed by the FNV64 hash serve computes once per request.
 
 import (
 	"errors"
@@ -27,90 +28,30 @@ const opServe core.CallID = 0
 // a connection may keep in flight.
 const connWindow = 16
 
-// storeStripes is the lock striping of the shared store; a power of two.
-const storeStripes = 16
+// The shared store is storeStripes lock stripes, a power of two; the low
+// stripeBits of a key's hash pick its stripe.
+const stripeBits = 4
+const storeStripes = 1 << stripeBits
 
-// poolStore is the enclave-side key-value state the responders execute
-// against: real bytes behind striped locks, so responders serving
-// different keys rarely contend.
-type poolStore struct {
-	stripes [storeStripes]storeStripe
-}
-
+// storeStripe is one lock stripe of the enclave-side key-value state the
+// responders execute against: real bytes in an item table behind its own
+// lock, so responders serving different keys rarely contend.
 type storeStripe struct {
 	mu    sync.Mutex
-	items map[string][]byte
-	_     [cacheLinePad]byte
-}
-
-// cacheLinePad keeps adjacent stripes' locks off one coherence line.
-const cacheLinePad = 64
-
-func newPoolStore() *poolStore {
-	st := &poolStore{}
-	for i := range st.stripes {
-		st.stripes[i].items = make(map[string][]byte)
-	}
-	return st
-}
-
-// stripe picks the lock stripe for a key.  Keys alias a connection's
-// request buffer; the m[string(key)] lookups below do not allocate.
-func (st *poolStore) stripe(key []byte) *storeStripe {
-	return &st.stripes[porting.FNV64(key)&(storeStripes-1)]
-}
-
-func (st *poolStore) set(key, value []byte) {
-	sp := st.stripe(key)
-	sp.mu.Lock()
-	// Reuse the existing backing array when it fits so a hot SET key
-	// settles into a stable allocation; at an unchanged length the map
-	// entry already describes the result and is left alone.
-	if dst, ok := sp.items[string(key)]; ok && cap(dst) >= len(value) {
-		copy(dst[:len(value)], value)
-		if len(dst) != len(value) {
-			sp.items[string(key)] = dst[:len(value)]
-		}
-	} else {
-		sp.items[string(key)] = append([]byte(nil), value...)
-	}
-	sp.mu.Unlock()
-}
-
-// get copies the value for key into dst and returns the copied length
-// and whether the key existed.  Copying under the stripe lock is what
-// lets the caller read the response buffer without holding any lock.
-func (st *poolStore) get(key, dst []byte) (int, bool) {
-	sp := st.stripe(key)
-	sp.mu.Lock()
-	v, ok := sp.items[string(key)]
-	n := copy(dst, v)
-	sp.mu.Unlock()
-	return n, ok
-}
-
-func (st *poolStore) delete(key []byte) bool {
-	sp := st.stripe(key)
-	sp.mu.Lock()
-	_, ok := sp.items[string(key)]
-	delete(sp.items, string(key))
-	sp.mu.Unlock()
-	return ok
+	items itemTable
+	_     [64]byte // keeps adjacent stripes' locks off one coherence line
 }
 
 // The port's flight callsites, one per operation, so GETs, SETs and
 // DELETEs show up as separate rows in the stats table instead of one
-// undifferentiated stream; the constants index fabricSpec.Callsites.
-const (
-	csGet = iota
-	csSet
-	csDelete
+// undifferentiated stream; callsiteOps holds each one's opcode.
+var (
+	fabricSpec = porting.FabricSpec{
+		Callsites: []string{"mc.get", "mc.set", "mc.delete"},
+		SealKey:   "mc-epc-paging-kv",
+	}
+	callsiteOps = [...]byte{OpGet, OpSet, OpDelete}
 )
-
-var fabricSpec = porting.FabricSpec{
-	Callsites: []string{"mc.get", "mc.set", "mc.delete"},
-	SealKey:   "mc-epc-paging-kv",
-}
 
 // PoolServer is memcached over the fabric: a CallPool whose one table
 // entry serves binary-protocol requests against the shared store.  The
@@ -118,7 +59,7 @@ var fabricSpec = porting.FabricSpec{
 // (Arm, DebugMux, Pool, Start, Stop).
 type PoolServer struct {
 	porting.Fabric
-	store *poolStore
+	store *[storeStripes]storeStripe
 	conns []*PoolConn
 }
 
@@ -126,7 +67,7 @@ type PoolServer struct {
 // connections.  opts tunes the underlying CallPool; its Shards field is
 // overridden to the connection count.
 func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
-	s := &PoolServer{store: newPoolStore()}
+	s := &PoolServer{store: new([storeStripes]storeStripe)}
 	s.Fabric = porting.NewFabric(fabricSpec, conns, []core.PoolFunc{s.serve}, opts)
 	s.conns = make([]*PoolConn, conns)
 	for i := range s.conns {
@@ -142,13 +83,10 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 
 // callsiteFor maps a request opcode to its registered flight callsite.
 func (s *PoolServer) callsiteFor(op byte) flight.Callsite {
-	switch op {
-	case OpGet:
-		return s.Callsite(csGet)
-	case OpSet:
-		return s.Callsite(csSet)
-	case OpDelete:
-		return s.Callsite(csDelete)
+	for i, o := range callsiteOps {
+		if o == op {
+			return s.Callsite(i)
+		}
 	}
 	return flight.Callsite{}
 }
@@ -180,30 +118,35 @@ func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	if err != nil {
 		return ^uint64(0)
 	}
+	// The key is hashed once: the hash picks the stripe, indexes its table
+	// and places the request's EPC pages.  A GET's value is copied once,
+	// under the stripe lock, to its place behind the header (the response
+	// buffer holds anything a request buffer could carry); EncodeResponse
+	// finds source and destination identical and moves nothing.
+	h := porting.FNV64(req.key)
+	sp := &s.store[h&(storeStripes-1)]
 	resp := Response{Op: req.op, Opaque: req.opaque, Status: StatusOK}
+	sp.mu.Lock()
 	switch req.op {
 	case OpGet:
-		// The value is copied once, under the stripe lock, to its place
-		// behind the header (the response buffer holds anything a request
-		// buffer could carry); EncodeResponse's copy finds source and
-		// destination identical and moves nothing.
-		if n, ok := s.store.get(req.key, b.resp[HeaderSize:]); ok {
-			resp.Value = b.resp[HeaderSize : HeaderSize+n]
+		if v, ok := sp.items.get(h, req.key); ok {
+			resp.Value = b.resp[HeaderSize : HeaderSize+copy(b.resp[HeaderSize:], v)]
 		} else {
 			resp.Status = StatusNotFound
 		}
 	case OpSet:
-		s.store.set(req.key, req.value)
+		sp.items.set(h, req.key, req.value)
 	case OpDelete:
-		if !s.store.delete(req.key) {
+		if !sp.items.delete(h, req.key) {
 			resp.Status = StatusNotFound
 		}
 	}
+	sp.mu.Unlock()
 	if s.EPCManager() != nil {
 		// The key's hash places the request in the modeled heap; its
 		// footprint is the value a GET returned or a SET stored, at least
 		// one page.
-		s.TouchEPC(requester, porting.FNV64(req.key), max(1, porting.PagesOf(len(resp.Value)+len(req.value))))
+		s.TouchEPC(requester, h, max(1, porting.PagesOf(len(resp.Value)+len(req.value))))
 	}
 	respLen, err := EncodeResponse(b.resp, &resp)
 	if err != nil {
@@ -212,9 +155,8 @@ func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	return uint64(respLen)
 }
 
-// connBuf is one in-flight request's buffer set.  store.get copies a
-// GET's value into resp, so a response never aliases live store memory
-// once the stripe lock is released; out is the decoded response Wait
+// connBuf is one in-flight request's buffer set.  serve copies a GET's
+// value out of its item into resp; out is the decoded response Wait
 // hands back, owned by the slot like the bytes it aliases.
 type connBuf struct {
 	req  []byte

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -156,6 +157,67 @@ func TestPoolServerConcurrentConnections(t *testing.T) {
 	}
 }
 
+// TestPoolStoreConcurrentWholeValues has four connections, served by up
+// to two responders, SET and GET one shared set of keys in pipelined
+// windows.  Every value is self-describing — each byte is the writer's
+// tag, and the tag sets the length — so overwrites in place run both
+// shorter and longer, and every GET must return one whole value that
+// some SET wrote: never a mix of two writers, never a torn length.
+func TestPoolStoreConcurrentWholeValues(t *testing.T) {
+	const conns, keys, windows = 4, 8, 500
+	s := NewPoolServer(conns, testPoolOpts(2))
+	s.Start()
+	defer s.Stop()
+	valueOf := func(tag byte) []byte { return bytes.Repeat([]byte{tag}, 1+int(tag)*8) }
+	for k := 0; k < keys; k++ {
+		if _, err := s.Conn(0).Do(&Request{Op: OpSet, Key: fmt.Sprint("shared-", k), Value: valueOf(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, conns)
+	for ci := 0; ci < conns; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			c := s.Conn(ci)
+			var reqs [connWindow]Request
+			var pending [connWindow]PendingResponse
+			for w := 0; w < windows; w++ {
+				for j := range reqs {
+					reqs[j] = Request{Op: OpGet, Key: fmt.Sprint("shared-", (ci+w+j)%keys)}
+					if j%3 == 0 {
+						reqs[j].Op, reqs[j].Value = OpSet, valueOf(byte(ci<<6|(w+j)&63))
+					}
+					var err error
+					if pending[j], err = c.Submit(&reqs[j]); err != nil {
+						errs <- err
+						return
+					}
+				}
+				for j := range pending {
+					resp, err := pending[j].Wait()
+					if err != nil || resp.Status != StatusOK {
+						errs <- fmt.Errorf("conn %d window %d request %d: (%+v, %v)", ci, w, j, resp, err)
+						return
+					}
+					if v := resp.Value; reqs[j].Op == OpGet && (len(v) == 0 || !bytes.Equal(v, valueOf(v[0]))) {
+						errs <- fmt.Errorf("conn %d GET %s returned %d bytes that no SET wrote", ci, reqs[j].Key, len(v))
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(ci)
+	}
+	wg.Wait()
+	for ci := 0; ci < conns; ci++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPoolServerMalformedPacketSentinel(t *testing.T) {
 	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
@@ -244,36 +306,54 @@ func FuzzCallWord(f *testing.F) {
 	})
 }
 
-// BenchmarkPoolServerThroughput measures the fabric-routed request path
-// with pipelined SET/GET traffic on every connection — the number the
-// scaling experiment in internal/bench normalizes against.
+// BenchmarkPoolServerThroughput is the repo benchmark's kv_pipelined
+// traffic by layer: one connection keeps 16-deep windows in flight over
+// 4096 keys of 2 KB, 90 % GET / 10 % SET, with the keys of a window
+// distinct (responders may run a window's calls out of order).  One op is
+// one request.
 func BenchmarkPoolServerThroughput(b *testing.B) {
 	s := NewPoolServer(1, core.PoolOptions{SlotsPerShard: connWindow, Timeout: 1 << 20})
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
 	val := bytes.Repeat([]byte{0xCD}, ValueSize)
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%016x-%04d", uint64(i)*0x9e3779b97f4a7c15, i)
+		if _, err := c.Do(&Request{Op: OpSet, Key: keys[i], Value: val}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 1))
+	reqs := make([]Request, 1<<14) // whole windows
+	for i := range reqs {
+	redraw:
+		k := keys[rng.IntN(len(keys))]
+		for _, r := range reqs[i&^(connWindow-1) : i] {
+			if r.Key == k {
+				goto redraw
+			}
+		}
+		reqs[i] = Request{Op: OpGet, Key: k}
+		if rng.IntN(10) == 0 {
+			reqs[i].Op, reqs[i].Value = OpSet, val
+		}
+	}
+	var pending [connWindow]PendingResponse
+	b.ReportAllocs()
 	b.ResetTimer()
-	pending := make([]PendingResponse, 0, connWindow)
-	for i := 0; i < b.N; {
-		for len(pending) < connWindow && i < b.N {
-			req := Request{Op: OpGet, Key: "bench-key"}
-			if i%2 == 0 {
-				req = Request{Op: OpSet, Key: "bench-key", Value: val}
-			}
-			pr, err := c.Submit(&req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pending = append(pending, pr)
-			i++
-		}
-		for _, pr := range pending {
-			if _, err := pr.Wait(); err != nil {
+	for n := 0; n < b.N; n += connWindow {
+		for j := range pending {
+			var err error
+			if pending[j], err = c.Submit(&reqs[(n+j)&(len(reqs)-1)]); err != nil {
 				b.Fatal(err)
 			}
 		}
-		pending = pending[:0]
+		for j := range pending {
+			if resp, err := pending[j].Wait(); err != nil || resp.Status != StatusOK {
+				b.Fatalf("request %d = (%+v, %v)", n+j, resp, err)
+			}
+		}
 	}
 }
 

@@ -50,20 +50,15 @@ func EncodeRequest(buf []byte, r *Request) (int, error) {
 	if total > len(buf) {
 		return 0, fmt.Errorf("memcached: request needs %d bytes, buffer has %d", total, len(buf))
 	}
-	for i := 0; i < HeaderSize; i++ {
-		buf[i] = 0
-	}
+	clear(buf[:HeaderSize])
 	buf[0] = MagicRequest
 	buf[1] = r.Op
 	binary.BigEndian.PutUint16(buf[2:], uint16(len(r.Key)))
 	buf[4] = byte(extras)
 	binary.BigEndian.PutUint32(buf[8:], uint32(extras+len(r.Key)+len(r.Value)))
 	binary.BigEndian.PutUint32(buf[12:], r.Opaque)
-	p := HeaderSize
-	for i := 0; i < extras; i++ {
-		buf[p+i] = 0
-	}
-	p += extras
+	p := HeaderSize + extras
+	clear(buf[HeaderSize:p])
 	p += copy(buf[p:], r.Key)
 	p += copy(buf[p:], r.Value)
 	return p, nil
@@ -107,15 +102,6 @@ func decodeRequest(pkt []byte) (requestView, error) {
 	return v, nil
 }
 
-// DecodeRequest parses a binary-protocol request.
-func DecodeRequest(pkt []byte) (*Request, error) {
-	v, err := decodeRequest(pkt)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{Op: v.op, Key: string(v.key), Value: v.value, Opaque: v.opaque}, nil
-}
-
 // Response is a decoded binary-protocol response.
 type Response struct {
 	Op     byte
@@ -131,9 +117,7 @@ func EncodeResponse(buf []byte, r *Response) (int, error) {
 	if total > len(buf) {
 		return 0, fmt.Errorf("memcached: response needs %d bytes, buffer has %d", total, len(buf))
 	}
-	for i := 0; i < HeaderSize; i++ {
-		buf[i] = 0
-	}
+	clear(buf[:HeaderSize])
 	buf[0] = MagicResponse
 	buf[1] = r.Op
 	binary.BigEndian.PutUint16(buf[6:], r.Status)

@@ -149,24 +149,21 @@ func (s *Server) handleEvent(env *porting.Env, args []sdk.Arg) uint64 {
 	if err != nil {
 		panic(fmt.Sprintf("memcached: bad request: %v", err))
 	}
-	key := string(req.key) // the store keeps it; the view aliases reqBuf
 	resp := Response{Op: req.op, Opaque: req.opaque, Status: StatusOK}
 	closeStore := env.Section(porting.CatDataStore)
 	switch req.op {
 	case OpGet:
-		val := s.Store.Get(env, key)
-		if val == nil {
-			resp.Status = StatusNotFound
-		} else {
-			// The value is copied from the store into the response
-			// buffer; the cost model charges the move.
-			env.App.Platform.Mem.Copy(env.Clk, s.respBuf.Addr, s.Store.ValueAddr(key), uint64(len(val)))
+		// The value is copied from the store into the response buffer;
+		// Get charges the move.
+		if val, ok := s.Store.Get(env, req.key, s.respBuf.Addr); ok {
 			resp.Value = val
+		} else {
+			resp.Status = StatusNotFound
 		}
 	case OpSet:
-		s.Store.Set(env, key, req.value)
+		s.Store.Set(env, req.key, req.value)
 	case OpDelete:
-		if !s.Store.Delete(env, key) {
+		if !s.Store.Delete(env, req.key) {
 			resp.Status = StatusNotFound
 		}
 	}

@@ -2,19 +2,21 @@ package memcached
 
 import "hotcalls/internal/apps/porting"
 
-// Store is the key-value store: a real hash map for the data path plus a
-// memory-cost profile that charges hash-probe and value accesses at
-// addresses spread across the store's footprint — uniform accesses with
-// poor spatial locality, the behaviour the paper blames for memcached's
-// "fundamental limitation" under memory encryption (Section 6.2).
+// Store is the simulated server's key-value store: an item table holding
+// the real bytes, plus a memory-cost profile that charges hash-probe and
+// value accesses at addresses spread across the store's footprint —
+// uniform accesses with poor spatial locality, the behaviour the paper
+// blames for memcached's "fundamental limitation" under memory encryption
+// (Section 6.2).  Each operation hashes its key once (FNV64); the hash
+// indexes the table and places the charged accesses.
 type Store struct {
-	items map[string][]byte
+	items itemTable
 
-	hashBase  uint64
-	hashSpan  uint64
-	valueBase uint64
-	valueSpan uint64
-	valueSize uint64
+	hashBase   uint64
+	hashSpan   uint64
+	valueBase  uint64
+	valueSlots uint64
+	valueSize  uint64
 }
 
 // NewStore reserves the store's address footprint in the app's memory.
@@ -24,66 +26,53 @@ func NewStore(app *porting.App, keyspace int, valueSize uint64) *Store {
 	valueSpan := uint64(keyspace) * valueSize
 	hashSpan := valueSpan / 2
 	return &Store{
-		items:     make(map[string][]byte),
-		hashBase:  app.ReserveRegion(hashSpan),
-		hashSpan:  hashSpan,
-		valueBase: app.ReserveRegion(valueSpan),
-		valueSpan: valueSpan,
-		valueSize: valueSize,
+		hashBase:   app.ReserveRegion(hashSpan),
+		hashSpan:   hashSpan,
+		valueBase:  app.ReserveRegion(valueSpan),
+		valueSlots: uint64(keyspace),
+		valueSize:  valueSize,
 	}
 }
 
-func hashKey(key string) uint64 { return porting.FNV64(key) }
-
-// probe charges the hash-chain walk: two dependent loads at
-// hash-distributed addresses (bucket head, then item header).
-func (s *Store) probe(env *porting.Env, h uint64) {
-	m := env.App.Platform.Mem
+// probe hashes key and charges the hash-chain walk: two dependent loads
+// at hash-distributed addresses (bucket head, then item header).
+func (s *Store) probe(env *porting.Env, key []byte) uint64 {
+	h, m := porting.FNV64(key), env.App.Platform.Mem
 	m.Load(env.Clk, s.hashBase+(h%s.hashSpan)/64*64)
 	m.Load(env.Clk, s.hashBase+(h*0x9e3779b97f4a7c15%s.hashSpan)/64*64)
+	return h
 }
 
-func (s *Store) valueAddr(h uint64) uint64 {
-	slots := s.valueSpan / s.valueSize
-	return s.valueBase + (h%slots)*s.valueSize
-}
+func (s *Store) valueAddr(h uint64) uint64 { return s.valueBase + h%s.valueSlots*s.valueSize }
 
-// Get returns the stored value (nil if missing) and charges the lookup:
-// hash probes plus a streaming read of the value.
-func (s *Store) Get(env *porting.Env, key string) []byte {
-	h := hashKey(key)
-	s.probe(env, h)
-	v, ok := s.items[key]
-	if !ok {
-		return nil
+// Get returns a view of the stored value and whether the key exists, and
+// charges the lookup: hash probes, a streaming read of the value, and its
+// copy to dst.
+func (s *Store) Get(env *porting.Env, key []byte, dst uint64) ([]byte, bool) {
+	h := s.probe(env, key)
+	v, ok := s.items.get(h, key)
+	if ok {
+		m, src := env.App.Platform.Mem, s.valueAddr(h)
+		m.StreamRead(env.Clk, src, uint64(len(v)))
+		m.Copy(env.Clk, dst, src, uint64(len(v)))
 	}
-	env.App.Platform.Mem.StreamRead(env.Clk, s.valueAddr(h), uint64(len(v)))
-	return v
+	return v, ok
 }
 
 // Set stores a value and charges the hash probes plus a streaming write of
 // the value bytes.
-func (s *Store) Set(env *porting.Env, key string, value []byte) {
-	h := hashKey(key)
-	s.probe(env, h)
+func (s *Store) Set(env *porting.Env, key, value []byte) {
+	h := s.probe(env, key)
 	env.App.Platform.Mem.StreamWrite(env.Clk, s.valueAddr(h), uint64(len(value)))
-	s.items[key] = append(s.items[key][:0], value...)
+	s.items.set(h, key, value)
 }
 
 // Delete removes a key, charging the hash probes; it reports whether the
 // key existed.
-func (s *Store) Delete(env *porting.Env, key string) bool {
-	h := hashKey(key)
-	s.probe(env, h)
-	if _, ok := s.items[key]; !ok {
-		return false
-	}
-	delete(s.items, key)
-	return true
+func (s *Store) Delete(env *porting.Env, key []byte) bool {
+	h := s.probe(env, key)
+	return s.items.delete(h, key)
 }
 
 // Len returns the number of stored items.
-func (s *Store) Len() int { return len(s.items) }
-
-// ValueAddr exposes the cost-model address of a key's value (tests).
-func (s *Store) ValueAddr(key string) uint64 { return s.valueAddr(hashKey(key)) }
+func (s *Store) Len() int { return s.items.n }
