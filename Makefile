@@ -29,8 +29,8 @@ build-cross:
 # ratio the north star names only ratchets down.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
 OBSERVABILITY = telemetry dist flight incident monitor profile epcstat
-OBSERVABILITY_CEILING = 5918
-TOTAL_CEILING = 19788
+OBSERVABILITY_CEILING = 5724
+TOTAL_CEILING = 19450
 loc:
 	@obs=$$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY)))); total=$$($(call LOC,.)); \
 	echo "fabric (internal/core)  $$($(call LOC,./internal/core))"; \

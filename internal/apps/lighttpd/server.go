@@ -66,9 +66,8 @@ const (
 
 // Server is one lighttpd instance bound to a port configuration.
 type Server struct {
-	// App is the container; embedded, so the request metrics it keeps are
-	// the server's own surface (EnableTelemetry, MetricsHandler,
-	// EnableMonitor, DebugMux).
+	// App is the container, embedded: SetTelemetry attaches a registry
+	// to the whole simulated stack.
 	*porting.App
 
 	listenFD int
@@ -92,7 +91,7 @@ type Server struct {
 // NewServer boots lighttpd in the given mode and installs the document
 // root (one 20 KB page, as in the paper's http_load run).
 func NewServer(mode porting.Mode) *Server {
-	app := porting.New(mode, porting.Config{Name: "lighttpd", Seed: 3033, EnclaveSize: 64 << 20}, EDL)
+	app := porting.New(mode, porting.Config{Seed: 3033, EnclaveSize: 64 << 20}, EDL)
 	s := &Server{App: app}
 	k := app.Kernel
 
@@ -329,7 +328,7 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 // ServeOne accepts and serves one queued connection through the configured
 // interface.
 func (s *Server) ServeOne(clk *sim.Clock) {
-	if _, err := s.App.ServeRequest(clk, "ecall_handle_connection", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
+	if _, err := s.App.Call(clk, "ecall_handle_connection", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
 		panic(err)
 	}
 }

@@ -53,9 +53,8 @@ const (
 
 // Server is one memcached instance bound to a port configuration.
 type Server struct {
-	// App is the container; embedded, so the request metrics it keeps are
-	// the server's own surface (EnableTelemetry, MetricsHandler,
-	// EnableMonitor, DebugMux).
+	// App is the container, embedded: SetTelemetry attaches a registry
+	// to the whole simulated stack.
 	*porting.App
 	Store *Store
 
@@ -71,7 +70,7 @@ type Server struct {
 // the edge functions, and runs the ecall_main wrapper, which performs the
 // socket setup through ocalls exactly as the ported binary would.
 func NewServer(mode porting.Mode) *Server {
-	app := porting.New(mode, porting.Config{Name: "memcached", Seed: 1009, EnclaveSize: 192 << 20}, EDL)
+	app := porting.New(mode, porting.Config{Seed: 1009, EnclaveSize: 192 << 20}, EDL)
 	s := &Server{App: app}
 	s.Store = NewStore(app, keyspace, ValueSize)
 
@@ -186,7 +185,7 @@ func (s *Server) handleEvent(env *porting.Env, args []sdk.Arg) uint64 {
 // ServeOne processes the next queued request through the configured
 // interface (one RunEnclaveFunction event callback).
 func (s *Server) ServeOne(clk *sim.Clock) {
-	if _, err := s.App.ServeRequest(clk, "ecall_run_enclave_function", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
+	if _, err := s.App.Call(clk, "ecall_run_enclave_function", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
 		panic(err)
 	}
 }

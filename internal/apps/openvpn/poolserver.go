@@ -107,9 +107,8 @@ func connCiphers(i int) (rx, tx *Cipher) {
 }
 
 // The port's flight callsites: the synchronous forward path and the
-// vectored streaming path show as separate rows, each with its payload
-// byte volume (flight_callsite_bytes_total in /metrics and
-// /debug/flight).
+// vectored streaming path show as separate rows in /debug/flight, and
+// each sampled record carries its call's payload bytes.
 // The constants index fabricSpec.Callsites.
 const (
 	csForward = iota

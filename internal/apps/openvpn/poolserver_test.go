@@ -183,9 +183,9 @@ func TestPoolTunnelEPCAttribution(t *testing.T) {
 	}
 }
 
-// TestPoolTunnelFlightBytes checks that zero-copy calls report their
-// payload volume per callsite — the per-byte signal the what-if router's
-// cost model consumes.
+// TestPoolTunnelFlightBytes checks that a zero-copy call stamps its
+// payload volume on its flight record: with every call sampled, each
+// Forward and each Stream frame carries its sealed frame's bytes.
 func TestPoolTunnelFlightBytes(t *testing.T) {
 	s := NewPoolServer(1, testVPNOpts(2))
 	rec := flight.New(flight.Options{SampleEvery: 1})
@@ -210,33 +210,15 @@ func TestPoolTunnelFlightBytes(t *testing.T) {
 	}
 
 	frameBytes := uint64(FrameOverhead + len(payload))
-	found := map[string]bool{}
-	for _, cs := range rec.Stats() {
-		switch cs.Name {
-		case "vpn.forward":
-			found[cs.Name] = true
-			if cs.Bytes != forwards*frameBytes {
-				t.Errorf("vpn.forward bytes = %d, want %d", cs.Bytes, forwards*frameBytes)
-			}
-		case "vpn.stream":
-			found[cs.Name] = true
-			if cs.Bytes != vpnWindow*frameBytes {
-				t.Errorf("vpn.stream bytes = %d, want %d", cs.Bytes, vpnWindow*frameBytes)
-			}
+	calls := map[string]int{}
+	for _, v := range rec.Records(forwards + vpnWindow) {
+		calls[v.Name]++
+		if v.Bytes != frameBytes {
+			t.Errorf("%s record carries %d bytes, want %d", v.Name, v.Bytes, frameBytes)
 		}
 	}
-	for _, name := range []string{"vpn.forward", "vpn.stream"} {
-		if !found[name] {
-			t.Errorf("callsite %q missing from stats table", name)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := rec.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("flight_callsite_bytes_total")) {
-		t.Error("flight_callsite_bytes_total missing from exposition")
+	if calls["vpn.forward"] != forwards || calls["vpn.stream"] != vpnWindow {
+		t.Errorf("records per callsite = %v, want %d vpn.forward and %d vpn.stream", calls, forwards, vpnWindow)
 	}
 }
 

@@ -90,7 +90,7 @@ type Server struct {
 // session keys (in a deployment these arrive via remote attestation; see
 // the securetunnel example).
 func NewServer(mode porting.Mode) *Server {
-	app := porting.New(mode, porting.Config{Name: "openvpn", Seed: 2021, EnclaveSize: 64 << 20}, EDL)
+	app := porting.New(mode, porting.Config{Seed: 2021, EnclaveSize: 64 << 20}, EDL)
 	s := &Server{App: app}
 	var ck [16]byte
 	var mk [32]byte

@@ -3,23 +3,17 @@ package porting_test
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"hotcalls/internal/apps/lighttpd"
 	"hotcalls/internal/apps/memcached"
 	"hotcalls/internal/apps/openvpn"
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
-	"hotcalls/internal/epc"
 	"hotcalls/internal/flight"
 	"hotcalls/internal/incident"
 	"hotcalls/internal/monitor"
@@ -30,13 +24,12 @@ import (
 // the port's own Start (lighttpd's builds its images first), and traffic
 // on one connection that pages under that connection's name only.
 type fabricPort struct {
-	name     string
-	callsite string // one of the port's flight callsites the traffic exercises
-	boot     func(conns int, opts core.PoolOptions) (f *porting.Fabric, start func(), drive func(conn int) error)
+	name string
+	boot func(conns int, opts core.PoolOptions) (f *porting.Fabric, start func(), drive func(conn int) error)
 }
 
 var fabricPorts = []fabricPort{
-	{"memcached", "mc.set", func(conns int, opts core.PoolOptions) (*porting.Fabric, func(), func(int) error) {
+	{"memcached", func(conns int, opts core.PoolOptions) (*porting.Fabric, func(), func(int) error) {
 		s := memcached.NewPoolServer(conns, opts)
 		return &s.Fabric, s.Start, func(conn int) error {
 			val := bytes.Repeat([]byte{0xAB}, memcached.ValueSize)
@@ -52,7 +45,7 @@ var fabricPorts = []fabricPort{
 			return nil
 		}
 	}},
-	{"lighttpd", "http.get", func(conns int, opts core.PoolOptions) (*porting.Fabric, func(), func(int) error) {
+	{"lighttpd", func(conns int, opts core.PoolOptions) (*porting.Fabric, func(), func(int) error) {
 		s := lighttpd.NewPoolServer(conns, opts)
 		return &s.Fabric, s.Start, func(conn int) error {
 			for i := 0; i < 32; i++ {
@@ -71,7 +64,7 @@ var fabricPorts = []fabricPort{
 			return nil
 		}
 	}},
-	{"openvpn", "vpn.stream", func(conns int, opts core.PoolOptions) (*porting.Fabric, func(), func(int) error) {
+	{"openvpn", func(conns int, opts core.PoolOptions) (*porting.Fabric, func(), func(int) error) {
 		s := openvpn.NewPoolServer(conns, opts)
 		return &s.Fabric, s.Start, func(conn int) error {
 			window := make([][]byte, 16)
@@ -117,103 +110,25 @@ func typeFamilies(exposition string) []string {
 	return names
 }
 
-// metricCatalogue is every family name an armed port may export: what a
-// registry holding exactly the telemetry standard names and the
-// per-responder occupancy gauges renders, and what a flight recorder
-// renders for a callsite.
-func metricCatalogue(t *testing.T, responders int) map[string]bool {
-	t.Helper()
-	reg := telemetry.New()
-	telemetry.RegisterStandard(reg)
-	for i := 0; i < responders; i++ {
-		reg.Gauge(telemetry.PoolResponderOccupancyMetric(i))
-	}
-	rec := flight.New(flight.Options{})
-	rec.Fallback(rec.Callsite("any")) // a callsite gets its row with its first event
-	var b strings.Builder
-	if err := errors.Join(reg.WritePrometheus(&b), rec.WritePrometheus(&b)); err != nil {
-		t.Fatal(err)
-	}
-	known := map[string]bool{}
-	for _, name := range typeFamilies(b.String()) {
-		known[name] = true
-	}
-	return known
-}
-
 // TestFabricKitAllArmed arms every observer on each port through the one
-// Arm call, drives real traffic on two connections at once, and holds the
-// debug surface to its contract: the /debug/ index lists exactly the
-// catalogued endpoints, and each answers 200 in every rendering it
-// advertises, under that rendering's Content-Type, and 400 for an unknown
-// one; every family in /metrics appears once and is a catalogued name — a
-// telemetry standard name, a per-responder occupancy gauge or one of the
-// flight recorder's — and the series traffic must move have moved; and
-// EPC pressure is attributed to both connections by name.
+// Arm call, drives real traffic on two connections at once (armPort), and
+// holds the debug surface to its contract: the /debug/ index lists
+// exactly the catalogued endpoints, and each answers 200 in every
+// rendering it advertises, under that rendering's Content-Type, and 400
+// for an unknown one; every family in /metrics appears once and has a row
+// in the consumer table (signals_test.go), which also holds what traffic
+// must have moved; and EPC pressure is attributed to both connections by
+// name.
 func TestFabricKitAllArmed(t *testing.T) {
 	for _, port := range fabricPorts {
 		t.Run(port.name, func(t *testing.T) {
-			opts := kitPoolOpts()
-			f, start, drive := port.boot(2, opts)
-			reg := telemetry.New()
-			f.Arm(porting.Observers{
-				Registry:  reg,
-				Flight:    flight.New(flight.Options{SampleEvery: 1}),
-				EPCBytes:  256 * epc.PageSize,
-				Monitor:   &monitor.Options{},
-				Incidents: &incident.Options{},
-			})
+			a := armPort(t, port)
+			f := a.f
 			if f.Monitor() == nil || f.Incidents() == nil || f.EPC() == nil || f.EPCManager() == nil {
 				t.Fatal("an armed observer reads back nil")
 			}
 			if f.Monitor().EPCStat() != f.EPC() || f.Monitor().Flight() != f.Pool().Flight() {
 				t.Fatal("the monitor was not built over the armed collectors")
-			}
-			defer f.Stop()
-
-			f.Monitor().Tick() // baseline primes the interval rules
-			var wg sync.WaitGroup
-			errs := make([]error, 2)
-			for conn := range errs {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					errs[conn] = drive(conn)
-				}()
-			}
-			// Both connections post their first call before the responders
-			// start.  No responder is parked, so neither requester runs its
-			// call inline: the first two claims are the responders', and
-			// the executes series is theirs to move.
-			requests := reg.Counter(telemetry.MetricHotCallRequests)
-			for deadline := time.Now().Add(5 * time.Second); requests.Load() < 2; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d of 2 first calls posted", requests.Load())
-				}
-			}
-			start()
-			wg.Wait()
-			for conn, err := range errs {
-				if err != nil {
-					t.Fatalf("conn %d: %v", conn, err)
-				}
-			}
-			f.Monitor().Tick()
-
-			srv := httptest.NewServer(f.DebugMux())
-			defer srv.Close()
-			get := func(path string) (int, string, string) {
-				t.Helper()
-				resp, err := http.Get(srv.URL + path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				body, err := io.ReadAll(resp.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 			}
 
 			// Walk the index.  Health answers 503, in every rendering,
@@ -222,7 +137,7 @@ func TestFabricKitAllArmed(t *testing.T) {
 			served := func(path string, code int) bool {
 				return code == http.StatusOK || (path == "/debug/health" && code == http.StatusServiceUnavailable)
 			}
-			_, _, indexBody := get("/debug/")
+			_, _, indexBody := a.get(t, "/debug/")
 			var index struct {
 				Endpoints []monitor.DebugEntry `json:"endpoints"`
 			}
@@ -232,12 +147,12 @@ func TestFabricKitAllArmed(t *testing.T) {
 			var listed []string
 			for _, e := range index.Endpoints {
 				listed = append(listed, e.Path)
-				code, defaultCT, _ := get(e.Path)
+				code, defaultCT, _ := a.get(t, e.Path)
 				if !served(e.Path, code) || defaultCT == "" {
 					t.Errorf("%s = %d, Content-Type %q", e.Path, code, defaultCT)
 				}
 				for i, name := range e.Formats {
-					code, ct, _ := get(e.Path + "?format=" + name)
+					code, ct, _ := a.get(t, e.Path+"?format="+name)
 					if !served(e.Path, code) || ct != contentTypeOf[name] {
 						t.Errorf("%s?format=%s = %d, Content-Type %q, want %q", e.Path, name, code, ct, contentTypeOf[name])
 					}
@@ -246,7 +161,7 @@ func TestFabricKitAllArmed(t *testing.T) {
 					}
 				}
 				if len(e.Formats) > 0 {
-					code, _, body := get(e.Path + "?format=bogus")
+					code, _, body := a.get(t, e.Path+"?format=bogus")
 					if code != http.StatusBadRequest || !strings.Contains(body, e.Formats[0]) {
 						t.Errorf("%s?format=bogus = %d %q, want 400 naming the formats", e.Path, code, body)
 					}
@@ -256,39 +171,24 @@ func TestFabricKitAllArmed(t *testing.T) {
 			if !slices.Equal(listed, catalogue) { // the index is sorted by path
 				t.Errorf("/debug/ index lists %v, want exactly %v", listed, catalogue)
 			}
-			if code, _, _ := get("/debug/?format=text"); code != http.StatusOK {
+			if code, _, _ := a.get(t, "/debug/?format=text"); code != http.StatusOK {
 				t.Errorf("/debug/?format=text = %d", code)
 			}
 
 			// One exposition, every armed source.
-			_, ct, metrics := get("/metrics")
+			_, ct, metrics := a.get(t, "/metrics")
 			if ct != telemetry.ContentTypeMetrics {
 				t.Errorf("/metrics Content-Type %q", ct)
 			}
-			known := metricCatalogue(t, opts.MaxResponders)
 			declared := map[string]bool{}
 			for _, name := range typeFamilies(metrics) {
-				if !known[name] {
-					t.Errorf("/metrics family %s is in no catalogue", name)
+				if _, ok := signalTable[name]; !ok {
+					t.Errorf("/metrics family %s has no row in the consumer table", name)
 				}
 				if declared[name] {
 					t.Errorf("/metrics declares family %s more than once", name)
 				}
 				declared[name] = true
-			}
-			moved := map[string]bool{}
-			for _, line := range strings.Split(metrics, "\n") {
-				if series, value, ok := strings.Cut(line, " "); ok && line[0] != '#' && value != "0" {
-					moved[series] = true
-				}
-			}
-			for _, series := range []string{
-				telemetry.MetricHotCallRequests, telemetry.MetricResponderPolls, telemetry.MetricResponderExecutes,
-				fmt.Sprintf("flight_callsite_arrivals_total{callsite=%q}", port.callsite),
-			} {
-				if !moved[series] {
-					t.Errorf("/metrics series %s did not move under traffic", series)
-				}
 			}
 			if faults := f.EPC().Snapshot().Faults; faults == 0 ||
 				!strings.Contains(metrics, fmt.Sprintf("%s %d\n", telemetry.MetricEPCFaults, faults)) {
@@ -303,7 +203,7 @@ func TestFabricKitAllArmed(t *testing.T) {
 			if len(owners) != 2 || owners["conn0"] == 0 || owners["conn1"] == 0 {
 				t.Errorf("per-owner EPC faults = %v, want conn0 and conn1 both paging", owners)
 			}
-			if _, _, text := get("/debug/epc?format=text"); !strings.Contains(text, "conn0(#1)") || !strings.Contains(text, "conn1(#2)") {
+			if _, _, text := a.get(t, "/debug/epc?format=text"); !strings.Contains(text, "conn0(#1)") || !strings.Contains(text, "conn1(#2)") {
 				t.Errorf("/debug/epc?format=text does not name both connections:\n%s", text)
 			}
 		})

@@ -18,7 +18,6 @@ import (
 	"hotcalls/internal/core"
 	"hotcalls/internal/edl"
 	"hotcalls/internal/mem"
-	"hotcalls/internal/monitor"
 	"hotcalls/internal/osapi"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sgx"
@@ -104,23 +103,12 @@ type App struct {
 	// (see profile.go).
 	Prof *Profile
 
-	// Tel is the attached observability registry (nil when telemetry is
-	// off); applications read it back to register their own metrics.
-	Tel *telemetry.Registry
-
-	// Request-level observability (metrics.go); every handle is nil — a
-	// no-op, one branch per request — until its Enable* call.
-	name string
-	tel  requestTel
-	mon  *monitor.Monitor
-
 	regionNext uint64  // bump cursor for ReserveRegion
 	aexRate    float64 // asynchronous exits per second (see aex.go)
 }
 
 // Config describes the enclave to build for the secure modes.
 type Config struct {
-	Name        string // prefixes the app's request metrics (see EnableTelemetry)
 	Seed        uint64
 	EnclaveSize uint64 // virtual size; also bounds the secure heap
 	NumTCS      int
@@ -164,7 +152,6 @@ func New(mode Mode, cfg Config, edlSrc string) *App {
 		Enclave:  e,
 		RT:       rt,
 		Chan:     core.NewChannel(rt, p.RNG),
-		name:     cfg.Name,
 	}
 	return app
 }
@@ -217,9 +204,10 @@ func (a *App) Call(clk *sim.Clock, name string, args ...sdk.Arg) (uint64, error)
 // SetTelemetry attaches the observability registry to every layer the
 // app owns: the SGX platform (leaf instructions, EPC paging, MEE), the
 // SDK runtime (ecall/ocall paths), and the HotCalls channel.  A nil
-// registry detaches everywhere.
+// registry detaches everywhere.  This is the simulated servers' one
+// observability wiring: monitor.New and monitor.Mux serve the same
+// registry, as hotbench -monitor does.
 func (a *App) SetTelemetry(reg *telemetry.Registry) {
-	a.Tel = reg
 	a.Platform.SetTelemetry(reg)
 	a.RT.SetTelemetry(reg)
 	a.Chan.SetTelemetry(reg)

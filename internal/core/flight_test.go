@@ -111,7 +111,7 @@ func TestPoolFlightCausalTimeline(t *testing.T) {
 		t.Errorf("busy service p50 = %dns, want >= ~%d", stats["script.busy"].ServiceP50NS, spinNS/2)
 	}
 	if stats["script.echo"].LastTraceID == 0 {
-		t.Error("echo stats carry no exemplar trace ID")
+		t.Error("echo stats carry no last trace ID")
 	}
 }
 

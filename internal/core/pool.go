@@ -251,15 +251,11 @@ type CallPool struct {
 	timeouts   *telemetry.Counter
 	pollCtr    *telemetry.Counter
 	executeCtr *telemetry.Counter
-	sleepCtr   *telemetry.Counter
 	kickCtr    *telemetry.Counter
 	inlineCtr  *telemetry.Counter
-	scaleUps   *telemetry.Counter
-	scaleDowns *telemetry.Counter
 	liveGauge  *telemetry.Gauge
 	maxGauge   *telemetry.Gauge
 	occGauge   *telemetry.Gauge
-	respOcc    []*telemetry.Gauge // per-responder occupancy, indexed by responder
 
 	// spinMax caps the completion wait's spin phase (see await): 0 on a
 	// single P, where no responder can run while the requester spins.
@@ -306,33 +302,21 @@ func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 func (p *CallPool) SetVecTable(vt []PoolVecFunc) { p.vtable = vt }
 
 // SetTelemetry attaches the fabric's counters and gauges from the
-// registry: submission traffic, responder economics (poll, execute and
-// sleep counts, from which the monitor derives occupancy), and the
-// adaptive controller's decisions.  A nil registry detaches.  Attach
-// before Start.
+// registry: submission traffic, responder economics (poll and execute
+// counts, from which the monitor derives occupancy), and the pool's size
+// and window occupancy.  A nil registry detaches.  Attach before Start.
 func (p *CallPool) SetTelemetry(reg *telemetry.Registry) {
 	p.requests = reg.Counter(telemetry.MetricHotCallRequests)
 	p.timeouts = reg.Counter(telemetry.MetricHotCallTimeouts)
 	p.pollCtr = reg.Counter(telemetry.MetricResponderPolls)
 	p.executeCtr = reg.Counter(telemetry.MetricResponderExecutes)
-	p.sleepCtr = reg.Counter(telemetry.MetricResponderSleeps)
 	p.kickCtr = reg.Counter(telemetry.MetricResponderKicks)
 	p.inlineCtr = reg.Counter(telemetry.MetricHotCallInline)
 	p.rejected = reg.Counter(telemetry.MetricHotCallRejected)
 	p.fallbacks = reg.Counter(telemetry.MetricHotCallFallbacks)
-	p.scaleUps = reg.Counter(telemetry.MetricPoolScaleUps)
-	p.scaleDowns = reg.Counter(telemetry.MetricPoolScaleDowns)
 	p.liveGauge = reg.Gauge(telemetry.MetricPoolResponders)
 	p.maxGauge = reg.Gauge(telemetry.MetricPoolRespondersMax)
 	p.occGauge = reg.Gauge(telemetry.MetricPoolOccupancyMilli)
-	if reg == nil {
-		p.respOcc = nil
-		return
-	}
-	p.respOcc = make([]*telemetry.Gauge, p.opts.MaxResponders)
-	for i := range p.respOcc {
-		p.respOcc[i] = reg.Gauge(telemetry.PoolResponderOccupancyMetric(i))
-	}
 	p.maxGauge.Set(int64(p.opts.MaxResponders))
 }
 
@@ -526,14 +510,12 @@ func (r *Requester) Index() int { return r.idx }
 // requester-owned line before the slotPosted release store that publishes
 // slab bytes and descriptors together.  Without segments that line stays
 // untouched, and the cleared count — on the line already being written —
-// keeps a reused slot from replaying a prior call's descriptors.  Payload
-// bytes are counted per callsite for the flight recorder
-// (flight_callsite_bytes_total in /metrics); a call that carries none
-// skips the count.  On success the slot pointer and the call's flight
-// record (nil when unsampled or detached) are returned for the
-// completion wait.  The flight stamp happens before the submission
-// spin, so a window-full wait is part of the recorded latency; the record
-// is closed on every exit path, so a timeout or shutdown never leaves an
+// keeps a reused slot from replaying a prior call's descriptors.  A
+// sampled call's flight record carries its payload bytes.  On success
+// the slot pointer and the call's flight record (nil when unsampled or
+// detached) are returned for the completion wait.  The flight stamp
+// happens before the submission spin, so a window-full wait is part of
+// the recorded latency; the record is closed on every exit path, so a timeout or shutdown never leaves an
 // open record to wedge the digest.
 func (r *Requester) post(cs flight.Callsite, id CallID, data uint64, segs []Segment) (*poolSlot, *flight.Record, error) {
 	if len(segs) > MaxSegs {
@@ -544,15 +526,11 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64, segs []Segm
 	p.requests.Inc()
 	var fr *flight.Record
 	if f := p.flight; f != nil {
-		total := segTotal(segs)
-		if total != 0 {
-			f.AddBytes(cs, r.idx, total)
-		}
 		// Two-step Arrive/Open instead of Begin: Arrive inlines, so the
 		// 255-in-256 unsampled calls pay no function call here.
 		if f.Arrive(cs, r.idx) {
 			fr = f.Open(cs, r.idx, uint16(id))
-			fr.SetBytes(total)
+			fr.SetBytes(segTotal(segs))
 			// Pool-state context only on sampled calls: these gauges live
 			// on responder-shared cache lines, so reading them per call
 			// would put a coherence miss on the unsampled path.

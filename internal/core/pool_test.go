@@ -346,9 +346,9 @@ func TestPoolConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestPoolTelemetryExports checks the controller's decisions land in the
-// registry: live/max responder gauges, occupancy, and scale event
-// counters.
+// TestPoolTelemetryExports checks the fabric's series land in the
+// registry: request, poll, execute and inline counts, and the live/max
+// responder gauges.
 func TestPoolTelemetryExports(t *testing.T) {
 	reg := telemetry.New()
 	p := NewCallPool(echoTable(), testPool(1, 2))

@@ -89,8 +89,7 @@ func (p *CallPool) runResponder(idx int) {
 	empty := 0
 	start := idx % len(p.shards) // stagger scan starts across responders
 	window := controlWindow
-	var polls, execs uint64      // not yet published
-	var winPolls, winExec uint64 // this responder's occupancy gauge
+	var polls, execs uint64 // not yet published
 	flush := func() {
 		p.polls.Add(polls)
 		p.pollCtr.Add(polls)
@@ -109,18 +108,12 @@ func (p *CallPool) runResponder(idx int) {
 		}
 		polls += passPolls
 		execs += passExecs
-		winPolls += passPolls
-		winExec += passExecs
 
 		if window--; window == 0 {
 			window = controlWindow
 			flush()
 			if idx == 0 {
 				p.control()
-			}
-			if idx < len(p.respOcc) {
-				p.respOcc[idx].Set(occupancyMilli(winPolls, winExec))
-				winPolls, winExec = 0, 0
 			}
 		}
 
@@ -157,7 +150,6 @@ func (p *CallPool) runResponder(idx int) {
 			// one that sees it runs the call itself (Requester.help).  A
 			// kick carries no work — its sender has run its own calls — so
 			// it is a reason of its own to leave the wait.
-			p.sleepCtr.Inc()
 			p.sleepers.Add(1)
 			p.wake.Wait(func() bool {
 				if p.stopped.Load() || (idx > 0 && int32(idx) >= p.target.Load()) {
@@ -340,7 +332,6 @@ func (p *CallPool) control() {
 // scaleUp grows the pool by one responder.
 func (p *CallPool) scaleUp(target int32) {
 	p.target.Store(target + 1)
-	p.scaleUps.Inc()
 	p.spawn(int(target))
 }
 
@@ -348,7 +339,6 @@ func (p *CallPool) scaleUp(target int32) {
 // pass boundary (or wakes from sleep to exit).
 func (p *CallPool) scaleDown(target int32) {
 	p.target.Store(target - 1)
-	p.scaleDowns.Inc()
 	p.wake.Broadcast()
 }
 

@@ -22,9 +22,9 @@
 //     writer.  Zero allocation, no locks.
 //
 //  3. Folding records into per-callsite statistics (service-time and
-//     latency histograms with exemplar trace IDs, the tail sampler's
-//     cutoffs) happens off the hot path in Digest, driven by the
-//     monitor tick or the /debug/flight handler.
+//     latency histograms, the tail sampler's cutoffs) happens off the
+//     hot path in Digest, driven by the monitor tick or the /debug/flight
+//     handler.
 //
 // A recorder binds to one fabric, once (Bind, via CallPool.SetFlight),
 // and its tail sampler (tail.go) is always on: timeouts and latency
@@ -139,18 +139,11 @@ func ceilPow2(v int) int {
 // is atomic because escalation is written from other goroutines
 // (another shard's timeout path, the digest), but on x86 the load is a
 // plain MOV — no LOCK prefix enters the unsampled path.
-// localBytes/publishedBytes mirror the arrival pair for zero-copy
-// payload bytes: AddBytes (called by the fabric's zero-copy post path,
-// same single-producer contract) bumps the plain field, Open publishes
-// it alongside the arrival count.  Plain-call lanes never touch either
-// word, so the legacy hot path is unchanged.
 type lane struct {
-	local          uint64
-	published      atomic.Uint64
-	mask           atomic.Uint64
-	localBytes     uint64
-	publishedBytes atomic.Uint64
-	_              [cacheLine - 40]byte
+	local     uint64
+	published atomic.Uint64
+	mask      atomic.Uint64
+	_         [cacheLine - 24]byte
 }
 
 // binding is the recorder's per-fabric storage: one record ring per
@@ -380,27 +373,7 @@ func (r *Recorder) Open(cs Callsite, shard int, callID uint16) *Record {
 	}
 	ln := &b.lanes[shard*b.stride+(int(cs.id)&b.siteMask)]
 	ln.published.Store(ln.local)
-	ln.publishedBytes.Store(ln.localBytes)
 	return r.beginSampled(b, cs, shard, callID)
-}
-
-// AddBytes counts n zero-copy payload bytes on the (shard, callsite)
-// lane.  Same single-producer contract and plain-store publication
-// protocol as Arrive: the count is producer-private until the lane's
-// next sampled call publishes it from Open, so the visible total is
-// exact at sample boundaries and otherwise lags by at most the bytes of
-// SampleEvery-1 calls.  Called by the fabric's zero-copy post path
-// before Arrive, so the publication that samples this call includes it.
-// Nil-safe (the zero-copy path is not the nanosecond-budget path).
-func (r *Recorder) AddBytes(cs Callsite, shard int, n uint64) {
-	if r == nil || n == 0 {
-		return
-	}
-	b := r.bind.Load()
-	if b == nil || uint(shard) >= uint(len(b.rings)) {
-		return
-	}
-	b.lanes[shard*b.stride+(int(cs.id)&b.siteMask)].localBytes += n
 }
 
 // beginSampled opens a timeline record for a 1-in-SampleEvery call:

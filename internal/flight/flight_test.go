@@ -91,9 +91,6 @@ func TestSamplingAndExactArrivals(t *testing.T) {
 	if stats[0].Arrivals != 32 {
 		t.Fatalf("arrivals = %d, want 32 (exact despite sampling)", stats[0].Arrivals)
 	}
-	if stats[0].Sampled != 8 {
-		t.Fatalf("sampled = %d, want 8", stats[0].Sampled)
-	}
 }
 
 func TestCausalTimelineDigest(t *testing.T) {
@@ -133,10 +130,7 @@ func TestCausalTimelineDigest(t *testing.T) {
 		t.Errorf("set service p50 = %d, want in 3000's log2 bucket", svc)
 	}
 	if byName["get"].LastTraceID == 0 {
-		t.Error("get has no exemplar trace ID")
-	}
-	if len(byName["set"].ServiceExemplars) == 0 {
-		t.Error("set service histogram has no exemplars")
+		t.Error("get has no last trace ID")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // flightDump is the JSON document /debug/flight serves: the stats
 // table plus a causal window of recent records and the retained
 // outlier records — enough to reconstruct individual call timelines and
-// resolve exemplar trace IDs.
+// resolve the stats table's last trace IDs.
 type flightDump struct {
 	Callsites []CallsiteStats `json:"callsites"`
 	Records   []RecordView    `json:"records"`

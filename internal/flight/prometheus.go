@@ -30,10 +30,6 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 			func(cs CallsiteStats) string { return fmt.Sprintf("%d", cs.Timeouts) }},
 		{"flight_callsite_fallbacks_total", "counter",
 			func(cs CallsiteStats) string { return fmt.Sprintf("%d", cs.Fallbacks) }},
-		{"flight_callsite_sampled_total", "counter",
-			func(cs CallsiteStats) string { return fmt.Sprintf("%d", cs.Sampled) }},
-		{"flight_callsite_bytes_total", "counter",
-			func(cs CallsiteStats) string { return fmt.Sprintf("%d", cs.Bytes) }},
 		{"flight_callsite_outliers_total", "counter",
 			func(cs CallsiteStats) string { return fmt.Sprintf("%d", cs.Outliers) }},
 		{"flight_callsite_service_p50_ns", "gauge",

@@ -42,8 +42,8 @@ type Record struct {
 	_         [2*cacheLine - 80]byte
 }
 
-// TraceID returns the record's trace ID (0 on nil), the value exemplar
-// annotations and Chrome events carry.
+// TraceID returns the record's trace ID (0 on nil), the value Chrome
+// events carry.
 func (rec *Record) TraceID() uint64 {
 	if rec == nil {
 		return 0

@@ -8,10 +8,8 @@ import (
 
 // csState is one callsite's accumulated statistics, fed by Digest.
 // The histograms live in the recorder's private telemetry registry so
-// they inherit the lock-free log2-bucket implementation and exemplar
-// support.
+// they inherit the lock-free log2-bucket implementation.
 type csState struct {
-	sampled     uint64
 	lastTraceID uint64
 	cutoffEWMA  float64 // tail sampler's smoothed outlier cutoff, ns
 	tailQuiet   int     // consecutive outlier-free digests while escalated
@@ -27,8 +25,8 @@ func (r *Recorder) state(site int) *csState {
 	st := r.stats[site]
 	if st == nil {
 		st = &csState{
-			service: r.reg.Histogram(fmt.Sprintf("flight_cs%d_service_ns", site)).EnableExemplars(),
-			latency: r.reg.Histogram(fmt.Sprintf("flight_cs%d_latency_ns", site)).EnableExemplars(),
+			service: r.reg.Histogram(fmt.Sprintf("flight_cs%d_service_ns", site)),
+			latency: r.reg.Histogram(fmt.Sprintf("flight_cs%d_latency_ns", site)),
 		}
 		r.stats[site] = st
 	}
@@ -87,31 +85,29 @@ func (r *Recorder) Digest() {
 // fold accumulates one closed record into its callsite's statistics.
 func (r *Recorder) fold(v RecordView) {
 	st := r.state(v.Callsite)
-	st.sampled++
 	st.lastTraceID = v.TraceID
 	if v.TimedOut || v.Stopped {
 		return // no service/latency signal in a cut-off call
 	}
 	if v.ExecEndNS >= v.ExecStartNS && v.ExecStartNS != 0 {
-		st.service.ObserveExemplar(v.ExecEndNS-v.ExecStartNS, v.TraceID)
+		st.service.Observe(v.ExecEndNS - v.ExecStartNS)
 	}
 	if v.ReturnNS >= v.SubmitNS && v.SubmitNS != 0 {
-		st.latency.ObserveExemplar(v.ReturnNS-v.SubmitNS, v.TraceID)
+		st.latency.Observe(v.ReturnNS - v.SubmitNS)
 	}
 }
 
-// siteTotals sums one published per-lane count (arrivals or zero-copy
-// payload bytes) per callsite across every shard lane of the binding.
-// Each lane's published count is exact at sample boundaries and
-// otherwise lags the producer-private truth by at most SampleEvery-1
-// calls.  Nil before Bind.
-func (b *binding) siteTotals(count func(*lane) uint64) []uint64 {
+// siteArrivals sums the published arrival count per callsite across
+// every shard lane of the binding.  Each lane's published count is exact
+// at sample boundaries and otherwise lags the producer-private truth by
+// at most SampleEvery-1 calls.  Nil before Bind.
+func (b *binding) siteArrivals() []uint64 {
 	if b == nil {
 		return nil
 	}
 	out := make([]uint64, b.stride)
 	for i := range b.lanes {
-		out[i%b.stride] += count(&b.lanes[i])
+		out[i%b.stride] += b.lanes[i].published.Load()
 	}
 	return out
 }
@@ -130,12 +126,6 @@ type CallsiteStats struct {
 	Arrivals  uint64 `json:"arrivals"`  // exact at sample boundaries
 	Timeouts  uint64 `json:"timeouts"`  // exact
 	Fallbacks uint64 `json:"fallbacks"` // exact
-	Sampled   uint64 `json:"sampled"`
-
-	// Bytes is the callsite's cumulative zero-copy payload byte count,
-	// published like Arrivals (exact at sample boundaries).  Zero for
-	// callsites that only move typed uint64 payloads.
-	Bytes uint64 `json:"bytes,omitempty"`
 
 	// Tail-sampler fields.  Outliers is the exact count of retained
 	// outlier captures; CutoffNS is the current adaptive latency cutoff
@@ -150,13 +140,9 @@ type CallsiteStats struct {
 	LatencyP50NS uint64 `json:"latency_p50_ns"`
 	LatencyP99NS uint64 `json:"latency_p99_ns"`
 
-	// LastTraceID is the most recent sampled call's trace ID — an
-	// exemplar handle resolvable against Records / /debug/flight.
+	// LastTraceID is the most recent sampled call's trace ID, resolvable
+	// against Records / /debug/flight.
 	LastTraceID uint64 `json:"last_trace_id"`
-
-	// ServiceExemplars links service-time histogram buckets to
-	// concrete recent trace IDs (tail forensics).
-	ServiceExemplars []telemetry.BucketExemplar `json:"service_exemplars,omitempty"`
 }
 
 // Stats digests any pending records and returns the per-callsite
@@ -170,8 +156,7 @@ func (r *Recorder) Stats() []CallsiteStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b := r.bind.Load()
-	arrivals := b.siteTotals(func(ln *lane) uint64 { return ln.published.Load() })
-	bytes := b.siteTotals(func(ln *lane) uint64 { return ln.publishedBytes.Load() })
+	arrivals := b.siteArrivals()
 	var out []CallsiteStats
 	for site := 0; site < len(r.names); site++ {
 		cs := CallsiteStats{
@@ -183,7 +168,7 @@ func (r *Recorder) Stats() []CallsiteStats {
 			Escalated: r.escalated[site].Load() != 0,
 		}
 		if b != nil {
-			cs.Arrivals, cs.Bytes = arrivals[site], bytes[site]
+			cs.Arrivals = arrivals[site]
 			if c := b.cutoffs[site].Load(); c != noCutoff {
 				cs.CutoffNS = c
 			}
@@ -195,13 +180,11 @@ func (r *Recorder) Stats() []CallsiteStats {
 			st := r.stats[site]
 			svc := st.service.Snapshot()
 			lat := st.latency.Snapshot()
-			cs.Sampled = st.sampled
 			cs.ServiceP50NS = svc.Quantile(0.50)
 			cs.ServiceP99NS = svc.Quantile(0.99)
 			cs.LatencyP50NS = lat.Quantile(0.50)
 			cs.LatencyP99NS = lat.Quantile(0.99)
 			cs.LastTraceID = st.lastTraceID
-			cs.ServiceExemplars = svc.Exemplars
 		}
 		out = append(out, cs)
 	}

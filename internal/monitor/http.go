@@ -158,8 +158,8 @@ func Mux(reg *telemetry.Registry, m *Monitor) *DebugMux {
 }
 
 // metricsHandler concatenates the Prometheus expositions of every
-// attached source: the registry first (the historical /metrics body,
-// ?exemplars=1 included), then the flight recorder's per-callsite series.
+// attached source: the registry first, then the flight recorder's
+// per-callsite series.
 func metricsHandler(reg *telemetry.Registry, m *Monitor) http.Handler {
 	registry := telemetry.Handler(reg)
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {

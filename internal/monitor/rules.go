@@ -176,7 +176,11 @@ func (r *FallbackStormRule) Evaluate(window []Sample) []Event {
 // burns cycles on every empty poll, and an occupancy collapse means the
 // burned core is buying nothing.  It also watches the simulated-channel
 // per-call synchronization cycles against a budget — a slow responder
-// pickup inflates every requester's observed latency.
+// pickup inflates every requester's observed latency.  Clocks: the
+// occupancy half reads the fabric's poll and execute counts; the
+// cycle-budget half reads hotcall_spin_cycles_total, which only the
+// simulated core.Channel writes, so on a port armed through Fabric.Arm
+// it never becomes eligible.
 type SpinWasteRule struct{}
 
 // Name implements Rule.
@@ -227,7 +231,9 @@ func (r *SpinWasteRule) Evaluate(window []Sample) []Event {
 // interval p99: an interval "burns" when its p99 exceeds the objective.
 // Requiring both a fast window (catches an active regression quickly)
 // and a slow window (suppresses one-interval blips) to burn is the
-// standard fast/slow SLO construction.
+// standard fast/slow SLO construction.  Clock: it reads hotcall_cycles,
+// which only the simulated core.Channel writes, so on a port armed
+// through Fabric.Arm no interval is ever eligible.
 type LatencySLORule struct{}
 
 // Name implements Rule.

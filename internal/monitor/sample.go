@@ -31,32 +31,26 @@ type Sample struct {
 	When time.Time `json:"when"`
 
 	// Cumulative readings.
-	Requests      uint64 `json:"requests"`
-	Timeouts      uint64 `json:"timeouts"`
-	Fallbacks     uint64 `json:"fallbacks"`
-	HotECalls     uint64 `json:"hot_ecalls"`
-	HotOCalls     uint64 `json:"hot_ocalls"`
-	Ecalls        uint64 `json:"ecalls"`
-	Ocalls        uint64 `json:"ocalls"`
-	Polls         uint64 `json:"responder_polls"`
-	Executes      uint64 `json:"responder_executes"`
-	Sleeps        uint64 `json:"responder_sleeps"`
-	SpinCycles    uint64 `json:"spin_cycles"`
-	EPCFaults     uint64 `json:"epc_faults"`
-	EPCEvictions  uint64 `json:"epc_evictions"`
-	EPCWritebacks uint64 `json:"epc_writebacks"`
-	MEEHits       uint64 `json:"mee_hits"`
-	MEEMisses     uint64 `json:"mee_misses"`
+	Requests     uint64 `json:"requests"`
+	Timeouts     uint64 `json:"timeouts"`
+	Fallbacks    uint64 `json:"fallbacks"`
+	HotECalls    uint64 `json:"hot_ecalls"`
+	HotOCalls    uint64 `json:"hot_ocalls"`
+	Polls        uint64 `json:"responder_polls"`
+	Executes     uint64 `json:"responder_executes"`
+	SpinCycles   uint64 `json:"spin_cycles"`
+	EPCFaults    uint64 `json:"epc_faults"`
+	EPCEvictions uint64 `json:"epc_evictions"`
+	MEEHits      uint64 `json:"mee_hits"`
+	MEEMisses    uint64 `json:"mee_misses"`
 
 	// Point-in-time gauges.
 	EPCResident int64 `json:"epc_resident_pages"`
 
 	// Adaptive responder-pool fabric (internal/core CallPool).
-	ScaleUps           uint64 `json:"pool_scale_ups"`
-	ScaleDowns         uint64 `json:"pool_scale_downs"`
-	PoolResponders     int64  `json:"pool_responders"`
-	PoolRespondersMax  int64  `json:"pool_responders_max"`
-	PoolOccupancyMilli int64  `json:"pool_occupancy_milli"`
+	PoolResponders     int64 `json:"pool_responders"`
+	PoolRespondersMax  int64 `json:"pool_responders_max"`
+	PoolOccupancyMilli int64 `json:"pool_occupancy_milli"`
 
 	// Interval deltas (zero on the first sample).
 	DSubmissions uint64 `json:"d_submissions"`
@@ -67,9 +61,6 @@ type Sample struct {
 	DSpinCycles  uint64 `json:"d_spin_cycles"`
 	DEPCFaults   uint64 `json:"d_epc_faults"`
 	DEPCEvicts   uint64 `json:"d_epc_evictions"`
-	DEPCWrbacks  uint64 `json:"d_epc_writebacks"`
-	DScaleUps    uint64 `json:"d_pool_scale_ups"`
-	DScaleDowns  uint64 `json:"d_pool_scale_downs"`
 
 	// Derived interval signals.
 	TimeoutRate  float64 `json:"timeout_rate"`  // Δtimeouts / Δsubmissions
@@ -147,27 +138,21 @@ func (sa *Sampler) Sample(now time.Time) Sample {
 		Seq:  sa.seq,
 		When: now,
 
-		Requests:      c[telemetry.MetricHotCallRequests],
-		Timeouts:      c[telemetry.MetricHotCallTimeouts],
-		Fallbacks:     c[telemetry.MetricHotCallFallbacks],
-		HotECalls:     c[telemetry.MetricHotECalls],
-		HotOCalls:     c[telemetry.MetricHotOCalls],
-		Ecalls:        c[telemetry.MetricEcalls],
-		Ocalls:        c[telemetry.MetricOcalls],
-		Polls:         c[telemetry.MetricResponderPolls],
-		Executes:      c[telemetry.MetricResponderExecutes],
-		Sleeps:        c[telemetry.MetricResponderSleeps],
-		SpinCycles:    c[telemetry.MetricSpinCycles],
-		EPCFaults:     c[telemetry.MetricEPCFaults],
-		EPCEvictions:  c[telemetry.MetricEPCEvictions],
-		EPCWritebacks: c[telemetry.MetricEPCWritebacks],
-		MEEHits:       c[telemetry.MetricMEENodeHits],
-		MEEMisses:     c[telemetry.MetricMEENodeMiss],
+		Requests:     c[telemetry.MetricHotCallRequests],
+		Timeouts:     c[telemetry.MetricHotCallTimeouts],
+		Fallbacks:    c[telemetry.MetricHotCallFallbacks],
+		HotECalls:    c[telemetry.MetricHotECalls],
+		HotOCalls:    c[telemetry.MetricHotOCalls],
+		Polls:        c[telemetry.MetricResponderPolls],
+		Executes:     c[telemetry.MetricResponderExecutes],
+		SpinCycles:   c[telemetry.MetricSpinCycles],
+		EPCFaults:    c[telemetry.MetricEPCFaults],
+		EPCEvictions: c[telemetry.MetricEPCEvictions],
+		MEEHits:      c[telemetry.MetricMEENodeHits],
+		MEEMisses:    c[telemetry.MetricMEENodeMiss],
 
 		EPCResident: snap.Gauges[telemetry.MetricEPCResident],
 
-		ScaleUps:           c[telemetry.MetricPoolScaleUps],
-		ScaleDowns:         c[telemetry.MetricPoolScaleDowns],
 		PoolResponders:     snap.Gauges[telemetry.MetricPoolResponders],
 		PoolRespondersMax:  snap.Gauges[telemetry.MetricPoolRespondersMax],
 		PoolOccupancyMilli: snap.Gauges[telemetry.MetricPoolOccupancyMilli],
@@ -198,9 +183,6 @@ func (sa *Sampler) Sample(now time.Time) Sample {
 	s.DSpinCycles = sub(s.SpinCycles, p[telemetry.MetricSpinCycles])
 	s.DEPCFaults = sub(s.EPCFaults, p[telemetry.MetricEPCFaults])
 	s.DEPCEvicts = sub(s.EPCEvictions, p[telemetry.MetricEPCEvictions])
-	s.DEPCWrbacks = sub(s.EPCWritebacks, p[telemetry.MetricEPCWritebacks])
-	s.DScaleUps = sub(s.ScaleUps, p[telemetry.MetricPoolScaleUps])
-	s.DScaleDowns = sub(s.ScaleDowns, p[telemetry.MetricPoolScaleDowns])
 
 	// The request counter increments per Call/Submit attempt whether or
 	// not submission succeeded, so the rates are per attempted call.

@@ -127,7 +127,6 @@ func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, erro
 	for i := 0; i < avxLines; i++ {
 		m.Load(clk, avxSaveAddr+uint64(i)*mem.LineSize)
 	}
-	rt.tel.ecallCycles.ObserveSince(callStart, clk.Now())
 	if tr != nil {
 		tr.Emit(telemetry.KindEcall, "ecall:"+name, callStart, clk.Since(callStart), 0)
 	}

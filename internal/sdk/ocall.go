@@ -106,7 +106,6 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 	if deep && clk.Now() > copyOutStart {
 		tr.Emit(telemetry.KindMarshal, "copyout:"+name, copyOutStart, clk.Since(copyOutStart), 0)
 	}
-	rt.tel.ocallCycles.ObserveSince(callStart, clk.Now())
 	if tr != nil {
 		tr.Emit(telemetry.KindOcall, "ocall:"+name, callStart, clk.Since(callStart), 0)
 	}

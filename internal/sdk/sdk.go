@@ -191,22 +191,18 @@ func (rt *Runtime) StagedBytes() uint64 { return rt.stagedBytes }
 
 // runtimeTel is the set of handles the SDK call paths touch.
 type runtimeTel struct {
-	ecalls, ocalls           *telemetry.Counter
-	ecallCycles, ocallCycles *telemetry.Histogram
-	tracer                   *telemetry.Tracer
+	ecalls, ocalls *telemetry.Counter
+	tracer         *telemetry.Tracer
 }
 
 // SetTelemetry attaches the observability registry to the SDK runtime:
-// per-direction call counters, cycle-latency histograms, and (when
-// tracing is enabled) one span per boundary crossing.  A nil registry
-// detaches.
+// per-direction call counters and (when tracing is enabled) one span per
+// boundary crossing.  A nil registry detaches.
 func (rt *Runtime) SetTelemetry(reg *telemetry.Registry) {
 	rt.tel = runtimeTel{
-		ecalls:      reg.Counter(telemetry.MetricEcalls),
-		ocalls:      reg.Counter(telemetry.MetricOcalls),
-		ecallCycles: reg.Histogram(telemetry.MetricEcallCycles),
-		ocallCycles: reg.Histogram(telemetry.MetricOcallCycles),
-		tracer:      reg.Tracer(),
+		ecalls: reg.Counter(telemetry.MetricEcalls),
+		ocalls: reg.Counter(telemetry.MetricOcalls),
+		tracer: reg.Tracer(),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hotcalls/internal/sim"
+	"hotcalls/internal/telemetry"
 )
 
 func buildEnclave(t *testing.T, p *Platform, pages int) *Enclave {
@@ -157,12 +158,17 @@ func TestTCSPoolExhaustion(t *testing.T) {
 
 func TestAEXAndResume(t *testing.T) {
 	p := NewPlatform(1)
+	reg := telemetry.New()
+	p.SetTelemetry(reg)
 	e := buildEnclave(t, p, 2)
 	var clk sim.Clock
 	tcs, _ := e.AcquireTCS()
 	e.EEnter(&clk, tcs)
 	if err := e.AEX(&clk, tcs); err != nil {
 		t.Fatal(err)
+	}
+	if n := reg.Counter(telemetry.MetricAEX).Load(); n != 1 {
+		t.Fatalf("%s = %d after one AEX, want 1", telemetry.MetricAEX, n)
 	}
 	if tcs.Entered() {
 		t.Fatal("TCS entered after AEX")

@@ -9,27 +9,12 @@ import (
 	"hotcalls/internal/sim"
 )
 
-// PromOptions tunes the Prometheus exposition.
-type PromOptions struct {
-	// Exemplars appends OpenMetrics-style exemplar annotations
-	// (`# {trace_id="0x..."} value`) to bucket samples whose histogram
-	// carries one.  Off by default: the 0.0.4 text format predates
-	// exemplars, so plain scrapers get the plain exposition unless the
-	// operator opts in.
-	Exemplars bool
-}
-
 // WritePrometheus renders every counter and histogram in the Prometheus
 // text exposition format (version 0.0.4): counters as `# TYPE x counter`
 // samples, histograms as cumulative `_bucket{le="..."}` series plus
 // `_sum` and `_count`.  Output is sorted by name so dumps diff cleanly.
 // Safe on a nil registry (writes nothing).
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.WritePrometheusWith(w, PromOptions{})
-}
-
-// WritePrometheusWith is WritePrometheus with explicit options.
-func (r *Registry) WritePrometheusWith(w io.Writer, o PromOptions) error {
 	if r == nil {
 		return nil
 	}
@@ -49,13 +34,6 @@ func (r *Registry) WritePrometheusWith(w io.Writer, o PromOptions) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 			return err
 		}
-		var exemplars map[int]BucketExemplar
-		if o.Exemplars && len(h.Exemplars) > 0 {
-			exemplars = make(map[int]BucketExemplar, len(h.Exemplars))
-			for _, e := range h.Exemplars {
-				exemplars[e.Bucket] = e
-			}
-		}
 		var cum uint64
 		for i, n := range h.Buckets {
 			cum += n
@@ -66,34 +44,12 @@ func (r *Registry) WritePrometheusWith(w io.Writer, o PromOptions) error {
 			if i == histBuckets-1 {
 				le = "+Inf"
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d", name, le, cum); err != nil {
-				return err
-			}
-			if e, ok := exemplars[i]; ok {
-				// Exemplar annotation: the last trace ID observed into
-				// this bucket, resolvable against /debug/flight records.
-				if _, err := fmt.Fprintf(w, " # {trace_id=\"0x%x\"} %d", e.TraceID, e.Value); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintln(w); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, le, cum); err != nil {
 				return err
 			}
 		}
 		if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, h.Sum, name, h.Count); err != nil {
 			return err
-		}
-		// Interpolated quantiles as companion gauges: Prometheus cannot
-		// aggregate these across instances, but for a single simulated
-		// platform they are exactly the medians the paper reports.
-		for _, q := range [...]struct {
-			suffix string
-			q      float64
-		}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-			if _, err := fmt.Fprintf(w, "# TYPE %s_%s gauge\n%s_%s %d\n",
-				name, q.suffix, name, q.suffix, h.Quantile(q.q)); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -224,10 +180,8 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 // dump — the /metrics endpoint for the simulated servers.  Safe on nil
 // (serves an empty body).
 func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", ContentTypeMetrics)
-		_ = r.WritePrometheusWith(w, PromOptions{
-			Exemplars: req.URL.Query().Get("exemplars") == "1",
-		})
+		_ = r.WritePrometheus(w)
 	})
 }

@@ -22,60 +22,6 @@ type Histogram struct {
 	name    string
 	buckets [histBuckets]atomic.Uint64
 	sum     atomic.Uint64
-	ex      atomic.Pointer[exemplarSet]
-}
-
-// exemplarSet is the optional per-bucket exemplar store: the trace ID
-// and value of the last exemplar-tagged observation to land in each
-// bucket.  The two words are stored independently, so a reader racing a
-// writer can pair a trace ID with the previous value — exemplars are
-// best-effort debugging handles, not ledger entries, and the flight
-// recorder resolves the trace ID to the authoritative record anyway.
-type exemplarSet struct {
-	trace [histBuckets]atomic.Uint64
-	val   [histBuckets]atomic.Uint64
-}
-
-// BucketExemplar is one bucket's exemplar in a snapshot: the last trace
-// ID observed into the bucket and the value it carried.
-type BucketExemplar struct {
-	Bucket  int    `json:"bucket"`
-	TraceID uint64 `json:"trace_id"`
-	Value   uint64 `json:"value"`
-}
-
-// EnableExemplars attaches the per-bucket exemplar store (idempotent,
-// safe at any time: the store is published through an atomic pointer).
-// Returns the histogram for chaining; a nil histogram stays nil.
-func (h *Histogram) EnableExemplars() *Histogram {
-	if h == nil {
-		return nil
-	}
-	if h.ex.Load() == nil {
-		h.ex.CompareAndSwap(nil, new(exemplarSet))
-	}
-	return h
-}
-
-// ObserveExemplar records one observation tagged with a trace ID: the
-// bucket's exemplar words are overwritten so each bucket always names a
-// *recent* concrete call — the link from a histogram tail to a flight
-// record.  A zero trace ID records the observation without touching the
-// exemplar (and so does a histogram without EnableExemplars).
-func (h *Histogram) ObserveExemplar(v, traceID uint64) {
-	if h == nil {
-		return
-	}
-	b := bucketOf(v)
-	h.buckets[b].Add(1)
-	h.sum.Add(v)
-	if traceID == 0 {
-		return
-	}
-	if ex := h.ex.Load(); ex != nil {
-		ex.val[b].Store(v)
-		ex.trace[b].Store(traceID)
-	}
 }
 
 // bucketOf returns the bucket index for an observation.
@@ -114,14 +60,11 @@ func (h *Histogram) Name() string {
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram, mergeable
-// with snapshots of other shards or processes.  Exemplars is nil unless
-// the histogram had EnableExemplars and at least one tagged observation;
-// it lists only buckets holding an exemplar, in bucket order.
+// with snapshots of other shards or processes.
 type HistogramSnapshot struct {
-	Buckets   [histBuckets]uint64
-	Sum       uint64
-	Count     uint64
-	Exemplars []BucketExemplar
+	Buckets [histBuckets]uint64
+	Sum     uint64
+	Count   uint64
 }
 
 // Snapshot atomically reads every bucket.  On a nil histogram it returns
@@ -137,13 +80,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Count += n
 	}
 	s.Sum = h.sum.Load()
-	if ex := h.ex.Load(); ex != nil {
-		for i := range ex.trace {
-			if id := ex.trace[i].Load(); id != 0 {
-				s.Exemplars = append(s.Exemplars, BucketExemplar{Bucket: i, TraceID: id, Value: ex.val[i].Load()})
-			}
-		}
-	}
 	return s
 }
 

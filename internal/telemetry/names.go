@@ -1,10 +1,9 @@
 package telemetry
 
-// Standard metric names used by the instrumented stack.  Centralising
-// them here keeps the layers (sgx, sdk, core, epc, mee, apps) agreeing on
-// spelling, and lets front ends pre-register the set so a dump always
-// shows the whole boundary picture even when a run exercised only part
-// of it.
+// Standard metric names used by the instrumented stack, one spelling for
+// every layer (sgx, sdk, core, epc, mee).  Each has a row naming its
+// reader in the consumer table (TestEverySignalHasAReader,
+// internal/apps/porting): a name nothing reads is deleted, not added.
 const (
 	// Boundary-crossing counters.
 	MetricEcalls           = "sdk_ecalls_total"
@@ -35,20 +34,15 @@ const (
 	// polls that found no work are the spin waste the monitor budgets.
 	MetricResponderPolls    = "hotcall_responder_polls_total"
 	MetricResponderExecutes = "hotcall_responder_executes_total"
-	MetricResponderSleeps   = "hotcall_responder_sleeps_total"
 	MetricResponderKicks    = "hotcall_responder_kicks_total" // deferred wakes sent by requesters after running calls inline
 	MetricSpinCycles        = "hotcall_spin_cycles_total"
 
-	// Cycle-latency histograms.
-	MetricEcallCycles   = "ecall_cycles"
-	MetricOcallCycles   = "ocall_cycles"
+	// Cycle-latency histogram of the simulated HotCall channel.
 	MetricHotCallCycles = "hotcall_cycles"
 
 	// Adaptive responder-pool fabric (Section 4.2's multi-requester
-	// story): scale decisions and occupancy, exported so the monitor can
-	// flag a saturated pool.
-	MetricPoolScaleUps       = "hotcall_pool_scale_ups_total"
-	MetricPoolScaleDowns     = "hotcall_pool_scale_downs_total"
+	// story): pool size and occupancy, exported so the monitor can flag
+	// a saturated pool.
 	MetricPoolResponders     = "hotcall_pool_responders"      // live responder goroutines
 	MetricPoolRespondersMax  = "hotcall_pool_responders_max"  // adaptive ceiling
 	MetricPoolOccupancyMilli = "hotcall_pool_occupancy_milli" // window occupancy, thousandths
@@ -56,21 +50,6 @@ const (
 	// Point-in-time gauges.
 	MetricEPCResident = "epc_resident_pages" // pages currently in the EPC
 )
-
-// PoolResponderOccupancyMetric names the per-responder occupancy gauge
-// for responder i (thousandths, same unit as MetricPoolOccupancyMilli).
-func PoolResponderOccupancyMetric(i int) string {
-	return "hotcall_pool_responder_occupancy_milli_" + itoa(i)
-}
-
-// itoa is a tiny allocation-free-enough strconv.Itoa for small indices;
-// metric names are built once at attach time, never on the hot path.
-func itoa(i int) string {
-	if i < 10 {
-		return string([]byte{'0' + byte(i)})
-	}
-	return itoa(i/10) + itoa(i%10)
-}
 
 // standardCounters and standardHistograms are the names RegisterStandard
 // pre-creates.
@@ -80,14 +59,11 @@ var standardCounters = []string{
 	MetricEEnter, MetricEExit, MetricResume, MetricAEX,
 	MetricEPCFaults, MetricEPCEvictions, MetricEPCWritebacks,
 	MetricMEENodeHits, MetricMEENodeMiss,
-	MetricResponderPolls, MetricResponderExecutes, MetricResponderSleeps, MetricResponderKicks,
+	MetricResponderPolls, MetricResponderExecutes, MetricResponderKicks,
 	MetricSpinCycles,
-	MetricPoolScaleUps, MetricPoolScaleDowns,
 }
 
-var standardHistograms = []string{
-	MetricEcallCycles, MetricOcallCycles, MetricHotCallCycles,
-}
+var standardHistograms = []string{MetricHotCallCycles}
 
 var standardGauges = []string{
 	MetricEPCResident,

@@ -126,7 +126,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	r := New()
 	r.Counter(MetricEcalls).Add(7)
 	r.Counter(MetricHotCallFallbacks).Inc()
-	r.Histogram(MetricEcallCycles).Observe(8640)
+	r.Histogram(MetricHotCallCycles).Observe(8640)
 	snap := r.Snapshot()
 	if snap.Counters[MetricEcalls] != 7 {
 		t.Fatalf("ecalls = %d, want 7", snap.Counters[MetricEcalls])
@@ -134,14 +134,14 @@ func TestRegistrySnapshot(t *testing.T) {
 	if snap.Counters[MetricHotCallFallbacks] != 1 {
 		t.Fatal("fallbacks != 1")
 	}
-	h := snap.Histograms[MetricEcallCycles]
+	h := snap.Histograms[MetricHotCallCycles]
 	if h.Count != 1 || h.Sum != 8640 {
 		t.Fatalf("histogram snapshot %+v", h)
 	}
 	// Later writes must not leak into the captured snapshot.
 	r.Counter(MetricEcalls).Add(100)
-	r.Histogram(MetricEcallCycles).Observe(1)
-	if snap.Counters[MetricEcalls] != 7 || snap.Histograms[MetricEcallCycles].Count != 1 {
+	r.Histogram(MetricHotCallCycles).Observe(1)
+	if snap.Counters[MetricEcalls] != 7 || snap.Histograms[MetricHotCallCycles].Count != 1 {
 		t.Fatal("snapshot mutated by later writes")
 	}
 }
@@ -228,7 +228,7 @@ func TestTracerRingWrap(t *testing.T) {
 func TestWritePrometheusFormat(t *testing.T) {
 	r := New()
 	r.Counter(MetricEcalls).Add(3)
-	r.Histogram(MetricEcallCycles).Observe(620)
+	r.Histogram(MetricHotCallCycles).Observe(620)
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -237,11 +237,11 @@ func TestWritePrometheusFormat(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE sdk_ecalls_total counter",
 		"sdk_ecalls_total 3",
-		"# TYPE ecall_cycles histogram",
-		`ecall_cycles_bucket{le="1023"} 1`,
-		`ecall_cycles_bucket{le="+Inf"} 1`,
-		"ecall_cycles_sum 620",
-		"ecall_cycles_count 1",
+		"# TYPE hotcall_cycles histogram",
+		`hotcall_cycles_bucket{le="1023"} 1`,
+		`hotcall_cycles_bucket{le="+Inf"} 1`,
+		"hotcall_cycles_sum 620",
+		"hotcall_cycles_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus dump missing %q:\n%s", want, out)
@@ -277,10 +277,10 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestMetricsHandler(t *testing.T) {
 	r := New()
-	r.Counter("memcached_requests_total").Add(42)
+	r.Counter(MetricHotCallRequests).Add(42)
 	rec := httptest.NewRecorder()
 	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "memcached_requests_total 42") {
+	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "hotcall_requests_total 42") {
 		t.Fatalf("handler response: %d %q", rec.Code, rec.Body.String())
 	}
 }
