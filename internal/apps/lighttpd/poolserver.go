@@ -148,12 +148,6 @@ func (s *PoolServer) Start() {
 // from one goroutine at a time.
 func (s *PoolServer) Conn(i int) *PoolConn { return s.conns[i] }
 
-// packData packs a request's (buffer slot, length) into the call word
-// and a response's (image index, length) into the return word.
-func packData(hi, n int) uint64 { return uint64(hi)<<32 | uint64(uint32(n)) }
-
-func unpackData(d uint64) (hi, n uint64) { return d >> 32, d & (1<<32 - 1) }
-
 // serve is the enclave-side handler: scan the raw request in place in
 // the submitting connection's slot buffer, look the path up among the
 // document images, and return a reference to the answer — image index
@@ -163,26 +157,26 @@ func unpackData(d uint64) (hi, n uint64) { return d >> 32, d & (1<<32 - 1) }
 // the untrusted side's to write, that names a slot outside the window or
 // a length past the buffer.
 func (s *PoolServer) serve(requester int, data uint64) uint64 {
-	slot, n := unpackData(data)
+	slot, n := porting.UnpackData(data)
 	if slot >= connWindow || n > readCap {
-		return packData(imgBadRequest, len(s.images[imgBadRequest]))
+		return porting.PackData(imgBadRequest, len(s.images[imgBadRequest]))
 	}
 	raw := s.conns[requester].bufs[slot][:n]
 	rl, err := scanRequest(raw, nil)
 	if err != nil {
-		return packData(imgBadRequest, len(s.images[imgBadRequest]))
+		return porting.PackData(imgBadRequest, len(s.images[imgBadRequest]))
 	}
 	path := raw[rl.path.lo:rl.path.hi]
 	doc, ok := s.docs[string(path)]
 	if !ok {
 		s.TouchEPC(requester, porting.FNV64(path), 1)
-		return packData(imgNotFound, len(s.images[imgNotFound]))
+		return porting.PackData(imgNotFound, len(s.images[imgNotFound]))
 	}
 	s.TouchEPC(requester, doc.hash, doc.pages)
 	if rl.head {
-		return packData(doc.image, doc.headLen)
+		return porting.PackData(doc.image, doc.headLen)
 	}
-	return packData(doc.image, len(s.images[doc.image]))
+	return porting.PackData(doc.image, len(s.images[doc.image]))
 }
 
 // PoolConn is one client connection: a fabric requester plus its ring
@@ -198,8 +192,8 @@ type PoolConn struct {
 
 // PendingResponse is an in-flight request's handle.
 type PendingResponse struct {
-	c  *PoolConn
-	pd *core.PoolPending
+	c *PoolConn
+	b *core.PoolBatch
 }
 
 // Submit copies the raw request into the next ring buffer and posts it
@@ -214,20 +208,20 @@ func (c *PoolConn) Submit(raw string) (PendingResponse, error) {
 	}
 	slot := c.next
 	n := copy(c.bufs[slot][:], raw)
-	pd, err := c.req.SubmitAt(c.s.callsiteFor(raw), opServeHTTP, packData(slot, n))
+	b, err := c.req.SubmitV([]core.VecCall{{ID: opServeHTTP, Data: porting.PackData(slot, n), Site: c.s.callsiteFor(raw)}})
 	if err != nil {
 		return PendingResponse{}, err
 	}
 	c.next = (c.next + 1) % connWindow
 	c.inflight++
-	return PendingResponse{c: c, pd: pd}, nil
+	return PendingResponse{c: c, b: b}, nil
 }
 
 // response decodes a return word into the bytes it names, a view of one
 // of the immutable response images, or ErrBadResponse when the index or
 // the length is out of range.
 func (s *PoolServer) response(ret uint64) ([]byte, error) {
-	img, n := unpackData(ret)
+	img, n := porting.UnpackData(ret)
 	if img >= uint64(len(s.images)) || n > uint64(len(s.images[img])) {
 		return nil, ErrBadResponse
 	}
@@ -240,12 +234,13 @@ func (s *PoolServer) response(ret uint64) ([]byte, error) {
 // connection answered with that document shares it — and valid for the
 // life of the server.
 func (pr PendingResponse) Wait() ([]byte, error) {
-	ret, err := pr.pd.Wait()
+	var ret [1]uint64
+	err := pr.b.WaitAll(ret[:])
 	pr.c.inflight--
 	if err != nil {
 		return nil, err
 	}
-	return pr.c.s.response(ret)
+	return pr.c.s.response(ret[0])
 }
 
 // Do is the synchronous path: one raw request through the fabric,

@@ -202,12 +202,12 @@ func TestPoolConnWaitRejectsBadWord(t *testing.T) {
 	defer s.Stop()
 	c := s.Conn(0)
 
-	pd, err := c.req.Submit(opServeHTTP+7, 0)
+	b, err := c.req.SubmitV([]core.VecCall{{ID: opServeHTTP + 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.inflight++
-	if resp, err := (PendingResponse{c: c, pd: pd}).Wait(); !errors.Is(err, ErrBadResponse) || resp != nil {
+	if resp, err := (PendingResponse{c: c, b: b}).Wait(); !errors.Is(err, ErrBadResponse) || resp != nil {
 		t.Fatalf("Wait on the bad-call-ID sentinel = (%d bytes, %v), want ErrBadResponse", len(resp), err)
 	}
 
@@ -221,10 +221,10 @@ func TestPoolConnWaitRejectsBadWord(t *testing.T) {
 		word uint64
 		ok   bool
 	}{
-		{"whole image", packData(imgNotFound, notFound), true},
-		{"empty prefix", packData(imgFirstDoc, 0), true},
-		{"length one past the image", packData(imgNotFound, notFound+1), false},
-		{"index one past the set", packData(len(s.images), 0), false},
+		{"whole image", porting.PackData(imgNotFound, notFound), true},
+		{"empty prefix", porting.PackData(imgFirstDoc, 0), true},
+		{"length one past the image", porting.PackData(imgNotFound, notFound+1), false},
+		{"index one past the set", porting.PackData(len(s.images), 0), false},
 		{"bad-call-ID sentinel", ^uint64(0), false},
 	} {
 		if resp, err := s.response(tc.word); (err == nil) != tc.ok || !tc.ok && !errors.Is(err, ErrBadResponse) {
@@ -251,11 +251,7 @@ func TestPoolServerForgedCallWord(t *testing.T) {
 		{"slot 1<<31", 1<<31<<32 | 16},
 		{"n = cap+1", readCap + 1},
 	} {
-		pd, err := c.req.Submit(opServeHTTP, tc.word)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ret, err := pd.Wait()
+		ret, err := c.req.Call(opServeHTTP, tc.word)
 		if err == nil {
 			var resp []byte
 			resp, err = s.response(ret)
@@ -287,16 +283,12 @@ func FuzzCallWord(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	for _, word := range []uint64{0, packData(0, len(getIndex)), packData(5, len(getIndex)-2), packData(connWindow-1, readCap),
+	for _, word := range []uint64{0, porting.PackData(0, len(getIndex)), porting.PackData(5, len(getIndex)-2), porting.PackData(connWindow-1, readCap),
 		connWindow<<32 | 16, 1<<31<<32 | 16, readCap + 1, ^uint64(0)} {
 		f.Add(word)
 	}
 	f.Fuzz(func(t *testing.T, word uint64) {
-		pd, err := c.req.Submit(opServeHTTP, word)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ret, err := pd.Wait()
+		ret, err := c.req.Call(opServeHTTP, word)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +296,7 @@ func FuzzCallWord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("word %#x = %#x: %v", word, ret, err)
 		}
-		if slot, n := unpackData(word); (slot >= connWindow || n > readCap) && !strings.HasPrefix(string(resp), "HTTP/1.0 400 Bad Request\r\n") {
+		if slot, n := porting.UnpackData(word); (slot >= connWindow || n > readCap) && !strings.HasPrefix(string(resp), "HTTP/1.0 400 Bad Request\r\n") {
 			t.Fatalf("word %#x answered %.40q, want the 400 image", word, resp)
 		}
 		if resp, err := c.Do(getIndex); err != nil || !bytes.HasPrefix(resp, []byte("HTTP/1.0 200")) {

@@ -95,12 +95,6 @@ func (s *PoolServer) callsiteFor(op byte) flight.Callsite {
 // from one goroutine at a time.
 func (s *PoolServer) Conn(i int) *PoolConn { return s.conns[i] }
 
-// packData encodes a buffer slot and request length into the fabric's
-// call word; the pair is everything the handler needs to find its bytes.
-func packData(slot, n int) uint64 { return uint64(slot)<<32 | uint64(uint32(n)) }
-
-func unpackData(d uint64) (slot, n uint64) { return d >> 32, d & (1<<32 - 1) }
-
 // serve is the enclave-side handler: decode the request in place from
 // the submitting connection's slot buffer, execute it against the store,
 // and encode the response into the paired response buffer.  The returned
@@ -109,7 +103,7 @@ func unpackData(d uint64) (slot, n uint64) { return d >> 32, d & (1<<32 - 1) }
 // the untrusted side's to write: a slot outside the window or a length
 // past the buffer is a malformed packet too, never an index.
 func (s *PoolServer) serve(requester int, data uint64) uint64 {
-	slot, n := unpackData(data)
+	slot, n := porting.UnpackData(data)
 	if slot >= connWindow || n > bufCap {
 		return ^uint64(0)
 	}
@@ -179,7 +173,7 @@ type PoolConn struct {
 // PendingResponse is an in-flight request's handle.
 type PendingResponse struct {
 	c    *PoolConn
-	pd   *core.PoolPending
+	b    *core.PoolBatch
 	slot int
 }
 
@@ -199,29 +193,30 @@ func (c *PoolConn) Submit(r *Request) (PendingResponse, error) {
 	if err != nil {
 		return PendingResponse{}, err
 	}
-	pd, err := c.req.SubmitAt(c.s.callsiteFor(r.Op), opServe, packData(slot, n))
+	b, err := c.req.SubmitV([]core.VecCall{{ID: opServe, Data: porting.PackData(slot, n), Site: c.s.callsiteFor(r.Op)}})
 	if err != nil {
 		return PendingResponse{}, err
 	}
 	c.next = (c.next + 1) % connWindow
 	c.inflight++
-	return PendingResponse{c: c, pd: pd, slot: slot}, nil
+	return PendingResponse{c: c, b: b, slot: slot}, nil
 }
 
 // Wait blocks until the response is ready and decodes it.  The decoded
 // Response is the slot's own and aliases its buffer: consume it before
 // the slot comes around again (connWindow submissions later).
 func (pr PendingResponse) Wait() (*Response, error) {
-	ret, err := pr.pd.Wait()
+	var ret [1]uint64
+	err := pr.b.WaitAll(ret[:])
 	pr.c.inflight--
 	if err != nil {
 		return nil, err
 	}
-	if ret == ^uint64(0) {
+	if ret[0] == ^uint64(0) {
 		return nil, ErrShortPacket
 	}
 	b := &pr.c.bufs[pr.slot]
-	if err := decodeResponse(&b.out, b.resp[:ret]); err != nil {
+	if err := decodeResponse(&b.out, b.resp[:ret[0]]); err != nil {
 		return nil, err
 	}
 	return &b.out, nil

@@ -226,11 +226,7 @@ func TestPoolServerMalformedPacketSentinel(t *testing.T) {
 	// Corrupt the wire bytes under the API: plant garbage directly and
 	// post it, as a broken client would.
 	c.bufs[c.next].req[0] = 0x55 // bad magic after EncodeRequest would have set 0x80
-	pd, err := c.req.Submit(opServe, packData(c.next, HeaderSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ret, err := pd.Wait()
+	ret, err := c.req.Call(opServe, porting.PackData(c.next, HeaderSize))
 	if err != nil || ret != ^uint64(0) {
 		t.Fatalf("malformed packet = (%#x, %v), want sentinel", ret, err)
 	}
@@ -254,11 +250,7 @@ func TestPoolServerForgedCallWord(t *testing.T) {
 		{"slot 1<<31", 1<<31<<32 | HeaderSize},
 		{"n = cap+1", bufCap + 1},
 	} {
-		pd, err := c.req.Submit(opServe, tc.word)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ret, err := pd.Wait(); err != nil || ret != ^uint64(0) {
+		if ret, err := c.req.Call(opServe, tc.word); err != nil || ret != ^uint64(0) {
 			t.Errorf("%s: (%#x, %v), want the sentinel", tc.name, ret, err)
 		}
 	}
@@ -282,20 +274,16 @@ func FuzzCallWord(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	for _, word := range []uint64{0, packData(0, HeaderSize), packData(3, HeaderSize+3), packData(connWindow-1, bufCap),
+	for _, word := range []uint64{0, porting.PackData(0, HeaderSize), porting.PackData(3, HeaderSize+3), porting.PackData(connWindow-1, bufCap),
 		connWindow<<32 | HeaderSize, 1<<31<<32 | HeaderSize, bufCap + 1, ^uint64(0)} {
 		f.Add(word)
 	}
 	f.Fuzz(func(t *testing.T, word uint64) {
-		pd, err := c.req.Submit(opServe, word)
+		ret, err := c.req.Call(opServe, word)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ret, err := pd.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slot, n := unpackData(word); (slot >= connWindow || n > bufCap) && ret != ^uint64(0) {
+		if slot, n := porting.UnpackData(word); (slot >= connWindow || n > bufCap) && ret != ^uint64(0) {
 			t.Fatalf("word %#x = %#x, want the sentinel", word, ret)
 		} else if ret != ^uint64(0) && ret > bufCap {
 			t.Fatalf("word %#x = %#x, past the %d-byte response buffer", word, ret, bufCap)

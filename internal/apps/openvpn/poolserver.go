@@ -268,7 +268,7 @@ func (c *PoolConn) stage(i int, payload []byte) error {
 	}
 	c.slabs[i] = slab
 	c.segs[i] = segs
-	c.calls[i] = core.VecCall{ID: opTunnel, Segs: c.segs[i][:]}
+	c.calls[i] = core.VecCall{ID: opTunnel, Segs: c.segs[i][:], Site: c.s.Callsite(csStream)}
 	return nil
 }
 
@@ -308,7 +308,7 @@ func (c *PoolConn) Forward(payload []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ret, err := c.req.CallZCAt(c.s.Callsite(csForward), opTunnel, 0, segs[:])
+	ret, err := c.req.CallV(core.VecCall{ID: opTunnel, Segs: segs[:], Site: c.s.Callsite(csForward)})
 	if err != nil {
 		c.ring.Release(slab)
 		return 0, err
@@ -349,7 +349,7 @@ func (c *PoolConn) Stream(payloads [][]byte) (int, error) {
 			c.ring.Release(c.slabs[i])
 		}
 	}
-	b, err := c.req.SubmitVAt(c.s.Callsite(csStream), c.calls[:n])
+	b, err := c.req.SubmitV(c.calls[:n])
 	if b == nil {
 		release(0)
 		return 0, err

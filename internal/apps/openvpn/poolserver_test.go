@@ -65,7 +65,7 @@ func TestPoolTunnelTamperDrop(t *testing.T) {
 	}
 	// Flip one ciphertext bit in the slab — a tampered datagram.
 	c.ring.Bytes(segs[1])[10] ^= 0x01
-	ret, err := c.req.CallZC(opTunnel, 0, segs[:])
+	ret, err := c.req.CallV(core.VecCall{ID: opTunnel, Segs: segs[:]})
 	c.ring.Release(slab)
 	if err != nil || ret != ^uint64(0) {
 		t.Fatalf("tampered frame = (%#x, %v), want sentinel", ret, err)
@@ -76,7 +76,7 @@ func TestPoolTunnelTamperDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ret, err = c.req.CallZC(opTunnel, 0, segs2[1:])
+	ret, err = c.req.CallV(core.VecCall{ID: opTunnel, Segs: segs2[1:]})
 	c.ring.Release(slab2)
 	if err != nil || ret != ^uint64(0) {
 		t.Fatalf("headerless frame = (%#x, %v), want sentinel", ret, err)
@@ -248,7 +248,7 @@ func TestPoolServerForgedCallWord(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := bytes.Clone(c.ring.Slab(slab)[:FrameOverhead+64])
-	if ret, err := c.req.CallZC(opTunnel, 0, segs[:]); err != nil || ret != FrameOverhead+64 {
+	if ret, err := c.req.CallV(core.VecCall{ID: opTunnel, Segs: segs[:]}); err != nil || ret != FrameOverhead+64 {
 		t.Fatalf("authentic frame = (%d, %v)", ret, err)
 	}
 	copy(c.ring.Slab(slab), frame)
@@ -273,7 +273,7 @@ func TestPoolServerForgedCallWord(t *testing.T) {
 			{Slab: fresh, Off: FrameOverhead - 1, Len: body.Len + 1}}},
 		{"overlapping header and body", []core.Segment{hdr, {Slab: fresh, Off: FrameOverhead / 2, Len: body.Len}}},
 	} {
-		ret, err := c.req.CallZC(opTunnel, 0, tc.segs)
+		ret, err := c.req.CallV(core.VecCall{ID: opTunnel, Segs: tc.segs})
 		if err != nil || ret != ^uint64(0) {
 			t.Errorf("%s: (%#x, %v), want the sentinel", tc.name, ret, err)
 		}
@@ -281,7 +281,7 @@ func TestPoolServerForgedCallWord(t *testing.T) {
 			t.Errorf("%s moved the replay window: %+v, want %+v", tc.name, w, accepted)
 		}
 	}
-	if ret, err := c.req.CallZC(opTunnel, 0, fsegs[:]); err != nil || ret != FrameOverhead+64 {
+	if ret, err := c.req.CallV(core.VecCall{ID: opTunnel, Segs: fsegs[:]}); err != nil || ret != FrameOverhead+64 {
 		t.Fatalf("the frame sealed before the forgeries = (%d, %v), want it relayed", ret, err)
 	}
 	c.ring.Release(slab)
@@ -329,7 +329,7 @@ func FuzzCallWord(f *testing.F) {
 				segs[i] = core.Segment{Slab: uint32(d[0]), Off: uint32(d[1])<<8 | uint32(d[2]), Len: uint32(d[3])<<8 | uint32(d[4])}
 			}
 		}
-		ret, err := c.req.CallZC(opTunnel, data, segs)
+		ret, err := c.req.CallV(core.VecCall{ID: opTunnel, Data: data, Segs: segs})
 		switch {
 		case len(segs) > core.MaxSegs:
 			if !errors.Is(err, core.ErrTooManySegments) {

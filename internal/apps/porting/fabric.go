@@ -217,6 +217,16 @@ func (f *Fabric) TouchEPC(requester int, base, pages uint64) {
 	}
 }
 
+// PackData packs two 32-bit halves into a fabric call word: a buffer-ring
+// port's request (buffer slot, length), or lighttpd's response (image
+// index, length).
+func PackData(hi, n int) uint64 { return uint64(hi)<<32 | uint64(uint32(n)) }
+
+// UnpackData splits a word PackData built.  A call word is the untrusted
+// side's to write: the handler bounds-checks both halves against its own
+// window and buffer before it uses either.
+func UnpackData(d uint64) (hi, n uint64) { return d >> 32, d & (1<<32 - 1) }
+
 // PagesOf is how many EPC pages n bytes span.
 func PagesOf(n int) uint64 { return uint64(n+epc.PageSize-1) / epc.PageSize }
 

@@ -231,23 +231,17 @@ func TestFabricKitBundleCarriesOutliers(t *testing.T) {
 
 	// Wedge: the responder claims the first call and blocks in the
 	// handler; the rest of the window fills behind it.
-	var parked []*core.PoolPending
-	for i := 0; i < 4; i++ {
-		pd, err := req.Submit(0, uint64(i))
-		if err != nil {
-			break
-		}
-		parked = append(parked, pd)
+	parked, err := req.SubmitV([]core.VecCall{{Data: 0}, {Data: 1}, {Data: 2}, {Data: 3}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	f.Monitor().Tick() // baseline
 	for i := 0; i < 100; i++ {
-		_, _ = req.CallOrFallbackAt(f.Callsite(0), 0, uint64(i), func() (uint64, error) { return 0, nil })
+		_, _ = req.CallOrFallback(core.VecCall{Data: uint64(i), Site: f.Callsite(0)}, func() (uint64, error) { return 0, nil })
 	}
 	f.Monitor().Tick() // the storm rule fires and the capturer freezes a bundle
 	close(gate)
-	for _, pd := range parked {
-		_, _ = pd.Wait()
-	}
+	_ = parked.WaitAll(nil)
 	f.Stop()
 
 	bundles := f.Incidents().Bundles()

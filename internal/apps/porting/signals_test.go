@@ -314,8 +314,8 @@ func armEcho(t *testing.T) *armedPort {
 		if time.Now().After(deadline) {
 			t.Fatalf("no kick or no occupancy reading after %d back-to-back calls", d)
 		}
-		if ret, err := r.CallAt(f.Callsite(0), 0, d); err != nil || ret != d {
-			t.Fatalf("CallAt(%d) = (%d, %v)", d, ret, err)
+		if ret, err := r.CallV(core.VecCall{Data: d, Site: f.Callsite(0)}); err != nil || ret != d {
+			t.Fatalf("CallV(%d) = (%d, %v)", d, ret, err)
 		}
 	}
 	return serve(t, &f, w.finish())

@@ -60,14 +60,11 @@ func runIncidentDemo() *Report {
 
 	// Wedge the fabric: the responder claims the first call and blocks;
 	// the remaining submissions fill the window.
-	var parked []*core.PoolPending
-	for i := 0; i < incidentWindow; i++ {
-		pd, err := req.Submit(0, uint64(i))
-		if err != nil {
-			break
-		}
-		parked = append(parked, pd)
+	var wedge [incidentWindow]core.VecCall
+	for i := range wedge {
+		wedge[i].Data = uint64(i)
 	}
+	parked, _ := req.SubmitV(wedge[:])
 
 	m := monitor.New(reg, monitor.Options{
 		Rules:         monitor.DefaultRules(),
@@ -81,13 +78,13 @@ func runIncidentDemo() *Report {
 	// The storm: every call exhausts its submission attempts against
 	// the full window and degrades to the fallback path.
 	for i := 0; i < incidentStormCalls; i++ {
-		_, _ = req.CallOrFallbackAt(cs, 0, uint64(i), func() (uint64, error) { return 0, nil })
+		_, _ = req.CallOrFallback(core.VecCall{Data: uint64(i), Site: cs}, func() (uint64, error) { return 0, nil })
 	}
 	m.Tick() // the fallback-storm rule fires; the capturer freezes the bundle
 
 	close(gate)
-	for _, pd := range parked {
-		_, _ = pd.Wait()
+	if parked != nil {
+		_ = parked.WaitAll(nil)
 	}
 	p.Stop()
 

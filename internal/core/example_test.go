@@ -23,22 +23,24 @@ func ExampleHotCall() {
 
 // Asynchronous submission overlaps enclave work with the untrusted call:
 // the fabric's requester keeps a window of calls in flight.
-func ExampleRequester_Submit() {
+func ExampleRequester_SubmitV() {
 	pool := core.NewCallPool([]core.PoolFunc{
 		func(_ int, d uint64) uint64 { return d + 1 },
 	}, core.PoolOptions{Shards: 1})
 	pool.Start()
 	defer pool.Stop()
 
-	pending, err := pool.Requester().Submit(0, 99)
+	calls := []core.VecCall{{ID: 0, Data: 99}, {ID: 0, Data: 199}}
+	batch, err := pool.Requester().SubmitV(calls)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
 	// ... useful work here, while a responder executes ...
-	ret, err := pending.Wait()
-	fmt.Println(ret, err)
-	// Output: 100 <nil>
+	rets := make([]uint64, len(calls))
+	err = batch.WaitAll(rets)
+	fmt.Println(rets, err)
+	// Output: [100 200] <nil>
 }
 
 // The starvation mitigation of Section 4.2: when the responder stays busy

@@ -41,12 +41,12 @@ func TestPoolFlightCausalTimeline(t *testing.T) {
 	// makes 4 busy calls.
 	r0, r1 := p.Requester(), p.Requester()
 	for i := 0; i < 8; i++ {
-		if _, err := r0.CallAt(csEcho, 0, uint64(i)); err != nil {
+		if _, err := r0.CallV(VecCall{Data: uint64(i), Site: csEcho}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := r1.CallAt(csBusy, 1, uint64(i)); err != nil {
+		if _, err := r1.CallV(VecCall{ID: 1, Data: uint64(i), Site: csBusy}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,8 +115,8 @@ func TestPoolFlightCausalTimeline(t *testing.T) {
 	}
 }
 
-// TestPoolFlightSubmitWait covers the async path: SubmitAt/Wait must
-// close records just like CallAt.
+// TestPoolFlightSubmitWait covers the async path: SubmitV/WaitAll
+// windows of one must close records just like CallV.
 func TestPoolFlightSubmitWait(t *testing.T) {
 	p := NewCallPool([]PoolFunc{func(_ int, d uint64) uint64 { return d * 2 }},
 		PoolOptions{Shards: 1, SlotsPerShard: 8, Timeout: 1 << 20})
@@ -127,16 +127,16 @@ func TestPoolFlightSubmitWait(t *testing.T) {
 	defer p.Stop()
 
 	r := p.Requester()
-	var pending []*PoolPending
+	var pending []*PoolBatch
 	for i := 0; i < 8; i++ {
-		pd, err := r.SubmitAt(cs, 0, uint64(i))
+		pd, err := r.SubmitV([]VecCall{{Data: uint64(i), Site: cs}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pending = append(pending, pd)
 	}
 	for i, pd := range pending {
-		ret, err := pd.Wait()
+		ret, err := waitOne(pd)
 		if err != nil || ret != uint64(i*2) {
 			t.Fatalf("wait %d: ret=%d err=%v", i, ret, err)
 		}
@@ -148,6 +148,58 @@ func TestPoolFlightSubmitWait(t *testing.T) {
 	for _, v := range rec.Records(16) {
 		if v.ReturnNS < v.ExecEndNS {
 			t.Errorf("async record closed before execute end: %+v", v)
+		}
+	}
+}
+
+// TestPoolSubmitVPerCallSite: every call of a window carries its own
+// callsite.  One SubmitV window interleaving two callsites, sampled at
+// every call, counts each callsite's arrivals exactly and attributes each
+// record to the callsite its call named (gets are call 0, sets call 1).
+func TestPoolSubmitVPerCallSite(t *testing.T) {
+	const window = 16
+	p := NewCallPool(echoTable(), testPool(1, 1))
+	rec := flight.New(flight.Options{SampleEvery: 1})
+	p.SetFlight(rec)
+	get, set := rec.Callsite("mix.get"), rec.Callsite("mix.set")
+	p.Start()
+	defer p.Stop()
+	r := p.Requester()
+
+	var calls [window]VecCall
+	for i := range calls {
+		calls[i] = VecCall{Data: uint64(i), Site: get}
+		if i%3 == 2 { // 5 sets among 11 gets
+			calls[i] = VecCall{ID: 1, Data: uint64(i), Site: set}
+		}
+	}
+	b, err := r.SubmitV(calls[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rets [window]uint64
+	if err := b.WaitAll(rets[:]); err != nil {
+		t.Fatal(err)
+	}
+	for i, ret := range rets {
+		if ret != uint64(i) {
+			t.Fatalf("rets[%d] = %d", i, ret)
+		}
+	}
+	arrivals := map[string]uint64{}
+	for _, cs := range rec.Stats() {
+		arrivals[cs.Name] = cs.Arrivals
+	}
+	if arrivals["mix.get"] != 11 || arrivals["mix.set"] != 5 || arrivals[rec.CallsiteName(0)] != 0 {
+		t.Fatalf("arrivals = %v, want 11 mix.get, 5 mix.set and no unlabelled", arrivals)
+	}
+	views := rec.Records(2 * window)
+	if len(views) != window {
+		t.Fatalf("%d records for a window of %d", len(views), window)
+	}
+	for _, v := range views {
+		if want := [2]string{"mix.get", "mix.set"}[v.CallID]; v.Name != want {
+			t.Errorf("call %d recorded under %q, want %q", v.CallID, v.Name, want)
 		}
 	}
 }
@@ -177,7 +229,7 @@ func TestPoolFlightStressRace(t *testing.T) {
 		go func(r *Requester) {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				if _, err := r.CallAt(cs, 0, uint64(i)); err != nil {
+				if _, err := r.CallV(VecCall{Data: uint64(i), Site: cs}); err != nil {
 					return // ErrStopped/ErrTimeout end the worker
 				}
 				select {
@@ -231,7 +283,7 @@ func TestPoolCallFlightZeroAlloc(t *testing.T) {
 	r := p.Requester()
 
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := r.CallAt(cs, 0, 1); err != nil {
+		if _, err := r.CallV(VecCall{Data: 1, Site: cs}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -255,13 +307,13 @@ func TestPoolCallTailSamplerZeroAlloc(t *testing.T) {
 	cs := rec.Callsite("alloc.tail")
 	r := p.Requester()
 	// Never started: no responder drains the one slot this fills.
-	if _, err := r.Submit(0, 0); err != nil {
+	if _, err := submitOne(r, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	const runs = 200
 	allocs := testing.AllocsPerRun(runs, func() {
-		if _, err := r.CallAt(cs, 0, 1); !errors.Is(err, ErrTimeout) {
+		if _, err := r.CallV(VecCall{Data: 1, Site: cs}); !errors.Is(err, ErrTimeout) {
 			t.Fatalf("err = %v, want ErrTimeout", err)
 		}
 	})

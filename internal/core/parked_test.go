@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,7 @@ import (
 
 // The tests below pin the parked-responder protocol (Requester.help): a
 // requester that posts while a responder is parked sends no signal, runs
-// its own calls when it waits or polls, and decides afterwards whether a
+// its own calls when it waits, and decides afterwards whether a
 // wake is worth its price.  They assert on execution counts, claim
 // order and the fabric's own counters, never on elapsed time.
 
@@ -44,12 +43,12 @@ func waitParked(t *testing.T, p *CallPool) {
 func parked(p *CallPool) bool { return p.SleepingResponders() == 1 }
 
 // TestPoolParkedHelpExactlyOnce races helpers against responders for the
-// same runs: every requester mixes Call, Submit+Wait and SubmitV+WaitAll
-// against two responders on a short ladder, so posts keep finding one
-// parked, while a goroutine storms wake.Broadcast, so parked responders
-// keep coming back to find the work the requester is about to claim.
-// Each call must execute exactly once and each result come back in
-// order, whoever won the tail CAS.
+// same runs: every requester mixes Call, one-call SubmitV windows and
+// whole SubmitV windows against two responders on a short ladder, so
+// posts keep finding one parked, while a goroutine storms wake.Broadcast,
+// so parked responders keep coming back to find the work the requester
+// is about to claim.  Each call must execute exactly once and each result
+// come back in order, whoever won the tail CAS.
 func TestPoolParkedHelpExactlyOnce(t *testing.T) {
 	const rounds, window = 300, 16
 	const perRound = 1 + 2*window
@@ -96,7 +95,7 @@ func TestPoolParkedHelpExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var pending [window]*PoolPending
+			var pending [window]*PoolBatch
 			var calls [window]VecCall
 			var rets [window]uint64
 			for round := 0; round < rounds; round++ {
@@ -108,14 +107,14 @@ func TestPoolParkedHelpExactlyOnce(t *testing.T) {
 				d++
 				for j := range pending {
 					var err error
-					if pending[j], err = r.Submit(0, d+uint64(j)); err != nil {
-						t.Errorf("requester %d: Submit(%d): %v", r.Index(), d+uint64(j), err)
+					if pending[j], err = submitOne(r, 0, d+uint64(j)); err != nil {
+						t.Errorf("requester %d: SubmitV(%d): %v", r.Index(), d+uint64(j), err)
 						return
 					}
 				}
 				for j, pd := range pending {
-					if ret, err := pd.Wait(); err != nil || ret != mix(r.Index(), d+uint64(j)) {
-						t.Errorf("requester %d: Wait(%d) = (%d, %v)", r.Index(), d+uint64(j), ret, err)
+					if ret, err := waitOne(pd); err != nil || ret != mix(r.Index(), d+uint64(j)) {
+						t.Errorf("requester %d: WaitAll(%d) = (%d, %v)", r.Index(), d+uint64(j), ret, err)
 						return
 					}
 				}
@@ -159,9 +158,10 @@ func TestPoolParkedHelpExactlyOnce(t *testing.T) {
 }
 
 // TestPoolParkedWindowHelped: a 16-deep async window posted to a parked
-// responder is run by polling alone.  Polling the newest handle claims
-// the whole window as one run and executes it in ring order without
-// waking anyone; polling oldest-first never spins on ErrNotComplete.
+// responder, one call per batch, is run by waiting alone.  Waiting on the
+// newest batch claims the whole window as one run and executes it in ring
+// order without waking anyone; the older batches then find their calls
+// done.
 func TestPoolParkedWindowHelped(t *testing.T) {
 	const window = 16
 	var mu sync.Mutex
@@ -180,25 +180,20 @@ func TestPoolParkedWindowHelped(t *testing.T) {
 	p.Start()
 	defer p.Stop()
 	r := p.Requester()
-	submit := func(base uint64) (pending [window]*PoolPending) {
-		t.Helper()
-		for j := range pending {
-			var err error
-			if pending[j], err = r.Submit(0, base+uint64(j)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return pending
-	}
-
 	waitParked(t, p)
-	pending := submit(0)
-	if ret, err := pending[window-1].Poll(); err != nil || ret != 100+window-1 {
-		t.Fatalf("Poll of the newest call = (%d, %v), want it run by the poll", ret, err)
+	var pending [window]*PoolBatch
+	for j := range pending {
+		var err error
+		if pending[j], err = submitOne(r, 0, uint64(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ret, err := waitOne(pending[window-1]); err != nil || ret != 100+window-1 {
+		t.Fatalf("WaitAll of the newest call = (%d, %v), want it run by the wait", ret, err)
 	}
 	for j, pd := range pending[:window-1] {
-		if ret, err := pd.Poll(); err != nil || ret != 100+uint64(j) {
-			t.Fatalf("Poll(%d) = (%d, %v)", j, ret, err)
+		if ret, err := waitOne(pd); err != nil || ret != 100+uint64(j) {
+			t.Fatalf("WaitAll(%d) = (%d, %v)", j, ret, err)
 		}
 	}
 	if len(order) != window {
@@ -223,24 +218,6 @@ func TestPoolParkedWindowHelped(t *testing.T) {
 		}
 	}
 
-	// Oldest first: each poll runs its own call.  The gaps are short, so
-	// the policy may kick the responder awake part-way; a call it took is
-	// legitimately not complete for a moment, and nothing else is.
-	pending = submit(window)
-	for j, pd := range pending {
-		ret, err := pd.Poll()
-		for tries := 0; errors.Is(err, ErrNotComplete); tries++ {
-			if tries == 1<<22 {
-				t.Fatalf("Poll(%d) still not complete", j)
-			}
-			runtime.Gosched()
-			ret, err = pd.Poll()
-		}
-		if err != nil || ret != 100+window+uint64(j) {
-			t.Fatalf("Poll(%d) = (%d, %v)", j, ret, err)
-		}
-	}
-	waitFor(t, 5*time.Second, func() bool { return inline()+executes() == 2*window }, "two windows of executions to be counted")
 }
 
 // TestPoolWakePolicy: the wake is a priced decision.  Calls spaced wider

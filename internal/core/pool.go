@@ -23,17 +23,19 @@ package core
 //     without double-executing a call.
 //
 //   - The ring depth is the per-requester window: a requester may keep
-//     up to SlotsPerShard asynchronous calls in flight (Submit/Wait),
+//     up to SlotsPerShard asynchronous calls in flight (SubmitV/WaitAll),
 //     which is what lets one polling quantum of a responder drain a
 //     whole batch — the "merging several threads' queues" economics of
 //     Section 4.2 — instead of paying a scheduling handoff per call.
 //
-// The request path allocates nothing: call data is a typed uint64 (no
-// interface{} boxing), and async PoolPending handles come from a
-// sync.Pool.  TestPoolCallZeroAlloc and BenchmarkPoolCall assert this.
+// Every call is a VecCall: a call_ID, a typed uint64 (no interface{}
+// boxing), an optional scatter-gather list and an optional flight
+// callsite.  Call and CallV run one and wait; SubmitV posts a window and
+// WaitAll collects it.  The request path allocates nothing: PoolBatch
+// handles come from a sync.Pool.  TestPoolCallZeroAlloc and
+// BenchmarkPoolCall assert this.
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -152,7 +154,7 @@ type PoolOptions struct {
 	// GOMAXPROCS; see scale.go).  The floor is minResponders.
 	MaxResponders int
 
-	// Timeout is the submission-attempt limit before Call/Submit gives
+	// Timeout is the submission-attempt limit before Call/SubmitV gives
 	// up with ErrTimeout, the paper's starvation fallback (default
 	// DefaultTimeout).  Each attempt re-checks the requester's own ring
 	// slot, so a timeout means the window stayed full — the responders
@@ -236,8 +238,7 @@ type CallPool struct {
 	ctrlPolls    uint64
 	ctrlExecutes uint64
 
-	pendingPool sync.Pool
-	batchPool   sync.Pool
+	batchPool sync.Pool
 
 	// flight is the per-callsite flight recorder, nil until SetFlight.
 	// The hot path pays one nil-check when detached; when attached,
@@ -290,13 +291,12 @@ func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 		}
 	}
 	p.target.Store(p.policy.floor)
-	p.pendingPool.New = func() any { return new(PoolPending) }
 	p.batchPool.New = func() any { return new(PoolBatch) }
 	return p
 }
 
 // SetVecTable attaches the scatter-gather call table: entry id handles
-// zero-copy calls posted with CallZC/SubmitV segments.  The id
+// zero-copy calls, those whose VecCall carries segments.  The id
 // space is independent of the plain table (a slot's segment count picks
 // the table).  Attach before Start.
 func (p *CallPool) SetVecTable(vt []PoolVecFunc) { p.vtable = vt }
@@ -504,7 +504,7 @@ func (r *Requester) help(s *poolSlot) (ran bool) {
 func (r *Requester) Index() int { return r.idx }
 
 // post plants one call in the requester's ring, spinning through the
-// attempt budget when the window is full.  segs is the call's
+// attempt budget when the window is full.  c.Segs is the call's
 // scatter-gather list, at most MaxSegs long (ErrTooManySegments beyond:
 // the slot holds no more): its descriptor block is written on its own
 // requester-owned line before the slotPosted release store that publishes
@@ -517,8 +517,8 @@ func (r *Requester) Index() int { return r.idx }
 // happens before the submission spin, so a window-full wait is part of
 // the recorded latency; the record is closed on every exit path, so a timeout or shutdown never leaves an
 // open record to wedge the digest.
-func (r *Requester) post(cs flight.Callsite, id CallID, data uint64, segs []Segment) (*poolSlot, *flight.Record, error) {
-	if len(segs) > MaxSegs {
+func (r *Requester) post(c *VecCall) (*poolSlot, *flight.Record, error) {
+	if len(c.Segs) > MaxSegs {
 		return nil, nil, ErrTooManySegments
 	}
 	p := r.pool
@@ -528,9 +528,9 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64, segs []Segm
 	if f := p.flight; f != nil {
 		// Two-step Arrive/Open instead of Begin: Arrive inlines, so the
 		// 255-in-256 unsampled calls pay no function call here.
-		if f.Arrive(cs, r.idx) {
-			fr = f.Open(cs, r.idx, uint16(id))
-			fr.SetBytes(segTotal(segs))
+		if f.Arrive(c.Site, r.idx) {
+			fr = f.Open(c.Site, r.idx, uint16(c.ID))
+			fr.SetBytes(segTotal(c.Segs))
 			// Pool-state context only on sampled calls: these gauges live
 			// on responder-shared cache lines, so reading them per call
 			// would put a coherence miss on the unsampled path.
@@ -544,16 +544,16 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64, segs []Segm
 		}
 		s := &sh.slots[sh.head&sh.mask]
 		if s.state.Load() == slotIdle {
-			s.id = id
-			s.data = data
+			s.id = c.ID
+			s.data = c.Data
 			if p.flight != nil {
 				// Unconditional when attached (nil on unsampled calls)
 				// so a slot never carries a stale record across reuse.
 				s.fr = fr
 			}
-			s.nseg = uint32(len(segs))
-			if len(segs) != 0 { // an empty copy is still a call to memmove
-				copy(s.segs[:], segs)
+			s.nseg = uint32(len(c.Segs))
+			if len(c.Segs) != 0 { // an empty copy is still a call to memmove
+				copy(s.segs[:], c.Segs)
 			}
 			s.state.Store(posted(sh.head))
 			sh.head++
@@ -568,26 +568,39 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64, segs []Segm
 		pause()
 	}
 	p.timeouts.Inc()
-	p.flight.Timeout(cs, r.idx, fr)
+	p.flight.Timeout(c.Site, r.idx, fr)
 	return nil, nil, ErrTimeout
 }
 
-// Call executes call-table entry id with data through the fabric and
-// waits for the result.  It returns ErrTimeout when the requester's
-// window stayed full for the attempt budget (fall back to a regular SDK
-// call, as in the paper's starvation mitigation) and ErrStopped after
-// Stop.  The path performs no allocation.  Calls made through Call
-// aggregate under the flight recorder's "(unlabelled)" callsite; use
-// CallAt to attribute them.
-func (r *Requester) Call(id CallID, data uint64) (uint64, error) {
-	return r.CallAt(flight.Callsite{}, id, data)
+// VecCall is one call into the fabric, the paper's call_ID and data word
+// plus what the fabric adds to them.
+type VecCall struct {
+	ID   CallID
+	Data uint64
+	// Segs is the call's scatter-gather list, dispatched to the vec table
+	// (nil for a plain uint64 call).
+	Segs []Segment
+	// Site is the registered flight-recorder callsite the call's arrival
+	// rate, timeline and wasted-spin share aggregate under in
+	// /debug/flight (the zero value is "(unlabelled)").
+	Site flight.Callsite
 }
 
-// CallAt is Call stamped with a registered flight-recorder callsite, so
-// the call's arrival rate, timeline, and wasted-spin share aggregate
-// under that callsite in /debug/flight.
-func (r *Requester) CallAt(cs flight.Callsite, id CallID, data uint64) (uint64, error) {
-	s, fr, err := r.post(cs, id, data, nil)
+// Call executes call-table entry id with data through the fabric and
+// waits for the result: CallV of an unlabelled, plain call.
+func (r *Requester) Call(id CallID, data uint64) (uint64, error) {
+	return r.CallV(VecCall{ID: id, Data: data})
+}
+
+// CallV executes one call and waits for the result.  It returns
+// ErrTimeout when the requester's window stayed full for the attempt
+// budget (fall back to a regular SDK call, as in the paper's starvation
+// mitigation; see CallOrFallback) and ErrStopped after Stop.  A call with
+// segments runs the vec-table handler, which reads and writes the
+// referenced slab windows in place, with no per-byte copy on either side.
+// The path performs no allocation.
+func (r *Requester) CallV(c VecCall) (uint64, error) {
+	s, fr, err := r.post(&c)
 	if err != nil {
 		return 0, err
 	}
@@ -597,88 +610,83 @@ func (r *Requester) CallAt(cs flight.Callsite, id CallID, data uint64) (uint64, 
 	return s.ret, nil
 }
 
-// CallOrFallback is Call with the paper's starvation mitigation: a
-// submission timeout degrades to the fallback path instead of failing.
-func (r *Requester) CallOrFallback(id CallID, data uint64, fallback func() (uint64, error)) (uint64, error) {
-	return r.CallOrFallbackAt(flight.Callsite{}, id, data, fallback)
-}
-
-// CallOrFallbackAt is CallOrFallback with per-callsite flight
-// attribution; fallback degradations count against the callsite.
-func (r *Requester) CallOrFallbackAt(cs flight.Callsite, id CallID, data uint64, fallback func() (uint64, error)) (uint64, error) {
-	ret, err := r.CallAt(cs, id, data)
+// CallOrFallback is CallV with the paper's starvation mitigation: a
+// submission timeout degrades to the fallback path instead of failing,
+// and counts against the call's callsite.
+func (r *Requester) CallOrFallback(c VecCall, fallback func() (uint64, error)) (uint64, error) {
+	ret, err := r.CallV(c)
 	if err == ErrTimeout {
 		r.pool.fallbacks.Inc()
-		r.pool.flight.Fallback(cs)
+		r.pool.flight.Fallback(c.Site)
 		return fallback()
 	}
 	return ret, err
 }
 
-// PoolPending is a handle to an asynchronous fabric call.  Handles come
-// from a sync.Pool and are recycled when the call is collected (on the
-// requester's goroutine), so the steady-state Submit/Wait path allocates
-// nothing.  A collected handle must not be reused.
-type PoolPending struct {
-	req  *Requester
-	slot *poolSlot
-	fr   *flight.Record
-}
-
-// Submit plants a call without waiting.  Up to SlotsPerShard calls may
-// be in flight per requester; beyond that Submit spins on the window
-// and eventually returns ErrTimeout.  Calls complete in submission
-// order per requester (the ring is FIFO), so collecting the oldest
-// Pending first keeps the window moving.  A call submitted while the
-// responders are parked runs when the requester next waits or polls
-// (see help), not in the background.
-func (r *Requester) Submit(id CallID, data uint64) (*PoolPending, error) {
-	return r.SubmitAt(flight.Callsite{}, id, data)
-}
-
-// SubmitAt is Submit stamped with a registered flight-recorder
-// callsite (see CallAt).
-func (r *Requester) SubmitAt(cs flight.Callsite, id CallID, data uint64) (*PoolPending, error) {
-	s, fr, err := r.post(cs, id, data, nil)
-	if err != nil {
+// SubmitV posts a window of calls without waiting; an asynchronous single
+// call is a window of one.  Every call is published with its own slot
+// release store, and the posted run is claimed with a single tail CAS —
+// by a responder (scale.go), or, when the responders are parked, by
+// WaitAll: a window posted while they sleep runs when its requester
+// waits, not in the background.  Up to SlotsPerShard calls may be in
+// flight per requester; beyond that a post spins on the window and
+// eventually fails with ErrTimeout.  On ErrTimeout or ErrStopped
+// mid-window the batch returned covers the calls already posted (nil
+// only when nothing was posted); the caller must still WaitAll it.
+func (r *Requester) SubmitV(calls []VecCall) (*PoolBatch, error) {
+	start, n := r.shard.head, 0
+	var err error
+	for ; n < len(calls); n++ {
+		if _, _, err = r.post(&calls[n]); err != nil {
+			break
+		}
+	}
+	if n == 0 {
 		return nil, err
 	}
-	return r.pending(s, fr), nil
+	// The handle is taken once the calls are out, off their path.
+	b := r.pool.batchPool.Get().(*PoolBatch)
+	b.req, b.start, b.n = r, start, n
+	return b, err
 }
 
-// pending wraps the call just posted in a recycled handle.
-func (r *Requester) pending(s *poolSlot, fr *flight.Record) *PoolPending {
-	pd := r.pool.pendingPool.Get().(*PoolPending)
-	pd.req, pd.slot, pd.fr = r, s, fr
-	return pd
+// PoolBatch is the handle to one SubmitV window.  Handles come from a
+// sync.Pool and are recycled by WaitAll, so the steady-state
+// SubmitV/WaitAll path allocates nothing.  Calls complete in submission
+// order per requester (the ring is FIFO), so collecting the oldest batch
+// first keeps the window moving.
+type PoolBatch struct {
+	req   *Requester
+	start uint64
+	n     int
 }
 
-// ErrNotComplete is returned by Poll while the call is in flight.
-var ErrNotComplete = errors.New("core: async call not complete")
+// Len returns how many calls the batch posted (smaller than the request
+// only after a mid-window timeout or stop).  Capture it before WaitAll,
+// which recycles the handle.
+func (b *PoolBatch) Len() int { return b.n }
 
-// Poll checks for completion without blocking.  Once it returns a
-// result the handle is recycled and the slot is free for reuse.
-func (pd *PoolPending) Poll() (uint64, error) {
-	r := pd.req
-	if r.parked {
-		r.help(pd.slot) // with a responder parked, polling is what runs the call
+// WaitAll blocks until every call in the batch completes (one await per
+// call, in submission order), copying results into rets (when non-nil),
+// then recycles the handle.  With the responders parked it first runs
+// the posted calls up to the batch's last itself as one claimed run (see
+// help), and the waits collect it.  On ErrStopped the unreaped remainder
+// of the window is abandoned with the pool.
+func (b *PoolBatch) WaitAll(rets []uint64) error {
+	r := b.req
+	sh := r.shard
+	var err error
+	if r.parked && r.help(&sh.slots[(b.start+uint64(b.n-1))&sh.mask]) && r.pool.stopped.Load() {
+		r.pool.flight.Stopped(sh.slots[b.start&sh.mask].fr)
+		err = ErrStopped
 	}
-	if pd.slot.state.Load() != slotDone && !r.pool.stopped.Load() {
-		return 0, ErrNotComplete
+	for j := 0; j < b.n && err == nil; j++ {
+		s := &sh.slots[(b.start+uint64(j))&sh.mask]
+		if err = r.await(s, s.fr); err == nil && j < len(rets) {
+			rets[j] = s.ret
+		}
 	}
-	return pd.Wait()
-}
-
-// Wait blocks until the call completes — spinning briefly, then yielding
-// (see await) — and recycles the handle.
-func (pd *PoolPending) Wait() (uint64, error) {
-	r := pd.req
-	var ret uint64
-	err := r.await(pd.slot, pd.fr)
-	if err == nil {
-		ret = pd.slot.ret
-	}
-	pd.req, pd.slot, pd.fr = nil, nil, nil
-	r.pool.pendingPool.Put(pd)
-	return ret, err
+	b.req, b.n = nil, 0
+	r.pool.batchPool.Put(b)
+	return err
 }

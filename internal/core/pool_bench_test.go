@@ -28,10 +28,10 @@ func benchPoolWorkers(b *testing.B, p *CallPool, reqs []*Requester, total int) {
 		wg.Add(1)
 		go func(r *Requester, n int) {
 			defer wg.Done()
-			pending := make([]*PoolPending, 0, poolBenchWindow)
+			pending := make([]*PoolBatch, 0, poolBenchWindow)
 			for i := 0; i < n; {
 				for len(pending) < poolBenchWindow && i < n {
-					pd, err := r.Submit(0, uint64(i))
+					pd, err := submitOne(r, 0, uint64(i))
 					if err != nil {
 						b.Error(err)
 						return
@@ -40,7 +40,7 @@ func benchPoolWorkers(b *testing.B, p *CallPool, reqs []*Requester, total int) {
 					i++
 				}
 				for _, pd := range pending {
-					if _, err := pd.Wait(); err != nil {
+					if _, err := waitOne(pd); err != nil {
 						b.Error(err)
 						return
 					}

@@ -26,6 +26,18 @@ func testPool(shards, maxResponders int) PoolOptions {
 	return PoolOptions{Shards: shards, SlotsPerShard: 16, MaxResponders: maxResponders, Timeout: 1 << 20}
 }
 
+// submitOne posts one asynchronous call: a SubmitV window of one.
+func submitOne(r *Requester, id CallID, data uint64) (*PoolBatch, error) {
+	return r.SubmitV([]VecCall{{ID: id, Data: data}})
+}
+
+// waitOne collects a window of one and returns its result.
+func waitOne(b *PoolBatch) (uint64, error) {
+	var ret [1]uint64
+	err := b.WaitAll(ret[:])
+	return ret[0], err
+}
+
 func TestPoolCallRoundTrip(t *testing.T) {
 	p := NewCallPool(echoTable(), testPool(2, 2))
 	p.Start()
@@ -52,12 +64,12 @@ func TestPoolSubmitWindowPipelines(t *testing.T) {
 
 	r := p.Requester()
 	const window = 16
-	pending := make([]*PoolPending, 0, window)
+	pending := make([]*PoolBatch, 0, window)
 	next := uint64(0)
 	collected := uint64(0)
 	for collected < 2000 {
 		for len(pending) < window {
-			pd, err := r.Submit(0, next)
+			pd, err := submitOne(r, 0, next)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +77,7 @@ func TestPoolSubmitWindowPipelines(t *testing.T) {
 			next++
 		}
 		// Collect in FIFO order — the ring completes oldest-first.
-		ret, err := pending[0].Wait()
+		ret, err := waitOne(pending[0])
 		if err != nil || ret != collected {
 			t.Fatalf("call %d = (%d, %v)", collected, ret, err)
 		}
@@ -73,7 +85,7 @@ func TestPoolSubmitWindowPipelines(t *testing.T) {
 		collected++
 	}
 	for _, pd := range pending {
-		if _, err := pd.Wait(); err != nil {
+		if _, err := waitOne(pd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,11 +127,8 @@ func TestPoolStop(t *testing.T) {
 	if _, err := r.Call(0, 2); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Call after Stop: %v, want ErrStopped", err)
 	}
-	if _, err := r.Submit(0, 3); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Submit after Stop: %v, want ErrStopped", err)
-	}
-	if _, err := r.CallZC(0, 4, []Segment{{}}); !errors.Is(err, ErrStopped) {
-		t.Fatalf("CallZC after Stop: %v, want ErrStopped", err)
+	if _, err := r.CallV(VecCall{Data: 4, Segs: []Segment{{}}}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("zero-copy CallV after Stop: %v, want ErrStopped", err)
 	}
 	if b, err := r.SubmitV([]VecCall{{ID: 0, Data: 5}}); b != nil || !errors.Is(err, ErrStopped) {
 		t.Fatalf("SubmitV after Stop: (%v, %v), want no batch and ErrStopped", b, err)
@@ -135,15 +144,15 @@ func TestPoolSubmitTimeoutWhenSaturated(t *testing.T) {
 	p := NewCallPool(echoTable(), opts)
 	r := p.Requester()
 	for i := 0; i < 2; i++ {
-		if _, err := r.Submit(0, uint64(i)); err != nil {
+		if _, err := submitOne(r, 0, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Submit(0, 9); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("Submit on full window: %v, want ErrTimeout", err)
+	if _, err := submitOne(r, 0, 9); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("SubmitV on full window: %v, want ErrTimeout", err)
 	}
 	// CallOrFallback degrades to the fallback path on the same signal.
-	ret, err := r.CallOrFallback(0, 9, func() (uint64, error) { return 42, nil })
+	ret, err := r.CallOrFallback(VecCall{Data: 9}, func() (uint64, error) { return 42, nil })
 	if err != nil || ret != 42 {
 		t.Fatalf("CallOrFallback = (%d, %v), want fallback 42", ret, err)
 	}
@@ -159,10 +168,10 @@ func TestPoolCallZeroAlloc(t *testing.T) {
 	defer p.Stop()
 	r := p.Requester()
 
-	// Warm: first Submit populates the sync.Pool.
-	if pd, err := r.Submit(0, 0); err != nil {
+	// Warm: the first SubmitV populates the sync.Pool.
+	if pd, err := submitOne(r, 0, 0); err != nil {
 		t.Fatal(err)
-	} else if _, err := pd.Wait(); err != nil {
+	} else if _, err := waitOne(pd); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,15 +183,15 @@ func TestPoolCallZeroAlloc(t *testing.T) {
 		t.Fatalf("Call allocates %.1f per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		pd, err := r.Submit(0, 2)
+		pd, err := submitOne(r, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pd.Wait(); err != nil {
+		if _, err := waitOne(pd); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("Submit/Wait allocates %.1f per op, want 0", n)
+		t.Fatalf("SubmitV/WaitAll allocates %.1f per op, want 0", n)
 	}
 }
 
@@ -208,10 +217,10 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 // controlWindow's occupancy above the scale-up watermark.
 func poolLoad(r *Requester, stop *atomic.Bool) {
 	const window = 64
-	pending := make([]*PoolPending, 0, window)
+	pending := make([]*PoolBatch, 0, window)
 	for i := uint64(0); !stop.Load(); {
 		for len(pending) < window {
-			pd, err := r.Submit(0, i)
+			pd, err := submitOne(r, 0, i)
 			if err != nil {
 				return
 			}
@@ -219,14 +228,11 @@ func poolLoad(r *Requester, stop *atomic.Bool) {
 			i++
 		}
 		for _, pd := range pending {
-			if _, err := pd.Wait(); err != nil {
+			if _, err := waitOne(pd); err != nil {
 				return
 			}
 		}
 		pending = pending[:0]
-	}
-	for _, pd := range pending {
-		pd.Poll()
 	}
 }
 
@@ -309,9 +315,9 @@ func TestPoolConcurrentChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pending := make([]*PoolPending, 0, 8)
+			pending := make([]*PoolBatch, 0, 8)
 			for i := uint64(0); ; i++ {
-				pd, err := r.Submit(0, i)
+				pd, err := submitOne(r, 0, i)
 				if errors.Is(err, ErrStopped) {
 					break
 				}
@@ -321,7 +327,7 @@ func TestPoolConcurrentChurn(t *testing.T) {
 				pending = append(pending, pd)
 				if len(pending) == cap(pending) {
 					for _, pd := range pending {
-						if _, err := pd.Wait(); errors.Is(err, ErrStopped) {
+						if _, err := waitOne(pd); errors.Is(err, ErrStopped) {
 							break
 						}
 					}
@@ -329,7 +335,7 @@ func TestPoolConcurrentChurn(t *testing.T) {
 				}
 			}
 			for _, pd := range pending {
-				pd.Poll() // drain whatever completed before Stop
+				waitOne(pd) // collect whatever completed before Stop
 			}
 		}()
 	}

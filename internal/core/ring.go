@@ -24,22 +24,19 @@ package core
 //     payload body travel as two references instead of one coalescing
 //     copy.
 //
-//   - SubmitV: vectored submit.  A window of calls is posted with one
-//     slot release-store each, and the claiming side — a responder
-//     (scale.go), or WaitAll itself when the responders are parked —
-//     takes the whole posted run with one tail CAS, amortizing the claim
-//     path the way the paper amortizes EENTER across batched calls.
+//   - SubmitV (pool.go): vectored submit.  A window of calls is posted
+//     with one slot release-store each, and the claiming side — a
+//     responder (scale.go), or WaitAll itself when the responders are
+//     parked — takes the whole posted run with one tail CAS, amortizing
+//     the claim path the way the paper amortizes EENTER across batched
+//     calls.
 //
 // The free-slab list is owned by the requester goroutine alone (plain
 // fields, no atomics), mirroring the shard head cursor: the requester
 // Acquires a slab before it posts and Releases it after it has reaped
 // every call that references it.
 
-import (
-	"errors"
-
-	"hotcalls/internal/flight"
-)
+import "errors"
 
 // ErrTooManySegments rejects a scatter-gather list longer than MaxSegs.
 var ErrTooManySegments = errors.New("core: more segments than a call slot holds")
@@ -184,112 +181,4 @@ func segTotal(segs []Segment) (n uint64) {
 		n += uint64(segs[i].Len)
 	}
 	return n
-}
-
-// CallZC executes a scatter-gather call and waits for the result: the
-// responder's vec-table handler reads and writes the referenced slab
-// windows in place, with no per-byte copy on either side.  See CallZCAt
-// for flight attribution.
-func (r *Requester) CallZC(id CallID, data uint64, segs []Segment) (uint64, error) {
-	return r.CallZCAt(flight.Callsite{}, id, data, segs)
-}
-
-// CallZCAt is CallZC stamped with a registered flight-recorder callsite.
-func (r *Requester) CallZCAt(cs flight.Callsite, id CallID, data uint64, segs []Segment) (uint64, error) {
-	s, fr, err := r.post(cs, id, data, segs)
-	if err != nil {
-		return 0, err
-	}
-	if err := r.await(s, fr); err != nil {
-		return 0, err
-	}
-	return s.ret, nil
-}
-
-// VecCall is one entry of a vectored submit window.
-type VecCall struct {
-	ID   CallID
-	Data uint64
-	// Segs is the call's scatter-gather list (nil for a plain uint64
-	// call riding the batch).
-	Segs []Segment
-}
-
-// SubmitV posts a window of calls as one batch: every call is published
-// with its own slot release store, and the posted run is claimed with a
-// single tail CAS — by a responder (scale.go), or by WaitAll when the
-// responders are parked.  See SubmitVAt.
-func (r *Requester) SubmitV(calls []VecCall) (*PoolBatch, error) {
-	return r.SubmitVAt(flight.Callsite{}, calls)
-}
-
-// SubmitVAt is SubmitV stamped with a registered flight-recorder
-// callsite.  On ErrTimeout or ErrStopped mid-window the batch returned
-// covers the calls already posted (nil only when nothing was posted);
-// the caller must still WaitAll it.
-func (r *Requester) SubmitVAt(cs flight.Callsite, calls []VecCall) (*PoolBatch, error) {
-	p := r.pool
-	sh := r.shard
-	b := p.batchPool.Get().(*PoolBatch)
-	b.req = r
-	b.start = sh.head
-	b.n = 0
-	var err error
-	for i := range calls {
-		c := &calls[i]
-		if _, _, err = r.post(cs, c.ID, c.Data, c.Segs); err != nil {
-			break
-		}
-		b.n++
-	}
-	if b.n == 0 {
-		b.release()
-		return nil, err
-	}
-	return b, err
-}
-
-// PoolBatch is the handle to one vectored submit window.  Handles come
-// from a sync.Pool and are recycled by WaitAll, so the steady-state
-// SubmitV/WaitAll path allocates nothing.
-type PoolBatch struct {
-	req   *Requester
-	start uint64
-	n     int
-}
-
-// Len returns how many calls the batch posted (smaller than the request
-// only after a mid-window timeout or stop).  Capture it before WaitAll,
-// which recycles the handle.
-func (b *PoolBatch) Len() int { return b.n }
-
-// WaitAll blocks until every call in the batch completes (one await per
-// call, in submission order), copying results into rets (when non-nil),
-// then recycles the handle.  With the responders parked it first runs
-// the whole window itself as one claimed run (see help), and the waits
-// collect it.  On ErrStopped the unreaped remainder of the window is
-// abandoned with the pool.
-func (b *PoolBatch) WaitAll(rets []uint64) error {
-	r := b.req
-	sh := r.shard
-	var err error
-	if r.parked && r.help(&sh.slots[(b.start+uint64(b.n-1))&sh.mask]) && r.pool.stopped.Load() {
-		r.pool.flight.Stopped(sh.slots[b.start&sh.mask].fr)
-		err = ErrStopped
-	}
-	for j := 0; j < b.n && err == nil; j++ {
-		s := &sh.slots[(b.start+uint64(j))&sh.mask]
-		if err = r.await(s, s.fr); err == nil && j < len(rets) {
-			rets[j] = s.ret
-		}
-	}
-	b.release()
-	return err
-}
-
-func (b *PoolBatch) release() {
-	pool := b.req.pool
-	b.req = nil
-	b.n = 0
-	pool.batchPool.Put(b)
 }

@@ -64,7 +64,7 @@ func TestPayloadRingAcquireRelease(t *testing.T) {
 	}
 }
 
-func TestPoolCallZCRoundTrip(t *testing.T) {
+func TestPoolZeroCopyRoundTrip(t *testing.T) {
 	p := zcPool(1, 2)
 	p.Start()
 	defer p.Stop()
@@ -86,7 +86,7 @@ func TestPoolCallZCRoundTrip(t *testing.T) {
 		{Slab: slab, Off: 0, Len: 60},
 		{Slab: slab, Off: 60, Len: 40},
 	}
-	ret, err := r.CallZC(0, 0x7f, segs[:])
+	ret, err := r.CallV(VecCall{Data: 0x7f, Segs: segs[:]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPoolCallZCRoundTrip(t *testing.T) {
 	ring.Release(slab)
 }
 
-func TestPoolCallZCWithoutVecTable(t *testing.T) {
+func TestPoolZeroCopyWithoutVecTable(t *testing.T) {
 	opts := testPool(1, 1)
 	opts.RingSlabs = 2
 	p := NewCallPool(echoTable(), opts) // no SetVecTable
@@ -108,7 +108,7 @@ func TestPoolCallZCWithoutVecTable(t *testing.T) {
 	r := p.Requester()
 	slab, _, _ := r.Ring().Acquire()
 	segs := [1]Segment{{Slab: slab, Off: 0, Len: 8}}
-	ret, err := r.CallZC(0, 0, segs[:])
+	ret, err := r.CallV(VecCall{Segs: segs[:]})
 	if err != nil || ret != ^uint64(0) {
 		t.Fatalf("vec call without table = (%#x, %v), want sentinel", ret, err)
 	}
@@ -125,7 +125,7 @@ func TestPoolSlotReuseClearsDescriptors(t *testing.T) {
 	slab, buf, _ := r.Ring().Acquire()
 	buf[0] = 5
 	segs := [1]Segment{{Slab: slab, Off: 0, Len: 1}}
-	if ret, err := r.CallZC(0, 5, segs[:]); err != nil || ret != 5 {
+	if ret, err := r.CallV(VecCall{Data: 5, Segs: segs[:]}); err != nil || ret != 5 {
 		t.Fatalf("ZC call = (%d, %v)", ret, err)
 	}
 	r.Ring().Release(slab)
@@ -229,11 +229,11 @@ func TestPoolCallZeroCopyZeroAlloc(t *testing.T) {
 			{Slab: slab, Off: 0, Len: 1},
 			{Slab: slab, Off: 1, Len: 1},
 		}
-		if _, err := r.CallZC(0, 1, segs[:]); err != nil {
+		if _, err := r.CallV(VecCall{Data: 1, Segs: segs[:]}); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("CallZC allocates %.1f per op, want 0", n)
+		t.Fatalf("zero-copy CallV allocates %.1f per op, want 0", n)
 	}
 
 	var calls [2]VecCall
@@ -293,7 +293,7 @@ func TestPoolZeroCopyConcurrentStress(t *testing.T) {
 				}
 				buf[0], buf[1] = byte(i), byte(i>>8)
 				sg := [2]Segment{{Slab: slab, Off: 0, Len: 1}, {Slab: slab, Off: 1, Len: 1}}
-				if _, err := r.CallZC(0, uint64(i), sg[:]); err != nil {
+				if _, err := r.CallV(VecCall{Data: uint64(i), Segs: sg[:]}); err != nil {
 					errs <- err
 					return
 				}

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"testing"
 
-	"hotcalls/internal/flight"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
@@ -197,7 +196,7 @@ func TestSecurityDescriptorManipulation(t *testing.T) {
 
 	// The forgery goes in before the responders exist: the slot is the
 	// requester's to write until Start's go statements publish it.
-	forged, fr, err := r.post(flight.Callsite{}, 0, 0, []Segment{good})
+	forged, fr, err := r.post(&VecCall{Segs: []Segment{good}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +208,8 @@ func TestSecurityDescriptorManipulation(t *testing.T) {
 	}
 
 	five := []Segment{good, good, good, good, good}
-	if _, err := r.CallZC(0, 0, five); !errors.Is(err, ErrTooManySegments) {
-		t.Fatalf("CallZC with %d segments: %v, want ErrTooManySegments", len(five), err)
+	if _, err := r.CallV(VecCall{Segs: five}); !errors.Is(err, ErrTooManySegments) {
+		t.Fatalf("CallV with %d segments: %v, want ErrTooManySegments", len(five), err)
 	}
 	if b, err := r.SubmitV([]VecCall{{Segs: five}}); b != nil || !errors.Is(err, ErrTooManySegments) {
 		t.Fatalf("SubmitV with %d segments: (%v, %v), want nothing posted and ErrTooManySegments", len(five), b, err)
@@ -220,7 +219,7 @@ func TestSecurityDescriptorManipulation(t *testing.T) {
 		"window past the slab": {good, {Slab: slab, Off: 4090, Len: 8}},
 		"length wraps uint32":  {{Slab: slab, Off: 8, Len: ^uint32(0)}},
 	} {
-		if ret, err := r.CallZC(0, 0, segs); err != nil || ret != ^uint64(0) {
+		if ret, err := r.CallV(VecCall{Segs: segs}); err != nil || ret != ^uint64(0) {
 			t.Fatalf("%s: (%#x, %v), want the sentinel", name, ret, err)
 		}
 	}
@@ -228,7 +227,7 @@ func TestSecurityDescriptorManipulation(t *testing.T) {
 		t.Fatalf("%s = %d, want 4", telemetry.MetricHotCallRejected, n)
 	}
 	// The responder is still alive, and a whole-slab window is still legal.
-	if ret, err := r.CallZC(0, 0, []Segment{good, {Slab: slab, Len: 4096}}); err != nil || ret != 8+8 {
+	if ret, err := r.CallV(VecCall{Segs: []Segment{good, {Slab: slab, Len: 4096}}}); err != nil || ret != 8+8 {
 		t.Fatalf("responder dead after attacks: (%d, %v)", ret, err)
 	}
 
@@ -251,7 +250,7 @@ func TestSecurityDescriptorManipulation(t *testing.T) {
 	tp.Start()
 	defer tp.Stop()
 	validated := Segment{Slab: tslab, Len: 8}
-	if _, err := tr.CallZC(0, 0, []Segment{validated}); err != nil {
+	if _, err := tr.CallV(VecCall{Segs: []Segment{validated}}); err != nil {
 		t.Fatal(err)
 	}
 	if saw != validated {

@@ -31,7 +31,7 @@ func TestTimeoutFallbackTelemetry(t *testing.T) {
 	p := NewCallPool(echoTable(), PoolOptions{Shards: 1, SlotsPerShard: 1, Timeout: 5})
 	p.SetTelemetry(reg)
 	r := p.Requester()
-	if _, err := r.Submit(0, 0); err != nil {
+	if _, err := submitOne(r, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Call(0, 1); !errors.Is(err, ErrTimeout) {
@@ -39,7 +39,7 @@ func TestTimeoutFallbackTelemetry(t *testing.T) {
 	}
 	wantTraffic(t, reg, 2, 1, 0)
 
-	ret, err := r.CallOrFallback(0, 2, func() (uint64, error) { return 777, nil })
+	ret, err := r.CallOrFallback(VecCall{Data: 2}, func() (uint64, error) { return 777, nil })
 	if err != nil || ret != 777 {
 		t.Fatalf("fallback = (%d, %v)", ret, err)
 	}
@@ -57,8 +57,8 @@ func TestCallSuccessTelemetry(t *testing.T) {
 	r := p.Requester()
 	const calls = 25
 	for i := uint64(0); i < calls; i++ {
-		if ret, err := r.CallOrFallback(0, i, nil); err != nil || ret != i {
-			t.Fatalf("CallOrFallback(0, %d) = (%d, %v)", i, ret, err)
+		if ret, err := r.CallOrFallback(VecCall{Data: i}, nil); err != nil || ret != i {
+			t.Fatalf("CallOrFallback(%d) = (%d, %v)", i, ret, err)
 		}
 	}
 	wantTraffic(t, reg, calls, 0, 0)

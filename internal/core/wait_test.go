@@ -49,18 +49,18 @@ func TestPoolWaitOversubscribedExactlyOnce(t *testing.T) {
 					return
 				}
 			}
-			var pending [window]*PoolPending
+			var pending [window]*PoolBatch
 			for d := uint64(perPhase); d < 2*perPhase; d += window {
 				for j := range pending {
 					var err error
-					if pending[j], err = r.Submit(0, d+uint64(j)); err != nil {
-						t.Errorf("requester %d: Submit(%d): %v", r.Index(), d+uint64(j), err)
+					if pending[j], err = submitOne(r, 0, d+uint64(j)); err != nil {
+						t.Errorf("requester %d: SubmitV(%d): %v", r.Index(), d+uint64(j), err)
 						return
 					}
 				}
 				for j, pd := range pending {
-					if ret, err := pd.Wait(); err != nil || ret != mix(r.Index(), d+uint64(j)) {
-						t.Errorf("requester %d: Wait(%d) = (%d, %v)", r.Index(), d+uint64(j), ret, err)
+					if ret, err := waitOne(pd); err != nil || ret != mix(r.Index(), d+uint64(j)) {
+						t.Errorf("requester %d: WaitAll(%d) = (%d, %v)", r.Index(), d+uint64(j), ret, err)
 						return
 					}
 				}
@@ -123,13 +123,13 @@ func TestPoolWaitBudgetAdapts(t *testing.T) {
 	p.spinMax, r.spin = spinBudget, spinBudget
 	rounds := 0
 	for ; r.spin > 0 && rounds < 200; rounds++ {
-		pd, err := r.Submit(1, 0)
+		pd, err := submitOne(r, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		<-entered
 		go func() { gate <- struct{}{} }()
-		if _, err := pd.Wait(); err != nil {
+		if _, err := waitOne(pd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,13 +170,13 @@ func TestPoolStopDuringWait(t *testing.T) {
 		wait func(r *Requester) error
 	}{
 		{"Call", func(r *Requester) error { _, err := r.Call(1, 0); return err }},
-		{"CallZC", func(r *Requester) error { _, err := r.CallZC(1, 0, seg); return err }},
+		{"CallV", func(r *Requester) error { _, err := r.CallV(VecCall{ID: 1, Segs: seg}); return err }},
 		{"Wait", func(r *Requester) error {
-			pd, err := r.Submit(1, 0)
+			pd, err := submitOne(r, 1, 0)
 			if err != nil {
 				return err
 			}
-			_, err = pd.Wait()
+			_, err = waitOne(pd)
 			return err
 		}},
 		{"WaitAll", func(r *Requester) error {

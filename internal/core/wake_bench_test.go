@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"hotcalls/internal/flight"
 )
 
 // BenchmarkPoolWake prices the three ways a synchronous call can meet the
@@ -63,7 +61,7 @@ func BenchmarkPoolWake(b *testing.B) {
 	// signalled is the pre-inline call: post, wake the responder, wait
 	// for it.
 	signalled := func(p *CallPool, r *Requester, d uint64) (uint64, error) {
-		s, fr, err := r.post(flight.Callsite{}, 0, d, nil)
+		s, fr, err := r.post(&VecCall{Data: d})
 		if err != nil {
 			return 0, err
 		}
@@ -142,7 +140,7 @@ func BenchmarkPoolWake(b *testing.B) {
 		for i := range samples {
 			park(p)
 			t0 := time.Now()
-			s, fr, err := r.post(flight.Callsite{}, 0, uint64(i), nil)
+			s, fr, err := r.post(&VecCall{Data: uint64(i)})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -54,11 +54,11 @@ import (
 const cacheLine = 64
 
 // UnlabelledName is callsite 0, stamped on calls made through APIs that
-// never registered a callsite (plain Call/Submit).
+// never registered a callsite (plain Call, or a VecCall without Site).
 const UnlabelledName = "(unlabelled)"
 
 // Callsite is a cheap registered-callsite handle, stamped on every call
-// at Call/Submit time.  The zero value is the "(unlabelled)" callsite,
+// as its VecCall.Site.  The zero value is the "(unlabelled)" callsite,
 // so unannotated call paths still aggregate somewhere visible.
 type Callsite struct{ id uint16 }
 

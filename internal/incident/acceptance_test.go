@@ -39,19 +39,13 @@ func TestAcceptanceFallbackStormBundle(t *testing.T) {
 
 	// Wedge the fabric: the lone responder claims the first call and
 	// blocks on the gate; three more submissions fill the window.
-	var parked []*core.PoolPending
-	for i := 0; i < 4; i++ {
-		pd, err := r.Submit(0, uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parked = append(parked, pd)
+	parked, err := r.SubmitV([]core.VecCall{{Data: 0}, {Data: 1}, {Data: 2}, {Data: 3}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer func() {
 		close(gate)
-		for _, pd := range parked {
-			_, _ = pd.Wait()
-		}
+		_ = parked.WaitAll(nil)
 		p.Stop()
 	}()
 
@@ -67,7 +61,7 @@ func TestAcceptanceFallbackStormBundle(t *testing.T) {
 
 	storm := func() {
 		for i := 0; i < 50; i++ {
-			if _, err := r.CallOrFallbackAt(cs, 0, uint64(i), func() (uint64, error) {
+			if _, err := r.CallOrFallback(core.VecCall{Data: uint64(i), Site: cs}, func() (uint64, error) {
 				return 0, nil
 			}); err != nil {
 				t.Fatal(err)

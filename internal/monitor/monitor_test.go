@@ -143,13 +143,13 @@ func TestFallbackStormOnSleepingResponder(t *testing.T) {
 	gate := make(chan struct{})
 	r := startPool(t, reg, core.PoolOptions{Shards: 1, SlotsPerShard: 1},
 		func(int, uint64) uint64 { <-gate; return 0 }).Requester()
-	wedged, err := r.Submit(0, 0)
+	wedged, err := r.SubmitV([]core.VecCall{{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		close(gate)
-		if _, err := wedged.Wait(); err != nil {
+		if err := wedged.WaitAll(nil); err != nil {
 			t.Errorf("wedged call after the handler returned: %v", err)
 		}
 	}()
@@ -161,7 +161,7 @@ func TestFallbackStormOnSleepingResponder(t *testing.T) {
 	// back to the SDK path.
 	var fallbacks int
 	for i := 0; i < 50; i++ {
-		if _, err := r.CallOrFallback(0, 0, func() (uint64, error) {
+		if _, err := r.CallOrFallback(core.VecCall{}, func() (uint64, error) {
 			fallbacks++
 			return 0, nil
 		}); err != nil {

@@ -78,23 +78,17 @@ func TestPoolSaturationEndToEnd(t *testing.T) {
 		load.Add(1)
 		go func() {
 			defer load.Done()
-			pending := make([]*core.PoolPending, 0, window)
+			calls := make([]core.VecCall, window)
 			for i := uint64(0); !stop.Load(); {
-				for len(pending) < window {
-					pd, err := r.Submit(0, i)
-					if err != nil {
-						return
-					}
-					pending = append(pending, pd)
+				for j := range calls {
+					calls[j].Data = i
 					i++
 				}
-				for _, pd := range pending {
-					pd.Wait()
+				b, err := r.SubmitV(calls)
+				if err != nil {
+					return
 				}
-				pending = pending[:0]
-			}
-			for _, pd := range pending {
-				pd.Poll()
+				b.WaitAll(nil)
 			}
 		}()
 	}

@@ -184,7 +184,7 @@ func (sa *Sampler) Sample(now time.Time) Sample {
 	s.DEPCFaults = sub(s.EPCFaults, p[telemetry.MetricEPCFaults])
 	s.DEPCEvicts = sub(s.EPCEvictions, p[telemetry.MetricEPCEvictions])
 
-	// The request counter increments per Call/Submit attempt whether or
+	// The request counter increments per posted-call attempt whether or
 	// not submission succeeded, so the rates are per attempted call.
 	s.TimeoutRate = ratio(s.DTimeouts, s.DSubmissions)
 	s.FallbackRate = ratio(s.DFallbacks, s.DSubmissions)

@@ -33,7 +33,7 @@ func TestMonitorVsWorkloadRace(t *testing.T) {
 		go func() {
 			defer callers.Done()
 			for i := 0; i < perRequester; i++ {
-				if _, err := r.CallOrFallback(0, 0, func() (uint64, error) { return 0, nil }); err != nil {
+				if _, err := r.CallOrFallback(core.VecCall{}, func() (uint64, error) { return 0, nil }); err != nil {
 					t.Error(err)
 					return
 				}
