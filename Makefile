@@ -9,8 +9,12 @@ GO ?= go
 # that stages calls, run the examples, then the full suite.
 check: vet build build-cross loc test-race test-repeat test-poison examples test
 
+# vet also fails on any Go file gofmt would change (the benchmark's build
+# cache aside).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -30,7 +34,7 @@ build-cross:
 LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
 OBSERVABILITY = telemetry dist flight incident monitor profile epcstat
 OBSERVABILITY_CEILING = 5724
-TOTAL_CEILING = 19344
+TOTAL_CEILING = 19250
 loc:
 	@obs=$$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY)))); total=$$($(call LOC,.)); \
 	echo "fabric (internal/core)  $$($(call LOC,./internal/core))"; \

@@ -287,16 +287,11 @@ func BenchmarkFig10Apps(b *testing.B) {
 	b.Run("memcached", func(b *testing.B) {
 		for _, mode := range []porting.Mode{porting.Native, porting.SGX, porting.HotCallsNRZ} {
 			b.Run(mode.String(), func(b *testing.B) {
-				s := memcached.NewServer(mode)
-				w := memcached.NewWorkload(s, 7)
+				w := memcached.NewWorkload(memcached.NewServer(mode), 7)
 				var clk sim.Clock
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					w.InjectNext()
-					s.ServeOne(&clk)
-					if _, err := w.DrainResponse(); err != nil {
-						b.Fatal(err)
-					}
+					w.Step(&clk)
 				}
 				reportSimCycles(b, clk.Now())
 			})
@@ -304,11 +299,7 @@ func BenchmarkFig10Apps(b *testing.B) {
 	})
 	b.Run("openvpn", func(b *testing.B) {
 		s := openvpn.NewServer(porting.HotCallsNRZ)
-		var ck [16]byte
-		var mk [32]byte
-		copy(ck[:], "tunnel-cipher-k!")
-		copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
-		seal := openvpn.NewCipher(ck, mk)
+		seal := openvpn.SessionCipher()
 		payload := make([]byte, openvpn.IperfPayload)
 		var clk sim.Clock
 		b.ResetTimer()
@@ -322,13 +313,7 @@ func BenchmarkFig10Apps(b *testing.B) {
 		var clk sim.Clock
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			client := s.InjectRequest("/")
-			s.ServeOne(&clk)
-			for {
-				if _, ok := s.App.Kernel.TakeRX(client); !ok {
-					break
-				}
-			}
+			s.Fetch(&clk, "/")
 		}
 		reportSimCycles(b, clk.Now())
 	})

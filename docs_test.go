@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,12 +34,15 @@ var (
 	fence    = regexp.MustCompile("(?m)^[ \t]*(?:```|~~~).*$")
 	codeSpan = regexp.MustCompile("(`+)([^`]+)(`+)")
 	target   = regexp.MustCompile(`(?m)^([\w.-]+)[ \t]*:([^=]|$)`)
+	// repoPath is a path into the tree: a top-level directory, then path
+	// characters and {a,b} groups.  A :line suffix ends it.
+	repoPath = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:internal|cmd|examples|benchmarks|incidents|\.claude|\.github)/(?:[\w.*<>/-]|\{[^{}\s]*\})*)`)
 )
 
 // TestDocsResolve reads the code the documents quote — inline spans and
 // fenced blocks — and fails on every test, benchmark, fuzz target or
-// example name that no _test.go file defines, and on every `make X`
-// whose X is not a Makefile target.
+// example name that no _test.go file defines, on every `make X` whose X
+// is not a Makefile target, and on every repo path that does not exist.
 func TestDocsResolve(t *testing.T) {
 	funcs := testFuncs(t)
 	mk, err := os.ReadFile("Makefile")
@@ -48,6 +52,18 @@ func TestDocsResolve(t *testing.T) {
 	targets := map[string]bool{}
 	for _, m := range target.FindAllStringSubmatch(string(mk), -1) {
 		targets[m[1]] = true
+	}
+	// The .gitignore's directories hold build and run output, which a
+	// fresh checkout does not have: a path under one need not exist.
+	ignore, err := os.ReadFile(".gitignore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outputDirs []string
+	for _, l := range strings.Split(string(ignore), "\n") {
+		if strings.HasSuffix(l, "/") && !strings.HasPrefix(l, "#") {
+			outputDirs = append(outputDirs, l)
+		}
 	}
 	for _, doc := range checkedDocs {
 		raw, err := os.ReadFile(doc)
@@ -70,6 +86,16 @@ func TestDocsResolve(t *testing.T) {
 			for _, m := range makeCmd.FindAllStringSubmatch(c.code, -1) {
 				if !targets[m[1]] {
 					t.Errorf("%s:%d: make %s is not a Makefile target", doc, line, m[1])
+				}
+			}
+			for _, m := range repoPath.FindAllStringSubmatch(c.code, -1) {
+				if strings.ContainsAny(m[1], "*<") || slices.ContainsFunc(outputDirs, func(d string) bool { return strings.HasPrefix(m[1], d) }) {
+					continue // a glob, a placeholder or output
+				}
+				for _, p := range expandBraces(strings.TrimRight(m[1], ".")) {
+					if _, err := os.Stat(p); err != nil {
+						t.Errorf("%s:%d: %s does not exist", doc, line, p)
+					}
 				}
 			}
 		}
@@ -106,6 +132,21 @@ func testFuncs(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	return funcs
+}
+
+// expandBraces expands each {a,b} group of a path into one path per
+// alternative.
+func expandBraces(p string) []string {
+	lo := strings.IndexByte(p, '{')
+	if lo < 0 {
+		return []string{p}
+	}
+	hi := lo + strings.IndexByte(p[lo:], '}')
+	var out []string
+	for _, alt := range strings.Split(p[lo+1:hi], ",") {
+		out = append(out, expandBraces(p[:lo]+alt+p[hi+1:])...)
+	}
+	return out
 }
 
 // resolves reports whether name is a test function, or in a pattern the

@@ -21,12 +21,7 @@ func main() {
 	w := memcached.NewWorkload(s, 1)
 	var clk sim.Clock
 	for i := 0; i < 3; i++ {
-		w.InjectNext()
-		s.ServeOne(&clk)
-		resp, err := w.DrainResponse()
-		if err != nil {
-			panic(err)
-		}
+		resp := w.Step(&clk)
 		fmt.Printf("request %d: status=%d, %d value bytes, clock=%d cycles\n",
 			i+1, resp.Status, len(resp.Value), clk.Now())
 	}

@@ -207,3 +207,46 @@ func TestServerServesByPath(t *testing.T) {
 		t.Fatalf("body = %q", body)
 	}
 }
+
+// TestServerAnswersHostileRequests sends request heads the scanner
+// rejects and a path longer than the server's path buffer: each gets a
+// bodiless 400 or 404, and the server goes on serving the next request.
+func TestServerAnswersHostileRequests(t *testing.T) {
+	cases := []struct {
+		raw, status string
+	}{
+		{"", "400"},
+		{"garbage\r\n\r\n", "400"},
+		{"BREW /pot HTTP/1.0\r\n\r\n", "400"},
+		{"GET /" + strings.Repeat("a", 59) + " HTTP/1.0\r\n\r\n", "404"},
+		{"GET /" + strings.Repeat("a", 500) + " HTTP/1.0\r\n\r\n", "404"},
+	}
+	for _, mode := range porting.Modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := NewServer(mode)
+			var clk sim.Clock
+			for _, c := range cases {
+				client, err := s.App.Kernel.InjectConnection(s.listenFD)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.raw != "" {
+					if _, err := s.App.Kernel.Send(new(sim.Clock), "client_tx", client, 0, []byte(c.raw)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.ServeOne(&clk)
+				head, _ := s.App.Kernel.TakeRX(client)
+				if !strings.HasPrefix(string(head), "HTTP/1.0 "+c.status+" ") {
+					t.Fatalf("%.40q: head = %q, want status %s", c.raw, head, c.status)
+				}
+				if _, more := s.App.Kernel.TakeRX(client); more {
+					t.Fatalf("%.40q: error response carries a body", c.raw)
+				}
+			}
+			if head := s.Fetch(&clk, "/"); !strings.HasPrefix(string(head), "HTTP/1.0 200 OK") {
+				t.Fatalf("after hostile requests: head = %q", head)
+			}
+		})
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hotcalls/internal/apps/porting"
-	"hotcalls/internal/osapi"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
 )
@@ -103,101 +102,6 @@ func NewServer(mode porting.Mode) *Server {
 	about := []byte("<html><body>lighttpd-sim 1.4.41 running inside an enclave</body></html>")
 	k.WriteFS("/www/about.html", about)
 
-	app.BindUntrusted("ocall_socket", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		return uint64(k.Socket(ctx.Clk))
-	})
-	app.BindUntrusted("ocall_listen", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		if err := k.Listen(ctx.Clk, int(args[0].Scalar)); err != nil {
-			panic(err)
-		}
-		return 0
-	})
-	app.BindUntrusted("ocall_accept", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		fd, err := k.Accept(ctx.Clk, int(args[0].Scalar))
-		if err != nil {
-			panic(err)
-		}
-		return uint64(fd)
-	})
-	app.BindUntrusted("ocall_inet_ntop", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		// Utility call: formats the peer address (no OS involvement —
-		// the paper notes it could live inside the enclave).
-		ctx.Clk.Advance(120)
-		copy(args[1].Buf.Data, "192.168.1.77")
-		return 12
-	})
-	app.BindUntrusted("ocall_inet_addr", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		ctx.Clk.Advance(110)
-		return 0xC0A8014D
-	})
-	app.BindUntrusted("ocall_setsockopt", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		k.Setsockopt(ctx.Clk)
-		return 0
-	})
-	app.BindUntrusted("ocall_ioctl", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		k.Ioctl(ctx.Clk)
-		return 0
-	})
-	app.BindUntrusted("ocall_fcntl", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		k.Fcntl(ctx.Clk)
-		return 0
-	})
-	app.BindUntrusted("ocall_epoll_ctl", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		k.EpollCtl(ctx.Clk)
-		return 0
-	})
-	app.BindUntrusted("ocall_read", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		buf := args[1].Buf
-		n, err := k.Recv(ctx.Clk, "read", int(args[0].Scalar), buf.Addr, buf.Data[:args[2].Scalar])
-		if err == osapi.ErrWouldBlock {
-			return 0 // EAGAIN on the non-blocking socket
-		}
-		if err != nil {
-			panic(err)
-		}
-		return uint64(n)
-	})
-	app.BindUntrusted("ocall_fxstat64", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		size, err := k.Fstat(ctx.Clk, int(args[0].Scalar))
-		if err != nil {
-			panic(err)
-		}
-		return uint64(size)
-	})
-	app.BindUntrusted("ocall_open64", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		path := string(args[0].Buf.Data[:clen(args[0].Buf.Data)])
-		fd, err := k.Open(ctx.Clk, path)
-		if err != nil {
-			return ^uint64(0) // ENOENT: the handler answers 404
-		}
-		return uint64(fd)
-	})
-	app.BindUntrusted("ocall_sendfile64", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		n, err := k.Sendfile(ctx.Clk, int(args[0].Scalar), int(args[1].Scalar))
-		if err != nil {
-			panic(err)
-		}
-		return uint64(n)
-	})
-	app.BindUntrusted("ocall_writev", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		buf := args[1].Buf
-		n, err := k.Send(ctx.Clk, "writev", int(args[0].Scalar), buf.Addr, buf.Data[:args[2].Scalar])
-		if err != nil {
-			panic(err)
-		}
-		return uint64(n)
-	})
-	app.BindUntrusted("ocall_shutdown", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		if err := k.Shutdown(ctx.Clk, int(args[0].Scalar)); err != nil {
-			panic(err)
-		}
-		return 0
-	})
-	app.BindUntrusted("ocall_close", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		k.Close(ctx.Clk, int(args[0].Scalar))
-		return 0
-	})
-
 	app.BindTrusted("ecall_main", func(env *porting.Env, args []sdk.Arg) uint64 {
 		fd, err := env.OCall("ocall_socket")
 		if err != nil {
@@ -224,15 +128,6 @@ func NewServer(mode porting.Mode) *Server {
 	s.pathBuf = app.AllocBuffer(&clk, 64)
 	copy(s.addrBuf.Data, "192.168.1.77\x00")
 	return s
-}
-
-func clen(b []byte) int {
-	for i, c := range b {
-		if c == 0 {
-			return i
-		}
-	}
-	return len(b)
 }
 
 // handleConnection serves one HTTP/1.0 connection end to end: accept,
@@ -279,7 +174,7 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 	}
 	req, err := scanRequest(s.rawBuf, nil)
 	if err != nil {
-		panic(err)
+		return s.reject(ocall, conn, 400)
 	}
 	closeWork := env.Section(porting.CatAppWork)
 	env.Clk.Advance(cpuWorkPerRequest)
@@ -290,19 +185,15 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 	n := copy(path, "/www")
 	if reqPath := s.rawBuf[req.path.lo:req.path.hi]; string(reqPath) == "/" {
 		n += copy(path[n:], "/index.html")
-	} else {
+	} else if n+len(reqPath) < len(path) {
 		n += copy(path[n:], reqPath)
+	} else {
+		return s.reject(ocall, conn, 404) // no document has so long a name
 	}
 	path[n] = 0
 	open := ocall("ocall_open64", sdk.Buf(s.pathBuf))
 	if open == ^uint64(0) {
-		// Missing document: a 404 without a body.
-		head := appendResponseHead(s.headBuf.Data[:0], 404, 0)
-		ocall("ocall_writev", sdk.Scalar(uint64(conn)), sdk.Buf(s.headBuf), sdk.Scalar(uint64(len(head))))
-		ocall("ocall_shutdown", sdk.Scalar(uint64(conn)))
-		ocall("ocall_close", sdk.Scalar(uint64(conn)))
-		s.served++
-		return 404
+		return s.reject(ocall, conn, 404)
 	}
 	fd := int(open)
 	size := 0
@@ -323,6 +214,17 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 	}
 	s.served++
 	return uint64(size)
+}
+
+// reject answers the connection with a bodiless error response and tears
+// it down.
+func (s *Server) reject(ocall func(string, ...sdk.Arg) uint64, conn, status int) uint64 {
+	head := appendResponseHead(s.headBuf.Data[:0], status, 0)
+	ocall("ocall_writev", sdk.Scalar(uint64(conn)), sdk.Buf(s.headBuf), sdk.Scalar(uint64(len(head))))
+	ocall("ocall_shutdown", sdk.Scalar(uint64(conn)))
+	ocall("ocall_close", sdk.Scalar(uint64(conn)))
+	s.served++
+	return uint64(status)
 }
 
 // ServeOne accepts and serves one queued connection through the configured
@@ -353,6 +255,18 @@ func (s *Server) InjectRequest(path string) int {
 	return client
 }
 
+// Fetch serves one GET end to end: inject the request, serve it on clk,
+// and drain every response packet.  It returns the response head.
+func (s *Server) Fetch(clk *sim.Clock, path string) (head []byte) {
+	client := s.InjectRequest(path)
+	s.ServeOne(clk)
+	head, _ = s.App.Kernel.TakeRX(client)
+	for more := true; more; {
+		_, more = s.App.Kernel.TakeRX(client)
+	}
+	return head
+}
+
 // Served returns the number of completed requests.
 func (s *Server) Served() uint64 { return s.served }
 
@@ -367,16 +281,7 @@ const clientThinkSeconds = 0.35e-3
 // given simulated duration.
 func Run(mode porting.Mode, simSeconds float64) porting.Metrics {
 	s := NewServer(mode)
-	m := porting.RunClosedLoop(Outstanding, sim.Cycles(simSeconds), func(clk *sim.Clock) {
-		client := s.InjectRequest("/")
-		s.ServeOne(clk)
-		// Drain the response (headers + body) on the generator side.
-		for {
-			if _, ok := s.App.Kernel.TakeRX(client); !ok {
-				break
-			}
-		}
-	})
+	m := porting.RunClosedLoop(Outstanding, sim.Cycles(simSeconds), func(clk *sim.Clock) { s.Fetch(clk, "/") })
 	for _, l := range []*float64{&m.AvgLatency, &m.P50Latency, &m.P99Latency} {
 		if *l > clientThinkSeconds {
 			*l -= clientThinkSeconds

@@ -283,3 +283,36 @@ func TestServerDelete(t *testing.T) {
 		t.Fatalf("get after delete: %+v", resp)
 	}
 }
+
+// TestServerDropsUndecodablePackets sends packets the binary protocol
+// rejects: each is dropped without a response, and the server goes on
+// answering the next valid request.
+func TestServerDropsUndecodablePackets(t *testing.T) {
+	get := make([]byte, bufCap)
+	n, _ := EncodeRequest(get, &Request{Op: OpGet, Key: "k"})
+	get = get[:n]
+	badMagic, badOp, overlong := bytes.Clone(get), bytes.Clone(get), bytes.Clone(get)
+	badMagic[0] = 0xff
+	badOp[1] = 0x7f
+	overlong[11] = 0xff // a body length past the packet's end
+	hostile := [][]byte{[]byte("garbage"), badMagic, badOp, overlong}
+	for _, mode := range porting.Modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := NewServer(mode)
+			w := NewWorkload(s, 3)
+			var clk sim.Clock
+			for i, pkt := range hostile {
+				if err := s.App.Kernel.Inject(s.connFD, pkt); err != nil {
+					t.Fatal(err)
+				}
+				s.ServeOne(&clk)
+				if resp, err := w.DrainResponse(); err == nil {
+					t.Fatalf("packet %d: answered %+v, want dropped", i, resp)
+				}
+			}
+			if resp := w.Step(&clk); resp.Status != StatusOK && resp.Status != StatusNotFound {
+				t.Fatalf("after hostile packets: status %d", resp.Status)
+			}
+		})
+	}
+}

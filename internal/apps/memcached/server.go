@@ -74,33 +74,6 @@ func NewServer(mode porting.Mode) *Server {
 	s := &Server{App: app}
 	s.Store = NewStore(app, keyspace, ValueSize)
 
-	k := app.Kernel
-	app.BindUntrusted("ocall_socket", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		return uint64(k.Socket(ctx.Clk))
-	})
-	app.BindUntrusted("ocall_listen", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		if err := k.Listen(ctx.Clk, int(args[0].Scalar)); err != nil {
-			panic(err)
-		}
-		return 0
-	})
-	app.BindUntrusted("ocall_read", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		buf := args[1].Buf
-		n, err := k.Recv(ctx.Clk, "read", int(args[0].Scalar), buf.Addr, buf.Data[:args[2].Scalar])
-		if err != nil {
-			panic(err)
-		}
-		return uint64(n)
-	})
-	app.BindUntrusted("ocall_sendmsg", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		buf := args[1].Buf
-		n, err := k.Send(ctx.Clk, "sendmsg", int(args[0].Scalar), buf.Addr, buf.Data[:args[2].Scalar])
-		if err != nil {
-			panic(err)
-		}
-		return uint64(n)
-	})
-
 	app.BindTrusted("ecall_main", func(env *porting.Env, args []sdk.Arg) uint64 {
 		fd, err := env.OCall("ocall_socket")
 		if err != nil {
@@ -118,12 +91,12 @@ func NewServer(mode porting.Mode) *Server {
 	if _, err := app.Call(&clk, "ecall_main"); err != nil {
 		panic(err)
 	}
-	client, err := k.InjectConnection(s.listenFD)
+	client, err := app.Kernel.InjectConnection(s.listenFD)
 	if err != nil {
 		panic(err)
 	}
 	s.ClientFD = client
-	conn, err := k.Accept(&clk, s.listenFD)
+	conn, err := app.Kernel.Accept(&clk, s.listenFD)
 	if err != nil {
 		panic(err)
 	}
@@ -146,7 +119,7 @@ func (s *Server) handleEvent(env *porting.Env, args []sdk.Arg) uint64 {
 
 	req, err := decodeRequest(s.reqBuf.Data[:n])
 	if err != nil {
-		panic(fmt.Sprintf("memcached: bad request: %v", err))
+		return 0 // a packet that is no request: dropped, as memcached does
 	}
 	resp := Response{Op: req.op, Opaque: req.opaque, Status: StatusOK}
 	closeStore := env.Section(porting.CatDataStore)
@@ -249,6 +222,18 @@ func (w *Workload) DrainResponse() (*Response, error) {
 	return DecodeResponse(pkt)
 }
 
+// Step serves one request end to end: inject the next request, serve it
+// on clk, and return the drained response.
+func (w *Workload) Step(clk *sim.Clock) *Response {
+	w.InjectNext()
+	w.s.ServeOne(clk)
+	resp, err := w.DrainResponse()
+	if err != nil {
+		panic(err)
+	}
+	return resp
+}
+
 // Mix returns the SET and GET counts issued so far.
 func (w *Workload) Mix() (sets, gets uint64) { return w.sets, w.gets }
 
@@ -257,11 +242,5 @@ func (w *Workload) Mix() (sets, gets uint64) { return w.sets, w.gets }
 func Run(mode porting.Mode, simSeconds float64) porting.Metrics {
 	s := NewServer(mode)
 	w := NewWorkload(s, 77)
-	return porting.RunClosedLoop(Outstanding, sim.Cycles(simSeconds), func(clk *sim.Clock) {
-		w.InjectNext()
-		s.ServeOne(clk)
-		if _, err := w.DrainResponse(); err != nil {
-			panic(err)
-		}
-	})
+	return porting.RunClosedLoop(Outstanding, sim.Cycles(simSeconds), func(clk *sim.Clock) { w.Step(clk) })
 }

@@ -16,8 +16,7 @@ import (
 func TestDataPathAllocCeilings(t *testing.T) {
 	const runs = 100
 	payload := testPayload(IperfPayload, 3)
-	ck, mk := testKeys()
-	tx, rx := NewCipher(ck, mk), NewCipher(ck, mk)
+	tx, rx := SessionCipher(), SessionCipher()
 	// One frame per call (AllocsPerRun adds a warm-up call), so Open
 	// sees fresh packet IDs.
 	var frames [runs + 1][FrameOverhead + IperfPayload]byte

@@ -44,7 +44,7 @@ func TestMacMatchesFreshHMAC(t *testing.T) {
 }
 
 // Frames produced by the code before the keyed-once contexts, for
-// testKeys (goldenSeal: packet ID 1) and connection 0's relay keys.
+// the session keys (goldenSeal: packet ID 1) and connection 0's relay keys.
 const (
 	goldenSeal     = "000000017da30c090eeb128c4604e415521c2e39f8ed60b0d2448a1a3553f170c2e41455170c6d39f1e44a05760e61713dee2ea00ac7812a0d3efe153011c32ddca0ae80"
 	goldenRelayIn  = "00000001c2924fdbb96d7bf178a930e31571c0f023fafefbf9ea629f0b2c39c1d328f84dfebb8ad1f39154ffebcae0955a5d137e43af25c1e6ec81f2e7bee05ce498c026"
@@ -54,14 +54,13 @@ const (
 func TestGoldenFrameWireCompat(t *testing.T) {
 	payload := testPayload(48, 7)
 	want, _ := hex.DecodeString(goldenSeal)
-	ck, mk := testKeys()
 	out := make([]byte, MTU)
-	n, err := NewCipher(ck, mk).Open(out, want)
+	n, err := SessionCipher().Open(out, want)
 	if err != nil || !bytes.Equal(out[:n], payload) {
 		t.Fatalf("golden frame opened to (%x, %v)", out[:n], err)
 	}
 	frame := make([]byte, len(want))
-	if NewCipher(ck, mk).Seal(frame, payload); !bytes.Equal(frame, want) {
+	if SessionCipher().Seal(frame, payload); !bytes.Equal(frame, want) {
 		t.Fatalf("re-sealed frame = %x, want %x", frame, want)
 	}
 
@@ -92,8 +91,7 @@ func TestGoldenFrameWireCompat(t *testing.T) {
 // and the slab bytes exactly as they were, so its packet ID is still
 // good for the genuine frame.
 func TestMACCheckedBeforeReplayAndDecrypt(t *testing.T) {
-	ck, mk := testKeys()
-	tx, rx := NewCipher(ck, mk), NewCipher(ck, mk)
+	tx, rx := SessionCipher(), SessionCipher()
 	frame := make([]byte, FrameOverhead+100)
 	tx.nextID = 9
 	n := tx.Seal(frame, make([]byte, 100))
@@ -138,8 +136,8 @@ func TestMACCheckedBeforeReplayAndDecrypt(t *testing.T) {
 // mix their writes and miss the reference (and trip -race).
 func TestMacConcurrentUnderOneCipher(t *testing.T) {
 	const workers, frames = 8, 10000
-	ck, mk := testKeys()
-	c := NewCipher(ck, mk)
+	_, mk := sessionKeys()
+	c := SessionCipher()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

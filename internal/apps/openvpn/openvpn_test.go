@@ -13,17 +13,8 @@ import (
 	"hotcalls/internal/sim"
 )
 
-func testKeys() ([16]byte, [32]byte) {
-	var ck [16]byte
-	var mk [32]byte
-	copy(ck[:], "tunnel-cipher-k!")
-	copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
-	return ck, mk
-}
-
 func TestSealOpenRoundTrip(t *testing.T) {
-	ck, mk := testKeys()
-	tx, rx := NewCipher(ck, mk), NewCipher(ck, mk)
+	tx, rx := SessionCipher(), SessionCipher()
 	payload := bytes.Repeat([]byte{0x5a}, 1200)
 	frame := make([]byte, FrameOverhead+len(payload))
 	n := tx.Seal(frame, payload)
@@ -41,8 +32,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 }
 
 func TestCiphertextHidesPayload(t *testing.T) {
-	ck, mk := testKeys()
-	tx := NewCipher(ck, mk)
+	tx := SessionCipher()
 	payload := bytes.Repeat([]byte("secret!!"), 64)
 	frame := make([]byte, FrameOverhead+len(payload))
 	tx.Seal(frame, payload)
@@ -52,8 +42,7 @@ func TestCiphertextHidesPayload(t *testing.T) {
 }
 
 func TestTamperedFrameRejected(t *testing.T) {
-	ck, mk := testKeys()
-	tx, rx := NewCipher(ck, mk), NewCipher(ck, mk)
+	tx, rx := SessionCipher(), SessionCipher()
 	payload := make([]byte, 500)
 	frame := make([]byte, FrameOverhead+len(payload))
 	n := tx.Seal(frame, payload)
@@ -64,8 +53,7 @@ func TestTamperedFrameRejected(t *testing.T) {
 }
 
 func TestReplayRejected(t *testing.T) {
-	ck, mk := testKeys()
-	tx, rx := NewCipher(ck, mk), NewCipher(ck, mk)
+	tx, rx := SessionCipher(), SessionCipher()
 	payload := make([]byte, 100)
 	frame := make([]byte, FrameOverhead+len(payload))
 	n := tx.Seal(frame, payload)
@@ -79,16 +67,14 @@ func TestReplayRejected(t *testing.T) {
 }
 
 func TestShortFrameRejected(t *testing.T) {
-	ck, mk := testKeys()
-	rx := NewCipher(ck, mk)
+	rx := SessionCipher()
 	if _, err := rx.Open(make([]byte, MTU), []byte{1, 2, 3}); !errors.Is(err, ErrShortPkt) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestTunnelRoundTripProperty(t *testing.T) {
-	ck, mk := testKeys()
-	tx, rx := NewCipher(ck, mk), NewCipher(ck, mk)
+	tx, rx := SessionCipher(), SessionCipher()
 	frame := make([]byte, MTU+FrameOverhead)
 	out := make([]byte, MTU)
 	f := func(payload []byte) bool {
@@ -106,8 +92,7 @@ func TestTunnelRoundTripProperty(t *testing.T) {
 
 func TestServerForwardsRealData(t *testing.T) {
 	s := NewServer(porting.Native)
-	ck, mk := testKeys()
-	clientSeal := NewCipher(ck, mk)
+	clientSeal := SessionCipher()
 	payload := bytes.Repeat([]byte{7}, 1000)
 	var clk sim.Clock
 	s.ServePacket(&clk, clientSeal, payload, false)
@@ -126,8 +111,7 @@ func TestServerWorksInAllModes(t *testing.T) {
 	for _, mode := range porting.Modes {
 		t.Run(mode.String(), func(t *testing.T) {
 			s := NewServer(mode)
-			ck, mk := testKeys()
-			seal := NewCipher(ck, mk)
+			seal := SessionCipher()
 			payload := make([]byte, IperfPayload)
 			var clk sim.Clock
 			for i := 0; i < 10; i++ {
@@ -145,8 +129,7 @@ func TestTable2CallMix(t *testing.T) {
 	// write 30k/s, recvfrom 30k/s, read 13.6k/s, sendto 13.6k/s.
 	// Normalized per packet: 2.9 / 2.9 / 0.45 / 1 / 1 / 0.45 / 0.45.
 	s := NewServer(porting.SGX)
-	ck, mk := testKeys()
-	seal := NewCipher(ck, mk)
+	seal := SessionCipher()
 	payload := make([]byte, IperfPayload)
 	var clk sim.Clock
 	s.App.ResetCounters()
@@ -357,29 +340,32 @@ func TestDifferentNoncesDifferentKeys(t *testing.T) {
 }
 
 func TestServerDropsCorruptedFrames(t *testing.T) {
-	s := NewServer(porting.SGX)
-	ck, mk := testKeys()
-	seal := NewCipher(ck, mk)
-	payload := make([]byte, 600)
+	for _, mode := range porting.Modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := NewServer(mode)
+			seal := SessionCipher()
+			payload := make([]byte, 600)
 
-	// A tampered frame injected straight onto the transport.
-	frame := make([]byte, FrameOverhead+len(payload))
-	n := seal.Seal(frame, payload)
-	frame[FrameOverhead+1] ^= 1
-	if err := s.App.Kernel.Inject(s.udpFD, frame[:n]); err != nil {
-		t.Fatal(err)
-	}
-	var clk sim.Clock
-	s.plan = eventPlan{payload: 64}
-	if _, err := s.App.Call(&clk, "ecall_process_event", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
-		t.Fatal(err)
-	}
-	if s.Dropped() != 1 || s.ForwardedBytes() != 0 {
-		t.Fatalf("dropped=%d forwarded=%d, want 1, 0", s.Dropped(), s.ForwardedBytes())
-	}
-	// The server keeps serving legitimate traffic afterwards.
-	s.ServePacket(&clk, seal, payload, false)
-	if s.ForwardedBytes() != 600 {
-		t.Fatalf("server wedged after drop: forwarded=%d", s.ForwardedBytes())
+			// A tampered frame injected straight onto the transport.
+			frame := make([]byte, FrameOverhead+len(payload))
+			n := seal.Seal(frame, payload)
+			frame[FrameOverhead+1] ^= 1
+			if err := s.App.Kernel.Inject(s.udpFD, frame[:n]); err != nil {
+				t.Fatal(err)
+			}
+			var clk sim.Clock
+			s.plan = eventPlan{payload: 64}
+			if _, err := s.App.Call(&clk, "ecall_process_event", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
+				t.Fatal(err)
+			}
+			if s.Dropped() != 1 || s.ForwardedBytes() != 0 {
+				t.Fatalf("dropped=%d forwarded=%d, want 1, 0", s.Dropped(), s.ForwardedBytes())
+			}
+			// The server keeps serving legitimate traffic afterwards.
+			s.ServePacket(&clk, seal, payload, false)
+			if s.ForwardedBytes() != 600 {
+				t.Fatalf("server wedged after drop: forwarded=%d", s.ForwardedBytes())
+			}
+		})
 	}
 }

@@ -94,10 +94,7 @@ const tunnelPad = 64
 // connCiphers derives connection i's deterministic direction keys (a
 // deployment would run the TLS control channel instead).
 func connCiphers(i int) (rx, tx *Cipher) {
-	var ck [16]byte
-	var mk [32]byte
-	copy(ck[:], "tunnel-cipher-k!")
-	copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
+	ck, mk := sessionKeys()
 	ck[15] = byte(i)
 	mk[31] = byte(i)
 	rx = NewCipher(ck, mk)

@@ -86,57 +86,11 @@ type Server struct {
 	dropped        uint64
 }
 
-// NewServer boots the tunnel endpoint in the given mode with deterministic
-// session keys (in a deployment these arrive via remote attestation; see
-// the securetunnel example).
+// NewServer boots the tunnel endpoint in the given mode under the
+// deterministic session keys (see SessionCipher).
 func NewServer(mode porting.Mode) *Server {
 	app := porting.New(mode, porting.Config{Seed: 2021, EnclaveSize: 64 << 20}, EDL)
-	s := &Server{App: app}
-	var ck [16]byte
-	var mk [32]byte
-	copy(ck[:], "tunnel-cipher-k!")
-	copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
-	s.rx = NewCipher(ck, mk)
-	s.tx = NewCipher(ck, mk)
-
-	k := app.Kernel
-	app.BindUntrusted("ocall_socket", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		return uint64(k.Socket(ctx.Clk))
-	})
-	app.BindUntrusted("ocall_poll", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		return uint64(k.Poll(ctx.Clk, s.udpFD, s.tunFD))
-	})
-	app.BindUntrusted("ocall_time", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		return k.Time(ctx.Clk)
-	})
-	app.BindUntrusted("ocall_getpid", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		return uint64(k.GetPID(ctx.Clk))
-	})
-	recv := func(name string) func(*sdk.Ctx, []sdk.Arg) uint64 {
-		return func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-			buf := args[1].Buf
-			n, err := k.Recv(ctx.Clk, name, int(args[0].Scalar), buf.Addr, buf.Data[:args[2].Scalar])
-			if err != nil {
-				panic(err)
-			}
-			return uint64(n)
-		}
-	}
-	send := func(name string) func(*sdk.Ctx, []sdk.Arg) uint64 {
-		return func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-			buf := args[1].Buf
-			n, err := k.Send(ctx.Clk, name, int(args[0].Scalar), buf.Addr, buf.Data[:args[2].Scalar])
-			if err != nil {
-				panic(err)
-			}
-			return uint64(n)
-		}
-	}
-	app.BindUntrusted("ocall_recvfrom", recv("recvfrom"))
-	app.BindUntrusted("ocall_read", recv("read"))
-	app.BindUntrusted("ocall_write", send("write"))
-	app.BindUntrusted("ocall_sendto", send("sendto"))
-
+	s := &Server{App: app, rx: SessionCipher(), tx: SessionCipher()}
 	app.BindTrusted("ecall_main", func(env *porting.Env, args []sdk.Arg) uint64 {
 		udp, err := env.OCall("ocall_socket")
 		if err != nil {
@@ -156,6 +110,7 @@ func NewServer(mode porting.Mode) *Server {
 		panic(err)
 	}
 	// Peer the transport socket with a generator-visible endpoint.
+	k := app.Kernel
 	lfd := k.Socket(&clk)
 	if err := k.Listen(&clk, lfd); err != nil {
 		panic(err)
@@ -176,6 +131,20 @@ func NewServer(mode porting.Mode) *Server {
 	s.plainBuf = app.AllocBuffer(&clk, BufSize)
 	return s
 }
+
+// sessionKeys are the tunnel's deterministic session keys: the cipher key
+// and the MAC key.
+func sessionKeys() (ck [16]byte, mk [32]byte) {
+	copy(ck[:], "tunnel-cipher-k!")
+	copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
+	return ck, mk
+}
+
+// SessionCipher returns a fresh cipher under the session keys the
+// simulated server boots with (in a deployment these arrive via remote
+// attestation; see the securetunnel example): the peer seals the frames
+// it sends with one.
+func SessionCipher() *Cipher { return NewCipher(sessionKeys()) }
 
 // InjectFrame queues an encrypted frame on the tunnel transport, as the
 // remote peer would (generator side; sealed with the client-side keys).
@@ -317,11 +286,7 @@ func (s *Server) Dropped() uint64 { return s.dropped }
 // returns megabits per second, capped by the physical link.
 func RunIperf(mode porting.Mode, simSeconds float64) porting.Metrics {
 	s := NewServer(mode)
-	var ck [16]byte
-	var mk [32]byte
-	copy(ck[:], "tunnel-cipher-k!")
-	copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
-	clientSeal := NewCipher(ck, mk)
+	clientSeal := SessionCipher()
 	payload := make([]byte, IperfPayload)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -344,11 +309,7 @@ func RunIperf(mode porting.Mode, simSeconds float64) porting.Metrics {
 // state much sooner).
 func RunPing(mode porting.Mode, simSeconds float64) porting.Metrics {
 	s := NewServer(mode)
-	var ck [16]byte
-	var mk [32]byte
-	copy(ck[:], "tunnel-cipher-k!")
-	copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
-	clientSeal := NewCipher(ck, mk)
+	clientSeal := SessionCipher()
 	payload := make([]byte, PingPayload)
 	m := porting.RunClosedLoop(PingPreload, sim.Cycles(simSeconds), func(clk *sim.Clock) {
 		// An echo request traverses forward and the reply traverses

@@ -118,7 +118,8 @@ type Config struct {
 
 // New builds an application container in the given mode.  The EDL source
 // declares the app's edge interface, exactly as the Section 6.1 framework
-// generates it from the undefined-reference list.
+// generates it from the undefined-reference list, and each declared ocall
+// the framework has a landing function for is bound to it (landing.go).
 func New(mode Mode, cfg Config, edlSrc string) *App {
 	p := sgx.NewPlatform(cfg.Seed)
 	if cfg.EPCBytes > 0 {
@@ -153,6 +154,7 @@ func New(mode Mode, cfg Config, edlSrc string) *App {
 		RT:       rt,
 		Chan:     core.NewChannel(rt, p.RNG),
 	}
+	app.bindLandings()
 	return app
 }
 
@@ -172,12 +174,6 @@ func (a *App) BindTrusted(name string, fn func(*Env, []sdk.Arg) uint64) {
 		*env = Env{Clk: ctx.Clk, App: a, sdkCtx: ctx, tlbFlushed: true}
 		return fn(env, args)
 	})
-}
-
-// BindUntrusted registers an untrusted landing function (it talks to the
-// kernel).
-func (a *App) BindUntrusted(name string, fn func(*sdk.Ctx, []sdk.Arg) uint64) {
-	a.RT.MustBindOCall(name, fn)
 }
 
 // Call invokes a trusted entry point through the configured interface —

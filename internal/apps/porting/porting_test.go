@@ -24,13 +24,13 @@ enclave {
 func newApp(t testing.TB, mode Mode) *App {
 	t.Helper()
 	app := New(mode, Config{Seed: 99}, portEDL)
-	app.BindUntrusted("ocall_work", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
+	app.RT.MustBindOCall("ocall_work", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 {
 		for i := range args[0].Buf.Data {
 			args[0].Buf.Data[i] = byte(i)
 		}
 		return uint64(len(args[0].Buf.Data))
 	})
-	app.BindUntrusted("ocall_nop", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 { return 0 })
+	app.RT.MustBindOCall("ocall_nop", func(ctx *sdk.Ctx, args []sdk.Arg) uint64 { return 0 })
 	return app
 }
 

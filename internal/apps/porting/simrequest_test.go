@@ -18,33 +18,14 @@ func simCell(tb testing.TB, app string, mode porting.Mode) func(clk *sim.Clock) 
 	tb.Helper()
 	switch app {
 	case "memcached":
-		s := memcached.NewServer(mode)
-		w := memcached.NewWorkload(s, 77)
-		return func(clk *sim.Clock) {
-			w.InjectNext()
-			s.ServeOne(clk)
-			if _, err := w.DrainResponse(); err != nil {
-				tb.Fatal(err)
-			}
-		}
+		w := memcached.NewWorkload(memcached.NewServer(mode), 77)
+		return func(clk *sim.Clock) { w.Step(clk) }
 	case "lighttpd":
 		s := lighttpd.NewServer(mode)
-		return func(clk *sim.Clock) {
-			client := s.InjectRequest("/")
-			s.ServeOne(clk)
-			for {
-				if _, ok := s.App.Kernel.TakeRX(client); !ok {
-					break
-				}
-			}
-		}
+		return func(clk *sim.Clock) { s.Fetch(clk, "/") }
 	case "openvpn":
 		s := openvpn.NewServer(mode)
-		var ck [16]byte
-		var mk [32]byte
-		copy(ck[:], "tunnel-cipher-k!")
-		copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
-		seal := openvpn.NewCipher(ck, mk)
+		seal := openvpn.SessionCipher()
 		payload := make([]byte, openvpn.IperfPayload)
 		return func(clk *sim.Clock) {
 			s.ServePacket(clk, seal, payload, false)

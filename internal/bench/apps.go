@@ -81,41 +81,28 @@ func runApp(app string, mode porting.Mode) appResult {
 	return res
 }
 
-// requestLatency times every ServeOne of one application's HotCalls
+// requestLatency times every request of one application's HotCalls
 // closed loop — the same run as its Figure 10 point, with each request's
 // cycles kept.
 func requestLatency(app string) *sim.Sample {
-	s := new(sim.Sample)
-	timed := func(clk *sim.Clock, serveOne func(*sim.Clock)) {
-		start := clk.Now()
-		serveOne(clk)
-		s.AddCycles(clk.Since(start))
-	}
+	var step func(*sim.Clock)
+	var outstanding int
 	switch app {
 	case "memcached":
-		srv := memcached.NewServer(porting.HotCalls)
-		w := memcached.NewWorkload(srv, 77)
-		porting.RunClosedLoop(memcached.Outstanding, sim.Cycles(appSimSeconds), func(clk *sim.Clock) {
-			w.InjectNext()
-			timed(clk, srv.ServeOne)
-			if _, err := w.DrainResponse(); err != nil {
-				panic(err)
-			}
-		})
+		w := memcached.NewWorkload(memcached.NewServer(porting.HotCalls), 77)
+		step, outstanding = func(clk *sim.Clock) { w.Step(clk) }, memcached.Outstanding
 	case "lighttpd":
 		srv := lighttpd.NewServer(porting.HotCalls)
-		porting.RunClosedLoop(lighttpd.Outstanding, sim.Cycles(appSimSeconds), func(clk *sim.Clock) {
-			client := srv.InjectRequest("/")
-			timed(clk, srv.ServeOne)
-			for {
-				if _, ok := srv.App.Kernel.TakeRX(client); !ok {
-					break
-				}
-			}
-		})
+		step, outstanding = func(clk *sim.Clock) { srv.Fetch(clk, "/") }, lighttpd.Outstanding
 	default:
 		panic("bench: no request latency for app " + app)
 	}
+	s := new(sim.Sample)
+	porting.RunClosedLoop(outstanding, sim.Cycles(appSimSeconds), func(clk *sim.Clock) {
+		start := clk.Now()
+		step(clk)
+		s.AddCycles(clk.Since(start))
+	})
 	return s
 }
 
@@ -189,19 +176,11 @@ func runTable2() *Report {
 			s := memcached.NewServer(porting.SGX)
 			w := memcached.NewWorkload(s, seedFor(77))
 			s.App.ResetCounters()
-			m := porting.RunClosedLoop(memcached.Outstanding, sim.Cycles(appSimSeconds), func(clk *sim.Clock) {
-				w.InjectNext()
-				s.ServeOne(clk)
-				w.DrainResponse()
-			})
+			m := porting.RunClosedLoop(memcached.Outstanding, sim.Cycles(appSimSeconds), func(clk *sim.Clock) { w.Step(clk) })
 			return s.App.Counters(), m.SimSeconds, "ecall_run_enclave_function"
 		case "openvpn":
 			s := openvpn.NewServer(porting.SGX)
-			var ck [16]byte
-			var mk [32]byte
-			copy(ck[:], "tunnel-cipher-k!")
-			copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
-			seal := openvpn.NewCipher(ck, mk)
+			seal := openvpn.SessionCipher()
 			payload := make([]byte, openvpn.IperfPayload)
 			s.App.ResetCounters()
 			m := porting.RunClosedLoop(64, sim.Cycles(appSimSeconds), func(clk *sim.Clock) {
@@ -211,15 +190,7 @@ func runTable2() *Report {
 		default:
 			s := lighttpd.NewServer(porting.SGX)
 			s.App.ResetCounters()
-			m := porting.RunClosedLoop(lighttpd.Outstanding, sim.Cycles(appSimSeconds), func(clk *sim.Clock) {
-				client := s.InjectRequest("/")
-				s.ServeOne(clk)
-				for {
-					if _, ok := s.App.Kernel.TakeRX(client); !ok {
-						break
-					}
-				}
-			})
+			m := porting.RunClosedLoop(lighttpd.Outstanding, sim.Cycles(appSimSeconds), func(clk *sim.Clock) { s.Fetch(clk, "/") })
 			return s.App.Counters(), m.SimSeconds, "ecall_handle_connection"
 		}
 	}

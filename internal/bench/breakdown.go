@@ -38,20 +38,14 @@ func runBreakdown() *Report {
 			var clk sim.Clock
 			const n = 2000
 			for i := 0; i < n; i++ {
-				w.InjectNext()
-				s.ServeOne(&clk)
-				w.DrainResponse()
+				w.Step(&clk)
 			}
 			return prof, clk.Now(), n
 		}},
 		{"openvpn", func(mode porting.Mode) (*porting.Profile, uint64, uint64) {
 			s := openvpn.NewServer(mode)
 			prof := s.App.EnableProfile()
-			var ck [16]byte
-			var mk [32]byte
-			copy(ck[:], "tunnel-cipher-k!")
-			copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
-			seal := openvpn.NewCipher(ck, mk)
+			seal := openvpn.SessionCipher()
 			payload := make([]byte, openvpn.IperfPayload)
 			var clk sim.Clock
 			const n = 1500
@@ -66,13 +60,7 @@ func runBreakdown() *Report {
 			var clk sim.Clock
 			const n = 800
 			for i := 0; i < n; i++ {
-				client := s.InjectRequest("/")
-				s.ServeOne(&clk)
-				for {
-					if _, ok := s.App.Kernel.TakeRX(client); !ok {
-						break
-					}
-				}
+				s.Fetch(&clk, "/")
 			}
 			return prof, clk.Now(), n
 		}},

@@ -26,13 +26,7 @@ func runLoadCurve() *Report {
 		for _, mode := range []porting.Mode{porting.SGX, porting.HotCallsNRZ} {
 			s := memcached.NewServer(mode)
 			w := memcached.NewWorkload(s, seedFor(313))
-			m := porting.RunClosedLoop(outstanding, sim.Cycles(0.02), func(clk *sim.Clock) {
-				w.InjectNext()
-				s.ServeOne(clk)
-				if _, err := w.DrainResponse(); err != nil {
-					panic(err)
-				}
-			})
+			m := porting.RunClosedLoop(outstanding, sim.Cycles(0.02), func(clk *sim.Clock) { w.Step(clk) })
 			tbl.add(fmt.Sprint(outstanding), mode.String(),
 				f0(m.Throughput), fmt.Sprintf("%.3f", m.AvgLatency*1e3), fmt.Sprintf("%.3f", m.P99Latency*1e3))
 			fmt.Fprintf(&csv, "%d,%s,%.0f,%.4f,%.4f\n", outstanding, mode, m.Throughput, m.AvgLatency*1e3, m.P99Latency*1e3)

@@ -8,22 +8,22 @@ type Kind uint8
 
 // Boundary event kinds, covering every crossing the stack can make.
 const (
-	KindEcall    Kind = iota // SDK ecall span (EENTER..EEXIT)
-	KindOcall                // SDK ocall span (EEXIT..ERESUME)
-	KindHotECall             // HotCall ecall span (shared-memory protocol)
-	KindHotOCall             // HotCall ocall span
-	KindFallback             // HotCall timeout -> SDK fallback taken
-	KindEEnter               // EENTER leaf instruction
-	KindEExit                // EEXIT leaf instruction
-	KindEResume              // ERESUME leaf instruction
-	KindAEX                  // asynchronous exit
-	KindEPCFault             // EPC page fault: trap + ELDU (+ EWBs, in Arg)
-	KindEWB                  // EPC eviction write-back
-	KindMEEMiss              // MEE tree-cache miss burst (count in Arg)
-	KindMarshal              // argument staging / copy-out phase of a call
-	KindSpin                 // HotCall shared-memory sync (spin-wait) phase
-	KindHandler              // enclave-side handler body of a HotCall
-	KindMemAccess            // memory operation (MEE extra cycles in Arg)
+	KindEcall     Kind = iota // SDK ecall span (EENTER..EEXIT)
+	KindOcall                 // SDK ocall span (EEXIT..ERESUME)
+	KindHotECall              // HotCall ecall span (shared-memory protocol)
+	KindHotOCall              // HotCall ocall span
+	KindFallback              // HotCall timeout -> SDK fallback taken
+	KindEEnter                // EENTER leaf instruction
+	KindEExit                 // EEXIT leaf instruction
+	KindEResume               // ERESUME leaf instruction
+	KindAEX                   // asynchronous exit
+	KindEPCFault              // EPC page fault: trap + ELDU (+ EWBs, in Arg)
+	KindEWB                   // EPC eviction write-back
+	KindMEEMiss               // MEE tree-cache miss burst (count in Arg)
+	KindMarshal               // argument staging / copy-out phase of a call
+	KindSpin                  // HotCall shared-memory sync (spin-wait) phase
+	KindHandler               // enclave-side handler body of a HotCall
+	KindMemAccess             // memory operation (MEE extra cycles in Arg)
 )
 
 // String returns the kind's row label for trace viewers.
