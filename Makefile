@@ -29,20 +29,21 @@ build-cross:
 # loc prints the non-test Go line counts ROADMAP's north star is stated
 # in — the fabric against the apps, the observability packages and the
 # experiment harness — each counted the one way acceptance lines count,
-# and fails when observability or the total is over its ceiling: the
-# ratio the north star names only ratchets down.
+# and fails when the apps, observability or the total is over its
+# ceiling: the ratio the north star names only ratchets down.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
 OBSERVABILITY = telemetry dist flight incident monitor profile epcstat
+APPS_CEILING = 3314
 OBSERVABILITY_CEILING = 5724
-TOTAL_CEILING = 19250
+TOTAL_CEILING = 19241
 loc:
-	@obs=$$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY)))); total=$$($(call LOC,.)); \
+	@apps=$$($(call LOC,./internal/apps)); obs=$$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY)))); total=$$($(call LOC,.)); \
 	echo "fabric (internal/core)  $$($(call LOC,./internal/core))"; \
-	echo "apps (internal/apps)    $$($(call LOC,./internal/apps))"; \
+	echo "apps (internal/apps)    $$apps (ceiling $(APPS_CEILING))"; \
 	echo "observability           $$obs (ceiling $(OBSERVABILITY_CEILING))"; \
 	echo "internal/bench          $$($(call LOC,./internal/bench))"; \
 	echo "total                   $$total (ceiling $(TOTAL_CEILING))"; \
-	[ $$obs -le $(OBSERVABILITY_CEILING) ] && [ $$total -le $(TOTAL_CEILING) ]
+	[ $$apps -le $(APPS_CEILING) ] && [ $$obs -le $(OBSERVABILITY_CEILING) ] && [ $$total -le $(TOTAL_CEILING) ]
 
 test:
 	$(GO) test ./...

@@ -86,7 +86,7 @@ func equalAt[S ~string | ~[]byte](raw S, sp span, word string) bool {
 }
 
 // scanRequest is the one HTTP/1.0 request-head grammar, shared by
-// ParseRequest and the fabric handler.  Lines end in CRLF and the head
+// ParseRequest and route.  Lines end in CRLF and the head
 // ends at the first empty line or the end of the input; the request
 // line must hold exactly three white-space-separated fields
 // (ErrBadRequest), the first of them GET or HEAD (ErrBadMethod), and
@@ -138,6 +138,30 @@ func scanRequest[S ~string | ~[]byte](raw S, header func(line, colon, end int)) 
 		line = end + 2
 	}
 	return rl, nil
+}
+
+// indexPath is the document a request for "/" gets.
+var indexPath = []byte("/index.html")
+
+// route is lighttpd's one request body, run by both servers: it maps the
+// raw request head in buf[:n] to a status, the path of the document to
+// serve ("/" serves /index.html) and whether the method is HEAD, which
+// gets the head without the body.  n is the receive count the untrusted
+// side reported: one past the buffer is a bad request (400), as is a
+// head the scanner rejects.  Whether the document exists (404) is each
+// server's to find out from its own document store.
+func route(buf []byte, n uint64) (status int, path []byte, head bool) {
+	if n > uint64(len(buf)) {
+		return 400, nil, false
+	}
+	rl, err := scanRequest(buf[:n], nil)
+	if err != nil {
+		return 400, nil, false
+	}
+	if path = buf[rl.path.lo:rl.path.hi]; string(path) == "/" {
+		path = indexPath
+	}
+	return 200, path, rl.head
 }
 
 // ParseRequest parses an HTTP/1.0 request head.

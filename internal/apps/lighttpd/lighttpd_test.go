@@ -2,11 +2,13 @@ package lighttpd
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"hotcalls/internal/apps/porting"
+	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
 )
 
@@ -248,5 +250,29 @@ func TestServerAnswersHostileRequests(t *testing.T) {
 				t.Fatalf("after hostile requests: head = %q", head)
 			}
 		})
+	}
+}
+
+// TestServerRejectsHostileReceiveCount rebinds ocall_read to report more
+// bytes than the enclave buffer it was handed: the connection gets a
+// bodiless 400, in both edge-call modes.
+func TestServerRejectsHostileReceiveCount(t *testing.T) {
+	for _, count := range []uint64{readCap + 1, 1 << 20} {
+		for _, mode := range []porting.Mode{porting.SGX, porting.HotCalls} {
+			t.Run(fmt.Sprintf("%s/%d", mode, count), func(t *testing.T) {
+				s := NewServer(mode)
+				s.App.RT.MustBindOCall("ocall_read", func(*sdk.Ctx, []sdk.Arg) uint64 { return count })
+				var clk sim.Clock
+				client := s.InjectRequest("/")
+				s.ServeOne(&clk)
+				head, _ := s.App.Kernel.TakeRX(client)
+				if !strings.HasPrefix(string(head), "HTTP/1.0 400 ") {
+					t.Fatalf("head = %q, want status 400", head)
+				}
+				if _, more := s.App.Kernel.TakeRX(client); more {
+					t.Fatal("400 response carries a body")
+				}
+			})
+		}
 	}
 }

@@ -41,6 +41,9 @@ func oracleParseRequest(raw string) (*HTTPRequest, error) {
 func oracleServe(docroot map[string][]byte, raw string) []byte {
 	status, body := 200, []byte(nil)
 	req, err := oracleParseRequest(raw)
+	if err == nil && req.Path == "/" {
+		req.Path = "/index.html" // the one alias both servers route
+	}
 	if err != nil {
 		status = 400
 	} else if doc, ok := docroot[req.Path]; !ok {

@@ -148,7 +148,7 @@ func (s *PoolServer) Start() {
 // from one goroutine at a time.
 func (s *PoolServer) Conn(i int) *PoolConn { return s.conns[i] }
 
-// serve is the enclave-side handler: scan the raw request in place in
+// serve is the enclave-side handler: route the raw request in place in
 // the submitting connection's slot buffer, look the path up among the
 // document images, and return a reference to the answer — image index
 // and length, a HEAD's length stopping at the head.  No response byte
@@ -158,22 +158,20 @@ func (s *PoolServer) Conn(i int) *PoolConn { return s.conns[i] }
 // a length past the buffer.
 func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	slot, n := porting.UnpackData(data)
-	if slot >= connWindow || n > readCap {
+	if slot >= connWindow {
 		return porting.PackData(imgBadRequest, len(s.images[imgBadRequest]))
 	}
-	raw := s.conns[requester].bufs[slot][:n]
-	rl, err := scanRequest(raw, nil)
-	if err != nil {
+	status, path, head := route(s.conns[requester].bufs[slot][:], n)
+	if status != 200 {
 		return porting.PackData(imgBadRequest, len(s.images[imgBadRequest]))
 	}
-	path := raw[rl.path.lo:rl.path.hi]
 	doc, ok := s.docs[string(path)]
 	if !ok {
 		s.TouchEPC(requester, porting.FNV64(path), 1)
 		return porting.PackData(imgNotFound, len(s.images[imgNotFound]))
 	}
 	s.TouchEPC(requester, doc.hash, doc.pages)
-	if rl.head {
+	if head {
 		return porting.PackData(doc.image, doc.headLen)
 	}
 	return porting.PackData(doc.image, len(s.images[doc.image]))

@@ -12,6 +12,7 @@ import (
 
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
+	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
 )
 
@@ -72,6 +73,61 @@ func TestPoolServerHeadAndErrors(t *testing.T) {
 	resp, err = c.Do("NONSENSE\r\n\r\n")
 	if err != nil || !strings.HasPrefix(string(resp), "HTTP/1.0 400 Bad Request\r\n") {
 		t.Fatalf("400 = (%q, %v)", resp, err)
+	}
+}
+
+// TestClocksAgree sends the same request heads to the simulated Server
+// and through the fabric's PoolConn.Do: both run one route, so each
+// answers with the same status line and Content-Length, and a body
+// follows from both or from neither.
+func TestClocksAgree(t *testing.T) {
+	heads := []string{"NONSENSE /index.html\r\n\r\n"}
+	for _, method := range []string{"GET", "HEAD"} {
+		for _, path := range []string{"/", "/index.html", "/missing"} {
+			heads = append(heads, method+" "+path+" HTTP/1.0\r\nHost: sim\r\n\r\n")
+		}
+	}
+	// split cuts a response into its status line, its Content-Length
+	// and its body.
+	split := func(resp []byte) (status, length string, body []byte) {
+		head, body, _ := bytes.Cut(resp, []byte("\r\n\r\n"))
+		status, rest, _ := strings.Cut(string(head), "\r\n")
+		_, length, _ = strings.Cut(rest, "Content-Length: ")
+		length, _, _ = strings.Cut(length, "\r\n")
+		return status, length, body
+	}
+	sim1 := NewServer(porting.SGX)
+	fab := NewPoolServer(1, testPoolOpts(1))
+	fab.Start()
+	defer fab.Stop()
+	var clk sim.Clock
+	for _, raw := range heads {
+		client, err := sim1.App.Kernel.InjectConnection(sim1.listenFD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim1.App.Kernel.Send(new(sim.Clock), "client_tx", client, 0, []byte(raw)); err != nil {
+			t.Fatal(err)
+		}
+		sim1.ServeOne(&clk)
+		var simResp []byte
+		for {
+			pkt, more := sim1.App.Kernel.TakeRX(client)
+			if !more {
+				break
+			}
+			simResp = append(simResp, pkt...)
+		}
+		fabResp, err := fab.Conn(0).Do(raw)
+		if err != nil {
+			t.Fatalf("%q: fabric: %v", raw, err)
+		}
+		ss, sl, sb := split(simResp)
+		fs, fl, fb := split(fabResp)
+		if ss != fs || sl != fl || (len(sb) > 0) != (len(fb) > 0) {
+			t.Errorf("%q: simulated (%q, length %s, %d body bytes), fabric (%q, length %s, %d body bytes)",
+				raw, ss, sl, len(sb), fs, fl, len(fb))
+		}
 	}
 }
 

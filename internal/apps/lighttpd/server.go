@@ -167,14 +167,18 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 	for ; s.readCredit >= 1; s.readCredit-- {
 		reads++
 	}
+	// A read reporting more than readCap leaves received past the
+	// reassembled bytes, which route answers with 400.
 	s.rawBuf = s.rawBuf[:0]
+	received := uint64(0)
 	for i := 0; i < reads; i++ {
 		n := ocall("ocall_read", sdk.Scalar(uint64(conn)), sdk.Buf(s.readBuf), sdk.Scalar(readCap))
-		s.rawBuf = append(s.rawBuf, s.readBuf.Data[:n]...)
+		s.rawBuf = append(s.rawBuf, s.readBuf.Data[:min(n, readCap)]...)
+		received += min(n, readCap+1)
 	}
-	req, err := scanRequest(s.rawBuf, nil)
-	if err != nil {
-		return s.reject(ocall, conn, 400)
+	status, doc, headOnly := route(s.rawBuf, received)
+	if status != 200 {
+		return s.reject(ocall, conn, status)
 	}
 	closeWork := env.Section(porting.CatAppWork)
 	env.Clk.Advance(cpuWorkPerRequest)
@@ -183,14 +187,10 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 	// Stat and open the document.
 	path := s.pathBuf.Data
 	n := copy(path, "/www")
-	if reqPath := s.rawBuf[req.path.lo:req.path.hi]; string(reqPath) == "/" {
-		n += copy(path[n:], "/index.html")
-	} else if n+len(reqPath) < len(path) {
-		n += copy(path[n:], reqPath)
-	} else {
+	if n+len(doc) >= len(path) {
 		return s.reject(ocall, conn, 404) // no document has so long a name
 	}
-	path[n] = 0
+	path[n+copy(path[n:], doc)] = 0
 	open := ocall("ocall_open64", sdk.Buf(s.pathBuf))
 	if open == ^uint64(0) {
 		return s.reject(ocall, conn, 404)
@@ -201,10 +201,12 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 		size = int(ocall("ocall_fxstat64", sdk.Scalar(uint64(fd)), sdk.Buf(s.statBuf)))
 	}
 
-	// Response: headers via writev, body via sendfile.
+	// Response: headers via writev, body (not for HEAD) via sendfile.
 	head := appendResponseHead(s.headBuf.Data[:0], 200, size)
 	ocall("ocall_writev", sdk.Scalar(uint64(conn)), sdk.Buf(s.headBuf), sdk.Scalar(uint64(len(head))))
-	ocall("ocall_sendfile64", sdk.Scalar(uint64(conn)), sdk.Scalar(uint64(fd)))
+	if !headOnly {
+		ocall("ocall_sendfile64", sdk.Scalar(uint64(conn)), sdk.Scalar(uint64(fd)))
+	}
 
 	// Teardown.
 	ocall("ocall_shutdown", sdk.Scalar(uint64(conn)))

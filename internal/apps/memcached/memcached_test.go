@@ -3,10 +3,12 @@ package memcached
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"hotcalls/internal/apps/porting"
+	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
 )
 
@@ -17,7 +19,7 @@ func TestProtocolRoundTripSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := decodeRequest(buf[:n])
+	req, err := decodeRequest(buf, uint64(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestProtocolRoundTripGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := decodeRequest(buf[:n])
+	req, err := decodeRequest(buf, uint64(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +60,17 @@ func TestProtocolResponseRoundTrip(t *testing.T) {
 }
 
 func TestProtocolRejectsGarbage(t *testing.T) {
-	if _, err := decodeRequest([]byte{1, 2, 3}); !errors.Is(err, ErrShortPacket) {
+	if _, err := decodeRequest([]byte{1, 2, 3}, 3); !errors.Is(err, ErrShortPacket) {
 		t.Fatalf("err = %v", err)
 	}
 	bad := make([]byte, HeaderSize)
 	bad[0] = 0x55
-	if _, err := decodeRequest(bad); !errors.Is(err, ErrBadMagic) {
+	if _, err := decodeRequest(bad, HeaderSize); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v", err)
 	}
 	bad[0] = MagicRequest
 	bad[1] = 0x99
-	if _, err := decodeRequest(bad); !errors.Is(err, ErrBadOpcode) {
+	if _, err := decodeRequest(bad, HeaderSize); !errors.Is(err, ErrBadOpcode) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -88,7 +90,7 @@ func TestProtocolRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := decodeRequest(buf[:n])
+		got, err := decodeRequest(buf, uint64(n))
 		if err != nil {
 			return false
 		}
@@ -314,5 +316,27 @@ func TestServerDropsUndecodablePackets(t *testing.T) {
 				t.Fatalf("after hostile packets: status %d", resp.Status)
 			}
 		})
+	}
+}
+
+// TestServerDropsHostileReceiveCount rebinds ocall_read to report more
+// bytes than the enclave buffer it was handed: the request is dropped
+// without a response, as an undecodable packet is, in both edge-call
+// modes.
+func TestServerDropsHostileReceiveCount(t *testing.T) {
+	for _, count := range []uint64{bufCap + 1, 1 << 20} {
+		for _, mode := range []porting.Mode{porting.SGX, porting.HotCalls} {
+			t.Run(fmt.Sprintf("%s/%d", mode, count), func(t *testing.T) {
+				s := NewServer(mode)
+				w := NewWorkload(s, 3)
+				s.App.RT.MustBindOCall("ocall_read", func(*sdk.Ctx, []sdk.Arg) uint64 { return count })
+				var clk sim.Clock
+				w.InjectNext()
+				s.ServeOne(&clk)
+				if resp, err := w.DrainResponse(); err == nil {
+					t.Fatalf("answered %+v, want dropped", resp)
+				}
+			})
+		}
 	}
 }

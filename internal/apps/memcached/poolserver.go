@@ -9,7 +9,8 @@ package memcached
 // enclave handler addresses the right buffers from the (requester, slot)
 // pair alone.  The store is the enclave-side state, shared by every
 // responder: sixteen lock stripes, each an item table (table.go) holding
-// real bytes, indexed by the FNV64 hash serve computes once per request.
+// real bytes, indexed by the key's FNV64 hash, computed once per request
+// when it is decoded.
 
 import (
 	"errors"
@@ -96,55 +97,32 @@ func (s *PoolServer) callsiteFor(op byte) flight.Callsite {
 func (s *PoolServer) Conn(i int) *PoolConn { return s.conns[i] }
 
 // serve is the enclave-side handler: decode the request in place from
-// the submitting connection's slot buffer, execute it against the store,
-// and encode the response into the paired response buffer.  The returned
-// word is the response length (or the ^0 sentinel on a malformed
-// packet, mirroring the corrupted-call_ID convention).  The call word is
-// the untrusted side's to write: a slot outside the window or a length
-// past the buffer is a malformed packet too, never an index.
+// the submitting connection's slot buffer and execute it under its
+// stripe's lock, the response encoded into the paired response buffer.
+// The returned word is the response length (or the ^0 sentinel on a
+// malformed packet, mirroring the corrupted-call_ID convention).  The
+// call word is the untrusted side's to write: a slot outside the window
+// or a length past the buffer is a malformed packet too, never an index.
 func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	slot, n := porting.UnpackData(data)
-	if slot >= connWindow || n > bufCap {
+	if slot >= connWindow {
 		return ^uint64(0)
 	}
 	b := &s.conns[requester].bufs[slot]
-	req, err := decodeRequest(b.req[:n])
+	req, err := decodeRequest(b.req, n)
 	if err != nil {
 		return ^uint64(0)
 	}
-	// The key is hashed once: the hash picks the stripe, indexes its table
-	// and places the request's EPC pages.  A GET's value is copied once,
-	// under the stripe lock, to its place behind the header (the response
-	// buffer holds anything a request buffer could carry); EncodeResponse
-	// finds source and destination identical and moves nothing.
-	h := porting.FNV64(req.key)
-	sp := &s.store[h&(storeStripes-1)]
-	resp := Response{Op: req.op, Opaque: req.opaque, Status: StatusOK}
+	// The key's hash picks the stripe, indexes its table and places the
+	// request's EPC pages.
+	sp := &s.store[req.hash&(storeStripes-1)]
 	sp.mu.Lock()
-	switch req.op {
-	case OpGet:
-		if v, ok := sp.items.get(h, req.key); ok {
-			resp.Value = b.resp[HeaderSize : HeaderSize+copy(b.resp[HeaderSize:], v)]
-		} else {
-			resp.Status = StatusNotFound
-		}
-	case OpSet:
-		sp.items.set(h, req.key, req.value)
-	case OpDelete:
-		if !sp.items.delete(h, req.key) {
-			resp.Status = StatusNotFound
-		}
-	}
+	respLen, moved := execute(&sp.items, &req, b.resp)
 	sp.mu.Unlock()
 	if s.EPCManager() != nil {
-		// The key's hash places the request in the modeled heap; its
-		// footprint is the value a GET returned or a SET stored, at least
-		// one page.
-		s.TouchEPC(requester, h, max(1, porting.PagesOf(len(resp.Value)+len(req.value))))
-	}
-	respLen, err := EncodeResponse(b.resp, &resp)
-	if err != nil {
-		return ^uint64(0)
+		// The request's footprint is the value a GET returned or a SET
+		// stored, at least one page.
+		s.TouchEPC(requester, req.hash, max(1, porting.PagesOf(moved)))
 	}
 	return uint64(respLen)
 }

@@ -10,6 +10,7 @@ import (
 
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
+	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
 )
 
@@ -52,6 +53,57 @@ func TestPoolServerSetGetDelete(t *testing.T) {
 	resp, err = c.Do(&Request{Op: OpGet, Key: "k1"})
 	if err != nil || resp.Status != StatusNotFound {
 		t.Fatalf("GET after DELETE = (%+v, %v), want NotFound", resp, err)
+	}
+}
+
+// TestClocksAgree sends one SET/GET/DELETE sequence through the
+// simulated Server and through the fabric's PoolConn.Do: the two clocks
+// run one request body, so they answer with the same statuses and
+// values.
+func TestClocksAgree(t *testing.T) {
+	long, short := bytes.Repeat([]byte{0x5c}, ValueSize), []byte("v")
+	seq := []Request{
+		{Op: OpGet, Key: "k"},
+		{Op: OpSet, Key: "k", Value: long},
+		{Op: OpGet, Key: "k"},
+		{Op: OpSet, Key: "k", Value: short},
+		{Op: OpGet, Key: "k"},
+		{Op: OpSet, Key: "k", Value: long},
+		{Op: OpGet, Key: "k"},
+		{Op: OpDelete, Key: "k"},
+		{Op: OpGet, Key: "k"},
+		{Op: OpDelete, Key: "k"},
+		{Op: OpSet, Key: "empty"},
+		{Op: OpGet, Key: "empty"},
+	}
+	sim1 := NewServer(porting.SGX)
+	fab := NewPoolServer(1, testPoolOpts(1))
+	fab.Start()
+	defer fab.Stop()
+	pkt := make([]byte, bufCap)
+	var clk sim.Clock
+	for i := range seq {
+		seq[i].Opaque = uint32(i)
+		n, err := EncodeRequest(pkt, &seq[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim1.App.Kernel.Inject(sim1.connFD, pkt[:n]); err != nil {
+			t.Fatal(err)
+		}
+		sim1.ServeOne(&clk)
+		raw, _ := sim1.App.Kernel.TakeRX(sim1.ClientFD)
+		want, err := DecodeResponse(raw)
+		if err != nil {
+			t.Fatalf("request %d: simulated server: %v", i, err)
+		}
+		got, err := fab.Conn(0).Do(&seq[i])
+		if err != nil {
+			t.Fatalf("request %d: fabric: %v", i, err)
+		}
+		if got.Op != want.Op || got.Status != want.Status || got.Opaque != want.Opaque || !bytes.Equal(got.Value, want.Value) {
+			t.Fatalf("request %d (op %#x): fabric %+v, simulated %+v", i, seq[i].Op, got, want)
+		}
 	}
 }
 

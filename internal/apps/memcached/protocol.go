@@ -10,6 +10,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"hotcalls/internal/apps/porting"
 )
 
 // Binary protocol constants (the subset memtier exercises).
@@ -65,16 +67,23 @@ func EncodeRequest(buf []byte, r *Request) (int, error) {
 }
 
 // requestView is a decoded request whose key and value alias the packet
-// it was decoded from; the fabric handler works on it by value, so
-// serving a request allocates nothing.
+// it was decoded from; both servers work on it by value, so serving a
+// request allocates nothing.
 type requestView struct {
 	op         byte
 	key, value []byte // value on SET only
 	opaque     uint32
+	hash       uint64 // FNV64 of the key, computed once per request
 }
 
-// decodeRequest parses a binary-protocol request in place.
-func decodeRequest(pkt []byte) (requestView, error) {
+// decodeRequest parses the binary-protocol request in buf[:n] in place.
+// n is the receive count the untrusted side reported: one past the
+// buffer is a short packet, never an index.
+func decodeRequest(buf []byte, n uint64) (requestView, error) {
+	if n > uint64(len(buf)) {
+		return requestView{}, ErrShortPacket
+	}
+	pkt := buf[:n]
 	if len(pkt) < HeaderSize {
 		return requestView{}, ErrShortPacket
 	}
@@ -96,6 +105,7 @@ func decodeRequest(pkt []byte) (requestView, error) {
 		key:    pkt[HeaderSize+extras : HeaderSize+extras+keyLen],
 		opaque: binary.BigEndian.Uint32(pkt[12:]),
 	}
+	v.hash = porting.FNV64(v.key)
 	if op == OpSet {
 		v.value = pkt[HeaderSize+extras+keyLen : HeaderSize+body]
 	}

@@ -117,38 +117,19 @@ func (s *Server) handleEvent(env *porting.Env, args []sdk.Arg) uint64 {
 	}
 	env.TouchPages(pagesAfterRead)
 
-	req, err := decodeRequest(s.reqBuf.Data[:n])
+	req, err := decodeRequest(s.reqBuf.Data, n)
 	if err != nil {
 		return 0 // a packet that is no request: dropped, as memcached does
 	}
-	resp := Response{Op: req.op, Opaque: req.opaque, Status: StatusOK}
 	closeStore := env.Section(porting.CatDataStore)
-	switch req.op {
-	case OpGet:
-		// The value is copied from the store into the response buffer;
-		// Get charges the move.
-		if val, ok := s.Store.Get(env, req.key, s.respBuf.Addr); ok {
-			resp.Value = val
-		} else {
-			resp.Status = StatusNotFound
-		}
-	case OpSet:
-		s.Store.Set(env, req.key, req.value)
-	case OpDelete:
-		if !s.Store.Delete(env, req.key) {
-			resp.Status = StatusNotFound
-		}
-	}
+	respLen, moved := execute(&s.Store.items, &req, s.respBuf.Data)
+	s.Store.charge(env, &req, moved, s.respBuf.Addr)
 	closeStore()
 	closeWork := env.Section(porting.CatAppWork)
 	env.Clk.Advance(cpuWorkPerRequest)
 	closeWork()
 	env.TouchPages(pagesAfterWork)
 
-	respLen, err := EncodeResponse(s.respBuf.Data, &resp)
-	if err != nil {
-		panic(err)
-	}
 	if _, err := env.OCall("ocall_sendmsg", sdk.Scalar(uint64(s.connFD)), sdk.Buf(s.respBuf), sdk.Scalar(uint64(respLen))); err != nil {
 		panic(err)
 	}

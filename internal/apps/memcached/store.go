@@ -2,13 +2,13 @@ package memcached
 
 import "hotcalls/internal/apps/porting"
 
-// Store is the simulated server's key-value store: an item table holding
-// the real bytes, plus a memory-cost profile that charges hash-probe and
+// Store is the simulated server's key-value store: the item table execute
+// serves from, plus a memory-cost profile that charges hash-probe and
 // value accesses at addresses spread across the store's footprint —
 // uniform accesses with poor spatial locality, the behaviour the paper
 // blames for memcached's "fundamental limitation" under memory encryption
-// (Section 6.2).  Each operation hashes its key once (FNV64); the hash
-// indexes the table and places the charged accesses.
+// (Section 6.2).  The key's FNV64 hash, computed once at decode, indexes
+// the table and places the charged accesses.
 type Store struct {
 	items itemTable
 
@@ -34,44 +34,22 @@ func NewStore(app *porting.App, keyspace int, valueSize uint64) *Store {
 	}
 }
 
-// probe hashes key and charges the hash-chain walk: two dependent loads
-// at hash-distributed addresses (bucket head, then item header).
-func (s *Store) probe(env *porting.Env, key []byte) uint64 {
-	h, m := porting.FNV64(key), env.App.Platform.Mem
+// charge bills one executed request that moved moved value bytes: the
+// hash-chain walk (two dependent loads at hash-distributed addresses:
+// bucket head, then item header), then a SET's streaming write of the
+// value, or a GET hit's streaming read of it and its copy to dst (a miss
+// or a DELETE moves nothing).
+func (s *Store) charge(env *porting.Env, req *requestView, moved int, dst uint64) {
+	m, h := env.App.Platform.Mem, req.hash
 	m.Load(env.Clk, s.hashBase+(h%s.hashSpan)/64*64)
 	m.Load(env.Clk, s.hashBase+(h*0x9e3779b97f4a7c15%s.hashSpan)/64*64)
-	return h
-}
-
-func (s *Store) valueAddr(h uint64) uint64 { return s.valueBase + h%s.valueSlots*s.valueSize }
-
-// Get returns a view of the stored value and whether the key exists, and
-// charges the lookup: hash probes, a streaming read of the value, and its
-// copy to dst.
-func (s *Store) Get(env *porting.Env, key []byte, dst uint64) ([]byte, bool) {
-	h := s.probe(env, key)
-	v, ok := s.items.get(h, key)
-	if ok {
-		m, src := env.App.Platform.Mem, s.valueAddr(h)
-		m.StreamRead(env.Clk, src, uint64(len(v)))
-		m.Copy(env.Clk, dst, src, uint64(len(v)))
+	src := s.valueBase + h%s.valueSlots*s.valueSize
+	if req.op == OpSet {
+		m.StreamWrite(env.Clk, src, uint64(moved))
+	} else {
+		m.StreamRead(env.Clk, src, uint64(moved))
+		m.Copy(env.Clk, dst, src, uint64(moved))
 	}
-	return v, ok
-}
-
-// Set stores a value and charges the hash probes plus a streaming write of
-// the value bytes.
-func (s *Store) Set(env *porting.Env, key, value []byte) {
-	h := s.probe(env, key)
-	env.App.Platform.Mem.StreamWrite(env.Clk, s.valueAddr(h), uint64(len(value)))
-	s.items.set(h, key, value)
-}
-
-// Delete removes a key, charging the hash probes; it reports whether the
-// key existed.
-func (s *Store) Delete(env *porting.Env, key []byte) bool {
-	h := s.probe(env, key)
-	return s.items.delete(h, key)
 }
 
 // Len returns the number of stored items.

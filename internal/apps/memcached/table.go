@@ -85,3 +85,30 @@ func (t *itemTable) delete(h uint64, key []byte) bool {
 	t.n--
 	return true
 }
+
+// execute is memcached's one request body, run by both servers: it
+// applies req to t and encodes the response into resp, a GET hit's value
+// copied once to its place behind the header (resp holds anything a
+// request buffer could carry, so EncodeResponse finds source and
+// destination identical and moves nothing).  It returns the response
+// length and the value bytes the request moved — a GET hit's or a SET's
+// — which each clock charges its own way.
+func execute(t *itemTable, req *requestView, resp []byte) (respLen, moved int) {
+	r := Response{Op: req.op, Opaque: req.opaque, Status: StatusOK}
+	switch req.op {
+	case OpGet:
+		if v, ok := t.get(req.hash, req.key); ok {
+			r.Value = resp[HeaderSize : HeaderSize+copy(resp[HeaderSize:], v)]
+		} else {
+			r.Status = StatusNotFound
+		}
+	case OpSet:
+		t.set(req.hash, req.key, req.value)
+	case OpDelete:
+		if !t.delete(req.hash, req.key) {
+			r.Status = StatusNotFound
+		}
+	}
+	respLen, _ = EncodeResponse(resp, &r) // the value was cut to fit behind the header
+	return respLen, len(r.Value) + len(req.value)
+}

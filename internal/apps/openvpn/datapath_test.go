@@ -96,8 +96,8 @@ func TestMACCheckedBeforeReplayAndDecrypt(t *testing.T) {
 	tx.nextID = 9
 	n := tx.Seal(frame, make([]byte, 100))
 	frame[n-1] ^= 1
-	if _, err := rx.Open(make([]byte, MTU), frame[:n]); !errors.Is(err, ErrBadMAC) || rx.highest != 0 {
-		t.Fatalf("forged frame: err = %v, replay floor = %d", err, rx.highest)
+	if _, err := rx.Open(make([]byte, MTU), frame[:n]); !errors.Is(err, ErrBadMAC) || rx.win != (replayWindow{}) {
+		t.Fatalf("forged frame: err = %v, replay window %+v", err, rx.win)
 	}
 	frame[n-1] ^= 1
 	if _, err := rx.Open(make([]byte, MTU), frame[:n]); err != nil {
@@ -116,8 +116,8 @@ func TestMACCheckedBeforeReplayAndDecrypt(t *testing.T) {
 	if ret := s.tunnel(0, 0, segs[:]); ret != ^uint64(0) {
 		t.Fatalf("forged datagram relayed: ret = %d", ret)
 	}
-	if st := s.tunnels[0]; st.rxWin != (replayWindow{}) || st.tx.nextID != 1 {
-		t.Fatalf("forged datagram moved state: window %+v, next tx ID %d", st.rxWin, st.tx.nextID)
+	if st := s.tunnels[0]; st.rx.win != (replayWindow{}) || st.tx.nextID != 1 {
+		t.Fatalf("forged datagram moved state: window %+v, next tx ID %d", st.rx.win, st.tx.nextID)
 	}
 	if !bytes.Equal(c.ring.Slab(slab)[:len(before)], before) {
 		t.Fatal("forged datagram was decrypted before its MAC was checked")

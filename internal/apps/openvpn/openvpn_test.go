@@ -3,6 +3,7 @@ package openvpn
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -52,17 +53,32 @@ func TestTamperedFrameRejected(t *testing.T) {
 	}
 }
 
+// TestReplayRejected holds Cipher.Open to openVPN's UDP replay rule: a
+// packet ID is accepted once, and one up to 63 behind the highest seen
+// is still accepted once — datagrams reorder — while one 64 behind is
+// not, seen or unseen.
 func TestReplayRejected(t *testing.T) {
 	tx, rx := SessionCipher(), SessionCipher()
 	payload := make([]byte, 100)
-	frame := make([]byte, FrameOverhead+len(payload))
-	n := tx.Seal(frame, payload)
-	cp := append([]byte(nil), frame[:n]...)
-	if _, err := rx.Open(make([]byte, MTU), frame[:n]); err != nil {
-		t.Fatal(err)
+	frames := make([][]byte, 70) // frames[i] carries packet ID i+1
+	for i := range frames {
+		frames[i] = make([]byte, FrameOverhead+len(payload))
+		tx.Seal(frames[i], payload)
 	}
-	if _, err := rx.Open(make([]byte, MTU), cp); !errors.Is(err, ErrReplay) {
-		t.Fatalf("err = %v, want ErrReplay", err)
+	for _, c := range []struct {
+		id   uint32
+		want error
+	}{
+		{1, nil}, {1, ErrReplay}, // a duplicate
+		{66, nil},
+		{3, nil}, {3, ErrReplay}, // 63 behind: accepted once
+		{65, nil}, {65, ErrReplay}, // 1 behind
+		{2, ErrReplay},                      // 64 behind, never seen
+		{70, nil}, {7, nil}, {6, ErrReplay}, // the window slides with the highest
+	} {
+		if _, err := rx.Open(make([]byte, MTU), frames[c.id-1]); !errors.Is(err, c.want) {
+			t.Fatalf("ID %d (highest %d): err = %v, want %v", c.id, rx.win.highest, err, c.want)
+		}
 	}
 }
 
@@ -354,7 +370,6 @@ func TestServerDropsCorruptedFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			var clk sim.Clock
-			s.plan = eventPlan{payload: 64}
 			if _, err := s.App.Call(&clk, "ecall_process_event", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
 				t.Fatal(err)
 			}
@@ -367,5 +382,62 @@ func TestServerDropsCorruptedFrames(t *testing.T) {
 				t.Fatalf("server wedged after drop: forwarded=%d", s.ForwardedBytes())
 			}
 		})
+	}
+}
+
+// TestServerAcceptsReorderedFrames runs the simulated server under the
+// tunnel's one replay rule: a frame overtaken by a later one is still
+// forwarded, and its duplicate is dropped.
+func TestServerAcceptsReorderedFrames(t *testing.T) {
+	for _, mode := range porting.Modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := NewServer(mode)
+			seal := SessionCipher()
+			payload := make([]byte, 300)
+			first, second := make([]byte, FrameOverhead+len(payload)), make([]byte, FrameOverhead+len(payload))
+			seal.Seal(first, payload)
+			seal.Seal(second, payload)
+			var clk sim.Clock
+			for _, frame := range [][]byte{second, first, first} {
+				if err := s.App.Kernel.Inject(s.udpFD, frame); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.App.Call(&clk, "ecall_process_event", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.ForwardedBytes() != 2*300 || s.Dropped() != 1 {
+				t.Fatalf("forwarded=%d dropped=%d, want 600, 1", s.ForwardedBytes(), s.Dropped())
+			}
+		})
+	}
+}
+
+// TestServerDropsHostileReceiveCount rebinds the forward path's recvfrom
+// and the reverse path's read to report more bytes than the enclave
+// buffer they were handed: the datagram is counted in Dropped instead of
+// being sliced, in both edge-call modes.
+func TestServerDropsHostileReceiveCount(t *testing.T) {
+	for _, c := range []struct {
+		ocall     string
+		count     uint64
+		forwarded uint64
+	}{
+		{"ocall_recvfrom", BufSize + 1, 0},
+		{"ocall_recvfrom", 1 << 20, 0},
+		{"ocall_read", BufSize - FrameOverhead + 1, 600},
+		{"ocall_read", 1 << 20, 600},
+	} {
+		for _, mode := range []porting.Mode{porting.SGX, porting.HotCalls} {
+			t.Run(fmt.Sprintf("%s/%s/%d", mode, c.ocall, c.count), func(t *testing.T) {
+				s := NewServer(mode)
+				s.App.RT.MustBindOCall(c.ocall, func(*sdk.Ctx, []sdk.Arg) uint64 { return c.count })
+				var clk sim.Clock
+				s.ServePacket(&clk, SessionCipher(), make([]byte, 600), true)
+				if s.Dropped() != 1 || s.ForwardedBytes() != c.forwarded {
+					t.Fatalf("dropped=%d forwarded=%d, want 1, %d", s.Dropped(), s.ForwardedBytes(), c.forwarded)
+				}
+			})
+		}
 	}
 }

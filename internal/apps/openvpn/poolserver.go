@@ -14,8 +14,6 @@ package openvpn
 
 import (
 	"bytes"
-	"crypto/hmac"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -45,47 +43,14 @@ var ErrWindowFull = errors.New("openvpn: connection window full (no free slab)")
 // tunnel header; nothing was sealed or posted.
 var ErrFrameTooLarge = errors.New("openvpn: payload larger than a ring slab")
 
-// replayWindow is a reorder-tolerant packet-ID filter (openVPN's UDP
-// sliding window): IDs up to 63 behind the highest seen are accepted
-// once each.  The fabric needs the tolerance because concurrent
-// responders may execute a window's calls slightly out of order.
-type replayWindow struct {
-	highest uint32
-	mask    uint64 // bit i set = (highest - i) already seen
-}
-
-func (w *replayWindow) accept(id uint32) bool {
-	if id == 0 {
-		return false
-	}
-	if id > w.highest {
-		shift := id - w.highest
-		if shift >= 64 {
-			w.mask = 0
-		} else {
-			w.mask <<= shift
-		}
-		w.mask |= 1
-		w.highest = id
-		return true
-	}
-	diff := w.highest - id
-	if diff >= 64 || w.mask&(1<<diff) != 0 {
-		return false
-	}
-	w.mask |= 1 << diff
-	return true
-}
-
-// tunnelState is one connection's crypto context: both direction keys
-// and the receive replay window, behind the per-connection lock the
-// responders serialize on (openVPN's per-client context lock).
+// tunnelState is one connection's crypto context: both direction keys,
+// the receive one with its replay window, behind the per-connection lock
+// the responders serialize on (openVPN's per-client context lock).
 type tunnelState struct {
-	mu    sync.Mutex
-	rx    *Cipher // client -> server
-	tx    *Cipher // server -> client
-	rxWin replayWindow
-	_     [tunnelPad]byte
+	mu sync.Mutex
+	rx *Cipher // client -> server
+	tx *Cipher // server -> client
+	_  [tunnelPad]byte
 }
 
 // tunnelPad keeps adjacent connections' locks off one coherence line.
@@ -154,7 +119,7 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 		// rx direction and verifies the relay's output with tx.
 		peerSeal, _ := connCiphers(i)
 		_, peerVerify := connCiphers(i)
-		c := &PoolConn{s: s, idx: i, req: s.Pool().Requester(),
+		c := &PoolConn{s: s, req: s.Pool().Requester(),
 			peerSeal: peerSeal, peerVerify: peerVerify}
 		c.ring = c.req.Ring()
 		c.scratch = make([]byte, c.ring.SlabBytes())
@@ -198,27 +163,12 @@ func (s *PoolServer) tunnel(requester int, data uint64, segs []core.Segment) uin
 	t := s.tunnels[requester]
 	t.mu.Lock()
 	defer t.mu.Unlock()
-
-	id := binary.BigEndian.Uint32(hdr[:packetIDSize])
-	want := t.rx.mac(hdr[:packetIDSize], body)
-	if !hmac.Equal(want[:], hdr[packetIDSize:FrameOverhead]) {
+	// Open in place — the ciphertext window becomes the plaintext window
+	// — then re-seal for the outbound direction into the same windows.
+	if t.rx.open(hdr, body, body) != nil {
 		return ^uint64(0)
 	}
-	if !t.rxWin.accept(id) {
-		return ^uint64(0)
-	}
-	// Decrypt in place: the ciphertext window becomes the plaintext
-	// window (CTR XOR permits exact aliasing).
-	t.rx.stream(id).XORKeyStream(body, body)
-
-	// Re-seal for the outbound direction in place: fresh packet ID,
-	// re-encrypt, recompute the MAC into the same header window.
-	oid := t.tx.nextID
-	t.tx.nextID++
-	binary.BigEndian.PutUint32(hdr[:packetIDSize], oid)
-	t.tx.stream(oid).XORKeyStream(body, body)
-	mac := t.tx.mac(hdr[:packetIDSize], body)
-	copy(hdr[packetIDSize:FrameOverhead], mac[:])
+	t.tx.seal(hdr, body, body)
 	return uint64(FrameOverhead) + uint64(len(body))
 }
 
@@ -227,14 +177,12 @@ func (s *PoolServer) tunnel(requester int, data uint64, segs []core.Segment) uin
 // generator seals inbound frames and verifies relayed output).
 type PoolConn struct {
 	s    *PoolServer
-	idx  int
 	req  *core.Requester
 	ring *core.PayloadRing
 
 	peerSeal   *Cipher // peer's sealer: client -> server direction
 	peerVerify *Cipher // peer's receive keys: server -> client direction
-	peerWin    replayWindow
-	scratch    []byte // verifyOut's plaintext buffer, one slab long
+	scratch    []byte  // verifyOut's plaintext buffer, one slab long
 
 	calls [vpnWindow]core.VecCall
 	segs  [vpnWindow][2]core.Segment
@@ -269,24 +217,18 @@ func (c *PoolConn) stage(i int, payload []byte) error {
 	return nil
 }
 
-// verifyOut authenticates and decrypts one relayed output frame with
-// the peer's receive context (reorder-tolerant: concurrent responders
-// may commit a window slightly out of order) and checks the payload
-// round-tripped.
+// verifyOut opens one relayed output frame with the peer's receive
+// context — the tunnel's one open, so the same replay window: concurrent
+// responders may commit a window slightly out of order — and checks the
+// payload round-tripped.
 func (c *PoolConn) verifyOut(frame, payload []byte) error {
 	if len(frame) != FrameOverhead+len(payload) {
 		return ErrShortPkt
 	}
-	id := binary.BigEndian.Uint32(frame[:packetIDSize])
-	want := c.peerVerify.mac(frame[:packetIDSize], frame[FrameOverhead:])
-	if !hmac.Equal(want[:], frame[packetIDSize:FrameOverhead]) {
-		return ErrBadMAC
-	}
-	if !c.peerWin.accept(id) {
-		return ErrReplay
-	}
 	out := c.scratch[:len(payload)]
-	c.peerVerify.stream(id).XORKeyStream(out, frame[FrameOverhead:])
+	if err := c.peerVerify.open(frame[:FrameOverhead], out, frame[FrameOverhead:]); err != nil {
+		return err
+	}
 	if !bytes.Equal(out, payload) {
 		for i := range out {
 			if out[i] != payload[i] {

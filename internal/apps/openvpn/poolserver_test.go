@@ -227,7 +227,7 @@ func rxWindow(s *PoolServer) replayWindow {
 	t := s.tunnels[0]
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.rxWin
+	return t.rx.win
 }
 
 // TestPoolServerForgedCallWord posts the tunnel calls a hostile

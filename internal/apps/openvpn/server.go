@@ -80,7 +80,7 @@ type Server struct {
 	injectBuf []byte // InjectFrame seals here; the kernel copies it
 
 	pollCredit, timeCredit, pidCredit, revCredit float64
-	plan                                         eventPlan
+	reverse                                      bool // this event also carries a reverse-direction packet
 
 	forwardedBytes uint64
 	dropped        uint64
@@ -159,17 +159,11 @@ func (s *Server) InjectFrame(seal *Cipher, payload []byte) {
 	}
 }
 
-// eventPlan tells processEvent whether this event also carries a
-// reverse-direction packet; set by the serve wrappers through the credit
-// accumulators.
-type eventPlan struct {
-	payload int
-	reverse bool
-}
-
 // processEvent is the trusted event handler: the poll/time bookkeeping,
 // the decrypt-and-forward data path, and (when the plan says so) the
-// reverse encrypt-and-send path.
+// reverse encrypt-and-send path.  A receive count past the buffer it
+// names is the untrusted side's lie: the datagram is dropped, as an
+// unauthentic one is.
 func (s *Server) processEvent(env *porting.Env, args []sdk.Arg) uint64 {
 	m := env.App.Platform.Mem
 
@@ -204,6 +198,10 @@ func (s *Server) processEvent(env *porting.Env, args []sdk.Arg) uint64 {
 		env.TouchPages(1)
 	}
 
+	if n > BufSize {
+		s.dropped++
+		return 0
+	}
 	// Real decrypt + authenticate; cost charged at OpenSSL's rate.
 	closeCrypto := env.Section(porting.CatCrypto)
 	plainLen, err := s.rx.Open(s.plainBuf.Data, s.frameBuf.Data[:n])
@@ -231,18 +229,21 @@ func (s *Server) processEvent(env *porting.Env, args []sdk.Arg) uint64 {
 	}
 	s.forwardedBytes += uint64(plainLen)
 
-	if s.plan.reverse {
+	if s.reverse {
 		env.TouchPages(pagesPerSegment)
 		// Reverse path: plaintext from the tun device, seal, send.
 		rn, err := env.OCall("ocall_read", sdk.Scalar(uint64(s.tunFD)), sdk.Buf(s.plainBuf), sdk.Scalar(BufSize))
 		if err != nil {
 			panic(err)
 		}
-		_ = rn
+		if rn > BufSize-FrameOverhead {
+			s.dropped++
+			return uint64(plainLen)
+		}
 		closeRev := env.Section(porting.CatCrypto)
-		frameLen := s.tx.Seal(s.frameBuf.Data, s.plainBuf.Data[:s.plan.payload])
+		frameLen := s.tx.Seal(s.frameBuf.Data, s.plainBuf.Data[:rn])
 		env.Clk.AdvanceF(float64(frameLen) * cryptoCPB)
-		m.StreamRead(env.Clk, s.plainBuf.Addr, uint64(s.plan.payload))
+		m.StreamRead(env.Clk, s.plainBuf.Addr, rn)
 		m.StreamWrite(env.Clk, s.frameBuf.Addr, uint64(frameLen))
 		closeRev()
 		if _, err := env.OCall("ocall_sendto", sdk.Scalar(uint64(s.udpFD)), sdk.Buf(s.frameBuf), sdk.Scalar(uint64(frameLen))); err != nil {
@@ -269,7 +270,7 @@ func (s *Server) ServePacket(clk *sim.Clock, seal *Cipher, payload []byte, force
 		}
 	}
 	s.InjectFrame(seal, payload)
-	s.plan = eventPlan{payload: min(64, len(payload)), reverse: rev}
+	s.reverse = rev
 	if _, err := s.App.Call(clk, "ecall_process_event", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
 		panic(err)
 	}
@@ -279,7 +280,7 @@ func (s *Server) ServePacket(clk *sim.Clock, seal *Cipher, payload []byte, force
 func (s *Server) ForwardedBytes() uint64 { return s.forwardedBytes }
 
 // Dropped returns the number of datagrams rejected by authentication or
-// replay protection.
+// replay protection, or received with a count past their buffer.
 func (s *Server) Dropped() uint64 { return s.dropped }
 
 // RunIperf measures tunnel TCP bandwidth as iperf3 does (Section 6.3) and

@@ -37,11 +37,44 @@ var (
 // consults the PRNG (and thus calls getpid via OpenSSL) around context
 // operations, which is why getpid appears in Table 2.
 type Cipher struct {
-	block   cipher.Block
-	macKey  [32]byte
-	macs    sync.Pool // *macCtx keyed with macKey; see mac
-	nextID  uint32    // sender: next packet ID
-	highest uint32    // receiver: highest ID seen (replay floor)
+	block  cipher.Block
+	macKey [32]byte
+	macs   sync.Pool    // *macCtx keyed with macKey; see mac
+	nextID uint32       // sender: next packet ID
+	win    replayWindow // receiver: the packet IDs already accepted
+}
+
+// replayWindow is openVPN's reorder-tolerant packet-ID filter for UDP:
+// IDs up to 63 behind the highest seen are accepted once each.  Both
+// clocks need the tolerance — a datagram network reorders, and the
+// fabric's concurrent responders may execute a window's calls slightly
+// out of order.
+type replayWindow struct {
+	highest uint32
+	mask    uint64 // bit i set = (highest - i) already seen
+}
+
+func (w *replayWindow) accept(id uint32) bool {
+	if id == 0 {
+		return false
+	}
+	if id > w.highest {
+		shift := id - w.highest
+		if shift >= 64 {
+			w.mask = 0
+		} else {
+			w.mask <<= shift
+		}
+		w.mask |= 1
+		w.highest = id
+		return true
+	}
+	diff := w.highest - id
+	if diff >= 64 || w.mask&(1<<diff) != 0 {
+		return false
+	}
+	w.mask |= 1 << diff
+	return true
 }
 
 // macCtx is one keyed HMAC-SHA256 context plus the buffer it sums into.
@@ -87,17 +120,42 @@ func (c *Cipher) mac(hdr, body []byte) (out [macSize]byte) {
 	return out
 }
 
+// seal is the tunnel's one sealing routine: it encrypts src into dst
+// under the next packet ID and writes the ID and the MAC over both into
+// hdr, the frame's FrameOverhead-byte header.  dst and src may be the
+// same bytes (CTR XOR permits exact aliasing), so a frame seals in place.
+func (c *Cipher) seal(hdr, dst, src []byte) {
+	id := c.nextID
+	c.nextID++
+	binary.BigEndian.PutUint32(hdr[:packetIDSize], id)
+	c.stream(id).XORKeyStream(dst, src)
+	mac := c.mac(hdr[:packetIDSize], dst)
+	copy(hdr[packetIDSize:FrameOverhead], mac[:])
+}
+
+// open is seal's inverse and the tunnel's one receive rule, in this
+// order: authenticate hdr‖src, admit the packet ID through the replay
+// window, and only then decrypt src into dst (in place when they alias).
+// A frame that fails either check leaves the window and dst untouched.
+func (c *Cipher) open(hdr, dst, src []byte) error {
+	id := binary.BigEndian.Uint32(hdr[:packetIDSize])
+	want := c.mac(hdr[:packetIDSize], src)
+	if !hmac.Equal(want[:], hdr[packetIDSize:FrameOverhead]) {
+		return ErrBadMAC
+	}
+	if !c.win.accept(id) {
+		return ErrReplay
+	}
+	c.stream(id).XORKeyStream(dst[:len(src)], src)
+	return nil
+}
+
 // Seal encrypts and authenticates one plaintext packet into dst and
 // returns the frame length.
 func (c *Cipher) Seal(dst, plaintext []byte) int {
-	id := c.nextID
-	c.nextID++
-	binary.BigEndian.PutUint32(dst[:packetIDSize], id)
-	ct := dst[FrameOverhead : FrameOverhead+len(plaintext)]
-	c.stream(id).XORKeyStream(ct, plaintext)
-	mac := c.mac(dst[:packetIDSize], ct)
-	copy(dst[packetIDSize:FrameOverhead], mac[:])
-	return FrameOverhead + len(plaintext)
+	n := FrameOverhead + len(plaintext)
+	c.seal(dst[:FrameOverhead], dst[FrameOverhead:n], plaintext)
+	return n
 }
 
 // Open authenticates and decrypts one frame into dst, enforcing the
@@ -106,16 +164,8 @@ func (c *Cipher) Open(dst, frame []byte) (int, error) {
 	if len(frame) < FrameOverhead {
 		return 0, ErrShortPkt
 	}
-	id := binary.BigEndian.Uint32(frame[:packetIDSize])
-	ct := frame[FrameOverhead:]
-	want := c.mac(frame[:packetIDSize], ct)
-	if !hmac.Equal(want[:], frame[packetIDSize:FrameOverhead]) {
-		return 0, ErrBadMAC
+	if err := c.open(frame[:FrameOverhead], dst, frame[FrameOverhead:]); err != nil {
+		return 0, err
 	}
-	if id <= c.highest {
-		return 0, ErrReplay
-	}
-	c.highest = id
-	c.stream(id).XORKeyStream(dst[:len(ct)], ct)
-	return len(ct), nil
+	return len(frame) - FrameOverhead, nil
 }
