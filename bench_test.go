@@ -17,7 +17,6 @@ import (
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
 	"hotcalls/internal/edl"
-	"hotcalls/internal/mee"
 	"hotcalls/internal/mem"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sgx"
@@ -261,23 +260,6 @@ func BenchmarkFig8SpecKernels(b *testing.B) {
 				k.Run(uint64(i), 1)
 			}
 		})
-	}
-}
-
-// BenchmarkMEEProtect measures the functional Memory Encryption Engine:
-// a protected line write (encrypt, version bump, MAC path) and verified
-// read.
-func BenchmarkMEEProtect(b *testing.B) {
-	var key [32]byte
-	key[0] = 1
-	tree := mee.NewTree(key, 1<<20)
-	line := make([]byte, mee.LineSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.WriteLine(uint64(i)%(1<<20), line)
-		if _, err := tree.ReadLine(uint64(i) % (1 << 20)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -3,8 +3,8 @@
 // Austin; ISCA 2017).
 //
 // The module contains a simulated SGX platform (enclave lifecycle,
-// EENTER/EEXIT cost model, Memory Encryption Engine with a functional
-// integrity tree, Enclave Page Cache with authenticated paging), a
+// EENTER/EEXIT cost model, Memory Encryption Engine cost model, Enclave
+// Page Cache with authenticated paging), a
 // reimplementation of the Intel SDK's ecall/ocall runtime and of the glue
 // Intel's edger8r generates (applied from parsed EDL declarations), the
 // HotCalls interface itself — both a real concurrent implementation and

@@ -77,9 +77,6 @@ func TestServerServesPage(t *testing.T) {
 	if len(body) != PageSize {
 		t.Fatalf("body = %d bytes, want %d", len(body), PageSize)
 	}
-	if s.Served() != 1 {
-		t.Fatalf("served = %d", s.Served())
-	}
 }
 
 func TestServerWorksInAllModes(t *testing.T) {
@@ -93,9 +90,6 @@ func TestServerWorksInAllModes(t *testing.T) {
 				if _, ok := s.App.Kernel.TakeRX(client); !ok {
 					t.Fatal("no response")
 				}
-			}
-			if s.Served() != 10 {
-				t.Fatalf("served = %d", s.Served())
 			}
 		})
 	}
@@ -233,7 +227,7 @@ func TestServerAnswersHostileRequests(t *testing.T) {
 					t.Fatal(err)
 				}
 				if c.raw != "" {
-					if _, err := s.App.Kernel.Send(new(sim.Clock), "client_tx", client, 0, []byte(c.raw)); err != nil {
+					if _, err := s.App.Kernel.Send(new(sim.Clock), client, 0, []byte(c.raw)); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -79,8 +79,8 @@ func TestTelemetryHotCallsMode(t *testing.T) {
 	}
 }
 
-// debugServer serves the server's registry the way hotbench -monitor
-// does: monitor.New over it, monitor.Mux in front.
+// debugServer serves the server's registry through the simulated
+// servers' one wiring: monitor.New over it, monitor.Mux in front.
 func debugServer(reg *telemetry.Registry, mon *monitor.Monitor) (*httptest.Server, func(t *testing.T, path string) (int, string)) {
 	srv := httptest.NewServer(monitor.Mux(reg, mon))
 	return srv, func(t *testing.T, path string) (int, string) {

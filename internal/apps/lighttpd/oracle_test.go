@@ -59,20 +59,13 @@ func oracleServe(docroot map[string][]byte, raw string) []byte {
 }
 
 func TestPoolServerMatchesOracle(t *testing.T) {
-	docroot := map[string][]byte{
-		"/doc":   []byte("hello"),
-		"/empty": {},
-	}
+	docroot := map[string][]byte{"/index.html": indexPage()}
 	s := NewPoolServer(1, testPoolOpts(1))
-	for path, body := range docroot {
-		s.AddDocument(path, body)
-	}
-	docroot["/index.html"] = s.docroot["/index.html"]
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
 
-	const line = "GET /doc HTTP/1.0\r\nX: "
+	const line = "GET /index.html HTTP/1.0\r\nX: "
 	fullBuffer := line + strings.Repeat("x", readCap-len(line)-len("\r\n\r\n")) + "\r\n\r\n"
 	if len(fullBuffer) != readCap {
 		t.Fatalf("the full-buffer request is %d bytes, want %d", len(fullBuffer), readCap)
@@ -88,19 +81,19 @@ func TestPoolServerMatchesOracle(t *testing.T) {
 		"get /index.html HTTP/1.0\r\n\r\n",
 		"GET /index.html HTTP/1.0\r\nno colon\r\n\r\n",
 		"GET /index.html HTTP/1.0\r\nHost: sim\r\n\r\nno colon past the blank line",
-		"GET\t/doc \t  HTTP/1.0\r\nHost:\tsim\r\n\r\n",
-		"  GET /doc HTTP/1.0  \r\n\r\n",
-		"GET /doc\u3000HTTP/1.0\r\n\r\n",
-		"GET /doc\r HTTP/1.0\r\n\r\n",
-		"GET /doc HTTP/1.0",
-		"GET /doc HTTP/1.0\r\n",
-		"GET /doc HTTP/1.0\r\nHost: sim",
-		"GET /doc HTTP/1.0\r\nHost: sim\r\n",
-		"GET /doc HTTP/1.0\r\nHost sim\r",
+		"GET\t/index.html \t  HTTP/1.0\r\nHost:\tsim\r\n\r\n",
+		"  GET /index.html HTTP/1.0  \r\n\r\n",
+		"GET /index.html\u3000HTTP/1.0\r\n\r\n",
+		"GET /index.html\r HTTP/1.0\r\n\r\n",
+		"GET /index.html HTTP/1.0",
+		"GET /index.html HTTP/1.0\r\n",
+		"GET /index.html HTTP/1.0\r\nHost: sim",
+		"GET /index.html HTTP/1.0\r\nHost: sim\r\n",
+		"GET /index.html HTTP/1.0\r\nHost sim\r",
 		fullBuffer,
 	}
 	for _, method := range []string{"GET", "HEAD"} {
-		for _, path := range []string{"/index.html", "/doc", "/empty", "/missing", "/"} {
+		for _, path := range []string{"/index.html", "/missing", "/"} {
 			corpus = append(corpus, method+" "+path+" HTTP/1.0\r\nHost: sim\r\n\r\n")
 		}
 	}

@@ -6,14 +6,15 @@ package lighttpd
 // shard and a ring of request buffers; the call word packs the buffer
 // slot and the raw request length into a typed uint64, and the return
 // word names the response by reference: every response the server can
-// produce is one of a finite set of immutable byte images built at Start
-// (per document head+body, plus the fixed 404 and 400 heads), so the
-// handler answers with an image index and a length and moves no body
-// byte — the port's sendfile.  Nothing on the request path allocates,
+// produce is one of a finite set of immutable byte images built at
+// construction (the page's head+body, plus the fixed 404 and 400 heads),
+// so the handler answers with an image index and a length and moves no
+// body byte — the port's sendfile.  Nothing on the request path allocates,
 // and responders serve the immutable images with no locking at all — the
 // read-mostly best case for scaling responders.
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 
@@ -39,21 +40,12 @@ var (
 	ErrBadResponse = errors.New("lighttpd: fabric returned no valid response reference")
 )
 
-// The fixed response images; documents follow from imgFirstDoc.
+// The response images.
 const (
 	imgBadRequest = iota
 	imgNotFound
-	imgFirstDoc
+	imgIndex
 )
-
-// docImage locates one document's response image and the EPC pages
-// serving it touches.
-type docImage struct {
-	image   int    // index into PoolServer.images
-	headLen int    // the image's head prefix — all a HEAD returns
-	hash    uint64 // FNV64 of the path: where its EPC pages start
-	pages   uint64 // EPC pages the body spans, at least one for the head
-}
 
 // The port's flight callsites, one per request method; the constants
 // index fabricSpec.Callsites.
@@ -70,48 +62,49 @@ var fabricSpec = porting.FabricSpec{
 // PoolServer is lighttpd over the fabric: a CallPool whose one table
 // entry scans HTTP requests and answers them by reference into an
 // immutable set of response images.  The pool's lifecycle and everything
-// that observes it are the embedded kit's (Arm, DebugMux, Pool, Stop).
+// that observes it are the embedded kit's (Arm, DebugMux, Pool, Start,
+// Stop).
 type PoolServer struct {
 	porting.Fabric
-	docroot map[string][]byte // staged by AddDocument until Start
-	conns   []*PoolConn
+	conns []*PoolConn
 
-	// Built by Start and immutable from then on: images[imgBadRequest]
-	// and images[imgNotFound] are bare heads, every later entry is one
-	// document's head+body.
+	// Built by NewPoolServer and immutable from then on:
+	// images[imgBadRequest] and images[imgNotFound] are bare heads,
+	// images[imgIndex] is the page's head+body.
 	images [][]byte
-	docs   map[string]docImage
+	// The page's head prefix — all a HEAD returns — and the EPC pages
+	// serving it touches: the body's, at least one for the head, from
+	// the path's FNV64 on.
+	indexHead  int
+	indexHash  uint64
+	indexPages uint64
 }
 
 // NewPoolServer builds a fabric-routed server for up to conns client
-// connections.  The docroot gets the paper's single 20 KB page at
-// /index.html; AddDocument extends it before Start.  opts tunes the
-// underlying CallPool; its Shards field is overridden.
+// connections, serving the paper's single 20 KB page at /index.html.  It
+// builds the response images — every byte sequence the server can answer
+// with, once; they are immutable from then on, which is what makes the
+// serve path lock-free and copy-free.  opts tunes the underlying
+// CallPool; its Shards field is overridden.
 func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
-	s := &PoolServer{docroot: make(map[string][]byte)}
-	page := make([]byte, PageSize)
-	for i := range page {
-		page[i] = byte('a' + i%26)
+	page := indexPage()
+	head := ResponseHead(200, len(page))
+	s := &PoolServer{
+		images: [][]byte{
+			imgBadRequest: []byte(ResponseHead(400, 0)),
+			imgNotFound:   []byte(ResponseHead(404, 0)),
+			imgIndex:      append([]byte(head), page...),
+		},
+		indexHead:  len(head),
+		indexHash:  porting.FNV64(indexPath),
+		indexPages: max(1, porting.PagesOf(len(page))),
 	}
-	s.docroot["/index.html"] = page
-
 	s.Fabric = porting.NewFabric(fabricSpec, conns, []core.PoolFunc{s.serve}, opts)
 	s.conns = make([]*PoolConn, conns)
 	for i := range s.conns {
 		s.conns[i] = &PoolConn{s: s, req: s.Pool().Requester()}
 	}
 	return s
-}
-
-// AddDocument installs a document of any size before Start.  The
-// response images are built at Start and immutable from then on — that
-// is what makes the serve path lock-free and copy-free — so adding a
-// document to a started server panics.
-func (s *PoolServer) AddDocument(path string, body []byte) {
-	if s.images != nil {
-		panic("lighttpd: AddDocument after Start: the response images are immutable once responders run")
-	}
-	s.docroot[path] = append([]byte(nil), body...)
 }
 
 // callsiteFor maps a raw request line to its flight callsite with one
@@ -123,34 +116,13 @@ func (s *PoolServer) callsiteFor(raw string) flight.Callsite {
 	return s.Callsite(csGet)
 }
 
-// Start builds the response images — every byte sequence the server can
-// answer with, once — and launches the adaptive responder pool.
-func (s *PoolServer) Start() {
-	s.images = make([][]byte, imgFirstDoc, imgFirstDoc+len(s.docroot))
-	s.images[imgBadRequest] = []byte(ResponseHead(400, 0))
-	s.images[imgNotFound] = []byte(ResponseHead(404, 0))
-	s.docs = make(map[string]docImage, len(s.docroot))
-	for path, body := range s.docroot {
-		head := ResponseHead(200, len(body))
-		s.docs[path] = docImage{
-			image:   len(s.images),
-			headLen: len(head),
-			hash:    porting.FNV64(path),
-			pages:   max(1, porting.PagesOf(len(body))),
-		}
-		s.images = append(s.images, append([]byte(head), body...))
-	}
-	s.docroot = nil // the images own the bytes now
-	s.Fabric.Start()
-}
-
 // Conn returns connection i's handle.  Each connection must be driven
 // from one goroutine at a time.
 func (s *PoolServer) Conn(i int) *PoolConn { return s.conns[i] }
 
 // serve is the enclave-side handler: route the raw request in place in
-// the submitting connection's slot buffer, look the path up among the
-// document images, and return a reference to the answer — image index
+// the submitting connection's slot buffer, match the path against the
+// page, and return a reference to the answer — image index
 // and length, a HEAD's length stopping at the head.  No response byte
 // is built or copied.  Malformed requests get a real 400, not an error:
 // a web server answers bad clients on the wire — and so does a call word,
@@ -165,16 +137,15 @@ func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	if status != 200 {
 		return porting.PackData(imgBadRequest, len(s.images[imgBadRequest]))
 	}
-	doc, ok := s.docs[string(path)]
-	if !ok {
+	if !bytes.Equal(path, indexPath) {
 		s.TouchEPC(requester, porting.FNV64(path), 1)
 		return porting.PackData(imgNotFound, len(s.images[imgNotFound]))
 	}
-	s.TouchEPC(requester, doc.hash, doc.pages)
+	s.TouchEPC(requester, s.indexHash, s.indexPages)
 	if head {
-		return porting.PackData(doc.image, doc.headLen)
+		return porting.PackData(imgIndex, s.indexHead)
 	}
-	return porting.PackData(doc.image, len(s.images[doc.image]))
+	return porting.PackData(imgIndex, len(s.images[imgIndex]))
 }
 
 // PoolConn is one client connection: a fabric requester plus its ring

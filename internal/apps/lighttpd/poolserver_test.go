@@ -52,16 +52,15 @@ func TestPoolServerServesIndex(t *testing.T) {
 
 func TestPoolServerHeadAndErrors(t *testing.T) {
 	s := NewPoolServer(1, testPoolOpts(1))
-	s.AddDocument("/doc", []byte("hello"))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
 
-	resp, err := c.Do("HEAD /doc HTTP/1.0\r\n\r\n")
+	resp, err := c.Do("HEAD /index.html HTTP/1.0\r\n\r\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(resp), "HTTP/1.0 200 OK\r\n") || bytes.Contains(resp, []byte("hello")) {
+	if string(resp) != ResponseHead(200, PageSize) {
 		t.Fatalf("HEAD must return the head only: %q", resp)
 	}
 
@@ -106,7 +105,7 @@ func TestClocksAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim1.App.Kernel.Send(new(sim.Clock), "client_tx", client, 0, []byte(raw)); err != nil {
+		if _, err := sim1.App.Kernel.Send(new(sim.Clock), client, 0, []byte(raw)); err != nil {
 			t.Fatal(err)
 		}
 		sim1.ServeOne(&clk)
@@ -178,15 +177,12 @@ func TestPoolServerConcurrentConnections(t *testing.T) {
 }
 
 // TestPoolServerServesLargeDocument pins that a document's size is not
-// bounded by any response buffer: a 64 KB body comes back whole over GET,
-// its head alone over HEAD, with a full window of them in flight.
+// bounded by any request buffer: the 20 KB page, ten times readCap, comes
+// back whole over GET, its head alone over HEAD, with a full window of
+// them in flight.
 func TestPoolServerServesLargeDocument(t *testing.T) {
-	body := make([]byte, 64<<10)
-	for i := range body {
-		body[i] = byte(i * 7)
-	}
+	body := indexPage()
 	s := NewPoolServer(1, testPoolOpts(1))
-	s.AddDocument("/large", body)
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -196,8 +192,8 @@ func TestPoolServerServesLargeDocument(t *testing.T) {
 		raw  string
 		want []byte
 	}{
-		{"GET /large HTTP/1.0\r\n\r\n", append([]byte(head), body...)},
-		{"HEAD /large HTTP/1.0\r\n\r\n", []byte(head)},
+		{"GET /index.html HTTP/1.0\r\n\r\n", append([]byte(head), body...)},
+		{"HEAD /index.html HTTP/1.0\r\n\r\n", []byte(head)},
 	} {
 		var pending [connWindow]PendingResponse
 		for i := range pending {
@@ -278,7 +274,7 @@ func TestPoolConnWaitRejectsBadWord(t *testing.T) {
 		ok   bool
 	}{
 		{"whole image", porting.PackData(imgNotFound, notFound), true},
-		{"empty prefix", porting.PackData(imgFirstDoc, 0), true},
+		{"empty prefix", porting.PackData(imgIndex, 0), true},
 		{"length one past the image", porting.PackData(imgNotFound, notFound+1), false},
 		{"index one past the set", porting.PackData(len(s.images), 0), false},
 		{"bad-call-ID sentinel", ^uint64(0), false},
@@ -359,20 +355,6 @@ func FuzzCallWord(f *testing.F) {
 			t.Fatalf("the server must survive word %#x: (%.40q, %v)", word, resp, err)
 		}
 	})
-}
-
-// TestPoolServerAddDocumentAfterStartPanics: the image set is fixed at
-// Start, so a late AddDocument fails loudly rather than being ignored.
-func TestPoolServerAddDocumentAfterStartPanics(t *testing.T) {
-	s := NewPoolServer(1, testPoolOpts(1))
-	s.Start()
-	defer s.Stop()
-	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "AddDocument after Start") {
-			t.Fatalf("AddDocument after Start: recovered %q, want the panic", msg)
-		}
-	}()
-	s.AddDocument("/late", []byte("too late"))
 }
 
 // BenchmarkPoolServerThroughput measures the fabric-routed HTTP request

@@ -83,8 +83,16 @@ type Server struct {
 
 	reqBuf []byte // InjectRequest assembles the request bytes here
 	rawBuf []byte // handleConnection reassembles the request head here
+}
 
-	served uint64
+// indexPage is the paper's single 20 KB page, the document both servers
+// serve at /index.html.
+func indexPage() []byte {
+	page := make([]byte, PageSize)
+	for i := range page {
+		page[i] = byte('a' + i%26)
+	}
+	return page
 }
 
 // NewServer boots lighttpd in the given mode and installs the document
@@ -94,11 +102,7 @@ func NewServer(mode porting.Mode) *Server {
 	s := &Server{App: app}
 	k := app.Kernel
 
-	page := make([]byte, PageSize)
-	for i := range page {
-		page[i] = byte('a' + i%26)
-	}
-	k.WriteFS("/www/index.html", page)
+	k.WriteFS("/www/index.html", indexPage())
 	about := []byte("<html><body>lighttpd-sim 1.4.41 running inside an enclave</body></html>")
 	k.WriteFS("/www/about.html", about)
 
@@ -214,7 +218,6 @@ func (s *Server) handleConnection(env *porting.Env, args []sdk.Arg) uint64 {
 	for i := 1; i < pairs; i++ {
 		ocall("ocall_close", sdk.Scalar(uint64(fd)))
 	}
-	s.served++
 	return uint64(size)
 }
 
@@ -225,7 +228,6 @@ func (s *Server) reject(ocall func(string, ...sdk.Arg) uint64, conn, status int)
 	ocall("ocall_writev", sdk.Scalar(uint64(conn)), sdk.Buf(s.headBuf), sdk.Scalar(uint64(len(head))))
 	ocall("ocall_shutdown", sdk.Scalar(uint64(conn)))
 	ocall("ocall_close", sdk.Scalar(uint64(conn)))
-	s.served++
 	return uint64(status)
 }
 
@@ -251,7 +253,7 @@ func (s *Server) InjectRequest(path string) int {
 	s.reqBuf = append(s.reqBuf, path...)
 	s.reqBuf = append(s.reqBuf, " HTTP/1.0\r\nHost: localhost\r\nUser-Agent: http_load\r\n\r\n"...)
 	var free sim.Clock // client cost runs on the load generator's cores
-	if _, err := s.App.Kernel.Send(&free, "client_tx", client, 0, s.reqBuf); err != nil {
+	if _, err := s.App.Kernel.Send(&free, client, 0, s.reqBuf); err != nil {
 		panic(err)
 	}
 	return client
@@ -268,9 +270,6 @@ func (s *Server) Fetch(clk *sim.Clock, path string) (head []byte) {
 	}
 	return head
 }
-
-// Served returns the number of completed requests.
-func (s *Server) Served() uint64 { return s.served }
 
 // clientThinkSeconds is http_load's per-request client-side time
 // (connection setup, response verification) spent outside the server.

@@ -195,12 +195,15 @@ func TestWorkloadMixIsBalanced(t *testing.T) {
 	s := NewServer(porting.Native)
 	w := NewWorkload(s, 11)
 	var clk sim.Clock
+	var sets, gets int
 	for i := 0; i < 2000; i++ {
-		w.InjectNext()
-		s.ServeOne(&clk)
-		w.DrainResponse()
+		switch w.Step(&clk).Op {
+		case OpSet:
+			sets++
+		case OpGet:
+			gets++
+		}
 	}
-	sets, gets := w.Mix()
 	ratio := float64(sets) / float64(gets)
 	if ratio < 0.85 || ratio > 1.15 {
 		t.Fatalf("SET:GET = %d:%d, want ~1:1", sets, gets)

@@ -147,14 +147,12 @@ func (s *Server) ServeOne(clk *sim.Clock) {
 // Workload is the memtier-like generator: 1:1 SET:GET over the keyspace
 // with fixed-size values, deterministic under its seed.
 type Workload struct {
-	s    *Server
-	rng  *sim.RNG
-	pkt  []byte
-	val  []byte
-	key  []byte // "memtier-" + 8 digits, rewritten per request
-	seq  uint32
-	sets uint64
-	gets uint64
+	s   *Server
+	rng *sim.RNG
+	pkt []byte
+	val []byte
+	key []byte // "memtier-" + 8 digits, rewritten per request
+	seq uint32
 }
 
 // NewWorkload returns a generator bound to the server.
@@ -180,10 +178,8 @@ func (w *Workload) InjectNext() {
 	if w.rng.Bool(0.5) {
 		req.Op = OpSet
 		req.Value = w.val
-		w.sets++
 	} else {
 		req.Op = OpGet
-		w.gets++
 	}
 	n, err := EncodeRequest(w.pkt, &req)
 	if err != nil {
@@ -214,9 +210,6 @@ func (w *Workload) Step(clk *sim.Clock) *Response {
 	}
 	return resp
 }
-
-// Mix returns the SET and GET counts issued so far.
-func (w *Workload) Mix() (sets, gets uint64) { return w.sets, w.gets }
 
 // Run drives the closed loop for the given simulated duration and returns
 // the metrics of Figures 10 and 11.

@@ -165,11 +165,11 @@ func TestPoolTunnelFrameTooLarge(t *testing.T) {
 	fits := testPayload(c.ring.SlabBytes()-FrameOverhead, 1)
 	big := testPayload(len(fits)+1, 2)
 
-	if _, err := c.Forward(fits); err != nil {
-		t.Fatalf("slab-filling payload: %v", err)
+	if n, err := c.Stream([][]byte{fits}); n != 1 || err != nil {
+		t.Fatalf("slab-filling payload: Stream = (%d, %v)", n, err)
 	}
-	if _, err := c.Forward(big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("Forward err = %v, want ErrFrameTooLarge", err)
+	if n, err := c.Stream([][]byte{big}); n != 0 || !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("Stream = (%d, %v), want (0, ErrFrameTooLarge)", n, err)
 	}
 	if n, err := c.Stream([][]byte{big, fits}); n != 0 || !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("Stream = (%d, %v), want (0, ErrFrameTooLarge)", n, err)

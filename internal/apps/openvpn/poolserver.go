@@ -68,17 +68,13 @@ func connCiphers(i int) (rx, tx *Cipher) {
 	return rx, tx
 }
 
-// The port's flight callsites: the synchronous forward path and the
-// vectored streaming path show as separate rows in /debug/flight, and
-// each sampled record carries its call's payload bytes.
-// The constants index fabricSpec.Callsites.
-const (
-	csForward = iota
-	csStream
-)
+// The port's one flight callsite, the vectored streaming path: each
+// sampled record carries its call's payload bytes.  The constant indexes
+// fabricSpec.Callsites.
+const csStream = 0
 
 var fabricSpec = porting.FabricSpec{
-	Callsites: []string{"vpn.forward", "vpn.stream"},
+	Callsites: []string{"vpn.stream"},
 	SealKey:   "vpn-epc-zc-rings",
 }
 
@@ -237,31 +233,6 @@ func (c *PoolConn) verifyOut(frame, payload []byte) error {
 		}
 	}
 	return nil
-}
-
-// Forward relays one datagram synchronously: seal into a slab, one
-// zero-copy scatter-gather call, verify the re-sealed output read
-// straight from the slab, recycle.  Returns the outbound frame length.
-func (c *PoolConn) Forward(payload []byte) (int, error) {
-	slab, segs, err := c.sealInto(payload)
-	if err != nil {
-		return 0, err
-	}
-	ret, err := c.req.CallV(core.VecCall{ID: opTunnel, Segs: segs[:], Site: c.s.Callsite(csForward)})
-	if err != nil {
-		c.ring.Release(slab)
-		return 0, err
-	}
-	if ret == ^uint64(0) {
-		c.ring.Release(slab)
-		return 0, ErrBadMAC
-	}
-	verr := c.verifyOut(c.ring.Slab(slab)[:ret], payload)
-	c.ring.Release(slab)
-	if verr != nil {
-		return 0, verr
-	}
-	return int(ret), nil
 }
 
 // Stream relays a window of datagrams with one vectored submit (batched

@@ -38,14 +38,12 @@ func TestPoolTunnelForward(t *testing.T) {
 	defer s.Stop()
 	c := s.Conn(0)
 
+	// Stream verifies each relayed frame: its length, its MAC and the
+	// payload it carries.
 	for i := 0; i < 20; i++ {
 		payload := testPayload(IperfPayload, i)
-		n, err := c.Forward(payload)
-		if err != nil {
-			t.Fatalf("forward %d: %v", i, err)
-		}
-		if n != FrameOverhead+len(payload) {
-			t.Fatalf("frame len = %d, want %d", n, FrameOverhead+len(payload))
+		if n, err := c.Stream([][]byte{payload}); n != 1 || err != nil {
+			t.Fatalf("forward %d: Stream = (%d, %v)", i, n, err)
 		}
 	}
 	if free := c.ring.FreeSlabs(); free != c.ring.Slabs() {
@@ -163,7 +161,7 @@ func TestPoolTunnelEPCAttribution(t *testing.T) {
 	for conn := 0; conn < 2; conn++ {
 		c := s.Conn(conn)
 		for i := 0; i < forwards; i++ {
-			if _, err := c.Forward(testPayload(IperfPayload, conn*100+i)); err != nil {
+			if _, err := c.Stream([][]byte{testPayload(IperfPayload, conn*100+i)}); err != nil {
 				t.Fatalf("conn %d forward %d: %v", conn, i, err)
 			}
 		}
@@ -185,7 +183,8 @@ func TestPoolTunnelEPCAttribution(t *testing.T) {
 
 // TestPoolTunnelFlightBytes checks that a zero-copy call stamps its
 // payload volume on its flight record: with every call sampled, each
-// Forward and each Stream frame carries its sealed frame's bytes.
+// Stream frame, alone or in a full window, carries its sealed frame's
+// bytes.
 func TestPoolTunnelFlightBytes(t *testing.T) {
 	s := NewPoolServer(1, testVPNOpts(2))
 	rec := flight.New(flight.Options{SampleEvery: 1})
@@ -197,7 +196,7 @@ func TestPoolTunnelFlightBytes(t *testing.T) {
 	const forwards = 8
 	payload := testPayload(1024, 3)
 	for i := 0; i < forwards; i++ {
-		if _, err := c.Forward(payload); err != nil {
+		if _, err := c.Stream([][]byte{payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,8 +216,8 @@ func TestPoolTunnelFlightBytes(t *testing.T) {
 			t.Errorf("%s record carries %d bytes, want %d", v.Name, v.Bytes, frameBytes)
 		}
 	}
-	if calls["vpn.forward"] != forwards || calls["vpn.stream"] != vpnWindow {
-		t.Errorf("records per callsite = %v, want %d vpn.forward and %d vpn.stream", calls, forwards, vpnWindow)
+	if calls["vpn.stream"] != forwards+vpnWindow || len(calls) != 1 {
+		t.Errorf("records per callsite = %v, want %d vpn.stream", calls, forwards+vpnWindow)
 	}
 }
 
@@ -286,7 +285,7 @@ func TestPoolServerForgedCallWord(t *testing.T) {
 	}
 	c.ring.Release(slab)
 	c.ring.Release(fresh)
-	if _, err := c.Forward(testPayload(IperfPayload, 3)); err != nil {
+	if _, err := c.Stream([][]byte{testPayload(IperfPayload, 3)}); err != nil {
 		t.Fatalf("the server must survive forged words: %v", err)
 	}
 }
@@ -302,7 +301,7 @@ func FuzzCallWord(f *testing.F) {
 	s.Start()
 	f.Cleanup(s.Stop)
 	c := s.Conn(0)
-	if _, err := c.Forward(testPayload(IperfPayload, 0)); err != nil {
+	if _, err := c.Stream([][]byte{testPayload(IperfPayload, 0)}); err != nil {
 		f.Fatal(err) // leaves a relayed frame in slab 0
 	}
 	accepted := rxWindow(s)

@@ -72,8 +72,8 @@ var fabricPorts = []fabricPort{
 				window[i] = bytes.Repeat([]byte{byte(conn), byte(i)}, openvpn.IperfPayload/2)
 			}
 			for i := 0; i < 4; i++ {
-				if _, err := s.Conn(conn).Forward(window[i]); err != nil {
-					return fmt.Errorf("forward %d: %v", i, err)
+				if n, err := s.Conn(conn).Stream(window[i : i+1]); err != nil || n != 1 {
+					return fmt.Errorf("forward %d = (%d, %v)", i, n, err)
 				}
 				if n, err := s.Conn(conn).Stream(window); err != nil || n != len(window) {
 					return fmt.Errorf("stream %d = (%d, %v)", i, n, err)

@@ -44,12 +44,12 @@ var landings = map[string]landing{
 	"ocall_poll":     func(k *osapi.Kernel, ctx *sdk.Ctx, _ []sdk.Arg) uint64 { return uint64(k.Poll(ctx.Clk)) },
 	"ocall_time":     func(k *osapi.Kernel, ctx *sdk.Ctx, _ []sdk.Arg) uint64 { return k.Time(ctx.Clk) },
 	"ocall_getpid":   func(k *osapi.Kernel, ctx *sdk.Ctx, _ []sdk.Arg) uint64 { return uint64(k.GetPID(ctx.Clk)) },
-	"ocall_read":     recv("read"),
-	"ocall_recvfrom": recv("recvfrom"),
-	"ocall_write":    send("write"),
-	"ocall_writev":   send("writev"),
-	"ocall_sendmsg":  send("sendmsg"),
-	"ocall_sendto":   send("sendto"),
+	"ocall_read":     recv,
+	"ocall_recvfrom": recv,
+	"ocall_write":    send,
+	"ocall_writev":   send,
+	"ocall_sendmsg":  send,
+	"ocall_sendto":   send,
 	"ocall_fxstat64": func(k *osapi.Kernel, ctx *sdk.Ctx, args []sdk.Arg) uint64 {
 		size, err := k.Fstat(ctx.Clk, int(args[0].Scalar))
 		must(err)
@@ -80,26 +80,22 @@ var landings = map[string]landing{
 
 // recv lands a receive into the ocall's [out] buffer; a read that would
 // block returns 0, as on a non-blocking socket.
-func recv(sys string) landing {
-	return func(k *osapi.Kernel, ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		buf := args[1].Buf
-		n, err := k.Recv(ctx.Clk, sys, int(args[0].Scalar), buf.Addr, buf.Data[:args[2].Scalar])
-		if err == osapi.ErrWouldBlock {
-			return 0
-		}
-		must(err)
-		return uint64(n)
+func recv(k *osapi.Kernel, ctx *sdk.Ctx, args []sdk.Arg) uint64 {
+	buf := args[1].Buf
+	n, err := k.Recv(ctx.Clk, int(args[0].Scalar), buf.Addr, buf.Data[:args[2].Scalar])
+	if err == osapi.ErrWouldBlock {
+		return 0
 	}
+	must(err)
+	return uint64(n)
 }
 
 // send lands a transmit of the ocall's [in] buffer.
-func send(sys string) landing {
-	return func(k *osapi.Kernel, ctx *sdk.Ctx, args []sdk.Arg) uint64 {
-		buf := args[1].Buf
-		n, err := k.Send(ctx.Clk, sys, int(args[0].Scalar), buf.Addr, buf.Data[:args[2].Scalar])
-		must(err)
-		return uint64(n)
-	}
+func send(k *osapi.Kernel, ctx *sdk.Ctx, args []sdk.Arg) uint64 {
+	buf := args[1].Buf
+	n, err := k.Send(ctx.Clk, int(args[0].Scalar), buf.Addr, buf.Data[:args[2].Scalar])
+	must(err)
+	return uint64(n)
 }
 
 func must(err error) {

@@ -202,7 +202,7 @@ func (a *App) Call(clk *sim.Clock, name string, args ...sdk.Arg) (uint64, error)
 // SDK runtime (ecall/ocall paths), and the HotCalls channel.  A nil
 // registry detaches everywhere.  This is the simulated servers' one
 // observability wiring: monitor.New and monitor.Mux serve the same
-// registry, as hotbench -monitor does.
+// registry.
 func (a *App) SetTelemetry(reg *telemetry.Registry) {
 	a.Platform.SetTelemetry(reg)
 	a.RT.SetTelemetry(reg)

@@ -71,23 +71,6 @@ func (p *Profile) Total() uint64 {
 	return t
 }
 
-// Share returns a category's fraction of all attributed cycles.
-func (p *Profile) Share(name string) float64 {
-	t := p.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(p.totals[name]) / float64(t)
-}
-
-// Reset clears the accumulated totals (sections must all be closed).
-func (p *Profile) Reset() {
-	if len(p.stack) != 0 {
-		panic("porting: profile reset with open sections")
-	}
-	p.totals = make(map[string]uint64)
-}
-
 // String renders the breakdown largest-first.
 func (p *Profile) String() string {
 	type row struct {

@@ -28,9 +28,6 @@ func TestProfileSelfTimeNesting(t *testing.T) {
 	if p.Total() != 150 {
 		t.Errorf("total = %d, want 150", p.Total())
 	}
-	if s := p.Share("outer"); s < 0.72 || s > 0.74 {
-		t.Errorf("share = %v", s)
-	}
 }
 
 func TestProfileSameNameAggregates(t *testing.T) {
@@ -73,19 +70,6 @@ func TestProfileOutOfOrderPanics(t *testing.T) {
 		}
 	}()
 	closeA()
-}
-
-func TestProfileResetGuard(t *testing.T) {
-	p := NewProfile()
-	var clk sim.Clock
-	done := p.Enter(&clk, "x")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on reset with open section")
-		}
-		done()
-	}()
-	p.Reset()
 }
 
 func TestAppProfileAttributesEdgeCalls(t *testing.T) {

@@ -365,8 +365,7 @@ func exposedFamilies(exposition string) map[string]bool {
 // simulatedFixture serves requests through simulated memcached in the SDK
 // and HotCalls configurations, one registry holding the standard names
 // wired with SetTelemetry, and returns the /metrics exposition that
-// monitor.Mux serves over it — the simulated servers' one wiring, as
-// hotbench -monitor has it.
+// monitor.Mux serves over it — the simulated servers' one wiring.
 func simulatedFixture(t *testing.T) string {
 	t.Helper()
 	reg := telemetry.New()

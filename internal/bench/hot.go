@@ -29,7 +29,7 @@ func measureHotEcall(runs int, cold bool) *sim.Sample {
 	for i := 0; i < 50; i++ {
 		call()
 	}
-	return sim.MeasureN(f.p.RNG, runs, call).Sample
+	return sim.Measure(f.p.RNG, runs, call).Sample
 }
 
 // runFig3 regenerates Figure 3: the CDF of HotEcall latency, warm and

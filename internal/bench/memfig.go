@@ -15,7 +15,7 @@ import (
 func memMedian(runs int, setup func(s *mem.System), op func(s *mem.System, clk *sim.Clock)) float64 {
 	rng := sim.NewRNG(seedFor(211))
 	s := mem.New(rng)
-	return sim.MeasureN(rng, runs, func() uint64 {
+	return sim.Measure(rng, runs, func() uint64 {
 		setup(s)
 		var clk sim.Clock
 		op(s, &clk)

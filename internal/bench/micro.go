@@ -75,7 +75,7 @@ func (f *microFixture) measureEcall(name string, runs int, setup func(), args ..
 			panic(err)
 		}
 	}
-	return sim.MeasureN(f.p.RNG, runs, func() uint64 {
+	return sim.Measure(f.p.RNG, runs, func() uint64 {
 		if setup != nil {
 			setup()
 		}
@@ -113,7 +113,7 @@ func (f *microFixture) measureOcall(name string, runs int, setup func(), args ..
 	for i := 0; i < 50; i++ {
 		run()
 	}
-	return sim.MeasureN(f.p.RNG, runs, run).Sample
+	return sim.Measure(f.p.RNG, runs, run).Sample
 }
 
 // leafSamples times the EENTER and EEXIT leaves in a direct loop on the

@@ -105,9 +105,6 @@ func New[W Word](cfg Config) *Cache[W] {
 	}
 }
 
-// Config returns the cache geometry.
-func (c *Cache[W]) Config() Config { return c.cfg }
-
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache[W]) LineAddr(addr uint64) uint64 {
 	return (addr >> c.lineShift) << c.lineShift

@@ -136,7 +136,7 @@ func TestHotCallSpeedupOverSDK(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		f.ch.HotOCall(&warm, "ocall_empty")
 	}
-	hot := sim.MeasureN(f.p.RNG, 5000, func() uint64 {
+	hot := sim.Measure(f.p.RNG, 5000, func() uint64 {
 		var clk sim.Clock
 		if _, err := f.ch.HotOCall(&clk, "ocall_empty"); err != nil {
 			panic(err)
@@ -157,7 +157,7 @@ func TestHotCallSpeedupOverSDK(t *testing.T) {
 		var clk sim.Clock
 		f.rt.ECall(&clk, "ecall_empty")
 	}
-	sdkCost := sim.MeasureN(f.p.RNG, 5000, func() uint64 {
+	sdkCost := sim.Measure(f.p.RNG, 5000, func() uint64 {
 		var clk sim.Clock
 		f.rt.ECall(&clk, "ecall_empty")
 		return ocallCycles

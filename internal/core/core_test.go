@@ -149,15 +149,11 @@ func TestHotCallStop(t *testing.T) {
 
 func TestHotCallTimeoutFallback(t *testing.T) {
 	// No responder was ever started — a slot that stays taken: Call must
-	// time out, and CallOrFallback must route to the fallback (the SDK
-	// path).
+	// time out with ErrTimeout, the signal a caller falls back to the SDK
+	// path on.
 	hc := HotCall{Timeout: 5}
 	if _, err := hc.Call(0, nil); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	ret, err := hc.CallOrFallback(0, nil, func() (uint64, error) { return 777, nil })
-	if err != nil || ret != 777 {
-		t.Fatalf("fallback = (%d, %v)", ret, err)
 	}
 }
 
@@ -178,9 +174,6 @@ func TestResponderStats(t *testing.T) {
 	if polls < executes {
 		t.Fatalf("polls = %d < executes", polls)
 	}
-	if u := r.Utilization(); u <= 0 || u > 1 {
-		t.Fatalf("utilization = %v", u)
-	}
 }
 
 // --- Latency model (Figure 3) ---
@@ -188,8 +181,9 @@ func TestResponderStats(t *testing.T) {
 func TestFigure3LatencyModel(t *testing.T) {
 	rng := sim.NewRNG(99)
 	m := NewLatencyModel(rng)
-	s := sim.NewSample(sim.TotalRuns)
-	for i := 0; i < sim.TotalRuns; i++ {
+	const runs = 200000 // the paper's 10 batches of 20,000
+	s := sim.NewSample(runs)
+	for i := 0; i < runs; i++ {
 		s.Add(m.Sample())
 	}
 	med := s.Median()

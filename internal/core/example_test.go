@@ -43,30 +43,23 @@ func ExampleRequester_SubmitV() {
 	// Output: [100 200] <nil>
 }
 
-// The starvation mitigation of Section 4.2: when the responder stays busy
-// past the timeout, fall back to the regular SDK call path.
-func ExampleHotCall_CallOrFallback() {
-	var hc core.HotCall
-	hc.Timeout = 1 << 20 // patience for the slow call's own submission
-	busy, block := make(chan struct{}), make(chan struct{})
-	responder := core.NewResponder(&hc, []func(interface{}) uint64{
-		func(interface{}) uint64 { close(busy); <-block; return 1 },
-	})
-	go responder.Run()
+// The starvation mitigation of Section 4.2: when the requester's window
+// stays full past the timeout, fall back to the regular SDK call path.
+func ExampleRequester_CallOrFallback() {
+	pool := core.NewCallPool([]core.PoolFunc{
+		func(_ int, d uint64) uint64 { return d },
+	}, core.PoolOptions{Shards: 1, SlotsPerShard: 1, Timeout: 3})
+	r := pool.Requester()
 
-	// Occupy the responder with a slow call from another thread...
-	slow := make(chan struct{})
-	go func() { hc.Call(0, nil); close(slow) }()
-	<-busy
-	// ...so this one runs out of attempts and takes the fallback (SDK) path.
-	hc.Timeout = 3
-	ret, err := hc.CallOrFallback(0, nil, func() (uint64, error) {
+	// No responder runs, so one posted call fills the window...
+	if _, err := r.SubmitV([]core.VecCall{{Data: 1}}); err != nil {
+		fmt.Println(err)
+		return
+	}
+	// ...and this one runs out of attempts and takes the fallback (SDK) path.
+	ret, err := r.CallOrFallback(core.VecCall{Data: 2}, func() (uint64, error) {
 		return 7, nil // the SDK ocall would run here
 	})
 	fmt.Println(ret, err)
-
-	close(block)
-	<-slow
-	hc.Stop()
 	// Output: 7 <nil>
 }

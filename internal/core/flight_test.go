@@ -321,8 +321,14 @@ func TestPoolCallTailSamplerZeroAlloc(t *testing.T) {
 		t.Fatalf("timed-out Call allocates %v per op, want 0", allocs)
 	}
 	// AllocsPerRun adds one warm-up call to the runs.
-	if n := rec.OutlierCount(cs.ID()); n != runs+1 {
-		t.Fatalf("OutlierCount = %d, want %d timeouts", n, runs+1)
+	var outliers uint64
+	for _, st := range rec.Stats() {
+		if st.ID == cs.ID() {
+			outliers = st.Outliers
+		}
+	}
+	if outliers != runs+1 {
+		t.Fatalf("outliers = %d, want %d timeouts", outliers, runs+1)
 	}
 	if n := len(rec.Outliers(16)); n != 16 {
 		t.Fatalf("outlier ring holds %d records, want 16", n)

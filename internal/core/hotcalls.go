@@ -113,17 +113,6 @@ func (h *HotCall) Call(id CallID, data interface{}) (uint64, error) {
 	return 0, ErrTimeout
 }
 
-// CallOrFallback is Call with the paper's starvation mitigation: when the
-// submission timeout expires, the request is served through the fallback
-// path (a regular SDK call) instead of failing.
-func (h *HotCall) CallOrFallback(id CallID, data interface{}, fallback func() (uint64, error)) (uint64, error) {
-	ret, err := h.Call(id, data)
-	if errors.Is(err, ErrTimeout) {
-		return fallback()
-	}
-	return ret, err
-}
-
 // Stop shuts the responder down: Run returns after its current call, and
 // in-flight and subsequent calls fail with ErrStopped.
 func (h *HotCall) Stop() {
@@ -174,13 +163,3 @@ func (r *Responder) Run() {
 // Stats returns the responder's slot-inspection and claimed-call counts
 // (CallPool.Stats), exact once Run has returned.
 func (r *Responder) Stats() (polls, executes uint64) { return r.pool.Stats() }
-
-// Utilization is the fraction of polls that found work — the metric of
-// Section 4.2, "Maximizing utilization".
-func (r *Responder) Utilization() float64 {
-	polls, executes := r.Stats()
-	if polls == 0 {
-		return 0
-	}
-	return float64(executes) / float64(polls)
-}

@@ -526,8 +526,8 @@ func (r *Requester) post(c *VecCall) (*poolSlot, *flight.Record, error) {
 	p.requests.Inc()
 	var fr *flight.Record
 	if f := p.flight; f != nil {
-		// Two-step Arrive/Open instead of Begin: Arrive inlines, so the
-		// 255-in-256 unsampled calls pay no function call here.
+		// Arrive inlines, so the 255-in-256 unsampled calls pay no
+		// function call here.
 		if f.Arrive(c.Site, r.idx) {
 			fr = f.Open(c.Site, r.idx, uint16(c.ID))
 			fr.SetBytes(segTotal(c.Segs))

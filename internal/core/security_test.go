@@ -109,12 +109,11 @@ func TestSecuritySpinLockDoSOnly(t *testing.T) {
 			t.Fatalf("healthy call: (%d, %v)", ret, err)
 		}
 	}
-	// Adversary wedges the lock: requesters experience DoS (timeout)
-	// and fall back to the SDK path, exactly the Section 4.2 mitigation.
+	// Adversary wedges the lock: requesters experience DoS, a timeout
+	// they fall back to the SDK path on (the Section 4.2 mitigation).
 	hc.lock.Lock()
-	ret, err := hc.CallOrFallback(0, nil, func() (uint64, error) { return 7777, nil })
-	if err != nil || ret != 7777 {
-		t.Fatalf("fallback under wedged lock: (%d, %v)", ret, err)
+	if _, err := hc.Call(0, nil); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("call under wedged lock: err = %v, want ErrTimeout", err)
 	}
 	hc.lock.Unlock()
 	// Service resumes once the DoS stops.

@@ -39,10 +39,11 @@ func TestUtilizationGrowsWithSharing(t *testing.T) {
 		wg.Wait()
 		// What is exact: every call made was executed once, and the
 		// executes are a non-empty part of the polls.
-		if _, executes := r.Stats(); executes != uint64(requesters*callsEach) {
+		polls, executes := r.Stats()
+		if executes != uint64(requesters*callsEach) {
 			t.Errorf("%d requesters: %d executes, want %d", requesters, executes, requesters*callsEach)
 		}
-		u := r.Utilization()
+		u := float64(executes) / float64(polls)
 		if u <= 0 || u > 1 {
 			t.Errorf("%d requesters: utilization %.3f outside (0, 1]", requesters, u)
 		}

@@ -309,41 +309,26 @@ func (r *Recorder) Bind(shards int) {
 	r.bind.Store(b)
 }
 
-// Begin counts one arrival on the (shard, callsite) lane and, for 1 in
-// SampleEvery arrivals, opens a timeline record with the submit time
-// stamped.  Returns nil on unsampled calls, on an unbound recorder, or
-// on a nil receiver — the caller stores the result unconditionally and
-// stamps through nil-safe Record methods (including Record.Context for
-// the submit-time pool state, so that state is only read on sampled
-// calls).
-//
-// Single-producer contract: a given (shard) lane must be driven by one
-// goroutine at a time — the shard's owning requester.  That is what
-// lets the unsampled path be a plain load+store count and a mask check,
-// with no LOCK-prefixed instruction; the sampled path additionally takes
-// a preallocated ring slot and reads the clock once.  Nothing allocates.
-// Begin is Arrive + Open in one call, for callers off the nanosecond
-// path (tests).  The fabric's post loop uses the two-step form
-// instead: Arrive is small enough to inline, so the
-// 255-in-256 unsampled calls pay a handful of inlined instructions and
-// no function call.
-func (r *Recorder) Begin(cs Callsite, shard int, callID uint16) *Record {
-	if r == nil || !r.Arrive(cs, shard) {
-		return nil
-	}
-	return r.Open(cs, shard, callID)
-}
-
 // Arrive counts one arrival on the (shard, callsite) lane and reports
 // whether this call is the 1-in-SampleEvery (every SampleEvery-th
 // arrival) that gets a timeline record — the caller then invokes Open,
-// which also publishes the count to readers.  This is the recorder's
-// always-on cost, paid by every fabric call, so it is built from plain
-// loads and stores only — the single-producer lane contract (see
-// Begin's doc) makes that legal, and the lane comment explains the
-// publication protocol that keeps readers race-free — and it must stay
-// inside the compiler's inlining budget: one atomic-pointer load, one
-// index, one plain counter bump, one mask test.
+// which also publishes the count to readers.  The caller stores Open's
+// result unconditionally and stamps through nil-safe Record methods
+// (including Record.Context for the submit-time pool state, so that state
+// is only read on sampled calls).  This is the recorder's always-on cost,
+// paid by every fabric call, so it is built from plain loads and stores
+// only and must stay inside the compiler's inlining budget: one
+// atomic-pointer load, one index, one plain counter bump, one mask test.
+// The 255-in-256 unsampled calls pay a handful of inlined instructions
+// and no function call.
+//
+// Single-producer contract: a given (shard) lane must be driven by one
+// goroutine at a time — the shard's owning requester.  That is what lets
+// the unsampled path be a plain load+store count and a mask check, with
+// no LOCK-prefixed instruction (the lane comment explains the publication
+// protocol that keeps readers race-free); the sampled path additionally
+// takes a preallocated ring slot and reads the clock once.  Nothing
+// allocates.
 //
 // Unlike the package's other methods, Arrive requires a non-nil
 // receiver: the fabric tests its recorder field once per call anyway,

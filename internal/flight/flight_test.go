@@ -29,9 +29,19 @@ func newTestRecorder(t *testing.T, shards int, opts Options) (*Recorder, *fakeCl
 	return r, clk
 }
 
-// play records one complete call timeline through the hot-path API.
+// begin is the fabric's arrival: count the call, and open a record
+// for a sampled one.
+func begin(r *Recorder, cs Callsite, shard int, callID uint16) *Record {
+	if !r.Arrive(cs, shard) {
+		return nil
+	}
+	return r.Open(cs, shard, callID)
+}
+
+// play records one complete call timeline through the hot-path API; the
+// Complete return path lets the tail sampler see the call's latency.
 func play(r *Recorder, clk *fakeClock, cs Callsite, shard, responder int, svcNS uint64) *Record {
-	rec := r.Begin(cs, shard, 7)
+	rec := begin(r, cs, shard, 7)
 	rec.Context(1, 1, 0)
 	clk.advance(100)
 	rec.Claim(responder, r.Now())
@@ -40,7 +50,7 @@ func play(r *Recorder, clk *fakeClock, cs Callsite, shard, responder int, svcNS 
 	clk.advance(svcNS)
 	rec.ExecEnd(r.Now())
 	clk.advance(100)
-	rec.Return(r.Now())
+	r.Complete(rec)
 	return rec
 }
 
@@ -137,7 +147,7 @@ func TestCausalTimelineDigest(t *testing.T) {
 func TestTimeoutAndFallbackCounts(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("op")
-	rec := r.Begin(cs, 0, 0)
+	rec := begin(r, cs, 0, 0)
 	clk.advance(500)
 	r.Timeout(cs, 0, rec)
 	r.Fallback(cs)
@@ -186,13 +196,13 @@ func TestRingWraparound(t *testing.T) {
 func TestDigestStopsAtOpenRecord(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("op")
-	open := r.Begin(cs, 0, 0) // left open
+	open := begin(r, cs, 0, 0) // left open
 	play(r, clk, cs, 0, 0, 10)
 	r.Digest()
 	if got := r.Digested(); got != 0 {
 		t.Fatalf("digested past an open record: %d", got)
 	}
-	open.Return(r.Now())
+	r.Complete(open)
 	r.Digest()
 	if got := r.Digested(); got != 2 {
 		t.Fatalf("digested after close = %d, want 2", got)
@@ -411,8 +421,8 @@ func TestHandlerContentTypes(t *testing.T) {
 
 func TestNilAndUnboundSafety(t *testing.T) {
 	var r *Recorder
-	if r.Begin(Callsite{}, 0, 0) != nil {
-		t.Fatal("nil recorder Begin must return nil")
+	if r.Open(Callsite{}, 0, 0) != nil {
+		t.Fatal("nil recorder Open must return nil")
 	}
 	r.Digest()
 	r.Stats()
@@ -422,21 +432,18 @@ func TestNilAndUnboundSafety(t *testing.T) {
 	r.Stopped(nil)
 
 	unbound := New(Options{})
-	if unbound.Begin(Callsite{}, 0, 0) != nil {
-		t.Fatal("unbound recorder Begin must return nil")
+	if unbound.Arrive(Callsite{}, 0) || unbound.Open(Callsite{}, 0, 0) != nil {
+		t.Fatal("unbound recorder must sample nothing")
 	}
-	if unbound.Begin(Callsite{}, -1, 0) != nil {
-		t.Fatal("negative shard must return nil")
+	if unbound.Arrive(Callsite{}, -1) || unbound.Open(Callsite{}, -1, 0) != nil {
+		t.Fatal("negative shard must sample nothing")
 	}
 
 	var rec *Record
 	rec.Claim(0, 1)
 	rec.ExecStart(1)
 	rec.ExecEnd(1)
-	rec.Return(1)
-	if rec.TraceID() != 0 {
-		t.Fatal("nil record trace must be 0")
-	}
+	unbound.Complete(rec)
 }
 
 // TestBindTwicePanics: a recorder serves one fabric.  Binding it again

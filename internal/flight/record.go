@@ -42,15 +42,6 @@ type Record struct {
 	_         [2*cacheLine - 80]byte
 }
 
-// TraceID returns the record's trace ID (0 on nil), the value Chrome
-// events carry.
-func (rec *Record) TraceID() uint64 {
-	if rec == nil {
-		return 0
-	}
-	return rec.trace.Load()
-}
-
 // orU64 is atomic.Uint64.Or for the go1.22 language level the module
 // pins: a CAS loop, so concurrent responder-identity and flag updates
 // both survive.
@@ -65,7 +56,7 @@ func orU64(a *atomic.Uint64, bits uint64) {
 
 // Context stamps the submit-time pool state — queue depth, live
 // responders, sleeping responders — onto the record.  Split out of
-// Begin so the (shared, possibly contended) pool gauges are only read
+// Open so the (shared, possibly contended) pool gauges are only read
 // for the 1-in-SampleEvery calls that actually carry a record.  Only
 // the submitting requester writes ctx at this point, so a plain
 // load-or-store pair suffices.  Nil-safe.
@@ -117,16 +108,6 @@ func (rec *Record) ExecEnd(now uint64) {
 		return
 	}
 	rec.execEnd.Store(now)
-}
-
-// Return stamps the requester's wait-return time and closes the
-// record.  Nil-safe.
-func (rec *Record) Return(now uint64) {
-	if rec == nil {
-		return
-	}
-	rec.ret.Store(now)
-	rec.seq.Add(1) // odd (open) -> even (closed); the publication store
 }
 
 // closeWith closes an abnormally-terminated record: flag it, stamp the

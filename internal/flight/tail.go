@@ -72,8 +72,8 @@ const (
 // Complete stamps the requester's wait-return time, closes the record,
 // and runs the tail sampler's outlier check: one plain load of the
 // callsite's binding-local cutoff and a compare.  Over-cutoff calls are
-// copied to the shard's outlier ring and counted toward escalation.  Nil-safe on the record (the unsampled common
-// case), so callers replace fr.Return(now) with flight.Complete(fr)
+// copied to the shard's outlier ring and counted toward escalation.
+// Nil-safe on the record (the unsampled common case), so callers call it
 // unconditionally.  Must run on the shard's producer goroutine, like
 // every other record-path method.
 func (r *Recorder) Complete(fr *Record) {
@@ -245,14 +245,4 @@ func (r *Recorder) Outliers(max int) []RecordView {
 		out = out[len(out)-max:]
 	}
 	return out
-}
-
-// OutlierCount returns the exact number of outliers captured for the
-// callsite since New (retention in the ring is bounded; this count is
-// not).
-func (r *Recorder) OutlierCount(site int) uint64 {
-	if r == nil || site < 0 || site >= len(r.outlierSeen) {
-		return 0
-	}
-	return r.outlierSeen[site].n.Load()
 }

@@ -5,30 +5,12 @@ import (
 	"testing"
 )
 
-// playComplete is play routed through the Complete return path, so the
-// tail sampler sees the call's latency.
-func playComplete(r *Recorder, clk *fakeClock, cs Callsite, shard, responder int, svcNS uint64) *Record {
-	rec := r.Begin(cs, shard, 7)
-	rec.Context(1, 1, 0)
-	clk.advance(100)
-	rec.Claim(responder, r.Now())
-	clk.advance(50)
-	rec.ExecStart(r.Now())
-	clk.advance(svcNS)
-	rec.ExecEnd(r.Now())
-	clk.advance(100)
-	if rec != nil {
-		r.Complete(rec)
-	}
-	return rec
-}
-
 func TestTimeoutEscalatesAndRetainsOutliers(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 256})
 	cs := r.Callsite("op")
 
 	// First call is unsampled at SampleEvery=256 …
-	rec := r.Begin(cs, 0, 0)
+	rec := begin(r, cs, 0, 0)
 	if rec != nil {
 		t.Fatal("first call should be unsampled at SampleEvery=256")
 	}
@@ -37,7 +19,7 @@ func TestTimeoutEscalatesAndRetainsOutliers(t *testing.T) {
 	// and escalates the callsite to sample-every-call.
 	r.Timeout(cs, 0, rec)
 
-	rec2 := r.Begin(cs, 0, 0)
+	rec2 := begin(r, cs, 0, 0)
 	if rec2 == nil {
 		t.Fatal("escalated callsite should sample every call")
 	}
@@ -60,16 +42,13 @@ func TestTimeoutEscalatesAndRetainsOutliers(t *testing.T) {
 	if len(stats) != 1 || stats[0].Outliers != 2 || !stats[0].Escalated {
 		t.Fatalf("stats = %+v, want 2 outliers escalated", stats)
 	}
-	if r.OutlierCount(cs.ID()) != 2 {
-		t.Fatalf("OutlierCount = %d, want 2", r.OutlierCount(cs.ID()))
-	}
 }
 
 func TestQuietDigestsDeescalate(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 256})
 	cs := r.Callsite("op")
 
-	rec := r.Begin(cs, 0, 0)
+	rec := begin(r, cs, 0, 0)
 	clk.advance(500)
 	r.Timeout(cs, 0, rec)
 	if r.escalated[cs.ID()].Load() == 0 {
@@ -87,7 +66,7 @@ func TestQuietDigestsDeescalate(t *testing.T) {
 		t.Fatalf("%d quiet digests should de-escalate", quietDigests)
 	}
 	// Back to uniform sampling: next arrival is not a stride multiple.
-	if rec := r.Begin(cs, 0, 0); rec != nil {
+	if rec := begin(r, cs, 0, 0); rec != nil {
 		t.Fatal("de-escalated callsite should be back to 1-in-256")
 	}
 }
@@ -99,7 +78,7 @@ func TestAdaptiveCutoffCapturesLatencyOutliers(t *testing.T) {
 	// Calls of ~1ms: tailMultiplier times their p99 is above the floor.
 	const svc = 1_000_000
 	for i := 0; i < 8; i++ {
-		playComplete(r, clk, cs, 0, 0, svc)
+		play(r, clk, cs, 0, 0, svc)
 	}
 	// Before any digest the cutoff is disabled: nothing is an outlier.
 	if n := len(r.Outliers(16)); n != 0 {
@@ -112,13 +91,13 @@ func TestAdaptiveCutoffCapturesLatencyOutliers(t *testing.T) {
 	}
 
 	// Normal calls stay below the cutoff.
-	playComplete(r, clk, cs, 0, 0, svc)
+	play(r, clk, cs, 0, 0, svc)
 	if n := len(r.Outliers(16)); n != 0 {
 		t.Fatalf("normal-latency call captured as outlier (cutoff %d)", cut)
 	}
 
 	// A straggler above the cutoff is retained…
-	playComplete(r, clk, cs, 0, 0, 2*cut)
+	play(r, clk, cs, 0, 0, 2*cut)
 	out := r.Outliers(16)
 	if len(out) != 1 || out[0].TimedOut {
 		t.Fatalf("straggler not captured: %+v", out)
@@ -132,7 +111,7 @@ func TestAdaptiveCutoffCapturesLatencyOutliers(t *testing.T) {
 		if r.escalated[cs.ID()].Load() != 0 {
 			t.Fatalf("%d stragglers escalated, want %d", n, escalateAfter)
 		}
-		playComplete(r, clk, cs, 0, 0, 2*cut)
+		play(r, clk, cs, 0, 0, 2*cut)
 	}
 	// …and the escalateAfter-th within the same digest window escalates.
 	if r.escalated[cs.ID()].Load() == 0 {
@@ -147,13 +126,13 @@ func TestCutoffFloor(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("op")
 	for i := 0; i < 8; i++ {
-		playComplete(r, clk, cs, 0, 0, 1000) // latency 1250ns
+		play(r, clk, cs, 0, 0, 1000) // latency 1250ns
 	}
 	r.Digest()
 	if cut := r.Stats()[0].CutoffNS; cut != minCutoffNS {
 		t.Fatalf("cutoff = %d, want the %d ns floor", cut, minCutoffNS)
 	}
-	playComplete(r, clk, cs, 0, 0, minCutoffNS/2)
+	play(r, clk, cs, 0, 0, minCutoffNS/2)
 	if n := len(r.Outliers(16)); n != 0 {
 		t.Fatalf("a call under the floor was captured (%d outliers)", n)
 	}
@@ -172,7 +151,7 @@ func TestTailConcurrentCaptureAndRead(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				if i%50 == 49 {
-					rec := r.Begin(cs, shard, 0)
+					rec := begin(r, cs, shard, 0)
 					clk.advance(10)
 					r.Timeout(cs, shard, rec)
 					continue
@@ -181,7 +160,7 @@ func TestTailConcurrentCaptureAndRead(t *testing.T) {
 				if i%50 == 24 {
 					svc = 2 * minCutoffNS // over the floor: a latency outlier until the p99 catches up
 				}
-				playComplete(r, clk, cs, shard, 0, svc)
+				play(r, clk, cs, shard, 0, svc)
 			}
 		}(shard)
 	}
@@ -195,7 +174,7 @@ func TestTailConcurrentCaptureAndRead(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if r.OutlierCount(cs.ID()) == 0 {
-		t.Fatal("concurrent run captured no outliers")
+	if stats := r.Stats(); len(stats) != 1 || stats[0].Outliers == 0 {
+		t.Fatalf("concurrent run captured no outliers: %+v", stats)
 	}
 }

@@ -1,227 +1,6 @@
 package mee
 
-import (
-	"bytes"
-	"errors"
-	"testing"
-	"testing/quick"
-
-	"hotcalls/internal/sim"
-)
-
-func testKey() [32]byte {
-	var k [32]byte
-	for i := range k {
-		k[i] = byte(i * 7)
-	}
-	return k
-}
-
-func line(b byte) []byte {
-	data := make([]byte, LineSize)
-	for i := range data {
-		data[i] = b ^ byte(i)
-	}
-	return data
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	tr := NewTree(testKey(), 1024)
-	want := line(0x5a)
-	if err := tr.WriteLine(17, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tr.ReadLine(17)
-	if err != nil {
-		t.Fatalf("ReadLine: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("decrypted data differs from written data")
-	}
-}
-
-func TestReadNeverWritten(t *testing.T) {
-	tr := NewTree(testKey(), 1024)
-	if _, err := tr.ReadLine(3); !errors.Is(err, ErrNotWritten) {
-		t.Fatalf("err = %v, want ErrNotWritten", err)
-	}
-}
-
-func TestCiphertextDiffersFromPlaintext(t *testing.T) {
-	tr := NewTree(testKey(), 1024)
-	want := line(0xaa)
-	tr.WriteLine(5, want)
-	ct := tr.Ciphertext(5)
-	if bytes.Equal(ct, want) {
-		t.Fatal("ciphertext equals plaintext: no confidentiality")
-	}
-}
-
-func TestSamePlaintextDifferentAddressesDifferentCiphertext(t *testing.T) {
-	tr := NewTree(testKey(), 1024)
-	data := line(0x11)
-	tr.WriteLine(1, data)
-	tr.WriteLine(2, data)
-	if bytes.Equal(tr.Ciphertext(1), tr.Ciphertext(2)) {
-		t.Fatal("spatial uniqueness violated: same ciphertext at two addresses")
-	}
-}
-
-func TestSamePlaintextRewriteDifferentCiphertext(t *testing.T) {
-	tr := NewTree(testKey(), 1024)
-	data := line(0x22)
-	tr.WriteLine(9, data)
-	first := tr.Ciphertext(9)
-	tr.WriteLine(9, data)
-	if bytes.Equal(first, tr.Ciphertext(9)) {
-		t.Fatal("temporal uniqueness violated: rewrite produced identical ciphertext")
-	}
-}
-
-func TestTamperDataDetected(t *testing.T) {
-	tr := NewTree(testKey(), 1024)
-	tr.WriteLine(33, line(0x01))
-	if !tr.TamperData(33, 10) {
-		t.Fatal("tamper failed")
-	}
-	if _, err := tr.ReadLine(33); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("err = %v, want ErrIntegrity", err)
-	}
-}
-
-func TestTamperMACDetected(t *testing.T) {
-	tr := NewTree(testKey(), 1024)
-	tr.WriteLine(33, line(0x02))
-	tr.TamperMAC(33)
-	if _, err := tr.ReadLine(33); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("err = %v, want ErrIntegrity", err)
-	}
-}
-
-func TestTamperCounterDetected(t *testing.T) {
-	tr := NewTree(testKey(), 1024)
-	if tr.Depth() < 2 {
-		t.Fatal("need depth >= 2 for classification")
-	}
-	tr.WriteLine(40, line(0x03))
-	tr.TamperCounter(40)
-	if _, err := tr.ReadLine(40); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("err = %v, want ErrIntegrity", err)
-	}
-}
-
-func TestRollbackDetected(t *testing.T) {
-	tr := NewTree(testKey(), 1024)
-	tr.WriteLine(7, line(0x10)) // v1: the "old balance"
-	snap := tr.Snapshot(7)
-	tr.WriteLine(7, line(0x20)) // v2: the update the attacker wants to undo
-	tr.Restore(snap)            // replay the full DRAM state of v1
-	if _, err := tr.ReadLine(7); !errors.Is(err, ErrRollback) {
-		t.Fatalf("err = %v, want ErrRollback", err)
-	}
-}
-
-func TestRollbackOfUntouchedNeighborStillReads(t *testing.T) {
-	// Writes to line A must not break reads of line B.
-	tr := NewTree(testKey(), 4096)
-	a := line(0x0a)
-	b := line(0x0b)
-	tr.WriteLine(100, a)
-	tr.WriteLine(3000, b)
-	tr.WriteLine(100, line(0xff))
-	got, err := tr.ReadLine(3000)
-	if err != nil {
-		t.Fatalf("neighbor read failed after unrelated writes: %v", err)
-	}
-	if !bytes.Equal(got, b) {
-		t.Fatal("neighbor data corrupted")
-	}
-}
-
-func TestManyLinesSurviveInterleavedWrites(t *testing.T) {
-	tr := NewTree(testKey(), 1<<16)
-	r := sim.NewRNG(5)
-	written := map[uint64]byte{}
-	for i := 0; i < 2000; i++ {
-		ln := uint64(r.Intn(1 << 16))
-		b := byte(r.Intn(256))
-		tr.WriteLine(ln, line(b))
-		written[ln] = b
-	}
-	for ln, b := range written {
-		got, err := tr.ReadLine(ln)
-		if err != nil {
-			t.Fatalf("line %d: %v", ln, err)
-		}
-		if !bytes.Equal(got, line(b)) {
-			t.Fatalf("line %d: wrong data", ln)
-		}
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	tr := NewTree(testKey(), 1<<20)
-	f := func(ln uint32, seed byte) bool {
-		l := uint64(ln) % (1 << 20)
-		data := line(seed)
-		if err := tr.WriteLine(l, data); err != nil {
-			return false
-		}
-		got, err := tr.ReadLine(l)
-		return err == nil && bytes.Equal(got, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTamperAlwaysDetectedProperty(t *testing.T) {
-	f := func(ln uint16, byteIdx uint8, seed byte) bool {
-		tr := NewTree(testKey(), 1<<16)
-		l := uint64(ln)
-		tr.WriteLine(l, line(seed))
-		tr.TamperData(l, int(byteIdx)%LineSize)
-		_, err := tr.ReadLine(l)
-		return err != nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBadArgumentsPanic(t *testing.T) {
-	tr := NewTree(testKey(), 64)
-	for _, fn := range []func(){
-		func() { tr.WriteLine(64, line(0)) },
-		func() { tr.WriteLine(0, []byte{1, 2, 3}) },
-		func() { tr.ReadLine(64) },
-		func() { NewTree(testKey(), 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestTreeDepthScales(t *testing.T) {
-	if d := NewTree(testKey(), 8).Depth(); d != 1 {
-		t.Fatalf("depth(8 lines) = %d, want 1", d)
-	}
-	if d := NewTree(testKey(), 9).Depth(); d != 2 {
-		t.Fatalf("depth(9 lines) = %d, want 2", d)
-	}
-	// 93 MB EPC = 1,523,712 lines -> 8^7 = 2,097,152 covers it.
-	if d := NewTree(testKey(), 93*(1<<20)/64).Depth(); d != 7 {
-		t.Fatalf("depth(EPC) = %d, want 7", d)
-	}
-}
-
-// --- Cost model ---
+import "testing"
 
 func TestDemandLoadExtraWarmTree(t *testing.T) {
 	m := NewCostModel()

@@ -64,10 +64,6 @@ type System struct {
 	EPC *epc.Manager
 	rng *sim.RNG
 
-	// owner tags every EPC touch this system charges; SetOwner lets a
-	// multi-tenant host attribute paging traffic per enclave.
-	owner epc.OwnerID
-
 	pageFaults uint64
 
 	// tracer records paging events with cycle timestamps; nil (a no-op)
@@ -115,11 +111,6 @@ func (s *System) SetTelemetry(reg *telemetry.Registry) {
 	s.MEE.SetTelemetry(reg)
 }
 
-// SetOwner sets the EPC owner ID stamped on every page this system
-// touches from now on (owner 0, the default, is the anonymous
-// single-enclave owner).
-func (s *System) SetOwner(owner epc.OwnerID) { s.owner = owner }
-
 // SetEPCStat attaches an EPC pressure observatory to the hierarchy: the
 // collector becomes the EPC manager's observer and snapshots gain the
 // MEE node-cache counters.  Call before the first enclave access.
@@ -133,7 +124,7 @@ func (s *System) SetEPCStat(c *epcstat.Collector) {
 // whole cost lands before the first line's cache access — where touching
 // line by line charged it.
 func (s *System) touchPage(clk *sim.Clock, addr uint64, lines int) {
-	fault, evictions := s.EPC.TouchRunAs(s.owner, page(addr), lines)
+	fault, evictions := s.EPC.TouchRunAs(0, page(addr), lines) // the anonymous owner, as Touch
 	if !fault {
 		return
 	}

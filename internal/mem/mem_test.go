@@ -12,7 +12,7 @@ func medianOf(t *testing.T, runs int, setup func(s *System), op func(s *System, 
 	t.Helper()
 	rng := sim.NewRNG(1234)
 	s := New(rng)
-	res := sim.MeasureN(rng, runs, func() uint64 {
+	res := sim.Measure(rng, runs, func() uint64 {
 		setup(s)
 		var clk sim.Clock
 		op(s, &clk)

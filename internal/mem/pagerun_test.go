@@ -20,7 +20,7 @@ func refSweep(s *System, clk *sim.Clock, addr, size uint64, write bool) {
 	footprint := int((size + LineSize - 1) / LineSize)
 	for a := s.LLC.LineAddr(addr); a < addr+size; a += LineSize {
 		if enc {
-			if fault, cycles := s.EPC.TouchAs(s.owner, page(a)); fault {
+			if fault, cycles := s.EPC.Touch(page(a)); fault {
 				s.pageFaults++
 				clk.AdvanceF(cycles)
 			}

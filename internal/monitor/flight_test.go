@@ -27,9 +27,12 @@ func (c *flightClock) advance(d uint64) { c.ns.Add(d) }
 // driveCalls runs n complete calls through the recorder on shard 0.
 func driveCalls(f *flight.Recorder, cs flight.Callsite, clk *flightClock, n int) {
 	for i := 0; i < n; i++ {
-		rec := f.Begin(cs, 0, 1)
+		var rec *flight.Record
+		if f.Arrive(cs, 0) {
+			rec = f.Open(cs, 0, 1)
+		}
 		clk.advance(500)
-		rec.Return(clk.now())
+		f.Complete(rec)
 	}
 }
 

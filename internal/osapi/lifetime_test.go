@@ -50,21 +50,21 @@ func TestConnectionChurnLeavesNothingBehind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.Send(&clk, "client_tx", client, 0, req); err != nil {
+		if _, err := k.Send(&clk, client, 0, req); err != nil {
 			t.Fatal(err)
 		}
 		conn, err := k.Accept(&clk, lfd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := k.Recv(&clk, "read", conn, mem.PlainBase, user); err != nil || !bytes.Equal(user[:n], req) {
+		if n, err := k.Recv(&clk, conn, mem.PlainBase, user); err != nil || !bytes.Equal(user[:n], req) {
 			t.Fatalf("request %d: recv = (%d, %v)", i, n, err)
 		}
 		fd, err := k.Open(&clk, "/index.html")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.Send(&clk, "writev", conn, mem.PlainBase, head); err != nil {
+		if _, err := k.Send(&clk, conn, mem.PlainBase, head); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := k.Sendfile(&clk, conn, fd); err != nil {
@@ -148,19 +148,19 @@ func TestRecvRecyclesPacketBytes(t *testing.T) {
 	user := make([]byte, 64)
 
 	k.Inject(conn, []byte("first request"))
-	if _, err := k.Recv(&clk, "read", conn, mem.PlainBase, user); err != nil {
+	if _, err := k.Recv(&clk, conn, mem.PlainBase, user); err != nil {
 		t.Fatal(err)
 	}
 	if len(k.bufFree) != 1 {
 		t.Fatalf("free list holds %d buffers after one Recv, want 1", len(k.bufFree))
 	}
-	k.Send(&clk, "sendmsg", conn, mem.PlainBase, []byte("response one"))
+	k.Send(&clk, conn, mem.PlainBase, []byte("response one"))
 	if len(k.bufFree) != 0 {
 		t.Fatal("Send did not reuse the received packet's bytes")
 	}
 	taken, _ := k.TakeRX(client)
 	k.Inject(conn, []byte("second request"))
-	k.Send(&clk, "sendmsg", conn, mem.PlainBase, []byte("response two"))
+	k.Send(&clk, conn, mem.PlainBase, []byte("response two"))
 	if string(taken) != "response one" {
 		t.Fatalf("a packet the generator holds was overwritten: %q", taken)
 	}
@@ -176,7 +176,7 @@ func TestFreeListIsBounded(t *testing.T) {
 	user := make([]byte, 4*maxFreeBufs)
 	for size := 1; size <= len(user); size++ {
 		k.Inject(fd, user[:size])
-		if _, err := k.Recv(&clk, "read", fd, mem.PlainBase, user); err != nil {
+		if _, err := k.Recv(&clk, fd, mem.PlainBase, user); err != nil {
 			t.Fatal(err)
 		}
 	}

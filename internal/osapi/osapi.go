@@ -12,7 +12,6 @@ package osapi
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"hotcalls/internal/mem"
 	"hotcalls/internal/sim"
@@ -85,7 +84,6 @@ type socket struct {
 	accepted fifo[int]    // pending connections on a listener
 	listener bool
 	peer     int // fd of the connected peer, -1 if none
-	sent     uint64
 
 	// remote marks the generator's end of an injected connection.  No
 	// simulated process holds its descriptor, so nothing will ever close
@@ -97,35 +95,6 @@ type file struct {
 	name string
 	data []byte
 	addr uint64 // page-cache address
-	pos  int
-}
-
-// Fixed system calls, counted by index; Recv and Send take their name from
-// the caller (read vs recvfrom, sendmsg vs writev) and are interned on
-// first use.
-const (
-	sysSocket = iota
-	sysListen
-	sysAccept
-	sysClose
-	sysShutdown
-	sysPoll
-	sysEpollCtl
-	sysFcntl
-	sysSetsockopt
-	sysIoctl
-	sysTime
-	sysGetPID
-	sysOpen
-	sysFstat
-	sysRead
-	sysSendfile
-	numFixedSyscalls
-)
-
-var fixedSyscallNames = [numFixedSyscalls]string{
-	"socket", "listen", "accept", "close", "shutdown", "poll", "epoll_ctl", "fcntl",
-	"setsockopt", "ioctl", "time", "getpid", "open64", "fxstat64", "read", "sendfile64",
 }
 
 // Kernel is the simulated operating system for one machine.  It is not
@@ -145,11 +114,6 @@ type Kernel struct {
 	// the iperf-style throughput counter.
 	TX uint64
 
-	// sysNames[i] has been entered sysCounts[i] times; the first
-	// numFixedSyscalls entries are the fixed calls.
-	sysNames  []string
-	sysCounts []uint64
-
 	// bufFree holds the byte backing of received packets for the next
 	// Inject or Send to reuse.
 	bufFree [][]byte
@@ -158,46 +122,15 @@ type Kernel struct {
 // NewKernel returns a kernel over the given memory system.
 func NewKernel(m *mem.System) *Kernel {
 	return &Kernel{
-		Mem:       m,
-		sockets:   make(map[int]*socket),
-		files:     make(map[int]*file),
-		fs:        make(map[string][]byte),
-		fsAddr:    make(map[string]uint64),
-		nextFD:    3,
-		bufNext:   kernBufBase,
-		pid:       4242,
-		sysNames:  slices.Clone(fixedSyscallNames[:]),
-		sysCounts: make([]uint64, numFixedSyscalls, numFixedSyscalls+8),
+		Mem:     m,
+		sockets: make(map[int]*socket),
+		files:   make(map[int]*file),
+		fs:      make(map[string][]byte),
+		fsAddr:  make(map[string]uint64),
+		nextFD:  3,
+		bufNext: kernBufBase,
+		pid:     4242,
 	}
-}
-
-// Syscalls returns the per-name system-call counts.
-func (k *Kernel) Syscalls() map[string]uint64 {
-	out := make(map[string]uint64, len(k.sysNames))
-	for i, n := range k.sysCounts {
-		if n > 0 {
-			out[k.sysNames[i]] += n
-		}
-	}
-	return out
-}
-
-func (k *Kernel) enter(clk *sim.Clock, sys int) {
-	k.sysCounts[sys]++
-	clk.Advance(SyscallCost)
-}
-
-// enterNamed is enter for the calls named by their caller.
-func (k *Kernel) enterNamed(clk *sim.Clock, name string) {
-	for i := numFixedSyscalls; i < len(k.sysNames); i++ {
-		if k.sysNames[i] == name {
-			k.enter(clk, i)
-			return
-		}
-	}
-	k.sysNames = append(k.sysNames, name)
-	k.sysCounts = append(k.sysCounts, 0)
-	k.enter(clk, len(k.sysNames)-1)
 }
 
 func (k *Kernel) kalloc(size uint64) uint64 {
@@ -246,7 +179,7 @@ func (k *Kernel) bufPut(p packet) {
 
 // Socket creates a datagram/stream socket.
 func (k *Kernel) Socket(clk *sim.Clock) int {
-	k.enter(clk, sysSocket)
+	clk.Advance(SyscallCost)
 	return k.newSocket()
 }
 
@@ -268,7 +201,7 @@ func (k *Kernel) dropSocket(s *socket) {
 
 // Listen marks a socket as accepting connections.
 func (k *Kernel) Listen(clk *sim.Clock, fd int) error {
-	k.enter(clk, sysListen)
+	clk.Advance(SyscallCost)
 	s, ok := k.sockets[fd]
 	if !ok {
 		return ErrBadFD
@@ -296,7 +229,7 @@ func (k *Kernel) InjectConnection(listenFD int) (clientFD int, err error) {
 
 // Accept pops a pending connection off a listener.
 func (k *Kernel) Accept(clk *sim.Clock, fd int) (int, error) {
-	k.enter(clk, sysAccept)
+	clk.Advance(SyscallCost)
 	l, ok := k.sockets[fd]
 	if !ok || !l.listener {
 		return 0, ErrNotListener
@@ -336,8 +269,8 @@ func (k *Kernel) popRX(s *socket) packet {
 
 // Recv copies one queued packet into the user buffer at userAddr and
 // charges the kernel-to-user copy.  It returns the byte count.
-func (k *Kernel) Recv(clk *sim.Clock, name string, fd int, userAddr uint64, userBuf []byte) (int, error) {
-	k.enterNamed(clk, name)
+func (k *Kernel) Recv(clk *sim.Clock, fd int, userAddr uint64, userBuf []byte) (int, error) {
+	clk.Advance(SyscallCost)
 	s, ok := k.sockets[fd]
 	if !ok {
 		return 0, ErrBadFD
@@ -354,8 +287,8 @@ func (k *Kernel) Recv(clk *sim.Clock, name string, fd int, userAddr uint64, user
 
 // Send copies user bytes into a kernel buffer and delivers them to the
 // peer socket (or counts them as transmitted when the peer is remote).
-func (k *Kernel) Send(clk *sim.Clock, name string, fd int, userAddr uint64, data []byte) (int, error) {
-	k.enterNamed(clk, name)
+func (k *Kernel) Send(clk *sim.Clock, fd int, userAddr uint64, data []byte) (int, error) {
+	clk.Advance(SyscallCost)
 	s, ok := k.sockets[fd]
 	if !ok {
 		return 0, ErrBadFD
@@ -363,19 +296,10 @@ func (k *Kernel) Send(clk *sim.Clock, name string, fd int, userAddr uint64, data
 	kaddr := k.kalloc(uint64(len(data)))
 	k.Mem.Copy(clk, kaddr, userAddr, uint64(len(data)))
 	k.TX += uint64(len(data))
-	s.sent += uint64(len(data))
 	if peer, ok := k.sockets[s.peer]; ok {
 		peer.rx.push(packet{data: k.bufGet(data), addr: kaddr, owned: true})
 	}
 	return len(data), nil
-}
-
-// Sent returns the number of bytes transmitted through fd.
-func (k *Kernel) Sent(fd int) uint64 {
-	if s, ok := k.sockets[fd]; ok {
-		return s.sent
-	}
-	return 0
 }
 
 // TakeRX pops one packet destined to fd without cost — the generator side
@@ -391,7 +315,7 @@ func (k *Kernel) TakeRX(fd int) ([]byte, bool) {
 
 // Close releases a descriptor.
 func (k *Kernel) Close(clk *sim.Clock, fd int) error {
-	k.enter(clk, sysClose)
+	clk.Advance(SyscallCost)
 	if s, ok := k.sockets[fd]; ok {
 		if peer, ok := k.sockets[s.peer]; ok {
 			peer.peerClosed = true
@@ -411,7 +335,7 @@ func (k *Kernel) Close(clk *sim.Clock, fd int) error {
 
 // Shutdown half-closes a socket.
 func (k *Kernel) Shutdown(clk *sim.Clock, fd int) error {
-	k.enter(clk, sysShutdown)
+	clk.Advance(SyscallCost)
 	if _, ok := k.sockets[fd]; !ok {
 		return ErrBadFD
 	}
@@ -422,7 +346,7 @@ func (k *Kernel) Shutdown(clk *sim.Clock, fd int) error {
 
 // Poll checks readiness of a set of descriptors.
 func (k *Kernel) Poll(clk *sim.Clock, fds ...int) int {
-	k.enter(clk, sysPoll)
+	clk.Advance(SyscallCost)
 	ready := 0
 	for _, fd := range fds {
 		if k.Readable(fd) {
@@ -433,27 +357,27 @@ func (k *Kernel) Poll(clk *sim.Clock, fds ...int) int {
 }
 
 // EpollCtl registers interest; the model only charges the transition.
-func (k *Kernel) EpollCtl(clk *sim.Clock) { k.enter(clk, sysEpollCtl) }
+func (k *Kernel) EpollCtl(clk *sim.Clock) { clk.Advance(SyscallCost) }
 
 // Fcntl manipulates descriptor flags.
-func (k *Kernel) Fcntl(clk *sim.Clock) { k.enter(clk, sysFcntl) }
+func (k *Kernel) Fcntl(clk *sim.Clock) { clk.Advance(SyscallCost) }
 
 // Setsockopt sets socket options.
-func (k *Kernel) Setsockopt(clk *sim.Clock) { k.enter(clk, sysSetsockopt) }
+func (k *Kernel) Setsockopt(clk *sim.Clock) { clk.Advance(SyscallCost) }
 
 // Ioctl performs a device control call.
-func (k *Kernel) Ioctl(clk *sim.Clock) { k.enter(clk, sysIoctl) }
+func (k *Kernel) Ioctl(clk *sim.Clock) { clk.Advance(SyscallCost) }
 
 // Time returns wall-clock seconds derived from the calling core's cycles.
 func (k *Kernel) Time(clk *sim.Clock) uint64 {
-	k.enter(clk, sysTime)
+	clk.Advance(SyscallCost)
 	return uint64(sim.Seconds(clk.Now()))
 }
 
 // GetPID returns the process ID (OpenSSL calls this on every cryptographic
 // context operation, which is why it shows up so high in Table 2).
 func (k *Kernel) GetPID(clk *sim.Clock) int {
-	k.enter(clk, sysGetPID)
+	clk.Advance(SyscallCost)
 	return k.pid
 }
 
@@ -467,7 +391,7 @@ func (k *Kernel) WriteFS(name string, data []byte) {
 
 // Open opens a file.
 func (k *Kernel) Open(clk *sim.Clock, name string) (int, error) {
-	k.enter(clk, sysOpen)
+	clk.Advance(SyscallCost)
 	data, ok := k.fs[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoSuchFile, name)
@@ -480,7 +404,7 @@ func (k *Kernel) Open(clk *sim.Clock, name string) (int, error) {
 
 // Fstat returns a file's size.
 func (k *Kernel) Fstat(clk *sim.Clock, fd int) (int, error) {
-	k.enter(clk, sysFstat)
+	clk.Advance(SyscallCost)
 	f, ok := k.files[fd]
 	if !ok {
 		return 0, ErrBadFD
@@ -488,23 +412,10 @@ func (k *Kernel) Fstat(clk *sim.Clock, fd int) (int, error) {
 	return len(f.data), nil
 }
 
-// ReadFile copies file bytes into the user buffer.
-func (k *Kernel) ReadFile(clk *sim.Clock, fd int, userAddr uint64, userBuf []byte) (int, error) {
-	k.enter(clk, sysRead)
-	f, ok := k.files[fd]
-	if !ok {
-		return 0, ErrBadFD
-	}
-	n := copy(userBuf, f.data[f.pos:])
-	k.Mem.Copy(clk, userAddr, f.addr+uint64(f.pos), uint64(n))
-	f.pos += n
-	return n, nil
-}
-
 // Sendfile streams a whole file to a socket inside the kernel: no
 // user-space copy, which is why lighttpd uses it for page bodies.
 func (k *Kernel) Sendfile(clk *sim.Clock, outFD, inFD int) (int, error) {
-	k.enter(clk, sysSendfile)
+	clk.Advance(SyscallCost)
 	f, ok := k.files[inFD]
 	if !ok {
 		return 0, ErrBadFD
@@ -516,7 +427,6 @@ func (k *Kernel) Sendfile(clk *sim.Clock, outFD, inFD int) (int, error) {
 	// Kernel-side page-cache to socket-buffer move.
 	k.Mem.StreamRead(clk, f.addr, uint64(len(f.data)))
 	k.TX += uint64(len(f.data))
-	s.sent += uint64(len(f.data))
 	if peer, ok := k.sockets[s.peer]; ok {
 		// The page cache is immutable (WriteFS installs a private copy),
 		// so the peer reads the file's own bytes: no socket-buffer copy.

@@ -47,12 +47,12 @@ func TestSocketSendRecvLoopback(t *testing.T) {
 		t.Fatal("server socket should be readable")
 	}
 	buf := make([]byte, 64)
-	n, err := k.Recv(&clk, "read", server, mem.PlainBase+0x100000, buf)
+	n, err := k.Recv(&clk, server, mem.PlainBase+0x100000, buf)
 	if err != nil || n != 5 || !bytes.Equal(buf[:5], []byte("hello")) {
 		t.Fatalf("recv = (%d, %v, %q)", n, err, buf[:n])
 	}
 	// Server -> client.
-	if _, err := k.Send(&clk, "sendmsg", server, mem.PlainBase+0x100000, []byte("world")); err != nil {
+	if _, err := k.Send(&clk, server, mem.PlainBase+0x100000, []byte("world")); err != nil {
 		t.Fatal(err)
 	}
 	resp, ok := k.TakeRX(client)
@@ -65,7 +65,7 @@ func TestRecvWouldBlock(t *testing.T) {
 	k := newKernel()
 	var clk sim.Clock
 	fd := k.Socket(&clk)
-	if _, err := k.Recv(&clk, "read", fd, mem.PlainBase, make([]byte, 8)); !errors.Is(err, ErrWouldBlock) {
+	if _, err := k.Recv(&clk, fd, mem.PlainBase, make([]byte, 8)); !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -108,13 +108,6 @@ func TestFileReadAndSendfile(t *testing.T) {
 	if size, err := k.Fstat(&clk, fd); err != nil || size != len(page) {
 		t.Fatalf("fstat = (%d, %v)", size, err)
 	}
-	buf := make([]byte, 4096)
-	if n, err := k.ReadFile(&clk, fd, mem.PlainBase+0x200000, buf); err != nil || n != 4096 {
-		t.Fatalf("read = (%d, %v)", n, err)
-	}
-	if !bytes.Equal(buf, page[:4096]) {
-		t.Fatal("file data wrong")
-	}
 
 	lfd := k.Socket(&clk)
 	k.Listen(&clk, lfd)
@@ -154,93 +147,32 @@ func TestCloseReleasesFD(t *testing.T) {
 	}
 }
 
-func TestSyscallCounters(t *testing.T) {
-	k := newKernel()
-	var clk sim.Clock
-	k.GetPID(&clk)
-	k.GetPID(&clk)
-	k.Time(&clk)
-	c := k.Syscalls()
-	if c["getpid"] != 2 || c["time"] != 1 {
-		t.Fatalf("counters = %v", c)
-	}
-}
-
 func TestLargeTransfersCostMoreCycles(t *testing.T) {
 	k := newKernel()
 	var small, large sim.Clock
 	fd := k.Socket(&small)
 	k.Inject(fd, make([]byte, 64))
-	k.Recv(&small, "read", fd, mem.PlainBase+0x300000, make([]byte, 64))
+	k.Recv(&small, fd, mem.PlainBase+0x300000, make([]byte, 64))
 
 	fd2 := k.Socket(&large)
 	k.Inject(fd2, make([]byte, 16384))
-	k.Recv(&large, "read", fd2, mem.PlainBase+0x400000, make([]byte, 16384))
+	k.Recv(&large, fd2, mem.PlainBase+0x400000, make([]byte, 16384))
 	if large.Now() <= small.Now() {
 		t.Fatalf("16 KB recv (%d) should cost more than 64 B recv (%d)", large.Now(), small.Now())
-	}
-}
-
-func TestReadFileAdvancesPosition(t *testing.T) {
-	k := newKernel()
-	var clk sim.Clock
-	data := make([]byte, 10000)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	k.WriteFS("/f", data)
-	fd, err := k.Open(&clk, "/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	var got []byte
-	for {
-		n, err := k.ReadFile(&clk, fd, mem.PlainBase+0x500000, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("chunked read returned %d bytes, corrupted", len(got))
-	}
-}
-
-func TestIndependentOpensHaveIndependentPositions(t *testing.T) {
-	k := newKernel()
-	var clk sim.Clock
-	k.WriteFS("/f", []byte("abcdefgh"))
-	fd1, _ := k.Open(&clk, "/f")
-	fd2, _ := k.Open(&clk, "/f")
-	buf := make([]byte, 4)
-	k.ReadFile(&clk, fd1, mem.PlainBase, buf)
-	if string(buf) != "abcd" {
-		t.Fatalf("fd1 read %q", buf)
-	}
-	k.ReadFile(&clk, fd2, mem.PlainBase, buf)
-	if string(buf) != "abcd" {
-		t.Fatalf("fd2 should start at 0, read %q", buf)
 	}
 }
 
 func TestBadFDEverywhere(t *testing.T) {
 	k := newKernel()
 	var clk sim.Clock
-	if _, err := k.Send(&clk, "send", 99, 0, []byte("x")); !errors.Is(err, ErrBadFD) {
+	if _, err := k.Send(&clk, 99, 0, []byte("x")); !errors.Is(err, ErrBadFD) {
 		t.Errorf("Send: %v", err)
 	}
-	if _, err := k.Recv(&clk, "recv", 99, 0, make([]byte, 1)); !errors.Is(err, ErrBadFD) {
+	if _, err := k.Recv(&clk, 99, 0, make([]byte, 1)); !errors.Is(err, ErrBadFD) {
 		t.Errorf("Recv: %v", err)
 	}
 	if _, err := k.Fstat(&clk, 99); !errors.Is(err, ErrBadFD) {
 		t.Errorf("Fstat: %v", err)
-	}
-	if _, err := k.ReadFile(&clk, 99, 0, make([]byte, 1)); !errors.Is(err, ErrBadFD) {
-		t.Errorf("ReadFile: %v", err)
 	}
 	if _, err := k.Sendfile(&clk, 99, 98); !errors.Is(err, ErrBadFD) {
 		t.Errorf("Sendfile: %v", err)
@@ -262,10 +194,10 @@ func TestKernelBufferRingWraps(t *testing.T) {
 	payload := make([]byte, 1<<20)
 	for i := 0; i < 1100; i++ { // > 1 GB of kernel buffer churn
 		k.Inject(fd, payload[:1024])
-		if _, err := k.Send(&clk, "send", fd, mem.PlainBase, payload); err != nil {
+		if _, err := k.Send(&clk, fd, mem.PlainBase, payload); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.Recv(&clk, "recv", fd, mem.PlainBase, payload[:1024]); err != nil {
+		if _, err := k.Recv(&clk, fd, mem.PlainBase, payload[:1024]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -83,9 +83,6 @@ type Span struct {
 	Children []*Span
 }
 
-// End returns the span's exclusive end timestamp.
-func (s *Span) End() uint64 { return s.Event.TS + s.Event.Dur }
-
 // Self returns the span's self time: its duration minus its children's,
 // clamped at zero against accounting drift.
 func (s *Span) Self() uint64 {

@@ -8,42 +8,28 @@ const (
 	allocaCost = 18 // stack pointer bump
 )
 
-// Arena is an untrusted-heap allocator handing out simulated plaintext
-// addresses with real byte backing.  Freed blocks are reused
-// most-recently-freed-first so steady-state callers stay cache-warm.
+// Arena is an untrusted-heap bump allocator handing out simulated
+// plaintext addresses with real byte backing.
 type Arena struct {
 	next uint64
 	end  uint64
-	free map[uint64][]uint64
 }
 
 // NewArena returns an arena over [base, base+size).
 func NewArena(base, size uint64) *Arena {
-	return &Arena{next: base, end: base + size, free: make(map[uint64][]uint64)}
+	return &Arena{next: base, end: base + size}
 }
 
 // Alloc returns the address of a new block, 64-byte aligned.
 func (a *Arena) Alloc(clk *sim.Clock, size uint64) uint64 {
 	clk.Advance(mallocCost)
 	size = (size + 63) / 64 * 64
-	if list := a.free[size]; len(list) > 0 {
-		addr := list[len(list)-1]
-		a.free[size] = list[:len(list)-1]
-		return addr
-	}
 	if a.next+size > a.end {
 		panic("sdk: untrusted arena exhausted")
 	}
 	addr := a.next
 	a.next += size
 	return addr
-}
-
-// Free returns a block to the arena.
-func (a *Arena) Free(clk *sim.Clock, addr, size uint64) {
-	clk.Advance(mallocCost)
-	size = (size + 63) / 64 * 64
-	a.free[size] = append(a.free[size], addr)
 }
 
 // AllocBuffer allocates a zero-initialized buffer with real backing.

@@ -30,7 +30,7 @@ func measureECall(f *fixture, n int, setup func(), args func() []Arg) *sim.Sampl
 		}
 		f.rt.ECall(&clk, ecallName(args), args()...)
 	}
-	res := sim.MeasureN(f.p.RNG, n, func() uint64 {
+	res := sim.Measure(f.p.RNG, n, func() uint64 {
 		if setup != nil {
 			setup()
 		}
@@ -97,7 +97,7 @@ func TestTable1Row4OcallWarm(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		run()
 	}
-	res := sim.MeasureN(f.p.RNG, 20000, run)
+	res := sim.Measure(f.p.RNG, 20000, run)
 	s := res.Sample
 	calWithin(t, "ocall warm median", s.Median(), 8314, 0.02)
 	// Figure 2b: warm ocalls complete in 8,200-8,400 cycles.
@@ -128,7 +128,7 @@ func TestTable1Row5OcallCold(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		run()
 	}
-	res := sim.MeasureN(f.p.RNG, 4000, run)
+	res := sim.Measure(f.p.RNG, 4000, run)
 	calWithin(t, "ocall cold median", res.Sample.Median(), 14160, 0.06)
 }
 
@@ -189,7 +189,7 @@ func TestTable1Row6OcallBufferTransfer(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			run()
 		}
-		res := sim.MeasureN(f.p.RNG, 4000, run)
+		res := sim.Measure(f.p.RNG, 4000, run)
 		calWithin(t, tc.fn+" 2KB median", res.Sample.Median(), tc.median, 0.04)
 	}
 }
@@ -217,7 +217,7 @@ func TestNoRedundantZeroingSavesMemsetCost(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			run()
 		}
-		return sim.MeasureN(f.p.RNG, 2000, run).Sample.Median()
+		return sim.Measure(f.p.RNG, 2000, run).Sample.Median()
 	}
 	base := measure(false)
 	nrz := measure(true)

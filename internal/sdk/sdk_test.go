@@ -3,6 +3,7 @@ package sdk
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"hotcalls/internal/edl"
@@ -493,7 +494,7 @@ func TestSpinLockDoubleUnlockPanics(t *testing.T) {
 
 func TestCondSignalWakes(t *testing.T) {
 	var c Cond
-	var mu Mutex
+	var mu sync.Mutex
 	ready := false
 	done := make(chan struct{})
 	go func() {

@@ -36,20 +36,6 @@ func (l *SpinLock) Unlock() {
 	}
 }
 
-// Mutex is the sgx_thread_mutex replacement the porting framework
-// substitutes for pthread_mutex_t inside enclaves (Section 6.1).  In the
-// simulation it degrades to a plain mutex; the point of modelling it
-// separately is that enclave code must not call the OS futex path.
-type Mutex struct {
-	mu sync.Mutex
-}
-
-// Lock acquires the mutex.
-func (m *Mutex) Lock() { m.mu.Lock() }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.mu.Unlock() }
-
 // Cond is the sgx_thread_cond replacement for pthread_cond_t, used by the
 // HotCalls responder to sleep through idle periods (Section 4.2,
 // "Conserving resources at idle times").

@@ -1,12 +1,10 @@
-// Package attest implements SGX attestation and sealing on top of the
-// simulated platform: local attestation (EREPORT / report-key
-// verification), remote attestation (a quoting enclave signing reports
-// with a provisioned ECDSA key, verified against the simulated Intel
-// attestation service), and data sealing bound to MRENCLAVE.
+// Package attest implements SGX remote attestation on top of the
+// simulated platform: EREPORT, a quoting enclave that signs reports with a
+// provisioned ECDSA key, and the simulated Intel attestation service that
+// verifies the quotes.
 //
-// The paper relies on this machinery only as context (Section 2), but any
-// downstream user of the library needs it to provision secrets into an
-// enclave, so the reproduction implements it fully.
+// The paper relies on this machinery only as context (Section 2); the
+// openvpn port's enclave handshake uses it to attest the tunnel endpoint.
 package attest
 
 import (
@@ -28,8 +26,6 @@ var (
 	ErrBadReportMAC  = errors.New("attest: report MAC verification failed")
 	ErrBadQuote      = errors.New("attest: quote signature verification failed")
 	ErrUnknownSigner = errors.New("attest: quote signed by unprovisioned platform")
-	ErrSealTampered  = errors.New("attest: sealed blob failed authentication")
-	ErrWrongEnclave  = errors.New("attest: sealed blob bound to a different enclave")
 )
 
 // ReportData is the caller-chosen 64-byte payload bound into a report
@@ -86,18 +82,6 @@ func EReport(p *sgx.Platform, src *sgx.Enclave, target sgx.Measurement, data Rep
 	return r
 }
 
-// VerifyReport checks a report as the target enclave would, using the
-// report key only it (and the hardware) can derive.
-func VerifyReport(p *sgx.Platform, target *sgx.Enclave, r *Report) error {
-	key := reportKey(p.SealSecret(), target.MRENCLAVE())
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(reportBody(r))
-	if !hmac.Equal(mac.Sum(nil), r.MAC[:]) {
-		return ErrBadReportMAC
-	}
-	return nil
-}
-
 // Quote is a remotely verifiable statement: a report countersigned by the
 // platform's quoting enclave with its provisioned attestation key.
 type Quote struct {
@@ -105,24 +89,6 @@ type Quote struct {
 	PlatformID string
 	SigR, SigS []byte
 }
-
-// Policy constrains which quotes a verifier accepts beyond signature
-// validity — the checks a production relying party applies.
-type Policy struct {
-	// AllowDebug accepts enclaves built with the DEBUG attribute.  A
-	// debug enclave's memory is inspectable with a debugger, so
-	// production verifiers must refuse it.
-	AllowDebug bool
-	// MinSVN is the minimum acceptable security version number of the
-	// enclave code (monotonically bumped on security fixes).
-	MinSVN uint16
-}
-
-// Errors from policy enforcement.
-var (
-	ErrDebugEnclave = errors.New("attest: debug enclave rejected by policy")
-	ErrStaleSVN     = errors.New("attest: enclave security version below policy minimum")
-)
 
 // Service is the simulated Intel attestation service: it provisions
 // quoting keys to platforms at "manufacturing" and later tells remote
@@ -183,21 +149,6 @@ func (s *Service) Verify(q *Quote) error {
 	ss := new(big.Int).SetBytes(q.SigS)
 	if !ecdsa.Verify(pub, digest[:], r, ss) {
 		return ErrBadQuote
-	}
-	return nil
-}
-
-// VerifyWithPolicy checks the quote's signature and then enforces the
-// relying party's policy on the attested attributes.
-func (s *Service) VerifyWithPolicy(q *Quote, p Policy) error {
-	if err := s.Verify(q); err != nil {
-		return err
-	}
-	if q.Report.Attributes.Debug && !p.AllowDebug {
-		return ErrDebugEnclave
-	}
-	if q.Report.Attributes.SVN < p.MinSVN {
-		return ErrStaleSVN
 	}
 	return nil
 }

@@ -45,7 +45,6 @@ const (
 	EEnterMicrocode  = eenterFixed
 	EExitMicrocode   = eexitFixed
 	EResumeMicrocode = eresumeFixed
-	AEXMicrocode     = aexFixed
 )
 
 // Errors returned by the instruction set.
@@ -328,22 +327,4 @@ func (e *Enclave) Free(clk *sim.Clock, addr, size uint64) {
 	clk.Advance(allocCost)
 	size = (size + 63) / 64 * 64
 	e.freeList[size] = append(e.freeList[size], addr)
-}
-
-// HeapRemaining returns the unallocated heap bytes (ignoring free lists).
-func (e *Enclave) HeapRemaining() uint64 { return e.heapEnd - e.heapNext }
-
-// ERemove destroys an enclave, releasing its identifier.  All thread
-// control structures must have exited; destroying an enclave with a thread
-// inside is the EREMOVE #GP case and is reported as ErrTCSBusy.
-func (p *Platform) ERemove(clk *sim.Clock, e *Enclave) error {
-	for _, t := range e.tcs {
-		if t.entered {
-			return ErrTCSBusy
-		}
-	}
-	clk.Advance(ecreateCost / 2) // page teardown is cheaper than setup
-	delete(p.enclaves, e.id)
-	e.secs.Initialized = false
-	return nil
 }

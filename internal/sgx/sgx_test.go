@@ -330,24 +330,3 @@ func TestRDTSCPFaultsInsideEnclave(t *testing.T) {
 		t.Fatalf("err = %v, want ErrIllegalInstruction", err)
 	}
 }
-
-func TestERemove(t *testing.T) {
-	p := NewPlatform(1)
-	e := buildEnclave(t, p, 2)
-	var clk sim.Clock
-	tcs, _ := e.AcquireTCS()
-	e.EEnter(&clk, tcs)
-	if err := p.ERemove(&clk, e); !errors.Is(err, ErrTCSBusy) {
-		t.Fatalf("destroying an entered enclave: err = %v, want ErrTCSBusy", err)
-	}
-	e.EExit(&clk, tcs)
-	if err := p.ERemove(&clk, e); err != nil {
-		t.Fatal(err)
-	}
-	if p.Enclave(e.ID()) != nil {
-		t.Fatal("enclave still registered after EREMOVE")
-	}
-	if err := e.EEnter(&clk, tcs); !errors.Is(err, ErrNotInitialized) {
-		t.Fatalf("entering destroyed enclave: err = %v", err)
-	}
-}

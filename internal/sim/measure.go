@@ -1,16 +1,13 @@
 package sim
 
-// This file implements the paper's measurement methodology (Section 3.1):
-// each microbenchmark runs as 10 batches of 20,000 experiments (200,000
-// total); runs that suffered an Asynchronous Exit (AEX) — the SGX analogue
-// of an OS interrupt landing while the enclave runs — are detected by
-// monitoring the AEX landing pad and discarded.
+// This file implements the measurement methodology of Section 3.1: runs
+// that suffered an Asynchronous Exit (AEX) — the SGX analogue of an OS
+// interrupt landing while the enclave runs — are detected by monitoring the
+// AEX landing pad and discarded.  The paper runs 10 batches of 20,000; the
+// harness runs each microbenchmark once, in one batch (DESIGN.md section 1).
 
 // Methodology constants from Section 3.1 of the paper.
 const (
-	BatchCount    = 10
-	RunsPerBatch  = 20000
-	TotalRuns     = BatchCount * RunsPerBatch
 	TSCAccuracy   = 2 // RDTSCP accuracy in cycles, +/-
 	aexRatePerSec = 500
 	// AEXCostCycles is what an asynchronous exit adds to a contaminated
@@ -50,66 +47,18 @@ func (a *AEXInjector) Interrupted(cycles uint64) bool {
 // simulated equivalent of monitoring the AEX landing pad.
 func (a *AEXInjector) Hits() int { return a.hits }
 
-// Result carries the outcome of one full 200,000-run measurement campaign.
+// Result carries the outcome of one measurement.
 type Result struct {
-	Sample       *Sample   // retained (uncontaminated) measurements
-	Discarded    int       // runs discarded due to asynchronous exits
-	BatchMedians []float64 // per-batch medians (stability check)
+	Sample    *Sample // retained (uncontaminated) measurements
+	Discarded int     // runs discarded due to asynchronous exits
 }
 
-// BatchSpread reports the relative spread of the per-batch medians,
-// (max-min)/overall median — the paper's 10-batch structure exists to
-// confirm measurements are stable, and so does this.
-func (r Result) BatchSpread() float64 {
-	if len(r.BatchMedians) == 0 || r.Sample.Len() == 0 {
-		return 0
-	}
-	lo, hi := r.BatchMedians[0], r.BatchMedians[0]
-	for _, m := range r.BatchMedians {
-		if m < lo {
-			lo = m
-		}
-		if m > hi {
-			hi = m
-		}
-	}
-	return (hi - lo) / r.Sample.Median()
-}
-
-// Measure runs the paper's measurement campaign for one microbenchmark.
-// run must execute the operation under test once and return its latency in
-// cycles.  Runs hit by a simulated asynchronous exit are charged
-// AEXCostCycles, detected, and discarded, exactly as in Section 3.1.
-func Measure(rng *RNG, run func() uint64) Result {
-	aex := NewAEXInjector(rng)
-	sample := NewSample(TotalRuns)
-	discarded := 0
-	batchMedians := make([]float64, 0, BatchCount)
-	for batch := 0; batch < BatchCount; batch++ {
-		batchSample := NewSample(RunsPerBatch)
-		for i := 0; i < RunsPerBatch; i++ {
-			cycles := run()
-			// RDTSCP reads are accurate to +/- 2 cycles; model the
-			// quantization jitter.
-			cycles = uint64(int64(cycles) + int64(rng.Intn(2*TSCAccuracy+1)) - TSCAccuracy)
-			if aex.Interrupted(cycles) {
-				// The run really took longer, but the harness
-				// spots the AEX and drops the observation.
-				discarded++
-				continue
-			}
-			sample.AddCycles(cycles)
-			batchSample.AddCycles(cycles)
-		}
-		if batchSample.Len() > 0 {
-			batchMedians = append(batchMedians, batchSample.Median())
-		}
-	}
-	return Result{Sample: sample, Discarded: discarded, BatchMedians: batchMedians}
-}
-
-// MeasureN is Measure with a custom number of runs, for quick tests.
-func MeasureN(rng *RNG, n int, run func() uint64) Result {
+// Measure runs one microbenchmark n times in one batch.  run must execute
+// the operation under test once and return its latency in cycles.  Each
+// reading carries the RDTSCP's +/- TSCAccuracy quantisation jitter, and
+// runs hit by a simulated asynchronous exit are detected and discarded, as
+// in Section 3.1.
+func Measure(rng *RNG, n int, run func() uint64) Result {
 	aex := NewAEXInjector(rng)
 	sample := NewSample(n)
 	discarded := 0

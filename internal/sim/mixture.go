@@ -14,29 +14,3 @@ type Mixture struct {
 func (m Mixture) Sample(r *RNG) float64 {
 	return m.Values[r.Pick(m.Weights)]
 }
-
-// Median returns the distribution's median value.
-func (m Mixture) Median() float64 {
-	var total float64
-	for _, w := range m.Weights {
-		total += w
-	}
-	cum := 0.0
-	for i, w := range m.Weights {
-		cum += w
-		if cum >= total/2 {
-			return m.Values[i]
-		}
-	}
-	return m.Values[len(m.Values)-1]
-}
-
-// Mean returns the distribution's expected value.
-func (m Mixture) Mean() float64 {
-	var total, sum float64
-	for i, w := range m.Weights {
-		total += w
-		sum += w * m.Values[i]
-	}
-	return sum / total
-}

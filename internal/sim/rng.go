@@ -30,19 +30,6 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Fork derives an independent child generator: the child's seed is the
-// parent's next value finalized against the salt, so distinct salts give
-// decorrelated streams and the parent advances by exactly one draw
-// regardless of how much the child is used.  Simulations that fan one
-// seeded stream out into per-component or per-callsite sub-streams stay
-// reproducible without manual seed bookkeeping.
-func (r *RNG) Fork(salt uint64) *RNG {
-	z := r.Uint64() + salt*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return &RNG{state: z ^ (z >> 31)}
-}
-
 // Float64 returns a value uniformly distributed in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

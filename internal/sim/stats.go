@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Sample accumulates latency observations (in cycles) and answers the
 // order-statistics questions the paper's tables and CDF figures ask:
@@ -70,36 +67,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.values[lo]*(1-frac) + s.values[lo+1]*frac
 }
 
-// Mean returns the arithmetic mean, or 0 on an empty sample.
-func (s *Sample) Mean() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / float64(len(s.values))
-}
-
-// Min returns the smallest observation, or 0 on an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.values[0]
-}
-
-// Max returns the largest observation, or 0 on an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.values[len(s.values)-1]
-}
-
 // FractionBelow reports the fraction of observations <= threshold.
 func (s *Sample) FractionBelow(threshold float64) float64 {
 	if len(s.values) == 0 {
@@ -140,13 +107,4 @@ func (s *Sample) CDF(n int) []CDFPoint {
 		points = append(points, CDFPoint{Value: s.values[idx], Fraction: f})
 	}
 	return points
-}
-
-// Summary is a compact textual digest used by the bench harness.
-func (s *Sample) Summary() string {
-	if len(s.values) == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d min=%.0f p50=%.0f p99=%.0f p99.9=%.0f max=%.0f",
-		s.Len(), s.Min(), s.Median(), s.Percentile(99), s.Percentile(99.9), s.Max())
 }

@@ -21,20 +21,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add moves the reading by d (negative to decrease).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Inc increments the reading by one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec decrements the reading by one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Load returns the current reading.
 func (g *Gauge) Load() int64 {
 	if g == nil {

@@ -102,23 +102,6 @@ func (s HistogramSnapshot) Sub(o HistogramSnapshot) HistogramSnapshot {
 	return d
 }
 
-// Merge folds another snapshot into this one.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
-}
-
-// Mean returns the average observation, or 0 on an empty snapshot.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Quantile returns an estimate of the q-th quantile (0 <= q <= 1) by
 // linear interpolation inside the log2 bucket the target rank falls in:
 // the rank's fractional position among the bucket's observations maps

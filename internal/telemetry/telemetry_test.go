@@ -81,9 +81,6 @@ func TestHistogramBuckets(t *testing.T) {
 	if got := s.Quantile(0.50); got != 639 {
 		t.Fatalf("p50 = %d, want 639", got)
 	}
-	if s.Mean() != 1241.0/4 {
-		t.Fatalf("mean = %f", s.Mean())
-	}
 }
 
 func TestBucketUpperBounds(t *testing.T) {
@@ -102,20 +99,6 @@ func TestBucketUpperBounds(t *testing.T) {
 		if v > BucketUpper(b) {
 			t.Fatalf("value %d above its bucket bound %d", v, BucketUpper(b))
 		}
-	}
-}
-
-func TestHistogramSnapshotMerge(t *testing.T) {
-	r := New()
-	a := r.Histogram("a")
-	b := r.Histogram("b")
-	a.Observe(100)
-	b.Observe(200)
-	b.Observe(300)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 3 || sa.Sum != 600 {
-		t.Fatalf("merged count=%d sum=%d", sa.Count, sa.Sum)
 	}
 }
 
