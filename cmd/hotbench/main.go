@@ -20,7 +20,6 @@
 //	hotbench -run table1 -trace out.json   # Chrome trace_event JSON
 //	hotbench -run table1 -profile out.folded # cycle-attribution profile: folded stacks + breakdown tables
 //	hotbench -run all -monitor             # health summary + alerts after the run
-//	hotbench -run all -watch               # live monitor table, redrawn in place
 //	hotbench -run incident -incident-dir incidents # postmortem-bundle demo, spooled to disk
 //	hotbench -run epc,zerocopy -csv demo-out # EPC cliff + fault heatmap SVG, staged vs zero-copy sweep CSV
 package main
@@ -58,7 +57,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of boundary crossings to this path")
 	profilePath := flag.String("profile", "", "write a cycle-attribution profile: folded flame-graph stacks to this path, breakdown tables to stdout")
 	monitorFlag := flag.Bool("monitor", false, "run the continuous health monitor during the experiments and print its verdict and alerts afterwards")
-	watch := flag.Bool("watch", false, "like -monitor, but redraw a live sample table in place while experiments run")
 	incidentDir := flag.String("incident-dir", "", "spool incident bundles captured by the experiments (see -run incident) to this directory as <bundle-id>.json")
 	seed := flag.Uint64("seed", 0, "base seed the experiments' random streams derive from; 0 (the default) reproduces the committed EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json byte for byte")
 	flag.Parse()
@@ -66,10 +64,6 @@ func main() {
 	bench.SetSeed(*seed)
 	if *incidentDir != "" {
 		bench.SetIncidentDir(*incidentDir)
-	}
-
-	if *watch {
-		*monitorFlag = true
 	}
 
 	var reg *telemetry.Registry
@@ -115,16 +109,10 @@ func main() {
 	}
 
 	var mon *monitor.Monitor
-	var watchStop, watchDone chan struct{}
 	if *monitorFlag {
 		mon = monitor.New(reg, monitor.Options{})
 		mon.Tick() // baseline sample so even sub-interval runs show deltas
 		mon.Start()
-		if *watch {
-			watchStop = make(chan struct{})
-			watchDone = make(chan struct{})
-			go watchLoop(mon, watchStop, watchDone)
-		}
 	}
 
 	for _, e := range experiments {
@@ -150,10 +138,6 @@ func main() {
 	if mon != nil {
 		mon.Stop()
 		mon.Tick() // final cumulative sample so short runs still show data
-		if *watch {
-			close(watchStop)
-			<-watchDone
-		}
 		fmt.Println("=== monitor ===")
 		fmt.Print(mon.RenderText(10))
 		if dropped := mon.DroppedEvents(); dropped > 0 {
@@ -215,33 +199,6 @@ func main() {
 		if err := prof.WriteCategoryTable(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
 			os.Exit(1)
-		}
-	}
-}
-
-// watchLoop redraws the live monitor table on stderr twice a second,
-// repainting in place with a cursor-up escape so the experiment output on
-// stdout scrolls past it undisturbed.
-func watchLoop(m *monitor.Monitor, stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(500 * time.Millisecond)
-	defer t.Stop()
-	prevLines := 0
-	render := func() {
-		if prevLines > 0 {
-			fmt.Fprintf(os.Stderr, "\x1b[%dA\x1b[0J", prevLines)
-		}
-		s := m.RenderText(8)
-		fmt.Fprint(os.Stderr, s)
-		prevLines = strings.Count(s, "\n")
-	}
-	for {
-		select {
-		case <-stop:
-			render()
-			return
-		case <-t.C:
-			render()
 		}
 	}
 }

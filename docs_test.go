@@ -37,14 +37,21 @@ var (
 	// repoPath is a path into the tree: a top-level directory, then path
 	// characters and {a,b} groups.  A :line suffix ends it.
 	repoPath = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:internal|cmd|examples|benchmarks|incidents|\.claude|\.github)/(?:[\w.*<>/-]|\{[^{}\s]*\})*)`)
+	// qualified is a Go reference: a lower-case package name, an
+	// exported name, and optionally a member of it.  A preceding dot or
+	// slash makes it part of a selector chain or a path instead.
+	qualified = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
 )
 
 // TestDocsResolve reads the code the documents quote — inline spans and
 // fenced blocks — and fails on every test, benchmark, fuzz target or
 // example name that no _test.go file defines, on every `make X` whose X
-// is not a Makefile target, and on every repo path that does not exist.
+// is not a Makefile target, on every repo path that does not exist, and
+// on every pkg.Name or pkg.Type.Member whose package is one of the
+// module's and declares no such exported name, method or field.
 func TestDocsResolve(t *testing.T) {
 	funcs := testFuncs(t)
+	decls := moduleDecls(t)
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +95,19 @@ func TestDocsResolve(t *testing.T) {
 					t.Errorf("%s:%d: make %s is not a Makefile target", doc, line, m[1])
 				}
 			}
+			for _, m := range qualified.FindAllStringSubmatch(c.code, -1) {
+				names, ok := decls[m[1]]
+				if !ok {
+					continue // not a module package: sync.Mutex, cipher.NewCTR
+				}
+				ref := m[2]
+				if m[3] != "" && !names[ref+"."+m[3]] {
+					ref += "." + m[3]
+				}
+				if !names[ref] {
+					t.Errorf("%s:%d: %s.%s is declared in no module package %s", doc, line, m[1], ref, m[1])
+				}
+			}
 			for _, m := range repoPath.FindAllStringSubmatch(c.code, -1) {
 				if strings.ContainsAny(m[1], "*<") || slices.ContainsFunc(outputDirs, func(d string) bool { return strings.HasPrefix(m[1], d) }) {
 					continue // a glob, a placeholder or output
@@ -103,9 +123,127 @@ func TestDocsResolve(t *testing.T) {
 }
 
 // testFuncs collects the name of every top-level function in the tree's
-// _test.go files, skipping dot directories.
+// _test.go files.
 func testFuncs(t *testing.T) []string {
 	var funcs []string
+	parseGo(t, func(path string, f *ast.File) {
+		if !strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				funcs = append(funcs, fn.Name.Name)
+			}
+		}
+	})
+	return funcs
+}
+
+// moduleDecls indexes the root module's non-test Go files by package
+// name: each package's exported package-level declarations, and for each
+// exported type its methods and struct fields or interface methods as
+// Type.Member, including the members an embedded module type promotes.
+// Main packages and the repo benchmark's module are left out.  Packages
+// that share a name share one index, which can only let more references
+// resolve.
+func moduleDecls(t *testing.T) map[string]map[string]bool {
+	decls := map[string]map[string]bool{}
+	// embed is one embedded field: type pkg.typ embeds from.typ.
+	type embed struct{ pkg, typ, from, fromTyp string }
+	var embeds []embed
+	parseGo(t, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "benchmarks"+string(filepath.Separator)) || f.Name.Name == "main" {
+			return
+		}
+		names := decls[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			decls[f.Name.Name] = names
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = ast.IsExported(d.Name.Name)
+				} else if typ := recvName(d.Recv.List[0].Type); ast.IsExported(typ) {
+					names[typ+"."+d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							names[n.Name] = ast.IsExported(n.Name)
+						}
+					case *ast.TypeSpec:
+						if !ast.IsExported(sp.Name.Name) {
+							continue
+						}
+						names[sp.Name.Name] = true
+						var members []*ast.Field
+						switch typ := sp.Type.(type) {
+						case *ast.StructType:
+							members = typ.Fields.List
+						case *ast.InterfaceType:
+							members = typ.Methods.List
+						}
+						for _, field := range members {
+							for _, n := range field.Names {
+								names[sp.Name.Name+"."+n.Name] = true
+							}
+							if field.Names == nil { // embedded: named by its type
+								typ := recvName(field.Type)
+								names[sp.Name.Name+"."+typ] = true
+								embeds = append(embeds, embed{f.Name.Name, sp.Name.Name, qualifier(field.Type, f.Name.Name), typ})
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+	// Promote embedded types' members until nothing changes, so chains
+	// of embeddings resolve too.
+	for changed := true; changed; {
+		changed = false
+		for _, e := range embeds {
+			for name, ok := range decls[e.from] {
+				member, found := strings.CutPrefix(name, e.fromTyp+".")
+				if key := e.typ + "." + member; ok && found && !decls[e.pkg][key] {
+					decls[e.pkg][key] = true
+					changed = true
+				}
+			}
+		}
+	}
+	return decls
+}
+
+// qualifier returns the package an embedded field's type is declared
+// in: its import qualifier, or own for an unqualified type.
+func qualifier(e ast.Expr, own string) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if pkg, ok := x.X.(*ast.Ident); ok {
+				return pkg.Name
+			}
+			return own
+		default:
+			return own
+		}
+	}
+}
+
+// parseGo parses every Go file in the tree outside dot directories and
+// hands it to visit with its path.
+func parseGo(t *testing.T, visit func(path string, f *ast.File)) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -114,24 +252,19 @@ func testFuncs(t *testing.T) []string {
 		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				funcs = append(funcs, fn.Name.Name)
-			}
-		}
+		visit(path, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return funcs
 }
 
 // expandBraces expands each {a,b} group of a path into one path per

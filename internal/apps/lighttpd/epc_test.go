@@ -13,7 +13,7 @@ import (
 // paging: a served document touches its body's page span, placed by its
 // path's hash, and a miss still touches the one page the looked-up path
 // hashes to.  (That the armed model reaches the registry, the monitor
-// and /debug/epc is the kit's test, porting.TestFabricKitAllArmed.)
+// and the observatory is the kit's test, porting.TestFabricKitAllArmed.)
 func TestPoolServerEPCAttribution(t *testing.T) {
 	s := NewPoolServer(2, testPoolOpts(2))
 	s.Arm(porting.Observers{EPCBytes: 256 * epc.PageSize})

@@ -62,8 +62,7 @@ var fabricSpec = porting.FabricSpec{
 // PoolServer is lighttpd over the fabric: a CallPool whose one table
 // entry scans HTTP requests and answers them by reference into an
 // immutable set of response images.  The pool's lifecycle and everything
-// that observes it are the embedded kit's (Arm, DebugMux, Pool, Start,
-// Stop).
+// that observes it are the embedded kit's (Arm, Pool, Start, Stop).
 type PoolServer struct {
 	porting.Fabric
 	conns []*PoolConn

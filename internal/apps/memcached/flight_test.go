@@ -1,13 +1,10 @@
 package memcached
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/flight"
-	"hotcalls/internal/telemetry"
 )
 
 // TestPoolServerFlightCallsites checks that fabric-routed operations
@@ -46,40 +43,5 @@ func TestPoolServerFlightCallsites(t *testing.T) {
 	}
 	for name := range want {
 		t.Errorf("callsite %q missing from stats table", name)
-	}
-}
-
-// TestPoolServerDebugMuxFlight checks the partly armed surface: with a
-// registry and a recorder and nothing else named, DebugMux arms a default
-// monitor and capturer and mounts /debug/flight — and no endpoint for a
-// collector that was not armed.
-func TestPoolServerDebugMuxFlight(t *testing.T) {
-	s := NewPoolServer(1, testPoolOpts(2))
-	s.Arm(porting.Observers{Registry: telemetry.New(), Flight: flight.New(flight.Options{SampleEvery: 1})})
-	s.Start()
-	defer s.Stop()
-	if _, err := s.Conn(0).Do(&Request{Op: OpSet, Key: "k", Value: []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := httptest.NewServer(s.DebugMux())
-	defer srv.Close()
-	for _, path := range []string{"/metrics", "/debug/health", "/debug/monitor", "/debug/flight", "/debug/incidents"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status = %d, want 200", path, resp.StatusCode)
-		}
-	}
-	resp, err := http.Get(srv.URL + "/debug/epc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/debug/epc status = %d, want 404: its collector was not armed", resp.StatusCode)
 	}
 }

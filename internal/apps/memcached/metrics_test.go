@@ -1,9 +1,6 @@
 package memcached
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -81,38 +78,25 @@ func TestTelemetryHotCallsMode(t *testing.T) {
 	}
 }
 
-// debugServer serves the server's registry through the simulated
-// servers' one wiring: monitor.New over it, monitor.Mux in front.
-func debugServer(reg *telemetry.Registry, mon *monitor.Monitor) (*httptest.Server, func(t *testing.T, path string) (int, string)) {
-	srv := httptest.NewServer(monitor.Mux(reg, mon))
-	return srv, func(t *testing.T, path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(raw)
+// exposition returns the registry's Prometheus exposition, what
+// hotbench -metrics prints.
+func exposition(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
+	return b.String()
 }
 
-// TestMetricsHandler checks /metrics over a served workload: the
-// standard names are all present, untouched ones at zero.
-func TestMetricsHandler(t *testing.T) {
+// TestMetricsExposition checks the exposition over a served workload:
+// the standard names are all present, untouched ones at zero.
+func TestMetricsExposition(t *testing.T) {
 	s := NewServer(porting.SGX)
 	reg := wire(s)
 	serveN(t, s, 5)
 
-	srv, get := debugServer(reg, monitor.New(reg, monitor.Options{}))
-	defer srv.Close()
-	code, body := get(t, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics = %d", code)
-	}
+	body := exposition(t, reg)
 	for _, want := range []string{
 		telemetry.MetricEcalls + " 5",
 		telemetry.MetricHotECalls + " 0", // pre-registered, untouched in SGX mode
@@ -123,9 +107,10 @@ func TestMetricsHandler(t *testing.T) {
 	}
 }
 
-// TestDebugMux checks the health verdict over a real served workload:
-// /debug/health and /debug/monitor beside /metrics.
-func TestDebugMux(t *testing.T) {
+// TestHealthAfterServedWorkload checks the monitor over a real served
+// workload: the exposition counts every request, the health verdict is
+// ok, and the text table says so.
+func TestHealthAfterServedWorkload(t *testing.T) {
 	s := NewServer(porting.HotCalls)
 	reg := wire(s)
 	// App-level HotCalls carry the serviced request work, so the
@@ -142,18 +127,16 @@ func TestDebugMux(t *testing.T) {
 	serveN(t, s, 25)
 	mon.Tick()
 
-	srv, get := debugServer(reg, mon)
-	defer srv.Close()
-	if code, body := get(t, "/metrics"); code != http.StatusOK || !strings.Contains(body, telemetry.MetricHotECalls+" 25") {
-		t.Errorf("/metrics: code %d, body %q", code, body)
+	if body := exposition(t, reg); !strings.Contains(body, telemetry.MetricHotECalls+" 25") {
+		t.Errorf("exposition: %q", body)
 	}
-	if code, body := get(t, "/debug/health"); code != http.StatusOK || !strings.Contains(body, `"status": "ok"`) {
-		t.Errorf("/debug/health: code %d, body %q", code, body)
+	if h := mon.Health(); h.Status != "ok" {
+		t.Errorf("health = %+v, want ok", h)
 	}
-	if code, body := get(t, "/debug/monitor?format=text"); code != http.StatusOK || !strings.Contains(body, "health: ok") {
-		t.Errorf("/debug/monitor: code %d, body %q", code, body)
+	if text := mon.RenderText(20); !strings.Contains(text, "health: ok") {
+		t.Errorf("monitor text:\n%s", text)
 	}
-	if code, body := get(t, "/debug/monitor?n=1"); code != http.StatusOK || !strings.Contains(body, `"samples"`) {
-		t.Errorf("/debug/monitor JSON: code %d, body %q", code, body)
+	if w := mon.Window(1); len(w) != 1 || w[0].HotECalls != 25 {
+		t.Errorf("window = %+v, want the newest sample with 25 HotECalls", w)
 	}
 }

@@ -57,7 +57,7 @@ var (
 // PoolServer is memcached over the fabric: a CallPool whose one table
 // entry serves binary-protocol requests against the shared store.  The
 // pool's lifecycle and everything that observes it are the embedded kit's
-// (Arm, DebugMux, Pool, Start, Stop).
+// (Arm, Pool, Start, Stop).
 type PoolServer struct {
 	porting.Fabric
 	store *[storeStripes]storeStripe

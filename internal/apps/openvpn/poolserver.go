@@ -81,7 +81,7 @@ var fabricSpec = porting.FabricSpec{
 // PoolServer is the openVPN relay over the fabric: a CallPool whose one
 // vec-table entry relays tunnel datagrams in place in the payload rings.
 // The pool's lifecycle and everything that observes it are the embedded
-// kit's (Arm, DebugMux, Pool, Start, Stop).
+// kit's (Arm, Pool, Start, Stop).
 type PoolServer struct {
 	porting.Fabric
 	conns   []*PoolConn

@@ -150,7 +150,7 @@ func TestPoolTunnelConcurrentConnections(t *testing.T) {
 // touches the pages behind its two slab windows (header and body, one
 // page each at MTU size), placed by connection and slab and charged to the
 // connection.  (That the armed model reaches the registry, the monitor
-// and /debug/epc is the kit's test, porting.TestFabricKitAllArmed.)
+// and the observatory is the kit's test, porting.TestFabricKitAllArmed.)
 func TestPoolTunnelEPCAttribution(t *testing.T) {
 	s := NewPoolServer(2, testVPNOpts(2))
 	s.Arm(porting.Observers{EPCBytes: 256 * epc.PageSize})

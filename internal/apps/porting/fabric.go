@@ -34,13 +34,13 @@ type Observers struct {
 	// EPCBytes arms a simulated EPC of that capacity (up to one page
 	// selects epc.DefaultCapacityBytes) and its pressure observatory:
 	// every served request then touches the pages the port derives for
-	// it, owner-tagged by client connection, so /debug/epc and the EPC
-	// monitor rules attribute paging per client.
+	// it, owner-tagged by client connection, so the observatory's
+	// snapshot and the EPC monitor rules attribute paging per client.
 	EPCBytes int
 	// Monitor arms the health monitor over Registry with these options;
-	// the recorder and EPC observatory above attach to it (its
-	// /debug/flight and /debug/epc, the EPC rules) unless the options
-	// name others.  The caller Starts or Ticks it.
+	// the recorder and EPC observatory above attach to it (its tick
+	// digests the recorder, the EPC rules read the observatory) unless
+	// the options name others.  The caller Starts or Ticks it.
 	Monitor *monitor.Options
 	// Incidents arms the capturer that freezes a postmortem bundle on
 	// every warning/critical rule transition (arming a default monitor
@@ -52,8 +52,8 @@ type Observers struct {
 // Fabric is the kit a fabric-routed port embeds: its CallPool and
 // everything observing it.  What a port has to say is its protocol and its
 // handler; the pool's lifecycle, the observers that can be attached, the
-// order they attach in, the EPC paging model and the debug surface are the
-// same for every port and live here, once.  A port builds it with
+// order they attach in and the EPC paging model are the same for every
+// port and live here, once.  A port builds it with
 // NewFabric, arms it at most once, before Start, and reads what was armed
 // back through the accessors.
 type Fabric struct {
@@ -61,7 +61,7 @@ type Fabric struct {
 	conns int
 	pool  *core.CallPool
 
-	sealed bool // Arm, Start and DebugMux each close the arming window
+	sealed bool // Arm and Start each close the arming window
 
 	reg     *telemetry.Registry
 	sites   [4]flight.Callsite // inline: a request's lookup is one load; unlabelled until a recorder is armed
@@ -84,13 +84,13 @@ func NewFabric(spec FabricSpec, conns int, table []core.PoolFunc, opts core.Pool
 
 // Arm attaches the observers, in the one order that wires them to each
 // other: the registry before the EPC model (whose counters it exports),
-// the recorder and the EPC observatory before the monitor (whose rules and
-// /debug endpoints exist only for collectors it was built with), the
-// monitor before the capturer.  It is called at most once and before
+// the recorder and the EPC observatory before the monitor (whose rules
+// exist only for collectors it was built with), the monitor before the
+// capturer.  It is called at most once and before
 // Start — the responders read what it writes — and panics otherwise.
 func (f *Fabric) Arm(o Observers) {
 	if f.sealed {
-		panic("porting: Fabric.Arm after Start, DebugMux or an earlier Arm: observers attach once, before the responders run")
+		panic("porting: Fabric.Arm after Start or an earlier Arm: observers attach once, before the responders run")
 	}
 	f.sealed = true
 	// A nil registry or recorder is that layer's own "off".
@@ -115,18 +115,11 @@ func (f *Fabric) Arm(o Observers) {
 			f.epcStat.SetLabel(epc.OwnerID(i+1), fmt.Sprintf("conn%d", i))
 		}
 	}
-	if o.Monitor != nil {
-		f.monitor(*o.Monitor)
-	}
-	if o.Incidents != nil {
-		f.incidents(*o.Incidents)
-	}
-}
-
-// monitor returns the health monitor, building it from opts and whatever
-// collectors are armed if there is none yet.
-func (f *Fabric) monitor(opts monitor.Options) *monitor.Monitor {
-	if f.mon == nil {
+	if o.Monitor != nil || o.Incidents != nil {
+		var opts monitor.Options // the capturer's default monitor
+		if o.Monitor != nil {
+			opts = *o.Monitor
+		}
 		if opts.Flight == nil {
 			opts.Flight = f.pool.Flight()
 		}
@@ -135,34 +128,14 @@ func (f *Fabric) monitor(opts monitor.Options) *monitor.Monitor {
 		}
 		f.mon = monitor.New(f.reg, opts)
 	}
-	return f.mon
-}
-
-// incidents returns the capturer, building and attaching it (and a
-// default monitor under it) if there is none yet.
-func (f *Fabric) incidents(opts incident.Options) *incident.Capturer {
-	if f.cap == nil {
+	if o.Incidents != nil {
+		opts := *o.Incidents
 		if opts.Registry == nil {
 			opts.Registry = f.reg
 		}
-		f.cap = incident.New(f.monitor(monitor.Options{}), opts)
+		f.cap = incident.New(f.mon, opts)
 		f.cap.Attach()
 	}
-	return f.cap
-}
-
-// DebugMux serves the fabric's observability surface: /metrics, a
-// /debug/ index listing every endpoint and its renderings,
-// /debug/health, /debug/monitor, /debug/incidents, and — per armed
-// collector — /debug/flight and /debug/epc.  If Arm named no monitor or
-// capturer, defaults are armed here; either way the set of observers is
-// final from this call on.
-func (f *Fabric) DebugMux() *monitor.DebugMux {
-	f.sealed = true
-	mux := monitor.Mux(f.reg, f.monitor(monitor.Options{}))
-	mux.HandleEntry("/debug/incidents", "frozen postmortem bundles (rule transitions)",
-		incident.Handler(f.incidents(incident.Options{})))
-	return mux
 }
 
 // Pool exposes the underlying CallPool (stats, responder counts).
@@ -177,12 +150,10 @@ func (f *Fabric) EPCManager() *epc.Manager { return f.epcMgr }
 // EPC exposes the EPC pressure observatory (nil unless armed).
 func (f *Fabric) EPC() *epcstat.Collector { return f.epcStat }
 
-// Monitor exposes the health monitor (nil until Arm or DebugMux builds
-// one).
+// Monitor exposes the health monitor (nil unless armed).
 func (f *Fabric) Monitor() *monitor.Monitor { return f.mon }
 
-// Incidents exposes the incident capturer (nil until Arm or DebugMux
-// builds one).
+// Incidents exposes the incident capturer (nil unless armed).
 func (f *Fabric) Incidents() *incident.Capturer { return f.cap }
 
 // Start launches the adaptive responder pool.

@@ -2,10 +2,7 @@ package porting_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"slices"
 	"strings"
 	"testing"
 
@@ -14,9 +11,9 @@ import (
 	"hotcalls/internal/apps/openvpn"
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
+	"hotcalls/internal/epcstat"
 	"hotcalls/internal/flight"
 	"hotcalls/internal/incident"
-	"hotcalls/internal/monitor"
 	"hotcalls/internal/telemetry"
 )
 
@@ -89,14 +86,6 @@ func kitPoolOpts() core.PoolOptions {
 	return core.PoolOptions{SlotsPerShard: 16, MaxResponders: 2, Timeout: 1 << 20}
 }
 
-// contentTypeOf is the Content-Type each ?format= name is served under.
-var contentTypeOf = map[string]string{
-	"json":  telemetry.ContentTypeJSON,
-	"text":  telemetry.ContentTypeText,
-	"svg":   telemetry.ContentTypeSVG,
-	"trace": telemetry.ContentTypeJSON,
-}
-
 // typeFamilies lists the family names a Prometheus exposition declares,
 // one per # TYPE line, in order.
 func typeFamilies(exposition string) []string {
@@ -112,13 +101,11 @@ func typeFamilies(exposition string) []string {
 
 // TestFabricKitAllArmed arms every observer on each port through the one
 // Arm call, drives real traffic on two connections at once (armPort), and
-// holds the debug surface to its contract: the /debug/ index lists
-// exactly the catalogued endpoints, and each answers 200 in every
-// rendering it advertises, under that rendering's Content-Type, and 400
-// for an unknown one; every family in /metrics appears once and has a row
-// in the consumer table (signals_test.go), which also holds what traffic
-// must have moved; and EPC pressure is attributed to both connections by
-// name.
+// holds the armed kit to its contract: every observer reads back and the
+// monitor is built over the armed collectors; every family in the
+// registry's exposition appears once and has a row in the consumer table
+// (signals_test.go), which also holds what traffic must have moved; and
+// EPC pressure is attributed to both connections by name.
 func TestFabricKitAllArmed(t *testing.T) {
 	for _, port := range fabricPorts {
 		t.Run(port.name, func(t *testing.T) {
@@ -131,62 +118,15 @@ func TestFabricKitAllArmed(t *testing.T) {
 				t.Fatal("the monitor was not built over the armed collectors")
 			}
 
-			// Walk the index.  Health answers 503, in every rendering,
-			// when a rule is critical — and on a slow host (the race
-			// detector's) the latency rules may well be.
-			served := func(path string, code int) bool {
-				return code == http.StatusOK || (path == "/debug/health" && code == http.StatusServiceUnavailable)
-			}
-			_, _, indexBody := a.get(t, "/debug/")
-			var index struct {
-				Endpoints []monitor.DebugEntry `json:"endpoints"`
-			}
-			if err := json.Unmarshal([]byte(indexBody), &index); err != nil {
-				t.Fatalf("/debug/ index: %v\n%s", err, indexBody)
-			}
-			var listed []string
-			for _, e := range index.Endpoints {
-				listed = append(listed, e.Path)
-				code, defaultCT, _ := a.get(t, e.Path)
-				if !served(e.Path, code) || defaultCT == "" {
-					t.Errorf("%s = %d, Content-Type %q", e.Path, code, defaultCT)
-				}
-				for i, name := range e.Formats {
-					code, ct, _ := a.get(t, e.Path+"?format="+name)
-					if !served(e.Path, code) || ct != contentTypeOf[name] {
-						t.Errorf("%s?format=%s = %d, Content-Type %q, want %q", e.Path, name, code, ct, contentTypeOf[name])
-					}
-					if i == 0 && defaultCT != ct {
-						t.Errorf("%s default Content-Type %q, want its first format's %q", e.Path, defaultCT, ct)
-					}
-				}
-				if len(e.Formats) > 0 {
-					code, _, body := a.get(t, e.Path+"?format=bogus")
-					if code != http.StatusBadRequest || !strings.Contains(body, e.Formats[0]) {
-						t.Errorf("%s?format=bogus = %d %q, want 400 naming the formats", e.Path, code, body)
-					}
-				}
-			}
-			catalogue := []string{"/debug/epc", "/debug/flight", "/debug/health", "/debug/incidents", "/debug/monitor", "/metrics"}
-			if !slices.Equal(listed, catalogue) { // the index is sorted by path
-				t.Errorf("/debug/ index lists %v, want exactly %v", listed, catalogue)
-			}
-			if code, _, _ := a.get(t, "/debug/?format=text"); code != http.StatusOK {
-				t.Errorf("/debug/?format=text = %d", code)
-			}
-
 			// One exposition, every armed source.
-			_, ct, metrics := a.get(t, "/metrics")
-			if ct != telemetry.ContentTypeMetrics {
-				t.Errorf("/metrics Content-Type %q", ct)
-			}
+			metrics := a.metrics(t)
 			declared := map[string]bool{}
 			for _, name := range typeFamilies(metrics) {
 				if _, ok := signalTable[name]; !ok {
-					t.Errorf("/metrics family %s has no row in the consumer table", name)
+					t.Errorf("exposition family %s has no row in the consumer table", name)
 				}
 				if declared[name] {
-					t.Errorf("/metrics declares family %s more than once", name)
+					t.Errorf("exposition declares family %s more than once", name)
 				}
 				declared[name] = true
 			}
@@ -203,8 +143,8 @@ func TestFabricKitAllArmed(t *testing.T) {
 			if len(owners) != 2 || owners["conn0"] == 0 || owners["conn1"] == 0 {
 				t.Errorf("per-owner EPC faults = %v, want conn0 and conn1 both paging", owners)
 			}
-			if _, _, text := a.get(t, "/debug/epc?format=text"); !strings.Contains(text, "conn0(#1)") || !strings.Contains(text, "conn1(#2)") {
-				t.Errorf("/debug/epc?format=text does not name both connections:\n%s", text)
+			if svg := epcstat.HeatSVG(f.EPC().Snapshot()); !strings.Contains(svg, "conn0(#1)") || !strings.Contains(svg, "conn1(#2)") {
+				t.Errorf("the EPC heatmap does not name both connections:\n%s", svg)
 			}
 		})
 	}
@@ -260,9 +200,9 @@ func TestFabricKitBundleCarriesOutliers(t *testing.T) {
 }
 
 // TestFabricArmOnce pins the wiring-order fix: the observers attach in
-// one call, so there is no order to get wrong — and a second call, one
-// after Start, or one after DebugMux fixed the surface panics instead of
-// silently attaching an observer nothing serves.
+// one call, so there is no order to get wrong — and a second call, or one
+// after Start, panics instead of silently attaching an observer the
+// running responders never see.  Nothing is armed that Arm did not name.
 func TestFabricArmOnce(t *testing.T) {
 	mustPanic := func(t *testing.T, what string, f func()) {
 		t.Helper()
@@ -279,21 +219,15 @@ func TestFabricArmOnce(t *testing.T) {
 		t.Run(port.name, func(t *testing.T) {
 			f, _, _ := port.boot(1, kitPoolOpts())
 			f.Arm(porting.Observers{})
+			if f.Monitor() != nil || f.Incidents() != nil || f.EPC() != nil {
+				t.Fatal("the zero Observers armed a monitor, capturer or EPC observatory")
+			}
 			mustPanic(t, "a second Arm", func() { f.Arm(porting.Observers{Registry: telemetry.New()}) })
 
 			f, start, _ := port.boot(1, kitPoolOpts())
 			start()
 			defer f.Stop()
 			mustPanic(t, "Arm after Start", func() { f.Arm(porting.Observers{}) })
-
-			f, _, _ = port.boot(1, kitPoolOpts())
-			if f.Monitor() != nil || f.Incidents() != nil {
-				t.Fatal("monitor or capturer exists before anything armed one")
-			}
-			if f.DebugMux() == nil || f.Monitor() == nil || f.Incidents() == nil {
-				t.Fatal("DebugMux did not arm a default monitor and capturer")
-			}
-			mustPanic(t, "Arm after DebugMux", func() { f.Arm(porting.Observers{}) })
 		})
 	}
 }

@@ -201,8 +201,8 @@ func (a *App) Call(clk *sim.Clock, name string, args ...sdk.Arg) (uint64, error)
 // app owns: the SGX platform (leaf instructions, EPC paging, MEE), the
 // SDK runtime (ecall/ocall paths), and the HotCalls channel.  A nil
 // registry detaches everywhere.  This is the simulated servers' one
-// observability wiring: monitor.New and monitor.Mux serve the same
-// registry.
+// observability wiring: a monitor.New over the same registry watches
+// them.
 func (a *App) SetTelemetry(reg *telemetry.Registry) {
 	a.Platform.SetTelemetry(reg)
 	a.RT.SetTelemetry(reg)

@@ -1,20 +1,17 @@
 package porting_test
 
-// The consumer table: every family /metrics emits, on either clock, names
-// the reader that consumes it, and every monitor rule names the families
+// The consumer table: every family the registry's Prometheus exposition
+// (hotbench -metrics) carries, on either clock, names the reader that
+// consumes it, and every monitor rule names the families
 // it reads and the test that makes it fire.  A new signal declares its
 // reader here, or TestEverySignalHasAReader fails naming it.
 
 import (
-	"bufio"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io"
 	"io/fs"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -69,8 +66,8 @@ func idle(reader string, c clock, movesWhen string) signalRow {
 }
 
 // signalTable is the consumer table's family half, keyed by family name.
-// A generic exposition (/metrics, hotbench -metrics, a struct serialised
-// whole to JSON) is not a reader.
+// A generic exposition (hotbench -metrics, a struct serialised whole to
+// JSON) is not a reader.
 var signalTable = map[string]signalRow{
 	// Submissions and the Section 4.2 starvation path.  The simulated
 	// channel counts per-direction crossings instead of requests; the
@@ -113,16 +110,6 @@ var signalTable = map[string]signalRow{
 	telemetry.MetricEPCWritebacks: idle("test:TestObserverDirtyFlagAndWritebacks", fabricClock, "an evicted EPC page was written since it was loaded"),
 	telemetry.MetricMEENodeHits:   driven("code:monitor.Monitor.RenderText", simClock),
 	telemetry.MetricMEENodeMiss:   driven("code:monitor.Monitor.RenderText", simClock),
-
-	// The flight recorder's per-callsite block: the /debug/flight table.
-	"flight_callsite_arrivals_total":  driven("code:flight.Recorder.RenderText", fabricClock),
-	"flight_callsite_service_p50_ns":  driven("code:flight.Recorder.RenderText", fabricClock),
-	"flight_callsite_service_p99_ns":  driven("code:flight.Recorder.RenderText", fabricClock),
-	"flight_callsite_latency_p50_ns":  driven("code:flight.Recorder.RenderText", fabricClock),
-	"flight_callsite_latency_p99_ns":  driven("code:flight.Recorder.RenderText", fabricClock),
-	"flight_callsite_timeouts_total":  idle("code:flight.Recorder.RenderText", fabricClock, "a call at the callsite times out"),
-	"flight_callsite_fallbacks_total": idle("code:flight.Recorder.RenderText", fabricClock, "a timed-out call at the callsite falls back"),
-	"flight_callsite_outliers_total":  idle("code:flight.Recorder.RenderText", fabricClock, "a call times out, or a sampled call outruns the cutoff the first digest sets (the fixtures digest only after their traffic)"),
 }
 
 // testReaders are the families a test alone may read: exactly-once
@@ -161,11 +148,11 @@ var ruleTable = map[string]ruleRow{
 }
 
 // armedPort is one fabric armed with every observer through the one Arm
-// call, after traffic, serving its debug surface.  seen, when set, holds
-// every registry family read nonzero while the traffic ran.
+// call, after traffic.  seen, when set, holds every registry family read
+// nonzero while the traffic ran.
 type armedPort struct {
 	f    *porting.Fabric
-	url  string
+	reg  *telemetry.Registry
 	seen map[string]bool
 }
 
@@ -240,13 +227,10 @@ func (w *registryWatch) finish() map[string]bool {
 	return w.seen
 }
 
-// serve ticks the monitor once more and starts the fabric's debug
-// surface.
-func serve(t *testing.T, f *porting.Fabric, seen map[string]bool) *armedPort {
+// settle ticks the monitor once more after the traffic.
+func settle(f *porting.Fabric, reg *telemetry.Registry, seen map[string]bool) *armedPort {
 	f.Monitor().Tick()
-	srv := httptest.NewServer(f.DebugMux())
-	t.Cleanup(srv.Close)
-	return &armedPort{f: f, url: srv.URL, seen: seen}
+	return &armedPort{f: f, reg: reg, seen: seen}
 }
 
 // armPort boots a port on two connections, arms everything, and drives
@@ -282,7 +266,7 @@ func armPort(t *testing.T, port fabricPort) *armedPort {
 			t.Fatalf("conn %d: %v", conn, err)
 		}
 	}
-	return serve(t, f, nil)
+	return settle(f, reg, nil)
 }
 
 // armEcho is the consumer table's fast closed loop: a one-connection
@@ -318,27 +302,17 @@ func armEcho(t *testing.T) *armedPort {
 			t.Fatalf("CallV(%d) = (%d, %v)", d, ret, err)
 		}
 	}
-	return serve(t, &f, w.finish())
+	return settle(&f, reg, w.finish())
 }
 
-// get fetches one path from the port's debug surface.
-func (a *armedPort) get(t *testing.T, path string) (code int, contentType, body string) {
+// metrics returns the fabric registry's Prometheus exposition.
+func (a *armedPort) metrics(t *testing.T) string {
 	t.Helper()
-	return httpGet(t, a.url+path)
-}
-
-func httpGet(t *testing.T, url string) (int, string, string) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
+	var b strings.Builder
+	if err := a.reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
+	return b.String()
 }
 
 // exposedFamilies reads an exposition into its declared families, each
@@ -364,8 +338,8 @@ func exposedFamilies(exposition string) map[string]bool {
 
 // simulatedFixture serves requests through simulated memcached in the SDK
 // and HotCalls configurations, one registry holding the standard names
-// wired with SetTelemetry, and returns the /metrics exposition that
-// monitor.Mux serves over it — the simulated servers' one wiring.
+// wired with SetTelemetry — the simulated servers' one wiring — and
+// returns that registry's Prometheus exposition.
 func simulatedFixture(t *testing.T) string {
 	t.Helper()
 	reg := telemetry.New()
@@ -383,43 +357,35 @@ func simulatedFixture(t *testing.T) string {
 			}
 		}
 	}
-	mon := monitor.New(reg, monitor.Options{})
-	mon.Tick()
-	srv := httptest.NewServer(monitor.Mux(reg, mon))
-	defer srv.Close()
-	_, _, body := httpGet(t, srv.URL+"/metrics")
-	return body
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // TestEverySignalHasAReader holds both clocks to the consumer table — the
 // three fabric ports and the echo fabric armed with every observer, and
-// simulated memcached wired with SetTelemetry: every family /metrics
-// emits has a row and every row is emitted; every
+// simulated memcached wired with SetTelemetry: every family the
+// registry's exposition emits has a row and every row is emitted; every
 // reader resolves; driven rows move under exactly the traffic their clock
-// names and idle rows stay at zero; every monitor rule has a row whose
-// families and clock agree with the family rows and a test that fires
-// it; and every /debug/ index entry is in README's endpoint table.
+// names and idle rows stay at zero; and every monitor rule has a row
+// whose families and clock agree with the family rows and a test that
+// fires it.
 func TestEverySignalHasAReader(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
 	src := parseSources(t, root)
 
 	moved := map[clock]map[string]bool{fabricClock: {}, simClock: {}}
 	emitted := map[string]bool{}
-	endpoints := map[string]bool{}
 	fabrics := []*armedPort{armEcho(t)}
 	for _, port := range fabricPorts {
 		fabrics = append(fabrics, armPort(t, port))
 	}
 	for _, a := range fabrics {
-		_, _, metrics := a.get(t, "/metrics")
-		for name, nonzero := range exposedFamilies(metrics) {
+		for name, nonzero := range exposedFamilies(a.metrics(t)) {
 			emitted[name] = true
 			moved[fabricClock][name] = moved[fabricClock][name] || nonzero || a.seen[name]
-		}
-		_, _, text := a.get(t, "/debug/?format=text")
-		for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
-			path, _, _ := strings.Cut(line, " ")
-			endpoints[path] = true
 		}
 	}
 	for name, nonzero := range exposedFamilies(simulatedFixture(t)) {
@@ -429,13 +395,13 @@ func TestEverySignalHasAReader(t *testing.T) {
 
 	for _, name := range sortedKeys(emitted) {
 		if _, ok := signalTable[name]; !ok {
-			t.Errorf("/metrics family %s has no row naming its reader", name)
+			t.Errorf("exposition family %s has no row naming its reader", name)
 		}
 	}
 	for _, name := range sortedKeys(signalTable) {
 		row := signalTable[name]
 		if !emitted[name] {
-			t.Errorf("row %s: neither clock's /metrics emits it", name)
+			t.Errorf("row %s: neither clock's exposition emits it", name)
 			continue
 		}
 		if err := src.resolve(name, row.reader); err != nil {
@@ -494,34 +460,6 @@ func TestEverySignalHasAReader(t *testing.T) {
 		}
 	}
 
-	// Endpoints: every /debug/ index entry is in README's endpoint table.
-	documented := readmeEndpoints(t, filepath.Join(root, "README.md"))
-	for _, path := range sortedKeys(endpoints) {
-		if !documented[path] {
-			t.Errorf("/debug/ index entry %s is not in README's endpoint table", path)
-		}
-	}
-}
-
-// readmeEndpoints returns the paths README's endpoint table lists: the
-// first backquoted cell of each row, query string dropped.
-func readmeEndpoints(t *testing.T, path string) map[string]bool {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	out := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if cell, ok := strings.CutPrefix(sc.Text(), "| `"); ok {
-			p, _, _ := strings.Cut(cell, "`")
-			p, _, _ = strings.Cut(p, "?")
-			out[p] = true
-		}
-	}
-	return out
 }
 
 // sources indexes the module's Go declarations for reader resolution:

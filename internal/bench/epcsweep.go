@@ -163,8 +163,8 @@ func runEPCSweep() *Report {
 	}
 	r.CSV["epc_sweep.csv"] = csv.String()
 
-	// The oversubscribed point's fault heatmap is the /debug/epc visual;
-	// -csv writes it beside the sweep (make epc-demo, CI).
+	// The oversubscribed point's fault heatmap; -csv writes it beside the
+	// sweep (make epc-demo, CI).
 	if oversub != nil && oversub.snap != nil {
 		r.CSV["epc_heatmap.svg"] = epcstat.HeatSVG(oversub.snap)
 	}

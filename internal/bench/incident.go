@@ -5,8 +5,8 @@ package bench
 // labelled callsite, let the monitor's storm rule fire, and print what
 // the captured bundle says that repeats run to run: the rule, the
 // diagnosis and the exact per-callsite counts.  The bundle itself — the
-// artifact a responder on-call would pull from /debug/incidents, with
-// its capture time and wall-clock timelines — is spooled to disk with
+// artifact a responder on-call reads, with its capture time and
+// wall-clock timelines — is spooled to disk with
 // hotbench -incident-dir (make incident-demo, make experiments), which is
 // what CI uploads when a step fails.
 

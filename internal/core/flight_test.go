@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
-	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -14,8 +12,8 @@ import (
 
 // TestPoolFlightCausalTimeline is the ISSUE's acceptance test: run a
 // known scripted workload through the fabric with the recorder
-// sampling every call, then reconstruct the causal timelines through
-// the /debug/flight endpoint and check every record tells the story in
+// sampling every call, then reconstruct the causal timelines from the
+// recorder's stats and records and check every record tells the story in
 // order — submit, claim, execute start/end, wait return — attributed
 // to the right callsite.
 func TestPoolFlightCausalTimeline(t *testing.T) {
@@ -51,26 +49,13 @@ func TestPoolFlightCausalTimeline(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(flight.Handler(rec))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/flight?records=64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var dump struct {
-		Callsites []flight.CallsiteStats `json:"callsites"`
-		Records   []flight.RecordView    `json:"records"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(dump.Records) != 12 {
-		t.Fatalf("records = %d, want 12", len(dump.Records))
+	callsites := rec.Stats() // digests first
+	records := rec.Records(64)
+	if len(records) != 12 {
+		t.Fatalf("records = %d, want 12", len(records))
 	}
 	perSite := map[string]int{}
-	for _, v := range dump.Records {
+	for _, v := range records {
 		perSite[v.Name]++
 		if !(v.SubmitNS <= v.ClaimNS && v.ClaimNS <= v.ExecStartNS &&
 			v.ExecStartNS <= v.ExecEndNS && v.ExecEndNS <= v.ReturnNS) {
@@ -101,11 +86,11 @@ func TestPoolFlightCausalTimeline(t *testing.T) {
 	}
 
 	stats := map[string]flight.CallsiteStats{}
-	for _, cs := range dump.Callsites {
+	for _, cs := range callsites {
 		stats[cs.Name] = cs
 	}
 	if stats["script.echo"].Arrivals != 8 || stats["script.busy"].Arrivals != 4 {
-		t.Errorf("stats arrivals wrong: %+v", dump.Callsites)
+		t.Errorf("stats arrivals wrong: %+v", callsites)
 	}
 	if stats["script.busy"].ServiceP50NS < spinNS/2 {
 		t.Errorf("busy service p50 = %dns, want >= ~%d", stats["script.busy"].ServiceP50NS, spinNS/2)
@@ -141,11 +126,11 @@ func TestPoolFlightSubmitWait(t *testing.T) {
 			t.Fatalf("wait %d: ret=%d err=%v", i, ret, err)
 		}
 	}
-	rec.Digest()
-	if got := rec.Digested(); got != 8 {
-		t.Fatalf("digested = %d, want 8", got)
+	views := rec.Records(16)
+	if len(views) != 8 {
+		t.Fatalf("closed records = %d, want 8", len(views))
 	}
-	for _, v := range rec.Records(16) {
+	for _, v := range views {
 		if v.ReturnNS < v.ExecEndNS {
 			t.Errorf("async record closed before execute end: %+v", v)
 		}

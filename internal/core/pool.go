@@ -581,8 +581,8 @@ type VecCall struct {
 	// (nil for a plain uint64 call).
 	Segs []Segment
 	// Site is the registered flight-recorder callsite the call's arrival
-	// rate, timeline and wasted-spin share aggregate under in
-	// /debug/flight (the zero value is "(unlabelled)").
+	// count and timeline are recorded under (the zero value is
+	// "(unlabelled)").
 	Site flight.Callsite
 }
 

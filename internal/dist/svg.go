@@ -1,6 +1,6 @@
 // Package dist renders latency distributions and sweeps as standalone
 // SVG: multi-series CDFs (log-x) and linear lines, for REPORT.md's
-// figures and the /debug/epc heatmap.  Output is a pure function of its
+// figures and the EPC fault heatmap.  Output is a pure function of its
 // inputs — fixed-precision coordinates, no timestamps, no map iteration —
 // so REPORT.md regenerates byte-identically under a fixed seed (the
 // golden test in svg_test.go pins this).

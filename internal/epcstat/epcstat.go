@@ -24,14 +24,15 @@ package epcstat
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
+	"hotcalls/internal/dist"
 	"hotcalls/internal/epc"
+	"hotcalls/internal/sim"
 )
 
-// SnapshotSchema identifies the JSON shape served at /debug/epc and
-// embedded in incident bundles.
+// SnapshotSchema identifies the JSON shape embedded in incident
+// bundles.
 const SnapshotSchema = "epcstat/v1"
 
 // The observatory's budgets.  The WSS estimator tracks at most
@@ -108,8 +109,8 @@ type Collector struct {
 	labels    map[epc.OwnerID]string
 
 	// meeStats, when wired (mem.System.SetEPCStat), stamps snapshots
-	// with the MEE node-cache counters so one /debug/epc fetch shows the
-	// whole encrypted-memory picture.  Set before concurrent use.
+	// with the MEE node-cache counters so one snapshot shows the whole
+	// encrypted-memory picture.  Set before concurrent use.
 	meeStats func() (accesses, misses uint64)
 }
 
@@ -498,37 +499,33 @@ func ownerName(id epc.OwnerID, label string) string {
 	return fmt.Sprintf("#%d", id)
 }
 
-// RenderText renders the snapshot as an aligned text table — the /debug/
-// epc?format=text and incident-bundle view.
-func (s *Snapshot) RenderText() string {
-	var b strings.Builder
-	if s == nil {
-		b.WriteString("epc: no snapshot yet\n")
-		return b.String()
+// HeatSVG renders the snapshot's fault heatmap as a byte-deterministic
+// SVG line chart (one series for the total, one per owner), reusing the
+// internal/dist renderer.  Safe on a nil snapshot.
+func HeatSVG(s *Snapshot) string {
+	cfg := dist.PlotConfig{
+		Title:  "EPC fault heatmap",
+		XLabel: "address offset (MB)",
+		YLabel: "faults per bucket",
 	}
-	occ := 0.0
-	if s.CapacityPages > 0 {
-		occ = float64(s.ResidentPages) / float64(s.CapacityPages)
+	if s == nil || len(s.Heat) == 0 {
+		return dist.RenderLinesSVG(cfg, nil)
 	}
-	fmt.Fprintf(&b, "epc: %d/%d pages resident (%.0f%%)  wss≈%d pages  faults=%d evictions=%d writebacks=%d\n",
-		s.ResidentPages, s.CapacityPages, occ*100, s.WSSPages, s.Faults, s.Evictions, s.Writebacks)
-	fmt.Fprintf(&b, "sampling: 1-in-%d touches by page hash (%d sampled), wss window %d touches\n",
-		uint64(1)<<s.SampleBits, s.SampledTouches, s.WindowTouches)
-	if len(s.Owners) > 0 {
-		fmt.Fprintf(&b, "\n%-16s %9s %9s %9s %9s %9s %9s\n",
-			"owner", "resident", "wss", "faults", "evicted", "caused", "writeback")
-		for _, o := range s.Owners {
-			fmt.Fprintf(&b, "%-16s %9d %9d %9d %9d %9d %9d\n",
-				ownerName(o.Owner, o.Label), o.ResidentPages, o.WSSPages,
-				o.Faults, o.Evictions, o.EvictionsCaused, o.Writebacks)
+	bucketMB := float64(s.PagesPerBucket) * float64(epc.PageSize) / (1 << 20)
+	series := []dist.Series{heatSeries("all", s.Heat, bucketMB)}
+	for _, o := range s.Owners {
+		if len(o.Heat) == 0 {
+			continue
 		}
+		series = append(series, heatSeries(ownerName(o.Owner, o.Label), o.Heat, bucketMB))
 	}
-	if len(s.Interference) > 0 {
-		b.WriteString("\ninterference (culprit→victim evictions):\n")
-		for _, cell := range s.Interference {
-			fmt.Fprintf(&b, "  %-12s → %-12s %9d\n",
-				fmt.Sprintf("#%d", cell.Culprit), fmt.Sprintf("#%d", cell.Victim), cell.Evictions)
-		}
+	return dist.RenderLinesSVG(cfg, series)
+}
+
+func heatSeries(name string, heat []uint64, bucketMB float64) dist.Series {
+	pts := make([]sim.CDFPoint, len(heat))
+	for i, n := range heat {
+		pts[i] = sim.CDFPoint{Value: float64(i) * bucketMB, Fraction: float64(n)}
 	}
-	return b.String()
+	return dist.Series{Name: name, Points: pts}
 }

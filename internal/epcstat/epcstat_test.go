@@ -313,12 +313,10 @@ func TestObserverZeroAllocFaultDelta(t *testing.T) {
 	}
 }
 
-// TestRenderTextAndLabels checks the text view: labels resolve, the nil
-// snapshot degrades gracefully, and the headline numbers appear.
-func TestRenderTextAndLabels(t *testing.T) {
-	if got := (*Snapshot)(nil).RenderText(); got != "epc: no snapshot yet\n" {
-		t.Fatalf("nil render = %q", got)
-	}
+// TestSnapshotLabels checks that a nil or unattached collector has no
+// snapshot, and that an attached one carries the owner labels and the
+// interference its owners caused.
+func TestSnapshotLabels(t *testing.T) {
 	if (*Collector)(nil).Snapshot() != nil {
 		t.Fatal("nil collector Snapshot should be nil")
 	}
@@ -334,11 +332,16 @@ func TestRenderTextAndLabels(t *testing.T) {
 	for p := uint64(100); p < 104; p++ {
 		m.TouchAs(2, p)
 	}
-	txt := c.Snapshot().RenderText()
-	for _, want := range []string{"web(#1)", "#2", "pages resident", "interference (culprit→victim evictions):"} {
-		if !strings.Contains(txt, want) {
-			t.Fatalf("render missing %q:\n%s", want, txt)
-		}
+	s := c.Snapshot()
+	labels := map[epc.OwnerID]string{}
+	for _, o := range s.Owners {
+		labels[o.Owner] = o.Label
+	}
+	if len(labels) != 2 || labels[1] != "web" || labels[2] != "" {
+		t.Fatalf("owner labels = %v, want web on #1 and none on #2", labels)
+	}
+	if len(s.Interference) == 0 {
+		t.Fatalf("no interference recorded: %+v", s)
 	}
 }
 
@@ -350,5 +353,26 @@ func TestMEEStamp(t *testing.T) {
 	s := c.Snapshot()
 	if s.MEENodeAccesses != 123 || s.MEENodeMisses != 45 {
 		t.Fatalf("MEE counters = %d/%d, want 123/45", s.MEENodeAccesses, s.MEENodeMisses)
+	}
+}
+
+// TestHeatSVGDeterministic checks the heatmap rendering is byte-stable
+// for a fixed snapshot (the CI artifact depends on it) and nil-safe.
+func TestHeatSVGDeterministic(t *testing.T) {
+	m, c := newFixture(8, Options{})
+	c.SetLabel(1, "web")
+	for p := uint64(0); p < 20; p++ {
+		m.TouchAs(1, p)
+	}
+	s := c.Snapshot()
+	a, b := HeatSVG(s), HeatSVG(s)
+	if a != b {
+		t.Fatal("HeatSVG is not deterministic for the same snapshot")
+	}
+	if !strings.Contains(a, "web(#1)") {
+		t.Fatal("heatmap missing the labelled owner series")
+	}
+	if got := HeatSVG(nil); !strings.Contains(got, "<svg") {
+		t.Fatalf("nil-snapshot heatmap should still be an SVG shell, got %q", got)
 	}
 }

@@ -1,9 +1,9 @@
 // Package flight is the call fabric's flight recorder: an always-on,
 // low-overhead observability layer that captures *per-callsite* causal
-// call timelines and live statistics, read by /debug/flight, /metrics
-// and incident bundles.  Where internal/telemetry aggregates globally,
-// the recorder answers the per-callsite questions: how often was this
-// callsite called, how long does its handler run, which of its calls
+// call timelines and live statistics, digested on the health monitor's
+// tick and frozen into incident bundles.  Where internal/telemetry
+// aggregates globally, the recorder answers the per-callsite questions:
+// how often was this callsite called, how long does its handler run, which of its calls
 // timed out or straggled, and what did a *specific recent call* look
 // like from submit to return.
 //
@@ -23,8 +23,7 @@
 //
 //  3. Folding records into per-callsite statistics (service-time and
 //     latency histograms, the tail sampler's cutoffs) happens off the
-//     hot path in Digest, driven by the monitor tick or the /debug/flight
-//     handler.
+//     hot path in Digest, driven by the monitor tick or by Stats.
 //
 // A recorder binds to one fabric, once (Bind, via CallPool.SetFlight),
 // and its tail sampler (tail.go) is always on: timeouts and latency
@@ -148,8 +147,8 @@ type lane struct {
 
 // binding is the recorder's per-fabric storage: one record ring per
 // requester shard plus the shard×callsite arrival lanes.  It is
-// published through an atomic pointer so readers (Stats, Records, the
-// /debug/flight handler) may run before, during or after Bind.
+// published through an atomic pointer so readers (Stats, Records,
+// Outliers) may run before, during or after Bind.
 type binding struct {
 	rings []*ring
 	lanes []lane // row-major: shard*stride + callsite
@@ -177,8 +176,7 @@ type binding struct {
 
 // Recorder is the flight recorder.  Create with New, attach to a
 // fabric with Bind (CallPool.SetFlight does this), register callsites
-// with Callsite, and read back through Stats, Records, RenderText, or
-// the /debug/flight Handler.
+// with Callsite, and read back through Stats, Records and Outliers.
 type Recorder struct {
 	opts       Options
 	sampleMask uint64 // SampleEvery-1 (power of two)
@@ -205,9 +203,6 @@ type Recorder struct {
 	outlierSeen  []padCounter
 	seenAtDigest []atomic.Uint64
 	escalated    []atomic.Uint32
-
-	droppedstale  uint64 // records overwritten before digest reached them
-	digestedCount uint64
 
 	reg *telemetry.Registry // backing store for per-callsite histograms
 }
@@ -423,26 +418,4 @@ func (r *Recorder) Fallback(cs Callsite) {
 		return
 	}
 	r.fallbacks[int(cs.id)%len(r.fallbacks)].n.Add(1)
-}
-
-// Dropped returns how many sampled records were overwritten by ring
-// wraparound before Digest reached them.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.droppedstale
-}
-
-// Digested returns how many closed records Digest has folded into the
-// stats table.
-func (r *Recorder) Digested() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.digestedCount
 }

@@ -1,15 +1,11 @@
 package flight
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"hotcalls/internal/telemetry"
 )
 
 // fakeClock is a deterministic injectable nanosecond clock.
@@ -52,6 +48,17 @@ func play(r *Recorder, clk *fakeClock, cs Callsite, shard, responder int, svcNS 
 	clk.advance(100)
 	r.Complete(rec)
 	return rec
+}
+
+// folded is how many of the callsite's records Digest has folded into
+// its stats: each one with an execute span adds one service sample.
+func folded(r *Recorder, cs Callsite) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if int(cs.id) >= len(r.stats) {
+		return 0
+	}
+	return r.stats[cs.id].service.Snapshot().Count
 }
 
 func TestCallsiteRegistration(t *testing.T) {
@@ -174,10 +181,10 @@ func TestRingWraparound(t *testing.T) {
 		play(r, clk, cs, 0, 0, 10)
 	}
 	r.Digest()
-	if got := r.Digested(); got != ringRecords {
+	if got := folded(r, cs); got != ringRecords {
 		t.Fatalf("digested = %d, want %d (one ring's worth)", got, ringRecords)
 	}
-	if got := r.Dropped(); got != 2*ringRecords {
+	if got := r.cursors[0] - folded(r, cs); got != 2*ringRecords {
 		t.Fatalf("dropped = %d, want %d", got, 2*ringRecords)
 	}
 	// Records sees only the live window, all valid.
@@ -188,7 +195,7 @@ func TestRingWraparound(t *testing.T) {
 	// Digest resumes cleanly afterwards.
 	play(r, clk, cs, 0, 0, 10)
 	r.Digest()
-	if got := r.Digested(); got != ringRecords+1 {
+	if got := folded(r, cs); got != ringRecords+1 {
 		t.Fatalf("digested after resume = %d, want %d", got, ringRecords+1)
 	}
 }
@@ -199,12 +206,12 @@ func TestDigestStopsAtOpenRecord(t *testing.T) {
 	open := begin(r, cs, 0, 0) // left open
 	play(r, clk, cs, 0, 0, 10)
 	r.Digest()
-	if got := r.Digested(); got != 0 {
+	if got := r.cursors[0]; got != 0 {
 		t.Fatalf("digested past an open record: %d", got)
 	}
 	r.Complete(open)
 	r.Digest()
-	if got := r.Digested(); got != 2 {
+	if got := r.cursors[0]; got != 2 {
 		t.Fatalf("digested after close = %d, want 2", got)
 	}
 }
@@ -253,172 +260,6 @@ func TestTornRecordDetection(t *testing.T) {
 	wg.Wait()
 }
 
-func TestRenderText(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
-	cs := r.Callsite("mc.get")
-	play(r, clk, cs, 0, 0, 1500)
-	out := r.RenderText()
-	for _, want := range []string{"callsite", "mc.get", "last trace", "µs"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RenderText missing %q:\n%s", want, out)
-		}
-	}
-	var nilRec *Recorder
-	if got := nilRec.RenderText(); !strings.Contains(got, "disabled") {
-		t.Errorf("nil recorder RenderText = %q", got)
-	}
-}
-
-func TestHandlerFormats(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
-	cs := r.Callsite("op")
-	play(r, clk, cs, 0, 0, 2000)
-	srv := httptest.NewServer(Handler(r))
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/debug/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump struct {
-		Callsites []CallsiteStats `json:"callsites"`
-		Records   []RecordView    `json:"records"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(dump.Callsites) != 1 || dump.Callsites[0].Name != "op" {
-		t.Fatalf("JSON callsites = %+v", dump.Callsites)
-	}
-	if len(dump.Records) != 1 || dump.Records[0].ExecEndNS-dump.Records[0].ExecStartNS != 2000 {
-		t.Fatalf("JSON records = %+v", dump.Records)
-	}
-
-	resp, err = srv.Client().Get(srv.URL + "/debug/flight?format=trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	var rows, spans int
-	for _, e := range trace.TraceEvents {
-		switch e["ph"] {
-		case "M":
-			rows++
-		case "X":
-			spans++
-		}
-	}
-	if rows < 2 || spans != 2 {
-		t.Fatalf("chrome trace rows=%d spans=%d, want >=2 rows (requester+responder) and 2 spans", rows, spans)
-	}
-}
-
-// TestChromeEventsInlineOnRequesterRow: a call its requester ran itself
-// keeps the InlineResponder identity through the record view, and the
-// Chrome export draws its claim and execute span on the requester's row
-// instead of inventing a responder row for it.
-func TestChromeEventsInlineOnRequesterRow(t *testing.T) {
-	r, clk := newTestRecorder(t, 2, Options{SampleEvery: 1})
-	cs := r.Callsite("op")
-	play(r, clk, cs, 1, InlineResponder, 2000)
-	views := r.Records(8)
-	if len(views) != 1 || views[0].Responder != InlineResponder {
-		t.Fatalf("record views = %+v, want one claimed by InlineResponder", views)
-	}
-	var spans int
-	for _, e := range ChromeEventsForViews(views) {
-		switch e := e.(type) {
-		case telemetry.ChromeMetadata:
-			if e.TID != requesterRowBase+1 {
-				t.Errorf("row %d %q declared for an inline call, want only the requester's", e.TID, e.Args["name"])
-			}
-		case telemetry.ChromeEvent:
-			if e.TID != requesterRowBase+1 {
-				t.Errorf("event %q on row %d, want the requester's row %d", e.Name, e.TID, requesterRowBase+1)
-			}
-			if e.Phase == "X" {
-				spans++
-			}
-		}
-	}
-	if spans != 2 {
-		t.Errorf("%d spans, want the call and its execution", spans)
-	}
-}
-
-// TestChromeEventsDeterministic: the same frozen records render the same
-// bytes on every call — an incident bundle's trace view must not reorder
-// its rows between two fetches.  Two shards and two responders give the
-// export four rows to name.
-func TestChromeEventsDeterministic(t *testing.T) {
-	r, clk := newTestRecorder(t, 2, Options{SampleEvery: 1})
-	cs := r.Callsite("op")
-	for i := 0; i < 4; i++ {
-		play(r, clk, cs, i%2, i/2, 1000)
-	}
-	views := r.Records(8)
-	render := func() string {
-		var b strings.Builder
-		if err := telemetry.WriteChromeJSON(&b, ChromeEventsForViews(views)); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	first := render()
-	if rows := strings.Count(first, `"thread_name"`); rows != 4 {
-		t.Fatalf("%d rows named, want 2 requesters + 2 responders:\n%s", rows, first)
-	}
-	for i := 0; i < 20; i++ {
-		if again := render(); again != first {
-			t.Fatalf("render %d differs:\n%s\nfirst:\n%s", i+2, again, first)
-		}
-	}
-}
-
-// TestHandlerContentTypes pins the debug endpoint contract: every
-// format sets an explicit Content-Type and unknown formats are a 400,
-// so dashboards and curl pipelines never have to sniff.
-func TestHandlerContentTypes(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
-	cs := r.Callsite("op")
-	play(r, clk, cs, 0, 0, 2000)
-	h := Handler(r)
-
-	cases := []struct {
-		query  string
-		code   int
-		ct     string
-		within string
-	}{
-		{"", 200, telemetry.ContentTypeJSON, `"callsites"`},
-		{"?format=json", 200, telemetry.ContentTypeJSON, `"callsites"`},
-		{"?format=text", 200, telemetry.ContentTypeText, "op"},
-		{"?format=trace", 200, telemetry.ContentTypeJSON, "traceEvents"},
-		{"?format=yaml", 400, "", ""},
-	}
-	for _, c := range cases {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flight"+c.query, nil))
-		if rec.Code != c.code {
-			t.Errorf("%q: status = %d, want %d", c.query, rec.Code, c.code)
-			continue
-		}
-		if c.ct != "" && rec.Header().Get("Content-Type") != c.ct {
-			t.Errorf("%q: content-type = %q, want %q", c.query, rec.Header().Get("Content-Type"), c.ct)
-		}
-		if c.within != "" && !strings.Contains(rec.Body.String(), c.within) {
-			t.Errorf("%q: body missing %q", c.query, c.within)
-		}
-	}
-}
-
 func TestNilAndUnboundSafety(t *testing.T) {
 	var r *Recorder
 	if r.Open(Callsite{}, 0, 0) != nil {
@@ -464,40 +305,5 @@ func TestBindTwicePanics(t *testing.T) {
 	play(r, clk, cs, 1, 0, 10)
 	if stats := r.Stats(); len(stats) != 1 || stats[0].Arrivals != 2 {
 		t.Fatalf("stats after the refused rebind = %+v, want 2 arrivals on op", stats)
-	}
-}
-
-// TestWritePrometheus checks the scrapeable per-callsite surface: the
-// exact counts and the tail latencies appear as labelled series.
-func TestWritePrometheus(t *testing.T) {
-	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
-	get := r.Callsite("mc.get")
-	set := r.Callsite("mc.set")
-	for i := 0; i < 8; i++ {
-		play(r, clk, get, 0, 0, 1000)
-	}
-	play(r, clk, set, 0, 0, 2000)
-
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE flight_callsite_arrivals_total counter",
-		`flight_callsite_arrivals_total{callsite="mc.get"} 8`,
-		`flight_callsite_arrivals_total{callsite="mc.set"} 1`,
-		`flight_callsite_latency_p99_ns{callsite="mc.get"}`,
-		`flight_callsite_outliers_total{callsite="mc.set"} 0`,
-		"# TYPE flight_callsite_service_p50_ns gauge",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-
-	var empty *Recorder
-	if err := empty.WritePrometheus(&sb); err != nil {
-		t.Fatalf("nil recorder: %v", err)
 	}
 }

@@ -36,10 +36,10 @@ func (r *Recorder) state(site int) *csState {
 // Digest folds all newly-closed records into the per-callsite stats
 // table and refreshes the tail sampler's cutoffs.  It is the recorder's
 // only mutating reader: serialised by the recorder mutex, driven by the
-// monitor tick, the /debug/flight handler, or tests.  A ring whose oldest undigested record is still
-// open stops there (per-requester completion is near-FIFO, so the next
-// Digest picks it up); records overwritten before Digest reached them
-// count as dropped.
+// monitor tick, Stats, or tests.  A ring whose oldest undigested record
+// is still open stops there (per-requester completion is near-FIFO, so
+// the next Digest picks it up); records overwritten before Digest
+// reached them are skipped.
 func (r *Recorder) Digest() {
 	if r == nil {
 		return
@@ -60,7 +60,6 @@ func (r *Recorder) Digest() {
 		// Ring-capacity overrun: everything older than one ring's
 		// worth is gone regardless of state.
 		if span := uint64(len(rg.recs)); next-cur > span {
-			r.droppedstale += next - span - cur
 			cur = next - span
 		}
 		for cur < next {
@@ -71,9 +70,6 @@ func (r *Recorder) Digest() {
 			}
 			if v, ok := rec.load(cur); ok {
 				r.fold(v)
-				r.digestedCount++
-			} else {
-				r.droppedstale++ // reused mid-read or already overwritten
 			}
 			cur++
 		}
@@ -113,7 +109,7 @@ func (b *binding) siteArrivals() []uint64 {
 }
 
 // CallsiteStats is one callsite's live statistics — the stats-table
-// row /debug/flight, /metrics and incident bundles export.
+// row incident bundles freeze.
 // Timeouts and Fallbacks are exact; Arrivals is counted on every call
 // but published at sample boundaries, so it is exact when the lane
 // pauses on a SampleEvery multiple and otherwise lags by at most
@@ -141,7 +137,7 @@ type CallsiteStats struct {
 	LatencyP99NS uint64 `json:"latency_p99_ns"`
 
 	// LastTraceID is the most recent sampled call's trace ID, resolvable
-	// against Records / /debug/flight.
+	// against Records.
 	LastTraceID uint64 `json:"last_trace_id"`
 }
 

@@ -10,8 +10,8 @@ package flight
 //  1. Outlier retention.  Every timeout and every sampled call whose
 //     latency exceeds the callsite's adaptive cutoff is copied into a
 //     dedicated per-shard outlier ring, where it survives main-ring
-//     wraparound until an incident bundle (internal/incident) or a
-//     /debug/flight reader collects it.
+//     wraparound until an incident bundle (internal/incident) or an
+//     Outliers reader collects it.
 //
 //  2. Adaptive cutoffs.  Each digest folds the callsite's latency
 //     quantile (tailQuantile) through an EWMA, multiplies by

@@ -136,7 +136,7 @@ func TestAcceptanceFallbackStormBundle(t *testing.T) {
 	// A single event transition for the whole episode (S2 companion on
 	// the live fabric path).
 	var transitions int
-	for _, e := range m.Events() {
+	for _, e := range m.Health().Alerts { // four ticks: all inside the health window
 		if e.Rule == "fallback-storm" {
 			transitions++
 		}

@@ -1,8 +1,6 @@
 package incident
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"hotcalls/internal/epcstat"
@@ -52,40 +50,4 @@ type Bundle struct {
 	// Telemetry is the full registry snapshot (counters, gauges,
 	// histograms), when a registry was attached.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
-}
-
-// RenderText renders the bundle's postmortem summary as aligned plain
-// text: the firing diagnosis, the affected callsites, and the
-// critical-path table answering "where did the latency go".
-func (b *Bundle) RenderText() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "incident %s (%s)\n", b.ID, b.Schema)
-	fmt.Fprintf(&sb, "rule: %s  severity: %s  value: %.4g  threshold: %.4g\n",
-		b.Event.Rule, b.Event.Severity, b.Event.Value, b.Event.Threshold)
-	fmt.Fprintf(&sb, "diagnosis: %s\n", b.Event.Diagnosis)
-	fmt.Fprintf(&sb, "captured: %s  window: %d samples  records: %d  outliers: %d\n",
-		b.CapturedAt.Format(time.RFC3339), len(b.Window), len(b.Records), len(b.Outliers))
-
-	if len(b.Callsites) > 0 {
-		fmt.Fprintf(&sb, "\ncallsites:\n%-20s %10s %8s %8s %10s %10s %10s\n",
-			"callsite", "calls", "timeout", "fallbk", "outliers", "p99 lat", "cutoff")
-		for _, cs := range b.Callsites {
-			fmt.Fprintf(&sb, "%-20s %10d %8d %8d %10d %10s %10s\n",
-				cs.Name, cs.Arrivals, cs.Timeouts, cs.Fallbacks, cs.Outliers,
-				flight.FmtNS(cs.LatencyP99NS), flight.FmtNS(cs.CutoffNS))
-		}
-	}
-
-	if len(b.CriticalPaths) > 0 {
-		sb.WriteString("\ncritical paths (slowest captured calls):\n")
-		sb.WriteString(RenderCriticalPaths(b.CriticalPaths))
-	} else {
-		sb.WriteString("\n(no complete timelines captured)\n")
-	}
-
-	if b.EPC != nil {
-		sb.WriteString("\nepc pressure:\n")
-		sb.WriteString(b.EPC.RenderText())
-	}
-	return sb.String()
 }

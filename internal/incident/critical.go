@@ -1,9 +1,7 @@
 package incident
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"hotcalls/internal/flight"
 )
@@ -128,27 +126,4 @@ func Analyze(views []flightView, max int) []CriticalPath {
 		paths = paths[:max]
 	}
 	return paths
-}
-
-// RenderCriticalPaths renders the attribution table: one row per call,
-// one column per causal segment.
-func RenderCriticalPaths(paths []CriticalPath) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %-20s %-8s %10s %10s %10s %10s %10s\n",
-		"trace", "callsite", "outcome", "latency",
-		SegQueueWait, SegDispatch, SegExecute, SegReturn)
-	for _, p := range paths {
-		seg := map[string]uint64{}
-		for _, s := range p.Segments {
-			seg[s.Name] += s.NS
-		}
-		// Unclaimed/unattributed time reads as queue wait in the table:
-		// that is where an unclaimed call actually spent it.
-		qw := seg[SegQueueWait] + seg[SegUnclaimed] + seg[SegUnattributed]
-		fmt.Fprintf(&b, "0x%012x %-20s %-8s %10s %10s %10s %10s %10s\n",
-			p.TraceID, p.Name, p.Outcome, flight.FmtNS(p.LatencyNS),
-			flight.FmtNS(qw), flight.FmtNS(seg[SegDispatch]),
-			flight.FmtNS(seg[SegExecute]), flight.FmtNS(seg[SegReturn]))
-	}
-	return b.String()
 }

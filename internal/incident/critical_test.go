@@ -1,7 +1,6 @@
 package incident
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -106,20 +105,5 @@ func TestAnalyzeDedupAndOrdering(t *testing.T) {
 	// max caps the table.
 	if capped := Analyze(views, 2); len(capped) != 2 {
 		t.Fatalf("capped = %d, want 2", len(capped))
-	}
-}
-
-func TestRenderCriticalPaths(t *testing.T) {
-	paths := Analyze([]flightView{
-		{TraceID: 0xabc, Name: "render.op", SubmitNS: 100, ClaimNS: 140,
-			ExecStartNS: 150, ExecEndNS: 900, ReturnNS: 1000},
-		{TraceID: 0xdef, Name: "render.timeout", SubmitNS: 100, ReturnNS: 50_100,
-			TimedOut: true, Responder: -1},
-	}, 0)
-	out := RenderCriticalPaths(paths)
-	for _, want := range []string{"render.op", "render.timeout", "timeout", SegQueueWait, SegExecute} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
 	}
 }

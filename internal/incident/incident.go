@@ -13,8 +13,7 @@
 //
 // The import direction is incident → monitor/flight: the monitor knows
 // nothing about bundles, it just calls the capturer through
-// Monitor.SetOnEvent.  Apps mount the /debug/incidents handler next to
-// the monitor's Mux.
+// Monitor.SetOnEvent.
 package incident
 
 import (
@@ -194,18 +193,6 @@ func (c *Capturer) Bundles() []*Bundle {
 	out := make([]*Bundle, len(c.bundles))
 	copy(out, c.bundles)
 	return out
-}
-
-// Bundle returns the retained bundle with the given ID.
-func (c *Capturer) Bundle(id string) (*Bundle, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, b := range c.bundles {
-		if b.ID == id {
-			return b, true
-		}
-	}
-	return nil, false
 }
 
 // Stats reports lifetime capture counts: bundles captured, events

@@ -2,7 +2,6 @@ package incident
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,8 +111,10 @@ func TestFlappingRuleSingleTransition(t *testing.T) {
 	k.storm(0)
 	k.storm(50) // still within EventDebounce=3 of the last firing
 
+	// Every tick of this test falls inside the health window, so its
+	// alerts are the whole event log.
 	var stormEvents int
-	for _, e := range k.m.Events() {
+	for _, e := range k.m.Health().Alerts {
 		if e.Rule == "fallback-storm" && e.Severity >= monitor.Warning {
 			stormEvents++
 		}
@@ -133,7 +134,7 @@ func TestFlappingRuleSingleTransition(t *testing.T) {
 	k.storm(0)
 	k.storm(50)
 	stormEvents = 0
-	for _, e := range k.m.Events() {
+	for _, e := range k.m.Health().Alerts {
 		if e.Rule == "fallback-storm" && e.Severity >= monitor.Warning {
 			stormEvents++
 		}
@@ -203,77 +204,6 @@ func TestSeverityGate(t *testing.T) {
 	k.storm(6) // 6%: warning
 	if got := len(k.c.Bundles()); got != 1 || k.c.Bundles()[0].Event.Severity != monitor.Warning {
 		t.Fatalf("warning captured %d bundles, want 1", got)
-	}
-}
-
-func TestHandler(t *testing.T) {
-	k := newStormKit(t, monitor.Options{}, Options{})
-	k.storm(50)
-	h := Handler(k.c)
-
-	// List view.
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/incidents", nil))
-	if rr.Code != 200 {
-		t.Fatalf("list status = %d", rr.Code)
-	}
-	if ct := rr.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
-		t.Fatalf("list content-type = %q", ct)
-	}
-	var list struct {
-		Bundles  []bundleMeta `json:"bundles"`
-		Captured uint64       `json:"captured"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Bundles) != 1 || list.Captured != 1 {
-		t.Fatalf("list = %+v", list)
-	}
-	id := list.Bundles[0].ID
-
-	// Fetch JSON.
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/incidents?id="+id, nil))
-	var b Bundle
-	if err := json.Unmarshal(rr.Body.Bytes(), &b); err != nil || b.ID != id {
-		t.Fatalf("fetch: err=%v id=%q", err, b.ID)
-	}
-
-	// Text view.
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/incidents?id="+id+"&format=text", nil))
-	if ct := rr.Header().Get("Content-Type"); ct != "text/plain; charset=utf-8" {
-		t.Fatalf("text content-type = %q", ct)
-	}
-	if !strings.Contains(rr.Body.String(), "fallback-storm") {
-		t.Fatalf("text view missing rule name: %q", rr.Body.String())
-	}
-
-	// Trace view is valid JSON.
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/incidents?id="+id+"&format=trace", nil))
-	var trace any
-	if err := json.Unmarshal(rr.Body.Bytes(), &trace); err != nil {
-		t.Fatalf("trace view not JSON: %v", err)
-	}
-
-	// Unknown ID and unknown format.
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/incidents?id=nope", nil))
-	if rr.Code != 404 {
-		t.Fatalf("unknown id status = %d, want 404", rr.Code)
-	}
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/incidents?id="+id+"&format=xml", nil))
-	if rr.Code != 400 {
-		t.Fatalf("unknown format status = %d, want 400", rr.Code)
-	}
-	// Nil capturer serves an empty list.
-	rr = httptest.NewRecorder()
-	Handler(nil).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/incidents", nil))
-	if rr.Code != 200 {
-		t.Fatalf("nil capturer status = %d", rr.Code)
 	}
 }
 

@@ -27,14 +27,13 @@ type Options struct {
 	Rules []Rule
 
 	// Flight, when set, attaches the call fabric's flight recorder: every
-	// tick digests its rings once, Mux serves /debug/flight and appends
-	// its per-callsite series to /metrics, and incident bundles freeze
-	// its stats table, records and outliers.
+	// tick digests its rings once, and incident bundles freeze its stats
+	// table, records and outliers.
 	Flight *flight.Recorder
 
 	// EPC, when set, attaches the EPC pressure observatory: every
 	// sample carries its snapshot (flushed once per tick), RenderText
-	// grows a per-owner section, Mux serves /debug/epc, and — when
+	// grows a per-owner section, and — when
 	// Rules is nil — the oversubscription early-warning and
 	// victim-interference rules join the default rule set.
 	EPC *epcstat.Collector
@@ -214,15 +213,6 @@ func (m *Monitor) Window(n int) []Sample {
 		n = m.count
 	}
 	return m.windowLocked(n)
-}
-
-// Events returns a copy of the retained event log, oldest first.
-func (m *Monitor) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Event, len(m.events))
-	copy(out, m.events)
-	return out
 }
 
 // DroppedEvents returns how many events were evicted from the bounded

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,6 +18,14 @@ func startPool(tb testing.TB, reg *telemetry.Registry, opts core.PoolOptions, fn
 	p.Start()
 	tb.Cleanup(p.Stop)
 	return p
+}
+
+// events returns a copy of the monitor's retained event log, oldest
+// first.
+func events(m *Monitor) []Event {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.events)
 }
 
 // bump is a test helper that advances a counter by n.
@@ -123,7 +132,7 @@ func TestEventLogBounded(t *testing.T) {
 		bump(reg, telemetry.MetricEPCEvictions, 5000)
 		m.Tick()
 	}
-	ev := m.Events()
+	ev := events(m)
 	if len(ev) != eventCap {
 		t.Fatalf("event log = %d, want %d", len(ev), eventCap)
 	}
@@ -176,7 +185,7 @@ func TestFallbackStormOnSleepingResponder(t *testing.T) {
 	if s.TimeoutRate < 0.9 || s.FallbackRate < 0.9 {
 		t.Fatalf("timeout rate = %.3f, fallback rate = %.3f, want ~1", s.TimeoutRate, s.FallbackRate)
 	}
-	ev := m.Events()
+	ev := events(m)
 	var storm *Event
 	for i := range ev {
 		if ev[i].Rule == "fallback-storm" {
@@ -220,7 +229,7 @@ func TestHealthyRunRaisesNoAlerts(t *testing.T) {
 	if s.DSubmissions != 200 || s.DTimeouts != 0 {
 		t.Fatalf("healthy run deltas wrong: %+v", s)
 	}
-	if ev := m.Events(); len(ev) != 0 {
+	if ev := events(m); len(ev) != 0 {
 		t.Fatalf("healthy run raised alerts: %+v", ev)
 	}
 	if h := m.Health(); h.Status != "ok" {
@@ -241,7 +250,7 @@ func TestLatencySLOBurnRate(t *testing.T) {
 		}
 		m.Tick()
 	}
-	if ev := m.Events(); len(ev) != 0 {
+	if ev := events(m); len(ev) != 0 {
 		t.Fatalf("healthy latency raised alerts: %+v", ev)
 	}
 
@@ -251,7 +260,7 @@ func TestLatencySLOBurnRate(t *testing.T) {
 		reg.Histogram(telemetry.MetricHotCallCycles).Observe(9000)
 	}
 	m.Tick()
-	if ev := m.Events(); len(ev) != 0 {
+	if ev := events(m); len(ev) != 0 {
 		t.Fatalf("single blip should not alert: %+v", ev)
 	}
 
@@ -263,7 +272,7 @@ func TestLatencySLOBurnRate(t *testing.T) {
 			reg.Histogram(telemetry.MetricHotCallCycles).Observe(9000)
 		}
 		m.Tick()
-		for _, e := range m.Events() {
+		for _, e := range events(m) {
 			switch e.Severity {
 			case Warning:
 				sawWarning = true
@@ -274,9 +283,9 @@ func TestLatencySLOBurnRate(t *testing.T) {
 	}
 	if !sawCritical {
 		t.Fatalf("sustained breach never went critical (warning seen: %v); events: %+v",
-			sawWarning, m.Events())
+			sawWarning, events(m))
 	}
-	for _, e := range m.Events() {
+	for _, e := range events(m) {
 		if e.Rule != "latency-slo" {
 			t.Fatalf("unexpected rule %q", e.Rule)
 		}
@@ -294,7 +303,7 @@ func TestEPCThrashRule(t *testing.T) {
 	bump(reg, telemetry.MetricEPCFaults, 520)
 	reg.Gauge(telemetry.MetricEPCResident).Set(23000)
 	m.Tick()
-	ev := m.Events()
+	ev := events(m)
 	if len(ev) != 1 || ev[0].Rule != "epc-thrash" || ev[0].Severity != Warning {
 		t.Fatalf("expected one epc-thrash warning, got %+v", ev)
 	}
@@ -304,7 +313,7 @@ func TestEPCThrashRule(t *testing.T) {
 
 	bump(reg, telemetry.MetricEPCEvictions, 10000)
 	m.Tick()
-	ev = m.Events()
+	ev = events(m)
 	if ev[len(ev)-1].Severity != Critical {
 		t.Fatalf("sustained thrash should be critical: %+v", ev[len(ev)-1])
 	}
@@ -319,7 +328,7 @@ func TestSpinWasteRule(t *testing.T) {
 	bump(reg, telemetry.MetricResponderPolls, 100000)
 	bump(reg, telemetry.MetricResponderExecutes, 10)
 	m.Tick()
-	ev := m.Events()
+	ev := events(m)
 	if len(ev) != 1 || ev[0].Rule != "spin-waste" || ev[0].Severity != Critical {
 		t.Fatalf("expected critical spin-waste, got %+v", ev)
 	}
@@ -329,7 +338,7 @@ func TestSpinWasteRule(t *testing.T) {
 	bump(reg, telemetry.MetricHotECalls, 50)
 	bump(reg, telemetry.MetricSpinCycles, 200000)
 	m.Tick()
-	ev = m.Events()
+	ev = events(m)
 	last := ev[len(ev)-1]
 	if last.Rule != "spin-waste" || !strings.Contains(last.Diagnosis, "cycles/call") {
 		t.Fatalf("expected per-call budget event, got %+v", last)
@@ -354,7 +363,7 @@ func TestHealthWindowExpiry(t *testing.T) {
 	if h := m.Health(); h.Status != "ok" || len(h.Alerts) != 0 {
 		t.Fatalf("alert should have aged out: %+v", h)
 	}
-	if len(m.Events()) != 1 {
+	if len(events(m)) != 1 {
 		t.Fatal("event log should retain the aged-out event")
 	}
 }

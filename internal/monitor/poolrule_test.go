@@ -65,33 +65,36 @@ func TestPoolSaturationEndToEnd(t *testing.T) {
 		[]core.PoolFunc{func(_ int, d uint64) uint64 { return d }},
 		core.PoolOptions{Shards: shards, SlotsPerShard: window, MaxResponders: 1, Timeout: 1 << 20})
 	p.SetTelemetry(reg)
-	p.Start()
 	defer p.Stop()
 
 	m := New(reg, Options{})
 	m.Tick() // baseline
 
+	// Every requester posts its first window before the responder
+	// starts.  A responder that parked before the load arrived would stay
+	// parked: requesters that find it asleep run their own calls
+	// (Requester.help) and kick it only when those runs come faster than
+	// a wake costs, which under the race detector they never do.
 	var stop atomic.Bool
 	var load sync.WaitGroup
 	for range shards {
 		r := p.Requester()
+		calls := make([]core.VecCall, window)
+		b, err := r.SubmitV(calls)
+		if err != nil {
+			t.Fatal(err)
+		}
 		load.Add(1)
 		go func() {
 			defer load.Done()
-			calls := make([]core.VecCall, window)
-			for i := uint64(0); !stop.Load(); {
-				for j := range calls {
-					calls[j].Data = i
-					i++
-				}
-				b, err := r.SubmitV(calls)
-				if err != nil {
+			for b.WaitAll(nil) == nil && !stop.Load() {
+				if b, err = r.SubmitV(calls); err != nil {
 					return
 				}
-				b.WaitAll(nil)
 			}
 		}()
 	}
+	p.Start()
 
 	// The occupancy gauge updates once per control window; give the
 	// saturated pool a few monitor intervals to show it.

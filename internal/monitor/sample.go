@@ -104,7 +104,7 @@ func NewSampler(reg *telemetry.Registry) *Sampler {
 
 // SetFlight attaches (or, with nil, detaches) the flight recorder each
 // sample digests: one fold of its rings per tick keeps its stats table
-// current for /debug/flight, /metrics and incident bundles.
+// and the tail sampler's cutoffs current for incident bundles.
 func (sa *Sampler) SetFlight(f *flight.Recorder) { sa.flight = f }
 
 // SetEPC attaches (or, with nil, detaches) the EPC pressure observatory

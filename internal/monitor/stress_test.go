@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -13,8 +12,8 @@ import (
 // TestMonitorVsWorkloadRace is the satellite race test, mirroring the
 // PR 2 tracer-vs-exporter pattern: a live fabric workload hammers the
 // registry from several goroutines while the monitor samples on its own
-// goroutine and HTTP readers pull /debug/health and /debug/monitor
-// concurrently.  Run with -race.
+// goroutine and a reader pulls the health verdict, the text table and
+// the event log concurrently.  Run with -race.
 func TestMonitorVsWorkloadRace(t *testing.T) {
 	reg := telemetry.New()
 	telemetry.RegisterStandard(reg)
@@ -48,15 +47,11 @@ func TestMonitorVsWorkloadRace(t *testing.T) {
 	readers := make(chan struct{})
 	go func() {
 		defer close(readers)
-		health := HealthHandler(m)
-		mon := Handler(m)
 		for i := 0; i < 200; i++ {
-			rec := httptest.NewRecorder()
-			health.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/health", nil))
-			rec = httptest.NewRecorder()
-			mon.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/monitor?format=text", nil))
+			_ = m.Health()
+			_ = m.RenderText(20)
 			_ = m.Window(0)
-			_ = m.Events()
+			_ = events(m)
 			m.Tick() // manual ticks interleaved with the Start goroutine
 		}
 	}()

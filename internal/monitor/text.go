@@ -8,11 +8,8 @@ import (
 )
 
 // RenderText renders the monitor's trailing n samples as an aligned
-// table plus the health line and active alerts — the body of both
-// `hotbench -watch` (redrawn in place) and `/debug/monitor?format=text`.
-// The line count is stable for a fixed n once the ring holds n samples
-// and the EPC owner set stops growing, which is what lets the watch loop
-// repaint with a cursor-up escape.
+// table plus the health line and active alerts — what `hotbench
+// -monitor` prints after the run.
 func (m *Monitor) RenderText(n int) string {
 	var b strings.Builder
 	h := m.Health()

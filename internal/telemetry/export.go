@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 
 	"hotcalls/internal/sim"
 )
@@ -174,14 +173,4 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 	events := r.Tracer().Events()
 	all := append(ChromeRowMetadata(), ChromeTraceEvents(events)...)
 	return WriteChromeJSON(w, all)
-}
-
-// Handler returns an http.Handler that serves the registry's Prometheus
-// dump — the /metrics endpoint for the simulated servers.  Safe on nil
-// (serves an empty body).
-func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", ContentTypeMetrics)
-		_ = r.WritePrometheus(w)
-	})
 }
