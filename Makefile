@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build build-cross loc reach test test-race test-repeat test-poison examples bench-selftest bench-sim bench-pairs bench-zerocopy experiments profile incident-demo epc-demo
+.PHONY: check vet build build-cross loc reach test test-race test-repeat test-poison examples bench-selftest bench-sim bench-pairs experiments
 
 # check is the CI entrypoint: vet, build (natively and for the
 # architectures without an assembly spin hint), hold the line counts under
@@ -35,8 +35,8 @@ build-cross:
 LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
 OBSERVABILITY = telemetry dist flight incident monitor profile epcstat
 APPS_CEILING = 3197
-OBSERVABILITY_CEILING = 4831
-TOTAL_CEILING = 17442
+OBSERVABILITY_CEILING = 4430
+TOTAL_CEILING = 16808
 loc:
 	@apps=$$($(call LOC,./internal/apps)); obs=$$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY)))); total=$$($(call LOC,.)); \
 	echo "fabric (internal/core)  $$($(call LOC,./internal/core))"; \
@@ -143,39 +143,5 @@ bench-pairs:
 # metric lands outside its two-sided band.  Byte-deterministic: a clean
 # regeneration matches the committed files exactly, so it is also how a
 # change that moves, adds or deletes an experiment value re-pins them.
-# Incident bundles captured along the way land in incidents/ (CI uploads
-# them when a step fails).
 experiments:
-	$(GO) run ./cmd/hotbench -docs . -incident-dir incidents
-
-# The deterministic demos below write their raw series with -csv into
-# one directory (CI uploads it).
-DEMO_OUT = demo-out
-
-# bench-zerocopy runs the simulated staged-vs-zero-copy crossing sweep:
-# [in,out] marshalling against [zerocopy] ring pass-through on both
-# edges, 2-32 KB, in simulated cycles.  The series lands in
-# $(DEMO_OUT)/zerocopy_sweep.csv; the ratios are part of the exact gate.
-bench-zerocopy:
-	$(GO) run ./cmd/hotbench -run zerocopy -csv $(DEMO_OUT)
-
-# incident-demo is the black-box postmortem walkthrough: wedge the
-# fabric's responder, drive a fallback storm, let the monitor's rule
-# fire, and print the captured bundle's rule, diagnosis and exact
-# counts.  The bundle itself — capture time, causal timelines, the
-# critical-path table — is spooled to incidents/ for inspection.
-incident-demo:
-	$(GO) run ./cmd/hotbench -run incident -incident-dir incidents
-
-# epc-demo reproduces the paper's oversubscription cliff against the
-# analytic paging model and renders the oversubscribed fault heatmap
-# (epcstat.HeatSVG) to $(DEMO_OUT)/epc_heatmap.svg, beside the sweep's
-# epc_sweep.csv.
-epc-demo:
-	$(GO) run ./cmd/hotbench -run epc -csv $(DEMO_OUT)
-
-# profile runs the microbenchmarks under deep tracing and writes folded
-# flame-graph stacks (flamegraph.pl, speedscope) to hotcalls.folded and
-# the per-call-site and per-category cycle breakdowns to stdout.
-profile:
-	$(GO) run ./cmd/hotbench -run table1 -profile hotcalls.folded
+	$(GO) run ./cmd/hotbench -docs .

@@ -2,26 +2,21 @@
 //
 // Usage:
 //
-//	hotbench -list
 //	hotbench -run table1
-//	hotbench -run all -csv out/
+//	hotbench -run fig2,fig3
 //	hotbench -docs .                       # EXPERIMENTS.md, REPORT.md, BENCH_hotcalls.json from one run
 //
 // Each experiment prints a table comparing measured values against the
-// paper's; -csv additionally writes the raw series (CDFs, sweeps) for
-// plotting.  -docs runs every experiment once and writes all three
+// paper's.  -docs runs every experiment once and writes all three
 // renderings of the run — the two documents and the artifact
 // go test ./internal/bench holds a fresh run to, value for value; it
-// exits 1 when a paper-fidelity metric lands outside its band.
+// exits 1 when a paper-fidelity metric lands outside its band.  An
+// unknown -run ID prints the valid IDs.
 //
 // Observability flags:
 //
 //	hotbench -run table1 -metrics          # Prometheus dump after the run
-//	hotbench -run table1 -trace out.json   # Chrome trace_event JSON
-//	hotbench -run table1 -profile out.folded # cycle-attribution profile: folded stacks + breakdown tables
 //	hotbench -run all -monitor             # health summary + alerts after the run
-//	hotbench -run incident -incident-dir incidents # postmortem-bundle demo, spooled to disk
-//	hotbench -run epc,zerocopy -csv demo-out # EPC cliff + fault heatmap SVG, staged vs zero-copy sweep CSV
 package main
 
 import (
@@ -34,55 +29,23 @@ import (
 
 	"hotcalls/internal/bench"
 	"hotcalls/internal/monitor"
-	"hotcalls/internal/profile"
 	"hotcalls/internal/telemetry"
 )
 
-// traceCapacity bounds the boundary-event ring: enough for a full
-// microbenchmark experiment without unbounded memory.
-const traceCapacity = 1 << 18
-
-// profileCapacity sizes the deep-tracing ring: per-phase and per-memory-
-// operation events are ~20x denser than boundary spans, and the profiler
-// wants whole call trees, not just the tail (table1 alone emits ~3M
-// events).
-const profileCapacity = 1 << 22
-
 func main() {
-	list := flag.Bool("list", false, "list available experiments")
 	run := flag.String("run", "all", "experiment ID(s) to run, comma-separated, or 'all'")
-	csvDir := flag.String("csv", "", "directory to write the experiments' raw series into (CSV files, and the epc experiment's fault-heatmap SVG)")
 	docsDir := flag.String("docs", "", "run everything once and write EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json into this directory; exit 1 when a paper-fidelity metric is outside its band")
 	metrics := flag.Bool("metrics", false, "dump all counters and histograms in Prometheus text format after the run")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of boundary crossings to this path")
-	profilePath := flag.String("profile", "", "write a cycle-attribution profile: folded flame-graph stacks to this path, breakdown tables to stdout")
 	monitorFlag := flag.Bool("monitor", false, "run the continuous health monitor during the experiments and print its verdict and alerts afterwards")
-	incidentDir := flag.String("incident-dir", "", "spool incident bundles captured by the experiments (see -run incident) to this directory as <bundle-id>.json")
 	seed := flag.Uint64("seed", 0, "base seed the experiments' random streams derive from; 0 (the default) reproduces the committed EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json byte for byte")
 	flag.Parse()
 
 	bench.SetSeed(*seed)
-	if *incidentDir != "" {
-		bench.SetIncidentDir(*incidentDir)
-	}
 
 	var reg *telemetry.Registry
-	if *metrics || *tracePath != "" || *profilePath != "" || *monitorFlag {
+	if *metrics || *monitorFlag {
 		reg = telemetry.New()
-		if *profilePath != "" {
-			// Deep tracing feeds both the profiler and -trace.
-			reg.EnableDeepTracing(profileCapacity)
-		} else if *tracePath != "" {
-			reg.EnableTracing(traceCapacity)
-		}
 		bench.SetTelemetry(reg)
-	}
-
-	if *list {
-		for _, e := range bench.All() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
-		}
-		return
 	}
 
 	if *docsDir != "" {
@@ -101,7 +64,11 @@ func main() {
 		for _, id := range strings.Split(*run, ",") {
 			e := bench.Get(strings.TrimSpace(id))
 			if e == nil {
-				fmt.Fprintf(os.Stderr, "hotbench: unknown experiment %q (try -list)\n", id)
+				var ids []string
+				for _, e := range bench.All() {
+					ids = append(ids, e.ID)
+				}
+				fmt.Fprintf(os.Stderr, "hotbench: unknown experiment %q; valid IDs: %s\n", id, strings.Join(ids, ", "))
 				os.Exit(1)
 			}
 			experiments = append(experiments, *e)
@@ -119,20 +86,6 @@ func main() {
 		start := time.Now()
 		report := e.Run()
 		fmt.Printf("=== %s ===\n%s\n%s(%.1fs)\n\n", report.ID, report.Title, report.Table, time.Since(start).Seconds())
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-				os.Exit(1)
-			}
-			for name, content := range report.CSV {
-				path := filepath.Join(*csvDir, name)
-				if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", path)
-			}
-		}
 	}
 
 	if mon != nil {
@@ -147,56 +100,6 @@ func main() {
 	if *metrics {
 		fmt.Println("=== metrics (Prometheus text format) ===")
 		if err := reg.WritePrometheus(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := reg.WriteChromeTrace(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-			os.Exit(1)
-		}
-		if tr := reg.Tracer(); tr != nil && tr.Dropped() > 0 {
-			fmt.Fprintf(os.Stderr, "hotbench: trace ring overflowed, oldest %d events dropped\n", tr.Dropped())
-		}
-		fmt.Println("wrote", *tracePath)
-	}
-	if *profilePath != "" {
-		tr := reg.Tracer()
-		if tr.Dropped() > 0 {
-			fmt.Fprintf(os.Stderr, "hotbench: profile ring overflowed, oldest %d events dropped; attribution is partial\n", tr.Dropped())
-		}
-		prof := profile.Analyze(tr.Events())
-		f, err := os.Create(*profilePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-			os.Exit(1)
-		}
-		err = prof.WriteFolded(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *profilePath)
-		fmt.Println("=== cycle attribution (per call site) ===")
-		if err := prof.WriteCallTable(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-		if err := prof.WriteCategoryTable(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "hotbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -29,11 +29,16 @@ var (
 	testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*`)
 	// pattern marks code holding a -run/-bench pattern, whose names need
 	// only prefix the functions they select.
-	pattern  = regexp.MustCompile(`-run|-bench|-fuzz|[|(*^$]`)
-	makeCmd  = regexp.MustCompile(`\bmake[ \t]+([a-z][\w-]*)`)
-	fence    = regexp.MustCompile("(?m)^[ \t]*(?:```|~~~).*$")
-	codeSpan = regexp.MustCompile("(`+)([^`]+)(`+)")
-	target   = regexp.MustCompile(`(?m)^([\w.-]+)[ \t]*:([^=]|$)`)
+	pattern = regexp.MustCompile(`-run|-bench|-fuzz|[|(*^$]`)
+	makeCmd = regexp.MustCompile(`\bmake[ \t]+([a-z][\w-]*)`)
+	// hotbenchArgs is a hotbench command line, up to a comment or the
+	// next command; flagArg and runArg pick its flags and -run IDs.
+	hotbenchArgs = regexp.MustCompile(`\bhotbench\b([^#|;&\n]*)`)
+	flagArg      = regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
+	runArg       = regexp.MustCompile(`(?:^|\s)-run[ =]([\w,.-]+)`)
+	fence        = regexp.MustCompile("(?m)^[ \t]*(?:```|~~~).*$")
+	codeSpan     = regexp.MustCompile("(`+)([^`]+)(`+)")
+	target       = regexp.MustCompile(`(?m)^([\w.-]+)[ \t]*:([^=]|$)`)
 	// repoPath is a path into the tree: a top-level directory, then path
 	// characters and {a,b} groups.  A :line suffix ends it.
 	repoPath = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:internal|cmd|examples|benchmarks|incidents|\.claude|\.github)/(?:[\w.*<>/-]|\{[^{}\s]*\})*)`)
@@ -46,20 +51,17 @@ var (
 // TestDocsResolve reads the code the documents quote — inline spans and
 // fenced blocks — and fails on every test, benchmark, fuzz target or
 // example name that no _test.go file defines, on every `make X` whose X
-// is not a Makefile target, on every repo path that does not exist, and
-// on every pkg.Name or pkg.Type.Member whose package is one of the
-// module's and declares no such exported name, method or field.
+// is not a Makefile target, on every `hotbench -flag` that
+// cmd/hotbench/main.go does not define and every `hotbench -run id` that
+// names no registered experiment, on every repo path that does not
+// exist, and on every pkg.Name or pkg.Type.Member whose package is one of
+// the module's and declares no such exported name, method or field.
 func TestDocsResolve(t *testing.T) {
 	funcs := testFuncs(t)
 	decls := moduleDecls(t)
-	mk, err := os.ReadFile("Makefile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := map[string]bool{}
-	for _, m := range target.FindAllStringSubmatch(string(mk), -1) {
-		targets[m[1]] = true
-	}
+	rules := makefileRules(t)
+	flags := hotbenchFlags(t)
+	experiments := experimentIDs()
 	// The .gitignore's directories hold build and run output, which a
 	// fresh checkout does not have: a path under one need not exist.
 	ignore, err := os.ReadFile(".gitignore")
@@ -91,7 +93,7 @@ func TestDocsResolve(t *testing.T) {
 				}
 			}
 			for _, m := range makeCmd.FindAllStringSubmatch(c.code, -1) {
-				if !targets[m[1]] {
+				if _, ok := rules[m[1]]; !ok {
 					t.Errorf("%s:%d: make %s is not a Makefile target", doc, line, m[1])
 				}
 			}
@@ -106,6 +108,20 @@ func TestDocsResolve(t *testing.T) {
 				}
 				if !names[ref] {
 					t.Errorf("%s:%d: %s.%s is declared in no module package %s", doc, line, m[1], ref, m[1])
+				}
+			}
+			for _, args := range hotbenchArgs.FindAllStringSubmatch(c.code, -1) {
+				for _, m := range flagArg.FindAllStringSubmatch(args[1], -1) {
+					if !flags[m[1]] {
+						t.Errorf("%s:%d: hotbench -%s is not a flag of cmd/hotbench", doc, line, m[1])
+					}
+				}
+				for _, m := range runArg.FindAllStringSubmatch(args[1], -1) {
+					for _, id := range strings.Split(m[1], ",") {
+						if id != "all" && !experiments[id] {
+							t.Errorf("%s:%d: hotbench -run %s names no registered experiment", doc, line, id)
+						}
+					}
 				}
 			}
 			for _, m := range repoPath.FindAllStringSubmatch(c.code, -1) {

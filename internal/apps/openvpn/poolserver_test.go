@@ -11,6 +11,8 @@ import (
 	"hotcalls/internal/core"
 	"hotcalls/internal/epc"
 	"hotcalls/internal/flight"
+	"hotcalls/internal/sdk"
+	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
 )
 
@@ -78,6 +80,105 @@ func TestPoolTunnelTamperDrop(t *testing.T) {
 	c.ring.Release(slab2)
 	if err != nil || ret != ^uint64(0) {
 		t.Fatalf("headerless frame = (%#x, %v), want sentinel", ret, err)
+	}
+}
+
+// TestClocksAgree sends one frame sequence through the simulated Server
+// and through the fabric's PoolServer.tunnel: in order, a duplicate ID,
+// reordered inside the replay window (both edges of it), older than the
+// window, a tampered MAC followed by the untampered frame, and a frame
+// shorter than its header.  The two clocks run one receive rule, so they
+// accept and drop the same frames and forward the same payload bytes.
+func TestClocksAgree(t *testing.T) {
+	type frame struct {
+		id     uint32
+		tamper bool
+		short  bool
+		accept bool
+	}
+	seq := []frame{
+		{id: 1, accept: true}, {id: 2, accept: true}, {id: 2},
+		{id: 10, accept: true}, {id: 7, accept: true},
+		{id: 100, accept: true}, {id: 36}, {id: 37, accept: true}, {id: 30},
+		{id: 101, tamper: true}, {id: 101, accept: true},
+		{short: true}, {id: 102, accept: true},
+	}
+	// build seals frame i under the receiver's keys with its packet ID.
+	build := func(seal *Cipher, i int) []byte {
+		f := seq[i]
+		if f.short {
+			return testPayload(FrameOverhead-1, i)
+		}
+		payload := testPayload(100+i, i)
+		buf := make([]byte, FrameOverhead+len(payload))
+		seal.nextID = f.id
+		seal.Seal(buf, payload)
+		if f.tamper {
+			buf[FrameOverhead+3] ^= 0x10
+		}
+		return buf
+	}
+
+	sim1 := NewServer(porting.SGX)
+	simSeal := SessionCipher()
+	fab := NewPoolServer(1, testVPNOpts(1))
+	fab.Start()
+	defer fab.Stop()
+	c := fab.Conn(0)
+	fabSeal, _ := connCiphers(0)
+	_, fabVerify := connCiphers(0) // the peer's receive keys for the relayed output
+	var clk sim.Clock
+	for i, f := range seq {
+		// Simulated clock: the frame lands on the transport and one
+		// event runs; an accepted payload is left in plainBuf.
+		dropped, forwarded := sim1.Dropped(), sim1.ForwardedBytes()
+		if err := sim1.App.Kernel.Inject(sim1.udpFD, build(simSeal, i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim1.App.Call(&clk, "ecall_process_event", sdk.Scalar(0), sdk.Scalar(0)); err != nil {
+			t.Fatal(err)
+		}
+		var simGot []byte
+		if sim1.Dropped() == dropped {
+			simGot = bytes.Clone(sim1.plainBuf.Data[:sim1.ForwardedBytes()-forwarded])
+		}
+
+		// Fabric: the frame lands in a slab as header and body segments
+		// (one segment when it is shorter than a header); an accepted
+		// frame comes back re-sealed for the peer.
+		slab, buf, ok := c.ring.Acquire()
+		if !ok {
+			t.Fatal("no free slab")
+		}
+		n := copy(buf, build(fabSeal, i))
+		segs := []core.Segment{{Slab: slab, Len: uint32(n)}}
+		if n >= FrameOverhead {
+			segs = []core.Segment{{Slab: slab, Len: FrameOverhead}, {Slab: slab, Off: FrameOverhead, Len: uint32(n - FrameOverhead)}}
+		}
+		ret, err := c.req.CallV(core.VecCall{ID: opTunnel, Segs: segs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fabGot []byte
+		if ret != ^uint64(0) {
+			out := make([]byte, slabFrameCap)
+			m, err := fabVerify.Open(out, c.ring.Slab(slab)[:ret])
+			if err != nil {
+				t.Fatalf("frame %d: relayed output does not open: %v", i, err)
+			}
+			fabGot = out[:m]
+		}
+		c.ring.Release(slab)
+
+		if (simGot != nil) != (fabGot != nil) || !bytes.Equal(simGot, fabGot) {
+			t.Fatalf("frame %d (%+v): simulated forwarded %d bytes, fabric %d bytes, or the bytes differ", i, f, len(simGot), len(fabGot))
+		}
+		if (simGot != nil) != f.accept {
+			t.Fatalf("frame %d (%+v): both clocks accepted=%v", i, f, simGot != nil)
+		}
+		if f.accept && !bytes.Equal(simGot, testPayload(100+i, i)) {
+			t.Fatalf("frame %d: forwarded payload is not the one sealed", i)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"hotcalls/internal/apps/openvpn"
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
-	"hotcalls/internal/epcstat"
 	"hotcalls/internal/flight"
 	"hotcalls/internal/incident"
 	"hotcalls/internal/telemetry"
@@ -142,9 +141,6 @@ func TestFabricKitAllArmed(t *testing.T) {
 			}
 			if len(owners) != 2 || owners["conn0"] == 0 || owners["conn1"] == 0 {
 				t.Errorf("per-owner EPC faults = %v, want conn0 and conn1 both paging", owners)
-			}
-			if svg := epcstat.HeatSVG(f.EPC().Snapshot()); !strings.Contains(svg, "conn0(#1)") || !strings.Contains(svg, "conn1(#2)") {
-				t.Errorf("the EPC heatmap does not name both connections:\n%s", svg)
 			}
 		})
 	}

@@ -126,6 +126,6 @@ func runAblationCores() *Report {
 }
 
 func init() {
-	register(Experiment{ID: "ablation-calls", Title: "Transfer-method ablations (Section 3.5)", Run: runAblationCalls})
-	register(Experiment{ID: "ablation-cores", Title: "Responder-core analysis (Section 4.4)", Run: runAblationCores})
+	register(Experiment{ID: "ablation-calls", Run: runAblationCalls})
+	register(Experiment{ID: "ablation-cores", Run: runAblationCores})
 }

@@ -55,43 +55,3 @@ func TestAblationCoresVerdict(t *testing.T) {
 		t.Error("verdict column missing")
 	}
 }
-
-func TestLoadCurveSaturation(t *testing.T) {
-	r := report(t, "loadcurve")
-	get := func(name string) float64 {
-		for _, v := range r.Values {
-			if v.Name == name {
-				return v.Got
-			}
-		}
-		t.Fatalf("missing %s", name)
-		return 0
-	}
-	// A saturated single-threaded server: throughput is flat across
-	// concurrency while latency grows roughly linearly (Little's law).
-	for _, mode := range []string{"sgx", "hotcalls+nrz"} {
-		x50 := get(mode + "@50 throughput")
-		x400 := get(mode + "@400 throughput")
-		if x400 < x50*0.93 || x400 > x50*1.07 {
-			t.Errorf("%s: throughput not flat under load: %0.f vs %.0f", mode, x50, x400)
-		}
-		l50 := get(mode + "@50 latency")
-		l400 := get(mode + "@400 latency")
-		ratio := l400 / l50
-		if ratio < 6.5 || ratio > 9.5 {
-			t.Errorf("%s: latency scaled %.1fx for 8x concurrency, want ~8x", mode, ratio)
-		}
-	}
-	// The HotCalls curve dominates at every operating point.
-	for _, n := range []int{25, 50, 100, 200, 400} {
-		sgx := get(itoa2("sgx@", n, " throughput"))
-		hot := get(itoa2("hotcalls+nrz@", n, " throughput"))
-		if hot <= sgx*2 {
-			t.Errorf("at %d outstanding: hotcalls %.0f should be >2x sgx %.0f", n, hot, sgx)
-		}
-	}
-}
-
-func itoa2(prefix string, n int, suffix string) string {
-	return prefix + itoa(n) + suffix
-}

@@ -116,10 +116,8 @@ func runAppFigure(id string, latency bool) *Report {
 	if latency {
 		title = "Figure 11: application latency by interface"
 	}
-	r := &Report{ID: id, Title: title, CSV: map[string]string{}}
+	r := &Report{ID: id, Title: title}
 	tbl := &table{header: []string{"app", "mode", "measured", "paper", "dev", "normalized"}}
-	var csv strings.Builder
-	csv.WriteString("app,mode,measured,paper\n")
 	for _, app := range appOrder {
 		var native float64
 		for _, mode := range porting.Modes {
@@ -141,11 +139,9 @@ func runAppFigure(id string, latency bool) *Report {
 				fmt.Sprintf("%.1f %s", got, unit),
 				fmt.Sprintf("%.1f %s", paper, unit),
 				pct(got, paper), f2(norm))
-			fmt.Fprintf(&csv, "%s,%s,%.2f,%.2f\n", app, mode, got, paper)
 		}
 	}
 	r.Table = tbl.String()
-	r.CSV[id+".csv"] = csv.String()
 	if latency {
 		for _, app := range []string{"memcached", "lighttpd"} {
 			r.Samples = append(r.Samples, NamedSample{app + "_hotcalls_request", requestLatency(app)})
@@ -246,11 +242,11 @@ func runTable2() *Report {
 }
 
 func init() {
-	register(Experiment{ID: "table2", Title: "API call frequencies (Table 2)", Run: runTable2})
-	register(Experiment{ID: "fig10", Title: "Application throughput (Figure 10)", Run: func() *Report {
+	register(Experiment{ID: "table2", Run: runTable2})
+	register(Experiment{ID: "fig10", Run: func() *Report {
 		return runAppFigure("fig10", false)
 	}})
-	register(Experiment{ID: "fig11", Title: "Application latency (Figure 11)", Run: func() *Report {
+	register(Experiment{ID: "fig11", Run: func() *Report {
 		return runAppFigure("fig11", true)
 	}})
 }

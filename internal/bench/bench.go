@@ -37,9 +37,8 @@ type Report struct {
 	ID      string
 	Title   string
 	Values  []Value
-	Samples []NamedSample     // the distributions REPORT.md plots and tabulates
-	Table   string            // rendered human-readable output
-	CSV     map[string]string // optional raw series, filename -> content
+	Samples []NamedSample // the distributions REPORT.md plots and tabulates
+	Table   string        // rendered human-readable output
 }
 
 // NamedSample is one measured distribution, under its REPORT.md series
@@ -71,9 +70,8 @@ func (r *Report) Value(name string) float64 {
 
 // Experiment regenerates one table or figure.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func() *Report
+	ID  string
+	Run func() *Report
 }
 
 var registry []Experiment

@@ -101,5 +101,5 @@ func runBreakdown() *Report {
 }
 
 func init() {
-	register(Experiment{ID: "breakdown", Title: "Cycle attribution (profiler)", Run: runBreakdown})
+	register(Experiment{ID: "breakdown", Run: runBreakdown})
 }

@@ -17,7 +17,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"hotcalls/internal/epc"
 	"hotcalls/internal/epcstat"
@@ -27,8 +26,8 @@ import (
 
 const (
 	// epcSweepCapacity is the sweep fixture's EPC: small enough that the
-	// 1.5x point stays fast, large enough that the heatmap and sampler
-	// run at their production sampling rate (auto bits > 0).
+	// 1.5x point stays fast, large enough that the working-set sampler
+	// runs at its production sampling rate (auto bits > 0).
 	epcSweepCapacity = 16 << 20 // 4096 pages
 	// epcSweepRounds full passes over the working set per fixture.
 	epcSweepRounds = 3
@@ -62,7 +61,6 @@ type epcSweepPoint struct {
 	pagingCycles             uint64 // measured vs an unconstrained EPC
 	modelCycles              uint64
 	wss                      uint64
-	snap                     *epcstat.Snapshot
 }
 
 // runEPCPoint drives one working-set fraction through the memory
@@ -107,12 +105,9 @@ func runEPCPoint(frac float64) epcSweepPoint {
 		modelEvicts:  me,
 		pagingCycles: cycles - baseCycles,
 		modelCycles:  (mf - P) * epc.FaultCost, // extra faults over the baseline's compulsory P
-		snap:         col.Snapshot(),
+		wss:          col.Snapshot().WSSPages,
 	}
 	pt.modelCycles += me * epc.EWBCost
-	if pt.snap != nil {
-		pt.wss = pt.snap.WSSPages
-	}
 	return pt
 }
 
@@ -121,13 +116,9 @@ func runEPCSweep() *Report {
 	r := &Report{
 		ID:    "epc",
 		Title: "EPC oversubscription cliff (paging vs analytic model)",
-		CSV:   map[string]string{},
 	}
 
 	tbl := &table{header: []string{"ws", "pages", "faults (model)", "evicts (model)", "paging Mcyc (model)", "vs model", "wss≈"}}
-	var csv strings.Builder
-	csv.WriteString("fraction,pages,faults,model_faults,evictions,model_evictions,paging_cycles,model_cycles,wss_pages\n")
-	var oversub *epcSweepPoint
 	for _, frac := range epcSweepFractions {
 		pt := runEPCPoint(frac)
 		ratio := 1.0
@@ -153,20 +144,6 @@ func runEPCSweep() *Report {
 			f2(ratio)+"x",
 			fmt.Sprint(pt.wss),
 		)
-		fmt.Fprintf(&csv, "%.2f,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			frac, pt.pages, pt.faults, pt.modelFaults, pt.evicts, pt.modelEvicts,
-			pt.pagingCycles, pt.modelCycles, pt.wss)
-		if pt.frac == 1.1 {
-			p := pt
-			oversub = &p
-		}
-	}
-	r.CSV["epc_sweep.csv"] = csv.String()
-
-	// The oversubscribed point's fault heatmap; -csv writes it beside the
-	// sweep (make epc-demo, CI).
-	if oversub != nil && oversub.snap != nil {
-		r.CSV["epc_heatmap.svg"] = epcstat.HeatSVG(oversub.snap)
 	}
 
 	r.Table = tbl.String()
@@ -174,5 +151,5 @@ func runEPCSweep() *Report {
 }
 
 func init() {
-	register(Experiment{ID: "epc", Title: "EPC oversubscription cliff", Run: runEPCSweep})
+	register(Experiment{ID: "epc", Run: runEPCSweep})
 }

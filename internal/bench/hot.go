@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"hotcalls/internal/core"
 	"hotcalls/internal/sim"
@@ -36,7 +35,7 @@ func measureHotEcall(runs int, cold bool) *sim.Sample {
 // cold.  Paper: over 78% of calls below 620 cycles, 99.97% within 1,400
 // cycles — a 13-27x improvement over the SDK mechanism.
 func runFig3() *Report {
-	r := &Report{ID: "fig3", Title: "Figure 3: CDF of HotCall latency", CSV: map[string]string{}}
+	r := &Report{ID: "fig3", Title: "Figure 3: CDF of HotCall latency"}
 	s := measureHotEcall(microRuns, false)
 	cold := measureHotEcall(microRuns/4, true)
 	r.Samples = []NamedSample{{"hotecall_warm", s}, {"hotecall_cold", cold}}
@@ -56,16 +55,9 @@ func runFig3() *Report {
 		{Name: "fraction below 1400", Got: below1400, Paper: 99.97, Unit: "%"},
 		{Name: "hotcall cold median", Got: cold.Median(), Unit: "cycles"},
 	}
-
-	var csv strings.Builder
-	csv.WriteString("cycles,fraction\n")
-	for _, p := range s.CDF(200) {
-		fmt.Fprintf(&csv, "%.0f,%.4f\n", p.Value, p.Fraction)
-	}
-	r.CSV["fig3.csv"] = csv.String()
 	return r
 }
 
 func init() {
-	register(Experiment{ID: "fig3", Title: "HotCall latency CDF (Figure 3)", Run: runFig3})
+	register(Experiment{ID: "fig3", Run: runFig3})
 }

@@ -4,15 +4,12 @@ package bench
 // fabric's lone responder mid-handler, drive a fallback storm through a
 // labelled callsite, let the monitor's storm rule fire, and print what
 // the captured bundle says that repeats run to run: the rule, the
-// diagnosis and the exact per-callsite counts.  The bundle itself — the
-// artifact a responder on-call reads, with its capture time and
-// wall-clock timelines — is spooled to disk with
-// hotbench -incident-dir (make incident-demo, make experiments), which is
-// what CI uploads when a step fails.
+// diagnosis and the exact per-callsite counts.  It is the only program
+// path through the incident capturer and the fallback-storm rule, and
+// its bundle count is part of the exact gate.
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"hotcalls/internal/core"
@@ -21,16 +18,6 @@ import (
 	"hotcalls/internal/monitor"
 	"hotcalls/internal/telemetry"
 )
-
-// incidentDir is where runIncidentDemo spools its bundle; empty keeps
-// the capture in memory only.  Set via SetIncidentDir (hotbench's
-// -incident-dir flag).
-var incidentDir string
-
-// SetIncidentDir directs the incident experiment (and any future
-// incident-capturing fixture) to also spool captured bundles as
-// <dir>/<bundle-id>.json.
-func SetIncidentDir(dir string) { incidentDir = dir }
 
 const (
 	// incidentStormCalls all time out against the wedged window.
@@ -71,7 +58,7 @@ func runIncidentDemo() *Report {
 		Flight:        rec,
 		EventDebounce: 2,
 	})
-	cap := incident.New(m, incident.Options{Dir: incidentDir, Registry: reg})
+	cap := incident.New(m, incident.Options{Registry: reg})
 	cap.Attach()
 	m.Tick() // baseline
 
@@ -102,15 +89,6 @@ func runIncidentDemo() *Report {
 				cs.Name, cs.Arrivals, cs.Timeouts, cs.Fallbacks)
 		}
 		fmt.Fprintf(&sb, "bundles captured: %d\n", len(bundles))
-		// Where the bundle went is not part of the table, so the -docs
-		// renderings are the same with and without -incident-dir.
-		if incidentDir != "" {
-			if _, _, diskErr := cap.Stats(); diskErr != nil {
-				fmt.Fprintf(os.Stderr, "incident: spool error: %v\n", diskErr)
-			} else {
-				fmt.Fprintf(os.Stderr, "incident: spooled %s/%s.json\n", incidentDir, b.ID)
-			}
-		}
 	}
 	r.Table = sb.String()
 	// Gated count: exactly one bundle per storm episode.  A zero here
@@ -120,5 +98,5 @@ func runIncidentDemo() *Report {
 }
 
 func init() {
-	register(Experiment{ID: "incident", Title: "Incident capture demo", Run: runIncidentDemo})
+	register(Experiment{ID: "incident", Run: runIncidentDemo})
 }

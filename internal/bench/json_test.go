@@ -177,8 +177,8 @@ func TestArtifactDiff(t *testing.T) {
 			{ID: "fig3", Title: "Figure 3", Values: []Value{
 				{Name: "hotcall median", Got: 554, Paper: 620, Unit: "cycles"},
 			}},
-			{ID: "loadcurve", Title: "Load curve", Values: []Value{
-				{Name: "hotcalls at 100", Got: 157914.25, Unit: "req/s"},
+			{ID: "fig10", Title: "Figure 10", Values: []Value{
+				{Name: "memcached hotcalls", Got: 157914.25, Unit: "req/s"},
 			}},
 		})
 	}
@@ -195,13 +195,13 @@ func TestArtifactDiff(t *testing.T) {
 		{"one-ulp-up", func(r *JSONReport) {
 			v := &r.Experiments[2].Values[0].Got
 			*v = math.Nextafter(*v, math.Inf(1))
-		}, []string{"loadcurve/hotcalls at 100: committed 157914.25000000003 req/s, fresh 157914.25 req/s"}},
+		}, []string{"fig10/memcached hotcalls: committed 157914.25000000003 req/s, fresh 157914.25 req/s"}},
 		{"one-ulp-down", func(r *JSONReport) {
 			v := &r.Experiments[2].Values[0].Got
 			*v = math.Nextafter(*v, math.Inf(-1))
-		}, []string{"loadcurve/hotcalls at 100: committed 157914.24999999997 req/s, fresh 157914.25 req/s"}},
-		{"from-zero", func(r *JSONReport) { r.Experiments[2].Values[0].Got = 0 }, []string{"loadcurve/hotcalls at 100: committed 0 req/s, fresh 157914.25 req/s"}},
-		{"unit", func(r *JSONReport) { r.Experiments[2].Values[0].Unit = "req/ms" }, []string{"loadcurve/hotcalls at 100: committed 157914.25 req/ms, fresh 157914.25 req/s"}},
+		}, []string{"fig10/memcached hotcalls: committed 157914.24999999997 req/s, fresh 157914.25 req/s"}},
+		{"from-zero", func(r *JSONReport) { r.Experiments[2].Values[0].Got = 0 }, []string{"fig10/memcached hotcalls: committed 0 req/s, fresh 157914.25 req/s"}},
+		{"unit", func(r *JSONReport) { r.Experiments[2].Values[0].Unit = "req/ms" }, []string{"fig10/memcached hotcalls: committed 157914.25 req/ms, fresh 157914.25 req/s"}},
 		{"added", func(r *JSONReport) {
 			r.Experiments[1].Values = r.Experiments[1].Values[:0]
 		}, []string{"fig3/hotcall median: not committed, fresh 554 cycles (paper 620, deviation"}},

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"hotcalls/internal/mem"
 	"hotcalls/internal/sim"
@@ -79,10 +78,8 @@ var paperReadOverheads = map[uint64]float64{2: 54.5, 4: 68, 8: 71, 16: 94, 32: 1
 
 // runFig6 regenerates Figure 6: consecutive reads, encrypted vs plaintext.
 func runFig6() *Report {
-	r := &Report{ID: "fig6", Title: "Figure 6: consecutive memory reads, encrypted vs plaintext", CSV: map[string]string{}}
+	r := &Report{ID: "fig6", Title: "Figure 6: consecutive memory reads, encrypted vs plaintext"}
 	tbl := &table{header: []string{"size (KB)", "plaintext", "encrypted", "overhead", "paper"}}
-	var csv strings.Builder
-	csv.WriteString("size_bytes,plain_cycles,enc_cycles,overhead_pct\n")
 	for _, kb := range []uint64{1, 2, 4, 8, 16, 32} {
 		size := kb << 10
 		plain := readMedian(plainBuf, size)
@@ -94,19 +91,15 @@ func runFig6() *Report {
 			r.Values = append(r.Values, Value{Name: fmt.Sprintf("read overhead %dKB", kb), Got: ovh, Paper: p, Unit: "%"})
 		}
 		tbl.add(fmt.Sprint(kb), f0(plain), f0(enc), fmt.Sprintf("%.1f%%", ovh), paperStr)
-		fmt.Fprintf(&csv, "%d,%.0f,%.0f,%.1f\n", size, plain, enc, ovh)
 	}
 	r.Table = tbl.String()
-	r.CSV["fig6.csv"] = csv.String()
 	return r
 }
 
 // runFig7 regenerates Figure 7: consecutive writes (~6% overhead).
 func runFig7() *Report {
-	r := &Report{ID: "fig7", Title: "Figure 7: consecutive memory writes, encrypted vs plaintext", CSV: map[string]string{}}
+	r := &Report{ID: "fig7", Title: "Figure 7: consecutive memory writes, encrypted vs plaintext"}
 	tbl := &table{header: []string{"size (KB)", "plaintext", "encrypted", "overhead", "paper"}}
-	var csv strings.Builder
-	csv.WriteString("size_bytes,plain_cycles,enc_cycles,overhead_pct\n")
 	for _, kb := range []uint64{1, 2, 4, 8, 16, 32} {
 		size := kb << 10
 		plain := writeMedian(plainBuf, size)
@@ -114,10 +107,8 @@ func runFig7() *Report {
 		ovh := (enc - plain) / plain * 100
 		r.Values = append(r.Values, Value{Name: fmt.Sprintf("write overhead %dKB", kb), Got: ovh, Paper: 6, Unit: "%"})
 		tbl.add(fmt.Sprint(kb), f0(plain), f0(enc), fmt.Sprintf("%.1f%%", ovh), "~6%")
-		fmt.Fprintf(&csv, "%d,%.0f,%.0f,%.1f\n", size, plain, enc, ovh)
 	}
 	r.Table = tbl.String()
-	r.CSV["fig7.csv"] = csv.String()
 	return r
 }
 
@@ -156,7 +147,7 @@ func runFig8() *Report {
 }
 
 func init() {
-	register(Experiment{ID: "fig6", Title: "Consecutive reads (Figure 6)", Run: runFig6})
-	register(Experiment{ID: "fig7", Title: "Consecutive writes (Figure 7)", Run: runFig7})
-	register(Experiment{ID: "fig8", Title: "Encryption overhead bars (Figure 8)", Run: runFig8})
+	register(Experiment{ID: "fig6", Run: runFig6})
+	register(Experiment{ID: "fig7", Run: runFig7})
+	register(Experiment{ID: "fig8", Run: runFig8})
 }

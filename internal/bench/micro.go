@@ -234,7 +234,7 @@ func mustEnclaveBuf(f *microFixture, size uint64) *sdk.Buffer {
 // cold.  It keeps the four samples, and the warm ecall fixture's leaf
 // timings, for REPORT.md.
 func runFig2() *Report {
-	r := &Report{ID: "fig2", Title: "Figure 2: CDFs of ecall/ocall performance (warm and cold cache)", CSV: map[string]string{}}
+	r := &Report{ID: "fig2", Title: "Figure 2: CDFs of ecall/ocall performance (warm and cold cache)"}
 	tbl := &table{header: []string{"series", "p0.1", "p50", "p99.9", "paper range"}}
 	var plots strings.Builder
 	series := []struct {
@@ -275,12 +275,6 @@ func runFig2() *Report {
 			Value{Name: sr.name + " p0.1", Got: s.Percentile(0.1), Paper: sr.lo, Unit: "cycles"},
 			Value{Name: sr.name + " p99.9", Got: s.Percentile(99.9), Paper: sr.hi, Unit: "cycles"},
 		)
-		var csv strings.Builder
-		csv.WriteString("cycles,fraction\n")
-		for _, p := range s.CDF(200) {
-			fmt.Fprintf(&csv, "%.0f,%.4f\n", p.Value, p.Fraction)
-		}
-		r.CSV["fig2_"+sr.name+".csv"] = csv.String()
 		plots.WriteString(asciiCDF(sr.name, s.CDF(60), 60, 10))
 		plots.WriteByte('\n')
 	}
@@ -290,10 +284,8 @@ func runFig2() *Report {
 
 // runFig4 and runFig5 regenerate the buffer-transfer sweeps.
 func runBufferSweep(id, title string, ocall bool) *Report {
-	r := &Report{ID: id, Title: title, CSV: map[string]string{}}
+	r := &Report{ID: id, Title: title}
 	tbl := &table{header: []string{"size (KB)", "in", "out", "in&out"}}
-	var csv strings.Builder
-	csv.WriteString("size_bytes,in,out,inout\n")
 	for _, kb := range []uint64{1, 2, 4, 8, 16} {
 		size := kb << 10
 		medians := map[string]float64{}
@@ -316,20 +308,18 @@ func runBufferSweep(id, title string, ocall bool) *Report {
 			})
 		}
 		tbl.add(fmt.Sprint(kb), f0(medians["in"]), f0(medians["out"]), f0(medians["inout"]))
-		fmt.Fprintf(&csv, "%d,%.0f,%.0f,%.0f\n", size, medians["in"], medians["out"], medians["inout"])
 	}
 	r.Table = tbl.String()
-	r.CSV[id+".csv"] = csv.String()
 	return r
 }
 
 func init() {
-	register(Experiment{ID: "table1", Title: "Microbenchmark medians (Table 1)", Run: runTable1})
-	register(Experiment{ID: "fig2", Title: "Ecall/ocall CDFs (Figure 2)", Run: runFig2})
-	register(Experiment{ID: "fig4", Title: "Ecall buffer-transfer sweep (Figure 4)", Run: func() *Report {
+	register(Experiment{ID: "table1", Run: runTable1})
+	register(Experiment{ID: "fig2", Run: runFig2})
+	register(Experiment{ID: "fig4", Run: func() *Report {
 		return runBufferSweep("fig4", "Figure 4: ecall + buffer transfer latency by size and direction", false)
 	}})
-	register(Experiment{ID: "fig5", Title: "Ocall buffer-transfer sweep (Figure 5)", Run: func() *Report {
+	register(Experiment{ID: "fig5", Run: func() *Report {
 		return runBufferSweep("fig5", "Figure 5: ocall + buffer transfer latency by size and direction", true)
 	}})
 }

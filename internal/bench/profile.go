@@ -60,7 +60,7 @@ func traceProfile(spinScale float64) (*profile.Profile, *core.LatencyModel) {
 	}
 
 	// A private deep-tracing registry: this experiment profiles itself
-	// regardless of hotbench's -profile flag.
+	// whatever registry hotbench attached.
 	reg := telemetry.New()
 	reg.EnableDeepTracing(1 << 20)
 	p.SetTelemetry(reg)
@@ -142,5 +142,5 @@ func runProfile() *Report {
 }
 
 func init() {
-	register(Experiment{ID: "profile", Title: "Profiler cross-validation (trace vs analytic)", Run: runProfile})
+	register(Experiment{ID: "profile", Run: runProfile})
 }

@@ -10,7 +10,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"hotcalls/internal/edl"
 	"hotcalls/internal/sdk"
@@ -111,32 +110,26 @@ func runZeroCopy() *Report {
 	r := &Report{
 		ID:    "zerocopy",
 		Title: "Zero-copy payload rings: staged vs in-place transfer (simulated crossing-cost sweep)",
-		CSV:   map[string]string{},
 	}
 
 	sweep := zcSimSweep(zcSweepRuns)
 	tbl := &table{header: []string{"size (KB)", "ecall staged", "ecall zc", "ratio",
 		"ocall staged", "ocall zc", "ratio"}}
-	var csv strings.Builder
-	csv.WriteString("size_bytes,ecall_staged_cycles,ecall_zerocopy_cycles,ocall_staged_cycles,ocall_zerocopy_cycles\n")
 	for _, pt := range sweep {
 		er := pt.ecallStaged / pt.ecallZC
 		or := pt.ocallStaged / pt.ocallZC
 		tbl.add(fmt.Sprint(pt.kb), f0(pt.ecallStaged), f0(pt.ecallZC), f2(er)+"x",
 			f0(pt.ocallStaged), f0(pt.ocallZC), f2(or)+"x")
-		fmt.Fprintf(&csv, "%d,%.0f,%.0f,%.0f,%.0f\n", pt.kb<<10,
-			pt.ecallStaged, pt.ecallZC, pt.ocallStaged, pt.ocallZC)
 		r.Values = append(r.Values,
 			Value{Name: fmt.Sprintf("sim ecall %dKB", pt.kb), Got: er, Unit: "x"},
 			Value{Name: fmt.Sprintf("sim ocall %dKB", pt.kb), Got: or, Unit: "x"},
 		)
 	}
-	r.CSV["zerocopy_sweep.csv"] = csv.String()
 
 	r.Table = tbl.String()
 	return r
 }
 
 func init() {
-	register(Experiment{ID: "zerocopy", Title: "Zero-copy ring transfer sweep", Run: runZeroCopy})
+	register(Experiment{ID: "zerocopy", Run: runZeroCopy})
 }

@@ -93,7 +93,7 @@ func (ch *Channel) hotCall(clk *sim.Clock, b *sdk.Binding, args []sdk.Arg, ecall
 	callStart := clk.Now()
 
 	tr := ch.tel.tracer
-	deep := tr.Detailed()
+	deep := tr != nil
 	var staged []sdk.Arg
 	var finish func()
 	var err error

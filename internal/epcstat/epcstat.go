@@ -22,13 +22,10 @@
 package epcstat
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
-	"hotcalls/internal/dist"
 	"hotcalls/internal/epc"
-	"hotcalls/internal/sim"
 )
 
 // SnapshotSchema identifies the JSON shape embedded in incident
@@ -490,42 +487,4 @@ func clampSub(a, b uint64) uint64 {
 		return 0
 	}
 	return a - b
-}
-
-func ownerName(id epc.OwnerID, label string) string {
-	if label != "" {
-		return fmt.Sprintf("%s(#%d)", label, id)
-	}
-	return fmt.Sprintf("#%d", id)
-}
-
-// HeatSVG renders the snapshot's fault heatmap as a byte-deterministic
-// SVG line chart (one series for the total, one per owner), reusing the
-// internal/dist renderer.  Safe on a nil snapshot.
-func HeatSVG(s *Snapshot) string {
-	cfg := dist.PlotConfig{
-		Title:  "EPC fault heatmap",
-		XLabel: "address offset (MB)",
-		YLabel: "faults per bucket",
-	}
-	if s == nil || len(s.Heat) == 0 {
-		return dist.RenderLinesSVG(cfg, nil)
-	}
-	bucketMB := float64(s.PagesPerBucket) * float64(epc.PageSize) / (1 << 20)
-	series := []dist.Series{heatSeries("all", s.Heat, bucketMB)}
-	for _, o := range s.Owners {
-		if len(o.Heat) == 0 {
-			continue
-		}
-		series = append(series, heatSeries(ownerName(o.Owner, o.Label), o.Heat, bucketMB))
-	}
-	return dist.RenderLinesSVG(cfg, series)
-}
-
-func heatSeries(name string, heat []uint64, bucketMB float64) dist.Series {
-	pts := make([]sim.CDFPoint, len(heat))
-	for i, n := range heat {
-		pts[i] = sim.CDFPoint{Value: float64(i) * bucketMB, Fraction: float64(n)}
-	}
-	return dist.Series{Name: name, Points: pts}
 }

@@ -81,8 +81,7 @@ func (rec *Record) SetBytes(n uint64) {
 }
 
 // InlineResponder is the responder identity Claim records for a call its
-// own requester claimed and ran because the responders were parked; the
-// Chrome export draws its execute span on the requester's row.
+// own requester claimed and ran because the responders were parked.
 const InlineResponder = 0xfffe
 
 // Claim stamps the responder's slot-claim time and identity.  Nil-safe.

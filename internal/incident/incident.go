@@ -8,8 +8,7 @@
 // snapshots, the firing rule's structured diagnosis, and a
 // critical-path attribution of every captured slow call — serialized
 // as one deterministic JSON bundle (schema incident-bundle/v1) with
-// per-rule cooldown dedup, a bounded in-memory retention ring, and an
-// optional on-disk spool.
+// per-rule cooldown dedup and a bounded in-memory retention ring.
 //
 // The import direction is incident → monitor/flight: the monitor knows
 // nothing about bundles, it just calls the capturer through
@@ -17,10 +16,7 @@
 package incident
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -31,7 +27,7 @@ import (
 
 // The capturer's policy.  A rule's event captures a bundle when it is
 // at least minSeverity (Info never captures) and the rule's last capture
-// is cooldown old; suppressed events are counted.  The newest retain
+// is cooldown old.  The newest retain
 // bundles stay in memory.  A bundle freezes the trailing windowSamples
 // monitor samples, up to maxRecords flight records and as many outlier
 // records, and the maxPaths slowest critical paths.
@@ -47,11 +43,6 @@ const (
 // Options tunes a Capturer.  The zero value selects the defaults noted
 // on each field.
 type Options struct {
-	// Dir, when non-empty, also spools every bundle to
-	// <Dir>/<bundle-id>.json (directory created on first write).  Disk
-	// bundles are never garbage-collected by the capturer.
-	Dir string
-
 	// Registry, when set, adds a full telemetry snapshot to each
 	// bundle.
 	Registry *telemetry.Registry
@@ -63,9 +54,8 @@ type Options struct {
 
 // Capturer freezes incident bundles off monitor events.  All methods
 // are goroutine-safe; OnEvent runs synchronously on the monitor's
-// sampling goroutine, so a capture (a few snapshot walks plus one
-// optional file write) costs one tick of latency, never a hot-path
-// cycle.
+// sampling goroutine, so a capture (a few snapshot walks) costs one
+// tick of latency, never a hot-path cycle.
 type Capturer struct {
 	opts Options
 	mon  *monitor.Monitor
@@ -73,9 +63,6 @@ type Capturer struct {
 	mu         sync.Mutex
 	lastByRule map[string]time.Time
 	bundles    []*Bundle // retention ring, oldest first
-	captured   uint64
-	suppressed uint64
-	diskErr    error // last spool failure, surfaced in the list view
 }
 
 // New returns a capturer over the monitor.  Call Attach to start
@@ -104,7 +91,6 @@ func (c *Capturer) OnEvent(e monitor.Event) {
 	now := c.opts.Now()
 	c.mu.Lock()
 	if last, ok := c.lastByRule[e.Rule]; ok && now.Sub(last) < cooldown {
-		c.suppressed++
 		c.mu.Unlock()
 		return
 	}
@@ -114,21 +100,12 @@ func (c *Capturer) OnEvent(e monitor.Event) {
 	b := c.capture(e, now)
 
 	c.mu.Lock()
-	c.captured++
 	if len(c.bundles) >= retain {
 		copy(c.bundles, c.bundles[1:])
 		c.bundles = c.bundles[:len(c.bundles)-1]
 	}
 	c.bundles = append(c.bundles, b)
 	c.mu.Unlock()
-
-	if c.opts.Dir != "" {
-		if err := c.spool(b); err != nil {
-			c.mu.Lock()
-			c.diskErr = err
-			c.mu.Unlock()
-		}
-	}
 }
 
 // capture freezes one bundle.  It reads the monitor and flight
@@ -157,21 +134,9 @@ func (c *Capturer) capture(e monitor.Event, now time.Time) *Bundle {
 	return b
 }
 
-// spool writes the bundle to <Dir>/<id>.json.
-func (c *Capturer) spool(b *Bundle) error {
-	if err := os.MkdirAll(c.opts.Dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(c.opts.Dir, b.ID+".json"), append(data, '\n'), 0o644)
-}
-
 // BundleID derives the deterministic bundle identifier from the firing
 // event: inc-<rule>-<seq>.  Rule names are already kebab-case; any
-// stray separators are normalised so the ID is always a safe filename.
+// stray separators are normalised so the ID is always one token.
 func BundleID(e monitor.Event) string {
 	rule := strings.Map(func(r rune) rune {
 		switch {
@@ -193,13 +158,4 @@ func (c *Capturer) Bundles() []*Bundle {
 	out := make([]*Bundle, len(c.bundles))
 	copy(out, c.bundles)
 	return out
-}
-
-// Stats reports lifetime capture counts: bundles captured, events
-// suppressed by the cooldown, and the last spool error (nil when disk
-// writes are off or healthy).
-func (c *Capturer) Stats() (captured, suppressed uint64, diskErr error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.captured, c.suppressed, c.diskErr
 }

@@ -2,8 +2,6 @@ package incident
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -87,10 +85,6 @@ func TestCooldownDedup(t *testing.T) {
 	if got := len(k.c.Bundles()); got != 1 {
 		t.Fatalf("bundles within cooldown = %d, want 1", got)
 	}
-	captured, suppressed, _ := k.c.Stats()
-	if captured != 1 || suppressed != 2 {
-		t.Fatalf("captured=%d suppressed=%d, want 1, 2", captured, suppressed)
-	}
 
 	k.now = k.now.Add(time.Nanosecond) // the cooldown since the capture has elapsed
 	k.storm(50)
@@ -160,28 +154,6 @@ func TestRetentionRingBounded(t *testing.T) {
 		if want := seqs[3+i]; b.Event.Seq != want {
 			t.Fatalf("bundles[%d] is from sample %d, want %d", i, b.Event.Seq, want)
 		}
-	}
-}
-
-func TestSpoolToDisk(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "incidents")
-	k := newStormKit(t, monitor.Options{}, Options{Dir: dir})
-	k.storm(50)
-
-	b := k.c.Bundles()[0]
-	data, err := os.ReadFile(filepath.Join(dir, b.ID+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded Bundle
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatalf("spooled bundle not valid JSON: %v", err)
-	}
-	if decoded.Schema != BundleSchema || decoded.ID != b.ID {
-		t.Fatalf("spooled bundle mismatch: %+v", decoded)
-	}
-	if _, _, diskErr := k.c.Stats(); diskErr != nil {
-		t.Fatalf("disk error: %v", diskErr)
 	}
 }
 

@@ -133,13 +133,11 @@ func (s *System) touchPage(clk *sim.Clock, addr uint64, lines int) {
 	if s.tracer != nil {
 		// The fault span is trap + ELDU plus the EWBs it forced.
 		start := clk.Now()
-		if s.tracer.Detailed() {
-			// EWB sub-spans first: the profiler's tree builder adopts
-			// already-emitted spans as children of the fault.
-			for i := uint64(0); i < uint64(evictions); i++ {
-				s.tracer.Emit(telemetry.KindEWB, "ewb",
-					start+uint64(epc.FaultCost)+i*uint64(epc.EWBCost), uint64(epc.EWBCost), 0)
-			}
+		// EWB sub-spans first: the profiler's tree builder adopts
+		// already-emitted spans as children of the fault.
+		for i := uint64(0); i < uint64(evictions); i++ {
+			s.tracer.Emit(telemetry.KindEWB, "ewb",
+				start+uint64(epc.FaultCost)+i*uint64(epc.EWBCost), uint64(epc.EWBCost), 0)
 		}
 		s.tracer.Emit(telemetry.KindEPCFault, "epc_fault", start, uint64(cycles), uint64(evictions))
 	}
@@ -170,7 +168,7 @@ func (s *System) memSpanEnd(clk *sim.Clock, name string, start, missesBefore uin
 
 // Load performs one isolated (demand) load of the line containing addr.
 func (s *System) Load(clk *sim.Clock, addr uint64) {
-	deep := s.tracer.Detailed()
+	deep := s.tracer != nil
 	var start, misses uint64
 	if deep {
 		start, misses = s.memSpanStart(clk)
@@ -201,7 +199,7 @@ func (s *System) Load(clk *sim.Clock, addr uint64) {
 
 // Store performs one isolated (demand) store to the line containing addr.
 func (s *System) Store(clk *sim.Clock, addr uint64) {
-	deep := s.tracer.Detailed()
+	deep := s.tracer != nil
 	var start, misses uint64
 	if deep {
 		start, misses = s.memSpanStart(clk)
@@ -252,7 +250,7 @@ func (s *System) stream(clk *sim.Clock, addr, size uint64, write bool) {
 	if size == 0 {
 		return
 	}
-	deep := s.tracer.Detailed()
+	deep := s.tracer != nil
 	var start, misses uint64
 	if deep {
 		start, misses = s.memSpanStart(clk)

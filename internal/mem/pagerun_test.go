@@ -144,7 +144,7 @@ func TestPageRunSweepsMatchPerLineReference(t *testing.T) {
 func TestFaultEventCarriesEvictionCount(t *testing.T) {
 	s := NewWithEPC(sim.NewRNG(5), 4*epc.PageSize)
 	reg := telemetry.New()
-	tr := reg.EnableTracing(1 << 12)
+	tr := reg.EnableDeepTracing(1 << 12)
 	s.SetTelemetry(reg)
 	var clk sim.Clock
 	s.StreamWrite(&clk, EnclaveBase, 4*epc.PageSize) // fill the EPC: faults, no evictions

@@ -121,10 +121,11 @@ func TestCrossValidation(t *testing.T) {
 		}
 	}
 
-	if d := reg.Tracer().Dropped(); d != 0 {
-		t.Fatalf("trace ring overflowed (%d dropped): results would be partial", d)
+	events := reg.Tracer().Events()
+	if len(events) == 1<<20 {
+		t.Fatal("trace ring full: older events may be overwritten and results partial")
 	}
-	prof := profile.Analyze(reg.Tracer().Events())
+	prof := profile.Analyze(events)
 
 	for _, tc := range []struct {
 		site string
@@ -136,7 +137,7 @@ func TestCrossValidation(t *testing.T) {
 	} {
 		b := prof.Calls[tc.site]
 		if b == nil {
-			t.Fatalf("no breakdown for %s (sites: %v)", tc.site, prof.Names())
+			t.Fatalf("no breakdown for %s (%d sites)", tc.site, len(prof.Calls))
 		}
 		for c := profile.Category(0); c < profile.NumCategories; c++ {
 			checkComponent(t, tc.site, c, b.PerCall(c), tc.want.Component(c))
@@ -204,10 +205,11 @@ func TestSpeedupAppliedSim(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if d := reg.Tracer().Dropped(); d != 0 {
-			t.Fatalf("trace ring overflowed (%d dropped)", d)
+		events := reg.Tracer().Events()
+		if len(events) == 1<<20 {
+			t.Fatal("trace ring full: older events may be overwritten")
 		}
-		b := profile.Analyze(reg.Tracer().Events()).Calls["hotecall:ecall_empty"]
+		b := profile.Analyze(events).Calls["hotecall:ecall_empty"]
 		if b == nil || b.Calls != runs {
 			t.Fatalf("traced breakdown %+v, want %d calls", b, runs)
 		}

@@ -24,21 +24,13 @@
 //     open trees and starts over, so per-run traces degrade gracefully
 //     into forests instead of mis-nesting.
 //
-// Deep tracing (telemetry.Registry.EnableDeepTracing) adds the per-phase
-// and per-memory-operation events the attribution needs; with only the
-// default boundary tracing the profiler still builds call trees but
-// attributes whole calls to their dominant category.
-//
-// Exports: folded flame-graph stacks (WriteFolded, flamegraph.pl and
-// speedscope compatible) and markdown breakdown tables (WriteCallTable,
-// WriteCategoryTable).
+// Deep tracing (telemetry.Registry.EnableDeepTracing) emits the
+// per-phase and per-memory-operation events the attribution needs.  The
+// profile experiment (internal/bench) is the reader: it holds each
+// call site's per-category cycles to the analytic cost model.
 package profile
 
-import (
-	"sort"
-
-	"hotcalls/internal/telemetry"
-)
+import "hotcalls/internal/telemetry"
 
 // Category is a cost bucket for attributed cycles.
 type Category uint8
@@ -103,8 +95,8 @@ func (s *Span) Self() uint64 {
 // events are emitted at completion on a monotone clock, those are
 // exactly the pooled spans with TS at or after its own, so adoption is
 // a suffix pop.  An end-time regression (fresh sim.Clock per measured
-// run) or an exact repeat of the previous event (coarse traces of
-// identical runs on reset clocks) closes all open trees first.
+// run) or an exact repeat of the previous event (single-span traces
+// of identical runs on reset clocks) closes all open trees first.
 func BuildTrees(events []telemetry.Event) []*Span {
 	var roots, pool []*Span
 	var watermark uint64
@@ -154,8 +146,6 @@ type Breakdown struct {
 	Calls  uint64
 	Total  uint64 // cycles attributed to this site across all calls
 	Cycles [NumCategories]uint64
-
-	durs []uint64 // per-call durations, for Median
 }
 
 // Mean returns the average attributed cycles per call.
@@ -194,17 +184,6 @@ func (b *Breakdown) Speedup(c Category, delta float64) float64 {
 	return sd / (1 - sd)
 }
 
-// Median returns the median call duration.  Note this is the span
-// duration (including nested calls), matching what Table 1 reports.
-func (b *Breakdown) Median() uint64 {
-	if len(b.durs) == 0 {
-		return 0
-	}
-	d := append([]uint64(nil), b.durs...)
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-	return d[len(d)/2]
-}
-
 // Profile is an analyzed trace: the reconstructed forest plus per-call-
 // site attribution.
 type Profile struct {
@@ -227,16 +206,6 @@ func Analyze(events []telemetry.Event) *Profile {
 	return p
 }
 
-// Names returns the call-site names in sorted order.
-func (p *Profile) Names() []string {
-	names := make([]string, 0, len(p.Calls))
-	for name := range p.Calls {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func (p *Profile) walk(s *Span, b *Breakdown) {
 	if callKind(s.Event.Kind) {
 		nb := p.Calls[s.Event.Name]
@@ -245,7 +214,6 @@ func (p *Profile) walk(s *Span, b *Breakdown) {
 			p.Calls[s.Event.Name] = nb
 		}
 		nb.Calls++
-		nb.durs = append(nb.durs, s.Event.Dur)
 		b = nb
 	}
 	self := s.Self()

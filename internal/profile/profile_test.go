@@ -94,7 +94,7 @@ func TestAnalyzeNestedCallContexts(t *testing.T) {
 	drv := p.Calls["ecall:driver"]
 	oc := p.Calls["ocall:o"]
 	if drv == nil || oc == nil {
-		t.Fatalf("missing breakdowns: %v", p.Names())
+		t.Fatalf("missing breakdowns: %d sites", len(p.Calls))
 	}
 	if drv.Calls != 1 || oc.Calls != 1 {
 		t.Fatalf("calls drv=%d oc=%d", drv.Calls, oc.Calls)
@@ -142,11 +142,7 @@ func TestBreakdownStats(t *testing.T) {
 	b := &Breakdown{}
 	for _, d := range []uint64{10, 30, 20} {
 		b.Calls++
-		b.durs = append(b.durs, d)
 		b.Total += d
-	}
-	if b.Median() != 20 {
-		t.Fatalf("median = %d", b.Median())
 	}
 	if b.Mean() != 20 {
 		t.Fatalf("mean = %f", b.Mean())
@@ -176,7 +172,7 @@ func TestSpeedup(t *testing.T) {
 	} {
 		b := p.Calls[tc.site]
 		if b == nil {
-			t.Fatalf("no breakdown for %s (sites: %v)", tc.site, p.Names())
+			t.Fatalf("no breakdown for %s (%d sites)", tc.site, len(p.Calls))
 		}
 		if got := b.Speedup(tc.c, tc.delta); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s.Speedup(%s, %v) = %v, want %v", tc.site, tc.c, tc.delta, got, tc.want)

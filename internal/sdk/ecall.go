@@ -94,7 +94,7 @@ func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, erro
 	m.Load(clk, marshalAddr)
 
 	tr := rt.tel.tracer
-	deep := tr.Detailed()
+	deep := tr != nil
 	stageStart := clk.Now()
 	f, err := rt.stageECall(clk, b.Decl, args)
 	if err != nil {

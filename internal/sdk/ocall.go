@@ -64,7 +64,7 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 	clk.Advance(ocallMarshalFixed)
 
 	tr := rt.tel.tracer
-	deep := tr.Detailed()
+	deep := tr != nil
 	stageStart := clk.Now()
 	f, err := rt.stageOCall(clk, b.Decl, args)
 	if err != nil {

@@ -21,11 +21,10 @@
 //
 //  3. Everything is mergeable and exportable: snapshots are plain
 //     structs, and the registry renders Prometheus text exposition
-//     (WritePrometheus) and Chrome trace_event JSON (WriteChromeTrace)
-//     for flame-style inspection in chrome://tracing or Perfetto.
+//     (WritePrometheus).  The tracer's events feed the cycle-attribution
+//     profiler (internal/profile).
 //
-// Timestamps are simulated cycles from sim.Clock, converted to
-// microseconds at the testbed frequency (sim.FrequencyHz) on export.
+// Timestamps are simulated cycles from sim.Clock.
 package telemetry
 
 import (
@@ -44,7 +43,7 @@ type Registry struct {
 	tracer   *Tracer
 }
 
-// New returns an empty enabled registry (tracing off until EnableTracing).
+// New returns an empty enabled registry (tracing off until EnableDeepTracing).
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
@@ -101,31 +100,20 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// EnableTracing attaches a bounded ring-buffer tracer of the given
-// capacity (in events) and returns it.  Calling it again replaces the
-// ring.  Instrumented code re-reads the handle through Tracer(), so
-// enable tracing before attaching the registry to a stack.
-func (r *Registry) EnableTracing(capacity int) *Tracer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tracer = NewTracer(capacity)
-	return r.tracer
-}
-
-// EnableDeepTracing attaches a detailed-mode tracer: instrumented code
-// emits per-phase (marshal, spin, handler) and per-memory-operation
-// events in addition to the boundary spans, which is what the profiler
-// in internal/profile consumes.  Calling it again replaces the ring.
+// EnableDeepTracing attaches a bounded ring-buffer tracer of the given
+// capacity (in events) and returns it: instrumented code emits
+// per-phase (marshal, spin, handler) and per-memory-operation events in
+// addition to the boundary spans, which is what the profiler in
+// internal/profile consumes.  Calling it again replaces the ring.
+// Instrumented code re-reads the handle through Tracer(), so enable
+// tracing before attaching the registry to a stack.
 func (r *Registry) EnableDeepTracing(capacity int) *Tracer {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tracer = NewDetailedTracer(capacity)
+	r.tracer = NewTracer(capacity)
 	return r.tracer
 }
 

@@ -2,8 +2,8 @@ package telemetry
 
 import "sync"
 
-// Kind classifies a boundary event for the tracer and the Chrome trace
-// exporter (which groups kinds onto named rows).
+// Kind classifies a traced event: the profiler (internal/profile) builds
+// call trees and attributes cycles by kind.
 type Kind uint8
 
 // Boundary event kinds, covering every crossing the stack can make.
@@ -26,7 +26,8 @@ const (
 	KindMemAccess             // memory operation (MEE extra cycles in Arg)
 )
 
-// String returns the kind's row label for trace viewers.
+// String returns the kind's label, the name leaf-instruction events
+// carry.
 func (k Kind) String() string {
 	switch k {
 	case KindEcall:
@@ -77,9 +78,12 @@ type Event struct {
 	Arg  uint64
 }
 
-// Tracer is a bounded ring buffer of boundary events.  When the ring
-// fills, the oldest events are overwritten — the tail of a run is what a
-// trace viewer wants.  A nil *Tracer is a valid disabled tracer.
+// Tracer is a bounded ring buffer of events.  When the ring fills, the
+// oldest events are overwritten.  A nil *Tracer is a valid disabled
+// tracer, and instrumented code emits its per-phase (marshalling,
+// spin-wait, handler) and per-memory-operation events only when the
+// tracer is non-nil: enough for the profiler (internal/profile) to
+// attribute every cycle of a call.
 //
 // Unlike counters and histograms, Emit serialises writers with a mutex:
 // tracing is opt-in, each event is a multi-word record, and the
@@ -88,7 +92,6 @@ type Tracer struct {
 	mu     sync.Mutex
 	events []Event
 	next   uint64 // total events ever emitted
-	detail bool   // deep mode: per-phase and per-memory-access events
 }
 
 // NewTracer returns a tracer holding at most capacity events.
@@ -98,22 +101,6 @@ func NewTracer(capacity int) *Tracer {
 	}
 	return &Tracer{events: make([]Event, capacity)}
 }
-
-// NewDetailedTracer returns a tracer in deep mode: instrumented code
-// additionally emits marshalling, spin-wait, handler, and per-memory-
-// operation events, enough for the profiler (internal/profile) to
-// attribute every cycle of a call.  Deep traces are ~20x denser than the
-// default boundary traces; size the ring accordingly.
-func NewDetailedTracer(capacity int) *Tracer {
-	t := NewTracer(capacity)
-	t.detail = true
-	return t
-}
-
-// Detailed reports whether deep (per-phase, per-memory-access) events
-// should be emitted.  False on a nil or default tracer, so coarse
-// boundary tracing keeps its original event stream.
-func (t *Tracer) Detailed() bool { return t != nil && t.detail }
 
 // Emit records one event.
 func (t *Tracer) Emit(kind Kind, name string, ts, dur, arg uint64) {
@@ -145,17 +132,4 @@ func (t *Tracer) Events() []Event {
 	copy(out, t.events[start:])
 	copy(out[cap64-start:], t.events[:start])
 	return out
-}
-
-// Dropped returns how many events were overwritten by ring wrap-around.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n, c := t.next, uint64(len(t.events)); n > c {
-		return n - c
-	}
-	return 0
 }
