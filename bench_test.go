@@ -49,8 +49,8 @@ func newBenchFixture(b *testing.B) *benchFixture {
 	b.Helper()
 	p := sgx.NewPlatform(777)
 	var clk sim.Clock
-	e := p.ECreate(&clk, 64<<20, 2, sgx.Attributes{})
-	if err := e.EAdd(&clk, 0, make([]byte, sgx.PageSize)); err != nil {
+	e := p.ECreate(&clk, 64<<20, 2)
+	if err := e.EAdd(&clk, 0); err != nil {
 		b.Fatal(err)
 	}
 	if err := e.EInit(&clk); err != nil {

@@ -1,7 +1,6 @@
 // Integration tests exercising the full stack the way a deployment would:
-// platform bring-up, measured enclave build, remote attestation, the
-// Figure 1 call flow over both interfaces, and enclave-to-enclave
-// communication.
+// platform bring-up, enclave build, the Figure 1 call flow over both
+// interfaces, and enclave-to-enclave communication.
 package hotcalls_test
 
 import (
@@ -12,44 +11,21 @@ import (
 	"hotcalls/internal/edl"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sgx"
-	"hotcalls/internal/sgx/attest"
 	"hotcalls/internal/sim"
 )
 
-// TestFullDeploymentLifecycle walks the story of Section 2: build and
-// measure an enclave, prove its identity to a remote client, and serve
-// calls through both the SDK and HotCalls interfaces.
+// TestFullDeploymentLifecycle walks the story of Section 2: build an
+// enclave and serve calls through both the SDK and HotCalls interfaces.
 func TestFullDeploymentLifecycle(t *testing.T) {
 	// --- Platform and enclave bring-up.
 	platform := sgx.NewPlatform(12345)
 	var clk sim.Clock
-	enclave := platform.ECreate(&clk, 32<<20, 2, sgx.Attributes{ProdID: 9, SVN: 3})
-	code := make([]byte, sgx.PageSize)
-	copy(code, "secret-service v1.0")
-	if err := enclave.EAdd(&clk, 0, code); err != nil {
+	enclave := platform.ECreate(&clk, 32<<20, 2)
+	if err := enclave.EAdd(&clk, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := enclave.EInit(&clk); err != nil {
 		t.Fatal(err)
-	}
-
-	// --- Remote attestation.
-	service := attest.NewService()
-	qe, err := service.Provision(platform, "prod-host-7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var binding attest.ReportData
-	copy(binding[:], "dh-public-key-hash")
-	quote, err := qe.Quote(attest.EReport(platform, enclave, sgx.Measurement{}, binding))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := service.Verify(quote); err != nil {
-		t.Fatalf("remote verification: %v", err)
-	}
-	if quote.Report.Measurement != enclave.MRENCLAVE() || quote.Report.Attributes.SVN != 3 {
-		t.Fatal("quote carries the wrong identity")
 	}
 
 	// --- Serve: the Figure 1 flow.  The trusted function consumes a
@@ -118,11 +94,9 @@ func TestFullDeploymentLifecycle(t *testing.T) {
 func TestEnclaveToEnclave(t *testing.T) {
 	platform := sgx.NewPlatform(777)
 	var clk sim.Clock
-	build := func(tagByte byte) *sgx.Enclave {
-		e := platform.ECreate(&clk, 16<<20, 1, sgx.Attributes{})
-		page := make([]byte, sgx.PageSize)
-		page[0] = tagByte
-		if err := e.EAdd(&clk, 0, page); err != nil {
+	build := func() *sgx.Enclave {
+		e := platform.ECreate(&clk, 16<<20, 1)
+		if err := e.EAdd(&clk, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.EInit(&clk); err != nil {
@@ -130,8 +104,8 @@ func TestEnclaveToEnclave(t *testing.T) {
 		}
 		return e
 	}
-	producer := build(1)
-	consumer := build(2)
+	producer := build()
+	consumer := build()
 
 	// The producer's ocall hands data to untrusted code, which hot-calls
 	// into the consumer — crossing two boundaries.

@@ -32,8 +32,8 @@ const connWindow = 16
 
 // Errors from the connection's submit/collect path.
 var (
-	// ErrWindowFull reports a Submit with connWindow requests already in
-	// flight: collect the oldest PendingResponse first.
+	// ErrWindowFull reports a Submit whose next ring buffer still belongs
+	// to an uncollected request: collect the oldest PendingResponse first.
 	ErrWindowFull = errors.New("lighttpd: connection window full")
 	// ErrBadResponse reports a return word that names no response image
 	// (the fabric's bad-call-ID sentinel, for one).
@@ -56,7 +56,6 @@ const (
 
 var fabricSpec = porting.FabricSpec{
 	Callsites: []string{"http.get", "http.head"},
-	SealKey:   "www-epc-paging-k",
 }
 
 // PoolServer is lighttpd over the fabric: a CallPool whose one table
@@ -149,26 +148,30 @@ func (s *PoolServer) serve(requester int, data uint64) uint64 {
 
 // PoolConn is one client connection: a fabric requester plus its ring
 // of request buffers.  Submissions complete in FIFO order per
-// connection; collect oldest-first.
+// connection; collect oldest-first.  A buffer is reused only once its
+// PendingResponse has been collected.
 type PoolConn struct {
-	s        *PoolServer
-	req      *core.Requester
-	bufs     [connWindow][readCap]byte
-	next     int
-	inflight int
+	s    *PoolServer
+	req  *core.Requester
+	bufs [connWindow][readCap]byte
+	busy [connWindow]bool // submitted, not yet collected
+	next int
 }
 
 // PendingResponse is an in-flight request's handle.
 type PendingResponse struct {
-	c *PoolConn
-	b *core.PoolBatch
+	c    *PoolConn
+	b    *core.PoolBatch
+	slot int
 }
 
 // Submit copies the raw request into the next ring buffer and posts it
-// to the fabric.  It fails with ErrWindowFull when connWindow requests
-// are in flight — collect the oldest PendingResponse first.
+// to the fabric.  It fails with ErrWindowFull while that buffer's previous
+// request is uncollected — with connWindow requests in flight, or with
+// fewer when responses were collected out of order — collect the oldest
+// PendingResponse first.
 func (c *PoolConn) Submit(raw string) (PendingResponse, error) {
-	if c.inflight == connWindow {
+	if c.busy[c.next] {
 		return PendingResponse{}, ErrWindowFull
 	}
 	if len(raw) > readCap {
@@ -180,9 +183,9 @@ func (c *PoolConn) Submit(raw string) (PendingResponse, error) {
 	if err != nil {
 		return PendingResponse{}, err
 	}
+	c.busy[slot] = true
 	c.next = (c.next + 1) % connWindow
-	c.inflight++
-	return PendingResponse{c: c, b: b}, nil
+	return PendingResponse{c: c, b: b, slot: slot}, nil
 }
 
 // response decodes a return word into the bytes it names, a view of one
@@ -204,7 +207,7 @@ func (s *PoolServer) response(ret uint64) ([]byte, error) {
 func (pr PendingResponse) Wait() ([]byte, error) {
 	var ret [1]uint64
 	err := pr.b.WaitAll(ret[:])
-	pr.c.inflight--
+	pr.c.busy[pr.slot] = false
 	if err != nil {
 		return nil, err
 	}

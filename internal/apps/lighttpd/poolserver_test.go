@@ -244,6 +244,44 @@ func TestPoolConnWindowFull(t *testing.T) {
 	}
 }
 
+// TestPoolConnOutOfOrderCollect collects the newest of a full window
+// first: the next Submit would overwrite the request buffer of the oldest
+// request, still uncollected, so it is refused until that one is
+// collected.  The fabric ring is the programs' default (64 slots), deeper
+// than the connection's window.
+func TestPoolConnOutOfOrderCollect(t *testing.T) {
+	s := NewPoolServer(1, core.PoolOptions{})
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+
+	var pending [connWindow]PendingResponse
+	for i := range pending {
+		var err error
+		if pending[i], err = c.Submit(getIndex); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := pending[connWindow-1].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(getIndex); !errors.Is(err, ErrWindowFull) {
+		t.Fatalf("submit into the uncollected slot 0: err = %v, want ErrWindowFull", err)
+	}
+	if _, err := pending[0].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	pr, err := c.Submit(getIndex)
+	if err != nil {
+		t.Fatalf("submit after collecting the oldest: %v", err)
+	}
+	for _, pr := range append(pending[1:connWindow-1], pr) {
+		if resp, err := pr.Wait(); err != nil || !bytes.HasPrefix(resp, []byte("HTTP/1.0 200")) {
+			t.Fatalf("collect = (%q, %v)", resp, err)
+		}
+	}
+}
+
 // TestPoolConnWaitRejectsBadWord pins that Wait validates the return
 // word instead of slicing with it: the fabric answers an unknown call ID
 // with the ^0 sentinel, and an out-of-range index or length names no
@@ -258,7 +296,7 @@ func TestPoolConnWaitRejectsBadWord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.inflight++
+	c.busy[0] = true // the handle below names slot 0
 	if resp, err := (PendingResponse{c: c, b: b}).Wait(); !errors.Is(err, ErrBadResponse) || resp != nil {
 		t.Fatalf("Wait on the bad-call-ID sentinel = (%d bytes, %v), want ErrBadResponse", len(resp), err)
 	}

@@ -270,8 +270,8 @@ func TestServerDelete(t *testing.T) {
 	if resp, err := w.DrainResponse(); err != nil || resp.Status != StatusOK {
 		t.Fatalf("delete: %+v, %v", resp, err)
 	}
-	if s.Store.Len() != 0 {
-		t.Fatalf("store len = %d after delete", s.Store.Len())
+	if n := s.Store.items.n; n != 0 {
+		t.Fatalf("store len = %d after delete", n)
 	}
 	// Deleting again misses.
 	n, _ = EncodeRequest(pkt, &Request{Op: OpDelete, Key: "gone", Opaque: 3})

@@ -49,7 +49,6 @@ type storeStripe struct {
 var (
 	fabricSpec = porting.FabricSpec{
 		Callsites: []string{"mc.get", "mc.set", "mc.delete"},
-		SealKey:   "mc-epc-paging-kv",
 	}
 	callsiteOps = [...]byte{OpGet, OpSet, OpDelete}
 )
@@ -138,14 +137,14 @@ type connBuf struct {
 
 // PoolConn is one client connection: a fabric requester plus its buffer
 // ring.  Submissions complete in FIFO order (the fabric ring is FIFO per
-// shard), so collecting oldest-first keeps the window moving and makes
-// buffer-slot reuse safe.
+// shard), so collecting oldest-first keeps the window moving.  A slot is
+// reused only once its PendingResponse has been collected.
 type PoolConn struct {
-	s        *PoolServer
-	req      *core.Requester
-	bufs     [connWindow]connBuf
-	next     int
-	inflight int
+	s    *PoolServer
+	req  *core.Requester
+	bufs [connWindow]connBuf
+	busy [connWindow]bool // submitted, not yet collected
+	next int
 }
 
 // PendingResponse is an in-flight request's handle.
@@ -155,15 +154,17 @@ type PendingResponse struct {
 	slot int
 }
 
-// ErrWindowFull reports a Submit with connWindow requests already in
-// flight: collect the oldest PendingResponse first.
+// ErrWindowFull reports a Submit whose next ring buffer still belongs to
+// an uncollected request: collect the oldest PendingResponse first.
 var ErrWindowFull = errors.New("memcached: connection window full")
 
 // Submit encodes the request into the next ring buffer and posts it to
-// the fabric.  It fails with ErrWindowFull when connWindow requests are
-// in flight — collect the oldest PendingResponse first.
+// the fabric.  It fails with ErrWindowFull while that buffer's previous
+// request is uncollected — with connWindow requests in flight, or with
+// fewer when responses were collected out of order — collect the oldest
+// PendingResponse first.
 func (c *PoolConn) Submit(r *Request) (PendingResponse, error) {
-	if c.inflight == connWindow {
+	if c.busy[c.next] {
 		return PendingResponse{}, ErrWindowFull
 	}
 	slot := c.next
@@ -175,8 +176,8 @@ func (c *PoolConn) Submit(r *Request) (PendingResponse, error) {
 	if err != nil {
 		return PendingResponse{}, err
 	}
+	c.busy[slot] = true
 	c.next = (c.next + 1) % connWindow
-	c.inflight++
 	return PendingResponse{c: c, b: b, slot: slot}, nil
 }
 
@@ -186,7 +187,7 @@ func (c *PoolConn) Submit(r *Request) (PendingResponse, error) {
 func (pr PendingResponse) Wait() (*Response, error) {
 	var ret [1]uint64
 	err := pr.b.WaitAll(ret[:])
-	pr.c.inflight--
+	pr.c.busy[pr.slot] = false
 	if err != nil {
 		return nil, err
 	}

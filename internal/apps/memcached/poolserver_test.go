@@ -171,6 +171,41 @@ func TestPoolConnWindowFull(t *testing.T) {
 	}
 }
 
+// TestPoolConnOutOfOrderCollect collects the newest of a full window
+// first: the next Submit would reuse the buffer slot of the oldest
+// request, still uncollected, so it is refused, and every request then
+// collects its own response.  The fabric ring is the programs' default
+// (64 slots), deeper than the connection's window.
+func TestPoolConnOutOfOrderCollect(t *testing.T) {
+	s := NewPoolServer(1, core.PoolOptions{})
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+
+	var pending [connWindow]PendingResponse
+	for i := range pending {
+		var err error
+		if pending[i], err = c.Submit(&Request{Op: OpGet, Key: "absent", Opaque: uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := pending[connWindow-1].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(&Request{Op: OpGet, Key: "absent", Opaque: 100}); !errors.Is(err, ErrWindowFull) {
+		t.Fatalf("submit into the uncollected slot 0: err = %v, want ErrWindowFull", err)
+	}
+	for i, pr := range pending[:connWindow-1] {
+		resp, err := pr.Wait()
+		if err != nil || resp.Opaque != uint32(i) {
+			t.Fatalf("request %d collected (%+v, %v), want its own opaque", i, resp, err)
+		}
+	}
+	if _, err := c.Do(&Request{Op: OpGet, Key: "absent"}); err != nil {
+		t.Fatalf("submit after collecting all: %v", err)
+	}
+}
+
 func TestPoolServerConcurrentConnections(t *testing.T) {
 	const conns = 4
 	s := NewPoolServer(conns, testPoolOpts(3))

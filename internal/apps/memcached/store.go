@@ -51,6 +51,3 @@ func (s *Store) charge(env *porting.Env, req *requestView, moved int, dst uint64
 		m.Copy(env.Clk, dst, src, uint64(moved))
 	}
 }
-
-// Len returns the number of stored items.
-func (s *Store) Len() int { return s.items.n }

@@ -30,7 +30,7 @@ func TestMacMatchesFreshHMAC(t *testing.T) {
 		rng.Read(ck[:])
 		rng.Read(mk[:])
 		c := NewCipher(ck, mk)
-		msg := make([]byte, rng.Intn(2*MTU))
+		msg := make([]byte, rng.Intn(2*mtu))
 		rng.Read(msg)
 		// Reuse the context across several splits of the same and of
 		// different messages: a stale inner state would show here.
@@ -54,7 +54,7 @@ const (
 func TestGoldenFrameWireCompat(t *testing.T) {
 	payload := testPayload(48, 7)
 	want, _ := hex.DecodeString(goldenSeal)
-	out := make([]byte, MTU)
+	out := make([]byte, mtu)
 	n, err := SessionCipher().Open(out, want)
 	if err != nil || !bytes.Equal(out[:n], payload) {
 		t.Fatalf("golden frame opened to (%x, %v)", out[:n], err)
@@ -96,11 +96,11 @@ func TestMACCheckedBeforeReplayAndDecrypt(t *testing.T) {
 	tx.nextID = 9
 	n := tx.Seal(frame, make([]byte, 100))
 	frame[n-1] ^= 1
-	if _, err := rx.Open(make([]byte, MTU), frame[:n]); !errors.Is(err, ErrBadMAC) || rx.win != (replayWindow{}) {
+	if _, err := rx.Open(make([]byte, mtu), frame[:n]); !errors.Is(err, ErrBadMAC) || rx.win != (replayWindow{}) {
 		t.Fatalf("forged frame: err = %v, replay window %+v", err, rx.win)
 	}
 	frame[n-1] ^= 1
-	if _, err := rx.Open(make([]byte, MTU), frame[:n]); err != nil {
+	if _, err := rx.Open(make([]byte, mtu), frame[:n]); err != nil {
 		t.Fatalf("genuine frame after forgery: %v", err)
 	}
 

@@ -9,10 +9,11 @@ import (
 
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/sdk"
-	"hotcalls/internal/sgx"
-	"hotcalls/internal/sgx/attest"
 	"hotcalls/internal/sim"
 )
+
+// mtu is the Ethernet MTU: the largest payload a tunnel frame carries.
+const mtu = 1500
 
 func TestSealOpenRoundTrip(t *testing.T) {
 	tx, rx := SessionCipher(), SessionCipher()
@@ -22,7 +23,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if n != len(frame) {
 		t.Fatalf("frame len = %d", n)
 	}
-	out := make([]byte, MTU)
+	out := make([]byte, mtu)
 	pn, err := rx.Open(out, frame[:n])
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func TestTamperedFrameRejected(t *testing.T) {
 	frame := make([]byte, FrameOverhead+len(payload))
 	n := tx.Seal(frame, payload)
 	frame[FrameOverhead+3] ^= 1
-	if _, err := rx.Open(make([]byte, MTU), frame[:n]); !errors.Is(err, ErrBadMAC) {
+	if _, err := rx.Open(make([]byte, mtu), frame[:n]); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("err = %v, want ErrBadMAC", err)
 	}
 }
@@ -76,7 +77,7 @@ func TestReplayRejected(t *testing.T) {
 		{2, ErrReplay},                      // 64 behind, never seen
 		{70, nil}, {7, nil}, {6, ErrReplay}, // the window slides with the highest
 	} {
-		if _, err := rx.Open(make([]byte, MTU), frames[c.id-1]); !errors.Is(err, c.want) {
+		if _, err := rx.Open(make([]byte, mtu), frames[c.id-1]); !errors.Is(err, c.want) {
 			t.Fatalf("ID %d (highest %d): err = %v, want %v", c.id, rx.win.highest, err, c.want)
 		}
 	}
@@ -84,17 +85,17 @@ func TestReplayRejected(t *testing.T) {
 
 func TestShortFrameRejected(t *testing.T) {
 	rx := SessionCipher()
-	if _, err := rx.Open(make([]byte, MTU), []byte{1, 2, 3}); !errors.Is(err, ErrShortPkt) {
+	if _, err := rx.Open(make([]byte, mtu), []byte{1, 2, 3}); !errors.Is(err, ErrShortPkt) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestTunnelRoundTripProperty(t *testing.T) {
 	tx, rx := SessionCipher(), SessionCipher()
-	frame := make([]byte, MTU+FrameOverhead)
-	out := make([]byte, MTU)
+	frame := make([]byte, mtu+FrameOverhead)
+	out := make([]byte, mtu)
 	f := func(payload []byte) bool {
-		if len(payload) == 0 || len(payload) > MTU {
+		if len(payload) == 0 || len(payload) > mtu {
 			return true
 		}
 		n := tx.Seal(frame, payload)
@@ -244,114 +245,6 @@ func TestPingLatencies(t *testing.T) {
 		if got[mode] < w*0.5 || got[mode] > w*1.6 {
 			t.Errorf("%s ping = %.3f ms, want ~%.3f ms", mode, got[mode]*1e3, w*1e3)
 		}
-	}
-}
-
-func handshakeFixture(t *testing.T) (*sgx.Platform, *sgx.Enclave, *attest.Service, *attest.QuotingEnclave) {
-	t.Helper()
-	p := sgx.NewPlatform(6006)
-	var clk sim.Clock
-	e := p.ECreate(&clk, 8<<20, 1, sgx.Attributes{ProdID: 12})
-	if err := e.EAdd(&clk, 0, []byte("openvpn-enclave")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.EInit(&clk); err != nil {
-		t.Fatal(err)
-	}
-	svc := attest.NewService()
-	qe, err := svc.Provision(p, "vpn-host")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, e, svc, qe
-}
-
-func TestAttestedHandshakeDerivesMatchingKeys(t *testing.T) {
-	p, e, svc, qe := handshakeFixture(t)
-	var master [32]byte
-	copy(master[:], "provisioned-master-secret-32-byt")
-	var nonce [16]byte
-	copy(nonce[:], "session-nonce-01")
-
-	quote, serverKeys, err := EnclaveHandshake(p, e, qe, master, nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientKeys, err := Handshake(svc, quote, e.MRENCLAVE(), master, nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A packet sealed with the client's c2s keys opens with the
-	// server's c2s keys: both sides derived the same material.
-	payload := []byte("attested tunnel payload")
-	frame := make([]byte, FrameOverhead+len(payload))
-	n := clientKeys.ClientToServer.Seal(frame, payload)
-	out := make([]byte, MTU)
-	pn, err := serverKeys.ClientToServer.Open(out, frame[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out[:pn]) != string(payload) {
-		t.Fatal("handshake keys diverged")
-	}
-}
-
-func TestHandshakeRejectsWrongEnclave(t *testing.T) {
-	p, e, svc, qe := handshakeFixture(t)
-	var master [32]byte
-	var nonce [16]byte
-	quote, _, err := EnclaveHandshake(p, e, qe, master, nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong := e.MRENCLAVE()
-	wrong[0] ^= 1
-	if _, err := Handshake(svc, quote, wrong, master, nonce); !errors.Is(err, ErrAttestationFailed) {
-		t.Fatalf("err = %v, want ErrAttestationFailed", err)
-	}
-}
-
-func TestHandshakeRejectsReplayedQuote(t *testing.T) {
-	p, e, svc, qe := handshakeFixture(t)
-	var master [32]byte
-	var oldNonce, newNonce [16]byte
-	copy(oldNonce[:], "old-session-aaaa")
-	copy(newNonce[:], "new-session-bbbb")
-	oldQuote, _, err := EnclaveHandshake(p, e, qe, master, oldNonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replaying last session's quote against a fresh nonce must fail.
-	if _, err := Handshake(svc, oldQuote, e.MRENCLAVE(), master, newNonce); !errors.Is(err, ErrAttestationFailed) {
-		t.Fatalf("err = %v, want ErrAttestationFailed", err)
-	}
-}
-
-func TestHandshakeRejectsTamperedQuote(t *testing.T) {
-	p, e, svc, qe := handshakeFixture(t)
-	var master [32]byte
-	var nonce [16]byte
-	quote, _, err := EnclaveHandshake(p, e, qe, master, nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quote.Report.Attributes.Debug = true
-	if _, err := Handshake(svc, quote, e.MRENCLAVE(), master, nonce); !errors.Is(err, ErrAttestationFailed) {
-		t.Fatalf("err = %v, want ErrAttestationFailed", err)
-	}
-}
-
-func TestDifferentNoncesDifferentKeys(t *testing.T) {
-	var master [32]byte
-	var n1, n2 [16]byte
-	n1[0], n2[0] = 1, 2
-	k1 := deriveKeys(master, n1)
-	k2 := deriveKeys(master, n2)
-	payload := make([]byte, 64)
-	f1 := make([]byte, FrameOverhead+64)
-	k1.ClientToServer.Seal(f1, payload)
-	if _, err := k2.ClientToServer.Open(make([]byte, MTU), f1); err == nil {
-		t.Fatal("keys from different nonces interoperate")
 	}
 }
 

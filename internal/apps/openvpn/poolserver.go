@@ -75,7 +75,6 @@ const csStream = 0
 
 var fabricSpec = porting.FabricSpec{
 	Callsites: []string{"vpn.stream"},
-	SealKey:   "vpn-epc-zc-rings",
 }
 
 // PoolServer is the openVPN relay over the fabric: a CallPool whose one

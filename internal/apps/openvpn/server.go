@@ -32,7 +32,6 @@ enclave {
 
 // Workload constants from Section 6.3.
 const (
-	MTU            = 1500
 	BufSize        = 4096 // openVPN's internal struct buffer capacity
 	IperfPayload   = 1400 // TCP segment payload carried through the tunnel
 	PingPayload    = 84   // ICMP echo + headers

@@ -17,8 +17,6 @@ type FabricSpec struct {
 	// Callsites names the port's flight callsites, at most four — one
 	// stats row per name.  Fabric.Callsite indexes the list.
 	Callsites []string
-	// SealKey keys the simulated EPC's eviction sealing (16 bytes).
-	SealKey string
 }
 
 // Observers is what Arm attaches.  A zero field leaves that observer off;
@@ -105,9 +103,7 @@ func (f *Fabric) Arm(o Observers) {
 		if capacity <= epc.PageSize {
 			capacity = epc.DefaultCapacityBytes
 		}
-		var sealKey [16]byte
-		copy(sealKey[:], f.spec.SealKey)
-		f.epcMgr = epc.NewManager(capacity, sealKey)
+		f.epcMgr = epc.NewManager(capacity)
 		f.epcMgr.SetTelemetry(o.Registry)
 		f.epcStat = epcstat.New(epcstat.Options{})
 		f.epcStat.Attach(f.epcMgr)

@@ -135,9 +135,9 @@ func New(mode Mode, cfg Config, edlSrc string) *App {
 	if cfg.CodePages == 0 {
 		cfg.CodePages = 16
 	}
-	e := p.ECreate(&clk, cfg.EnclaveSize, cfg.NumTCS, sgx.Attributes{})
+	e := p.ECreate(&clk, cfg.EnclaveSize, cfg.NumTCS)
 	for i := 0; i < cfg.CodePages; i++ {
-		if err := e.EAdd(&clk, uint64(i)*sgx.PageSize, make([]byte, sgx.PageSize)); err != nil {
+		if err := e.EAdd(&clk, uint64(i)*sgx.PageSize); err != nil {
 			panic(err)
 		}
 	}

@@ -104,12 +104,11 @@ var signalTable = map[string]signalRow{
 	telemetry.MetricAEX:    idle("test:TestAEXAndResume", simClock, "a simulated enclave takes an asynchronous exit (sgx.Enclave.AEX)"),
 
 	// Paging and the MEE.
-	telemetry.MetricEPCFaults:     driven("rule:epc-thrash", bothClocks),
-	telemetry.MetricEPCEvictions:  idle("rule:epc-thrash", bothClocks, "the working set outgrows the EPC"),
-	telemetry.MetricEPCResident:   driven("rule:epc-thrash", bothClocks),
-	telemetry.MetricEPCWritebacks: idle("test:TestObserverDirtyFlagAndWritebacks", fabricClock, "an evicted EPC page was written since it was loaded"),
-	telemetry.MetricMEENodeHits:   driven("code:monitor.Monitor.RenderText", simClock),
-	telemetry.MetricMEENodeMiss:   driven("code:monitor.Monitor.RenderText", simClock),
+	telemetry.MetricEPCFaults:    driven("rule:epc-thrash", bothClocks),
+	telemetry.MetricEPCEvictions: idle("rule:epc-thrash", bothClocks, "the working set outgrows the EPC"),
+	telemetry.MetricEPCResident:  driven("rule:epc-thrash", bothClocks),
+	telemetry.MetricMEENodeHits:  driven("code:monitor.Monitor.RenderText", simClock),
+	telemetry.MetricMEENodeMiss:  driven("code:monitor.Monitor.RenderText", simClock),
 }
 
 // testReaders are the families a test alone may read: exactly-once
@@ -119,7 +118,6 @@ var testReaders = map[string]bool{
 	telemetry.MetricHotCallInline: true, telemetry.MetricHotCallRejected: true,
 	telemetry.MetricEcalls: true, telemetry.MetricOcalls: true,
 	telemetry.MetricEEnter: true, telemetry.MetricEExit: true, telemetry.MetricResume: true, telemetry.MetricAEX: true,
-	telemetry.MetricEPCWritebacks: true,
 }
 
 // ruleRow is one monitor rule's row: the families it reads (nil for the

@@ -40,9 +40,9 @@ type microFixture struct {
 func newMicroFixture(seed uint64) *microFixture {
 	p := sgx.NewPlatform(seedFor(seed))
 	var clk sim.Clock
-	e := p.ECreate(&clk, 64<<20, 4, sgx.Attributes{})
+	e := p.ECreate(&clk, 64<<20, 4)
 	for i := 0; i < 4; i++ {
-		if err := e.EAdd(&clk, uint64(i)*sgx.PageSize, make([]byte, sgx.PageSize)); err != nil {
+		if err := e.EAdd(&clk, uint64(i)*sgx.PageSize); err != nil {
 			panic(err)
 		}
 	}

@@ -31,9 +31,9 @@ enclave {
 func traceProfile(spinScale float64) (*profile.Profile, *core.LatencyModel) {
 	p := sgx.NewPlatform(7)
 	var setup sim.Clock
-	e := p.ECreate(&setup, 64<<20, 4, sgx.Attributes{})
+	e := p.ECreate(&setup, 64<<20, 4)
 	for i := 0; i < 4; i++ {
-		if err := e.EAdd(&setup, uint64(i)*sgx.PageSize, make([]byte, sgx.PageSize)); err != nil {
+		if err := e.EAdd(&setup, uint64(i)*sgx.PageSize); err != nil {
 			panic(err)
 		}
 	}

@@ -34,8 +34,8 @@ func newChanFixture(t testing.TB) *chanFixture {
 	t.Helper()
 	p := sgx.NewPlatform(7)
 	var clk sim.Clock
-	e := p.ECreate(&clk, 64<<20, 2, sgx.Attributes{})
-	e.EAdd(&clk, 0, make([]byte, sgx.PageSize))
+	e := p.ECreate(&clk, 64<<20, 2)
+	e.EAdd(&clk, 0)
 	if err := e.EInit(&clk); err != nil {
 		t.Fatal(err)
 	}

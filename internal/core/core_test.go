@@ -167,7 +167,7 @@ func TestResponderStats(t *testing.T) {
 	}
 	hc.Stop()
 	wg.Wait()
-	polls, executes := r.Stats()
+	polls, executes := r.pool.Stats() // exact once Run has returned
 	if executes != 50 {
 		t.Fatalf("executes = %d, want 50", executes)
 	}

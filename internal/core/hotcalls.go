@@ -159,7 +159,3 @@ func (r *Responder) Run() {
 	r.pool.enter()
 	r.pool.runResponder(0)
 }
-
-// Stats returns the responder's slot-inspection and claimed-call counts
-// (CallPool.Stats), exact once Run has returned.
-func (r *Responder) Stats() (polls, executes uint64) { return r.pool.Stats() }

@@ -39,7 +39,7 @@ func TestUtilizationGrowsWithSharing(t *testing.T) {
 		wg.Wait()
 		// What is exact: every call made was executed once, and the
 		// executes are a non-empty part of the polls.
-		polls, executes := r.Stats()
+		polls, executes := r.pool.Stats()
 		if executes != uint64(requesters*callsEach) {
 			t.Errorf("%d requesters: %d executes, want %d", requesters, executes, requesters*callsEach)
 		}

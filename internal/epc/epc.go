@@ -5,10 +5,10 @@
 // paper's libquantum run 5.2x slower (its 96 MB working set just exceeds
 // the EPC, Section 3.4).
 //
-// The package has a functional half — EWB really does encrypt, MAC, and
-// version pages so that swapped-out content is confidential, tamper-evident
-// and replay-protected — and a performance half, the per-fault cycle costs
-// used by the memory system.
+// The model is residency and cost only: which pages are resident, which
+// one the clock algorithm evicts, and the per-fault cycle costs the memory
+// system charges.  No page carries content, so EWB and ELDU are prices,
+// not encryption.
 //
 // Pages are owner-tagged: each page carries the OwnerID of the enclave or
 // tenant that faulted it in, so paging traffic can be attributed per owner
@@ -19,11 +19,6 @@
 package epc
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"sync"
 
 	"hotcalls/internal/telemetry"
@@ -50,12 +45,6 @@ const (
 	FaultCost     = FaultTrapCost + ELDUCost // plus EWBCost per eviction
 )
 
-// Errors from the functional swap path.
-var (
-	ErrSwapIntegrity = errors.New("epc: swapped page failed authentication (tampered)")
-	ErrSwapReplay    = errors.New("epc: swapped page version mismatch (replay attack)")
-)
-
 // OwnerID identifies the enclave/tenant a page belongs to.  Owner 0 is
 // the anonymous single-enclave default used by the legacy Touch path.
 type OwnerID uint32
@@ -76,9 +65,8 @@ type Observer interface {
 	// ObserveFault reports every fault, before its evictions.
 	ObserveFault(owner OwnerID, page uint64)
 	// ObserveEvict reports every eviction: culprit is the owner whose
-	// fault forced it, victim the owner of the evicted page, dirty
-	// whether the EWB sealed content (a writeback).
-	ObserveEvict(culprit, victim OwnerID, page uint64, dirty bool)
+	// fault forced it, victim the owner of the evicted page.
+	ObserveEvict(culprit, victim OwnerID, page uint64)
 	// Flush publishes accumulated observer state for concurrent readers.
 	Flush(now uint64)
 }
@@ -95,17 +83,9 @@ const memoSize = 64
 // the top bits the sample gate tests.
 const hashMul = 0x9E3779B97F4A7C15
 
-// SealedPage is an encrypted page in untrusted memory, as produced by EWB.
-type SealedPage struct {
-	nonce   [12]byte
-	payload []byte // AES-GCM sealed page content
-	version uint64 // as claimed by the blob; the trusted copy is the VA
-}
-
 type pageState struct {
 	owner      OwnerID // the owner whose fault installed the page
 	referenced bool    // clock algorithm reference bit
-	version    uint64  // bumped on every swap-out (Version Array entry)
 }
 
 // Manager tracks EPC residency for a set of enclave pages and charges
@@ -127,17 +107,9 @@ type Manager struct {
 	// which every eviction passes through first) drops the page's entry.
 	memo [memoSize]uint64
 
-	// Functional swap state.
-	sealKey  [16]byte
-	aead     cipher.AEAD
-	content  map[uint64][]byte // plaintext content of resident pages (optional)
-	swapped  map[uint64]*SealedPage
-	versions map[uint64]uint64 // the trusted Version Array (lives in EPC)
-
-	faults     uint64
-	evictions  uint64
-	writebacks uint64 // dirty evictions (content sealed)
-	touches    uint64
+	faults    uint64
+	evictions uint64
+	touches   uint64
 
 	// Observer hook (nil when no observatory is attached).  sampleShift
 	// implements the touch-sampling gate: a touch is sampled when the top
@@ -147,37 +119,21 @@ type Manager struct {
 	sampleShift uint
 
 	// Telemetry counters (nil when observability is off): faults are
-	// ELDU work, evictions are EWB work, writebacks the dirty subset.
-	// The resident gauge tracks the current EPC occupancy for the health
-	// monitor's thrash detection.
-	faultCtr     *telemetry.Counter
-	evictCtr     *telemetry.Counter
-	writebackCtr *telemetry.Counter
-	residentGge  *telemetry.Gauge
+	// ELDU work, evictions are EWB work.  The resident gauge tracks the
+	// current EPC occupancy for the health monitor's thrash detection.
+	faultCtr    *telemetry.Counter
+	evictCtr    *telemetry.Counter
+	residentGge *telemetry.Gauge
 }
 
-// NewManager returns an EPC manager with the given capacity in bytes,
-// sealing swapped pages with the given paging key.
-func NewManager(capacityBytes int, sealKey [16]byte) *Manager {
+// NewManager returns an EPC manager with the given capacity in bytes.
+func NewManager(capacityBytes int) *Manager {
 	if capacityBytes < PageSize {
 		panic("epc: capacity below one page")
-	}
-	block, err := aes.NewCipher(sealKey[:])
-	if err != nil {
-		panic(fmt.Sprintf("epc: %v", err))
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		panic(fmt.Sprintf("epc: %v", err))
 	}
 	return &Manager{
 		capacity: capacityBytes / PageSize,
 		resident: make(map[uint64]pageState),
-		sealKey:  sealKey,
-		aead:     aead,
-		content:  make(map[uint64][]byte),
-		swapped:  make(map[uint64]*SealedPage),
-		versions: make(map[uint64]uint64),
 	}
 }
 
@@ -198,22 +154,13 @@ func (m *Manager) Stats() (touches, faults, evictions uint64) {
 	return m.touches, m.faults, m.evictions
 }
 
-// Writebacks returns the cumulative count of dirty evictions — EWBs that
-// sealed page content, as opposed to dropping a clean page.
-func (m *Manager) Writebacks() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.writebacks
-}
-
-// SetTelemetry attaches fault (ELDU), eviction (EWB), and writeback
-// (dirty EWB) counters from the registry.  A nil registry detaches.
+// SetTelemetry attaches the fault (ELDU) and eviction (EWB) counters and
+// the resident gauge from the registry.  A nil registry detaches.
 func (m *Manager) SetTelemetry(reg *telemetry.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.faultCtr = reg.Counter(telemetry.MetricEPCFaults)
 	m.evictCtr = reg.Counter(telemetry.MetricEPCEvictions)
-	m.writebackCtr = reg.Counter(telemetry.MetricEPCWritebacks)
 	m.residentGge = reg.Gauge(telemetry.MetricEPCResident)
 	m.residentGge.Set(int64(len(m.resident)))
 }
@@ -331,15 +278,13 @@ func (m *Manager) touchLocked(owner OwnerID, page uint64) (fault bool, evictions
 }
 
 func (m *Manager) install(owner OwnerID, page uint64) {
-	// The trusted version comes from the Version Array, never from the
-	// untrusted blob — that is what defeats replay of older seals.
-	m.resident[page] = pageState{owner: owner, referenced: true, version: m.versions[page]}
+	m.resident[page] = pageState{owner: owner, referenced: true}
 	m.clock = append(m.clock, page+1)
 	m.residentGge.Set(int64(len(m.resident)))
 }
 
-// evictOne runs the clock (second-chance) algorithm and swaps one victim
-// out, attributing the eviction to the faulting culprit owner.  The
+// evictOne runs the clock (second-chance) algorithm and evicts one victim,
+// attributing the eviction to the faulting culprit owner.  The
 // victim's slot is left empty rather than cut out of the clock: the hand
 // skips empty slots, so the order is the one a cut would leave.
 func (m *Manager) evictOne(culprit OwnerID) {
@@ -371,9 +316,8 @@ func (m *Manager) evictOne(culprit OwnerID) {
 		if m.dead++; 2*m.dead > len(m.clock) {
 			m.compact()
 		}
-		dirty := m.swapOut(page, &st)
 		if m.obs != nil {
-			m.obs.ObserveEvict(culprit, st.owner, page, dirty)
+			m.obs.ObserveEvict(culprit, st.owner, page)
 		}
 		delete(m.resident, page)
 		m.residentGge.Set(int64(len(m.resident)))
@@ -393,137 +337,6 @@ func (m *Manager) compact() {
 		}
 	}
 	m.clock, m.hand, m.dead = live, hand, 0
-}
-
-// swapOut seals a page's content (when the functional path holds content)
-// and bumps its version so any replay of an older blob is detectable.
-// It reports whether the eviction was dirty — whether an EWB actually
-// sealed content rather than dropping a clean page.
-func (m *Manager) swapOut(page uint64, st *pageState) (dirty bool) {
-	st.version++
-	m.versions[page] = st.version
-	blob := &SealedPage{version: st.version}
-	binary.LittleEndian.PutUint64(blob.nonce[:8], page)
-	binary.LittleEndian.PutUint32(blob.nonce[8:], uint32(st.version))
-	if data, ok := m.content[page]; ok {
-		var aad [16]byte
-		binary.LittleEndian.PutUint64(aad[:8], page)
-		binary.LittleEndian.PutUint64(aad[8:], st.version)
-		blob.payload = m.aead.Seal(nil, blob.nonce[:], data, aad[:])
-		delete(m.content, page)
-		dirty = true
-		m.writebacks++
-		m.writebackCtr.Inc()
-	}
-	m.swapped[page] = blob
-	return dirty
-}
-
-// WritePage stores plaintext content for a resident page owned by the
-// anonymous owner 0, faulting it in if needed.  See WritePageAs.
-func (m *Manager) WritePage(page uint64, data []byte) (cycles float64, err error) {
-	return m.WritePageAs(0, page, data)
-}
-
-// WritePageAs stores plaintext content for a resident page, faulting it
-// in under the given owner if needed.  It returns the paging cost
-// incurred.
-func (m *Manager) WritePageAs(owner OwnerID, page uint64, data []byte) (cycles float64, err error) {
-	if len(data) != PageSize {
-		panic("epc: page content must be exactly PageSize bytes")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fault, evictions := m.touchLocked(owner, page)
-	if fault {
-		cycles = FaultCycles(evictions)
-		if _, err := m.swapIn(page); err != nil {
-			return cycles, err
-		}
-	}
-	m.content[page] = append([]byte(nil), data...)
-	return cycles, nil
-}
-
-// ReadPage returns the plaintext content of a page for the anonymous
-// owner 0, faulting it in (with verification) if it was swapped out.
-func (m *Manager) ReadPage(page uint64) (data []byte, cycles float64, err error) {
-	return m.ReadPageAs(0, page)
-}
-
-// ReadPageAs returns the plaintext content of a page, faulting it in
-// under the given owner (with verification) if it was swapped out.
-func (m *Manager) ReadPageAs(owner OwnerID, page uint64) (data []byte, cycles float64, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fault, evictions := m.touchLocked(owner, page)
-	if fault {
-		cycles = FaultCycles(evictions)
-		if _, err := m.swapIn(page); err != nil {
-			return nil, cycles, err
-		}
-	}
-	return m.content[page], cycles, nil
-}
-
-// swapIn verifies and decrypts a swapped blob back into content.  A page
-// that was never given content swaps in as nil content with no error.
-func (m *Manager) swapIn(page uint64) ([]byte, error) {
-	blob, ok := m.swapped[page]
-	if !ok || blob.payload == nil {
-		return nil, nil
-	}
-	if blob.version != m.versions[page] {
-		return nil, ErrSwapReplay
-	}
-	var aad [16]byte
-	binary.LittleEndian.PutUint64(aad[:8], page)
-	binary.LittleEndian.PutUint64(aad[8:], blob.version)
-	data, err := m.aead.Open(nil, blob.nonce[:], blob.payload, aad[:])
-	if err != nil {
-		return nil, ErrSwapIntegrity
-	}
-	delete(m.swapped, page)
-	m.content[page] = data
-	return data, nil
-}
-
-// TamperSwapped flips a bit in the sealed blob of a swapped-out page,
-// modelling an attack on the swap region in untrusted memory.  It reports
-// whether such a blob existed.
-func (m *Manager) TamperSwapped(page uint64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	blob, ok := m.swapped[page]
-	if !ok || len(blob.payload) == 0 {
-		return false
-	}
-	blob.payload[0] ^= 1
-	return true
-}
-
-// SwapSnapshot captures the sealed blob of a swapped-out page so a test can
-// replay it later (the rollback attack against paging).
-func (m *Manager) SwapSnapshot(page uint64) *SealedPage {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	blob, ok := m.swapped[page]
-	if !ok {
-		return nil
-	}
-	cp := *blob
-	cp.payload = append([]byte(nil), blob.payload...)
-	return &cp
-}
-
-// ReplaySwapped installs an old sealed blob for a page, modelling the
-// replay attack.
-func (m *Manager) ReplaySwapped(page uint64, blob *SealedPage) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cp := *blob
-	cp.payload = append([]byte(nil), blob.payload...)
-	m.swapped[page] = &cp
 }
 
 // SampledTouch reports whether a touch of the given page passes the

@@ -1,27 +1,13 @@
 package epc
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 	"testing/quick"
 
 	"hotcalls/internal/sim"
 )
 
-func newTestManager(pages int) *Manager {
-	var key [16]byte
-	copy(key[:], "paging-seal-key!")
-	return NewManager(pages*PageSize, key)
-}
-
-func pageData(b byte) []byte {
-	d := make([]byte, PageSize)
-	for i := range d {
-		d[i] = b + byte(i%13)
-	}
-	return d
-}
+func newTestManager(pages int) *Manager { return NewManager(pages * PageSize) }
 
 func TestTouchResidentIsFree(t *testing.T) {
 	m := newTestManager(4)
@@ -117,77 +103,6 @@ func TestWorkingSetWithinCapacityNeverFaultsAgain(t *testing.T) {
 	}
 }
 
-func TestSwapRoundTrip(t *testing.T) {
-	m := newTestManager(2)
-	want := pageData(0x42)
-	if _, err := m.WritePage(1, want); err != nil {
-		t.Fatal(err)
-	}
-	// Force page 1 out.
-	m.Touch(2)
-	m.Touch(3)
-	m.Touch(4)
-	got, _, err := m.ReadPage(1)
-	if err != nil {
-		t.Fatalf("ReadPage after swap: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("page content corrupted by swap round trip")
-	}
-}
-
-func TestSwappedContentIsEncrypted(t *testing.T) {
-	m := newTestManager(1)
-	want := pageData(0x77)
-	if _, err := m.WritePage(1, want); err != nil {
-		t.Fatal(err)
-	}
-	m.Touch(2) // evict page 1
-	blob := m.SwapSnapshot(1)
-	if blob == nil {
-		t.Fatal("no sealed page for evicted page")
-	}
-	if bytes.Contains(blob.payload, want[:128]) {
-		t.Fatal("sealed page leaks plaintext")
-	}
-}
-
-func TestTamperSwappedDetected(t *testing.T) {
-	m := newTestManager(1)
-	if _, err := m.WritePage(1, pageData(0x01)); err != nil {
-		t.Fatal(err)
-	}
-	m.Touch(2)
-	if !m.TamperSwapped(1) {
-		t.Fatal("tamper target missing")
-	}
-	_, _, err := m.ReadPage(1)
-	if !errors.Is(err, ErrSwapIntegrity) {
-		t.Fatalf("err = %v, want ErrSwapIntegrity", err)
-	}
-}
-
-func TestReplaySwappedDetected(t *testing.T) {
-	m := newTestManager(1)
-	if _, err := m.WritePage(1, pageData(0xa1)); err != nil {
-		t.Fatal(err)
-	}
-	m.Touch(2) // evict v1
-	old := m.SwapSnapshot(1)
-	if _, _, err := m.ReadPage(1); err != nil { // fault back in
-		t.Fatal(err)
-	}
-	if _, err := m.WritePage(1, pageData(0xb2)); err != nil { // newer content
-		t.Fatal(err)
-	}
-	m.Touch(3) // evict v2
-	m.ReplaySwapped(1, old)
-	_, _, err := m.ReadPage(1)
-	if !errors.Is(err, ErrSwapReplay) {
-		t.Fatalf("err = %v, want ErrSwapReplay", err)
-	}
-}
-
 func TestResidencyNeverExceedsCapacity(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := sim.NewRNG(seed)
@@ -205,45 +120,11 @@ func TestResidencyNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-func TestContentPreservedUnderRandomPressure(t *testing.T) {
-	r := sim.NewRNG(77)
-	m := newTestManager(4)
-	truth := map[uint64]byte{}
-	for i := 0; i < 400; i++ {
-		p := uint64(r.Intn(16))
-		if r.Bool(0.5) {
-			b := byte(r.Intn(256))
-			if _, err := m.WritePage(p, pageData(b)); err != nil {
-				t.Fatalf("write page %d: %v", p, err)
-			}
-			truth[p] = b
-		} else if want, ok := truth[p]; ok {
-			got, _, err := m.ReadPage(p)
-			if err != nil {
-				t.Fatalf("read page %d: %v", p, err)
-			}
-			if !bytes.Equal(got, pageData(want)) {
-				t.Fatalf("page %d content diverged", p)
-			}
-		}
-	}
-}
-
 func TestBadCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewManager(100, [16]byte{})
-}
-
-func TestBadPageSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m := newTestManager(2)
-	m.WritePage(0, []byte{1})
+	NewManager(100)
 }

@@ -1,12 +1,9 @@
 package epc
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"testing"
-
-	"hotcalls/internal/telemetry"
 )
 
 // recObserver is a recording Observer for tests.  The manager invokes
@@ -17,7 +14,6 @@ type recObserver struct {
 	touchOwners  []OwnerID
 	faults       uint64
 	evicts       uint64
-	dirtyEvicts  uint64
 	interference map[uint64]uint64 // culprit<<32|victim → count
 	flushes      int
 	lastNow      uint64
@@ -34,11 +30,8 @@ func (o *recObserver) ObserveTouch(owner OwnerID, page, now uint64) {
 
 func (o *recObserver) ObserveFault(owner OwnerID, page uint64) { o.faults++ }
 
-func (o *recObserver) ObserveEvict(culprit, victim OwnerID, page uint64, dirty bool) {
+func (o *recObserver) ObserveEvict(culprit, victim OwnerID, page uint64) {
 	o.evicts++
-	if dirty {
-		o.dirtyEvicts++
-	}
 	o.interference[uint64(culprit)<<32|uint64(victim)]++
 }
 
@@ -105,46 +98,6 @@ func TestObserverEvictAttribution(t *testing.T) {
 	}
 }
 
-// TestObserverDirtyFlagAndWritebacks checks the dirty bit on evictions:
-// pages with written content seal a swap blob (dirty), bare touched pages
-// do not — and the manager's writeback counter plus the telemetry
-// counter agree with the dirty subset.
-func TestObserverDirtyFlagAndWritebacks(t *testing.T) {
-	const capPages = 4
-	m := newTestManager(capPages)
-	reg := telemetry.New()
-	m.SetTelemetry(reg)
-	obs := newRecObserver()
-	m.SetObserver(obs, 0)
-
-	// Two dirty pages, two clean pages, then four fresh faults to evict
-	// them all.
-	if _, err := m.WritePageAs(1, 0, pageData(0xaa)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.WritePageAs(1, 1, pageData(0xbb)); err != nil {
-		t.Fatal(err)
-	}
-	m.TouchAs(1, 2)
-	m.TouchAs(1, 3)
-	for p := uint64(100); p < 104; p++ {
-		m.TouchAs(2, p)
-	}
-
-	if obs.evicts != 4 {
-		t.Fatalf("evictions = %d, want 4", obs.evicts)
-	}
-	if obs.dirtyEvicts != 2 {
-		t.Fatalf("dirty evictions = %d, want 2", obs.dirtyEvicts)
-	}
-	if wb := m.Writebacks(); wb != 2 {
-		t.Fatalf("Writebacks() = %d, want 2", wb)
-	}
-	if got := reg.Counter(telemetry.MetricEPCWritebacks).Load(); got != 2 {
-		t.Fatalf("%s = %d, want 2", telemetry.MetricEPCWritebacks, got)
-	}
-}
-
 // TestObserverSamplingGate checks the touch callback fires exactly for
 // the pages SampledTouch admits at the configured rate, and that the
 // owner tag rides along.
@@ -197,8 +150,8 @@ func TestFlushObserverRunsUnderLock(t *testing.T) {
 }
 
 // TestConcurrentTouchStress hammers one manager from many goroutines —
-// mixed owners, touches, writes, reads, swap tampering — and checks the
-// invariants hold afterwards.  Run under -race this is the paging lock's
+// mixed owners, single touches and touch runs — and checks the invariants
+// hold afterwards.  Run under -race this is the paging lock's
 // correctness test.
 func TestConcurrentTouchStress(t *testing.T) {
 	const (
@@ -220,20 +173,9 @@ func TestConcurrentTouchStress(t *testing.T) {
 			p := uint64(w * 31)
 			for i := 0; i < perWorker; i++ {
 				p = (p*2862933555777941757 + 3037000493) % pageSpan
-				switch i % 16 {
-				case 7:
-					if _, err := m.WritePageAs(owner, p, pageData(byte(w))); err != nil {
-						t.Errorf("WritePageAs: %v", err)
-						return
-					}
-				case 11:
-					// The page may never have been written; only the
-					// integrity/replay errors are impossible here.
-					if _, _, err := m.ReadPageAs(owner, p); err != nil {
-						t.Errorf("ReadPageAs: %v", err)
-						return
-					}
-				default:
+				if i%8 == 7 {
+					m.TouchRunAs(owner, p, 1+i%64)
+				} else {
 					m.TouchAs(owner, p)
 				}
 			}
@@ -257,72 +199,8 @@ func TestConcurrentTouchStress(t *testing.T) {
 				return
 			}
 			m.Stats()
-			m.Writebacks()
 			m.FlushObserver()
 			runtime.Gosched()
-		}
-	}()
-
-	// A saboteur exercises the sealed-swap error paths on a private page
-	// range no worker touches: wait for pressure to evict the page, then
-	// tamper or replay and fault it back in.
-	rg.Add(1)
-	go func() {
-		defer rg.Done()
-		const base = uint64(1000)
-		owner := OwnerID(99)
-		// A fresh page per iteration: a page that already survived a failed
-		// verified read keeps its stale blob around, which would satisfy
-		// the eviction-wait below while the page is still resident.
-		for i := 0; i < 20; i++ {
-			p := base + uint64(i)
-			if _, err := m.WritePageAs(owner, p, pageData(byte(i))); err != nil {
-				t.Errorf("saboteur write: %v", err)
-				return
-			}
-			// Wait until the thrashing workers evict it (sealed blob
-			// appears), or give up if the workers already drained.
-			var blob *SealedPage
-			for try := 0; try < 1e6; try++ {
-				if blob = m.SwapSnapshot(p); blob != nil {
-					break
-				}
-				runtime.Gosched()
-			}
-			if blob == nil {
-				return // workers finished before eviction; nothing to attack
-			}
-			if i%2 == 0 {
-				if !m.TamperSwapped(p) {
-					continue // faulted back in concurrently? not possible: page is private
-				}
-				if _, _, err := m.ReadPageAs(owner, p); !errors.Is(err, ErrSwapIntegrity) {
-					t.Errorf("tampered read err = %v, want ErrSwapIntegrity", err)
-					return
-				}
-			} else {
-				// Fault it in (rotating the VA version), then put the stale
-				// blob back: replay must be detected.
-				if _, err := m.WritePageAs(owner, p, pageData(byte(i)+1)); err != nil {
-					t.Errorf("saboteur rewrite: %v", err)
-					return
-				}
-				var again *SealedPage
-				for try := 0; try < 1e6; try++ {
-					if again = m.SwapSnapshot(p); again != nil {
-						break
-					}
-					runtime.Gosched()
-				}
-				if again == nil {
-					return
-				}
-				m.ReplaySwapped(p, blob)
-				if _, _, err := m.ReadPageAs(owner, p); !errors.Is(err, ErrSwapReplay) {
-					t.Errorf("replayed read err = %v, want ErrSwapReplay", err)
-					return
-				}
-			}
 		}
 	}()
 

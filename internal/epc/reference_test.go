@@ -10,18 +10,14 @@ import (
 // refManager is the paging half of the manager as it stood before the
 // residency memo — one map lookup of a heap-allocated page state per
 // touch — copied as the oracle: every simulated paging statistic in the
-// repo was produced by its fault/evict sequence.  Content is tracked as
-// presence only (which pages hold bytes, which swapped blobs do), which is
-// all that decides whether an eviction is a write-back.
+// repo was produced by its fault/evict sequence.
 type refManager struct {
 	capacity int
 	resident map[uint64]*refPage
 	clock    []uint64
 	hand     int
-	content  map[uint64]bool
-	swapped  map[uint64]bool
 
-	touches, faults, evictions, writebacks uint64
+	touches, faults, evictions uint64
 
 	obs         Observer
 	sampleShift uint
@@ -34,7 +30,7 @@ type refPage struct {
 
 func newRefManager(pages int, obs Observer, sampleBits uint) *refManager {
 	return &refManager{
-		capacity: pages, resident: make(map[uint64]*refPage), content: make(map[uint64]bool), swapped: make(map[uint64]bool),
+		capacity: pages, resident: make(map[uint64]*refPage),
 		obs: obs, sampleShift: 64 - sampleBits,
 	}
 }
@@ -84,32 +80,10 @@ func (m *refManager) evictOne(culprit OwnerID) {
 		}
 		m.evictions++
 		m.clock = append(m.clock[:m.hand], m.clock[m.hand+1:]...)
-		dirty := m.content[page]
-		if dirty {
-			delete(m.content, page)
-			m.writebacks++
-		}
-		m.swapped[page] = dirty
-		m.obs.ObserveEvict(culprit, st.owner, page, dirty)
+		m.obs.ObserveEvict(culprit, st.owner, page)
 		delete(m.resident, page)
 		return
 	}
-}
-
-// access is WritePageAs (write) or ReadPageAs: a touch, a swap-in of the
-// blob's content on a fault, and for a write new content.
-func (m *refManager) access(owner OwnerID, page uint64, write bool) (cycles float64, hasContent bool) {
-	if fault, evictions := m.touch(owner, page); fault {
-		cycles = FaultCycles(evictions)
-		if m.swapped[page] {
-			delete(m.swapped, page)
-			m.content[page] = true
-		}
-	}
-	if write {
-		m.content[page] = true
-	}
-	return cycles, m.content[page]
 }
 
 // foldObserver folds every callback, with all its arguments and in order,
@@ -128,22 +102,18 @@ func (o *foldObserver) ObserveTouch(owner OwnerID, page, now uint64) {
 	o.fold(1, uint64(owner), page, now)
 }
 func (o *foldObserver) ObserveFault(owner OwnerID, page uint64) { o.fold(2, uint64(owner), page) }
-func (o *foldObserver) ObserveEvict(culprit, victim OwnerID, page uint64, dirty bool) {
-	d := uint64(0)
-	if dirty {
-		d = 1
-	}
-	o.fold(3, uint64(culprit), uint64(victim), page, d)
+func (o *foldObserver) ObserveEvict(culprit, victim OwnerID, page uint64) {
+	o.fold(3, uint64(culprit), uint64(victim), page)
 }
 func (o *foldObserver) Flush(uint64) {}
 
 // TestMemoisedManagerMatchesReference replays seeded traces — touch runs
 // over a hot set the memo keeps answering for and, cyclically and at
-// random, over a page range wider than the EPC, with WritePage / ReadPage
-// swap traffic in between — on the manager and on the map-only reference,
-// at capacities small enough to evict constantly, and requires the same
-// outcome of every operation, the same counters and the same observer
-// callback sequence after each.
+// random, over a page range wider than the EPC, with single TouchAs
+// accesses in between — on the manager and on the map-only reference, at
+// capacities small enough to evict constantly, and requires the same
+// outcome and cycle charge of every operation, the same counters and the
+// same observer callback sequence after each.
 func TestMemoisedManagerMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		pages, steps int
@@ -160,7 +130,6 @@ func TestMemoisedManagerMatchesReference(t *testing.T) {
 				ref := newRefManager(tc.pages, refObs, tc.sampleBits)
 				r := sim.NewRNG(seed)
 				span := tc.pages + tc.pages/4 + 8 // wider than the EPC: the cyclic sweep keeps evicting
-				data := pageData(byte(seed))
 				sweep := 0
 				for i := 0; i < tc.steps; i++ {
 					owner := OwnerID(r.Intn(3))
@@ -174,36 +143,35 @@ func TestMemoisedManagerMatchesReference(t *testing.T) {
 						// entries, four of which two pages contend for.
 						page = uint64(r.Intn(12)) * 24
 					}
-					switch op := r.Intn(100); {
-					case op < 90:
+					if r.Intn(100) < 90 {
 						n := 1 + r.Intn(64)
 						fault, evictions := m.TouchRunAs(owner, page, n)
 						refFault, refEvictions := ref.touchRun(owner, page, n)
 						if fault != refFault || evictions != refEvictions {
 							t.Fatalf("step %d: TouchRunAs(o%d, p%d, %d) = (%v, %d), reference (%v, %d)", i, owner, page, n, fault, evictions, refFault, refEvictions)
 						}
-					case op < 95:
-						cycles, err := m.WritePageAs(owner, page, data)
-						if refCycles, _ := ref.access(owner, page, true); err != nil || cycles != refCycles {
-							t.Fatalf("step %d: WritePageAs(o%d, p%d) = (%v, %v), reference %v", i, owner, page, cycles, err, refCycles)
+					} else {
+						fault, cycles := m.TouchAs(owner, page)
+						refFault, refEvictions := ref.touch(owner, page)
+						refCycles := 0.0
+						if refFault {
+							refCycles = FaultCycles(refEvictions)
 						}
-					default:
-						got, cycles, err := m.ReadPageAs(owner, page)
-						if refCycles, has := ref.access(owner, page, false); err != nil || cycles != refCycles || (got != nil) != has {
-							t.Fatalf("step %d: ReadPageAs(o%d, p%d) = (content %v, %v, %v), reference (content %v, %v)", i, owner, page, got != nil, cycles, err, has, refCycles)
+						if fault != refFault || cycles != refCycles {
+							t.Fatalf("step %d: TouchAs(o%d, p%d) = (%v, %v), reference (%v, %v)", i, owner, page, fault, cycles, refFault, refCycles)
 						}
 					}
 					touches, faults, evictions := m.Stats()
-					if touches != ref.touches || faults != ref.faults || evictions != ref.evictions || m.Writebacks() != ref.writebacks || m.ResidentPages() != len(ref.resident) {
-						t.Fatalf("step %d: (touches, faults, evictions, writebacks, resident) = (%d, %d, %d, %d, %d), reference (%d, %d, %d, %d, %d)", i,
-							touches, faults, evictions, m.Writebacks(), m.ResidentPages(), ref.touches, ref.faults, ref.evictions, ref.writebacks, len(ref.resident))
+					if touches != ref.touches || faults != ref.faults || evictions != ref.evictions || m.ResidentPages() != len(ref.resident) {
+						t.Fatalf("step %d: (touches, faults, evictions, resident) = (%d, %d, %d, %d), reference (%d, %d, %d, %d)", i,
+							touches, faults, evictions, m.ResidentPages(), ref.touches, ref.faults, ref.evictions, len(ref.resident))
 					}
 					if *obs != *refObs {
 						t.Fatalf("step %d: observer sequences diverge (%d callbacks, reference %d)", i, obs.events, refObs.events)
 					}
 				}
-				if ref.evictions < uint64(tc.steps/100) || ref.writebacks == 0 || obs.events == 0 {
-					t.Fatalf("trace too tame: %d evictions, %d write-backs, %d callbacks", ref.evictions, ref.writebacks, obs.events)
+				if ref.evictions < uint64(tc.steps/100) || obs.events == 0 {
+					t.Fatalf("trace too tame: %d evictions, %d callbacks", ref.evictions, obs.events)
 				}
 			})
 		}

@@ -17,8 +17,8 @@ func (o *seqObserver) ObserveTouch(owner OwnerID, page, now uint64) {
 func (o *seqObserver) ObserveFault(owner OwnerID, page uint64) {
 	o.log = append(o.log, fmt.Sprintf("fault o%d p%d", owner, page))
 }
-func (o *seqObserver) ObserveEvict(culprit, victim OwnerID, page uint64, dirty bool) {
-	o.log = append(o.log, fmt.Sprintf("evict o%d<-o%d p%d dirty=%v", culprit, victim, page, dirty))
+func (o *seqObserver) ObserveEvict(culprit, victim OwnerID, page uint64) {
+	o.log = append(o.log, fmt.Sprintf("evict o%d<-o%d p%d", culprit, victim, page))
 }
 func (o *seqObserver) Flush(uint64) {}
 

@@ -30,9 +30,7 @@ func firstEvent(events []monitor.Event, rule string) (monitor.Event, bool) {
 
 func TestOversubscriptionEarlyWarning(t *testing.T) {
 	const capPages = 1024
-	var key [16]byte
-	copy(key[:], "accept-test-key!")
-	mgr := epc.NewManager(capPages*epc.PageSize, key)
+	mgr := epc.NewManager(capPages * epc.PageSize)
 	reg := telemetry.New()
 	mgr.SetTelemetry(reg) // the thrash rule reads eviction deltas from the registry
 	col := epcstat.New(epcstat.Options{WindowTouches: 4096})

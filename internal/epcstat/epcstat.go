@@ -1,9 +1,9 @@
 // Package epcstat is the EPC pressure observatory: it consumes the
 // paging events of an epc.Manager (owner-tagged faults, evictions with
 // culprit→victim attribution, hash-sampled touches) and turns them into
-// per-owner residency/fault/interference accounting, an online
-// working-set-size estimate, and a fault-rate heatmap over address-space
-// buckets — the memory-side analogue of the call-side flight recorder.
+// per-owner residency/fault/interference accounting and an online
+// working-set-size estimate — the memory-side analogue of the call-side
+// flight recorder.
 //
 // The paper's libquantum cliff (Figure 8, Section 3.4) is the motivating
 // failure mode: a working set that grows just past the 93 MB EPC turns
@@ -39,14 +39,8 @@ const SnapshotSchema = "epcstat/v1"
 // sampled with probability 2^-bits by a per-page hash (so the sampled
 // set is stable across sweeps and per-page recency is exact for sampled
 // pages), with bits the smallest for which 4×capacityPages>>bits ≤
-// maxSamples.  The fault heatmap has heatBuckets buckets spanning twice
-// the EPC capacity; pages beyond the span wrap around (bucket =
-// page/pagesPerBucket mod heatBuckets), so a heatmap is a density
-// profile, not an unbounded address map.
-const (
-	maxSamples  = 4096
-	heatBuckets = 64
-)
+// maxSamples.
+const maxSamples = 4096
 
 // Options configures a Collector.  The zero value is usable: every field
 // has a documented default applied at New/Attach time.
@@ -68,10 +62,8 @@ type ownerState struct {
 	faults         uint64
 	evictions      uint64 // this owner's pages evicted (victim side)
 	evictionsCause uint64 // evictions this owner's faults forced (culprit side)
-	writebacks     uint64 // dirty subset of evictions (victim side)
 	sampledTouches uint64
 	samples        map[uint64]uint64 // page → touch-clock time of last sampled touch
-	heat           []uint64          // faults per address bucket
 }
 
 // Collector implements epc.Observer and accumulates the observatory
@@ -82,7 +74,6 @@ type Collector struct {
 	capacityPages int
 	sampleBits    uint
 	window        uint64
-	pagesPerBkt   uint64
 
 	// Live state: guarded by the attached manager's paging lock (all
 	// writes happen inside Observe*/Flush, which the manager calls with
@@ -93,10 +84,8 @@ type Collector struct {
 	lastState    *ownerState
 	owners       map[epc.OwnerID]*ownerState
 	interference map[uint64]uint64 // culprit<<32|victim → evictions
-	heat         []uint64
 	faults       uint64
 	evictions    uint64
-	writebacks   uint64
 	sampled      uint64
 	sampleCount  int
 
@@ -118,7 +107,6 @@ func New(opts Options) *Collector {
 		opts:         opts,
 		owners:       make(map[epc.OwnerID]*ownerState),
 		interference: make(map[uint64]uint64),
-		heat:         make([]uint64, heatBuckets),
 		labels:       make(map[epc.OwnerID]string),
 	}
 }
@@ -132,7 +120,6 @@ func (c *Collector) Attach(m *epc.Manager) {
 	if c.window == 0 {
 		c.window = 4 * uint64(c.capacityPages)
 	}
-	c.pagesPerBkt = max(uint64(2*c.capacityPages)/heatBuckets, 1)
 	// The steady-state sampled population is workingSet>>bits; size for
 	// a working set of 4× capacity so even oversubscribed workloads fit
 	// the sample budget.
@@ -167,18 +154,11 @@ func (c *Collector) ownerLocked(id epc.OwnerID) *ownerState {
 	}
 	os := c.owners[id]
 	if os == nil {
-		os = &ownerState{
-			samples: make(map[uint64]uint64),
-			heat:    make([]uint64, heatBuckets),
-		}
+		os = &ownerState{samples: make(map[uint64]uint64)}
 		c.owners[id] = os
 	}
 	c.lastOwner, c.lastState = id, os
 	return os
-}
-
-func (c *Collector) bucket(page uint64) int {
-	return int((page / c.pagesPerBkt) % uint64(len(c.heat)))
 }
 
 // ObserveTouch records a hash-sampled touch (epc.Observer).  Runs under
@@ -234,24 +214,17 @@ func (c *Collector) ObserveFault(owner epc.OwnerID, page uint64) {
 	os.faults++
 	os.resident++
 	c.faults++
-	b := c.bucket(page)
-	c.heat[b]++
-	os.heat[b]++
 }
 
 // ObserveEvict records an eviction with attribution (epc.Observer;
 // exact).  Runs under the manager's lock and must not allocate in steady
 // state.
-func (c *Collector) ObserveEvict(culprit, victim epc.OwnerID, page uint64, dirty bool) {
+func (c *Collector) ObserveEvict(culprit, victim epc.OwnerID, page uint64) {
 	vs := c.ownerLocked(victim)
 	vs.evictions++
 	vs.resident--
 	c.ownerLocked(culprit).evictionsCause++
 	c.evictions++
-	if dirty {
-		vs.writebacks++
-		c.writebacks++
-	}
 	c.interference[uint64(culprit)<<32|uint64(victim)]++
 }
 
@@ -272,12 +245,9 @@ func (c *Collector) buildSnapshotLocked(now uint64) *Snapshot {
 		CapacityPages:  c.capacityPages,
 		Faults:         c.faults,
 		Evictions:      c.evictions,
-		Writebacks:     c.writebacks,
 		SampledTouches: c.sampled,
 		SampleBits:     c.sampleBits,
 		WindowTouches:  c.window,
-		PagesPerBucket: c.pagesPerBkt,
-		Heat:           append([]uint64(nil), c.heat...),
 	}
 	for id, os := range c.owners {
 		// Prune samples that have aged out of the window: they can no
@@ -301,10 +271,8 @@ func (c *Collector) buildSnapshotLocked(now uint64) *Snapshot {
 			Faults:          os.faults,
 			Evictions:       os.evictions,
 			EvictionsCaused: os.evictionsCause,
-			Writebacks:      os.writebacks,
 			SampledTouches:  os.sampledTouches,
 			WSSPages:        wss,
-			Heat:            append([]uint64(nil), os.heat...),
 		})
 	}
 	sort.Slice(s.Owners, func(i, j int) bool { return s.Owners[i].Owner < s.Owners[j].Owner })
@@ -364,10 +332,8 @@ type OwnerStats struct {
 	Faults          uint64      `json:"faults"`
 	Evictions       uint64      `json:"evictions"` // this owner's pages evicted
 	EvictionsCaused uint64      `json:"evictions_caused"`
-	Writebacks      uint64      `json:"writebacks"`
 	SampledTouches  uint64      `json:"sampled_touches"`
 	WSSPages        uint64      `json:"wss_pages"`
-	Heat            []uint64    `json:"heat,omitempty"`
 }
 
 // Cell is one culprit→victim edge of the interference matrix: how many
@@ -388,18 +354,15 @@ type Snapshot struct {
 	ResidentPages  int64  `json:"resident_pages"`
 	Faults         uint64 `json:"faults"`
 	Evictions      uint64 `json:"evictions"`
-	Writebacks     uint64 `json:"writebacks"`
 	SampledTouches uint64 `json:"sampled_touches"`
 	SampleBits     uint   `json:"sample_bits"`
 	WindowTouches  uint64 `json:"window_touches"`
 	WSSPages       uint64 `json:"wss_pages"` // summed per-owner estimates
-	PagesPerBucket uint64 `json:"pages_per_bucket"`
 	// MEE node-cache counters, stamped when SetMEEStats wired a source:
 	// integrity-tree pressure rises with paging (every ELDU/EWB walks
 	// the tree), so they belong in the same pressure picture.
 	MEENodeAccesses uint64       `json:"mee_node_accesses,omitempty"`
 	MEENodeMisses   uint64       `json:"mee_node_misses,omitempty"`
-	Heat            []uint64     `json:"heat"`
 	Owners          []OwnerStats `json:"owners,omitempty"`
 	Interference    []Cell       `json:"interference,omitempty"`
 }
@@ -418,10 +381,9 @@ type OwnerDelta struct {
 // Delta is the difference between two snapshots of the same collector —
 // the interval view the monitor rules evaluate.
 type Delta struct {
-	Touches    uint64 `json:"touches"`
-	Faults     uint64 `json:"faults"`
-	Evictions  uint64 `json:"evictions"`
-	Writebacks uint64 `json:"writebacks"`
+	Touches   uint64 `json:"touches"`
+	Faults    uint64 `json:"faults"`
+	Evictions uint64 `json:"evictions"`
 	// ThrashScore is the composite pressure score: simulated paging
 	// cycles (faults × FaultCost + evictions × EWBCost) per touch over
 	// the interval.  ~0 when resident; ≈ FaultCost+EWBCost (~9,000)
@@ -441,9 +403,9 @@ func (s *Snapshot) Sub(prev *Snapshot) Delta {
 	var d Delta
 	prevOwner := map[epc.OwnerID]OwnerStats{}
 	prevCell := map[uint64]uint64{}
-	var prevNow, prevFaults, prevEvicts, prevWB uint64
+	var prevNow, prevFaults, prevEvicts uint64
 	if prev != nil {
-		prevNow, prevFaults, prevEvicts, prevWB = prev.Now, prev.Faults, prev.Evictions, prev.Writebacks
+		prevNow, prevFaults, prevEvicts = prev.Now, prev.Faults, prev.Evictions
 		for _, o := range prev.Owners {
 			prevOwner[o.Owner] = o
 		}
@@ -454,7 +416,6 @@ func (s *Snapshot) Sub(prev *Snapshot) Delta {
 	d.Touches = clampSub(s.Now, prevNow)
 	d.Faults = clampSub(s.Faults, prevFaults)
 	d.Evictions = clampSub(s.Evictions, prevEvicts)
-	d.Writebacks = clampSub(s.Writebacks, prevWB)
 	if d.Touches > 0 {
 		d.ThrashScore = (float64(d.Faults)*epc.FaultCost + float64(d.Evictions)*epc.EWBCost) / float64(d.Touches)
 	}

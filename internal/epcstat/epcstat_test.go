@@ -8,9 +8,7 @@ import (
 )
 
 func newFixture(capPages int, opts Options) (*epc.Manager, *Collector) {
-	var key [16]byte
-	copy(key[:], "epcstat-test-key")
-	m := epc.NewManager(capPages*epc.PageSize, key)
+	m := epc.NewManager(capPages * epc.PageSize)
 	c := New(opts)
 	c.Attach(m)
 	return m, c
@@ -274,14 +272,12 @@ func TestObserverZeroAllocResidentPath(t *testing.T) {
 }
 
 // TestObserverZeroAllocFaultDelta checks the fault/evict path: the
-// manager itself allocates when installing and sealing pages, so the
+// manager itself may allocate when installing pages, so the
 // criterion is the observer-on/off *delta* — attaching the observatory
 // must add no allocations once its per-owner state is warm.
 func TestObserverZeroAllocFaultDelta(t *testing.T) {
-	var key [16]byte
-	copy(key[:], "epcstat-test-key")
 	run := func(attach bool) float64 {
-		m := epc.NewManager(epc.PageSize, key) // capacity 1: every touch faults+evicts
+		m := epc.NewManager(epc.PageSize) // capacity 1: every touch faults+evicts
 		if attach {
 			// A one-page EPC samples every touch: the sampled fault path,
 			// the heaviest the observer has.
@@ -290,8 +286,8 @@ func TestObserverZeroAllocFaultDelta(t *testing.T) {
 		}
 		// Two pages to alternate between.
 		const pa, pb = 0, 1
-		// Warm: both pages installed and evicted once, so owner state,
-		// interference key, versions, and swap blobs all exist.
+		// Warm: both pages installed and evicted once, so owner state
+		// and the interference key exist.
 		m.TouchAs(1, pa)
 		m.TouchAs(1, pb)
 		m.TouchAs(1, pa)

@@ -78,12 +78,10 @@ func New(rng *sim.RNG) *System { return NewWithEPC(rng, epc.DefaultCapacityBytes
 // NewWithEPC returns a memory system with a custom EPC capacity, used by
 // the paging experiments.
 func NewWithEPC(rng *sim.RNG, epcBytes int) *System {
-	var sealKey [16]byte
-	copy(sealKey[:], "epc-paging-seal0")
 	return &System{
 		LLC: cache.New[uint32](cache.LLCConfig),
 		MEE: mee.NewCostModel(),
-		EPC: epc.NewManager(epcBytes, sealKey),
+		EPC: epc.NewManager(epcBytes),
 		rng: rng,
 	}
 }

@@ -20,10 +20,6 @@ import (
 // SyscallCost is the user/kernel round trip (FlexSC, cited as [45]).
 const SyscallCost = 150
 
-// HypercallCost is the KVM hypercall baseline the paper quotes for
-// comparison (Dall et al., cited as [15]).
-const HypercallCost = 1300
-
 // Kernel address-space landmarks: socket and page-cache buffers live in
 // plaintext kernel memory.
 const (

@@ -36,9 +36,9 @@ func xvalFixture(t *testing.T) (*sgx.Platform, *sdk.Runtime) {
 	t.Helper()
 	p := sgx.NewPlatform(7)
 	var clk sim.Clock
-	e := p.ECreate(&clk, 64<<20, 4, sgx.Attributes{})
+	e := p.ECreate(&clk, 64<<20, 4)
 	for i := 0; i < 4; i++ {
-		if err := e.EAdd(&clk, uint64(i)*sgx.PageSize, make([]byte, sgx.PageSize)); err != nil {
+		if err := e.EAdd(&clk, uint64(i)*sgx.PageSize); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -43,9 +43,9 @@ func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	p := sgx.NewPlatform(42)
 	var clk sim.Clock
-	e := p.ECreate(&clk, 64<<20, 4, sgx.Attributes{})
+	e := p.ECreate(&clk, 64<<20, 4)
 	for i := 0; i < 4; i++ {
-		if err := e.EAdd(&clk, uint64(i)*sgx.PageSize, make([]byte, sgx.PageSize)); err != nil {
+		if err := e.EAdd(&clk, uint64(i)*sgx.PageSize); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -522,7 +522,7 @@ func TestCondSignalWakes(t *testing.T) {
 func TestCountAttributeTransfersCountTimesSizeof(t *testing.T) {
 	p := sgx.NewPlatform(50)
 	var clk sim.Clock
-	e := p.ECreate(&clk, 16<<20, 1, sgx.Attributes{})
+	e := p.ECreate(&clk, 16<<20, 1)
 	e.EInit(&clk)
 	rt := New(p, e, edl.MustParse(`enclave {
 		trusted { public int ecall_vec([in, count=n] uint32_t* v, size_t n); };

@@ -1,7 +1,7 @@
 // Package sgx is the simulated Software Guard Extensions hardware: the
-// enclave lifecycle instructions (ECREATE, EADD, EEXTEND, EINIT), the
-// control-transfer instructions (EENTER, EEXIT, ERESUME, AEX), enclave
-// measurement, and the management structures (SECS, TCS, SSA).
+// enclave lifecycle instructions (ECREATE, EADD, EEXTEND, EINIT) and their
+// cycle charges, the control-transfer instructions (EENTER, EEXIT,
+// ERESUME, AEX), and the management structures (SECS, TCS, SSA).
 //
 // Control-transfer latencies follow the decomposition in DESIGN.md: each
 // instruction has a fixed microcode cost plus demand touches of its
@@ -11,10 +11,7 @@
 package sgx
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"hotcalls/internal/mem"
 	"hotcalls/internal/sim"
@@ -60,25 +57,10 @@ var (
 // EnclaveID identifies an enclave on its platform.
 type EnclaveID uint64
 
-// Measurement is the SHA-256 MRENCLAVE value accumulated over the
-// ECREATE/EADD/EEXTEND sequence and finalized by EINIT.
-type Measurement [32]byte
-
-func (m Measurement) String() string { return fmt.Sprintf("%x", m[:8]) }
-
-// Attributes mirror the SECS attribute flags relevant to this model.
-type Attributes struct {
-	Debug  bool
-	ProdID uint16
-	SVN    uint16 // security version number of the enclave code
-}
-
 // SECS is the SGX Enclave Control Structure.
 type SECS struct {
 	Base        uint64
 	Size        uint64
-	Attributes  Attributes
-	Measurement Measurement
 	Initialized bool
 }
 
@@ -94,16 +76,11 @@ type TCS struct {
 // Entered reports whether a thread currently executes through this TCS.
 func (t *TCS) Entered() bool { return t.entered }
 
-// Platform is the simulated SGX-capable processor package: fused master
-// secrets, the memory hierarchy, and the enclaves created on it.
+// Platform is the simulated SGX-capable processor package: the memory
+// hierarchy and the enclaves created on it.
 type Platform struct {
 	Mem *mem.System
 	RNG *sim.RNG
-
-	// Fused master secrets, set "at manufacturing time".  The seal
-	// secret never leaves the part; the attestation secret's public
-	// half is recorded by the (simulated) Intel provisioning service.
-	sealSecret [32]byte
 
 	enclaves map[EnclaveID]*Enclave
 	nextID   EnclaveID
@@ -135,40 +112,28 @@ func (p *Platform) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // NewPlatform returns a platform with the testbed memory hierarchy and
-// deterministic fused keys derived from the seed.
+// its random stream seeded from seed.
 func NewPlatform(seed uint64) *Platform {
 	rng := sim.NewRNG(seed)
-	p := &Platform{
+	return &Platform{
 		Mem:      mem.New(rng),
 		RNG:      rng,
 		enclaves: make(map[EnclaveID]*Enclave),
 		nextID:   1,
 		nextBase: mem.EnclaveBase,
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], seed)
-	p.sealSecret = sha256.Sum256(append([]byte("fused-seal-secret"), b[:]...))
-	return p
 }
-
-// SealSecret exposes the fused seal master secret to the on-die consumers
-// (key derivation for EREPORT and sealing).  Nothing off-die ever sees it.
-func (p *Platform) SealSecret() [32]byte { return p.sealSecret }
 
 // Enclave returns the enclave with the given ID, or nil.
 func (p *Platform) Enclave(id EnclaveID) *Enclave { return p.enclaves[id] }
 
-// Enclave is one secure enclave: its SECS, TCS pool, measurement log, and
-// a bump-with-free-list heap allocator for its encrypted memory.
+// Enclave is one secure enclave: its SECS, TCS pool, and a
+// bump-with-free-list heap allocator for its encrypted memory.
 type Enclave struct {
 	platform *Platform
 	id       EnclaveID
 	secs     SECS
 	tcs      []*TCS
-	hash     interface {
-		Write([]byte) (int, error)
-		Sum([]byte) []byte
-	}
 
 	codeBase uint64
 	heapBase uint64
@@ -180,7 +145,7 @@ type Enclave struct {
 // ECreate creates an enclave of the given virtual size with the given
 // number of thread control structures.  This models the ECREATE leaf plus
 // the driver's address-space reservation.
-func (p *Platform) ECreate(clk *sim.Clock, size uint64, numTCS int, attr Attributes) *Enclave {
+func (p *Platform) ECreate(clk *sim.Clock, size uint64, numTCS int) *Enclave {
 	if numTCS <= 0 {
 		panic("sgx: enclave needs at least one TCS")
 	}
@@ -188,20 +153,13 @@ func (p *Platform) ECreate(clk *sim.Clock, size uint64, numTCS int, attr Attribu
 	e := &Enclave{
 		platform: p,
 		id:       p.nextID,
-		secs:     SECS{Base: p.nextBase, Size: size, Attributes: attr},
-		hash:     sha256.New(),
+		secs:     SECS{Base: p.nextBase, Size: size},
 		freeList: make(map[uint64][]uint64),
 	}
 	p.nextID++
 	// Stride enclaves apart so their pages never alias.
 	stride := size + (1 << 30)
 	p.nextBase += (stride + PageSize - 1) / PageSize * PageSize
-
-	var hdr [24]byte
-	copy(hdr[:8], "ECREATE\x00")
-	binary.LittleEndian.PutUint64(hdr[8:], size)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(numTCS))
-	e.hash.Write(hdr[:])
 
 	// Lay out TCS pages at the base, then SSA pages, then code/heap.
 	for i := 0; i < numTCS; i++ {
@@ -227,9 +185,6 @@ func (e *Enclave) Base() uint64 { return e.secs.Base }
 // Size returns the enclave's virtual size in bytes.
 func (e *Enclave) Size() uint64 { return e.secs.Size }
 
-// Attributes returns the enclave's SECS attributes.
-func (e *Enclave) Attributes() Attributes { return e.secs.Attributes }
-
 // Initialized reports whether EINIT has run.
 func (e *Enclave) Initialized() bool { return e.secs.Initialized }
 
@@ -248,59 +203,30 @@ func (e *Enclave) OutsideRange(addr, size uint64) bool {
 	return addr+size <= e.secs.Base || addr >= e.secs.Base+e.secs.Size
 }
 
-// EAdd copies one page of content into the enclave and extends the
-// measurement, modelling EADD followed by the EEXTEND sequence over the
-// page (16 chunks of 256 bytes).
-func (e *Enclave) EAdd(clk *sim.Clock, offset uint64, content []byte) error {
+// EAdd adds the enclave page at offset, charging EADD and the EEXTEND
+// sequence over the page (16 chunks of 256 bytes).  The model keeps no
+// page content and no measurement: only the cycles and the EPC residency.
+func (e *Enclave) EAdd(clk *sim.Clock, offset uint64) error {
 	if e.secs.Initialized {
 		return ErrAlreadyInitialized
-	}
-	if len(content) > PageSize {
-		panic("sgx: EADD content exceeds a page")
 	}
 	if offset%PageSize != 0 || offset+PageSize > e.secs.Size {
 		panic("sgx: EADD offset out of range or unaligned")
 	}
-	var hdr [16]byte
-	copy(hdr[:8], "EADD\x00\x00\x00\x00")
-	binary.LittleEndian.PutUint64(hdr[8:], offset)
-	e.hash.Write(hdr[:])
-
-	page := make([]byte, PageSize)
-	copy(page, content)
-	for chunk := 0; chunk < PageSize/256; chunk++ {
-		var ext [16]byte
-		copy(ext[:8], "EEXTEND\x00")
-		binary.LittleEndian.PutUint64(ext[8:], offset+uint64(chunk)*256)
-		e.hash.Write(ext[:])
-		e.hash.Write(page[chunk*256 : (chunk+1)*256])
-		clk.Advance(eextendCost)
-	}
-	clk.Advance(eaddCostPage)
+	clk.Advance(PageSize/256*eextendCost + eaddCostPage)
 	// Fault the page resident so the enclave starts warm in the EPC.
 	e.platform.Mem.EPC.Touch((e.secs.Base + offset - mem.EnclaveBase) / PageSize)
 	return nil
 }
 
-// EInit finalizes the measurement and marks the enclave executable.
+// EInit marks the enclave executable, charging EINIT.
 func (e *Enclave) EInit(clk *sim.Clock) error {
 	if e.secs.Initialized {
 		return ErrAlreadyInitialized
 	}
-	var m Measurement
-	copy(m[:], e.hash.Sum(nil))
-	e.secs.Measurement = m
 	e.secs.Initialized = true
 	clk.Advance(einitCost)
 	return nil
-}
-
-// MRENCLAVE returns the finalized measurement.  It panics before EINIT.
-func (e *Enclave) MRENCLAVE() Measurement {
-	if !e.secs.Initialized {
-		panic("sgx: measurement read before EINIT")
-	}
-	return e.secs.Measurement
 }
 
 // Alloc allocates size bytes of encrypted enclave heap, 64-byte aligned.

@@ -12,11 +12,9 @@ import (
 func buildEnclave(t *testing.T, p *Platform, pages int) *Enclave {
 	t.Helper()
 	var clk sim.Clock
-	e := p.ECreate(&clk, 1<<20, 2, Attributes{ProdID: 7, SVN: 1})
+	e := p.ECreate(&clk, 1<<20, 2)
 	for i := 0; i < pages; i++ {
-		content := make([]byte, PageSize)
-		content[0] = byte(i)
-		if err := e.EAdd(&clk, uint64(i)*PageSize, content); err != nil {
+		if err := e.EAdd(&clk, uint64(i)*PageSize); err != nil {
 			t.Fatalf("EAdd: %v", err)
 		}
 	}
@@ -40,48 +38,11 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
-func TestMeasurementDeterministic(t *testing.T) {
-	a := buildEnclave(t, NewPlatform(1), 4)
-	b := buildEnclave(t, NewPlatform(2), 4)
-	if a.MRENCLAVE() != b.MRENCLAVE() {
-		t.Fatal("identical build sequences must yield identical measurements")
-	}
-}
-
-func TestMeasurementSensitiveToContent(t *testing.T) {
-	p1, p2 := NewPlatform(1), NewPlatform(1)
-	var clk sim.Clock
-	mk := func(p *Platform, firstByte byte) Measurement {
-		e := p.ECreate(&clk, 1<<20, 1, Attributes{})
-		content := make([]byte, PageSize)
-		content[0] = firstByte
-		e.EAdd(&clk, 0, content)
-		e.EInit(&clk)
-		return e.MRENCLAVE()
-	}
-	if mk(p1, 0) == mk(p2, 1) {
-		t.Fatal("one-byte content change must change the measurement")
-	}
-}
-
-func TestMeasurementSensitiveToOffset(t *testing.T) {
-	var clk sim.Clock
-	mk := func(offset uint64) Measurement {
-		e := NewPlatform(1).ECreate(&clk, 1<<20, 1, Attributes{})
-		e.EAdd(&clk, offset, make([]byte, PageSize))
-		e.EInit(&clk)
-		return e.MRENCLAVE()
-	}
-	if mk(0) == mk(PageSize) {
-		t.Fatal("page placement must affect the measurement")
-	}
-}
-
 func TestEAddAfterInitRejected(t *testing.T) {
 	p := NewPlatform(1)
 	e := buildEnclave(t, p, 1)
 	var clk sim.Clock
-	if err := e.EAdd(&clk, 8*PageSize, nil); !errors.Is(err, ErrAlreadyInitialized) {
+	if err := e.EAdd(&clk, 8*PageSize); !errors.Is(err, ErrAlreadyInitialized) {
 		t.Fatalf("err = %v, want ErrAlreadyInitialized", err)
 	}
 	if err := e.EInit(&clk); !errors.Is(err, ErrAlreadyInitialized) {
@@ -89,22 +50,10 @@ func TestEAddAfterInitRejected(t *testing.T) {
 	}
 }
 
-func TestMeasurementBeforeInitPanics(t *testing.T) {
-	p := NewPlatform(1)
-	var clk sim.Clock
-	e := p.ECreate(&clk, 1<<20, 1, Attributes{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	e.MRENCLAVE()
-}
-
 func TestEEnterRequiresInit(t *testing.T) {
 	p := NewPlatform(1)
 	var clk sim.Clock
-	e := p.ECreate(&clk, 1<<20, 1, Attributes{})
+	e := p.ECreate(&clk, 1<<20, 1)
 	tcs, _ := e.AcquireTCS()
 	if err := e.EEnter(&clk, tcs); !errors.Is(err, ErrNotInitialized) {
 		t.Fatalf("err = %v, want ErrNotInitialized", err)
@@ -274,7 +223,7 @@ func TestAllocFreeReuse(t *testing.T) {
 func TestAllocExhaustion(t *testing.T) {
 	p := NewPlatform(1)
 	var clk sim.Clock
-	e := p.ECreate(&clk, 16*PageSize, 1, Attributes{})
+	e := p.ECreate(&clk, 16*PageSize, 1)
 	e.EInit(&clk)
 	for {
 		if _, err := e.Alloc(&clk, 1<<20); err != nil {
@@ -316,8 +265,8 @@ func TestAllocationsDisjoint(t *testing.T) {
 func TestEnclavesDoNotOverlap(t *testing.T) {
 	p := NewPlatform(1)
 	var clk sim.Clock
-	a := p.ECreate(&clk, 1<<20, 1, Attributes{})
-	b := p.ECreate(&clk, 1<<20, 1, Attributes{})
+	a := p.ECreate(&clk, 1<<20, 1)
+	b := p.ECreate(&clk, 1<<20, 1)
 	if !a.OutsideRange(b.Base(), b.Size()) {
 		t.Fatal("enclaves overlap")
 	}

@@ -23,11 +23,10 @@ const (
 	MetricAEX    = "sgx_aex_total"
 
 	// Paging and MEE counters.
-	MetricEPCFaults     = "epc_faults_total"     // ELDU: trap + decrypt + verify + install
-	MetricEPCEvictions  = "epc_evictions_total"  // EWB: encrypt + MAC + write-out
-	MetricEPCWritebacks = "epc_writebacks_total" // dirty EWBs only: evictions that sealed content
-	MetricMEENodeHits   = "mee_node_cache_hits_total"
-	MetricMEENodeMiss   = "mee_node_cache_misses_total"
+	MetricEPCFaults    = "epc_faults_total"    // ELDU: trap + decrypt + verify + install
+	MetricEPCEvictions = "epc_evictions_total" // EWB: encrypt + MAC + write-out
+	MetricMEENodeHits  = "mee_node_cache_hits_total"
+	MetricMEENodeMiss  = "mee_node_cache_misses_total"
 
 	// Responder busy-wait economics (Section 4.2, "Maximizing
 	// utilization"): every poll burns cycles on the dedicated core;
@@ -57,7 +56,7 @@ var standardCounters = []string{
 	MetricEcalls, MetricOcalls, MetricHotECalls, MetricHotOCalls,
 	MetricHotCallRequests, MetricHotCallTimeouts, MetricHotCallFallbacks, MetricHotCallInline, MetricHotCallRejected,
 	MetricEEnter, MetricEExit, MetricResume, MetricAEX,
-	MetricEPCFaults, MetricEPCEvictions, MetricEPCWritebacks,
+	MetricEPCFaults, MetricEPCEvictions,
 	MetricMEENodeHits, MetricMEENodeMiss,
 	MetricResponderPolls, MetricResponderExecutes, MetricResponderKicks,
 	MetricSpinCycles,

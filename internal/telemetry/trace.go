@@ -26,46 +26,6 @@ const (
 	KindMemAccess             // memory operation (MEE extra cycles in Arg)
 )
 
-// String returns the kind's label, the name leaf-instruction events
-// carry.
-func (k Kind) String() string {
-	switch k {
-	case KindEcall:
-		return "ecall"
-	case KindOcall:
-		return "ocall"
-	case KindHotECall:
-		return "hot-ecall"
-	case KindHotOCall:
-		return "hot-ocall"
-	case KindFallback:
-		return "fallback"
-	case KindEEnter:
-		return "eenter"
-	case KindEExit:
-		return "eexit"
-	case KindEResume:
-		return "eresume"
-	case KindAEX:
-		return "aex"
-	case KindEPCFault:
-		return "epc-fault"
-	case KindEWB:
-		return "ewb"
-	case KindMEEMiss:
-		return "mee-miss"
-	case KindMarshal:
-		return "marshal"
-	case KindSpin:
-		return "spin"
-	case KindHandler:
-		return "handler"
-	case KindMemAccess:
-		return "mem"
-	}
-	return "event"
-}
-
 // Event is one recorded boundary crossing.  TS and Dur are simulated
 // cycles; Dur is zero for instantaneous events.  Arg carries a
 // kind-specific detail (evictions forced by a fault, nodes missed in a
