@@ -34,8 +34,8 @@ build-cross:
 # ceiling: the ratio the north star names only ratchets down.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
 OBSERVABILITY = telemetry dist flight incident monitor profile epcstat
-APPS_CEILING = 3107
-OBSERVABILITY_CEILING = 4350
+APPS_CEILING = 3102
+OBSERVABILITY_CEILING = 4348
 TOTAL_CEILING = 15814
 loc:
 	@apps=$$($(call LOC,./internal/apps)); obs=$$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY)))); total=$$($(call LOC,.)); \
@@ -92,12 +92,14 @@ test-poison:
 # second — build it with `go test -c` in a parent clone and alternate the
 # two binaries to pair a claim without touching benchmarks/; and the
 # model operations under every memory access, by outcome: one cache access,
-# one 64-line streaming run, one EPC page-run.
+# one 64-line streaming run, one EPC page-run, and one 2 KB enclave read
+# that misses the LLC (memcached's value read: an MEE tree walk per line).
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimRequest' -benchtime 20000x -benchmem -count 3 ./internal/apps/porting/
 	$(GO) test -run '^$$' -bench 'BenchmarkSimSweep' -benchtime 10x -count 3 ./internal/apps/porting/
 	$(GO) test -run '^$$' -bench 'BenchmarkAccess|BenchmarkSweep' -benchtime 2000000x -count 3 ./internal/cache/
 	$(GO) test -run '^$$' -bench 'BenchmarkTouchRunAs' -benchtime 2000000x -count 3 ./internal/epc/
+	$(GO) test -run '^$$' -bench 'BenchmarkEnclaveStreamMiss' -benchtime 200000x -count 3 ./internal/mem/
 
 # bench-selftest runs the repo benchmark's own tests (its module is
 # outside the root module, so `go test ./...` does not reach them).

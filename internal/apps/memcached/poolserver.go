@@ -195,10 +195,7 @@ func (pr PendingResponse) Wait() (*Response, error) {
 		return nil, ErrShortPacket
 	}
 	b := &pr.c.bufs[pr.slot]
-	if err := decodeResponse(&b.out, b.resp[:ret[0]]); err != nil {
-		return nil, err
-	}
-	return &b.out, nil
+	return decodeResponse(&b.out, b.resp[:ret[0]])
 }
 
 // Do is the synchronous path: one request through the fabric, blocking

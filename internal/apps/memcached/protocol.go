@@ -138,25 +138,20 @@ func EncodeResponse(buf []byte, r *Response) (int, error) {
 }
 
 // DecodeResponse parses a binary-protocol response.
-func DecodeResponse(pkt []byte) (*Response, error) {
-	r := new(Response)
-	if err := decodeResponse(r, pkt); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
+func DecodeResponse(pkt []byte) (*Response, error) { return decodeResponse(new(Response), pkt) }
 
-// decodeResponse parses a response into r; r.Value aliases pkt.
-func decodeResponse(r *Response, pkt []byte) error {
+// decodeResponse parses a response into r and returns it; r.Value aliases
+// pkt.
+func decodeResponse(r *Response, pkt []byte) (*Response, error) {
 	if len(pkt) < HeaderSize {
-		return ErrShortPacket
+		return nil, ErrShortPacket
 	}
 	if pkt[0] != MagicResponse {
-		return ErrBadMagic
+		return nil, ErrBadMagic
 	}
 	body := int(binary.BigEndian.Uint32(pkt[8:]))
 	if len(pkt) < HeaderSize+body {
-		return ErrShortPacket
+		return nil, ErrShortPacket
 	}
 	*r = Response{
 		Op:     pkt[1],
@@ -164,5 +159,5 @@ func decodeResponse(r *Response, pkt []byte) error {
 		Value:  pkt[HeaderSize : HeaderSize+body],
 		Opaque: binary.BigEndian.Uint32(pkt[12:]),
 	}
-	return nil
+	return r, nil
 }

@@ -147,12 +147,13 @@ func (s *Server) ServeOne(clk *sim.Clock) {
 // Workload is the memtier-like generator: 1:1 SET:GET over the keyspace
 // with fixed-size values, deterministic under its seed.
 type Workload struct {
-	s   *Server
-	rng *sim.RNG
-	pkt []byte
-	val []byte
-	key []byte // "memtier-" + 8 digits, rewritten per request
-	seq uint32
+	s    *Server
+	rng  *sim.RNG
+	pkt  []byte
+	val  []byte
+	key  []byte // "memtier-" + 8 digits, rewritten per request
+	seq  uint32
+	resp Response // the last drained response
 }
 
 // NewWorkload returns a generator bound to the server.
@@ -190,13 +191,15 @@ func (w *Workload) InjectNext() {
 	}
 }
 
-// DrainResponse consumes and validates one server response.
+// DrainResponse consumes and validates one server response.  The
+// Response is the workload's own and aliases the received packet: it is
+// valid until the next call.
 func (w *Workload) DrainResponse() (*Response, error) {
 	pkt, ok := w.s.App.Kernel.TakeRX(w.s.ClientFD)
 	if !ok {
 		return nil, fmt.Errorf("memcached: no response queued")
 	}
-	return DecodeResponse(pkt)
+	return decodeResponse(&w.resp, pkt)
 }
 
 // Step serves one request end to end: inject the next request, serve it

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"hotcalls/internal/apps/lighttpd"
@@ -11,6 +12,7 @@ import (
 	"hotcalls/internal/apps/openvpn"
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
+	"hotcalls/internal/epc"
 	"hotcalls/internal/flight"
 	"hotcalls/internal/incident"
 	"hotcalls/internal/telemetry"
@@ -225,5 +227,78 @@ func TestFabricArmOnce(t *testing.T) {
 			defer f.Stop()
 			mustPanic(t, "Arm after Start", func() { f.Arm(porting.Observers{}) })
 		})
+	}
+}
+
+// TestFabricSharedEPCUnderLoad touches an armed fabric's EPC model from
+// four connections' handlers while another goroutine takes observatory
+// snapshots in a loop: the one manager every responder shares, and the
+// collector's flush, behind its paging lock.  The EPC holds every page
+// touched, so nothing is evicted, the touch count is the touches made and
+// the fault count the distinct pages.  `make test-race` runs it.
+func TestFabricSharedEPCUnderLoad(t *testing.T) {
+	const (
+		conns    = 4
+		calls    = 2000
+		pages    = 2  // per call
+		window   = 32 // distinct bases per connection
+		capacity = 256 * epc.PageSize
+	)
+	var f porting.Fabric
+	f = porting.NewFabric(porting.FabricSpec{Callsites: []string{"touch"}}, conns,
+		[]core.PoolFunc{func(requester int, base uint64) uint64 {
+			f.TouchEPC(requester, base, pages)
+			return base
+		}}, kitPoolOpts())
+	f.Arm(porting.Observers{EPCBytes: capacity})
+	f.Start()
+	defer f.Stop()
+
+	stop := make(chan struct{})
+	snapshots := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				snapshots <- n
+				return
+			default:
+			}
+			f.EPC().Snapshot()
+			n++
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		r := f.Pool().Requester()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); i < calls; i++ {
+				// Connection c's pages: a window of bases, each the
+				// first of pages consecutive ones, clear of the others'.
+				base := uint64(c)*(window+pages) + i%window
+				if _, err := r.Call(0, base); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-snapshots; n == 0 {
+		t.Error("no snapshot was taken while the connections touched")
+	}
+
+	touches, faults, evictions := f.EPCManager().Stats()
+	distinct := uint64(conns * (window + pages - 1))
+	if touches != conns*calls*pages || faults != distinct || evictions != 0 {
+		t.Fatalf("touches %d, faults %d, evictions %d; want %d, %d, 0",
+			touches, faults, evictions, conns*calls*pages, distinct)
+	}
+	if s := f.EPC().Snapshot(); s.Faults != faults || uint64(s.ResidentPages) != distinct {
+		t.Fatalf("observatory saw %d faults and %d resident pages, want %d of each", s.Faults, s.ResidentPages, distinct)
 	}
 }

@@ -46,18 +46,17 @@ const (
 )
 
 // OwnerID identifies the enclave/tenant a page belongs to.  Owner 0 is
-// the anonymous single-enclave default used by the legacy Touch path.
+// the anonymous single-enclave default.
 type OwnerID uint32
 
 // Observer receives the manager's paging events.  Fault and evict events
 // are delivered exactly (attribution must sum); touches are sampled by a
 // per-page multiplicative hash so the unsampled hot path stays one
-// multiply + shift + compare.  All callbacks run under the manager's
-// lock: they must be fast, must not allocate in steady state, and must
-// not call back into the Manager.  Flush is invoked by FlushObserver,
-// also under the lock, to publish accumulated state to concurrent
-// readers; now is the manager's cumulative touch count (the observer's
-// clock).
+// multiply + shift + compare.  Callbacks run serialised with the paging
+// (see Manager): they must be fast, must not allocate in steady state, and
+// must not call back into the Manager.  Flush is invoked by FlushObserver,
+// under the lock, to publish accumulated state to concurrent readers; now
+// is the manager's cumulative touch count (the observer's clock).
 type Observer interface {
 	// ObserveTouch reports a hash-sampled touch of a page (resident or
 	// faulting) at touch-clock time now.
@@ -90,8 +89,10 @@ type pageState struct {
 
 // Manager tracks EPC residency for a set of enclave pages and charges
 // paging costs.  Page numbers are virtual page indices (address/PageSize).
-// All methods are safe for concurrent use: one mutex serialises the
-// paging state, matching the real SGX driver's single paging lock.
+// One mutex serialises the paging state, matching the real SGX driver's
+// single paging lock; every method takes it but TouchRunAs, which is for
+// a manager one goroutine owns (a mem.System's).  A shared manager (the
+// fabric's) is touched through TouchAs.
 type Manager struct {
 	mu       sync.Mutex
 	capacity int // pages
@@ -191,12 +192,6 @@ func (m *Manager) FlushObserver() {
 	m.mu.Unlock()
 }
 
-// Touch records an access by the anonymous owner 0 — the single-enclave
-// legacy path.  See TouchAs.
-func (m *Manager) Touch(page uint64) (fault bool, cycles float64) {
-	return m.TouchAs(0, page)
-}
-
 // FaultCycles is the paging cost of one fault that forced the given number
 // of evictions: trap + ELDU, plus one EWB each.
 func FaultCycles(evictions int) float64 {
@@ -209,7 +204,9 @@ func FaultCycles(evictions int) float64 {
 // A faulting page is stamped with the toucher's owner ID; a resident
 // page keeps its installer's.
 func (m *Manager) TouchAs(owner OwnerID, page uint64) (fault bool, cycles float64) {
+	m.mu.Lock()
 	fault, evictions := m.TouchRunAs(owner, page, 1)
+	m.mu.Unlock()
 	if !fault {
 		return false, 0
 	}
@@ -219,25 +216,23 @@ func (m *Manager) TouchAs(owner OwnerID, page uint64) (fault bool, cycles float6
 // TouchRunAs records n >= 1 back-to-back accesses to one page by the given
 // owner — the lines a streaming sweep touches inside the page — and
 // reports whether the first of them faulted and how many evictions that
-// fault forced.  It is n TouchAs calls under one lock and at most one
-// residency lookup: only the first access can fault, and it leaves the
-// page resident and referenced, so the rest just advance the touch clock
-// and feed the sampled observer, in the same order — as does the whole run
-// when the memo says the page is already in that state.
+// fault forced.  It is n TouchAs calls with at most one residency lookup:
+// only the first access can fault, and it leaves the page resident and
+// referenced, so the rest just advance the touch clock and feed the
+// sampled observer, in the same order — as does the whole run when the
+// memo says the page is already in that state.  It takes no lock.
 func (m *Manager) TouchRunAs(owner OwnerID, page uint64, n int) (fault bool, evictions int) {
 	if n < 1 {
 		panic("epc: empty touch run")
 	}
-	m.mu.Lock()
 	memo := &m.memo[page%memoSize]
 	if *memo == page+1 {
 		m.countTouches(owner, page, uint64(n))
 	} else {
-		fault, evictions = m.touchLocked(owner, page)
+		fault, evictions = m.touchOne(owner, page)
 		m.countTouches(owner, page, uint64(n-1))
 		*memo = page + 1
 	}
-	m.mu.Unlock()
 	return fault, evictions
 }
 
@@ -254,8 +249,8 @@ func (m *Manager) countTouches(owner OwnerID, page uint64, n uint64) {
 	}
 }
 
-// touchLocked is one touch: it leaves the page resident and referenced.
-func (m *Manager) touchLocked(owner OwnerID, page uint64) (fault bool, evictions int) {
+// touchOne is one touch: it leaves the page resident and referenced.
+func (m *Manager) touchOne(owner OwnerID, page uint64) (fault bool, evictions int) {
 	m.countTouches(owner, page, 1)
 	if st, ok := m.resident[page]; ok {
 		if !st.referenced {

@@ -150,9 +150,9 @@ func TestFlushObserverRunsUnderLock(t *testing.T) {
 }
 
 // TestConcurrentTouchStress hammers one manager from many goroutines —
-// mixed owners, single touches and touch runs — and checks the invariants
-// hold afterwards.  Run under -race this is the paging lock's
-// correctness test.
+// mixed owners, through TouchAs, the shared path (TouchRunAs is the single
+// owner's and takes no lock) — and checks the invariants hold afterwards.
+// Run under -race this is the paging lock's correctness test.
 func TestConcurrentTouchStress(t *testing.T) {
 	const (
 		capPages  = 64
@@ -173,11 +173,7 @@ func TestConcurrentTouchStress(t *testing.T) {
 			p := uint64(w * 31)
 			for i := 0; i < perWorker; i++ {
 				p = (p*2862933555777941757 + 3037000493) % pageSpan
-				if i%8 == 7 {
-					m.TouchRunAs(owner, p, 1+i%64)
-				} else {
-					m.TouchAs(owner, p)
-				}
+				m.TouchAs(owner, p)
 			}
 		}(w)
 	}

@@ -14,8 +14,8 @@
 //
 // Concurrency follows the flight-recorder publish pattern: the live
 // accounting state is mutated only inside the Observe* callbacks, which
-// the manager invokes under its own paging lock, so the hot path needs no
-// additional synchronisation.  Flush — also called under the manager's
+// the manager serialises with its paging (its lock, or its one owning
+// goroutine), so the hot path needs no additional synchronisation.  Flush — also called under the manager's
 // lock — builds an immutable Snapshot and publishes it under the
 // collector's mutex; Snapshot() readers take only the collector's mutex.
 // Lock order is always manager → collector, never the reverse.
@@ -55,8 +55,8 @@ type Options struct {
 	WindowTouches uint64
 }
 
-// ownerState is the live per-owner accounting, mutated only under the
-// manager's paging lock.
+// ownerState is the live per-owner accounting, mutated only inside the
+// manager's serialised callbacks.
 type ownerState struct {
 	resident       int64
 	faults         uint64
@@ -75,9 +75,8 @@ type Collector struct {
 	sampleBits    uint
 	window        uint64
 
-	// Live state: guarded by the attached manager's paging lock (all
-	// writes happen inside Observe*/Flush, which the manager calls with
-	// its lock held).  lastOwner/lastState memoise the last owner lookup:
+	// Live state: guarded by the attached manager's paging (all writes
+	// happen inside Observe*/Flush, which the manager serialises).  lastOwner/lastState memoise the last owner lookup:
 	// paging traffic is bursty per owner, so the common callback skips
 	// the owners map entirely.
 	lastOwner    epc.OwnerID
@@ -161,8 +160,8 @@ func (c *Collector) ownerLocked(id epc.OwnerID) *ownerState {
 	return os
 }
 
-// ObserveTouch records a hash-sampled touch (epc.Observer).  Runs under
-// the manager's lock.
+// ObserveTouch records a hash-sampled touch (epc.Observer), serialised by
+// the manager.
 func (c *Collector) ObserveTouch(owner epc.OwnerID, page uint64, now uint64) {
 	os := c.ownerLocked(owner)
 	os.sampledTouches++
@@ -207,8 +206,8 @@ func (c *Collector) evictSampleLocked(now uint64) {
 	c.sampleCount -= pruned
 }
 
-// ObserveFault records a fault (epc.Observer; exact, every fault).  Runs
-// under the manager's lock and must not allocate in steady state.
+// ObserveFault records a fault (epc.Observer; exact, every fault),
+// serialised by the manager.  Must not allocate in steady state.
 func (c *Collector) ObserveFault(owner epc.OwnerID, page uint64) {
 	os := c.ownerLocked(owner)
 	os.faults++
@@ -217,8 +216,7 @@ func (c *Collector) ObserveFault(owner epc.OwnerID, page uint64) {
 }
 
 // ObserveEvict records an eviction with attribution (epc.Observer;
-// exact).  Runs under the manager's lock and must not allocate in steady
-// state.
+// exact), serialised by the manager.  Must not allocate in steady state.
 func (c *Collector) ObserveEvict(culprit, victim epc.OwnerID, page uint64) {
 	vs := c.ownerLocked(victim)
 	vs.evictions++

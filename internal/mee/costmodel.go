@@ -30,6 +30,10 @@ import (
 type CostModel struct {
 	nodeCache *cache.Cache[uint64]
 
+	// repeat is 1 + the last walk's group when it may be repeated, else 0;
+	// repeats counts the walks it answered (see touchMetadata).
+	repeat, repeats uint64
+
 	// Telemetry handles (nil when observability is off; nil handles are
 	// no-ops).  The tree walk runs for every encrypted line, so these are
 	// cached counters, never registry lookups.
@@ -100,8 +104,12 @@ func ctrNodeAddr(level int, line uint64) uint64 {
 
 // walkLevels is how many counter levels an access touches before the walk
 // terminates in the always-on-die root region.  Seven levels cover the
-// whole 93 MB EPC; in practice upper levels hit the node cache.
-const walkLevels = 4
+// whole 93 MB EPC; in practice upper levels hit the node cache.  A walk
+// touches walkNodes nodes: the MAC line and one per level.
+const (
+	walkLevels = 4
+	walkNodes  = walkLevels + 1
+)
 
 // SetTelemetry attaches tree-walk hit/miss counters from the registry.
 // A nil registry detaches (handles become no-op nils).
@@ -111,18 +119,38 @@ func (m *CostModel) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // touchMetadata walks the tree for one data line through the node cache and
-// returns the number of node fetches that missed.
+// returns the number of node fetches that missed.  It is the node cache's
+// only access, and a group's eight lines share their nodes: a repeat of the
+// last walk, all of whose nodes are resident, hits each and leaves the LRU
+// order as it was, so it counts five hits without touching the cache.  A
+// walk can evict its own nodes (the MAC and level-0 nodes share a 3-way
+// set): repeat is kept only when all probe resident after it.
 func (m *CostModel) touchMetadata(line uint64) (misses int) {
-	if hit, _ := m.nodeCache.Access(macNodeAddr(line), false); !hit {
-		misses++
+	group := line/Arity + 1
+	if group == m.repeat {
+		m.repeats++
+		m.nodeHits.Add(walkNodes)
+		return 0
 	}
+	nodes := [walkNodes]uint64{macNodeAddr(line)}
 	for level := 0; level < walkLevels; level++ {
-		if hit, _ := m.nodeCache.Access(ctrNodeAddr(level, line), false); !hit {
+		nodes[level+1] = ctrNodeAddr(level, line)
+	}
+	for _, addr := range nodes {
+		if hit, _ := m.nodeCache.Access(addr, false); !hit {
 			misses++
 		}
 	}
+	m.repeat = group
+	if misses > 0 {
+		for _, addr := range nodes {
+			if !m.nodeCache.Probe(addr) {
+				m.repeat = 0
+			}
+		}
+	}
 	if m.nodeHits != nil {
-		m.nodeHits.Add(uint64(walkLevels + 1 - misses))
+		m.nodeHits.Add(uint64(walkNodes - misses))
 		m.nodeMisses.Add(uint64(misses))
 	}
 	return misses
@@ -173,9 +201,13 @@ func (m *CostModel) DemandStoreExtra(line uint64) float64 {
 // FlushMetadata evicts all tree nodes from the MEE cache (used by tests and
 // by the cold-cache experiments, where flushing the LLC also disturbs the
 // metadata working set).
-func (m *CostModel) FlushMetadata() { m.nodeCache.FlushAll() }
+func (m *CostModel) FlushMetadata() {
+	m.nodeCache.FlushAll()
+	m.repeat = 0
+}
 
 // NodeCacheStats exposes the metadata cache's hit statistics.
 func (m *CostModel) NodeCacheStats() (accesses, misses uint64) {
-	return m.nodeCache.Stats()
+	accesses, misses = m.nodeCache.Stats()
+	return accesses + m.repeats*walkNodes, misses
 }

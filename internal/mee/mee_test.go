@@ -1,6 +1,12 @@
 package mee
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"hotcalls/internal/telemetry"
+)
 
 func TestDemandLoadExtraWarmTree(t *testing.T) {
 	m := NewCostModel()
@@ -119,5 +125,96 @@ func TestNodeCacheStats(t *testing.T) {
 	acc, miss := m.NodeCacheStats()
 	if acc == 0 || miss == 0 {
 		t.Fatalf("stats = (%d, %d), want non-zero", acc, miss)
+	}
+}
+
+// overfullLine returns the first line whose walk puts four of its five
+// nodes in one 3-way set of the node cache, so the walk evicts one of its
+// own nodes and a repeat of it misses again.
+func overfullLine(t *testing.T) uint64 {
+	sets := uint64(nodeCacheConfig.SizeBytes / nodeCacheConfig.LineSize / nodeCacheConfig.Ways)
+	nodeSet := func(addr uint64) uint64 { return addr / LineSize % sets }
+	for line := uint64(0); line < 1<<20; line += Arity {
+		count := map[uint64]int{nodeSet(macNodeAddr(line)): 1}
+		for level := 0; level < walkLevels; level++ {
+			count[nodeSet(ctrNodeAddr(level, line))]++
+		}
+		for _, n := range count {
+			if n > nodeCacheConfig.Ways {
+				return line
+			}
+		}
+	}
+	t.Fatal("no line overfills a node-cache set")
+	return 0
+}
+
+// TestRepeatWalkMatchesAlwaysWalk feeds the memoised model and a model
+// that walks the tree on every call (its repeat memo cleared before each)
+// the same seeded streams — runs of consecutive lines, jumps, returns to
+// an earlier group, walks of a line whose nodes overfill a set, and
+// FlushMetadata — through all four cost functions, and compares every
+// returned cost, the node cache's statistics and the telemetry hit and
+// miss counters after every call.
+func TestRepeatWalkMatchesAlwaysWalk(t *testing.T) {
+	over := overfullLine(t)
+	for _, seed := range []int64{1, 7, 42} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			got, ref := NewCostModel(), NewCostModel()
+			gotReg, refReg := telemetry.New(), telemetry.New()
+			got.SetTelemetry(gotReg)
+			ref.SetTelemetry(refReg)
+			r := rand.New(rand.NewSource(seed))
+			var line uint64
+			var earlier []uint64
+			repeats := 0
+			for i := 0; i < 20000; i++ {
+				op := "next"
+				switch k := r.Intn(100); {
+				case k < 2:
+					got.FlushMetadata()
+					ref.FlushMetadata()
+					continue
+				case k < 10:
+					op, line = "jump", uint64(r.Intn(1<<16))
+				case k < 16 && len(earlier) > 0:
+					op, line = "return", earlier[r.Intn(len(earlier))]+uint64(r.Intn(Arity))
+				case k < 22:
+					op, line = "overfull", over+uint64(r.Intn(Arity))
+				default:
+					line++
+				}
+				earlier = append(earlier, line/Arity*Arity)
+				if got.repeat == line/Arity+1 {
+					repeats++
+				}
+				ref.repeat = 0
+				fp := 1 + r.Intn(512)
+				var g, w float64
+				switch r.Intn(4) {
+				case 0:
+					g, w = got.StreamLoadExtra(line, fp), ref.StreamLoadExtra(line, fp)
+				case 1:
+					g, w = got.StreamStoreExtra(line, fp), ref.StreamStoreExtra(line, fp)
+				case 2:
+					g, w = got.DemandLoadExtra(line), ref.DemandLoadExtra(line)
+				case 3:
+					g, w = got.DemandStoreExtra(line), ref.DemandStoreExtra(line)
+				}
+				ga, gm := got.NodeCacheStats()
+				wa, wm := ref.NodeCacheStats()
+				gh := gotReg.Counter(telemetry.MetricMEENodeHits).Load()
+				wh := refReg.Counter(telemetry.MetricMEENodeHits).Load()
+				gx := gotReg.Counter(telemetry.MetricMEENodeMiss).Load()
+				wx := refReg.Counter(telemetry.MetricMEENodeMiss).Load()
+				if g != w || ga != wa || gm != wm || gh != wh || gx != wx {
+					t.Fatalf("call %d (%s, line %d): cost %v, stats (%d, %d), counters (%d, %d); always-walk %v, (%d, %d), (%d, %d)",
+						i, op, line, g, ga, gm, gh, gx, w, wa, wm, wh, wx)
+				}
+			}
+			if repeats < 1000 {
+				t.Fatalf("only %d calls repeated the previous walk: the memo was hardly exercised", repeats)
+			}
+		})
 	}
 }

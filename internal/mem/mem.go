@@ -165,38 +165,13 @@ func (s *System) memSpanEnd(clk *sim.Clock, name string, start, missesBefore uin
 }
 
 // Load performs one isolated (demand) load of the line containing addr.
-func (s *System) Load(clk *sim.Clock, addr uint64) {
-	deep := s.tracer != nil
-	var start, misses uint64
-	if deep {
-		start, misses = s.memSpanStart(clk)
-	}
-	var mee float64
-	enc := s.IsEnclave(addr)
-	if enc {
-		s.touchPage(clk, addr, 1)
-	}
-	hit, victim := s.LLC.Access(addr, false)
-	if hit {
-		clk.AdvanceF(demandHitCost)
-	} else {
-		lat := dramLoad.Sample(s.rng)
-		if enc {
-			mee = s.MEE.DemandLoadExtra(lineIndex(addr))
-			lat += mee
-		}
-		if victim.Valid && victim.Dirty {
-			lat += victimWB
-		}
-		clk.AdvanceF(lat)
-	}
-	if deep {
-		s.memSpanEnd(clk, "load", start, misses, mee)
-	}
-}
+func (s *System) Load(clk *sim.Clock, addr uint64) { s.demand(clk, addr, false) }
 
 // Store performs one isolated (demand) store to the line containing addr.
-func (s *System) Store(clk *sim.Clock, addr uint64) {
+func (s *System) Store(clk *sim.Clock, addr uint64) { s.demand(clk, addr, true) }
+
+// demand is the isolated access behind Load and Store.
+func (s *System) demand(clk *sim.Clock, addr uint64, write bool) {
 	deep := s.tracer != nil
 	var start, misses uint64
 	if deep {
@@ -207,22 +182,34 @@ func (s *System) Store(clk *sim.Clock, addr uint64) {
 	if enc {
 		s.touchPage(clk, addr, 1)
 	}
-	hit, victim := s.LLC.Access(addr, true)
+	hit, victim := s.LLC.Access(addr, write)
 	if hit {
 		clk.AdvanceF(demandHitCost)
 	} else {
-		lat := dramStore.Sample(s.rng)
-		if enc {
-			mee = s.MEE.DemandStoreExtra(lineIndex(addr))
-			lat += mee
+		var lat float64
+		if write {
+			lat = dramStore.Sample(s.rng)
+			if enc {
+				mee = s.MEE.DemandStoreExtra(lineIndex(addr))
+			}
+		} else {
+			lat = dramLoad.Sample(s.rng)
+			if enc {
+				mee = s.MEE.DemandLoadExtra(lineIndex(addr))
+			}
 		}
+		lat += mee
 		if victim.Valid && victim.Dirty {
 			lat += victimWB
 		}
 		clk.AdvanceF(lat)
 	}
 	if deep {
-		s.memSpanEnd(clk, "store", start, misses, mee)
+		name := "load"
+		if write {
+			name = "store"
+		}
+		s.memSpanEnd(clk, name, start, misses, mee)
 	}
 }
 
@@ -356,14 +343,7 @@ func (s *System) MFence(clk *sim.Clock) { clk.AdvanceF(MFenceCost) }
 // charging anyone — the harness uses it to set up cache state between
 // measurements, mirroring how the paper flushes buffers "prior to every
 // single measurement" outside the timed region.
-func (s *System) EvictRange(addr, size uint64) {
-	if size == 0 {
-		return
-	}
-	for a := s.LLC.LineAddr(addr); a < addr+size; a += LineSize {
-		s.LLC.Flush(a)
-	}
-}
+func (s *System) EvictRange(addr, size uint64) { s.LLC.FlushRange(addr, size) }
 
 // EvictAll empties the whole LLC without charging cycles (the cold-cache
 // experiments of Figure 2 flush the entire 8 MB LLC before each run,

@@ -269,3 +269,32 @@ func TestStreamSpanningPagesFaultsOncePerPage(t *testing.T) {
 		t.Fatalf("resident sweep faulted again: %d", got)
 	}
 }
+
+// BenchmarkEnclaveStreamMiss prices one 2 KB streaming read of enclave
+// memory that misses the LLC throughout — memcached's value read: the
+// buffers cycle through 16 MB, twice the LLC, of EPC-resident pages, so
+// every line pays the MEE's integrity-tree walk and no page faults.
+// `make bench-sim` runs it beside the cache and EPC benchmarks.
+func BenchmarkEnclaveStreamMiss(b *testing.B) {
+	const (
+		size    = 2048
+		buffers = 16 << 20 / size
+	)
+	s := New(sim.NewRNG(1))
+	var clk sim.Clock
+	for i := uint64(0); i < buffers; i++ {
+		s.StreamRead(&clk, EnclaveBase+i*size, size)
+	}
+	_, faults, _ := s.EPC.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.StreamRead(&clk, EnclaveBase+uint64(i%buffers)*size, size)
+	}
+	b.StopTimer()
+	if _, f, _ := s.EPC.Stats(); f != faults {
+		b.Fatalf("%d page faults in the timed loop", f-faults)
+	}
+	if accesses, misses := s.LLC.Stats(); accesses != misses {
+		b.Fatalf("%d of %d LLC accesses hit", accesses-misses, accesses)
+	}
+}

@@ -4,28 +4,68 @@ import (
 	"fmt"
 	"testing"
 
+	"hotcalls/internal/cache"
 	"hotcalls/internal/epc"
 	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
 )
 
-// refSweep is the line-by-line sweep the page-run loop replaced, kept as
-// the oracle: one EPC touch, one LLC access and one clock advance per
-// line, in that order.
-func refSweep(s *System, clk *sim.Clock, addr, size uint64, write bool) {
+// reference is a memory system driven the way the page-run loop and the
+// MEE's repeat memo replaced: line by line, with an integrity-tree walk
+// through nodes on every enclave miss.  The walk and its prices restate
+// mee.CostModel's (node addresses, 48-node 3-way cache, stream constants,
+// row pressure) without the memo, so the model's own walk is checked
+// against one made every time.
+type reference struct {
+	*System
+	nodes *cache.Cache[uint64]
+}
+
+func newReference(seed uint64, epcBytes int) *reference {
+	return &reference{
+		System: NewWithEPC(sim.NewRNG(seed), epcBytes),
+		nodes:  cache.New[uint64](cache.Config{SizeBytes: 48 * 64, LineSize: 64, Ways: 3}),
+	}
+}
+
+// streamExtra walks the MAC line and four counter levels of a data line
+// and prices the misses as mee.CostModel.StreamLoadExtra and
+// StreamStoreExtra do.
+func (r *reference) streamExtra(line uint64, footprint int, write bool) float64 {
+	misses := 0
+	touch := func(addr uint64) {
+		if hit, _ := r.nodes.Access(addr, false); !hit {
+			misses++
+		}
+	}
+	touch(uint64(0xF0)<<40 | line/8*64)
+	idx := line
+	for level := uint64(0); level < 4; level++ {
+		idx /= 8
+		touch(uint64(0xF1)<<40 | level<<32 | (idx+level)*64)
+	}
+	if write {
+		return 13.0 + float64(misses)*28*0.25
+	}
+	return 12.4 + float64(misses)*28*min(1+float64(footprint)/1024, 1.5)
+}
+
+// refSweep is the line-by-line sweep the page-run loop replaced: one EPC
+// touch, one LLC access and one clock advance per line, in that order.
+func refSweep(r *reference, clk *sim.Clock, addr, size uint64, write bool) {
 	if size == 0 {
 		return
 	}
-	enc := s.IsEnclave(addr)
+	enc := r.IsEnclave(addr)
 	footprint := int((size + LineSize - 1) / LineSize)
-	for a := s.LLC.LineAddr(addr); a < addr+size; a += LineSize {
+	for a := r.LLC.LineAddr(addr); a < addr+size; a += LineSize {
 		if enc {
-			if fault, cycles := s.EPC.Touch(page(a)); fault {
-				s.pageFaults++
+			if fault, cycles := r.EPC.TouchAs(0, page(a)); fault {
+				r.pageFaults++
 				clk.AdvanceF(cycles)
 			}
 		}
-		hit, victim := s.LLC.Access(a, write)
+		hit, victim := r.LLC.Access(a, write)
 		if hit {
 			clk.AdvanceF(streamHitCost)
 			continue
@@ -35,11 +75,7 @@ func refSweep(s *System, clk *sim.Clock, addr, size uint64, write bool) {
 			lat = streamRFO
 		}
 		if enc {
-			if write {
-				lat += s.MEE.StreamStoreExtra(lineIndex(a), footprint)
-			} else {
-				lat += s.MEE.StreamLoadExtra(lineIndex(a), footprint)
-			}
+			lat += r.streamExtra(lineIndex(a), footprint, write)
 		}
 		if victim.Valid && victim.Dirty {
 			lat += victimWB
@@ -48,10 +84,10 @@ func refSweep(s *System, clk *sim.Clock, addr, size uint64, write bool) {
 	}
 }
 
-func refCopy(s *System, clk *sim.Clock, dst, src, size uint64) {
+func refCopy(r *reference, clk *sim.Clock, dst, src, size uint64) {
 	clk.AdvanceF(float64(size) * CopyPerByte)
-	refSweep(s, clk, src, size, false)
-	refSweep(s, clk, dst, size, true)
+	refSweep(r, clk, src, size, false)
+	refSweep(r, clk, dst, size, true)
 }
 
 type hierarchyState struct {
@@ -61,27 +97,29 @@ type hierarchyState struct {
 	meeAccesses, meeMisses, resident uint64
 }
 
-func stateOf(s *System, clk *sim.Clock) hierarchyState {
+// stateOf reads every simulated statistic of s, with the MEE node cache's
+// from meeStats.
+func stateOf(s *System, clk *sim.Clock, meeStats func() (uint64, uint64)) hierarchyState {
 	st := hierarchyState{clock: clk.Now(), pageFaults: s.PageFaults(), resident: uint64(s.EPC.ResidentPages())}
 	st.touches, st.faults, st.evictions = s.EPC.Stats()
 	st.llcAccesses, st.llcMisses = s.LLC.Stats()
-	st.meeAccesses, st.meeMisses = s.MEE.NodeCacheStats()
+	st.meeAccesses, st.meeMisses = meeStats()
 	return st
 }
 
 // TestPageRunSweepsMatchPerLineReference replays seeded sequences of
 // StreamRead / StreamWrite / Copy over unaligned ranges spanning one to
 // three pages, in enclave and plain memory, on an EPC of six pages — so
-// faults keep forcing evictions — against the per-line reference on an
-// identically seeded twin system.  Scattered lines are evicted from both
-// LLCs between sweeps, so a sweep over warm lines misses mid-run.  Every
-// simulated statistic must agree after every operation.
+// faults keep forcing evictions — against the per-line, walk-every-time
+// reference on an identically seeded twin system.  Scattered lines are
+// evicted from both LLCs between sweeps, so a sweep over warm lines misses
+// mid-run.  Every simulated statistic must agree after every operation.
 func TestPageRunSweepsMatchPerLineReference(t *testing.T) {
 	const epcPages = 6
 	for _, seed := range []uint64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			got := NewWithEPC(sim.NewRNG(seed), epcPages*epc.PageSize)
-			ref := NewWithEPC(sim.NewRNG(seed), epcPages*epc.PageSize)
+			ref := newReference(seed, epcPages*epc.PageSize)
 			var gotClk, refClk sim.Clock
 			r := sim.NewRNG(seed ^ 0xabcdef)
 			// Ranges start anywhere inside a 16-page window (well beyond
@@ -96,7 +134,7 @@ func TestPageRunSweepsMatchPerLineReference(t *testing.T) {
 			mixed := 0 // sweeps that both hit and missed in the LLC
 			for i := 0; i < 3000; i++ {
 				addr, size := pick()
-				before := stateOf(got, &gotClk)
+				before := stateOf(got, &gotClk, got.MEE.NodeCacheStats)
 				var op string
 				switch r.Intn(4) {
 				case 0:
@@ -120,7 +158,7 @@ func TestPageRunSweepsMatchPerLineReference(t *testing.T) {
 						ref.EvictRange(a, LineSize)
 					}
 				}
-				g, w := stateOf(got, &gotClk), stateOf(ref, &refClk)
+				g, w := stateOf(got, &gotClk, got.MEE.NodeCacheStats), stateOf(ref.System, &refClk, ref.nodes.Stats)
 				if g != w {
 					t.Fatalf("op %d %s(%#x, %d):\n got %+v\nwant %+v", i, op, addr, size, g, w)
 				}
