@@ -39,97 +39,78 @@ type requestLine struct {
 	head                  bool // method is HEAD (otherwise GET)
 }
 
-// spaceWidth returns the width in bytes of the white space starting at
-// raw[i] — white space as strings.Fields defines it, unicode.IsSpace
-// over UTF-8 — or 0 when raw[i] starts anything else.
-func spaceWidth[S ~string | ~[]byte](raw S, i int) int {
-	c := raw[i]
-	if c < utf8.RuneSelf {
-		if c == ' ' || '\t' <= c && c <= '\r' {
-			return 1
-		}
-		return 0
-	}
-	var enc [utf8.UTFMax]byte
-	n := 0
-	for ; n < len(enc) && i+n < len(raw); n++ {
-		enc[n] = raw[i+n]
-	}
-	if r, w := utf8.DecodeRune(enc[:n]); unicode.IsSpace(r) {
-		return w
-	}
-	return 0
-}
-
-// lineEnd returns the index of the CRLF ending the line that starts at
-// raw[i], or len(raw) when the input ends first.
-func lineEnd[S ~string | ~[]byte](raw S, i int) int {
-	for ; i < len(raw); i++ {
-		if raw[i] == '\r' && i+1 < len(raw) && raw[i+1] == '\n' {
-			break
-		}
-	}
-	return i
-}
-
-// equalAt reports whether raw[sp.lo:sp.hi] spells word.
-func equalAt[S ~string | ~[]byte](raw S, sp span, word string) bool {
-	if sp.hi-sp.lo != len(word) {
-		return false
-	}
-	for k := 0; k < len(word); k++ {
-		if raw[sp.lo+k] != word[k] {
-			return false
-		}
-	}
-	return true
+// crlf reports whether a CRLF starts at raw[i].
+func crlf(raw []byte, i int) bool {
+	return raw[i] == '\r' && i+1 < len(raw) && raw[i+1] == '\n'
 }
 
 // scanRequest is the one HTTP/1.0 request-head grammar, shared by
-// ParseRequest and route.  Lines end in CRLF and the head
-// ends at the first empty line or the end of the input; the request
-// line must hold exactly three white-space-separated fields
-// (ErrBadRequest), the first of them GET or HEAD (ErrBadMethod), and
-// every header line a colon (ErrBadRequest) — checked, and reported, in
-// that order.  header, when non-nil, receives each header line as
-// raw[line:end] with its first colon at raw[colon].  The scan works in
-// place on a string or a byte buffer, by index only, and allocates
-// nothing.
-func scanRequest[S ~string | ~[]byte](raw S, header func(line, colon, end int)) (requestLine, error) {
+// ParseRequest and route.  Lines end in CRLF and the head ends at the
+// first empty line or the end of the input; the request line must hold
+// exactly three fields separated by white space as strings.Fields
+// defines it (ErrBadRequest), the first of them GET or HEAD
+// (ErrBadMethod), and every header line a colon (ErrBadRequest) —
+// checked, and reported, in that order.  header, when non-nil, receives
+// each header line as raw[line:end] with its first colon at raw[colon].
+// One pass over the bytes, by index, allocates nothing: a
+// printable ASCII byte is a field byte at one comparison, only a byte at
+// or below ' ' is tested for CRLF and ASCII white space, and only one at
+// or above utf8.RuneSelf decodes a rune (a rune that CRLF or the end
+// cuts off decodes as utf8.RuneError, which is not white space).
+func scanRequest(raw []byte, header func(line, colon, end int)) (requestLine, error) {
 	var rl requestLine
 	fields := [...]*span{&rl.method, &rl.path, &rl.version}
-	eol := lineEnd(raw, 0)
-	nf := 0
-	for i := 0; i < eol; {
-		if w := spaceWidth(raw, i); w > 0 {
-			i += w
-			continue
+	nf, lo, eol := 0, -1, 0 // lo is where the field being read began, -1 between fields
+	for w := 1; eol < len(raw); eol += w {
+		c, space := raw[eol], false
+		if w = 1; c >= utf8.RuneSelf {
+			var r rune
+			r, w = utf8.DecodeRune(raw[eol:])
+			space = unicode.IsSpace(r)
+		} else if c <= ' ' {
+			if crlf(raw, eol) {
+				break
+			}
+			space = c == ' ' || '\t' <= c && c <= '\r'
 		}
-		lo := i
-		for i < eol && spaceWidth(raw, i) == 0 {
-			i++
+		if !space {
+			if lo < 0 {
+				lo = eol
+			}
+			for eol+w < len(raw) && ' ' < raw[eol+w] && raw[eol+w] < utf8.RuneSelf {
+				w++ // the field's printable ASCII bytes that follow, in one tight loop
+			}
+		} else if lo >= 0 {
+			if nf < len(fields) {
+				*fields[nf] = span{lo, eol}
+			}
+			nf, lo = nf+1, -1
 		}
+	}
+	if lo >= 0 { // the line's end closes a field too
 		if nf < len(fields) {
-			*fields[nf] = span{lo, i}
+			*fields[nf] = span{lo, eol}
 		}
 		nf++
 	}
 	if nf != len(fields) {
 		return rl, ErrBadRequest
 	}
-	if rl.head = equalAt(raw, rl.method, "HEAD"); !rl.head && !equalAt(raw, rl.method, "GET") {
+	method := raw[rl.method.lo:rl.method.hi]
+	if rl.head = string(method) == "HEAD"; !rl.head && string(method) != "GET" {
 		return rl, ErrBadMethod
 	}
 	for line := eol + 2; line < len(raw); {
-		end := lineEnd(raw, line)
+		colon, end := -1, line
+		for ; end < len(raw) && !crlf(raw, end); end++ {
+			if colon < 0 && raw[end] == ':' {
+				colon = end
+			}
+		}
 		if end == line {
 			break
 		}
-		colon := line
-		for colon < end && raw[colon] != ':' {
-			colon++
-		}
-		if colon == end {
+		if colon < 0 {
 			return rl, ErrBadRequest
 		}
 		if header != nil {
@@ -167,7 +148,7 @@ func route(buf []byte, n uint64) (status int, path []byte, head bool) {
 // ParseRequest parses an HTTP/1.0 request head.
 func ParseRequest(raw string) (*HTTPRequest, error) {
 	r := &HTTPRequest{Headers: make(map[string]string)}
-	rl, err := scanRequest(raw, func(line, colon, end int) {
+	rl, err := scanRequest([]byte(raw), func(line, colon, end int) {
 		r.Headers[strings.ToLower(strings.TrimSpace(raw[line:colon]))] = strings.TrimSpace(raw[colon+1 : end])
 	})
 	if err != nil {

@@ -135,6 +135,16 @@ func FuzzScanRequest(f *testing.F) {
 		"\r\nGET / HTTP/1.0\r\n\r\n",
 		"garbage",
 		"",
+		// The edge between the scanner's ASCII comparisons and its rune
+		// decode: each ASCII white-space byte inside the request line,
+		// U+0085 and U+00A0 as separators, a rune CRLF cuts off, and a
+		// non-space byte at or above utf8.RuneSelf inside a field.
+		"GET\t/\vHTTP/1.0\f\r\n\r\n",
+		"GET /\rHTTP/1.0\r\n\r\n",
+		"GET /\nHTTP/1.0\r\n\r\n",
+		"GET\u0085/\u00a0HTTP/1.0\r\nHost: sim\r\n\r\n",
+		"GET / HTTP/1.0\xe3\x80\r\nHost: sim\r\n\r\n",
+		"GET /caf\xe9\xc3\xa9 HTTP/1.0\r\n\r\n",
 	} {
 		f.Add(seed)
 	}

@@ -466,3 +466,24 @@ func BenchmarkPoolConnDo(b *testing.B) {
 		b.ReportMetric(float64(busy.Nanoseconds())/float64(b.N), "ns/op")
 	})
 }
+
+// BenchmarkRoute prices route alone, the scan every request body starts
+// with: on the web_paced head, and on one whose request-line fields are
+// separated by U+3000 and U+00A0, the bytes that make the scanner decode
+// a rune.
+func BenchmarkRoute(b *testing.B) {
+	for _, tc := range []struct{ name, head string }{
+		{"getIndex", getIndex},
+		{"unicode-space", "GET\u3000/index.html\u00a0HTTP/1.0\r\nHost: sim\r\n\r\n"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			buf := []byte(tc.head)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if status, _, _ := route(buf, uint64(len(buf))); status != 200 {
+					b.Fatalf("route(%q) = %d, want 200", tc.head, status)
+				}
+			}
+		})
+	}
+}

@@ -366,11 +366,13 @@ type Requester struct {
 	// Requester-goroutine-owned, like the shard head: the completion
 	// wait's spin budget and probe counter (see await), whether the
 	// latest post found a responder parked, and the wake policy's state:
-	// when the last inline run ended, and the moving averages of the gap
-	// between such runs and of what a kick cost this requester (see help).
+	// the inline runs so far, when the latest sampled one ended, and the
+	// moving averages of the gap between such runs and of what a kick
+	// cost this requester (see help).
 	spin       int
 	waits      uint
 	parked     bool
+	inlines    uint
 	lastInline time.Duration // since epoch
 	gap, wake  time.Duration
 
@@ -391,6 +393,11 @@ const (
 // the responder's thread still looking for work is nearly free, and an
 // estimate that followed it down would never kick again.
 const wakeSeed = 10 * time.Microsecond
+
+// gapSample is how many inline runs share one read of the wake policy's
+// clock: the read costs a parked call a tenth of its time, and the
+// average of four gaps says what four single gaps would.
+const gapSample = 4
 
 // epoch is the zero of the wake policy's clock: time.Since reads the
 // monotonic clock alone, half of what time.Now costs an inline call.
@@ -459,11 +466,12 @@ func (r *Requester) await(s *poolSlot, fr *flight.Record) error {
 // in ring order.  It reports whether it ran anything.  Callers gate it on
 // r.parked: with the responders awake the calls are theirs.
 //
-// The wake is decided afterwards, off the calls' path: when the moving
-// average of the gaps between inline runs falls below what a kick has
-// cost this requester, calls are arriving faster than a wake costs and
-// are worth a responder.  A paced open loop never kicks; a closed loop
-// does after a handful of calls (DESIGN.md section 9).
+// The wake is decided afterwards, off the calls' path, at every
+// gapSample-th run: when the moving average of the gaps between inline
+// runs falls below what a kick has cost this requester, calls are
+// arriving faster than a wake costs and are worth a responder.  A paced
+// open loop never kicks; a closed loop does after about twenty calls
+// (DESIGN.md section 9).
 func (r *Requester) help(s *poolSlot) (ran bool) {
 	st := s.state.Load()
 	if st&3 != slotPosted {
@@ -485,10 +493,14 @@ func (r *Requester) help(s *poolSlot) (ran bool) {
 	if !ran {
 		return false
 	}
-	// One gap counts for at most four wakes: the first call after an
-	// idle hour says "idle until now" and no more.
+	if r.inlines++; r.inlines%gapSample != 0 {
+		return true
+	}
+	// One sample is the mean gap of the last gapSample runs, and counts
+	// for at most four wakes: the first calls after an idle hour say
+	// "idle until now" and no more.
 	now := time.Since(epoch)
-	r.gap += (min(now-r.lastInline, 4*r.wake) - r.gap) / 4
+	r.gap += (min((now-r.lastInline)/gapSample, 4*r.wake) - r.gap) / 4
 	r.lastInline = now
 	if r.gap < r.wake && p.kick() {
 		r.wake = max(wakeSeed, r.wake+(time.Since(epoch)-now-r.wake)/4)
