@@ -13,10 +13,9 @@
 // exits 1 when a paper-fidelity metric lands outside its band.  An
 // unknown -run ID prints the valid IDs.
 //
-// Observability flags:
+// Observability flag:
 //
 //	hotbench -run table1 -metrics          # Prometheus dump after the run
-//	hotbench -run all -monitor             # health summary + alerts after the run
 package main
 
 import (
@@ -28,7 +27,6 @@ import (
 	"time"
 
 	"hotcalls/internal/bench"
-	"hotcalls/internal/monitor"
 	"hotcalls/internal/telemetry"
 )
 
@@ -36,14 +34,13 @@ func main() {
 	run := flag.String("run", "all", "experiment ID(s) to run, comma-separated, or 'all'")
 	docsDir := flag.String("docs", "", "run everything once and write EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json into this directory; exit 1 when a paper-fidelity metric is outside its band")
 	metrics := flag.Bool("metrics", false, "dump all counters and histograms in Prometheus text format after the run")
-	monitorFlag := flag.Bool("monitor", false, "run the continuous health monitor during the experiments and print its verdict and alerts afterwards")
 	seed := flag.Uint64("seed", 0, "base seed the experiments' random streams derive from; 0 (the default) reproduces the committed EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json byte for byte")
 	flag.Parse()
 
 	bench.SetSeed(*seed)
 
 	var reg *telemetry.Registry
-	if *metrics || *monitorFlag {
+	if *metrics {
 		reg = telemetry.New()
 		bench.SetTelemetry(reg)
 	}
@@ -75,28 +72,12 @@ func main() {
 		}
 	}
 
-	var mon *monitor.Monitor
-	if *monitorFlag {
-		mon = monitor.New(reg, monitor.Options{})
-		mon.Tick() // baseline sample so even sub-interval runs show deltas
-		mon.Start()
-	}
-
 	for _, e := range experiments {
 		start := time.Now()
 		report := e.Run()
 		fmt.Printf("=== %s ===\n%s\n%s(%.1fs)\n\n", report.ID, report.Title, report.Table, time.Since(start).Seconds())
 	}
 
-	if mon != nil {
-		mon.Stop()
-		mon.Tick() // final cumulative sample so short runs still show data
-		fmt.Println("=== monitor ===")
-		fmt.Print(mon.RenderText(10))
-		if dropped := mon.DroppedEvents(); dropped > 0 {
-			fmt.Printf("(%d older events dropped from the bounded log)\n", dropped)
-		}
-	}
 	if *metrics {
 		fmt.Println("=== metrics (Prometheus text format) ===")
 		if err := reg.WritePrometheus(os.Stdout); err != nil {

@@ -12,8 +12,8 @@ import (
 // TestPoolServerEPCAttribution checks what the port itself says about
 // paging: a served document touches its body's page span, placed by its
 // path's hash, and a miss still touches the one page the looked-up path
-// hashes to.  (That the armed model reaches the registry, the monitor
-// and the observatory is the kit's test, porting.TestFabricKitAllArmed.)
+// hashes to.  (That the armed model reaches the observatory
+// is the kit's test, porting.TestFabricKitAllArmed.)
 func TestPoolServerEPCAttribution(t *testing.T) {
 	s := NewPoolServer(2, testPoolOpts(2))
 	s.Arm(porting.Observers{EPCBytes: 256 * epc.PageSize})
@@ -46,10 +46,10 @@ func TestPoolServerEPCAttribution(t *testing.T) {
 	}
 	for _, o := range snap.Owners {
 		if o.SampledTouches < wantTouches {
-			t.Errorf("owner %s touches = %d, want >= %d", o.Label, o.SampledTouches, wantTouches)
+			t.Errorf("owner %d touches = %d, want >= %d", o.Owner, o.SampledTouches, wantTouches)
 		}
 		if o.Faults == 0 {
-			t.Errorf("owner %s faulted nothing", o.Label)
+			t.Errorf("owner %d faulted nothing", o.Owner)
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"hotcalls/internal/flight"
 )
 
-// TestPoolServerFlightCallsites checks that fabric-routed requests are
-// attributed to the per-method callsites.
+// TestPoolServerFlightCallsites checks that every fabric-routed
+// request, GET or HEAD, is recorded under the port's one callsite.
 func TestPoolServerFlightCallsites(t *testing.T) {
 	s := NewPoolServer(1, testPoolOpts(2))
 	rec := flight.New(flight.Options{SampleEvery: 1})
@@ -28,16 +28,13 @@ func TestPoolServerFlightCallsites(t *testing.T) {
 		}
 	}
 
-	want := map[string]uint64{"http.get": 8, "http.head": 3}
-	for _, cs := range rec.Stats() {
-		if n, ok := want[cs.Name]; ok {
-			if cs.Arrivals != n {
-				t.Errorf("%s arrivals = %d, want %d", cs.Name, cs.Arrivals, n)
-			}
-			delete(want, cs.Name)
-		}
+	views := rec.Records(64)
+	if len(views) != 11 {
+		t.Fatalf("%d records for 11 requests", len(views))
 	}
-	for name := range want {
-		t.Errorf("callsite %q missing from stats table", name)
+	for _, v := range views {
+		if v.Name != "http" {
+			t.Errorf("request recorded under %q, want http", v.Name)
+		}
 	}
 }

@@ -16,11 +16,9 @@ package lighttpd
 import (
 	"bytes"
 	"errors"
-	"strings"
 
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
-	"hotcalls/internal/flight"
 )
 
 // opServeHTTP is the single fabric call table entry: serve one raw
@@ -47,16 +45,8 @@ const (
 	imgIndex
 )
 
-// The port's flight callsites, one per request method; the constants
-// index fabricSpec.Callsites.
-const (
-	csGet = iota
-	csHead
-)
-
-var fabricSpec = porting.FabricSpec{
-	Callsites: []string{"http.get", "http.head"},
-}
+// fabricSpec names the port's one flight callsite.
+var fabricSpec = porting.FabricSpec{Callsite: "http"}
 
 // PoolServer is lighttpd over the fabric: a CallPool whose one table
 // entry scans HTTP requests and answers them by reference into an
@@ -103,15 +93,6 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 		s.conns[i] = &PoolConn{s: s, req: s.Pool().Requester()}
 	}
 	return s
-}
-
-// callsiteFor maps a raw request line to its flight callsite with one
-// prefix check — full parsing stays on the responder side.
-func (s *PoolServer) callsiteFor(raw string) flight.Callsite {
-	if strings.HasPrefix(raw, "HEAD ") {
-		return s.Callsite(csHead)
-	}
-	return s.Callsite(csGet)
 }
 
 // Conn returns connection i's handle.  Each connection must be driven
@@ -179,7 +160,7 @@ func (c *PoolConn) Submit(raw string) (PendingResponse, error) {
 	}
 	slot := c.next
 	n := copy(c.bufs[slot][:], raw)
-	b, err := c.req.SubmitV([]core.VecCall{{ID: opServeHTTP, Data: porting.PackData(slot, n), Site: c.s.callsiteFor(raw)}})
+	b, err := c.req.SubmitV([]core.VecCall{{ID: opServeHTTP, Data: porting.PackData(slot, n), Site: c.s.Callsite()}})
 	if err != nil {
 		return PendingResponse{}, err
 	}

@@ -12,8 +12,8 @@ import (
 // TestPoolServerEPCAttribution checks what the port itself says about
 // paging: a request's footprint is the value a GET returned or a SET
 // stored, at least one page, placed by its key's hash.  (That the armed
-// model reaches the registry, the monitor and the observatory is the
-// kit's test, porting.TestFabricKitAllArmed.)
+// model reaches the observatory is the kit's test,
+// porting.TestFabricKitAllArmed.)
 func TestPoolServerEPCAttribution(t *testing.T) {
 	s := NewPoolServer(1, testPoolOpts(2))
 	s.Arm(porting.Observers{EPCBytes: 256 * epc.PageSize})

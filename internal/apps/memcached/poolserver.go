@@ -18,7 +18,6 @@ import (
 
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
-	"hotcalls/internal/flight"
 )
 
 // opServe is the single fabric call table entry: serve one encoded
@@ -43,15 +42,8 @@ type storeStripe struct {
 	_     [64]byte // keeps adjacent stripes' locks off one coherence line
 }
 
-// The port's flight callsites, one per operation, so GETs, SETs and
-// DELETEs show up as separate rows in the stats table instead of one
-// undifferentiated stream; callsiteOps holds each one's opcode.
-var (
-	fabricSpec = porting.FabricSpec{
-		Callsites: []string{"mc.get", "mc.set", "mc.delete"},
-	}
-	callsiteOps = [...]byte{OpGet, OpSet, OpDelete}
-)
+// fabricSpec names the port's one flight callsite.
+var fabricSpec = porting.FabricSpec{Callsite: "mc"}
 
 // PoolServer is memcached over the fabric: a CallPool whose one table
 // entry serves binary-protocol requests against the shared store.  The
@@ -79,16 +71,6 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 		s.conns[i] = c
 	}
 	return s
-}
-
-// callsiteFor maps a request opcode to its registered flight callsite.
-func (s *PoolServer) callsiteFor(op byte) flight.Callsite {
-	for i, o := range callsiteOps {
-		if o == op {
-			return s.Callsite(i)
-		}
-	}
-	return flight.Callsite{}
 }
 
 // Conn returns connection i's handle.  Each connection must be driven
@@ -172,7 +154,7 @@ func (c *PoolConn) Submit(r *Request) (PendingResponse, error) {
 	if err != nil {
 		return PendingResponse{}, err
 	}
-	b, err := c.req.SubmitV([]core.VecCall{{ID: opServe, Data: porting.PackData(slot, n), Site: c.s.callsiteFor(r.Op)}})
+	b, err := c.req.SubmitV([]core.VecCall{{ID: opServe, Data: porting.PackData(slot, n), Site: c.s.Callsite()}})
 	if err != nil {
 		return PendingResponse{}, err
 	}

@@ -69,13 +69,8 @@ func connCiphers(i int) (rx, tx *Cipher) {
 }
 
 // The port's one flight callsite, the vectored streaming path: each
-// sampled record carries its call's payload bytes.  The constant indexes
-// fabricSpec.Callsites.
-const csStream = 0
-
-var fabricSpec = porting.FabricSpec{
-	Callsites: []string{"vpn.stream"},
-}
+// sampled record carries its call's payload bytes.
+var fabricSpec = porting.FabricSpec{Callsite: "vpn.stream"}
 
 // PoolServer is the openVPN relay over the fabric: a CallPool whose one
 // vec-table entry relays tunnel datagrams in place in the payload rings.
@@ -208,7 +203,7 @@ func (c *PoolConn) stage(i int, payload []byte) error {
 	}
 	c.slabs[i] = slab
 	c.segs[i] = segs
-	c.calls[i] = core.VecCall{ID: opTunnel, Segs: c.segs[i][:], Site: c.s.Callsite(csStream)}
+	c.calls[i] = core.VecCall{ID: opTunnel, Segs: c.segs[i][:], Site: c.s.Callsite()}
 	return nil
 }
 

@@ -250,8 +250,8 @@ func TestPoolTunnelConcurrentConnections(t *testing.T) {
 // paging — the ring's SetTouch hook at work: every relayed datagram
 // touches the pages behind its two slab windows (header and body, one
 // page each at MTU size), placed by connection and slab and charged to the
-// connection.  (That the armed model reaches the registry, the monitor
-// and the observatory is the kit's test, porting.TestFabricKitAllArmed.)
+// connection.  (That the armed model reaches the observatory
+// is the kit's test, porting.TestFabricKitAllArmed.)
 func TestPoolTunnelEPCAttribution(t *testing.T) {
 	s := NewPoolServer(2, testVPNOpts(2))
 	s.Arm(porting.Observers{EPCBytes: 256 * epc.PageSize})
@@ -277,7 +277,7 @@ func TestPoolTunnelEPCAttribution(t *testing.T) {
 	}
 	for _, o := range snap.Owners {
 		if o.Faults == 0 {
-			t.Errorf("owner %s faulted nothing: its slabs map to its own pages", o.Label)
+			t.Errorf("owner %d faulted nothing: its slabs map to its own pages", o.Owner)
 		}
 	}
 }

@@ -1,50 +1,34 @@
 package porting
 
 import (
-	"fmt"
-
 	"hotcalls/internal/core"
 	"hotcalls/internal/epc"
 	"hotcalls/internal/epcstat"
 	"hotcalls/internal/flight"
-	"hotcalls/internal/incident"
-	"hotcalls/internal/monitor"
 	"hotcalls/internal/telemetry"
 )
 
 // FabricSpec is what differs between the ports' wiring.
 type FabricSpec struct {
-	// Callsites names the port's flight callsites, at most four — one
-	// stats row per name.  Fabric.Callsite indexes the list.
-	Callsites []string
+	// Callsite names the port's one flight callsite: its sampled
+	// records carry this name.
+	Callsite string
 }
 
 // Observers is what Arm attaches.  A zero field leaves that observer off;
 // the zero Observers arms nothing.
 type Observers struct {
-	// Registry receives the fabric's counters and gauges, and the EPC
-	// model's when that is armed too.
+	// Registry receives the fabric's counters.
 	Registry *telemetry.Registry
-	// Flight records per-callsite arrival counts, sampled causal
-	// timelines, outliers and payload byte volume, under the spec's
-	// callsite names.
+	// Flight records sampled causal timelines and payload byte volume
+	// under the spec's callsite name.
 	Flight *flight.Recorder
 	// EPCBytes arms a simulated EPC of that capacity (up to one page
 	// selects epc.DefaultCapacityBytes) and its pressure observatory:
 	// every served request then touches the pages the port derives for
-	// it, owner-tagged by client connection, so the observatory's
-	// snapshot and the EPC monitor rules attribute paging per client.
+	// it, owner-tagged by client connection (owner i+1 for connection
+	// i), so the observatory's snapshot attributes paging per client.
 	EPCBytes int
-	// Monitor arms the health monitor over Registry with these options;
-	// the recorder and EPC observatory above attach to it (its tick
-	// digests the recorder, the EPC rules read the observatory) unless
-	// the options name others.  The caller Starts or Ticks it.
-	Monitor *monitor.Options
-	// Incidents arms the capturer that freezes a postmortem bundle on
-	// every warning/critical rule transition (arming a default monitor
-	// if Monitor is nil); Registry is snapshotted into each bundle unless
-	// the options name another.
-	Incidents *incident.Options
 }
 
 // Fabric is the kit a fabric-routed port embeds: its CallPool and
@@ -55,36 +39,24 @@ type Observers struct {
 // NewFabric, arms it at most once, before Start, and reads what was armed
 // back through the accessors.
 type Fabric struct {
-	spec  FabricSpec
-	conns int
-	pool  *core.CallPool
+	spec FabricSpec
+	pool *core.CallPool
 
 	sealed bool // Arm and Start each close the arming window
 
-	reg     *telemetry.Registry
-	sites   [4]flight.Callsite // inline: a request's lookup is one load; unlabelled until a recorder is armed
+	site    flight.Callsite // unlabelled until a recorder is armed
 	epcMgr  *epc.Manager
 	epcStat *epcstat.Collector
-	mon     *monitor.Monitor
-	cap     *incident.Capturer
 }
 
 // NewFabric builds the fabric for up to conns client connections, one
 // shard each: opts tunes the CallPool, its Shards field is overridden.
 func NewFabric(spec FabricSpec, conns int, table []core.PoolFunc, opts core.PoolOptions) Fabric {
 	opts.Shards = conns
-	return Fabric{
-		spec:  spec,
-		conns: conns,
-		pool:  core.NewCallPool(table, opts),
-	}
+	return Fabric{spec: spec, pool: core.NewCallPool(table, opts)}
 }
 
-// Arm attaches the observers, in the one order that wires them to each
-// other: the registry before the EPC model (whose counters it exports),
-// the recorder and the EPC observatory before the monitor (whose rules
-// exist only for collectors it was built with), the monitor before the
-// capturer.  It is called at most once and before
+// Arm attaches the observers.  It is called at most once and before
 // Start — the responders read what it writes — and panics otherwise.
 func (f *Fabric) Arm(o Observers) {
 	if f.sealed {
@@ -92,65 +64,31 @@ func (f *Fabric) Arm(o Observers) {
 	}
 	f.sealed = true
 	// A nil registry or recorder is that layer's own "off".
-	f.reg = o.Registry
 	f.pool.SetTelemetry(o.Registry)
 	f.pool.SetFlight(o.Flight)
-	for i, name := range f.spec.Callsites {
-		f.sites[i] = o.Flight.Callsite(name)
-	}
+	f.site = o.Flight.Callsite(f.spec.Callsite)
 	if o.EPCBytes > 0 {
 		capacity := o.EPCBytes
 		if capacity <= epc.PageSize {
 			capacity = epc.DefaultCapacityBytes
 		}
 		f.epcMgr = epc.NewManager(capacity)
-		f.epcMgr.SetTelemetry(o.Registry)
 		f.epcStat = epcstat.New(epcstat.Options{})
 		f.epcStat.Attach(f.epcMgr)
-		for i := 0; i < f.conns; i++ {
-			f.epcStat.SetLabel(epc.OwnerID(i+1), fmt.Sprintf("conn%d", i))
-		}
-	}
-	if o.Monitor != nil || o.Incidents != nil {
-		var opts monitor.Options // the capturer's default monitor
-		if o.Monitor != nil {
-			opts = *o.Monitor
-		}
-		if opts.Flight == nil {
-			opts.Flight = f.pool.Flight()
-		}
-		if opts.EPC == nil {
-			opts.EPC = f.epcStat
-		}
-		f.mon = monitor.New(f.reg, opts)
-	}
-	if o.Incidents != nil {
-		opts := *o.Incidents
-		if opts.Registry == nil {
-			opts.Registry = f.reg
-		}
-		f.cap = incident.New(f.mon, opts)
-		f.cap.Attach()
 	}
 }
 
 // Pool exposes the underlying CallPool (stats, responder counts).
 func (f *Fabric) Pool() *core.CallPool { return f.pool }
 
-// Callsite returns the flight handle of the spec's i-th callsite name.
-func (f *Fabric) Callsite(i int) flight.Callsite { return f.sites[i] }
+// Callsite returns the flight handle of the spec's callsite name.
+func (f *Fabric) Callsite() flight.Callsite { return f.site }
 
 // EPCManager exposes the simulated EPC (nil unless armed).
 func (f *Fabric) EPCManager() *epc.Manager { return f.epcMgr }
 
 // EPC exposes the EPC pressure observatory (nil unless armed).
 func (f *Fabric) EPC() *epcstat.Collector { return f.epcStat }
-
-// Monitor exposes the health monitor (nil unless armed).
-func (f *Fabric) Monitor() *monitor.Monitor { return f.mon }
-
-// Incidents exposes the incident capturer (nil unless armed).
-func (f *Fabric) Incidents() *incident.Capturer { return f.cap }
 
 // Start launches the adaptive responder pool.
 func (f *Fabric) Start() {

@@ -13,8 +13,6 @@ import (
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
 	"hotcalls/internal/epc"
-	"hotcalls/internal/flight"
-	"hotcalls/internal/incident"
 	"hotcalls/internal/telemetry"
 )
 
@@ -102,21 +100,18 @@ func typeFamilies(exposition string) []string {
 
 // TestFabricKitAllArmed arms every observer on each port through the one
 // Arm call, drives real traffic on two connections at once (armPort), and
-// holds the armed kit to its contract: every observer reads back and the
-// monitor is built over the armed collectors; every family in the
-// registry's exposition appears once and has a row in the consumer table
-// (signals_test.go), which also holds what traffic must have moved; and
-// EPC pressure is attributed to both connections by name.
+// holds the armed kit to its contract: every observer reads back; every
+// family in the registry's exposition appears once and has a row in the
+// consumer table (signals_test.go), which also holds what traffic must
+// have moved; and EPC pressure is attributed to both connections, each
+// under its own owner.
 func TestFabricKitAllArmed(t *testing.T) {
 	for _, port := range fabricPorts {
 		t.Run(port.name, func(t *testing.T) {
 			a := armPort(t, port)
 			f := a.f
-			if f.Monitor() == nil || f.Incidents() == nil || f.EPC() == nil || f.EPCManager() == nil {
+			if f.EPC() == nil || f.EPCManager() == nil {
 				t.Fatal("an armed observer reads back nil")
-			}
-			if f.Monitor().EPCStat() != f.EPC() || f.Monitor().Flight() != f.Pool().Flight() {
-				t.Fatal("the monitor was not built over the armed collectors")
 			}
 
 			// One exposition, every armed source.
@@ -131,69 +126,19 @@ func TestFabricKitAllArmed(t *testing.T) {
 				}
 				declared[name] = true
 			}
-			if faults := f.EPC().Snapshot().Faults; faults == 0 ||
-				!strings.Contains(metrics, fmt.Sprintf("%s %d\n", telemetry.MetricEPCFaults, faults)) {
-				t.Errorf("registry and observatory disagree on %d EPC faults", faults)
+			if _, faults, _ := f.EPCManager().Stats(); faults == 0 || f.EPC().Snapshot().Faults != faults {
+				t.Errorf("manager and observatory disagree on %d EPC faults", faults)
 			}
 
-			// Both connections paged, each under its own name.
-			owners := map[string]uint64{}
+			// Both connections paged, each under its own owner (i+1).
+			owners := map[epc.OwnerID]uint64{}
 			for _, o := range f.EPC().Snapshot().Owners {
-				owners[o.Label] = o.Faults
+				owners[o.Owner] = o.Faults
 			}
-			if len(owners) != 2 || owners["conn0"] == 0 || owners["conn1"] == 0 {
-				t.Errorf("per-owner EPC faults = %v, want conn0 and conn1 both paging", owners)
+			if len(owners) != 2 || owners[1] == 0 || owners[2] == 0 {
+				t.Errorf("per-owner EPC faults = %v, want owners 1 and 2 both paging", owners)
 			}
 		})
-	}
-}
-
-// TestFabricKitBundleCarriesOutliers: a port built on the kit and armed
-// through Arm captures incident bundles that carry the flight recorder's
-// outlier records.  The port's handler is wedged, so its submissions time
-// out and fall back; the fallback-storm rule fires, and the bundle must
-// hold the timed-out calls even at the recorder's production sampling
-// rate, where uniform sampling would have kept none of them.
-func TestFabricKitBundleCarriesOutliers(t *testing.T) {
-	gate := make(chan struct{})
-	f := porting.NewFabric(porting.FabricSpec{Callsites: []string{"wedge.op"}}, 1,
-		[]core.PoolFunc{func(_ int, d uint64) uint64 { <-gate; return d }},
-		core.PoolOptions{SlotsPerShard: 4, MaxResponders: 1, Timeout: 1024})
-	f.Arm(porting.Observers{
-		Registry:  telemetry.New(),
-		Flight:    flight.New(flight.Options{}),
-		Incidents: &incident.Options{},
-	})
-	f.Start()
-	req := f.Pool().Requester()
-
-	// Wedge: the responder claims the first call and blocks in the
-	// handler; the rest of the window fills behind it.
-	parked, err := req.SubmitV([]core.VecCall{{Data: 0}, {Data: 1}, {Data: 2}, {Data: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Monitor().Tick() // baseline
-	for i := 0; i < 100; i++ {
-		_, _ = req.CallOrFallback(core.VecCall{Data: uint64(i), Site: f.Callsite(0)}, func() (uint64, error) { return 0, nil })
-	}
-	f.Monitor().Tick() // the storm rule fires and the capturer freezes a bundle
-	close(gate)
-	_ = parked.WaitAll(nil)
-	f.Stop()
-
-	bundles := f.Incidents().Bundles()
-	if len(bundles) == 0 {
-		t.Fatal("no bundle captured: the fallback-storm rule did not fire")
-	}
-	var timedOut int
-	for _, v := range bundles[0].Outliers {
-		if v.TimedOut && v.Name == "wedge.op" {
-			timedOut++
-		}
-	}
-	if timedOut == 0 {
-		t.Fatalf("bundle %s carries %d outlier records, none a timed-out wedge.op call", bundles[0].ID, len(bundles[0].Outliers))
 	}
 }
 
@@ -217,8 +162,8 @@ func TestFabricArmOnce(t *testing.T) {
 		t.Run(port.name, func(t *testing.T) {
 			f, _, _ := port.boot(1, kitPoolOpts())
 			f.Arm(porting.Observers{})
-			if f.Monitor() != nil || f.Incidents() != nil || f.EPC() != nil {
-				t.Fatal("the zero Observers armed a monitor, capturer or EPC observatory")
+			if f.EPC() != nil || f.EPCManager() != nil {
+				t.Fatal("the zero Observers armed an EPC model or observatory")
 			}
 			mustPanic(t, "a second Arm", func() { f.Arm(porting.Observers{Registry: telemetry.New()}) })
 
@@ -245,7 +190,7 @@ func TestFabricSharedEPCUnderLoad(t *testing.T) {
 		capacity = 256 * epc.PageSize
 	)
 	var f porting.Fabric
-	f = porting.NewFabric(porting.FabricSpec{Callsites: []string{"touch"}}, conns,
+	f = porting.NewFabric(porting.FabricSpec{Callsite: "touch"}, conns,
 		[]core.PoolFunc{func(requester int, base uint64) uint64 {
 			f.TouchEPC(requester, base, pages)
 			return base

@@ -198,11 +198,10 @@ func (a *App) Call(clk *sim.Clock, name string, args ...sdk.Arg) (uint64, error)
 }
 
 // SetTelemetry attaches the observability registry to every layer the
-// app owns: the SGX platform (leaf instructions, EPC paging, MEE), the
-// SDK runtime (ecall/ocall paths), and the HotCalls channel.  A nil
-// registry detaches everywhere.  This is the simulated servers' one
-// observability wiring: a monitor.New over the same registry watches
-// them.
+// app owns: the SGX platform (leaf instructions, and the memory
+// hierarchy's trace events), the SDK runtime (ecall/ocall paths), and
+// the HotCalls channel.  A nil registry detaches everywhere.  This is the
+// simulated servers' one observability wiring.
 func (a *App) SetTelemetry(reg *telemetry.Registry) {
 	a.Platform.SetTelemetry(reg)
 	a.RT.SetTelemetry(reg)

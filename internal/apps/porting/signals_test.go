@@ -2,9 +2,8 @@ package porting_test
 
 // The consumer table: every family the registry's Prometheus exposition
 // (hotbench -metrics) carries, on either clock, names the reader that
-// consumes it, and every monitor rule names the families
-// it reads and the test that makes it fire.  A new signal declares its
-// reader here, or TestEverySignalHasAReader fails naming it.
+// consumes it, and that reader ends outside observability.  A new signal
+// declares its reader here, or TestEverySignalHasAReader fails naming it.
 
 import (
 	"fmt"
@@ -27,8 +26,6 @@ import (
 	"hotcalls/internal/core"
 	"hotcalls/internal/epc"
 	"hotcalls/internal/flight"
-	"hotcalls/internal/incident"
-	"hotcalls/internal/monitor"
 	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
 )
@@ -48,11 +45,12 @@ func (c clock) String() string {
 	return map[clock]string{fabricClock: "fabric", simClock: "simulated", bothClocks: "both"}[c]
 }
 
-// signalRow is one family's row.  reader is rule:<Name()>,
-// code:<pkg.Ident> (or <pkg.Type.Method>), doc:<file>#<heading> or
-// test:<TestName>.  A driven row (idle empty) must read nonzero after
-// exactly the fixtures its clock names; an idle row names what would move
-// it and must read zero under both fixtures' healthy traffic.
+// signalRow is one family's row.  reader is code:<pkg.Ident> (or
+// <pkg.Type.Method>) in a package outside observability,
+// doc:<file>#<heading> or test:<TestName>.  A driven row (idle empty)
+// must read nonzero after exactly the fixtures its clock names; an idle
+// row names what would move it and must read zero under both fixtures'
+// healthy traffic.
 type signalRow struct {
 	reader string
 	clock  clock
@@ -65,35 +63,17 @@ func idle(reader string, c clock, movesWhen string) signalRow {
 	return signalRow{reader: reader, clock: c, idle: movesWhen}
 }
 
-// signalTable is the consumer table's family half, keyed by family name.
-// A generic exposition (hotbench -metrics, a struct serialised whole to
-// JSON) is not a reader.
+// signalTable is the consumer table, keyed by family name.  A generic
+// exposition (hotbench -metrics, a struct serialised whole to JSON) is not
+// a reader.
 var signalTable = map[string]signalRow{
-	// Submissions and the Section 4.2 starvation path.  The simulated
-	// channel counts per-direction crossings instead of requests; the
-	// storm rule takes whichever stream moved as its denominator.
-	telemetry.MetricHotCallRequests:  driven("rule:fallback-storm", fabricClock),
-	telemetry.MetricHotECalls:        driven("rule:fallback-storm", simClock),
-	telemetry.MetricHotOCalls:        driven("rule:fallback-storm", simClock),
-	telemetry.MetricHotCallTimeouts:  idle("rule:fallback-storm", fabricClock, "a requester's window stays full for its whole Timeout"),
-	telemetry.MetricHotCallFallbacks: idle("rule:fallback-storm", fabricClock, "a timed-out call takes CallOrFallback's fallback"),
-
 	// Invariants: exactly-once accounting (every call is a responder's
 	// execute or the requester's own inline run) and refusal counts.
 	telemetry.MetricHotCallInline:   driven("test:TestPoolTelemetryExports", fabricClock),
 	telemetry.MetricHotCallRejected: idle("test:TestSecurityDescriptorManipulation", fabricClock, "a scatter-gather descriptor points outside the posting requester's ring"),
 
-	// Responder economics.  Only the simulated core.Channel writes the
-	// HotCall cycle histogram and the synchronisation cycles, so
-	// latency-slo and spin-waste's cycle budget read the simulated clock.
-	telemetry.MetricResponderPolls:     driven("rule:spin-waste", fabricClock),
-	telemetry.MetricResponderExecutes:  driven("rule:spin-waste", fabricClock),
-	telemetry.MetricSpinCycles:         driven("rule:spin-waste", simClock),
-	telemetry.MetricHotCallCycles:      driven("rule:latency-slo", simClock),
-	telemetry.MetricResponderKicks:     driven("doc:DESIGN.md#9. Scaling HotCalls (the fabric)", fabricClock),
-	telemetry.MetricPoolResponders:     driven("rule:pool-saturation", fabricClock),
-	telemetry.MetricPoolRespondersMax:  driven("rule:pool-saturation", fabricClock),
-	telemetry.MetricPoolOccupancyMilli: driven("rule:pool-saturation", fabricClock),
+	// The wake policy's kicks.
+	telemetry.MetricResponderKicks: driven("doc:DESIGN.md#9. Scaling HotCalls (the fabric)", fabricClock),
 
 	// Simulator instruction counts.
 	telemetry.MetricEcalls: driven("test:TestTelemetrySGXMode", simClock),
@@ -102,13 +82,6 @@ var signalTable = map[string]signalRow{
 	telemetry.MetricEExit:  driven("test:TestTelemetrySGXMode", simClock),
 	telemetry.MetricResume: driven("test:TestTelemetrySGXMode", simClock),
 	telemetry.MetricAEX:    idle("test:TestAEXAndResume", simClock, "a simulated enclave takes an asynchronous exit (sgx.Enclave.AEX)"),
-
-	// Paging and the MEE.
-	telemetry.MetricEPCFaults:    driven("rule:epc-thrash", bothClocks),
-	telemetry.MetricEPCEvictions: idle("rule:epc-thrash", bothClocks, "the working set outgrows the EPC"),
-	telemetry.MetricEPCResident:  driven("rule:epc-thrash", bothClocks),
-	telemetry.MetricMEENodeHits:  driven("code:monitor.Monitor.RenderText", simClock),
-	telemetry.MetricMEENodeMiss:  driven("code:monitor.Monitor.RenderText", simClock),
 }
 
 // testReaders are the families a test alone may read: exactly-once
@@ -120,128 +93,32 @@ var testReaders = map[string]bool{
 	telemetry.MetricEEnter: true, telemetry.MetricEExit: true, telemetry.MetricResume: true, telemetry.MetricAEX: true,
 }
 
-// ruleRow is one monitor rule's row: the families it reads (nil for the
-// EPC rules, which read the epcstat snapshot every sample carries), the
-// clock whose traffic can make it eligible, and the test that makes it
-// fire.
-type ruleRow struct {
-	reads []string
-	clock clock
-	fires string
-}
-
-var ruleTable = map[string]ruleRow{
-	"fallback-storm": {[]string{telemetry.MetricHotCallRequests, telemetry.MetricHotECalls, telemetry.MetricHotOCalls,
-		telemetry.MetricHotCallTimeouts, telemetry.MetricHotCallFallbacks}, bothClocks, "TestFallbackStormOnSleepingResponder"},
-	// Occupancy half on the fabric, cycle-budget half on the simulated
-	// clock only.
-	"spin-waste": {[]string{telemetry.MetricResponderPolls, telemetry.MetricResponderExecutes, telemetry.MetricSpinCycles,
-		telemetry.MetricHotCallRequests, telemetry.MetricHotECalls, telemetry.MetricHotOCalls}, bothClocks, "TestSpinWasteRule"},
-	"latency-slo": {[]string{telemetry.MetricHotCallCycles}, simClock, "TestLatencySLOBurnRate"},
-	"epc-thrash":  {[]string{telemetry.MetricEPCEvictions, telemetry.MetricEPCFaults, telemetry.MetricEPCResident}, bothClocks, "TestEPCThrashRule"},
-	"pool-saturation": {[]string{telemetry.MetricPoolResponders, telemetry.MetricPoolRespondersMax, telemetry.MetricPoolOccupancyMilli,
-		telemetry.MetricHotCallTimeouts}, fabricClock, "TestPoolSaturationRule"},
-	"epc-oversubscription":    {nil, bothClocks, "TestEPCOversubscriptionRule"},
-	"epc-victim-interference": {nil, bothClocks, "TestEPCVictimInterferenceRule"},
-}
-
 // armedPort is one fabric armed with every observer through the one Arm
-// call, after traffic.  seen, when set, holds every registry family read
-// nonzero while the traffic ran.
+// call, after traffic.
 type armedPort struct {
-	f    *porting.Fabric
-	reg  *telemetry.Registry
-	seen map[string]bool
+	f   *porting.Fabric
+	reg *telemetry.Registry
 }
 
 // armAll arms f with every observer, as a deployment would.
 func armAll(f *porting.Fabric) *telemetry.Registry {
 	reg := telemetry.New()
 	f.Arm(porting.Observers{
-		Registry:  reg,
-		Flight:    flight.New(flight.Options{SampleEvery: 1}),
-		EPCBytes:  256 * epc.PageSize,
-		Monitor:   &monitor.Options{},
-		Incidents: &incident.Options{},
+		Registry: reg,
+		Flight:   flight.New(flight.Options{SampleEvery: 1}),
+		EPCBytes: 256 * epc.PageSize,
 	})
 	return reg
 }
 
-// registryWatch snapshots a registry every 50 µs and remembers which
-// families ever read nonzero: the pool's window occupancy gauge is set at
-// control windows and may be back at zero when the traffic ends.
-type registryWatch struct {
-	reg  *telemetry.Registry
-	mu   sync.Mutex
-	seen map[string]bool
-	stop chan struct{}
-	done chan struct{}
-}
-
-func watchRegistry(reg *telemetry.Registry) *registryWatch {
-	w := &registryWatch{reg: reg, seen: map[string]bool{}, stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(w.done)
-		for {
-			select {
-			case <-w.stop:
-				return
-			default:
-			}
-			w.observe()
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-	return w
-}
-
-func (w *registryWatch) observe() {
-	snap := w.reg.Snapshot()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for name, v := range snap.Counters {
-		w.seen[name] = w.seen[name] || v != 0
-	}
-	for name, v := range snap.Gauges {
-		w.seen[name] = w.seen[name] || v != 0
-	}
-	for name, h := range snap.Histograms {
-		w.seen[name] = w.seen[name] || h.Count != 0
-	}
-}
-
-// moved reports whether the family has read nonzero yet.
-func (w *registryWatch) moved(name string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seen[name]
-}
-
-// finish stops the watch and returns what it saw, with one last look.
-func (w *registryWatch) finish() map[string]bool {
-	close(w.stop)
-	<-w.done
-	w.observe()
-	return w.seen
-}
-
-// settle ticks the monitor once more after the traffic.
-func settle(f *porting.Fabric, reg *telemetry.Registry, seen map[string]bool) *armedPort {
-	f.Monitor().Tick()
-	return &armedPort{f: f, reg: reg, seen: seen}
-}
-
 // armPort boots a port on two connections, arms everything, and drives
-// traffic on both at once.  Both connections post their first call before
-// the responders start, so no responder is parked and the first claims
-// are theirs.
+// traffic on both at once.
 func armPort(t *testing.T, port fabricPort) *armedPort {
 	t.Helper()
 	f, start, drive := port.boot(2, kitPoolOpts())
 	reg := armAll(f)
 	t.Cleanup(f.Stop)
-
-	f.Monitor().Tick() // baseline primes the interval rules
+	start()
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for conn := range errs {
@@ -251,20 +128,13 @@ func armPort(t *testing.T, port fabricPort) *armedPort {
 			errs[conn] = drive(conn)
 		}()
 	}
-	requests := reg.Counter(telemetry.MetricHotCallRequests)
-	for deadline := time.Now().Add(5 * time.Second); requests.Load() < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of 2 first calls posted", requests.Load())
-		}
-	}
-	start()
 	wg.Wait()
 	for conn, err := range errs {
 		if err != nil {
 			t.Fatalf("conn %d: %v", conn, err)
 		}
 	}
-	return settle(f, reg, nil)
+	return &armedPort{f: f, reg: reg}
 }
 
 // armEcho is the consumer table's fast closed loop: a one-connection
@@ -272,16 +142,13 @@ func armPort(t *testing.T, port fabricPort) *armedPort {
 // calls come back to back, faster than a wake costs on any build, the
 // race detector's included, so it drives what the ports' handler-paced
 // loops may not: inline runs and a kick (the requester finds the
-// responder parked, runs its calls itself and kicks within a few dozen),
-// and enough responder passes for control windows to set the pool's
-// occupancy gauge, which a 50 µs registry watch catches.
+// responder parked, runs its calls itself and kicks within a few dozen).
 func armEcho(t *testing.T) *armedPort {
 	t.Helper()
-	f := porting.NewFabric(porting.FabricSpec{Callsites: []string{"echo"}}, 1,
+	f := porting.NewFabric(porting.FabricSpec{Callsite: "echo"}, 1,
 		[]core.PoolFunc{func(_ int, d uint64) uint64 { return d }}, kitPoolOpts())
 	reg := armAll(&f)
 	t.Cleanup(f.Stop)
-	w := watchRegistry(reg)
 	f.Start()
 	pool := f.Pool()
 	deadline := time.Now().Add(10 * time.Second)
@@ -292,15 +159,16 @@ func armEcho(t *testing.T) *armedPort {
 		time.Sleep(100 * time.Microsecond)
 	}
 	r := pool.Requester()
-	for d := uint64(0); !w.moved(telemetry.MetricResponderKicks) || !w.moved(telemetry.MetricPoolOccupancyMilli); d++ {
+	kicks := reg.Counter(telemetry.MetricResponderKicks)
+	for d := uint64(0); kicks.Load() == 0; d++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("no kick or no occupancy reading after %d back-to-back calls", d)
+			t.Fatalf("no kick after %d back-to-back calls", d)
 		}
-		if ret, err := r.CallV(core.VecCall{Data: d, Site: f.Callsite(0)}); err != nil || ret != d {
+		if ret, err := r.CallV(core.VecCall{Data: d, Site: f.Callsite()}); err != nil || ret != d {
 			t.Fatalf("CallV(%d) = (%d, %v)", d, ret, err)
 		}
 	}
-	return settle(&f, reg, w.finish())
+	return &armedPort{f: &f, reg: reg}
 }
 
 // metrics returns the fabric registry's Prometheus exposition.
@@ -366,13 +234,16 @@ func simulatedFixture(t *testing.T) string {
 // three fabric ports and the echo fabric armed with every observer, and
 // simulated memcached wired with SetTelemetry: every family the
 // registry's exposition emits has a row and every row is emitted; every
-// reader resolves; driven rows move under exactly the traffic their clock
-// names and idle rows stay at zero; and every monitor rule has a row
-// whose families and clock agree with the family rows and a test that
-// fires it.
+// reader resolves, a code reader outside the observability packages
+// (`make loc`'s OBSERVABILITY), so no chain ends inside observability;
+// and driven rows move under exactly the traffic their clock names and
+// idle rows stay at zero.
 func TestEverySignalHasAReader(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
 	src := parseSources(t, root)
+	if err := src.resolve(telemetry.MetricEcalls, "code:telemetry.Registry.WritePrometheus"); err == nil {
+		t.Error("a code reader inside an observability package resolved")
+	}
 
 	moved := map[clock]map[string]bool{fabricClock: {}, simClock: {}}
 	emitted := map[string]bool{}
@@ -383,7 +254,7 @@ func TestEverySignalHasAReader(t *testing.T) {
 	for _, a := range fabrics {
 		for name, nonzero := range exposedFamilies(a.metrics(t)) {
 			emitted[name] = true
-			moved[fabricClock][name] = moved[fabricClock][name] || nonzero || a.seen[name]
+			moved[fabricClock][name] = moved[fabricClock][name] || nonzero
 		}
 	}
 	for name, nonzero := range exposedFamilies(simulatedFixture(t)) {
@@ -421,60 +292,38 @@ func TestEverySignalHasAReader(t *testing.T) {
 			t.Errorf("row %s is driven by %s traffic, but read nonzero under %q", name, row.clock, got)
 		}
 	}
-
-	// Rules: one row per shipped rule, agreeing with the family rows.
-	shipped := map[string]string{} // rule name -> its Go type
-	for _, r := range append(monitor.DefaultRules(), monitor.EPCRules()...) {
-		shipped[r.Name()] = strings.TrimPrefix(fmt.Sprintf("%T", r), "*monitor.")
-		if _, ok := ruleTable[r.Name()]; !ok {
-			t.Errorf("rule %s has no row", r.Name())
-		}
-	}
-	for _, name := range sortedKeys(ruleTable) {
-		rr := ruleTable[name]
-		if _, ok := shipped[name]; !ok {
-			t.Errorf("rule row %s names no shipped rule", name)
-		}
-		if err := src.resolveTest(rr.fires, strconv.Quote(name), shipped[name]); err != nil {
-			t.Errorf("rule %s: firing test: %v", name, err)
-		}
-		var clocks clock
-		for _, fam := range rr.reads {
-			row, ok := signalTable[fam]
-			if !ok {
-				t.Errorf("rule %s reads %s, which has no row", name, fam)
-			}
-			clocks |= row.clock
-		}
-		if rr.reads != nil && clocks != rr.clock {
-			t.Errorf("rule %s is fed by the %s clock, but its families are written by %s", name, rr.clock, clocks)
-		}
-	}
-	for _, fam := range sortedKeys(signalTable) {
-		if rule, ok := strings.CutPrefix(signalTable[fam].reader, "rule:"); ok {
-			if rr, ok := ruleTable[rule]; ok && !contains(rr.reads, fam) {
-				t.Errorf("row %s names rule %s as its reader, but the rule's row does not read it", fam, rule)
-			}
-		}
-	}
-
 }
 
 // sources indexes the module's Go declarations for reader resolution:
 // every package's top-level identifiers and methods (code:), every test
-// function's body (test:), and the telemetry constant naming each family.
+// function's body (test:), the telemetry constant naming each family, and
+// the observability packages `make loc` counts, where no code reader may
+// sit.
 type sources struct {
-	root   string
-	decls  map[string]map[string]bool // package name -> Ident or Type.Method
-	tests  map[string][]string        // test name -> body source, per package defining it
-	consts map[string]string          // family -> telemetry constant name
+	root          string
+	decls         map[string]map[string]bool // package name -> Ident or Type.Method
+	tests         map[string][]string        // test name -> body source, per package defining it
+	consts        map[string]string          // family -> telemetry constant name
+	observability map[string]bool            // package name -> counted as observability
 }
 
 func parseSources(t *testing.T, root string) *sources {
 	t.Helper()
-	s := &sources{root: root, decls: map[string]map[string]bool{}, tests: map[string][]string{}, consts: map[string]string{}}
+	s := &sources{root: root, decls: map[string]map[string]bool{}, tests: map[string][]string{}, consts: map[string]string{},
+		observability: map[string]bool{}}
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^OBSERVABILITY = (.+)$`).FindSubmatch(makefile)
+	if m == nil {
+		t.Fatal("Makefile sets no OBSERVABILITY list")
+	}
+	for _, pkg := range strings.Fields(string(m[1])) {
+		s.observability[pkg] = true
+	}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -558,23 +407,21 @@ func recvType(e ast.Expr) string {
 	return ""
 }
 
-// resolve checks one row's reader.  A rule must be a row of ruleTable; a
-// code reader a declaration of its package; a doc reader a heading of
-// its file whose section names the family; a test reader a test whose
-// body names the family, by its telemetry constant or literally.
+// resolve checks one row's reader.  A code reader must be a declaration
+// of a package outside observability; a doc reader a heading of its file
+// whose section names the family; a test reader a test whose body names
+// the family, by its telemetry constant or literally.
 func (s *sources) resolve(family, reader string) error {
 	kind, ref, ok := strings.Cut(reader, ":")
 	if !ok {
 		return fmt.Errorf("not kind:reference")
 	}
 	switch kind {
-	case "rule":
-		if _, ok := ruleTable[ref]; !ok {
-			return fmt.Errorf("no rule row %s", ref)
-		}
-		return nil
 	case "code":
 		pkg, ident, _ := strings.Cut(ref, ".")
+		if s.observability[pkg] {
+			return fmt.Errorf("package %s is observability: the chain must end outside it", pkg)
+		}
 		if !s.decls[pkg][ident] {
 			return fmt.Errorf("package %s declares no %s", pkg, ident)
 		}
@@ -651,13 +498,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -4,7 +4,7 @@ import "hotcalls/internal/telemetry"
 
 // tel is the harness-wide observability registry.  Nil (all handles
 // no-op) unless cmd/hotbench attaches one via SetTelemetry for the
-// -metrics / -monitor flags.
+// -metrics flag.
 var tel *telemetry.Registry
 
 // SetTelemetry attaches an observability registry to every fixture the

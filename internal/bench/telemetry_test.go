@@ -36,9 +36,8 @@ func TestHarnessTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		telemetry.MetricEcalls, telemetry.MetricOcalls,
-		telemetry.MetricHotECalls, telemetry.MetricHotCallRequests,
-		telemetry.MetricHotCallCycles + "_count",
+		telemetry.MetricEcalls, telemetry.MetricOcalls, telemetry.MetricEEnter,
+		telemetry.MetricHotCallInline, telemetry.MetricResponderKicks,
 	} {
 		if !strings.Contains(prom.String(), name) {
 			t.Errorf("Prometheus dump missing %q", name)

@@ -20,17 +20,9 @@ type Channel struct {
 	RT    *sdk.Runtime
 	Model *LatencyModel
 
-	// tel caches the channel's telemetry handles; all nil (no-op) until
-	// SetTelemetry attaches a registry.
-	tel channelTel
-}
-
-// channelTel is the set of handles the HotCall channel paths touch.
-type channelTel struct {
-	ecalls, ocalls *telemetry.Counter
-	spin           *telemetry.Counter
-	cycles         *telemetry.Histogram
-	tracer         *telemetry.Tracer
+	// tracer is the registry's deep tracer, nil (no spans) until
+	// SetTelemetry attaches a registry with tracing enabled.
+	tracer *telemetry.Tracer
 }
 
 // NewChannel returns a HotCalls channel over the given runtime.
@@ -38,19 +30,10 @@ func NewChannel(rt *sdk.Runtime, rng *sim.RNG) *Channel {
 	return &Channel{RT: rt, Model: NewLatencyModel(rng)}
 }
 
-// SetTelemetry attaches the observability registry to the channel:
-// HotCall ecall/ocall counters, the round-trip cycle histogram, and
-// (when tracing is enabled) one span per crossing.  A nil registry
-// detaches.
-func (ch *Channel) SetTelemetry(reg *telemetry.Registry) {
-	ch.tel = channelTel{
-		ecalls: reg.Counter(telemetry.MetricHotECalls),
-		ocalls: reg.Counter(telemetry.MetricHotOCalls),
-		spin:   reg.Counter(telemetry.MetricSpinCycles),
-		cycles: reg.Histogram(telemetry.MetricHotCallCycles),
-		tracer: reg.Tracer(),
-	}
-}
+// SetTelemetry attaches the observability registry to the channel: when
+// its tracing is enabled, one span per crossing and per phase.  A nil
+// registry detaches.
+func (ch *Channel) SetTelemetry(reg *telemetry.Registry) { ch.tracer = reg.Tracer() }
 
 // HotOCall performs an out-call through the HotCalls interface: the
 // trusted side marshals with the SDK-generated code, signals the request
@@ -81,18 +64,17 @@ func (ch *Channel) HotECall(clk *sim.Clock, name string, args ...sdk.Arg) (uint6
 // handler's router and the labels differ.
 func (ch *Channel) hotCall(clk *sim.Clock, b *sdk.Binding, args []sdk.Arg, ecall bool) (uint64, error) {
 	name := b.Decl.Name
-	calls, span, label := ch.tel.ocalls, telemetry.KindHotOCall, "hotocall:"
+	span, label := telemetry.KindHotOCall, "hotocall:"
 	// An ecall's handler runs on the resident enclave worker; its own
 	// ocalls route back through this channel.
 	var router sdk.OCallRouter
 	if ecall {
-		calls, span, label, router = ch.tel.ecalls, telemetry.KindHotECall, "hotecall:", ch
+		span, label, router = telemetry.KindHotECall, "hotecall:", ch
 	}
 	b.Count()
-	calls.Inc()
 	callStart := clk.Now()
 
-	tr := ch.tel.tracer
+	tr := ch.tracer
 	deep := tr != nil
 	var staged []sdk.Arg
 	var finish func()
@@ -114,7 +96,6 @@ func (ch *Channel) hotCall(clk *sim.Clock, b *sdk.Binding, args []sdk.Arg, ecall
 	// latency.
 	spinStart := clk.Now()
 	clk.AdvanceF(ch.Model.Sample())
-	ch.tel.spin.Add(clk.Since(spinStart))
 	if deep {
 		tr.Emit(telemetry.KindSpin, "hotcall-sync", spinStart, clk.Since(spinStart), 0)
 	}
@@ -135,7 +116,6 @@ func (ch *Channel) hotCall(clk *sim.Clock, b *sdk.Binding, args []sdk.Arg, ecall
 	if deep && clk.Now() > copyOutStart {
 		tr.Emit(telemetry.KindMarshal, "copyout:"+name, copyOutStart, clk.Since(copyOutStart), 0)
 	}
-	ch.tel.cycles.ObserveSince(callStart, clk.Now())
 	if tr != nil {
 		tr.Emit(span, label+name, callStart, clk.Since(callStart), 0)
 	}

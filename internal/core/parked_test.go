@@ -23,7 +23,7 @@ func parkedCounters(p *CallPool) (inline, executes, kicks func() uint64) {
 	reg := telemetry.New()
 	p.SetTelemetry(reg)
 	return reg.Counter(telemetry.MetricHotCallInline).Load,
-		reg.Counter(telemetry.MetricResponderExecutes).Load,
+		func() uint64 { _, execs := p.Stats(); return execs },
 		reg.Counter(telemetry.MetricResponderKicks).Load
 }
 

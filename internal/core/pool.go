@@ -240,33 +240,23 @@ type CallPool struct {
 
 	batchPool sync.Pool
 
-	// flight is the per-callsite flight recorder, nil until SetFlight.
-	// The hot path pays one nil-check when detached; when attached,
-	// every call costs one arrival count and 1-in-SampleEvery calls
-	// get a full causal-timeline record (see internal/flight).
+	// flight is the flight recorder, nil until SetFlight.  The hot path
+	// pays one nil-check when detached; when attached, every call costs
+	// one stride count and 1-in-SampleEvery calls get a full
+	// causal-timeline record (see internal/flight).
 	flight *flight.Recorder
 
 	// Telemetry handles, nil (no-op) until SetTelemetry; cached so the
 	// hot path never does a registry lookup.
-	requests   *telemetry.Counter
-	timeouts   *telemetry.Counter
-	pollCtr    *telemetry.Counter
-	executeCtr *telemetry.Counter
-	kickCtr    *telemetry.Counter
-	inlineCtr  *telemetry.Counter
-	liveGauge  *telemetry.Gauge
-	maxGauge   *telemetry.Gauge
-	occGauge   *telemetry.Gauge
+	kickCtr   *telemetry.Counter
+	inlineCtr *telemetry.Counter
 
 	// spinMax caps the completion wait's spin phase (see await): 0 on a
 	// single P, where no responder can run while the requester spins.
 	spinMax int
 
-	// rejected counts scatter-gather calls refused at dispatch (execRun)
-	// and fallbacks the timeouts CallOrFallback degraded; appended last,
-	// so that a new handle moves no field the hot path reads.
-	rejected  *telemetry.Counter
-	fallbacks *telemetry.Counter
+	// rejected counts scatter-gather calls refused at dispatch (execRun).
+	rejected *telemetry.Counter
 }
 
 // NewCallPool builds a fabric over the given call table.  Responders do
@@ -301,37 +291,24 @@ func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 // the table).  Attach before Start.
 func (p *CallPool) SetVecTable(vt []PoolVecFunc) { p.vtable = vt }
 
-// SetTelemetry attaches the fabric's counters and gauges from the
-// registry: submission traffic, responder economics (poll and execute
-// counts, from which the monitor derives occupancy), and the pool's size
-// and window occupancy.  A nil registry detaches.  Attach before Start.
+// SetTelemetry attaches the fabric's counters from the registry: the
+// calls requesters ran inline and the kicks that followed them, and the
+// scatter-gather calls refused at dispatch.  A nil registry detaches.
+// Attach before Start.
 func (p *CallPool) SetTelemetry(reg *telemetry.Registry) {
-	p.requests = reg.Counter(telemetry.MetricHotCallRequests)
-	p.timeouts = reg.Counter(telemetry.MetricHotCallTimeouts)
-	p.pollCtr = reg.Counter(telemetry.MetricResponderPolls)
-	p.executeCtr = reg.Counter(telemetry.MetricResponderExecutes)
 	p.kickCtr = reg.Counter(telemetry.MetricResponderKicks)
 	p.inlineCtr = reg.Counter(telemetry.MetricHotCallInline)
 	p.rejected = reg.Counter(telemetry.MetricHotCallRejected)
-	p.fallbacks = reg.Counter(telemetry.MetricHotCallFallbacks)
-	p.liveGauge = reg.Gauge(telemetry.MetricPoolResponders)
-	p.maxGauge = reg.Gauge(telemetry.MetricPoolRespondersMax)
-	p.occGauge = reg.Gauge(telemetry.MetricPoolOccupancyMilli)
-	p.maxGauge.Set(int64(p.opts.MaxResponders))
 }
 
 // SetFlight attaches the flight recorder: binds one record ring per
-// shard and turns on per-callsite arrival counting and timeline
-// sampling for every subsequent call.  A recorder binds to one pool
-// (flight.Recorder.Bind panics on a second); a nil recorder detaches.
-// Attach before Start.
+// shard and turns on timeline sampling for every subsequent call.  A
+// recorder binds to one pool (flight.Recorder.Bind panics on a second); a
+// nil recorder detaches.  Attach before Start.
 func (p *CallPool) SetFlight(rec *flight.Recorder) {
 	rec.Bind(len(p.shards)) // nil-safe
 	p.flight = rec
 }
-
-// Flight returns the attached flight recorder (nil when detached).
-func (p *CallPool) Flight() *flight.Recorder { return p.flight }
 
 // Requester binds the next free shard to the calling goroutine and
 // returns its handle.  A Requester must be used from one goroutine at a
@@ -351,7 +328,6 @@ func (p *CallPool) Stop() {
 	p.stopped.Store(true)
 	p.wake.Broadcast()
 	p.wg.Wait()
-	p.liveGauge.Set(0)
 }
 
 // Stopped reports whether Stop has been called.
@@ -450,8 +426,6 @@ func (r *Requester) await(s *poolSlot, fr *flight.Record) error {
 		r.spin = p.spinMax
 	}
 	if fr != nil && p.flight != nil {
-		// Complete = Return + the tail sampler's outlier check
-		// (one plain cutoff load + compare).
 		p.flight.Complete(fr)
 	}
 	s.state.Store(slotIdle)
@@ -528,19 +502,18 @@ func (r *Requester) Index() int { return r.idx }
 // detached) are returned for the completion wait.  The flight stamp
 // happens before the submission spin, so a window-full wait is part of
 // the recorded latency; the record is closed on every exit path, so a timeout or shutdown never leaves an
-// open record to wedge the digest.
+// open record behind.
 func (r *Requester) post(c *VecCall) (*poolSlot, *flight.Record, error) {
 	if len(c.Segs) > MaxSegs {
 		return nil, nil, ErrTooManySegments
 	}
 	p := r.pool
 	sh := r.shard
-	p.requests.Inc()
 	var fr *flight.Record
 	if f := p.flight; f != nil {
 		// Arrive inlines, so the 255-in-256 unsampled calls pay no
 		// function call here.
-		if f.Arrive(c.Site, r.idx) {
+		if f.Arrive(r.idx) {
 			fr = f.Open(c.Site, r.idx, uint16(c.ID))
 			fr.SetBytes(segTotal(c.Segs))
 			// Pool-state context only on sampled calls: these gauges live
@@ -579,8 +552,7 @@ func (r *Requester) post(c *VecCall) (*poolSlot, *flight.Record, error) {
 		// hardware thread, the goroutine that must reap) can run.
 		pause()
 	}
-	p.timeouts.Inc()
-	p.flight.Timeout(c.Site, r.idx, fr)
+	p.flight.Timeout(fr)
 	return nil, nil, ErrTimeout
 }
 
@@ -592,9 +564,8 @@ type VecCall struct {
 	// Segs is the call's scatter-gather list, dispatched to the vec table
 	// (nil for a plain uint64 call).
 	Segs []Segment
-	// Site is the registered flight-recorder callsite the call's arrival
-	// count and timeline are recorded under (the zero value is
-	// "(unlabelled)").
+	// Site is the registered flight-recorder callsite a sampled call's
+	// timeline is recorded under (the zero value is "(unlabelled)").
 	Site flight.Callsite
 }
 
@@ -623,13 +594,10 @@ func (r *Requester) CallV(c VecCall) (uint64, error) {
 }
 
 // CallOrFallback is CallV with the paper's starvation mitigation: a
-// submission timeout degrades to the fallback path instead of failing,
-// and counts against the call's callsite.
+// submission timeout degrades to the fallback path instead of failing.
 func (r *Requester) CallOrFallback(c VecCall, fallback func() (uint64, error)) (uint64, error) {
 	ret, err := r.CallV(c)
 	if err == ErrTimeout {
-		r.pool.fallbacks.Inc()
-		r.pool.flight.Fallback(c.Site)
 		return fallback()
 	}
 	return ret, err

@@ -54,7 +54,7 @@ func (p *CallPool) spawn(idx int) {
 // it out.
 func (p *CallPool) enter() {
 	p.wg.Add(1)
-	p.liveGauge.Set(int64(p.live.Add(1)))
+	p.live.Add(1)
 }
 
 // Responders returns the number of live responder goroutines.
@@ -82,7 +82,7 @@ func (p *CallPool) Stats() (polls, executes uint64) {
 // before parking or exiting.
 func (p *CallPool) runResponder(idx int) {
 	defer p.wg.Done()
-	defer func() { p.liveGauge.Set(int64(p.live.Add(-1))) }()
+	defer p.live.Add(-1)
 
 	spin, yield := p.policy.spin, p.policy.yield
 	var segs [MaxSegs]Segment // this responder's private descriptor copies (execRun)
@@ -92,10 +92,8 @@ func (p *CallPool) runResponder(idx int) {
 	var polls, execs uint64 // not yet published
 	flush := func() {
 		p.polls.Add(polls)
-		p.pollCtr.Add(polls)
 		if execs > 0 {
 			p.executes.Add(execs)
-			p.executeCtr.Add(execs)
 		}
 		polls, execs = 0, 0
 	}
@@ -314,7 +312,6 @@ func (p *CallPool) control() {
 	if dPolls > 0 {
 		occ = float64(dExecs) / float64(dPolls)
 	}
-	p.occGauge.Set(occupancyMilli(dPolls, dExecs))
 
 	target := p.target.Load()
 	if p.live.Load() != target {
@@ -340,10 +337,4 @@ func (p *CallPool) scaleUp(target int32) {
 func (p *CallPool) scaleDown(target int32) {
 	p.target.Store(target - 1)
 	p.wake.Broadcast()
-}
-
-// occupancyMilli renders an occupancy fraction as the integer gauge unit
-// (thousandths) the telemetry registry exports.
-func occupancyMilli(polls, execs uint64) int64 {
-	return int64(float64(execs) / float64(max(polls, 1)) * 1000)
 }

@@ -18,11 +18,7 @@
 // interference matrices.
 package epc
 
-import (
-	"sync"
-
-	"hotcalls/internal/telemetry"
-)
+import "sync"
 
 // PageSize is the SGX page granularity.
 const PageSize = 4096
@@ -118,13 +114,6 @@ type Manager struct {
 	// 2^-sampleBits; shift 64 (sampleBits 0) samples every touch.
 	obs         Observer
 	sampleShift uint
-
-	// Telemetry counters (nil when observability is off): faults are
-	// ELDU work, evictions are EWB work.  The resident gauge tracks the
-	// current EPC occupancy for the health monitor's thrash detection.
-	faultCtr    *telemetry.Counter
-	evictCtr    *telemetry.Counter
-	residentGge *telemetry.Gauge
 }
 
 // NewManager returns an EPC manager with the given capacity in bytes.
@@ -153,17 +142,6 @@ func (m *Manager) Stats() (touches, faults, evictions uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.touches, m.faults, m.evictions
-}
-
-// SetTelemetry attaches the fault (ELDU) and eviction (EWB) counters and
-// the resident gauge from the registry.  A nil registry detaches.
-func (m *Manager) SetTelemetry(reg *telemetry.Registry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.faultCtr = reg.Counter(telemetry.MetricEPCFaults)
-	m.evictCtr = reg.Counter(telemetry.MetricEPCEvictions)
-	m.residentGge = reg.Gauge(telemetry.MetricEPCResident)
-	m.residentGge.Set(int64(len(m.resident)))
 }
 
 // SetObserver attaches (or with nil detaches) the paging observer.
@@ -260,7 +238,6 @@ func (m *Manager) touchOne(owner OwnerID, page uint64) (fault bool, evictions in
 		return false, 0
 	}
 	m.faults++
-	m.faultCtr.Inc()
 	if m.obs != nil {
 		m.obs.ObserveFault(owner, page)
 	}
@@ -275,7 +252,6 @@ func (m *Manager) touchOne(owner OwnerID, page uint64) (fault bool, evictions in
 func (m *Manager) install(owner OwnerID, page uint64) {
 	m.resident[page] = pageState{owner: owner, referenced: true}
 	m.clock = append(m.clock, page+1)
-	m.residentGge.Set(int64(len(m.resident)))
 }
 
 // evictOne runs the clock (second-chance) algorithm and evicts one victim,
@@ -305,7 +281,6 @@ func (m *Manager) evictOne(culprit OwnerID) {
 		}
 		// Victim found: EWB.
 		m.evictions++
-		m.evictCtr.Inc()
 		m.clock[m.hand] = 0
 		m.hand++
 		if m.dead++; 2*m.dead > len(m.clock) {
@@ -315,7 +290,6 @@ func (m *Manager) evictOne(culprit OwnerID) {
 			m.obs.ObserveEvict(culprit, st.owner, page)
 		}
 		delete(m.resident, page)
-		m.residentGge.Set(int64(len(m.resident)))
 		return
 	}
 }

@@ -8,17 +8,17 @@
 // The paper's libquantum cliff (Figure 8, Section 3.4) is the motivating
 // failure mode: a working set that grows just past the 93 MB EPC turns
 // every access into a ~9,000-cycle fault and throughput collapses.  The
-// three global counters the manager always exported can tell you the
-// storm is happening; this package tells you it is *coming* (summed WSS
+// manager's three global counts (Manager.Stats) can tell you the storm is
+// happening; this package tells you it is *coming* (summed WSS
 // approaching capacity), *who* is causing it, and *who* is paying for it.
 //
-// Concurrency follows the flight-recorder publish pattern: the live
-// accounting state is mutated only inside the Observe* callbacks, which
-// the manager serialises with its paging (its lock, or its one owning
-// goroutine), so the hot path needs no additional synchronisation.  Flush — also called under the manager's
-// lock — builds an immutable Snapshot and publishes it under the
-// collector's mutex; Snapshot() readers take only the collector's mutex.
-// Lock order is always manager → collector, never the reverse.
+// Concurrency: the live accounting state is mutated only inside the
+// Observe* callbacks, which the manager serialises with its paging (its
+// lock, or its one owning goroutine), so the hot path needs no additional
+// synchronisation.  Flush — also called under the manager's lock — builds
+// an immutable Snapshot and publishes it under the collector's mutex;
+// Snapshot() readers take only the collector's mutex.  Lock order is
+// always manager → collector, never the reverse.
 package epcstat
 
 import (
@@ -27,10 +27,6 @@ import (
 
 	"hotcalls/internal/epc"
 )
-
-// SnapshotSchema identifies the JSON shape embedded in incident
-// bundles.
-const SnapshotSchema = "epcstat/v1"
 
 // The observatory's budgets.  The WSS estimator tracks at most
 // maxSamples pages across all owners: when the set is full, inserting a
@@ -91,7 +87,6 @@ type Collector struct {
 	// Published state: guarded by mu.
 	mu        sync.Mutex
 	published *Snapshot
-	labels    map[epc.OwnerID]string
 
 	// meeStats, when wired (mem.System.SetEPCStat), stamps snapshots
 	// with the MEE node-cache counters so one snapshot shows the whole
@@ -106,7 +101,6 @@ func New(opts Options) *Collector {
 		opts:         opts,
 		owners:       make(map[epc.OwnerID]*ownerState),
 		interference: make(map[uint64]uint64),
-		labels:       make(map[epc.OwnerID]string),
 	}
 }
 
@@ -138,14 +132,6 @@ func (c *Collector) SampleBits() uint { return c.sampleBits }
 // snapshots (typically mem.System's cost model).  Call before concurrent
 // use.
 func (c *Collector) SetMEEStats(f func() (accesses, misses uint64)) { c.meeStats = f }
-
-// SetLabel attaches a human-readable label (enclave name, tenant, conn)
-// to an owner ID for snapshots and text rendering.
-func (c *Collector) SetLabel(owner epc.OwnerID, label string) {
-	c.mu.Lock()
-	c.labels[owner] = label
-	c.mu.Unlock()
-}
 
 func (c *Collector) ownerLocked(id epc.OwnerID) *ownerState {
 	if c.lastState != nil && c.lastOwner == id {
@@ -238,7 +224,6 @@ func (c *Collector) Flush(now uint64) {
 
 func (c *Collector) buildSnapshotLocked(now uint64) *Snapshot {
 	s := &Snapshot{
-		Schema:         SnapshotSchema,
 		Now:            now,
 		CapacityPages:  c.capacityPages,
 		Faults:         c.faults,
@@ -295,7 +280,7 @@ func (c *Collector) buildSnapshotLocked(now uint64) *Snapshot {
 }
 
 // Snapshot flushes the live state through the attached manager and
-// returns a copy of the published snapshot with owner labels applied.
+// returns a copy of the published snapshot.
 // Safe for concurrent use; returns nil on a nil collector or before the
 // first flush opportunity.
 func (c *Collector) Snapshot() *Snapshot {
@@ -312,9 +297,6 @@ func (c *Collector) Snapshot() *Snapshot {
 	}
 	s := *c.published
 	s.Owners = append([]OwnerStats(nil), c.published.Owners...)
-	for i := range s.Owners {
-		s.Owners[i].Label = c.labels[s.Owners[i].Owner]
-	}
 	s.Interference = append([]Cell(nil), c.published.Interference...)
 	if c.meeStats != nil {
 		s.MEENodeAccesses, s.MEENodeMisses = c.meeStats()
@@ -325,7 +307,6 @@ func (c *Collector) Snapshot() *Snapshot {
 // OwnerStats is one owner's slice of a Snapshot.
 type OwnerStats struct {
 	Owner           epc.OwnerID `json:"owner"`
-	Label           string      `json:"label,omitempty"`
 	ResidentPages   int64       `json:"resident_pages"`
 	Faults          uint64      `json:"faults"`
 	Evictions       uint64      `json:"evictions"` // this owner's pages evicted
@@ -346,7 +327,6 @@ type Cell struct {
 // Snapshot is a consistent point-in-time view of the observatory,
 // published under the manager's paging lock so counts never tear.
 type Snapshot struct {
-	Schema         string `json:"schema"`
 	Now            uint64 `json:"now"` // manager touch clock
 	CapacityPages  int    `json:"capacity_pages"`
 	ResidentPages  int64  `json:"resident_pages"`
@@ -363,87 +343,4 @@ type Snapshot struct {
 	MEENodeMisses   uint64       `json:"mee_node_misses,omitempty"`
 	Owners          []OwnerStats `json:"owners,omitempty"`
 	Interference    []Cell       `json:"interference,omitempty"`
-}
-
-// OwnerDelta is one owner's share of an interval Delta.
-type OwnerDelta struct {
-	Owner           epc.OwnerID `json:"owner"`
-	Label           string      `json:"label,omitempty"`
-	ResidentPages   int64       `json:"resident_pages"` // at interval end
-	Faults          uint64      `json:"faults"`
-	Evictions       uint64      `json:"evictions"`
-	EvictionsCaused uint64      `json:"evictions_caused"`
-	WSSPages        uint64      `json:"wss_pages"` // at interval end
-}
-
-// Delta is the difference between two snapshots of the same collector —
-// the interval view the monitor rules evaluate.
-type Delta struct {
-	Touches   uint64 `json:"touches"`
-	Faults    uint64 `json:"faults"`
-	Evictions uint64 `json:"evictions"`
-	// ThrashScore is the composite pressure score: simulated paging
-	// cycles (faults × FaultCost + evictions × EWBCost) per touch over
-	// the interval.  ~0 when resident; ≈ FaultCost+EWBCost (~9,000)
-	// when every touch faults and evicts — the libquantum cliff.
-	ThrashScore  float64      `json:"thrash_score"`
-	Owners       []OwnerDelta `json:"owners,omitempty"`
-	Interference []Cell       `json:"interference,omitempty"`
-}
-
-// Sub returns the interval delta s − prev.  A nil prev yields the
-// cumulative view.  Counters are clamped at zero so a collector restart
-// never produces wraparound garbage.
-func (s *Snapshot) Sub(prev *Snapshot) Delta {
-	if s == nil {
-		return Delta{}
-	}
-	var d Delta
-	prevOwner := map[epc.OwnerID]OwnerStats{}
-	prevCell := map[uint64]uint64{}
-	var prevNow, prevFaults, prevEvicts uint64
-	if prev != nil {
-		prevNow, prevFaults, prevEvicts = prev.Now, prev.Faults, prev.Evictions
-		for _, o := range prev.Owners {
-			prevOwner[o.Owner] = o
-		}
-		for _, cell := range prev.Interference {
-			prevCell[uint64(cell.Culprit)<<32|uint64(cell.Victim)] = cell.Evictions
-		}
-	}
-	d.Touches = clampSub(s.Now, prevNow)
-	d.Faults = clampSub(s.Faults, prevFaults)
-	d.Evictions = clampSub(s.Evictions, prevEvicts)
-	if d.Touches > 0 {
-		d.ThrashScore = (float64(d.Faults)*epc.FaultCost + float64(d.Evictions)*epc.EWBCost) / float64(d.Touches)
-	}
-	for _, o := range s.Owners {
-		p := prevOwner[o.Owner]
-		od := OwnerDelta{
-			Owner:           o.Owner,
-			Label:           o.Label,
-			ResidentPages:   o.ResidentPages,
-			Faults:          clampSub(o.Faults, p.Faults),
-			Evictions:       clampSub(o.Evictions, p.Evictions),
-			EvictionsCaused: clampSub(o.EvictionsCaused, p.EvictionsCaused),
-			WSSPages:        o.WSSPages,
-		}
-		if od.Faults != 0 || od.Evictions != 0 || od.EvictionsCaused != 0 || od.ResidentPages != 0 || od.WSSPages != 0 {
-			d.Owners = append(d.Owners, od)
-		}
-	}
-	for _, cell := range s.Interference {
-		n := clampSub(cell.Evictions, prevCell[uint64(cell.Culprit)<<32|uint64(cell.Victim)])
-		if n != 0 {
-			d.Interference = append(d.Interference, Cell{Culprit: cell.Culprit, Victim: cell.Victim, Evictions: n})
-		}
-	}
-	return d
-}
-
-func clampSub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
 }

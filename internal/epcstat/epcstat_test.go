@@ -167,59 +167,6 @@ func TestAccountingInvariants(t *testing.T) {
 	}
 }
 
-// TestDeltaCumulativeAndInterval checks Sub: against nil it is the
-// cumulative view with the documented thrash score; between two snapshots
-// it isolates the interval and drops idle owners.
-func TestDeltaCumulativeAndInterval(t *testing.T) {
-	const capPages = 32
-	m, c := newFixture(capPages, Options{})
-	for p := uint64(0); p < 64; p++ {
-		m.TouchAs(1, p)
-	}
-	s1 := c.Snapshot()
-	d := s1.Sub(nil)
-	if d.Touches != s1.Now || d.Faults != s1.Faults || d.Evictions != s1.Evictions {
-		t.Fatalf("cumulative delta %+v does not match snapshot totals", d)
-	}
-	want := (float64(d.Faults)*epc.FaultCost + float64(d.Evictions)*epc.EWBCost) / float64(d.Touches)
-	if d.ThrashScore != want {
-		t.Fatalf("thrash score %.2f, want %.2f", d.ThrashScore, want)
-	}
-
-	// Interval: only owner 2 is active.
-	for p := uint64(200); p < 216; p++ {
-		m.TouchAs(2, p)
-	}
-	s2 := c.Snapshot()
-	di := s2.Sub(s1)
-	if di.Faults != s2.Faults-s1.Faults || di.Evictions != s2.Evictions-s1.Evictions {
-		t.Fatalf("interval delta %+v, want faults %d evictions %d",
-			di, s2.Faults-s1.Faults, s2.Evictions-s1.Evictions)
-	}
-	var sawOwner2 bool
-	for _, o := range di.Owners {
-		if o.Owner == 2 {
-			sawOwner2 = true
-			if o.Faults != 16 {
-				t.Fatalf("owner 2 interval faults = %d, want 16", o.Faults)
-			}
-		}
-	}
-	if !sawOwner2 {
-		t.Fatalf("interval delta lost the active owner: %+v", di.Owners)
-	}
-
-	// Reversed subtraction clamps instead of wrapping.
-	back := s1.Sub(s2)
-	if back.Faults != 0 || back.Evictions != 0 || back.Touches != 0 {
-		t.Fatalf("reversed delta should clamp to zero, got %+v", back)
-	}
-	nd := (*Snapshot)(nil).Sub(s1)
-	if nd.Touches != 0 || nd.Faults != 0 || len(nd.Owners) != 0 {
-		t.Fatalf("nil snapshot Sub should be the zero delta, got %+v", nd)
-	}
-}
-
 // TestSampleBudgetBound floods the collector with distinct pages under
 // exact sampling and checks the sample set stays within maxSamples.
 func TestSampleBudgetBound(t *testing.T) {
@@ -308,10 +255,10 @@ func TestObserverZeroAllocFaultDelta(t *testing.T) {
 	}
 }
 
-// TestSnapshotLabels checks that a nil or unattached collector has no
-// snapshot, and that an attached one carries the owner labels and the
+// TestSnapshotOwners checks that a nil or unattached collector has no
+// snapshot, and that an attached one carries each owner and the
 // interference its owners caused.
-func TestSnapshotLabels(t *testing.T) {
+func TestSnapshotOwners(t *testing.T) {
 	if (*Collector)(nil).Snapshot() != nil {
 		t.Fatal("nil collector Snapshot should be nil")
 	}
@@ -320,7 +267,6 @@ func TestSnapshotLabels(t *testing.T) {
 	}
 
 	m, c := newFixture(8, Options{})
-	c.SetLabel(1, "web")
 	for p := uint64(0); p < 12; p++ {
 		m.TouchAs(1, p)
 	}
@@ -328,12 +274,12 @@ func TestSnapshotLabels(t *testing.T) {
 		m.TouchAs(2, p)
 	}
 	s := c.Snapshot()
-	labels := map[epc.OwnerID]string{}
+	faults := map[epc.OwnerID]uint64{}
 	for _, o := range s.Owners {
-		labels[o.Owner] = o.Label
+		faults[o.Owner] = o.Faults
 	}
-	if len(labels) != 2 || labels[1] != "web" || labels[2] != "" {
-		t.Fatalf("owner labels = %v, want web on #1 and none on #2", labels)
+	if len(faults) != 2 || faults[1] != 12 || faults[2] != 4 {
+		t.Fatalf("owner faults = %v, want 12 on #1 and 4 on #2", faults)
 	}
 	if len(s.Interference) == 0 {
 		t.Fatalf("no interference recorded: %+v", s)

@@ -28,14 +28,13 @@ func newTestRecorder(t *testing.T, shards int, opts Options) (*Recorder, *fakeCl
 // begin is the fabric's arrival: count the call, and open a record
 // for a sampled one.
 func begin(r *Recorder, cs Callsite, shard int, callID uint16) *Record {
-	if !r.Arrive(cs, shard) {
+	if !r.Arrive(shard) {
 		return nil
 	}
 	return r.Open(cs, shard, callID)
 }
 
-// play records one complete call timeline through the hot-path API; the
-// Complete return path lets the tail sampler see the call's latency.
+// play records one complete call timeline through the hot-path API.
 func play(r *Recorder, clk *fakeClock, cs Callsite, shard, responder int, svcNS uint64) *Record {
 	rec := begin(r, cs, shard, 7)
 	rec.Context(1, 1, 0)
@@ -50,17 +49,6 @@ func play(r *Recorder, clk *fakeClock, cs Callsite, shard, responder int, svcNS 
 	return rec
 }
 
-// folded is how many of the callsite's records Digest has folded into
-// its stats: each one with an execute span adds one service sample.
-func folded(r *Recorder, cs Callsite) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(cs.id) >= len(r.stats) {
-		return 0
-	}
-	return r.stats[cs.id].service.Snapshot().Count
-}
-
 func TestCallsiteRegistration(t *testing.T) {
 	r := New(Options{})
 	if got := r.CallsiteName(0); got != UnlabelledName {
@@ -68,49 +56,52 @@ func TestCallsiteRegistration(t *testing.T) {
 	}
 	a := r.Callsite("a")
 	b := r.Callsite("b")
-	if a.ID() != 1 || b.ID() != 2 {
-		t.Fatalf("ids = %d, %d; want 1, 2", a.ID(), b.ID())
+	if a.id != 1 || b.id != 2 {
+		t.Fatalf("ids = %d, %d; want 1, 2", a.id, b.id)
 	}
 	if again := r.Callsite("a"); again != a {
 		t.Fatalf("re-registration not idempotent: %v vs %v", again, a)
 	}
 	for id := 3; id < maxCallsites; id++ {
-		if c := r.Callsite(fmt.Sprintf("site%d", id)); c.ID() != id {
-			t.Fatalf("callsite %d registered as id %d", id, c.ID())
+		if c := r.Callsite(fmt.Sprintf("site%d", id)); int(c.id) != id {
+			t.Fatalf("callsite %d registered as id %d", id, c.id)
 		}
 	}
 	// Table full: falls back to unlabelled.
-	if c := r.Callsite("overflow"); c.ID() != 0 {
-		t.Fatalf("overflow callsite id = %d, want 0", c.ID())
+	if c := r.Callsite("overflow"); c.id != 0 {
+		t.Fatalf("overflow callsite id = %d, want 0", c.id)
 	}
 	var zero Callsite
-	if zero.ID() != 0 {
+	if zero.id != 0 {
 		t.Fatal("zero callsite must be id 0")
 	}
 }
 
+// TestSamplingAndExactArrivals: the shard's stride counter counts every
+// arrival, so exactly every SampleEvery-th call carries a record.
 func TestSamplingAndExactArrivals(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 4})
 	cs := r.Callsite("op")
-	sampled := 0
+	var sampled []int
 	for i := 0; i < 32; i++ {
 		if rec := play(r, clk, cs, 0, 0, 10); rec != nil {
-			sampled++
+			sampled = append(sampled, i)
 		}
 	}
-	if sampled != 8 {
-		t.Fatalf("sampled %d of 32 at SampleEvery=4, want 8", sampled)
+	if len(sampled) != 8 {
+		t.Fatalf("sampled %d of 32 at SampleEvery=4, want 8", len(sampled))
 	}
-	stats := r.Stats()
-	if len(stats) != 1 {
-		t.Fatalf("stats rows = %d, want 1", len(stats))
+	for k, i := range sampled {
+		if i != 4*k+3 {
+			t.Fatalf("sampled calls %v, want every 4th arrival", sampled)
+		}
 	}
-	if stats[0].Arrivals != 32 {
-		t.Fatalf("arrivals = %d, want 32 (exact despite sampling)", stats[0].Arrivals)
+	if n := len(r.Records(64)); n != 8 {
+		t.Fatalf("records = %d, want 8", n)
 	}
 }
 
-func TestCausalTimelineDigest(t *testing.T) {
+func TestCausalTimeline(t *testing.T) {
 	r, clk := newTestRecorder(t, 2, Options{SampleEvery: 1})
 	get := r.Callsite("get")
 	set := r.Callsite("set")
@@ -138,32 +129,24 @@ func TestCausalTimelineDigest(t *testing.T) {
 		t.Errorf("context decoded wrong: %+v", views[0])
 	}
 
-	stats := r.Stats()
-	byName := map[string]CallsiteStats{}
-	for _, cs := range stats {
-		byName[cs.Name] = cs
+	if svc := views[1].ExecEndNS - views[1].ExecStartNS; svc != 3000 {
+		t.Errorf("set service = %dns, want 3000", svc)
 	}
-	if svc := byName["set"].ServiceP50NS; svc < 2048 || svc > 4095 {
-		t.Errorf("set service p50 = %d, want in 3000's log2 bucket", svc)
-	}
-	if byName["get"].LastTraceID == 0 {
-		t.Error("get has no last trace ID")
+	if views[0].TraceID == 0 || views[0].TraceID == views[1].TraceID {
+		t.Errorf("trace IDs not distinct: %d, %d", views[0].TraceID, views[1].TraceID)
 	}
 }
 
-func TestTimeoutAndFallbackCounts(t *testing.T) {
+// TestTimeoutClosesRecord: a sampled call that gives up on a full window
+// closes its record flagged, with no responder stamps.
+func TestTimeoutClosesRecord(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("op")
 	rec := begin(r, cs, 0, 0)
 	clk.advance(500)
-	r.Timeout(cs, 0, rec)
-	r.Fallback(cs)
-	r.Timeout(cs, 0, nil) // unsampled timeout still counts
+	r.Timeout(rec)
+	r.Timeout(nil) // an unsampled timeout has no record to close
 
-	stats := r.Stats()
-	if stats[0].Timeouts != 2 || stats[0].Fallbacks != 1 {
-		t.Fatalf("timeouts=%d fallbacks=%d, want 2, 1", stats[0].Timeouts, stats[0].Fallbacks)
-	}
 	views := r.Records(4)
 	if len(views) != 1 || !views[0].TimedOut {
 		t.Fatalf("timeout record missing or unflagged: %+v", views)
@@ -176,43 +159,33 @@ func TestTimeoutAndFallbackCounts(t *testing.T) {
 func TestRingWraparound(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("op")
-	// 3x the ring without digesting: the oldest two rings' worth are lost.
+	// 3x the ring: the oldest two rings' worth are overwritten.
 	for i := 0; i < 3*ringRecords; i++ {
 		play(r, clk, cs, 0, 0, 10)
 	}
-	r.Digest()
-	if got := folded(r, cs); got != ringRecords {
-		t.Fatalf("digested = %d, want %d (one ring's worth)", got, ringRecords)
-	}
-	if got := r.cursors[0] - folded(r, cs); got != 2*ringRecords {
-		t.Fatalf("dropped = %d, want %d", got, 2*ringRecords)
-	}
-	// Records sees only the live window, all valid.
+	// Records sees only the live window, all valid and in order.
 	views := r.Records(4 * ringRecords)
 	if len(views) != ringRecords {
 		t.Fatalf("live window = %d records, want %d", len(views), ringRecords)
 	}
-	// Digest resumes cleanly afterwards.
-	play(r, clk, cs, 0, 0, 10)
-	r.Digest()
-	if got := folded(r, cs); got != ringRecords+1 {
-		t.Fatalf("digested after resume = %d, want %d", got, ringRecords+1)
+	if first, want := views[0].TraceID&(1<<40-1), uint64(2*ringRecords); first != want {
+		t.Fatalf("oldest live record is generation %d, want %d", first, want)
 	}
 }
 
-func TestDigestStopsAtOpenRecord(t *testing.T) {
+// TestRecordsSkipOpenRecord: a record still open is not read back; once
+// closed it is.
+func TestRecordsSkipOpenRecord(t *testing.T) {
 	r, clk := newTestRecorder(t, 1, Options{SampleEvery: 1})
 	cs := r.Callsite("op")
 	open := begin(r, cs, 0, 0) // left open
 	play(r, clk, cs, 0, 0, 10)
-	r.Digest()
-	if got := r.cursors[0]; got != 0 {
-		t.Fatalf("digested past an open record: %d", got)
+	if n := len(r.Records(4)); n != 1 {
+		t.Fatalf("records with one open = %d, want 1", n)
 	}
 	r.Complete(open)
-	r.Digest()
-	if got := r.cursors[0]; got != 2 {
-		t.Fatalf("digested after close = %d, want 2", got)
+	if n := len(r.Records(4)); n != 2 {
+		t.Fatalf("records after close = %d, want 2", n)
 	}
 }
 
@@ -265,18 +238,15 @@ func TestNilAndUnboundSafety(t *testing.T) {
 	if r.Open(Callsite{}, 0, 0) != nil {
 		t.Fatal("nil recorder Open must return nil")
 	}
-	r.Digest()
-	r.Stats()
 	r.Records(4)
-	r.Timeout(Callsite{}, 0, nil)
-	r.Fallback(Callsite{})
+	r.Timeout(nil)
 	r.Stopped(nil)
 
 	unbound := New(Options{})
-	if unbound.Arrive(Callsite{}, 0) || unbound.Open(Callsite{}, 0, 0) != nil {
+	if unbound.Arrive(0) || unbound.Open(Callsite{}, 0, 0) != nil {
 		t.Fatal("unbound recorder must sample nothing")
 	}
-	if unbound.Arrive(Callsite{}, -1) || unbound.Open(Callsite{}, -1, 0) != nil {
+	if unbound.Arrive(-1) || unbound.Open(Callsite{}, -1, 0) != nil {
 		t.Fatal("negative shard must sample nothing")
 	}
 
@@ -288,8 +258,8 @@ func TestNilAndUnboundSafety(t *testing.T) {
 }
 
 // TestBindTwicePanics: a recorder serves one fabric.  Binding it again
-// would strand the first fabric's lanes and records, so it panics, and
-// the first binding keeps counting.
+// would strand the first fabric's records, so it panics, and the first
+// binding keeps recording.
 func TestBindTwicePanics(t *testing.T) {
 	r, clk := newTestRecorder(t, 2, Options{SampleEvery: 1})
 	cs := r.Callsite("op")
@@ -303,7 +273,7 @@ func TestBindTwicePanics(t *testing.T) {
 		r.Bind(4)
 	}()
 	play(r, clk, cs, 1, 0, 10)
-	if stats := r.Stats(); len(stats) != 1 || stats[0].Arrivals != 2 {
-		t.Fatalf("stats after the refused rebind = %+v, want 2 arrivals on op", stats)
+	if views := r.Records(4); len(views) != 2 || views[1].Shard != 1 {
+		t.Fatalf("records after the refused rebind = %+v, want 2 on shard 1", views)
 	}
 }

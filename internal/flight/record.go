@@ -155,27 +155,6 @@ func (r *ring) open() (*Record, uint64) {
 	return rec, gen
 }
 
-// openMP is open for rings with more than one producer — the outlier
-// ring, whose writers are whichever goroutine hits the capture slow
-// path.  The CAS claims a generation exclusively; everything after is
-// the claimed slot's private state, exactly as in open.  Slow path
-// only: the per-call hot path never reaches a CAS.
-func (r *ring) openMP() (*Record, uint64) {
-	for {
-		gen := r.next.Load()
-		if r.next.CompareAndSwap(gen, gen+1) {
-			rec := &r.recs[gen&r.mask]
-			rec.seq.Store(2*gen + 1)
-			rec.claim.Store(0)
-			rec.execStart.Store(0)
-			rec.execEnd.Store(0)
-			rec.ret.Store(0)
-			rec.bytes.Store(0)
-			return rec, gen
-		}
-	}
-}
-
 // RecordView is a validated copy of one closed record, decoded for
 // export.  ClaimNS/ExecStartNS/ExecEndNS are zero for calls that never
 // reached the responder (timeout, stop).

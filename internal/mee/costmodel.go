@@ -8,10 +8,7 @@
 // of tree nodes.
 package mee
 
-import (
-	"hotcalls/internal/cache"
-	"hotcalls/internal/telemetry"
-)
+import "hotcalls/internal/cache"
 
 // CostModel answers "how many extra cycles does an access to encrypted
 // memory cost, over the same access to plaintext memory?".  It reproduces
@@ -33,12 +30,6 @@ type CostModel struct {
 	// repeat is 1 + the last walk's group when it may be repeated, else 0;
 	// repeats counts the walks it answered (see touchMetadata).
 	repeat, repeats uint64
-
-	// Telemetry handles (nil when observability is off; nil handles are
-	// no-ops).  The tree walk runs for every encrypted line, so these are
-	// cached counters, never registry lookups.
-	nodeHits   *telemetry.Counter
-	nodeMisses *telemetry.Counter
 
 	// Calibrated constants.  See DESIGN.md section 4 for how each is
 	// pinned to a row of Table 1.
@@ -111,13 +102,6 @@ const (
 	walkNodes  = walkLevels + 1
 )
 
-// SetTelemetry attaches tree-walk hit/miss counters from the registry.
-// A nil registry detaches (handles become no-op nils).
-func (m *CostModel) SetTelemetry(reg *telemetry.Registry) {
-	m.nodeHits = reg.Counter(telemetry.MetricMEENodeHits)
-	m.nodeMisses = reg.Counter(telemetry.MetricMEENodeMiss)
-}
-
 // touchMetadata walks the tree for one data line through the node cache and
 // returns the number of node fetches that missed.  It is the node cache's
 // only access, and a group's eight lines share their nodes: a repeat of the
@@ -129,7 +113,6 @@ func (m *CostModel) touchMetadata(line uint64) (misses int) {
 	group := line/Arity + 1
 	if group == m.repeat {
 		m.repeats++
-		m.nodeHits.Add(walkNodes)
 		return 0
 	}
 	nodes := [walkNodes]uint64{macNodeAddr(line)}
@@ -148,10 +131,6 @@ func (m *CostModel) touchMetadata(line uint64) (misses int) {
 				m.repeat = 0
 			}
 		}
-	}
-	if m.nodeHits != nil {
-		m.nodeHits.Add(uint64(walkNodes - misses))
-		m.nodeMisses.Add(uint64(misses))
 	}
 	return misses
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"hotcalls/internal/telemetry"
 )
 
 func TestDemandLoadExtraWarmTree(t *testing.T) {
@@ -154,16 +152,12 @@ func overfullLine(t *testing.T) uint64 {
 // the same seeded streams — runs of consecutive lines, jumps, returns to
 // an earlier group, walks of a line whose nodes overfill a set, and
 // FlushMetadata — through all four cost functions, and compares every
-// returned cost, the node cache's statistics and the telemetry hit and
-// miss counters after every call.
+// returned cost and the node cache's statistics after every call.
 func TestRepeatWalkMatchesAlwaysWalk(t *testing.T) {
 	over := overfullLine(t)
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			got, ref := NewCostModel(), NewCostModel()
-			gotReg, refReg := telemetry.New(), telemetry.New()
-			got.SetTelemetry(gotReg)
-			ref.SetTelemetry(refReg)
 			r := rand.New(rand.NewSource(seed))
 			var line uint64
 			var earlier []uint64
@@ -203,13 +197,9 @@ func TestRepeatWalkMatchesAlwaysWalk(t *testing.T) {
 				}
 				ga, gm := got.NodeCacheStats()
 				wa, wm := ref.NodeCacheStats()
-				gh := gotReg.Counter(telemetry.MetricMEENodeHits).Load()
-				wh := refReg.Counter(telemetry.MetricMEENodeHits).Load()
-				gx := gotReg.Counter(telemetry.MetricMEENodeMiss).Load()
-				wx := refReg.Counter(telemetry.MetricMEENodeMiss).Load()
-				if g != w || ga != wa || gm != wm || gh != wh || gx != wx {
-					t.Fatalf("call %d (%s, line %d): cost %v, stats (%d, %d), counters (%d, %d); always-walk %v, (%d, %d), (%d, %d)",
-						i, op, line, g, ga, gm, gh, gx, w, wa, wm, wh, wx)
+				if g != w || ga != wa || gm != wm {
+					t.Fatalf("call %d (%s, line %d): cost %v, stats (%d, %d); always-walk %v, (%d, %d)",
+						i, op, line, g, ga, gm, w, wa, wm)
 				}
 			}
 			if repeats < 1000 {

@@ -99,15 +99,10 @@ func page(addr uint64) uint64 { return (addr - EnclaveBase) / epc.PageSize }
 // PageFaults returns the cumulative number of EPC page faults charged.
 func (s *System) PageFaults() uint64 { return s.pageFaults }
 
-// SetTelemetry attaches the observability registry to the whole memory
-// hierarchy: EPC fault/eviction counters, MEE tree-walk counters, and
-// (when tracing is enabled) paging trace events.  A nil registry
-// detaches everything.
-func (s *System) SetTelemetry(reg *telemetry.Registry) {
-	s.tracer = reg.Tracer()
-	s.EPC.SetTelemetry(reg)
-	s.MEE.SetTelemetry(reg)
-}
+// SetTelemetry attaches the observability registry to the memory
+// hierarchy: when its tracing is enabled, paging and MEE trace events.  A
+// nil registry detaches.
+func (s *System) SetTelemetry(reg *telemetry.Registry) { s.tracer = reg.Tracer() }
 
 // SetEPCStat attaches an EPC pressure observatory to the hierarchy: the
 // collector becomes the EPC manager's observer and snapshots gain the

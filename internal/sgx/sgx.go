@@ -99,7 +99,7 @@ type platformTel struct {
 
 // SetTelemetry attaches the observability registry to the platform: leaf
 // instruction counters and boundary trace events here, and the memory
-// hierarchy's counters through mem.System.  A nil registry detaches.
+// hierarchy's trace events through mem.System.  A nil registry detaches.
 func (p *Platform) SetTelemetry(reg *telemetry.Registry) {
 	p.tel = platformTel{
 		eenter:  reg.Counter(telemetry.MetricEEnter),

@@ -1,6 +1,5 @@
 // Package telemetry is the observability subsystem: cycle-accurate
-// counters, latency histograms, and boundary-event tracing for the whole
-// enclave stack.  The paper's argument rests on seeing where cycles go at
+// counters and boundary-event tracing for the whole enclave stack.  The paper's argument rests on seeing where cycles go at
 // the enclave boundary (Figure 3's CDFs, Table 1's medians, the ocall
 // breakdowns); this package makes the same visibility available on a live
 // workload instead of only through one-shot bench aggregates.
@@ -8,16 +7,16 @@
 // Design constraints, in order:
 //
 //  1. A disabled registry must cost (near) nothing.  Every handle type
-//     (*Counter, *Histogram, *Tracer) is nil-safe: methods on a nil
+//     (*Counter, *Tracer) is nil-safe: methods on a nil
 //     receiver are no-ops that inline to a single branch.  Instrumented
 //     code caches handles once at attach time and calls them
 //     unconditionally, so the uninstrumented HotCall path stays at its
 //     ~620-cycle budget.
 //
 //  2. The hot path takes no locks.  Counters are sharded atomics (one
-//     cache line per shard); histograms are fixed log2-bucket atomic
-//     arrays.  Only the tracer, which is opt-in and inherently
-//     heavier-weight, serialises writers with a mutex around its ring.
+//     cache line per shard).  Only the tracer, which is opt-in and
+//     inherently heavier-weight, serialises writers with a mutex around
+//     its ring.
 //
 //  3. Everything is mergeable and exportable: snapshots are plain
 //     structs, and the registry renders Prometheus text exposition
@@ -32,24 +31,18 @@ import (
 	"sync"
 )
 
-// Registry holds named counters and histograms plus an optional tracer.
+// Registry holds named counters plus an optional tracer.
 // A nil *Registry is a valid disabled registry: all accessors return nil
 // handles whose methods are no-ops.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	tracer   *Tracer
 }
 
 // New returns an empty enabled registry (tracing off until EnableDeepTracing).
 func New() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter returns the named counter, creating it on first use.  On a nil
@@ -66,38 +59,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.  On a nil
-// registry it returns nil, which is a valid no-op gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named cycle histogram, creating it on first use.
-// On a nil registry it returns nil, which is a valid no-op histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{name: name}
-		r.hists[name] = h
-	}
-	return h
 }
 
 // EnableDeepTracing attaches a bounded ring-buffer tracer of the given
@@ -131,19 +92,13 @@ func (r *Registry) Tracer() *Tracer {
 // Snapshot is a point-in-time copy of every metric in the registry,
 // safe to read while writers keep going.
 type Snapshot struct {
-	Counters   map[string]uint64
-	Gauges     map[string]int64
-	Histograms map[string]HistogramSnapshot
+	Counters map[string]uint64
 }
 
-// Snapshot captures all counters, gauges, and histograms.  On a nil
-// registry it returns an empty snapshot.
+// Snapshot captures all counters.  On a nil registry it returns an empty
+// snapshot.
 func (r *Registry) Snapshot() Snapshot {
-	snap := Snapshot{
-		Counters:   make(map[string]uint64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
+	snap := Snapshot{Counters: make(map[string]uint64)}
 	if r == nil {
 		return snap
 	}
@@ -152,23 +107,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, c := range r.counters {
 		counters = append(counters, c)
 	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
-	hists := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hists = append(hists, h)
-	}
 	r.mu.Unlock()
 	for _, c := range counters {
 		snap.Counters[c.name] = c.Load()
-	}
-	for _, g := range gauges {
-		snap.Gauges[g.name] = g.Load()
-	}
-	for _, h := range hists {
-		snap.Histograms[h.name] = h.Snapshot()
 	}
 	return snap
 }

@@ -45,7 +45,7 @@ type Event struct {
 // tracer is non-nil: enough for the profiler (internal/profile) to
 // attribute every cycle of a call.
 //
-// Unlike counters and histograms, Emit serialises writers with a mutex:
+// Unlike counters, Emit serialises writers with a mutex:
 // tracing is opt-in, each event is a multi-word record, and the
 // single-threaded discrete-event simulations never contend on it.
 type Tracer struct {

@@ -17,7 +17,7 @@ import (
 // callers need different values (DESIGN.md, "Tuning constants"); every
 // other default is a named constant in the package that uses it.  Like
 // `make loc`'s ceilings, the number only goes down.
-const maxOptionFields = 16
+const maxOptionFields = 9
 
 // TestOptionFieldRatchet counts the settable option fields and fails
 // above maxOptionFields, listing every one.

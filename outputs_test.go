@@ -26,8 +26,8 @@ const (
 	// seedItem routes the base seed into every experiment and runs the
 	// gate at several seeds.
 	seedItem = "item:16"
-	// observersItem measures the observers' own error; the -metrics and
-	// -monitor dumps are what it reads.
+	// observersItem measures the observers' own error; the -metrics dump
+	// is what it reads.
 	observersItem = "item:9"
 )
 
@@ -43,7 +43,6 @@ var outputReaders = map[string][]string{
 	"hotbench -docs":    {exactGate, fidelityGate},
 	"hotbench -seed":    {seedItem},
 	"hotbench -metrics": {observersItem},
-	"hotbench -monitor": {observersItem},
 
 	"experiment table1":         {"gate:table1"},
 	"experiment fig2":           {"gate:fig2"},
@@ -60,7 +59,6 @@ var outputReaders = map[string][]string{
 	"experiment ablation-cores": {"gate:ablation-cores"},
 	"experiment breakdown":      {"gate:breakdown"},
 	"experiment epc":            {"gate:epc"},
-	"experiment incident":       {"gate:incident"},
 	"experiment profile":        {"gate:profile"},
 	"experiment zerocopy":       {"gate:zerocopy"},
 

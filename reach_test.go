@@ -22,7 +22,7 @@ import (
 
 // maxUnreachable caps reachAllowlist.  Like maxOptionFields and `make
 // loc`'s ceilings, it only goes down.
-const maxUnreachable = 30
+const maxUnreachable = 28
 
 // reachAllowlist names the declarations no program reaches that stay
 // anyway, each with the reason it stays.  An entry is a root of its own:
@@ -33,8 +33,10 @@ var reachAllowlist = map[string]string{
 	"internal/apps/porting.Fabric.Arm":       observability,
 	"internal/apps/porting.App.SetTelemetry": observability,
 	"internal/apps/porting.Fabric.EPC":       accessor,
-	"internal/apps/porting.Fabric.Monitor":   accessor,
-	"internal/apps/porting.Fabric.Incidents": accessor,
+	"internal/flight.New":                    observability,
+	"internal/flight.Recorder.Records":       observability,
+
+	"internal/core.Requester.CallOrFallback": starvation,
 
 	"internal/apps/porting.App.ServeWithAEX": aexStorm,
 	"internal/apps/porting.App.SetAEXRate":   aexStorm,
@@ -49,9 +51,6 @@ var reachAllowlist = map[string]string{
 
 	"internal/sim.AEXInjector.Hits":         accessor,
 	"internal/telemetry.Counter.Name":       accessor,
-	"internal/telemetry.Gauge.Name":         accessor,
-	"internal/telemetry.Histogram.Name":     accessor,
-	"internal/flight.Callsite.ID":           accessor,
 	"internal/epcstat.Collector.SampleBits": accessor,
 	"internal/sgx.Platform.Enclave":         accessor,
 	"internal/sgx.Enclave.ID":               accessor,
@@ -72,6 +71,7 @@ const (
 	attacker      = "attacker model: tests fault through it against code a program runs"
 	reference     = "state the reference tests compare code a program runs against"
 	accessor      = "accessor tests use to check code a program runs"
+	starvation    = "the paper's starvation fallback (Section 4.2), ROADMAP item 7's wedged-responder scenario"
 )
 
 // TestEveryDeclarationHasAProgramCaller type-checks the module's non-test
