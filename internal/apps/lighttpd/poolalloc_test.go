@@ -5,6 +5,8 @@ package lighttpd
 import (
 	"bytes"
 	"testing"
+
+	"hotcalls/internal/apps/porting"
 )
 
 // TestPoolConnZeroAlloc pins the fabric request path's steady state at
@@ -24,7 +26,7 @@ func TestPoolConnZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	var pending [connWindow]PendingResponse
+	var pending [porting.Window]PendingResponse
 	window := func() {
 		for i := range pending {
 			var err error

@@ -3,7 +3,7 @@ package lighttpd
 // PoolServer routes lighttpd's concurrent request path through the
 // HotCalls fabric (core.CallPool) — the real-concurrency counterpart of
 // the simulated Server above.  Each client connection owns one fabric
-// shard and a ring of request buffers; the call word packs the buffer
+// shard and a request buffer per ring slot; the call word packs the ring
 // slot and the raw request length into a typed uint64, and the return
 // word names the response by reference: every response the server can
 // produce is one of a finite set of immutable byte images built at
@@ -25,18 +25,9 @@ import (
 // HTTP/1.0 request.
 const opServeHTTP core.CallID = 0
 
-// connWindow is the per-connection buffer ring depth.
-const connWindow = 16
-
-// Errors from the connection's submit/collect path.
-var (
-	// ErrWindowFull reports a Submit whose next ring buffer still belongs
-	// to an uncollected request: collect the oldest PendingResponse first.
-	ErrWindowFull = errors.New("lighttpd: connection window full")
-	// ErrBadResponse reports a return word that names no response image
-	// (the fabric's bad-call-ID sentinel, for one).
-	ErrBadResponse = errors.New("lighttpd: fabric returned no valid response reference")
-)
+// ErrBadResponse reports a return word that names no response image (the
+// fabric's bad-call-ID sentinel, for one).
+var ErrBadResponse = errors.New("lighttpd: fabric returned no valid response reference")
 
 // The response images.
 const (
@@ -44,9 +35,6 @@ const (
 	imgNotFound
 	imgIndex
 )
-
-// fabricSpec names the port's one flight callsite.
-var fabricSpec = porting.FabricSpec{Callsite: "http"}
 
 // PoolServer is lighttpd over the fabric: a CallPool whose one table
 // entry scans HTTP requests and answers them by reference into an
@@ -73,7 +61,8 @@ type PoolServer struct {
 // builds the response images — every byte sequence the server can answer
 // with, once; they are immutable from then on, which is what makes the
 // serve path lock-free and copy-free.  opts tunes the underlying
-// CallPool; its Shards field is overridden.
+// CallPool; its Shards and SlotsPerShard fields are overridden (one
+// shard of porting.Window slots per connection).
 func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	page := indexPage()
 	head := ResponseHead(200, len(page))
@@ -87,7 +76,7 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 		indexHash:  porting.FNV64(indexPath),
 		indexPages: max(1, porting.PagesOf(len(page))),
 	}
-	s.Fabric = porting.NewFabric(fabricSpec, conns, []core.PoolFunc{s.serve}, opts)
+	s.Fabric = porting.NewFabric("http", conns, []core.PoolFunc{s.serve}, opts)
 	s.conns = make([]*PoolConn, conns)
 	for i := range s.conns {
 		s.conns[i] = &PoolConn{s: s, req: s.Pool().Requester()}
@@ -109,7 +98,7 @@ func (s *PoolServer) Conn(i int) *PoolConn { return s.conns[i] }
 // a length past the buffer.
 func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	slot, n := porting.UnpackData(data)
-	if slot >= connWindow {
+	if slot >= porting.Window {
 		return porting.PackData(imgBadRequest, len(s.images[imgBadRequest]))
 	}
 	status, path, head := route(s.conns[requester].bufs[slot][:], n)
@@ -127,46 +116,42 @@ func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	return porting.PackData(imgIndex, len(s.images[imgIndex]))
 }
 
-// PoolConn is one client connection: a fabric requester plus its ring
-// of request buffers.  Submissions complete in FIFO order per
-// connection; collect oldest-first.  A buffer is reused only once its
-// PendingResponse has been collected.
+// PoolConn is one client connection: a fabric requester plus a request
+// buffer per ring slot.  The requester's ring is the connection's window:
+// a request takes the slot the next post does (core.Requester.Next), and
+// its buffer until its PendingResponse is collected.  Submissions complete
+// in FIFO order per connection; collect oldest-first.
 type PoolConn struct {
 	s    *PoolServer
 	req  *core.Requester
-	bufs [connWindow][readCap]byte
-	busy [connWindow]bool // submitted, not yet collected
-	next int
+	bufs [porting.Window][readCap]byte
 }
 
 // PendingResponse is an in-flight request's handle.
 type PendingResponse struct {
-	c    *PoolConn
-	b    *core.PoolBatch
-	slot int
+	c *PoolConn
+	b *core.PoolBatch
 }
 
-// Submit copies the raw request into the next ring buffer and posts it
-// to the fabric.  It fails with ErrWindowFull while that buffer's previous
-// request is uncollected — with connWindow requests in flight, or with
-// fewer when responses were collected out of order — collect the oldest
-// PendingResponse first.
+// Submit copies the raw request into the next ring slot's buffer and
+// posts it to the fabric.  It fails with core.ErrWindowFull while that
+// slot's previous request is uncollected — with porting.Window requests in
+// flight, or with fewer when responses were collected out of order —
+// collect the oldest PendingResponse first.
 func (c *PoolConn) Submit(raw string) (PendingResponse, error) {
-	if c.busy[c.next] {
-		return PendingResponse{}, ErrWindowFull
+	slot, free := c.req.Next()
+	if !free {
+		return PendingResponse{}, core.ErrWindowFull
 	}
 	if len(raw) > readCap {
 		return PendingResponse{}, ErrBadRequest
 	}
-	slot := c.next
 	n := copy(c.bufs[slot][:], raw)
 	b, err := c.req.SubmitV([]core.VecCall{{ID: opServeHTTP, Data: porting.PackData(slot, n), Site: c.s.Callsite()}})
 	if err != nil {
 		return PendingResponse{}, err
 	}
-	c.busy[slot] = true
-	c.next = (c.next + 1) % connWindow
-	return PendingResponse{c: c, b: b, slot: slot}, nil
+	return PendingResponse{c: c, b: b}, nil
 }
 
 // response decodes a return word into the bytes it names, a view of one
@@ -187,9 +172,7 @@ func (s *PoolServer) response(ret uint64) ([]byte, error) {
 // life of the server.
 func (pr PendingResponse) Wait() ([]byte, error) {
 	var ret [1]uint64
-	err := pr.b.WaitAll(ret[:])
-	pr.c.busy[pr.slot] = false
-	if err != nil {
+	if err := pr.b.WaitAll(ret[:]); err != nil {
 		return nil, err
 	}
 	return pr.c.s.response(ret[0])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,7 +21,6 @@ import (
 // submissions patience.
 func testPoolOpts(maxResponders int) core.PoolOptions {
 	return core.PoolOptions{
-		SlotsPerShard: connWindow,
 		MaxResponders: maxResponders,
 		Timeout:       1 << 20,
 	}
@@ -144,10 +144,10 @@ func TestPoolServerConcurrentConnections(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			pending := make([]PendingResponse, 0, connWindow)
+			pending := make([]PendingResponse, 0, porting.Window)
 			served := 0
 			for served < 300 {
-				for len(pending) < connWindow {
+				for len(pending) < porting.Window {
 					pr, err := c.Submit(getIndex)
 					if err != nil {
 						errs <- fmt.Errorf("conn %d submit: %v", ci, err)
@@ -195,7 +195,7 @@ func TestPoolServerServesLargeDocument(t *testing.T) {
 		{"GET /index.html HTTP/1.0\r\n\r\n", append([]byte(head), body...)},
 		{"HEAD /index.html HTTP/1.0\r\n\r\n", []byte(head)},
 	} {
-		var pending [connWindow]PendingResponse
+		var pending [porting.Window]PendingResponse
 		for i := range pending {
 			var err error
 			if pending[i], err = c.Submit(tc.raw); err != nil {
@@ -212,23 +212,23 @@ func TestPoolServerServesLargeDocument(t *testing.T) {
 }
 
 // TestPoolConnWindowFull pins the submit-side sentinel: the seventeenth
-// uncollected request fails with ErrWindowFull and collecting one makes
-// room again.
+// uncollected request fails with core.ErrWindowFull and collecting one
+// makes room again.
 func TestPoolConnWindowFull(t *testing.T) {
 	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
 
-	var pending [connWindow]PendingResponse
+	var pending [porting.Window]PendingResponse
 	for i := range pending {
 		var err error
 		if pending[i], err = c.Submit(getIndex); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Submit(getIndex); !errors.Is(err, ErrWindowFull) {
-		t.Fatalf("submit into a full window: err = %v, want ErrWindowFull", err)
+	if _, err := c.Submit(getIndex); !errors.Is(err, core.ErrWindowFull) {
+		t.Fatalf("submit into a full window: err = %v, want core.ErrWindowFull", err)
 	}
 	if _, err := pending[0].Wait(); err != nil {
 		t.Fatal(err)
@@ -247,26 +247,25 @@ func TestPoolConnWindowFull(t *testing.T) {
 // TestPoolConnOutOfOrderCollect collects the newest of a full window
 // first: the next Submit would overwrite the request buffer of the oldest
 // request, still uncollected, so it is refused until that one is
-// collected.  The fabric ring is the programs' default (64 slots), deeper
-// than the connection's window.
+// collected.  The options are the programs' own (core.PoolOptions{}).
 func TestPoolConnOutOfOrderCollect(t *testing.T) {
 	s := NewPoolServer(1, core.PoolOptions{})
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
 
-	var pending [connWindow]PendingResponse
+	var pending [porting.Window]PendingResponse
 	for i := range pending {
 		var err error
 		if pending[i], err = c.Submit(getIndex); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := pending[connWindow-1].Wait(); err != nil {
+	if _, err := pending[porting.Window-1].Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(getIndex); !errors.Is(err, ErrWindowFull) {
-		t.Fatalf("submit into the uncollected slot 0: err = %v, want ErrWindowFull", err)
+	if _, err := c.Submit(getIndex); !errors.Is(err, core.ErrWindowFull) {
+		t.Fatalf("submit into the uncollected slot 0: err = %v, want core.ErrWindowFull", err)
 	}
 	if _, err := pending[0].Wait(); err != nil {
 		t.Fatal(err)
@@ -275,9 +274,82 @@ func TestPoolConnOutOfOrderCollect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit after collecting the oldest: %v", err)
 	}
-	for _, pr := range append(pending[1:connWindow-1], pr) {
+	for _, pr := range append(pending[1:porting.Window-1], pr) {
 		if resp, err := pr.Wait(); err != nil || !bytes.HasPrefix(resp, []byte("HTTP/1.0 200")) {
 			t.Fatalf("collect = (%q, %v)", resp, err)
+		}
+	}
+}
+
+// TestPoolConnWindowModel drives one connection with seeded Submits and
+// Waits, collecting in random order, against a sequential model of its
+// porting.Window-slot ring: a Submit fails with core.ErrWindowFull, and
+// allocates nothing, exactly when the model's next slot holds an
+// uncollected request; every other Submit takes that slot, and every
+// response is its own request's — the page for a GET, the head alone for
+// a HEAD, the 404 head for a missing path.
+func TestPoolConnWindowModel(t *testing.T) {
+	head := ResponseHead(200, len(indexPage()))
+	kinds := []struct{ raw, want string }{
+		{getIndex, head + string(indexPage())},
+		{"HEAD /index.html HTTP/1.0\r\n\r\n", head},
+		{"GET /missing.html HTTP/1.0\r\n\r\n", ResponseHead(404, 0)},
+	}
+	type inflight struct {
+		pr   PendingResponse
+		kind int
+		pos  int
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		s := NewPoolServer(1, testPoolOpts(1))
+		s.Start()
+		c := s.Conn(0)
+		rng := rand.New(rand.NewPCG(seed, 53))
+		var uncollected [porting.Window]bool
+		var pending []inflight
+		next, refused := 0, 0
+		for step := 0; step < 3000; step++ {
+			if len(pending) > 0 && rng.IntN(5) >= 3 {
+				i := rng.IntN(len(pending))
+				f := pending[i]
+				pending[i] = pending[len(pending)-1]
+				pending = pending[:len(pending)-1]
+				resp, err := f.pr.Wait()
+				uncollected[f.pos%porting.Window] = false
+				if err != nil || string(resp) != kinds[f.kind].want {
+					t.Fatalf("seed %d step %d: %.20q collected (%.40q, %v), want %.40q", seed, step, kinds[f.kind].raw, resp, err, kinds[f.kind].want)
+				}
+				continue
+			}
+			f := inflight{kind: rng.IntN(len(kinds)), pos: next}
+			raw := kinds[f.kind].raw
+			pr, err := c.Submit(raw)
+			if uncollected[next%porting.Window] {
+				if !errors.Is(err, core.ErrWindowFull) {
+					t.Fatalf("seed %d step %d: Submit into uncollected slot %d: err = %v, want ErrWindowFull", seed, step, next%porting.Window, err)
+				}
+				if n := testing.AllocsPerRun(1, func() { c.Submit(raw) }); n != 0 {
+					t.Fatalf("seed %d step %d: a refused Submit allocates %v times", seed, step, n)
+				}
+				refused++
+				continue
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d: Submit into collected slot %d: %v", seed, step, next%porting.Window, err)
+			}
+			f.pr = pr
+			uncollected[next%porting.Window] = true
+			next++
+			pending = append(pending, f)
+		}
+		for _, f := range pending {
+			if resp, err := f.pr.Wait(); err != nil || string(resp) != kinds[f.kind].want {
+				t.Fatalf("seed %d: draining %.20q: (%.40q, %v)", seed, kinds[f.kind].raw, resp, err)
+			}
+		}
+		s.Stop()
+		if refused == 0 {
+			t.Errorf("seed %d: no Submit met an uncollected slot", seed)
 		}
 	}
 }
@@ -296,7 +368,6 @@ func TestPoolConnWaitRejectsBadWord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.busy[0] = true // the handle below names slot 0
 	if resp, err := (PendingResponse{c: c, b: b}).Wait(); !errors.Is(err, ErrBadResponse) || resp != nil {
 		t.Fatalf("Wait on the bad-call-ID sentinel = (%d bytes, %v), want ErrBadResponse", len(resp), err)
 	}
@@ -337,7 +408,7 @@ func TestPoolServerForgedCallWord(t *testing.T) {
 		name string
 		word uint64
 	}{
-		{"slot 16", connWindow<<32 | 16},
+		{"slot 16", porting.Window<<32 | 16},
 		{"slot 1<<31", 1<<31<<32 | 16},
 		{"n = cap+1", readCap + 1},
 	} {
@@ -368,13 +439,13 @@ func FuzzCallWord(f *testing.F) {
 	s.Start()
 	f.Cleanup(s.Stop)
 	c := s.Conn(0)
-	for i := 0; i < connWindow; i++ {
+	for i := 0; i < porting.Window; i++ {
 		if _, err := c.Do(getIndex); err != nil {
 			f.Fatal(err)
 		}
 	}
-	for _, word := range []uint64{0, porting.PackData(0, len(getIndex)), porting.PackData(5, len(getIndex)-2), porting.PackData(connWindow-1, readCap),
-		connWindow<<32 | 16, 1<<31<<32 | 16, readCap + 1, ^uint64(0)} {
+	for _, word := range []uint64{0, porting.PackData(0, len(getIndex)), porting.PackData(5, len(getIndex)-2), porting.PackData(porting.Window-1, readCap),
+		porting.Window<<32 | 16, 1<<31<<32 | 16, readCap + 1, ^uint64(0)} {
 		f.Add(word)
 	}
 	f.Fuzz(func(t *testing.T, word uint64) {
@@ -386,7 +457,7 @@ func FuzzCallWord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("word %#x = %#x: %v", word, ret, err)
 		}
-		if slot, n := porting.UnpackData(word); (slot >= connWindow || n > readCap) && !strings.HasPrefix(string(resp), "HTTP/1.0 400 Bad Request\r\n") {
+		if slot, n := porting.UnpackData(word); (slot >= porting.Window || n > readCap) && !strings.HasPrefix(string(resp), "HTTP/1.0 400 Bad Request\r\n") {
 			t.Fatalf("word %#x answered %.40q, want the 400 image", word, resp)
 		}
 		if resp, err := c.Do(getIndex); err != nil || !bytes.HasPrefix(resp, []byte("HTTP/1.0 200")) {
@@ -399,14 +470,14 @@ func FuzzCallWord(f *testing.F) {
 // path with a pipelined connection — the number the scaling experiment
 // in internal/bench normalizes against.
 func BenchmarkPoolServerThroughput(b *testing.B) {
-	s := NewPoolServer(1, core.PoolOptions{SlotsPerShard: connWindow, Timeout: 1 << 20})
+	s := NewPoolServer(1, core.PoolOptions{Timeout: 1 << 20})
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
 	b.ResetTimer()
-	pending := make([]PendingResponse, 0, connWindow)
+	pending := make([]PendingResponse, 0, porting.Window)
 	for i := 0; i < b.N; {
-		for len(pending) < connWindow && i < b.N {
+		for len(pending) < porting.Window && i < b.N {
 			pr, err := c.Submit(getIndex)
 			if err != nil {
 				b.Fatal(err)
@@ -432,7 +503,7 @@ func BenchmarkPoolServerThroughput(b *testing.B) {
 // park and its thread to go idle, so the connection runs it inline.
 func BenchmarkPoolConnDo(b *testing.B) {
 	boot := func(b *testing.B) (*PoolServer, *PoolConn) {
-		s := NewPoolServer(1, core.PoolOptions{SlotsPerShard: connWindow, Timeout: 1 << 20})
+		s := NewPoolServer(1, core.PoolOptions{Timeout: 1 << 20})
 		s.Start()
 		b.Cleanup(s.Stop)
 		return s, s.Conn(0)

@@ -3,17 +3,16 @@ package memcached
 // PoolServer routes memcached's concurrent request path through the
 // HotCalls fabric (core.CallPool) — the real-concurrency counterpart of
 // the simulated Server above.  Each client connection owns one fabric
-// shard and a small ring of request/response buffers; the call word
-// stays a typed uint64 (buffer slot + encoded length packed into the
-// data word), so the submit/complete path allocates nothing and the
-// enclave handler addresses the right buffers from the (requester, slot)
-// pair alone.  The store is the enclave-side state, shared by every
+// shard and a request/response buffer pair per ring slot; the call word
+// stays a typed uint64 (ring slot + encoded length packed into the data
+// word), so the submit/complete path allocates nothing and the enclave
+// handler addresses the right buffers from the (requester, slot) pair
+// alone.  The store is the enclave-side state, shared by every
 // responder: sixteen lock stripes, each an item table (table.go) holding
 // real bytes, indexed by the key's FNV64 hash, computed once per request
 // when it is decoded.
 
 import (
-	"errors"
 	"sync"
 
 	"hotcalls/internal/apps/porting"
@@ -23,10 +22,6 @@ import (
 // opServe is the single fabric call table entry: serve one encoded
 // memcached binary-protocol request.
 const opServe core.CallID = 0
-
-// connWindow is the per-connection buffer ring depth — the async window
-// a connection may keep in flight.
-const connWindow = 16
 
 // The shared store is storeStripes lock stripes, a power of two; the low
 // stripeBits of a key's hash pick its stripe.
@@ -42,9 +37,6 @@ type storeStripe struct {
 	_     [64]byte // keeps adjacent stripes' locks off one coherence line
 }
 
-// fabricSpec names the port's one flight callsite.
-var fabricSpec = porting.FabricSpec{Callsite: "mc"}
-
 // PoolServer is memcached over the fabric: a CallPool whose one table
 // entry serves binary-protocol requests against the shared store.  The
 // pool's lifecycle and everything that observes it are the embedded kit's
@@ -56,11 +48,12 @@ type PoolServer struct {
 }
 
 // NewPoolServer builds a fabric-routed server for up to conns client
-// connections.  opts tunes the underlying CallPool; its Shards field is
-// overridden to the connection count.
+// connections.  opts tunes the underlying CallPool; its Shards and
+// SlotsPerShard fields are overridden (one shard of porting.Window slots
+// per connection).
 func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	s := &PoolServer{store: new([storeStripes]storeStripe)}
-	s.Fabric = porting.NewFabric(fabricSpec, conns, []core.PoolFunc{s.serve}, opts)
+	s.Fabric = porting.NewFabric("mc", conns, []core.PoolFunc{s.serve}, opts)
 	s.conns = make([]*PoolConn, conns)
 	for i := range s.conns {
 		c := &PoolConn{s: s, req: s.Pool().Requester()}
@@ -86,7 +79,7 @@ func (s *PoolServer) Conn(i int) *PoolConn { return s.conns[i] }
 // or a length past the buffer is a malformed packet too, never an index.
 func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	slot, n := porting.UnpackData(data)
-	if slot >= connWindow {
+	if slot >= porting.Window {
 		return ^uint64(0)
 	}
 	b := &s.conns[requester].bufs[slot]
@@ -117,16 +110,16 @@ type connBuf struct {
 	out  Response
 }
 
-// PoolConn is one client connection: a fabric requester plus its buffer
-// ring.  Submissions complete in FIFO order (the fabric ring is FIFO per
-// shard), so collecting oldest-first keeps the window moving.  A slot is
-// reused only once its PendingResponse has been collected.
+// PoolConn is one client connection: a fabric requester plus a buffer
+// set per ring slot.  The requester's ring is the connection's window: a
+// request takes the slot the next post does (core.Requester.Next), and its
+// buffers until its PendingResponse is collected.  Submissions complete in
+// FIFO order (the fabric ring is FIFO per shard), so collecting
+// oldest-first keeps the window moving.
 type PoolConn struct {
 	s    *PoolServer
 	req  *core.Requester
-	bufs [connWindow]connBuf
-	busy [connWindow]bool // submitted, not yet collected
-	next int
+	bufs [porting.Window]connBuf
 }
 
 // PendingResponse is an in-flight request's handle.
@@ -136,20 +129,16 @@ type PendingResponse struct {
 	slot int
 }
 
-// ErrWindowFull reports a Submit whose next ring buffer still belongs to
-// an uncollected request: collect the oldest PendingResponse first.
-var ErrWindowFull = errors.New("memcached: connection window full")
-
-// Submit encodes the request into the next ring buffer and posts it to
-// the fabric.  It fails with ErrWindowFull while that buffer's previous
-// request is uncollected — with connWindow requests in flight, or with
-// fewer when responses were collected out of order — collect the oldest
-// PendingResponse first.
+// Submit encodes the request into the next ring slot's buffer and posts
+// it to the fabric.  It fails with core.ErrWindowFull while that slot's
+// previous request is uncollected — with porting.Window requests in
+// flight, or with fewer when responses were collected out of order —
+// collect the oldest PendingResponse first.
 func (c *PoolConn) Submit(r *Request) (PendingResponse, error) {
-	if c.busy[c.next] {
-		return PendingResponse{}, ErrWindowFull
+	slot, free := c.req.Next()
+	if !free {
+		return PendingResponse{}, core.ErrWindowFull
 	}
-	slot := c.next
 	n, err := EncodeRequest(c.bufs[slot].req, r)
 	if err != nil {
 		return PendingResponse{}, err
@@ -158,19 +147,15 @@ func (c *PoolConn) Submit(r *Request) (PendingResponse, error) {
 	if err != nil {
 		return PendingResponse{}, err
 	}
-	c.busy[slot] = true
-	c.next = (c.next + 1) % connWindow
 	return PendingResponse{c: c, b: b, slot: slot}, nil
 }
 
 // Wait blocks until the response is ready and decodes it.  The decoded
 // Response is the slot's own and aliases its buffer: consume it before
-// the slot comes around again (connWindow submissions later).
+// the slot comes around again (porting.Window submissions later).
 func (pr PendingResponse) Wait() (*Response, error) {
 	var ret [1]uint64
-	err := pr.b.WaitAll(ret[:])
-	pr.c.busy[pr.slot] = false
-	if err != nil {
+	if err := pr.b.WaitAll(ret[:]); err != nil {
 		return nil, err
 	}
 	if ret[0] == ^uint64(0) {

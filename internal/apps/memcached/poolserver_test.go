@@ -18,7 +18,6 @@ import (
 // submissions patience.
 func testPoolOpts(maxResponders int) core.PoolOptions {
 	return core.PoolOptions{
-		SlotsPerShard: connWindow,
 		MaxResponders: maxResponders,
 		Timeout:       1 << 20,
 	}
@@ -114,8 +113,8 @@ func TestPoolServerPipelinedWindow(t *testing.T) {
 	c := s.Conn(0)
 
 	// Fill the window, then collect FIFO; responses must match opaques.
-	pending := make([]PendingResponse, 0, connWindow)
-	for i := 0; i < connWindow; i++ {
+	pending := make([]PendingResponse, 0, porting.Window)
+	for i := 0; i < porting.Window; i++ {
 		pr, err := c.Submit(&Request{Op: OpSet, Key: fmt.Sprintf("k%d", i),
 			Value: []byte{byte(i)}, Opaque: uint32(i)})
 		if err != nil {
@@ -135,8 +134,8 @@ func TestPoolServerPipelinedWindow(t *testing.T) {
 }
 
 // TestPoolConnWindowFull: a Submit into a full window fails with the
-// ErrWindowFull sentinel, allocating nothing, and the window moves again
-// once the oldest request is collected.
+// core.ErrWindowFull sentinel, allocating nothing, and the window moves
+// again once the oldest request is collected.
 func TestPoolConnWindowFull(t *testing.T) {
 	s := NewPoolServer(1, testPoolOpts(1))
 	s.Start()
@@ -144,15 +143,15 @@ func TestPoolConnWindowFull(t *testing.T) {
 	c := s.Conn(0)
 	get := &Request{Op: OpGet, Key: "absent"}
 
-	var pending [connWindow]PendingResponse
+	var pending [porting.Window]PendingResponse
 	for i := range pending {
 		var err error
 		if pending[i], err = c.Submit(get); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Submit(get); !errors.Is(err, ErrWindowFull) {
-		t.Fatalf("submit into a full window: err = %v, want ErrWindowFull", err)
+	if _, err := c.Submit(get); !errors.Is(err, core.ErrWindowFull) {
+		t.Fatalf("submit into a full window: err = %v, want core.ErrWindowFull", err)
 	}
 	if n := testing.AllocsPerRun(100, func() { c.Submit(get) }); n != 0 {
 		t.Errorf("a refused Submit allocates %v times, want 0", n)
@@ -174,28 +173,28 @@ func TestPoolConnWindowFull(t *testing.T) {
 // TestPoolConnOutOfOrderCollect collects the newest of a full window
 // first: the next Submit would reuse the buffer slot of the oldest
 // request, still uncollected, so it is refused, and every request then
-// collects its own response.  The fabric ring is the programs' default
-// (64 slots), deeper than the connection's window.
+// collects its own response.  The options are the programs' own
+// (core.PoolOptions{}).
 func TestPoolConnOutOfOrderCollect(t *testing.T) {
 	s := NewPoolServer(1, core.PoolOptions{})
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
 
-	var pending [connWindow]PendingResponse
+	var pending [porting.Window]PendingResponse
 	for i := range pending {
 		var err error
 		if pending[i], err = c.Submit(&Request{Op: OpGet, Key: "absent", Opaque: uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := pending[connWindow-1].Wait(); err != nil {
+	if _, err := pending[porting.Window-1].Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(&Request{Op: OpGet, Key: "absent", Opaque: 100}); !errors.Is(err, ErrWindowFull) {
-		t.Fatalf("submit into the uncollected slot 0: err = %v, want ErrWindowFull", err)
+	if _, err := c.Submit(&Request{Op: OpGet, Key: "absent", Opaque: 100}); !errors.Is(err, core.ErrWindowFull) {
+		t.Fatalf("submit into the uncollected slot 0: err = %v, want core.ErrWindowFull", err)
 	}
-	for i, pr := range pending[:connWindow-1] {
+	for i, pr := range pending[:porting.Window-1] {
 		resp, err := pr.Wait()
 		if err != nil || resp.Opaque != uint32(i) {
 			t.Fatalf("request %d collected (%+v, %v), want its own opaque", i, resp, err)
@@ -203,6 +202,87 @@ func TestPoolConnOutOfOrderCollect(t *testing.T) {
 	}
 	if _, err := c.Do(&Request{Op: OpGet, Key: "absent"}); err != nil {
 		t.Fatalf("submit after collecting all: %v", err)
+	}
+}
+
+// TestPoolConnWindowModel drives one connection with seeded Submits and
+// Waits, collecting in random order, against a sequential model of its
+// porting.Window-slot ring: a Submit fails with core.ErrWindowFull, and
+// allocates nothing, exactly when the model's next slot holds an
+// uncollected request; every other Submit takes that slot, and every
+// response carries its own request's Opaque, op, status and value.
+func TestPoolConnWindowModel(t *testing.T) {
+	const keys = 8
+	valueOf := func(k int) []byte { return bytes.Repeat([]byte{byte(k + 1)}, 1+k*300) }
+	type inflight struct {
+		pr     PendingResponse
+		req    Request
+		status uint16
+		value  []byte
+		pos    int
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		s := NewPoolServer(1, testPoolOpts(1))
+		s.Start()
+		c := s.Conn(0)
+		for k := 0; k < keys; k++ {
+			if _, err := c.Do(&Request{Op: OpSet, Key: fmt.Sprint("key-", k), Value: valueOf(k)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewPCG(seed, 53))
+		var uncollected [porting.Window]bool
+		var pending []inflight
+		head, refused := 0, 0
+		for step := 0; step < 3000; step++ {
+			if len(pending) > 0 && rng.IntN(5) >= 3 {
+				i := rng.IntN(len(pending))
+				f := pending[i]
+				pending[i] = pending[len(pending)-1]
+				pending = pending[:len(pending)-1]
+				resp, err := f.pr.Wait()
+				uncollected[f.pos%porting.Window] = false
+				if err != nil || resp.Opaque != f.req.Opaque || resp.Op != f.req.Op || resp.Status != f.status || !bytes.Equal(resp.Value, f.value) {
+					t.Fatalf("seed %d step %d: request %+v collected (%+v, %v)", seed, step, f.req, resp, err)
+				}
+				continue
+			}
+			k := rng.IntN(keys)
+			f := inflight{req: Request{Op: OpGet, Key: fmt.Sprint("key-", k), Opaque: uint32(step)}, value: valueOf(k)}
+			switch rng.IntN(3) {
+			case 1:
+				f.req.Key, f.status, f.value = "absent", StatusNotFound, nil
+			case 2: // the value the key holds, so every GET's answer stays known
+				f.req.Op, f.req.Value, f.value = OpSet, valueOf(k), nil
+			}
+			pr, err := c.Submit(&f.req)
+			if uncollected[head%porting.Window] {
+				if !errors.Is(err, core.ErrWindowFull) {
+					t.Fatalf("seed %d step %d: Submit into uncollected slot %d: err = %v, want ErrWindowFull", seed, step, head%porting.Window, err)
+				}
+				if n := testing.AllocsPerRun(1, func() { c.Submit(&f.req) }); n != 0 {
+					t.Fatalf("seed %d step %d: a refused Submit allocates %v times", seed, step, n)
+				}
+				refused++
+				continue
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d: Submit into collected slot %d: %v", seed, step, head%porting.Window, err)
+			}
+			f.pr, f.pos = pr, head
+			uncollected[head%porting.Window] = true
+			head++
+			pending = append(pending, f)
+		}
+		for _, f := range pending {
+			if resp, err := f.pr.Wait(); err != nil || resp.Opaque != f.req.Opaque {
+				t.Fatalf("seed %d: draining %+v: (%+v, %v)", seed, f.req, resp, err)
+			}
+		}
+		s.Stop()
+		if refused == 0 {
+			t.Errorf("seed %d: no Submit met an uncollected slot", seed)
+		}
 	}
 }
 
@@ -268,8 +348,8 @@ func TestPoolStoreConcurrentWholeValues(t *testing.T) {
 		go func(ci int) {
 			defer wg.Done()
 			c := s.Conn(ci)
-			var reqs [connWindow]Request
-			var pending [connWindow]PendingResponse
+			var reqs [porting.Window]Request
+			var pending [porting.Window]PendingResponse
 			for w := 0; w < windows; w++ {
 				for j := range reqs {
 					reqs[j] = Request{Op: OpGet, Key: fmt.Sprint("shared-", (ci+w+j)%keys)}
@@ -312,8 +392,9 @@ func TestPoolServerMalformedPacketSentinel(t *testing.T) {
 	c := s.Conn(0)
 	// Corrupt the wire bytes under the API: plant garbage directly and
 	// post it, as a broken client would.
-	c.bufs[c.next].req[0] = 0x55 // bad magic after EncodeRequest would have set 0x80
-	ret, err := c.req.Call(opServe, porting.PackData(c.next, HeaderSize))
+	slot, _ := c.req.Next()
+	c.bufs[slot].req[0] = 0x55 // bad magic after EncodeRequest would have set 0x80
+	ret, err := c.req.Call(opServe, porting.PackData(slot, HeaderSize))
 	if err != nil || ret != ^uint64(0) {
 		t.Fatalf("malformed packet = (%#x, %v), want sentinel", ret, err)
 	}
@@ -333,7 +414,7 @@ func TestPoolServerForgedCallWord(t *testing.T) {
 		name string
 		word uint64
 	}{
-		{"slot 16", connWindow<<32 | HeaderSize},
+		{"slot 16", porting.Window<<32 | HeaderSize},
 		{"slot 1<<31", 1<<31<<32 | HeaderSize},
 		{"n = cap+1", bufCap + 1},
 	} {
@@ -356,13 +437,13 @@ func FuzzCallWord(f *testing.F) {
 	s.Start()
 	f.Cleanup(s.Stop)
 	c := s.Conn(0)
-	for i := 0; i < connWindow; i++ {
+	for i := 0; i < porting.Window; i++ {
 		if _, err := c.Do(&Request{Op: OpSet, Key: fmt.Sprintf("k%d", i), Value: []byte("v")}); err != nil {
 			f.Fatal(err)
 		}
 	}
-	for _, word := range []uint64{0, porting.PackData(0, HeaderSize), porting.PackData(3, HeaderSize+3), porting.PackData(connWindow-1, bufCap),
-		connWindow<<32 | HeaderSize, 1<<31<<32 | HeaderSize, bufCap + 1, ^uint64(0)} {
+	for _, word := range []uint64{0, porting.PackData(0, HeaderSize), porting.PackData(3, HeaderSize+3), porting.PackData(porting.Window-1, bufCap),
+		porting.Window<<32 | HeaderSize, 1<<31<<32 | HeaderSize, bufCap + 1, ^uint64(0)} {
 		f.Add(word)
 	}
 	f.Fuzz(func(t *testing.T, word uint64) {
@@ -370,7 +451,7 @@ func FuzzCallWord(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slot, n := porting.UnpackData(word); (slot >= connWindow || n > bufCap) && ret != ^uint64(0) {
+		if slot, n := porting.UnpackData(word); (slot >= porting.Window || n > bufCap) && ret != ^uint64(0) {
 			t.Fatalf("word %#x = %#x, want the sentinel", word, ret)
 		} else if ret != ^uint64(0) && ret > bufCap {
 			t.Fatalf("word %#x = %#x, past the %d-byte response buffer", word, ret, bufCap)
@@ -387,7 +468,7 @@ func FuzzCallWord(f *testing.F) {
 // distinct (responders may run a window's calls out of order).  One op is
 // one request.
 func BenchmarkPoolServerThroughput(b *testing.B) {
-	s := NewPoolServer(1, core.PoolOptions{SlotsPerShard: connWindow, Timeout: 1 << 20})
+	s := NewPoolServer(1, core.PoolOptions{Timeout: 1 << 20})
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
@@ -404,7 +485,7 @@ func BenchmarkPoolServerThroughput(b *testing.B) {
 	for i := range reqs {
 	redraw:
 		k := keys[rng.IntN(len(keys))]
-		for _, r := range reqs[i&^(connWindow-1) : i] {
+		for _, r := range reqs[i&^(porting.Window-1) : i] {
 			if r.Key == k {
 				goto redraw
 			}
@@ -414,10 +495,10 @@ func BenchmarkPoolServerThroughput(b *testing.B) {
 			reqs[i].Op, reqs[i].Value = OpSet, val
 		}
 	}
-	var pending [connWindow]PendingResponse
+	var pending [porting.Window]PendingResponse
 	b.ReportAllocs()
 	b.ResetTimer()
-	for n := 0; n < b.N; n += connWindow {
+	for n := 0; n < b.N; n += porting.Window {
 		for j := range pending {
 			var err error
 			if pending[j], err = c.Submit(&reqs[(n+j)&(len(reqs)-1)]); err != nil {

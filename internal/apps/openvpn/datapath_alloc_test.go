@@ -5,6 +5,7 @@ package openvpn
 import (
 	"testing"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
 )
 
@@ -65,15 +66,15 @@ func TestDataPathAllocCeilings(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 	c = s.Conn(0)
-	window := make([][]byte, vpnWindow)
+	window := make([][]byte, porting.Window)
 	for i := range window {
 		window[i] = payload
 	}
 	if n := testing.AllocsPerRun(runs, func() {
-		if n, err := c.Stream(window); n != vpnWindow || err != nil {
+		if n, err := c.Stream(window); n != porting.Window || err != nil {
 			t.Fatalf("Stream = (%d, %v)", n, err)
 		}
-	}); n > 8*vpnWindow {
-		t.Errorf("Stream window allocates %.0f, want <= %d", n, 8*vpnWindow)
+	}); n > 8*porting.Window {
+		t.Errorf("Stream window allocates %.0f, want <= %d", n, 8*porting.Window)
 	}
 }

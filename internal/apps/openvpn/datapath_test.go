@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
 )
 
@@ -192,15 +193,15 @@ func BenchmarkStreamWindow(b *testing.B) {
 	s.Start()
 	defer s.Stop()
 	c := s.Conn(0)
-	payloads := make([][]byte, vpnWindow)
+	payloads := make([][]byte, porting.Window)
 	for i := range payloads {
 		payloads[i] = testPayload(IperfPayload, i)
 	}
 	b.ReportAllocs()
-	b.SetBytes(vpnWindow * IperfPayload)
+	b.SetBytes(porting.Window * IperfPayload)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n, err := c.Stream(payloads); n != vpnWindow || err != nil {
+		if n, err := c.Stream(payloads); n != porting.Window || err != nil {
 			b.Fatalf("Stream = (%d, %v)", n, err)
 		}
 	}

@@ -27,17 +27,9 @@ import (
 // (authenticate + decrypt + re-seal, all in place in the slab).
 const opTunnel core.CallID = 0
 
-// vpnWindow is the per-connection streaming window: the SubmitV batch
-// size and the number of slabs a connection keeps in flight.
-const vpnWindow = 16
-
 // slabFrameCap is the default slab size: one MTU frame plus tunnel
 // overhead, rounded to a power of two.
 const slabFrameCap = 2048
-
-// ErrWindowFull reports a submit with every slab attached to an
-// in-flight call; reap completions first.
-var ErrWindowFull = errors.New("openvpn: connection window full (no free slab)")
 
 // ErrFrameTooLarge reports a payload that does not fit one slab with its
 // tunnel header; nothing was sealed or posted.
@@ -68,10 +60,6 @@ func connCiphers(i int) (rx, tx *Cipher) {
 	return rx, tx
 }
 
-// The port's one flight callsite, the vectored streaming path: each
-// sampled record carries its call's payload bytes.
-var fabricSpec = porting.FabricSpec{Callsite: "vpn.stream"}
-
 // PoolServer is the openVPN relay over the fabric: a CallPool whose one
 // vec-table entry relays tunnel datagrams in place in the payload rings.
 // The pool's lifecycle and everything that observes it are the embedded
@@ -83,18 +71,21 @@ type PoolServer struct {
 }
 
 // NewPoolServer builds a fabric-routed tunnel relay for up to conns
-// client connections.  opts tunes the underlying CallPool; Shards is
-// overridden to the connection count, and the zero-copy rings default to
-// 2x the streaming window of MTU-sized slabs per connection.
+// client connections.  opts tunes the underlying CallPool; Shards and
+// SlotsPerShard are overridden (one shard of porting.Window slots per
+// connection: a Stream window fills the ring), and the zero-copy rings
+// default to 2x the window of MTU-sized slabs per connection.
 func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	s := &PoolServer{}
 	if opts.RingSlabs == 0 {
-		opts.RingSlabs = 2 * vpnWindow
+		opts.RingSlabs = 2 * porting.Window
 	}
 	if opts.RingSlabBytes == 0 {
 		opts.RingSlabBytes = slabFrameCap
 	}
-	s.Fabric = porting.NewFabric(fabricSpec, conns, []core.PoolFunc{
+	// The port's one flight callsite is the vectored streaming path: each
+	// sampled record carries its call's payload bytes.
+	s.Fabric = porting.NewFabric("vpn.stream", conns, []core.PoolFunc{
 		// The tunnel has no scalar-only path; a descriptor-less call is
 		// malformed by construction.
 		func(int, uint64) uint64 { return ^uint64(0) },
@@ -174,9 +165,9 @@ type PoolConn struct {
 	peerVerify *Cipher // peer's receive keys: server -> client direction
 	scratch    []byte  // verifyOut's plaintext buffer, one slab long
 
-	calls [vpnWindow]core.VecCall
-	segs  [vpnWindow][2]core.Segment
-	slabs [vpnWindow]uint32
+	calls [porting.Window]core.VecCall
+	segs  [porting.Window][2]core.Segment
+	slabs [porting.Window]uint32
 }
 
 // sealInto plays the NIC: the peer's sealed frame lands directly in a
@@ -187,7 +178,7 @@ func (c *PoolConn) sealInto(payload []byte) (slab uint32, segs [2]core.Segment, 
 	}
 	s, buf, ok := c.ring.Acquire()
 	if !ok {
-		return 0, segs, ErrWindowFull
+		return 0, segs, core.ErrWindowFull
 	}
 	frameLen := c.peerSeal.Seal(buf, payload)
 	segs[0] = core.Segment{Slab: s, Off: 0, Len: FrameOverhead}
@@ -235,8 +226,8 @@ func (c *PoolConn) verifyOut(frame, payload []byte) error {
 // sealed (no free slab, or ErrFrameTooLarge) ends the window before it;
 // it is the returned error only when it is the window's first.
 func (c *PoolConn) Stream(payloads [][]byte) (int, error) {
-	if len(payloads) > vpnWindow {
-		payloads = payloads[:vpnWindow]
+	if len(payloads) > porting.Window {
+		payloads = payloads[:porting.Window]
 	}
 	n := 0
 	var serr error
@@ -258,9 +249,9 @@ func (c *PoolConn) Stream(payloads [][]byte) (int, error) {
 		release(0)
 		return 0, err
 	}
-	done := b.Len() // WaitAll recycles the handle; capture first
-	var rets [vpnWindow]uint64
-	werr := b.WaitAll(rets[:done])
+	var rets [porting.Window]uint64
+	werr := b.WaitAll(rets[:])
+	done := b.Len()
 	for i := 0; i < done; i++ {
 		if werr == nil && rets[i] != ^uint64(0) {
 			if verr := c.verifyOut(c.ring.Slab(c.slabs[i])[:rets[i]], payloads[i]); verr != nil && werr == nil {

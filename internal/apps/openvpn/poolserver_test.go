@@ -20,7 +20,6 @@ import (
 // patience.
 func testVPNOpts(maxResponders int) core.PoolOptions {
 	return core.PoolOptions{
-		SlotsPerShard: vpnWindow,
 		MaxResponders: maxResponders,
 		Timeout:       1 << 20,
 	}
@@ -188,17 +187,17 @@ func TestPoolTunnelStreamWindow(t *testing.T) {
 	defer s.Stop()
 	c := s.Conn(0)
 
-	payloads := make([][]byte, vpnWindow)
+	payloads := make([][]byte, porting.Window)
 	for round := 0; round < 4; round++ {
 		for i := range payloads {
-			payloads[i] = testPayload(IperfPayload, round*vpnWindow+i)
+			payloads[i] = testPayload(IperfPayload, round*porting.Window+i)
 		}
 		n, err := c.Stream(payloads)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if n != vpnWindow {
-			t.Fatalf("round %d relayed %d, want %d", round, n, vpnWindow)
+		if n != porting.Window {
+			t.Fatalf("round %d relayed %d, want %d", round, n, porting.Window)
 		}
 	}
 	if free := c.ring.FreeSlabs(); free != c.ring.Slabs() {
@@ -225,12 +224,12 @@ func TestPoolTunnelConcurrentConnections(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			payloads := make([][]byte, vpnWindow)
+			payloads := make([][]byte, porting.Window)
 			for round := 0; round < 100; round++ {
 				for i := range payloads {
-					payloads[i] = testPayload(512, ci*1000+round*vpnWindow+i)
+					payloads[i] = testPayload(512, ci*1000+round*porting.Window+i)
 				}
-				if n, err := c.Stream(payloads); err != nil || n != vpnWindow {
+				if n, err := c.Stream(payloads); err != nil || n != porting.Window {
 					errs <- fmt.Errorf("conn %d round %d: (%d, %v)", ci, round, n, err)
 					return
 				}
@@ -301,24 +300,24 @@ func TestPoolTunnelFlightBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	window := make([][]byte, vpnWindow)
+	window := make([][]byte, porting.Window)
 	for i := range window {
 		window[i] = payload
 	}
-	if n, err := c.Stream(window); n != vpnWindow || err != nil {
-		t.Fatalf("Stream = (%d, %v), want (%d, nil)", n, err, vpnWindow)
+	if n, err := c.Stream(window); n != porting.Window || err != nil {
+		t.Fatalf("Stream = (%d, %v), want (%d, nil)", n, err, porting.Window)
 	}
 
 	frameBytes := uint64(FrameOverhead + len(payload))
 	calls := map[string]int{}
-	for _, v := range rec.Records(forwards + vpnWindow) {
+	for _, v := range rec.Records(forwards + porting.Window) {
 		calls[v.Name]++
 		if v.Bytes != frameBytes {
 			t.Errorf("%s record carries %d bytes, want %d", v.Name, v.Bytes, frameBytes)
 		}
 	}
-	if calls["vpn.stream"] != forwards+vpnWindow || len(calls) != 1 {
-		t.Errorf("records per callsite = %v, want %d vpn.stream", calls, forwards+vpnWindow)
+	if calls["vpn.stream"] != forwards+porting.Window || len(calls) != 1 {
+		t.Errorf("records per callsite = %v, want %d vpn.stream", calls, forwards+porting.Window)
 	}
 }
 

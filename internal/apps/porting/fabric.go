@@ -8,12 +8,11 @@ import (
 	"hotcalls/internal/telemetry"
 )
 
-// FabricSpec is what differs between the ports' wiring.
-type FabricSpec struct {
-	// Callsite names the port's one flight callsite: its sampled
-	// records carry this name.
-	Callsite string
-}
+// Window is every fabric port's connection window: NewFabric sizes each
+// connection's ring to it, so it bounds the requests a connection keeps in
+// flight and the per-request buffer sets a port keeps, one per ring slot
+// (core.Requester.Next).
+const Window = 16
 
 // Observers is what Arm attaches.  A zero field leaves that observer off;
 // the zero Observers arms nothing.
@@ -21,7 +20,7 @@ type Observers struct {
 	// Registry receives the fabric's counters.
 	Registry *telemetry.Registry
 	// Flight records sampled causal timelines and payload byte volume
-	// under the spec's callsite name.
+	// under the port's callsite name.
 	Flight *flight.Recorder
 	// EPCBytes arms a simulated EPC of that capacity (up to one page
 	// selects epc.DefaultCapacityBytes) and its pressure observatory:
@@ -39,8 +38,8 @@ type Observers struct {
 // NewFabric, arms it at most once, before Start, and reads what was armed
 // back through the accessors.
 type Fabric struct {
-	spec FabricSpec
-	pool *core.CallPool
+	callsite string
+	pool     *core.CallPool
 
 	sealed bool // Arm and Start each close the arming window
 
@@ -50,10 +49,12 @@ type Fabric struct {
 }
 
 // NewFabric builds the fabric for up to conns client connections, one
-// shard each: opts tunes the CallPool, its Shards field is overridden.
-func NewFabric(spec FabricSpec, conns int, table []core.PoolFunc, opts core.PoolOptions) Fabric {
-	opts.Shards = conns
-	return Fabric{spec: spec, pool: core.NewCallPool(table, opts)}
+// shard of Window slots each: opts tunes the CallPool, its Shards and
+// SlotsPerShard fields are overridden.  callsite names the port's one
+// flight callsite: its sampled records carry this name.
+func NewFabric(callsite string, conns int, table []core.PoolFunc, opts core.PoolOptions) Fabric {
+	opts.Shards, opts.SlotsPerShard = conns, Window
+	return Fabric{callsite: callsite, pool: core.NewCallPool(table, opts)}
 }
 
 // Arm attaches the observers.  It is called at most once and before
@@ -66,7 +67,7 @@ func (f *Fabric) Arm(o Observers) {
 	// A nil registry or recorder is that layer's own "off".
 	f.pool.SetTelemetry(o.Registry)
 	f.pool.SetFlight(o.Flight)
-	f.site = o.Flight.Callsite(f.spec.Callsite)
+	f.site = o.Flight.Callsite(f.callsite)
 	if o.EPCBytes > 0 {
 		capacity := o.EPCBytes
 		if capacity <= epc.PageSize {
@@ -81,7 +82,7 @@ func (f *Fabric) Arm(o Observers) {
 // Pool exposes the underlying CallPool (stats, responder counts).
 func (f *Fabric) Pool() *core.CallPool { return f.pool }
 
-// Callsite returns the flight handle of the spec's callsite name.
+// Callsite returns the flight handle of the port's callsite name.
 func (f *Fabric) Callsite() flight.Callsite { return f.site }
 
 // EPCManager exposes the simulated EPC (nil unless armed).

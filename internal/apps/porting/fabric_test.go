@@ -82,7 +82,7 @@ var fabricPorts = []fabricPort{
 
 // kitPoolOpts gives submissions patience, as the ports' own tests do.
 func kitPoolOpts() core.PoolOptions {
-	return core.PoolOptions{SlotsPerShard: 16, MaxResponders: 2, Timeout: 1 << 20}
+	return core.PoolOptions{MaxResponders: 2, Timeout: 1 << 20}
 }
 
 // typeFamilies lists the family names a Prometheus exposition declares,
@@ -190,7 +190,7 @@ func TestFabricSharedEPCUnderLoad(t *testing.T) {
 		capacity = 256 * epc.PageSize
 	)
 	var f porting.Fabric
-	f = porting.NewFabric(porting.FabricSpec{Callsite: "touch"}, conns,
+	f = porting.NewFabric("touch", conns,
 		[]core.PoolFunc{func(requester int, base uint64) uint64 {
 			f.TouchEPC(requester, base, pages)
 			return base

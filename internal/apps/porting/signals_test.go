@@ -145,7 +145,7 @@ func armPort(t *testing.T, port fabricPort) *armedPort {
 // responder parked, runs its calls itself and kicks within a few dozen).
 func armEcho(t *testing.T) *armedPort {
 	t.Helper()
-	f := porting.NewFabric(porting.FabricSpec{Callsite: "echo"}, 1,
+	f := porting.NewFabric("echo", 1,
 		[]core.PoolFunc{func(_ int, d uint64) uint64 { return d }}, kitPoolOpts())
 	reg := armAll(&f)
 	t.Cleanup(f.Stop)

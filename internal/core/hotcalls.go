@@ -32,10 +32,13 @@ import (
 // ocall_index variable used by the SDK").
 type CallID int
 
-// Errors returned by Call.
+// Errors returned by Call and by the ports' submissions.
 var (
 	ErrTimeout = errors.New("core: responder busy, timeout expired (fall back to SDK call)")
 	ErrStopped = errors.New("core: responder stopped")
+	// ErrWindowFull refuses a submission whose ring slot (Requester.Next)
+	// still holds an uncollected call: collect the oldest call first.
+	ErrWindowFull = errors.New("core: window full, collect the oldest call first")
 )
 
 // DefaultTimeout is the maximum number of submission attempts before the

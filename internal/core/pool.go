@@ -31,8 +31,8 @@ package core
 // Every call is a VecCall: a call_ID, a typed uint64 (no interface{}
 // boxing), an optional scatter-gather list and an optional flight
 // callsite.  Call and CallV run one and wait; SubmitV posts a window and
-// WaitAll collects it.  The request path allocates nothing: PoolBatch
-// handles come from a sync.Pool.  TestPoolCallZeroAlloc and
+// WaitAll collects it.  The request path allocates nothing: a requester
+// keeps one PoolBatch handle per ring position.  TestPoolCallZeroAlloc and
 // BenchmarkPoolCall assert this.
 
 import (
@@ -227,18 +227,24 @@ type CallPool struct {
 	wake     sdk.Cond
 
 	// Adaptive-pool state (scale.go).
-	target   atomic.Int32
-	live     atomic.Int32
+	target atomic.Int32
+	live   atomic.Int32
+
+	// polls and executes are stored by every responder on every pass and
+	// claim, so they sit a full line away from every other field: their
+	// stores never invalidate a line a post reads, whatever address the
+	// pool lands at (TestPoolCountersOwnTheirLine).
+	_        [cacheLine]byte
 	polls    atomic.Uint64 // slot inspections, pool-wide
 	executes atomic.Uint64 // claimed calls, pool-wide
-	wg       sync.WaitGroup
+	_        [cacheLine]byte
+
+	wg sync.WaitGroup
 
 	// Controller bookkeeping: last-window totals, read and written only
 	// by the primary responder inside control(), so plain fields.
 	ctrlPolls    uint64
 	ctrlExecutes uint64
-
-	batchPool sync.Pool
 
 	// flight is the flight recorder, nil until SetFlight.  The hot path
 	// pays one nil-check when detached; when attached, every call costs
@@ -281,7 +287,6 @@ func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 		}
 	}
 	p.target.Store(p.policy.floor)
-	p.batchPool.New = func() any { return new(PoolBatch) }
 	return p
 }
 
@@ -318,7 +323,12 @@ func (p *CallPool) Requester() *Requester {
 	if idx >= len(p.shards) {
 		panic("core: CallPool requesters exhausted (raise PoolOptions.Shards)")
 	}
-	return &Requester{pool: p, shard: p.shards[idx], idx: idx, spin: p.spinMax, gap: 4 * wakeSeed, wake: wakeSeed}
+	r := &Requester{pool: p, shard: p.shards[idx], idx: idx, spin: p.spinMax, gap: 4 * wakeSeed, wake: wakeSeed,
+		batches: make([]PoolBatch, len(p.shards[idx].slots))}
+	for i := range r.batches {
+		r.batches[i].req = r
+	}
+	return r
 }
 
 // Stop shuts the fabric down: responders exit after their current call,
@@ -355,6 +365,11 @@ type Requester struct {
 	// segs is the descriptor scratch help's inline runs execute from
 	// (see execRun): the requester's own, like a responder's.
 	segs [MaxSegs]Segment
+
+	// batches holds the SubmitV handles, one per ring position: a window
+	// starting at position p owns batches[p&mask] until the next window
+	// starting there, which cannot post before p's call is collected.
+	batches []PoolBatch
 }
 
 // spinBudget caps the polls a completion wait spends on cpuRelax before
@@ -488,6 +503,17 @@ func (r *Requester) help(s *poolSlot) (ran bool) {
 // Index returns the requester's stable shard index, the value handlers
 // receive as their requester argument.
 func (r *Requester) Index() int { return r.idx }
+
+// Next reports the ring slot the requester's next post takes and whether
+// it is free: idle, so the call posted there last has been collected.  The
+// ring is the requester's window: a port keeps per-call buffers indexed by
+// this slot, and answers a slot that is not free with ErrWindowFull
+// instead of posting into a wait.
+func (r *Requester) Next() (slot int, free bool) {
+	sh := r.shard
+	i := sh.head & sh.mask
+	return int(i), sh.slots[i].state.Load() == slotIdle
+}
 
 // post plants one call in the requester's ring, spinning through the
 // attempt budget when the window is full.  c.Segs is the call's
@@ -624,15 +650,15 @@ func (r *Requester) SubmitV(calls []VecCall) (*PoolBatch, error) {
 	if n == 0 {
 		return nil, err
 	}
-	// The handle is taken once the calls are out, off their path.
-	b := r.pool.batchPool.Get().(*PoolBatch)
-	b.req, b.start, b.n = r, start, n
+	b := &r.batches[start&r.shard.mask]
+	b.start, b.n = start, n
 	return b, err
 }
 
-// PoolBatch is the handle to one SubmitV window.  Handles come from a
-// sync.Pool and are recycled by WaitAll, so the steady-state
-// SubmitV/WaitAll path allocates nothing.  Calls complete in submission
+// PoolBatch is the handle to one SubmitV window, the requester's own for
+// the window's ring position, so the SubmitV/WaitAll path allocates
+// nothing.  It stays valid, Len included, until the requester posts a
+// window starting at that position again.  Calls complete in submission
 // order per requester (the ring is FIFO), so collecting the oldest batch
 // first keeps the window moving.
 type PoolBatch struct {
@@ -642,16 +668,15 @@ type PoolBatch struct {
 }
 
 // Len returns how many calls the batch posted (smaller than the request
-// only after a mid-window timeout or stop).  Capture it before WaitAll,
-// which recycles the handle.
+// only after a mid-window timeout or stop).
 func (b *PoolBatch) Len() int { return b.n }
 
 // WaitAll blocks until every call in the batch completes (one await per
-// call, in submission order), copying results into rets (when non-nil),
-// then recycles the handle.  With the responders parked it first runs
-// the posted calls up to the batch's last itself as one claimed run (see
-// help), and the waits collect it.  On ErrStopped the unreaped remainder
-// of the window is abandoned with the pool.
+// call, in submission order), copying results into rets (when non-nil).
+// With the responders parked it first runs the posted calls up to the
+// batch's last itself as one claimed run (see help), and the waits collect
+// it.  On ErrStopped the unreaped remainder of the window is abandoned
+// with the pool.
 func (b *PoolBatch) WaitAll(rets []uint64) error {
 	r := b.req
 	sh := r.shard
@@ -666,7 +691,5 @@ func (b *PoolBatch) WaitAll(rets []uint64) error {
 			rets[j] = s.ret
 		}
 	}
-	b.req, b.n = nil, 0
-	r.pool.batchPool.Put(b)
 	return err
 }
