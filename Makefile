@@ -33,10 +33,10 @@ build-cross:
 # and fails when the apps, observability or the total is over its
 # ceiling: the ratio the north star names only ratchets down.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l
-OBSERVABILITY = telemetry dist flight profile epcstat
-APPS_CEILING = 2938
-OBSERVABILITY_CEILING = 1858
-TOTAL_CEILING = 12964
+OBSERVABILITY = telemetry dist profile epcstat
+APPS_CEILING = 2812
+OBSERVABILITY_CEILING = 1329
+TOTAL_CEILING = 12213
 loc:
 	@apps=$$($(call LOC,./internal/apps)); obs=$$($(call LOC,$(addprefix ./internal/,$(OBSERVABILITY)))); total=$$($(call LOC,.)); \
 	echo "fabric (internal/core)  $$($(call LOC,./internal/core))"; \
@@ -55,13 +55,12 @@ reach:
 test:
 	$(GO) test ./...
 
-# The HotCall protocol, the telemetry registry, the flight recorder, the
-# EPC paging manager and its observatory, and the fabric-routed ports with
-# the kit that wires their observers (internal/apps/porting) are the
-# packages with real cross-goroutine traffic; run them under the race
-# detector.
+# The HotCall protocol, the telemetry registry, the EPC paging manager
+# and its observatory, and the fabric-routed ports with the kit they
+# embed (internal/apps/porting) are the packages with real cross-goroutine
+# traffic; run them under the race detector.
 test-race:
-	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/flight/... ./internal/epc/... ./internal/epcstat/... ./internal/apps/porting/... ./internal/apps/memcached/... ./internal/apps/lighttpd/... ./internal/apps/openvpn/...
+	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/epc/... ./internal/epcstat/... ./internal/apps/porting/... ./internal/apps/memcached/... ./internal/apps/lighttpd/... ./internal/apps/openvpn/...
 
 # test-repeat reruns the tests that pin exactly-once execution — the core
 # test that parks a claimed window under a second responder's scan, the
@@ -117,8 +116,7 @@ bench-selftest:
 # (benchmarks/, BENCHMARK.json): end to end, interleaved runs, bounds
 # derived from the measured spread.  In order:
 #   - the fabric against its single-slot configuration as a funnel (the
-#     >=4x scaling pair), and bare vs with a live flight recorder at
-#     1-in-256 sampling;
+#     >=4x scaling pair);
 #   - the three ways a call meets the idle ladder (responder awake,
 #     parked and run inline, parked and signalled);
 #   - the memcached and lighttpd connections' synchronous and pipelined

@@ -38,8 +38,8 @@ const (
 
 // PoolServer is lighttpd over the fabric: a CallPool whose one table
 // entry scans HTTP requests and answers them by reference into an
-// immutable set of response images.  The pool's lifecycle and everything
-// that observes it are the embedded kit's (Arm, Pool, Start, Stop).
+// immutable set of response images.  The pool and its lifecycle are the
+// embedded kit's (Pool, Start, Stop).
 type PoolServer struct {
 	porting.Fabric
 	conns []*PoolConn
@@ -48,12 +48,8 @@ type PoolServer struct {
 	// images[imgBadRequest] and images[imgNotFound] are bare heads,
 	// images[imgIndex] is the page's head+body.
 	images [][]byte
-	// The page's head prefix — all a HEAD returns — and the EPC pages
-	// serving it touches: the body's, at least one for the head, from
-	// the path's FNV64 on.
-	indexHead  int
-	indexHash  uint64
-	indexPages uint64
+	// The page's head prefix: all a HEAD returns.
+	indexHead int
 }
 
 // NewPoolServer builds a fabric-routed server for up to conns client
@@ -72,11 +68,9 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 			imgNotFound:   []byte(ResponseHead(404, 0)),
 			imgIndex:      append([]byte(head), page...),
 		},
-		indexHead:  len(head),
-		indexHash:  porting.FNV64(indexPath),
-		indexPages: max(1, porting.PagesOf(len(page))),
+		indexHead: len(head),
 	}
-	s.Fabric = porting.NewFabric("http", conns, []core.PoolFunc{s.serve}, opts)
+	s.Fabric = porting.NewFabric(conns, []core.PoolFunc{s.serve}, opts)
 	s.conns = make([]*PoolConn, conns)
 	for i := range s.conns {
 		s.conns[i] = &PoolConn{s: s, req: s.Pool().Requester()}
@@ -106,10 +100,8 @@ func (s *PoolServer) serve(requester int, data uint64) uint64 {
 		return porting.PackData(imgBadRequest, len(s.images[imgBadRequest]))
 	}
 	if !bytes.Equal(path, indexPath) {
-		s.TouchEPC(requester, porting.FNV64(path), 1)
 		return porting.PackData(imgNotFound, len(s.images[imgNotFound]))
 	}
-	s.TouchEPC(requester, s.indexHash, s.indexPages)
 	if head {
 		return porting.PackData(imgIndex, s.indexHead)
 	}
@@ -147,7 +139,7 @@ func (c *PoolConn) Submit(raw string) (PendingResponse, error) {
 		return PendingResponse{}, ErrBadRequest
 	}
 	n := copy(c.bufs[slot][:], raw)
-	b, err := c.req.SubmitV([]core.VecCall{{ID: opServeHTTP, Data: porting.PackData(slot, n), Site: c.s.Callsite()}})
+	b, err := c.req.SubmitV([]core.VecCall{{ID: opServeHTTP, Data: porting.PackData(slot, n)}})
 	if err != nil {
 		return PendingResponse{}, err
 	}

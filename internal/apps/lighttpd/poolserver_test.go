@@ -133,7 +133,7 @@ func TestClocksAgree(t *testing.T) {
 func TestPoolServerConcurrentConnections(t *testing.T) {
 	const conns = 4
 	s := NewPoolServer(conns, testPoolOpts(3))
-	s.Arm(porting.Observers{Registry: telemetry.New()})
+	s.Pool().SetTelemetry(telemetry.New())
 	s.Start()
 	defer s.Stop()
 

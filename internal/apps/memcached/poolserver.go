@@ -39,8 +39,7 @@ type storeStripe struct {
 
 // PoolServer is memcached over the fabric: a CallPool whose one table
 // entry serves binary-protocol requests against the shared store.  The
-// pool's lifecycle and everything that observes it are the embedded kit's
-// (Arm, Pool, Start, Stop).
+// pool and its lifecycle are the embedded kit's (Pool, Start, Stop).
 type PoolServer struct {
 	porting.Fabric
 	store *[storeStripes]storeStripe
@@ -53,7 +52,7 @@ type PoolServer struct {
 // per connection).
 func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	s := &PoolServer{store: new([storeStripes]storeStripe)}
-	s.Fabric = porting.NewFabric("mc", conns, []core.PoolFunc{s.serve}, opts)
+	s.Fabric = porting.NewFabric(conns, []core.PoolFunc{s.serve}, opts)
 	s.conns = make([]*PoolConn, conns)
 	for i := range s.conns {
 		c := &PoolConn{s: s, req: s.Pool().Requester()}
@@ -87,17 +86,11 @@ func (s *PoolServer) serve(requester int, data uint64) uint64 {
 	if err != nil {
 		return ^uint64(0)
 	}
-	// The key's hash picks the stripe, indexes its table and places the
-	// request's EPC pages.
+	// The key's hash picks the stripe and indexes its table.
 	sp := &s.store[req.hash&(storeStripes-1)]
 	sp.mu.Lock()
-	respLen, moved := execute(&sp.items, &req, b.resp)
+	respLen, _ := execute(&sp.items, &req, b.resp)
 	sp.mu.Unlock()
-	if s.EPCManager() != nil {
-		// The request's footprint is the value a GET returned or a SET
-		// stored, at least one page.
-		s.TouchEPC(requester, req.hash, max(1, porting.PagesOf(moved)))
-	}
 	return uint64(respLen)
 }
 
@@ -143,7 +136,7 @@ func (c *PoolConn) Submit(r *Request) (PendingResponse, error) {
 	if err != nil {
 		return PendingResponse{}, err
 	}
-	b, err := c.req.SubmitV([]core.VecCall{{ID: opServe, Data: porting.PackData(slot, n), Site: c.s.Callsite()}})
+	b, err := c.req.SubmitV([]core.VecCall{{ID: opServe, Data: porting.PackData(slot, n)}})
 	if err != nil {
 		return PendingResponse{}, err
 	}

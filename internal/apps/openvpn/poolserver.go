@@ -20,7 +20,6 @@ import (
 
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
-	"hotcalls/internal/epc"
 )
 
 // opTunnel is the single vec-table entry: relay one tunnel datagram
@@ -62,8 +61,7 @@ func connCiphers(i int) (rx, tx *Cipher) {
 
 // PoolServer is the openVPN relay over the fabric: a CallPool whose one
 // vec-table entry relays tunnel datagrams in place in the payload rings.
-// The pool's lifecycle and everything that observes it are the embedded
-// kit's (Arm, Pool, Start, Stop).
+// The pool and its lifecycle are the embedded kit's (Pool, Start, Stop).
 type PoolServer struct {
 	porting.Fabric
 	conns   []*PoolConn
@@ -83,9 +81,7 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 	if opts.RingSlabBytes == 0 {
 		opts.RingSlabBytes = slabFrameCap
 	}
-	// The port's one flight callsite is the vectored streaming path: each
-	// sampled record carries its call's payload bytes.
-	s.Fabric = porting.NewFabric("vpn.stream", conns, []core.PoolFunc{
+	s.Fabric = porting.NewFabric(conns, []core.PoolFunc{
 		// The tunnel has no scalar-only path; a descriptor-less call is
 		// malformed by construction.
 		func(int, uint64) uint64 { return ^uint64(0) },
@@ -104,22 +100,9 @@ func NewPoolServer(conns int, opts core.PoolOptions) *PoolServer {
 			peerSeal: peerSeal, peerVerify: peerVerify}
 		c.ring = c.req.Ring()
 		c.scratch = make([]byte, c.ring.SlabBytes())
-		c.ring.SetTouch(s.ringTouch(i))
 		s.conns[i] = c
 	}
 	return s
-}
-
-// ringTouch builds connection i's slab-page attribution hook
-// (core.PayloadRing.SetTouch): the enclave pages backing a touched slab
-// window — placed by connection, slab and offset — are charged to the
-// connection, so the EPC observatory attributes ring-payload pressure
-// per client.
-func (s *PoolServer) ringTouch(conn int) func(slab uint32, off, n int) {
-	return func(slab uint32, off, n int) {
-		s.TouchEPC(conn, uint64(conn+1)*0x9e3779b97f4a7c15+uint64(slab)*8+uint64(off)/epc.PageSize,
-			porting.PagesOf(n))
-	}
 }
 
 // Conn returns connection i's handle.  Each connection must be driven
@@ -138,8 +121,6 @@ func (s *PoolServer) tunnel(requester int, data uint64, segs []core.Segment) uin
 	ring := s.Pool().Ring(requester)
 	hdr := ring.Bytes(segs[0])
 	body := ring.Bytes(segs[1])
-	ring.Touch(segs[0])
-	ring.Touch(segs[1])
 
 	t := s.tunnels[requester]
 	t.mu.Lock()
@@ -194,7 +175,7 @@ func (c *PoolConn) stage(i int, payload []byte) error {
 	}
 	c.slabs[i] = slab
 	c.segs[i] = segs
-	c.calls[i] = core.VecCall{ID: opTunnel, Segs: c.segs[i][:], Site: c.s.Callsite()}
+	c.calls[i] = core.VecCall{ID: opTunnel, Segs: c.segs[i][:]}
 	return nil
 }
 

@@ -9,8 +9,6 @@ import (
 
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
-	"hotcalls/internal/epc"
-	"hotcalls/internal/flight"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
@@ -213,7 +211,7 @@ func TestPoolTunnelStreamWindow(t *testing.T) {
 func TestPoolTunnelConcurrentConnections(t *testing.T) {
 	const conns = 4
 	s := NewPoolServer(conns, testVPNOpts(3))
-	s.Arm(porting.Observers{Registry: telemetry.New()})
+	s.Pool().SetTelemetry(telemetry.New())
 	s.Start()
 	defer s.Stop()
 
@@ -242,82 +240,6 @@ func TestPoolTunnelConcurrentConnections(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestPoolTunnelEPCAttribution checks what the port itself says about
-// paging — the ring's SetTouch hook at work: every relayed datagram
-// touches the pages behind its two slab windows (header and body, one
-// page each at MTU size), placed by connection and slab and charged to the
-// connection.  (That the armed model reaches the observatory
-// is the kit's test, porting.TestFabricKitAllArmed.)
-func TestPoolTunnelEPCAttribution(t *testing.T) {
-	s := NewPoolServer(2, testVPNOpts(2))
-	s.Arm(porting.Observers{EPCBytes: 256 * epc.PageSize})
-	s.Start()
-	defer s.Stop()
-
-	const forwards = 32
-	for conn := 0; conn < 2; conn++ {
-		c := s.Conn(conn)
-		for i := 0; i < forwards; i++ {
-			if _, err := c.Stream([][]byte{testPayload(IperfPayload, conn*100+i)}); err != nil {
-				t.Fatalf("conn %d forward %d: %v", conn, i, err)
-			}
-		}
-	}
-
-	if touches, _, _ := s.EPCManager().Stats(); touches != 2*2*forwards {
-		t.Errorf("touches = %d, want %d (two windows per datagram)", touches, 2*2*forwards)
-	}
-	snap := s.EPC().Snapshot()
-	if snap == nil || len(snap.Owners) != 2 {
-		t.Fatalf("owner table: %+v", snap)
-	}
-	for _, o := range snap.Owners {
-		if o.Faults == 0 {
-			t.Errorf("owner %d faulted nothing: its slabs map to its own pages", o.Owner)
-		}
-	}
-}
-
-// TestPoolTunnelFlightBytes checks that a zero-copy call stamps its
-// payload volume on its flight record: with every call sampled, each
-// Stream frame, alone or in a full window, carries its sealed frame's
-// bytes.
-func TestPoolTunnelFlightBytes(t *testing.T) {
-	s := NewPoolServer(1, testVPNOpts(2))
-	rec := flight.New(flight.Options{SampleEvery: 1})
-	s.Arm(porting.Observers{Registry: telemetry.New(), Flight: rec})
-	s.Start()
-	defer s.Stop()
-	c := s.Conn(0)
-
-	const forwards = 8
-	payload := testPayload(1024, 3)
-	for i := 0; i < forwards; i++ {
-		if _, err := c.Stream([][]byte{payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	window := make([][]byte, porting.Window)
-	for i := range window {
-		window[i] = payload
-	}
-	if n, err := c.Stream(window); n != porting.Window || err != nil {
-		t.Fatalf("Stream = (%d, %v), want (%d, nil)", n, err, porting.Window)
-	}
-
-	frameBytes := uint64(FrameOverhead + len(payload))
-	calls := map[string]int{}
-	for _, v := range rec.Records(forwards + porting.Window) {
-		calls[v.Name]++
-		if v.Bytes != frameBytes {
-			t.Errorf("%s record carries %d bytes, want %d", v.Name, v.Bytes, frameBytes)
-		}
-	}
-	if calls["vpn.stream"] != forwards+porting.Window || len(calls) != 1 {
-		t.Errorf("records per callsite = %v, want %d vpn.stream", calls, forwards+porting.Window)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"hotcalls/internal/apps/lighttpd"
@@ -12,13 +11,10 @@ import (
 	"hotcalls/internal/apps/openvpn"
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
-	"hotcalls/internal/epc"
-	"hotcalls/internal/telemetry"
 )
 
 // fabricPort is one fabric port as the kit sees it: the embedded Fabric,
-// the port's own Start (lighttpd's builds its images first), and traffic
-// on one connection that pages under that connection's name only.
+// the port's own Start, and traffic on one connection.
 type fabricPort struct {
 	name string
 	boot func(conns int, opts core.PoolOptions) (f *porting.Fabric, start func(), drive func(conn int) error)
@@ -45,8 +41,6 @@ var fabricPorts = []fabricPort{
 		s := lighttpd.NewPoolServer(conns, opts)
 		return &s.Fabric, s.Start, func(conn int) error {
 			for i := 0; i < 32; i++ {
-				// The index's pages are every connection's; a miss is
-				// this one's alone.
 				for _, req := range []struct{ path, status string }{
 					{"/index.html", "HTTP/1.0 200"},
 					{fmt.Sprintf("/conn%d-missing%d.html", conn, i), "HTTP/1.0 404"},
@@ -98,26 +92,20 @@ func typeFamilies(exposition string) []string {
 	return names
 }
 
-// TestFabricKitAllArmed arms every observer on each port through the one
-// Arm call, drives real traffic on two connections at once (armPort), and
-// holds the armed kit to its contract: every observer reads back; every
-// family in the registry's exposition appears once and has a row in the
-// consumer table (signals_test.go), which also holds what traffic must
-// have moved; and EPC pressure is attributed to both connections, each
-// under its own owner.
+// TestFabricKitAllArmed arms every observer the kit has on each port (a
+// registry on the pool), drives real traffic on two connections at once
+// (armPort), and holds the armed kit to its contract: the exposition
+// declares families, each once, and each has a row in the consumer table
+// (signals_test.go), which also holds what traffic must have moved.
 func TestFabricKitAllArmed(t *testing.T) {
 	for _, port := range fabricPorts {
 		t.Run(port.name, func(t *testing.T) {
-			a := armPort(t, port)
-			f := a.f
-			if f.EPC() == nil || f.EPCManager() == nil {
-				t.Fatal("an armed observer reads back nil")
+			families := typeFamilies(armPort(t, port).metrics(t))
+			if len(families) == 0 {
+				t.Fatal("the armed kit's exposition declares no family")
 			}
-
-			// One exposition, every armed source.
-			metrics := a.metrics(t)
 			declared := map[string]bool{}
-			for _, name := range typeFamilies(metrics) {
+			for _, name := range families {
 				if _, ok := signalTable[name]; !ok {
 					t.Errorf("exposition family %s has no row in the consumer table", name)
 				}
@@ -126,124 +114,6 @@ func TestFabricKitAllArmed(t *testing.T) {
 				}
 				declared[name] = true
 			}
-			if _, faults, _ := f.EPCManager().Stats(); faults == 0 || f.EPC().Snapshot().Faults != faults {
-				t.Errorf("manager and observatory disagree on %d EPC faults", faults)
-			}
-
-			// Both connections paged, each under its own owner (i+1).
-			owners := map[epc.OwnerID]uint64{}
-			for _, o := range f.EPC().Snapshot().Owners {
-				owners[o.Owner] = o.Faults
-			}
-			if len(owners) != 2 || owners[1] == 0 || owners[2] == 0 {
-				t.Errorf("per-owner EPC faults = %v, want owners 1 and 2 both paging", owners)
-			}
 		})
-	}
-}
-
-// TestFabricArmOnce pins the wiring-order fix: the observers attach in
-// one call, so there is no order to get wrong — and a second call, or one
-// after Start, panics instead of silently attaching an observer the
-// running responders never see.  Nothing is armed that Arm did not name.
-func TestFabricArmOnce(t *testing.T) {
-	mustPanic := func(t *testing.T, what string, f func()) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r == nil {
-				t.Errorf("%s did not panic", what)
-			} else if !strings.Contains(fmt.Sprint(r), "Fabric.Arm") {
-				t.Errorf("%s panicked with %v, want the Arm message", what, r)
-			}
-		}()
-		f()
-	}
-	for _, port := range fabricPorts {
-		t.Run(port.name, func(t *testing.T) {
-			f, _, _ := port.boot(1, kitPoolOpts())
-			f.Arm(porting.Observers{})
-			if f.EPC() != nil || f.EPCManager() != nil {
-				t.Fatal("the zero Observers armed an EPC model or observatory")
-			}
-			mustPanic(t, "a second Arm", func() { f.Arm(porting.Observers{Registry: telemetry.New()}) })
-
-			f, start, _ := port.boot(1, kitPoolOpts())
-			start()
-			defer f.Stop()
-			mustPanic(t, "Arm after Start", func() { f.Arm(porting.Observers{}) })
-		})
-	}
-}
-
-// TestFabricSharedEPCUnderLoad touches an armed fabric's EPC model from
-// four connections' handlers while another goroutine takes observatory
-// snapshots in a loop: the one manager every responder shares, and the
-// collector's flush, behind its paging lock.  The EPC holds every page
-// touched, so nothing is evicted, the touch count is the touches made and
-// the fault count the distinct pages.  `make test-race` runs it.
-func TestFabricSharedEPCUnderLoad(t *testing.T) {
-	const (
-		conns    = 4
-		calls    = 2000
-		pages    = 2  // per call
-		window   = 32 // distinct bases per connection
-		capacity = 256 * epc.PageSize
-	)
-	var f porting.Fabric
-	f = porting.NewFabric("touch", conns,
-		[]core.PoolFunc{func(requester int, base uint64) uint64 {
-			f.TouchEPC(requester, base, pages)
-			return base
-		}}, kitPoolOpts())
-	f.Arm(porting.Observers{EPCBytes: capacity})
-	f.Start()
-	defer f.Stop()
-
-	stop := make(chan struct{})
-	snapshots := make(chan int)
-	go func() {
-		n := 0
-		for {
-			select {
-			case <-stop:
-				snapshots <- n
-				return
-			default:
-			}
-			f.EPC().Snapshot()
-			n++
-		}
-	}()
-	var wg sync.WaitGroup
-	for c := 0; c < conns; c++ {
-		r := f.Pool().Requester()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := uint64(0); i < calls; i++ {
-				// Connection c's pages: a window of bases, each the
-				// first of pages consecutive ones, clear of the others'.
-				base := uint64(c)*(window+pages) + i%window
-				if _, err := r.Call(0, base); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	if n := <-snapshots; n == 0 {
-		t.Error("no snapshot was taken while the connections touched")
-	}
-
-	touches, faults, evictions := f.EPCManager().Stats()
-	distinct := uint64(conns * (window + pages - 1))
-	if touches != conns*calls*pages || faults != distinct || evictions != 0 {
-		t.Fatalf("touches %d, faults %d, evictions %d; want %d, %d, 0",
-			touches, faults, evictions, conns*calls*pages, distinct)
-	}
-	if s := f.EPC().Snapshot(); s.Faults != faults || uint64(s.ResidentPages) != distinct {
-		t.Fatalf("observatory saw %d faults and %d resident pages, want %d of each", s.Faults, s.ResidentPages, distinct)
 	}
 }

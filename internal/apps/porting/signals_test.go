@@ -24,15 +24,13 @@ import (
 	"hotcalls/internal/apps/memcached"
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
-	"hotcalls/internal/epc"
-	"hotcalls/internal/flight"
 	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
 )
 
-// clock names the traffic that writes a family: a fabric port armed
-// through Fabric.Arm (wall-clock), a simulated porting.App wired with
-// SetTelemetry (simulated cycles), or both.
+// clock names the traffic that writes a family: a fabric port whose pool
+// is wired with core.CallPool.SetTelemetry (wall-clock), a simulated
+// porting.App wired with SetTelemetry (simulated cycles), or both.
 type clock int
 
 const (
@@ -93,30 +91,19 @@ var testReaders = map[string]bool{
 	telemetry.MetricEEnter: true, telemetry.MetricEExit: true, telemetry.MetricResume: true, telemetry.MetricAEX: true,
 }
 
-// armedPort is one fabric armed with every observer through the one Arm
-// call, after traffic.
+// armedPort is one fabric with a registry on its pool, after traffic.
 type armedPort struct {
 	f   *porting.Fabric
 	reg *telemetry.Registry
 }
 
-// armAll arms f with every observer, as a deployment would.
-func armAll(f *porting.Fabric) *telemetry.Registry {
-	reg := telemetry.New()
-	f.Arm(porting.Observers{
-		Registry: reg,
-		Flight:   flight.New(flight.Options{SampleEvery: 1}),
-		EPCBytes: 256 * epc.PageSize,
-	})
-	return reg
-}
-
-// armPort boots a port on two connections, arms everything, and drives
-// traffic on both at once.
+// armPort boots a port on two connections, attaches a registry to its
+// pool, and drives traffic on both at once.
 func armPort(t *testing.T, port fabricPort) *armedPort {
 	t.Helper()
 	f, start, drive := port.boot(2, kitPoolOpts())
-	reg := armAll(f)
+	reg := telemetry.New()
+	f.Pool().SetTelemetry(reg)
 	t.Cleanup(f.Stop)
 	start()
 	var wg sync.WaitGroup
@@ -138,16 +125,17 @@ func armPort(t *testing.T, port fabricPort) *armedPort {
 }
 
 // armEcho is the consumer table's fast closed loop: a one-connection
-// fabric whose handler returns its argument, armed like the ports.  Its
+// fabric whose handler returns its argument, wired like the ports.  Its
 // calls come back to back, faster than a wake costs on any build, the
 // race detector's included, so it drives what the ports' handler-paced
 // loops may not: inline runs and a kick (the requester finds the
 // responder parked, runs its calls itself and kicks within a few dozen).
 func armEcho(t *testing.T) *armedPort {
 	t.Helper()
-	f := porting.NewFabric("echo", 1,
+	f := porting.NewFabric(1,
 		[]core.PoolFunc{func(_ int, d uint64) uint64 { return d }}, kitPoolOpts())
-	reg := armAll(&f)
+	reg := telemetry.New()
+	f.Pool().SetTelemetry(reg)
 	t.Cleanup(f.Stop)
 	f.Start()
 	pool := f.Pool()
@@ -164,8 +152,8 @@ func armEcho(t *testing.T) *armedPort {
 		if time.Now().After(deadline) {
 			t.Fatalf("no kick after %d back-to-back calls", d)
 		}
-		if ret, err := r.CallV(core.VecCall{Data: d, Site: f.Callsite()}); err != nil || ret != d {
-			t.Fatalf("CallV(%d) = (%d, %v)", d, ret, err)
+		if ret, err := r.Call(0, d); err != nil || ret != d {
+			t.Fatalf("Call(%d) = (%d, %v)", d, ret, err)
 		}
 	}
 	return &armedPort{f: &f, reg: reg}
@@ -231,8 +219,8 @@ func simulatedFixture(t *testing.T) string {
 }
 
 // TestEverySignalHasAReader holds both clocks to the consumer table — the
-// three fabric ports and the echo fabric armed with every observer, and
-// simulated memcached wired with SetTelemetry: every family the
+// three fabric ports and the echo fabric with a registry on their pools,
+// and simulated memcached wired with SetTelemetry: every family the
 // registry's exposition emits has a row and every row is emitted; every
 // reader resolves, a code reader outside the observability packages
 // (`make loc`'s OBSERVABILITY), so no chain ends inside observability;

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hotcalls/internal/flight"
 	"hotcalls/internal/telemetry"
 )
 
@@ -175,8 +174,6 @@ func TestPoolParkedWindowHelped(t *testing.T) {
 		return d + 100
 	}}, opts)
 	inline, executes, kicks := parkedCounters(p)
-	rec := flight.New(flight.Options{SampleEvery: 1})
-	p.SetFlight(rec)
 	p.Start()
 	defer p.Stop()
 	r := p.Requester()
@@ -208,16 +205,6 @@ func TestPoolParkedWindowHelped(t *testing.T) {
 		t.Errorf("inline=%d executes=%d kicks=%d parked=%v, want the whole window inline and the responder left asleep",
 			inline(), executes(), kicks(), parked(p))
 	}
-	views := rec.Records(2 * window)
-	if len(views) != window {
-		t.Errorf("%d flight records for a window of %d", len(views), window)
-	}
-	for _, v := range views {
-		if v.Responder != flight.InlineResponder {
-			t.Errorf("flight record of an inline call names responder %d, want flight.InlineResponder", v.Responder)
-		}
-	}
-
 }
 
 // TestPoolWakePolicy: the wake is a priced decision.  Calls spaced wider

@@ -29,11 +29,10 @@ package core
 //     Section 4.2 — instead of paying a scheduling handoff per call.
 //
 // Every call is a VecCall: a call_ID, a typed uint64 (no interface{}
-// boxing), an optional scatter-gather list and an optional flight
-// callsite.  Call and CallV run one and wait; SubmitV posts a window and
-// WaitAll collects it.  The request path allocates nothing: a requester
-// keeps one PoolBatch handle per ring position.  TestPoolCallZeroAlloc and
-// BenchmarkPoolCall assert this.
+// boxing) and an optional scatter-gather list.  Call and CallV run one
+// and wait; SubmitV posts a window and WaitAll collects it.  The request
+// path allocates nothing: a requester keeps one PoolBatch handle per ring
+// position.  TestPoolCallZeroAlloc and BenchmarkPoolCall assert this.
 
 import (
 	"runtime"
@@ -41,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hotcalls/internal/flight"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/telemetry"
 )
@@ -83,23 +81,18 @@ func posted(pos uint64) uint64 { return pos<<2 | slotPosted }
 //	  is already writing, never touching line 1.
 //	line 1 (requester-written): the scatter-gather descriptor block
 //	  (ring.go).  Only zero-copy calls write it; the slotPosted release
-//	  store on line 0 is its publication fence, exactly as for fr.
+//	  store on line 0 is its publication fence.
 //	line 2 (responder-written): ret.  Kept off the requester lines so the
 //	  responder storing a result does not invalidate a line a pipelining
 //	  requester is concurrently posting its next call on.
 //
-// fr is the call's flight record (nil on unsampled calls or with the
-// recorder detached).  It rides line 0 with the other requester-written
-// words: the requester stores it before the slotPosted release store and
-// the responder reads it after the acquire load of state, so the
-// existing handoff protocol is also its publication fence.
+// TestPoolSlotLayout pins the three lines.
 type poolSlot struct {
 	state atomic.Uint64
 	id    CallID
 	data  uint64
-	fr    *flight.Record
 	nseg  uint32
-	_     [cacheLine - 36]byte
+	_     [cacheLine - 28]byte
 	segs  [MaxSegs]Segment
 	_     [cacheLine - 12*MaxSegs]byte
 	ret   uint64
@@ -246,12 +239,6 @@ type CallPool struct {
 	ctrlPolls    uint64
 	ctrlExecutes uint64
 
-	// flight is the flight recorder, nil until SetFlight.  The hot path
-	// pays one nil-check when detached; when attached, every call costs
-	// one stride count and 1-in-SampleEvery calls get a full
-	// causal-timeline record (see internal/flight).
-	flight *flight.Recorder
-
 	// Telemetry handles, nil (no-op) until SetTelemetry; cached so the
 	// hot path never does a registry lookup.
 	kickCtr   *telemetry.Counter
@@ -304,15 +291,6 @@ func (p *CallPool) SetTelemetry(reg *telemetry.Registry) {
 	p.kickCtr = reg.Counter(telemetry.MetricResponderKicks)
 	p.inlineCtr = reg.Counter(telemetry.MetricHotCallInline)
 	p.rejected = reg.Counter(telemetry.MetricHotCallRejected)
-}
-
-// SetFlight attaches the flight recorder: binds one record ring per
-// shard and turns on timeline sampling for every subsequent call.  A
-// recorder binds to one pool (flight.Recorder.Bind panics on a second); a
-// nil recorder detaches.  Attach before Start.
-func (p *CallPool) SetFlight(rec *flight.Recorder) {
-	rec.Bind(len(p.shards)) // nil-safe
-	p.flight = rec
 }
 
 // Requester binds the next free shard to the calling goroutine and
@@ -395,10 +373,10 @@ const gapSample = 4
 var epoch = time.Now()
 
 // await is the fabric's one completion wait: it polls s until the
-// responder's done store and collects the call — flight record closed,
-// slot handed back to the ring — or returns ErrStopped.  The result stays
-// in s.ret until this requester posts the slot again; callers that want
-// it read it there, so WaitAll(nil) never pulls the responder-written line.
+// responder's done store and collects the call — the slot handed back to
+// the ring — or returns ErrStopped.  The result stays in s.ret until this
+// requester posts the slot again; callers that want it read it there, so
+// WaitAll(nil) never pulls the responder-written line.
 // A requester whose latest post found a responder parked first runs its
 // own posted calls up to s (see help) and normally finds s done.
 // Otherwise the spin phase polls with cpuRelax, so a call a running
@@ -409,17 +387,15 @@ var epoch = time.Now()
 // cap, one already complete says nothing, and the probe keeps a budget
 // that starved responders drove to zero (set-up, oversubscription) from
 // staying there.
-func (r *Requester) await(s *poolSlot, fr *flight.Record) error {
+func (r *Requester) await(s *poolSlot) error {
 	p := r.pool
 	if r.parked && r.help(s) && p.stopped.Load() {
 		// In flight across Stop, like a call a responder holds.
-		p.flight.Stopped(fr)
 		return ErrStopped
 	}
 	i, budget := 0, 0
 	for ; s.state.Load() != slotDone; i++ {
 		if p.stopped.Load() {
-			p.flight.Stopped(fr)
 			return ErrStopped
 		}
 		if i == 0 {
@@ -439,9 +415,6 @@ func (r *Requester) await(s *poolSlot, fr *flight.Record) error {
 	}
 	if 0 < i && i <= budget {
 		r.spin = p.spinMax
-	}
-	if fr != nil && p.flight != nil {
-		p.flight.Complete(fr)
 	}
 	s.state.Store(slotIdle)
 	return nil
@@ -474,7 +447,7 @@ func (r *Requester) help(s *poolSlot) (ran bool) {
 			break // the cursor is past s: claimed, by this loop or a responder
 		}
 		if sh.tail.CompareAndSwap(t, t+uint64(run)) {
-			p.execRun(sh, r.idx, flight.InlineResponder, &r.segs, t, run)
+			p.execRun(sh, r.idx, &r.segs, t, run)
 			p.inlineCtr.Add(uint64(run))
 			ran = true
 		}
@@ -522,46 +495,22 @@ func (r *Requester) Next() (slot int, free bool) {
 // requester-owned line before the slotPosted release store that publishes
 // slab bytes and descriptors together.  Without segments that line stays
 // untouched, and the cleared count — on the line already being written —
-// keeps a reused slot from replaying a prior call's descriptors.  A
-// sampled call's flight record carries its payload bytes.  On success
-// the slot pointer and the call's flight record (nil when unsampled or
-// detached) are returned for the completion wait.  The flight stamp
-// happens before the submission spin, so a window-full wait is part of
-// the recorded latency; the record is closed on every exit path, so a timeout or shutdown never leaves an
-// open record behind.
-func (r *Requester) post(c *VecCall) (*poolSlot, *flight.Record, error) {
+// keeps a reused slot from replaying a prior call's descriptors.  On
+// success the slot pointer is returned for the completion wait.
+func (r *Requester) post(c *VecCall) (*poolSlot, error) {
 	if len(c.Segs) > MaxSegs {
-		return nil, nil, ErrTooManySegments
+		return nil, ErrTooManySegments
 	}
 	p := r.pool
 	sh := r.shard
-	var fr *flight.Record
-	if f := p.flight; f != nil {
-		// Arrive inlines, so the 255-in-256 unsampled calls pay no
-		// function call here.
-		if f.Arrive(r.idx) {
-			fr = f.Open(c.Site, r.idx, uint16(c.ID))
-			fr.SetBytes(segTotal(c.Segs))
-			// Pool-state context only on sampled calls: these gauges live
-			// on responder-shared cache lines, so reading them per call
-			// would put a coherence miss on the unsampled path.
-			fr.Context(int(sh.head-sh.tail.Load()), int(p.live.Load()), int(p.sleepers.Load()))
-		}
-	}
 	for attempt := 0; attempt < p.opts.Timeout; attempt++ {
 		if p.stopped.Load() {
-			p.flight.Stopped(fr)
-			return nil, nil, ErrStopped
+			return nil, ErrStopped
 		}
 		s := &sh.slots[sh.head&sh.mask]
 		if s.state.Load() == slotIdle {
 			s.id = c.ID
 			s.data = c.Data
-			if p.flight != nil {
-				// Unconditional when attached (nil on unsampled calls)
-				// so a slot never carries a stale record across reuse.
-				s.fr = fr
-			}
 			s.nseg = uint32(len(c.Segs))
 			if len(c.Segs) != 0 { // an empty copy is still a call to memmove
 				copy(s.segs[:], c.Segs)
@@ -571,15 +520,14 @@ func (r *Requester) post(c *VecCall) (*poolSlot, *flight.Record, error) {
 			// No signal: a parked responder makes the call this
 			// requester's own to run when it waits (see help).
 			r.parked = p.sleepers.Load() != 0
-			return s, fr, nil
+			return s, nil
 		}
 		// Window full: every slot in the ring holds an in-flight or
 		// un-reaped call.  Yield so responders (and, on a single
 		// hardware thread, the goroutine that must reap) can run.
 		pause()
 	}
-	p.flight.Timeout(fr)
-	return nil, nil, ErrTimeout
+	return nil, ErrTimeout
 }
 
 // VecCall is one call into the fabric, the paper's call_ID and data word
@@ -590,13 +538,10 @@ type VecCall struct {
 	// Segs is the call's scatter-gather list, dispatched to the vec table
 	// (nil for a plain uint64 call).
 	Segs []Segment
-	// Site is the registered flight-recorder callsite a sampled call's
-	// timeline is recorded under (the zero value is "(unlabelled)").
-	Site flight.Callsite
 }
 
 // Call executes call-table entry id with data through the fabric and
-// waits for the result: CallV of an unlabelled, plain call.
+// waits for the result: CallV of a plain call.
 func (r *Requester) Call(id CallID, data uint64) (uint64, error) {
 	return r.CallV(VecCall{ID: id, Data: data})
 }
@@ -609,11 +554,11 @@ func (r *Requester) Call(id CallID, data uint64) (uint64, error) {
 // referenced slab windows in place, with no per-byte copy on either side.
 // The path performs no allocation.
 func (r *Requester) CallV(c VecCall) (uint64, error) {
-	s, fr, err := r.post(&c)
+	s, err := r.post(&c)
 	if err != nil {
 		return 0, err
 	}
-	if err := r.await(s, fr); err != nil {
+	if err := r.await(s); err != nil {
 		return 0, err
 	}
 	return s.ret, nil
@@ -643,7 +588,7 @@ func (r *Requester) SubmitV(calls []VecCall) (*PoolBatch, error) {
 	start, n := r.shard.head, 0
 	var err error
 	for ; n < len(calls); n++ {
-		if _, _, err = r.post(&calls[n]); err != nil {
+		if _, err = r.post(&calls[n]); err != nil {
 			break
 		}
 	}
@@ -682,12 +627,11 @@ func (b *PoolBatch) WaitAll(rets []uint64) error {
 	sh := r.shard
 	var err error
 	if r.parked && r.help(&sh.slots[(b.start+uint64(b.n-1))&sh.mask]) && r.pool.stopped.Load() {
-		r.pool.flight.Stopped(sh.slots[b.start&sh.mask].fr)
 		err = ErrStopped
 	}
 	for j := 0; j < b.n && err == nil; j++ {
 		s := &sh.slots[(b.start+uint64(j))&sh.mask]
-		if err = r.await(s, s.fr); err == nil && j < len(rets) {
+		if err = r.await(s); err == nil && j < len(rets) {
 			rets[j] = s.ret
 		}
 	}

@@ -187,6 +187,22 @@ func TestPoolCallZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("SubmitV/WaitAll allocates %.1f per op, want 0", n)
 	}
+
+	// The timeout path: never started, so no responder drains the one
+	// slot the first post fills, and every later call gives up.
+	opts := testPool(1, 1)
+	opts.SlotsPerShard, opts.Timeout = 1, 5
+	wedged := NewCallPool(echoTable(), opts).Requester()
+	if _, err := submitOne(wedged, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := wedged.Call(0, 1); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("err = %v, want ErrTimeout", err)
+		}
+	}); n != 0 {
+		t.Fatalf("timed-out Call allocates %.1f per op, want 0", n)
+	}
 }
 
 // TestRequesterNextAndHandles pins the window the ports build on: Next
@@ -250,7 +266,7 @@ func TestRequesterNextAndHandles(t *testing.T) {
 // cost depends on: polls and executes, which responders store on every
 // pass and claim, share no 64-byte line with a field every post reads, at
 // whatever 8-byte-aligned address the allocator gives the pool.  A layout
-// that put the flight recorder and the inline counters on the counters'
+// that put a per-post pointer and the inline counters on the counters'
 // line measured 480 → 575 ns per bare call.
 func TestPoolCountersOwnTheirLine(t *testing.T) {
 	var p CallPool
@@ -266,7 +282,6 @@ func TestPoolCountersOwnTheirLine(t *testing.T) {
 		{"opts", unsafe.Offsetof(p.opts), unsafe.Sizeof(p.opts)},
 		{"stopped", unsafe.Offsetof(p.stopped), unsafe.Sizeof(p.stopped)},
 		{"sleepers", unsafe.Offsetof(p.sleepers), unsafe.Sizeof(p.sleepers)},
-		{"flight", unsafe.Offsetof(p.flight), unsafe.Sizeof(p.flight)},
 		{"kickCtr", unsafe.Offsetof(p.kickCtr), unsafe.Sizeof(p.kickCtr)},
 		{"inlineCtr", unsafe.Offsetof(p.inlineCtr), unsafe.Sizeof(p.inlineCtr)},
 		{"spinMax", unsafe.Offsetof(p.spinMax), unsafe.Sizeof(p.spinMax)},
@@ -284,6 +299,36 @@ func TestPoolCountersOwnTheirLine(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPoolSlotLayout pins poolSlot's three lines: the words a post writes
+// end inside line 0, the descriptor block fills line 1 and the
+// responder-written result starts line 2, so neither side's stores
+// invalidate a line the other is writing.
+func TestPoolSlotLayout(t *testing.T) {
+	var s poolSlot
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"state", unsafe.Offsetof(s.state), unsafe.Sizeof(s.state)},
+		{"id", unsafe.Offsetof(s.id), unsafe.Sizeof(s.id)},
+		{"data", unsafe.Offsetof(s.data), unsafe.Sizeof(s.data)},
+		{"nseg", unsafe.Offsetof(s.nseg), unsafe.Sizeof(s.nseg)},
+	} {
+		if end := f.off + f.size; end > cacheLine {
+			t.Errorf("%s ends at byte %d, past line 0", f.name, end)
+		}
+	}
+	if off := unsafe.Offsetof(s.segs); off != cacheLine {
+		t.Errorf("segs at offset %d, want %d", off, cacheLine)
+	}
+	if off := unsafe.Offsetof(s.ret); off != 2*cacheLine {
+		t.Errorf("ret at offset %d, want %d", off, 2*cacheLine)
+	}
+	if size := unsafe.Sizeof(poolSlot{}); size != 3*cacheLine {
+		t.Errorf("poolSlot is %d bytes, want %d", size, 3*cacheLine)
 	}
 }
 

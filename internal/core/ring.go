@@ -70,10 +70,6 @@ type PayloadRing struct {
 	slabs     [][]byte // slab i is mem[i*slabBytes : (i+1)*slabBytes]
 	free      []uint32 // LIFO free list; requester-owned
 	slabBytes int
-
-	// touch, when set, attributes byte accesses to an owner — the hook
-	// the EPC observatory uses to tag slab pages (see SetTouch).
-	touch func(slab uint32, off, n int)
 }
 
 func newPayloadRing(nslabs, slabBytes int) *PayloadRing {
@@ -147,20 +143,6 @@ func (pr *PayloadRing) holds(segs []Segment) bool {
 	return true
 }
 
-// SetTouch installs the byte-access attribution hook.  The EPC pressure
-// observatory's owner tagging rides through here: the openvpn port, for
-// example, installs a closure that maps a touched slab window to its
-// simulated EPC pages and charges them to the connection's owner ID.
-func (pr *PayloadRing) SetTouch(fn func(slab uint32, off, n int)) { pr.touch = fn }
-
-// Touch attributes one segment's byte window through the installed hook
-// (no-op when detached).
-func (pr *PayloadRing) Touch(seg Segment) {
-	if pr.touch != nil {
-		pr.touch(seg.Slab, int(seg.Off), int(seg.Len))
-	}
-}
-
 // Ring returns the payload ring bound to a requester shard (nil when the
 // pool was built without rings).  Handlers use this to address the
 // segments they receive.
@@ -174,11 +156,3 @@ func (p *CallPool) Ring(requester int) *PayloadRing {
 // Ring returns this requester's payload ring (nil when the pool was
 // built without rings; see PoolOptions.RingSlabs).
 func (r *Requester) Ring() *PayloadRing { return r.pool.Ring(r.idx) }
-
-// segTotal sums a descriptor list's byte length.
-func segTotal(segs []Segment) (n uint64) {
-	for i := range segs {
-		n += uint64(segs[i].Len)
-	}
-	return n
-}

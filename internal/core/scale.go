@@ -100,7 +100,7 @@ func (p *CallPool) runResponder(idx int) {
 	defer flush()
 
 	for !p.stopped.Load() && (idx == 0 || int32(idx) < p.target.Load()) {
-		passPolls, passExecs := p.scanPass(idx, start, &segs)
+		passPolls, passExecs := p.scanPass(start, &segs)
 		if start++; start == len(p.shards) {
 			start = 0
 		}
@@ -180,10 +180,9 @@ const maxClaimBatch = 16
 
 // scanPass visits every shard once, starting at shard start — rotated by
 // the caller so no shard holds permanent first-served priority — and
-// drains up to a ring's worth of posted calls per shard.  idx identifies
-// the responder for flight-record claim stamps; segs is its descriptor
-// scratch (see execRun).  It returns the number of slot inspections and
-// executed calls.
+// drains up to a ring's worth of posted calls per shard.  segs is the
+// responder's descriptor scratch (see execRun).  It returns the number of
+// slot inspections and executed calls.
 //
 // Claiming is batched: the responder counts the posted run at the claim
 // cursor and takes the whole run with one tail CAS (bounded by
@@ -191,7 +190,7 @@ const maxClaimBatch = 16
 // claim instead of one per call — the responder-side half of SubmitV's
 // amortization.  A run of one degenerates to exactly the old
 // slot-at-a-time protocol.
-func (p *CallPool) scanPass(idx, start int, segs *[MaxSegs]Segment) (polls, execs uint64) {
+func (p *CallPool) scanPass(start int, segs *[MaxSegs]Segment) (polls, execs uint64) {
 	shardIdx := start
 	for range p.shards {
 		sh := p.shards[shardIdx]
@@ -212,7 +211,7 @@ func (p *CallPool) scanPass(idx, start int, segs *[MaxSegs]Segment) (polls, exec
 			if !sh.tail.CompareAndSwap(t, t+uint64(run)) {
 				continue // another claimant got here first; re-look
 			}
-			p.execRun(sh, shardIdx, idx, segs, t, run)
+			p.execRun(sh, shardIdx, segs, t, run)
 			execs += uint64(run)
 			drained += run
 		}
@@ -227,27 +226,17 @@ func (p *CallPool) scanPass(idx, start int, segs *[MaxSegs]Segment) (polls, exec
 // t+run made exclusively the caller's — a responder in scanPass, or the
 // shard's own requester in help: execute each, publish its result on the
 // responder-written line, then signal completion with the one state
-// store.  who names the claimant in the flight record (a responder
-// index, or flight.InlineResponder).  Sampled calls carry a record in
-// s.fr (published by the slotPosted store); three clock reads bracket
-// the handler so its timeline separates claim latency from service time.
+// store.
 //
 // A scatter-gather call's descriptors sit in the slot, which the
 // requester can still write.  They are copied once into segs, the
 // claimant's own scratch, and the copy is both what holds validates and
 // what the handler receives: a descriptor rewritten after the check
 // never reaches the handler.
-func (p *CallPool) execRun(sh *shard, shardIdx, who int, segs *[MaxSegs]Segment, t uint64, run int) {
-	f := p.flight
+func (p *CallPool) execRun(sh *shard, shardIdx int, segs *[MaxSegs]Segment, t uint64, run int) {
 	for j := 0; j < run; j++ {
 		s := &sh.slots[(t+uint64(j))&sh.mask]
 		id, data := s.id, s.data
-		fr := s.fr
-		if fr != nil && f != nil {
-			now := f.Now()
-			fr.Claim(who, now)
-			fr.ExecStart(now)
-		}
 		var ret uint64
 		if nseg := s.nseg; nseg > 0 {
 			// Scatter-gather call: dispatch through the vec table with
@@ -267,9 +256,6 @@ func (p *CallPool) execRun(sh *shard, shardIdx, who int, segs *[MaxSegs]Segment,
 			ret = ^uint64(0) // corrupted call_ID: sentinel, as in hotcalls.go
 		} else {
 			ret = p.table[id](shardIdx, data)
-		}
-		if fr != nil && f != nil {
-			fr.ExecEnd(f.Now())
 		}
 		s.ret = ret
 		s.state.Store(slotDone)

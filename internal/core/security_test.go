@@ -195,14 +195,14 @@ func TestSecurityDescriptorManipulation(t *testing.T) {
 
 	// The forgery goes in before the responders exist: the slot is the
 	// requester's to write until Start's go statements publish it.
-	forged, fr, err := r.post(&VecCall{Segs: []Segment{good}})
+	forged, err := r.post(&VecCall{Segs: []Segment{good}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	forged.nseg = MaxSegs + 5
 	p.Start()
 	defer p.Stop()
-	if err := r.await(forged, fr); err != nil || forged.ret != ^uint64(0) {
+	if err := r.await(forged); err != nil || forged.ret != ^uint64(0) {
 		t.Fatalf("forged segment count: (%#x, %v), want the sentinel", forged.ret, err)
 	}
 

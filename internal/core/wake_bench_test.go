@@ -61,13 +61,13 @@ func BenchmarkPoolWake(b *testing.B) {
 	// signalled is the pre-inline call: post, wake the responder, wait
 	// for it.
 	signalled := func(p *CallPool, r *Requester, d uint64) (uint64, error) {
-		s, fr, err := r.post(&VecCall{Data: d})
+		s, err := r.post(&VecCall{Data: d})
 		if err != nil {
 			return 0, err
 		}
 		r.parked = false
 		p.kick()
-		err = r.await(s, fr)
+		err = r.await(s)
 		return s.ret, err
 	}
 
@@ -140,7 +140,7 @@ func BenchmarkPoolWake(b *testing.B) {
 		for i := range samples {
 			park(p)
 			t0 := time.Now()
-			s, fr, err := r.post(&VecCall{Data: uint64(i)})
+			s, err := r.post(&VecCall{Data: uint64(i)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func BenchmarkPoolWake(b *testing.B) {
 				runtime.Gosched() // the wait's yield phase, counting its polls
 				ticks.Add(1)
 			}
-			if err := r.await(s, fr); err != nil {
+			if err := r.await(s); err != nil {
 				b.Fatal(err)
 			}
 			samples[i] = both.Sub(t0)

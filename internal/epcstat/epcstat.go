@@ -2,8 +2,7 @@
 // paging events of an epc.Manager (owner-tagged faults, evictions with
 // culprit→victim attribution, hash-sampled touches) and turns them into
 // per-owner residency/fault/interference accounting and an online
-// working-set-size estimate — the memory-side analogue of the call-side
-// flight recorder.
+// working-set-size estimate, which the epc experiment reads.
 //
 // The paper's libquantum cliff (Figure 8, Section 3.4) is the motivating
 // failure mode: a working set that grows just past the 93 MB EPC turns
