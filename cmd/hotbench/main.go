@@ -33,7 +33,7 @@ import (
 func main() {
 	run := flag.String("run", "all", "experiment ID(s) to run, comma-separated, or 'all'")
 	docsDir := flag.String("docs", "", "run everything once and write EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json into this directory; exit 1 when a paper-fidelity metric is outside its band")
-	metrics := flag.Bool("metrics", false, "dump all counters and histograms in Prometheus text format after the run")
+	metrics := flag.Bool("metrics", false, "dump every counter family in Prometheus text format after the run")
 	seed := flag.Uint64("seed", 0, "base seed the experiments' random streams derive from; 0 (the default) reproduces the committed EXPERIMENTS.md, REPORT.md and BENCH_hotcalls.json byte for byte")
 	flag.Parse()
 

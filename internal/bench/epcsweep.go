@@ -2,7 +2,7 @@ package bench
 
 // The epc experiment reproduces the paper's oversubscription cliff
 // (Section 3.4: libquantum's 96 MB working set against the 93 MB EPC)
-// at experiment scale and validates the pressure observatory against it.
+// at experiment scale and checks the working-set estimate against it.
 // A streaming working set sweeps a 16 MB EPC at fractions of capacity
 // from 0.5x to 1.5x; below capacity only compulsory faults remain after
 // the first sweep, while just past capacity the clock replacement
@@ -12,14 +12,12 @@ package bench
 // and the streaming drive consumes no RNG, so the measured paging
 // cycles — the cycle difference against an identical run with an
 // unconstrained EPC — must match the model exactly.  The same fixtures
-// cross-check the observatory's working-set estimate against the true
-// page count.
+// cross-check the working-set estimate against the true page count.
 
 import (
 	"fmt"
 
 	"hotcalls/internal/epc"
-	"hotcalls/internal/epcstat"
 	"hotcalls/internal/mem"
 	"hotcalls/internal/sim"
 )
@@ -81,12 +79,11 @@ func runEPCPoint(frac float64) epcSweepPoint {
 		return clk.Now()
 	}
 
-	// Constrained run, with the observatory attached.  mem touches the
-	// EPC once per 64-byte line, so one full pass is 64 touches per page;
-	// the WSS window covers exactly one pass.
+	// Constrained run, with the working-set estimate on.  mem touches
+	// the EPC once per 64-byte line, so one full pass is 64 touches per
+	// page; the WSS window covers exactly one pass.
 	sys := mem.NewWithEPC(sim.NewRNG(seedFor(401)), epcSweepCapacity)
-	col := epcstat.New(epcstat.Options{WindowTouches: 64 * P})
-	sys.SetEPCStat(col)
+	sys.EPC.TrackWSS(64 * P)
 	cycles := sweep(sys)
 	_, faults, evicts := sys.EPC.Stats()
 
@@ -105,7 +102,7 @@ func runEPCPoint(frac float64) epcSweepPoint {
 		modelEvicts:  me,
 		pagingCycles: cycles - baseCycles,
 		modelCycles:  (mf - P) * epc.FaultCost, // extra faults over the baseline's compulsory P
-		wss:          col.Snapshot().WSSPages,
+		wss:          sys.EPC.WSSPages(),
 	}
 	pt.modelCycles += me * epc.EWBCost
 	return pt

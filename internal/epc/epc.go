@@ -8,17 +8,10 @@
 // The model is residency and cost only: which pages are resident, which
 // one the clock algorithm evicts, and the per-fault cycle costs the memory
 // system charges.  No page carries content, so EWB and ELDU are prices,
-// not encryption.
-//
-// Pages are owner-tagged: each page carries the OwnerID of the enclave or
-// tenant that faulted it in, so paging traffic can be attributed per owner
-// (which owner's fault evicted which owner's page).  An optional Observer
-// receives fault/evict events exactly and a hash-sampled subset of touches
-// — the feed internal/epcstat turns into working-set estimates and
-// interference matrices.
+// not encryption.  Faults and evictions are counted exactly (Stats); an
+// optional working-set estimate (TrackWSS, wss.go) follows a hash-sampled
+// subset of the touches.
 package epc
-
-import "sync"
 
 // PageSize is the SGX page granularity.
 const PageSize = 4096
@@ -41,31 +34,6 @@ const (
 	FaultCost     = FaultTrapCost + ELDUCost // plus EWBCost per eviction
 )
 
-// OwnerID identifies the enclave/tenant a page belongs to.  Owner 0 is
-// the anonymous single-enclave default.
-type OwnerID uint32
-
-// Observer receives the manager's paging events.  Fault and evict events
-// are delivered exactly (attribution must sum); touches are sampled by a
-// per-page multiplicative hash so the unsampled hot path stays one
-// multiply + shift + compare.  Callbacks run serialised with the paging
-// (see Manager): they must be fast, must not allocate in steady state, and
-// must not call back into the Manager.  Flush is invoked by FlushObserver,
-// under the lock, to publish accumulated state to concurrent readers; now
-// is the manager's cumulative touch count (the observer's clock).
-type Observer interface {
-	// ObserveTouch reports a hash-sampled touch of a page (resident or
-	// faulting) at touch-clock time now.
-	ObserveTouch(owner OwnerID, page uint64, now uint64)
-	// ObserveFault reports every fault, before its evictions.
-	ObserveFault(owner OwnerID, page uint64)
-	// ObserveEvict reports every eviction: culprit is the owner whose
-	// fault forced it, victim the owner of the evicted page.
-	ObserveEvict(culprit, victim OwnerID, page uint64)
-	// Flush publishes accumulated observer state for concurrent readers.
-	Flush(now uint64)
-}
-
 // memoSize is the number of direct-mapped residency memo entries.  What a
 // request keeps returning to is a few dozen pages — its staging buffers,
 // its own request and response buffers — so 64 entries answer 93 % of the
@@ -73,47 +41,29 @@ type Observer interface {
 // rest is bulk data touched once.
 const memoSize = 64
 
-// hashMul is the multiplicative page-sampling hash constant (splitmix64's
-// golden-ratio increment): page*hashMul mixes low page-number entropy into
-// the top bits the sample gate tests.
-const hashMul = 0x9E3779B97F4A7C15
-
-type pageState struct {
-	owner      OwnerID // the owner whose fault installed the page
-	referenced bool    // clock algorithm reference bit
-}
-
-// Manager tracks EPC residency for a set of enclave pages and charges
-// paging costs.  Page numbers are virtual page indices (address/PageSize).
-// One mutex serialises the paging state, matching the real SGX driver's
-// single paging lock; every method takes it but TouchRunAs, which is for
-// a manager one goroutine owns (a mem.System's).  A shared manager (the
-// fabric's) is touched through TouchAs.
+// Manager tracks EPC residency for a set of enclave pages and counts its
+// paging.  Page numbers are virtual page indices (address/PageSize).  One
+// goroutine owns a manager — a mem.System's, which touches and reads it
+// between its own accesses — so nothing in it is locked.
 type Manager struct {
-	mu       sync.Mutex
-	capacity int // pages
-	resident map[uint64]pageState
-	clock    []uint64 // page+1 of each resident page in install order; 0 = evicted slot
+	capacity int             // pages
+	resident map[uint64]bool // page → clock algorithm reference bit
+	clock    []uint64        // page+1 of each resident page in install order; 0 = evicted slot
 	hand     int
 	dead     int // evicted slots in clock, dropped by compact
 
 	// memo[p%memoSize] == p+1 records that page p is resident and its
 	// reference bit is set — the state in which a touch changes nothing
-	// but the touch clock, so TouchRunAs need not consult the map.  The
-	// one place a reference bit is cleared (the clock hand in evictOne,
-	// which every eviction passes through first) drops the page's entry.
+	// but the touch clock, so Touch need not consult the map.  The one
+	// place a reference bit is cleared (the clock hand in evictOne, which
+	// every eviction passes through first) drops the page's entry.
 	memo [memoSize]uint64
 
 	faults    uint64
 	evictions uint64
 	touches   uint64
 
-	// Observer hook (nil when no observatory is attached).  sampleShift
-	// implements the touch-sampling gate: a touch is sampled when the top
-	// sampleBits bits of page*hashMul are zero, i.e. with probability
-	// 2^-sampleBits; shift 64 (sampleBits 0) samples every touch.
-	obs         Observer
-	sampleShift uint
+	wss *wss // the working-set estimate; nil until TrackWSS
 }
 
 // NewManager returns an EPC manager with the given capacity in bytes.
@@ -123,104 +73,54 @@ func NewManager(capacityBytes int) *Manager {
 	}
 	return &Manager{
 		capacity: capacityBytes / PageSize,
-		resident: make(map[uint64]pageState),
+		resident: make(map[uint64]bool),
 	}
 }
 
-// CapacityPages returns the EPC capacity in pages.
-func (m *Manager) CapacityPages() int { return m.capacity }
-
 // ResidentPages returns the number of currently resident pages.
-func (m *Manager) ResidentPages() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.resident)
-}
+func (m *Manager) ResidentPages() int { return len(m.resident) }
 
 // Stats returns cumulative touch, fault, and eviction counts.
 func (m *Manager) Stats() (touches, faults, evictions uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.touches, m.faults, m.evictions
-}
-
-// SetObserver attaches (or with nil detaches) the paging observer.
-// sampleBits sets the touch-sampling rate to 1-in-2^sampleBits by page
-// hash (0 samples every touch); fault and evict events are always
-// delivered exactly.  Attach before the first touch so the observer's
-// per-owner residency accounting starts from an empty EPC.
-func (m *Manager) SetObserver(obs Observer, sampleBits uint) {
-	if sampleBits > 63 {
-		sampleBits = 63
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.obs = obs
-	m.sampleShift = 64 - sampleBits
-}
-
-// FlushObserver publishes the observer's accumulated state (Observer.
-// Flush under the manager's lock).  Snapshot readers call it to get a
-// consistent view without racing the paging path.
-func (m *Manager) FlushObserver() {
-	m.mu.Lock()
-	if m.obs != nil {
-		m.obs.Flush(m.touches)
-	}
-	m.mu.Unlock()
 }
 
 // FaultCycles is the paging cost of one fault that forced the given number
 // of evictions: trap + ELDU, plus one EWB each.
-func FaultCycles(evictions int) float64 {
-	return FaultCost + float64(evictions)*EWBCost
+func FaultCycles(evictions int) uint64 {
+	return FaultCost + uint64(evictions)*EWBCost
 }
 
-// TouchAs records an access to a page by the given owner and returns the
-// paging cost in cycles: zero when resident, FaultCost (plus this fault's
-// share of any needed eviction work) when the page must be brought in.
-// A faulting page is stamped with the toucher's owner ID; a resident
-// page keeps its installer's.
-func (m *Manager) TouchAs(owner OwnerID, page uint64) (fault bool, cycles float64) {
-	m.mu.Lock()
-	fault, evictions := m.TouchRunAs(owner, page, 1)
-	m.mu.Unlock()
-	if !fault {
-		return false, 0
-	}
-	return true, FaultCycles(evictions)
-}
-
-// TouchRunAs records n >= 1 back-to-back accesses to one page by the given
-// owner — the lines a streaming sweep touches inside the page — and
-// reports whether the first of them faulted and how many evictions that
-// fault forced.  It is n TouchAs calls with at most one residency lookup:
-// only the first access can fault, and it leaves the page resident and
-// referenced, so the rest just advance the touch clock and feed the
-// sampled observer, in the same order — as does the whole run when the
-// memo says the page is already in that state.  It takes no lock.
-func (m *Manager) TouchRunAs(owner OwnerID, page uint64, n int) (fault bool, evictions int) {
+// Touch records n >= 1 back-to-back accesses to one page — the lines a
+// streaming sweep touches inside the page — and reports whether the first
+// of them faulted and how many evictions that fault forced (its price is
+// FaultCycles).  Only the first access can fault, and it leaves the page
+// resident and referenced, so the rest just advance the touch clock; so
+// does the whole run when the memo says the page is already in that
+// state.
+func (m *Manager) Touch(page uint64, n int) (fault bool, evictions int) {
 	if n < 1 {
 		panic("epc: empty touch run")
 	}
 	memo := &m.memo[page%memoSize]
 	if *memo == page+1 {
-		m.countTouches(owner, page, uint64(n))
+		m.countTouches(page, uint64(n))
 	} else {
-		fault, evictions = m.touchOne(owner, page)
-		m.countTouches(owner, page, uint64(n-1))
+		fault, evictions = m.touchOne(page)
+		m.countTouches(page, uint64(n-1))
 		*memo = page + 1
 	}
 	return fault, evictions
 }
 
 // countTouches advances the touch clock over n touches of one page, each
-// delivered to the observer when the page passes the sampling gate.
-func (m *Manager) countTouches(owner OwnerID, page uint64, n uint64) {
-	if m.obs != nil && (page*hashMul)>>m.sampleShift == 0 {
+// recorded by the working-set estimate when the page passes its sampling
+// gate.
+func (m *Manager) countTouches(page uint64, n uint64) {
+	if m.wss != nil && m.wss.sampled(page) {
 		for end := m.touches + n; m.touches < end; {
 			m.touches++
-			m.obs.ObserveTouch(owner, page, m.touches)
+			m.wss.touch(page, m.touches)
 		}
 	} else {
 		m.touches += n
@@ -228,37 +128,29 @@ func (m *Manager) countTouches(owner OwnerID, page uint64, n uint64) {
 }
 
 // touchOne is one touch: it leaves the page resident and referenced.
-func (m *Manager) touchOne(owner OwnerID, page uint64) (fault bool, evictions int) {
-	m.countTouches(owner, page, 1)
-	if st, ok := m.resident[page]; ok {
-		if !st.referenced {
-			st.referenced = true
-			m.resident[page] = st
+func (m *Manager) touchOne(page uint64) (fault bool, evictions int) {
+	m.countTouches(page, 1)
+	if referenced, ok := m.resident[page]; ok {
+		if !referenced {
+			m.resident[page] = true
 		}
 		return false, 0
 	}
 	m.faults++
-	if m.obs != nil {
-		m.obs.ObserveFault(owner, page)
-	}
 	for len(m.resident) >= m.capacity {
-		m.evictOne(owner)
+		m.evictOne()
 		evictions++
 	}
-	m.install(owner, page)
+	m.resident[page] = true
+	m.clock = append(m.clock, page+1)
 	return true, evictions
 }
 
-func (m *Manager) install(owner OwnerID, page uint64) {
-	m.resident[page] = pageState{owner: owner, referenced: true}
-	m.clock = append(m.clock, page+1)
-}
-
-// evictOne runs the clock (second-chance) algorithm and evicts one victim,
-// attributing the eviction to the faulting culprit owner.  The
-// victim's slot is left empty rather than cut out of the clock: the hand
-// skips empty slots, so the order is the one a cut would leave.
-func (m *Manager) evictOne(culprit OwnerID) {
+// evictOne runs the clock (second-chance) algorithm and evicts one
+// victim.  The victim's slot is left empty rather than cut out of the
+// clock: the hand skips empty slots, so the order is the one a cut would
+// leave.
+func (m *Manager) evictOne() {
 	if len(m.resident) == 0 {
 		panic("epc: evict from empty clock")
 	}
@@ -270,10 +162,8 @@ func (m *Manager) evictOne(culprit OwnerID) {
 			continue
 		}
 		page := m.clock[m.hand] - 1
-		st := m.resident[page]
-		if st.referenced {
-			st.referenced = false
-			m.resident[page] = st
+		if m.resident[page] {
+			m.resident[page] = false
 			if memo := &m.memo[page%memoSize]; *memo == page+1 {
 				*memo = 0
 			}
@@ -285,9 +175,6 @@ func (m *Manager) evictOne(culprit OwnerID) {
 		m.hand++
 		if m.dead++; 2*m.dead > len(m.clock) {
 			m.compact()
-		}
-		if m.obs != nil {
-			m.obs.ObserveEvict(culprit, st.owner, page)
 		}
 		delete(m.resident, page)
 		return
@@ -306,14 +193,4 @@ func (m *Manager) compact() {
 		}
 	}
 	m.clock, m.hand, m.dead = live, hand, 0
-}
-
-// SampledTouch reports whether a touch of the given page passes the
-// sampling gate at the given sampleBits — exported so tests and the
-// observatory can reason about which pages the estimator sees.
-func SampledTouch(page uint64, sampleBits uint) bool {
-	if sampleBits > 63 {
-		sampleBits = 63
-	}
-	return (page*hashMul)>>(64-sampleBits) == 0
 }

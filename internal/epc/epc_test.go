@@ -11,28 +11,28 @@ func newTestManager(pages int) *Manager { return NewManager(pages * PageSize) }
 
 func TestTouchResidentIsFree(t *testing.T) {
 	m := newTestManager(4)
-	if fault, _ := m.TouchAs(0, 1); !fault {
+	if fault, _ := m.Touch(1, 1); !fault {
 		t.Fatal("first touch should fault")
 	}
-	fault, cycles := m.TouchAs(0, 1)
-	if fault || cycles != 0 {
-		t.Fatalf("resident touch = (%v, %v), want (false, 0)", fault, cycles)
+	fault, evictions := m.Touch(1, 1)
+	if fault || evictions != 0 {
+		t.Fatalf("resident touch = (%v, %d evictions), want (false, 0)", fault, evictions)
 	}
 }
 
 func TestFaultCostCharged(t *testing.T) {
 	m := newTestManager(4)
-	_, cycles := m.TouchAs(0, 9)
-	if cycles != FaultCost {
-		t.Fatalf("fault cost = %v, want %v", cycles, float64(FaultCost))
+	fault, evictions := m.Touch(9, 1)
+	if cycles := FaultCycles(evictions); !fault || cycles != FaultCost {
+		t.Fatalf("fault cost = %d, want %d", cycles, FaultCost)
 	}
 }
 
 func TestEvictionWhenFull(t *testing.T) {
 	m := newTestManager(2)
-	m.TouchAs(0, 1)
-	m.TouchAs(0, 2)
-	m.TouchAs(0, 3) // must evict
+	m.Touch(1, 1)
+	m.Touch(2, 1)
+	m.Touch(3, 1) // must evict
 	if m.ResidentPages() != 2 {
 		t.Fatalf("resident = %d, want 2", m.ResidentPages())
 	}
@@ -44,20 +44,20 @@ func TestEvictionWhenFull(t *testing.T) {
 
 func TestClockSecondChance(t *testing.T) {
 	m := newTestManager(3)
-	m.TouchAs(0, 1)
-	m.TouchAs(0, 2)
-	m.TouchAs(0, 3)
+	m.Touch(1, 1)
+	m.Touch(2, 1)
+	m.Touch(3, 1)
 	// First eviction sweeps reference bits and evicts page 1, leaving
 	// pages 2 and 3 with cleared bits.
-	m.TouchAs(0, 4)
+	m.Touch(4, 1)
 	// Re-reference 2: the clock hand must now skip it (second chance)
 	// and evict 3 instead.
-	m.TouchAs(0, 2)
-	m.TouchAs(0, 5)
-	if fault, _ := m.TouchAs(0, 2); fault {
+	m.Touch(2, 1)
+	m.Touch(5, 1)
+	if fault, _ := m.Touch(2, 1); fault {
 		t.Fatal("page 2 was referenced and should have survived the sweep")
 	}
-	if fault, _ := m.TouchAs(0, 3); !fault {
+	if fault, _ := m.Touch(3, 1); !fault {
 		t.Fatal("page 3 was unreferenced and should have been evicted")
 	}
 }
@@ -68,14 +68,14 @@ func TestSequentialSweepThrashes(t *testing.T) {
 	// libquantum pathology.
 	m := newTestManager(8)
 	for p := uint64(0); p < 9; p++ {
-		m.TouchAs(0, p)
+		m.Touch(p, 1)
 	}
 	faultsBefore := uint64(0)
 	_, faultsBefore, _ = m.Stats()
 	n := uint64(0)
 	for sweep := 0; sweep < 3; sweep++ {
 		for p := uint64(0); p < 9; p++ {
-			m.TouchAs(0, p)
+			m.Touch(p, 1)
 			n++
 		}
 	}
@@ -89,12 +89,12 @@ func TestSequentialSweepThrashes(t *testing.T) {
 func TestWorkingSetWithinCapacityNeverFaultsAgain(t *testing.T) {
 	m := newTestManager(16)
 	for p := uint64(0); p < 16; p++ {
-		m.TouchAs(0, p)
+		m.Touch(p, 1)
 	}
 	_, before, _ := m.Stats()
 	for sweep := 0; sweep < 5; sweep++ {
 		for p := uint64(0); p < 16; p++ {
-			m.TouchAs(0, p)
+			m.Touch(p, 1)
 		}
 	}
 	_, after, _ := m.Stats()
@@ -108,7 +108,7 @@ func TestResidencyNeverExceedsCapacity(t *testing.T) {
 		r := sim.NewRNG(seed)
 		m := newTestManager(8)
 		for i := 0; i < 300; i++ {
-			m.TouchAs(0, uint64(r.Intn(64)))
+			m.Touch(uint64(r.Intn(64)), 1)
 			if m.ResidentPages() > 8 {
 				return false
 			}

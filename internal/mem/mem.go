@@ -12,7 +12,6 @@ package mem
 import (
 	"hotcalls/internal/cache"
 	"hotcalls/internal/epc"
-	"hotcalls/internal/epcstat"
 	"hotcalls/internal/mee"
 	"hotcalls/internal/sim"
 	"hotcalls/internal/telemetry"
@@ -104,20 +103,12 @@ func (s *System) PageFaults() uint64 { return s.pageFaults }
 // nil registry detaches.
 func (s *System) SetTelemetry(reg *telemetry.Registry) { s.tracer = reg.Tracer() }
 
-// SetEPCStat attaches an EPC pressure observatory to the hierarchy: the
-// collector becomes the EPC manager's observer and snapshots gain the
-// MEE node-cache counters.  Call before the first enclave access.
-func (s *System) SetEPCStat(c *epcstat.Collector) {
-	c.Attach(s.EPC)
-	c.SetMEEStats(s.MEE.NodeCacheStats)
-}
-
 // touchPage charges EPC paging cost for `lines` back-to-back enclave
 // accesses inside the page holding addr.  Only the first can fault, so the
 // whole cost lands before the first line's cache access — where touching
 // line by line charged it.
 func (s *System) touchPage(clk *sim.Clock, addr uint64, lines int) {
-	fault, evictions := s.EPC.TouchRunAs(0, page(addr), lines) // the anonymous owner, as Touch
+	fault, evictions := s.EPC.Touch(page(addr), lines)
 	if !fault {
 		return
 	}
@@ -130,11 +121,11 @@ func (s *System) touchPage(clk *sim.Clock, addr uint64, lines int) {
 		// already-emitted spans as children of the fault.
 		for i := uint64(0); i < uint64(evictions); i++ {
 			s.tracer.Emit(telemetry.KindEWB, "ewb",
-				start+uint64(epc.FaultCost)+i*uint64(epc.EWBCost), uint64(epc.EWBCost), 0)
+				start+epc.FaultCost+i*epc.EWBCost, epc.EWBCost, 0)
 		}
-		s.tracer.Emit(telemetry.KindEPCFault, "epc_fault", start, uint64(cycles), uint64(evictions))
+		s.tracer.Emit(telemetry.KindEPCFault, "epc_fault", start, cycles, uint64(evictions))
 	}
-	clk.AdvanceF(cycles)
+	clk.Advance(cycles)
 }
 
 // memSpanStart opens a deep-tracing window around a memory operation:

@@ -60,9 +60,9 @@ func refSweep(r *reference, clk *sim.Clock, addr, size uint64, write bool) {
 	footprint := int((size + LineSize - 1) / LineSize)
 	for a := r.LLC.LineAddr(addr); a < addr+size; a += LineSize {
 		if enc {
-			if fault, cycles := r.EPC.TouchAs(0, page(a)); fault {
+			if fault, evictions := r.EPC.Touch(page(a), 1); fault {
 				r.pageFaults++
-				clk.AdvanceF(cycles)
+				clk.Advance(epc.FaultCycles(evictions))
 			}
 		}
 		hit, victim := r.LLC.Access(a, write)
@@ -197,7 +197,7 @@ func TestFaultEventCarriesEvictionCount(t *testing.T) {
 		if ev.Kind == telemetry.KindEPCFault {
 			events++
 			sum += ev.Arg
-			if want := uint64(epc.FaultCycles(int(ev.Arg))); ev.Dur != want {
+			if want := epc.FaultCycles(int(ev.Arg)); ev.Dur != want {
 				t.Fatalf("fault span of %d evictions lasts %d cycles, want %d", ev.Arg, ev.Dur, want)
 			}
 		}

@@ -215,7 +215,7 @@ func (e *Enclave) EAdd(clk *sim.Clock, offset uint64) error {
 	}
 	clk.Advance(PageSize/256*eextendCost + eaddCostPage)
 	// Fault the page resident so the enclave starts warm in the EPC.
-	e.platform.Mem.EPC.TouchAs(0, (e.secs.Base+offset-mem.EnclaveBase)/PageSize)
+	e.platform.Mem.EPC.Touch((e.secs.Base+offset-mem.EnclaveBase)/PageSize, 1)
 	return nil
 }
 
