@@ -65,8 +65,7 @@ const (
 
 // Server is one lighttpd instance bound to a port configuration.
 type Server struct {
-	// App is the container, embedded: SetTelemetry attaches a registry
-	// to the whole simulated stack.
+	// App is the container, embedded.
 	*porting.App
 
 	listenFD int

@@ -11,7 +11,6 @@ import (
 	"hotcalls/internal/apps/porting"
 	"hotcalls/internal/core"
 	"hotcalls/internal/sim"
-	"hotcalls/internal/telemetry"
 )
 
 // testPoolOpts sizes the ring to a connection window and gives
@@ -289,7 +288,6 @@ func TestPoolConnWindowModel(t *testing.T) {
 func TestPoolServerConcurrentConnections(t *testing.T) {
 	const conns = 4
 	s := NewPoolServer(conns, testPoolOpts(3))
-	s.Pool().SetTelemetry(telemetry.New())
 	s.Start()
 	defer s.Stop()
 

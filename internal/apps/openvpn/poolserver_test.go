@@ -11,7 +11,6 @@ import (
 	"hotcalls/internal/core"
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
-	"hotcalls/internal/telemetry"
 )
 
 // testVPNOpts sizes the ring to a Stream window and gives submissions
@@ -211,7 +210,6 @@ func TestPoolTunnelStreamWindow(t *testing.T) {
 func TestPoolTunnelConcurrentConnections(t *testing.T) {
 	const conns = 4
 	s := NewPoolServer(conns, testVPNOpts(3))
-	s.Pool().SetTelemetry(telemetry.New())
 	s.Start()
 	defer s.Stop()
 

@@ -11,8 +11,8 @@ const Window = 16
 // Fabric is the kit a fabric-routed port embeds: its CallPool and the
 // pool's lifecycle, the same for every port and so kept here, once.  What
 // a port has to say is its protocol and its handler.  A port builds it
-// with NewFabric and reads the pool through Pool (stats, responder
-// counts, SetTelemetry before Start).
+// with NewFabric and reads the pool through Pool (stats and responder
+// counts).
 type Fabric struct {
 	pool *core.CallPool
 }

@@ -22,7 +22,6 @@ import (
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sgx"
 	"hotcalls/internal/sim"
-	"hotcalls/internal/telemetry"
 )
 
 // Mode selects the port configuration.
@@ -195,17 +194,6 @@ func (a *App) Call(clk *sim.Clock, name string, args ...sdk.Arg) (uint64, error)
 	default:
 		return a.Chan.HotECall(clk, name, args...)
 	}
-}
-
-// SetTelemetry attaches the observability registry to every layer the
-// app owns: the SGX platform (leaf instructions, and the memory
-// hierarchy's trace events), the SDK runtime (ecall/ocall paths), and
-// the HotCalls channel.  A nil registry detaches everywhere.  This is the
-// simulated servers' one observability wiring.
-func (a *App) SetTelemetry(reg *telemetry.Registry) {
-	a.Platform.SetTelemetry(reg)
-	a.RT.SetTelemetry(reg)
-	a.Chan.SetTelemetry(reg)
 }
 
 // Secure reports whether the app runs inside an enclave.

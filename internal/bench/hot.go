@@ -14,7 +14,6 @@ import (
 func measureHotEcall(runs int, cold bool) *sim.Sample {
 	f := newMicroFixture(161)
 	ch := core.NewChannel(f.rt, sim.NewRNG(seedFor(163)))
-	ch.SetTelemetry(tel)
 	call := func() uint64 {
 		if cold {
 			f.p.Mem.EvictAll()

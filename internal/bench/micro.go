@@ -57,9 +57,6 @@ func newMicroFixture(seed uint64) *microFixture {
 	for _, name := range []string{"ocall_empty", "ocall_in", "ocall_out", "ocall_inout"} {
 		rt.MustBindOCall(name, noop)
 	}
-	// Attach the harness registry (no-op handles when none is set).
-	p.SetTelemetry(tel)
-	rt.SetTelemetry(tel)
 	return &microFixture{p: p, e: e, rt: rt}
 }
 

@@ -25,7 +25,7 @@ enclave {
 `
 
 // traceProfile runs the warm ecall, warm ocall and HotCall workloads on
-// a freshly seeded platform under deep tracing, the HotCall latency
+// a freshly seeded platform with a tracer attached, the HotCall latency
 // model scaled by spinScale, and returns the analyzed trace with the
 // model that ran.
 func traceProfile(spinScale float64) (*profile.Profile, *core.LatencyModel) {
@@ -59,14 +59,11 @@ func traceProfile(spinScale float64) (*profile.Profile, *core.LatencyModel) {
 		rt.ECall(&clk, "ecall_driver")
 	}
 
-	// A private deep-tracing registry: this experiment profiles itself
-	// whatever registry hotbench attached.
-	reg := telemetry.New()
-	reg.EnableDeepTracing(1 << 20)
-	p.SetTelemetry(reg)
-	rt.SetTelemetry(reg)
+	tr := telemetry.NewTracer(1 << 20)
+	p.SetTracer(tr)
+	rt.SetTracer(tr)
 	ch := core.NewChannel(rt, p.RNG)
-	ch.SetTelemetry(reg)
+	ch.SetTracer(tr)
 	ch.Model = ch.Model.Scale(spinScale)
 
 	const (
@@ -84,7 +81,7 @@ func traceProfile(spinScale float64) (*profile.Profile, *core.LatencyModel) {
 		ch.HotECall(&clk, "ecall_empty")
 	}
 
-	return profile.Analyze(reg.Tracer().Events()), ch.Model
+	return profile.Analyze(tr.Events()), ch.Model
 }
 
 // runProfile cross-validates the trace-attributed profiler against the

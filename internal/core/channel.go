@@ -20,8 +20,8 @@ type Channel struct {
 	RT    *sdk.Runtime
 	Model *LatencyModel
 
-	// tracer is the registry's deep tracer, nil (no spans) until
-	// SetTelemetry attaches a registry with tracing enabled.
+	// tracer records the crossings' spans, nil (no spans) until
+	// SetTracer.
 	tracer *telemetry.Tracer
 }
 
@@ -30,10 +30,9 @@ func NewChannel(rt *sdk.Runtime, rng *sim.RNG) *Channel {
 	return &Channel{RT: rt, Model: NewLatencyModel(rng)}
 }
 
-// SetTelemetry attaches the observability registry to the channel: when
-// its tracing is enabled, one span per crossing and per phase.  A nil
-// registry detaches.
-func (ch *Channel) SetTelemetry(reg *telemetry.Registry) { ch.tracer = reg.Tracer() }
+// SetTracer attaches a tracer to the channel: one span per crossing and
+// per phase.  A nil tracer detaches.
+func (ch *Channel) SetTracer(tr *telemetry.Tracer) { ch.tracer = tr }
 
 // HotOCall performs an out-call through the HotCalls interface: the
 // trusted side marshals with the SDK-generated code, signals the request

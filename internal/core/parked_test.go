@@ -6,24 +6,19 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"hotcalls/internal/telemetry"
 )
 
 // The tests below pin the parked-responder protocol (Requester.help): a
 // requester that posts while a responder is parked sends no signal, runs
 // its own calls when it waits, and decides afterwards whether a
 // wake is worth its price.  They assert on execution counts, claim
-// order and the fabric's own counters, never on elapsed time.
+// order and the fabric's own counts, never on elapsed time.
 
-// parkedCounters attaches a registry and returns readers for the calls
-// requesters ran inline, the calls responders ran, and the kicks sent.
-func parkedCounters(p *CallPool) (inline, executes, kicks func() uint64) {
-	reg := telemetry.New()
-	p.SetTelemetry(reg)
-	return reg.Counter(telemetry.MetricHotCallInline).Load,
-		func() uint64 { _, execs := p.Stats(); return execs },
-		reg.Counter(telemetry.MetricResponderKicks).Load
+// parkedCounters returns readers for the calls responders ran and the
+// kicks sent.  A requester's inline runs (Requester.help calls that ran
+// anything) are its own r.inlines, read from its goroutine.
+func parkedCounters(p *CallPool) (executes, kicks func() uint64) {
+	return func() uint64 { _, execs := p.Stats(); return execs }, p.kicks.Load
 }
 
 // waitParked waits until p's one responder is parked for good: it has
@@ -68,7 +63,7 @@ func TestPoolParkedHelpExactlyOnce(t *testing.T) {
 	// between its own calls (a handful of inline runs in 40 000, against
 	// hundreds on this one).
 	p.policy = responderPolicy{spin: 2, yield: 4, floor: 2}
-	inline, executes, _ := parkedCounters(p)
+	executes, _ := parkedCounters(p)
 	p.Start()
 	defer p.Stop()
 
@@ -89,8 +84,10 @@ func TestPoolParkedHelpExactlyOnce(t *testing.T) {
 	}()
 
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	reqs := make([]*Requester, n)
+	for i := range reqs {
 		r := p.Requester()
+		reqs[i] = r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -153,7 +150,11 @@ func TestPoolParkedHelpExactlyOnce(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d calls run inline, %d by responders", inline(), executes())
+	var inline uint
+	for _, r := range reqs {
+		inline += r.inlines
+	}
+	t.Logf("%d inline runs, %d calls by responders", inline, executes())
 }
 
 // TestPoolParkedWindowHelped: a 16-deep async window posted to a parked
@@ -173,7 +174,7 @@ func TestPoolParkedWindowHelped(t *testing.T) {
 		mu.Unlock()
 		return d + 100
 	}}, opts)
-	inline, executes, kicks := parkedCounters(p)
+	executes, kicks := parkedCounters(p)
 	p.Start()
 	defer p.Stop()
 	r := p.Requester()
@@ -201,9 +202,9 @@ func TestPoolParkedWindowHelped(t *testing.T) {
 			t.Fatalf("execution order %v, want ring order", order)
 		}
 	}
-	if inline() != window || executes() != 0 || kicks() != 0 || !parked(p) {
-		t.Errorf("inline=%d executes=%d kicks=%d parked=%v, want the whole window inline and the responder left asleep",
-			inline(), executes(), kicks(), parked(p))
+	if r.inlines != 1 || executes() != 0 || kicks() != 0 || !parked(p) {
+		t.Errorf("inline runs=%d executes=%d kicks=%d parked=%v, want the whole window one inline run and the responder left asleep",
+			r.inlines, executes(), kicks(), parked(p))
 	}
 }
 
@@ -219,10 +220,12 @@ func TestPoolWakePolicy(t *testing.T) {
 	// closed-loop half sees is the protocol and not the host.
 	p := NewCallPool(echoTable(), testPool(1, 1))
 	p.policy.yield = 1 << 14
-	inline, executes, kicks := parkedCounters(p)
+	executes, kicks := parkedCounters(p)
 	p.Start()
 	defer p.Stop()
 	r := p.Requester()
+	// Every call here is a single Call, so each inline run is one call.
+	inline := func() uint64 { return uint64(r.inlines) }
 	var calls uint64
 	call := func(d uint64) { // no t.Helper: it would be most of a back-to-back call
 		calls++

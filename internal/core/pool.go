@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"hotcalls/internal/sdk"
-	"hotcalls/internal/telemetry"
 )
 
 // cacheLine is the coherence granule the slot layout is padded to.  x86
@@ -192,8 +191,8 @@ func (o *PoolOptions) fill() {
 
 // CallPool is the fabric: sharded slot rings on the requester side, an
 // adaptive responder pool (scale.go) on the other.  Create with
-// NewCallPool, attach telemetry before Start, hand out shards with
-// Requester, and Stop when done.
+// NewCallPool, attach the vec table (SetVecTable) before Start, hand out
+// shards with Requester, and Stop when done.
 type CallPool struct {
 	opts   PoolOptions
 	policy responderPolicy
@@ -214,9 +213,10 @@ type CallPool struct {
 	// Idle-responder parking.  sleepers counts responders inside the
 	// wake wait; a requester that posts while it is non-zero runs the
 	// call itself (Requester.help) and signals only through kick, which
-	// kicked keeps to one outstanding wake.
+	// kicked keeps to one outstanding wake; kicks counts the wakes sent.
 	sleepers atomic.Int32
 	kicked   atomic.Bool
+	kicks    atomic.Uint64
 	wake     sdk.Cond
 
 	// Adaptive-pool state (scale.go).
@@ -239,17 +239,9 @@ type CallPool struct {
 	ctrlPolls    uint64
 	ctrlExecutes uint64
 
-	// Telemetry handles, nil (no-op) until SetTelemetry; cached so the
-	// hot path never does a registry lookup.
-	kickCtr   *telemetry.Counter
-	inlineCtr *telemetry.Counter
-
 	// spinMax caps the completion wait's spin phase (see await): 0 on a
 	// single P, where no responder can run while the requester spins.
 	spinMax int
-
-	// rejected counts scatter-gather calls refused at dispatch (execRun).
-	rejected *telemetry.Counter
 }
 
 // NewCallPool builds a fabric over the given call table.  Responders do
@@ -282,16 +274,6 @@ func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 // space is independent of the plain table (a slot's segment count picks
 // the table).  Attach before Start.
 func (p *CallPool) SetVecTable(vt []PoolVecFunc) { p.vtable = vt }
-
-// SetTelemetry attaches the fabric's counters from the registry: the
-// calls requesters ran inline and the kicks that followed them, and the
-// scatter-gather calls refused at dispatch.  A nil registry detaches.
-// Attach before Start.
-func (p *CallPool) SetTelemetry(reg *telemetry.Registry) {
-	p.kickCtr = reg.Counter(telemetry.MetricResponderKicks)
-	p.inlineCtr = reg.Counter(telemetry.MetricHotCallInline)
-	p.rejected = reg.Counter(telemetry.MetricHotCallRejected)
-}
 
 // Requester binds the next free shard to the calling goroutine and
 // returns its handle.  A Requester must be used from one goroutine at a
@@ -448,7 +430,6 @@ func (r *Requester) help(s *poolSlot) (ran bool) {
 		}
 		if sh.tail.CompareAndSwap(t, t+uint64(run)) {
 			p.execRun(sh, r.idx, &r.segs, t, run)
-			p.inlineCtr.Add(uint64(run))
 			ran = true
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"hotcalls/internal/telemetry"
 )
 
 // zcPool builds a ring-enabled pool whose vec table sums the referenced
@@ -203,7 +201,6 @@ func TestPoolSubmitVWaitAll(t *testing.T) {
 // postZC/Acquire/Release).
 func TestPoolCallZeroCopyZeroAlloc(t *testing.T) {
 	p := zcPool(1, 1)
-	p.SetTelemetry(telemetry.New()) // live counters must stay alloc-free too
 	p.Start()
 	defer p.Stop()
 	r := p.Requester()
@@ -267,7 +264,6 @@ func TestPoolCallZeroCopyZeroAlloc(t *testing.T) {
 func TestPoolZeroCopyConcurrentStress(t *testing.T) {
 	const requesters = 4
 	p := zcPool(requesters, 3)
-	p.SetTelemetry(telemetry.New())
 	p.Start()
 	defer p.Stop()
 

@@ -168,7 +168,7 @@ func (p *CallPool) kick() bool {
 	if !p.kicked.CompareAndSwap(false, true) {
 		return false
 	}
-	p.kickCtr.Inc()
+	p.kicks.Add(1)
 	p.wake.Signal()
 	return true
 }
@@ -243,12 +243,10 @@ func (p *CallPool) execRun(sh *shard, shardIdx int, segs *[MaxSegs]Segment, t ui
 			// the claimant's copy of the descriptor block (the handler
 			// must not retain the slice).  A count the block cannot hold
 			// or a descriptor outside the posting requester's ring gets
-			// the sentinel, like a corrupted call_ID, and is counted.
-			if p.vtable == nil || int(id) < 0 || int(id) >= len(p.vtable) || p.vtable[id] == nil {
+			// the sentinel, like a corrupted call_ID.
+			if p.vtable == nil || int(id) < 0 || int(id) >= len(p.vtable) || p.vtable[id] == nil ||
+				nseg > MaxSegs || !p.Ring(shardIdx).holds(segs[:copy(segs[:], s.segs[:nseg])]) {
 				ret = ^uint64(0)
-			} else if nseg > MaxSegs || !p.Ring(shardIdx).holds(segs[:copy(segs[:], s.segs[:nseg])]) {
-				ret = ^uint64(0)
-				p.rejected.Inc()
 			} else {
 				ret = p.vtable[id](shardIdx, data, segs[:nseg])
 			}

@@ -8,11 +8,11 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"hotcalls/internal/sdk"
 	"hotcalls/internal/sim"
-	"hotcalls/internal/telemetry"
 )
 
 // "Using shared plaintext memory for communication": HotCalls marshal with
@@ -180,14 +180,17 @@ func TestSecurityStagingIsACopy(t *testing.T) {
 // descriptor block, which lives in the same shared slot: a list the slot
 // cannot hold is refused at the post, and a descriptor outside the posting
 // requester's ring — a slab that does not exist, a window running past its
-// slab, a count forged after the post — gets the sentinel and a count in
-// hotcall_rejected_total.  The handler (zcPool's, which would panic in
-// PayloadRing.Bytes on every one of them) never sees it, and the responder
-// keeps serving.
+// slab, a count forged after the post — gets the sentinel.  The handler
+// (zcPool's, which would panic in PayloadRing.Bytes on every one of them)
+// never sees it, and the responder keeps serving.
 func TestSecurityDescriptorManipulation(t *testing.T) {
 	p := zcPool(1, 1)
-	reg := telemetry.New()
-	p.SetTelemetry(reg)
+	var ran atomic.Uint64
+	handler := p.vtable[0]
+	p.vtable[0] = func(requester int, data uint64, segs []Segment) uint64 {
+		ran.Add(1)
+		return handler(requester, data, segs)
+	}
 	r := p.Requester()
 	slab, buf, _ := r.Ring().Acquire()
 	good := Segment{Slab: slab, Len: 8}
@@ -205,6 +208,7 @@ func TestSecurityDescriptorManipulation(t *testing.T) {
 	if err := r.await(forged); err != nil || forged.ret != ^uint64(0) {
 		t.Fatalf("forged segment count: (%#x, %v), want the sentinel", forged.ret, err)
 	}
+	refused := 1
 
 	five := []Segment{good, good, good, good, good}
 	if _, err := r.CallV(VecCall{Segs: five}); !errors.Is(err, ErrTooManySegments) {
@@ -221,9 +225,10 @@ func TestSecurityDescriptorManipulation(t *testing.T) {
 		if ret, err := r.CallV(VecCall{Segs: segs}); err != nil || ret != ^uint64(0) {
 			t.Fatalf("%s: (%#x, %v), want the sentinel", name, ret, err)
 		}
+		refused++
 	}
-	if n := reg.Counter(telemetry.MetricHotCallRejected).Load(); n != 4 {
-		t.Fatalf("%s = %d, want 4", telemetry.MetricHotCallRejected, n)
+	if refused != 4 || ran.Load() != 0 {
+		t.Fatalf("%d calls refused and the handler ran %d times, want 4 refused and no run", refused, ran.Load())
 	}
 	// The responder is still alive, and a whole-slab window is still legal.
 	if ret, err := r.CallV(VecCall{Segs: []Segment{good, {Slab: slab, Len: 4096}}}); err != nil || ret != 8+8 {

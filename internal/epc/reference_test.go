@@ -145,22 +145,23 @@ func TestMemoisedManagerMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		pages, steps int
 		sampleBits   uint
+		seeds        []uint64
 	}{
-		{16, 40_000, 0},
-		{64, 40_000, 2},
-		{DefaultCapacityBytes / PageSize, 120_000, 4}, // 23 808 pages
+		{16, 40_000, 0, []uint64{1, 7}},
+		{64, 40_000, 2, []uint64{1, 7}},
+		{DefaultCapacityBytes / PageSize, 120_000, 4, []uint64{1, 7, 42, 123}}, // 23 808 pages
 	} {
-		for _, seed := range []uint64{1, 7} {
+		for _, seed := range tc.seeds {
 			t.Run(fmt.Sprintf("%dpages/seed%d", tc.pages, seed), func(t *testing.T) {
 				m, ref := newTestManager(tc.pages), newRefManager(tc.pages, tc.sampleBits)
 				m.wss = newWSS(math.MaxUint64, tc.sampleBits)
 				r := sim.NewRNG(seed)
-				span := tc.pages + tc.pages/4 + 8 // wider than the EPC: the cyclic sweep keeps evicting
+				// Half again as wide as the EPC: the cyclic sweep keeps
+				// evicting at every seed, several times the steps/100
+				// floor checked below.
+				span := tc.pages + tc.pages/2 + 8
 				sweep := 0
 				for i := 0; i < tc.steps; i++ {
-					// An unused draw: without it seed 7 at 23 808 pages
-					// evicts fewer than the steps/100 checked below.
-					r.Intn(3)
 					page := uint64(r.Intn(span))
 					if r.Bool(0.5) {
 						sweep = (sweep + 1) % span
@@ -209,6 +210,7 @@ func TestMemoisedManagerMatchesReference(t *testing.T) {
 				if ref.evictions < uint64(tc.steps/100) || len(ref.last) == 0 {
 					t.Fatalf("trace too tame: %d evictions, %d sampled pages", ref.evictions, len(ref.last))
 				}
+				t.Logf("%d evictions, %d sampled pages", ref.evictions, len(ref.last))
 			})
 		}
 	}

@@ -65,8 +65,8 @@ type System struct {
 
 	pageFaults uint64
 
-	// tracer records paging events with cycle timestamps; nil (a no-op)
-	// unless SetTelemetry attached a registry with tracing enabled.
+	// tracer records paging and MEE events with cycle timestamps; nil (a
+	// no-op) until SetTracer.
 	tracer *telemetry.Tracer
 }
 
@@ -98,10 +98,9 @@ func page(addr uint64) uint64 { return (addr - EnclaveBase) / epc.PageSize }
 // PageFaults returns the cumulative number of EPC page faults charged.
 func (s *System) PageFaults() uint64 { return s.pageFaults }
 
-// SetTelemetry attaches the observability registry to the memory
-// hierarchy: when its tracing is enabled, paging and MEE trace events.  A
-// nil registry detaches.
-func (s *System) SetTelemetry(reg *telemetry.Registry) { s.tracer = reg.Tracer() }
+// SetTracer attaches a tracer to the memory hierarchy: paging and MEE
+// trace events.  A nil tracer detaches.
+func (s *System) SetTracer(tr *telemetry.Tracer) { s.tracer = tr }
 
 // touchPage charges EPC paging cost for `lines` back-to-back enclave
 // accesses inside the page holding addr.  Only the first can fault, so the

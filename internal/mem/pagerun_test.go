@@ -181,9 +181,8 @@ func TestPageRunSweepsMatchPerLineReference(t *testing.T) {
 // set, the Args of a run sum to the manager's eviction delta.
 func TestFaultEventCarriesEvictionCount(t *testing.T) {
 	s := NewWithEPC(sim.NewRNG(5), 4*epc.PageSize)
-	reg := telemetry.New()
-	tr := reg.EnableDeepTracing(1 << 12)
-	s.SetTelemetry(reg)
+	tr := telemetry.NewTracer(1 << 12)
+	s.SetTracer(tr)
 	var clk sim.Clock
 	s.StreamWrite(&clk, EnclaveBase, 4*epc.PageSize) // fill the EPC: faults, no evictions
 	_, _, before := s.EPC.Stats()

@@ -93,12 +93,11 @@ func TestCrossValidation(t *testing.T) {
 		}
 	}
 
-	reg := telemetry.New()
-	reg.EnableDeepTracing(1 << 20)
-	p.SetTelemetry(reg)
-	rt.SetTelemetry(reg)
+	tr := telemetry.NewTracer(1 << 20)
+	p.SetTracer(tr)
+	rt.SetTracer(tr)
 	ch := core.NewChannel(rt, p.RNG)
-	ch.SetTelemetry(reg)
+	ch.SetTracer(tr)
 
 	const (
 		sdkRuns = 400
@@ -121,7 +120,7 @@ func TestCrossValidation(t *testing.T) {
 		}
 	}
 
-	events := reg.Tracer().Events()
+	events := tr.Events()
 	if len(events) == 1<<20 {
 		t.Fatal("trace ring full: older events may be overwritten and results partial")
 	}
@@ -164,17 +163,16 @@ func TestCrossValidation(t *testing.T) {
 // per-call averages silently.
 func TestCrossValidationCallCounts(t *testing.T) {
 	p, rt := xvalFixture(t)
-	reg := telemetry.New()
-	reg.EnableDeepTracing(1 << 18)
-	p.SetTelemetry(reg)
-	rt.SetTelemetry(reg)
+	tr := telemetry.NewTracer(1 << 18)
+	p.SetTracer(tr)
+	rt.SetTracer(tr)
 	var clk sim.Clock
 	for i := 0; i < 25; i++ {
 		if _, err := rt.ECall(&clk, "ecall_driver"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	prof := profile.Analyze(reg.Tracer().Events())
+	prof := profile.Analyze(tr.Events())
 	if n := prof.Calls["ecall:ecall_driver"].Calls; n != 25 {
 		t.Fatalf("driver calls = %d, want 25", n)
 	}
@@ -192,12 +190,11 @@ func TestSpeedupAppliedSim(t *testing.T) {
 
 	run := func(scale float64) *profile.Breakdown {
 		p, rt := xvalFixture(t)
-		reg := telemetry.New()
-		reg.EnableDeepTracing(1 << 20)
-		p.SetTelemetry(reg)
-		rt.SetTelemetry(reg)
+		tr := telemetry.NewTracer(1 << 20)
+		p.SetTracer(tr)
+		rt.SetTracer(tr)
 		ch := core.NewChannel(rt, p.RNG)
-		ch.SetTelemetry(reg)
+		ch.SetTracer(tr)
 		ch.Model = ch.Model.Scale(scale)
 		var clk sim.Clock
 		for i := 0; i < runs; i++ {
@@ -205,7 +202,7 @@ func TestSpeedupAppliedSim(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		events := reg.Tracer().Events()
+		events := tr.Events()
 		if len(events) == 1<<20 {
 			t.Fatal("trace ring full: older events may be overwritten")
 		}

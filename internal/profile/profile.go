@@ -24,10 +24,10 @@
 //     open trees and starts over, so per-run traces degrade gracefully
 //     into forests instead of mis-nesting.
 //
-// Deep tracing (telemetry.Registry.EnableDeepTracing) emits the
-// per-phase and per-memory-operation events the attribution needs.  The
-// profile experiment (internal/bench) is the reader: it holds each
-// call site's per-category cycles to the analytic cost model.
+// A telemetry.Tracer attached to each emitting layer (its SetTracer)
+// records the per-phase and per-memory-operation events the attribution
+// needs.  The profile experiment (internal/bench) is the reader: it
+// holds each call site's per-category cycles to the analytic cost model.
 package profile
 
 import "hotcalls/internal/telemetry"
@@ -191,7 +191,7 @@ type Profile struct {
 	Calls map[string]*Breakdown
 
 	// OutsideCycles counts self time of spans not enclosed by any call
-	// (enclave build, harness warm-up on a traced registry, orphans from
+	// (enclave build, harness warm-up on a traced platform, orphans from
 	// clock-domain flushes).
 	OutsideCycles uint64
 }

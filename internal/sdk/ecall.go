@@ -65,7 +65,6 @@ func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, erro
 		}
 	}
 	b.calls++
-	rt.tel.ecalls.Inc()
 	callStart := clk.Now()
 
 	m := rt.Platform.Mem
@@ -93,7 +92,7 @@ func (rt *Runtime) ECall(clk *sim.Clock, name string, args ...Arg) (uint64, erro
 	clk.Advance(ecallDispatchFixed)
 	m.Load(clk, marshalAddr)
 
-	tr := rt.tel.tracer
+	tr := rt.tracer
 	deep := tr != nil
 	stageStart := clk.Now()
 	f, err := rt.stageECall(clk, b.Decl, args)

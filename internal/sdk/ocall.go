@@ -52,7 +52,6 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 		return 0, err
 	}
 	b.calls++
-	rt.tel.ocalls.Inc()
 	callStart := clk.Now()
 
 	m := rt.Platform.Mem
@@ -63,7 +62,7 @@ func (ctx *Ctx) OCall(name string, args ...Arg) (uint64, error) {
 	// (back into the enclave) — Section 3.3.
 	clk.Advance(ocallMarshalFixed)
 
-	tr := rt.tel.tracer
+	tr := rt.tracer
 	deep := tr != nil
 	stageStart := clk.Now()
 	f, err := rt.stageOCall(clk, b.Decl, args)

@@ -138,9 +138,9 @@ type Runtime struct {
 	scratchTop int
 	poison     bool
 
-	// tel caches the runtime's telemetry handles; all nil (no-op) until
-	// SetTelemetry attaches a registry.
-	tel runtimeTel
+	// tracer records one span per boundary crossing and per phase; nil
+	// (a no-op) until SetTracer.
+	tracer *telemetry.Tracer
 
 	// sharedRings are the registered zero-copy payload-ring regions.
 	// A [zerocopy] pointer parameter must lie entirely inside one of
@@ -189,22 +189,9 @@ func (rt *Runtime) RingBacked(addr, size uint64) bool {
 // copies since the runtime was created.
 func (rt *Runtime) StagedBytes() uint64 { return rt.stagedBytes }
 
-// runtimeTel is the set of handles the SDK call paths touch.
-type runtimeTel struct {
-	ecalls, ocalls *telemetry.Counter
-	tracer         *telemetry.Tracer
-}
-
-// SetTelemetry attaches the observability registry to the SDK runtime:
-// per-direction call counters and (when tracing is enabled) one span per
-// boundary crossing.  A nil registry detaches.
-func (rt *Runtime) SetTelemetry(reg *telemetry.Registry) {
-	rt.tel = runtimeTel{
-		ecalls: reg.Counter(telemetry.MetricEcalls),
-		ocalls: reg.Counter(telemetry.MetricOcalls),
-		tracer: reg.Tracer(),
-	}
-}
+// SetTracer attaches a tracer to the SDK runtime: one span per boundary
+// crossing and per phase.  A nil tracer detaches.
+func (rt *Runtime) SetTracer(tr *telemetry.Tracer) { rt.tracer = tr }
 
 // Fixed plain-memory landmarks of the untrusted runtime.  Keeping them at
 // stable addresses means repeated calls find them cache-warm, exactly as

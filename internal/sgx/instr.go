@@ -50,11 +50,10 @@ func (e *Enclave) touchEnclaveEntryState(clk *sim.Clock, tcs *TCS) {
 	m.Store(clk, e.codeBase+PageSize/2) // trusted stack line
 }
 
-// leafEvent counts a completed leaf instruction and traces its span
-// under the instruction's name.
-func (e *Enclave) leafEvent(ctr *telemetry.Counter, kind telemetry.Kind, name string, clk *sim.Clock, start uint64) {
-	ctr.Inc()
-	if tr := e.platform.tel.tracer; tr != nil {
+// leafEvent traces a completed leaf instruction's span under the
+// instruction's name.
+func (e *Enclave) leafEvent(kind telemetry.Kind, name string, clk *sim.Clock, start uint64) {
+	if tr := e.platform.tracer; tr != nil {
 		tr.Emit(kind, name, start, clk.Since(start), uint64(e.id))
 	}
 }
@@ -72,7 +71,7 @@ func (e *Enclave) EEnter(clk *sim.Clock, tcs *TCS) error {
 	clk.Advance(eenterFixed)
 	e.touchEnclaveEntryState(clk, tcs)
 	tcs.entered = true
-	e.leafEvent(e.platform.tel.eenter, telemetry.KindEEnter, "eenter", clk, start)
+	e.leafEvent(telemetry.KindEEnter, "eenter", clk, start)
 	return nil
 }
 
@@ -92,7 +91,7 @@ func (e *Enclave) EExit(clk *sim.Clock, tcs *TCS) error {
 	m.Load(clk, mem.PlainBase+untrustedContextOff) // saved RSP/RBP area
 	m.Load(clk, mem.PlainBase+untrustedContextOff+mem.LineSize)
 	tcs.entered = false
-	e.leafEvent(e.platform.tel.eexit, telemetry.KindEExit, "eexit", clk, start)
+	e.leafEvent(telemetry.KindEExit, "eexit", clk, start)
 	return nil
 }
 
@@ -109,7 +108,7 @@ func (e *Enclave) EResume(clk *sim.Clock, tcs *TCS) error {
 	clk.Advance(eresumeFixed)
 	e.touchEnclaveEntryState(clk, tcs)
 	tcs.entered = true
-	e.leafEvent(e.platform.tel.eresume, telemetry.KindEResume, "eresume", clk, start)
+	e.leafEvent(telemetry.KindEResume, "eresume", clk, start)
 	return nil
 }
 
@@ -129,7 +128,7 @@ func (e *Enclave) AEX(clk *sim.Clock, tcs *TCS) error {
 	}
 	tcs.cssa++
 	tcs.entered = false
-	e.leafEvent(e.platform.tel.aex, telemetry.KindAEX, "aex", clk, start)
+	e.leafEvent(telemetry.KindAEX, "aex", clk, start)
 	return nil
 }
 

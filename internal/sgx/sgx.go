@@ -86,29 +86,17 @@ type Platform struct {
 	nextID   EnclaveID
 	nextBase uint64
 
-	// tel caches the platform's telemetry handles; all nil (no-op) until
-	// SetTelemetry attaches a registry.
-	tel platformTel
+	// tracer records the leaf instructions' spans; nil (a no-op) until
+	// SetTracer.
+	tracer *telemetry.Tracer
 }
 
-// platformTel is the set of cached handles the leaf instructions touch.
-type platformTel struct {
-	eenter, eexit, eresume, aex *telemetry.Counter
-	tracer                      *telemetry.Tracer
-}
-
-// SetTelemetry attaches the observability registry to the platform: leaf
-// instruction counters and boundary trace events here, and the memory
-// hierarchy's trace events through mem.System.  A nil registry detaches.
-func (p *Platform) SetTelemetry(reg *telemetry.Registry) {
-	p.tel = platformTel{
-		eenter:  reg.Counter(telemetry.MetricEEnter),
-		eexit:   reg.Counter(telemetry.MetricEExit),
-		eresume: reg.Counter(telemetry.MetricResume),
-		aex:     reg.Counter(telemetry.MetricAEX),
-		tracer:  reg.Tracer(),
-	}
-	p.Mem.SetTelemetry(reg)
+// SetTracer attaches a tracer to the platform: leaf-instruction spans
+// here, and the memory hierarchy's paging and MEE events through
+// mem.System.  A nil tracer detaches.
+func (p *Platform) SetTracer(tr *telemetry.Tracer) {
+	p.tracer = tr
+	p.Mem.SetTracer(tr)
 }
 
 // NewPlatform returns a platform with the testbed memory hierarchy and

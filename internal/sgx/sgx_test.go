@@ -107,8 +107,8 @@ func TestTCSPoolExhaustion(t *testing.T) {
 
 func TestAEXAndResume(t *testing.T) {
 	p := NewPlatform(1)
-	reg := telemetry.New()
-	p.SetTelemetry(reg)
+	tr := telemetry.NewTracer(0)
+	p.SetTracer(tr)
 	e := buildEnclave(t, p, 2)
 	var clk sim.Clock
 	tcs, _ := e.AcquireTCS()
@@ -116,8 +116,14 @@ func TestAEXAndResume(t *testing.T) {
 	if err := e.AEX(&clk, tcs); err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Counter(telemetry.MetricAEX).Load(); n != 1 {
-		t.Fatalf("%s = %d after one AEX, want 1", telemetry.MetricAEX, n)
+	var aex int
+	for _, ev := range tr.Events() {
+		if ev.Kind == telemetry.KindAEX {
+			aex++
+		}
+	}
+	if aex != 1 {
+		t.Fatalf("%d AEX events after one AEX, want 1", aex)
 	}
 	if tcs.Entered() {
 		t.Fatal("TCS entered after AEX")

@@ -44,5 +44,5 @@ func Seconds(cycles uint64) float64 {
 // Cycles converts a duration in seconds to cycles at the simulated core
 // frequency.
 func Cycles(seconds float64) uint64 {
-	return uint64(seconds * FrequencyHz)
+	return uint64(float64(seconds * FrequencyHz))
 }

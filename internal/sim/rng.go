@@ -6,6 +6,10 @@
 //
 // Everything in this package is deterministic given a seed, so every table
 // and figure regenerated by the benchmark harness is exactly reproducible.
+// That holds across architectures too: a float product that feeds an add
+// or subtract is rounded with an explicit float64(…), because the Go spec
+// otherwise lets a compiler fuse x*y + z into one differently rounded
+// instruction (arm64 and riscv64 do; amd64 does not).
 package sim
 
 // RNG is a small, fast, deterministic pseudo-random generator
@@ -46,7 +50,7 @@ func (r *RNG) Intn(n int) int {
 
 // Uniform returns a value uniformly distributed in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Bool returns true with probability p.
@@ -114,5 +118,5 @@ func ln(x float64) float64 {
 		}
 	}
 	const ln2 = 0.6931471805599453
-	return 2*sum + float64(exp)*ln2
+	return 2*sum + float64(float64(exp)*ln2)
 }

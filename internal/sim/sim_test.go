@@ -276,7 +276,7 @@ func TestSampleMedianMatchesSort(t *testing.T) {
 
 func TestEmptySampleReturnsZero(t *testing.T) {
 	// Order statistics of an empty sample are the documented zero value,
-	// not a panic: live telemetry snapshots may render before the first
+	// not a panic: a report may render a sample before its first
 	// observation arrives.
 	var s Sample
 	if got := s.Median(); got != 0 {

@@ -58,13 +58,13 @@ func (s *Sample) Percentile(p float64) float64 {
 	if len(s.values) == 1 {
 		return s.values[0]
 	}
-	rank := p / 100 * float64(len(s.values)-1)
+	rank := float64(p / 100 * float64(len(s.values)-1))
 	lo := int(rank)
 	frac := rank - float64(lo)
 	if lo+1 >= len(s.values) {
 		return s.values[len(s.values)-1]
 	}
-	return s.values[lo]*(1-frac) + s.values[lo+1]*frac
+	return float64(s.values[lo]*(1-frac)) + float64(s.values[lo+1]*frac)
 }
 
 // FractionBelow reports the fraction of observations <= threshold.

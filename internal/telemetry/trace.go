@@ -1,3 +1,15 @@
+// Package telemetry is the simulated platform's boundary-event tracer.
+// The paper's argument rests on seeing where cycles go at the enclave
+// boundary (Figure 3's CDFs, Table 1's medians, the ocall breakdowns);
+// each layer that crosses it (sgx's leaf instructions, mem's EPC faults
+// and MEE walks, sdk's edge calls, core.Channel's HotCalls) emits spans
+// into one Tracer, and the cycle-attribution profiler (internal/profile)
+// folds them into call trees.
+//
+// A nil *Tracer is a valid disabled tracer: every emitter holds one that
+// is nil until its SetTracer, and checks it before building an event, so
+// an untraced run pays one predictable branch.  Timestamps are simulated
+// cycles from sim.Clock.
 package telemetry
 
 import "sync"
@@ -12,7 +24,6 @@ const (
 	KindOcall                 // SDK ocall span (EEXIT..ERESUME)
 	KindHotECall              // HotCall ecall span (shared-memory protocol)
 	KindHotOCall              // HotCall ocall span
-	KindFallback              // HotCall timeout -> SDK fallback taken
 	KindEEnter                // EENTER leaf instruction
 	KindEExit                 // EEXIT leaf instruction
 	KindEResume               // ERESUME leaf instruction
@@ -45,9 +56,9 @@ type Event struct {
 // tracer is non-nil: enough for the profiler (internal/profile) to
 // attribute every cycle of a call.
 //
-// Unlike counters, Emit serialises writers with a mutex:
-// tracing is opt-in, each event is a multi-word record, and the
-// single-threaded discrete-event simulations never contend on it.
+// Emit serialises writers with a mutex: tracing is opt-in, each event
+// is a multi-word record, and the single-threaded discrete-event
+// simulations never contend on it.
 type Tracer struct {
 	mu     sync.Mutex
 	events []Event

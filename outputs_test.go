@@ -26,9 +26,6 @@ const (
 	// seedItem routes the base seed into every experiment and runs the
 	// gate at several seeds.
 	seedItem = "item:16"
-	// observersItem measures the observers' own error; the -metrics dump
-	// is what it reads.
-	observersItem = "item:9"
 )
 
 // outputReaders is the reader table: one row per hotbench flag, per
@@ -39,10 +36,9 @@ const (
 // the output's content) or item:<N> (an open ROADMAP item that will
 // consume it; the row expires when the item closes).
 var outputReaders = map[string][]string{
-	"hotbench -run":     {exactGate, fidelityGate},
-	"hotbench -docs":    {exactGate, fidelityGate},
-	"hotbench -seed":    {seedItem},
-	"hotbench -metrics": {observersItem},
+	"hotbench -run":  {exactGate, fidelityGate},
+	"hotbench -docs": {exactGate, fidelityGate},
+	"hotbench -seed": {seedItem},
 
 	"experiment table1":         {"gate:table1"},
 	"experiment fig2":           {"gate:fig2"},
